@@ -375,33 +375,33 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """``skypeer serve``: stand up the gateway until interrupted."""
+    """``skypeer serve``: stand up the gateway until interrupted.
+
+    Lifecycle: pool → data → pre-process on the pool → bind.  The
+    engine comes first so its workers fork from an import-only parent
+    (they attach the published segment, never the parent's heap) and
+    Section 5.3 pre-processing fans out over them; the query
+    publication follows with the first query.  SIGTERM takes the
+    SIGINT path, so either one closes the gateway and then the pool.
+    """
     import asyncio
     import json
+    import signal
+    import threading
 
     from .parallel import get_engine, shutdown_engines
     from .serving.gateway import GatewayConfig, QueryGateway
 
-    print(
-        f"building network: {args.peers} peers x {args.points_per_peer} points, "
-        f"d={args.dims}, dataset={args.dataset}"
-    )
-    network = SuperPeerNetwork.build(
-        n_peers=args.peers,
-        points_per_peer=args.points_per_peer,
-        dimensionality=args.dims,
-        dataset=args.dataset,
-        seed=args.seed,
-    )
+    # Handlers can only be set from the main thread; an embedding host
+    # that runs ``serve`` on another thread owns its own signals.
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
     overrides = {}
     if args.host is not None:
         overrides["host"] = args.host
     if args.port is not None:
         overrides["port"] = args.port
     config = GatewayConfig.from_env(**overrides)
-    engine = None
-    if args.backend == "engine":
-        engine = get_engine(args.workers)
 
     async def serve() -> None:
         gateway = QueryGateway(
@@ -424,7 +424,22 @@ def _run_serve(args: argparse.Namespace) -> int:
             print("gateway stats:")
             print(json.dumps(gateway.stats.as_dict(), indent=2, sort_keys=True))
 
+    engine = None
     try:
+        if args.backend == "engine":
+            engine = get_engine(args.workers)
+        print(
+            f"building network: {args.peers} peers x {args.points_per_peer} points, "
+            f"d={args.dims}, dataset={args.dataset}"
+        )
+        network = SuperPeerNetwork.build(
+            n_peers=args.peers,
+            points_per_peer=args.points_per_peer,
+            dimensionality=args.dims,
+            dataset=args.dataset,
+            seed=args.seed,
+            engine=engine,
+        )
         asyncio.run(serve())
     except KeyboardInterrupt:
         pass

@@ -153,8 +153,10 @@ def local_subspace_skyline(
     n = len(store)
     index = make_index(index_kind, len(cols), strict=strict)
     threshold = float(initial_threshold)
-    proj, dists = store.projection(cols)
     f = store.f
+    # The scan never reads past the last f(p) <= t, so only that prefix
+    # is projected.
+    proj, dists = store.projection(cols, rows=store.prefix(threshold))
     if index_kind == "block":
         full_space = len(cols) == store.dimensionality
         examined, threshold = _chunked_scan(
@@ -270,7 +272,9 @@ def _chunked_scan(
         block = index.block_view()
         if block.shape[0]:
             index.comparisons += block.shape[0] * chunk_rows.shape[0]
-            dominated = batch_dominated_any(block, chunk_rows, strict=strict)
+            dominated = batch_dominated_any(
+                block, chunk_rows, strict=strict, kernel=index.kernel
+            )
             candidates = np.nonzero(~dominated)[0]
         else:
             candidates = np.arange(chunk_rows.shape[0])

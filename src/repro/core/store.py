@@ -6,13 +6,15 @@ bundles a :class:`~repro.core.dataset.PointSet` with its pre-computed
 ``f`` values, sorted ascending, which is the exact access path both
 Algorithm 1 and Algorithm 2 need.
 
-A store is immutable, so per-subspace derived arrays (the column
-projection Algorithm 1 scans and the ``dist_U`` vector it thresholds
-on) are pure functions of the store and can be cached on the instance:
-:meth:`SortedByF.projection`.  Store-changing operations (pre-
-processing, churn, data updates) *replace* the store object — and bump
-``SuperPeerNetwork.epoch`` — so a cache entry can never outlive the
-arrays it was sliced from.
+A store is immutable: store-changing operations (pre-processing,
+churn, data updates) *replace* the store object and bump
+``SuperPeerNetwork.epoch``.  The column projection Algorithm 1 scans
+(:meth:`SortedByF.projection`) is derived per call and never retained —
+it costs about 1 % of a cold scan, and a scan reads only the
+``f(p) <= t`` prefix of it.  What *is* cached on the instance are the
+position-dependent scan structures that are expensive to rebuild: the
+R-tree (:meth:`SortedByF.rtree`) and the SaLSa visit order
+(:meth:`SortedByF.salsa_order`).
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ __all__ = ["SortedByF"]
 class SortedByF:
     """A point set sorted ascending by ``f(p)`` with cached keys."""
 
-    __slots__ = ("points", "f", "_projections", "_rtrees", "_salsa")
+    __slots__ = ("points", "f", "_rtrees", "_salsa")
 
-    #: Most distinct subspaces cached per store.  Workloads concentrate
-    #: on a handful of subspaces (the query-cache motivation); the cap
-    #: merely bounds memory under adversarial workloads.
+    #: Most distinct subspaces whose R-tree / SaLSa order is cached per
+    #: store.  Workloads concentrate on a handful of subspaces (the
+    #: query-cache motivation); the cap merely bounds memory under
+    #: adversarial workloads.
     MAX_CACHED_SUBSPACES = 32
 
     def __init__(self, points: PointSet, f: np.ndarray):
@@ -49,7 +52,6 @@ class SortedByF:
         self.points = points
         self.f = np.asarray(f, dtype=np.float64)
         self.f.setflags(write=False)
-        self._projections: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
         self._rtrees: dict[tuple[tuple[int, ...], int], "RTree"] | None = None
         self._salsa: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -86,7 +88,6 @@ class SortedByF:
         self.points = points
         self.f = f
         self.f.setflags(write=False)
-        self._projections = None
         self._rtrees = None
         self._salsa = None
         return self
@@ -98,33 +99,34 @@ class SortedByF:
     def dimensionality(self) -> int:
         return self.points.dimensionality
 
-    def projection(self, subspace: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    def prefix(self, threshold: float) -> slice:
+        """The rows with ``f(p) <= threshold``: all a threshold scan may
+        examine (Observation 5; ``f == t`` ties are kept)."""
+        return slice(0, int(np.searchsorted(self.f, threshold, side="right")))
+
+    def projection(
+        self, subspace: Sequence[int], rows: slice | np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The ``(proj, dists)`` pair Algorithm 1 scans for ``subspace``.
 
         ``proj`` is the point array restricted to the subspace columns
         and ``dists`` is ``dist_U(p) = max_{i in U} p[i]`` per point.
-        Both are cached per subspace (read-only, shared across calls)
-        so repeated queries over the same subspace stop re-slicing the
-        store.  The full-space projection is the stored value array
-        itself — zero copies.
+        ``rows`` restricts both to a slice or an index array of store
+        positions, so a threshold scan pays only for the prefix it can
+        examine.  A pure function: both arrays are derived per call
+        (read-only) and nothing is kept on the store.  The full-space
+        projection is the stored value array itself — zero copies.
         """
         key = tuple(subspace)
-        cache = self._projections
-        if cache is None:
-            cache = self._projections = {}
-        hit = cache.get(key)
-        if hit is None:
-            if key == tuple(range(self.dimensionality)):
-                proj = self.points.values  # already read-only
-            else:
-                proj = self.points.values[:, list(key)]
-                proj.setflags(write=False)
-            dists = proj.max(axis=1) if len(self) else np.zeros(0)
-            dists.setflags(write=False)
-            if len(cache) >= self.MAX_CACHED_SUBSPACES:
-                cache.pop(next(iter(cache)))
-            hit = cache[key] = (proj, dists)
-        return hit
+        values = self.points.values if rows is None else self.points.values[rows]
+        if key == tuple(range(self.dimensionality)):
+            proj = values  # a view of (or the) read-only value array
+        else:
+            proj = values[:, list(key)]
+        proj.setflags(write=False)
+        dists = proj.max(axis=1) if proj.shape[0] else np.zeros(0)
+        dists.setflags(write=False)
+        return proj, dists
 
     def rtree(self, subspace: Sequence[int], max_entries: int = 16) -> "RTree":
         """A bulk-loaded R-tree over the subspace projection, cached.
@@ -134,8 +136,9 @@ class SortedByF:
         scan can bound ``f`` over a subtree by looking at its smallest
         position — the substrate the BBS scan
         (:mod:`repro.core.substrates`) expands.  Cached per
-        ``(subspace, max_entries)`` under the same LRU-ish cap as
-        projections; the store is immutable, so entries never go stale.
+        ``(subspace, max_entries)`` under the FIFO cap
+        ``MAX_CACHED_SUBSPACES``; the store is immutable, so entries
+        never go stale.
         """
         from ..index.rtree import RTree
 
@@ -164,7 +167,7 @@ class SortedByF:
         its victim's, which is what lets the SaLSa scan
         (:func:`repro.core.substrates.salsa_subspace_skyline`) stop
         early at the running stop-point.  Cached per subspace under the
-        same cap as projections; the store is immutable, so entries
+        same cap as the R-trees; the store is immutable, so entries
         never go stale.
         """
         key = tuple(subspace)
@@ -199,10 +202,9 @@ class SortedByF:
         O(k log n) ``searchsorted`` plus one array splice — the f-order
         invariant is preserved without re-sorting the store
         (ties land after existing equal keys, matching the stable-sort
-        order of :meth:`from_points` over ``[existing, new]``).  Cached
-        projections are patched by the same splice so warm subspaces
-        stay warm; R-tree and SaLSa caches are dropped (their layouts
-        are position-dependent) and rebuild lazily.  The caller
+        order of :meth:`from_points` over ``[existing, new]``).  The
+        new store starts without R-tree and SaLSa caches (their layouts
+        are position-dependent); they rebuild lazily.  The caller
         guarantees the incoming ids are not already present.
         """
         if len(points) == 0:
@@ -214,34 +216,16 @@ class SortedByF:
         pos = np.searchsorted(self.f, keys, side="right")
         values = np.insert(self.points.values, pos, incoming.values, axis=0)
         ids = np.insert(self.points.ids, pos, incoming.ids)
-        out = SortedByF.from_trusted(
+        return SortedByF.from_trusted(
             PointSet.from_trusted(values, ids), np.insert(self.f, pos, keys)
         )
-        cache = self._projections
-        if cache:
-            full = tuple(range(self.dimensionality))
-            patched: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-            for key, (proj, dists) in cache.items():
-                if key == full:
-                    nproj = out.points.values
-                    sub = incoming.values
-                else:
-                    sub = incoming.values[:, list(key)]
-                    nproj = np.insert(proj, pos, sub, axis=0)
-                    nproj.setflags(write=False)
-                ndists = np.insert(dists, pos, sub.max(axis=1))
-                ndists.setflags(write=False)
-                patched[key] = (nproj, ndists)
-            out._projections = patched
-        return out
 
     def splice_delete(self, ids: np.ndarray | Sequence[int]) -> "SortedByF":
         """A new store with the given point ids spliced out.
 
         Ids not present are ignored.  The surviving rows keep their
-        relative f-order, so no re-sort or re-validation is needed;
-        cached projections are masked by the same keep-vector (R-tree
-        and SaLSa caches drop, as in :meth:`splice_insert`).
+        relative f-order, so no re-sort or re-validation is needed
+        (R-tree and SaLSa caches drop, as in :meth:`splice_insert`).
         """
         drop_ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
         if len(self) == 0 or drop_ids.size == 0:
@@ -249,60 +233,12 @@ class SortedByF:
         keep = ~np.isin(self.points.ids, drop_ids)
         if keep.all():
             return self
-        out = SortedByF.from_trusted(
+        return SortedByF.from_trusted(
             PointSet.from_trusted(self.points.values[keep], self.points.ids[keep]),
             self.f[keep],
         )
-        cache = self._projections
-        if cache:
-            full = tuple(range(self.dimensionality))
-            patched: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-            for key, (proj, dists) in cache.items():
-                if key == full:
-                    nproj = out.points.values
-                else:
-                    nproj = proj[keep]
-                    nproj.setflags(write=False)
-                ndists = dists[keep]
-                ndists.setflags(write=False)
-                patched[key] = (nproj, ndists)
-            out._projections = patched
-        return out
 
-    def has_projection(self, subspace: Sequence[int]) -> bool:
-        """True when :meth:`projection` would hit the instance cache."""
-        cache = self._projections
-        return cache is not None and tuple(subspace) in cache
-
-    def seed_projection(
-        self, subspace: Sequence[int], proj: np.ndarray, dists: np.ndarray
-    ) -> None:
-        """Install an externally computed ``(proj, dists)`` pair.
-
-        The shared-memory block cache (:mod:`repro.parallel.shmcache`)
-        uses this to hand a worker a projection another worker already
-        derived; shapes are validated so a corrupt cache entry cannot
-        poison the scan, and the arrays are frozen like locally derived
-        ones.
-        """
-        key = tuple(subspace)
-        if proj.shape != (len(self), len(key)) or dists.shape != (len(self),):
-            raise ValueError(
-                f"seeded projection shape mismatch for subspace {key}: "
-                f"proj {proj.shape}, dists {dists.shape}, store {len(self)}"
-            )
-        proj = np.asarray(proj, dtype=np.float64)
-        dists = np.asarray(dists, dtype=np.float64)
-        proj.setflags(write=False)
-        dists.setflags(write=False)
-        cache = self._projections
-        if cache is None:
-            cache = self._projections = {}
-        if len(cache) >= self.MAX_CACHED_SUBSPACES and key not in cache:
-            cache.pop(next(iter(cache)))
-        cache[key] = (proj, dists)
-
-    # Slots would otherwise pickle the projection cache alongside the
+    # Slots would otherwise pickle the R-tree/SaLSa caches alongside the
     # data; rebuild lean on the far side (the parallel engine ships
     # stores between processes).
     def __getstate__(self) -> tuple[PointSet, np.ndarray]:
@@ -311,7 +247,6 @@ class SortedByF:
     def __setstate__(self, state: tuple[PointSet, np.ndarray]) -> None:
         self.points, self.f = state
         self.f.setflags(write=False)
-        self._projections = None
         self._rtrees = None
         self._salsa = None
 

@@ -143,7 +143,6 @@ def bbs_subspace_skyline(
     """
     started = time.perf_counter()
     cols = tuple(subspace)
-    proj, dists = store.projection(cols)
     f = store.f
     if positions is None:
         input_size = len(store)
@@ -153,7 +152,8 @@ def bbs_subspace_skyline(
         input_size = int(positions.shape[0])
         from ..index.rtree import RTree
 
-        tree = RTree.bulk_load(proj[positions], ids=positions, max_entries=max_entries)
+        proj, _dists = store.projection(cols, rows=positions)
+        tree = RTree.bulk_load(proj, ids=positions, max_entries=max_entries)
         tree.annotate_min_ids()
     index = BlockDominanceIndex(len(cols), strict=strict)
     threshold = float(initial_threshold)
@@ -194,7 +194,9 @@ def bbs_subspace_skyline(
             block = index.block_view()
             if block.shape[0]:
                 index.comparisons += block.shape[0] * rows.shape[0]
-                alive = ~batch_dominated_any(block, rows, strict=strict)
+                alive = ~batch_dominated_any(
+                    block, rows, strict=strict, kernel=index.kernel
+                )
                 kept, rows = kept[alive], rows[alive]
             if rows.shape[0] > 1:
                 index.comparisons += rows.shape[0] * rows.shape[0]
@@ -343,7 +345,9 @@ def salsa_subspace_skyline(
                 block = index.block_view()
                 if block.shape[0]:
                     index.comparisons += block.shape[0] * rows.shape[0]
-                    alive = ~batch_dominated_any(block, rows, strict=strict)
+                    alive = ~batch_dominated_any(
+                        block, rows, strict=strict, kernel=index.kernel
+                    )
                     batch, rows = batch[alive], rows[alive]
                 if batch.size:
                     # Pairwise pass among the batch survivors, charged

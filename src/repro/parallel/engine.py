@@ -18,11 +18,19 @@ so intra-query partition slices computed on either side agree.
 *Batching and subspace affinity.*  Tasks are submitted as chunks, not
 one IPC round-trip per (query, variant) pair.  Chunks are formed by
 grouping tasks on the query subspace, so queries over the same
-subspace run on the same worker and the per-subspace projection/dist
-caches on :class:`~repro.core.store.SortedByF` hit across queries (and
-across variants, which share the projection).  Each worker caches a
-small number of attached networks, so sweeps alternating between
-configurations do not re-attach per batch.
+subspace run on the same worker, where the block cache replays their
+repeated scans and the per-subspace R-tree / SaLSa-order caches on
+:class:`~repro.core.store.SortedByF` hit across queries and variants.
+Each worker caches a small number of attached networks, so sweeps
+alternating between configurations do not re-attach per batch.
+
+*Pool before data.*  Workers fork from whatever heap the parent has
+when the engine is created, and never read it — they attach the
+published segment instead.  A long-lived host therefore creates the
+engine *first* and builds its network with ``build(engine=...)``:
+workers fork from an import-only parent, Section 5.3 pre-processing
+fans out over them, and the pre-processing publication (the raw
+partitions) is withdrawn as soon as that fan-out returns.
 
 *Determinism.*  Every task carries its index in the serial loop's
 iteration order and the parent reassembles results by index, so the
@@ -51,7 +59,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -195,11 +203,28 @@ def _apply_pinning(ordinal: int) -> int | None:
     return cpu
 
 
+def _open(spec: dict[str, Any]) -> tuple[Any, Any, Any]:
+    """Attach (shm) or load (snapshot) a publication, uncached.
+
+    Returns ``(network, AttachedNetwork | None, block cache)``; the
+    cache is the segment's shared block cache when the publication
+    carries one, else a worker-local fallback with the same interface.
+    """
+    if spec["kind"] == "shm":
+        attached = attach_network(spec["manifest"])
+        cache = attached.cache
+        if cache is None or cache_enabled() is False:
+            cache = LocalBlockCache()
+        return attached.network, attached, cache
+    import pickle
+
+    with open(spec["path"], "rb") as handle:
+        return pickle.load(handle), None, LocalBlockCache()
+
+
 def _materialize(spec: dict[str, Any]) -> tuple[Any, Any, dict[str, Any] | None]:
     """Return the spec's (network, cache), attaching/loading on first use.
 
-    The cache is the segment's shared block cache when the publication
-    carries one, else a worker-local fallback with the same interface.
     The third element reports the first-use cost (``None`` on a cache
     hit): ``{"mode": "shm" | "snapshot", "seconds": ...}`` — the
     shm-attach vs snapshot-rebuild differential the bench records.
@@ -221,17 +246,7 @@ def _materialize(spec: dict[str, Any]) -> tuple[Any, Any, dict[str, Any] | None]
                 return network, cache, {"mode": "shm-delta", "seconds": seconds, **delta}
         return network, cache, None
     started = time.perf_counter()
-    if spec["kind"] == "shm":
-        attached = attach_network(spec["manifest"])
-        cache = attached.cache
-        if cache is None or cache_enabled() is False:
-            cache = LocalBlockCache()
-        entry = (attached.network, attached, cache)
-    else:
-        import pickle
-
-        with open(spec["path"], "rb") as handle:
-            entry = (pickle.load(handle), None, LocalBlockCache())
+    entry = _open(spec)
     seconds = time.perf_counter() - started
     while len(_WORKER_NETWORKS) >= _WORKER_CACHE_CAP:
         _, (network, attached, _cache) = _WORKER_NETWORKS.popitem(last=False)
@@ -316,26 +331,7 @@ def _cached_local_compute(
                     cache.stats.invalid += 1
             else:
                 cache.stats.invalid += 1
-        proj_key = make_key("proj", sp, generation, cols)
-        seeded = store.has_projection(cols)
-        if not seeded:
-            proj_hit = cache.get(proj_key)
-            if proj_hit is not None:
-                _meta, proj_arrays, token = proj_hit
-                proj = np.array(proj_arrays["proj"], dtype=np.float64, copy=True)
-                dists = np.array(proj_arrays["dists"], dtype=np.float64, copy=True)
-                if cache.still_valid(token):
-                    try:
-                        store.seed_projection(cols, proj, dists)
-                        seeded = True
-                    except ValueError:
-                        cache.stats.invalid += 1
-                else:
-                    cache.stats.invalid += 1
         computation = run_scan(store, cols, threshold)
-        if not seeded:
-            proj, dists = store.projection(cols)
-            cache.put(proj_key, {}, {"proj": proj, "dists": dists})
         if computation.positions is not None:
             cache.put(
                 scan_key,
@@ -439,8 +435,11 @@ def _run_query_batch(
 
     network, cache, attach = _materialize(spec)
     started = time.perf_counter()
+    # Resolved once per batch: the scans and merges below then never
+    # consult the environment again.
+    scan_chunk = resolve_scan_chunk(scan_chunk)
     local_compute = _cached_local_compute(
-        network, cache, resolve_scan_chunk(scan_chunk),
+        network, cache, scan_chunk,
         substrate=substrate, partitioner=partitioner, parts=parts,
     )
     runs: list[tuple[int, "QueryExecution"]] = []
@@ -478,14 +477,30 @@ def _run_query_batch(
 def _run_preprocess_batch(
     spec: dict[str, Any], superpeer_ids: Sequence[int]
 ) -> dict[str, Any]:
-    """Pre-process a chunk of super-peers (pure compute, no obs)."""
-    network, cache, attach = _materialize(spec)
+    """Pre-process a chunk of super-peers (pure compute, no obs).
+
+    The pre-processing publication lives for one fan-out (the parent
+    withdraws it once the results are in), so it is attached for this
+    batch only and never enters the worker's network cache: a serving
+    worker keeps no mapping of the raw partitions beside the query
+    publication's stores.
+    """
     started = time.perf_counter()
-    peer_compute = _cached_peer_compute(network, cache)
-    results = [
-        network.compute_superpeer_preprocess(sp, peer_compute=peer_compute)
-        for sp in superpeer_ids
-    ]
+    network, attached, cache = _open(spec)
+    attach = {"mode": spec["kind"], "seconds": time.perf_counter() - started}
+    started = time.perf_counter()
+    try:
+        peer_compute = _cached_peer_compute(network, cache)
+        results = [
+            network.compute_superpeer_preprocess(sp, peer_compute=peer_compute)
+            for sp in superpeer_ids
+        ]
+    finally:
+        # The array views over the segment must be garbage before the
+        # mapping can be released (results are copies, never views).
+        network = peer_compute = None
+        if attached is not None:
+            attached.close()
     return {
         "results": results,
         "attach": attach,
@@ -526,13 +541,8 @@ def _run_partition_batch(
     network, cache, attach = _materialize(spec)
     started = time.perf_counter()
     store = network.store_of(sp)
-    proj, _dists = store.projection(cols)
-    prefix = (
-        len(store)
-        if math.isinf(threshold)
-        else int(np.searchsorted(store.f, threshold, side="right"))
-    )
-    slices = partition_positions(partitioner, proj[:prefix], parts)
+    proj, _dists = store.projection(cols, rows=store.prefix(threshold))
+    slices = partition_positions(partitioner, proj, parts)
     generation = network.store_generations.get(sp, 0)
     scans: list[tuple[int, dict[str, Any]]] = []
     for pi in part_indices:
@@ -907,14 +917,13 @@ class ParallelEngine:
     # ------------------------------------------------------------------
     # publications
     # ------------------------------------------------------------------
-    def _publish(self, network: "SuperPeerNetwork", for_query: bool) -> _Publication:
-        """Publish (or reuse) a network for worker consumption.
+    def _publish(self, network: "SuperPeerNetwork") -> _Publication:
+        """Publish (or reuse) a network for query fan-outs.
 
         Publications are keyed on object identity + ``epoch`` (store
-        changes bump the epoch, so stale data can never be served) and
-        on ``for_query`` (query and pre-processing fan-outs keep
-        separate entries).  Both the shm path and the pickle-snapshot
-        fallback carry the parent's stores verbatim.
+        changes bump the epoch, so stale data can never be served).
+        Both the shm path and the pickle-snapshot fallback carry the
+        parent's stores verbatim.
 
         The closed check lives *inside* the lock: a concurrent
         ``close()`` either drains this publication or this call raises
@@ -923,24 +932,33 @@ class ParallelEngine:
         with self._lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
-            return self._publish_locked(network, for_query)
+            key = id(network)
+            cached = self._publications.get(key)
+            if cached is not None:
+                alive = cached.network_ref()
+                if alive is network and (cached.kind == "shm") == self.use_shm:
+                    if cached.epoch == network.epoch:
+                        self._publications.move_to_end(key)
+                        return cached
+                    if self._republish_incremental(cached, network):
+                        self._publications.move_to_end(key)
+                        return cached
+                del self._publications[key]
+                cached.withdraw()
+            publication = self._publications[key] = self._new_publication(network)
+            while len(self._publications) > _PUBLICATION_CAP:
+                _, old = self._publications.popitem(last=False)
+                old.withdraw()
+            return publication
 
-    def _publish_locked(
-        self, network: "SuperPeerNetwork", for_query: bool
-    ) -> _Publication:
-        key = (id(network), for_query)
-        cached = self._publications.get(key)
-        if cached is not None:
-            alive = cached.network_ref()
-            if alive is network and (cached.kind == "shm") == self.use_shm:
-                if cached.epoch == network.epoch:
-                    self._publications.move_to_end(key)
-                    return cached
-                if self._republish_incremental(cached, network):
-                    self._publications.move_to_end(key)
-                    return cached
-            del self._publications[key]
-            cached.withdraw()
+    def _new_publication(self, network: "SuperPeerNetwork") -> _Publication:
+        """Copy ``network`` into a fresh shm segment or snapshot file.
+
+        The caller owns the result: it either enters the publication
+        table (:meth:`_publish`) or is withdrawn when its one fan-out
+        ends (:meth:`preprocess_network`).  Caller must hold
+        ``self._lock``.
+        """
         self._token_counter += 1
         token = f"pub-{os.getpid():x}-{id(self):x}-{self._token_counter}"
         started = time.perf_counter()
@@ -966,7 +984,7 @@ class ParallelEngine:
         self.stats.publish_seconds += time.perf_counter() - started
         self.stats.publications += 1
         self.stats.publish_modes.append(spec["kind"])
-        publication = _Publication(
+        return _Publication(
             token=token,
             kind=spec["kind"],
             spec=spec,
@@ -975,11 +993,6 @@ class ParallelEngine:
             network_ref=weakref.ref(network),
             epoch=network.epoch,
         )
-        self._publications[key] = publication
-        while len(self._publications) > _PUBLICATION_CAP:
-            _, old = self._publications.popitem(last=False)
-            old.withdraw()
-        return publication
 
     def _republish_incremental(
         self, publication: _Publication, network: "SuperPeerNetwork"
@@ -1093,35 +1106,33 @@ class ParallelEngine:
             total_nbytes = 0
             full = False
             with self._lock:
-                for key in [k for k in self._publications if k[0] == id(network)]:
-                    publication = self._publications[key]
-                    if publication.network_ref() is not network:
-                        continue
-                    if publication.epoch == network.epoch:
-                        continue
+                publication = self._publications.get(id(network))
+                if (
+                    publication is not None
+                    and publication.network_ref() is network
+                    and publication.epoch != network.epoch
+                ):
                     nbytes = self._republish_incremental(publication, network)
                     if nbytes is None:
                         # Snapshot mode or super-peer set surgery: drop
                         # the stale publication; the next fan-out
                         # republishes in full.
-                        del self._publications[key]
+                        del self._publications[id(network)]
                         publication.withdraw()
                         full = True
                         self.stats.full_republishes += 1
-                        continue
-                    republished += nbytes
-                    manifest = publication.shared.manifest
-                    slot_nbytes = max(
-                        slot_nbytes,
-                        sum(int(manifest["slot_nbytes"][sp]) for sp in touched),
-                    )
-                    total_nbytes = max(
-                        total_nbytes,
-                        sum(int(b) for b in manifest["slot_nbytes"].values()),
-                    )
-                    # Readers are drained (write gate held): segments
-                    # superseded by this republish can go now.
-                    publication.shared.reap_retired()
+                    else:
+                        republished = nbytes
+                        manifest = publication.shared.manifest
+                        slot_nbytes = sum(
+                            int(manifest["slot_nbytes"][sp]) for sp in touched
+                        )
+                        total_nbytes = sum(
+                            int(b) for b in manifest["slot_nbytes"].values()
+                        )
+                        # Readers are drained (write gate held): segments
+                        # superseded by this republish can go now.
+                        publication.shared.reap_retired()
                 self.stats.updates_applied += 1
                 self.stats.update_seconds += time.perf_counter() - started
                 path = getattr(outcome, "path", None)
@@ -1210,7 +1221,7 @@ class ParallelEngine:
             else 0
         )
         metrics = active_metrics()
-        publication = self._publish(network, for_query=True)
+        publication = self._publish(network)
         spec = publication.spec
         queries = list(queries)
         variants = [Variant.parse(v) if isinstance(v, str) else v for v in variants]
@@ -1320,18 +1331,13 @@ class ParallelEngine:
         parts = resolve_partition_parts(parts, default=self.workers)
         threshold = float(initial_threshold)
         cols = tuple(int(c) for c in subspace)
-        publication = self._publish(network, for_query=True)
+        publication = self._publish(network)
         spec = publication.spec
         with self._lock:
             publication.warm.add(cols)
         store = network.store_of(sp)
-        proj, _dists = store.projection(cols)
-        prefix = (
-            len(store)
-            if math.isinf(threshold)
-            else int(np.searchsorted(store.f, threshold, side="right"))
-        )
-        slices = partition_positions(part_kind, proj[:prefix], parts)
+        proj, _dists = store.projection(cols, rows=store.prefix(threshold))
+        slices = partition_positions(part_kind, proj, parts)
         indices = list(range(len(slices)))
         target = max(1, math.ceil(len(indices) / max(1, self.workers)))
         chunks = [indices[i : i + target] for i in range(0, len(indices), target)]
@@ -1378,7 +1384,9 @@ class ParallelEngine:
         Workers see the network as published (typically before any
         stores exist — building them is the work being distributed);
         results come back in topology order for the parent's
-        deterministic ingest.
+        deterministic ingest.  The publication is private to this call
+        and withdrawn when it returns, so it never sits beside the
+        query publication.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
@@ -1388,23 +1396,41 @@ class ParallelEngine:
     def _preprocess_network_gated(
         self, network: "SuperPeerNetwork"
     ) -> list["SuperPeerPreprocess"]:
-        spec = self._publish(network, for_query=False).spec
-        sp_ids = list(network.topology.superpeer_ids)
-        target = max(1, math.ceil(len(sp_ids) / (self.workers * _BATCH_OVERSUBSCRIBE)))
-        chunks = [sp_ids[i : i + target] for i in range(0, len(sp_ids), target)]
-        started = time.perf_counter()
-        futures = [
-            self._pool.submit(_run_preprocess_batch, spec, chunk) for chunk in chunks
-        ]
-        self.stats.submit_seconds += time.perf_counter() - started
-        self.stats.batches += len(chunks)
-        self.stats.tasks += len(sp_ids)
-        results: list["SuperPeerPreprocess"] = []
-        for future in futures:
-            payload = future.result()
-            self._ingest_batch_stats(payload, None)
-            results.extend(payload["results"])
-        return results
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("engine is closed")
+            publication = self._new_publication(network)
+        futures: list[Future] = []
+        try:
+            sp_ids = list(network.topology.superpeer_ids)
+            target = max(
+                1, math.ceil(len(sp_ids) / (self.workers * _BATCH_OVERSUBSCRIBE))
+            )
+            chunks = [sp_ids[i : i + target] for i in range(0, len(sp_ids), target)]
+            started = time.perf_counter()
+            futures = [
+                self._pool.submit(_run_preprocess_batch, publication.spec, chunk)
+                for chunk in chunks
+            ]
+            self.stats.submit_seconds += time.perf_counter() - started
+            self.stats.batches += len(chunks)
+            self.stats.tasks += len(sp_ids)
+            results: list["SuperPeerPreprocess"] = []
+            for future in futures:
+                payload = future.result()
+                self._ingest_batch_stats(payload, None)
+                results.extend(payload["results"])
+            return results
+        finally:
+            # The raw partitions were needed for this fan-out only: the
+            # stores it produced travel with the query publication.  On
+            # an error or interrupt, batches may still be running; they
+            # hold the attachment and would re-create the block cache's
+            # lock file, so they finish (or never start) first.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            publication.withdraw()
 
     def _ingest_batch_stats(self, payload: dict[str, Any], metrics: Any) -> None:
         with self._lock:
@@ -1490,10 +1516,10 @@ def _affinity_chunks(
 
     Tasks are indexed in the serial loop's order (variant-major), then
     grouped by query subspace so one chunk — hence one worker — serves
-    one subspace and the store's projection cache hits across the
-    chunk.  Groups larger than the load-balancing target split into
-    consecutive chunks; ordering is deterministic (first-appearance
-    groups, ascending indices within).
+    one subspace and its repeated scans replay from the block cache
+    across the chunk.  Groups larger than the load-balancing target
+    split into consecutive chunks; ordering is deterministic
+    (first-appearance groups, ascending indices within).
     """
     groups: "OrderedDict[tuple[int, ...], list[tuple[int, Query, str]]]" = OrderedDict()
     index = 0

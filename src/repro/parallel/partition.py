@@ -222,14 +222,13 @@ def scan_partition(
         )
     started = time.perf_counter()
     cols = tuple(subspace)
-    proj, dists = store.projection(cols)
     positions = np.asarray(positions, dtype=np.int64)
     # Contiguous copies: the slice is scanned chunk by chunk many times
     # against the candidate block, and fancy-indexed views would pay
     # the gather on every chunk.
-    sub_proj = np.ascontiguousarray(proj[positions])
+    sub_proj, sub_dists = store.projection(cols, rows=positions)
+    sub_proj = np.ascontiguousarray(sub_proj)
     sub_f = store.f[positions]
-    sub_dists = dists[positions]
     index = BlockDominanceIndex(len(cols), strict=strict)
     # The SFS no-evict fast path needs f to be the minimum over the
     # scanned columns, which holds exactly when the scan covers the
@@ -330,16 +329,12 @@ def partitioned_subspace_skyline(
     cols = tuple(subspace)
     threshold = float(initial_threshold)
     n = len(store)
-    proj, _dists = store.projection(cols)
     # Only the f <= t prefix can contribute; points past it would never
     # be examined by any slice scan, so keep them out of the balance.
-    prefix = (
-        n if math.isinf(threshold)
-        else int(np.searchsorted(store.f, threshold, side="right"))
-    )
+    proj, _dists = store.projection(cols, rows=store.prefix(threshold))
     slices = partition_positions(
         resolve_partitioner(partitioner) if partitioner != "none" else "range",
-        proj[:prefix],
+        proj,
         resolve_partition_parts(parts),
     )
     if runner is None:

@@ -34,8 +34,8 @@ Lifecycle: the parent owns the segment.  ``SharedNetwork`` is a context
 manager, registers an ``atexit`` unlink so an abandoned handle cannot
 leak a ``/dev/shm`` entry past interpreter exit, and ``close(unlink=
 True)`` is idempotent.  Workers only ever *attach* (never unlink) and
-de-register from the ``resource_tracker`` so a worker's exit cannot
-reap a segment the parent still serves.  Where shared memory is
+stay out of the ``resource_tracker`` so a worker's exit cannot reap a
+segment the parent still serves.  Where shared memory is
 unavailable (or ``REPRO_SHM=0``), callers fall back to the snapshot
 path — see :mod:`repro.parallel.engine`.
 """
@@ -176,25 +176,13 @@ def _pack_superpeer(
 
 
 def _release_segment(segment: shared_memory.SharedMemory, unlink: bool) -> None:
-    """Close (and optionally unlink) one owned segment.
-
-    A worker's attach/de-register dance (see ``_attach_segment``) may
-    have dropped this segment from the shared resource tracker;
-    re-register (idempotent) so the unregister inside ``unlink()``
-    finds its entry instead of logging a KeyError.
-    """
+    """Close (and optionally unlink) one owned segment."""
     try:
         segment.close()
     except BufferError:  # pragma: no cover - a view outlived us
         pass
     if not unlink:
         return
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register(segment._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:  # pragma: no cover - tracker internals moved
-        pass
     try:
         segment.unlink()
     except FileNotFoundError:  # pragma: no cover - already reaped
@@ -566,20 +554,24 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
     Before Python 3.13 every ``SharedMemory(name=...)`` attach also
     registers with the ``resource_tracker``, whose cleanup would unlink
-    the parent's segment when a *worker* exits.  De-register right
-    away; the parent owns the lifecycle.
+    the parent's segment when a *worker* exits.  The registration is
+    suppressed rather than undone afterwards: the tracker keeps a *set*
+    of names, so two workers attaching one segment at once would send
+    register, register, unregister, unregister — and the second
+    unregister logs a ``KeyError`` traceback from the tracker process.
     """
     try:
-        segment = shared_memory.SharedMemory(name=name, create=False, track=False)  # type: ignore[call-arg]
+        return shared_memory.SharedMemory(name=name, create=False, track=False)  # type: ignore[call-arg]
     except TypeError:  # Python < 3.13
-        segment = shared_memory.SharedMemory(name=name, create=False)
-        try:
-            from multiprocessing import resource_tracker
+        pass
+    from multiprocessing import resource_tracker
 
-            resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
-    return segment
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
+    try:
+        return shared_memory.SharedMemory(name=name, create=False)
+    finally:
+        resource_tracker.register = register
 
 
 def _view(segment: shared_memory.SharedMemory, slot: Mapping[str, Any]) -> np.ndarray:

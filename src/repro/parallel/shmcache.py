@@ -2,17 +2,16 @@
 
 The shared-memory data plane (:mod:`repro.parallel.shm`) makes the
 *input* arrays of every worker identical views of one segment, but each
-worker still re-derives the per-subspace artefacts — the column
-projection and ``dist_U`` vector Algorithm 1 scans, and the scan's own
-output — privately.  This module appends a fixed-slot, read-mostly
-cache region to the published segment so one worker's warm-up benefits
-the whole pool:
+worker still re-derives the expensive per-subspace artefact — the
+output of the Algorithm 1 scan — privately.  This module appends a
+fixed-slot, read-mostly cache region to the published segment so one
+worker's scan benefits the whole pool:
 
 * **Slots.**  The region is a header, a directory of fixed-size slot
   descriptors, and a data area of fixed-size slots
   (``REPRO_SHM_CACHE_SLOTS`` × ``REPRO_SHM_CACHE_SLOT_BYTES``).  Keys
   are opaque byte strings built by :func:`make_key` from a *kind* tag
-  (``"proj"``, ``"scan"``, ``"ext"``) plus whatever identifies the
+  (``"scan"``, ``"pscan"``, ``"ext"``) plus whatever identifies the
   artefact (subspace, thresholds, scan parameters); a blake2b digest in
   the directory makes probes a straight directory sweep with no
   payload reads on mismatch.

@@ -171,3 +171,33 @@ class TestResolveKernel:
         monkeypatch.setenv(DOMINANCE_KERNEL_ENV, "bogus")
         with pytest.raises(ValueError, match="unknown dominance kernel"):
             batch_dominated_any(rng.random((3, 2)), rng.random((3, 2)))
+
+    def test_scan_reads_the_environment_once(self, rng, monkeypatch):
+        """One Algorithm-1 scan resolves the kernel when it builds its
+        index, not once per chunk — and the result and the work
+        counters do not depend on which kernel that was."""
+        from repro.core import dominance, indexes
+        from repro.core.dataset import PointSet
+        from repro.core.local_skyline import local_subspace_skyline
+        from repro.core.store import SortedByF
+
+        store = SortedByF.from_points(PointSet(rng.random((600, 4))))
+        calls: list[str | None] = []
+
+        def counting(kernel=None):
+            calls.append(kernel)
+            return resolve_dominance_kernel(kernel)
+
+        monkeypatch.setattr(indexes, "resolve_dominance_kernel", counting)
+        monkeypatch.setattr(dominance, "resolve_dominance_kernel", counting)
+        monkeypatch.setenv(DOMINANCE_KERNEL_ENV, "tiled")
+        tiled = local_subspace_skyline(store, (0, 2), scan_chunk=16)
+        # Only a ``None`` request consults the environment.
+        assert calls[0] is None and set(calls[1:]) == {"tiled"}
+        assert tiled.examined > 16  # several chunks, still one lookup
+        monkeypatch.delenv(DOMINANCE_KERNEL_ENV)
+        auto = local_subspace_skyline(store, (0, 2), scan_chunk=16)
+        assert auto.positions.tolist() == tiled.positions.tolist()
+        assert (auto.examined, auto.comparisons, auto.threshold) == (
+            tiled.examined, tiled.comparisons, tiled.threshold
+        )

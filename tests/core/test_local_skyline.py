@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
@@ -139,3 +141,73 @@ class TestStats:
         points, store = _store(rng)
         got = local_subspace_skyline(store, (0, 1))
         assert got.input_size == len(points)
+
+
+class TestPrefixProjection:
+    """Algorithm 1 projects only the ``f(p) <= t`` prefix of the store;
+    the reference below scans the whole-store projection instead."""
+
+    @staticmethod
+    def _full_projection_scan(store, cols, threshold, strict, index_kind, chunk):
+        from repro.core.indexes import make_index
+        from repro.core.local_skyline import _chunked_scan, _pointwise_scan
+
+        index = make_index(index_kind, len(cols), strict=strict)
+        proj = store.points.values[:, list(cols)]
+        dists = proj.max(axis=1) if len(store) else np.zeros(0)
+        if index_kind == "block":
+            examined, final = _chunked_scan(
+                index, proj, store.f, dists, threshold, strict,
+                full_space=len(cols) == store.dimensionality, chunk=chunk,
+            )
+        else:
+            examined, final = _pointwise_scan(index, proj, store.f, dists, threshold)
+        return list(index.positions()), final, examined, index.comparisons
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_equals_full_projection_reference(self, data):
+        d = data.draw(st.integers(2, 5), label="d")
+        n = data.draw(st.integers(0, 60), label="n")
+        # A coarse grid makes duplicate rows and exact f ties common.
+        grid = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 6), min_size=d, max_size=d),
+                min_size=n, max_size=n,
+            ),
+            label="rows",
+        )
+        values = np.asarray(grid, dtype=np.float64).reshape(n, d) / 4.0
+        store = SortedByF.from_points(PointSet(values))
+        strict = data.draw(st.booleans(), label="strict")
+        if strict:  # the ext-skyline mode runs over the full space
+            cols = tuple(range(d))
+        else:
+            cols = tuple(
+                data.draw(
+                    st.lists(
+                        st.integers(0, d - 1), min_size=1, max_size=d, unique=True
+                    ),
+                    label="cols",
+                )
+            )
+        # Thresholds: an exact f value (the f == t tie is examined, not
+        # pruned), one below every f, one between, one above everything.
+        choices = [-1.0, 0.3, 99.0] + sorted(set(store.f.tolist()))
+        threshold = data.draw(st.sampled_from(choices), label="t")
+        index_kind = data.draw(st.sampled_from(INDEX_KINDS), label="index")
+        chunk = data.draw(st.sampled_from([1, 3, 64]), label="chunk")
+
+        got = local_subspace_skyline(
+            store, cols, initial_threshold=threshold, strict=strict,
+            index_kind=index_kind, scan_chunk=chunk,
+        )
+        positions, final, examined, comparisons = self._full_projection_scan(
+            store, cols, threshold, strict, index_kind, chunk
+        )
+        assert got.positions.tolist() == positions
+        assert got.threshold == final
+        assert got.examined == examined
+        assert got.comparisons == comparisons
+        if threshold < 0:
+            assert got.examined == 0 and len(got.result) == 0

@@ -1,7 +1,6 @@
 """Sorted-splice invariants of ``SortedByF.splice_insert``/``splice_delete``."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,37 +84,16 @@ class TestSpliceDelete:
 
 
 class TestProjectionCacheConsistency:
-    @pytest.mark.parametrize("subspace", [(0, 2), (1,), (0, 1, 2, 3)])
-    def test_insert_patches_warm_projection(self, subspace):
-        rng = np.random.default_rng(15)
-        base = SortedByF.from_points(_points(rng, 30, 4))
-        base.projection(subspace)  # warm the cache
-        spliced = base.splice_insert(_points(rng, 7, 4, start_id=900))
-        assert spliced.has_projection(subspace)
-        proj, dists = spliced.projection(subspace)
-        fresh = SortedByF.from_trusted(spliced.points, spliced.f)
-        fproj, fdists = fresh.projection(subspace)
-        assert np.array_equal(proj, fproj)
-        assert np.array_equal(dists, fdists)
-
-    @pytest.mark.parametrize("subspace", [(0, 2), (1,), (0, 1, 2, 3)])
-    def test_delete_patches_warm_projection(self, subspace):
-        rng = np.random.default_rng(16)
-        base = SortedByF.from_points(_points(rng, 30, 4))
-        base.projection(subspace)
-        spliced = base.splice_delete(base.points.ids[5:15])
-        assert spliced.has_projection(subspace)
-        proj, dists = spliced.projection(subspace)
-        fresh = SortedByF.from_trusted(spliced.points, spliced.f)
-        fproj, fdists = fresh.projection(subspace)
-        assert np.array_equal(proj, fproj)
-        assert np.array_equal(dists, fdists)
+    """Per-subspace state across a splice: none is carried over."""
 
     def test_cold_cache_not_installed(self):
+        """A splice installs no per-subspace state on the new store."""
         rng = np.random.default_rng(17)
         base = SortedByF.from_points(_points(rng, 10, 3))
+        base.projection((0, 1))
         spliced = base.splice_insert(_points(rng, 3, 3, start_id=50))
-        assert not spliced.has_projection((0, 1))
+        assert spliced._rtrees is None and spliced._salsa is None
+        assert not hasattr(spliced, "_projections")
 
     def test_position_dependent_caches_drop(self):
         """R-tree and SaLSa orders index store positions — they must

@@ -7,6 +7,8 @@ match a serial run exactly — only wall-clock fields may differ.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,11 @@ from repro.data.workload import Query
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import install, uninstall
 from repro.p2p.network import SuperPeerNetwork
-from repro.parallel import preprocess_network_parallel, run_queries_parallel
+from repro.parallel import (
+    ParallelEngine,
+    preprocess_network_parallel,
+    run_queries_parallel,
+)
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
 
@@ -146,3 +152,65 @@ class TestPreprocessing:
         for result in results:
             attached = network.topology.peers_of[result.superpeer_id]
             assert [pid for pid, _, _ in result.peer_results] == list(attached)
+
+
+class TestPoolFirstBuild:
+    """``serve`` creates the pool before any data exists and builds the
+    network on it; the result must be the serial build, byte for byte."""
+
+    KWARGS = dict(n_peers=24, points_per_peer=12, dimensionality=4, seed=5)
+
+    @pytest.mark.parametrize("mp_start", ["fork", "spawn"])
+    def test_equals_serial_build(self, mp_start, monkeypatch):
+        monkeypatch.setenv("REPRO_MP_START", mp_start)
+        serial = SuperPeerNetwork.build(**self.KWARGS)
+        with ParallelEngine(workers=2) as engine:
+            assert engine.start_method == mp_start
+            pooled = SuperPeerNetwork.build(**self.KWARGS, engine=engine)
+            assert engine.stats.tasks == serial.n_superpeers
+        assert pooled.epoch == serial.epoch
+        assert pooled.store_generations == serial.store_generations
+        for sp_id, expected in serial.superpeers.items():
+            actual = pooled.superpeers[sp_id]
+            for a, b in [(expected.store, actual.store)] + [
+                (expected.peer_skylines[p], actual.peer_skylines[p])
+                for p in serial.topology.peers_of[sp_id]
+            ]:
+                assert a.points.values.tobytes() == b.points.values.tobytes()
+                assert a.points.ids.tobytes() == b.points.ids.tobytes()
+                assert a.f.tobytes() == b.f.tobytes()
+            # Ledgers bootstrap lazily from the stores and lists above.
+            assert actual.store_ledger is None and not actual.peer_ledgers
+            assert _ledger_entries(actual.ensure_store_ledger()) == _ledger_entries(
+                expected.ensure_store_ledger()
+            )
+        for name in (
+            "total_points", "peer_skyline_points", "superpeer_store_points",
+            "upload_bytes", "sel_p", "sel_sp", "sel_ratio",
+        ):
+            assert getattr(pooled.preprocessing, name) == getattr(
+                serial.preprocessing, name
+            )
+
+    def test_preprocess_publication_is_withdrawn(self):
+        """The raw partitions are published for the fan-out only."""
+        mine = f"repro-shm-{os.getpid():x}-"
+        before = {n for n in os.listdir("/dev/shm") if n.startswith(mine)}
+        with ParallelEngine(workers=2, use_shm=True) as engine:
+            network = SuperPeerNetwork.build(**self.KWARGS, preprocess=False)
+            results = engine.preprocess_network(network)
+            assert len(results) == network.n_superpeers
+            assert engine.stats.publications == 1
+            assert engine.published_segments() == []
+            assert {n for n in os.listdir("/dev/shm") if n.startswith(mine)} == before
+            # ...and the query publication that follows stands alone.
+            network.preprocess(engine=engine)
+            query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
+            engine.run_queries(network, [query], [Variant.FTPM])
+            assert len(engine.published_segments()) == 1
+
+
+def _ledger_entries(ledger) -> dict[int, tuple[int, bytes]]:
+    return {
+        pid: (witness, row.tobytes()) for pid, (witness, row) in ledger.entries.items()
+    }

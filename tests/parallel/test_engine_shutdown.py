@@ -119,7 +119,7 @@ class TestConcurrentTeardown:
             def publish():
                 try:
                     barrier.wait(timeout=10.0)
-                    engine._publish(network, for_query=True)
+                    engine._publish(network)
                 except RuntimeError as exc:
                     if "closed" not in str(exc):
                         unexpected.append(exc)

@@ -3,13 +3,16 @@
 Small-parameter end-to-end runs: the standalone serving bench emits a
 schema-4 document whose verdicts the regression gate accepts, the CLI
 wires ``--serve`` through to it, and ``skypeer serve`` stands up a real
-gateway that answers queries until its ``--duration`` elapses.
+gateway that answers queries until its ``--duration`` elapses — or
+until SIGTERM, which must take the pool and its shm segments with it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
@@ -125,3 +128,104 @@ class TestCliServe:
         capsys.readouterr()
         assert codes == [0]
         assert not server.is_alive()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm") or not os.path.exists("/proc/self/stat"),
+        reason="needs Linux /proc and /dev/shm",
+    )
+    @pytest.mark.parametrize("when", ["preprocessing", "serving"])
+    def test_sigterm_stops_pool_and_unlinks_shm(self, tmp_path, when):
+        """SIGTERM takes the SIGINT path: gateway closed, workers gone,
+        no shm segment, cache lock file or engine directory left —
+        whether it lands on a serving gateway or in the middle of the
+        pre-processing fan-out that precedes it."""
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        port_file = tmp_path / "gateway.addr"
+        env = dict(os.environ, TMPDIR=str(tmpdir))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+        )
+        # Pre-processing must outlast the poll below: ~1 s of it.
+        size = ["400", "250", "8"] if when == "preprocessing" else ["24", "12", "4"]
+        with open(tmp_path / "server.log", "wb") as log:
+            server = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve",
+                    "--peers", size[0], "--points-per-peer", size[1],
+                    "--dims", size[2], "--backend", "engine", "--workers", "2",
+                    "--port-file", str(port_file),
+                ],
+                env=env, stdout=log, stderr=subprocess.STDOUT,
+                start_new_session=True,
+            )
+        prefix = f"repro-shm-{server.pid:x}-"
+
+        def segments() -> list[str]:
+            return [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
+
+        try:
+            deadline = time.monotonic() + 60.0
+            if when == "preprocessing":
+                # The partitions' segment exists exactly while the
+                # fan-out runs.
+                while not segments():
+                    assert server.poll() is None, "serve exited before publishing"
+                    assert time.monotonic() < deadline, "no pre-processing segment"
+                    time.sleep(0.002)
+                time.sleep(0.2)  # batches attached and computing
+            else:
+                while not (
+                    port_file.exists() and port_file.read_text().endswith("\n")
+                ):
+                    assert server.poll() is None, "serve exited before binding"
+                    assert time.monotonic() < deadline, "serve never wrote its port file"
+                    time.sleep(0.05)
+                host, port = port_file.read_text().split()
+
+                async def scenario():
+                    async with await GatewayClient.connect(host, int(port)) as client:
+                        pong = await client.ping()
+                        result = await client.query([0, 1])
+                    return pong, result
+
+                pong, result = run(scenario())
+                assert pong.payload["op"] == "pong" and result.ok
+                # What a hard kill would leave behind is really there.
+                assert segments()
+                assert list(tmpdir.glob("*.cachelock"))
+                assert list(tmpdir.glob("repro-engine-*"))
+            assert len(_session_pids(server.pid)) >= 3
+
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=30.0) == 0
+            # The multiprocessing resource tracker ends a moment after
+            # the process it served; give it that moment.
+            deadline = time.monotonic() + 10.0
+            while _session_pids(server.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _session_pids(server.pid) == []
+            assert segments() == []
+            assert list(tmpdir.iterdir()) == []
+        finally:
+            if _session_pids(server.pid):
+                os.killpg(server.pid, signal.SIGKILL)
+            server.wait(timeout=10.0)
+            for name in segments():  # a failed run cleans up too
+                os.unlink(os.path.join("/dev/shm", name))
+
+
+def _session_pids(session: int) -> list[int]:
+    """Live (non-zombie) processes whose session id is ``session``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = pathlib.Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # gone between listdir and read
+        state, _ppid, _pgrp, sid = stat.rsplit(")", 1)[1].split()[:4]
+        if int(sid) == session and state != "Z":
+            pids.append(int(entry))
+    return pids
