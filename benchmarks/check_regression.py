@@ -304,14 +304,14 @@ def check_current_verdicts(current: dict) -> list[str]:
             oversized = [
                 f"u={cell.get('update_rate')},c={cell.get('churn_rate')} "
                 f"op#{i} ({op.get('kind')}: {op.get('republished_bytes')}B "
-                f"vs slots {op.get('slot_nbytes')}B / "
+                f"vs touched stores {op.get('touched_store_nbytes')}B / "
                 f"publication {op.get('total_nbytes')}B)"
                 for cell in incremental.get("cells", [])
                 for i, op in enumerate(cell.get("ops", []))
                 if not op.get("delta_bounded", True)
             ]
             problems.append(
-                f"incremental republish rewrote more than the touched slots: "
+                f"incremental republish rewrote more than the touched stores: "
                 f"{oversized}"
             )
         if not incremental.get("exercised", True):
@@ -320,12 +320,15 @@ def check_current_verdicts(current: dict) -> list[str]:
                 "platform fell back to a full republish"
             )
         for cell in incremental.get("cells", []):
+            ops = cell.get("ops", [])
             print(
                 f"  [info] incremental u={cell.get('update_rate')} "
                 f"c={cell.get('churn_rate')}: "
-                f"{cell.get('incremental_ops', 0)}/{len(cell.get('ops', []))} "
+                f"{cell.get('incremental_ops', 0)}/{len(ops)} "
                 f"ops incremental, {cell.get('republished_bytes', 0)}B "
-                f"republished vs {cell.get('publication_nbytes', 0)}B "
+                f"republished vs "
+                f"{sum(op.get('touched_store_nbytes', 0) for op in ops)}B "
+                f"of touched stores, {cell.get('publication_nbytes', 0)}B "
                 f"publication"
             )
     update_latency = current.get("update_latency")

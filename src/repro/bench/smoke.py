@@ -778,9 +778,11 @@ def _bench_incremental(
     byte-for-byte against a serial run over the from-scratch
     :func:`~repro.p2p.workload.rebuild_reference`.  On shm platforms
     each op's report must show the republished delta bounded by the
-    touched slots (strictly below the whole publication); in snapshot
-    mode every op is a full republish and the delta verdict is
-    vacuously true — identity still gates.
+    touched super-peers' *stores* — ``touched_store_nbytes``, measured
+    here on the live network, not read back from the manifest — and
+    strictly below the whole publication; in snapshot mode every op is
+    a full republish and the delta verdict is vacuously true — identity
+    still gates.
     """
     from ..data.workload import Query
     from ..p2p.workload import churn_schedule, plan_op, rebuild_reference
@@ -805,14 +807,23 @@ def _bench_incremental(
             for op in schedule:
                 kind, kwargs = plan_op(network, op)
                 report = engine.apply_update(network, kind, **kwargs)
+                touched_store_nbytes = sum(
+                    network.store_of(sp).nbytes for sp in report.touched_superpeers
+                )
                 bounded = report.full_republish or (
-                    report.republished_bytes <= report.slot_nbytes
+                    report.republished_bytes <= touched_store_nbytes
                     and report.republished_bytes < report.total_nbytes
                 )
                 delta_bounded = delta_bounded and bounded
                 if not report.full_republish:
                     incremental_ops_total += 1
-                ops.append({**report.as_dict(), "delta_bounded": bounded})
+                ops.append(
+                    {
+                        **report.as_dict(),
+                        "touched_store_nbytes": touched_store_nbytes,
+                        "delta_bounded": bounded,
+                    }
+                )
             reference = rebuild_reference(network)
             live = engine.run_queries(network, queries, [variant])[variant]
             cell_identical = True
@@ -871,8 +882,12 @@ def _bench_update_latency(
     """
     from ..obs.metrics import MetricsRegistry
     from ..obs.runtime import observed
-    from ..p2p import churn, updates
-    from ..p2p.workload import churn_schedule, plan_op, rebuild_reference
+    from ..p2p.workload import (
+        apply_mutation,
+        churn_schedule,
+        plan_op,
+        rebuild_reference,
+    )
 
     cells: list[dict[str, Any]] = []
     identical = True
@@ -898,20 +913,7 @@ def _bench_update_latency(
             registry = MetricsRegistry()
             started = time.perf_counter()
             with observed(metrics=registry):
-                if kind == "insert":
-                    outcome: Any = updates.insert_points(
-                        network, kwargs["peer_id"], kwargs["points"]
-                    )
-                elif kind == "delete":
-                    outcome = updates.delete_points(
-                        network, kwargs["peer_id"], kwargs["point_ids"]
-                    )
-                elif kind == "join":
-                    outcome = churn.join_peer(
-                        network, kwargs["superpeer_id"], kwargs["data"]
-                    )
-                else:
-                    outcome = churn.fail_peer(network, kwargs["peer_id"])
+                outcome = apply_mutation(network, kind, **kwargs)
             incremental_seconds = time.perf_counter() - started
             from_points_runs = int(registry.total("store.from_points"))
             started = time.perf_counter()

@@ -39,8 +39,11 @@ class PointSet:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-dimensional, got shape {values.shape}")
-        if values.size and np.min(values) < 0:
-            raise ValueError("SKYPEER assumes non-negative coordinates (paper, section 3.1)")
+        # ``not >=`` rather than ``<``: a NaN minimum must fail too.
+        if values.size and not np.min(values) >= 0:
+            raise ValueError(
+                "SKYPEER assumes non-negative (and not NaN) coordinates (paper, section 3.1)"
+            )
         if ids is None:
             ids = np.arange(values.shape[0], dtype=np.int64)
         else:

@@ -47,62 +47,111 @@ __all__ = [
     "promote_candidates",
 ]
 
-#: Candidate rows are witnessed in blocks so the pairwise ``(n, m, d)``
-#: comparison tensor stays small even against large member sets.
+#: Candidate rows are witnessed in blocks so the ``(chunk, m)`` boolean
+#: plane stays small even against large member sets.
 _WITNESS_CHUNK = 256
+
+
+def _id_array(ids: Iterable[int]) -> np.ndarray:
+    if isinstance(ids, np.ndarray):
+        return ids.astype(np.int64, copy=False)
+    return np.fromiter(ids, dtype=np.int64)
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index into the (unique) ``keys`` of each query, ``-1`` where absent."""
+    if not keys.size:
+        return np.full(queries.shape, -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    slot = np.minimum(np.searchsorted(keys, queries, sorter=order), keys.size - 1)
+    position = order[slot]
+    return np.where(keys[position] == queries, position, -1)
 
 
 class EvictionLedger:
     """``id -> (witness_id, row)`` for every point a merge evicted.
 
-    Entries are plain dicts of numpy rows, so a ledger pickles with the
-    network it belongs to and its iteration order is the (deterministic)
-    insertion order of the maintenance path that filled it.
+    Columnar: three parallel arrays — ``ids`` (n,), ``witnesses`` (n,)
+    and ``rows`` (n, d) — in the (deterministic) insertion order of the
+    maintenance path that filled them, with a dict's order semantics:
+    re-recording a tracked id overwrites it in place, recording after a
+    pop or discard appends.  No per-point Python object exists, so a
+    ledger costs its payload bytes and pickles (inside the network it
+    belongs to) as three buffers.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("ids", "witnesses", "rows")
 
-    def __init__(self, entries: dict[int, tuple[int, np.ndarray]] | None = None):
-        self.entries: dict[int, tuple[int, np.ndarray]] = dict(entries or {})
+    def __init__(self, dimensionality: int) -> None:
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.witnesses = np.zeros(0, dtype=np.int64)
+        self.rows = np.zeros((0, dimensionality), dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.ids.shape[0]
 
-    # Slots classes pickle via the protocol-2 default, but be explicit:
-    # the ledger travels inside SuperPeer between processes.
-    def __getstate__(self) -> dict[int, tuple[int, np.ndarray]]:
-        return self.entries
+    def _keep(self, keep: np.ndarray) -> None:
+        self.ids = self.ids[keep]
+        self.witnesses = self.witnesses[keep]
+        self.rows = self.rows[keep]
 
-    def __setstate__(self, state: dict[int, tuple[int, np.ndarray]]) -> None:
-        self.entries = state
+    def record_many(
+        self, ids: np.ndarray, witnesses: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """Track evicted points, each under one surviving ext-dominator.
+
+        ``ids`` must not repeat within the batch.
+        """
+        ids = _id_array(ids)
+        position = _lookup(self.ids, ids)
+        known = position >= 0
+        self.witnesses[position[known]] = witnesses[known]
+        self.rows[position[known]] = rows[known]
+        fresh = ~known
+        if fresh.any():
+            self.ids = np.concatenate([self.ids, ids[fresh]])
+            self.witnesses = np.concatenate([self.witnesses, witnesses[fresh]])
+            self.rows = np.concatenate([self.rows, rows[fresh]])
 
     def record(self, point_id: int, witness_id: int, row: np.ndarray) -> None:
-        """Track an evicted point under one surviving ext-dominator."""
-        self.entries[int(point_id)] = (
-            int(witness_id),
-            np.asarray(row, dtype=np.float64),
+        """Track one evicted point (see :meth:`record_many`)."""
+        self.record_many(
+            np.array([point_id]), np.array([witness_id]), np.asarray(row)[None, :]
         )
 
     def discard(self, ids: Iterable[int]) -> None:
         """Forget entries for points that left the dataset entirely."""
-        for point_id in ids:
-            self.entries.pop(int(point_id), None)
+        gone = np.isin(self.ids, _id_array(ids))
+        if gone.any():
+            self._keep(~gone)
 
     def witness_of(self, point_id: int) -> int | None:
-        entry = self.entries.get(int(point_id))
-        return None if entry is None else entry[0]
+        position = int(_lookup(self.ids, np.array([point_id]))[0])
+        return None if position < 0 else int(self.witnesses[position])
 
-    def pop_orphans(self, dead: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+    def resolve(self, ids: np.ndarray) -> np.ndarray:
+        """Each id's witness where the ledger tracks it, else the id itself.
+
+        Follows one link of a dominance chain: a point that was itself
+        evicted stands for the member that evicted it.
+        """
+        position = _lookup(self.ids, ids)
+        known = position >= 0
+        resolved = np.array(ids, dtype=np.int64)
+        resolved[known] = self.witnesses[position[known]]
+        return resolved
+
+    def pop_orphans(self, dead: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Remove and return ``(ids, rows)`` of entries whose witness died.
 
         Only these entries can resurface after ``dead`` is deleted —
         every other entry keeps a living ext-dominator.
         """
-        orphan_ids = [pid for pid, (w, _) in self.entries.items() if w in dead]
-        if not orphan_ids:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.float64)
-        rows = np.stack([self.entries.pop(pid)[1] for pid in orphan_ids])
-        return np.asarray(orphan_ids, dtype=np.int64), rows
+        orphaned = np.isin(self.witnesses, _id_array(dead))
+        orphan_ids, orphan_rows = self.ids[orphaned], self.rows[orphaned]
+        if orphan_ids.size:
+            self._keep(~orphaned)
+        return orphan_ids, orphan_rows
 
     def repoint(self, mapping: dict[int, int]) -> None:
         """Re-target entries whose witness was itself just evicted.
@@ -111,12 +160,10 @@ class EvictionLedger:
         transitivity the evictor ext-dominates every dependent, so the
         member-witness invariant survives the eviction.
         """
-        if not mapping:
-            return
-        for pid, (witness, row) in self.entries.items():
-            new_witness = mapping.get(witness)
-            if new_witness is not None:
-                self.entries[pid] = (int(new_witness), row)
+        evictors = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+        position = _lookup(_id_array(mapping), self.witnesses)
+        moved = position >= 0
+        self.witnesses[moved] = evictors[position[moved]]
 
 
 def find_witnesses(
@@ -125,15 +172,20 @@ def find_witnesses(
     """For each candidate row, the index of one ext-dominating member.
 
     Returns ``-1`` where no member strictly dominates the candidate on
-    every dimension (the candidate belongs in the skyline).
+    every dimension (the candidate belongs in the skyline).  The sweep
+    runs on per-dimension planes: one ``(chunk, m)`` boolean matrix
+    AND-accumulated over the columns, never an ``(n, m, d)`` cube.
     """
     n = candidate_values.shape[0]
     out = np.full(n, -1, dtype=np.int64)
     if n == 0 or member_values.shape[0] == 0:
         return out
+    planes = np.ascontiguousarray(member_values.T)
     for start in range(0, n, chunk):
         block = candidate_values[start : start + chunk]
-        dom = np.all(member_values[None, :, :] < block[:, None, :], axis=2)
+        dom = np.ones((block.shape[0], planes.shape[1]), dtype=bool)
+        for plane, column in zip(planes, block.T):
+            dom &= plane[None, :] < column[:, None]
         has = dom.any(axis=1)
         out[start : start + block.shape[0]][has] = dom.argmax(axis=1)[has]
     return out
@@ -149,15 +201,13 @@ def build_witness_ledger(members: PointSet, others: PointSet) -> EvictionLedger 
     plus its evictees, so the caller treats it as "the ledger cannot
     answer" and falls back to the honest rebuild.
     """
-    ledger = EvictionLedger()
+    ledger = EvictionLedger(members.dimensionality)
     if len(others) == 0:
         return ledger
     witness = find_witnesses(members.values, others.values)
     if np.any(witness < 0):
         return None
-    witness_ids = members.ids[witness]
-    for pid, wid, row in zip(others.ids, witness_ids, others.values):
-        ledger.record(int(pid), int(wid), row)
+    ledger.record_many(others.ids, members.ids[witness], others.values)
     return ledger
 
 
@@ -182,11 +232,9 @@ def promote_candidates(
         return store, PointSet.empty(store.dimensionality), 0
     witness = find_witnesses(store.points.values, candidate_rows)
     held = witness >= 0
-    member_ids = store.points.ids
-    for pid, widx, row in zip(
-        candidate_ids[held], witness[held], candidate_rows[held]
-    ):
-        ledger.record(int(pid), int(member_ids[widx]), row)
+    ledger.record_many(
+        candidate_ids[held], store.points.ids[witness[held]], candidate_rows[held]
+    )
     free_ids = candidate_ids[~held]
     free_rows = candidate_rows[~held]
     if free_ids.shape[0] == 0:
@@ -199,8 +247,7 @@ def promote_candidates(
         loser_witness = find_witnesses(promoted.values, loser_rows)
         if np.any(loser_witness < 0):  # pragma: no cover - transitivity guard
             raise RuntimeError("orphan promotion lost a witness chain")
-        for pid, widx, row in zip(loser_ids, loser_witness, loser_rows):
-            ledger.record(int(pid), int(promoted.ids[widx]), row)
+        ledger.record_many(loser_ids, promoted.ids[loser_witness], loser_rows)
     return store.splice_insert(promoted), promoted, examined
 
 
@@ -222,11 +269,9 @@ def admit_points(
         return store, incoming, {}
     witness = find_witnesses(store.points.values, incoming.values)
     held = witness >= 0
-    member_ids = store.points.ids
-    for pid, widx, row in zip(
-        incoming.ids[held], witness[held], incoming.values[held]
-    ):
-        ledger.record(int(pid), int(member_ids[widx]), row)
+    ledger.record_many(
+        incoming.ids[held], store.points.ids[witness[held]], incoming.values[held]
+    )
     admitted = incoming.mask(~held)
     if len(admitted) == 0:
         return store, admitted, {}
@@ -240,9 +285,6 @@ def admit_points(
             int(m): int(n) for m, n in zip(evicted_ids, evictor_ids)
         }
         ledger.repoint(evictions)
-        for mid, nid, row in zip(
-            evicted_ids, evictor_ids, store.points.values[evicted]
-        ):
-            ledger.record(int(mid), int(nid), row)
+        ledger.record_many(evicted_ids, evictor_ids, store.points.values[evicted])
         store = store.splice_delete(evicted_ids)
     return store.splice_insert(admitted), admitted, evictions

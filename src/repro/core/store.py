@@ -99,6 +99,11 @@ class SortedByF:
     def dimensionality(self) -> int:
         return self.points.dimensionality
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the three arrays (what an shm publication copies)."""
+        return self.points.values.nbytes + self.points.ids.nbytes + self.f.nbytes
+
     def prefix(self, threshold: float) -> slice:
         """The rows with ``f(p) <= threshold``: all a threshold scan may
         examine (Observation 5; ``f == t`` ties are kept)."""

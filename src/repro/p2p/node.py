@@ -12,10 +12,11 @@ For *incremental* maintenance under point updates, a super-peer also
 keeps eviction ledgers (:mod:`repro.core.ledger`): one per attached
 peer (witnessing the peer's data points that did not make its uploaded
 ext-skyline) and one for the store (witnessing uploaded points the
-strict merge evicted).  Ledgers bootstrap lazily with one vectorized
-witness sweep and are invalidated whenever a list or the store is
-replaced wholesale (pre-processing, joins, rebuilds); the update paths
-re-install the ledgers they maintain.
+strict merge evicted).  Ledgers are columnar (three arrays, no object
+per point), bootstrap lazily with one plane-wise witness sweep and are
+invalidated whenever a list or the store is replaced wholesale
+(pre-processing, joins, rebuilds); the update paths re-install the
+ledgers they maintain.
 """
 
 from __future__ import annotations
@@ -190,9 +191,7 @@ class SuperPeer:
             return self.rebuild_store(index_kind=index_kind)
         dropped_ids = dropped.points.ids
         ledger.discard(dropped_ids)
-        removed = frozenset(
-            int(i) for i in self.store.points.ids[np.isin(self.store.points.ids, dropped_ids)]
-        )
+        removed = self.store.points.ids[np.isin(self.store.points.ids, dropped_ids)]
         store = self.store.splice_delete(dropped_ids)
         orphan_ids, orphan_rows = ledger.pop_orphans(removed)
         store, _promoted, examined = promote_candidates(

@@ -35,14 +35,12 @@ import numpy as np
 
 from ..core.dataset import PointSet
 from ..core.dominance import extended_skyline_mask
-from ..core.extended_skyline import extended_skyline_points
-from ..core.ledger import admit_points, find_witnesses, promote_candidates
-from ..core.store import SortedByF
+from ..core.ledger import EvictionLedger, admit_points, find_witnesses, promote_candidates
 from ..obs.runtime import active_metrics
 from .network import SuperPeerNetwork
 from .node import Peer, SuperPeer
 
-__all__ = ["UpdateOutcome", "insert_points", "delete_points"]
+__all__ = ["UpdateOutcome", "check_incoming", "insert_points", "delete_points"]
 
 
 @dataclass(frozen=True)
@@ -71,42 +69,69 @@ class UpdateOutcome:
     promoted: int = 0
 
 
-def insert_points(network: SuperPeerNetwork, peer_id: int, points: PointSet) -> UpdateOutcome:
-    """Add ``points`` to a peer; update stores by sorted splices."""
-    peer = _get_peer(network, peer_id)
+def check_incoming(network: SuperPeerNetwork, points: PointSet) -> None:
+    """Reject points the network's f-sorted stores cannot hold.
+
+    The ingress check of every path that adds data to a live network
+    (``insert_points``, the gateway's ``update`` op): a NaN coordinate
+    has ``f = NaN``, which breaks the ``searchsorted`` splice order and
+    is never dominated — a wrong skyline rather than an error — and the
+    bulk ledger paths assume ids do not repeat within a batch.
+    """
     if points.dimensionality != network.dimensionality:
         raise ValueError(
             f"inserting {points.dimensionality}-dim points into a "
             f"{network.dimensionality}-dim network"
         )
-    clash = peer.data.id_set() & points.id_set()
-    if clash:
-        raise ValueError(f"point ids already present: {sorted(clash)[:5]}")
+    if not np.isfinite(points.values).all():
+        raise ValueError("point coordinates must be finite")
+    if np.unique(points.ids).size != len(points):
+        raise ValueError("point ids repeat within the batch")
+
+
+def insert_points(network: SuperPeerNetwork, peer_id: int, points: PointSet) -> UpdateOutcome:
+    """Add ``points`` to a peer; update stores by sorted splices."""
+    peer = _get_peer(network, peer_id)
+    check_incoming(network, points)
+    clash = points.ids[np.isin(points.ids, peer.data.ids)]
+    if clash.size:
+        raise ValueError(f"point ids already present: {sorted(clash.tolist())[:5]}")
     superpeer_id = network.topology.superpeer_of_peer(peer_id)
     superpeer = network.superpeers[superpeer_id]
-    old_upload = superpeer.peer_skylines[peer_id]
-    before = len(old_upload)
 
     peer_ledger = superpeer.ensure_peer_ledger(peer_id, peer.data)
     store_ledger = superpeer.ensure_store_ledger()
     network.peers[peer_id] = Peer(peer_id=peer_id, data=PointSet.concat([peer.data, points]))
 
-    if peer_ledger is None or store_ledger is None or superpeer.store is None:
-        delta = _insert_rebuild(network, superpeer, peer_id, old_upload, points)
-        _refresh(network, superpeer_id)
-        outcome = UpdateOutcome(
-            peer_id=peer_id,
-            superpeer_id=superpeer_id,
-            kind="insert",
-            points_changed=len(points),
-            peer_skyline_delta=delta,
-            store_rebuilt=True,
-            path="rebuilt",
-            examined=len(points),
-        )
-        _record(outcome)
-        return outcome
+    rebuilt = peer_ledger is None or store_ledger is None or superpeer.store is None
+    if rebuilt:
+        delta = _rebuild(network, superpeer, peer_id)
+    else:
+        delta = _insert_spliced(superpeer, peer_id, peer_ledger, store_ledger, points)
+    _refresh(network, superpeer_id)
+    outcome = UpdateOutcome(
+        peer_id=peer_id,
+        superpeer_id=superpeer_id,
+        kind="insert",
+        points_changed=len(points),
+        peer_skyline_delta=delta,
+        store_rebuilt=rebuilt,
+        path="rebuilt" if rebuilt else "spliced",
+        examined=len(points),
+    )
+    _record(outcome)
+    return outcome
 
+
+def _insert_spliced(
+    superpeer: SuperPeer,
+    peer_id: int,
+    peer_ledger: EvictionLedger,
+    store_ledger: EvictionLedger,
+    points: PointSet,
+) -> int:
+    """Ledger insert: admit into the upload, then into the store."""
+    old_upload = superpeer.peer_skylines[peer_id]
     # The newcomers' own ext-skyline (vectorized mask — order-preserving,
     # no sort); internal victims are witnessed after the admission pass
     # so their witness chains resolve to upload members.
@@ -116,10 +141,9 @@ def insert_points(network: SuperPeerNetwork, peer_id: int, points: PointSet) -> 
     victims = points.mask(~inner_mask)
     if len(victims):
         victim_witness = find_witnesses(inner.values, victims.values)
-        for pid, widx, row in zip(victims.ids, victim_witness, victims.values):
-            wid = int(inner.ids[widx])
-            resolved = peer_ledger.witness_of(wid)
-            peer_ledger.record(int(pid), wid if resolved is None else resolved, row)
+        peer_ledger.record_many(
+            victims.ids, peer_ledger.resolve(inner.ids[victim_witness]), victims.values
+        )
     superpeer.receive_peer_skyline(peer_id, new_upload)
     superpeer.peer_ledgers[peer_id] = peer_ledger
 
@@ -136,82 +160,58 @@ def insert_points(network: SuperPeerNetwork, peer_id: int, points: PointSet) -> 
     store, _store_admitted, _store_evictions = admit_points(store, store_ledger, admitted)
     superpeer.store = store
     superpeer.store_ledger = store_ledger
-
-    _refresh(network, superpeer_id)
-    outcome = UpdateOutcome(
-        peer_id=peer_id,
-        superpeer_id=superpeer_id,
-        kind="insert",
-        points_changed=len(points),
-        peer_skyline_delta=len(new_upload) - before,
-        store_rebuilt=False,
-        path="spliced",
-        examined=len(points),
-    )
-    _record(outcome)
-    return outcome
+    return len(new_upload) - len(old_upload)
 
 
 def delete_points(network: SuperPeerNetwork, peer_id: int, point_ids) -> UpdateOutcome:
     """Remove points (by id) from a peer; promote orphans if needed."""
     peer = _get_peer(network, peer_id)
-    doomed = frozenset(int(i) for i in point_ids)
-    missing = doomed - peer.data.id_set()
-    if missing:
-        raise KeyError(f"peer {peer_id} does not hold points {sorted(missing)[:5]}")
+    doomed = np.unique(np.fromiter((int(i) for i in point_ids), dtype=np.int64))
+    missing = doomed[~np.isin(doomed, peer.data.ids)]
+    if missing.size:
+        raise KeyError(f"peer {peer_id} does not hold points {missing[:5].tolist()}")
     superpeer_id = network.topology.superpeer_of_peer(peer_id)
     superpeer = network.superpeers[superpeer_id]
     old_upload = superpeer.peer_skylines[peer_id]
-    before = len(old_upload)
-    doomed_arr = np.fromiter(doomed, count=len(doomed), dtype=np.int64)
 
     peer_ledger = superpeer.ensure_peer_ledger(peer_id, peer.data)
     store_ledger = superpeer.ensure_store_ledger()
-    remaining = peer.data.mask(~np.isin(peer.data.ids, doomed_arr))
+    remaining = peer.data.mask(~np.isin(peer.data.ids, doomed))
     network.peers[peer_id] = Peer(peer_id=peer_id, data=remaining)
 
-    doomed_members = doomed & old_upload.points.id_set()
-    if not doomed_members:
+    doomed_members = doomed[np.isin(doomed, old_upload.points.ids)]
+    if not doomed_members.size:
         # No uploaded point died: lists and store are untouched, only
         # the ledger forgets the victims.
         if peer_ledger is not None:
             peer_ledger.discard(doomed)
         path, delta, examined, promoted, rebuilt = "spliced", 0, 0, 0, False
     elif peer_ledger is None or store_ledger is None or superpeer.store is None:
-        # Honest fallback: victims may have been shadowing other points
-        # and no ledger can say which — recompute the peer's ext-skyline
-        # and re-merge the super-peer store.
-        new_upload = SortedByF.from_points(extended_skyline_points(remaining))
-        superpeer.receive_peer_skyline(peer_id, new_upload)
-        superpeer.rebuild_store(index_kind=network.index_kind)
-        path, delta, rebuilt = "rebuilt", len(new_upload) - before, True
+        path, delta, rebuilt = "rebuilt", _rebuild(network, superpeer, peer_id), True
         examined, promoted = len(remaining), 0
     else:
-        member_arr = np.fromiter(doomed_members, count=len(doomed_members), dtype=np.int64)
         # Peer list: splice the victims out, re-test only the orphans.
         peer_ledger.discard(doomed)
-        upload = old_upload.splice_delete(member_arr)
+        upload = old_upload.splice_delete(doomed_members)
         orphan_ids, orphan_rows = peer_ledger.pop_orphans(doomed_members)
         upload, peer_promoted, peer_examined = promote_candidates(
             upload, peer_ledger, orphan_ids, orphan_rows
         )
         superpeer.receive_peer_skyline(peer_id, upload)
         superpeer.peer_ledgers[peer_id] = peer_ledger
-        delta = len(upload) - before
+        delta = len(upload) - len(old_upload)
         # Store: splice the victims out; candidates are the store
         # orphans plus the freshly promoted upload members.
         store = superpeer.store
-        removed = frozenset(
-            int(i) for i in store.points.ids[np.isin(store.points.ids, member_arr)]
-        )
-        store_ledger.discard(member_arr)
-        store = store.splice_delete(member_arr)
+        removed = store.points.ids[np.isin(store.points.ids, doomed_members)]
+        store_ledger.discard(doomed_members)
+        store = store.splice_delete(doomed_members)
         store_orphan_ids, store_orphan_rows = store_ledger.pop_orphans(removed)
-        candidate_ids, candidate_rows = _stack_candidates(
-            store_orphan_ids, store_orphan_rows, peer_promoted
-        )
         store, store_promoted, store_examined = promote_candidates(
-            store, store_ledger, candidate_ids, candidate_rows
+            store,
+            store_ledger,
+            np.concatenate([store_orphan_ids, peer_promoted.ids]),
+            np.concatenate([store_orphan_rows, peer_promoted.values]),
         )
         superpeer.store = store
         superpeer.store_ledger = store_ledger
@@ -234,57 +234,18 @@ def delete_points(network: SuperPeerNetwork, peer_id: int, point_ids) -> UpdateO
     return outcome
 
 
-def _insert_rebuild(
-    network: SuperPeerNetwork,
-    superpeer: SuperPeer,
-    peer_id: int,
-    old_upload: SortedByF,
-    points: PointSet,
-) -> int:
-    """Fallback insert: full merge of old list + newcomers' ext-skyline."""
-    from ..core.merging import merge_sorted_skylines
-    from ..core.subspace import full_space
+def _rebuild(network: SuperPeerNetwork, superpeer: SuperPeer, peer_id: int) -> int:
+    """Honest fallback; returns the change in the peer's upload size.
 
-    newcomers = extended_skyline_points(points)
-    merged_upload = merge_sorted_skylines(
-        [old_upload, SortedByF.from_points(newcomers)],
-        full_space(network.dimensionality),
-        strict=True,
-        index_kind=network.index_kind,
-    ).result
-    superpeer.receive_peer_skyline(peer_id, merged_upload)
-    survivors_ids = merged_upload.points.id_set() & newcomers.id_set()
-    if survivors_ids:
-        keep = np.isin(
-            merged_upload.points.ids,
-            np.fromiter(survivors_ids, count=len(survivors_ids), dtype=np.int64),
-        )
-        delta = SortedByF.from_points(merged_upload.points.mask(keep))
-        store = superpeer.store
-        if store is None:
-            store = SortedByF.empty(network.dimensionality)
-        superpeer.store = merge_sorted_skylines(
-            [store, delta],
-            full_space(network.dimensionality),
-            strict=True,
-            index_kind=network.index_kind,
-        ).result
-        superpeer.store_ledger = None
-    return len(merged_upload) - len(old_upload)
-
-
-def _stack_candidates(
-    orphan_ids: np.ndarray, orphan_rows: np.ndarray, promoted: PointSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate store-orphan and freshly promoted candidate sets."""
-    if orphan_ids.size == 0:
-        return promoted.ids, promoted.values
-    if len(promoted) == 0:
-        return orphan_ids, orphan_rows
-    return (
-        np.concatenate([orphan_ids, promoted.ids]),
-        np.concatenate([orphan_rows, promoted.values], axis=0),
-    )
+    No ledger can say what the change shadowed or exposed: recompute the
+    peer's ext-skyline from its (already updated) data, exactly as
+    pre-processing does, and re-merge the super-peer store.
+    """
+    before = len(superpeer.peer_skylines[peer_id])
+    upload = network.peers[peer_id].compute_extended_skyline(network.index_kind).result
+    superpeer.receive_peer_skyline(peer_id, upload)
+    superpeer.rebuild_store(index_kind=network.index_kind)
+    return len(upload) - before
 
 
 def _record(outcome: UpdateOutcome) -> None:

@@ -25,13 +25,14 @@ import numpy as np
 
 from ..core.dataset import PointSet
 from ..data.generators import make_generator
-from .churn import fail_peer, join_peer
+from .churn import fail_peer, fail_superpeer, join_peer
 from .network import SuperPeerNetwork
 from .topology import Topology
 from .updates import delete_points, insert_points
 
 __all__ = [
     "ChurnOp",
+    "apply_mutation",
     "apply_op",
     "churn_grid",
     "churn_schedule",
@@ -157,13 +158,37 @@ def apply_op(network: SuperPeerNetwork, op: ChurnOp, dataset: str = "uniform") -
     publications refresh incrementally.
     """
     kind, kwargs = plan_op(network, op, dataset)
+    return apply_mutation(network, kind, **kwargs)
+
+
+def apply_mutation(
+    network: SuperPeerNetwork,
+    kind: str,
+    *,
+    peer_id: int | None = None,
+    points: PointSet | None = None,
+    point_ids: Sequence[int] | None = None,
+    superpeer_id: int | None = None,
+    data: PointSet | None = None,
+) -> Any:
+    """Run one ``(kind, kwargs)`` mutation; returns its outcome/event.
+
+    The one dispatch every write path shares — planned ops, the engine's
+    ``apply_update`` and the serial gateway.
+    """
     if kind == "insert":
-        return insert_points(network, kwargs["peer_id"], kwargs["points"])
+        return insert_points(network, peer_id, points)
     if kind == "delete":
-        return delete_points(network, kwargs["peer_id"], kwargs["point_ids"])
+        return delete_points(network, peer_id, point_ids)
     if kind == "join":
-        return join_peer(network, kwargs["superpeer_id"], kwargs["data"])
-    return fail_peer(network, kwargs["peer_id"])
+        return join_peer(network, superpeer_id, data, peer_id=peer_id)
+    if kind == "fail":
+        return fail_peer(network, peer_id)
+    if kind == "fail-superpeer":
+        return fail_superpeer(network, superpeer_id)
+    raise ValueError(
+        f"unknown update kind {kind!r}; expected insert/delete/join/fail/fail-superpeer"
+    )
 
 
 def rebuild_reference(network: SuperPeerNetwork) -> SuperPeerNetwork:

@@ -63,7 +63,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .shm import attach_network, publish_network, shm_enabled
+from .shm import attach_network, manifest_data_nbytes, publish_network, shm_enabled
 from .shmcache import LocalBlockCache, cache_enabled, make_key
 
 if TYPE_CHECKING:  # imports deferred at runtime to keep workers lean
@@ -718,11 +718,11 @@ class UpdateReport:
     """What one :meth:`ParallelEngine.apply_update` did, end to end.
 
     ``republished_bytes`` is the shm delta actually rewritten (0 when no
-    shm publication was live); ``slot_nbytes`` is the touched slots'
-    current size and ``total_nbytes`` the whole publication's data bytes
-    — the bench asserts ``republished_bytes <= slot_nbytes <
-    total_nbytes``, i.e. the delta scales with the touched slot, not the
-    network.  ``full_republish`` marks the paths that cannot go
+    shm publication was live); a slot is one super-peer's store, so
+    ``slot_nbytes`` is the touched stores' array bytes and
+    ``total_nbytes`` every published store's — the bench asserts
+    ``republished_bytes <= slot_nbytes < total_nbytes``, i.e. the delta
+    scales with the touched stores, not the network.  ``full_republish`` marks the paths that cannot go
     incremental (snapshot mode, super-peer set surgery): the stale
     publication is withdrawn and the next fan-out republishes in full.
 
@@ -945,19 +945,25 @@ class ParallelEngine:
                         return cached
                 del self._publications[key]
                 cached.withdraw()
-            publication = self._publications[key] = self._new_publication(network)
+            publication = self._publications[key] = self._new_publication(
+                network, partitions=False
+            )
             while len(self._publications) > _PUBLICATION_CAP:
                 _, old = self._publications.popitem(last=False)
                 old.withdraw()
             return publication
 
-    def _new_publication(self, network: "SuperPeerNetwork") -> _Publication:
+    def _new_publication(
+        self, network: "SuperPeerNetwork", partitions: bool
+    ) -> _Publication:
         """Copy ``network`` into a fresh shm segment or snapshot file.
 
-        The caller owns the result: it either enters the publication
-        table (:meth:`_publish`) or is withdrawn when its one fan-out
-        ends (:meth:`preprocess_network`).  Caller must hold
-        ``self._lock``.
+        ``partitions`` says what the fan-out reads, and so what an shm
+        segment carries: the raw peer partitions (pre-processing) or
+        the super-peer stores (queries).  The caller owns the result:
+        it either enters the publication table (:meth:`_publish`) or is
+        withdrawn when its one fan-out ends
+        (:meth:`preprocess_network`).  Caller must hold ``self._lock``.
         """
         self._token_counter += 1
         token = f"pub-{os.getpid():x}-{id(self):x}-{self._token_counter}"
@@ -965,7 +971,7 @@ class ParallelEngine:
         shared = None
         path = None
         if self.use_shm:
-            shared = publish_network(network)
+            shared = publish_network(network, partitions=partitions)
             # Specs carry an immutable *snapshot* of the manifest: a
             # later in-place republish must not tear a spec that a
             # concurrent submit is pickling.
@@ -1072,28 +1078,17 @@ class ParallelEngine:
         new one — never a torn mix — and the overlays this update
         supersedes are unlinked only after in-flight fan-outs drain.
         """
-        from ..p2p import churn, updates
+        from ..p2p.workload import apply_mutation
 
         if self._closed:
             raise RuntimeError("engine is closed")
         started = time.perf_counter()
         with self._gate.write():
             before = dict(network.store_generations)
-            if kind == "insert":
-                outcome: Any = updates.insert_points(network, peer_id, points)
-            elif kind == "delete":
-                outcome = updates.delete_points(network, peer_id, point_ids)
-            elif kind == "join":
-                outcome = churn.join_peer(network, superpeer_id, data, peer_id=peer_id)
-            elif kind == "fail":
-                outcome = churn.fail_peer(network, peer_id)
-            elif kind == "fail-superpeer":
-                outcome = churn.fail_superpeer(network, superpeer_id)
-            else:
-                raise ValueError(
-                    f"unknown update kind {kind!r}; expected insert/delete/join/"
-                    "fail/fail-superpeer"
-                )
+            outcome = apply_mutation(
+                network, kind, peer_id=peer_id, points=points, point_ids=point_ids,
+                superpeer_id=superpeer_id, data=data,
+            )
             touched = tuple(
                 sorted(
                     sp
@@ -1127,9 +1122,7 @@ class ParallelEngine:
                         slot_nbytes = sum(
                             int(manifest["slot_nbytes"][sp]) for sp in touched
                         )
-                        total_nbytes = sum(
-                            int(b) for b in manifest["slot_nbytes"].values()
-                        )
+                        total_nbytes = manifest_data_nbytes(manifest)
                         # Readers are drained (write gate held): segments
                         # superseded by this republish can go now.
                         publication.shared.reap_retired()
@@ -1399,7 +1392,7 @@ class ParallelEngine:
         with self._lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
-            publication = self._new_publication(network)
+            publication = self._new_publication(network, partitions=True)
         futures: list[Future] = []
         try:
             sp_ids = list(network.topology.superpeer_ids)

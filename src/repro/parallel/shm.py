@@ -6,27 +6,30 @@ partitions — decompression plus an Algorithm 1/2 rebuild per worker,
 paid again for every pool spin.  This module removes the data movement
 entirely on platforms with POSIX shared memory (``/dev/shm``):
 
-* :func:`publish_network` writes every peer partition and every
-  super-peer store (coordinate block, ``f`` values, id arrays) into one
-  ``multiprocessing.shared_memory`` segment and returns a
-  :class:`SharedNetwork` handle whose small picklable ``manifest``
+* :func:`publish_network` writes what its consumer reads into one
+  ``multiprocessing.shared_memory`` segment — for queries every
+  super-peer store (coordinate block, ``f`` values, id arrays), which
+  is all Algorithm 1 scans; for the one pre-processing fan-out
+  (``partitions=True``) every raw peer partition instead — and returns
+  a :class:`SharedNetwork` handle whose small picklable ``manifest``
   describes the layout plus the non-array state (topology, cost model,
   index kind).
 * :func:`attach_network` maps the segment read-only in a worker and
   rebuilds a :class:`~repro.p2p.network.SuperPeerNetwork` whose
   ``PointSet``/``SortedByF`` objects are zero-copy views over the
   shared buffer — byte-identical to the parent's stores (no rebuild,
-  so even incrementally-updated stores attach exactly).
+  so even incrementally-updated stores attach exactly).  A network
+  attached from a query publication has stores and no peers.
 
-**Incremental republish.**  The publication is laid out as one *slot
-per super-peer* (its peers' partitions plus its store).  When an
-update/churn event touches one super-peer, :meth:`SharedNetwork.
-republish` writes just that slot into a small *overlay* segment and
-advances the manifest's per-slot generation counter plus a ``subepoch``;
-the base segment is never rewritten.  Workers holding an attached copy
-call :meth:`AttachedNetwork.refresh` to re-map only the changed slots —
-republished bytes and attach time scale with the delta, not the
-network.  Retired overlay segments are kept until
+**Incremental republish.**  A query publication is laid out as one
+*slot per super-peer*: its store, nothing else.  When an update/churn
+event touches one super-peer, :meth:`SharedNetwork.republish` writes
+just that store into a small *overlay* segment and advances the
+manifest's per-slot generation counter plus a ``subepoch``; the base
+segment is never rewritten.  Workers holding an attached copy call
+:meth:`AttachedNetwork.refresh` to re-map only the changed slots —
+republished bytes and attach time scale with the touched stores, not
+the network.  Retired overlay segments are kept until
 :meth:`SharedNetwork.reap_retired` (or ``close``) unlinks them, so
 in-flight attaches never race an unlink.
 
@@ -43,6 +46,7 @@ path — see :mod:`repro.parallel.engine`.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import itertools
 import os
 import secrets
@@ -124,7 +128,8 @@ class _Layout:
 
     def __init__(self) -> None:
         self.arrays: list[tuple[dict[str, Any], np.ndarray]] = []
-        self.nbytes = 0
+        self.nbytes = 0  # extent, alignment padding included
+        self.payload = 0  # array bytes alone
 
     def add(self, array: np.ndarray) -> dict[str, Any]:
         array = np.ascontiguousarray(array)
@@ -136,6 +141,7 @@ class _Layout:
         }
         self.arrays.append((slot, array))
         self.nbytes = offset + array.nbytes
+        self.payload += array.nbytes
         return slot
 
 
@@ -149,30 +155,15 @@ def _write_arrays(segment: shared_memory.SharedMemory, layout: _Layout) -> None:
         del view  # release the buffer export so close() stays legal
 
 
-def _pack_superpeer(
-    layout: _Layout,
-    network: "SuperPeerNetwork",
-    sp_id: int,
-    partitions: dict[int, dict[str, Any]],
-    stores: dict[int, dict[str, Any]],
-) -> int:
-    """Append one super-peer's slot (peer partitions + store); returns its bytes."""
-    start = layout.nbytes
-    for peer_id in network.topology.peers_of[sp_id]:
-        peer = network.peers[peer_id]
-        partitions[peer_id] = {
-            "values": layout.add(peer.data.values),
-            "ids": layout.add(peer.data.ids),
-        }
-    superpeer = network.superpeers[sp_id]
-    if superpeer.store is not None:
-        store = superpeer.store
-        stores[sp_id] = {
-            "values": layout.add(store.points.values),
-            "ids": layout.add(store.points.ids),
-            "f": layout.add(store.f),
-        }
-    return layout.nbytes - start
+def _pack_store(layout: _Layout, store: Any) -> dict[str, Any] | None:
+    """Append one super-peer's query slot: its store's three arrays."""
+    if store is None:
+        return None
+    return {
+        "values": layout.add(store.points.values),
+        "ids": layout.add(store.points.ids),
+        "f": layout.add(store.f),
+    }
 
 
 def _release_segment(segment: shared_memory.SharedMemory, unlink: bool) -> None:
@@ -190,7 +181,7 @@ def _release_segment(segment: shared_memory.SharedMemory, unlink: bool) -> None:
 
 
 def manifest_data_nbytes(manifest: Mapping[str, Any]) -> int:
-    """Total bytes of the *current* data slots (a full republish's cost)."""
+    """Array bytes of the *current* data slots (a full republish's cost)."""
     return int(sum(manifest.get("slot_nbytes", {}).values()))
 
 
@@ -236,16 +227,20 @@ class SharedNetwork:
     def republish(self, network: "SuperPeerNetwork", touched: Iterable[int]) -> int:
         """Republish only the ``touched`` super-peers' slots.
 
-        Writes each touched slot (peer partitions + store) into a fresh
-        overlay segment, updates the manifest *in place* (generations,
-        ``peers_of``, ``epoch``, ``subepoch``, overlay locations) and
-        retires any overlay it supersedes.  Returns the number of bytes
-        republished.  The super-peer *set* must be unchanged — topology
-        surgery (``fail_superpeer``) needs a full :func:`publish_network`.
+        Writes each touched store into a fresh overlay segment, updates
+        the manifest *in place* (generations, ``peers_of``, ``epoch``,
+        ``subepoch``, overlay locations) and retires any overlay it
+        supersedes.  Returns the number of array bytes republished.  The
+        super-peer *set* must be unchanged — topology surgery
+        (``fail_superpeer``) needs a full :func:`publish_network` — and
+        the publication must be a query publication: the pre-processing
+        one is withdrawn after its fan-out, never refreshed.
         """
         if self._closed:
             raise RuntimeError("cannot republish a closed SharedNetwork")
         manifest = self.manifest
+        if manifest["partitions"]:
+            raise ValueError("a pre-processing publication cannot be republished")
         if set(network.superpeers) != {int(k) for k in manifest["generations"]}:
             raise ValueError("super-peer set changed; a full publish is required")
         republished = 0
@@ -253,9 +248,7 @@ class SharedNetwork:
             if sp_id not in network.superpeers:
                 raise KeyError(f"unknown super-peer {sp_id}")
             layout = _Layout()
-            partitions: dict[int, dict[str, Any]] = {}
-            stores: dict[int, dict[str, Any]] = {}
-            _pack_superpeer(layout, network, sp_id, partitions, stores)
+            store_slots = _pack_store(layout, network.superpeers[sp_id].store)
             segment = shared_memory.SharedMemory(
                 name=_segment_name(), create=True, size=max(1, layout.nbytes)
             )
@@ -271,14 +264,13 @@ class SharedNetwork:
             self._overlays[sp_id] = segment
             manifest["overlays"][sp_id] = {
                 "segment": segment.name,
-                "nbytes": layout.nbytes,
-                "partitions": partitions,
-                "store": stores.get(sp_id),
+                "nbytes": layout.payload,
+                "store": store_slots,
             }
             manifest["generations"][sp_id] = int(network.store_generations.get(sp_id, 0))
-            manifest["slot_nbytes"][sp_id] = layout.nbytes
+            manifest["slot_nbytes"][sp_id] = layout.payload
             manifest["peers_of"][sp_id] = tuple(network.topology.peers_of[sp_id])
-            republished += layout.nbytes
+            republished += layout.payload
         manifest["epoch"] = network.epoch
         manifest["subepoch"] = int(manifest.get("subepoch", 0)) + 1
         return republished
@@ -334,22 +326,37 @@ class SharedNetwork:
         return f"SharedNetwork(name={self.name!r}, nbytes={self.nbytes})"
 
 
-def publish_network(network: "SuperPeerNetwork") -> SharedNetwork:
-    """Copy a network's arrays into one shared-memory segment.
+def publish_network(
+    network: "SuperPeerNetwork", partitions: bool = False
+) -> SharedNetwork:
+    """Copy what a fan-out reads into one shared-memory segment.
 
-    Peer partitions always travel (pre-processing workers need them);
-    super-peer stores travel when present, so a not-yet-preprocessed
-    network publishes partitions only and attached copies come back in
-    the same state.  Raises ``OSError`` where shared memory is
+    A query publication (the default) carries each super-peer's store
+    and nothing else — queries never read a raw partition.
+    ``partitions=True`` makes the pre-processing publication instead:
+    the raw peer partitions the Section 5.3 fan-out builds stores
+    *from*, and no stores.  Raises ``OSError`` where shared memory is
     unavailable — callers are expected to fall back to the snapshot
     path.
     """
     layout = _Layout()
-    partitions: dict[int, dict[str, Any]] = {}
+    partition_slots: dict[int, dict[str, Any]] = {}
     stores: dict[int, dict[str, Any]] = {}
     slot_nbytes: dict[int, int] = {}
     for sp_id in sorted(network.superpeers):
-        slot_nbytes[sp_id] = _pack_superpeer(layout, network, sp_id, partitions, stores)
+        start = layout.payload
+        if partitions:
+            for peer_id in network.topology.peers_of[sp_id]:
+                data = network.peers[peer_id].data
+                partition_slots[peer_id] = {
+                    "values": layout.add(data.values),
+                    "ids": layout.add(data.ids),
+                }
+        else:
+            store_slots = _pack_store(layout, network.superpeers[sp_id].store)
+            if store_slots is not None:
+                stores[sp_id] = store_slots
+        slot_nbytes[sp_id] = layout.payload - start
     cache_spec: dict[str, Any] | None = None
     nbytes = layout.nbytes
     if cache_enabled() is not False:
@@ -377,7 +384,6 @@ def publish_network(network: "SuperPeerNetwork") -> SharedNetwork:
                 cache_spec["slot_bytes"],
                 network.epoch,
             )
-        cost = network.cost_model
         manifest: dict[str, Any] = {
             "segment": segment.name,
             "nbytes": layout.nbytes,
@@ -386,16 +392,8 @@ def publish_network(network: "SuperPeerNetwork") -> SharedNetwork:
             "epoch": network.epoch,
             "adjacency": {k: tuple(v) for k, v in network.topology.adjacency.items()},
             "peers_of": {k: tuple(v) for k, v in network.topology.peers_of.items()},
-            "cost_model": {
-                "bandwidth_bytes_per_sec": cost.bandwidth_bytes_per_sec,
-                "message_header_bytes": cost.message_header_bytes,
-                "coordinate_bytes": cost.coordinate_bytes,
-                "id_bytes": cost.id_bytes,
-                "f_value_bytes": cost.f_value_bytes,
-                "threshold_bytes": cost.threshold_bytes,
-                "dimension_tag_bytes": cost.dimension_tag_bytes,
-            },
-            "partitions": partitions,
+            "cost_model": dataclasses.asdict(network.cost_model),
+            "partitions": partition_slots,
             "stores": stores,
             "generations": {
                 sp: int(network.store_generations.get(sp, 0)) for sp in network.superpeers
@@ -471,9 +469,9 @@ class AttachedNetwork:
         """Re-attach only the slots whose generation advanced.
 
         ``manifest`` is a newer snapshot of the *same* publication (same
-        base segment, higher ``subepoch``).  Peers and stores of every
-        changed super-peer are swapped for zero-copy views over the new
-        overlay segment; untouched slots keep their existing mappings
+        base segment, higher ``subepoch``).  The store of every changed
+        super-peer is swapped for zero-copy views over the new overlay
+        segment; untouched slots keep their existing mappings
         (and any cache entries keyed on their generation stay hot).
         Returns ``{"slots": n, "bytes": m}`` for the re-attached delta.
 
@@ -481,10 +479,6 @@ class AttachedNetwork:
         must re-attach from scratch instead (the engine republishes in
         full for topology surgery, so this only guards misuse).
         """
-        from ..core.dataset import PointSet
-        from ..core.store import SortedByF
-        from ..p2p.node import Peer
-
         if self._closed:
             raise RuntimeError("cannot refresh a closed AttachedNetwork")
         network = self.network
@@ -507,27 +501,8 @@ class AttachedNetwork:
             if overlay is None:  # pragma: no cover - defensive
                 raise ValueError(f"generation moved for super-peer {sp_id} with no overlay")
             segment = _attach_segment(overlay["segment"])
-            partitions = {int(k): v for k, v in overlay["partitions"].items()}
-            for peer_id in network.topology.peers_of[sp_id]:
-                network.peers.pop(peer_id, None)
-            for peer_id in peers_of[sp_id]:
-                slots = partitions[peer_id]
-                network.peers[peer_id] = Peer(
-                    peer_id=int(peer_id),
-                    data=PointSet.from_trusted(
-                        _view(segment, slots["values"]), _view(segment, slots["ids"])
-                    ),
-                )
             network.topology.peers_of[sp_id] = peers_of[sp_id]
-            store_slots = overlay.get("store")
-            superpeer = network.superpeers[sp_id]
-            if store_slots is None:
-                superpeer.store = None
-            else:
-                points = PointSet.from_trusted(
-                    _view(segment, store_slots["values"]), _view(segment, store_slots["ids"])
-                )
-                superpeer.store = SortedByF.from_trusted(points, _view(segment, store_slots["f"]))
+            network.superpeers[sp_id].store = _store_view(segment, overlay["store"])
             old = self._overlay_segments.pop(sp_id, None)
             self._overlay_segments[sp_id] = segment
             if old is not None:
@@ -581,6 +556,21 @@ def _view(segment: shared_memory.SharedMemory, slot: Mapping[str, Any]) -> np.nd
     )
 
 
+def _store_view(
+    segment: shared_memory.SharedMemory, slots: Mapping[str, Any] | None
+) -> Any:
+    """A store over its published arrays (``None`` where none was published)."""
+    from ..core.dataset import PointSet
+    from ..core.store import SortedByF
+
+    if slots is None:
+        return None
+    points = PointSet.from_trusted(
+        _view(segment, slots["values"]), _view(segment, slots["ids"])
+    )
+    return SortedByF.from_trusted(points, _view(segment, slots["f"]))
+
+
 def attach_network(manifest: Mapping[str, Any]) -> AttachedNetwork:
     """Rebuild a network as zero-copy views over a published segment.
 
@@ -590,7 +580,6 @@ def attach_network(manifest: Mapping[str, Any]) -> AttachedNetwork:
     construction.
     """
     from ..core.dataset import PointSet
-    from ..core.store import SortedByF
     from ..p2p.cost import CostModel
     from ..p2p.network import SuperPeerNetwork
     from ..p2p.node import Peer
@@ -606,30 +595,15 @@ def attach_network(manifest: Mapping[str, Any]) -> AttachedNetwork:
             adjacency={int(k): tuple(v) for k, v in manifest["adjacency"].items()},
             peers_of={int(k): tuple(v) for k, v in manifest["peers_of"].items()},
         )
-        base_partitions = {int(k): v for k, v in manifest["partitions"].items()}
-        base_stores = {int(k): v for k, v in manifest["stores"].items()}
-        peers: dict[int, Peer] = {}
-        resolved_stores: dict[int, tuple[shared_memory.SharedMemory, Mapping[str, Any]]] = {}
-        for sp_id, peer_ids in topology.peers_of.items():
-            overlay = overlays.get(sp_id)
-            if overlay is None:
-                sp_segment = segment
-                sp_partitions = base_partitions
-                store_slots = base_stores.get(sp_id)
-            else:
-                sp_segment = overlay_segments[sp_id]
-                sp_partitions = {int(k): v for k, v in overlay["partitions"].items()}
-                store_slots = overlay.get("store")
-            for peer_id in peer_ids:
-                slots = sp_partitions[peer_id]
-                peers[peer_id] = Peer(
-                    peer_id=int(peer_id),
-                    data=PointSet.from_trusted(
-                        _view(sp_segment, slots["values"]), _view(sp_segment, slots["ids"])
-                    ),
-                )
-            if store_slots is not None:
-                resolved_stores[sp_id] = (sp_segment, store_slots)
+        peers = {
+            int(peer_id): Peer(
+                peer_id=int(peer_id),
+                data=PointSet.from_trusted(
+                    _view(segment, slots["values"]), _view(segment, slots["ids"])
+                ),
+            )
+            for peer_id, slots in manifest["partitions"].items()
+        }
         network = SuperPeerNetwork(
             topology=topology,
             peers=peers,
@@ -637,12 +611,11 @@ def attach_network(manifest: Mapping[str, Any]) -> AttachedNetwork:
             cost_model=CostModel(**manifest["cost_model"]),
             index_kind=manifest["index_kind"],
         )
-        for sp_id, (sp_segment, slots) in resolved_stores.items():
-            points = PointSet.from_trusted(
-                _view(sp_segment, slots["values"]), _view(sp_segment, slots["ids"])
-            )
-            network.superpeers[sp_id].store = SortedByF.from_trusted(
-                points, _view(sp_segment, slots["f"])
+        for sp_id, slots in manifest["stores"].items():
+            network.superpeers[int(sp_id)].store = _store_view(segment, slots)
+        for sp_id, overlay in overlays.items():
+            network.superpeers[sp_id].store = _store_view(
+                overlay_segments[sp_id], overlay["store"]
             )
         network.epoch = manifest["epoch"]
         for sp_id, gen in manifest.get("generations", {}).items():

@@ -99,6 +99,11 @@ _HEADER = struct.Struct("<IIQqQ")
 #: Directory entry: gen u64, digest 16s, epoch i64, stamp u64, used u32.
 _DIR = struct.Struct("<Q16sqQI")
 _U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+#: Byte offsets of the two words lock-free readers write: the header
+#: clock and a directory entry's stamp.
+_CLOCK_AT = struct.calcsize("<IIQq")
+_STAMP_AT = struct.calcsize("<Q16sq")
 
 
 def cache_enabled() -> bool | None:
@@ -223,12 +228,9 @@ class SharedBlockCache:
         _HEADER.pack_into(self._buf, self._offset, magic, slots, slot_bytes, epoch, clock)
 
     def _tick(self) -> int:
-        magic, slots, slot_bytes, epoch, clock = _HEADER.unpack_from(
-            self._buf, self._offset
-        )
-        clock += 1
-        _HEADER.pack_into(self._buf, self._offset, magic, slots, slot_bytes, epoch, clock)
-        return clock
+        (clock,) = _U64.unpack_from(self._buf, self._offset + _CLOCK_AT)
+        _U64.pack_into(self._buf, self._offset + _CLOCK_AT, clock + 1)
+        return clock + 1
 
     def _dir_at(self, slot: int) -> tuple[int, bytes, int, int, int]:
         return _DIR.unpack_from(self._buf, self._dir_base + slot * _ALIGN)
@@ -307,10 +309,15 @@ class SharedBlockCache:
 
     def _touch(self, slot: int, gen: int) -> None:
         # Racy by design: a stale stamp merely skews LRU, never
-        # correctness, so hits do not take the writer lock.
-        _gen, digest, epoch, _stamp, used = self._dir_at(slot)
-        if _gen == gen:
-            self._dir_write(slot, gen, digest, epoch, self._tick(), used)
+        # correctness, so hits do not take the writer lock.  Only the
+        # stamp word is written — rewriting the whole entry would put
+        # back the generation a concurrent publisher has just advanced,
+        # and the reader's own ``still_valid`` would then pass on a
+        # payload that is being (or has been) replaced.
+        if self._dir_at(slot)[0] == gen:
+            _U64.pack_into(
+                self._buf, self._dir_base + slot * _ALIGN + _STAMP_AT, self._tick()
+            )
 
     # ------------------------------------------------------------------
     # publish

@@ -584,10 +584,14 @@ class QueryGateway:
         generate ``n`` fresh points (ids allocated past the network's
         current maximum); a list of coordinate rows — optionally wrapped
         as ``{"values": [...], "ids": [...]}`` — ships them explicitly.
+        Explicit rows are checked here (finite, network-wide, ids unique
+        within the batch) so a bad batch is a ``bad update`` protocol
+        error that never reaches the backend.
         """
         import numpy as np
 
         from ..core.dataset import PointSet
+        from ..p2p.updates import check_incoming
         from ..p2p.workload import fresh_points, next_point_id
 
         if isinstance(raw, Mapping) and "random" in raw:
@@ -607,7 +611,9 @@ class QueryGateway:
             else:
                 start = next_point_id(self.network)
                 ids = np.arange(start, start + values.shape[0], dtype=np.int64)
-            return PointSet(values, ids)
+            points = PointSet(values, ids)
+            check_incoming(self.network, points)
+            return points
         if isinstance(raw, (list, tuple)) and raw:
             return self._parse_points({"values": raw})
         raise ValueError(f"points must be rows or a random spec, got {raw!r}")
@@ -617,52 +623,29 @@ class QueryGateway:
         if self.backend == "engine" and self.engine is not None:
             report = self.engine.apply_update(self.network, kind, **kwargs)
             return report.as_dict()
-        from ..p2p import churn, updates
+        from ..p2p.workload import apply_mutation
+        from ..parallel.engine import UpdateReport
 
         started = self._clock()
         before = dict(self.network.store_generations)
-        outcome: Any = None
-        if kind == "insert":
-            outcome = updates.insert_points(
-                self.network, kwargs["peer_id"], kwargs["points"]
-            )
-        elif kind == "delete":
-            outcome = updates.delete_points(
-                self.network, kwargs["peer_id"], kwargs["point_ids"]
-            )
-        elif kind == "join":
-            outcome = churn.join_peer(
-                self.network,
-                kwargs["superpeer_id"],
-                kwargs["data"],
-                peer_id=kwargs.get("peer_id"),
-            )
-        elif kind == "fail":
-            outcome = churn.fail_peer(self.network, kwargs["peer_id"])
-        else:
-            churn.fail_superpeer(self.network, kwargs["superpeer_id"])
+        outcome = apply_mutation(self.network, kind, **kwargs)
         touched = sorted(
             sp
             for sp, gen in self.network.store_generations.items()
             if before.get(sp) != gen
         )
-        response: dict[str, Any] = {
-            "kind": kind,
-            "epoch": self.network.epoch,
-            "touched_superpeers": touched,
-            "full_republish": False,
-            "republished_bytes": 0,
-            "slot_nbytes": 0,
-            "total_nbytes": 0,
-            "seconds": self._clock() - started,
-        }
-        path = getattr(outcome, "path", None)
-        if path is not None:
-            response["path"] = path
-            response["examined"] = getattr(outcome, "examined", 0)
-            response["promoted"] = getattr(outcome, "promoted", 0)
-            response["store_rebuilt"] = getattr(outcome, "store_rebuilt", path == "rebuilt")
-        return response
+        # Nothing is published on the serial backend: the byte fields are 0.
+        return UpdateReport(
+            kind=kind,
+            epoch=self.network.epoch,
+            touched_superpeers=tuple(touched),
+            full_republish=False,
+            republished_bytes=0,
+            slot_nbytes=0,
+            total_nbytes=0,
+            seconds=self._clock() - started,
+            outcome=outcome,
+        ).as_dict()
 
     # ------------------------------------------------------------------
     # admission + fan-out

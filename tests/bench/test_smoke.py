@@ -123,7 +123,8 @@ def test_incremental_deltas_scale_with_the_touched_slot(report):
             if op["full_republish"]:
                 continue
             saw_incremental = True
-            assert op["republished_bytes"] <= op["slot_nbytes"]
+            assert op["republished_bytes"] <= op["touched_store_nbytes"]
+            assert op["republished_bytes"] == op["slot_nbytes"]
             assert op["republished_bytes"] < op["total_nbytes"]
             assert op["touched_superpeers"]
     assert saw_incremental

@@ -82,3 +82,20 @@ def brute_force_skyline_ids(points: PointSet, subspace, strict: bool = False) ->
         if not dominated:
             keep.append(int(ids[i]))
     return frozenset(keep)
+
+
+def network_state(network: SuperPeerNetwork) -> tuple:
+    """Everything an update may move: epoch, generations, data, store bytes."""
+    return (
+        network.epoch,
+        dict(network.store_generations),
+        {peer_id: len(peer.data) for peer_id, peer in network.peers.items()},
+        {
+            sp_id: (
+                sp.store.points.values.tobytes(),
+                sp.store.points.ids.tobytes(),
+                sp.store.f.tobytes(),
+            )
+            for sp_id, sp in network.superpeers.items()
+        },
+    )

@@ -48,6 +48,32 @@ class TestFindWitnesses:
         big = find_witnesses(members.values, others.values, chunk=10_000)
         assert np.array_equal(small, big)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.integers(0, 12),
+        n=st.integers(0, 23),
+        d=st.integers(1, 4),
+        chunk=st.sampled_from([1, 4, 5, 256]),
+    )
+    def test_equals_the_broadcast_reference(self, seed, m, n, d, chunk):
+        """Same boolean matrix, hence the same first-dominator indices.
+
+        Coordinates come from a four-value grid so exact ties (where
+        strict ``<`` must fail) are the common case, sizes include empty
+        members/candidates and ``n`` not a multiple of the chunk.
+        """
+        rng = np.random.default_rng(seed)
+        members = rng.integers(0, 4, size=(m, d)) / 4.0
+        candidates = rng.integers(0, 4, size=(n, d)) / 4.0
+        got = find_witnesses(members, candidates, chunk=chunk)
+        expected = np.full(n, -1, dtype=np.int64)
+        if m and n:
+            dom = np.all(members[None, :, :] < candidates[:, None, :], axis=2)
+            has = dom.any(axis=1)
+            expected[has] = dom.argmax(axis=1)[has]
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
 
 class TestEvictionLedger:
     def test_bootstrap_is_member_witnessed(self):
@@ -77,12 +103,12 @@ class TestEvictionLedger:
             assert ledger.witness_of(pid) is None  # popped, not retained
 
     def test_pop_orphans_empty(self):
-        ledger = EvictionLedger()
+        ledger = EvictionLedger(2)
         ids, rows = ledger.pop_orphans(frozenset([1, 2]))
         assert ids.size == 0 and rows.size == 0
 
     def test_repoint_moves_dependents(self):
-        ledger = EvictionLedger()
+        ledger = EvictionLedger(2)
         ledger.record(5, 1, np.array([0.5, 0.5]))
         ledger.record(6, 2, np.array([0.6, 0.6]))
         ledger.repoint({1: 9})
@@ -92,11 +118,12 @@ class TestEvictionLedger:
     def test_pickle_roundtrip(self):
         import pickle
 
-        ledger = EvictionLedger()
+        ledger = EvictionLedger(2)
         ledger.record(3, 1, np.array([0.1, 0.2]))
         clone = pickle.loads(pickle.dumps(ledger))
         assert clone.witness_of(3) == 1
-        assert np.array_equal(clone.entries[3][1], np.array([0.1, 0.2]))
+        assert clone.ids.tolist() == [3] and clone.witnesses.tolist() == [1]
+        assert np.array_equal(clone.rows, np.array([[0.1, 0.2]]))
 
 
 class TestPromoteCandidates:
@@ -120,18 +147,16 @@ class TestPromoteCandidates:
         assert np.array_equal(store.f, oracle.f)
         assert examined == orphan_ids.shape[0]
         # Every remaining entry is witnessed by a current member.
-        member_ids = store.points.id_set()
-        for pid in list(ledger.entries):
-            assert ledger.witness_of(pid) in member_ids
+        assert np.isin(ledger.witnesses, store.points.ids).all()
 
     def test_no_candidates_is_free(self):
         _, members, _ = _split_skyline(seed=7)
         store = SortedByF.from_points(members)
         out, promoted, examined = promote_candidates(
             store,
-            EvictionLedger(),
+            EvictionLedger(3),
             np.zeros(0, dtype=np.int64),
-            np.zeros((0, 0)),
+            np.zeros((0, 3)),
         )
         assert out is store and len(promoted) == 0 and examined == 0
 
@@ -156,8 +181,7 @@ class TestAdmitPoints:
         for evicted_id, evictor_id in evictions.items():
             assert evicted_id not in member_ids
             assert evictor_id in member_ids
-        for pid in list(ledger.entries):
-            assert ledger.witness_of(pid) in member_ids
+        assert np.isin(ledger.witnesses, store.points.ids).all()
 
     def test_fully_dominated_incoming_only_ledgered(self):
         _, members, others = _split_skyline(seed=9)
@@ -196,3 +220,86 @@ def test_random_delete_promotion_matches_oracle(seed, kills):
     assert np.array_equal(store.points.values, oracle.points.values)
     assert np.array_equal(store.points.ids, oracle.points.ids)
     assert np.array_equal(store.f, oracle.f)
+
+
+class _DictLedger:
+    """The dict the columnar ledger replaced, kept as the order oracle."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def record(self, pid, witness, row):
+        self.entries[pid] = (witness, np.array(row, dtype=np.float64))
+
+    def discard(self, ids):
+        for pid in ids:
+            self.entries.pop(pid, None)
+
+    def pop_orphans(self, dead):
+        orphans = [pid for pid, (w, _) in self.entries.items() if w in dead]
+        return orphans, [self.entries.pop(pid)[1] for pid in orphans]
+
+    def repoint(self, mapping):
+        for pid, (witness, row) in self.entries.items():
+            self.entries[pid] = (mapping.get(witness, witness), row)
+
+
+def _assert_same_entries(ledger: EvictionLedger, model: _DictLedger) -> None:
+    assert len(ledger) == len(model.entries)
+    assert ledger.ids.tolist() == list(model.entries)
+    assert ledger.witnesses.tolist() == [w for w, _ in model.entries.values()]
+    assert ledger.rows.tobytes() == b"".join(
+        row.tobytes() for _, row in model.entries.values()
+    )
+
+
+_IDS = st.integers(0, 11)  # a small universe, so ops collide constantly
+_STEP = st.one_of(
+    st.tuples(st.just("record"), _IDS, _IDS, st.integers(0, 2**16)),
+    st.tuples(
+        st.just("record_many"),
+        st.lists(st.tuples(_IDS, _IDS), max_size=5, unique_by=lambda pair: pair[0]),
+        st.integers(0, 2**16),
+    ),
+    st.tuples(st.just("discard"), st.lists(_IDS, max_size=4)),
+    st.tuples(st.just("pop_orphans"), st.frozensets(_IDS, max_size=4)),
+    st.tuples(st.just("repoint"), st.dictionaries(_IDS, _IDS, max_size=4)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_STEP, max_size=25))
+def test_columnar_ledger_matches_the_dict_model(steps):
+    """ids, witnesses, row bytes *and order* equal after every step."""
+    import pickle
+
+    ledger, model = EvictionLedger(3), _DictLedger()
+    for step in steps:
+        if step[0] == "record":
+            _, pid, witness, seed = step
+            row = np.random.default_rng(seed).random(3)
+            ledger.record(pid, witness, row)
+            model.record(pid, witness, row)
+        elif step[0] == "record_many":
+            _, pairs, seed = step
+            rows = np.random.default_rng(seed).random((len(pairs), 3))
+            ledger.record_many(
+                np.array([p for p, _ in pairs], dtype=np.int64),
+                np.array([w for _, w in pairs], dtype=np.int64),
+                rows,
+            )
+            for (pid, witness), row in zip(pairs, rows):
+                model.record(pid, witness, row)
+        elif step[0] == "discard":
+            ledger.discard(step[1])
+            model.discard(step[1])
+        elif step[0] == "pop_orphans":
+            ids, rows = ledger.pop_orphans(step[1])
+            want_ids, want_rows = model.pop_orphans(step[1])
+            assert ids.tolist() == want_ids
+            assert rows.tobytes() == b"".join(r.tobytes() for r in want_rows)
+        else:
+            ledger.repoint(step[1])
+            model.repoint(step[1])
+        _assert_same_entries(ledger, model)
+        _assert_same_entries(pickle.loads(pickle.dumps(ledger)), model)

@@ -12,6 +12,7 @@ from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.updates import delete_points, insert_points
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+from tests.conftest import network_state
 
 
 @pytest.fixture
@@ -86,6 +87,33 @@ class TestInsert:
     def test_unknown_peer(self, network, rng):
         with pytest.raises(KeyError):
             insert_points(network, 10**9, PointSet(rng.random((1, 4))))
+
+    @pytest.mark.parametrize(
+        "values, ids, message",
+        [
+            ([[0.5, np.nan, 0.5, 0.5]], [9000], "finite"),
+            ([[0.5, 0.5, np.inf, 0.5]], [9000], "finite"),
+            ([[0.5, 0.5, 0.5]], [9000], "dim"),
+            ([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]], [9000, 9000], "repeat"),
+        ],
+    )
+    def test_bad_batches_are_rejected_before_any_mutation(
+        self, network, values, ids, message
+    ):
+        """A NaN row would get ``f = NaN`` and never be dominated."""
+        peer_id = next(iter(network.peers))
+        before = network_state(network)
+        # ``from_trusted``: the checked constructor already refuses NaN.
+        points = PointSet.from_trusted(
+            np.array(values, dtype=np.float64), np.array(ids, dtype=np.int64)
+        )
+        with pytest.raises(ValueError, match=message):
+            insert_points(network, peer_id, points)
+        assert network_state(network) == before
+
+    def test_pointset_refuses_nan(self):
+        with pytest.raises(ValueError):
+            PointSet(np.array([[0.5, np.nan]]))
 
 
 class TestDelete:

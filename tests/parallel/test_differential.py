@@ -212,5 +212,6 @@ class TestPoolFirstBuild:
 
 def _ledger_entries(ledger) -> dict[int, tuple[int, bytes]]:
     return {
-        pid: (witness, row.tobytes()) for pid, (witness, row) in ledger.entries.items()
+        int(pid): (int(witness), row.tobytes())
+        for pid, witness, row in zip(ledger.ids, ledger.witnesses, ledger.rows)
     }

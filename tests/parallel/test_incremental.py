@@ -47,15 +47,14 @@ def _shm_leaks() -> list[str]:
 
 
 def _attached_equals_network(attached, network) -> None:
+    """A query attachment mirrors the stores and topology, never the peers."""
     for sp_id, superpeer in network.superpeers.items():
         mirror = attached.network.superpeers[sp_id]
         assert np.array_equal(mirror.store.points.values, superpeer.store.points.values)
         assert np.array_equal(mirror.store.points.ids, superpeer.store.points.ids)
         assert np.array_equal(mirror.store.f, superpeer.store.f)
-    for pid, peer in network.peers.items():
-        mirror = attached.network.peers[pid]
-        assert np.array_equal(mirror.data.values, peer.data.values)
-        assert np.array_equal(mirror.data.ids, peer.data.ids)
+    assert attached.network.peers == {}
+    assert attached.network.topology.peers_of == network.topology.peers_of
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +74,9 @@ class TestRepublish:
             assert manifest["subepoch"] == before["subepoch"] + 1
             assert manifest["generations"][target] == before["generations"][target] + 1
             assert nbytes == manifest["slot_nbytes"][target]
-            assert target in manifest["overlays"]
+            assert nbytes == network.store_of(target).nbytes
+            assert manifest["overlays"][target]["nbytes"] == nbytes
+            assert set(manifest["overlays"][target]) == {"segment", "nbytes", "store"}
             for sp in network.superpeers:
                 if sp != target:
                     assert manifest["generations"][sp] == before["generations"][sp]
@@ -95,6 +96,12 @@ class TestRepublish:
             assert 0 < delta < manifest_data_nbytes(shared.manifest)
         finally:
             shared.close()
+
+    def test_preprocessing_publication_cannot_be_republished(self):
+        network = build_network()
+        with publish_network(network, partitions=True) as shared:
+            with pytest.raises(ValueError):
+                shared.republish(network, [sorted(network.superpeers)[0]])
 
     def test_superseded_overlays_are_retired_not_leaked(self):
         network = build_network()
@@ -128,7 +135,8 @@ class TestRefresh:
             shared.republish(network, [target])
             delta = attached.refresh(shared.manifest)
             assert delta["slots"] == 1
-            assert delta["bytes"] == shared.manifest["slot_nbytes"][target]
+            assert delta["bytes"] == network.store_of(target).nbytes
+            assert list(attached._overlay_segments) == [target]
             _attached_equals_network(attached, network)
         finally:
             if attached is not None:
@@ -213,8 +221,15 @@ class TestApplyUpdate:
             assert report.touched_superpeers == (
                 network.topology.superpeer_of_peer(peer_id),
             )
-            assert 0 < report.republished_bytes <= report.slot_nbytes
-            assert report.slot_nbytes < report.total_nbytes
+            touched = network.topology.superpeer_of_peer(peer_id)
+            assert report.republished_bytes == network.store_of(touched).nbytes
+            assert report.slot_nbytes == report.republished_bytes
+            assert report.total_nbytes == sum(
+                network.store_of(sp).nbytes for sp in network.superpeers
+            )
+            (publication,) = engine._publications.values()
+            overlay = publication.shared.manifest["overlays"][touched]
+            assert overlay["nbytes"] == report.republished_bytes
             assert engine.stats.publications == publications_before
             assert engine.stats.incremental_republishes == 1
             assert engine.stats.updates_applied == 1
@@ -222,6 +237,14 @@ class TestApplyUpdate:
             # Post-update answers are byte-identical to a serial run on
             # the live (mutated) network.
             live = engine.run_queries(network, queries, [Variant.FTPM])[Variant.FTPM]
+            # Workers re-mapped exactly the republished slot, nothing else.
+            refreshes = [
+                e for e in engine.stats.attach_events if e["mode"] == "shm-delta"
+            ]
+            assert refreshes
+            for event in refreshes:
+                assert event["slots"] == 1
+                assert event["bytes"] == report.republished_bytes
             for query, execution in zip(queries, live):
                 reference = execute_query(network, query, Variant.FTPM)
                 assert np.array_equal(
@@ -287,6 +310,87 @@ class TestApplyUpdate:
             engine.run_queries(network, queries, [Variant.FTPM])
             assert engine.stats.cache_hits > warm_hits
         assert _shm_leaks() == []
+
+
+@pytest.mark.parametrize("mp_start", ["fork", "spawn"])
+def test_query_publication_answers_every_variant(mp_start, monkeypatch):
+    """Workers attached to stores alone answer as the full network does."""
+    monkeypatch.setenv("REPRO_MP_START", mp_start)
+    network = build_network()
+    queries = [
+        Query(subspace=s, initiator=network.topology.superpeer_ids[0])
+        for s in ((0, 1, 2), (1, 3))
+    ]
+    variants = list(Variant)
+    with ParallelEngine(2, use_shm=True) as engine:
+        assert engine.start_method == mp_start
+        pooled = engine.run_queries(network, queries, variants)
+        (publication,) = engine._publications.values()
+        assert publication.spec["manifest"]["partitions"] == {}
+    for variant in variants:
+        for query, run in zip(queries, pooled[variant]):
+            reference = execute_query(network, query, variant)
+            assert run.result_ids == reference.result_ids
+            assert run.volume_bytes == reference.volume_bytes
+            assert run.comparisons == reference.comparisons
+            assert run.initial_threshold == reference.initial_threshold
+    assert _shm_leaks() == []
+
+
+def test_ledgers_and_segments_stay_proportional_to_their_payload():
+    """200 updates retain what they hold, not a Python object per point.
+
+    ``tracemalloc`` bytes attributed to ``core/ledger.py`` stay under
+    twice the ledger columns' ``nbytes``, and the engine keeps at most
+    the base segment plus one overlay per super-peer in ``/dev/shm``.
+    """
+    import tracemalloc
+
+    from repro.core import ledger as ledger_module
+    from repro.p2p.workload import ChurnOp, plan_op
+
+    network = SuperPeerNetwork.build(
+        n_peers=40, points_per_peer=120, dimensionality=4, n_superpeers=20, seed=9
+    )
+    query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
+    trace_filter = tracemalloc.Filter(True, ledger_module.__file__)
+    with ParallelEngine(2, use_shm=True) as engine:
+        engine.run_queries(network, [query], [Variant.FTPM])
+        tracemalloc.start()
+        try:
+            for superpeer in network.superpeers.values():
+                assert superpeer.ensure_store_ledger() is not None
+                for peer_id in network.topology.peers_of[superpeer.superpeer_id]:
+                    data = network.peers[peer_id].data
+                    assert superpeer.ensure_peer_ledger(peer_id, data) is not None
+            for index in range(200):
+                op = ChurnOp(
+                    index=index, kind=("insert", "delete")[index % 2], n_points=4,
+                    seed=500 + index,
+                )
+                kind, kwargs = plan_op(network, op)
+                report = engine.apply_update(network, kind, **kwargs)
+                assert not report.full_republish
+                assert len(_shm_leaks()) <= 1 + len(network.superpeers)
+            traced = sum(
+                stat.size
+                for stat in tracemalloc.take_snapshot()
+                .filter_traces([trace_filter])
+                .statistics("filename")
+            )
+        finally:
+            tracemalloc.stop()
+        ledgers = [
+            ledger
+            for superpeer in network.superpeers.values()
+            for ledger in (superpeer.store_ledger, *superpeer.peer_ledgers.values())
+        ]
+        payload = sum(
+            l.ids.nbytes + l.witnesses.nbytes + l.rows.nbytes for l in ledgers
+        )
+        assert payload > 0
+        assert traced < 2 * payload
+    assert _shm_leaks() == []
 
 
 def test_fail_superpeer_bumps_only_adopters():

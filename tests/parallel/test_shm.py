@@ -19,6 +19,7 @@ from repro.parallel import ParallelEngine
 from repro.parallel.shm import (
     SHM_ENV,
     attach_network,
+    manifest_data_nbytes,
     publish_network,
     shm_enabled,
     shm_supported,
@@ -58,8 +59,12 @@ class TestRoundtrip:
                     assert np.array_equal(mine.f, theirs.f)
 
     def test_attached_partitions_match(self, network):
-        with publish_network(network) as shared:
+        """The pre-processing publication: raw partitions, no stores."""
+        with publish_network(network, partitions=True) as shared:
+            assert shared.manifest["stores"] == {}
             with attach_network(shared.manifest) as attached:
+                assert all(sp.store is None for sp in attached.superpeers.values())
+                assert set(attached.peers) == set(network.peers)
                 for peer_id, peer in network.peers.items():
                     assert np.array_equal(
                         peer.data.values, attached.peers[peer_id].data.values
@@ -67,6 +72,20 @@ class TestRoundtrip:
                     assert np.array_equal(
                         peer.data.ids, attached.peers[peer_id].data.ids
                     )
+
+    def test_query_publication_carries_stores_only(self, network):
+        stores = [sp.store for sp in network.superpeers.values()]
+        store_nbytes = sum(
+            # spelled out: the publication must carry exactly these arrays
+            s.points.values.nbytes + s.points.ids.nbytes + s.f.nbytes for s in stores
+        )
+        with publish_network(network) as shared:
+            assert shared.manifest["partitions"] == {}
+            assert manifest_data_nbytes(shared.manifest) == store_nbytes
+            assert store_nbytes <= shared.nbytes < store_nbytes + 64 * 3 * len(stores)
+            with attach_network(shared.manifest) as attached:
+                assert attached.peers == {}
+                assert attached.topology.peers_of == network.topology.peers_of
 
     def test_attached_views_are_read_only(self, network):
         with publish_network(network) as shared:
@@ -83,19 +102,23 @@ class TestRoundtrip:
         from repro.skypeer.variants import Variant
 
         query = Query(subspace=(0, 2, 4), initiator=network.topology.superpeer_ids[0])
-        reference = execute_query(network, query, Variant.FTPM)
         with publish_network(network) as shared:
             with attach_network(shared.manifest) as attached:
-                run = execute_query(attached, query, Variant.FTPM)
-        assert run.result_ids == reference.result_ids
-        assert run.volume_bytes == reference.volume_bytes
-        assert run.comparisons == reference.comparisons
+                for variant in Variant:
+                    reference = execute_query(network, query, variant)
+                    run = execute_query(attached, query, variant)
+                    assert run.result_ids == reference.result_ids
+                    assert run.volume_bytes == reference.volume_bytes
+                    assert run.comparisons == reference.comparisons
+                    assert run.initial_threshold == reference.initial_threshold
 
     def test_unpreprocessed_network_publishes_partitions_only(self):
         raw = SuperPeerNetwork.build(
             n_peers=12, points_per_peer=30, dimensionality=5, seed=3, preprocess=False
         )
-        with publish_network(raw) as shared:
+        with publish_network(raw) as query_publication:
+            assert manifest_data_nbytes(query_publication.manifest) == 0
+        with publish_network(raw, partitions=True) as shared:
             assert shared.manifest["stores"] == {}
             with attach_network(shared.manifest) as attached:
                 assert all(sp.store is None for sp in attached.superpeers.values())

@@ -96,6 +96,28 @@ class TestSeqlock:
             cache.put(make_key("scan", (9, i)), *_payload(i))
         assert not cache.still_valid(token)
 
+    def test_hit_touch_cannot_revalidate_an_evicted_slot(self, cache, tmp_path):
+        """A publisher evicting the slot while a hit refreshes its LRU
+        stamp must still fail the reader's ``still_valid`` — the stamp
+        refresh may not write the generation it read a moment earlier
+        back over the publisher's (that once validated a torn read: a
+        wrong answer on skybench's ``hot_subspaces``)."""
+        key = make_key("scan", (0,))
+        cache.put(key, *_payload())
+        for i in range(1, SLOTS):  # fill up, so the next publish must evict
+            cache.put(make_key("scan", (9, i)), *_payload(i))
+        publisher = SharedBlockCache(cache._buf, 0, str(tmp_path / "writer.lock"))
+        tick = cache._tick
+
+        def tick_while_the_slot_is_evicted() -> int:
+            publisher.put(make_key("scan", (7,)), *_payload(7))
+            return tick()
+
+        cache._tick = tick_while_the_slot_is_evicted
+        _meta, arrays, token = cache.get(key)
+        assert not cache.still_valid(token)
+        assert publisher.get(make_key("scan", (7,))) is not None
+
     def test_second_handle_over_same_buffer_sees_publication(self, cache, tmp_path):
         key = make_key("ext", 3, "block")
         meta, arrays = _payload(5)

@@ -395,6 +395,50 @@ class TestUpdateOp:
         assert stats.updates == 4
         assert stats.updates_applied == 0
 
+    def test_bad_point_batches_are_protocol_errors(self):
+        """NaN/inf rows, a wrong row width and ids repeated within the
+        batch are ``bad update`` responses that never reach the backend."""
+        from tests.conftest import network_state
+
+        from .conftest import build_network
+
+        network = build_network(seed=43)
+        peer_id = sorted(network.peers)[0]
+        superpeer_id = sorted(network.superpeers)[0]
+        d = network.dimensionality
+
+        before = network_state(network)
+        batches = [
+            [[0.5] * (d - 1) + [float("nan")]],
+            [[float("inf")] + [0.5] * (d - 1)],
+            [[0.5] * (d + 1)],
+            {"values": [[0.1] * d, [0.2] * d], "ids": [7000, 7000]},
+        ]
+
+        async def scenario():
+            async with QueryGateway(network, config=GatewayConfig()) as gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    responses = [
+                        await client.update("insert", peer_id=peer_id, points=batch)
+                        for batch in batches
+                    ]
+                    responses.append(
+                        await client.update(
+                            "join", superpeer_id=superpeer_id, points=batches[0]
+                        )
+                    )
+            return responses, gateway.stats
+
+        responses, stats = run(scenario())
+        for response in responses:
+            assert response.status == "error", response.payload
+            assert response.payload["error"].startswith("bad update: ")
+        assert stats.protocol_errors == len(responses)
+        assert stats.backend_errors == 0
+        assert stats.updates_applied == 0
+        assert network_state(network) == before
+
     def test_post_update_queries_do_not_coalesce_with_stale_jobs(self):
         from .conftest import build_network
 
