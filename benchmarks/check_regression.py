@@ -33,26 +33,20 @@ must exercise coalescing); p50/p99 latency and the shed rate are
 printed informationally — they move with CI hardware, correctness does
 not.
 
-Schema-5 reports add a ``kernels`` section (scan substrates ×
-intra-query partitioners).  Its gated verdicts are ``identical``
-(every kernel — BBS substrate, range/grid/angular partitioned scans,
-in-process and pooled — returns results byte-identical to the serial
-sorted scan) and ``speedup_ok`` (grid or angular partitioning at least
-2x faster than serial on the headline anti-correlated scan; a *ratio*
-on one host, so it does not move with absolute CI speed the way raw
-wall-clocks do).  Comparison counts per point and slice-size skew are
-printed informationally.
+Schema-5 reports add a ``kernels`` section (the five scan cells:
+``sorted``/``bbs``/``salsa`` over the whole store, ``range``/``angular``
+slices of the sorted scan).  Its gated verdict is ``identical`` (every
+cell — in-process and pooled — returns results byte-identical to the
+serial sorted scan).  The headline's serial / in-process / pooled walls
+and ratios, comparison counts per point and slice-size skew are printed
+informationally.
 
 Schema-6 reports add ``kernels.salsa`` with two more gated verdicts —
-``identical`` (the SaLSa substrate byte-identical to the sorted scan
-on every pivot-subspace cell, serial and partitioned) and
-``terminates_early`` (every correlated cell skips at least 20% of its
-points *and* spends strictly fewer comparisons than the sorted scan;
-both sides are deterministic counters, so the gate is machine-stable)
-— plus a top-level ``degraded_parallelism`` flag.  When it is true
-(``cpu_count < 2``) the *speedup* verdicts (``kernels.speedup_ok``)
-are reported but not gated — a single core cannot honestly win a
-wall-clock race — while every identity verdict stays gated as usual.
+``identical`` (the SaLSa and BBS substrates byte-identical to the
+sorted scan on every pivot-subspace cell) and ``terminates_early``
+(every correlated cell skips at least 20% of its points *and* spends
+strictly fewer comparisons than the sorted scan; both sides are
+deterministic counters, so the gate is machine-stable).
 
 Schema-7 reports add ``incremental`` (``bench --smoke`` embeds it;
 ``bench --churn`` emits it standalone): the churn gauntlet's grid of
@@ -217,19 +211,6 @@ def check_current_verdicts(current: dict) -> list[str]:
             problems.append(
                 f"scan kernels diverged from the serial sorted scan: {broken}"
             )
-        if "speedup_ok" in kernels and not kernels["speedup_ok"]:
-            headline = kernels.get("headline", {})
-            message = (
-                "partitioned scan speedup below 2x on the headline dataset "
-                f"(best {headline.get('best_speedup', 0):.2f}x via "
-                f"{headline.get('best_partitioner')})"
-            )
-            if current.get("degraded_parallelism"):
-                # Identity verdicts stay gated; only the wall-clock race
-                # is excused on a single-core host.
-                print(f"  [info] degraded parallelism (cpu_count < 2): {message}")
-            else:
-                problems.append(message)
         salsa = kernels.get("salsa")
         if salsa is not None:
             if not salsa.get("identical", True):
@@ -269,7 +250,8 @@ def check_current_verdicts(current: dict) -> list[str]:
         for name, entry in sorted(headline.get("partitioners", {}).items()):
             skew = entry.get("skew", {})
             print(
-                f"  [info] kernels.{name}: in-process "
+                f"  [info] kernels.{name}: serial "
+                f"{headline.get('serial_wall_seconds', 0):.3g}s, in-process "
                 f"{entry.get('inprocess_speedup', 0):.2f}x, pool (cold) "
                 f"{entry.get('pool_speedup', 0):.2f}x, warm replay "
                 f"{entry.get('pool_warm_wall_seconds', 0):.3g}s, "

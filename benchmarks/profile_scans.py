@@ -1,0 +1,133 @@
+#!/usr/bin/env python
+"""Profile the scan cells on the crossover matrix.
+
+Times every cell of :data:`repro.parallel.partition.SCAN_CELLS`
+(``sorted``/``bbs``/``salsa`` over the whole store, ``range``/``angular``
+slices of the sorted scan, 4 slices in-process) over a matrix of
+(distribution, dims, points, query subspace) stores generated from the
+``bench --smoke`` crossover seeds.  Each cell is picked the way a query
+picks it (:func:`repro.skypeer.executor.make_local_compute`), verified
+byte-equal to ``sorted/none`` on its first — *cold* — run, which also
+builds the per-subspace R-tree or SaLSa order cached on the store, and
+then timed best-of-``--repeats`` warm.  The report names the fastest
+warm cell per store and counts the wins, so the table that selects a
+cell is derived from data instead of folklore.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/profile_scans.py \
+        [--output profile_scans.json] [--repeats 5] [--quick]
+
+The JSON output is uploaded as a CI artifact.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+import numpy as np
+
+from repro.bench.smoke import _computations_identical, _single_store_network
+from repro.core.dataset import PointSet
+from repro.core.store import SortedByF
+from repro.data.generators import make_generator
+from repro.parallel.partition import SCAN_CELLS
+from repro.skypeer.executor import make_local_compute
+
+DISTRIBUTIONS = ("uniform", "correlated", "anticorrelated")
+PARTS = 4
+
+#: (distribution, dims, points, subspace): every distribution at
+#: d in {3, 5, 7} and n in {1 200, 20 000} on the full space and on the
+#: 2-d pivot subspace, plus 100 000 points on a proper subspace.
+FULL_MATRIX = [
+    (dist, d, n, subspace)
+    for dist in DISTRIBUTIONS
+    for d in (3, 5, 7)
+    for n in (1200, 20000)
+    for subspace in (tuple(range(d)), (0, 1))
+] + [
+    (dist, d, 100000, subspace)
+    for dist in DISTRIBUTIONS
+    for d, subspace in ((3, (0, 1)), (5, (0, 2, 4)))
+]
+
+QUICK_MATRIX = [
+    ("uniform", 5, 1200, (0, 1, 2, 3, 4)),
+    ("correlated", 5, 1200, (0, 1)),
+    ("anticorrelated", 3, 1200, (0, 1, 2)),
+]
+
+
+def profile_store(dist: str, d: int, n: int, subspace: tuple, repeats: int) -> dict:
+    """Cold and best-of-``repeats`` warm seconds per scan cell for one store."""
+    rng = np.random.default_rng(20070415 + 1000 * DISTRIBUTIONS.index(dist) + d)
+    points = PointSet(make_generator(dist)(n, d, rng))
+    network, sp = _single_store_network(points, SortedByF.from_points(points))
+    reference = None
+    row: dict = {
+        "distribution": dist, "d": d, "n": n, "subspace": list(subspace),
+        "cold_seconds": {}, "seconds": {},
+    }
+    for cell in SCAN_CELLS:
+        substrate, partitioner = cell.split("/")
+        scan = make_local_compute(
+            network, scan_substrate=substrate, partitioner=partitioner,
+            partition_parts=PARTS,
+        )
+        started = time.perf_counter()
+        first = scan(sp, subspace, float("inf"))
+        row["cold_seconds"][cell] = time.perf_counter() - started
+        if reference is None:  # SCAN_CELLS leads with sorted/none
+            reference = first
+            row["result_size"] = len(first.result)
+        elif not _computations_identical(reference, first):  # pragma: no cover - tripwire
+            raise AssertionError(f"{cell} diverged on {(dist, d, n, subspace)}")
+        best = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            scan(sp, subspace, float("inf"))
+            best = min(best, time.perf_counter() - started)
+        row["seconds"][cell] = best
+    row["fastest"] = min(row["seconds"], key=row["seconds"].get)
+    return row
+
+
+def run_profile(repeats: int = 5, quick: bool = False) -> dict:
+    matrix = QUICK_MATRIX if quick else FULL_MATRIX
+    rows = [profile_store(*entry, repeats) for entry in matrix]
+    wins = {cell: 0 for cell in SCAN_CELLS}
+    for row in rows:
+        wins[row["fastest"]] += 1
+    return {
+        "schema": "repro-profile-scans/1",
+        "cpu_count": os.cpu_count(),
+        "repeats": repeats,
+        "parts": PARTS,
+        "cells": list(SCAN_CELLS),
+        "stores": rows,
+        "wins": wins,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", default=None, help="write the JSON report here")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--quick", action="store_true", help="3-store smoke matrix")
+    args = parser.parse_args(argv)
+    report = run_profile(repeats=args.repeats, quick=args.quick)
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..core.dataset import PointSet
-from ..core.dominance import any_dominator
+from ..core.dominance import any_dominator, undominated_among
 from ..core.subspace import full_space, normalize_subspace
 from ..index.rtree import RTree, _Node
 
@@ -97,16 +97,9 @@ def bbs_iter(
         if not pending:
             return
         rows = np.vstack([coords for _pid, coords in pending])
-        if len(pending) > 1:
-            if strict:
-                dom = np.all(rows[None, :, :] < rows[:, None, :], axis=2)
-            else:
-                le = np.all(rows[None, :, :] <= rows[:, None, :], axis=2)
-                dom = le & ~le.T
-            winner_mask = ~np.any(dom, axis=1)
-        else:
-            winner_mask = np.ones(1, dtype=bool)
-        winners = [entry for entry, ok in zip(pending, winner_mask) if ok]
+        winners = [
+            entry for entry, ok in zip(pending, undominated_among(rows, strict)) if ok
+        ]
         pending.clear()
         for point_id, coords in winners:
             if count == skyline_block.shape[0]:

@@ -50,22 +50,21 @@ workload must actually exercise coalescing).  ``skypeer bench
 :func:`bench_serving`.  Latency percentiles are hardware-dependent and
 informational, like every wall-clock here.
 
-Schema 5 adds ``"kernels"``: the scan-kernel matrix.  The *headline*
+Schema 5 adds ``"kernels"``: the scan-cell matrix.  The *headline*
 is one full-space Algorithm-1 scan over a fixed anti-correlated
 5-dimensional store, run serially, split in-process by each
 partitioner (:mod:`repro.parallel.partition`) and fanned over a
 4-worker engine (:meth:`~repro.parallel.ParallelEngine.
 run_partitioned_scan`), with per-partitioner wall-clocks, comparison
-counts, slice-size skew and two verdicts ``check_regression.py``
-gates: ``identical`` (every kernel's result byte-identical to the
-serial scan) and ``speedup_ok`` (grid or angular at least 2× faster
-than serial, best of in-process and pooled — on a single-core host the
-in-process comparison savings carry it).  The *crossover* matrix runs
-substrate × partitioner (``sorted``/``bbs``/``salsa`` × ``none``/
-``range``/``grid``/``angular``) over small stores across
-dimensionalities and distributions, reporting deterministic
-comparisons-per-point so the kernel crossover is diffable across
-revisions.
+counts, slice-size skew and one verdict ``check_regression.py`` gates:
+``identical`` (every cell's result byte-identical to the serial scan).
+The serial / in-process / pooled walls and their ratios are
+informational — partitioning has not beaten the serial scan on any
+host measured so far (docs/PERFORMANCE.md).  The *crossover* matrix
+runs the five scan cells (:data:`repro.parallel.partition.SCAN_CELLS`)
+over small stores across dimensionalities and distributions, reporting
+deterministic comparisons-per-point so the crossover is diffable
+across revisions.
 
 Schema 6 adds two things.  ``"kernels.salsa"``: the sort-based-
 filtering section — the crossover datasets re-queried on the
@@ -74,15 +73,13 @@ low-dimensional pivot subspace ``(0, 1)`` (the regime SaLSa targets:
 scan's prefix pruning weakens while SaLSa's stop-point, computed from
 the subspace coordinates themselves, does not), with the
 early-termination fraction, comparisons-per-point against ``sorted``
-and ``bbs``, per-partitioner comparisons and two gated verdicts:
-``identical`` (SaLSa byte-identical to ``sorted`` on every cell, every
-partitioner) and ``terminates_early`` (every correlated cell skips
-≥ 20 % of its points and spends strictly fewer comparisons than the
-sorted scan — comparison counters are deterministic, so this gate is
-machine-stable).  And ``"degraded_parallelism"``: true when
-``cpu_count < 2``, telling ``check_regression.py`` to skip *speedup*
-verdicts (never identity verdicts) so single-core CI cannot flake the
-gate.
+and ``bbs`` and two gated verdicts: ``identical`` (SaLSa and BBS
+byte-identical to ``sorted`` on every cell) and ``terminates_early``
+(every correlated cell skips ≥ 20 % of its points and spends strictly
+fewer comparisons than the sorted scan — comparison counters are
+deterministic, so this gate is machine-stable).  And
+``"degraded_parallelism"``: true when ``cpu_count < 2``, so readers
+can tell a single-core host's wall-clock ratios apart.
 
 Schema 7 adds ``"incremental"``: the churn gauntlet.  Each cell of an
 update-rate × churn-rate grid replays a deterministic write schedule
@@ -447,8 +444,8 @@ def _bench_salsa(
     on a subspace, while the SaLSa stop-point is computed from the
     subspace coordinates themselves and keeps cutting.  Cells report
     the skipped fraction (``pruned_by_threshold / input_size``) and
-    comparisons-per-point for all three substrates plus partitioned
-    SaLSa, all deterministic.  ``terminates_early`` gates the
+    comparisons-per-point for all three substrates, all deterministic.
+    ``terminates_early`` gates the
     correlated cells: skipped fraction at least ``min_skip`` *and*
     strictly fewer comparisons than the sorted scan.
     """
@@ -459,7 +456,6 @@ def _bench_salsa(
     from ..core.store import SortedByF
     from ..core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
     from ..data.generators import make_generator
-    from ..parallel.partition import partitioned_subspace_skyline
 
     subspace = tuple(pivot_subspace)
     cells: list[dict[str, Any]] = []
@@ -477,16 +473,6 @@ def _bench_salsa(
             cell_identical = _computations_identical(
                 reference, salsa
             ) and _computations_identical(reference, bbs)
-            partitioned: dict[str, float] = {}
-            for partitioner in ("range", "grid", "angular"):
-                scan = partitioned_subspace_skyline(
-                    store, subspace,
-                    partitioner=partitioner, parts=4, substrate="salsa",
-                )
-                cell_identical = cell_identical and _computations_identical(
-                    reference, scan
-                )
-                partitioned[partitioner] = scan.comparisons / n
             skipped = salsa.pruned_by_threshold / n
             cell_early = skipped >= min_skip and salsa.comparisons < reference.comparisons
             if distribution == "correlated":
@@ -506,7 +492,6 @@ def _bench_salsa(
                         "bbs": bbs.comparisons / n,
                         "salsa": salsa.comparisons / n,
                     },
-                    "salsa_partitioned_comparisons_per_point": partitioned,
                     "identical": cell_identical,
                     "terminates_early": cell_early,
                 }
@@ -527,8 +512,6 @@ def _bench_kernels(
     headline_n: int = 20000,
     headline_d: int = 5,
     headline_workers: int = 4,
-    # Best-of-3: the speedup gate sits at 2x and single-core hosts
-    # jitter walls by ~15%; two repeats leave the verdict to luck.
     repeats: int = 3,
     crossover_n: int = 1200,
     crossover_dims: Sequence[int] = (3, 5, 7),
@@ -536,18 +519,17 @@ def _bench_kernels(
         "uniform", "correlated", "anticorrelated",
     ),
 ) -> dict[str, Any]:
-    """Scan-kernel matrix: substrates × partitioners, identity-gated.
+    """Scan-cell matrix: the five surviving cells, identity-gated.
 
     The headline is deliberately a *fixed* dataset (anti-correlated,
     ``headline_d`` dimensions, ``headline_n`` points, full-space query)
-    rather than a scaled one: the ≥ 2× partitioning claim is about this
-    regime, and a scale-shrunk store would measure pool overhead
-    instead.  In-process wall-clocks are best-of-``repeats``; the pooled
-    wall is the *cold* first run (repeats replay the shared block cache,
-    so their wall measures replay latency, reported separately as
-    ``pool_warm_wall_seconds``).  ``speedup_ok`` takes the best of
-    in-process and pooled for grid and angular, so a single-core host
-    passes on the comparison savings alone.
+    rather than a scaled one: a scale-shrunk store would measure pool
+    overhead instead of the scan.  In-process wall-clocks are
+    best-of-``repeats``; the pooled wall is the *cold* first run
+    (repeats replay the shared block cache, so their wall measures
+    replay latency, reported separately as ``pool_warm_wall_seconds``).
+    Every wall and ratio here is informational; only ``identical``
+    gates.
     """
     import numpy as np
 
@@ -556,11 +538,12 @@ def _bench_kernels(
     from ..core.store import SortedByF
     from ..data.generators import make_generator
     from ..parallel.partition import (
+        SCAN_CELLS,
         partition_positions,
         partition_skew,
         partitioned_subspace_skyline,
     )
-    from ..core.substrates import SCAN_SUBSTRATES, subspace_skyline
+    from ..skypeer.executor import make_local_compute
 
     rng = np.random.default_rng(20070415)
     points = PointSet(
@@ -581,7 +564,7 @@ def _bench_kernels(
     partitioners: dict[str, dict[str, Any]] = {}
     identical = True
     with ParallelEngine(headline_workers, use_shm=shm_ok, mp_start=primary) as engine:
-        for partitioner in ("range", "grid", "angular"):
+        for partitioner in ("range", "angular"):
             inproc_wall = float("inf")
             scan = None
             for _ in range(repeats):
@@ -593,8 +576,7 @@ def _bench_kernels(
                 inproc_wall = min(inproc_wall, time.perf_counter() - started)
             # First pooled run scans cold; repeats replay the pscan
             # block cache, so their wall measures replay latency, not
-            # the scan.  The speedup claim uses the honest cold wall —
-            # the warm wall rides along informationally.
+            # the scan; it rides along beside the honest cold wall.
             started = time.perf_counter()
             pooled = engine.run_partitioned_scan(
                 network, sp, subspace,
@@ -633,7 +615,6 @@ def _bench_kernels(
         (
             (name, max(entry["inprocess_speedup"], entry["pool_speedup"]))
             for name, entry in partitioners.items()
-            if name in ("grid", "angular")
         ),
         key=lambda item: item[1],
     )
@@ -670,26 +651,20 @@ def _bench_kernels(
             cell_store = SortedByF.from_points(cell_points)
             cell_subspace = tuple(range(d))
             reference = local_subspace_skyline(cell_store, cell_subspace)
+            cell_network, cell_sp = _single_store_network(cell_points, cell_store)
             cells: dict[str, float] = {}
             cell_identical = True
-            for substrate in SCAN_SUBSTRATES:
-                for partitioner in ("none", "range", "grid", "angular"):
-                    if partitioner == "none":
-                        scan = subspace_skyline(
-                            cell_store, cell_subspace, substrate=substrate
-                        )
-                    else:
-                        scan = partitioned_subspace_skyline(
-                            cell_store, cell_subspace,
-                            partitioner=partitioner, parts=4,
-                            substrate=substrate,
-                        )
-                    cell_identical = cell_identical and _computations_identical(
-                        reference, scan
-                    )
-                    cells[f"{substrate}/{partitioner}"] = (
-                        scan.comparisons / crossover_n
-                    )
+            for cell in SCAN_CELLS:
+                substrate, partitioner = cell.split("/")
+                # Picked the way a query picks it, not re-dispatched here.
+                scan = make_local_compute(
+                    cell_network, scan_substrate=substrate,
+                    partitioner=partitioner, partition_parts=4,
+                )(cell_sp, cell_subspace, float("inf"))
+                cell_identical = cell_identical and _computations_identical(
+                    reference, scan
+                )
+                cells[cell] = scan.comparisons / crossover_n
             crossover_identical = crossover_identical and cell_identical
             crossover.append(
                 {
@@ -709,7 +684,6 @@ def _bench_kernels(
         "crossover": crossover,
         "salsa": salsa,
         "identical": identical and crossover_identical and salsa["identical"],
-        "speedup_ok": best_speedup >= 2.0,
     }
 
 

@@ -30,6 +30,7 @@ from . import bench
 from .bench.config import SCALES
 from .data.workload import Query
 from .p2p.network import SuperPeerNetwork
+from .parallel import resolve_scan_cell
 from .skypeer.executor import execute_query
 from .skypeer.variants import Variant
 
@@ -63,8 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "termination); also REPRO_SCAN_SUBSTRATE"
     )
     partition_help = (
-        "intra-query scan partitioner: 'none' (default), 'range', 'grid' "
-        "or 'angular'; also REPRO_PARTITION"
+        "intra-query partitioner of the sorted scan: 'none' (default), "
+        "'range' or 'angular' (not with --substrate bbs/salsa); also "
+        "REPRO_PARTITION"
     )
     partition_parts_help = (
         "slices per partitioned scan (default: worker count, or 4; "
@@ -104,10 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="requests offered by --serve (default 96)")
     be.add_argument("--rate", type=float, default=400.0,
                     help="open-loop arrival rate in req/s for --serve")
-    be.add_argument("--substrate", choices=("sorted", "bbs", "salsa"), default=None,
-                    help=substrate_help)
-    be.add_argument("--partition", choices=("none", "range", "grid", "angular"),
-                    default=None, help=partition_help)
+    be.add_argument("--substrate", default=None, help=substrate_help)
+    be.add_argument("--partition", default=None, help=partition_help)
     be.add_argument("--partition-parts", type=int, default=None,
                     help=partition_parts_help)
     be.add_argument("--json", dest="json_path", default=None, metavar="PATH",
@@ -178,10 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--merge", choices=("pipelined", "buffered"), default=None,
                    help="initiator merge strategy for the socket transport "
                         "(default: REPRO_STREAM_MERGE, else pipelined)")
-    q.add_argument("--substrate", choices=("sorted", "bbs", "salsa"), default=None,
-                   help=substrate_help)
-    q.add_argument("--partition", choices=("none", "range", "grid", "angular"),
-                   default=None, help=partition_help)
+    q.add_argument("--substrate", default=None, help=substrate_help)
+    q.add_argument("--partition", default=None, help=partition_help)
     q.add_argument("--partition-parts", type=int, default=None,
                    help=partition_parts_help)
     q.add_argument("--explain", action="store_true",
@@ -283,6 +281,7 @@ def _scan_kernel_env(args: argparse.Namespace):
         if value:
             os.environ[key] = value
     try:
+        resolve_scan_cell()  # flags and ambient env together, before any work
         yield
     finally:
         for key, previous in saved.items():
@@ -531,6 +530,7 @@ def _run_single_query(args: argparse.Namespace) -> int:
     subspace = tuple(int(x) for x in args.subspace.split(","))
     variant = Variant.parse(args.variant)
     transport = _resolve_transport(args)
+    resolve_scan_cell(args.substrate, args.partition)  # before the network is built
     print(
         f"building network: {args.peers} peers x {args.points_per_peer} points, "
         f"d={args.dims}, dataset={args.dataset}"

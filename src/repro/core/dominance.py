@@ -14,64 +14,25 @@ the bulk forms are what the hot paths use.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "DOMINANCE_KERNEL_ENV",
     "batch_dominated_any",
     "dominates",
     "ext_dominates",
     "dominators_mask",
     "dominated_mask",
     "any_dominator",
-    "jit_kernel_available",
-    "resolve_dominance_kernel",
     "skyline_mask",
     "extended_skyline_mask",
+    "undominated_among",
 ]
-
-#: ``REPRO_DOMINANCE_KERNEL`` forces the batch kernel: ``tiled`` (the
-#: contiguous-block fast path), ``broadcast`` (the one-shot 3-D
-#: reduction), ``transposed`` (per-dimension column-major planes, no
-#: 3-D cube), ``jit`` (numba-compiled per-target early-exit loop,
-#: degrading to ``auto`` when numba is absent) or ``auto`` (default:
-#: ``transposed``, which won every cell of the
-#: ``benchmarks/profile_dominance.py`` grid).
-DOMINANCE_KERNEL_ENV = "REPRO_DOMINANCE_KERNEL"
-
-_DOMINANCE_KERNELS = ("auto", "broadcast", "tiled", "transposed", "jit")
-
-#: Elements of the broadcast intermediate (dominators x targets x dims)
-#: above which the tiled kernel takes over when the cube kernels are
-#: selected explicitly.  The 3-D comparison materializes two boolean
-#: cubes of this size; past the last-level cache they are written to
-#: and re-read from memory, which is exactly what slicing the dominator
-#: block into contiguous C-order tiles avoids.  2**18 bytes/cube keeps
-#: both inside typical L2.  (``auto`` no longer consults this: the
-#: transposed kernel's 2-D planes beat both cube kernels on every
-#: profiled cell — see ``benchmarks/profile_dominance.py``.)
-_TILE_BUDGET = 1 << 18
-
-
-def resolve_dominance_kernel(kernel: str | None = None) -> str:
-    """The effective batch-dominance kernel: argument, env var or auto."""
-    if kernel is None:
-        kernel = os.environ.get(DOMINANCE_KERNEL_ENV) or "auto"
-    if kernel not in _DOMINANCE_KERNELS:
-        raise ValueError(
-            f"unknown dominance kernel {kernel!r}; expected one of {_DOMINANCE_KERNELS}"
-        )
-    return kernel
 
 
 def batch_dominated_any(
-    dominators: np.ndarray,
-    targets: np.ndarray,
-    strict: bool = False,
-    kernel: str | None = None,
+    dominators: np.ndarray, targets: np.ndarray, strict: bool = False
 ) -> np.ndarray:
     """Per-``targets``-row mask: is the row (ext-)dominated by any
     ``dominators`` row?
@@ -79,73 +40,22 @@ def batch_dominated_any(
     Both inputs are pre-projected ``(m, k)`` / ``(c, k)`` arrays.  This
     is the hot kernel of every chunked scan (candidate block vs batch)
     and of ``bulk_insert`` eviction (incoming rows vs block, arguments
-    swapped).  Two implementations with pinned-equal results:
+    swapped).  Callers charge the full ``m*c`` product to their
+    ``comparisons`` counters, whatever the early exit below skips.
 
-    * ``broadcast`` — the single 3-D numpy reduction; optimal while the
-      ``m*c*k`` boolean intermediates stay cache-resident.
-    * ``tiled`` — the dominator block is walked in contiguous C-order
-      tiles sized to ``_TILE_BUDGET`` so every intermediate stays in
-      cache, with an early exit once every target is dominated.
-
-    Two more kernels complete the set (see
-    ``benchmarks/profile_dominance.py`` for the measured grid):
-
-    * ``transposed`` — walks the dimensions instead of the rows,
-      AND-ing per-dimension ``(c, m)`` boolean planes; the largest
-      intermediate is 2-D regardless of ``k`` and the loop exits early
-      once no dominator column can still win.  Profiling put it ahead
-      of both cube kernels on every grid cell, so ``auto`` (the
-      default) now resolves to it.
-    * ``jit`` — a numba-compiled per-target early-exit loop; selected
-      explicitly (``REPRO_DOMINANCE_KERNEL=jit``) and *degrading to*
-      ``auto`` when numba is not importable, so it is never a hard
-      dependency.
-
-    The choice never affects results or ``comparisons`` accounting —
-    the callers charge full ``m*c`` products either way.
+    The reduction walks the dimensions, AND-ing one ``(c, m)`` boolean
+    plane per dimension: the largest intermediate is 2-D regardless of
+    ``k``, each plane reads one contiguous dominator column against one
+    target column (the transposed copies make both unit-stride), and
+    the loop stops as soon as the running AND has no surviving pair —
+    on low-dimensional or heavily dominated batches most dimensions are
+    never touched.
     """
     dominators = _as_f64(dominators)
     targets = _as_f64(targets)
-    m, c = dominators.shape[0], targets.shape[0]
-    if m == 0 or c == 0:
+    c = targets.shape[0]
+    if dominators.shape[0] == 0 or c == 0:
         return np.zeros(c, dtype=bool)
-    kernel = resolve_dominance_kernel(kernel)
-    if kernel == "jit":
-        fn = _jit_kernel()
-        if fn is not None:
-            return fn(
-                np.ascontiguousarray(dominators),
-                np.ascontiguousarray(targets),
-                strict,
-            )
-        kernel = "auto"  # graceful degradation: numba absent
-    if kernel in ("auto", "transposed"):
-        return _dominated_any_transposed(dominators, targets, strict)
-    if kernel == "broadcast":
-        return _dominated_any_block(dominators, targets, strict)
-    tile = max(1, _TILE_BUDGET // max(1, c * dominators.shape[1]))
-    out = np.zeros(c, dtype=bool)
-    for start in range(0, m, tile):
-        block = dominators[start : start + tile]
-        out |= _dominated_any_block(block, targets, strict)
-        if out.all():
-            break
-    return out
-
-
-def _dominated_any_transposed(
-    dominators: np.ndarray, targets: np.ndarray, strict: bool
-) -> np.ndarray:
-    """Column-major dominance reduction: one 2-D plane per dimension.
-
-    The broadcast kernel materializes an ``m × c × k`` boolean cube;
-    this one keeps only ``(c, m)`` planes, AND-ing the per-dimension
-    comparisons together.  Each plane reads one contiguous dominator
-    column against one target column (the transposed copies make both
-    unit-stride), and the loop stops as soon as the running AND has no
-    surviving pair — on low-dimensional or heavily dominated batches
-    most dimensions are never touched.
-    """
     dom_t = np.ascontiguousarray(dominators.T)
     tgt_t = np.ascontiguousarray(targets.T)
     k = dom_t.shape[0]
@@ -166,69 +76,24 @@ def _dominated_any_transposed(
     return np.any(acc & less, axis=1)
 
 
-#: Lazily compiled numba kernel: ``None`` until first requested, then
-#: either the compiled function or ``False`` when numba is absent (the
-#: probe result is cached so the import is attempted once per process).
-_JIT_STATE: list = [None]
+def undominated_among(rows: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Mask of ``rows`` that no *other* row (ext-)dominates.
 
-
-def _jit_kernel():
-    """The compiled per-target loop, or ``None`` when numba is absent."""
-    state = _JIT_STATE[0]
-    if state is None:
-        try:
-            import numba
-        except ImportError:
-            _JIT_STATE[0] = False
-            return None
-
-        @numba.njit(cache=False)
-        def kernel(dominators, targets, strict):  # pragma: no cover - compiled
-            m, k = dominators.shape
-            c = targets.shape[0]
-            out = np.zeros(c, dtype=np.bool_)
-            for i in range(c):
-                for j in range(m):
-                    le = True
-                    lt = False
-                    for d in range(k):
-                        a = dominators[j, d]
-                        b = targets[i, d]
-                        if strict:
-                            if a >= b:
-                                le = False
-                                break
-                        else:
-                            if a > b:
-                                le = False
-                                break
-                            if a < b:
-                                lt = True
-                    if le and (strict or lt):
-                        out[i] = True
-                        break
-            return out
-
-        state = _JIT_STATE[0] = kernel
-    return state or None
-
-
-def jit_kernel_available() -> bool:
-    """True when the numba JIT dominance kernel can be used."""
-    return _jit_kernel() is not None
-
-
-def _dominated_any_block(
-    dominators: np.ndarray, targets: np.ndarray, strict: bool
-) -> np.ndarray:
-    """One broadcast dominance reduction (the shared kernel body)."""
+    The pairwise pass every batched scan runs over the rows that
+    survived the candidate block: a survivor stays iff no other
+    survivor dominates it.  (A point a per-point loop would first
+    insert and later evict is simply never inserted — the final set is
+    identical.)  Callers charge ``len(rows) ** 2`` comparisons.
+    """
     if strict:
-        return np.any(
-            np.all(dominators[None, :, :] < targets[:, None, :], axis=2), axis=1
-        )
-    less_eq = np.all(dominators[None, :, :] <= targets[:, None, :], axis=2)
-    less = np.any(dominators[None, :, :] < targets[:, None, :], axis=2)
-    return np.any(less_eq & less, axis=1)
+        dom = np.all(rows[None, :, :] < rows[:, None, :], axis=2)
+    else:
+        # dom[i, j] = j dominates i = (j <= i everywhere) and not
+        # (i <= j everywhere); one 3-D reduction suffices since
+        # le & le.T means "equal on every dimension".
+        le = np.all(rows[None, :, :] <= rows[:, None, :], axis=2)
+        dom = le & ~le.T
+    return ~np.any(dom, axis=1)
 
 
 def _as_f64(a: np.ndarray) -> np.ndarray:

@@ -27,12 +27,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from ..index.rtree import RTree
-from .dominance import (
-    any_dominator,
-    batch_dominated_any,
-    dominated_mask,
-    resolve_dominance_kernel,
-)
+from .dominance import any_dominator, batch_dominated_any, dominated_mask
 
 __all__ = [
     "DominanceIndex",
@@ -121,16 +116,13 @@ class BlockDominanceIndex:
     """Vectorized index over a growing numpy block.
 
     The candidate block doubles on demand so insertion is amortized
-    O(1); dominance tests are single vectorized comparisons.  The batch
-    kernel (``REPRO_DOMINANCE_KERNEL``) is resolved once here, not per
-    chunk; scans pass :attr:`kernel` on to their own batch tests.
+    O(1); dominance tests are single vectorized comparisons.
     """
 
     _INITIAL_CAPACITY = 64
 
     def __init__(self, dimensionality: int, strict: bool = False):
         self._strict = strict
-        self.kernel = resolve_dominance_kernel()
         self._block = np.empty((self._INITIAL_CAPACITY, dimensionality), dtype=np.float64)
         self._positions = np.empty(self._INITIAL_CAPACITY, dtype=np.int64)
         self._count = 0
@@ -195,9 +187,7 @@ class BlockDominanceIndex:
         if self._count and can_evict:
             block = self._block[: self._count]
             self.comparisons += self._count * incoming
-            doomed = batch_dominated_any(
-                rows, block, strict=self._strict, kernel=self.kernel
-            )
+            doomed = batch_dominated_any(rows, block, strict=self._strict)
             if np.any(doomed):
                 keep = ~doomed
                 kept = int(np.count_nonzero(keep))

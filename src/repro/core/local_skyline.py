@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PointSet
-from .dominance import batch_dominated_any
+from .dominance import batch_dominated_any, undominated_among
 from .indexes import make_index
 from .store import SortedByF
 
@@ -272,28 +272,13 @@ def _chunked_scan(
         block = index.block_view()
         if block.shape[0]:
             index.comparisons += block.shape[0] * chunk_rows.shape[0]
-            dominated = batch_dominated_any(
-                block, chunk_rows, strict=strict, kernel=index.kernel
-            )
+            dominated = batch_dominated_any(block, chunk_rows, strict=strict)
             candidates = np.nonzero(~dominated)[0]
         else:
             candidates = np.arange(chunk_rows.shape[0])
         if candidates.size:
-            # Pairwise pass among the batch survivors: a survivor stays
-            # iff no other survivor dominates it.  (A point a per-point
-            # loop would first insert and later evict is simply never
-            # inserted — the final set is identical.)
-            sub = chunk_rows[candidates]
             index.comparisons += candidates.size * candidates.size
-            if strict:
-                dom = np.all(sub[None, :, :] < sub[:, None, :], axis=2)
-            else:
-                # dom[i, j] = j dominates i = (j <= i everywhere) and
-                # not (i <= j everywhere); one 3-D reduction suffices
-                # since le & le.T means "equal on every dimension".
-                le = np.all(sub[None, :, :] <= sub[:, None, :], axis=2)
-                dom = le & ~le.T
-            winners = candidates[~np.any(dom, axis=1)]
+            winners = candidates[undominated_among(chunk_rows[candidates], strict)]
             if winners.size:
                 positions = i + winners
                 can_evict = not full_space or (

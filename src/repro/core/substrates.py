@@ -1,6 +1,7 @@
 """Scan substrates for Algorithm 1.
 
-The threshold scan has three interchangeable physical executions:
+The threshold scan has three interchangeable physical executions, each
+over the whole store:
 
 * ``"sorted"`` — the paper's f-ascending list scan
   (:func:`repro.core.local_skyline.local_subspace_skyline`);
@@ -54,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dominance import batch_dominated_any
+from .dominance import batch_dominated_any, undominated_among
 from .indexes import BlockDominanceIndex
 from .local_skyline import (
     SkylineComputation,
@@ -100,7 +101,10 @@ def subspace_skyline(
     index_kind: str = "block",
     scan_chunk: int | None = None,
 ) -> SkylineComputation:
-    """Run Algorithm 1 on the selected substrate (dispatch helper)."""
+    """Run Algorithm 1 over the whole store on the selected substrate.
+
+    The one place a substrate name becomes a scan function.
+    """
     substrate = resolve_scan_substrate(substrate)
     if substrate == "bbs":
         return bbs_subspace_skyline(
@@ -130,36 +134,18 @@ def bbs_subspace_skyline(
     initial_threshold: float = math.inf,
     strict: bool = False,
     max_entries: int = 16,
-    positions: np.ndarray | None = None,
 ) -> SkylineComputation:
-    """Algorithm 1 as BBS over the store's R-tree.
-
-    ``positions`` restricts the scan to a subset of store positions (a
-    partition slice; see :mod:`repro.parallel.partition`) — the slice
-    gets its own bulk-loaded tree whose leaf ids stay *global* store
-    positions, so prefix pruning and the returned positions are
-    unchanged.  ``positions=None`` scans the whole store through the
-    tree cached on it (:meth:`repro.core.store.SortedByF.rtree`).
-    """
+    """Algorithm 1 as BBS over the tree cached on the store
+    (:meth:`repro.core.store.SortedByF.rtree`)."""
     started = time.perf_counter()
     cols = tuple(subspace)
     f = store.f
-    if positions is None:
-        input_size = len(store)
-        tree = store.rtree(cols, max_entries=max_entries)
-    else:
-        positions = np.asarray(positions, dtype=np.int64)
-        input_size = int(positions.shape[0])
-        from ..index.rtree import RTree
-
-        proj, _dists = store.projection(cols, rows=positions)
-        tree = RTree.bulk_load(proj, ids=positions, max_entries=max_entries)
-        tree.annotate_min_ids()
+    tree = store.rtree(cols, max_entries=max_entries)
     index = BlockDominanceIndex(len(cols), strict=strict)
     threshold = float(initial_threshold)
     examined = 0
 
-    if input_size:
+    if len(store):
         # First position whose f exceeds the threshold; f == t ties are
         # examined, never pruned (Observation 5 licenses only strict
         # excess), which side="right" honors exactly.
@@ -194,18 +180,11 @@ def bbs_subspace_skyline(
             block = index.block_view()
             if block.shape[0]:
                 index.comparisons += block.shape[0] * rows.shape[0]
-                alive = ~batch_dominated_any(
-                    block, rows, strict=strict, kernel=index.kernel
-                )
+                alive = ~batch_dominated_any(block, rows, strict=strict)
                 kept, rows = kept[alive], rows[alive]
             if rows.shape[0] > 1:
                 index.comparisons += rows.shape[0] * rows.shape[0]
-                if strict:
-                    dom = np.all(rows[None, :, :] < rows[:, None, :], axis=2)
-                else:
-                    le = np.all(rows[None, :, :] <= rows[:, None, :], axis=2)
-                    dom = le & ~le.T
-                winners = ~np.any(dom, axis=1)
+                winners = undominated_among(rows, strict)
                 kept, rows = kept[winners], rows[winners]
             if rows.shape[0]:
                 index.bulk_insert(kept, rows, can_evict=False)
@@ -253,7 +232,7 @@ def bbs_subspace_skyline(
         examined=examined,
         comparisons=index.comparisons,
         duration=time.perf_counter() - started,
-        input_size=input_size,
+        input_size=len(store),
         positions=kept_positions,
     )
 
@@ -263,7 +242,6 @@ def salsa_subspace_skyline(
     subspace: Sequence[int],
     initial_threshold: float = math.inf,
     strict: bool = False,
-    positions: np.ndarray | None = None,
     scan_chunk: int | None = None,
 ) -> SkylineComputation:
     """Algorithm 1 as a SaLSa sort-and-limit scan.
@@ -289,32 +267,12 @@ def salsa_subspace_skyline(
     ``bulk_insert`` resolve; the surviving set is therefore the unique
     skyline of ``store ∩ {f <= t_final}``, byte-identical to the
     sorted scan (positions ascending, same refined threshold).
-
-    ``positions`` restricts the scan to a partition slice (see
-    :mod:`repro.parallel.partition`): the slice is sorted by the same
-    key and keeps its own stop-point, and the returned positions stay
-    global, so the incremental merge re-validates slices exactly as it
-    does for the other substrates.
     """
     started = time.perf_counter()
     cols = tuple(subspace)
     proj, dists = store.projection(cols)
     f = store.f
-    if positions is None:
-        input_size = len(store)
-        order, keys = store.salsa_order(cols)
-    else:
-        positions = np.asarray(positions, dtype=np.int64)
-        input_size = int(positions.shape[0])
-        if input_size:
-            sub = proj[positions]
-            mins = sub.min(axis=1)
-            perm = np.lexsort((sub.sum(axis=1), mins))
-            order = positions[perm]
-            keys = mins[perm]
-        else:
-            order = np.zeros(0, dtype=np.int64)
-            keys = np.zeros(0, dtype=np.float64)
+    order, keys = store.salsa_order(cols)
     index = BlockDominanceIndex(len(cols), strict=strict)
     threshold = float(initial_threshold)
     stop = math.inf
@@ -345,20 +303,12 @@ def salsa_subspace_skyline(
                 block = index.block_view()
                 if block.shape[0]:
                     index.comparisons += block.shape[0] * rows.shape[0]
-                    alive = ~batch_dominated_any(
-                        block, rows, strict=strict, kernel=index.kernel
-                    )
+                    alive = ~batch_dominated_any(block, rows, strict=strict)
                     batch, rows = batch[alive], rows[alive]
                 if batch.size:
-                    # Pairwise pass among the batch survivors, charged
-                    # like the sorted scan's quadratic tie resolution.
+                    # Charged like the sorted scan's quadratic pass.
                     index.comparisons += int(batch.size) * int(batch.size)
-                    if strict:
-                        dom = np.all(rows[None, :, :] < rows[:, None, :], axis=2)
-                    else:
-                        le = np.all(rows[None, :, :] <= rows[:, None, :], axis=2)
-                        dom = le & ~le.T
-                    winners = ~np.any(dom, axis=1)
+                    winners = undominated_among(rows, strict)
                     batch, rows = batch[winners], rows[winners]
                 if batch.size:
                     # minC order permits eviction only inside exact
@@ -383,6 +333,6 @@ def salsa_subspace_skyline(
         examined=examined,
         comparisons=index.comparisons,
         duration=time.perf_counter() - started,
-        input_size=input_size,
+        input_size=len(store),
         positions=kept_positions,
     )

@@ -17,7 +17,7 @@ totals identical to serial ones (wall-clock fields aside).  See
 
 A third workload splits *one* heavy Algorithm-1 scan into disjoint
 slices of a single store (:mod:`repro.parallel.partition`): the
-partitioner (``range``/``grid``/``angular``) decides the split, each
+partitioner (``range``/``angular``) decides the split, each
 slice is scanned independently — in-process or fanned over the same
 pool via :meth:`ParallelEngine.run_partitioned_scan` — and the
 per-slice skylines merge back byte-identically to the serial scan.
@@ -40,12 +40,14 @@ from .partition import (
     PARTITION_ENV,
     PARTITION_PARTS_ENV,
     PARTITIONERS,
+    SCAN_CELLS,
     merge_partition_scans,
     partition_positions,
     partition_skew,
     partitioned_subspace_skyline,
     resolve_partition_parts,
     resolve_partitioner,
+    resolve_scan_cell,
     scan_partition,
 )
 from .shm import (
@@ -65,6 +67,7 @@ __all__ = [
     "PARTITION_ENV",
     "PARTITION_PARTS_ENV",
     "ParallelEngine",
+    "SCAN_CELLS",
     "SHM_ENV",
     "SharedNetwork",
     "UpdateReport",
@@ -79,6 +82,7 @@ __all__ = [
     "publish_network",
     "resolve_partition_parts",
     "resolve_partitioner",
+    "resolve_scan_cell",
     "resolve_workers",
     "run_queries_parallel",
     "scan_partition",

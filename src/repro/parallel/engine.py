@@ -261,48 +261,35 @@ def _cached_local_compute(
     network: Any,
     cache: Any,
     scan_chunk: int,
-    substrate: str = "sorted",
-    partitioner: str = "none",
-    parts: int = 0,
+    substrate: str,
+    partitioner: str,
+    parts: int,
 ):
     """Algorithm 1 with a block-cache probe in front of every scan.
 
-    Hits *replay* the cached scan — result rebuilt from store positions
-    (byte-identical, the store arrays are shared), work counters
-    restored verbatim — so serial-vs-parallel determinism holds even
-    when the scan never runs.  The key carries everything the counters
-    depend on (store, subspace, threshold bits, index kind, chunk, scan
-    substrate, partitioner and slice count — ``examined``/``comparisons``
-    differ per substrate even though the result set does not); FT-variant
-    siblings share thresholds, so their scans hit across variants.
-    Payload views are copied before validation and a failed validation
-    falls through to the real scan.
+    The scan itself is whatever
+    :func:`~repro.skypeer.executor.make_local_compute` picks for the
+    (already resolved) knobs.  Hits *replay* the cached scan — result
+    rebuilt from store positions (byte-identical, the store arrays are
+    shared), work counters restored verbatim — so serial-vs-parallel
+    determinism holds even when the scan never runs.  The key carries
+    everything the counters depend on (store, subspace, threshold bits,
+    index kind, chunk, scan substrate, partitioner and slice count —
+    ``examined``/``comparisons`` differ per substrate even though the
+    result set does not); FT-variant siblings share thresholds, so their
+    scans hit across variants.  Payload views are copied before
+    validation and a failed validation falls through to the real scan.
     """
     import numpy as np
 
-    from ..core.local_skyline import SkylineComputation, local_subspace_skyline
-    from ..core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
-    from .partition import partitioned_subspace_skyline
+    from ..core.local_skyline import SkylineComputation
+    from ..skypeer.executor import make_local_compute
 
     index_kind = network.index_kind
-
-    def run_scan(store: Any, cols: tuple, threshold: float) -> "SkylineComputation":
-        if partitioner != "none":
-            return partitioned_subspace_skyline(
-                store, cols, initial_threshold=threshold,
-                partitioner=partitioner, parts=parts,
-                substrate=substrate, scan_chunk=scan_chunk,
-            )
-        if substrate == "bbs":
-            return bbs_subspace_skyline(store, cols, initial_threshold=threshold)
-        if substrate == "salsa":
-            return salsa_subspace_skyline(
-                store, cols, initial_threshold=threshold, scan_chunk=scan_chunk
-            )
-        return local_subspace_skyline(
-            store, cols, initial_threshold=threshold,
-            index_kind=index_kind, scan_chunk=scan_chunk,
-        )
+    compute = make_local_compute(
+        network, index_kind=index_kind, scan_chunk=scan_chunk,
+        scan_substrate=substrate, partitioner=partitioner, partition_parts=parts,
+    )
 
     def local_compute(sp: int, subspace: Any, threshold: float) -> SkylineComputation:
         cols = tuple(int(c) for c in subspace)
@@ -331,7 +318,7 @@ def _cached_local_compute(
                     cache.stats.invalid += 1
             else:
                 cache.stats.invalid += 1
-        computation = run_scan(store, cols, threshold)
+        computation = compute(sp, cols, threshold)
         if computation.positions is not None:
             cache.put(
                 scan_key,
@@ -416,9 +403,9 @@ def _run_query_batch(
     tasks: Sequence[tuple[int, "Query", str]],
     collect_metrics: bool,
     scan_chunk: int | None,
-    substrate: str = "sorted",
-    partitioner: str = "none",
-    parts: int = 0,
+    substrate: str,
+    partitioner: str,
+    parts: int,
 ) -> dict[str, Any]:
     """Execute one chunk of (index, query, variant) tasks.
 
@@ -439,8 +426,7 @@ def _run_query_batch(
     # consult the environment again.
     scan_chunk = resolve_scan_chunk(scan_chunk)
     local_compute = _cached_local_compute(
-        network, cache, scan_chunk,
-        substrate=substrate, partitioner=partitioner, parts=parts,
+        network, cache, scan_chunk, substrate, partitioner, parts
     )
     runs: list[tuple[int, "QueryExecution"]] = []
     registry = MetricsRegistry() if collect_metrics else None
@@ -518,7 +504,6 @@ def _run_partition_batch(
     cols: tuple,
     threshold: float,
     strict: bool,
-    substrate: str,
     partitioner: str,
     parts: int,
     scan_chunk: int | None,
@@ -526,7 +511,7 @@ def _run_partition_batch(
 ) -> dict[str, Any]:
     """Scan a chunk of partition slices for one intra-query fan-out.
 
-    Workers recompute the split locally (median/quantile cuts are
+    Workers recompute the split locally (quantile cuts are
     deterministic, so every worker and the parent agree on the slices)
     instead of shipping position arrays over IPC.  Each slice scan sits
     behind a ``"pscan"`` block-cache probe, so a repeated partitioned
@@ -547,7 +532,7 @@ def _run_partition_batch(
     scans: list[tuple[int, dict[str, Any]]] = []
     for pi in part_indices:
         key = make_key(
-            "pscan", sp, generation, cols, float(threshold), strict, substrate,
+            "pscan", sp, generation, cols, float(threshold), strict,
             partitioner, parts, pi, scan_chunk,
         )
         hit = cache.get(key)
@@ -560,8 +545,7 @@ def _run_partition_batch(
             cache.stats.invalid += 1
         computation = scan_partition(
             store, cols, slices[pi],
-            initial_threshold=threshold, strict=strict,
-            substrate=substrate, scan_chunk=scan_chunk,
+            initial_threshold=threshold, strict=strict, scan_chunk=scan_chunk,
         )
         meta = {
             "threshold": computation.threshold,
@@ -603,8 +587,7 @@ class EngineStats:
     fields are mirrored in by an attached
     :class:`~repro.serving.QueryGateway`: coalesce hits the gateway
     absorbed before they reached the pool, requests it shed, the
-    deepest its admission queue got, the queries it dispatched and the
-    intra-query slice subtasks those dispatches fanned out.
+    deepest its admission queue got and the queries it dispatched.
 
     ``tasks`` counts *whole-query* executions only.  Intra-query
     fan-outs (:meth:`ParallelEngine.run_partitioned_scan`) are counted
@@ -648,7 +631,6 @@ class EngineStats:
     serve_shed: int = 0
     serve_queue_depth_peak: int = 0
     serve_queries: int = 0
-    serve_intra_query_subtasks: int = 0
 
     def dispatch_overhead_per_task(self) -> float:
         return self.submit_seconds / self.tasks if self.tasks else 0.0
@@ -709,7 +691,6 @@ class EngineStats:
             "serve_shed": self.serve_shed,
             "serve_queue_depth_peak": self.serve_queue_depth_peak,
             "serve_queries": self.serve_queries,
-            "serve_intra_query_subtasks": self.serve_intra_query_subtasks,
         }
 
 
@@ -1197,13 +1178,11 @@ class ParallelEngine:
         partitioner: str | None,
         partition_parts: int | None,
     ) -> dict["Variant", list["QueryExecution"]]:
-        from ..core.substrates import resolve_scan_substrate
         from ..obs.runtime import active_metrics
         from ..skypeer.variants import Variant
-        from .partition import resolve_partition_parts, resolve_partitioner
+        from .partition import resolve_partition_parts, resolve_scan_cell
 
-        substrate = resolve_scan_substrate(scan_substrate)
-        part_kind = resolve_partitioner(partitioner)
+        substrate, part_kind = resolve_scan_cell(scan_substrate, partitioner)
         # Whole-query scans resolve the slice count with the FIXED
         # default (not the pool size): a serial execution of the same
         # queries resolves the same knobs without a pool, and the two
@@ -1267,18 +1246,18 @@ class ParallelEngine:
         strict: bool = False,
         partitioner: str | None = None,
         parts: int | None = None,
-        substrate: str | None = None,
         scan_chunk: int | None = None,
     ) -> Any:
         """One Algorithm-1 scan split across the pool's workers.
 
         The single-heavy-query counterpart to :meth:`run_queries`:
         instead of whole queries, the unit of fan-out is a partition
-        slice of one store (:mod:`repro.parallel.partition`).  Shares
-        the same publication (epoch-keyed shm segment or snapshot) and
-        block cache as whole-query batches, so a partitioned warm-up
-        scan also warms later whole-query runs of the same subspace.
-        Returns a :class:`~repro.core.local_skyline.SkylineComputation`
+        slice of one store, scanned by the sorted substrate
+        (:func:`~repro.parallel.partition.partitioned_subspace_skyline`
+        with the pool as its slice runner).  Shares the same publication
+        (epoch-keyed shm segment or snapshot) and block cache as
+        whole-query batches.  Returns a
+        :class:`~repro.core.local_skyline.SkylineComputation`
         byte-identical to the serial scan; accounted under
         ``intra_query_scans``/``intra_query_subtasks``, never ``tasks``.
         """
@@ -1287,7 +1266,7 @@ class ParallelEngine:
         with self._gate.read():
             return self._run_partitioned_scan_gated(
                 network, sp, subspace, initial_threshold, strict,
-                partitioner, parts, substrate, scan_chunk,
+                partitioner, parts, scan_chunk,
             )
 
     def _run_partitioned_scan_gated(
@@ -1299,22 +1278,15 @@ class ParallelEngine:
         strict: bool,
         partitioner: str | None,
         parts: int | None,
-        substrate: str | None,
         scan_chunk: int | None,
     ) -> Any:
-        import numpy as np
-
         from ..core.local_skyline import SkylineComputation
-        from ..core.substrates import resolve_scan_substrate
         from .partition import (
-            merge_partition_scans,
-            partition_positions,
+            partitioned_subspace_skyline,
             resolve_partition_parts,
             resolve_partitioner,
         )
 
-        started = time.perf_counter()
-        substrate = resolve_scan_substrate(substrate)
         # "none" means "don't partition whole-query scans"; an explicit
         # intra-query fan-out still needs a split, so fall back to the
         # trivial one.
@@ -1329,41 +1301,44 @@ class ParallelEngine:
         with self._lock:
             publication.warm.add(cols)
         store = network.store_of(sp)
-        proj, _dists = store.projection(cols, rows=store.prefix(threshold))
-        slices = partition_positions(part_kind, proj, parts)
-        indices = list(range(len(slices)))
-        target = max(1, math.ceil(len(indices) / max(1, self.workers)))
-        chunks = [indices[i : i + target] for i in range(0, len(indices), target)]
-        submit_started = time.perf_counter()
-        futures = [
-            self._pool.submit(
-                _run_partition_batch, spec, sp, cols, threshold, strict,
-                substrate, part_kind, parts, scan_chunk, chunk,
-            )
-            for chunk in chunks
-        ]
-        with self._lock:
-            self.stats.submit_seconds += time.perf_counter() - submit_started
-            self.stats.batches += len(chunks)
-            self.stats.intra_query_scans += 1
-            self.stats.intra_query_subtasks += len(indices)
-        scans: list[Any] = [None] * len(slices)
-        for future in futures:
-            payload = future.result()
-            self._ingest_batch_stats(payload, None)
-            for pi, meta in payload["scans"]:
-                scans[pi] = SkylineComputation.replay(
-                    store,
-                    np.asarray(meta["positions"], dtype=np.int64),
-                    threshold=meta["threshold"],
-                    examined=meta["examined"],
-                    comparisons=meta["comparisons"],
-                    input_size=meta["input_size"],
+
+        def run_on_pool(slices: list[Any]) -> list[Any]:
+            # Only slice indices travel: workers recompute the split.
+            indices = list(range(len(slices)))
+            target = max(1, math.ceil(len(indices) / max(1, self.workers)))
+            chunks = [indices[i : i + target] for i in range(0, len(indices), target)]
+            submit_started = time.perf_counter()
+            futures = [
+                self._pool.submit(
+                    _run_partition_batch, spec, sp, cols, threshold, strict,
+                    part_kind, parts, scan_chunk, chunk,
                 )
-        return merge_partition_scans(
-            store, cols, scans,
-            initial_threshold=threshold, strict=strict, scan_chunk=scan_chunk,
-            input_size=len(store), started=started,
+                for chunk in chunks
+            ]
+            with self._lock:
+                self.stats.submit_seconds += time.perf_counter() - submit_started
+                self.stats.batches += len(chunks)
+                self.stats.intra_query_scans += 1
+                self.stats.intra_query_subtasks += len(indices)
+            scans: list[Any] = [None] * len(slices)
+            for future in futures:
+                payload = future.result()
+                self._ingest_batch_stats(payload, None)
+                for pi, meta in payload["scans"]:
+                    scans[pi] = SkylineComputation.replay(
+                        store,
+                        meta["positions"],
+                        threshold=meta["threshold"],
+                        examined=meta["examined"],
+                        comparisons=meta["comparisons"],
+                        input_size=meta["input_size"],
+                    )
+            return scans
+
+        return partitioned_subspace_skyline(
+            store, cols, initial_threshold=threshold, strict=strict,
+            partitioner=part_kind, parts=parts, scan_chunk=scan_chunk,
+            runner=run_on_pool,
         )
 
     # ------------------------------------------------------------------

@@ -15,17 +15,19 @@ emits survivors in ascending position order).
 
 The *partitioner* decides the split and only affects work, not results:
 
-* ``range``   — contiguous f-order chunks (the trivial baseline);
-* ``grid``    — median cuts on the leading subspace dimensions,
-  cells greedily packed into balanced parts;
+* ``range``   — contiguous f-order chunks (the trivial split, the pool
+  fan-out's default and what ``angular`` degrades to on 1-d
+  projections);
 * ``angular`` — equi-depth cuts on the first hyperspherical angle,
-  which slices anti-correlated skylines evenly where a grid
-  concentrates them into few cells.
+  which slices anti-correlated skylines evenly.  Dominance mostly
+  happens between points of similar direction, so direction-coherent
+  slices keep candidate blocks small and comparisons drop versus the
+  serial scan even before any parallel speedup.
 
-Grid and angular also *reduce total work*: dominance mostly happens
-between points of similar direction, so direction- or cell-coherent
-slices keep candidate blocks small and comparisons drop versus the
-serial scan even before any parallel speedup.
+Slices are always scanned by the *sorted* substrate: a per-slice R-tree
+or re-sort costs more than the slice scan saves (the measured matrix is
+in docs/PERFORMANCE.md), so :func:`resolve_scan_cell` rejects a
+partitioner combined with ``bbs`` or ``salsa``.
 """
 
 from __future__ import annotations
@@ -45,34 +47,35 @@ from ..core.local_skyline import (
 )
 from ..core.merging import IncrementalMerger
 from ..core.store import SortedByF
-from ..core.substrates import (
-    bbs_subspace_skyline,
-    resolve_scan_substrate,
-    salsa_subspace_skyline,
-)
+from ..core.substrates import resolve_scan_substrate
 
 __all__ = [
     "PARTITION_ENV",
     "PARTITION_PARTS_ENV",
     "PARTITIONERS",
+    "SCAN_CELLS",
     "merge_partition_scans",
     "partition_positions",
     "partition_skew",
     "partitioned_subspace_skyline",
     "resolve_partition_parts",
     "resolve_partitioner",
+    "resolve_scan_cell",
     "scan_partition",
 ]
 
 #: ``REPRO_PARTITION`` selects the intra-query partitioner globally
-#: (``none``/``range``/``grid``/``angular``); arguments win over it.
+#: (``none``/``range``/``angular``); arguments win over it.
 PARTITION_ENV = "REPRO_PARTITION"
 
 #: ``REPRO_PARTITION_PARTS`` overrides the number of slices (defaults
 #: to the scanning engine's worker count, or 4 in-process).
 PARTITION_PARTS_ENV = "REPRO_PARTITION_PARTS"
 
-PARTITIONERS = ("none", "range", "grid", "angular")
+PARTITIONERS = ("none", "range", "angular")
+
+#: The ``substrate/partitioner`` cells a scan can run as.
+SCAN_CELLS = ("sorted/none", "bbs/none", "salsa/none", "sorted/range", "sorted/angular")
 
 _DEFAULT_PARTS = 4
 
@@ -86,6 +89,21 @@ def resolve_partitioner(partitioner: str | None = None) -> str:
             f"unknown partitioner {partitioner!r}; expected one of {PARTITIONERS}"
         )
     return partitioner
+
+
+def resolve_scan_cell(
+    substrate: str | None = None, partitioner: str | None = None
+) -> tuple[str, str]:
+    """The effective ``(substrate, partitioner)``, each from its argument
+    or env var, checked to be one of :data:`SCAN_CELLS`."""
+    substrate = resolve_scan_substrate(substrate)
+    partitioner = resolve_partitioner(partitioner)
+    if f"{substrate}/{partitioner}" not in SCAN_CELLS:
+        raise ValueError(
+            f"no scan cell {substrate}/{partitioner}: partitioners slice the "
+            f"sorted scan only; expected one of {SCAN_CELLS}"
+        )
+    return substrate, partitioner
 
 
 def resolve_partition_parts(parts: int | None = None, default: int | None = None) -> int:
@@ -118,40 +136,9 @@ def partition_positions(
             for chunk in np.array_split(np.arange(n), parts)
             if chunk.size
         ]
-    if kind == "grid":
-        return _grid_positions(proj, parts)
     if kind == "angular":
         return _angular_positions(proj, parts)
     raise ValueError(f"unknown partitioner {kind!r}; expected one of {PARTITIONERS[1:]}")
-
-
-def _grid_positions(proj: np.ndarray, parts: int) -> list[np.ndarray]:
-    """Median grid cells on the leading dimensions, packed into parts.
-
-    ``ceil(log2(parts))`` median cuts give at least ``parts`` cells;
-    the non-empty cells are then packed largest-first onto the least
-    loaded part (LPT scheduling), which keeps the size skew small even
-    when the medians split unevenly on duplicated values.
-    """
-    n, k = proj.shape
-    cuts = max(1, math.ceil(math.log2(parts)))
-    cell = np.zeros(n, dtype=np.int64)
-    for j in range(cuts):
-        column = proj[:, j % k]
-        cell = cell * 2 + (column > np.median(column)).astype(np.int64)
-    cells = [np.nonzero(cell == c)[0] for c in range(1 << cuts)]
-    cells = [c for c in cells if c.size]
-    packed: list[list[np.ndarray]] = [[] for _ in range(parts)]
-    sizes = [0] * parts
-    for c in sorted(cells, key=len, reverse=True):
-        target = sizes.index(min(sizes))
-        packed[target].append(c)
-        sizes[target] += c.size
-    return [
-        np.sort(np.concatenate(group)).astype(np.int64)
-        for group in packed
-        if group
-    ]
 
 
 def _angular_positions(proj: np.ndarray, parts: int) -> list[np.ndarray]:
@@ -190,36 +177,15 @@ def scan_partition(
     positions: np.ndarray,
     initial_threshold: float = math.inf,
     strict: bool = False,
-    substrate: str = "sorted",
     scan_chunk: int | None = None,
 ) -> SkylineComputation:
-    """Algorithm 1 over one slice of the store.
+    """Algorithm 1 (the sorted scan) over one slice of the store.
 
     ``positions`` must be ascending store positions, so the slice is
     itself f-sorted and the scan's early termination stays valid.  The
     returned computation reports *global* store positions, ready for
     :func:`merge_partition_scans`.
     """
-    substrate = resolve_scan_substrate(substrate)
-    if substrate == "bbs":
-        return bbs_subspace_skyline(
-            store,
-            subspace,
-            initial_threshold=initial_threshold,
-            strict=strict,
-            positions=positions,
-        )
-    if substrate == "salsa":
-        # The slice re-sorts by (minC, sum) and keeps its own
-        # stop-point; the merge below re-validates across slices.
-        return salsa_subspace_skyline(
-            store,
-            subspace,
-            initial_threshold=initial_threshold,
-            strict=strict,
-            positions=positions,
-            scan_chunk=scan_chunk,
-        )
     started = time.perf_counter()
     cols = tuple(subspace)
     positions = np.asarray(positions, dtype=np.int64)
@@ -312,37 +278,30 @@ def partitioned_subspace_skyline(
     subspace: Sequence[int],
     initial_threshold: float = math.inf,
     strict: bool = False,
-    partitioner: str = "grid",
+    partitioner: str = "range",
     parts: int | None = None,
-    substrate: str = "sorted",
     scan_chunk: int | None = None,
     runner: Callable[[list[np.ndarray]], list[SkylineComputation]] | None = None,
 ) -> SkylineComputation:
     """Algorithm 1 split across slices, merged back serial-identically.
 
     ``runner`` executes the slice scans — in-process sequentially when
-    ``None`` (the comparison-count savings of grid/angular splits apply
-    even without parallel hardware), or fanned out by the engine
-    (:meth:`repro.parallel.engine.ParallelEngine.run_partitioned_scan`).
+    ``None`` (the comparison savings of an angular split apply even
+    without parallel hardware), or fanned out over the pool by
+    :meth:`repro.parallel.engine.ParallelEngine.run_partitioned_scan`.
     """
     started = time.perf_counter()
     cols = tuple(subspace)
     threshold = float(initial_threshold)
-    n = len(store)
     # Only the f <= t prefix can contribute; points past it would never
     # be examined by any slice scan, so keep them out of the balance.
     proj, _dists = store.projection(cols, rows=store.prefix(threshold))
-    slices = partition_positions(
-        resolve_partitioner(partitioner) if partitioner != "none" else "range",
-        proj,
-        resolve_partition_parts(parts),
-    )
+    slices = partition_positions(partitioner, proj, resolve_partition_parts(parts))
     if runner is None:
         scans = [
             scan_partition(
                 store, cols, positions,
-                initial_threshold=threshold, strict=strict,
-                substrate=substrate, scan_chunk=scan_chunk,
+                initial_threshold=threshold, strict=strict, scan_chunk=scan_chunk,
             )
             for positions in slices
         ]
@@ -351,5 +310,5 @@ def partitioned_subspace_skyline(
     return merge_partition_scans(
         store, cols, scans,
         initial_threshold=threshold, strict=strict, scan_chunk=scan_chunk,
-        input_size=n, started=started,
+        input_size=len(store), started=started,
     )

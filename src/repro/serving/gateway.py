@@ -52,6 +52,7 @@ from typing import Any, Callable, Mapping
 from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
 from ..p2p.transport import FrameDecoder, TransportError, encode_frame
+from ..skypeer.netexec import QueryAbandoned
 from ..skypeer.variants import Variant
 from .proto import (
     SHED_QUEUE_FULL,
@@ -759,9 +760,7 @@ class QueryGateway:
             if job is None:
                 return
             if job.abandoned:
-                self.stats.cancelled_jobs += 1
-                self._count("serving.cancelled_jobs")
-                self._finish(job, shed_payload(SHED_SHUTDOWN), shed=None)
+                self._reap_abandoned(job)
                 continue
             job.started = True
             started = self._clock()
@@ -771,6 +770,11 @@ class QueryGateway:
             except asyncio.CancelledError:
                 self._finish(job, shed_payload(SHED_SHUTDOWN), shed=SHED_SHUTDOWN)
                 raise
+            except QueryAbandoned:
+                # The last waiter left while the job sat in the executor's
+                # queue: a cancellation, like the check above.
+                self._reap_abandoned(job)
+                continue
             except Exception as exc:
                 self.stats.backend_errors += 1
                 self._count("serving.backend_errors")
@@ -792,18 +796,20 @@ class QueryGateway:
                 )
             self._finish(job, ok_payload(store, elapsed), shed=None)
 
+    def _reap_abandoned(self, job: _Job) -> None:
+        """Retire a job nobody waits for: counted cancelled, never an error."""
+        self.stats.cancelled_jobs += 1
+        self._count("serving.cancelled_jobs")
+        self._finish(job, shed_payload(SHED_SHUTDOWN), shed=None)
+
     def _run_job(self, job: _Job) -> Any:
         """Executor-thread entry: last-moment abandon check, then run."""
-        from ..skypeer.netexec import QueryAbandoned
-
         if job.abandoned:
             raise QueryAbandoned(f"all waiters left before dispatch of {job.key}")
         return self._dispatch(self.network, job.query, job.variant)
 
     def _finish(self, job: _Job, payload: dict, shed: str | None) -> None:
         """Resolve a job's future and retire its coalescing key."""
-        from ..skypeer.netexec import QueryAbandoned  # noqa: F401  (doc anchor)
-
         if self._inflight.get(job.key) is job:
             del self._inflight[job.key]
         if not job.future.done():

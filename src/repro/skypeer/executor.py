@@ -26,7 +26,7 @@ from typing import Sequence
 
 from ..algorithms.bnl import block_nested_loops
 from ..core.dataset import PointSet
-from ..core.local_skyline import SkylineComputation, local_subspace_skyline
+from ..core.local_skyline import SkylineComputation
 from ..core.merging import merge_sorted_skylines
 from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
@@ -122,72 +122,54 @@ def make_local_compute(
 ):
     """Build the default per-super-peer Algorithm-1 strategy.
 
-    The scan kernel is selected by ``scan_substrate`` (``sorted``/
-    ``bbs``/``salsa``; env ``REPRO_SCAN_SUBSTRATE``) and ``partitioner``
-    (``none``/``range``/``grid``/``angular``; env ``REPRO_PARTITION``) —
-    resolved here, once, so every scan of the query agrees.  With a
+    The scan cell is selected by ``scan_substrate`` (``sorted``/``bbs``/
+    ``salsa``; env ``REPRO_SCAN_SUBSTRATE``) and ``partitioner``
+    (``none``/``range``/``angular``; env ``REPRO_PARTITION``) — resolved
+    and checked here, once, so every scan of the query agrees and an
+    unsupported combination (a partitioner with ``bbs``/``salsa``)
+    raises before any scan runs.  This is the one place that decides
+    whole-store vs partitioned and pool vs in-process: with a
     partitioner and an ``engine``
     (:class:`~repro.parallel.engine.ParallelEngine`), each scan fans its
     slices over the engine's worker pool
     (:meth:`~repro.parallel.engine.ParallelEngine.run_partitioned_scan`);
     without an engine the slices run in-process, which still realizes
-    the grid/angular comparison savings.  All variants return results
+    the angular comparison savings.  Every cell returns results
     byte-identical to the plain sorted scan.
     """
-    from ..core.substrates import (
-        bbs_subspace_skyline,
-        resolve_scan_substrate,
-        salsa_subspace_skyline,
-    )
+    from ..core.substrates import subspace_skyline
     from ..parallel.partition import (
         partitioned_subspace_skyline,
         resolve_partition_parts,
-        resolve_partitioner,
+        resolve_scan_cell,
     )
 
     index_kind = index_kind or network.index_kind
-    substrate = resolve_scan_substrate(scan_substrate)
-    part_kind = resolve_partitioner(partitioner)
-    if part_kind != "none":
-        # Fixed default on purpose (never the pool size): the slice
-        # count shapes `examined`/`comparisons`, and a query must
-        # account identically whether it runs serially, with an
-        # engine, or on a differently-sized pool.
-        parts = resolve_partition_parts(partition_parts)
-        if engine is not None:
-            def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-                return engine.run_partitioned_scan(
-                    network, sp, sub, initial_threshold=threshold,
-                    partitioner=part_kind, parts=parts,
-                    substrate=substrate, scan_chunk=scan_chunk,
-                )
-        else:
-            def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-                return partitioned_subspace_skyline(
-                    network.store_of(sp), sub, initial_threshold=threshold,
-                    partitioner=part_kind, parts=parts,
-                    substrate=substrate, scan_chunk=scan_chunk,
-                )
-        return local_compute
-    if substrate == "bbs":
+    substrate, part_kind = resolve_scan_cell(scan_substrate, partitioner)
+    if part_kind == "none":
         def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-            return bbs_subspace_skyline(
-                network.store_of(sp), sub, initial_threshold=threshold
-            )
-        return local_compute
-    if substrate == "salsa":
-        def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-            return salsa_subspace_skyline(
+            return subspace_skyline(
                 network.store_of(sp), sub, initial_threshold=threshold,
-                scan_chunk=scan_chunk,
+                substrate=substrate, index_kind=index_kind, scan_chunk=scan_chunk,
             )
         return local_compute
-
-    def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-        return local_subspace_skyline(
-            network.store_of(sp), sub, initial_threshold=threshold,
-            index_kind=index_kind, scan_chunk=scan_chunk,
-        )
+    # Fixed default on purpose (never the pool size): the slice count
+    # shapes `examined`/`comparisons`, and a query must account
+    # identically whether it runs serially, with an engine, or on a
+    # differently-sized pool.
+    parts = resolve_partition_parts(partition_parts)
+    if engine is not None:
+        def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
+            return engine.run_partitioned_scan(
+                network, sp, sub, initial_threshold=threshold,
+                partitioner=part_kind, parts=parts, scan_chunk=scan_chunk,
+            )
+    else:
+        def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
+            return partitioned_subspace_skyline(
+                network.store_of(sp), sub, initial_threshold=threshold,
+                partitioner=part_kind, parts=parts, scan_chunk=scan_chunk,
+            )
     return local_compute
 
 

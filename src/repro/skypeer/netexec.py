@@ -787,16 +787,9 @@ def gateway_dispatch(
     if backend == "engine":
         if engine is None:
             raise ValueError("backend 'engine' requires an engine instance")
-        # Mirror the whole-query vs intra-query split into the serve_*
-        # stats: dispatched queries count here, and any slice subtasks
-        # the execution fans out (partitioned scans) are attributed to
-        # serving by the delta around the dispatch.
-        before = engine.stats.intra_query_subtasks
         runs = engine.run_queries(network, [query], [variant], scan_chunk=scan_chunk)
-        engine.stats.serve_queries += 1
-        engine.stats.serve_intra_query_subtasks += (
-            engine.stats.intra_query_subtasks - before
-        )
+        with engine._lock:  # the gateway's dispatcher threads share the counter
+            engine.stats.serve_queries += 1
         return runs[variant][0].result
     if backend == "serial":
         from .executor import execute_query

@@ -1,24 +1,37 @@
-"""The tiled/broadcast batch-dominance kernels must be pin-equal."""
+"""The batch-dominance kernel and the pairwise helper, against references
+written here: a 3-D broadcast reduction and plain Python loops."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.dominance import (
-    DOMINANCE_KERNEL_ENV,
-    batch_dominated_any,
-    jit_kernel_available,
-    resolve_dominance_kernel,
-)
+from repro.core.dominance import batch_dominated_any, undominated_among
 
-#: Every forceable kernel name; ``jit`` silently degrades to ``auto``
-#: when numba is absent, so it is always safe to request.
-FORCED_KERNELS = ("broadcast", "tiled", "transposed", "jit")
+#: (dominators m, targets c, dims k) — the block-vs-batch shapes the
+#: chunked scans produce (c = scan chunk) plus square eviction-style
+#: shapes: the 18-shape grid of the kernel table in docs/PERFORMANCE.md.
+SHAPES = [
+    (16, 64, 3), (64, 64, 3), (256, 64, 3), (1024, 64, 3), (4096, 64, 3),
+    (16, 64, 5), (64, 64, 5), (256, 64, 5), (1024, 64, 5), (4096, 64, 5),
+    (16, 64, 9), (64, 64, 9), (256, 64, 9), (1024, 64, 9), (4096, 64, 9),
+    (256, 256, 5), (1024, 256, 5), (1024, 1024, 5),
+]
 
 
-def oracle(dominators: np.ndarray, targets: np.ndarray, strict: bool) -> np.ndarray:
-    """Per-target python-loop oracle, independent of the numpy kernels."""
+def broadcast_reference(dominators, targets, strict):
+    """One 3-D broadcast dominance reduction (an ``m × c × k`` cube)."""
+    if strict:
+        return np.any(
+            np.all(dominators[None, :, :] < targets[:, None, :], axis=2), axis=1
+        )
+    less_eq = np.all(dominators[None, :, :] <= targets[:, None, :], axis=2)
+    less = np.any(dominators[None, :, :] < targets[:, None, :], axis=2)
+    return np.any(less_eq & less, axis=1)
+
+
+def loop_reference(dominators, targets, strict):
+    """Per-target Python loop, independent of numpy's reductions."""
     out = np.zeros(targets.shape[0], dtype=bool)
     for i, t in enumerate(targets):
         for d in dominators:
@@ -33,84 +46,55 @@ def oracle(dominators: np.ndarray, targets: np.ndarray, strict: bool) -> np.ndar
 
 
 class TestKernelEquality:
-    @pytest.mark.parametrize("kernel", FORCED_KERNELS)
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
     @pytest.mark.parametrize("strict", [False, True])
-    def test_kernels_equal_broadcast_random(self, rng, strict, kernel):
-        dominators = rng.random((90, 4))
-        targets = rng.random((70, 4))
-        broadcast = batch_dominated_any(dominators, targets, strict, kernel="broadcast")
-        forced = batch_dominated_any(dominators, targets, strict, kernel=kernel)
-        assert np.array_equal(broadcast, forced)
-        assert np.array_equal(broadcast, oracle(dominators, targets, strict))
+    def test_matches_broadcast_reference(self, rng, strict, shape):
+        m, c, k = shape
+        # Anti-correlated-ish data keeps the dominated fraction moderate,
+        # so the per-dimension early exit is neither trivial nor unused.
+        base = rng.uniform(0.0, 1.0, size=(m + c, 1))
+        cloud = np.clip(1.0 - base + rng.normal(0.0, 0.2, size=(m + c, k)), 0.0, 1.0)
+        dominators, targets = cloud[:m], cloud[m:]
+        out = batch_dominated_any(dominators, targets, strict)
+        assert out.dtype == bool and out.shape == (c,)
+        assert np.array_equal(out, broadcast_reference(dominators, targets, strict))
 
-    @pytest.mark.parametrize("kernel", FORCED_KERNELS)
     @pytest.mark.parametrize("strict", [False, True])
-    def test_tie_heavy_integer_grid(self, rng, strict, kernel):
-        # Duplicated rows and shared coordinates: the <=/&-any branch of
-        # the non-strict kernels and the all-< strict branch both have
-        # to get exact ties right in every tile/plane.
+    def test_tie_heavy_integer_grid(self, rng, strict):
+        # Duplicated rows and shared coordinates: the <=/&-any branch
+        # and the all-< strict branch both have to get exact ties right
+        # in every plane.
         dominators = rng.integers(0, 3, size=(120, 3)).astype(float)
         targets = np.vstack([dominators[:40], rng.integers(0, 3, size=(40, 3))])
-        broadcast = batch_dominated_any(dominators, targets, strict, kernel="broadcast")
-        forced = batch_dominated_any(dominators, targets, strict, kernel=kernel)
-        assert np.array_equal(broadcast, forced)
-        assert np.array_equal(broadcast, oracle(dominators, targets, strict))
+        out = batch_dominated_any(dominators, targets, strict)
+        assert np.array_equal(out, broadcast_reference(dominators, targets, strict))
+        assert np.array_equal(out, loop_reference(dominators, targets, strict))
 
     @pytest.mark.parametrize("strict", [False, True])
-    def test_auto_equals_forced_kernels_on_large_shapes(self, rng, strict):
-        # 600×600×8 is well past any broadcast comfort zone; every
-        # spelling must agree with auto anyway.
-        dominators = rng.random((600, 8))
-        targets = rng.random((600, 8))
-        auto = batch_dominated_any(dominators, targets, strict)
-        for kernel in FORCED_KERNELS:
-            assert np.array_equal(
-                auto, batch_dominated_any(dominators, targets, strict, kernel=kernel)
-            ), kernel
-
-    @pytest.mark.parametrize("kernel", ["tiled", "transposed", "jit"])
-    def test_early_exit_when_everything_is_dominated(self, rng, kernel):
-        # The origin dominates every positive target; the early-exit
-        # paths (tile all(), per-dim acc.any(), per-target break) must
-        # not change the answer.
+    def test_early_exit_when_everything_is_dominated(self, rng, strict):
+        # The origin dominates every positive target; the per-dimension
+        # acc.any() exit must not change the answer.
         dominators = np.vstack([np.zeros((1, 3)), rng.random((500, 3))])
         targets = rng.random((50, 3)) + 0.1
-        assert batch_dominated_any(dominators, targets, kernel=kernel).all()
+        assert batch_dominated_any(dominators, targets, strict).all()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_early_exit_when_nothing_is_dominated(self, rng, strict):
+        # No pair survives the first plane: the loop leaves before the
+        # later dimensions and must still answer all-False.
+        dominators = rng.random((40, 4)) + 1.0
+        targets = rng.random((30, 4))
+        assert not batch_dominated_any(dominators, targets, strict).any()
 
     def test_transposed_handles_non_contiguous_planes(self, rng):
-        # The transposed kernel reads column-major; strided inputs must
-        # be copied, not mis-strided.
+        # The kernel reads column-major copies; strided inputs must be
+        # copied, not mis-strided.
         base = rng.random((60, 8))
         dominators = base[:, ::2]
-        targets = rng.random((30, 4))
-        assert np.array_equal(
-            batch_dominated_any(dominators, targets, kernel="transposed"),
-            batch_dominated_any(dominators, targets, kernel="broadcast"),
-        )
-
-
-class TestJitFallback:
-    def test_jit_request_never_raises_without_numba(self, rng):
-        # The jit kernel is an opt-in accelerator, never a dependency:
-        # requesting it on a host without numba silently degrades to the
-        # auto kernel with identical output.
-        dominators = rng.random((40, 3))
-        targets = rng.random((20, 3))
-        out = batch_dominated_any(dominators, targets, kernel="jit")
-        assert np.array_equal(
-            out, batch_dominated_any(dominators, targets, kernel="broadcast")
-        )
-
-    def test_availability_probe_is_a_bool(self):
-        assert jit_kernel_available() in (True, False)
-
-    def test_env_var_jit_reaches_batch_kernel(self, rng, monkeypatch):
-        monkeypatch.setenv(DOMINANCE_KERNEL_ENV, "jit")
-        dominators = rng.random((25, 4))
-        targets = rng.random((25, 4))
+        targets = rng.random((90, 8))[::3, 1::2]
         assert np.array_equal(
             batch_dominated_any(dominators, targets),
-            batch_dominated_any(dominators, targets, kernel="broadcast"),
+            broadcast_reference(dominators, targets, False),
         )
 
 
@@ -132,72 +116,49 @@ class TestEdgeCases:
         dominators = base[:, ::2]  # non-contiguous view, forces asarray path
         targets = rng.random((30, 4))
         assert np.array_equal(
-            batch_dominated_any(dominators, targets, kernel="tiled"),
-            batch_dominated_any(np.ascontiguousarray(dominators), targets, kernel="tiled"),
+            batch_dominated_any(dominators, targets),
+            batch_dominated_any(np.ascontiguousarray(dominators), targets),
+        )
+
+    def test_integer_input_is_accepted(self, rng):
+        dominators = rng.integers(0, 5, size=(20, 3))
+        targets = rng.integers(0, 5, size=(15, 3))
+        assert np.array_equal(
+            batch_dominated_any(dominators, targets),
+            loop_reference(dominators, targets, False),
         )
 
 
-class TestResolveKernel:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(DOMINANCE_KERNEL_ENV, raising=False)
-        assert resolve_dominance_kernel() == "auto"
+class TestUndominatedAmong:
+    @staticmethod
+    def double_loop(rows, strict):
+        keep = np.ones(len(rows), dtype=bool)
+        for i, p in enumerate(rows):
+            for j, q in enumerate(rows):
+                if i == j:
+                    continue
+                if (np.all(q < p) if strict else np.all(q <= p) and np.any(q < p)):
+                    keep[i] = False
+                    break
+        return keep
 
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(DOMINANCE_KERNEL_ENV, "tiled")
-        assert resolve_dominance_kernel() == "tiled"
-
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(DOMINANCE_KERNEL_ENV, "tiled")
-        assert resolve_dominance_kernel("broadcast") == "broadcast"
-
-    def test_unknown_kernel_raises(self):
-        with pytest.raises(ValueError, match="unknown dominance kernel"):
-            resolve_dominance_kernel("simd")
-
-    def test_error_message_lists_valid_names(self):
-        # Satellite: a typo in REPRO_DOMINANCE_KERNEL must name every
-        # valid kernel in the error.
-        with pytest.raises(ValueError) as exc:
-            resolve_dominance_kernel("simd")
-        message = str(exc.value)
-        for name in ("auto", "broadcast", "tiled", "transposed", "jit"):
-            assert name in message
-
-    @pytest.mark.parametrize("name", ["transposed", "jit"])
-    def test_new_kernels_resolve(self, name):
-        assert resolve_dominance_kernel(name) == name
-
-    def test_env_var_reaches_batch_kernel(self, rng, monkeypatch):
-        monkeypatch.setenv(DOMINANCE_KERNEL_ENV, "bogus")
-        with pytest.raises(ValueError, match="unknown dominance kernel"):
-            batch_dominated_any(rng.random((3, 2)), rng.random((3, 2)))
-
-    def test_scan_reads_the_environment_once(self, rng, monkeypatch):
-        """One Algorithm-1 scan resolves the kernel when it builds its
-        index, not once per chunk — and the result and the work
-        counters do not depend on which kernel that was."""
-        from repro.core import dominance, indexes
-        from repro.core.dataset import PointSet
-        from repro.core.local_skyline import local_subspace_skyline
-        from repro.core.store import SortedByF
-
-        store = SortedByF.from_points(PointSet(rng.random((600, 4))))
-        calls: list[str | None] = []
-
-        def counting(kernel=None):
-            calls.append(kernel)
-            return resolve_dominance_kernel(kernel)
-
-        monkeypatch.setattr(indexes, "resolve_dominance_kernel", counting)
-        monkeypatch.setattr(dominance, "resolve_dominance_kernel", counting)
-        monkeypatch.setenv(DOMINANCE_KERNEL_ENV, "tiled")
-        tiled = local_subspace_skyline(store, (0, 2), scan_chunk=16)
-        # Only a ``None`` request consults the environment.
-        assert calls[0] is None and set(calls[1:]) == {"tiled"}
-        assert tiled.examined > 16  # several chunks, still one lookup
-        monkeypatch.delenv(DOMINANCE_KERNEL_ENV)
-        auto = local_subspace_skyline(store, (0, 2), scan_chunk=16)
-        assert auto.positions.tolist() == tiled.positions.tolist()
-        assert (auto.examined, auto.comparisons, auto.threshold) == (
-            tiled.examined, tiled.comparisons, tiled.threshold
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_double_loop_random(self, rng, strict):
+        rows = rng.random((64, 3))
+        assert np.array_equal(
+            undominated_among(rows, strict), self.double_loop(rows, strict)
         )
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_double_loop_with_ties_and_duplicates(self, rng, strict):
+        base = rng.integers(0, 3, size=(30, 3)).astype(float)
+        rows = np.vstack([base, base[:10]])
+        mask = undominated_among(rows, strict)
+        assert np.array_equal(mask, self.double_loop(rows, strict))
+        # Exact duplicates never dominate each other: both copies share
+        # one verdict.
+        assert np.array_equal(mask[:10], mask[30:])
+
+    def test_single_row_and_empty(self):
+        assert undominated_among(np.ones((1, 4))).tolist() == [True]
+        assert undominated_among(np.zeros((0, 4))).shape == (0,)

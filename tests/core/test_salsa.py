@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
-from repro.core.dominance import skyline_mask
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
 from repro.core.substrates import (
@@ -162,18 +161,6 @@ class TestSalsaIdentity:
         assert len(result.result) == 0
         assert result.positions.shape == (0,)
         assert math.isinf(result.threshold)
-
-    def test_positions_slice_restricts_the_scan(self, rng):
-        # A slice scan sees only its positions; its result is the
-        # skyline of that subset — exactly what partitioned merge needs.
-        store = make_store(rng, n=150)
-        positions = np.sort(rng.choice(len(store), size=60, replace=False))
-        scan = salsa_subspace_skyline(store, (0, 1, 2, 3), positions=positions)
-        assert set(scan.positions) <= set(int(p) for p in positions)
-        subset = store.points.values[positions]
-        expected = positions[skyline_mask(subset)]
-        assert np.array_equal(scan.positions, np.sort(expected))
-        assert scan.input_size == len(positions)
 
 
 class TestEarlyTermination:

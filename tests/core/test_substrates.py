@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
-from repro.core.dominance import skyline_mask
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
 from repro.core.substrates import (
@@ -106,19 +105,6 @@ class TestBBSIdentity:
         assert 0 < bbs.examined <= len(store)
         assert bbs.comparisons > 0
         assert bbs.input_size == len(store)
-
-    def test_positions_slice_restricts_the_scan(self, rng):
-        # A slice scan sees only its positions; its result is the
-        # skyline of that subset (threshold still inf: no point outside
-        # the slice may refine it).
-        store = make_store(rng, n=150)
-        positions = np.sort(rng.choice(len(store), size=60, replace=False))
-        scan = bbs_subspace_skyline(store, (0, 1, 2, 3), positions=positions)
-        assert set(scan.positions) <= set(int(p) for p in positions)
-        subset = store.points.values[positions]
-        expected = positions[skyline_mask(subset)]
-        assert np.array_equal(scan.positions, np.sort(expected))
-        assert scan.input_size == len(positions)
 
 
 class TestDispatcher:

@@ -93,6 +93,36 @@ class TestCachedMatchesUncached:
                 idx = queries.index(query)
                 assert warm[variant][idx].result_ids == expected
 
+    @pytest.mark.skipif(not shm_supported(), reason="needs the shared block cache")
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"scan_substrate": "sorted", "partitioner": "angular", "partition_parts": 3}],
+        ids=["ambient", "sorted-angular"],
+    )
+    def test_warm_pass_replays_every_scan(self, monkeypatch, method, knobs):
+        """A repeated batch scans nothing: every probe of the second pass
+        hits.  60 = 5 queries × 4 SKYPEER variants × 3 super-peers (naive
+        never probes), the same count as before the worker's scan
+        dispatch moved behind ``make_local_compute`` — the ``"scan"`` key
+        fields did not move with it."""
+        monkeypatch.setenv("REPRO_SHM_CACHE", "1")
+        monkeypatch.setenv("REPRO_MP_START", method)
+        network = _network()
+        queries = _queries(network)
+        variants = list(Variant)
+        with ParallelEngine(2, use_shm=True) as engine:
+            assert engine.start_method == method
+            cold = engine.run_queries(network, queries, variants, **knobs)
+            after_cold = engine.stats.as_dict()
+            warm = engine.run_queries(network, queries, variants, **knobs)
+            after_warm = engine.stats.as_dict()
+        assert after_warm["cache_kinds"] == ["shared"]
+        assert after_warm["cache_hits"] - after_cold["cache_hits"] == 60
+        assert after_warm["cache_misses"] == after_cold["cache_misses"]
+        assert after_warm["cache_invalid"] == 0
+        _assert_matches(cold, warm, f"warm-{method}")
+
     def test_cache_off_matches_cache_on(self, monkeypatch):
         network = _network(seed=23)
         queries = _queries(network)

@@ -1,8 +1,9 @@
 """Intra-query partitioned scans: split, merge, engine fan-out, knobs.
 
-Every partitioner × substrate combination must reproduce the serial
-sorted scan byte-for-byte; the engine's fan-out must account the work
-as intra-query subtasks, not whole-query tasks.
+Every surviving scan cell must reproduce the serial sorted scan
+byte-for-byte, every deleted one must be refused before any scan runs,
+and the engine's fan-out must account the work as intra-query subtasks,
+not whole-query tasks.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.core.dataset import PointSet
+from repro.core.indexes import BlockDominanceIndex
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
+from repro.core.substrates import SUBSTRATE_ENV
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
@@ -23,17 +27,25 @@ from repro.parallel.partition import (
     PARTITION_ENV,
     PARTITION_PARTS_ENV,
     PARTITIONERS,
+    SCAN_CELLS,
     partition_positions,
     partition_skew,
     partitioned_subspace_skyline,
     resolve_partition_parts,
     resolve_partitioner,
+    resolve_scan_cell,
     scan_partition,
 )
 from repro.skypeer.executor import execute_query, make_local_compute
 from repro.skypeer.variants import Variant
 
-SPLITTERS = ("range", "grid", "angular")
+SPLITTERS = ("range", "angular")
+
+#: The seven cells of the 3 × 4 matrix that won nothing and were deleted.
+DELETED_CELLS = [
+    ("sorted", "grid"), ("bbs", "grid"), ("salsa", "grid"),
+    ("bbs", "range"), ("bbs", "angular"), ("salsa", "range"), ("salsa", "angular"),
+]
 
 
 def assert_identical(reference, other):
@@ -68,7 +80,7 @@ class TestPartitionPositions:
         assert np.array_equal(np.sort(np.concatenate(slices)), np.arange(3))
 
     def test_empty_projection(self):
-        assert partition_positions("grid", np.zeros((0, 2)), 4) == []
+        assert partition_positions("angular", np.zeros((0, 2)), 4) == []
 
     def test_one_dimensional_angular_falls_back_to_range(self, rng):
         proj = rng.random((40, 1))
@@ -77,8 +89,9 @@ class TestPartitionPositions:
         assert all(np.array_equal(a, r) for a, r in zip(angular, ranged))
 
     def test_unknown_kind_raises(self, rng):
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            partition_positions("hilbert", rng.random((10, 2)), 2)
+        for kind in ("hilbert", "grid"):
+            with pytest.raises(ValueError, match="unknown partitioner"):
+                partition_positions(kind, rng.random((10, 2)), 2)
 
     def test_skew_summary(self, rng):
         slices = partition_positions("range", rng.random((100, 2)), 4)
@@ -100,7 +113,7 @@ class TestResolvers:
 
     def test_partitioner_argument_wins(self, monkeypatch):
         monkeypatch.setenv(PARTITION_ENV, "angular")
-        assert resolve_partitioner("grid") == "grid"
+        assert resolve_partitioner("range") == "range"
 
     def test_unknown_partitioner_raises(self):
         with pytest.raises(ValueError, match="unknown partitioner"):
@@ -127,16 +140,36 @@ class TestResolvers:
         with pytest.raises(ValueError, match="positive"):
             resolve_partition_parts(0)
 
+    def test_scan_cell_resolves_every_surviving_cell(self, monkeypatch):
+        monkeypatch.delenv(SUBSTRATE_ENV, raising=False)
+        monkeypatch.delenv(PARTITION_ENV, raising=False)
+        assert resolve_scan_cell() == ("sorted", "none")
+        assert len(SCAN_CELLS) == 5
+        for cell in SCAN_CELLS:
+            substrate, partitioner = cell.split("/")
+            assert resolve_scan_cell(substrate, partitioner) == (substrate, partitioner)
+            monkeypatch.setenv(SUBSTRATE_ENV, substrate)
+            monkeypatch.setenv(PARTITION_ENV, partitioner)
+            assert resolve_scan_cell() == (substrate, partitioner)
+
+    def test_scan_cell_error_names_the_valid_cells(self):
+        with pytest.raises(ValueError) as exc:
+            resolve_scan_cell("salsa", "angular")
+        assert "salsa/angular" in str(exc.value)
+        for cell in SCAN_CELLS:
+            assert cell in str(exc.value)
+
 
 class TestPartitionedScanIdentity:
-    @pytest.mark.parametrize("partitioner", SPLITTERS)
-    @pytest.mark.parametrize("substrate", ["sorted", "bbs", "salsa"])
-    def test_matches_serial(self, rng, partitioner, substrate):
+    @pytest.mark.parametrize(
+        "partitioner", SPLITTERS, ids=[f"sorted-{name}" for name in SPLITTERS]
+    )
+    def test_matches_serial(self, rng, partitioner):
         store = make_store(rng)
         subspace = (0, 1, 2)
         serial = local_subspace_skyline(store, subspace)
         split = partitioned_subspace_skyline(
-            store, subspace, partitioner=partitioner, parts=4, substrate=substrate
+            store, subspace, partitioner=partitioner, parts=4
         )
         assert_identical(serial, split)
 
@@ -155,7 +188,7 @@ class TestPartitionedScanIdentity:
             serial = local_subspace_skyline(store, (0, 2), initial_threshold=threshold)
             split = partitioned_subspace_skyline(
                 store, (0, 2), initial_threshold=threshold,
-                partitioner="grid", parts=4,
+                partitioner="angular", parts=4,
             )
             assert_identical(serial, split)
 
@@ -181,7 +214,7 @@ class TestPartitionedScanIdentity:
 
     def test_comparisons_stay_honest(self, rng):
         store = make_store(rng)
-        split = partitioned_subspace_skyline(store, (0, 1, 2), partitioner="grid")
+        split = partitioned_subspace_skyline(store, (0, 1, 2), partitioner="angular")
         assert split.comparisons > 0
         assert split.examined <= len(store)
         assert split.input_size == len(store)
@@ -210,69 +243,80 @@ class TestEngineFanOut:
         store = network.store_of(sp)
         subspace = (0, 1, 2, 3)
         serial = local_subspace_skyline(store, subspace)
+        for partitioner in SPLITTERS:
+            inprocess = partitioned_subspace_skyline(
+                store, subspace, partitioner=partitioner, parts=4
+            )
+            before = engine.stats.as_dict()
+            pooled = engine.run_partitioned_scan(
+                network, sp, subspace, partitioner=partitioner, parts=4
+            )
+            assert_identical(serial, pooled)
+            # The pool only changes *where* the slices run: the same
+            # split and merge, hence the same accounting as in-process.
+            assert (pooled.examined, pooled.comparisons, pooled.input_size) == (
+                inprocess.examined, inprocess.comparisons, inprocess.input_size
+            )
 
-        before = engine.stats.as_dict()
-        pooled = engine.run_partitioned_scan(
-            network, sp, subspace, partitioner="grid", parts=4
-        )
-        assert_identical(serial, pooled)
+            after = engine.stats.as_dict()
+            assert after["intra_query_scans"] == before["intra_query_scans"] + 1
+            assert after["intra_query_subtasks"] > before["intra_query_subtasks"]
+            # Whole-query task accounting must not inflate.
+            assert after["tasks"] == before["tasks"]
 
-        after = engine.stats.as_dict()
-        assert after["intra_query_scans"] == before["intra_query_scans"] + 1
-        assert after["intra_query_subtasks"] > before["intra_query_subtasks"]
-        # Whole-query task accounting must not inflate.
-        assert after["tasks"] == before["tasks"]
+            # A repeat replays the per-slice block cache and stays identical.
+            again = engine.run_partitioned_scan(
+                network, sp, subspace, partitioner=partitioner, parts=4
+            )
+            assert_identical(serial, again)
+            assert again.comparisons == pooled.comparisons
 
-        # A repeat replays the per-slice block cache and stays identical.
-        again = engine.run_partitioned_scan(
-            network, sp, subspace, partitioner="grid", parts=4
-        )
-        assert_identical(serial, again)
-
-    @pytest.mark.parametrize("substrate", ["bbs", "salsa"])
-    def test_substrate_rides_through_the_pool(self, rng, engine, substrate):
-        points = PointSet(rng.random((300, 3)))
+    def test_unpartitioned_request_falls_back_to_range(self, rng, engine, monkeypatch):
+        monkeypatch.delenv(PARTITION_ENV, raising=False)
+        points = PointSet(rng.random((200, 3)))
         network, sp = single_store_network(points)
-        serial = local_subspace_skyline(network.store_of(sp), (0, 1, 2))
-        pooled = engine.run_partitioned_scan(
-            network, sp, (0, 1, 2),
-            partitioner="angular", parts=3, substrate=substrate,
+        store = network.store_of(sp)
+        pooled = engine.run_partitioned_scan(network, sp, (0, 1, 2), parts=3)
+        ranged = partitioned_subspace_skyline(
+            store, (0, 1, 2), partitioner="range", parts=3
         )
-        assert_identical(serial, pooled)
+        assert_identical(local_subspace_skyline(store, (0, 1, 2)), pooled)
+        assert pooled.comparisons == ranged.comparisons
 
 
 class TestEngineStatsSplit:
     def test_new_fields_default_to_zero(self):
         stats = EngineStats(workers=2, start_method="fork").as_dict()
-        for field in (
-            "intra_query_scans",
-            "intra_query_subtasks",
-            "serve_queries",
-            "serve_intra_query_subtasks",
-        ):
+        for field in ("intra_query_scans", "intra_query_subtasks", "serve_queries"):
             assert stats[field] == 0
+        # run_queries splits scans inside a worker and never fans slices
+        # out, so there is no serving-side subtask count to report.
+        assert "serve_intra_query_subtasks" not in stats
 
 
 class TestExecutorKnobs:
     def test_make_local_compute_partitioned(self, small_network):
         sp = next(iter(small_network.superpeers))
-        store = small_network.store_of(sp)
-        default = make_local_compute(small_network)
-        gridded = make_local_compute(small_network, partitioner="grid", partition_parts=3)
+        default = make_local_compute(
+            small_network, scan_substrate="sorted", partitioner="none"
+        )
+        sliced = make_local_compute(
+            small_network, scan_substrate="sorted", partitioner="angular",
+            partition_parts=3,
+        )
         assert_identical(
             default(sp, (0, 1, 2), float("inf")),
-            gridded(sp, (0, 1, 2), float("inf")),
+            sliced(sp, (0, 1, 2), float("inf")),
         )
 
     def test_execute_query_knobs_preserve_results(self, small_network):
         query = Query(subspace=(0, 2, 4), initiator=next(iter(small_network.superpeers)))
-        baseline = execute_query(small_network, query, Variant.FTPM)
-        for kwargs in (
-            {"scan_substrate": "bbs"},
-            {"partitioner": "angular", "partition_parts": 3},
-            {"scan_substrate": "bbs", "partitioner": "grid", "partition_parts": 2},
-        ):
-            run = execute_query(small_network, query, Variant.FTPM, **kwargs)
+        baseline = execute_query(
+            small_network, query, Variant.FTPM,
+            scan_substrate="sorted", partitioner="none",
+        )
+        for config in CELL_CONFIGS:
+            run = execute_query(small_network, query, Variant.FTPM, **config)
             assert run.result_ids == baseline.result_ids
             assert np.array_equal(
                 run.result.points.values, baseline.result.points.values
@@ -283,26 +327,93 @@ class TestExecutorKnobs:
         baseline = execute_query(small_network, query, Variant.NAIVE)
         run = execute_query(
             small_network, query, Variant.NAIVE,
-            scan_substrate="bbs", partitioner="grid",
+            scan_substrate="bbs", partitioner="none",
         )
         assert run.result_ids == baseline.result_ids
         assert run.comparisons == baseline.comparisons
 
 
-# Kernel configurations the property sweeps: each alternative substrate
-# alone, each partitioner on the sorted substrate, and composed cases —
-# including SaLSa under every partitioner (its per-slice stop point must
-# survive the cross-slice merge).
-KERNEL_CONFIGS = (
-    {"scan_substrate": "bbs"},
-    {"scan_substrate": "salsa"},
-    {"partitioner": "range", "partition_parts": 3},
-    {"partitioner": "grid", "partition_parts": 3},
-    {"partitioner": "angular", "partition_parts": 3},
-    {"scan_substrate": "bbs", "partitioner": "angular", "partition_parts": 2},
-    {"scan_substrate": "salsa", "partitioner": "range", "partition_parts": 3},
-    {"scan_substrate": "salsa", "partitioner": "grid", "partition_parts": 3},
-    {"scan_substrate": "salsa", "partitioner": "angular", "partition_parts": 2},
+class TestDeletedCells:
+    """Every deleted cell fails loudly instead of running another cell."""
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        """Fail the test if any Algorithm-1 scan starts (all three
+        substrates and the slice scan build a block index first)."""
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a scan ran for a deleted cell")
+
+        monkeypatch.setattr(BlockDominanceIndex, "__init__", refuse)
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        with ParallelEngine(2, use_shm=False, mp_start="fork") as engine:
+            yield engine
+
+    @pytest.mark.parametrize("substrate,partitioner", DELETED_CELLS)
+    def test_make_local_compute_and_execute_query(
+        self, small_network, no_scan, substrate, partitioner
+    ):
+        query = Query(subspace=(0, 2), initiator=next(iter(small_network.superpeers)))
+        with pytest.raises(ValueError, match="expected one of"):
+            make_local_compute(
+                small_network, scan_substrate=substrate, partitioner=partitioner
+            )
+        with pytest.raises(ValueError, match="expected one of"):
+            execute_query(
+                small_network, query, Variant.FTPM,
+                scan_substrate=substrate, partitioner=partitioner,
+            )
+
+    @pytest.mark.parametrize("substrate,partitioner", DELETED_CELLS)
+    def test_run_queries_publishes_nothing(
+        self, small_network, engine, substrate, partitioner
+    ):
+        query = Query(subspace=(0, 2), initiator=next(iter(small_network.superpeers)))
+        with pytest.raises(ValueError, match="expected one of"):
+            engine.run_queries(
+                small_network, [query], [Variant.FTPM],
+                scan_substrate=substrate, partitioner=partitioner,
+            )
+        stats = engine.stats.as_dict()
+        assert (stats["publications"], stats["batches"], stats["tasks"]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("substrate,partitioner", DELETED_CELLS)
+    def test_env_vars(
+        self, small_network, engine, no_scan, monkeypatch, substrate, partitioner
+    ):
+        monkeypatch.setenv(SUBSTRATE_ENV, substrate)
+        monkeypatch.setenv(PARTITION_ENV, partitioner)
+        query = Query(subspace=(0, 2), initiator=next(iter(small_network.superpeers)))
+        with pytest.raises(ValueError, match="expected one of"):
+            make_local_compute(small_network)
+        with pytest.raises(ValueError, match="expected one of"):
+            execute_query(small_network, query, Variant.FTPM)
+        with pytest.raises(ValueError, match="expected one of"):
+            engine.run_queries(small_network, [query], [Variant.FTPM])
+        assert engine.stats.publications == 0
+
+    @pytest.mark.parametrize("substrate,partitioner", DELETED_CELLS)
+    def test_cli_flags(self, monkeypatch, no_scan, substrate, partitioner):
+        # Refused while the flags are resolved: before `query` builds its
+        # network (pre-processing would trip ``no_scan``) and before
+        # `bench` starts a sweep.
+        flags = ["--substrate", substrate, "--partition", partitioner]
+        with pytest.raises(ValueError, match="expected one of"):
+            cli_main(["query", "--peers", "10", "--dims", "3", "--subspace", "0,1", *flags])
+        with pytest.raises(ValueError, match="expected one of"):
+            cli_main(["bench", "--smoke", *flags])
+
+
+# One explicit configuration per surviving cell besides sorted/none (the
+# baseline).  Both knobs are always spelled out so the cells stay valid
+# under CI legs that export REPRO_SCAN_SUBSTRATE or REPRO_PARTITION.
+CELL_CONFIGS = (
+    {"scan_substrate": "bbs", "partitioner": "none"},
+    {"scan_substrate": "salsa", "partitioner": "none"},
+    {"scan_substrate": "sorted", "partitioner": "range", "partition_parts": 3},
+    {"scan_substrate": "sorted", "partitioner": "angular", "partition_parts": 3},
+    {"scan_substrate": "sorted", "partitioner": "angular", "partition_parts": 2},
 )
 
 
@@ -343,7 +454,7 @@ def partition_cases(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_kernels_are_indistinguishable_across_all_variants(case):
-    """Satellite: every kernel × every variant equals the serial scan.
+    """Every surviving cell × every variant equals the serial scan.
 
     Indistinguishable means indistinguishable: not just the same result
     ids but the same initial threshold and the same wire bytes — a
@@ -352,8 +463,10 @@ def test_kernels_are_indistinguishable_across_all_variants(case):
     """
     network, query = case
     for variant in Variant:
-        baseline = execute_query(network, query, variant)
-        for config in KERNEL_CONFIGS:
+        baseline = execute_query(
+            network, query, variant, scan_substrate="sorted", partitioner="none"
+        )
+        for config in CELL_CONFIGS:
             run = execute_query(network, query, variant, **config)
             assert run.result_ids == baseline.result_ids, (variant, config)
             assert np.array_equal(

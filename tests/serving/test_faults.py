@@ -15,7 +15,9 @@ from __future__ import annotations
 import asyncio
 import signal
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
+from repro.obs.runtime import observed
 from repro.p2p.transport import encode_frame
 from repro.serving.client import GatewayClient
 from repro.serving.gateway import GatewayConfig, QueryGateway
@@ -137,6 +139,60 @@ class TestClientFaults:
         assert held.ok
         assert calls == [(0,)]  # the abandoned (1,) job never executed
         assert stats.cancelled_jobs == 1
+
+    def test_waiter_leaving_inside_the_executor_queue_is_a_cancellation(self, network):
+        """The last waiter leaves *after* the dispatch loop's check, while
+        the job waits for an executor thread: the executor's own
+        last-moment check abandons it — a cancellation, not a backend
+        error."""
+        calls = []
+        release = threading.Event()
+
+        def dispatch(net, query, variant):
+            calls.append(tuple(query.subspace))
+            release.wait(timeout=10.0)
+            return execute_query(net, query, variant).result
+
+        async def scenario():
+            # Two dispatcher tasks but one thread: the second job passes
+            # the loop's abandoned check and queues inside the executor.
+            executor = ThreadPoolExecutor(max_workers=1)
+            gateway = QueryGateway(
+                network,
+                config=GatewayConfig(dispatchers=2),
+                dispatch=dispatch,
+                executor=executor,
+            )
+            try:
+                with observed() as (_tracer, metrics):
+                    async with gateway:
+                        host, port = gateway.address
+                        blocker = await GatewayClient.connect(host, port)
+                        hold = asyncio.ensure_future(blocker.query([0]))
+                        await asyncio.sleep(0.1)  # the one thread now blocked on [0]
+                        leaver = await GatewayClient.connect(host, port)
+                        doomed = asyncio.ensure_future(leaver.query([1]))
+                        await asyncio.sleep(0.1)  # [1] handed to the executor
+                        assert gateway.queue_depth() == 0
+                        await leaver.close()
+                        doomed.cancel()
+                        await asyncio.sleep(0.1)
+                        release.set()
+                        held = await hold
+                        await asyncio.sleep(0.1)  # let the loop reap [1]
+                        await blocker.close()
+            finally:
+                executor.shutdown(wait=True)
+            return held, gateway.stats, metrics
+
+        held, stats, metrics = run(bounded(scenario()))
+        assert held.ok
+        assert calls == [(0,)]
+        assert stats.cancelled_jobs == 1
+        assert stats.backend_errors == 0
+        assert stats.executed == 1
+        assert metrics.total("serving.cancelled_jobs") == 1
+        assert metrics.total("serving.backend_errors") == 0
 
 
 class TestBackendFaults:
