@@ -304,27 +304,17 @@ class SuperPeerNetwork:
             results = [self.compute_superpeer_preprocess(sp) for sp in self.superpeers]
         return self._ingest_preprocessing(results)
 
-    def compute_superpeer_preprocess(
-        self, superpeer_id: int, peer_compute=None
-    ) -> SuperPeerPreprocess:
+    def compute_superpeer_preprocess(self, superpeer_id: int) -> SuperPeerPreprocess:
         """The pure compute half of pre-processing one super-peer.
 
         Independent across super-peers (only the topology, the attached
         peers' partitions and the index kind are read), which is what
         lets the parallel engine run one task per super-peer.
-
-        ``peer_compute`` optionally replaces the per-peer ext-skyline
-        computation (``peer -> SkylineComputation``); the parallel
-        engine substitutes a shared-memory cache probe
-        (:mod:`repro.parallel.shmcache`, kind ``"ext"``).
         """
-        if peer_compute is None:
-            def peer_compute(peer: "Peer") -> SkylineComputation:
-                return peer.compute_extended_skyline(index_kind=self.index_kind)
         peer_results: list[tuple[int, int, SkylineComputation]] = []
         for peer_id in self.topology.peers_of[superpeer_id]:
             peer = self.peers[peer_id]
-            computation = peer_compute(peer)
+            computation = peer.compute_extended_skyline(index_kind=self.index_kind)
             peer_results.append((peer_id, len(peer), computation))
         merge = merge_sorted_skylines(
             [computation.result for _, _, computation in peer_results],

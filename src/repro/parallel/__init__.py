@@ -5,10 +5,11 @@ harness's independent (query, variant) executions and pre-processing's
 independent per-super-peer computations — fan out over a persistent
 ``concurrent.futures`` process pool (:class:`ParallelEngine`).  The
 network travels to workers over the shared-memory data plane
-(:mod:`repro.parallel.shm`): published once into a
-``multiprocessing.shared_memory`` segment and attached zero-copy by
-every worker, with a graceful fallback to a byte-faithful pickle
-snapshot where ``/dev/shm`` is unavailable (or ``REPRO_SHM=0``).  Tasks are submitted
+(:mod:`repro.parallel.shm`): published once into a ``/dev/shm``
+segment the plane itself creates, maps and unlinks (no helper process
+tracks it) and attached zero-copy by every worker, with a graceful
+fallback to a byte-faithful pickle snapshot where ``/dev/shm`` is
+unavailable (or ``REPRO_SHM=0``).  Tasks are submitted
 in subspace-affine batches so per-subspace projection caches hit across
 queries, and all aggregation happens in the parent in deterministic
 task order, so parallel runs produce results, work counts and metric

@@ -63,7 +63,13 @@ from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .shm import attach_network, manifest_data_nbytes, publish_network, shm_enabled
+from .shm import (
+    attach_network,
+    manifest_data_nbytes,
+    publish_network,
+    shm_enabled,
+    sweep_dead_publishers,
+)
 from .shmcache import LocalBlockCache, cache_enabled, make_key
 
 if TYPE_CHECKING:  # imports deferred at runtime to keep workers lean
@@ -335,69 +341,6 @@ def _cached_local_compute(
     return local_compute
 
 
-def _cached_peer_compute(network: Any, cache: Any):
-    """Peer ext-skyline computation behind an ``"ext"``-kind probe.
-
-    The payload is the ext-skyline itself (values/ids/f): positions
-    would index the peer's *f-sorted* order, which is exactly the work
-    being cached, so the arrays travel whole.  Reconstruction
-    re-validates sortedness, making a torn entry a miss, not a wrong
-    store.
-    """
-    import numpy as np
-
-    from ..core.dataset import PointSet
-    from ..core.local_skyline import SkylineComputation
-    from ..core.store import SortedByF
-
-    index_kind = network.index_kind
-
-    def peer_compute(peer: Any) -> SkylineComputation:
-        owner = network.topology.superpeer_of_peer(peer.peer_id)
-        generation = network.store_generations.get(owner, 0)
-        key = make_key("ext", peer.peer_id, generation, index_kind)
-        hit = cache.get(key)
-        if hit is not None:
-            meta, arrays, token = hit
-            values = np.array(arrays["values"], dtype=np.float64, copy=True)
-            ids = np.array(arrays["ids"], dtype=np.int64, copy=True)
-            f = np.array(arrays["f"], dtype=np.float64, copy=True)
-            if cache.still_valid(token):
-                try:
-                    result = SortedByF(PointSet(values, ids), f)
-                except ValueError:
-                    cache.stats.invalid += 1
-                else:
-                    return SkylineComputation(
-                        result=result,
-                        threshold=meta["threshold"],
-                        examined=meta["examined"],
-                        comparisons=meta["comparisons"],
-                        duration=0.0,
-                        input_size=meta["input_size"],
-                    )
-            else:
-                cache.stats.invalid += 1
-        computation = peer.compute_extended_skyline(index_kind=index_kind)
-        cache.put(
-            key,
-            {
-                "threshold": computation.threshold,
-                "examined": computation.examined,
-                "comparisons": computation.comparisons,
-                "input_size": computation.input_size,
-            },
-            {
-                "values": computation.result.points.values,
-                "ids": computation.result.points.ids,
-                "f": computation.result.f,
-            },
-        )
-        return computation
-
-    return peer_compute
-
-
 def _run_query_batch(
     spec: dict[str, Any],
     tasks: Sequence[tuple[int, "Query", str]],
@@ -470,32 +413,73 @@ def _run_preprocess_batch(
     batch only and never enters the worker's network cache: a serving
     worker keeps no mapping of the raw partitions beside the query
     publication's stores.
+
+    Each result is ``(superpeer_id, uploads, merge)``: the merged store
+    travels whole (it is the product), a peer's ext-skyline as ``(peer_id,
+    rows, threshold, examined, comparisons, duration)`` with ``rows`` the
+    partition rows of its survivors — see :func:`_upload_from_rows`.
     """
+    import numpy as np
+
+    from ..core.mapping import f_values
+
     started = time.perf_counter()
-    network, attached, cache = _open(spec)
+    network, attached, _cache = _open(spec)
     attach = {"mode": spec["kind"], "seconds": time.perf_counter() - started}
     started = time.perf_counter()
+    results = []
     try:
-        peer_compute = _cached_peer_compute(network, cache)
-        results = [
-            network.compute_superpeer_preprocess(sp, peer_compute=peer_compute)
-            for sp in superpeer_ids
-        ]
+        for sp in superpeer_ids:
+            computed = network.compute_superpeer_preprocess(sp)
+            uploads = []
+            for peer_id, _n_points, scan in computed.peer_results:
+                # ``scan.positions`` index the f-sorted partition; the stable
+                # argsort ``from_points`` sorted it by maps them back to rows.
+                order = np.argsort(
+                    f_values(network.peers[peer_id].data.values), kind="stable"
+                )
+                uploads.append((
+                    peer_id, order[scan.positions], scan.threshold, scan.examined,
+                    scan.comparisons, scan.duration,
+                ))
+            results.append((sp, uploads, computed.merge))
     finally:
         # The array views over the segment must be garbage before the
         # mapping can be released (results are copies, never views).
-        network = peer_compute = None
+        network = computed = None
         if attached is not None:
             attached.close()
     return {
         "results": results,
         "attach": attach,
         "compute_seconds": time.perf_counter() - started,
-        "cache": {
-            "kind": "local" if isinstance(cache, LocalBlockCache) else "shared",
-            **cache.stats.delta(),
-        },
     }
+
+
+def _upload_from_rows(
+    network: Any, peer_id: int, rows: Any, threshold: float, examined: int,
+    comparisons: int, duration: float,
+) -> tuple[int, int, Any]:
+    """A ``peer_results`` entry rebuilt in the parent from a worker's rows.
+
+    The parent holds every partition, so an upload need not travel: it
+    is the peer's partition taken at the surviving rows, which arrive in
+    ascending ``f`` — nothing is re-sorted, and ``f = min_i p[i]`` per
+    row is the worker's value bit for bit.  ``positions`` stays ``None``:
+    it indexes the f-sorted copy of the partition only the worker built.
+    """
+    from ..core.local_skyline import SkylineComputation
+    from ..core.mapping import f_values
+    from ..core.store import SortedByF
+
+    data = network.peers[peer_id].data
+    points = data.take(rows)
+    scan = SkylineComputation(
+        result=SortedByF(points, f_values(points.values)),
+        threshold=threshold, examined=examined, comparisons=comparisons,
+        duration=duration, input_size=len(data),
+    )
+    return peer_id, len(data), scan
 
 
 def _run_partition_batch(
@@ -847,6 +831,8 @@ class ParallelEngine:
     survive between calls.  Context-manager and ``close()`` tear
     everything down — shm segments are unlinked, snapshots deleted —
     and an ``atexit`` hook guarantees the same at interpreter exit.
+    What a hard kill strands, the next engine start removes
+    (:func:`~repro.parallel.shm.sweep_dead_publishers`).
     """
 
     def __init__(
@@ -860,6 +846,7 @@ class ParallelEngine:
         self.start_method = mp_start if mp_start is not None else start_method()
         self.use_shm = shm_enabled() if use_shm is None else bool(use_shm)
         self.stats = EngineStats(workers=self.workers, start_method=self.start_method)
+        sweep_dead_publishers()
         self._tmpdir = tempfile.mkdtemp(prefix="repro-engine-")
         self._publications: "OrderedDict[int, _Publication]" = OrderedDict()
         self._token_counter = 0
@@ -1352,9 +1339,10 @@ class ParallelEngine:
         Workers see the network as published (typically before any
         stores exist — building them is the work being distributed);
         results come back in topology order for the parent's
-        deterministic ingest.  The publication is private to this call
-        and withdrawn when it returns, so it never sits beside the
-        query publication.
+        deterministic ingest (peer uploads as partition rows, rebuilt
+        here from ``network.peers``).  The publication is private to
+        this call and withdrawn when it returns, so it never sits
+        beside the query publication.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
@@ -1364,6 +1352,8 @@ class ParallelEngine:
     def _preprocess_network_gated(
         self, network: "SuperPeerNetwork"
     ) -> list["SuperPeerPreprocess"]:
+        from ..p2p.network import SuperPeerPreprocess
+
         with self._lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
@@ -1387,14 +1377,19 @@ class ParallelEngine:
             for future in futures:
                 payload = future.result()
                 self._ingest_batch_stats(payload, None)
-                results.extend(payload["results"])
+                results.extend(
+                    SuperPeerPreprocess(
+                        sp, [_upload_from_rows(network, *upload) for upload in uploads], merge
+                    )
+                    for sp, uploads, merge in payload["results"]
+                )
             return results
         finally:
             # The raw partitions were needed for this fan-out only: the
             # stores it produced travel with the query publication.  On
-            # an error or interrupt, batches may still be running; they
-            # hold the attachment and would re-create the block cache's
-            # lock file, so they finish (or never start) first.
+            # an error or interrupt, batches may still be queued or
+            # running; they finish (or never start) before the segment
+            # they attach by name goes.
             for future in futures:
                 future.cancel()
             wait(futures)

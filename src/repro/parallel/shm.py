@@ -1,23 +1,19 @@
 """Shared-memory data plane: publish a network once, attach everywhere.
 
-The process-pool engine of PR 2 shipped every worker a compressed
-``.npz`` snapshot and had the worker re-run pre-processing from the raw
-partitions — decompression plus an Algorithm 1/2 rebuild per worker,
-paid again for every pool spin.  This module removes the data movement
-entirely on platforms with POSIX shared memory (``/dev/shm``):
+Pool workers need the network's arrays.  On platforms with POSIX shared
+memory (``/dev/shm``) they get them without a copy:
 
 * :func:`publish_network` writes what its consumer reads into one
-  ``multiprocessing.shared_memory`` segment — for queries every
-  super-peer store (coordinate block, ``f`` values, id arrays), which
-  is all Algorithm 1 scans; for the one pre-processing fan-out
-  (``partitions=True``) every raw peer partition instead — and returns
-  a :class:`SharedNetwork` handle whose small picklable ``manifest``
-  describes the layout plus the non-array state (topology, cost model,
-  index kind).
-* :func:`attach_network` maps the segment read-only in a worker and
-  rebuilds a :class:`~repro.p2p.network.SuperPeerNetwork` whose
-  ``PointSet``/``SortedByF`` objects are zero-copy views over the
-  shared buffer — byte-identical to the parent's stores (no rebuild,
+  :class:`Segment` — for queries every super-peer store (coordinate
+  block, ``f`` values, id arrays), which is all Algorithm 1 scans; for
+  the one pre-processing fan-out (``partitions=True``) every raw peer
+  partition instead — and returns a :class:`SharedNetwork` handle whose
+  small picklable ``manifest`` describes the layout plus the non-array
+  state (topology, cost model, index kind).
+* :func:`attach_network` maps the segment in a worker and rebuilds a
+  :class:`~repro.p2p.network.SuperPeerNetwork` whose
+  ``PointSet``/``SortedByF`` objects are zero-copy, read-only views over
+  the shared buffer — byte-identical to the parent's stores (no rebuild,
   so even incrementally-updated stores attach exactly).  A network
   attached from a query publication has stores and no peers.
 
@@ -33,25 +29,30 @@ the network.  Retired overlay segments are kept until
 :meth:`SharedNetwork.reap_retired` (or ``close``) unlinks them, so
 in-flight attaches never race an unlink.
 
-Lifecycle: the parent owns the segment.  ``SharedNetwork`` is a context
-manager, registers an ``atexit`` unlink so an abandoned handle cannot
-leak a ``/dev/shm`` entry past interpreter exit, and ``close(unlink=
-True)`` is idempotent.  Workers only ever *attach* (never unlink) and
-stay out of the ``resource_tracker`` so a worker's exit cannot reap a
-segment the parent still serves.  Where shared memory is
-unavailable (or ``REPRO_SHM=0``), callers fall back to the snapshot
-path — see :mod:`repro.parallel.engine`.
+Lifecycle: a segment is a ``/dev/shm`` file that :class:`Segment`
+creates, maps and unlinks itself — no helper process tracks it.  The
+publisher owns it: ``SharedNetwork`` is a context manager, registers an
+``atexit`` unlink so an abandoned handle cannot leak a ``/dev/shm``
+entry past interpreter exit, and ``close(unlink=True)`` is idempotent.
+Workers only ever *attach*, never unlink, so a worker's exit cannot
+take a segment the parent still serves.  What a publisher killed
+outright leaves behind, the next engine start removes
+(:func:`sweep_dead_publishers`).  Where shared memory is unavailable
+(or ``REPRO_SHM=0``), callers fall back to the snapshot path — see
+:mod:`repro.parallel.engine`.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
 import dataclasses
+import glob
 import itertools
+import mmap
 import os
 import secrets
 import tempfile
-from multiprocessing import shared_memory
 from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -70,12 +71,14 @@ if TYPE_CHECKING:
 __all__ = [
     "AttachedNetwork",
     "SHM_ENV",
+    "Segment",
     "SharedNetwork",
     "attach_network",
     "manifest_data_nbytes",
     "publish_network",
     "shm_enabled",
     "shm_supported",
+    "sweep_dead_publishers",
 ]
 
 #: Environment toggle: ``0``/``off`` forces the snapshot fallback,
@@ -84,25 +87,62 @@ __all__ = [
 SHM_ENV = "REPRO_SHM"
 
 _SEGMENT_PREFIX = "repro-shm"
+_SHM_DIR = "/dev/shm"  # where POSIX shared memory lives on Linux
+_LOCK_SUFFIX = ".cachelock"
 _ALIGN = 64  # cache-line alignment for every array start
 
-_shm_probe: bool | None = None
 _segment_counter = itertools.count()
 
 
-def shm_supported() -> bool:
-    """True when the platform can create POSIX shared-memory segments."""
-    global _shm_probe
-    if _shm_probe is None:
+class Segment:
+    """One shared-memory segment: a ``/dev/shm`` file mapped whole.
+
+    ``Segment(name, size)`` creates the file (``FileExistsError`` if the
+    name is taken), ``Segment(name)`` attaches to one; ``buf`` is a
+    read-write memoryview of the mapping.  A fresh segment reads as zeros
+    and its pages become resident only when written.  Nothing else knows
+    it exists: its creator calls :meth:`unlink`, attachers only ``close``.
+    """
+
+    __slots__ = ("name", "buf", "_mmap")
+
+    def __init__(self, name: str, size: int | None = None):
+        path = os.path.join(_SHM_DIR, name)
+        create = os.O_CREAT | os.O_EXCL if size is not None else 0
+        fd = os.open(path, os.O_RDWR | create, 0o600)
         try:
-            probe = shared_memory.SharedMemory(create=True, size=1)
-        except (OSError, ImportError):  # pragma: no cover - platform specific
-            _shm_probe = False
-        else:
-            probe.close()
-            probe.unlink()
-            _shm_probe = True
-    return _shm_probe
+            if size is not None:
+                os.ftruncate(fd, size)
+            self._mmap = mmap.mmap(fd, 0)
+        except BaseException:
+            if size is not None:
+                os.unlink(path)
+            raise
+        finally:
+            os.close(fd)  # the mapping outlives the descriptor
+        self.name = name
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap; ``BufferError`` while an export of ``buf`` (a slice, an
+        ``np.frombuffer`` array) is alive.  The ``np.ndarray(buffer=...)``
+        views this module hands out hold none: drop them first."""
+        self.buf.release()
+        self._mmap.close()
+
+    def unlink(self) -> None:
+        """Remove the name; mappings stay valid.  A second call is a no-op."""
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(_SHM_DIR, self.name))
+
+
+def shm_supported() -> bool:
+    """True when segments can be created: ``/dev/shm`` takes new files.
+
+    Asked of the directory, not tried with a throw-away segment: the
+    only ``repro-shm-<pid>-*`` names a process shows are publications.
+    """
+    return os.access(_SHM_DIR, os.W_OK | os.X_OK)
 
 
 def shm_enabled() -> bool:
@@ -117,6 +157,29 @@ def shm_enabled() -> bool:
 
 def _segment_name() -> str:
     return f"{_SEGMENT_PREFIX}-{os.getpid():x}-{next(_segment_counter)}-{secrets.token_hex(4)}"
+
+
+def sweep_dead_publishers() -> None:
+    """Remove what publishers that no longer exist left behind.
+
+    A publisher killed outright (SIGKILL, the OOM killer) cannot unlink
+    its ``/dev/shm/repro-shm-<pid>-*`` segments or the block cache's
+    ``$TMPDIR/repro-shm-<pid>-*.cachelock``.  Every engine start removes
+    those whose pid names no process, and only those: a live publisher's
+    files are never touched.  Pids are reused, so a leftover whose pid
+    now belongs to an unrelated live process stays until that process
+    has ended and an engine starts again.
+    """
+    for directory, suffix in ((_SHM_DIR, ""), (tempfile.gettempdir(), _LOCK_SUFFIX)):
+        pattern = os.path.join(glob.escape(directory), f"{_SEGMENT_PREFIX}-*{suffix}")
+        for path in glob.glob(pattern):
+            try:
+                os.kill(int(os.path.basename(path).split("-")[2], 16), 0)
+            except ProcessLookupError:  # the publisher is gone
+                with contextlib.suppress(OSError):  # a concurrent sweep won
+                    os.unlink(path)
+            except (ValueError, OverflowError, OSError):
+                pass  # not a name this module wrote, or another user's live process
 
 
 def _align(offset: int) -> int:
@@ -145,7 +208,7 @@ class _Layout:
         return slot
 
 
-def _write_arrays(segment: shared_memory.SharedMemory, layout: _Layout) -> None:
+def _write_arrays(segment: Segment, layout: _Layout) -> None:
     for slot, array in layout.arrays:
         view = np.ndarray(
             slot["shape"], dtype=slot["dtype"],
@@ -166,18 +229,14 @@ def _pack_store(layout: _Layout, store: Any) -> dict[str, Any] | None:
     }
 
 
-def _release_segment(segment: shared_memory.SharedMemory, unlink: bool) -> None:
-    """Close (and optionally unlink) one owned segment."""
+def _release_segment(segment: Segment, unlink: bool = False) -> None:
+    """Unmap one segment and, for its owner, remove its name."""
     try:
         segment.close()
-    except BufferError:  # pragma: no cover - a view outlived us
+    except BufferError:  # pragma: no cover - an export outlived us
         pass
-    if not unlink:
-        return
-    try:
+    if unlink:
         segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - already reaped
-        pass
 
 
 def manifest_data_nbytes(manifest: Mapping[str, Any]) -> int:
@@ -188,16 +247,16 @@ def manifest_data_nbytes(manifest: Mapping[str, Any]) -> int:
 class SharedNetwork:
     """Parent-side handle of a published network (owns the segment)."""
 
-    def __init__(self, segment: shared_memory.SharedMemory, manifest: dict[str, Any]):
+    def __init__(self, segment: Segment, manifest: dict[str, Any]):
         self._segment = segment
         self.manifest = manifest
         self._closed = False
         self._cache: SharedBlockCache | None = None
         #: live overlay segments, one per incrementally-republished slot
-        self._overlays: dict[int, shared_memory.SharedMemory] = {}
+        self._overlays: dict[int, Segment] = {}
         #: superseded overlay segments awaiting ``reap_retired``
-        self._retired: list[shared_memory.SharedMemory] = []
-        atexit.register(self._atexit_close)
+        self._retired: list[Segment] = []
+        atexit.register(self.close)
 
     @property
     def cache(self) -> SharedBlockCache | None:
@@ -249,9 +308,7 @@ class SharedNetwork:
                 raise KeyError(f"unknown super-peer {sp_id}")
             layout = _Layout()
             store_slots = _pack_store(layout, network.superpeers[sp_id].store)
-            segment = shared_memory.SharedMemory(
-                name=_segment_name(), create=True, size=max(1, layout.nbytes)
-            )
+            segment = Segment(_segment_name(), size=max(1, layout.nbytes))
             try:
                 _write_arrays(segment, layout)
             except BaseException:
@@ -298,10 +355,9 @@ class SharedNetwork:
         if self._closed:
             return
         self._closed = True
-        atexit.unregister(self._atexit_close)
+        atexit.unregister(self.close)
         self._cache = None
-        while self._retired:
-            _release_segment(self._retired.pop(), unlink=True)
+        self.reap_retired()
         for segment in self._overlays.values():
             _release_segment(segment, unlink=unlink)
         self._overlays.clear()
@@ -312,9 +368,6 @@ class SharedNetwork:
             except OSError:
                 pass
         _release_segment(self._segment, unlink=unlink)
-
-    def _atexit_close(self) -> None:
-        self.close(unlink=True)
 
     def __enter__(self) -> "SharedNetwork":
         return self
@@ -332,12 +385,13 @@ def publish_network(
     """Copy what a fan-out reads into one shared-memory segment.
 
     A query publication (the default) carries each super-peer's store
-    and nothing else — queries never read a raw partition.
+    and nothing else — queries never read a raw partition — followed by
+    the block-cache region its scans publish into.
     ``partitions=True`` makes the pre-processing publication instead:
     the raw peer partitions the Section 5.3 fan-out builds stores
-    *from*, and no stores.  Raises ``OSError`` where shared memory is
-    unavailable — callers are expected to fall back to the snapshot
-    path.
+    *from*, no stores and no cache region (each peer is computed once).
+    Raises ``OSError`` where shared memory is unavailable — callers are
+    expected to fall back to the snapshot path.
     """
     layout = _Layout()
     partition_slots: dict[int, dict[str, Any]] = {}
@@ -357,33 +411,15 @@ def publish_network(
             if store_slots is not None:
                 stores[sp_id] = store_slots
         slot_nbytes[sp_id] = layout.payload - start
-    cache_spec: dict[str, Any] | None = None
     nbytes = layout.nbytes
-    if cache_enabled() is not False:
+    cache_offset = None
+    if not partitions and cache_enabled() is not False:
         slots, slot_bytes = cache_geometry()
         cache_offset = _align(nbytes)
         nbytes = cache_offset + cache_region_nbytes(slots, slot_bytes)
-        cache_spec = {
-            "offset": cache_offset,
-            "slots": slots,
-            "slot_bytes": slot_bytes,
-        }
-    segment = shared_memory.SharedMemory(
-        name=_segment_name(), create=True, size=max(1, nbytes)
-    )
+    segment = Segment(_segment_name(), size=max(1, nbytes))
     try:
         _write_arrays(segment, layout)
-        if cache_spec is not None:
-            cache_spec["lockfile"] = os.path.join(
-                tempfile.gettempdir(), f"{segment.name}.cachelock"
-            )
-            SharedBlockCache.format(
-                segment.buf,
-                cache_spec["offset"],
-                cache_spec["slots"],
-                cache_spec["slot_bytes"],
-                network.epoch,
-            )
         manifest: dict[str, Any] = {
             "segment": segment.name,
             "nbytes": layout.nbytes,
@@ -402,8 +438,18 @@ def publish_network(
             "overlays": {},
             "slot_nbytes": slot_nbytes,
         }
-        if cache_spec is not None:
-            manifest["cache"] = cache_spec
+        if cache_offset is not None:
+            SharedBlockCache.format(
+                segment.buf, cache_offset, slots, slot_bytes, network.epoch
+            )
+            manifest["cache"] = {
+                "offset": cache_offset,
+                "slots": slots,
+                "slot_bytes": slot_bytes,
+                "lockfile": os.path.join(
+                    tempfile.gettempdir(), segment.name + _LOCK_SUFFIX
+                ),
+            }
     except BaseException:
         segment.close()
         segment.unlink()
@@ -417,16 +463,16 @@ class AttachedNetwork:
     def __init__(
         self,
         network: "SuperPeerNetwork",
-        segment: shared_memory.SharedMemory,
+        segment: Segment,
         manifest: Mapping[str, Any] | None = None,
-        overlay_segments: Mapping[int, shared_memory.SharedMemory] | None = None,
+        overlay_segments: Mapping[int, Segment] | None = None,
     ):
         self.network = network
         self._segment = segment
         self._manifest = manifest
         self._closed = False
         self._cache: SharedBlockCache | None = None
-        self._overlay_segments: dict[int, shared_memory.SharedMemory] = dict(
+        self._overlay_segments: dict[int, Segment] = dict(
             overlay_segments or {}
         )
         self.subepoch = int(manifest.get("subepoch", 0)) if manifest is not None else 0
@@ -445,9 +491,9 @@ class AttachedNetwork:
     def close(self) -> None:
         """Drop the network and release the mapping (never unlinks).
 
-        The numpy views must be garbage before the buffer can be
-        released; a still-referenced view keeps the mapping alive and
-        the close degrades to a no-op rather than raising.
+        The caller drops its store views first: they hold no export
+        on the buffer (see :meth:`Segment.close`), so nothing keeps the
+        mapping for a view that outlives this call.
         """
         if self._closed:
             return
@@ -455,15 +501,9 @@ class AttachedNetwork:
         self.network = None
         self._cache = None
         for segment in self._overlay_segments.values():
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - a view outlived us
-                pass
+            _release_segment(segment)
         self._overlay_segments.clear()
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover - a view outlived us
-            pass
+        _release_segment(self._segment)
 
     def refresh(self, manifest: Mapping[str, Any]) -> dict[str, Any]:
         """Re-attach only the slots whose generation advanced.
@@ -500,16 +540,13 @@ class AttachedNetwork:
             overlay = overlays.get(sp_id)
             if overlay is None:  # pragma: no cover - defensive
                 raise ValueError(f"generation moved for super-peer {sp_id} with no overlay")
-            segment = _attach_segment(overlay["segment"])
+            segment = Segment(overlay["segment"])
             network.topology.peers_of[sp_id] = peers_of[sp_id]
             network.superpeers[sp_id].store = _store_view(segment, overlay["store"])
             old = self._overlay_segments.pop(sp_id, None)
             self._overlay_segments[sp_id] = segment
             if old is not None:
-                try:
-                    old.close()
-                except BufferError:  # pragma: no cover - a view outlived us
-                    pass
+                _release_segment(old)
             network.store_generations[sp_id] = generations[sp_id]
             attached_bytes += int(overlay.get("nbytes", 0))
         network.epoch = int(manifest["epoch"])
@@ -524,32 +561,7 @@ class AttachedNetwork:
         self.close()
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker tracking.
-
-    Before Python 3.13 every ``SharedMemory(name=...)`` attach also
-    registers with the ``resource_tracker``, whose cleanup would unlink
-    the parent's segment when a *worker* exits.  The registration is
-    suppressed rather than undone afterwards: the tracker keeps a *set*
-    of names, so two workers attaching one segment at once would send
-    register, register, unregister, unregister — and the second
-    unregister logs a ``KeyError`` traceback from the tracker process.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, create=False, track=False)  # type: ignore[call-arg]
-    except TypeError:  # Python < 3.13
-        pass
-    from multiprocessing import resource_tracker
-
-    register = resource_tracker.register
-    resource_tracker.register = lambda name, rtype: None
-    try:
-        return shared_memory.SharedMemory(name=name, create=False)
-    finally:
-        resource_tracker.register = register
-
-
-def _view(segment: shared_memory.SharedMemory, slot: Mapping[str, Any]) -> np.ndarray:
+def _view(segment: Segment, slot: Mapping[str, Any]) -> np.ndarray:
     return np.ndarray(
         tuple(slot["shape"]), dtype=slot["dtype"],
         buffer=segment.buf, offset=slot["offset"],
@@ -557,7 +569,7 @@ def _view(segment: shared_memory.SharedMemory, slot: Mapping[str, Any]) -> np.nd
 
 
 def _store_view(
-    segment: shared_memory.SharedMemory, slots: Mapping[str, Any] | None
+    segment: Segment, slots: Mapping[str, Any] | None
 ) -> Any:
     """A store over its published arrays (``None`` where none was published)."""
     from ..core.dataset import PointSet
@@ -585,12 +597,12 @@ def attach_network(manifest: Mapping[str, Any]) -> AttachedNetwork:
     from ..p2p.node import Peer
     from ..p2p.topology import Topology
 
-    segment = _attach_segment(manifest["segment"])
-    overlay_segments: dict[int, shared_memory.SharedMemory] = {}
+    segment = Segment(manifest["segment"])
+    overlay_segments: dict[int, Segment] = {}
     try:
         overlays = {int(k): v for k, v in manifest.get("overlays", {}).items()}
         for sp_id, overlay in overlays.items():
-            overlay_segments[sp_id] = _attach_segment(overlay["segment"])
+            overlay_segments[sp_id] = Segment(overlay["segment"])
         topology = Topology(
             adjacency={int(k): tuple(v) for k, v in manifest["adjacency"].items()},
             peers_of={int(k): tuple(v) for k, v in manifest["peers_of"].items()},

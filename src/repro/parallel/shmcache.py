@@ -11,7 +11,7 @@ worker's scan benefits the whole pool:
   descriptors, and a data area of fixed-size slots
   (``REPRO_SHM_CACHE_SLOTS`` × ``REPRO_SHM_CACHE_SLOT_BYTES``).  Keys
   are opaque byte strings built by :func:`make_key` from a *kind* tag
-  (``"scan"``, ``"pscan"``, ``"ext"``) plus whatever identifies the
+  (``"scan"``, ``"pscan"``) plus whatever identifies the
   artefact (subspace, thresholds, scan parameters); a blake2b digest in
   the directory makes probes a straight directory sweep with no
   payload reads on mismatch.
@@ -208,9 +208,11 @@ class SharedBlockCache:
     # ------------------------------------------------------------------
     @staticmethod
     def format(buf: memoryview, offset: int, slots: int, slot_bytes: int, epoch: int) -> None:
-        """Zero a fresh region and write its header."""
-        total = _ALIGN + slots * _ALIGN + slots * slot_bytes
-        buf[offset : offset + total] = b"\x00" * total
+        """Write the header and an empty directory; the data area is left
+        as found (a slot is only read through a directory entry), so in a
+        fresh segment its pages are not resident until published into."""
+        head = _ALIGN + slots * _ALIGN
+        buf[offset : offset + head] = bytes(head)
         _HEADER.pack_into(buf, offset, _MAGIC, slots, slot_bytes, epoch, 0)
 
     # ------------------------------------------------------------------

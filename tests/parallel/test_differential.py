@@ -8,19 +8,24 @@ match a serial run exactly — only wall-clock fields may differ.
 from __future__ import annotations
 
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.bench.harness import VariantStats, run_queries
+from repro.core.dataset import PointSet
+from repro.data.generators import make_generator
 from repro.data.workload import Query
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import install, uninstall
 from repro.p2p.network import SuperPeerNetwork
+from repro.p2p.topology import Topology
 from repro.parallel import (
     ParallelEngine,
     preprocess_network_parallel,
     run_queries_parallel,
+    shm_supported,
 )
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
@@ -152,6 +157,137 @@ class TestPreprocessing:
         for result in results:
             attached = network.topology.peers_of[result.superpeer_id]
             assert [pid for pid, _, _ in result.peer_results] == list(attached)
+
+
+def _uniform_network(index_kind: str) -> SuperPeerNetwork:
+    return SuperPeerNetwork.build(
+        n_peers=16, n_superpeers=4, points_per_peer=30, dimensionality=8, seed=5,
+        index_kind=index_kind, preprocess=False,
+    )
+
+
+def _tied_network(index_kind: str) -> SuperPeerNetwork:
+    """Anticorrelated d = 6 on a 0.1 grid: exact ``f`` ties within every
+    peer, so the f-order of an upload leans on the stable sort."""
+    rng = np.random.default_rng(11)
+    topology = Topology.generate(n_peers=12, n_superpeers=3, degree=2.0, seed=11)
+    partitions = {}
+    for peer_id in sorted(p for peers in topology.peers_of.values() for p in peers):
+        values = np.round(make_generator("anticorrelated")(40, 6, rng), 1)
+        partitions[peer_id] = PointSet(values, np.arange(40) + 40 * peer_id)
+    return SuperPeerNetwork.from_partitions(
+        topology, partitions, index_kind=index_kind, preprocess=False
+    )
+
+
+def _store_bytes(store) -> tuple[bytes, bytes, bytes]:
+    return store.points.values.tobytes(), store.points.ids.tobytes(), store.f.tobytes()
+
+
+class TestPositionsHandOver:
+    """A pool worker sends home each merged store and, per peer, *which
+    rows* of its partition survived; the parent rebuilds the uploads
+    from the partitions it holds.  Everything ``_ingest_preprocessing``
+    reads must equal the serial computation, on both data planes and
+    both start methods."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[("fork", "1"), ("fork", "0"), ("spawn", "1"), ("spawn", "0")],
+        ids=lambda p: f"{p[0]}-shm{p[1]}",
+    )
+    def engine(self, request):
+        mp_start, shm = request.param
+        if shm == "1" and not shm_supported():
+            pytest.skip("platform has no POSIX shared memory")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_MP_START", mp_start)
+            patch.setenv("REPRO_SHM", shm)
+            with ParallelEngine(workers=2) as engine:
+                assert engine.start_method == mp_start
+                assert engine.use_shm == (shm == "1")
+                yield engine
+
+    @pytest.mark.parametrize("index_kind", ["block", "list"])
+    @pytest.mark.parametrize("make", [_uniform_network, _tied_network])
+    def test_pool_results_equal_serial_field_by_field(self, engine, make, index_kind):
+        network = make(index_kind)
+        serial = [network.compute_superpeer_preprocess(sp) for sp in network.superpeers]
+        pooled = engine.preprocess_network(network)
+        assert [r.superpeer_id for r in pooled] == [r.superpeer_id for r in serial]
+        ties = 0
+        for mine, theirs in zip(serial, pooled):
+            assert _store_bytes(theirs.merge.result) == _store_bytes(mine.merge.result)
+            for name in ("threshold", "examined", "comparisons", "input_size"):
+                assert getattr(theirs.merge, name) == getattr(mine.merge, name)
+            assert len(theirs.peer_results) == len(mine.peer_results)
+            for (pid_a, n_a, a), (pid_b, n_b, b) in zip(
+                mine.peer_results, theirs.peer_results
+            ):
+                assert (pid_a, n_a) == (pid_b, n_b)
+                assert _store_bytes(b.result) == _store_bytes(a.result)
+                for name in ("threshold", "examined", "comparisons", "input_size"):
+                    assert getattr(b, name) == getattr(a, name), name
+                assert b.duration > 0.0  # the worker's wall clock, not a default
+                ties += int(np.sum(np.diff(a.result.f) == 0))
+        if make is _tied_network:
+            assert ties > 50
+        # Each peer is computed once: no block-cache probe sits in front.
+        assert engine.stats.cache_misses == engine.stats.cache_publishes == 0
+
+    @pytest.mark.parametrize("make", [_uniform_network, _tied_network])
+    def test_ingested_state_report_and_metrics_equal_serial(self, engine, make):
+        networks, registries = [], []
+        for pool in (None, engine):
+            network = make("block")
+            registry = MetricsRegistry()
+            install(None, registry)
+            try:
+                network.preprocess(engine=pool)
+            finally:
+                uninstall()
+            networks.append(network)
+            registries.append(registry)
+        serial, pooled = networks
+        for sp_id, expected in serial.superpeers.items():
+            actual = pooled.superpeers[sp_id]
+            assert _store_bytes(actual.store) == _store_bytes(expected.store)
+            assert list(actual.peer_skylines) == list(expected.peer_skylines)
+            for peer_id, upload in expected.peer_skylines.items():
+                assert _store_bytes(actual.peer_skylines[peer_id]) == _store_bytes(upload)
+        for name in (
+            "total_points", "peer_skyline_points", "superpeer_store_points",
+            "upload_bytes", "sel_p", "sel_sp", "sel_ratio",
+        ):
+            assert getattr(pooled.preprocessing, name) == getattr(
+                serial.preprocessing, name
+            )
+        counters = [
+            [c for c in registry.counters() if c[0].startswith("preprocess.")]
+            for registry in registries
+        ]
+        assert counters[0] and counters[1] == counters[0]
+
+    def test_batch_payload_carries_no_uploads(self):
+        """What crosses the pipe is the stores plus 8 B of row index per
+        uploaded point and a few scalars per peer — not the uploads'
+        coordinates (80 B a point at d = 8)."""
+        from repro.parallel.engine import _run_preprocess_batch
+        from repro.parallel.shm import publish_network
+
+        if not shm_supported():
+            pytest.skip("platform has no POSIX shared memory")
+        network = _uniform_network("block")
+        sp_ids = list(network.topology.superpeer_ids)
+        with publish_network(network, partitions=True) as shared:
+            spec = {"token": "t", "kind": "shm", "manifest": shared.manifest}
+            payload = _run_preprocess_batch(spec, sp_ids)
+        stores = sum(merge.result.nbytes for _sp, _uploads, merge in payload["results"])
+        uploaded = sum(
+            len(upload[1]) for _sp, uploads, _merge in payload["results"] for upload in uploads
+        )
+        assert uploaded > 300
+        assert len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)) < stores + 32 * uploaded
 
 
 class TestPoolFirstBuild:

@@ -119,13 +119,36 @@ class TestSeqlock:
         assert publisher.get(make_key("scan", (7,))) is not None
 
     def test_second_handle_over_same_buffer_sees_publication(self, cache, tmp_path):
-        key = make_key("ext", 3, "block")
+        key = make_key("pscan", 3, "block")
         meta, arrays = _payload(5)
         cache.put(key, meta, arrays)
         other = SharedBlockCache(cache._buf, 0, str(tmp_path / "writer.lock"))
         hit = other.get(key)
         assert hit is not None
         assert np.array_equal(hit[1]["positions"], arrays["positions"])
+
+
+class TestFormat:
+    def test_format_writes_header_and_directory_only(self, tmp_path):
+        """A region is usable whatever its data area holds, and ``format``
+        does not touch that area: in a fresh segment its pages stay
+        non-resident until a worker publishes."""
+        head = 64 + SLOTS * 64
+        raw = bytearray(b"\xa5" * cache_region_nbytes(SLOTS, SLOT_BYTES))
+        SharedBlockCache.format(memoryview(raw), 0, SLOTS, SLOT_BYTES, epoch=7)
+        assert raw[head:] == b"\xa5" * (SLOTS * SLOT_BYTES)
+        assert _HEADER.unpack_from(raw, 0)[1:] == (SLOTS, SLOT_BYTES, 7, 0)
+        assert raw[_HEADER.size : head] == bytes(head - _HEADER.size)
+        cache = SharedBlockCache(memoryview(raw), 0, str(tmp_path / "writer.lock"))
+        keys = [make_key("scan", (i,)) for i in range(2 * SLOTS)]
+        assert all(cache.get(key) is None for key in keys)
+        assert cache.stats.misses == len(keys) and cache.stats.invalid == 0
+        assert cache.as_dict()["live_entries"] == 0
+        # ...and the first publications land in empty slots, evicting nothing.
+        for key in keys[:SLOTS]:
+            assert cache.put(key, *_payload())
+        assert cache.stats.evictions == 0
+        assert all(cache.get(key) is not None for key in keys[:SLOTS])
 
 
 class TestInvalidation:

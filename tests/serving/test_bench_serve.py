@@ -22,6 +22,7 @@ import pytest
 
 from repro.bench.smoke import SMOKE_SCHEMA, bench_serving
 from repro.cli import main as cli_main
+from repro.parallel import start_method
 from repro.serving.client import GatewayClient
 
 from .conftest import run
@@ -195,12 +196,15 @@ class TestCliServe:
                 assert segments()
                 assert list(tmpdir.glob("*.cachelock"))
                 assert list(tmpdir.glob("repro-engine-*"))
-            assert len(_session_pids(server.pid)) >= 3
+            # The session is the server and its two workers — under fork
+            # nothing else: the shm plane starts no helper process.  (A
+            # spawn pool brings multiprocessing's own tracker along.)
+            session = len(_session_pids(server.pid))
+            assert session == 3 if start_method() == "fork" else session >= 3
 
             server.send_signal(signal.SIGTERM)
             assert server.wait(timeout=30.0) == 0
-            # The multiprocessing resource tracker ends a moment after
-            # the process it served; give it that moment.
+            # Workers end a moment after the server that told them to.
             deadline = time.monotonic() + 10.0
             while _session_pids(server.pid) and time.monotonic() < deadline:
                 time.sleep(0.05)
