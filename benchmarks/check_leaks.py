@@ -6,11 +6,10 @@
 Run as the last step of a CI job, after every process the job started
 has ended.  Lists, and exits 1 on, any of:
 
-* shm segments ``/dev/shm/repro-shm-*`` (owners unlink at close/exit;
-  a hard-killed owner's are swept by the next engine start, which a
-  finished job no longer gets);
-* block-cache lockfiles ``repro-shm-*.cachelock`` and engine snapshot
-  directories ``repro-engine-*`` in the temp directory;
+* segments ``repro-shm-*`` in ``/dev/shm`` and in the temp directory,
+  the two places one can live (owners unlink at close/exit; a
+  hard-killed owner's are swept by the next engine start, which a
+  finished job no longer gets) — the data plane makes no other file;
 * transport pidfiles ``repro-transport-*.pid`` in the temp directory
   and in ``$REPRO_TRANSPORT_RUNDIR`` — and, named separately, those
   whose endpoint process is still alive;
@@ -63,9 +62,11 @@ def find_leaks() -> dict[str, list[str]]:
         for path in glob.glob(os.path.join(rundir, "repro-transport-*.pid"))
     )
     return {
-        "shm segments": sorted(glob.glob("/dev/shm/repro-shm-*")),
-        "cache lockfiles": sorted(glob.glob(os.path.join(tmp, "repro-shm-*.cachelock"))),
-        "engine directories": sorted(glob.glob(os.path.join(tmp, "repro-engine-*"))),
+        "segments": sorted(
+            path
+            for directory in {"/dev/shm", tmp}
+            for path in glob.glob(os.path.join(directory, "repro-shm-*"))
+        ),
         "transport pidfiles": pidfiles,
         "live endpoint processes": [path for path in pidfiles if _alive(path)],
         "resource-tracker processes": _resource_trackers(),
@@ -79,7 +80,7 @@ def main() -> int:
         for item in found:
             print(f"  {item}")
     if not leaks:
-        print("no leaked segments, lockfiles, engine directories, pidfiles or processes")
+        print("no leaked segments, pidfiles or processes")
     return 1 if leaks else 0
 
 

@@ -1,10 +1,10 @@
 """Bench-regression gate: compare a fresh ``skypeer bench --smoke`` report
-against committed baselines.
+against the committed baseline.
 
 CI runs the smoke benchmark, then::
 
     python benchmarks/check_regression.py BENCH_current.json \
-        --baseline BENCH_baseline.json --baseline BENCH_shm.json
+        --baseline BENCH_baseline.json
 
 The *tracked* metrics are the deterministic work measures — comparisons,
 transferred volume, message count, critical-path points examined, result
@@ -55,9 +55,8 @@ gated verdicts are ``identical`` (after every cell's schedule, engine
 answers byte-identical to a serial run over the from-scratch rebuild),
 ``delta_bounded`` (each incremental op's republished bytes bounded by
 its touched slots and strictly below the publication — deterministic
-byte counters, machine-stable) and ``exercised`` (on shm platforms at
-least one op must actually take the incremental path; vacuous in
-snapshot mode, where every op is an honest full republish).
+byte counters, machine-stable) and ``exercised`` (at least one op must
+actually take the incremental path).
 
 Schema-8 reports add ``update_latency`` (embedded by ``bench --smoke``
 and ``bench --churn``): the compute side of the same churn grid,
@@ -153,7 +152,7 @@ def check_current_verdicts(current: dict) -> list[str]:
                 "cache hit rate is zero: repeated-subspace workload never hit"
             )
         else:
-            print(f"  [info] cache.hit_rate: {hit_rate:.3f} ({cache.get('kind')})")
+            print(f"  [info] cache.hit_rate: {hit_rate:.3f}")
         warm = cache.get("warm", {})
         if warm.get("hit_rate") is not None:
             print(f"  [info] cache.warm.hit_rate: {warm['hit_rate']:.3f}")
@@ -298,8 +297,8 @@ def check_current_verdicts(current: dict) -> list[str]:
             )
         if not incremental.get("exercised", True):
             problems.append(
-                "incremental path never exercised: every op on an shm "
-                "platform fell back to a full republish"
+                "incremental path never exercised: every op fell back to a "
+                "full republish"
             )
         for cell in incremental.get("cells", []):
             ops = cell.get("ops", [])

@@ -3,27 +3,23 @@
 Runs the Figure 3(b) dimensionality sweep over pre-built networks —
 once serial, then through persistent :class:`repro.parallel`
 engines — and emits one JSON document with the harness wall-clocks,
-the engine overhead breakdown (pool startup, per-task dispatch,
-shm-attach vs snapshot-rebuild worker startup), a field-by-field
-equality check of the deterministic statistics for every parallel
-run, and the per-variant means the paper's figures are drawn from.
-CI uploads the document as an artifact; committed snapshots
-(``BENCH_*.json``) give successive revisions an honest, diffable perf
-baseline.
+the engine overhead breakdown (pool startup, per-task dispatch, worker
+attach), a field-by-field equality check of the deterministic
+statistics for every parallel run, and the per-variant means the
+paper's figures are drawn from.  CI uploads the document as an
+artifact; the committed ``BENCH_baseline.json`` gives successive
+revisions an honest, diffable perf baseline.
 
-Three parallel configurations run when the platform allows:
-
-* the primary start method over the shared-memory data plane,
-* the primary start method over the ``.npz`` snapshot fallback
-  (isolating what shm buys), and
-* the *other* start method (fork vs spawn) over shm, so the
-  serial-vs-parallel equality verdict covers both lifecycles.
+The sweep runs on an engine per start method — the primary one, then
+the other of fork/spawn where the platform has it — so the
+serial-vs-parallel equality verdict covers both lifecycles; runs are
+labelled by start method.
 
 Wall-clock fields are hardware-dependent by nature: on a single-core
 host the pool cannot beat the serial loop (the JSON records
 ``cpu_count`` so readers can tell).  Everything under ``"variants"``
 and ``"per_dimension"`` is deterministic and must be identical across
-machines, worker counts, start methods and data planes.
+machines, worker counts and start methods.
 
 Schema 3 adds two sections:
 
@@ -93,7 +89,8 @@ over :func:`~repro.p2p.workload.rebuild_reference`'s from-scratch
 recomputation, at every cell) and ``delta_bounded`` (every incremental
 op's republished bytes are bounded by its touched slots' size, which
 is strictly less than the publication — the delta scales with the
-update, not the network).  ``skypeer bench --churn`` emits the same
+update, not the network); ``exercised`` requires that some op took the
+incremental path at all.  ``skypeer bench --churn`` emits the same
 section standalone via :func:`bench_churn`.
 
 Schema 8 adds ``"update_latency"``: the *compute* side of the same
@@ -114,6 +111,11 @@ data plus the super-peer's lists) and ``insert_no_resort`` (no
 ``SortedByF.from_points`` full re-sort ran during any incremental
 insert — stores move only by O(k log n) sorted splices).  Both
 :func:`bench_smoke` and :func:`bench_churn` embed the section.
+
+Schema 9 adds no section: there is one data plane and one block cache
+to run on, so runs are labelled by start method alone and nothing tells
+planes or cache kinds apart; ``serving`` reports the gateway's counters
+beside the engine's, neither mirrored into the other.
 """
 
 from __future__ import annotations
@@ -124,15 +126,14 @@ import platform
 import time
 from typing import Any, Iterable, Sequence
 
-from ..parallel import ParallelEngine, resolve_workers, shm_supported, start_method
-from ..parallel.shmcache import cache_enabled
+from ..parallel import ParallelEngine, resolve_workers, start_method
 from ..skypeer.variants import Variant
 from .config import ExperimentConfig, Scale, resolve_scale
 from .harness import VariantStats, build_network, make_queries, run_queries
 
 __all__ = ["SMOKE_SCHEMA", "bench_churn", "bench_serving", "bench_smoke", "write_bench_smoke"]
 
-SMOKE_SCHEMA = "repro-bench-smoke/8"
+SMOKE_SCHEMA = "repro-bench-smoke/9"
 
 #: VariantStats fields that do not depend on wall-clock measurement —
 #: these must match exactly between serial and parallel runs.
@@ -193,18 +194,16 @@ def _bench_cache(
     variants: Sequence[Variant],
     n_workers: int,
     primary: str,
-    shm_ok: bool,
 ) -> dict[str, Any]:
     """Repeated-subspace workload through one engine: cold then warm pass.
 
     The sweep queries repeat subspaces across variants and passes, so the
-    block cache (shared-memory when the platform allows, the worker-local
-    fallback otherwise) gets real hits.  ``identical`` asserts that both
+    shared block cache gets real hits.  ``identical`` asserts that both
     passes reproduce every deterministic statistic of the serial
     reference — cached scans replay the exact examined/comparison
     counters of the scan that published them.
     """
-    with ParallelEngine(n_workers, use_shm=shm_ok, mp_start=primary) as engine:
+    with ParallelEngine(n_workers, mp_start=primary) as engine:
         cold_wall, cold = _run_sweep(prepared, variants, n_workers, engine=engine)
         cold_hits = engine.stats.cache_hits
         cold_misses = engine.stats.cache_misses
@@ -219,9 +218,6 @@ def _bench_cache(
         return hits / (hits + misses) if hits + misses else None
 
     return {
-        "enabled": cache_enabled(),
-        "kind": "shared" if shm_ok and cache_enabled() is not False else "local",
-        "kinds": sorted(stats.cache_kinds),
         "cold": {
             "wall_seconds": cold_wall,
             "hits": cold_hits,
@@ -303,7 +299,6 @@ def _bench_serving(
     *,
     n_workers: int,
     primary: str,
-    shm_ok: bool,
     concurrency: int = 32,
     requests: int = 96,
     distinct_subspaces: int = 4,
@@ -346,7 +341,7 @@ def _bench_serving(
         request_timeout=60.0,
         shutdown_timeout=10.0,
     )
-    with ParallelEngine(n_workers, use_shm=shm_ok, mp_start=primary) as engine:
+    with ParallelEngine(n_workers, mp_start=primary) as engine:
 
         async def scenario():
             gateway = QueryGateway(
@@ -381,13 +376,7 @@ def _bench_serving(
         "distinct_subspaces": len({tuple(q.subspace) for q in queries}),
         "load": load.as_dict(),
         "gateway": stats.as_dict(),
-        "engine": {
-            key: engine_stats[key]
-            for key in (
-                "serve_coalesce_hits", "serve_shed", "serve_queue_depth_peak",
-                "tasks", "batches", "cache_hit_rate",
-            )
-        },
+        "engine": engine_stats,
         "coalesce_hits": stats.coalesce_hits,
         "coalesce_hit_rate": stats.coalesce_hit_rate(),
         "shed_total": stats.shed_total,
@@ -508,7 +497,6 @@ def _bench_salsa(
 def _bench_kernels(
     *,
     primary: str,
-    shm_ok: bool,
     headline_n: int = 20000,
     headline_d: int = 5,
     headline_workers: int = 4,
@@ -563,7 +551,7 @@ def _bench_kernels(
     proj, _dists = store.projection(subspace)
     partitioners: dict[str, dict[str, Any]] = {}
     identical = True
-    with ParallelEngine(headline_workers, use_shm=shm_ok, mp_start=primary) as engine:
+    with ParallelEngine(headline_workers, mp_start=primary) as engine:
         for partitioner in ("range", "angular"):
             inproc_wall = float("inf")
             scan = None
@@ -737,7 +725,6 @@ def _churn_network(
 def _bench_incremental(
     n_workers: int,
     primary: str,
-    shm_ok: bool,
     grid_cells: Sequence[tuple[float, float]] = ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0)),
     ops_per_cell: int = 4,
     subspaces: Sequence[Sequence[int]] = ((0, 1, 2), (1, 3), (0, 2, 3)),
@@ -750,13 +737,12 @@ def _bench_incremental(
     apply_update` on a *live* engine whose publication was warmed by a
     query pass, then compares the engine's post-churn answers
     byte-for-byte against a serial run over the from-scratch
-    :func:`~repro.p2p.workload.rebuild_reference`.  On shm platforms
-    each op's report must show the republished delta bounded by the
-    touched super-peers' *stores* — ``touched_store_nbytes``, measured
-    here on the live network, not read back from the manifest — and
-    strictly below the whole publication; in snapshot mode every op is
-    a full republish and the delta verdict is vacuously true — identity
-    still gates.
+    :func:`~repro.p2p.workload.rebuild_reference`.  Each op's report
+    must show the republished delta bounded by the touched super-peers'
+    *stores* — ``touched_store_nbytes``, measured here on the live
+    network, not read back from the manifest — and strictly below the
+    whole publication (super-peer set surgery is an honest full
+    republish), and some op must take the incremental path.
     """
     from ..data.workload import Query
     from ..p2p.workload import churn_schedule, plan_op, rebuild_reference
@@ -766,7 +752,7 @@ def _bench_incremental(
     identical = True
     delta_bounded = True
     incremental_ops_total = 0
-    with ParallelEngine(n_workers, use_shm=shm_ok, mp_start=primary) as engine:
+    with ParallelEngine(n_workers, mp_start=primary) as engine:
         for cell_index, (update_rate, churn_rate) in enumerate(grid_cells):
             network = _churn_network(seed=101 + cell_index)
             queries = [
@@ -826,7 +812,6 @@ def _bench_incremental(
                 }
             )
     return {
-        "shm": shm_ok,
         "grid": [list(cell) for cell in grid_cells],
         "ops_per_cell": ops_per_cell,
         "variant": variant.value,
@@ -834,7 +819,7 @@ def _bench_incremental(
         "cells": cells,
         "identical": identical,
         "delta_bounded": delta_bounded,
-        "exercised": incremental_ops_total > 0 if shm_ok else True,
+        "exercised": incremental_ops_total > 0,
         "incremental_ops_total": incremental_ops_total,
     }
 
@@ -984,7 +969,6 @@ def bench_smoke(
         n_workers = 2  # the smoke exists to exercise the pool
     variant_list = [Variant.parse(v) if isinstance(v, str) else v for v in variants]
     primary = start_method()
-    shm_ok = shm_supported()
 
     dims = list(dims)
     prepared = []
@@ -995,41 +979,37 @@ def bench_smoke(
 
     serial_wall, serial = _run_sweep(prepared, variant_list, workers=1)
 
-    # (label, start method, shm?) — the primary configuration first; it
-    # supplies the legacy top-level parallel fields.
-    runs: list[tuple[str, str, bool]] = [(f"{primary}-shm", primary, True)] if shm_ok else []
-    runs.append((f"{primary}-snapshot", primary, False))
+    # One run per start method, the primary first: it supplies the
+    # top-level parallel fields.
+    methods = [primary]
     secondary = _other_start_method(primary)
-    if secondary is not None and shm_ok:
-        runs.append((f"{secondary}-shm", secondary, True))
+    if secondary is not None:
+        methods.append(secondary)
 
     engines: dict[str, dict[str, Any]] = {}
     equality: dict[str, dict[str, Any]] = {}
     walls: dict[str, float] = {}
-    for label, method, use_shm in runs:
-        with ParallelEngine(n_workers, use_shm=use_shm, mp_start=method) as engine:
+    for method in methods:
+        with ParallelEngine(n_workers, mp_start=method) as engine:
             wall, results = _run_sweep(prepared, variant_list, n_workers, engine=engine)
-            engines[label] = engine.stats.as_dict()
-        walls[label] = wall
+            engines[method] = engine.stats.as_dict()
+        walls[method] = wall
         mismatched = _mismatches(serial, results)
-        equality[label] = {"matches": not mismatched, "mismatched_fields": mismatched}
+        equality[method] = {"matches": not mismatched, "mismatched_fields": mismatched}
 
-    primary_label = runs[0][0]
-    primary_stats = engines[primary_label]
+    primary_stats = engines[primary]
     all_mismatches = [
-        f"{label}: {entry}" for label, eq in equality.items()
+        f"{method}: {entry}" for method, eq in equality.items()
         for entry in eq["mismatched_fields"]
     ]
 
-    # shm-attach vs snapshot-rebuild worker startup: means across every
-    # engine of the run (each worker's first materialization reports).
-    def _mean_attach(mode: str) -> float | None:
-        key = "shm_attach_mean_seconds" if mode == "shm" else "snapshot_rebuild_mean_seconds"
-        samples = [e[key] for e in engines.values() if e[key] is not None]
-        return sum(samples) / len(samples) if samples else None
-
-    shm_attach = _mean_attach("shm")
-    snapshot_rebuild = _mean_attach("snapshot")
+    # Worker attach: the mean across every engine of the run (each
+    # worker's first materialization reports).
+    attach_samples = [
+        e["shm_attach_mean_seconds"] for e in engines.values()
+        if e["shm_attach_mean_seconds"] is not None
+    ]
+    shm_attach = sum(attach_samples) / len(attach_samples) if attach_samples else None
 
     # Per-variant means across the sweep, from the serial (reference) run.
     variant_means: dict[str, dict[str, float]] = {}
@@ -1046,7 +1026,7 @@ def bench_smoke(
             ) / len(rows),
         }
 
-    cache = _bench_cache(prepared, serial, variant_list, n_workers, primary, shm_ok)
+    cache = _bench_cache(prepared, serial, variant_list, n_workers, primary)
 
     merge_dim, merge_network, merge_queries = prepared[0]
     merge_variant = Variant.FTPM if Variant.FTPM in variant_list else variant_list[0]
@@ -1057,18 +1037,17 @@ def bench_smoke(
         merge_network,
         n_workers=n_workers,
         primary=primary,
-        shm_ok=shm_ok,
         variant=merge_variant,
     )
     serving["dimensionality"] = merge_dim
 
-    kernels = _bench_kernels(primary=primary, shm_ok=shm_ok)
+    kernels = _bench_kernels(primary=primary)
 
-    incremental = _bench_incremental(n_workers, primary=primary, shm_ok=shm_ok)
+    incremental = _bench_incremental(n_workers, primary=primary)
 
     update_latency = _bench_update_latency()
 
-    parallel_wall = walls[primary_label]
+    parallel_wall = walls[primary]
     return {
         "schema": SMOKE_SCHEMA,
         "sweep": "fig3b-dimensionality",
@@ -1077,8 +1056,7 @@ def bench_smoke(
         "queries_per_config": scale.queries,
         "workers": n_workers,
         "start_method": primary,
-        "start_methods": list(dict.fromkeys(label.rsplit("-", 1)[0] for label in engines)),
-        "shm_supported": shm_ok,
+        "start_methods": methods,
         "cpu_count": os.cpu_count(),
         "degraded_parallelism": (os.cpu_count() or 1) < 2,
         "python": platform.python_version(),
@@ -1091,11 +1069,6 @@ def bench_smoke(
             "dispatch_overhead_per_task_seconds"
         ],
         "shm_attach_mean_seconds": shm_attach,
-        "snapshot_rebuild_mean_seconds": snapshot_rebuild,
-        "attach_speedup": (
-            snapshot_rebuild / shm_attach
-            if shm_attach and snapshot_rebuild else None
-        ),
         "cache": cache,
         "pipelined_merge": pipelined_merge,
         "serving": serving,
@@ -1125,7 +1098,7 @@ def bench_serving(
 ) -> dict[str, Any]:
     """Standalone open-loop gateway bench (``skypeer bench --serve``).
 
-    Emits a schema-4 document whose only measurement section is
+    Emits a document whose only measurement section is
     ``"serving"`` — the same section :func:`bench_smoke` embeds — so
     ``benchmarks/check_regression.py`` applies the same gated verdicts
     (``results_match``, ``coalesce_hits > 0``) to either report kind.
@@ -1136,14 +1109,12 @@ def bench_serving(
         n_workers = 2
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
     primary = start_method()
-    shm_ok = shm_supported()
     config = ExperimentConfig(dimensionality=dim).scaled(scale)
     network = build_network(config)
     serving = _bench_serving(
         network,
         n_workers=n_workers,
         primary=primary,
-        shm_ok=shm_ok,
         concurrency=concurrency,
         requests=requests,
         rate=rate,
@@ -1157,7 +1128,6 @@ def bench_serving(
         "dimensions": [dim],
         "workers": n_workers,
         "start_method": primary,
-        "shm_supported": shm_ok,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "serving": serving,
@@ -1170,7 +1140,7 @@ def bench_churn(
 ) -> dict[str, Any]:
     """Standalone churn gauntlet (``skypeer bench --churn``).
 
-    Emits a schema-8 document whose measurement sections are
+    Emits a document whose measurement sections are
     ``"incremental"`` (live-engine slot republish) and
     ``"update_latency"`` (serial delta-maintenance compute) — the same
     sections :func:`bench_smoke` embeds — so
@@ -1184,8 +1154,7 @@ def bench_churn(
     if n_workers <= 1:
         n_workers = 2
     primary = start_method()
-    shm_ok = shm_supported()
-    incremental = _bench_incremental(n_workers, primary=primary, shm_ok=shm_ok)
+    incremental = _bench_incremental(n_workers, primary=primary)
     update_latency = _bench_update_latency()
     return {
         "schema": SMOKE_SCHEMA,
@@ -1193,7 +1162,6 @@ def bench_churn(
         "scale": scale.name,
         "workers": n_workers,
         "start_method": primary,
-        "shm_supported": shm_ok,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "incremental": incremental,

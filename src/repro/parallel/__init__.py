@@ -5,11 +5,11 @@ harness's independent (query, variant) executions and pre-processing's
 independent per-super-peer computations — fan out over a persistent
 ``concurrent.futures`` process pool (:class:`ParallelEngine`).  The
 network travels to workers over the shared-memory data plane
-(:mod:`repro.parallel.shm`): published once into a ``/dev/shm``
-segment the plane itself creates, maps and unlinks (no helper process
-tracks it) and attached zero-copy by every worker, with a graceful
-fallback to a byte-faithful pickle snapshot where ``/dev/shm`` is
-unavailable (or ``REPRO_SHM=0``).  Tasks are submitted
+(:mod:`repro.parallel.shm`), and over nothing else: published once into
+a segment — a file the plane itself creates, maps and unlinks (no
+helper process tracks it), in ``/dev/shm`` where the segment fits and
+in the temp directory where it does not — and attached zero-copy by
+every worker.  Tasks are submitted
 in subspace-affine batches so per-subspace projection caches hit across
 queries, and all aggregation happens in the parent in deterministic
 task order, so parallel runs produce results, work counts and metric
@@ -51,15 +51,7 @@ from .partition import (
     resolve_scan_cell,
     scan_partition,
 )
-from .shm import (
-    SHM_ENV,
-    AttachedNetwork,
-    SharedNetwork,
-    attach_network,
-    publish_network,
-    shm_enabled,
-    shm_supported,
-)
+from .shm import AttachedNetwork, SharedNetwork, attach_network, publish_network
 
 __all__ = [
     "AttachedNetwork",
@@ -69,7 +61,6 @@ __all__ = [
     "PARTITION_PARTS_ENV",
     "ParallelEngine",
     "SCAN_CELLS",
-    "SHM_ENV",
     "SharedNetwork",
     "UpdateReport",
     "attach_network",
@@ -88,8 +79,6 @@ __all__ = [
     "run_queries_parallel",
     "scan_partition",
     "set_default_workers",
-    "shm_enabled",
-    "shm_supported",
     "shutdown_engines",
     "start_method",
 ]

@@ -7,13 +7,11 @@ a fresh ``.npz`` snapshot) for every ``run_queries`` call, so pool
 startup and per-task IPC dominated exactly the many-small-queries
 regimes the paper evaluates.  :class:`ParallelEngine` is created once
 and reused: workers stay warm across calls and whole bench sweeps, and
-each network is *published* once — preferably into a shared-memory
-segment (:mod:`repro.parallel.shm`) that workers attach zero-copy,
-falling back to a pickle snapshot where ``/dev/shm`` is unavailable or
-``REPRO_SHM=0``.  Both publication modes are byte-faithful: the worker
-sees the parent's stores verbatim (the snapshot pickles the network
-object rather than re-running pre-processing from the raw partitions),
-so intra-query partition slices computed on either side agree.
+each network is *published* once, into a segment of the shared-memory
+data plane (:mod:`repro.parallel.shm`) that workers attach zero-copy.
+It is the only way data reaches a worker, and it is byte-faithful: the
+worker sees the parent's stores verbatim, so intra-query partition
+slices computed on either side agree.
 
 *Batching and subspace affinity.*  Tasks are submitted as chunks, not
 one IPC round-trip per (query, variant) pair.  Chunks are formed by
@@ -54,7 +52,6 @@ import copy
 import math
 import multiprocessing
 import os
-import tempfile
 import threading
 import time
 import weakref
@@ -64,13 +61,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .shm import (
+    AttachedNetwork,
     attach_network,
     manifest_data_nbytes,
     publish_network,
-    shm_enabled,
     sweep_dead_publishers,
 )
-from .shmcache import LocalBlockCache, cache_enabled, make_key
+from .shmcache import make_key
 
 if TYPE_CHECKING:  # imports deferred at runtime to keep workers lean
     from ..data.workload import Query
@@ -117,7 +114,7 @@ _BATCH_OVERSUBSCRIBE = 4
 _WORKER_CACHE_CAP = 4
 
 #: Publications kept per engine before the least recently used one is
-#: withdrawn (shm unlinked / snapshot deleted).
+#: withdrawn (its segments unlinked).
 _PUBLICATION_CAP = 8
 
 
@@ -155,7 +152,7 @@ def start_method() -> str:
     """The multiprocessing start method (``REPRO_MP_START`` or platform pick).
 
     ``fork`` is preferred where available: worker startup is cheap and
-    workers attach (or reload) their data explicitly anyway.
+    workers attach their data explicitly anyway.
     """
     raw = os.environ.get("REPRO_MP_START")
     available = multiprocessing.get_all_start_methods()
@@ -171,8 +168,8 @@ def start_method() -> str:
 # ----------------------------------------------------------------------
 # worker-side state and task functions
 # ----------------------------------------------------------------------
-#: token -> (network, AttachedNetwork | None, block cache); LRU, capped.
-_WORKER_NETWORKS: "OrderedDict[str, tuple[Any, Any, Any]]" = OrderedDict()
+#: token -> attached publication (its network and block cache); LRU, capped.
+_WORKER_NETWORKS: "OrderedDict[str, AttachedNetwork]" = OrderedDict()
 
 
 def _noop() -> None:
@@ -209,58 +206,33 @@ def _apply_pinning(ordinal: int) -> int | None:
     return cpu
 
 
-def _open(spec: dict[str, Any]) -> tuple[Any, Any, Any]:
-    """Attach (shm) or load (snapshot) a publication, uncached.
+def _materialize(spec: dict[str, Any]) -> tuple[AttachedNetwork, dict[str, Any] | None]:
+    """Return the spec's attached publication, attaching on first use.
 
-    Returns ``(network, AttachedNetwork | None, block cache)``; the
-    cache is the segment's shared block cache when the publication
-    carries one, else a worker-local fallback with the same interface.
-    """
-    if spec["kind"] == "shm":
-        attached = attach_network(spec["manifest"])
-        cache = attached.cache
-        if cache is None or cache_enabled() is False:
-            cache = LocalBlockCache()
-        return attached.network, attached, cache
-    import pickle
-
-    with open(spec["path"], "rb") as handle:
-        return pickle.load(handle), None, LocalBlockCache()
-
-
-def _materialize(spec: dict[str, Any]) -> tuple[Any, Any, dict[str, Any] | None]:
-    """Return the spec's (network, cache), attaching/loading on first use.
-
-    The third element reports the first-use cost (``None`` on a cache
-    hit): ``{"mode": "shm" | "snapshot", "seconds": ...}`` — the
-    shm-attach vs snapshot-rebuild differential the bench records.
+    The second element reports what this call cost (``None`` on a cache
+    hit): ``{"mode": "shm", "seconds": ...}`` for a first attach,
+    ``"shm-delta"`` plus the re-mapped slots and bytes for a refresh.
     """
     token = spec["token"]
-    hit = _WORKER_NETWORKS.get(token)
-    if hit is not None:
+    manifest = spec["manifest"]
+    attached = _WORKER_NETWORKS.get(token)
+    if attached is not None:
         _WORKER_NETWORKS.move_to_end(token)
-        network, attached, cache = hit
-        if spec["kind"] == "shm" and attached is not None:
-            manifest = spec["manifest"]
-            if int(manifest.get("subepoch", 0)) != attached.subepoch:
-                # Same publication, newer sub-epoch: re-map only the
-                # slots whose generation advanced instead of attaching
-                # (or rebuilding) the whole network.
-                started = time.perf_counter()
-                delta = attached.refresh(manifest)
-                seconds = time.perf_counter() - started
-                return network, cache, {"mode": "shm-delta", "seconds": seconds, **delta}
-        return network, cache, None
+        if int(manifest.get("subepoch", 0)) == attached.subepoch:
+            return attached, None
+        # Same publication, newer sub-epoch: re-map only the slots whose
+        # generation advanced instead of attaching the whole network.
+        started = time.perf_counter()
+        delta = attached.refresh(manifest)
+        seconds = time.perf_counter() - started
+        return attached, {"mode": "shm-delta", "seconds": seconds, **delta}
     started = time.perf_counter()
-    entry = _open(spec)
+    attached = attach_network(manifest)
     seconds = time.perf_counter() - started
     while len(_WORKER_NETWORKS) >= _WORKER_CACHE_CAP:
-        _, (network, attached, _cache) = _WORKER_NETWORKS.popitem(last=False)
-        del network
-        if attached is not None:
-            attached.close()
-    _WORKER_NETWORKS[token] = entry
-    return entry[0], entry[2], {"mode": spec["kind"], "seconds": seconds}
+        _WORKER_NETWORKS.popitem(last=False)[1].close()
+    _WORKER_NETWORKS[token] = attached
+    return attached, {"mode": "shm", "seconds": seconds}
 
 
 def _cached_local_compute(
@@ -363,7 +335,8 @@ def _run_query_batch(
 
     from ..core.local_skyline import resolve_scan_chunk
 
-    network, cache, attach = _materialize(spec)
+    attached, attach = _materialize(spec)
+    network, cache = attached.network, attached.cache
     started = time.perf_counter()
     # Resolved once per batch: the scans and merges below then never
     # consult the environment again.
@@ -396,10 +369,7 @@ def _run_query_batch(
         "snapshot": registry.snapshot() if registry is not None else None,
         "attach": attach,
         "compute_seconds": time.perf_counter() - started,
-        "cache": {
-            "kind": "local" if isinstance(cache, LocalBlockCache) else "shared",
-            **cache.stats.delta(),
-        },
+        "cache": cache.stats.delta(),
     }
 
 
@@ -424,8 +394,9 @@ def _run_preprocess_batch(
     from ..core.mapping import f_values
 
     started = time.perf_counter()
-    network, attached, _cache = _open(spec)
-    attach = {"mode": spec["kind"], "seconds": time.perf_counter() - started}
+    attached = attach_network(spec["manifest"])
+    attach = {"mode": "shm", "seconds": time.perf_counter() - started}
+    network = attached.network
     started = time.perf_counter()
     results = []
     try:
@@ -447,8 +418,7 @@ def _run_preprocess_batch(
         # The array views over the segment must be garbage before the
         # mapping can be released (results are copies, never views).
         network = computed = None
-        if attached is not None:
-            attached.close()
+        attached.close()
     return {
         "results": results,
         "attach": attach,
@@ -507,7 +477,8 @@ def _run_partition_batch(
 
     from .partition import partition_positions, scan_partition
 
-    network, cache, attach = _materialize(spec)
+    attached, attach = _materialize(spec)
+    network, cache = attached.network, attached.cache
     started = time.perf_counter()
     store = network.store_of(sp)
     proj, _dists = store.projection(cols, rows=store.prefix(threshold))
@@ -543,10 +514,7 @@ def _run_partition_batch(
         "scans": scans,
         "attach": attach,
         "compute_seconds": time.perf_counter() - started,
-        "cache": {
-            "kind": "local" if isinstance(cache, LocalBlockCache) else "shared",
-            **cache.stats.delta(),
-        },
+        "cache": cache.stats.delta(),
     }
 
 
@@ -559,19 +527,17 @@ class EngineStats:
 
     ``pool_startup_seconds`` covers executor creation plus the warm-up
     barrier; ``publish_seconds`` is the parent-side cost of making
-    networks available (shm copy-in or snapshot write);
+    networks available (the copy into the segment);
     ``submit_seconds`` is parent time spent dispatching batches (the
     per-task share is :meth:`dispatch_overhead_per_task`);
-    ``attach_events`` records every worker-side first-use of a
-    publication with its mode, the shm-attach vs snapshot-rebuild
-    differential.  The ``cache_*`` fields aggregate the per-batch
-    block-cache deltas the workers ship back
-    (:mod:`repro.parallel.shmcache`); ``cpu_pinning`` records whether
-    the pool was started with per-worker CPU affinity.  The ``serve_*``
-    fields are mirrored in by an attached
-    :class:`~repro.serving.QueryGateway`: coalesce hits the gateway
-    absorbed before they reached the pool, requests it shed, the
-    deepest its admission queue got and the queries it dispatched.
+    ``attach_events`` records every worker-side attach (``"shm"``) or
+    per-slot refresh (``"shm-delta"``) of a publication.  The
+    ``cache_*`` fields aggregate the per-batch block-cache deltas the
+    workers ship back (:mod:`repro.parallel.shmcache`); ``cpu_pinning``
+    records whether the pool was started with per-worker CPU affinity.
+    What a :class:`~repro.serving.QueryGateway` in front of the engine
+    counted (coalesce hits, shed requests, queue depth) is its own
+    ``GatewayStats``; a query it dispatches is one of ``tasks`` here.
 
     ``tasks`` counts *whole-query* executions only.  Intra-query
     fan-outs (:meth:`ParallelEngine.run_partitioned_scan`) are counted
@@ -586,7 +552,6 @@ class EngineStats:
     pool_startup_seconds: float = 0.0
     publish_seconds: float = 0.0
     publications: int = 0
-    publish_modes: list[str] = field(default_factory=list)
     batches: int = 0
     tasks: int = 0
     intra_query_scans: int = 0
@@ -600,7 +565,6 @@ class EngineStats:
     cache_evictions: int = 0
     cache_oversize: int = 0
     cache_invalid: int = 0
-    cache_kinds: set[str] = field(default_factory=set)
     cpu_pinning: bool = False
     updates_applied: int = 0
     incremental_republishes: int = 0
@@ -611,10 +575,6 @@ class EngineStats:
     update_promoted: int = 0
     update_rebuilt: int = 0
     update_points_examined: int = 0
-    serve_coalesce_hits: int = 0
-    serve_shed: int = 0
-    serve_queue_depth_peak: int = 0
-    serve_queries: int = 0
 
     def dispatch_overhead_per_task(self) -> float:
         return self.submit_seconds / self.tasks if self.tasks else 0.0
@@ -642,7 +602,6 @@ class EngineStats:
             "pool_startup_seconds": self.pool_startup_seconds,
             "publish_seconds": self.publish_seconds,
             "publications": self.publications,
-            "publish_modes": list(self.publish_modes),
             "batches": self.batches,
             "tasks": self.tasks,
             "intra_query_scans": self.intra_query_scans,
@@ -652,7 +611,6 @@ class EngineStats:
             "worker_compute_seconds": self.worker_compute_seconds,
             "attach_count": len(self.attach_events),
             "shm_attach_mean_seconds": self.mean_attach_seconds("shm"),
-            "snapshot_rebuild_mean_seconds": self.mean_attach_seconds("snapshot"),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate(),
@@ -660,7 +618,6 @@ class EngineStats:
             "cache_evictions": self.cache_evictions,
             "cache_oversize": self.cache_oversize,
             "cache_invalid": self.cache_invalid,
-            "cache_kinds": sorted(self.cache_kinds),
             "cpu_pinning": self.cpu_pinning,
             "updates_applied": self.updates_applied,
             "incremental_republishes": self.incremental_republishes,
@@ -671,10 +628,6 @@ class EngineStats:
             "update_promoted": self.update_promoted,
             "update_rebuilt": self.update_rebuilt,
             "update_points_examined": self.update_points_examined,
-            "serve_coalesce_hits": self.serve_coalesce_hits,
-            "serve_shed": self.serve_shed,
-            "serve_queue_depth_peak": self.serve_queue_depth_peak,
-            "serve_queries": self.serve_queries,
         }
 
 
@@ -683,13 +636,14 @@ class UpdateReport:
     """What one :meth:`ParallelEngine.apply_update` did, end to end.
 
     ``republished_bytes`` is the shm delta actually rewritten (0 when no
-    shm publication was live); a slot is one super-peer's store, so
+    publication was live); a slot is one super-peer's store, so
     ``slot_nbytes`` is the touched stores' array bytes and
     ``total_nbytes`` every published store's — the bench asserts
     ``republished_bytes <= slot_nbytes < total_nbytes``, i.e. the delta
-    scales with the touched stores, not the network.  ``full_republish`` marks the paths that cannot go
-    incremental (snapshot mode, super-peer set surgery): the stale
-    publication is withdrawn and the next fan-out republishes in full.
+    scales with the touched stores, not the network.  ``full_republish``
+    marks what cannot go incremental (super-peer set surgery, an update
+    that moves every slot): the stale publication is withdrawn and the
+    next fan-out republishes in full.
 
     When the underlying mutation reports a maintenance path (insert/
     delete outcomes, churn events), :meth:`as_dict` surfaces it:
@@ -781,27 +735,21 @@ class _EpochGate:
 
 
 class _Publication:
-    """One network made available to workers (shm segment or snapshot)."""
+    """One network made available to workers: its segments and its spec."""
 
-    __slots__ = (
-        "token", "kind", "spec", "shared", "path", "network_ref", "epoch", "warm",
-    )
+    __slots__ = ("token", "spec", "shared", "network_ref", "epoch", "warm")
 
     def __init__(
         self,
         token: str,
-        kind: str,
         spec: dict[str, Any],
         shared: Any,
-        path: str | None,
         network_ref: "weakref.ref[Any]",
         epoch: int,
     ):
         self.token = token
-        self.kind = kind
         self.spec = spec
         self.shared = shared
-        self.path = path
         self.network_ref = network_ref
         self.epoch = epoch
         #: Subspaces whose scans this publication has already served —
@@ -811,15 +759,7 @@ class _Publication:
         self.warm: set[tuple[int, ...]] = set()
 
     def withdraw(self) -> None:
-        if self.shared is not None:
-            self.shared.close(unlink=True)
-            self.shared = None
-        if self.path is not None:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-            self.path = None
+        self.shared.close(unlink=True)
 
 
 class ParallelEngine:
@@ -829,7 +769,7 @@ class ParallelEngine:
     ``run_queries`` calls, pre-processing and whole bench sweeps; the
     pool, the worker-side network caches and the publications all
     survive between calls.  Context-manager and ``close()`` tear
-    everything down — shm segments are unlinked, snapshots deleted —
+    everything down — the pool stops, every segment is unlinked —
     and an ``atexit`` hook guarantees the same at interpreter exit.
     What a hard kill strands, the next engine start removes
     (:func:`~repro.parallel.shm.sweep_dead_publishers`).
@@ -838,16 +778,13 @@ class ParallelEngine:
     def __init__(
         self,
         workers: int,
-        use_shm: bool | None = None,
         mp_start: str | None = None,
         warm: bool = True,
     ):
         self.workers = max(1, int(workers))
         self.start_method = mp_start if mp_start is not None else start_method()
-        self.use_shm = shm_enabled() if use_shm is None else bool(use_shm)
         self.stats = EngineStats(workers=self.workers, start_method=self.start_method)
         sweep_dead_publishers()
-        self._tmpdir = tempfile.mkdtemp(prefix="repro-engine-")
         self._publications: "OrderedDict[int, _Publication]" = OrderedDict()
         self._token_counter = 0
         self._closed = False
@@ -890,8 +827,6 @@ class ParallelEngine:
 
         Publications are keyed on object identity + ``epoch`` (store
         changes bump the epoch, so stale data can never be served).
-        Both the shm path and the pickle-snapshot fallback carry the
-        parent's stores verbatim.
 
         The closed check lives *inside* the lock: a concurrent
         ``close()`` either drains this publication or this call raises
@@ -904,7 +839,7 @@ class ParallelEngine:
             cached = self._publications.get(key)
             if cached is not None:
                 alive = cached.network_ref()
-                if alive is network and (cached.kind == "shm") == self.use_shm:
+                if alive is network:
                     if cached.epoch == network.epoch:
                         self._publications.move_to_end(key)
                         return cached
@@ -924,9 +859,9 @@ class ParallelEngine:
     def _new_publication(
         self, network: "SuperPeerNetwork", partitions: bool
     ) -> _Publication:
-        """Copy ``network`` into a fresh shm segment or snapshot file.
+        """Copy ``network`` into a fresh segment.
 
-        ``partitions`` says what the fan-out reads, and so what an shm
+        ``partitions`` says what the fan-out reads, and so what the
         segment carries: the raw peer partitions (pre-processing) or
         the super-peer stores (queries).  The caller owns the result:
         it either enters the publication table (:meth:`_publish`) or is
@@ -936,34 +871,17 @@ class ParallelEngine:
         self._token_counter += 1
         token = f"pub-{os.getpid():x}-{id(self):x}-{self._token_counter}"
         started = time.perf_counter()
-        shared = None
-        path = None
-        if self.use_shm:
-            shared = publish_network(network, partitions=partitions)
-            # Specs carry an immutable *snapshot* of the manifest: a
-            # later in-place republish must not tear a spec that a
-            # concurrent submit is pickling.
-            spec = {"token": token, "kind": "shm", "manifest": copy.deepcopy(shared.manifest)}
-        else:
-            import pickle
-
-            # The snapshot is the network object verbatim — stores
-            # included — so workers see exactly what the parent scans
-            # (re-deriving stores from the raw partitions would let a
-            # snapshot-mode worker diverge from the parent's store).
-            path = os.path.join(self._tmpdir, f"{token}.pkl")
-            with open(path, "wb") as handle:
-                pickle.dump(network, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            spec = {"token": token, "kind": "snapshot", "path": path}
+        shared = publish_network(network, partitions=partitions)
+        # Specs carry an immutable *snapshot* of the manifest: a later
+        # in-place republish must not tear a spec that a concurrent
+        # submit is pickling.
+        spec = {"token": token, "manifest": copy.deepcopy(shared.manifest)}
         self.stats.publish_seconds += time.perf_counter() - started
         self.stats.publications += 1
-        self.stats.publish_modes.append(spec["kind"])
         return _Publication(
             token=token,
-            kind=spec["kind"],
             spec=spec,
             shared=shared,
-            path=path,
             network_ref=weakref.ref(network),
             epoch=network.epoch,
         )
@@ -977,17 +895,15 @@ class ParallelEngine:
         publication last saw this network, keeping the token (so worker
         LRU entries refresh instead of re-attaching) and swapping the
         spec for a fresh manifest snapshot.  Returns ``None`` when the
-        publication cannot go incremental — snapshot mode, or the
-        super-peer set itself changed (topology surgery republishes in
-        full).  Superseded overlays are *not* unlinked here: a reader
+        publication cannot go incremental: the super-peer set itself
+        changed (topology surgery republishes in full), or every slot
+        moved.  Superseded overlays are *not* unlinked here: a reader
         may still be dispatching against the previous spec.  They are
         reaped under the write gate (``apply_update``) or at close.
 
         Caller must hold ``self._lock``.
         """
         shared = publication.shared
-        if publication.kind != "shm" or shared is None:
-            return None
         generations = {int(k): int(v) for k, v in shared.manifest["generations"].items()}
         if set(network.superpeers) != set(generations):
             return None
@@ -1013,10 +929,8 @@ class ParallelEngine:
         return nbytes
 
     def published_segments(self) -> list[str]:
-        """Names of the live shm segments (tests assert cleanup)."""
-        return [
-            p.shared.name for p in self._publications.values() if p.shared is not None
-        ]
+        """Paths of the live base segments (tests assert cleanup)."""
+        return [p.shared.path for p in self._publications.values()]
 
     # ------------------------------------------------------------------
     # live updates
@@ -1077,8 +991,8 @@ class ParallelEngine:
                 ):
                     nbytes = self._republish_incremental(publication, network)
                     if nbytes is None:
-                        # Snapshot mode or super-peer set surgery: drop
-                        # the stale publication; the next fan-out
+                        # Super-peer set surgery, or every slot moved:
+                        # drop the stale publication; the next fan-out
                         # republishes in full.
                         del self._publications[id(network)]
                         publication.withdraw()
@@ -1242,8 +1156,8 @@ class ParallelEngine:
         slice of one store, scanned by the sorted substrate
         (:func:`~repro.parallel.partition.partitioned_subspace_skyline`
         with the pool as its slice runner).  Shares the same publication
-        (epoch-keyed shm segment or snapshot) and block cache as
-        whole-query batches.  Returns a
+        (epoch-keyed segment) and block cache as whole-query batches.
+        Returns a
         :class:`~repro.core.local_skyline.SkylineComputation`
         byte-identical to the serial scan; accounted under
         ``intra_query_scans``/``intra_query_subtasks``, never ``tasks``.
@@ -1403,7 +1317,6 @@ class ParallelEngine:
                 self.stats.attach_events.append(attach)
             cache = payload.get("cache")
             if cache is not None:
-                self.stats.cache_kinds.add(cache["kind"])
                 for name in (
                     "hits", "misses", "publishes", "evictions", "oversize", "invalid",
                 ):
@@ -1423,9 +1336,7 @@ class ParallelEngine:
                 ):
                     count = int(cache.get(name, 0))
                     if count:
-                        metrics.counter(
-                            f"parallel.cache.{name}", kind=cache["kind"]
-                        ).inc(count)
+                        metrics.counter(f"parallel.cache.{name}").inc(count)
             metrics.counter("parallel.batches").inc()
 
     # ------------------------------------------------------------------
@@ -1440,8 +1351,7 @@ class ParallelEngine:
         racing a close serialize on the same lock (see
         :meth:`_publish`), so the drain below is final — no segment can
         appear afterwards and leak.  Also runs at interpreter exit, so
-        shm segments are provably unlinked even when the caller
-        forgets.
+        segments are provably unlinked even when the caller forgets.
         """
         with self._lock:
             if self._closed:
@@ -1453,10 +1363,6 @@ class ParallelEngine:
             while self._publications:
                 _, publication = self._publications.popitem(last=False)
                 publication.withdraw()
-        try:
-            os.rmdir(self._tmpdir)
-        except OSError:
-            pass
 
     def __enter__(self) -> "ParallelEngine":
         return self
@@ -1465,10 +1371,9 @@ class ParallelEngine:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "shm" if self.use_shm else "snapshot"
         return (
             f"ParallelEngine(workers={self.workers}, start={self.start_method}, "
-            f"mode={mode}, closed={self._closed})"
+            f"closed={self._closed})"
         )
 
 
@@ -1510,16 +1415,13 @@ _ENGINES_LOCK = threading.Lock()
 def get_engine(workers: int | None = None) -> ParallelEngine:
     """The process-wide persistent engine for the given worker count.
 
-    Keyed on (pool size, start method, shm / cache / pinning toggles)
-    so an env change yields a fresh engine rather than a stale one;
+    Keyed on (pool size, start method, pinning toggle) so an env change
+    yields a fresh engine rather than a stale one;
     engines persist across calls and are torn down by
     :func:`shutdown_engines` or at interpreter exit.
     """
     n_workers = resolve_workers(workers)
-    key = (
-        n_workers, start_method(), shm_enabled(), cache_enabled(),
-        pin_cpus_enabled(),
-    )
+    key = (n_workers, start_method(), pin_cpus_enabled())
     with _ENGINES_LOCK:
         engine = _ENGINES.get(key)
         if engine is None or engine.closed:

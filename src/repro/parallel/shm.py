@@ -1,7 +1,6 @@
 """Shared-memory data plane: publish a network once, attach everywhere.
 
-Pool workers need the network's arrays.  On platforms with POSIX shared
-memory (``/dev/shm``) they get them without a copy:
+Pool workers need the network's arrays, and get them without a copy:
 
 * :func:`publish_network` writes what its consumer reads into one
   :class:`Segment` — for queries every super-peer store (coordinate
@@ -29,17 +28,24 @@ the network.  Retired overlay segments are kept until
 :meth:`SharedNetwork.reap_retired` (or ``close``) unlinks them, so
 in-flight attaches never race an unlink.
 
-Lifecycle: a segment is a ``/dev/shm`` file that :class:`Segment`
-creates, maps and unlinks itself — no helper process tracks it.  The
-publisher owns it: ``SharedNetwork`` is a context manager, registers an
-``atexit`` unlink so an abandoned handle cannot leak a ``/dev/shm``
-entry past interpreter exit, and ``close(unlink=True)`` is idempotent.
-Workers only ever *attach*, never unlink, so a worker's exit cannot
-take a segment the parent still serves.  What a publisher killed
-outright leaves behind, the next engine start removes
-(:func:`sweep_dead_publishers`).  Where shared memory is unavailable
-(or ``REPRO_SHM=0``), callers fall back to the snapshot path — see
-:mod:`repro.parallel.engine`.
+**Where a segment lives.**  A segment is a file that :class:`Segment`
+creates, maps and unlinks itself — no helper process tracks it — so it
+can live wherever files map.  :func:`segment_directory` puts each new
+one (the base and every overlay, each on its own) in ``/dev/shm`` when
+that takes new files and has room for it, else in the temp directory:
+a host without ``/dev/shm``, or with one too small for the network (a
+default container's is 64 MB, and writing past a full tmpfs is a
+``SIGBUS``), runs the same plane over page-cache-backed files.  The
+manifest names every segment by its path and attachers open what it
+names; there is no other plane to fall back to.
+
+Lifecycle: the publisher owns its segments.  ``SharedNetwork`` is a
+context manager, registers an ``atexit`` unlink so an abandoned handle
+cannot leak a file past interpreter exit, and ``close(unlink=True)`` is
+idempotent.  Workers only ever *attach*, never unlink, so a worker's
+exit cannot take a segment the parent still serves.  What a publisher
+killed outright leaves behind — segments, nothing else — the next
+engine start removes (:func:`sweep_dead_publishers`).
 """
 
 from __future__ import annotations
@@ -58,56 +64,59 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
-from .shmcache import (
-    SharedBlockCache,
-    cache_enabled,
-    cache_geometry,
-    cache_region_nbytes,
-)
+from .shmcache import SharedBlockCache, cache_geometry, cache_region_nbytes
 
 if TYPE_CHECKING:
     from ..p2p.network import SuperPeerNetwork
 
 __all__ = [
     "AttachedNetwork",
-    "SHM_ENV",
     "Segment",
     "SharedNetwork",
     "attach_network",
     "manifest_data_nbytes",
     "publish_network",
-    "shm_enabled",
-    "shm_supported",
+    "segment_directory",
     "sweep_dead_publishers",
 ]
 
-#: Environment toggle: ``0``/``off`` forces the snapshot fallback,
-#: ``1``/``on`` forces shared memory (surfacing errors), anything else
-#: auto-detects platform support.
-SHM_ENV = "REPRO_SHM"
-
 _SEGMENT_PREFIX = "repro-shm"
 _SHM_DIR = "/dev/shm"  # where POSIX shared memory lives on Linux
-_LOCK_SUFFIX = ".cachelock"
 _ALIGN = 64  # cache-line alignment for every array start
 
 _segment_counter = itertools.count()
 
 
-class Segment:
-    """One shared-memory segment: a ``/dev/shm`` file mapped whole.
+def segment_directory(size: int) -> str:
+    """Where a new segment of ``size`` bytes goes.
 
-    ``Segment(name, size)`` creates the file (``FileExistsError`` if the
-    name is taken), ``Segment(name)`` attaches to one; ``buf`` is a
+    ``/dev/shm`` when it takes new files and shows room for the segment,
+    else the temp directory.  Asked of the directory, never tried with a
+    throw-away file: the only ``repro-shm-<pid>-*`` names a process shows
+    are publications.
+    """
+    if os.access(_SHM_DIR, os.W_OK | os.X_OK):
+        room = os.statvfs(_SHM_DIR)
+        if room.f_bavail * room.f_frsize >= size:
+            return _SHM_DIR
+    return tempfile.gettempdir()
+
+
+class Segment:
+    """One segment: a file mapped whole.
+
+    ``Segment(name, size)`` creates the file in :func:`segment_directory`
+    (``FileExistsError`` if the name is taken there); ``Segment(path)``
+    attaches to the file a creator's ``path`` names.  ``buf`` is a
     read-write memoryview of the mapping.  A fresh segment reads as zeros
     and its pages become resident only when written.  Nothing else knows
     it exists: its creator calls :meth:`unlink`, attachers only ``close``.
     """
 
-    __slots__ = ("name", "buf", "_mmap")
+    __slots__ = ("path", "buf", "_mmap")
 
     def __init__(self, name: str, size: int | None = None):
-        path = os.path.join(_SHM_DIR, name)
+        path = name if size is None else os.path.join(segment_directory(size), name)
         create = os.O_CREAT | os.O_EXCL if size is not None else 0
         fd = os.open(path, os.O_RDWR | create, 0o600)
         try:
@@ -120,7 +129,7 @@ class Segment:
             raise
         finally:
             os.close(fd)  # the mapping outlives the descriptor
-        self.name = name
+        self.path = path
         self.buf = memoryview(self._mmap)
 
     def close(self) -> None:
@@ -131,47 +140,29 @@ class Segment:
         self._mmap.close()
 
     def unlink(self) -> None:
-        """Remove the name; mappings stay valid.  A second call is a no-op."""
+        """Remove the file; mappings stay valid.  A second call is a no-op."""
         with contextlib.suppress(FileNotFoundError):
-            os.unlink(os.path.join(_SHM_DIR, self.name))
+            os.unlink(self.path)
 
 
-def shm_supported() -> bool:
-    """True when segments can be created: ``/dev/shm`` takes new files.
-
-    Asked of the directory, not tried with a throw-away segment: the
-    only ``repro-shm-<pid>-*`` names a process shows are publications.
-    """
-    return os.access(_SHM_DIR, os.W_OK | os.X_OK)
-
-
-def shm_enabled() -> bool:
-    """Shared-memory data plane switch (``REPRO_SHM`` or auto-detect)."""
-    raw = os.environ.get(SHM_ENV, "").strip().lower()
-    if raw in ("0", "off", "no", "false"):
-        return False
-    if raw in ("1", "on", "yes", "true"):
-        return True
-    return shm_supported()
-
-
-def _segment_name() -> str:
-    return f"{_SEGMENT_PREFIX}-{os.getpid():x}-{next(_segment_counter)}-{secrets.token_hex(4)}"
+def _new_segment(nbytes: int) -> Segment:
+    name = f"{_SEGMENT_PREFIX}-{os.getpid():x}-{next(_segment_counter)}-{secrets.token_hex(4)}"
+    return Segment(name, size=max(1, nbytes))
 
 
 def sweep_dead_publishers() -> None:
     """Remove what publishers that no longer exist left behind.
 
     A publisher killed outright (SIGKILL, the OOM killer) cannot unlink
-    its ``/dev/shm/repro-shm-<pid>-*`` segments or the block cache's
-    ``$TMPDIR/repro-shm-<pid>-*.cachelock``.  Every engine start removes
-    those whose pid names no process, and only those: a live publisher's
-    files are never touched.  Pids are reused, so a leftover whose pid
-    now belongs to an unrelated live process stays until that process
-    has ended and an engine starts again.
+    its ``repro-shm-<pid>-*`` segments.  Every engine start removes, from
+    both directories a segment can live in, those whose pid names no
+    process, and only those: a live publisher's files are never touched.
+    Pids are reused, so a leftover whose pid now belongs to an unrelated
+    live process stays until that process has ended and an engine starts
+    again.
     """
-    for directory, suffix in ((_SHM_DIR, ""), (tempfile.gettempdir(), _LOCK_SUFFIX)):
-        pattern = os.path.join(glob.escape(directory), f"{_SEGMENT_PREFIX}-*{suffix}")
+    for directory in {_SHM_DIR, tempfile.gettempdir()}:
+        pattern = os.path.join(glob.escape(directory), f"{_SEGMENT_PREFIX}-*")
         for path in glob.glob(pattern):
             try:
                 os.kill(int(os.path.basename(path).split("-")[2], 16), 0)
@@ -262,16 +253,12 @@ class SharedNetwork:
     def cache(self) -> SharedBlockCache | None:
         """Parent-side view of the cache region (``None`` when absent)."""
         if self._cache is None and not self._closed:
-            spec = self.manifest.get("cache")
-            if spec is not None:
-                self._cache = SharedBlockCache(
-                    self._segment.buf, spec["offset"], spec["lockfile"]
-                )
+            self._cache = _cache_view(self._segment, self.manifest)
         return self._cache
 
     @property
-    def name(self) -> str:
-        """The segment name (the ``/dev/shm`` entry on Linux)."""
+    def path(self) -> str:
+        """The base segment's file."""
         return self.manifest["segment"]
 
     @property
@@ -308,7 +295,7 @@ class SharedNetwork:
                 raise KeyError(f"unknown super-peer {sp_id}")
             layout = _Layout()
             store_slots = _pack_store(layout, network.superpeers[sp_id].store)
-            segment = Segment(_segment_name(), size=max(1, layout.nbytes))
+            segment = _new_segment(layout.nbytes)
             try:
                 _write_arrays(segment, layout)
             except BaseException:
@@ -320,7 +307,7 @@ class SharedNetwork:
                 self._retired.append(old)
             self._overlays[sp_id] = segment
             manifest["overlays"][sp_id] = {
-                "segment": segment.name,
+                "segment": segment.path,
                 "nbytes": layout.payload,
                 "store": store_slots,
             }
@@ -336,7 +323,7 @@ class SharedNetwork:
         """Unlink overlay segments superseded by later ``republish`` calls.
 
         Deferred so callers can quiesce attachers first (an unlink only
-        breaks *new* attaches by name; existing mappings stay valid).
+        breaks *new* attaches by path; existing mappings stay valid).
         Returns the number of segments reaped.
         """
         reaped = 0
@@ -361,12 +348,6 @@ class SharedNetwork:
         for segment in self._overlays.values():
             _release_segment(segment, unlink=unlink)
         self._overlays.clear()
-        cache_spec = self.manifest.get("cache")
-        if unlink and cache_spec is not None:
-            try:
-                os.unlink(cache_spec["lockfile"])
-            except OSError:
-                pass
         _release_segment(self._segment, unlink=unlink)
 
     def __enter__(self) -> "SharedNetwork":
@@ -376,7 +357,7 @@ class SharedNetwork:
         self.close(unlink=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedNetwork(name={self.name!r}, nbytes={self.nbytes})"
+        return f"SharedNetwork(path={self.path!r}, nbytes={self.nbytes})"
 
 
 def publish_network(
@@ -390,8 +371,6 @@ def publish_network(
     ``partitions=True`` makes the pre-processing publication instead:
     the raw peer partitions the Section 5.3 fan-out builds stores
     *from*, no stores and no cache region (each peer is computed once).
-    Raises ``OSError`` where shared memory is unavailable — callers are
-    expected to fall back to the snapshot path.
     """
     layout = _Layout()
     partition_slots: dict[int, dict[str, Any]] = {}
@@ -413,15 +392,15 @@ def publish_network(
         slot_nbytes[sp_id] = layout.payload - start
     nbytes = layout.nbytes
     cache_offset = None
-    if not partitions and cache_enabled() is not False:
+    if not partitions:
         slots, slot_bytes = cache_geometry()
         cache_offset = _align(nbytes)
         nbytes = cache_offset + cache_region_nbytes(slots, slot_bytes)
-    segment = Segment(_segment_name(), size=max(1, nbytes))
+    segment = _new_segment(nbytes)
     try:
         _write_arrays(segment, layout)
         manifest: dict[str, Any] = {
-            "segment": segment.name,
+            "segment": segment.path,
             "nbytes": layout.nbytes,
             "dimensionality": network.dimensionality,
             "index_kind": network.index_kind,
@@ -446,9 +425,6 @@ def publish_network(
                 "offset": cache_offset,
                 "slots": slots,
                 "slot_bytes": slot_bytes,
-                "lockfile": os.path.join(
-                    tempfile.gettempdir(), segment.name + _LOCK_SUFFIX
-                ),
             }
     except BaseException:
         segment.close()
@@ -481,11 +457,7 @@ class AttachedNetwork:
     def cache(self) -> SharedBlockCache | None:
         """Worker-side view of the segment's cache region, if present."""
         if self._cache is None and not self._closed and self._manifest is not None:
-            spec = self._manifest.get("cache")
-            if spec is not None:
-                self._cache = SharedBlockCache(
-                    self._segment.buf, spec["offset"], spec["lockfile"]
-                )
+            self._cache = _cache_view(self._segment, self._manifest)
         return self._cache
 
     def close(self) -> None:
@@ -559,6 +531,15 @@ class AttachedNetwork:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def _cache_view(segment: Segment, manifest: Mapping[str, Any]) -> SharedBlockCache | None:
+    """The block cache in a query publication's base segment; its writers
+    lock the segment file itself."""
+    spec = manifest.get("cache")
+    if spec is None:
+        return None
+    return SharedBlockCache(segment.buf, spec["offset"], segment.path)
 
 
 def _view(segment: Segment, slot: Mapping[str, Any]) -> np.ndarray:

@@ -4,8 +4,8 @@ The shared-memory data plane (:mod:`repro.parallel.shm`) makes the
 *input* arrays of every worker identical views of one segment, but each
 worker still re-derives the expensive per-subspace artefact — the
 output of the Algorithm 1 scan — privately.  This module appends a
-fixed-slot, read-mostly cache region to the published segment so one
-worker's scan benefits the whole pool:
+fixed-slot, read-mostly cache region to every query publication's
+segment so one worker's scan benefits the whole pool:
 
 * **Slots.**  The region is a header, a directory of fixed-size slot
   descriptors, and a data area of fixed-size slots
@@ -22,8 +22,11 @@ worker's scan benefits the whole pool:
   generation discards its read.  Readers never lock; they copy (or
   borrow) the payload and then call :meth:`SharedBlockCache.still_valid`
   with the generation token — old-or-new, never torn.  Writers
-  serialize on a per-segment ``flock`` file, so the single-writer
-  assumption of the seqlock holds across processes.  (CPython offers
+  serialize on an ``flock`` of the segment file itself, so the
+  single-writer assumption of the seqlock holds across processes and a
+  publication is one kind of file; once the publisher has unlinked the
+  segment there is nothing to lock, and a ``put`` through a mapping that
+  outlived it publishes nothing.  (CPython offers
   no memory barriers; on the TSO hosts this targets, the ordered
   ``memoryview`` stores of one writer plus generation re-validation
   give the same guarantee in practice.)
@@ -35,11 +38,6 @@ worker's scan benefits the whole pool:
   republished, or :meth:`SharedBlockCache.bump_epoch` for tests)
   invalidates every entry wholesale because probes require the entry
   epoch to match.
-
-* **Fallback.**  ``REPRO_SHM_CACHE=0`` (or a platform without
-  ``fcntl``/shared memory) degrades to :class:`LocalBlockCache`, a
-  worker-private dict with the same interface, so call sites never
-  branch on the data plane.
 
 Payload layout inside a slot (offsets relative to the slot's data
 area)::
@@ -68,22 +66,15 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
 __all__ = [
-    "CACHE_ENV",
     "CACHE_SLOTS_ENV",
     "CACHE_SLOT_BYTES_ENV",
     "CacheStats",
-    "LocalBlockCache",
     "SharedBlockCache",
-    "cache_enabled",
     "cache_geometry",
     "cache_region_nbytes",
     "make_key",
 ]
 
-#: ``0``/``off`` forces the worker-local fallback, ``1``/``on`` forces
-#: the shared cache (surfacing errors), anything else auto-enables it
-#: wherever the shared-memory data plane itself is active.
-CACHE_ENV = "REPRO_SHM_CACHE"
 CACHE_SLOTS_ENV = "REPRO_SHM_CACHE_SLOTS"
 CACHE_SLOT_BYTES_ENV = "REPRO_SHM_CACHE_SLOT_BYTES"
 
@@ -104,16 +95,6 @@ _U64 = struct.Struct("<Q")
 #: clock and a directory entry's stamp.
 _CLOCK_AT = struct.calcsize("<IIQq")
 _STAMP_AT = struct.calcsize("<Q16sq")
-
-
-def cache_enabled() -> bool | None:
-    """Tri-state knob: ``False`` off, ``True`` forced, ``None`` auto."""
-    raw = os.environ.get(CACHE_ENV, "").strip().lower()
-    if raw in ("0", "off", "no", "false"):
-        return False
-    if raw in ("1", "on", "yes", "true"):
-        return True
-    return None
 
 
 def cache_geometry() -> tuple[int, int]:
@@ -190,10 +171,10 @@ class SharedBlockCache:
     from any process see each other immediately.
     """
 
-    def __init__(self, buf: memoryview, offset: int, lockfile: str):
+    def __init__(self, buf: memoryview, offset: int, path: str):
         self._buf = buf
         self._offset = offset
-        self._lockfile = lockfile
+        self._path = path  # the segment's file: what writers lock
         self.stats = CacheStats()
         magic, slots, slot_bytes, _epoch, _clock = _HEADER.unpack_from(buf, offset)
         if magic != _MAGIC:
@@ -330,7 +311,8 @@ class SharedBlockCache:
         meta: Mapping[str, Any],
         arrays: Mapping[str, np.ndarray],
     ) -> bool:
-        """Publish a payload; returns False when it cannot fit.
+        """Publish a payload; returns False when it cannot fit or the
+        segment's file is gone (its publisher has closed).
 
         Takes the cross-process writer lock, so concurrent publishers
         serialize and the per-slot seqlock sees a single writer.  A
@@ -357,7 +339,7 @@ class SharedBlockCache:
             self.stats.oversize += 1
             return False
         digest = hashlib.blake2b(key, digest_size=16).digest()
-        with self._writer_lock() as locked:
+        with _FlockGuard(self._path) as locked:
             if not locked:
                 return False
             epoch = self.epoch
@@ -402,9 +384,6 @@ class SharedBlockCache:
                 victim, victim_stamp = slot, rank
         return victim
 
-    def _writer_lock(self):
-        return _FlockGuard(self._lockfile)
-
     def as_dict(self) -> dict[str, Any]:
         """Geometry plus live directory occupancy (tests, bench)."""
         live = sum(
@@ -412,7 +391,6 @@ class SharedBlockCache:
             if (d := self._dir_at(slot))[0] and not d[0] & 1 and d[2] == self.epoch
         )
         return {
-            "kind": "shm",
             "slots": self.slots,
             "slot_bytes": self.slot_bytes,
             "live_entries": live,
@@ -422,7 +400,7 @@ class SharedBlockCache:
 
 
 class _FlockGuard:
-    """Context manager: exclusive flock on the cache lockfile."""
+    """Context manager: exclusive flock on an existing file."""
 
     def __init__(self, path: str):
         self._path = path
@@ -432,9 +410,9 @@ class _FlockGuard:
         if fcntl is None:  # pragma: no cover - non-POSIX platform
             return False
         try:
-            self._fd = os.open(self._path, os.O_CREAT | os.O_RDWR, 0o600)
+            self._fd = os.open(self._path, os.O_RDWR)  # never creates it
             fcntl.flock(self._fd, fcntl.LOCK_EX)
-        except OSError:  # pragma: no cover - lockfile dir vanished
+        except OSError:  # the file is gone
             if self._fd is not None:
                 os.close(self._fd)
                 self._fd = None
@@ -452,57 +430,3 @@ class _FlockGuard:
 
 def _aligned(offset: int) -> int:
     return (offset + _PAYLOAD_ALIGN - 1) // _PAYLOAD_ALIGN * _PAYLOAD_ALIGN
-
-
-class LocalBlockCache:
-    """Worker-private fallback with the shared cache's interface.
-
-    Entries never invalidate (the worker sees one epoch of one
-    publication per token) and tokens are always valid; the bound
-    mirrors the shared geometry so memory stays predictable.
-    """
-
-    def __init__(self, slots: int | None = None):
-        if slots is None:
-            slots, _ = cache_geometry()
-        self._slots = slots
-        self._entries: dict[bytes, tuple[dict[str, Any], dict[str, np.ndarray]]] = {}
-        self.stats = CacheStats()
-
-    def get(
-        self, key: bytes
-    ) -> tuple[dict[str, Any], dict[str, np.ndarray], tuple[int, int]] | None:
-        hit = self._entries.get(key)
-        if hit is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        meta, arrays = hit
-        return meta, arrays, (0, 0)
-
-    def still_valid(self, token: tuple[int, int]) -> bool:
-        return True
-
-    def put(
-        self,
-        key: bytes,
-        meta: Mapping[str, Any],
-        arrays: Mapping[str, np.ndarray],
-    ) -> bool:
-        if key not in self._entries and len(self._entries) >= self._slots:
-            self._entries.pop(next(iter(self._entries)))
-            self.stats.evictions += 1
-        self._entries[key] = (
-            dict(meta),
-            {name: np.ascontiguousarray(a) for name, a in arrays.items()},
-        )
-        self.stats.publishes += 1
-        return True
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "local",
-            "slots": self._slots,
-            "live_entries": len(self._entries),
-            **self.stats.as_dict(),
-        }

@@ -490,9 +490,10 @@ class QueryGateway:
             await self._write(conn, {"id": request_id, "status": "ok", "op": "pong"})
             return
         if op == "stats":
-            await self._write(
-                conn, {"id": request_id, "status": "ok", "stats": self.stats.as_dict()}
-            )
+            reply = {"id": request_id, "status": "ok", "stats": self.stats.as_dict()}
+            if self.engine is not None:
+                reply["engine"] = self.engine.stats.as_dict()
+            await self._write(conn, reply)
             return
         if op == "update":
             await self._serve_update(conn, payload, request_id)
@@ -702,8 +703,6 @@ class QueryGateway:
         if job is not None and not job.future.done():
             self.stats.coalesce_hits += 1
             self._count("serving.coalesce_hits")
-            if self.engine is not None:
-                self.engine.stats.serve_coalesce_hits += 1
             return job, True
         if self.queue_depth() >= self.config.max_pending:
             self._note_shed(SHED_QUEUE_FULL)
@@ -714,12 +713,9 @@ class QueryGateway:
             self.stats.inflight_keys_peak, len(self._inflight)
         )
         self._queue.put_nowait(job)
-        depth = self.queue_depth()
-        self.stats.queue_depth_peak = max(self.stats.queue_depth_peak, depth)
-        if self.engine is not None:
-            self.engine.stats.serve_queue_depth_peak = max(
-                self.engine.stats.serve_queue_depth_peak, depth
-            )
+        self.stats.queue_depth_peak = max(
+            self.stats.queue_depth_peak, self.queue_depth()
+        )
         return job, False
 
     def _parse_query(self, payload: dict) -> tuple[Query, Variant]:
@@ -742,8 +738,6 @@ class QueryGateway:
         else:
             self.stats.shed_shutdown += 1
         self._count("serving.shed", reason=reason)
-        if self.engine is not None:
-            self.engine.stats.serve_shed += 1
 
     def _count(self, name: str, **labels: Any) -> None:
         metrics = active_metrics()

@@ -788,8 +788,6 @@ def gateway_dispatch(
         if engine is None:
             raise ValueError("backend 'engine' requires an engine instance")
         runs = engine.run_queries(network, [query], [variant], scan_chunk=scan_chunk)
-        with engine._lock:  # the gateway's dispatcher threads share the counter
-            engine.stats.serve_queries += 1
         return runs[variant][0].result
     if backend == "serial":
         from .executor import execute_query

@@ -22,8 +22,7 @@ def test_names_every_kind_of_leftover_and_exits_1(tmp_path):
     tmpdir, rundir = tmp_path / "tmp", tmp_path / "run"
     tmpdir.mkdir()
     rundir.mkdir()
-    (tmpdir / "repro-shm-1f-0-deadbeef.cachelock").touch()
-    (tmpdir / "repro-engine-abc").mkdir()
+    (tmpdir / "repro-shm-1f-0-deadbeef").touch()  # a segment off /dev/shm
     (tmpdir / "unrelated.txt").touch()
     (rundir / "repro-transport-1.pid").write_text(f"{os.getpid()}\n")  # alive: us
     (rundir / "repro-transport-2.pid").write_text("not a pid\n")
@@ -39,8 +38,7 @@ def test_names_every_kind_of_leftover_and_exits_1(tmp_path):
         tracker.communicate(b"\n", timeout=30)
     assert out.returncode == 1, out.stdout + out.stderr
     for expected in (
-        "leaked cache lockfiles:", "repro-shm-1f-0-deadbeef.cachelock",
-        "leaked engine directories:", "repro-engine-abc",
+        "leaked segments:", str(tmpdir / "repro-shm-1f-0-deadbeef"),
         "leaked transport pidfiles:", "repro-transport-2.pid",
         "leaked live endpoint processes:",
         "leaked resource-tracker processes:", f"{tracker.pid}: ",
@@ -56,6 +54,6 @@ def test_clean_directories_report_nothing_of_theirs(tmp_path):
     # /dev/shm is shared with whatever engines this test session still
     # holds, so only the private directories' verdicts are asserted.
     out = _run(tmp_path, tmp_path)
-    for label in ("cache lockfiles", "engine directories", "transport pidfiles",
-                  "live endpoint processes"):
+    assert str(tmp_path) not in out.stdout
+    for label in ("transport pidfiles", "live endpoint processes"):
         assert f"leaked {label}:" not in out.stdout

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
 from repro.p2p.network import SuperPeerNetwork
+
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 @pytest.fixture
@@ -99,3 +105,96 @@ def network_state(network: SuperPeerNetwork) -> tuple:
             for sp_id, sp in network.superpeers.items()
         },
     )
+
+
+# ----------------------------------------------------------------------
+# where segments go: /dev/shm, or the temp directory when it will not do
+# ----------------------------------------------------------------------
+def place_segments(setattr, shm_dir: str, full: bool = False) -> None:
+    """Make ``shm_dir`` this process's ``/dev/shm`` — one with no room left
+    if ``full`` — through ``setattr(obj, name, value)``.  A child interpreter
+    calls this too (:attr:`SegmentHome.child_source`)."""
+    from repro.parallel import shm
+
+    setattr(shm, "_SHM_DIR", shm_dir)
+    if full:
+        real = os.statvfs
+        none_left = SimpleNamespace(f_bavail=0, f_frsize=4096)
+        setattr(os, "statvfs", lambda path: none_left if path == shm_dir else real(path))
+
+
+def segment_files(pid: int | None = None) -> list[str]:
+    """Segment files of publisher ``pid`` (default: this process) in every
+    directory one can be in: the host's ``/dev/shm``, whatever plays
+    ``/dev/shm`` for this test, and the temp directory."""
+    from repro.parallel import shm
+
+    prefix = f"repro-shm-{os.getpid() if pid is None else pid:x}-"
+    return sorted(
+        os.path.join(directory, name)
+        for directory in {"/dev/shm", shm._SHM_DIR, tempfile.gettempdir()}
+        if os.path.isdir(directory)
+        for name in os.listdir(directory)
+        if name.startswith(prefix)
+    )
+
+
+def _takes_test_segments(directory: str) -> bool:
+    """Room to spare for everything a test publishes (a few MB)."""
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return False
+    room = os.statvfs(directory)
+    return room.f_bavail * room.f_frsize >= 64 << 20
+
+
+class SegmentHome:
+    """Where one test's new segments go, and how to look for them.
+
+    ``dev-shm`` is a ``/dev/shm`` that takes files and has room: the
+    host's, or a directory standing in for it where the host has none to
+    offer; ``no-dev-shm`` makes it absent and ``small-dev-shm`` leaves it
+    no room, both of which send segments to ``tmpdir``, a temp directory
+    private to the test.  ``directory`` is where a new segment is
+    expected.
+    """
+
+    def __init__(self, mode: str, monkeypatch, tmp_path):
+        self.tmpdir = str(tmp_path / "segment-tmp")
+        os.mkdir(self.tmpdir)
+        monkeypatch.setattr(tempfile, "tempdir", self.tmpdir)
+        shm_dir = "/dev/shm"
+        if not _takes_test_segments(shm_dir):
+            shm_dir = str(tmp_path / "dev-shm")
+            os.mkdir(shm_dir)
+        self.directory = shm_dir if mode == "dev-shm" else self.tmpdir
+        if mode == "no-dev-shm":
+            shm_dir = str(tmp_path / "no-such-dev-shm")
+        elif mode not in ("dev-shm", "small-dev-shm"):
+            raise ValueError(mode)
+        full = mode == "small-dev-shm"
+        place_segments(monkeypatch.setattr, shm_dir, full)
+        #: Prepend to a ``python -c`` script run with :attr:`child_env`.
+        self.child_source = (
+            "from tests.conftest import place_segments\n"
+            f"place_segments(setattr, {shm_dir!r}, {full!r})\n"
+        )
+        self.child_env = dict(
+            os.environ,
+            TMPDIR=self.tmpdir,
+            PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), REPO_ROOT]),
+        )
+
+    files = staticmethod(segment_files)
+
+
+@pytest.fixture
+def segment_home(request, monkeypatch, tmp_path) -> SegmentHome:
+    """A usable ``/dev/shm``; :data:`off_dev_shm` re-runs a class without one."""
+    return SegmentHome(getattr(request, "param", "dev-shm"), monkeypatch, tmp_path)
+
+
+#: Class decorator: run every test of a ``segment_home`` class with
+#: ``/dev/shm`` absent and with it too small, i.e. on temp-directory files.
+off_dev_shm = pytest.mark.parametrize(
+    "segment_home", ["no-dev-shm", "small-dev-shm"], indirect=True
+)

@@ -4,15 +4,13 @@ A cached Algorithm 1 scan must reproduce the exact result *and* the
 exact deterministic accounting (comparisons, examined counts, message
 volume) of the scan that published it — the cache stores the scan's
 positions and counters and replays them, so nothing downstream can tell
-a hit from a recomputation.  Every test runs the same workload with the
-cache forced on (two passes, so the second is all hits) and forced off,
-and demands equality against the serial reference and the centralized
-``skyline_mask`` oracle for all five variants.
+a hit from a recomputation.  The tests run the same workload twice (so
+the second pass is all hits), and once with slots too small to cache
+anything, and demand equality against the serial reference and the
+centralized ``skyline_mask`` oracle for all five variants.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ from repro.core.dominance import skyline_mask
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
-from repro.parallel import ParallelEngine, shm_supported
+from repro.parallel import ParallelEngine
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
 
@@ -69,14 +67,13 @@ def _assert_matches(serial, cached, label: str) -> None:
 
 
 class TestCachedMatchesUncached:
-    def test_two_cached_passes_match_serial_and_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_CACHE", "1")
+    def test_two_cached_passes_match_serial_and_oracle(self):
         network = _network()
         queries = _queries(network)
         variants = list(Variant)
         serial = {v: [execute_query(network, q, v) for q in queries] for v in variants}
 
-        with ParallelEngine(2, use_shm=shm_supported()) as engine:
+        with ParallelEngine(2) as engine:
             cold = engine.run_queries(network, queries, variants)
             warm = engine.run_queries(network, queries, variants)
             assert engine.stats.cache_hits > 0, "repeated subspaces never hit"
@@ -93,7 +90,6 @@ class TestCachedMatchesUncached:
                 idx = queries.index(query)
                 assert warm[variant][idx].result_ids == expected
 
-    @pytest.mark.skipif(not shm_supported(), reason="needs the shared block cache")
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     @pytest.mark.parametrize(
         "knobs",
@@ -106,52 +102,41 @@ class TestCachedMatchesUncached:
         never probes), the same count as before the worker's scan
         dispatch moved behind ``make_local_compute`` — the ``"scan"`` key
         fields did not move with it."""
-        monkeypatch.setenv("REPRO_SHM_CACHE", "1")
         monkeypatch.setenv("REPRO_MP_START", method)
         network = _network()
         queries = _queries(network)
         variants = list(Variant)
-        with ParallelEngine(2, use_shm=True) as engine:
+        with ParallelEngine(2) as engine:
             assert engine.start_method == method
             cold = engine.run_queries(network, queries, variants, **knobs)
             after_cold = engine.stats.as_dict()
             warm = engine.run_queries(network, queries, variants, **knobs)
             after_warm = engine.stats.as_dict()
-        assert after_warm["cache_kinds"] == ["shared"]
         assert after_warm["cache_hits"] - after_cold["cache_hits"] == 60
         assert after_warm["cache_misses"] == after_cold["cache_misses"]
         assert after_warm["cache_invalid"] == 0
         _assert_matches(cold, warm, f"warm-{method}")
 
     def test_cache_off_matches_cache_on(self, monkeypatch):
+        """Off the only way there is: slots too small to hold any scan, so
+        every publication is refused and every scan runs."""
         network = _network(seed=23)
         queries = _queries(network)
         variants = list(Variant)
 
-        monkeypatch.setenv("REPRO_SHM_CACHE", "0")
-        with ParallelEngine(2, use_shm=shm_supported()) as engine:
+        monkeypatch.setenv("REPRO_SHM_CACHE_SLOT_BYTES", "64")
+        with ParallelEngine(2) as engine:
+            engine.run_queries(network, queries, variants)
             off = engine.run_queries(network, queries, variants)
+            assert engine.stats.cache_hits == 0 < engine.stats.cache_oversize
 
-        monkeypatch.setenv("REPRO_SHM_CACHE", "1")
-        with ParallelEngine(2, use_shm=shm_supported()) as engine:
+        monkeypatch.delenv("REPRO_SHM_CACHE_SLOT_BYTES")
+        with ParallelEngine(2) as engine:
             engine.run_queries(network, queries, variants)
             on = engine.run_queries(network, queries, variants)
+            assert engine.stats.cache_hits > 0
 
         _assert_matches(off, on, "on-vs-off")
-
-    def test_snapshot_plane_falls_back_to_local_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_CACHE", "1")
-        network = _network(seed=31)
-        queries = _queries(network)
-        serial = {
-            v: [execute_query(network, q, v) for q in queries] for v in Variant
-        }
-        with ParallelEngine(2, use_shm=False) as engine:
-            engine.run_queries(network, queries, list(Variant))
-            warm = engine.run_queries(network, queries, list(Variant))
-            assert engine.stats.cache_kinds == {"local"}
-            assert engine.stats.cache_hits > 0
-        _assert_matches(serial, warm, "snapshot")
 
 
 @pytest.mark.skipif(
@@ -166,14 +151,14 @@ class TestCpuPinning:
         serial = {
             v: [execute_query(network, q, v) for q in queries] for v in Variant
         }
-        with ParallelEngine(2, use_shm=shm_supported()) as engine:
+        with ParallelEngine(2) as engine:
             parallel = engine.run_queries(network, queries, list(Variant))
             assert engine.stats.cpu_pinning is True
         _assert_matches(serial, parallel, "pinned")
 
     def test_pinning_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_PIN_CPUS", raising=False)
-        with ParallelEngine(2, use_shm=False) as engine:
+        with ParallelEngine(2) as engine:
             assert engine.stats.cpu_pinning is False
 
 
@@ -210,17 +195,9 @@ def cache_cases(draw):
 def test_cached_replay_is_indistinguishable_property(case):
     net, queries = case
     variants = list(Variant)
-    previous = os.environ.get("REPRO_SHM_CACHE")
-    os.environ["REPRO_SHM_CACHE"] = "1"
-    try:
-        serial = {v: [execute_query(net, q, v) for q in queries] for v in variants}
-        with ParallelEngine(2, use_shm=shm_supported()) as engine:
-            parallel = engine.run_queries(net, queries, variants)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SHM_CACHE", None)
-        else:
-            os.environ["REPRO_SHM_CACHE"] = previous
+    serial = {v: [execute_query(net, q, v) for q in queries] for v in variants}
+    with ParallelEngine(2) as engine:
+        parallel = engine.run_queries(net, queries, variants)
     _assert_matches(serial, parallel, "property")
     everything = net.all_points()
     mask = skyline_mask(everything.values, list(queries[0].subspace))

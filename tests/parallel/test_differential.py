@@ -7,7 +7,6 @@ match a serial run exactly — only wall-clock fields may differ.
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import numpy as np
@@ -25,10 +24,11 @@ from repro.parallel import (
     ParallelEngine,
     preprocess_network_parallel,
     run_queries_parallel,
-    shm_supported,
 )
+from repro.parallel.shm import segment_directory
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+from tests.conftest import SegmentHome
 
 DETERMINISTIC_RUN_FIELDS = (
     "volume_bytes",
@@ -188,25 +188,29 @@ class TestPositionsHandOver:
     """A pool worker sends home each merged store and, per peer, *which
     rows* of its partition survived; the parent rebuilds the uploads
     from the partitions it holds.  Everything ``_ingest_preprocessing``
-    reads must equal the serial computation, on both data planes and
-    both start methods."""
+    reads must equal the serial computation, under both start methods
+    and wherever the segments live."""
 
     @pytest.fixture(
         scope="class",
-        params=[("fork", "1"), ("fork", "0"), ("spawn", "1"), ("spawn", "0")],
-        ids=lambda p: f"{p[0]}-shm{p[1]}",
+        params=[
+            (mp_start, home)
+            for mp_start in ("fork", "spawn")
+            for home in ("dev-shm", "no-dev-shm", "small-dev-shm")
+        ],
+        ids="-".join,
     )
-    def engine(self, request):
-        mp_start, shm = request.param
-        if shm == "1" and not shm_supported():
-            pytest.skip("platform has no POSIX shared memory")
+    def engine(self, request, tmp_path_factory):
+        mp_start, mode = request.param
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_MP_START", mp_start)
-            patch.setenv("REPRO_SHM", shm)
+            home = SegmentHome(mode, patch, tmp_path_factory.mktemp("home"))
+            assert segment_directory(1) == home.directory
+            before = home.files()  # the shared engine's, from the tests above
             with ParallelEngine(workers=2) as engine:
                 assert engine.start_method == mp_start
-                assert engine.use_shm == (shm == "1")
                 yield engine
+            assert home.files() == before
 
     @pytest.mark.parametrize("index_kind", ["block", "list"])
     @pytest.mark.parametrize("make", [_uniform_network, _tied_network])
@@ -275,12 +279,10 @@ class TestPositionsHandOver:
         from repro.parallel.engine import _run_preprocess_batch
         from repro.parallel.shm import publish_network
 
-        if not shm_supported():
-            pytest.skip("platform has no POSIX shared memory")
         network = _uniform_network("block")
         sp_ids = list(network.topology.superpeer_ids)
         with publish_network(network, partitions=True) as shared:
-            spec = {"token": "t", "kind": "shm", "manifest": shared.manifest}
+            spec = {"token": "t", "manifest": shared.manifest}
             payload = _run_preprocess_batch(spec, sp_ids)
         stores = sum(merge.result.nbytes for _sp, _uploads, merge in payload["results"])
         uploaded = sum(
@@ -328,17 +330,16 @@ class TestPoolFirstBuild:
                 serial.preprocessing, name
             )
 
-    def test_preprocess_publication_is_withdrawn(self):
+    def test_preprocess_publication_is_withdrawn(self, segment_home):
         """The raw partitions are published for the fan-out only."""
-        mine = f"repro-shm-{os.getpid():x}-"
-        before = {n for n in os.listdir("/dev/shm") if n.startswith(mine)}
-        with ParallelEngine(workers=2, use_shm=True) as engine:
+        before = segment_home.files()
+        with ParallelEngine(workers=2) as engine:
             network = SuperPeerNetwork.build(**self.KWARGS, preprocess=False)
             results = engine.preprocess_network(network)
             assert len(results) == network.n_superpeers
             assert engine.stats.publications == 1
             assert engine.published_segments() == []
-            assert {n for n in os.listdir("/dev/shm") if n.startswith(mine)} == before
+            assert segment_home.files() == before
             # ...and the query publication that follows stands alone.
             network.preprocess(engine=engine)
             query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])

@@ -174,21 +174,17 @@ class TestPersistentEngine:
         finally:
             shutdown_engines()
 
-    def test_get_engine_keyed_on_shm_toggle(self, monkeypatch):
+    def test_get_engine_keyed_on_start_method(self, monkeypatch):
         from repro.parallel import get_engine, shutdown_engines
-        from repro.parallel.shm import shm_supported
 
-        if not shm_supported():
-            pytest.skip("no shared memory on this platform")
         try:
-            monkeypatch.delenv("REPRO_SHM", raising=False)
+            monkeypatch.setenv("REPRO_MP_START", "fork")
             a = get_engine(2)
-            monkeypatch.setenv("REPRO_SHM", "0")
+            monkeypatch.setenv("REPRO_MP_START", "spawn")
             b = get_engine(2)
             assert a is not b
-            assert a.use_shm and not b.use_shm
+            assert (a.start_method, b.start_method) == ("fork", "spawn")
         finally:
-            monkeypatch.delenv("REPRO_SHM", raising=False)
             shutdown_engines()
 
     def test_shutdown_closes_engines(self):

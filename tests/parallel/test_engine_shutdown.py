@@ -6,13 +6,14 @@ pin down the contract that makes that safe: a second ``close()`` or
 ``shutdown_engines()`` never raises, a close racing concurrent callers
 runs its teardown exactly once, a publish racing a close either lands
 before the drain or raises (never leaks a segment afterwards), and no
-``/dev/shm/repro-shm-*`` segment survives any of it.
+``repro-shm-*`` segment survives any of it.
 """
 
 from __future__ import annotations
 
 import glob
 import os
+import tempfile
 import threading
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
 from repro.parallel import ParallelEngine, get_engine, shutdown_engines
 from repro.parallel.engine import _ENGINES
-from repro.parallel.shm import shm_supported
 from repro.skypeer.variants import Variant
 
 
@@ -43,7 +43,11 @@ def _network(seed: int = 13, d: int = 4) -> SuperPeerNetwork:
 
 
 def _segments() -> list[str]:
-    return glob.glob("/dev/shm/repro-shm-*")
+    return [
+        path
+        for directory in ("/dev/shm", tempfile.gettempdir())
+        for path in glob.glob(os.path.join(directory, "repro-shm-*"))
+    ]
 
 
 class TestIdempotentClose:
@@ -65,8 +69,7 @@ class TestIdempotentClose:
         engine = ParallelEngine(2)
         query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
         engine.run_queries(network, [query], [Variant.FTPM])
-        if engine.use_shm:  # REPRO_SHM=0 publishes a snapshot file instead
-            assert engine.published_segments()
+        assert engine.published_segments()
         engine.close()
         engine.close()
         assert engine.published_segments() == []
@@ -228,14 +231,13 @@ class TestEpochGateRaces:
             store.f.tobytes(),
         )
 
-    @pytest.mark.skipif(not shm_supported(), reason="needs POSIX shared memory")
     def test_apply_update_racing_run_queries_never_tears(self):
         from repro.p2p.workload import fresh_points
         from repro.skypeer.executor import execute_query
 
         network = _network(seed=31)
         query = Query(subspace=(0, 1, 2), initiator=network.topology.superpeer_ids[0])
-        with ParallelEngine(2, use_shm=True) as engine:
+        with ParallelEngine(2) as engine:
             engine.run_queries(network, [query], [Variant.FTPM])
             # Every answer a reader may legally observe: the pre-update
             # skyline plus the one after each applied update.
@@ -290,13 +292,12 @@ class TestEpochGateRaces:
                 points=fresh_points(network, 1, seed=1),
             )
 
-    @pytest.mark.skipif(not shm_supported(), reason="needs POSIX shared memory")
     def test_apply_update_racing_close_applies_or_raises(self):
         from repro.p2p.workload import fresh_points
 
         network = _network(seed=33)
         query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
-        engine = ParallelEngine(2, use_shm=True)
+        engine = ParallelEngine(2)
         engine.run_queries(network, [query], [Variant.FTPM])
         outcomes: list[str] = []
 

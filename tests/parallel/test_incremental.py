@@ -1,9 +1,12 @@
-"""Incremental epochs: per-slot republish, worker refresh, apply_update."""
+"""Incremental epochs: per-slot republish, worker refresh, apply_update.
+
+Each class runs on the host as it is and again, through ``off_dev_shm``,
+on temp-directory segments.
+"""
 
 from __future__ import annotations
 
 import copy
-import glob
 import os
 
 import numpy as np
@@ -16,14 +19,11 @@ from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
 from repro.p2p.updates import insert_points
 from repro.p2p.workload import fresh_points
-from repro.parallel import ParallelEngine, shm_supported
+from repro.parallel import ParallelEngine
 from repro.parallel.shm import attach_network, manifest_data_nbytes, publish_network
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
-
-pytestmark = pytest.mark.skipif(
-    not shm_supported(), reason="POSIX shared memory unavailable"
-)
+from tests.conftest import off_dev_shm, segment_files
 
 
 def build_network(seed: int = 3, d: int = 4, n_superpeers: int = 3) -> SuperPeerNetwork:
@@ -42,8 +42,7 @@ def build_network(seed: int = 3, d: int = 4, n_superpeers: int = 3) -> SuperPeer
     return SuperPeerNetwork.from_partitions(topo, partitions)
 
 
-def _shm_leaks() -> list[str]:
-    return glob.glob(f"/dev/shm/repro-shm-{os.getpid():x}-*")
+_shm_leaks = segment_files  # this process's, wherever segment_home sent them
 
 
 def _attached_equals_network(attached, network) -> None:
@@ -60,8 +59,9 @@ def _attached_equals_network(attached, network) -> None:
 # ----------------------------------------------------------------------
 # slot republish (publisher side)
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("segment_home")
 class TestRepublish:
-    def test_republish_touches_only_the_named_slots(self):
+    def test_republish_touches_only_the_named_slots(self, segment_home):
         network = build_network()
         shared = publish_network(network)
         try:
@@ -77,6 +77,10 @@ class TestRepublish:
             assert nbytes == network.store_of(target).nbytes
             assert manifest["overlays"][target]["nbytes"] == nbytes
             assert set(manifest["overlays"][target]) == {"segment", "nbytes", "store"}
+            overlay = manifest["overlays"][target]["segment"]
+            assert {shared.path, overlay} <= set(_shm_leaks())
+            assert os.path.dirname(shared.path) == segment_home.directory
+            assert os.path.dirname(overlay) == segment_home.directory
             for sp in network.superpeers:
                 if sp != target:
                     assert manifest["generations"][sp] == before["generations"][sp]
@@ -119,9 +123,15 @@ class TestRepublish:
         assert _shm_leaks() == []
 
 
+@off_dev_shm
+class TestRepublishOffDevShm(TestRepublish):
+    pass
+
+
 # ----------------------------------------------------------------------
 # slot refresh (worker side)
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("segment_home")
 class TestRefresh:
     def test_refresh_mirrors_the_republished_slot(self):
         network = build_network()
@@ -196,9 +206,15 @@ class TestRefresh:
         assert _shm_leaks() == []
 
 
+@off_dev_shm
+class TestRefreshOffDevShm(TestRefresh):
+    pass
+
+
 # ----------------------------------------------------------------------
 # engine.apply_update (end to end)
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("segment_home")
 class TestApplyUpdate:
     def _queries(self, network):
         return [
@@ -209,7 +225,7 @@ class TestApplyUpdate:
     def test_insert_refreshes_the_live_publication_incrementally(self):
         network = build_network()
         queries = self._queries(network)
-        with ParallelEngine(2, use_shm=True) as engine:
+        with ParallelEngine(2) as engine:
             engine.run_queries(network, queries, [Variant.FTPM])
             publications_before = engine.stats.publications
             peer_id = sorted(network.peers)[0]
@@ -259,7 +275,7 @@ class TestApplyUpdate:
     def test_superpeer_failure_falls_back_to_full_republish(self):
         network = build_network(n_superpeers=3)
         queries = self._queries(network)
-        with ParallelEngine(2, use_shm=True) as engine:
+        with ParallelEngine(2) as engine:
             engine.run_queries(network, queries, [Variant.FTPM])
             doomed = sorted(network.superpeers)[-1]
             report = engine.apply_update(
@@ -276,7 +292,7 @@ class TestApplyUpdate:
 
     def test_update_on_unpublished_network_reports_no_bytes(self):
         network = build_network()
-        with ParallelEngine(2, use_shm=True) as engine:
+        with ParallelEngine(2) as engine:
             report = engine.apply_update(
                 network, "insert", peer_id=sorted(network.peers)[0],
                 points=fresh_points(network, 2, seed=13),
@@ -288,7 +304,7 @@ class TestApplyUpdate:
 
     def test_apply_update_rejects_unknown_kind(self):
         network = build_network()
-        with ParallelEngine(2, use_shm=True) as engine:
+        with ParallelEngine(2) as engine:
             with pytest.raises(ValueError):
                 engine.apply_update(network, "shuffle")
 
@@ -297,7 +313,7 @@ class TestApplyUpdate:
         to one super-peer must not evict the others' cached scans."""
         network = build_network()
         queries = self._queries(network)
-        with ParallelEngine(2, use_shm=True) as engine:
+        with ParallelEngine(2) as engine:
             engine.run_queries(network, queries, [Variant.FTPM])
             engine.run_queries(network, queries, [Variant.FTPM])  # warm
             warm_hits = engine.stats.cache_hits
@@ -312,6 +328,11 @@ class TestApplyUpdate:
         assert _shm_leaks() == []
 
 
+@off_dev_shm
+class TestApplyUpdateOffDevShm(TestApplyUpdate):
+    pass
+
+
 @pytest.mark.parametrize("mp_start", ["fork", "spawn"])
 def test_query_publication_answers_every_variant(mp_start, monkeypatch):
     """Workers attached to stores alone answer as the full network does."""
@@ -322,7 +343,7 @@ def test_query_publication_answers_every_variant(mp_start, monkeypatch):
         for s in ((0, 1, 2), (1, 3))
     ]
     variants = list(Variant)
-    with ParallelEngine(2, use_shm=True) as engine:
+    with ParallelEngine(2) as engine:
         assert engine.start_method == mp_start
         pooled = engine.run_queries(network, queries, variants)
         (publication,) = engine._publications.values()
@@ -337,12 +358,21 @@ def test_query_publication_answers_every_variant(mp_start, monkeypatch):
     assert _shm_leaks() == []
 
 
+@off_dev_shm
+@pytest.mark.parametrize("mp_start", ["fork", "spawn"])
+def test_query_publication_answers_every_variant_off_dev_shm(
+    mp_start, monkeypatch, segment_home
+):
+    test_query_publication_answers_every_variant(mp_start, monkeypatch)
+    assert os.listdir(segment_home.tmpdir) == []
+
+
 def test_ledgers_and_segments_stay_proportional_to_their_payload():
     """200 updates retain what they hold, not a Python object per point.
 
     ``tracemalloc`` bytes attributed to ``core/ledger.py`` stay under
     twice the ledger columns' ``nbytes``, and the engine keeps at most
-    the base segment plus one overlay per super-peer in ``/dev/shm``.
+    the base segment plus one overlay per super-peer.
     """
     import tracemalloc
 
@@ -354,7 +384,7 @@ def test_ledgers_and_segments_stay_proportional_to_their_payload():
     )
     query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
     trace_filter = tracemalloc.Filter(True, ledger_module.__file__)
-    with ParallelEngine(2, use_shm=True) as engine:
+    with ParallelEngine(2) as engine:
         engine.run_queries(network, [query], [Variant.FTPM])
         tracemalloc.start()
         try:

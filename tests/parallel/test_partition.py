@@ -234,7 +234,7 @@ def single_store_network(points):
 class TestEngineFanOut:
     @pytest.fixture(scope="class")
     def engine(self):
-        with ParallelEngine(2, use_shm=False, mp_start="fork") as engine:
+        with ParallelEngine(2, mp_start="fork") as engine:
             yield engine
 
     def test_pooled_scan_matches_serial_and_splits_stats(self, rng, engine):
@@ -287,7 +287,7 @@ class TestEngineFanOut:
 class TestEngineStatsSplit:
     def test_new_fields_default_to_zero(self):
         stats = EngineStats(workers=2, start_method="fork").as_dict()
-        for field in ("intra_query_scans", "intra_query_subtasks", "serve_queries"):
+        for field in ("intra_query_scans", "intra_query_subtasks"):
             assert stats[field] == 0
         # run_queries splits scans inside a worker and never fans slices
         # out, so there is no serving-side subtask count to report.
@@ -347,7 +347,7 @@ class TestDeletedCells:
 
     @pytest.fixture(scope="class")
     def engine(self):
-        with ParallelEngine(2, use_shm=False, mp_start="fork") as engine:
+        with ParallelEngine(2, mp_start="fork") as engine:
             yield engine
 
     @pytest.mark.parametrize("substrate,partitioner", DELETED_CELLS)

@@ -1,9 +1,11 @@
 """Shared-memory data plane: roundtrip fidelity and segment lifecycle.
 
 The acceptance bar: attached networks are byte-identical views of the
-published stores, no ``/dev/shm`` entry survives an engine close, a
-handle close, or interpreter exit, and what a SIGKILLed publisher could
-not remove is gone after the next engine start.
+published stores, no segment file survives an engine close, a handle
+close, or interpreter exit, and what a SIGKILLed publisher could not
+remove is gone after the next engine start — wherever the segments
+live: every class here runs on the host as it is and again, through
+``off_dev_shm``, with ``/dev/shm`` absent and with it too small.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pickle
 import signal
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,25 +24,14 @@ import pytest
 from repro.p2p.network import SuperPeerNetwork
 from repro.parallel import ParallelEngine
 from repro.parallel.shm import (
-    SHM_ENV,
     Segment,
     attach_network,
     manifest_data_nbytes,
     publish_network,
-    shm_enabled,
-    shm_supported,
+    segment_directory,
     sweep_dead_publishers,
 )
-
-pytestmark = pytest.mark.skipif(
-    not shm_supported(), reason="platform has no POSIX shared memory"
-)
-
-REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-
-
-def _segment_exists(name: str) -> bool:
-    return os.path.exists(os.path.join("/dev/shm", name))
+from tests.conftest import off_dev_shm, place_segments
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +41,9 @@ def network() -> SuperPeerNetwork:
     )
 
 
-def _child_echo(name: str, size: int) -> None:
-    """Attach by name, check the parent's bytes, answer in the second half."""
-    segment = Segment(name)
+def _child_echo(path: str, size: int) -> None:
+    """Attach by path, check the parent's bytes, answer in the second half."""
+    segment = Segment(path)
     try:
         assert len(segment.buf) == size
         assert bytes(segment.buf[: size // 2]) == b"\x5a" * (size // 2)
@@ -60,28 +52,31 @@ def _child_echo(name: str, size: int) -> None:
         segment.close()
 
 
+@pytest.mark.usefixtures("segment_home")
 class TestSegment:
     NAME = f"repro-shm-{os.getpid():x}-test-segment"
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_child_attaches_by_name_and_round_trips(self, method):
+    def test_child_attaches_by_name_and_round_trips(self, method, segment_home):
         size = 3 * 4096 + 17
         segment = Segment(self.NAME, size=size)
         try:
+            assert segment.path == os.path.join(segment_home.directory, self.NAME)
             assert bytes(segment.buf) == bytes(size)  # fresh segments read as zeros
             segment.buf[: size // 2] = b"\x5a" * (size // 2)
+            # The child knows nothing of where segments go: it opens the path.
             child = multiprocessing.get_context(method).Process(
-                target=_child_echo, args=(self.NAME, size)
+                target=_child_echo, args=(segment.path, size)
             )
             child.start()
             child.join(timeout=60)
             assert child.exitcode == 0
             assert bytes(segment.buf[size // 2 :]) == b"\xc3" * (size - size // 2)
-            assert _segment_exists(self.NAME)  # the attacher never unlinks
+            assert os.path.exists(segment.path)  # the attacher never unlinks
         finally:
             segment.close()
             segment.unlink()
-        assert not _segment_exists(self.NAME)
+        assert not os.path.exists(segment.path)
 
     def test_close_with_a_live_view_raises(self):
         segment = Segment(self.NAME, size=64)
@@ -99,7 +94,7 @@ class TestSegment:
         segment = Segment(self.NAME, size=1)
         segment.close()
         segment.unlink()
-        assert not _segment_exists(self.NAME)
+        assert not os.path.exists(segment.path)
         segment.unlink()
 
     def test_name_collision_raises(self):
@@ -107,16 +102,81 @@ class TestSegment:
         try:
             with pytest.raises(FileExistsError):
                 Segment(self.NAME, size=8)
-            assert _segment_exists(self.NAME)  # the loser removed nothing
+            assert os.path.exists(segment.path)  # the loser removed nothing
         finally:
             segment.close()
             segment.unlink()
 
-    def test_attaching_a_missing_name_raises(self):
+    def test_attaching_a_missing_name_raises(self, segment_home):
         with pytest.raises(FileNotFoundError):
-            Segment(self.NAME)
+            Segment(os.path.join(segment_home.directory, self.NAME))
 
 
+@off_dev_shm
+class TestSegmentOffDevShm(TestSegment):
+    pass
+
+
+class TestPlacement:
+    """A new segment goes where it is seen to fit; nothing is tried."""
+
+    def test_dev_shm_when_it_takes_files_and_has_room(
+        self, segment_home, tmp_path, monkeypatch
+    ):
+        assert segment_directory(1) == segment_home.directory != segment_home.tmpdir
+        place_segments(monkeypatch.setattr, str(tmp_path))  # any directory that does
+        assert segment_directory(1) == str(tmp_path)
+
+    @off_dev_shm
+    def test_temp_directory_otherwise(self, segment_home):
+        assert segment_directory(1) == segment_home.tmpdir
+        assert os.listdir(segment_home.tmpdir) == []  # asked, not tried
+
+    def test_each_segment_is_placed_by_its_own_size(self, segment_home, monkeypatch):
+        real = os.statvfs
+        room = SimpleNamespace(f_bavail=2, f_frsize=4096)
+        monkeypatch.setattr(
+            os, "statvfs",
+            lambda path: room if path == segment_home.directory else real(path),
+        )
+        assert segment_directory(8192) == segment_home.directory
+        assert segment_directory(8193) == segment_home.tmpdir
+
+    def test_overlay_in_the_other_directory_attaches_and_refreshes(
+        self, segment_home, monkeypatch
+    ):
+        """Base where the host puts it, overlay in the temp directory: the
+        manifest names both and an attacher maps both."""
+        import copy
+
+        from repro.p2p.updates import insert_points
+        from repro.p2p.workload import fresh_points
+
+        net = SuperPeerNetwork.build(
+            n_peers=12, n_superpeers=3, points_per_peer=10, dimensionality=3, seed=0
+        )
+        sp, other = net.topology.superpeer_ids[:2]
+        with publish_network(net) as shared:
+            attached = attach_network(copy.deepcopy(shared.manifest))
+            place_segments(monkeypatch.setattr, "/no-such-dev-shm")
+            insert_points(net, net.topology.peers_of[sp][0], fresh_points(net, 2, seed=1))
+            shared.republish(net, [sp])
+            overlay = shared.manifest["overlays"][sp]["segment"]
+            assert os.path.dirname(overlay) == segment_home.tmpdir
+            assert os.path.dirname(shared.path) == segment_home.directory
+            assert attached.refresh(copy.deepcopy(shared.manifest))["slots"] == 1
+            with attach_network(shared.manifest) as fresh:
+                for view in (attached.network, fresh):
+                    for sp_id in (sp, other):
+                        mine = net.superpeers[sp_id].store
+                        theirs = view.superpeers[sp_id].store
+                        assert np.array_equal(mine.points.values, theirs.points.values)
+                        assert np.array_equal(mine.f, theirs.f)
+            attached.close()
+        assert segment_home.files() == []
+
+
+@pytest.mark.usefixtures("segment_home")
 class TestRoundtrip:
     def test_attached_stores_are_byte_identical(self, network):
         with publish_network(network) as shared:
@@ -202,94 +262,101 @@ class TestRoundtrip:
                 assert result.peer_results
 
 
+@off_dev_shm
+class TestRoundtripOffDevShm(TestRoundtrip):
+    pass
+
+
+@pytest.mark.usefixtures("segment_home")
 class TestLifecycle:
-    def test_close_unlinks_segment(self, network):
+    def test_close_unlinks_segment(self, network, segment_home):
         shared = publish_network(network)
-        name = shared.name
-        assert _segment_exists(name)
+        assert shared.path in segment_home.files()
+        assert os.path.dirname(shared.path) == segment_home.directory
         shared.close()
-        assert not _segment_exists(name)
+        assert shared.path not in segment_home.files()
         shared.close()  # idempotent
 
-    def test_context_manager_unlinks(self, network):
+    def test_context_manager_unlinks(self, network, segment_home):
         with publish_network(network) as shared:
-            name = shared.name
-            assert _segment_exists(name)
-        assert not _segment_exists(name)
+            assert shared.path in segment_home.files()
+        assert shared.path not in segment_home.files()
 
-    def test_engine_close_unlinks_publications(self, network):
+    def test_engine_close_unlinks_publications(self, network, segment_home):
         from repro.data.workload import Query
 
-        engine = ParallelEngine(workers=2, use_shm=True)
+        engine = ParallelEngine(workers=2)
         try:
             query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
             engine.run_queries(network, [query], ["FTPM"])
             segments = engine.published_segments()
-            assert segments and all(_segment_exists(s) for s in segments)
+            assert segments and set(segments) <= set(segment_home.files())
         finally:
             engine.close()
-        assert all(not _segment_exists(s) for s in segments)
+        assert not set(segments) & set(segment_home.files())
+        if segment_home.directory == "/dev/shm":
+            assert os.listdir(segment_home.tmpdir) == []  # nothing but segments, ever
 
-    def test_interpreter_exit_unlinks(self, tmp_path):
+    def test_interpreter_exit_unlinks(self, segment_home):
         """An abandoned handle must not leak past interpreter exit."""
-        script = (
-            "import sys\n"
+        script = segment_home.child_source + (
+            "import os, sys\n"
             "from repro.p2p.network import SuperPeerNetwork\n"
             "from repro.parallel.shm import publish_network\n"
             "net = SuperPeerNetwork.build(n_peers=6, points_per_peer=10,"
             " dimensionality=3, seed=0)\n"
             "shared = publish_network(net)\n"
-            "print(shared.name)\n"
+            "print(os.getpid(), shared.path)\n"
             "sys.stdout.flush()\n"
             # exit WITHOUT closing: the atexit hook must unlink
         )
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
         out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            [sys.executable, "-c", script], env=segment_home.child_env,
+            capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
-        name = out.stdout.strip().splitlines()[-1]
-        assert name.startswith("repro-shm-")
-        assert not _segment_exists(name)
+        pid, path = out.stdout.split()
+        assert os.path.dirname(path) == segment_home.directory
+        assert os.path.basename(path).startswith(f"repro-shm-{int(pid):x}-")
+        assert segment_home.files(int(pid)) == []
 
-    def test_engine_interpreter_exit_unlinks(self):
+    def test_engine_interpreter_exit_unlinks(self, segment_home):
         """Engine publications unlink at exit even without close()."""
-        script = (
-            "import sys\n"
+        script = segment_home.child_source + (
+            "import os, sys\n"
             "from repro.data.workload import Query\n"
             "from repro.p2p.network import SuperPeerNetwork\n"
             "from repro.parallel import ParallelEngine\n"
             "net = SuperPeerNetwork.build(n_peers=6, points_per_peer=10,"
             " dimensionality=3, seed=0)\n"
-            "engine = ParallelEngine(workers=2, use_shm=True)\n"
+            "engine = ParallelEngine(workers=2)\n"
             "engine.run_queries(net, [Query(subspace=(0, 1),"
             " initiator=net.topology.superpeer_ids[0])], ['FTPM'])\n"
-            "print('\\n'.join(engine.published_segments()))\n"
+            "print(os.getpid(), *engine.published_segments())\n"
             "sys.stdout.flush()\n"
             # no engine.close(): the atexit hook must run it
         )
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
         out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            [sys.executable, "-c", script], env=segment_home.child_env,
+            capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
-        names = [n for n in out.stdout.strip().splitlines() if n.startswith("repro-shm-")]
-        assert names
-        for name in names:
-            assert not _segment_exists(name)
+        pid, path = out.stdout.split()
+        assert os.path.dirname(path) == segment_home.directory
+        assert segment_home.files(int(pid)) == []
 
-    def test_fork_pool_starts_no_resource_tracker(self):
+    def test_fork_pool_starts_no_resource_tracker(self, segment_home):
         """Segments are nobody else's business: a forked pool that builds,
         serves and updates a network never starts multiprocessing's
         resource-tracker process."""
-        script = (
+        script = segment_home.child_source + (
             "from multiprocessing import resource_tracker\n"
             "from repro.data.workload import Query\n"
             "from repro.p2p.network import SuperPeerNetwork\n"
             "from repro.p2p.workload import fresh_points\n"
             "from repro.parallel import get_engine, shutdown_engines\n"
             "engine = get_engine(2)\n"
-            "assert engine.start_method == 'fork' and engine.use_shm\n"
+            "assert engine.start_method == 'fork'\n"
             "net = SuperPeerNetwork.build(n_peers=12, n_superpeers=3,"
             " points_per_peer=10, dimensionality=3, seed=0, engine=engine)\n"
             "query = Query(subspace=(0, 1), initiator=net.topology.superpeer_ids[0])\n"
@@ -301,27 +368,31 @@ class TestLifecycle:
             "shutdown_engines()\n"
             "assert resource_tracker._resource_tracker._pid is None\n"
         )
-        env = dict(os.environ, PYTHONPATH=REPO_SRC, REPRO_MP_START="fork", REPRO_SHM="1")
         out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            [sys.executable, "-c", script],
+            env=dict(segment_home.child_env, REPRO_MP_START="fork"),
+            capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
 
-    def test_no_leaked_segments_after_suite(self):
-        """Belt and braces: nothing from this process lingers in /dev/shm."""
+    def test_no_leaked_segments_after_suite(self, segment_home):
+        """Belt and braces: nothing from this process lingers anywhere."""
         from repro.parallel import shutdown_engines
 
         # Shared engines cache publications until closed by design —
         # drain them first so this check is independent of which other
         # test modules ran (and in what order) before this one.
         shutdown_engines()
-        mine = f"repro-shm-{os.getpid():x}-"
-        leaked = [n for n in os.listdir("/dev/shm") if n.startswith(mine)]
-        assert leaked == []
+        assert segment_home.files() == []
+
+
+@off_dev_shm
+class TestLifecycleOffDevShm(TestLifecycle):
+    pass
 
 
 #: Publishes a network with everything a hard kill can strand — base
-#: segment, one overlay, the block cache's lockfile — writes the manifest
+#: segment with a written-to block cache, one overlay — writes the manifest
 #: to argv[1], says "ready" and waits for a line before closing properly.
 _PUBLISHER = """
 import pickle, sys
@@ -345,27 +416,22 @@ shared.close()
 """
 
 
+@pytest.mark.usefixtures("segment_home")
 class TestHardKill:
-    """The defined crash outcome: SIGKILL strands a publisher's files,
-    the next engine start — in any process — removes exactly those."""
+    """The defined crash outcome: SIGKILL strands a publisher's segments
+    and nothing else; the next engine start — in any process — removes
+    exactly those, in whichever directory they are."""
 
-    @staticmethod
-    def _files(pid: int, tmpdir) -> tuple[list[str], list[str]]:
-        prefix = f"repro-shm-{pid:x}-"
-        segments = sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
-        return segments, sorted(os.listdir(tmpdir))
-
-    def test_next_engine_start_reaps_the_dead_and_spares_the_living(self, tmp_path):
-        tmpdir = tmp_path / "tmp"
-        tmpdir.mkdir()
-        env = dict(
-            os.environ, PYTHONPATH=REPO_SRC, TMPDIR=str(tmpdir), REPRO_SHM_CACHE="1"
-        )
+    def test_next_engine_start_reaps_the_dead_and_spares_the_living(
+        self, tmp_path, segment_home
+    ):
+        env = segment_home.child_env
         publishers, manifests, expected = [], [], []
         try:
             for role in ("victim", "live"):
                 publisher = subprocess.Popen(
-                    [sys.executable, "-c", _PUBLISHER, str(tmp_path / role)],
+                    [sys.executable, "-c", segment_home.child_source + _PUBLISHER,
+                     str(tmp_path / role)],
                     env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
                 )
                 publishers.append(publisher)
@@ -374,103 +440,71 @@ class TestHardKill:
             victim, live = publishers
             for manifest in manifests:
                 (overlay,) = manifest["overlays"].values()
-                expected.append((
-                    sorted([manifest["segment"], overlay["segment"]]),
-                    os.path.basename(manifest["cache"]["lockfile"]),
-                ))
-            (victim_segments, victim_lock), (live_segments, live_lock) = expected
+                expected.append(sorted([manifest["segment"], overlay["segment"]]))
+                assert {os.path.dirname(path) for path in expected[-1]} == {
+                    segment_home.directory
+                }
+            victim_segments, live_segments = expected
 
             victim.send_signal(signal.SIGKILL)
             victim.wait(timeout=30)
             # A hard kill leaves exactly these files, no more, no fewer.
-            assert self._files(victim.pid, tmpdir) == (
-                victim_segments, sorted([victim_lock, live_lock])
+            assert segment_home.files(victim.pid) == victim_segments
+            assert sorted(os.listdir(segment_home.tmpdir)) == sorted(
+                os.path.basename(path)
+                for path in victim_segments + live_segments
+                if os.path.dirname(path) == segment_home.tmpdir
             )
 
             sweeper = subprocess.run(
-                [sys.executable, "-c",
-                 "from repro.parallel import ParallelEngine\n"
+                [sys.executable, "-c", segment_home.child_source
+                 + "from repro.parallel import ParallelEngine\n"
                  "ParallelEngine(workers=1).close()\n"],
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert sweeper.returncode == 0, sweeper.stderr
-            assert self._files(victim.pid, tmpdir) == ([], [live_lock])
-            assert self._files(live.pid, tmpdir) == (live_segments, [live_lock])
+            assert segment_home.files(victim.pid) == []
+            assert segment_home.files(live.pid) == live_segments
             with attach_network(manifests[1]) as attached:  # base and overlay map
                 assert all(len(sp.store) for sp in attached.superpeers.values())
 
             live.stdin.write("done\n")
             live.stdin.flush()
             assert live.wait(timeout=30) == 0
-            assert self._files(live.pid, tmpdir) == ([], [])
+            assert segment_home.files(live.pid) == []
         finally:
             for publisher in publishers:
                 publisher.kill()
                 publisher.wait(timeout=30)
                 publisher.stdin.close()
                 publisher.stdout.close()
-            for segments, _lock in expected:
-                for name in segments:  # a failed run cleans up too
-                    try:
-                        os.unlink(os.path.join("/dev/shm", name))
-                    except FileNotFoundError:
-                        pass
+            for segments in expected:
+                for path in segments:  # a failed run cleans up too
+                    if os.path.exists(path):
+                        os.unlink(path)
 
-    def test_sweep_leaves_live_and_foreign_names_alone(self, tmp_path, monkeypatch):
-        import tempfile
-
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    def test_sweep_leaves_live_and_foreign_names_alone(self, segment_home):
         gone = subprocess.Popen([sys.executable, "-c", "pass"])
         gone.wait(timeout=30)
         dead = f"repro-shm-{gone.pid:x}-0-deadbeef"
         mine = f"repro-shm-{os.getpid():x}-0-deadbeef"
         foreign = "repro-shm-nothex-0-deadbeef"
-        paths = []
-        for name in (dead, mine, foreign):
-            paths += [f"/dev/shm/{name}", str(tmp_path / f"{name}.cachelock")]
-        other = tmp_path / f"{dead}.pkl"  # right pid, not a lockfile
+        other = f"repro-transport-{gone.pid:x}.pid"  # right pid, not a segment
+        directories = sorted({segment_home.directory, segment_home.tmpdir})
+        paths = [os.path.join(d, n) for d in directories for n in (dead, mine, foreign, other)]
         try:
-            for path in [*paths, other]:
+            for path in paths:
                 open(path, "wb").close()
             sweep_dead_publishers()
-            assert [os.path.exists(p) for p in paths] == [False, False, True, True, True, True]
-            assert other.exists()
+            assert [os.path.exists(p) for p in paths] == [False, True, True, True] * len(
+                directories
+            )
         finally:
             for path in paths:
-                if path.startswith("/dev/shm/") and os.path.exists(path):
+                if os.path.exists(path):
                     os.unlink(path)
 
 
-class TestToggle:
-    def test_env_disables(self, monkeypatch):
-        monkeypatch.setenv(SHM_ENV, "0")
-        assert shm_enabled() is False
-        monkeypatch.setenv(SHM_ENV, "off")
-        assert shm_enabled() is False
-
-    def test_env_forces(self, monkeypatch):
-        monkeypatch.setenv(SHM_ENV, "1")
-        assert shm_enabled() is True
-
-    def test_default_is_autodetect(self, monkeypatch):
-        monkeypatch.delenv(SHM_ENV, raising=False)
-        assert shm_enabled() is shm_supported()
-
-    def test_snapshot_fallback_gives_identical_results(self, network, monkeypatch):
-        from repro.data.workload import Query
-        from repro.skypeer.executor import execute_query
-        from repro.skypeer.variants import Variant
-
-        queries = [
-            Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0]),
-            Query(subspace=(1, 3), initiator=network.topology.superpeer_ids[-1]),
-        ]
-        serial = [execute_query(network, q, Variant.RTFM) for q in queries]
-        with ParallelEngine(workers=2, use_shm=False) as engine:
-            runs = engine.run_queries(network, queries, [Variant.RTFM])
-            assert engine.stats.publish_modes == ["snapshot"]
-            assert engine.published_segments() == []
-        for s, p in zip(serial, runs[Variant.RTFM]):
-            assert s.result_ids == p.result_ids
-            assert s.volume_bytes == p.volume_bytes
-            assert s.comparisons == p.comparisons
+@off_dev_shm
+class TestHardKillOffDevShm(TestHardKill):
+    pass

@@ -2,19 +2,20 @@
 
 The cache is a plain region protocol over any buffer, so these tests
 exercise the seqlock, eviction and invalidation machinery over an
-ordinary ``bytearray`` — no actual shared-memory segment needed; the
+ordinary ``bytearray`` — no actual shared-memory segment needed (a
+scratch file stands in for the segment file writers lock); the
 cross-process path is covered by the engine differential tests.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.parallel.shmcache import (
-    LocalBlockCache,
     SharedBlockCache,
-    cache_enabled,
     cache_geometry,
     cache_region_nbytes,
     make_key,
@@ -26,10 +27,18 @@ SLOT_BYTES = 1024
 
 
 @pytest.fixture
-def cache(tmp_path):
+def segment_file(tmp_path) -> str:
+    """What writers lock: it has to exist, ``put`` never creates it."""
+    path = tmp_path / "segment"
+    path.touch()
+    return str(path)
+
+
+@pytest.fixture
+def cache(segment_file):
     buf = memoryview(bytearray(cache_region_nbytes(SLOTS, SLOT_BYTES)))
     SharedBlockCache.format(buf, 0, SLOTS, SLOT_BYTES, epoch=7)
-    return SharedBlockCache(buf, 0, str(tmp_path / "writer.lock"))
+    return SharedBlockCache(buf, 0, segment_file)
 
 
 def _payload(seed: int = 0) -> tuple[dict, dict]:
@@ -96,7 +105,7 @@ class TestSeqlock:
             cache.put(make_key("scan", (9, i)), *_payload(i))
         assert not cache.still_valid(token)
 
-    def test_hit_touch_cannot_revalidate_an_evicted_slot(self, cache, tmp_path):
+    def test_hit_touch_cannot_revalidate_an_evicted_slot(self, cache, segment_file):
         """A publisher evicting the slot while a hit refreshes its LRU
         stamp must still fail the reader's ``still_valid`` — the stamp
         refresh may not write the generation it read a moment earlier
@@ -106,7 +115,7 @@ class TestSeqlock:
         cache.put(key, *_payload())
         for i in range(1, SLOTS):  # fill up, so the next publish must evict
             cache.put(make_key("scan", (9, i)), *_payload(i))
-        publisher = SharedBlockCache(cache._buf, 0, str(tmp_path / "writer.lock"))
+        publisher = SharedBlockCache(cache._buf, 0, segment_file)
         tick = cache._tick
 
         def tick_while_the_slot_is_evicted() -> int:
@@ -118,18 +127,18 @@ class TestSeqlock:
         assert not cache.still_valid(token)
         assert publisher.get(make_key("scan", (7,))) is not None
 
-    def test_second_handle_over_same_buffer_sees_publication(self, cache, tmp_path):
+    def test_second_handle_over_same_buffer_sees_publication(self, cache, segment_file):
         key = make_key("pscan", 3, "block")
         meta, arrays = _payload(5)
         cache.put(key, meta, arrays)
-        other = SharedBlockCache(cache._buf, 0, str(tmp_path / "writer.lock"))
+        other = SharedBlockCache(cache._buf, 0, segment_file)
         hit = other.get(key)
         assert hit is not None
         assert np.array_equal(hit[1]["positions"], arrays["positions"])
 
 
 class TestFormat:
-    def test_format_writes_header_and_directory_only(self, tmp_path):
+    def test_format_writes_header_and_directory_only(self, segment_file):
         """A region is usable whatever its data area holds, and ``format``
         does not touch that area: in a fresh segment its pages stay
         non-resident until a worker publishes."""
@@ -139,7 +148,7 @@ class TestFormat:
         assert raw[head:] == b"\xa5" * (SLOTS * SLOT_BYTES)
         assert _HEADER.unpack_from(raw, 0)[1:] == (SLOTS, SLOT_BYTES, 7, 0)
         assert raw[_HEADER.size : head] == bytes(head - _HEADER.size)
-        cache = SharedBlockCache(memoryview(raw), 0, str(tmp_path / "writer.lock"))
+        cache = SharedBlockCache(memoryview(raw), 0, segment_file)
         keys = [make_key("scan", (i,)) for i in range(2 * SLOTS)]
         assert all(cache.get(key) is None for key in keys)
         assert cache.stats.misses == len(keys) and cache.stats.invalid == 0
@@ -205,36 +214,38 @@ class TestEviction:
         assert cache.get(make_key("scan", (0,))) is None
 
 
-class TestLocalFallback:
-    def test_same_interface_and_always_valid_tokens(self):
-        local = LocalBlockCache(slots=2)
-        key = make_key("scan", (0,), 0.5)
-        meta, arrays = _payload()
-        assert local.put(key, meta, arrays)
-        got_meta, got_arrays, token = local.get(key)
-        assert got_meta["examined"] == meta["examined"]
-        assert np.array_equal(got_arrays["proj"], arrays["proj"])
-        assert local.still_valid(token)
-        assert local.get(make_key("scan", (1,))) is None
-        assert local.stats.hits == 1 and local.stats.misses == 1
+class TestWriterLock:
+    """The lock is the segment file itself: a publication is one kind of file."""
 
-    def test_bounded_by_slot_count(self):
-        local = LocalBlockCache(slots=2)
-        for i in range(3):
-            local.put(make_key("scan", (i,)), *_payload(i))
-        assert local.stats.evictions == 1
-        assert local.as_dict()["live_entries"] == 2
+    @pytest.mark.parametrize(
+        "segment_home", ["dev-shm", "no-dev-shm", "small-dev-shm"], indirect=True
+    )
+    def test_put_after_the_publisher_closed_creates_nothing(self, segment_home):
+        from repro.p2p.network import SuperPeerNetwork
+        from repro.parallel.shm import attach_network, publish_network
+
+        network = SuperPeerNetwork.build(
+            n_peers=6, points_per_peer=10, dimensionality=3, seed=0
+        )
+        others = segment_home.files()  # of engines other tests left running
+        shared = publish_network(network)
+        attached = attach_network(shared.manifest)
+        early, late = make_key("scan", (0,)), make_key("scan", (1,))
+        meta, arrays = _payload()
+        assert attached.cache.put(early, meta, arrays)
+        assert segment_home.files() == sorted([*others, shared.path])  # no lock file
+        shared.close()
+        # The mapping outlives the publication; the lock does not.
+        assert attached.cache.put(late, meta, arrays) is False
+        assert attached.cache.get(late) is None
+        hit = attached.cache.get(early)
+        assert hit is not None and np.array_equal(hit[1]["proj"], arrays["proj"])
+        del hit
+        assert segment_home.files() == others and os.listdir(segment_home.tmpdir) == []
+        attached.close()
 
 
 class TestKnobs:
-    def test_cache_enabled_tri_state(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_CACHE", raising=False)
-        assert cache_enabled() is None
-        monkeypatch.setenv("REPRO_SHM_CACHE", "0")
-        assert cache_enabled() is False
-        monkeypatch.setenv("REPRO_SHM_CACHE", "on")
-        assert cache_enabled() is True
-
     def test_geometry_aligns_and_validates(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_CACHE_SLOTS", "3")
         monkeypatch.setenv("REPRO_SHM_CACHE_SLOT_BYTES", "100")

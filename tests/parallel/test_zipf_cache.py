@@ -46,7 +46,6 @@ def _network(seed: int = 31, d: int = 6) -> SuperPeerNetwork:
 
 def _run_workload(network, queries, monkeypatch) -> tuple[float, int, list]:
     """One fresh small-cache engine pass; returns (hit rate, evictions, runs)."""
-    monkeypatch.setenv("REPRO_SHM_CACHE", "1")
     monkeypatch.setenv("REPRO_SHM_CACHE_SLOTS", "8")
     with ParallelEngine(2) as engine:
         runs = engine.run_queries(network, queries, [VARIANT])[VARIANT]
@@ -91,17 +90,12 @@ class TestZipfCachePressure:
         )
 
     def test_uniform_workload_pressures_the_lru(self, network, monkeypatch):
-        """~20 distinct subspaces into 8 slots must evict (shared cache)."""
-        from repro.parallel.shm import shm_supported
-
+        """~20 distinct subspaces into 8 slots must evict."""
         queries = _uniform(network)
         distinct = len({tuple(q.subspace) for q in queries})
         assert distinct > 8  # more keys than slots, or the test is vacuous
         _, evictions, _ = _run_workload(network, queries, monkeypatch)
-        if shm_supported():
-            assert evictions > 0
-        else:
-            pytest.skip("local fallback cache: eviction counters not comparable")
+        assert evictions > 0
 
     def test_skewed_results_stay_correct_under_eviction(self, network, monkeypatch):
         """Cache pressure must never change answers: engine == serial."""

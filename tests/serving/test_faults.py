@@ -345,14 +345,13 @@ class TestEpochRaces:
 
         from repro.data.workload import Query
         from repro.parallel import ParallelEngine
-        from repro.parallel.shm import shm_supported
         from repro.serving.proto import result_payload
         from repro.skypeer.variants import Variant
 
         from .conftest import build_network
 
         network = build_network(seed=23)
-        engine = ParallelEngine(2, use_shm=shm_supported())
+        engine = ParallelEngine(2)
         subspace = (0, 1, 2)
 
         def serial_snapshot() -> str:

@@ -257,8 +257,16 @@ class TestAdmissionControl:
         assert stats.executed == 1
 
 
-class TestEngineStatsMirror:
-    def test_gateway_counters_mirror_into_engine_stats(self, network):
+class TestTwoStatsSurfaces:
+    """The gateway counts what it did, the engine what reached the pool,
+    and neither copies the other — on segments in either directory."""
+
+    @pytest.mark.parametrize(
+        "segment_home", ["dev-shm", "no-dev-shm", "small-dev-shm"], indirect=True
+    )
+    def test_engine_tasks_equal_gateway_executed(self, network, segment_home):
+        import os
+
         from repro.parallel import ParallelEngine
 
         async def scenario(engine):
@@ -274,17 +282,31 @@ class TestEngineStatsMirror:
                     responses = await asyncio.gather(
                         *[client.query([0, 1]) for _ in range(4)]
                     )
-            return responses, gateway.stats
+                    reply = await client.request({"op": "stats"})
+            return responses, reply.payload, gateway.stats
 
-        with ParallelEngine(2) as engine:
-            responses, stats = run(scenario(engine))
-            assert all(r.ok for r in responses)
-            assert stats.coalesce_hits >= 1
-            assert engine.stats.serve_coalesce_hits == stats.coalesce_hits
-            assert engine.stats.serve_shed == stats.shed_total
-            serve_fields = engine.stats.as_dict()
-            assert "serve_coalesce_hits" in serve_fields
-            assert "serve_queue_depth_peak" in serve_fields
+        with ParallelEngine(2) as engine:  # fresh: the gateway is its only caller
+            responses, reply, stats = run(scenario(engine))
+            segments = engine.published_segments()
+            assert segments and {os.path.dirname(s) for s in segments} == {
+                segment_home.directory
+            }
+            engine_stats = engine.stats.as_dict()
+        serial = execute_query(
+            network,
+            Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0]),
+            "FTPM",
+        )
+        for response in responses:
+            assert response.ok
+            assert response.payload["result"]["ids"] == serial.result.points.ids.tolist()
+        assert stats.coalesce_hits >= 1
+        assert stats.executed + stats.coalesce_hits == 4
+        assert engine_stats["tasks"] == stats.executed  # coalesced ones never got there
+        assert reply["stats"] == stats.as_dict()
+        assert reply["engine"]["tasks"] == stats.executed
+        assert not [name for name in reply["engine"] if name.startswith("serve_")]
+        assert segment_home.files() == []
 
 
 class TestUpdateOp:
