@@ -17,13 +17,11 @@ Exit status 1 when any tracked metric of any variant worsens by more
 than ``--max-ratio`` (default 2.0) against any baseline, or when the
 current run's parallel execution diverged from serial.
 
-Schema-3 reports carry two correctness verdicts that are gated the same
-way (timings inside those sections stay informational): the block-cache
+Schema-3 reports carry a correctness verdict that is gated the same
+way (timings inside the section stay informational): the block-cache
 ``identical`` flag (cache hits must replay the exact deterministic
-statistics of the scans that published them) and the pipelined-merge
-``result_ids_match`` flag (streaming merge returns the same skyline as
-the buffered merge).  Both sections are optional so older reports still
-pass.
+statistics of the scans that published them).  The section is optional
+so older reports still pass.
 
 Schema-4 reports add a ``serving`` section (``bench --smoke`` embeds
 it; ``bench --serve`` emits it standalone).  Its gated verdicts are
@@ -135,9 +133,8 @@ def check_current_verdicts(current: dict) -> list[str]:
     """Correctness verdicts of the current run itself (schema 3+).
 
     These do not need a baseline: a cache hit that is not byte-identical
-    to recomputation, or a pipelined merge that returns a different
-    skyline than the buffered one, is wrong on any machine.  Hit rates
-    and idle times are printed for context only.
+    to recomputation is wrong on any machine.  Hit rates are printed for
+    context only.
     """
     problems: list[str] = []
     cache = current.get("cache")
@@ -156,20 +153,6 @@ def check_current_verdicts(current: dict) -> list[str]:
         warm = cache.get("warm", {})
         if warm.get("hit_rate") is not None:
             print(f"  [info] cache.warm.hit_rate: {warm['hit_rate']:.3f}")
-    merge = current.get("pipelined_merge")
-    if merge is not None:
-        if not merge.get("result_ids_match", True):
-            problems.append(
-                "pipelined merge returned a different skyline than buffered "
-                f"(variant {merge.get('variant')})"
-            )
-        buffered = merge.get("buffered_idle_seconds")
-        pipelined = merge.get("pipelined_idle_seconds")
-        if buffered is not None and pipelined is not None:
-            print(
-                f"  [info] initiator idle: buffered {buffered:.4g}s, "
-                f"pipelined {pipelined:.4g}s"
-            )
     serving = current.get("serving")
     if serving is not None:
         if not serving.get("results_match", True):

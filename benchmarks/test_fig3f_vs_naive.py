@@ -52,12 +52,15 @@ def test_network_scaling_benchmark(benchmark, n_peers):
 
 def test_speedup_over_naive_grows_with_network():
     """The figure's trend: the advantage widens as the network grows.
-    FTFM already beats naive at every bench size; FTPM's merge chain
-    needs scale to amortize (its ratio is the fastest-growing one, and
-    it crosses 1 within the bench range)."""
+    Both variants need scale to amortize what naive does not pay — FTFM
+    the initiator's scan every other scan waits for, FTPM its merge
+    chain on top (its ratio is the fastest-growing one) — and both cross
+    1 within the bench range.  (An earlier "FTFM > 1 at every size"
+    clause held only while relayed scans were missing from the work
+    clock; see EXPERIMENTS.md's preamble.)"""
     ftfm = [_speedup(_network(n), Variant.FTFM) for n in SIZES]
     ftpm = [_speedup(_network(n), Variant.FTPM) for n in SIZES]
-    assert all(s > 1.0 for s in ftfm), ftfm
+    assert ftfm[-1] > 1.0, ftfm
     assert ftfm[-1] > ftfm[0], ftfm
     assert ftpm == sorted(ftpm), ftpm
     assert ftpm[-1] > 1.0, ftpm

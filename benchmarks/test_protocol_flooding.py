@@ -1,10 +1,11 @@
-"""Ablation: the flooded message-passing protocol vs. the tree plan.
+"""Ablation: the flooded backbone vs. the tree plan.
 
-The plan-based executor charges messages to a BFS spanning tree; the
-protocol engine actually floods the backbone (duplicate receipts are
-suppressed with empty replies).  The delta quantifies what an
-unstructured overlay really pays on top of the idealized routing the
-figures use — and both must return identical skylines.
+``execute_query`` hands every super-peer its BFS-tree edges, so messages
+are charged to a spanning tree; ``run_protocol`` hands the same nodes
+the full adjacency, so the query actually floods (a duplicate receipt is
+declined).  The delta quantifies what an unstructured overlay really
+pays on top of the idealized routing the figures use — and both return
+the same skyline in the same order.
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ def test_protocol_engine(benchmark, network, query, variant):
 def test_flood_and_plan_agree(network, query, variant):
     flood = run_protocol(network, query, variant)
     plan = execute_query(network, query, variant)
-    assert flood.result_ids == plan.result_ids
+    assert list(flood.result.points.ids) == list(plan.result.points.ids)
 
 
 def test_flooding_overhead_quantified(network, query):
@@ -50,4 +51,5 @@ def test_flooding_overhead_quantified(network, query):
     # concurrent forwards), the tree only over N_sp - 1 edges
     assert flood.query_messages >= plan.message_count / 2
     assert flood.message_count >= plan.message_count
-    assert flood.duplicate_replies > 0
+    edges = sum(len(ns) for ns in network.topology.adjacency.values()) // 2
+    assert flood.duplicate_replies >= edges - (network.n_superpeers - 1) > 0

@@ -66,7 +66,16 @@ computational trend (3(f), 4(b)) additionally report a deterministic
 "work" basis — the critical-path count of examined points — because at
 reduced scale a single OS scheduling hiccup among N_sp measured
 super-peer durations can distort a wall-clock max; the benchmark suite
-asserts the paper's growth trends on that noise-free basis.
+asserts the paper's growth trends on that noise-free basis.  The work
+basis carries every scan on the path to the initiator, relayed ones
+included; while relayed scans were missing from it (the plan-based
+executor dropped a relayed result's work) FTFM's ratio in Figure 3(f)
+read above 1 at every size and equal to RTFM's, and the benchmark
+asserted the former.  With the work carried FTFM, like FTPM, starts
+below 1 and crosses it within the bench range, which is what
+`benchmarks/test_fig3f_vs_naive.py` now asserts for both
+(`ftfm[-1] > 1` in place of `all(s > 1 for s in ftfm)`; the growth
+clauses are unchanged), and Figure 4(b)'s growth check passes.
 
 ---
 """

@@ -9,7 +9,14 @@ scheduling noise (a single hiccup among N_sp measured super-peer
 durations distorts the max).  *work* is the critical-path
 examined-points ratio — deterministic yet parallelism-aware (it sees
 progressive merging distribute the initiator's merge), hence the basis
-the benchmark suite asserts the growth trend on.
+the benchmark suite asserts the growth trend on.  Every scan on the
+path to the initiator counts on it, relayed or not: FT* pays the
+initiator's scan before any other scan can start and RT* the whole
+cascade down the propagation path, neither of which naive pays, so at
+reduced scale the work ratios start below 1 and rise with N_p — FTPM
+fastest; FTFM crosses 1 and flattens between the two largest sizes;
+RTFM stays below FTFM throughout (its scans run one after another down
+the path).
 """
 
 from __future__ import annotations

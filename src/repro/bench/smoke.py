@@ -21,18 +21,13 @@ host the pool cannot beat the serial loop (the JSON records
 and ``"per_dimension"`` is deterministic and must be identical across
 machines, worker counts and start methods.
 
-Schema 3 adds two sections:
-
-* ``"cache"`` — a repeated-subspace workload run twice through one
-  engine (cold pass publishes shared-memory block-cache entries, warm
-  pass replays them), with hit rates per pass and an ``identical``
-  verdict: every deterministic statistic of both passes must equal the
-  serial reference, which is how "cache hits are byte-identical to
-  recomputation" shows up at this level.  ``check_regression.py``
-  gates on the verdict.
-* ``"pipelined_merge"`` — one socket-transport query run buffered and
-  pipelined (best-of-N idle time each), with the frame accounting and
-  a gated ``result_ids_match`` verdict; idle timings are informational.
+Schema 3 adds ``"cache"``: a repeated-subspace workload run twice
+through one engine (cold pass publishes shared-memory block-cache
+entries, warm pass replays them), with hit rates per pass and an
+``identical`` verdict: every deterministic statistic of both passes must
+equal the serial reference, which is how "cache hits are byte-identical
+to recomputation" shows up at this level.  ``check_regression.py``
+gates on the verdict.
 
 Schema 4 adds ``"serving"``: an open-loop load run against the asyncio
 query gateway (:mod:`repro.serving`) — a Zipf-skewed workload offered
@@ -116,6 +111,9 @@ Schema 9 adds no section: there is one data plane and one block cache
 to run on, so runs are labelled by start method alone and nothing tells
 planes or cache kinds apart; ``serving`` reports the gateway's counters
 beside the engine's, neither mirrored into the other.
+
+Schema 10 removes schema 3's other section, a comparison of two socket
+initiator merges: there is one now, the buffered Algorithm 2.
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ from .harness import VariantStats, build_network, make_queries, run_queries
 
 __all__ = ["SMOKE_SCHEMA", "bench_churn", "bench_serving", "bench_smoke", "write_bench_smoke"]
 
-SMOKE_SCHEMA = "repro-bench-smoke/9"
+SMOKE_SCHEMA = "repro-bench-smoke/10"
 
 #: VariantStats fields that do not depend on wall-clock measurement —
 #: these must match exactly between serial and parallel runs.
@@ -236,61 +234,6 @@ def _bench_cache(
         "invalid": stats.cache_invalid,
         "identical": not mismatched,
         "mismatched_fields": mismatched,
-    }
-
-
-def _bench_pipelined_merge(
-    network: Any,
-    query: Any,
-    variant: Variant,
-    repeats: int = 3,
-) -> dict[str, Any]:
-    """Buffered vs pipelined socket merge on one query (best-of-N idle).
-
-    ``result_ids_match`` is the gated verdict; idle seconds are
-    hardware-dependent and informational, like every other wall-clock
-    in this report.
-    """
-    from ..skypeer.netexec import run_socket_query
-
-    idle: dict[str, float] = {}
-    walls: dict[str, float] = {}
-    ids: dict[str, frozenset[int]] = {}
-    last: dict[str, Any] = {}
-    match = True
-    for merge in ("buffered", "pipelined"):
-        best_idle = float("inf")
-        best_wall = float("inf")
-        for _ in range(repeats):
-            outcome = run_socket_query(network, query, variant, merge=merge)
-            best_idle = min(best_idle, outcome.report.initiator_idle_seconds)
-            best_wall = min(best_wall, outcome.report.wall_seconds)
-            if merge in ids and outcome.result_ids != ids[merge]:
-                match = False
-            ids[merge] = outcome.result_ids
-            last[merge] = outcome.report
-        idle[merge] = best_idle
-        walls[merge] = best_wall
-    if ids["buffered"] != ids["pipelined"]:
-        match = False
-    pipelined = last["pipelined"]
-    return {
-        "variant": variant.value,
-        "mode": pipelined.mode,
-        "repeats": repeats,
-        "buffered_idle_seconds": idle["buffered"],
-        "pipelined_idle_seconds": idle["pipelined"],
-        "idle_speedup": (
-            idle["buffered"] / idle["pipelined"] if idle["pipelined"] else None
-        ),
-        "buffered_wall_seconds": walls["buffered"],
-        "pipelined_wall_seconds": walls["pipelined"],
-        "frames_merged": pipelined.frames_merged,
-        "frames_pruned": pipelined.frames_pruned,
-        "merge_stall_seconds": pipelined.merge_stall_seconds,
-        "readers_cancelled": pipelined.readers_cancelled,
-        "result_size": len(ids["pipelined"]),
-        "result_ids_match": match,
     }
 
 
@@ -1028,18 +971,14 @@ def bench_smoke(
 
     cache = _bench_cache(prepared, serial, variant_list, n_workers, primary)
 
-    merge_dim, merge_network, merge_queries = prepared[0]
-    merge_variant = Variant.FTPM if Variant.FTPM in variant_list else variant_list[0]
-    pipelined_merge = _bench_pipelined_merge(merge_network, merge_queries[0], merge_variant)
-    pipelined_merge["dimensionality"] = merge_dim
-
+    serving_dim, serving_network, _queries = prepared[0]
     serving = _bench_serving(
-        merge_network,
+        serving_network,
         n_workers=n_workers,
         primary=primary,
-        variant=merge_variant,
+        variant=Variant.FTPM if Variant.FTPM in variant_list else variant_list[0],
     )
-    serving["dimensionality"] = merge_dim
+    serving["dimensionality"] = serving_dim
 
     kernels = _bench_kernels(primary=primary)
 
@@ -1070,7 +1009,6 @@ def bench_smoke(
         ],
         "shm_attach_mean_seconds": shm_attach,
         "cache": cache,
-        "pipelined_merge": pipelined_merge,
         "serving": serving,
         "kernels": kernels,
         "incremental": incremental,

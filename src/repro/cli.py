@@ -175,9 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=transport_help)
     q.add_argument("--transport-mode", choices=("task", "process"), default=None,
                    help=transport_mode_help)
-    q.add_argument("--merge", choices=("pipelined", "buffered"), default=None,
-                   help="initiator merge strategy for the socket transport "
-                        "(default: REPRO_STREAM_MERGE, else pipelined)")
     q.add_argument("--substrate", default=None, help=substrate_help)
     q.add_argument("--partition", default=None, help=partition_help)
     q.add_argument("--partition-parts", type=int, default=None,
@@ -206,8 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=transport_help)
     tr.add_argument("--transport-mode", choices=("task", "process"), default=None,
                     help=transport_mode_help)
-    tr.add_argument("--merge", choices=("pipelined", "buffered"), default=None,
-                    help="initiator merge strategy for the socket transport")
     tr.add_argument("--output", default="query-trace.json",
                     help="Chrome-trace JSON path (open in chrome://tracing or Perfetto)")
     tr.add_argument("--metrics-output", default=None,
@@ -514,15 +509,8 @@ def _format_transport_report(report) -> str:
         f"  estimated bytes  : {report.estimated_bytes} "
         f"(cost model; {report.estimate_delta_bytes:+d} vs measured = "
         f"constant per-message envelope delta)",
-        f"  initiator merge  : {report.merge_mode}, "
-        f"{report.initiator_idle_seconds * 1e3:.1f} ms idle",
+        f"  initiator idle   : {report.initiator_idle_seconds * 1e3:.1f} ms",
     ]
-    if report.merge_mode == "pipelined":
-        lines.append(
-            f"  pipelined frames : {report.frames_merged} merged, "
-            f"{report.frames_pruned} pruned whole, "
-            f"{report.readers_cancelled} readers cancelled early"
-        )
     return "\n".join(lines)
 
 
@@ -578,9 +566,7 @@ def _run_socket_cli_query(args, network, query, variant) -> int:
     """The ``--transport socket`` path of ``skypeer query``."""
     from .skypeer.netexec import run_socket_query
 
-    outcome = run_socket_query(
-        network, query, variant, mode=args.transport_mode, merge=args.merge
-    )
+    outcome = run_socket_query(network, query, variant, mode=args.transport_mode)
     if args.json:
         import json
 
@@ -592,11 +578,7 @@ def _run_socket_cli_query(args, network, query, variant) -> int:
             "result_size": len(outcome.result),
             "result_ids": sorted(outcome.result_ids),
             "wall_seconds": report.wall_seconds,
-            "merge_mode": report.merge_mode,
             "initiator_idle_seconds": report.initiator_idle_seconds,
-            "frames_merged": report.frames_merged,
-            "frames_pruned": report.frames_pruned,
-            "readers_cancelled": report.readers_cancelled,
             "messages": report.messages,
             "query_messages": report.query_messages,
             "result_messages": report.result_messages,
@@ -639,10 +621,7 @@ def _run_trace(args: argparse.Namespace) -> int:
         if transport == "socket":
             from .skypeer.netexec import run_socket_query
 
-            outcome = run_socket_query(
-                network, query, variant, mode=args.transport_mode,
-                merge=args.merge,
-            )
+            outcome = run_socket_query(network, query, variant, mode=args.transport_mode)
         else:
             execution = execute_query(network, query, variant)
     write_chrome_trace(args.output, tracer, indent=None)

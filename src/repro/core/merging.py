@@ -16,10 +16,9 @@ Two entry points share the semantics:
 
 * :func:`merge_sorted_skylines` — the buffered form: all lists are in
   hand, merge once.
-* :class:`IncrementalMerger` / :func:`merge_sorted_skylines_stream` —
-  the pipelined form: runs arrive one at a time (e.g. result frames on
-  a socket) and each is dominance-filtered into the running skyline on
-  arrival, so merge work overlaps the wait for later runs.  Feeding
+* :class:`IncrementalMerger` — the incremental form: runs arrive one at
+  a time (the slices of a partitioned scan) and each is
+  dominance-filtered into the running skyline on arrival.  Feeding
   runs incrementally is exact because a threshold-pruned Algorithm 1/2
   scan returns the *exact* skyline of its input (a survivor past the
   final threshold would be dominated by the threshold point), and
@@ -33,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from typing import AsyncIterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,11 +42,7 @@ from .local_skyline import SkylineComputation, _chunked_scan, resolve_scan_chunk
 from .mapping import dist_values
 from .store import SortedByF
 
-__all__ = [
-    "IncrementalMerger",
-    "merge_sorted_skylines",
-    "merge_sorted_skylines_stream",
-]
+__all__ = ["IncrementalMerger", "merge_sorted_skylines"]
 
 
 def merge_sorted_skylines(
@@ -241,7 +236,7 @@ class IncrementalMerger:
 
         Returns the number of points of the run that were examined
         (zero when the whole run lies beyond the current threshold —
-        the frame-pruning fast path of the socket executor).
+        the whole-run pruning fast path).
         """
         started = time.perf_counter()
         self.runs_fed += 1
@@ -312,31 +307,3 @@ class IncrementalMerger:
             duration=self.compute_seconds,
             input_size=self.input_size,
         )
-
-
-async def merge_sorted_skylines_stream(
-    runs: AsyncIterator[SortedByF],
-    subspace: Sequence[int],
-    dimensionality: int | None = None,
-    initial_threshold: float = math.inf,
-    strict: bool = False,
-    scan_chunk: int | None = None,
-) -> SkylineComputation:
-    """Algorithm 2 over an async iterator of f-sorted runs.
-
-    Each run is merged the moment the iterator yields it, so dominance
-    filtering overlaps whatever produces the runs (socket reads in
-    :mod:`repro.skypeer.netexec`).  Equivalent to collecting the runs
-    and calling :func:`merge_sorted_skylines` (same result set; see
-    :class:`IncrementalMerger` for the argument).
-    """
-    merger = IncrementalMerger(
-        subspace,
-        dimensionality=dimensionality,
-        initial_threshold=initial_threshold,
-        strict=strict,
-        scan_chunk=scan_chunk,
-    )
-    async for run in runs:
-        merger.feed(run)
-    return merger.result()

@@ -3,8 +3,8 @@
 The package has three parts and one switch:
 
 * :mod:`repro.obs.tracer` — :class:`Tracer` records :class:`Span`
-  intervals on the executor's model clocks (and on the single real
-  timeline of the protocol engine / pre-processing phase).
+  intervals on the executor's model clocks (and on the single
+  timeline of the flooded run / pre-processing phase).
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` holds labelled
   counters and histograms (dominance comparisons, points examined,
   messages, bytes, cache hits, threshold refinements, ...).

@@ -12,8 +12,8 @@ computational timeline.
 Spans carry a ``track`` (the super-peer or link that did the work) so
 the exporter (:mod:`repro.obs.export`) can lay a query's parallel
 schedule out one row per super-peer, one Chrome-trace "process" per
-clock.  Sources with only a single real timeline (the message-passing
-protocol, pre-processing) record single-clock spans via
+clock.  Sources shown on a single timeline (the flooded run,
+pre-processing) record single-clock spans via
 :meth:`Tracer.interval`.
 """
 

@@ -5,7 +5,6 @@ from .cost import DEFAULT_COST_MODEL, CostModel
 from .engine import EventLoop, LinkLayer
 from .network import PreprocessingReport, SuperPeerNetwork
 from .node import Peer, SuperPeer
-from .simulation import TransferRequest, simulate_transfers
 from .topology import Topology, superpeer_count_rule
 from .transport import (
     FrameDecoder,
@@ -42,8 +41,6 @@ __all__ = [
     "fail_peer",
     "EventLoop",
     "LinkLayer",
-    "TransferRequest",
-    "simulate_transfers",
     "QueryMessage",
     "ResultMessage",
     "WireError",

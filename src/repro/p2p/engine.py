@@ -1,17 +1,20 @@
-"""A small discrete-event engine with FIFO links.
+"""A small discrete-event engine with FIFO links — the one transfer model.
 
-``repro.skypeer.protocol`` runs Algorithm 3 as real message handlers on
-top of this: events are scheduled callbacks, and links serialize the
-messages that cross them at the cost model's bandwidth — one directed
-link transmits one message at a time, in first-ready order, exactly
-like :mod:`repro.p2p.simulation` (which is the closed-form counterpart
-used by the plan-based executor).
+The model-clock carrier (:mod:`repro.skypeer.executor`) runs Algorithm 3
+as real message handlers on top of this: events are scheduled callbacks,
+and links serialize the messages that cross them at the cost model's
+bandwidth.  One directed link transmits one message at a time, in
+first-ready order (ties in submission order), store-and-forward: a hop
+starts only after the previous hop delivered the whole message.  When
+many result lists are relayed hop-by-hop towards the initiator (the *FM
+variants and the naive baseline) the links close to it are shared and
+serialize them — the "potential bottleneck at P_init" progressive
+merging avoids, so modelling it matters for Figures 3(c) and 4(a).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .cost import CostModel
@@ -19,41 +22,31 @@ from .cost import CostModel
 __all__ = ["EventLoop", "LinkLayer"]
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
-
-
 class EventLoop:
     """Run callbacks in simulated-time order."""
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[_Event] = []
+        # (time, seq, fn): seq is unique, so fn is never compared.
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at ``now + delay`` (ties run in FIFO order)."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, _Event(self.now + delay, self._seq, fn))
-        self._seq += 1
+        self.schedule_at(self.now + delay, fn)
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
         if time < self.now:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, _Event(time, self._seq, fn))
+        heapq.heappush(self._heap, (time, self._seq, fn))
         self._seq += 1
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Drain the event queue; returns the number of events run."""
         count = 0
         while self._heap:
-            event = heapq.heappop(self._heap)
-            self.now = event.time
-            event.fn()
+            self.now, _seq, fn = heapq.heappop(self._heap)
+            fn()
             count += 1
             if count > max_events:
                 raise RuntimeError("event budget exceeded; protocol livelock?")

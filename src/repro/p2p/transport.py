@@ -1,7 +1,7 @@
 """Asyncio socket transport: SKYPEER messages over real TCP.
 
-The discrete-event carrier (:mod:`repro.p2p.engine`) and the plan-based
-executor both *model* communication; this module actually moves the
+The discrete-event carrier (:mod:`repro.p2p.engine`) *models*
+communication; this module actually moves the
 :mod:`repro.p2p.wire` byte stream between endpoints, so the cost
 model's byte estimates can be checked against measured wire traffic.
 
@@ -28,7 +28,7 @@ The endpoint is deliberately protocol-agnostic: it moves opaque frames
 and counts bytes.  :mod:`repro.skypeer.netexec` wires
 :class:`repro.skypeer.protocol.ProtocolNode` state machines to
 endpoints — either all in one event loop (task mode) or one endpoint
-per OS process (process mode).
+per OS process (process mode) — and owns the wire codec boundary.
 """
 
 from __future__ import annotations
@@ -205,7 +205,6 @@ class EndpointStats:
     connects: int = 0
     retries: int = 0
     reconnects: int = 0
-    readers_cancelled: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -310,27 +309,6 @@ class SocketEndpoint:
                     # Close must not mask the first failure: sender-task
                     # errors were already surfaced by flush()/send().
                     pass
-
-    def cancel_readers(self) -> int:
-        """Cancel every in-flight inbound reader task immediately.
-
-        The pipelined initiator calls this the moment its final result
-        exists: the protocol guarantees that each link peer's last
-        frame to the initiator (its own result, or the duplicate-query
-        empty reply) has already been received by then, so the readers
-        are only waiting on EOFs that teardown would deliver later —
-        cancelling them trades that wait for nothing.  Byte accounting
-        is unaffected (every initiator-bound frame was already
-        counted).  Returns the number of readers cancelled; they are
-        awaited by :meth:`close`.
-        """
-        cancelled = 0
-        for task in list(self._serving):
-            if not task.done():
-                task.cancel()
-                cancelled += 1
-        self.stats.readers_cancelled += cancelled
-        return cancelled
 
     async def close(self) -> None:
         """Graceful shutdown: flush queues, close connections, stop

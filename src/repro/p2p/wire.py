@@ -14,6 +14,11 @@ Payloads:
   threshold (8B double), initiator (8B).
 * ``ResultMessage`` — point count (4B), query dimensionality (2B), then
   per point: id (8B), f value (8B double), k coordinates (8B doubles).
+  Its kind byte also says where the message stands on its link: a plain
+  result, a *final* one (the last message the sender's subtree puts on
+  this link), or a *decline* (no result will ever come over this link —
+  the answer to a duplicate query, and a relay's last word when a
+  decline was what completed its subtree; always final, never points).
 
 ``ResultMessage`` carries only the queried coordinates plus ``f`` — the
 receiver needs nothing else to run Algorithm 2 — which is exactly the
@@ -47,6 +52,8 @@ _VERSION = 1
 _HEADER = struct.Struct("<2sBBqI")
 _KIND_QUERY = 1
 _KIND_RESULT = 2
+_KIND_FINAL = 3
+_KIND_DECLINE = 4
 
 HEADER_SIZE = _HEADER.size
 
@@ -97,7 +104,9 @@ class ResultMessage:
     """A local (or progressively merged) result list, f-sorted.
 
     Only the queried coordinates travel; the full-space points stay at
-    their super-peers.  ``ids``, ``f`` and ``coords`` are parallel.
+    their super-peers.  ``ids``, ``f`` and ``coords`` are parallel;
+    ``sender`` is the super-peer whose list this is (a relay passes it
+    on unchanged).  ``final`` and ``decline`` ride in the kind byte.
     """
 
     query_id: int
@@ -105,12 +114,15 @@ class ResultMessage:
     ids: tuple[int, ...]
     f: tuple[float, ...]
     coords: tuple[tuple[float, ...], ...]
+    final: bool = False
+    decline: bool = False
 
     _BODY_HEAD = struct.Struct("<qIH")
 
     @classmethod
     def from_store(
-        cls, query_id: int, sender: int, result: SortedByF, subspace: Sequence[int]
+        cls, query_id: int, sender: int, result: SortedByF, subspace: Sequence[int],
+        final: bool = False,
     ) -> "ResultMessage":
         cols = list(subspace)
         proj = result.points.values[:, cols] if len(result) else np.empty((0, len(cols)))
@@ -120,6 +132,7 @@ class ResultMessage:
             ids=tuple(int(i) for i in result.points.ids),
             f=tuple(float(v) for v in result.f),
             coords=tuple(tuple(float(x) for x in row) for row in proj),
+            final=final,
         )
 
     @property
@@ -133,19 +146,24 @@ class ResultMessage:
         n = len(self.ids)
         if not (len(self.f) == n and len(self.coords) == n):
             raise WireError("ids, f and coords must be parallel")
+        if self.decline and n:
+            raise WireError("a decline carries no points")
         k = self.k
+        kind = _KIND_DECLINE if self.decline else _KIND_FINAL if self.final else _KIND_RESULT
         body = self._BODY_HEAD.pack(self.sender, n, k)
         for point_id, f_value, row in zip(self.ids, self.f, self.coords):
             if len(row) != k:
                 raise WireError("ragged coordinate rows")
             body += struct.pack(f"<qd{k}d", point_id, f_value, *row)
-        return _HEADER.pack(_MAGIC, _VERSION, _KIND_RESULT, self.query_id, len(body)) + body
+        return _HEADER.pack(_MAGIC, _VERSION, kind, self.query_id, len(body)) + body
 
     @classmethod
-    def _decode_body(cls, query_id: int, body: bytes) -> "ResultMessage":
+    def _decode_body(cls, query_id: int, body: bytes, kind: int) -> "ResultMessage":
         if len(body) < cls._BODY_HEAD.size:
             raise WireError("result body truncated")
         sender, n, k = cls._BODY_HEAD.unpack_from(body, 0)
+        if kind == _KIND_DECLINE and n:
+            raise WireError("a decline carries no points")
         record = struct.Struct(f"<qd{k}d")
         expected = cls._BODY_HEAD.size + n * record.size
         if len(body) != expected:
@@ -164,6 +182,8 @@ class ResultMessage:
             ids=tuple(ids),
             f=tuple(fs),
             coords=tuple(coords),
+            final=kind != _KIND_RESULT,
+            decline=kind == _KIND_DECLINE,
         )
 
     def to_store(self) -> SortedByF:
@@ -194,7 +214,7 @@ def decode_header(blob: bytes) -> tuple[int, int, int]:
         raise WireError(f"bad magic {magic!r}")
     if version != _VERSION:
         raise WireError(f"unsupported version {version}")
-    if kind not in (_KIND_QUERY, _KIND_RESULT):
+    if kind not in (_KIND_QUERY, _KIND_RESULT, _KIND_FINAL, _KIND_DECLINE):
         raise WireError(f"unknown message kind {kind}")
     return kind, query_id, length
 
@@ -218,7 +238,7 @@ def decode(blob: bytes) -> QueryMessage | ResultMessage:
         )
     if kind == _KIND_QUERY:
         return QueryMessage._decode_body(query_id, body)
-    return ResultMessage._decode_body(query_id, body)
+    return ResultMessage._decode_body(query_id, body, kind)
 
 
 def cost_estimate(blob: bytes, model: CostModel) -> int:

@@ -1,39 +1,49 @@
-"""Algorithm 3 — distributed execution of a subspace skyline query.
+"""Algorithm 3 on the model clocks — ``execute_query`` and its carrier.
 
-The executor runs the *computations* of every super-peer for real
-(Algorithm 1 scans, Algorithm 2 merges, BNL for the naive baseline) and
-*models* their distributed schedule: query propagation follows the BFS
-tree of the super-peer backbone rooted at the initiator, results flow
-back up, and every step is stamped on two clocks —
+Every super-peer runs the one state machine of
+:mod:`repro.skypeer.protocol`; this module is the carrier that places
+what the nodes do on the paper's clocks.  The *computations* run for
+real (Algorithm 1 scans, Algorithm 2 merges, BNL for the naive
+baseline) and their distributed schedule is *modelled* by a
+discrete-event loop (:mod:`repro.p2p.engine`): a message seizes its
+directed link FIFO at the cost model's bytes, and every stamp the nodes
+pass around is a whole :class:`Clock` —
 
 * the **computational clock**, where message transfers are free
-  (Figure 3(b)'s "computational time, neglecting network delays"), and
+  (Figure 3(b)'s "computational time, neglecting network delays"),
 * the **total clock**, where each hop costs ``bytes / bandwidth``
-  (Figure 3(c)'s "total response time", 4 KB/s by default).
+  (Figure 3(c)'s "total response time", 4 KB/s by default) and which
+  orders the event loop, and
+* **work**, the computational clock with durations replaced by points
+  examined.
 
-Both clocks are longest-path times over the same dependency DAG, so a
-single pass computes them together.  Durations are measured wall-clock
-around the actual Python computations; abstract dominance-comparison
-counts are aggregated alongside for machine-independent reporting.
+A computation advances all three, a transfer the total clock only, a
+join takes the element-wise latest, and a relayed list keeps the stamp
+it arrived with — so each component is the longest path over the same
+dependency DAG.  Durations are measured wall-clock around the actual
+Python computations; abstract dominance-comparison counts are
+aggregated alongside for machine-independent reporting.
+
+``execute_query`` routes over the BFS tree rooted at the initiator (the
+idealized routing the paper's figures charge);
+:func:`repro.skypeer.protocol.run_protocol` hands the same driver the
+full adjacency.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from ..algorithms.bnl import block_nested_loops
-from ..core.dataset import PointSet
 from ..core.local_skyline import SkylineComputation
-from ..core.merging import merge_sorted_skylines
 from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
 from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
+from ..p2p.engine import EventLoop, LinkLayer
 from ..p2p.network import SuperPeerNetwork
-from ..p2p.simulation import TransferRequest, simulate_transfers
+from .protocol import ProtocolNode, make_kernels
 from .variants import Variant
 
 __all__ = ["Clock", "QueryExecution", "execute_query", "make_local_compute"]
@@ -210,461 +220,245 @@ def execute_query(
         :func:`make_local_compute`.  Ignored by the naive baseline.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
-    index_kind = index_kind or network.index_kind
-    subspace = normalize_subspace(query.subspace, network.dimensionality)
-    if query.initiator not in network.superpeers:
-        raise KeyError(f"unknown initiator super-peer {query.initiator}")
-
-    if variant is Variant.NAIVE:
-        return _execute_naive(network, query, subspace)
-    if local_compute is None:
+    if local_compute is None and variant is not Variant.NAIVE:
         local_compute = make_local_compute(
             network, index_kind=index_kind, scan_chunk=scan_chunk,
             scan_substrate=scan_substrate, partitioner=partitioner,
             partition_parts=partition_parts, engine=engine,
         )
-    return _execute_skypeer(
-        network, query, subspace, variant, index_kind, local_compute, scan_chunk
-    )
+    return run_on_model_clocks(
+        network, query, variant, index_kind=index_kind,
+        local_compute=local_compute, scan_chunk=scan_chunk,
+    ).execution
 
 
-# ----------------------------------------------------------------------
-# SKYPEER variants
-# ----------------------------------------------------------------------
-def _execute_skypeer(
+class _ModelClocks:
+    """The model-clock carrier of one query, and its only observer.
+
+    Every ``skypeer.*`` (or, for the flooded run, ``protocol.*``) counter
+    and span comes from the three hooks below — a link hook
+    (:meth:`_transmit`), a compute hook and a finish hook.
+    """
+
+    def __init__(
+        self, network: SuperPeerNetwork, query: Query, subspace: Subspace,
+        variant: Variant, obs_prefix: str,
+    ):
+        self.loop = EventLoop()
+        self.links = LinkLayer(self.loop, network.cost_model)
+        self.nodes: dict[int, ProtocolNode] = {}
+        self.traces: dict[int, SkylineComputation] = {}
+        self.comparisons = 0
+        self.query_messages = 0
+        self.outcome: tuple[SortedByF, Clock] | None = None
+        self._cost = network.cost_model
+        self._query = query
+        self._subspace = subspace
+        self._label = variant.value
+        self._algorithms = (
+            {"scan": "bnl scan", "merge": "bnl merge"} if variant is Variant.NAIVE
+            else {"scan": "algorithm1 scan", "merge": "algorithm2 merge"}
+        )
+        self._prefix = obs_prefix
+        self._tracer = active_tracer()
+        self._metrics = active_metrics()
+        self._incoming: dict[int, float] = {}   # kept for the refinement counter only
+
+    # -- messages ------------------------------------------------------
+    def send_query(self, src: int, dst: int, threshold: float, at: Clock) -> None:
+        self.query_messages += 1
+
+        def deliver(arrived: Clock) -> None:
+            self._incoming.setdefault(dst, threshold)
+            self.nodes[dst].on_query(src, threshold, arrived)
+
+        self._transmit("query", src, dst, self._cost.query_bytes(len(self._subspace)), at, deliver)
+
+    def send_result(
+        self, src: int, dst: int, origin: int, result: SortedByF, final: bool, at: Clock
+    ) -> None:
+        self._transmit(
+            "result", src, dst,
+            self._cost.result_bytes(len(result), len(self._subspace)), at,
+            lambda arrived: self.nodes[dst].on_result(src, origin, result, final, arrived),
+            points=len(result),
+        )
+
+    def decline(self, src: int, dst: int, at: Clock) -> None:
+        self._transmit(
+            "result", src, dst, self._cost.result_bytes(0, len(self._subspace)), at,
+            lambda arrived: self.nodes[dst].on_decline(src, arrived), points=0,
+        )
+
+    def _transmit(
+        self, kind: str, src: int, dst: int, nbytes: int, at: Clock,
+        deliver: Callable[[Clock], None], **args: Any,
+    ) -> None:
+        # A transfer moves the total clock only; the event fires at its end.
+        start, end = self.links.send(
+            src, dst, nbytes, lambda: deliver(Clock(at.comp, self.loop.now, at.work))
+        )
+        if self._tracer is not None:
+            self._span(
+                f"{kind} hop", "transfer", f"link sp{src}->sp{dst}",
+                Clock(at.comp, start, at.work), Clock(at.comp, end, at.work),
+                bytes=nbytes, **args,
+            )
+        if self._metrics is not None:
+            labels = {"variant": self._label, "kind": kind}
+            self._metrics.counter(f"{self._prefix}.messages", **labels).inc()
+            self._metrics.counter(f"{self._prefix}.volume_bytes", **labels).inc(nbytes)
+
+    # -- computations --------------------------------------------------
+    def compute(
+        self, sp: int, phase: str, at: Clock, computation: SkylineComputation,
+        then: Callable[[Clock], None],
+    ) -> None:
+        self.comparisons += computation.comparisons
+        if phase == "scan":
+            self.traces[sp] = computation
+        end = at.after_compute(computation.duration, work=computation.examined)
+        if self._tracer is not None:
+            self._span(
+                self._algorithms[phase], "compute", f"sp{sp}", at, end,
+                examined=computation.examined, kept=len(computation.result),
+                comparisons=computation.comparisons,
+            )
+        if self._metrics is not None:
+            labels = {"variant": self._label, "superpeer": sp, "phase": phase}
+            self._metrics.counter(f"{self._prefix}.comparisons", **labels).inc(
+                computation.comparisons
+            )
+            self._metrics.counter(f"{self._prefix}.points_examined", **labels).inc(
+                computation.examined
+            )
+            if phase == "scan" and computation.threshold < self._incoming.get(sp, math.inf):
+                self._metrics.counter(
+                    f"{self._prefix}.threshold_refinements", variant=self._label
+                ).inc()
+        self.loop.schedule_at(end.total, lambda: then(end))
+
+    @staticmethod
+    def join(a: Clock, b: Clock) -> Clock:
+        """:meth:`Clock.latest` of the two, spelled out (it runs per message)."""
+        return Clock(max(a.comp, b.comp), max(a.total, b.total), max(a.work, b.work))
+
+    # -- the answer ----------------------------------------------------
+    def finish(self, result: SortedByF, at: Clock) -> None:
+        self.outcome = (result, at)
+        if self._tracer is not None:
+            self._span(
+                "query", "query", "query", Clock(), at,
+                variant=self._label, subspace=str(tuple(self._subspace)),
+                initiator=self._query.initiator, result_points=len(result),
+            )
+        if self._metrics is not None:
+            self._metrics.counter(f"{self._prefix}.queries", variant=self._label).inc()
+            self._metrics.counter(
+                f"{self._prefix}.result_points", variant=self._label
+            ).inc(len(result))
+            for clock in ("comp", "total"):
+                self._metrics.histogram(
+                    f"{self._prefix}.query_seconds", variant=self._label, clock=clock
+                ).observe(getattr(at, clock))
+
+    def _span(
+        self, name: str, category: str, track: str, start: Clock, end: Clock, **args: Any
+    ) -> None:
+        if self._prefix == "skypeer":
+            self._tracer.span(name, category=category, track=track, start=start, end=end, **args)
+        else:
+            # The flooded run shows one timeline, under its own clock name.
+            self._tracer.interval(
+                name, category=category, track=track,
+                start=start.total, end=end.total, clock=self._prefix, **args,
+            )
+
+
+@dataclass
+class ModelRun:
+    """One query on the model clocks: the report, plus what only a
+    flooded run makes interesting."""
+
+    execution: QueryExecution
+    query_messages: int
+    duplicate_queries: int
+    events: int
+
+
+def run_on_model_clocks(
     network: SuperPeerNetwork,
     query: Query,
-    subspace: Subspace,
     variant: Variant,
-    index_kind: str,
-    local_compute,
+    *,
+    index_kind: str | None = None,
+    local_compute=None,
     scan_chunk: int | None = None,
-) -> QueryExecution:
-    topology = network.topology
-    cost = network.cost_model
+    neighbours: Mapping[int, Sequence[int]] | None = None,
+    obs_prefix: str = "skypeer",
+) -> ModelRun:
+    """Run one :class:`~repro.skypeer.protocol.ProtocolNode` per
+    super-peer over the discrete-event loop.
+
+    ``neighbours`` is the routing: ``None`` gives every super-peer its
+    BFS-tree edges (so the query travels a spanning tree and nothing is
+    declined), the topology's adjacency floods.  Either way merge inputs
+    are ranked by BFS position.
+    """
+    subspace = normalize_subspace(query.subspace, network.dimensionality)
     root = query.initiator
-    parent, children = topology.bfs_tree(root)
+    if root not in network.superpeers:
+        raise KeyError(f"unknown initiator super-peer {root}")
+    parent, children = network.topology.bfs_tree(root)
     order = _bfs_preorder(root, children)
-    k = len(subspace)
-    query_delay = cost.transfer_seconds(cost.query_bytes(k))
-    tracer = active_tracer()
-    metrics = active_metrics()
-
-    # ------------------------------------------------------------------
-    # Phase 1: local computations (Algorithm 1 at every super-peer).
-    # The initiator always runs first to obtain the initial threshold t.
-    # ------------------------------------------------------------------
-    local: dict[int, SkylineComputation] = {}
-    local[root] = local_compute(root, subspace, math.inf)
-    initial_threshold = local[root].threshold
-    refined: dict[int, float] = {root: initial_threshold}
-    for sp in order[1:]:
-        incoming = refined[parent[sp]] if variant.refined_threshold else initial_threshold
-        local[sp] = local_compute(sp, subspace, incoming)
-        refined[sp] = local[sp].threshold
-    if metrics is not None:
-        for sp in order:
-            comp = local[sp]
-            metrics.counter(
-                "skypeer.points_examined",
-                variant=variant.value, superpeer=sp, phase="scan",
-            ).inc(comp.examined)
-            metrics.counter(
-                "skypeer.comparisons",
-                variant=variant.value, superpeer=sp, phase="scan",
-            ).inc(comp.comparisons)
-            incoming = (
-                math.inf if sp == root
-                else refined[parent[sp]] if variant.refined_threshold
-                else initial_threshold
-            )
-            if comp.threshold < incoming:
-                metrics.counter(
-                    "skypeer.threshold_refinements", variant=variant.value
-                ).inc()
-
-    # ------------------------------------------------------------------
-    # Phase 2: schedule query propagation on both clocks.
-    # RT* forwards only after the local computation; FT* relays at once.
-    # ------------------------------------------------------------------
-    arrive: dict[int, Clock] = {root: Clock()}
-    compute_end: dict[int, Clock] = {}
-    forward_ready: dict[int, Clock] = {}
+    if neighbours is None:
+        neighbours = {
+            sp: children[sp] + (() if parent[sp] is None else (parent[sp],))
+            for sp in order
+        }
+    rank = {sp: position for position, sp in enumerate(order)}
+    kernels = make_kernels(
+        variant, subspace, store_of=network.store_of,
+        dimensionality=network.dimensionality,
+        index_kind=index_kind or network.index_kind,
+        local_compute=local_compute, scan_chunk=scan_chunk,
+    )
+    carrier = _ModelClocks(network, query, subspace, variant, obs_prefix)
     for sp in order:
-        duration = local[sp].duration
-        scanned = local[sp].examined
-        compute_end[sp] = arrive[sp].after_compute(duration, work=scanned)
-        if sp == root or variant.refined_threshold:
-            # P_init computes before forwarding (it needs t); RT* nodes
-            # refine the threshold before forwarding.
-            forward_ready[sp] = compute_end[sp]
-        else:
-            forward_ready[sp] = arrive[sp]
-        if tracer is not None:
-            tracer.span(
-                "algorithm1 scan", category="compute", track=f"sp{sp}",
-                start=arrive[sp], end=compute_end[sp],
-                examined=scanned, kept=len(local[sp].result),
-                comparisons=local[sp].comparisons,
-            )
-        for child in children[sp]:
-            arrive[child] = forward_ready[sp].after_transfer(query_delay)
-            if tracer is not None:
-                tracer.span(
-                    "query hop", category="transfer",
-                    track=f"link sp{sp}->sp{child}",
-                    start=forward_ready[sp], end=arrive[child],
-                    bytes=cost.query_bytes(k),
-                )
-
-    query_messages = len(order) - 1
-    volume = cost.query_bytes(k) * query_messages
-    messages = query_messages
-    comparisons = sum(comp.comparisons for comp in local.values())
-    if metrics is not None:
-        metrics.counter(
-            "skypeer.messages", variant=variant.value, kind="query"
-        ).inc(query_messages)
-        metrics.counter(
-            "skypeer.volume_bytes", variant=variant.value, kind="query"
-        ).inc(cost.query_bytes(k) * query_messages)
-
-    # ------------------------------------------------------------------
-    # Phase 3: results flow back (merging strategy).
-    # ------------------------------------------------------------------
-    if variant.progressive_merging:
-        up_list: dict[int, SortedByF] = {}
-        up_ready: dict[int, Clock] = {}
-        merge_traces: dict[int, SkylineComputation] = {}
-        for sp in reversed(order):
-            kids = children[sp]
-            if not kids:
-                up_list[sp] = local[sp].result
-                up_ready[sp] = compute_end[sp]
-                continue
-            inbound: list[Clock] = [compute_end[sp]]
-            for child in kids:
-                child_bytes = cost.result_bytes(len(up_list[child]), k)
-                volume += child_bytes
-                messages += 1
-                delivered_at = up_ready[child].after_transfer(
-                    cost.transfer_seconds(child_bytes)
-                )
-                inbound.append(delivered_at)
-                if tracer is not None:
-                    tracer.span(
-                        "result hop", category="transfer",
-                        track=f"link sp{child}->sp{sp}",
-                        start=up_ready[child], end=delivered_at,
-                        bytes=child_bytes, points=len(up_list[child]),
-                    )
-                if metrics is not None:
-                    metrics.counter(
-                        "skypeer.messages", variant=variant.value, kind="result"
-                    ).inc()
-                    metrics.counter(
-                        "skypeer.volume_bytes", variant=variant.value, kind="result"
-                    ).inc(child_bytes)
-            merged = merge_sorted_skylines(
-                [local[sp].result] + [up_list[c] for c in kids],
-                subspace,
-                index_kind=index_kind,
-                scan_chunk=scan_chunk,
-            )
-            merge_traces[sp] = merged
-            comparisons += merged.comparisons
-            up_list[sp] = merged.result
-            merge_start = Clock.latest(inbound)
-            up_ready[sp] = merge_start.after_compute(
-                merged.duration, work=merged.examined
-            )
-            if tracer is not None:
-                tracer.span(
-                    "algorithm2 merge", category="compute", track=f"sp{sp}",
-                    start=merge_start, end=up_ready[sp],
-                    inputs=len(kids) + 1, examined=merged.examined,
-                    kept=len(merged.result), comparisons=merged.comparisons,
-                )
-            if metrics is not None:
-                metrics.counter(
-                    "skypeer.comparisons",
-                    variant=variant.value, superpeer=sp, phase="merge",
-                ).inc(merged.comparisons)
-                metrics.counter(
-                    "skypeer.points_examined",
-                    variant=variant.value, superpeer=sp, phase="merge",
-                ).inc(merged.examined)
-        final_result = up_list[root]
-        finish = up_ready[root]
-    else:
-        paths = _paths_to_root(order, parent)
-        requests = []
-        lists: list[SortedByF] = [local[root].result]
-        for sp in order[1:]:
-            nbytes = cost.result_bytes(len(local[sp].result), k)
-            volume += nbytes * len(paths[sp])
-            messages += len(paths[sp])
-            requests.append(
-                TransferRequest(
-                    message_id=sp,
-                    ready_at=compute_end[sp].total,
-                    path=paths[sp],
-                    seconds_per_hop=cost.transfer_seconds(nbytes),
-                )
-            )
-            lists.append(local[sp].result)
-        delivered = simulate_transfers(requests)
-        inbound = [compute_end[root]] + [
-            Clock(comp=compute_end[sp].comp, total=delivered[sp]) for sp in order[1:]
-        ]
-        if tracer is not None:
-            for sp in order[1:]:
-                tracer.interval(
-                    "result relay", category="transfer", track=f"result sp{sp}",
-                    start=compute_end[sp].total, end=delivered[sp],
-                    hops=len(paths[sp]), points=len(local[sp].result),
-                )
-        if metrics is not None:
-            for sp in order[1:]:
-                nbytes = cost.result_bytes(len(local[sp].result), k)
-                metrics.counter(
-                    "skypeer.messages", variant=variant.value, kind="result"
-                ).inc(len(paths[sp]))
-                metrics.counter(
-                    "skypeer.volume_bytes", variant=variant.value, kind="result"
-                ).inc(nbytes * len(paths[sp]))
-        merged = merge_sorted_skylines(
-            lists, subspace, index_kind=index_kind, scan_chunk=scan_chunk
+        carrier.nodes[sp] = ProtocolNode(
+            sp, neighbours=neighbours[sp], variant=variant, kernels=kernels,
+            carrier=carrier, rank=rank.__getitem__,
         )
-        comparisons += merged.comparisons
-        final_result = merged.result
-        merge_start = Clock.latest(inbound)
-        finish = merge_start.after_compute(merged.duration, work=merged.examined)
-        if tracer is not None:
-            tracer.span(
-                "algorithm2 merge", category="compute", track=f"sp{root}",
-                start=merge_start, end=finish,
-                inputs=len(lists), examined=merged.examined,
-                kept=len(merged.result), comparisons=merged.comparisons,
-            )
-        if metrics is not None:
-            metrics.counter(
-                "skypeer.comparisons",
-                variant=variant.value, superpeer=root, phase="merge",
-            ).inc(merged.comparisons)
-            metrics.counter(
-                "skypeer.points_examined",
-                variant=variant.value, superpeer=root, phase="merge",
-            ).inc(merged.examined)
-
-    if tracer is not None:
-        tracer.span(
-            "query", category="query", track="query",
-            start=Clock(), end=finish,
-            variant=variant.value, subspace=str(tuple(subspace)),
-            initiator=root, result_points=len(final_result),
-        )
-    if metrics is not None:
-        metrics.counter("skypeer.queries", variant=variant.value).inc()
-        metrics.counter(
-            "skypeer.result_points", variant=variant.value
-        ).inc(len(final_result))
-        metrics.histogram(
-            "skypeer.query_seconds", variant=variant.value, clock="comp"
-        ).observe(finish.comp)
-        metrics.histogram(
-            "skypeer.query_seconds", variant=variant.value, clock="total"
-        ).observe(finish.total)
-
-    return QueryExecution(
+    carrier.nodes[root].start(Clock())
+    events = carrier.loop.run()
+    duplicate_queries = sum(node.duplicate_queries for node in carrier.nodes.values())
+    # The nodes and their carrier refer to each other.  Dropping the nodes
+    # lets a query's lists go by reference count the moment it returns,
+    # not whenever the cycle collector next runs (a serving worker's RSS).
+    carrier.nodes.clear()
+    if carrier.outcome is None:
+        raise RuntimeError("query terminated without producing a result")
+    result, finish = carrier.outcome
+    traces = carrier.traces
+    execution = QueryExecution(
         query=query,
         variant=variant,
-        result=final_result,
+        result=result,
         computational_time=finish.comp,
         total_time=finish.total,
-        volume_bytes=volume,
-        message_count=messages,
-        comparisons=comparisons,
-        initial_threshold=initial_threshold,
-        local_result_points=sum(len(comp.result) for comp in local.values()),
+        volume_bytes=carrier.links.bytes_sent,
+        message_count=carrier.links.messages_sent,
+        comparisons=carrier.comparisons,
+        initial_threshold=traces[root].threshold,
+        local_result_points=sum(len(scan.result) for scan in traces.values()),
         critical_path_examined=finish.work,
-        traces=local,
+        traces=traces,
     )
-
-
-# ----------------------------------------------------------------------
-# Naive baseline (section 3.2)
-# ----------------------------------------------------------------------
-def _execute_naive(
-    network: SuperPeerNetwork, query: Query, subspace: Subspace
-) -> QueryExecution:
-    """Plain distributed skyline: BNL local skylines, central BNL merge.
-
-    No f(p) mapping, no threshold, no early termination: every
-    super-peer computes its full local subspace skyline, ships it whole
-    to the initiator (intermediates relay), and the initiator removes
-    the globally dominated points from the concatenation.
-    """
-    topology = network.topology
-    cost = network.cost_model
-    root = query.initiator
-    parent, children = topology.bfs_tree(root)
-    order = _bfs_preorder(root, children)
-    k = len(subspace)
-    query_delay = cost.transfer_seconds(cost.query_bytes(k))
-    tracer = active_tracer()
-    metrics = active_metrics()
-    variant_label = Variant.NAIVE.value
-
-    local: dict[int, PointSet] = {}
-    durations: dict[int, float] = {}
-    bnl_stats: dict = {"comparisons": 0}
-    scan_comparisons: dict[int, int] = {}
-    for sp in order:
-        store = network.store_of(sp)
-        started = time.perf_counter()
-        before = bnl_stats["comparisons"]
-        local[sp] = block_nested_loops(store.points, subspace, stats=bnl_stats)
-        durations[sp] = time.perf_counter() - started
-        scan_comparisons[sp] = bnl_stats["comparisons"] - before
-
-    arrive: dict[int, Clock] = {root: Clock()}
-    compute_end: dict[int, Clock] = {}
-    for sp in order:
-        compute_end[sp] = arrive[sp].after_compute(
-            durations[sp], work=len(network.store_of(sp))
-        )
-        if tracer is not None:
-            tracer.span(
-                "bnl scan", category="compute", track=f"sp{sp}",
-                start=arrive[sp], end=compute_end[sp],
-                examined=len(network.store_of(sp)), kept=len(local[sp]),
-                comparisons=scan_comparisons[sp],
-            )
-        if metrics is not None:
-            metrics.counter(
-                "skypeer.points_examined",
-                variant=variant_label, superpeer=sp, phase="scan",
-            ).inc(len(network.store_of(sp)))
-            metrics.counter(
-                "skypeer.comparisons",
-                variant=variant_label, superpeer=sp, phase="scan",
-            ).inc(scan_comparisons[sp])
-        for child in children[sp]:
-            # Nothing to wait for: the query is forwarded on receipt.
-            arrive[child] = arrive[sp].after_transfer(query_delay)
-            if tracer is not None:
-                tracer.span(
-                    "query hop", category="transfer",
-                    track=f"link sp{sp}->sp{child}",
-                    start=arrive[sp], end=arrive[child],
-                    bytes=cost.query_bytes(k),
-                )
-
-    query_messages = len(order) - 1
-    volume = cost.query_bytes(k) * query_messages
-    messages = query_messages
-    if metrics is not None:
-        metrics.counter(
-            "skypeer.messages", variant=variant_label, kind="query"
-        ).inc(query_messages)
-        metrics.counter(
-            "skypeer.volume_bytes", variant=variant_label, kind="query"
-        ).inc(cost.query_bytes(k) * query_messages)
-
-    paths = _paths_to_root(order, parent)
-    requests = []
-    for sp in order[1:]:
-        nbytes = cost.result_bytes(len(local[sp]), k)
-        volume += nbytes * len(paths[sp])
-        messages += len(paths[sp])
-        if metrics is not None:
-            metrics.counter(
-                "skypeer.messages", variant=variant_label, kind="result"
-            ).inc(len(paths[sp]))
-            metrics.counter(
-                "skypeer.volume_bytes", variant=variant_label, kind="result"
-            ).inc(nbytes * len(paths[sp]))
-        requests.append(
-            TransferRequest(
-                message_id=sp,
-                ready_at=compute_end[sp].total,
-                path=paths[sp],
-                seconds_per_hop=cost.transfer_seconds(nbytes),
-            )
-        )
-    delivered = simulate_transfers(requests)
-    inbound = [compute_end[root]] + [
-        Clock(comp=compute_end[sp].comp, total=delivered[sp]) for sp in order[1:]
-    ]
-    if tracer is not None:
-        for sp in order[1:]:
-            tracer.interval(
-                "result relay", category="transfer", track=f"result sp{sp}",
-                start=compute_end[sp].total, end=delivered[sp],
-                hops=len(paths[sp]), points=len(local[sp]),
-            )
-
-    non_empty = [local[sp] for sp in order if len(local[sp])]
-    merge_before = bnl_stats["comparisons"]
-    if non_empty:
-        stacked = PointSet.concat(non_empty)
-        started = time.perf_counter()
-        final_points = block_nested_loops(stacked, subspace, stats=bnl_stats)
-        merge_duration = time.perf_counter() - started
-        merge_examined = len(stacked)
-    else:
-        final_points = PointSet.empty(network.dimensionality)
-        merge_duration = 0.0
-        merge_examined = 0
-    merge_start = Clock.latest(inbound)
-    finish = merge_start.after_compute(merge_duration, work=merge_examined)
-    if tracer is not None:
-        tracer.span(
-            "bnl merge", category="compute", track=f"sp{root}",
-            start=merge_start, end=finish,
-            examined=merge_examined, kept=len(final_points),
-            comparisons=bnl_stats["comparisons"] - merge_before,
-        )
-        tracer.span(
-            "query", category="query", track="query",
-            start=Clock(), end=finish,
-            variant=variant_label, subspace=str(tuple(subspace)),
-            initiator=root, result_points=len(final_points),
-        )
-    if metrics is not None:
-        metrics.counter(
-            "skypeer.comparisons",
-            variant=variant_label, superpeer=root, phase="merge",
-        ).inc(bnl_stats["comparisons"] - merge_before)
-        metrics.counter(
-            "skypeer.points_examined",
-            variant=variant_label, superpeer=root, phase="merge",
-        ).inc(merge_examined)
-        metrics.counter("skypeer.queries", variant=variant_label).inc()
-        metrics.counter(
-            "skypeer.result_points", variant=variant_label
-        ).inc(len(final_points))
-        metrics.histogram(
-            "skypeer.query_seconds", variant=variant_label, clock="comp"
-        ).observe(finish.comp)
-        metrics.histogram(
-            "skypeer.query_seconds", variant=variant_label, clock="total"
-        ).observe(finish.total)
-
-    return QueryExecution(
-        query=query,
-        variant=Variant.NAIVE,
-        result=SortedByF.from_points(final_points),
-        computational_time=finish.comp,
-        total_time=finish.total,
-        volume_bytes=volume,
-        message_count=messages,
-        comparisons=bnl_stats["comparisons"],
-        initial_threshold=math.inf,
-        local_result_points=sum(len(ps) for ps in local.values()),
-        critical_path_examined=finish.work,
-        traces={},
+    return ModelRun(
+        execution=execution,
+        query_messages=carrier.query_messages,
+        duplicate_queries=duplicate_queries,
+        events=events,
     )
 
 
@@ -676,17 +470,3 @@ def _bfs_preorder(root: int, children: dict[int, tuple[int, ...]]) -> list[int]:
         order.extend(children[order[cursor]])
         cursor += 1
     return order
-
-
-def _paths_to_root(
-    order: Sequence[int], parent: dict[int, int | None]
-) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Directed-edge path from every super-peer up to the tree root."""
-    paths: dict[int, tuple[tuple[int, int], ...]] = {}
-    for sp in order:
-        par = parent[sp]
-        if par is None:
-            paths[sp] = ()
-        else:
-            paths[sp] = ((sp, par),) + paths[par]
-    return paths

@@ -1,4 +1,4 @@
-"""Socket-transport execution backend (the third SKYPEER engine).
+"""Socket-transport execution backend: Algorithm 3 over real TCP.
 
 Runs Algorithm 3 with every super-peer as an independent network
 endpoint speaking the :mod:`repro.p2p.wire` format over real TCP
@@ -14,10 +14,16 @@ sockets (:mod:`repro.p2p.transport`), in one of two deployment modes:
   coordinates addresses and collects the initiator's result.  This is
   the deployment the paper describes, minus multiple hosts.
 
-Either way the :class:`repro.skypeer.protocol.ProtocolNode` state
-machines are byte-for-byte the ones the discrete-event simulator runs,
-so result sets are identical across sim, task and process carriers —
-asserted in the test-suite for all five variants.
+Either way every endpoint runs the one
+:class:`repro.skypeer.protocol.ProtocolNode` that the model-clock driver
+runs, so result sets are identical across the model, task and process
+carriers — asserted in the test-suite for all five variants.  This
+module is its third carrier and the wire boundary: :mod:`repro.p2p.wire`
+encoding (projection onto the queried coordinates included) happens
+where a message leaves a node for a socket, decoding where a frame
+comes off one, and nowhere else.  There is no model clock here — the
+computations already spent their wall-clock time, so the carrier's
+stamps are ``None``.
 
 Every sent message is tallied twice: ``len(blob)`` as *measured* wire
 bytes and :func:`repro.p2p.wire.cost_estimate` as the *estimated*
@@ -31,7 +37,6 @@ reproduction's communication-cost claims falsifiable.
 from __future__ import annotations
 
 import asyncio
-import math
 import multiprocessing
 import os
 import pickle
@@ -39,31 +44,31 @@ import socket
 import tempfile
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from ..core.dataset import PointSet
-from ..core.merging import IncrementalMerger
+from ..core.local_skyline import SkylineComputation
 from ..core.store import SortedByF
-from ..core.subspace import normalize_subspace
+from ..core.subspace import Subspace, normalize_subspace
 from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
 from ..p2p.network import SuperPeerNetwork
 from ..p2p.cost import CostModel
 from ..p2p.transport import SocketEndpoint, TransportConfig, TransportError
-from ..p2p.wire import cost_estimate, decode_header
-from .protocol import ProtocolNode, build_nodes, query_id_for
+from ..p2p.wire import QueryMessage, ResultMessage, cost_estimate, decode, decode_header
+from .protocol import ProtocolNode, make_kernels
 from .variants import Variant
 
 __all__ = [
     "QueryAbandoned",
     "SocketOutcome",
-    "StreamingInitiatorNode",
     "TransportReport",
     "gateway_dispatch",
-    "resolve_merge_mode",
     "resolve_transport_mode",
     "run_socket_query",
 ]
@@ -73,11 +78,6 @@ _KIND_QUERY = 1
 #: Directory for the child-endpoint pid markers the CI leak check scans.
 RUNDIR_ENV = "REPRO_TRANSPORT_RUNDIR"
 MODE_ENV = "REPRO_TRANSPORT_MODE"
-#: ``REPRO_STREAM_MERGE=0`` forces the buffered initiator merge,
-#: ``=1`` forces the pipelined one; unset picks pipelined whenever the
-#: block dominance index is in play (the incremental merger is built on
-#: it) and buffered otherwise.
-MERGE_ENV = "REPRO_STREAM_MERGE"
 
 
 def resolve_transport_mode(mode: str | None = None) -> str:
@@ -88,130 +88,89 @@ def resolve_transport_mode(mode: str | None = None) -> str:
     return resolved
 
 
-def resolve_merge_mode(merge: str | None = None, index_kind: str = "block") -> str:
-    """``pipelined`` or ``buffered`` — argument, env, then index kind.
+def query_id_for(query: Query) -> int:
+    """Deterministic wire-level query id (stable across processes)."""
+    digest = 0
+    for dim in query.subspace:
+        digest = (digest * 1000003 + int(dim) + 1) & 0x7FFFFFFF
+    return (digest ^ (int(query.initiator) << 8)) & 0x7FFFFFFF
 
-    The pipelined merge dominance-filters result frames as they arrive
-    at the initiator (overlapping merge work with socket waits) and is
-    the default for the block index it is built on; other index kinds
-    keep the buffered merge so their merge semantics stay exactly the
-    reference :func:`repro.core.merging.merge_sorted_skylines` path.
+
+class _SocketCarrier:
+    """The carrier of the nodes behind one or more socket endpoints.
+
+    ``transmit(src, dst, blob)`` hands an encoded message to ``src``'s
+    endpoint; the endpoints hand every received frame to
+    :meth:`deliver`.  Per-connection TCP order is the FIFO the node's
+    ``final`` mark relies on.
     """
-    resolved = merge or os.environ.get(MERGE_ENV) or ""
-    resolved = {"0": "buffered", "1": "pipelined"}.get(resolved, resolved)
-    if not resolved:
-        resolved = "pipelined" if index_kind == "block" else "buffered"
-    if resolved not in ("pipelined", "buffered"):
-        raise ValueError(
-            f"unknown merge mode {resolved!r} (pipelined|buffered)"
+
+    def __init__(
+        self,
+        transmit: Callable[[int, int, bytes], None],
+        *,
+        query_id: int,
+        subspace: Subspace,
+        initiator: int,
+        cost_model: CostModel,
+        on_final: Callable[[SortedByF], None],
+    ):
+        self.nodes: dict[int, ProtocolNode] = {}
+        self.accounting = WireAccounting(cost_model)
+        #: Wall-clock seconds each node spent in scans and merges; the
+        #: initiator's is what the report subtracts to get its idle time.
+        self.busy: dict[int, float] = defaultdict(float)
+        self._transmit = transmit
+        self._query_id = query_id
+        self._subspace = subspace
+        self._initiator = initiator
+        self._on_final = on_final
+
+    def _send(self, src: int, dst: int, blob: bytes) -> None:
+        self.accounting.record(blob)
+        self._transmit(src, dst, blob)
+
+    def send_query(self, src: int, dst: int, threshold: float, at: None) -> None:
+        message = QueryMessage(self._query_id, self._subspace, threshold, self._initiator)
+        self._send(src, dst, message.encode())
+
+    def send_result(
+        self, src: int, dst: int, origin: int, result: SortedByF, final: bool, at: None
+    ) -> None:
+        # Lists are already on the queried coordinates (on-wire kernels).
+        message = ResultMessage.from_store(
+            self._query_id, origin, result, range(len(self._subspace)), final=final
         )
-    return resolved
+        self._send(src, dst, message.encode())
 
+    def decline(self, src: int, dst: int, at: None) -> None:
+        message = ResultMessage(self._query_id, src, (), (), (), final=True, decline=True)
+        self._send(src, dst, message.encode())
 
-class StreamingInitiatorNode(ProtocolNode):
-    """Initiator node that merges result frames the moment they arrive.
+    def compute(
+        self, sp: int, phase: str, at: None, computation: SkylineComputation,
+        then: Callable[[None], None],
+    ) -> None:
+        self.busy[sp] += computation.duration
+        then(None)
 
-    The reference :class:`~repro.skypeer.protocol.ProtocolNode` buffers
-    every collected result and runs Algorithm 2 once, after the last
-    child reports — leaving the initiator idle while frames are in
-    flight.  This subclass feeds each frame into an
-    :class:`~repro.core.merging.IncrementalMerger` from inside the
-    receive handler, so dominance filtering overlaps the wait for later
-    frames; whole frames beyond the running threshold are discarded
-    without a scan (``frames_pruned``).  The final result *set* is
-    identical to the buffered merge's (see the merging module's
-    exactness argument), which is what the streaming-vs-buffered
-    equality tests pin down.
-    """
+    @staticmethod
+    def join(a: None, b: None) -> None:
+        return None
 
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self._merger: IncrementalMerger | None = None
-        self.frames_merged = 0
-        self.stall_seconds = 0.0
-        self._idle_since: float | None = None
+    def finish(self, result: SortedByF, at: None) -> None:
+        self._on_final(result)
 
-    @property
-    def frames_pruned(self) -> int:
-        return self._merger.runs_pruned if self._merger is not None else 0
-
-    def start(self) -> None:
-        super().start()
-        self._idle_since = time.perf_counter()
-
-    def _on_result(self, sender: int, message: Any) -> None:
-        state = self.state
-        if len(message):
-            # The initiator is every frame's final destination (its
-            # parent is None), so nothing is relayed: merge in place.
-            arrived = time.perf_counter()
-            if self._idle_since is not None:
-                stall = arrived - self._idle_since
-                self.stall_seconds += stall
-                if self._metrics is not None:
-                    self._metrics.histogram(
-                        "netexec.merge_stall_seconds",
-                        variant=self.variant.value,
-                    ).observe(stall)
-            if self._merger is None:
-                self._merger = IncrementalMerger(
-                    range(len(self.subspace)), initial_threshold=math.inf
-                )
-                if state.local_result is not None:
-                    self._merger.feed(state.local_result)
-            self._merger.feed(message.to_store())
-            self.frames_merged += 1
-            self._idle_since = time.perf_counter()
-        if message.sender == sender:
-            # FIFO links: the peer's own (possibly empty) result is its
-            # last message, exactly as in the base class.
-            state.pending_children.discard(sender)
-            self._maybe_complete()
-
-    def _maybe_complete(self) -> None:
-        state = self.state
-        if (
-            state.done
-            or not state.forwarded
-            or state.pending_children
-            or not state.local_done
-        ):
-            return
-        if self._merger is None:
-            # No frame ever arrived (single super-peer or all empty):
-            # the reference path ships the local result as-is.
-            super()._maybe_complete()
-            return
-        state.done = True
-        started = time.perf_counter()
-        merged = self._merger.result()
-        duration = time.perf_counter() - started
-        self.compute_seconds += self._merger.compute_seconds
-        if self._tracer is not None:
-            moment = self._now()
-            self._tracer.interval(
-                "algorithm2 merge (pipelined)", category="compute",
-                track=f"sp{self.superpeer_id}",
-                start=moment, end=moment + duration,
-                clock=self._clock, inputs=self.frames_merged + 1,
-                examined=self._merger.examined, kept=len(merged.result),
-                comparisons=self._merger.comparisons,
-            )
-        if self._metrics is not None:
-            self._metrics.counter(
-                "protocol.comparisons",
-                variant=self.variant.value, superpeer=self.superpeer_id,
-                phase="merge",
-            ).inc(self._merger.comparisons)
-        self._defer(duration, lambda: self._ship(merged.result))
-
-    def merge_info(self) -> dict[str, Any]:
-        """The pipelined-merge accounting the transport report embeds."""
-        return {
-            "frames_merged": self.frames_merged,
-            "frames_pruned": self.frames_pruned,
-            "merge_stall_seconds": self.stall_seconds,
-        }
+    def deliver(self, dst: int, sender: int, blob: bytes) -> None:
+        """One frame for ``dst`` came off the connection from ``sender``."""
+        message = decode(blob)
+        node = self.nodes[dst]
+        if isinstance(message, QueryMessage):
+            node.on_query(sender, message.threshold, None)
+        elif message.decline:
+            node.on_decline(sender, None)
+        else:
+            node.on_result(sender, message.sender, message.to_store(), message.final, None)
 
 
 class WireAccounting:
@@ -252,14 +211,8 @@ class WireAccounting:
 class TransportReport:
     """What one socket-transport query actually put on the wire.
 
-    ``merge_mode`` records how the initiator combined result frames:
-    ``buffered`` (collect everything, merge once) or ``pipelined``
-    (dominance-filter frames on arrival).  ``initiator_idle_seconds``
-    is the query wall time minus the initiator's compute time — the
-    window the pipelined merge exists to shrink; ``frames_merged`` /
-    ``frames_pruned`` count frames scanned vs discarded whole by the
-    running threshold, and ``readers_cancelled`` the initiator's
-    inbound readers cancelled early once the result was final.
+    ``initiator_idle_seconds`` is the query wall time minus the
+    initiator's compute time (its scan and its merge).
     """
 
     mode: str
@@ -271,12 +224,7 @@ class TransportReport:
     frame_bytes: int
     estimated_bytes: int
     per_superpeer: dict[int, dict[str, int]] = field(default_factory=dict)
-    merge_mode: str = "buffered"
     initiator_compute_seconds: float = 0.0
-    frames_merged: int = 0
-    frames_pruned: int = 0
-    merge_stall_seconds: float = 0.0
-    readers_cancelled: int = 0
 
     @property
     def initiator_idle_seconds(self) -> float:
@@ -316,33 +264,29 @@ def run_socket_query(
     index_kind: str | None = None,
     *,
     mode: str | None = None,
-    merge: str | None = None,
     config: TransportConfig | None = None,
 ) -> SocketOutcome:
     """Execute one query over the asyncio socket transport.
 
-    Results carry the same point ids as :func:`execute_query` and
-    :func:`run_protocol` (compare via ``result_ids``); the report holds
-    the measured per-super-peer wire traffic next to the cost model's
-    estimate for the very same messages.  ``merge`` selects the
-    initiator's merge strategy (see :func:`resolve_merge_mode`); the
-    result set is the same either way.
+    The answer carries the same point ids, in the same order, as
+    :func:`execute_query`'s and :func:`run_protocol`'s, on the queried
+    coordinates only; the report holds the measured per-super-peer wire
+    traffic next to the cost model's estimate for the very same messages.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
     index_kind = index_kind or network.index_kind
     mode = resolve_transport_mode(mode)
-    merge_mode = resolve_merge_mode(merge, index_kind)
     config = config if config is not None else TransportConfig.from_env()
     if query.initiator not in network.superpeers:
         raise KeyError(f"unknown initiator super-peer {query.initiator}")
     started = time.perf_counter()
     if mode == "task":
-        result, stats, accounting, merge_info = asyncio.run(
-            _run_task_mode(network, query, variant, index_kind, config, merge_mode)
+        result, stats, accounting, compute_seconds = asyncio.run(
+            _run_task_mode(network, query, variant, index_kind, config)
         )
     else:
-        result, stats, accounting, merge_info = _run_process_mode(
-            network, query, variant, index_kind, config, merge_mode
+        result, stats, accounting, compute_seconds = _run_process_mode(
+            network, query, variant, index_kind, config
         )
     wall = time.perf_counter() - started
     report = TransportReport(
@@ -355,12 +299,7 @@ def run_socket_query(
         frame_bytes=sum(s["frame_bytes_sent"] for s in stats.values()),
         estimated_bytes=accounting.estimated_bytes,
         per_superpeer=stats,
-        merge_mode=merge_mode,
-        initiator_compute_seconds=merge_info.get("compute_seconds", 0.0),
-        frames_merged=merge_info.get("frames_merged", 0),
-        frames_pruned=merge_info.get("frames_pruned", 0),
-        merge_stall_seconds=merge_info.get("merge_stall_seconds", 0.0),
-        readers_cancelled=merge_info.get("readers_cancelled", 0),
+        initiator_compute_seconds=compute_seconds,
     )
     _record_observability(report, variant, query)
     return SocketOutcome(query=query, variant=variant, result=result, report=report)
@@ -396,20 +335,13 @@ def _record_observability(
             "transport.query_seconds", variant=variant.value, mode=report.mode
         ).observe(report.wall_seconds)
         metrics.histogram(
-            "netexec.initiator_idle_seconds",
-            variant=variant.value, mode=report.mode, merge=report.merge_mode,
+            "netexec.initiator_idle_seconds", variant=variant.value, mode=report.mode
         ).observe(report.initiator_idle_seconds)
-        if report.readers_cancelled:
-            metrics.counter(
-                "netexec.readers_cancelled", variant=variant.value,
-                mode=report.mode,
-            ).inc(report.readers_cancelled)
     if tracer is not None:
         tracer.interval(
             "socket query", category="transport", track="transport",
             start=0.0, end=report.wall_seconds, clock="wall",
             variant=variant.value, mode=report.mode,
-            merge=report.merge_mode,
             subspace=str(tuple(query.subspace)),
             payload_bytes=report.payload_bytes,
             estimated_bytes=report.estimated_bytes,
@@ -427,54 +359,42 @@ async def _run_task_mode(
     variant: Variant,
     index_kind: str,
     config: TransportConfig,
-    merge_mode: str,
-) -> tuple[SortedByF, dict[int, dict[str, int]], WireAccounting, dict[str, Any]]:
-    accounting = WireAccounting(network.cost_model)
+) -> tuple[SortedByF, dict[int, dict[str, int]], WireAccounting, float]:
+    subspace = normalize_subspace(query.subspace, network.dimensionality)
     endpoints: dict[int, SocketEndpoint] = {}
-    nodes: dict[int, ProtocolNode] = {}
     done = asyncio.Event()
     final: list[SortedByF] = []
-    pipelined = merge_mode == "pipelined"
-    readers_cancelled = 0
 
-    def make_handler(sp: int):
-        return lambda src, blob: nodes[sp].on_message(src, blob)
+    def on_final(store: SortedByF) -> None:
+        final.append(store)
+        done.set()
 
+    carrier = _SocketCarrier(
+        lambda src, dst, blob: endpoints[src].send(dst, blob),
+        query_id=query_id_for(query), subspace=subspace, initiator=query.initiator,
+        cost_model=network.cost_model, on_final=on_final,
+    )
+    kernels = make_kernels(
+        variant, subspace, store_of=network.store_of,
+        dimensionality=network.dimensionality, index_kind=index_kind, on_wire=True,
+    )
     for sp in network.topology.superpeer_ids:
-        endpoints[sp] = SocketEndpoint(sp, make_handler(sp), config)
+        carrier.nodes[sp] = ProtocolNode(
+            sp, neighbours=network.topology.adjacency[sp], variant=variant,
+            kernels=kernels, carrier=carrier,
+        )
+        endpoints[sp] = SocketEndpoint(sp, partial(carrier.deliver, sp), config)
     try:
         addresses = {sp: await ep.start() for sp, ep in endpoints.items()}
         for ep in endpoints.values():
             ep.set_peers(addresses)
-
-        def send(src: int, dst: int, blob: bytes) -> None:
-            accounting.record(blob)
-            endpoints[src].send(dst, blob)
-
-        def on_final(store: SortedByF) -> None:
-            final.append(store)
-            done.set()
-
-        nodes.update(
-            build_nodes(
-                network, query, variant, index_kind,
-                send=send, defer=lambda _seconds, fn: fn(),
-                now=time.perf_counter, on_final=on_final, clock="transport",
-                initiator_cls=StreamingInitiatorNode if pipelined else None,
-            )
-        )
-        nodes[query.initiator].start()
+        carrier.nodes[query.initiator].start(None)
         try:
             await asyncio.wait_for(done.wait(), config.io_timeout)
         except asyncio.TimeoutError:
             raise TransportError(
                 f"query did not complete within {config.io_timeout}s"
             ) from None
-        if pipelined:
-            # The final result exists, so every initiator-bound frame
-            # has been received (see SocketEndpoint.cancel_readers);
-            # the initiator stops reading instead of waiting on EOFs.
-            readers_cancelled = endpoints[query.initiator].cancel_readers()
         for ep in endpoints.values():
             await ep.flush()
     finally:
@@ -485,14 +405,7 @@ async def _run_task_mode(
         for ep in endpoints.values():
             await ep.close()
     stats = {sp: ep.stats.as_dict() for sp, ep in endpoints.items()}
-    root = nodes[query.initiator]
-    merge_info: dict[str, Any] = {
-        "compute_seconds": root.compute_seconds,
-        "readers_cancelled": readers_cancelled,
-    }
-    if isinstance(root, StreamingInitiatorNode):
-        merge_info.update(root.merge_info())
-    return final[0], stats, accounting, merge_info
+    return final[0], stats, carrier.accounting, carrier.busy[query.initiator]
 
 
 # ----------------------------------------------------------------------
@@ -549,12 +462,12 @@ async def _endpoint_child_async(conn, spec: dict, sock, peers) -> None:
     config = TransportConfig(**spec["config"])
     variant = Variant.parse(spec["variant"])
     store = SortedByF(PointSet(spec["values"], spec["ids"]), spec["f"])
-    accounting = WireAccounting(CostModel(**spec["cost_model"]))
+    subspace = tuple(spec["subspace"])
+    me = spec["superpeer_id"]
     go = asyncio.Event()
     stop = asyncio.Event()
     done = asyncio.Event()
     final: list[SortedByF] = []
-    node_ref: list[ProtocolNode] = []
 
     def watch_pipe() -> None:
         while True:
@@ -568,69 +481,41 @@ async def _endpoint_child_async(conn, spec: dict, sock, peers) -> None:
                 loop.call_soon_threadsafe(stop.set)
                 return
 
-    endpoint = SocketEndpoint(
-        spec["superpeer_id"],
-        lambda src, blob: node_ref[0].on_message(src, blob),
-        config,
-    )
-    await endpoint.start(sock=sock)
-    endpoint.set_peers(peers)
-
-    def send(dst: int, blob: bytes) -> None:
-        accounting.record(blob)
-        endpoint.send(dst, blob)
-
     def on_final(result: SortedByF) -> None:
         final.append(result)
         done.set()
 
-    is_initiator = spec["superpeer_id"] == spec["initiator"]
-    pipelined = is_initiator and spec["merge_mode"] == "pipelined"
-    node_cls = StreamingInitiatorNode if pipelined else ProtocolNode
-    node_ref.append(
-        node_cls(
-            spec["superpeer_id"],
-            store=store,
-            neighbours=spec["neighbours"],
-            subspace=tuple(spec["subspace"]),
-            query_id=spec["query_id"],
-            initiator=spec["initiator"],
-            variant=variant,
-            index_kind=spec["index_kind"],
-            send=send,
-            defer=lambda _seconds, fn: fn(),
-            now=time.perf_counter,
-            on_final=on_final if is_initiator else None,
-            clock="transport",
-        )
+    carrier = _SocketCarrier(
+        lambda _src, dst, blob: endpoint.send(dst, blob),
+        query_id=spec["query_id"], subspace=subspace, initiator=spec["initiator"],
+        cost_model=CostModel(**spec["cost_model"]), on_final=on_final,
     )
+    # The node only ever reads its *own* store: a process-per-super-peer
+    # deployment ships exactly ``store`` and ``neighbours`` to each endpoint.
+    carrier.nodes[me] = node = ProtocolNode(
+        me, neighbours=spec["neighbours"], variant=variant, carrier=carrier,
+        kernels=make_kernels(
+            variant, subspace, store_of=lambda _sp: store,
+            dimensionality=store.dimensionality, index_kind=spec["index_kind"],
+            on_wire=True,
+        ),
+    )
+    endpoint = SocketEndpoint(me, partial(carrier.deliver, me), config)
+    await endpoint.start(sock=sock)
+    endpoint.set_peers(peers)
     threading.Thread(target=watch_pipe, daemon=True).start()
     conn.send(("ready",))
     try:
-        if is_initiator:
-            node = node_ref[0]
+        if me == spec["initiator"]:
             await asyncio.wait_for(go.wait(), config.io_timeout)
-            node.start()
+            node.start(None)
             await asyncio.wait_for(done.wait(), config.io_timeout)
-            readers_cancelled = endpoint.cancel_readers() if pipelined else 0
-            result = final[0]
-            merge_info: dict[str, Any] = {
-                "compute_seconds": node.compute_seconds,
-                "readers_cancelled": readers_cancelled,
-            }
-            if isinstance(node, StreamingInitiatorNode):
-                merge_info.update(node.merge_info())
-            conn.send(
-                ("result",
-                 *(np.ascontiguousarray(a) for a in
-                   (result.points.values, result.points.ids, result.f)),
-                 merge_info)
-            )
+            conn.send(("result", *_store_payload(final[0]), carrier.busy[me]))
         await asyncio.wait_for(stop.wait(), config.io_timeout)
         await endpoint.flush()
     finally:
         await endpoint.close()
-    conn.send(("stats", endpoint.stats.as_dict(), accounting.as_dict()))
+    conn.send(("stats", endpoint.stats.as_dict(), carrier.accounting.as_dict()))
 
 
 def _run_process_mode(
@@ -639,8 +524,7 @@ def _run_process_mode(
     variant: Variant,
     index_kind: str,
     config: TransportConfig,
-    merge_mode: str,
-) -> tuple[SortedByF, dict[int, dict[str, int]], WireAccounting, dict[str, Any]]:
+) -> tuple[SortedByF, dict[int, dict[str, int]], WireAccounting, float]:
     from ..parallel import start_method
 
     ctx = multiprocessing.get_context(start_method())
@@ -670,7 +554,6 @@ def _run_process_mode(
                 "index_kind": index_kind,
                 "config": config_fields,
                 "cost_model": cost_fields,
-                "merge_mode": merge_mode,
             }
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
@@ -696,7 +579,6 @@ def _run_process_mode(
         result = SortedByF(
             PointSet(result_msg[1], result_msg[2]), result_msg[3]
         )
-        merge_info = dict(result_msg[4])
         for sp in children:
             pipes[sp].send(("stop",))
         stats: dict[int, dict[str, int]] = {}
@@ -707,7 +589,7 @@ def _run_process_mode(
             accounting.add_dict(message[2])
         for sp, process in children.items():
             process.join(timeout=deadline)
-        return result, stats, accounting, merge_info
+        return result, stats, accounting, result_msg[4]
     finally:
         for process in children.values():
             if process.is_alive():
@@ -755,7 +637,6 @@ def gateway_dispatch(
     engine: Any = None,
     scan_chunk: int | None = None,
     mode: str | None = None,
-    merge: str | None = None,
     abandoned=None,
 ) -> SortedByF:
     """Run one admitted gateway job on the chosen backend.
@@ -794,5 +675,5 @@ def gateway_dispatch(
 
         return execute_query(network, query, variant, scan_chunk=scan_chunk).result
     if backend == "socket":
-        return run_socket_query(network, query, variant, mode=mode, merge=merge).result
+        return run_socket_query(network, query, variant, mode=mode).result
     raise ValueError(f"unknown gateway backend {backend!r} (engine|serial|socket)")

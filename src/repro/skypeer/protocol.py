@@ -1,68 +1,364 @@
-"""Algorithm 3 as an actual message-passing protocol.
+"""Algorithm 3 — the one super-peer state machine, and the kernels it runs.
 
-Where :mod:`repro.skypeer.executor` *plans* a query's execution over
-the BFS tree (fast, two clocks), this module runs SKYPEER the way the
-paper's pseudo-code reads: every super-peer is a state machine that
-reacts to QUERY and RESULT messages.  The query genuinely *floods* the
-super-peer backbone — every super-peer forwards to all neighbours
-except the one it heard from, duplicate receipts are answered with an
-empty result — so message counts reflect a real unstructured overlay
-rather than an idealized spanning tree.
+:class:`ProtocolNode` is the only place in the package that knows how a
+threshold propagates, who merges, and when a subtree is complete.  It is
+**sans-IO, sans-wire and sans-clock**: it is handed its neighbour set
+(BFS-tree edges for the paper's figures, the full adjacency when the
+query floods), a *kernels* object that does the computing and a
+*carrier* that moves messages and time:
 
-The state machine itself is :class:`ProtocolNode` — **sans-IO**: it
-consumes and produces :mod:`repro.p2p.wire` bytes through injected
-callbacks and never touches a clock, a socket or a simulated link.
-Two carriers drive it:
+``kernels.scan(sp, t)`` / ``kernels.merge(lists)``
+    return a :class:`~repro.core.local_skyline.SkylineComputation` —
+    Algorithm 1 / Algorithm 2 for the four SKYPEER variants
+    (:class:`SkylineKernels`), BNL / BNL for the naive baseline
+    (:class:`NaiveKernels`), on full-space stores in process or on the
+    queried coordinates alone where the lists crossed a wire.
 
-1. :func:`run_protocol` delivers messages over the discrete-event
-   engine's FIFO links (:mod:`repro.p2p.engine`), which validates the
-   plan-based executor and quantifies flooding overhead on the
-   simulated clocks; and
-2. :mod:`repro.skypeer.netexec` runs one node per asyncio TCP endpoint
-   (or per OS process) over :mod:`repro.p2p.transport`, so the same
-   byte stream crosses real sockets.
+``carrier.send_query(src, dst, t, at)``, ``carrier.send_result(src, dst, origin, result, final, at)``, ``carrier.decline(src, dst, at)``
+    put a message on the ``src -> dst`` link, which must be FIFO.
 
-Termination relies on one FIFO property per directed link: under fixed
-merging a super-peer relays descendants' results upward *before* it
-completes and ships its own, so on any link the carrier's own result is
-always the last result message — the parent clears its bookkeeping
-exactly when the link peer's own (possibly empty) result arrives.  TCP
-connections and the simulator's FIFO links both provide that ordering.
+``carrier.compute(sp, phase, at, computation, then)``
+    accounts one scan or merge and calls ``then(stamp)`` when it is over.
+
+``carrier.join(a, b)``
+    the stamp at which two awaited things have both happened.
+
+``carrier.finish(result, at)``
+    hands the initiator's answer out.
+
+The stamps ``at`` are opaque to the node.  Three carriers exist: the
+model clocks of :mod:`repro.skypeer.executor` (``execute_query`` on the
+BFS tree and :func:`run_protocol`, below, on the flooded backbone) and
+the sockets of :mod:`repro.skypeer.netexec`, whose stamps are ``None``.
+
+Five behaviours are settled here, once, for every carrier (the paper
+sentence each follows is in ``docs/ALGORITHMS.md``): the naive initiator
+forwards the query before it scans; a relaying super-peer ships its own
+list the moment its scan ends and relays every list it receives, empty
+ones included; a merge point always merges; a subtree reports completion
+with a ``final`` mark on the last message it puts on a link; and merge
+inputs are taken in one canonical order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
 
+import numpy as np
+
+from ..algorithms.bnl import block_nested_loops
 from ..core.dataset import PointSet
+from ..core.local_skyline import SkylineComputation
+from ..core.mapping import f_values
 from ..core.merging import merge_sorted_skylines
-from ..core.substrates import subspace_skyline
 from ..core.store import SortedByF
-from ..core.subspace import Subspace, normalize_subspace
+from ..core.subspace import Subspace
+from ..core.substrates import subspace_skyline
 from ..data.workload import Query
-from ..obs.runtime import active_metrics, active_tracer
-from ..p2p.engine import EventLoop, LinkLayer
+from ..obs.runtime import active_metrics
 from ..p2p.network import SuperPeerNetwork
-from ..p2p.wire import QueryMessage, ResultMessage, decode
 from .variants import Variant
 
-__all__ = ["ProtocolNode", "ProtocolOutcome", "query_id_for", "run_protocol"]
+__all__ = [
+    "NaiveKernels",
+    "ProtocolNode",
+    "ProtocolOutcome",
+    "SkylineKernels",
+    "make_kernels",
+    "run_protocol",
+]
 
 
-def query_id_for(query: Query) -> int:
-    """Deterministic wire-level query id (stable across processes)."""
-    digest = 0
-    for dim in query.subspace:
-        digest = (digest * 1000003 + int(dim) + 1) & 0x7FFFFFFF
-    return (digest ^ (int(query.initiator) << 8)) & 0x7FFFFFFF
+# ----------------------------------------------------------------------
+# kernels: what a super-peer computes
+# ----------------------------------------------------------------------
+def _queried(result: SortedByF, subspace: Subspace) -> SortedByF:
+    """``result`` on the queried coordinates only — all a wire message
+    carries.  ``f`` stays the full-space minimum Algorithm 2 prunes on."""
+    points = PointSet(result.points.values[:, list(subspace)], result.points.ids)
+    return SortedByF(points, result.f)
 
 
+class SkylineKernels:
+    """Algorithm 1 scans, Algorithm 2 merges.
+
+    ``local_compute(sp, subspace, t)`` is the scan strategy (see
+    :func:`repro.skypeer.executor.make_local_compute`).  ``on_wire``
+    keeps every list on the queried coordinates, which is how lists
+    arrive once they have crossed a socket.
+    """
+
+    def __init__(
+        self,
+        local_compute: Callable[[int, Subspace, float], SkylineComputation],
+        subspace: Subspace,
+        index_kind: str,
+        scan_chunk: int | None = None,
+        on_wire: bool = False,
+    ):
+        self._local_compute = local_compute
+        self._subspace = subspace
+        self._on_wire = on_wire
+        self._merge_options = {
+            "subspace": range(len(subspace)) if on_wire else subspace,
+            "index_kind": index_kind,
+            "scan_chunk": scan_chunk,
+        }
+
+    def scan(self, sp: int, threshold: float) -> SkylineComputation:
+        computation = self._local_compute(sp, self._subspace, threshold)
+        if self._on_wire:
+            return replace(computation, result=_queried(computation.result, self._subspace))
+        return computation
+
+    def merge(self, lists: Sequence[SortedByF]) -> SkylineComputation:
+        return merge_sorted_skylines(lists, **self._merge_options)
+
+
+class NaiveKernels:
+    """The baseline of section 3.2: BNL local skylines, a BNL merge.
+
+    No threshold, no early termination — a scan reads its whole store
+    and a merge its whole input.  Lists still travel f-sorted with their
+    ``f`` values (BNL keeps its input order, and the cost model charges
+    the baseline for them), so the answer comes out ordered as every
+    other variant's.
+    """
+
+    def __init__(
+        self,
+        store_of: Callable[[int], SortedByF],
+        subspace: Subspace,
+        dimensionality: int,
+        on_wire: bool = False,
+    ):
+        self._store_of = store_of
+        self._subspace = subspace
+        self._on_wire = on_wire
+        self._merge_cols = range(len(subspace)) if on_wire else subspace
+        self._dimensionality = len(subspace) if on_wire else dimensionality
+
+    def _bnl(self, points: PointSet, cols: Sequence[int]) -> tuple[PointSet, int, float]:
+        stats = {"comparisons": 0}
+        started = time.perf_counter()
+        survivors = block_nested_loops(points, cols, stats=stats)
+        return survivors, stats["comparisons"], time.perf_counter() - started
+
+    def scan(self, sp: int, threshold: float) -> SkylineComputation:
+        store = self._store_of(sp)
+        points, comparisons, duration = self._bnl(store.points, self._subspace)
+        result = SortedByF(points, f_values(points.values))
+        return SkylineComputation(
+            result=_queried(result, self._subspace) if self._on_wire else result,
+            threshold=math.inf, examined=len(store), comparisons=comparisons,
+            duration=duration, input_size=len(store),
+        )
+
+    def merge(self, lists: Sequence[SortedByF]) -> SkylineComputation:
+        lists = [lst for lst in lists if len(lst)]
+        if not lists:
+            return SkylineComputation(
+                result=SortedByF.empty(self._dimensionality), threshold=math.inf,
+                examined=0, comparisons=0, duration=0.0,
+            )
+        stacked = PointSet.concat([lst.points for lst in lists])
+        points, comparisons, duration = self._bnl(stacked, self._merge_cols)
+        # BNL keeps input order and ids are unique across super-peers.
+        f = np.concatenate([lst.f for lst in lists])[np.isin(stacked.ids, points.ids)]
+        order = np.argsort(f, kind="stable")
+        return SkylineComputation(
+            result=SortedByF(points.take(order), f[order]), threshold=math.inf,
+            examined=len(stacked), comparisons=comparisons, duration=duration,
+            input_size=len(stacked),
+        )
+
+
+def make_kernels(
+    variant: Variant,
+    subspace: Subspace,
+    *,
+    store_of: Callable[[int], SortedByF],
+    dimensionality: int,
+    index_kind: str,
+    local_compute: Callable[[int, Subspace, float], SkylineComputation] | None = None,
+    scan_chunk: int | None = None,
+    on_wire: bool = False,
+) -> SkylineKernels | NaiveKernels:
+    """The kernels ``variant`` runs.  Without a ``local_compute`` the scan
+    is the default cell of :func:`repro.core.substrates.subspace_skyline`
+    over ``store_of(sp)``; the naive baseline ignores it either way."""
+    if variant is Variant.NAIVE:
+        return NaiveKernels(store_of, subspace, dimensionality, on_wire=on_wire)
+    if local_compute is None:
+        def local_compute(sp: int, sub: Subspace, threshold: float) -> SkylineComputation:
+            return subspace_skyline(
+                store_of(sp), sub, initial_threshold=threshold,
+                index_kind=index_kind, scan_chunk=scan_chunk,
+            )
+    return SkylineKernels(local_compute, subspace, index_kind, scan_chunk, on_wire=on_wire)
+
+
+# ----------------------------------------------------------------------
+# the node: Algorithm 3 at one super-peer
+# ----------------------------------------------------------------------
+class ProtocolNode:
+    """Algorithm 3 for **one** super-peer, for one query.
+
+    ``rank`` orders the origins of the lists a merge takes (after the
+    node's own, which always comes first): any key every carrier agrees
+    on gives every carrier the same bytes.  It defaults to the origin's
+    id; the model-clock driver passes the BFS position, because BNL's
+    comparison count depends on its input order.
+    """
+
+    def __init__(
+        self,
+        superpeer_id: int,
+        *,
+        neighbours: Sequence[int],
+        variant: Variant,
+        kernels: Any,
+        carrier: Any,
+        rank: Callable[[int], Any] | None = None,
+    ):
+        self.superpeer_id = superpeer_id
+        self.neighbours = tuple(neighbours)
+        self.variant = variant
+        self.kernels = kernels
+        self.carrier = carrier
+        self._rank = rank if rank is not None else (lambda origin: origin)
+        self.parent: int | None = None     # whom the query was first heard from
+        self.duplicate_queries = 0
+        self._seen = False
+        self._forwarded = False
+        self._pending: set[int] = set()    # neighbours still to send their final
+        self._own: SortedByF | None = None
+        self._collected: list[tuple[int, SortedByF]] = []
+        self._ready: Any = None            # join of everything a merge waits for
+
+    @property
+    def done(self) -> bool:
+        """Scanned, forwarded, and every neighbour asked has had its last word."""
+        return self._forwarded and not self._pending and self._own is not None
+
+    @property
+    def _merges(self) -> bool:
+        # *PM merges at every super-peer; *FM and naive at P_init only.
+        return self.variant.progressive_merging or self.parent is None
+
+    # ------------------------------------------------------------------
+    # the query on its way down
+    # ------------------------------------------------------------------
+    def start(self, at: Any) -> None:
+        """P_init receives the user's query at stamp ``at``."""
+        self._receive(math.inf, at)
+
+    def on_query(self, sender: int, threshold: float, at: Any) -> None:
+        if self._seen:
+            # The paper leaves duplicates to the routing layer; on a
+            # flooded backbone the second asker must still learn that
+            # nothing will come back over this link.
+            self.duplicate_queries += 1
+            self.carrier.decline(self.superpeer_id, sender, at)
+            return
+        self.parent = sender
+        self._receive(threshold, at)
+
+    def _receive(self, threshold: float, at: Any) -> None:
+        self._seen = True
+        # q(U, t) goes on at once when its t is already in hand (FT*, and
+        # naive, which has none).  RT* forwards the refined t' after the
+        # scan, and P_init has no t at all until it has scanned.
+        after_scan = self.variant.refined_threshold or (
+            self.parent is None and self.variant.uses_threshold
+        )
+        if not after_scan:
+            self._forward(threshold, at)
+        scan = self.kernels.scan(self.superpeer_id, threshold)
+
+        def scanned(at: Any) -> None:
+            if after_scan:
+                self._forward(scan.threshold, at)
+            self._own = scan.result
+            if self._merges:
+                self._await(at)
+            else:
+                # A relay's own list leaves the moment it exists.
+                self.carrier.send_result(
+                    self.superpeer_id, self.parent, self.superpeer_id,
+                    self._own, self.done, at,
+                )
+
+        self.carrier.compute(self.superpeer_id, "scan", at, scan, scanned)
+
+    def _forward(self, threshold: float, at: Any) -> None:
+        targets = [nb for nb in self.neighbours if nb != self.parent]
+        self._pending = set(targets)
+        self._forwarded = True
+        for nb in targets:
+            self.carrier.send_query(self.superpeer_id, nb, threshold, at)
+
+    # ------------------------------------------------------------------
+    # results on their way up
+    # ------------------------------------------------------------------
+    def on_result(
+        self, sender: int, origin: int, result: SortedByF, final: bool, at: Any
+    ) -> None:
+        """``origin``'s list arrived over the link from ``sender``;
+        ``final`` says it is the last thing that link will carry."""
+        if final:
+            self._pending.discard(sender)
+        if self._merges:
+            self._collected.append((origin, result))
+            self._await(at)
+        else:
+            self.carrier.send_result(
+                self.superpeer_id, self.parent, origin, result, self.done, at
+            )
+
+    def on_decline(self, sender: int, at: Any) -> None:
+        """``sender`` has nothing for this node and never will."""
+        self._pending.discard(sender)
+        if self._merges:
+            self._await(at)
+        elif self.done:
+            # The own list left unmarked and nothing else is coming that
+            # could carry the mark: pass the bare mark up instead.
+            self.carrier.decline(self.superpeer_id, self.parent, at)
+
+    def _await(self, at: Any) -> None:
+        """One more thing a merge point waits for has happened at ``at``."""
+        self._ready = at if self._ready is None else self.carrier.join(self._ready, at)
+        if not self.done:
+            return
+        if not self._collected and self.variant.progressive_merging:
+            self._ship(self._own, self._ready)   # a *PM leaf has nothing to merge
+            return
+        self._collected.sort(key=lambda entry: self._rank(entry[0]))
+        merged = self.kernels.merge([self._own] + [lst for _, lst in self._collected])
+        self.carrier.compute(
+            self.superpeer_id, "merge", self._ready, merged,
+            lambda at: self._ship(merged.result, at),
+        )
+
+    def _ship(self, result: SortedByF, at: Any) -> None:
+        if self.parent is None:
+            self.carrier.finish(result, at)
+        else:
+            self.carrier.send_result(
+                self.superpeer_id, self.parent, self.superpeer_id, result, True, at
+            )
+
+
+# ----------------------------------------------------------------------
+# the flooded backbone on the model clocks
+# ----------------------------------------------------------------------
 @dataclass
 class ProtocolOutcome:
-    """What the message-passing run produced and what it cost."""
+    """What a flooded run produced and what it cost."""
 
     query: Query
     variant: Variant
@@ -79,406 +375,43 @@ class ProtocolOutcome:
         return self.result.points.id_set()
 
 
-@dataclass
-class _NodeState:
-    """Per-super-peer protocol state for one query."""
-
-    seen: bool = False
-    done: bool = False
-    parent: int | None = None           # whom we first heard the query from
-    pending_children: set[int] = field(default_factory=set)
-    forwarded: bool = False
-    collected: list[SortedByF] = field(default_factory=list)
-    local_result: SortedByF | None = None
-    local_done: bool = False
-    refined_threshold: float = math.inf
-
-
-class ProtocolNode:
-    """Algorithm 3 for **one** super-peer, independent of the carrier.
-
-    Parameters
-    ----------
-    send:
-        ``send(dst, blob)`` hands one encoded wire message to the
-        carrier.  The carrier must preserve per-``(src, dst)`` order
-        (simulated FIFO links and per-connection TCP streams both do).
-    defer:
-        ``defer(seconds, fn)`` schedules a continuation after a local
-        computation that took ``seconds`` of wall-clock.  The simulator
-        maps the duration onto its virtual clock; a real transport
-        passes ``lambda _, fn: fn()`` — the computation already spent
-        the wall-clock time, so the continuation runs immediately.
-    now:
-        Clock read used only to place tracer intervals.
-    on_final:
-        Called with the final merged store when this node is the
-        query initiator and completes.
-
-    The node only ever reads its *own* store — a process-per-super-peer
-    deployment ships exactly ``store`` and ``neighbours`` to each
-    endpoint, nothing else.
-    """
-
-    def __init__(
-        self,
-        superpeer_id: int,
-        *,
-        store: SortedByF,
-        neighbours: Sequence[int],
-        subspace: Subspace,
-        query_id: int,
-        initiator: int,
-        variant: Variant,
-        index_kind: str,
-        send: Callable[[int, bytes], None],
-        defer: Callable[[float, Callable[[], None]], None],
-        now: Callable[[], float] | None = None,
-        on_final: Callable[[SortedByF], None] | None = None,
-        clock: str = "protocol",
-    ):
-        self.superpeer_id = superpeer_id
-        self.store = store
-        self.neighbours = tuple(neighbours)
-        self.subspace = subspace
-        self.query_id = query_id
-        self.initiator = initiator
-        self.variant = variant
-        self.index_kind = index_kind
-        self.state = _NodeState()
-        self.final: SortedByF | None = None
-        self.duplicate_replies = 0
-        self.query_messages_sent = 0
-        #: Wall-clock seconds this node spent computing (scan + merges);
-        #: the socket executor subtracts it from the query wall time to
-        #: report the initiator's idle time.
-        self.compute_seconds = 0.0
-        self._send = send
-        self._defer = defer
-        self._now = now if now is not None else (lambda: 0.0)
-        self._on_final = on_final
-        self._clock = clock
-        self._tracer = active_tracer()
-        self._metrics = active_metrics()
-
-    @property
-    def done(self) -> bool:
-        return self.state.done
-
-    # ------------------------------------------------------------------
-    # local computations
-    # ------------------------------------------------------------------
-    def _compute_local(self, threshold: float) -> float:
-        """Run Algorithm 1 locally; returns the wall-clock duration."""
-        state = self.state
-        started = time.perf_counter()
-        # The dispatcher honors REPRO_SCAN_SUBSTRATE, so the socket
-        # runner (netexec/serving) scans on the same substrate as the
-        # in-process executor; results are substrate-invariant.
-        computation = subspace_skyline(
-            self.store,
-            self.subspace,
-            initial_threshold=threshold,
-            index_kind=self.index_kind,
-        )
-        state.local_result = self._project(computation.result)
-        state.local_done = True
-        state.refined_threshold = computation.threshold
-        duration = time.perf_counter() - started
-        self.compute_seconds += duration
-        if self._tracer is not None:
-            # The scan occupies [now, now + duration] of carrier time
-            # (its completion continuation is deferred there).
-            moment = self._now()
-            self._tracer.interval(
-                "algorithm1 scan", category="compute",
-                track=f"sp{self.superpeer_id}",
-                start=moment, end=moment + duration,
-                clock=self._clock, examined=computation.examined,
-                kept=len(computation.result),
-                comparisons=computation.comparisons,
-            )
-        if self._metrics is not None:
-            self._metrics.counter(
-                "protocol.comparisons",
-                variant=self.variant.value, superpeer=self.superpeer_id,
-                phase="scan",
-            ).inc(computation.comparisons)
-            self._metrics.counter(
-                "protocol.points_examined",
-                variant=self.variant.value, superpeer=self.superpeer_id,
-                phase="scan",
-            ).inc(computation.examined)
-        return duration
-
-    def _project(self, store: SortedByF) -> SortedByF:
-        """Restrict a full-space store to the query subspace.
-
-        Wire messages carry only queried coordinates, so all merging
-        happens in subspace coordinates; the ``f`` values stay the
-        original full-space ones, preserving Algorithm 2's pruning.
-        """
-        if not len(store):
-            return SortedByF.empty(len(self.subspace))
-        projected = PointSet(store.points.values[:, list(self.subspace)], store.points.ids)
-        return SortedByF(projected, store.f)
-
-    # ------------------------------------------------------------------
-    # protocol proper (Algorithm 3)
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """P_init: local computation first (it yields t), then flood."""
-        if self.superpeer_id != self.initiator:
-            raise RuntimeError("only the initiator's node starts a query")
-        self.state.seen = True
-        duration = self._compute_local(math.inf)
-        self._defer(duration, self._forward)
-
-    def on_message(self, sender: int, blob: bytes) -> None:
-        """React to one wire message heard from link peer ``sender``."""
-        message = decode(blob)
-        if isinstance(message, QueryMessage):
-            self._on_query(sender, message)
-        else:
-            self._on_result(sender, message)
-
-    def _forward(self) -> None:
-        state = self.state
-        threshold = (
-            state.refined_threshold if self.variant.uses_threshold else math.inf
-        )
-        message = QueryMessage(
-            query_id=self.query_id,
-            subspace=self.subspace,
-            threshold=threshold,
-            initiator=self.initiator,
-        ).encode()
-        targets = [nb for nb in self.neighbours if nb != state.parent]
-        state.pending_children = set(targets)
-        state.forwarded = True
-        self.query_messages_sent += len(targets)
-        for nb in targets:
-            self._send(nb, message)
-        self._maybe_complete()
-
-    def _on_query(self, sender: int, message: QueryMessage) -> None:
-        state = self.state
-        if state.seen:
-            # Duplicate receipt: reply with an empty result immediately
-            # so the sender's collection loop terminates (the paper
-            # assumes routing handles this; flooding makes it explicit).
-            self.duplicate_replies += 1
-            if self._metrics is not None:
-                self._metrics.counter(
-                    "protocol.duplicate_replies", variant=self.variant.value
-                ).inc()
-            empty = ResultMessage(
-                query_id=self.query_id, sender=self.superpeer_id,
-                ids=(), f=(), coords=(),
-            )
-            self._send(sender, empty.encode())
-            return
-        state.seen = True
-        state.parent = sender
-        incoming = message.threshold if self.variant.uses_threshold else math.inf
-        if self.variant.refined_threshold:
-            # RT*: compute first, refine t, then forward (the refined
-            # threshold rides along with the forwarded query).
-            duration = self._compute_local(incoming)
-            self._defer(duration, self._forward)
-        else:
-            # FT* / naive: forward at once, compute in parallel.
-            state.refined_threshold = incoming
-            self._forward()
-            duration = self._compute_local(incoming)
-            # the computation's completion is an event `duration` later
-            state.local_done = False
-            self._defer(duration, self._local_finished)
-
-    def _local_finished(self) -> None:
-        self.state.local_done = True
-        self._maybe_complete()
-
-    def _on_result(self, sender: int, message: ResultMessage) -> None:
-        state = self.state
-        own_result_of_link_peer = message.sender == sender
-        if len(message):
-            if self.variant.progressive_merging or state.parent is None:
-                state.collected.append(message.to_store())
-            else:
-                # Fixed merging at an intermediate node: relay unmerged.
-                self._send(state.parent, message.encode())
-        if own_result_of_link_peer:
-            # FIFO links make the peer's own result its last message, so
-            # this clears the child exactly once, after all its relays.
-            state.pending_children.discard(sender)
-            self._maybe_complete()
-
-    def _maybe_complete(self) -> None:
-        state = self.state
-        if (
-            state.done
-            or not state.forwarded
-            or state.pending_children
-            or not state.local_done
-        ):
-            return
-        state.done = True
-        needs_merge = bool(state.collected) and (
-            self.variant.progressive_merging or state.parent is None
-        )
-        if needs_merge:
-            started = time.perf_counter()
-            merged = merge_sorted_skylines(
-                [state.local_result] + state.collected,
-                range(len(self.subspace)),
-                index_kind=self.index_kind,
-            )
-            duration = time.perf_counter() - started
-            self.compute_seconds += duration
-            if self._tracer is not None:
-                moment = self._now()
-                self._tracer.interval(
-                    "algorithm2 merge", category="compute",
-                    track=f"sp{self.superpeer_id}",
-                    start=moment, end=moment + duration,
-                    clock=self._clock, inputs=len(state.collected) + 1,
-                    examined=merged.examined, kept=len(merged.result),
-                    comparisons=merged.comparisons,
-                )
-            if self._metrics is not None:
-                self._metrics.counter(
-                    "protocol.comparisons",
-                    variant=self.variant.value, superpeer=self.superpeer_id,
-                    phase="merge",
-                ).inc(merged.comparisons)
-            state.collected = []
-            self._defer(duration, lambda: self._ship(merged.result))
-        else:
-            self._ship(state.local_result)
-
-    def _ship(self, outcome: SortedByF) -> None:
-        state = self.state
-        if state.parent is None:
-            self.final = outcome
-            if self._on_final is not None:
-                self._on_final(outcome)
-            return
-        message = ResultMessage.from_store(
-            self.query_id, self.superpeer_id, outcome, range(len(self.subspace))
-        )
-        self._send(state.parent, message.encode())
-
-
-def build_nodes(
-    network: SuperPeerNetwork,
-    query: Query,
-    variant: Variant,
-    index_kind: str,
-    *,
-    send: Callable[[int, int, bytes], None],
-    defer: Callable[[float, Callable[[], None]], None],
-    now: Callable[[], float] | None = None,
-    on_final: Callable[[SortedByF], None] | None = None,
-    clock: str = "protocol",
-    initiator_cls: type[ProtocolNode] | None = None,
-) -> dict[int, ProtocolNode]:
-    """One :class:`ProtocolNode` per super-peer, wired to one carrier.
-
-    ``send`` receives ``(src, dst, blob)`` — each node's ``send``
-    callback is curried with its own id.  ``initiator_cls`` optionally
-    substitutes a subclass at the initiator only (the socket executor's
-    pipelined-merge node); every other super-peer stays a plain
-    :class:`ProtocolNode`.
-    """
-    subspace = normalize_subspace(query.subspace, network.dimensionality)
-    qid = query_id_for(query)
-    nodes: dict[int, ProtocolNode] = {}
-    for sp in network.topology.superpeer_ids:
-        cls = initiator_cls if (
-            initiator_cls is not None and sp == query.initiator
-        ) else ProtocolNode
-        nodes[sp] = cls(
-            sp,
-            store=network.store_of(sp),
-            neighbours=network.topology.adjacency[sp],
-            subspace=subspace,
-            query_id=qid,
-            initiator=query.initiator,
-            variant=variant,
-            index_kind=index_kind,
-            send=(lambda dst, blob, src=sp: send(src, dst, blob)),
-            defer=defer,
-            now=now,
-            on_final=on_final if sp == query.initiator else None,
-            clock=clock,
-        )
-    return nodes
-
-
 def run_protocol(
     network: SuperPeerNetwork,
     query: Query,
     variant: Variant | str = Variant.FTPM,
     index_kind: str | None = None,
 ) -> ProtocolOutcome:
-    """Flood one query through the network and collect the outcome.
+    """Flood one query through the backbone and collect the outcome.
 
-    This is the discrete-event carrier: messages cross the simulated
-    FIFO links of :class:`repro.p2p.engine.LinkLayer` at the cost
-    model's bandwidth.  The returned result holds the *projected*
-    skyline points (query subspace coordinates) with the same point ids
-    as the executor's — compare via ``result_ids``.
+    The same model-clock driver as
+    :func:`~repro.skypeer.executor.execute_query`, handed the full
+    adjacency instead of the BFS tree: every super-peer forwards to all
+    neighbours but the one it heard from and duplicates are declined, so
+    the counts are those of a real unstructured overlay rather than of an
+    idealized spanning tree.  Bytes are the cost model's.
     """
+    from .executor import run_on_model_clocks
+
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
-    index_kind = index_kind or network.index_kind
-    loop = EventLoop()
-    links = LinkLayer(loop, network.cost_model)
-    tracer = active_tracer()
-    metrics = active_metrics()
-    nodes: dict[int, ProtocolNode] = {}
-
-    def transmit(src: int, dst: int, blob: bytes) -> None:
-        start, end = links.send(
-            src, dst, len(blob), lambda: nodes[dst].on_message(src, blob)
-        )
-        if tracer is not None:
-            tracer.interval(
-                "transmit", category="transfer", track=f"link {src}->{dst}",
-                start=start, end=end, clock="protocol", bytes=len(blob),
-            )
-        if metrics is not None:
-            metrics.counter("protocol.messages", variant=variant.value).inc()
-            metrics.counter(
-                "protocol.volume_bytes", variant=variant.value
-            ).inc(len(blob))
-
-    nodes.update(
-        build_nodes(
-            network, query, variant, index_kind,
-            send=transmit, defer=loop.schedule, now=lambda: loop.now,
-        )
+    run = run_on_model_clocks(
+        network, query, variant, index_kind=index_kind,
+        neighbours=network.topology.adjacency, obs_prefix="protocol",
     )
-    nodes[query.initiator].start()
-    events = loop.run()
-    root = nodes[query.initiator]
-    if root.final is None:
-        raise RuntimeError("protocol terminated without producing a result")
-    query_messages = sum(node.query_messages_sent for node in nodes.values())
-    duplicate_replies = sum(node.duplicate_replies for node in nodes.values())
+    flooding = {
+        "query_messages": run.query_messages,
+        "duplicate_replies": run.duplicate_queries,
+        "events": run.events,
+    }
+    metrics = active_metrics()
     if metrics is not None:
-        metrics.counter("protocol.events", variant=variant.value).inc(events)
-        metrics.counter(
-            "protocol.query_messages", variant=variant.value
-        ).inc(query_messages)
+        for name, count in flooding.items():
+            metrics.counter(f"protocol.{name}", variant=variant.value).inc(count)
     return ProtocolOutcome(
         query=query,
         variant=variant,
-        result=root.final,
-        total_time=loop.now,
-        volume_bytes=links.bytes_sent,
-        message_count=links.messages_sent,
-        query_messages=query_messages,
-        duplicate_replies=duplicate_replies,
-        events=events,
+        result=run.execution.result,
+        total_time=run.execution.total_time,
+        volume_bytes=run.execution.volume_bytes,
+        message_count=run.execution.message_count,
+        **flooding,
     )

@@ -84,6 +84,35 @@ class TestResultMessage:
         with pytest.raises(WireError, match="parallel"):
             msg.encode()
 
+    def test_final_mark_rides_in_the_kind_byte(self, rng):
+        """Marking a list final costs no byte, so the envelope deltas of
+        docs/TRANSPORT.md do not move."""
+        store = self._store(rng)
+        plain = ResultMessage.from_store(9, sender=3, result=store, subspace=(0, 2))
+        final = ResultMessage.from_store(9, sender=3, result=store, subspace=(0, 2), final=True)
+        assert len(final.encode()) == len(plain.encode())
+        assert decode(final.encode()) == final
+        assert decode(final.encode()).final and not decode(plain.encode()).final
+
+    def test_decline_is_an_empty_last_word(self):
+        decline = ResultMessage(1, sender=2, ids=(), f=(), coords=(), final=True, decline=True)
+        empty = ResultMessage(1, sender=2, ids=(), f=(), coords=())
+        back = decode(decline.encode())
+        assert back == decline and back.decline and back.final
+        assert len(decline.encode()) == len(empty.encode())
+        assert cost_estimate(decline.encode(), DEFAULT_COST_MODEL) == (
+            DEFAULT_COST_MODEL.result_bytes(0, 0)
+        )
+
+    def test_decline_with_points_rejected(self, rng):
+        store = self._store(rng, n=1)
+        body = bytearray(ResultMessage.from_store(1, 0, store, (0,)).encode())
+        body[3] = 4  # the decline kind
+        with pytest.raises(WireError, match="decline"):
+            decode(bytes(body))
+        with pytest.raises(WireError, match="decline"):
+            ResultMessage(1, 0, (5,), (0.5,), ((0.5,),), decline=True).encode()
+
 
 class TestFraming:
     def test_bad_magic(self):

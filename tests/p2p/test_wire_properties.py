@@ -163,8 +163,9 @@ def test_magic_or_version_corruption_raises(msg_idx, byte_idx, delta):
 @given(st.integers(0, 1), st.integers(0, 255))
 @settings(max_examples=100, deadline=None)
 def test_unknown_kind_raises(msg_idx, kind):
-    """Any kind byte outside the two known kinds must fail decoding."""
-    if kind in (1, 2):
+    """Any kind byte outside the known kinds (query; result, final
+    result, decline) must fail decoding."""
+    if kind in (1, 2, 3, 4):
         return
     blob = bytearray(_sample_messages()[msg_idx].encode())
     blob[3] = kind

@@ -1,0 +1,57 @@
+"""All carriers, one answer.
+
+One :class:`~repro.skypeer.protocol.ProtocolNode` runs under the model
+clocks on the BFS tree (``execute_query``), under the model clocks on
+the flooded backbone (``run_protocol``) and behind real sockets in both
+endpoint modes.  On tie-free data they return the same ids in the same
+order — the centralized skyline in ascending ``f``.  (Two carriers may
+order an exact ``f`` tie differently where their merge inputs are ranked
+differently; the id set never differs.)
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.extended_skyline import subspace_skyline_points
+from repro.core.mapping import f_values
+from repro.data.workload import Query
+from repro.p2p.network import SuperPeerNetwork
+from repro.skypeer.executor import execute_query
+from repro.skypeer.netexec import run_socket_query
+from repro.skypeer.protocol import run_protocol
+from repro.skypeer.variants import Variant
+
+
+@pytest.fixture(scope="module")
+def mesh_network() -> SuperPeerNetwork:
+    """The socket suite's mesh (``test_netexec.py``)."""
+    return SuperPeerNetwork.build(
+        n_peers=36, points_per_peer=20, dimensionality=5, n_superpeers=6, seed=7,
+    )
+
+
+@pytest.mark.parametrize("variant", tuple(Variant), ids=lambda v: v.value)
+def test_all_carriers_one_answer(mesh_network, variant, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_TRANSPORT_RUNDIR", str(tmp_path))
+    query = Query(subspace=(0, 2, 4), initiator=mesh_network.topology.superpeer_ids[0])
+    oracle = subspace_skyline_points(mesh_network.all_points(), query.subspace)
+    by_f = sorted(zip(f_values(oracle.values), oracle.ids))
+    assert len({f for f, _ in by_f}) == len(by_f), "the fixture must be tie-free"
+    expected = [int(point_id) for _, point_id in by_f]
+
+    tree = execute_query(mesh_network, query, variant)
+    flood = run_protocol(mesh_network, query, variant)
+    answers = {
+        "tree": tree.result,
+        "flood": flood.result,
+        "task": run_socket_query(mesh_network, query, variant, mode="task").result,
+        "process": run_socket_query(mesh_network, query, variant, mode="process").result,
+    }
+    for carrier, result in answers.items():
+        assert [int(i) for i in result.points.ids] == expected, carrier
+        assert list(result.f) == [f for f, _ in by_f], carrier
+
+    edges = sum(len(ns) for ns in mesh_network.topology.adjacency.values()) // 2
+    assert flood.message_count >= tree.message_count
+    assert flood.duplicate_replies >= edges - (mesh_network.n_superpeers - 1)

@@ -1,4 +1,9 @@
-"""Tests for the message-passing protocol engine (flooded Algorithm 3)."""
+"""The flooded backbone on the model clocks (``run_protocol``).
+
+``run_protocol`` is ``execute_query``'s driver handed the full adjacency
+instead of the BFS tree; carrier agreement across all four carriers is
+in ``test_carriers.py``, the node on its own in ``test_node.py``.
+"""
 
 import numpy as np
 import pytest
@@ -26,10 +31,13 @@ class TestProtocolExactness:
 
     @pytest.mark.parametrize("variant", ALL)
     def test_matches_plan_based_executor(self, small_network, variant):
+        """Flooding changes who a super-peer's parent is, never the answer:
+        the ids come back in the order the tree-routed plan returns them."""
         query = Query(subspace=(0, 1, 3), initiator=small_network.topology.superpeer_ids[1])
         protocol = run_protocol(small_network, query, variant)
         planned = execute_query(small_network, query, variant)
-        assert protocol.result_ids == planned.result_ids
+        assert list(protocol.result.points.ids) == list(planned.result.points.ids)
+        assert list(protocol.result.f) == list(planned.result.f)
 
     def test_single_superpeer(self):
         net = SuperPeerNetwork.build(
@@ -40,15 +48,36 @@ class TestProtocolExactness:
         for variant in ALL:
             assert run_protocol(net, query, variant).result_ids == expected
 
-    def test_result_carries_projected_coordinates(self, small_network):
-        sub = (1, 4)
-        query = Query(subspace=sub, initiator=small_network.topology.superpeer_ids[0])
+    def test_result_carries_full_space_points(self, small_network):
+        """Nothing crosses a wire codec on the model clocks, so the answer
+        is ``execute_query``'s: whole points (projection is checked where
+        it happens, ``test_netexec.py``)."""
+        query = Query(subspace=(1, 4), initiator=small_network.topology.superpeer_ids[0])
         got = run_protocol(small_network, query, Variant.FTPM)
-        assert got.result.points.dimensionality == len(sub)
-        # projected coordinates match the original points
+        assert got.result.points.dimensionality == small_network.dimensionality
         for point_id, coords in got.result.points:
-            original = small_network.all_points().by_id(point_id)
-            np.testing.assert_allclose(coords, original[list(sub)])
+            np.testing.assert_array_equal(
+                coords, small_network.all_points().by_id(point_id)
+            )
+
+    @pytest.mark.parametrize("variant", ALL)
+    def test_a_tree_shaped_backbone_floods_like_the_plan(self, variant):
+        """On a backbone that *is* a tree the adjacency is the BFS tree:
+        nothing is declined and every number equals ``execute_query``'s."""
+        net = SuperPeerNetwork.build(
+            n_peers=40, points_per_peer=10, dimensionality=4, n_superpeers=10,
+            degree=1.0, seed=2,
+        )
+        edges = sum(len(ns) for ns in net.topology.adjacency.values()) // 2
+        assert edges == net.n_superpeers - 1
+        query = Query(subspace=(0, 3), initiator=net.topology.superpeer_ids[3])
+        flood = run_protocol(net, query, variant)
+        plan = execute_query(net, query, variant)
+        assert flood.duplicate_replies == 0
+        assert flood.message_count == plan.message_count
+        assert flood.volume_bytes == plan.volume_bytes
+        assert flood.query_messages == net.n_superpeers - 1
+        assert list(flood.result.points.ids) == list(plan.result.points.ids)
 
 
 class TestFloodingBehaviour:

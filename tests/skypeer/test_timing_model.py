@@ -5,7 +5,7 @@ import pytest
 from repro.data.workload import Query
 from repro.p2p.cost import CostModel
 from repro.p2p.network import SuperPeerNetwork
-from repro.skypeer.executor import _bfs_preorder, _paths_to_root, execute_query
+from repro.skypeer.executor import _bfs_preorder, execute_query
 from repro.skypeer.variants import Variant
 
 
@@ -18,13 +18,6 @@ class TestTreeHelpers:
         for parent, kids in children.items():
             for kid in kids:
                 assert position[parent] < position[kid]
-
-    def test_paths_to_root(self):
-        parent = {0: None, 1: 0, 2: 1}
-        paths = _paths_to_root([0, 1, 2], parent)
-        assert paths[0] == ()
-        assert paths[1] == ((1, 0),)
-        assert paths[2] == ((2, 1), (1, 0))
 
 
 class TestTimingStructure:

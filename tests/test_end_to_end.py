@@ -1,6 +1,6 @@
 """One end-to-end scenario composing the whole public surface.
 
-Build → query (all variants, both engines) → constrained query →
+Build → query (all variants, tree-routed and flooded) → constrained query →
 churn + data updates → cached repeat queries → persist → reload →
 re-verify.  Everything is checked against brute-force oracles at every
 stage; if this test is green the README's promises hold together, not
@@ -31,7 +31,7 @@ def test_full_story(tmp_path):
     def oracle(subspace):
         return repro.subspace_skyline_points(net.all_points(), subspace).id_set()
 
-    # --- plain queries, all variants, both engines ---------------------
+    # --- plain queries, all variants, tree-routed and flooded ----------
     query = repro.Query(subspace=(0, 2, 4), initiator=net.topology.superpeer_ids[0])
     for variant in repro.Variant:
         assert repro.execute_query(net, query, variant).result_ids == oracle((0, 2, 4))
