@@ -76,6 +76,12 @@ below 1 and crosses it within the bench range, which is what
 `benchmarks/test_fig3f_vs_naive.py` now asserts for both
 (`ftfm[-1] > 1` in place of `all(s > 1 for s in ftfm)`; the growth
 clauses are unchanged), and Figure 4(b)'s growth check passes.
+(5) A transmitted skyline point is its id and its k queried coordinates;
+the paper's lists also carry each point's f(p).  Algorithm 2 merges on
+the minimum over the queried coordinates instead, which the receiver
+recomputes (docs/ALGORITHMS.md has the proof; result sets are
+identical), so every *volume* and the transfer share of every *total
+time* below is that of the 8-bytes-per-point-per-hop leaner record.
 
 ---
 """

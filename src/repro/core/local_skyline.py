@@ -43,7 +43,8 @@ class SkylineComputation:
     ----------
     result:
         Surviving skyline points (full-space coordinates), in ascending
-        ``f`` order, together with their ``f`` values.
+        ``f`` order, together with their ``f`` values (a merge's: the
+        subspace key it ordered on, see :mod:`repro.core.merging`).
     threshold:
         Final threshold: ``min`` of the initial threshold and
         ``dist_U(p)`` over every inserted point.  This is the refined
@@ -158,10 +159,10 @@ def local_subspace_skyline(
     # is projected.
     proj, dists = store.projection(cols, rows=store.prefix(threshold))
     if index_kind == "block":
-        full_space = len(cols) == store.dimensionality
         examined, threshold = _chunked_scan(
             index, proj, f, dists, threshold, strict,
-            full_space=full_space, chunk=resolve_scan_chunk(scan_chunk),
+            key_is_scanned_min=len(cols) == store.dimensionality,
+            chunk=resolve_scan_chunk(scan_chunk),
         )
     else:
         examined, threshold = _pointwise_scan(index, proj, f, dists, threshold)
@@ -227,7 +228,7 @@ def _chunked_scan(
     dists,
     threshold: float,
     strict: bool,
-    full_space: bool = False,
+    key_is_scanned_min: bool = False,
     chunk: int = _SCAN_CHUNK,
     base: int = 0,
 ) -> tuple[int, float]:
@@ -247,15 +248,17 @@ def _chunked_scan(
     (:class:`repro.core.merging.IncrementalMerger`) feeds one run at a
     time into a shared index and needs run-global candidate positions.
 
-    ``full_space=True`` asserts the scanned columns are the full space
-    the stored ``f = min_i p[i]`` is computed over.  Then a dominator
-    always satisfies ``f(q) <= f(p)`` (min is monotone), so a point
-    inserted later in the f-ascending scan can evict an earlier
-    candidate only on an exact f-tie — and in strict (ext-domination)
-    mode never, since ``q < p`` everywhere forces ``f(q) < f(p)``.
-    The insert below skips the eviction scan whenever that argument
-    applies (the SFS property); for proper subspaces ``f`` says nothing
-    about subspace dominance and the eviction scan always runs.
+    ``key_is_scanned_min=True`` asserts that ``f`` — the key the rows
+    ascend in — is the minimum over the scanned columns: the stored
+    ``f = min_i p[i]`` on a full-space scan, ``g_U`` in an Algorithm-2
+    merge on any subspace.  Then a dominator always satisfies
+    ``f(q) <= f(p)`` (min is monotone), so a point inserted later in the
+    ascending scan can evict an earlier candidate only on an exact key
+    tie — and in strict (ext-domination) mode never, since ``q < p``
+    everywhere forces ``f(q) < f(p)``.  The insert below skips the
+    eviction scan whenever that argument applies (the SFS property); a
+    store scanned on a proper subspace in full-space ``f`` order has no
+    such guarantee and the eviction scan always runs.
     """
     n = proj.shape[0]
     examined = 0
@@ -281,7 +284,7 @@ def _chunked_scan(
             winners = candidates[undominated_among(chunk_rows[candidates], strict)]
             if winners.size:
                 positions = i + winners
-                can_evict = not full_space or (
+                can_evict = not key_is_scanned_min or (
                     not strict and float(f[positions[0]]) <= last_inserted_f
                 )
                 index.bulk_insert(

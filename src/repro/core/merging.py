@@ -1,13 +1,19 @@
-"""Algorithm 2 — threshold-based merge of f-sorted skyline lists.
+"""Algorithm 2 — threshold-based merge of sorted skyline lists.
 
-Every super-peer delivers its local result as a list sorted ascending
-by ``f(p)``.  The merge repeatedly pulls the globally smallest ``f``
-head among the lists (a heap takes the paper's "list with the minimum
-first element" role), applies the same dominance test / eviction /
-threshold update as Algorithm 1, and stops as soon as every remaining
-head exceeds the threshold.  Each list is therefore "accessed only
-until its next element is larger than the threshold value" — the cited
-advantage over concatenating, re-sorting and re-running Algorithm 1.
+Every super-peer delivers its local result as a list of skyline points
+on the queried coordinates.  The merge keys each point on
+``g_U(p) = min_{i in U} p[i]`` — the paper's ``f`` restricted to the
+queried subspace, recomputable from exactly what a list carries — and
+repeatedly pulls the globally smallest head among the lists (a heap
+takes the paper's "list with the minimum first element" role), applies
+the same dominance test / eviction / threshold update as Algorithm 1,
+and stops as soon as every remaining head exceeds the threshold
+(Observation 5 holds verbatim for ``g_U``; ``docs/ALGORITHMS.md`` has
+the proof and says where this departs from the paper's text).  Each
+list is therefore "accessed only until its next element is larger than
+the threshold value" — the cited advantage over concatenating,
+re-sorting and re-running Algorithm 1.  On the full space ``g_U`` *is*
+``f``.
 
 The same routine with ``strict=True`` merges peer ext-skylines into the
 super-peer ext-skyline during pre-processing (section 5.3).
@@ -53,11 +59,15 @@ def merge_sorted_skylines(
     index_kind: str = "block",
     scan_chunk: int | None = None,
 ) -> SkylineComputation:
-    """Run Algorithm 2 over several f-sorted lists.
+    """Run Algorithm 2 over several skyline lists.
 
     Parameters mirror :func:`repro.core.local_skyline.local_subspace_skyline`;
-    ``lists`` may be empty or contain empty lists.  The result is again
-    f-sorted, so merges compose (progressive merging chains them up the
+    ``lists`` may be empty or contain empty lists.  The merge orders its
+    input on ``g_U(p) = min_{i in U} p[i]``, computed here from the
+    scanned columns — a list's own ``f`` is not read, so f-sorted scan
+    results and earlier merges mix freely.  The result is sorted by that
+    key and carries it as its ``f`` (exact ties in input order), so
+    merges compose (progressive merging chains them up the
     query-propagation tree).
     """
     started = time.perf_counter()
@@ -68,111 +78,66 @@ def merge_sorted_skylines(
     if len(dims) > 1:
         raise ValueError(f"mismatched dimensionalities: {sorted(dims)}")
     dimensionality = dims.pop() if dims else len(cols)
-    if index_kind == "block":
+    index = make_index(index_kind, len(cols), strict=strict)
+    threshold = float(initial_threshold)
+    examined = 0
+    result = SortedByF.empty(dimensionality)
+    if lists and index_kind == "block":
         # Fast path: the paper notes the alternative of merging the
         # sorted lists into one and scanning it; with a vectorized scan
         # that alternative wins in CPython, and the early-termination
-        # semantics are identical (the scan stops at the same f bound).
-        return _merge_by_concatenation(
-            lists, cols, dimensionality, initial_threshold, strict, started,
-            total_input, scan_chunk,
+        # semantics are identical (the scan stops at the same key bound).
+        values = np.concatenate([lst.points.values for lst in lists], axis=0)
+        ids = np.concatenate([lst.points.ids for lst in lists], axis=0)
+        proj = values[:, cols]
+        keys = proj.min(axis=1)
+        # Stable: exact key ties stay in list order, then in each list's own.
+        order = np.argsort(keys, kind="stable")
+        proj, keys = proj[order], keys[order]
+        # The key is the min over the scanned columns, so a dominator never
+        # sorts after what it dominates: the scan skips the eviction pass
+        # outside exact key ties (SFS), on every subspace.
+        examined, threshold = _chunked_scan(
+            index, proj, keys, proj.max(axis=1), threshold, strict,
+            key_is_scanned_min=True, chunk=resolve_scan_chunk(scan_chunk),
         )
-    index = make_index(index_kind, len(cols), strict=strict)
-    threshold = float(initial_threshold)
-
-    projections = [lst.points.values[:, cols] for lst in lists]
-    distances = [dist_values(lst.points.values, cols) for lst in lists]
-
-    # Heap of (f, list index, position within list); ties broken by list
-    # order for determinism.
-    heap: list[tuple[float, int, int]] = [
-        (float(lst.f[0]), li, 0) for li, lst in enumerate(lists)
-    ]
-    heapq.heapify(heap)
-
-    examined = 0
-    sequence = 0  # global insertion counter; doubles as index position
-    alive: dict[int, tuple[int, int]] = {}
-    while heap:
-        f_val, li, pos = heapq.heappop(heap)
-        if f_val > threshold:
-            break
-        examined += 1
-        row = projections[li][pos]
-        if not index.is_dominated(row):
-            index.insert_and_prune(sequence, row)
-            alive[sequence] = (li, pos)
-            dist = float(distances[li][pos])
-            if dist < threshold:
-                threshold = dist
-            sequence += 1
-        nxt = pos + 1
-        if nxt < len(lists[li]):
-            heapq.heappush(heap, (float(lists[li].f[nxt]), li, nxt))
-
-    survivors = index.positions()
-    rows = [alive[s] for s in survivors]
-    if rows:
-        values = np.vstack([lists[li].points.values[pos] for li, pos in rows])
-        ids = np.array([lists[li].points.ids[pos] for li, pos in rows], dtype=np.int64)
-        f_sorted = np.array([float(lists[li].f[pos]) for li, pos in rows])
-        result = SortedByF(points=PointSet(values, ids), f=f_sorted)
-    else:
-        result = SortedByF.empty(dimensionality)
-    return SkylineComputation(
-        result=result,
-        threshold=threshold,
-        examined=examined,
-        comparisons=index.comparisons,
-        duration=time.perf_counter() - started,
-        input_size=total_input,
-    )
-
-
-def _merge_by_concatenation(
-    lists: Sequence[SortedByF],
-    cols: list[int],
-    dimensionality: int,
-    initial_threshold: float,
-    strict: bool,
-    started: float,
-    total_input: int,
-    scan_chunk: int | None = None,
-) -> SkylineComputation:
-    from .mapping import dist_values
-
-    if not lists:
-        return SkylineComputation(
-            result=SortedByF.empty(dimensionality),
-            threshold=float(initial_threshold),
-            examined=0,
-            comparisons=0,
-            duration=time.perf_counter() - started,
-            input_size=0,
-        )
-    values = np.concatenate([lst.points.values for lst in lists], axis=0)
-    ids = np.concatenate([lst.points.ids for lst in lists], axis=0)
-    f = np.concatenate([lst.f for lst in lists], axis=0)
-    order = np.argsort(f, kind="stable")
-    values, ids, f = values[order], ids[order], f[order]
-    proj = values[:, cols]
-    dists = dist_values(values, cols)
-    index = BlockDominanceIndex(len(cols), strict=strict)
-    # The SFS fast path (skip the eviction scan) requires f to be the
-    # min over the *scanned* columns.  Covering the whole dimensionality
-    # is not enough: the protocol path merges subspace-projected stores
-    # whose f values are full-space minima, where a later (higher-f)
-    # point can still dominate an earlier candidate — so verify the
-    # relationship on the actual arrays instead of trusting shapes.
-    full_space = len(cols) == dimensionality and (
-        not len(f) or bool(np.array_equal(f, proj.min(axis=1)))
-    )
-    examined, threshold = _chunked_scan(
-        index, proj, f, dists, float(initial_threshold), strict,
-        full_space=full_space, chunk=resolve_scan_chunk(scan_chunk),
-    )
-    positions = index.positions()
-    result = SortedByF(points=PointSet(values[positions], ids[positions]), f=f[positions])
+        positions = index.positions()
+        kept = order[positions]
+        result = SortedByF(PointSet(values[kept], ids[kept]), keys[positions])
+    elif lists:
+        # Every input on the merge's key: (list rows, keys, projection),
+        # key-ascending.
+        runs = []
+        for lst in lists:
+            proj = lst.points.values[:, cols]
+            keys = proj.min(axis=1)
+            rows = np.argsort(keys, kind="stable")
+            runs.append((rows, keys[rows], proj[rows]))
+        # Heap of (key, list index, position within the run); ties broken
+        # by list order for determinism.
+        heap: list[tuple[float, int, int]] = [
+            (float(keys[0]), li, 0) for li, (_, keys, _) in enumerate(runs)
+        ]
+        heapq.heapify(heap)
+        alive: list[tuple[int, int, float]] = []  # index position -> (list, row, key)
+        while heap:
+            key, li, pos = heapq.heappop(heap)
+            if key > threshold:
+                break
+            examined += 1
+            rows, keys, proj = runs[li]
+            row = proj[pos]
+            if not index.is_dominated(row):
+                index.insert_and_prune(len(alive), row)
+                alive.append((li, int(rows[pos]), key))
+                threshold = min(threshold, float(row.max()))
+            if pos + 1 < len(keys):
+                heapq.heappush(heap, (float(keys[pos + 1]), li, pos + 1))
+        survivors = [alive[s] for s in index.positions()]
+        if survivors:
+            values = np.vstack([lists[li].points.values[row] for li, row, _ in survivors])
+            ids = np.array([lists[li].points.ids[row] for li, row, _ in survivors], dtype=np.int64)
+            result = SortedByF(PointSet(values, ids), np.array([key for _, _, key in survivors]))
     return SkylineComputation(
         result=result,
         threshold=threshold,
@@ -255,13 +220,12 @@ class IncrementalMerger:
         self._run_labels.append(self.runs_fed - 1)
         proj = run.points.values[:, self._cols]
         dists = dist_values(run.points.values, self._cols)
-        # Never claim the SFS fast path: fed runs are typically
-        # subspace-projected stores whose f values are full-space
-        # minima (see _merge_by_concatenation), and later runs restart
-        # at low f anyway, so the eviction scan must always run.
+        # Never claim the SFS fast path: fed runs are slices of a store
+        # in full-space f order, and later runs restart at low f anyway,
+        # so the eviction scan must always run.
         examined, self.threshold = _chunked_scan(
             self._index, proj, run.f, dists, self.threshold, self._strict,
-            full_space=False, chunk=self._chunk, base=self._base,
+            key_is_scanned_min=False, chunk=self._chunk, base=self._base,
         )
         self.examined += examined
         self._origins.extend((run_index, row) for row in range(n))

@@ -10,6 +10,7 @@ original build since the data is already materialized).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -45,15 +46,7 @@ def save_network(path: str | Path, network: SuperPeerNetwork) -> None:
         "index_kind": network.index_kind,
         "adjacency": {str(k): list(v) for k, v in network.topology.adjacency.items()},
         "peers_of": {str(k): list(v) for k, v in network.topology.peers_of.items()},
-        "cost_model": {
-            "bandwidth_bytes_per_sec": network.cost_model.bandwidth_bytes_per_sec,
-            "message_header_bytes": network.cost_model.message_header_bytes,
-            "coordinate_bytes": network.cost_model.coordinate_bytes,
-            "id_bytes": network.cost_model.id_bytes,
-            "f_value_bytes": network.cost_model.f_value_bytes,
-            "threshold_bytes": network.cost_model.threshold_bytes,
-            "dimension_tag_bytes": network.cost_model.dimension_tag_bytes,
-        },
+        "cost_model": dataclasses.asdict(network.cost_model),
         "peer_ids": sorted(network.peers),
     }
     payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
@@ -83,10 +76,14 @@ def load_network(path: str | Path, preprocess: bool = True) -> SuperPeerNetwork:
         adjacency={int(k): tuple(v) for k, v in meta["adjacency"].items()},
         peers_of={int(k): tuple(v) for k, v in meta["peers_of"].items()},
     )
+    # A file saved while the RESULT record still carried f also names that
+    # field's size; a size the model no longer has is dropped.
+    sizes = {field.name for field in dataclasses.fields(CostModel)}
+    cost_model = {k: v for k, v in meta["cost_model"].items() if k in sizes}
     return SuperPeerNetwork.from_partitions(
         topology,
         partitions,
-        cost_model=CostModel(**meta["cost_model"]),
+        cost_model=CostModel(**cost_model),
         index_kind=meta["index_kind"],
         preprocess=preprocess,
     )

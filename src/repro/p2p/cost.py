@@ -4,9 +4,10 @@ The paper assumes "4KB/sec as the network transfer bandwidth on each
 connection" and reports transferred volume in KB.  This module turns
 point counts into bytes and bytes into per-hop transfer seconds.
 
-A transmitted skyline point consists of its queried coordinates, its
-``f(p)`` value (needed by the receiver to keep lists f-sorted) and its
-identifier; a query message carries the subspace and the threshold.
+A transmitted skyline point consists of its queried coordinates and its
+identifier — the receiver recomputes the key Algorithm 2 orders on,
+``min_{i in U} p[i]``, from those coordinates; a query message carries
+the subspace and the threshold.
 The numbers are deliberately simple — only relative volume matters for
 reproducing the figures — and every constant is overridable.
 """
@@ -26,7 +27,6 @@ class CostModel:
     message_header_bytes: int = 64
     coordinate_bytes: int = 8
     id_bytes: int = 8
-    f_value_bytes: int = 8
     threshold_bytes: int = 8
     dimension_tag_bytes: int = 2
 
@@ -36,7 +36,7 @@ class CostModel:
 
     def point_bytes(self, k: int) -> int:
         """Bytes for one skyline point projected on a ``k``-dim subspace."""
-        return self.id_bytes + self.f_value_bytes + k * self.coordinate_bytes
+        return self.id_bytes + k * self.coordinate_bytes
 
     def query_bytes(self, k: int) -> int:
         """Bytes of a forwarded query message ``q(U, t)``."""

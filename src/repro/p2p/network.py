@@ -66,7 +66,7 @@ class PreprocessingReport:
     ``sel_ratio`` — ``sel_sp / sel_p``: how much the super-peer merge
     shaves off what the peers uploaded.
     ``upload_bytes`` — bytes of the peer uploads (full-space points:
-    id + f + d coordinates each, per the cost model).
+    id + d coordinates each, per the cost model).
     ``compute_seconds`` — total wall-clock across all peer ext-skyline
     computations and super-peer merges (work done once, amortized over
     every later query).

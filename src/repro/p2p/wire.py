@@ -13,16 +13,18 @@ Payloads:
 * ``QueryMessage`` — subspace size (2B), dimensions (2B each),
   threshold (8B double), initiator (8B).
 * ``ResultMessage`` — point count (4B), query dimensionality (2B), then
-  per point: id (8B), f value (8B double), k coordinates (8B doubles).
+  per point: id (8B), k coordinates (8B doubles).
   Its kind byte also says where the message stands on its link: a plain
   result, a *final* one (the last message the sender's subtree puts on
   this link), or a *decline* (no result will ever come over this link —
   the answer to a duplicate query, and a relay's last word when a
   decline was what completed its subtree; always final, never points).
 
-``ResultMessage`` carries only the queried coordinates plus ``f`` — the
-receiver needs nothing else to run Algorithm 2 — which is exactly the
-per-point size the cost model charges.
+``ResultMessage`` carries only the queried coordinates — the receiver
+needs nothing else to run Algorithm 2, whose ordering key
+``g_U(p) = min_{i in U} p[i]`` it recomputes from them — which is exactly
+the per-point size the cost model charges.  Version 1 also shipped the
+full-space ``f(p)`` per point; it is not decoded.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SP"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<2sBBqI")
 _KIND_QUERY = 1
 _KIND_RESULT = 2
@@ -101,10 +103,10 @@ class QueryMessage:
 
 @dataclass(frozen=True)
 class ResultMessage:
-    """A local (or progressively merged) result list, f-sorted.
+    """A local (or progressively merged) result list.
 
     Only the queried coordinates travel; the full-space points stay at
-    their super-peers.  ``ids``, ``f`` and ``coords`` are parallel;
+    their super-peers.  ``ids`` and ``coords`` are parallel;
     ``sender`` is the super-peer whose list this is (a relay passes it
     on unchanged).  ``final`` and ``decline`` ride in the kind byte.
     """
@@ -112,7 +114,6 @@ class ResultMessage:
     query_id: int
     sender: int
     ids: tuple[int, ...]
-    f: tuple[float, ...]
     coords: tuple[tuple[float, ...], ...]
     final: bool = False
     decline: bool = False
@@ -130,7 +131,6 @@ class ResultMessage:
             query_id=query_id,
             sender=sender,
             ids=tuple(int(i) for i in result.points.ids),
-            f=tuple(float(v) for v in result.f),
             coords=tuple(tuple(float(x) for x in row) for row in proj),
             final=final,
         )
@@ -144,17 +144,17 @@ class ResultMessage:
 
     def encode(self) -> bytes:
         n = len(self.ids)
-        if not (len(self.f) == n and len(self.coords) == n):
-            raise WireError("ids, f and coords must be parallel")
+        if len(self.coords) != n:
+            raise WireError("ids and coords must be parallel")
         if self.decline and n:
             raise WireError("a decline carries no points")
         k = self.k
         kind = _KIND_DECLINE if self.decline else _KIND_FINAL if self.final else _KIND_RESULT
         body = self._BODY_HEAD.pack(self.sender, n, k)
-        for point_id, f_value, row in zip(self.ids, self.f, self.coords):
+        for point_id, row in zip(self.ids, self.coords):
             if len(row) != k:
                 raise WireError("ragged coordinate rows")
-            body += struct.pack(f"<qd{k}d", point_id, f_value, *row)
+            body += struct.pack(f"<q{k}d", point_id, *row)
         return _HEADER.pack(_MAGIC, _VERSION, kind, self.query_id, len(body)) + body
 
     @classmethod
@@ -164,40 +164,38 @@ class ResultMessage:
         sender, n, k = cls._BODY_HEAD.unpack_from(body, 0)
         if kind == _KIND_DECLINE and n:
             raise WireError("a decline carries no points")
-        record = struct.Struct(f"<qd{k}d")
+        record = struct.Struct(f"<q{k}d")
         expected = cls._BODY_HEAD.size + n * record.size
         if len(body) != expected:
             raise WireError(f"result body has {len(body)} bytes, expected {expected}")
-        ids, fs, coords = [], [], []
+        ids, coords = [], []
         offset = cls._BODY_HEAD.size
         for _ in range(n):
             fields = record.unpack_from(body, offset)
             ids.append(int(fields[0]))
-            fs.append(float(fields[1]))
-            coords.append(tuple(float(x) for x in fields[2:]))
+            coords.append(tuple(float(x) for x in fields[1:]))
             offset += record.size
         return cls(
             query_id=query_id,
             sender=sender,
             ids=tuple(ids),
-            f=tuple(fs),
             coords=tuple(coords),
             final=kind != _KIND_RESULT,
             decline=kind == _KIND_DECLINE,
         )
 
     def to_store(self) -> SortedByF:
-        """Rebuild an f-sorted store of the *projected* points.
+        """Rebuild a sorted store of the *projected* points.
 
         The reconstructed points live in the query subspace (the wire
-        carries nothing else); ``f`` values are the original full-space
-        ones, so Algorithm 2 keeps its pruning power.
+        carries nothing else), so ``SortedByF.from_points`` keys them on
+        ``g_U`` — the minimum over the queried coordinates, which is the
+        key Algorithm 2 merges on — whatever order the sender had them in.
         """
         if not self.ids:
-            return SortedByF(PointSet.empty(self.k or 1), np.zeros(0))
+            return SortedByF.empty(self.k or 1)
         values = np.asarray(self.coords, dtype=np.float64)
-        points = PointSet(values, np.asarray(self.ids, dtype=np.int64))
-        return SortedByF(points, np.asarray(self.f, dtype=np.float64))
+        return SortedByF.from_points(PointSet(values, np.asarray(self.ids, dtype=np.int64)))
 
 
 def decode_header(blob: bytes) -> tuple[int, int, int]:

@@ -199,10 +199,10 @@ def scan_partition(
     # The SFS no-evict fast path needs f to be the minimum over the
     # scanned columns, which holds exactly when the scan covers the
     # full space; slicing does not disturb it (f values ride along).
-    full_space = len(cols) == store.dimensionality
     examined, threshold = _chunked_scan(
         index, sub_proj, sub_f, sub_dists, float(initial_threshold), strict,
-        full_space=full_space, chunk=resolve_scan_chunk(scan_chunk),
+        key_is_scanned_min=len(cols) == store.dimensionality,
+        chunk=resolve_scan_chunk(scan_chunk),
     )
     local = np.asarray(index.positions(), dtype=np.int64)
     kept = positions[local] if local.size else np.zeros(0, dtype=np.int64)

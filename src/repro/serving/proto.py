@@ -91,6 +91,10 @@ def decode_payload(blob: bytes) -> dict[str, Any]:
 def result_payload(store: Any) -> dict[str, Any]:
     """A :class:`~repro.core.store.SortedByF` as JSON-ready arrays.
 
+    ``f`` is the key the answer is ordered by: for a merged answer the
+    subspace key ``min_{i in U} p[i]`` Algorithm 2 merges on, not the
+    full-space ``f(p)``.
+
     ``tolist()`` yields native Python floats/ints whose ``repr`` is the
     shortest round-trip form, so the encoding is deterministic for a
     given store — two executions that produce the same store produce

@@ -102,6 +102,9 @@ class QueryExecution:
     comparisons: int
     initial_threshold: float
     local_result_points: int
+    #: Points summed over every RESULT message: what ``volume_bytes``
+    #: charges ``point_bytes(k)`` for, hop by hop.
+    point_hops: int
     critical_path_examined: float = 0.0
     traces: dict[int, SkylineComputation] = field(default_factory=dict)
 
@@ -250,6 +253,7 @@ class _ModelClocks:
         self.traces: dict[int, SkylineComputation] = {}
         self.comparisons = 0
         self.query_messages = 0
+        self.point_hops = 0
         self.outcome: tuple[SortedByF, Clock] | None = None
         self._cost = network.cost_model
         self._query = query
@@ -277,6 +281,7 @@ class _ModelClocks:
     def send_result(
         self, src: int, dst: int, origin: int, result: SortedByF, final: bool, at: Clock
     ) -> None:
+        self.point_hops += len(result)
         self._transmit(
             "result", src, dst,
             self._cost.result_bytes(len(result), len(self._subspace)), at,
@@ -451,6 +456,7 @@ def run_on_model_clocks(
         comparisons=carrier.comparisons,
         initial_threshold=traces[root].threshold,
         local_result_points=sum(len(scan.result) for scan in traces.values()),
+        point_hops=carrier.point_hops,
         critical_path_examined=finish.work,
         traces=traces,
     )

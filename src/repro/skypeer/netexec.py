@@ -144,7 +144,7 @@ class _SocketCarrier:
         self._send(src, dst, message.encode())
 
     def decline(self, src: int, dst: int, at: None) -> None:
-        message = ResultMessage(self._query_id, src, (), (), (), final=True, decline=True)
+        message = ResultMessage(self._query_id, src, (), (), final=True, decline=True)
         self._send(src, dst, message.encode())
 
     def compute(

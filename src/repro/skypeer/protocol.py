@@ -77,7 +77,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 def _queried(result: SortedByF, subspace: Subspace) -> SortedByF:
     """``result`` on the queried coordinates only — all a wire message
-    carries.  ``f`` stays the full-space minimum Algorithm 2 prunes on."""
+    carries.  Order and ``f`` stay the scan's; a merge keys its input
+    itself."""
     points = PointSet(result.points.values[:, list(subspace)], result.points.ids)
     return SortedByF(points, result.f)
 
@@ -122,10 +123,9 @@ class NaiveKernels:
     """The baseline of section 3.2: BNL local skylines, a BNL merge.
 
     No threshold, no early termination — a scan reads its whole store
-    and a merge its whole input.  Lists still travel f-sorted with their
-    ``f`` values (BNL keeps its input order, and the cost model charges
-    the baseline for them), so the answer comes out ordered as every
-    other variant's.
+    and a merge its whole input.  A merge sorts its survivors on the key
+    Algorithm 2 merges on (the minimum over the queried coordinates), so
+    the answer comes out ordered as every other variant's.
     """
 
     def __init__(
@@ -138,7 +138,7 @@ class NaiveKernels:
         self._store_of = store_of
         self._subspace = subspace
         self._on_wire = on_wire
-        self._merge_cols = range(len(subspace)) if on_wire else subspace
+        self._merge_cols = list(range(len(subspace)) if on_wire else subspace)
         self._dimensionality = len(subspace) if on_wire else dimensionality
 
     def _bnl(self, points: PointSet, cols: Sequence[int]) -> tuple[PointSet, int, float]:
@@ -166,11 +166,10 @@ class NaiveKernels:
             )
         stacked = PointSet.concat([lst.points for lst in lists])
         points, comparisons, duration = self._bnl(stacked, self._merge_cols)
-        # BNL keeps input order and ids are unique across super-peers.
-        f = np.concatenate([lst.f for lst in lists])[np.isin(stacked.ids, points.ids)]
-        order = np.argsort(f, kind="stable")
+        keys = points.values[:, self._merge_cols].min(axis=1)
+        order = np.argsort(keys, kind="stable")
         return SkylineComputation(
-            result=SortedByF(points.take(order), f[order]), threshold=math.inf,
+            result=SortedByF(points.take(order), keys[order]), threshold=math.inf,
             examined=len(stacked), comparisons=comparisons, duration=duration,
             input_size=len(stacked),
         )

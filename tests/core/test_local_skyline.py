@@ -158,7 +158,7 @@ class TestPrefixProjection:
         if index_kind == "block":
             examined, final = _chunked_scan(
                 index, proj, store.f, dists, threshold, strict,
-                full_space=len(cols) == store.dimensionality, chunk=chunk,
+                key_is_scanned_min=len(cols) == store.dimensionality, chunk=chunk,
             )
         else:
             examined, final = _pointwise_scan(index, proj, store.f, dists, threshold)

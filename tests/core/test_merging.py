@@ -103,6 +103,17 @@ class TestEdgeCases:
         assert capped.points.id_set() <= unlimited.points.id_set()
         assert capped.threshold <= 0.1
 
+    @pytest.mark.parametrize("index_kind", INDEX_KINDS)
+    def test_threshold_below_every_head_reads_nothing(self, rng, index_kind):
+        sub = (0, 1)
+        _points, lists = _split_local_skylines(rng, sub, d=4)
+        heads = min(lst.points.values[:, list(sub)].min() for lst in lists)
+        merged = merge_sorted_skylines(
+            lists, sub, initial_threshold=heads / 2, index_kind=index_kind
+        )
+        assert (len(merged.result), merged.examined) == (0, 0)
+        assert merged.result.dimensionality == 4
+
     def test_examined_counts_early_termination(self, rng):
         sub = (0, 1)
         _points, lists = _split_local_skylines(rng, sub, n=400, d=6)
@@ -120,14 +131,14 @@ class TestEdgeCases:
 class TestProjectedStoreFullSpace:
     def test_projected_f_disables_sfs_fast_path(self):
         """Regression: a merge over every *projected* column must not
-        claim the full-space SFS fast path.
+        run the SFS fast path in the order of the list's own ``f``.
 
         A projected store's ``f`` values are minima over the original
         space, not over the projected columns, so insertion in f-order
-        does not guarantee no-eviction: here ``b`` arrives second yet
-        dominates ``a``.  With the fast path wrongly engaged (chunked
-        scans make ``a`` visible before ``b`` is inserted) the merge
-        would keep both.
+        does not guarantee no-eviction: here ``b`` comes second yet
+        dominates ``a``.  The merge keys on the projected columns itself
+        (``b`` 0.3 before ``a`` 0.5), which is what makes its fast path
+        sound; trusting the list's order it would keep both.
         """
         store = SortedByF(
             points=PointSet(np.array([[0.5, 0.9], [0.3, 0.8]]), np.array([1, 2])),

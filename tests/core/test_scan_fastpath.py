@@ -96,13 +96,13 @@ class TestFullSpaceFastPath:
         store = SortedByF.from_points(points)
         proj, dists = store.projection((0, 1, 2, 3))
         results = {}
-        for full_space in (False, True):
+        for fast_path in (False, True):
             index = BlockDominanceIndex(4, strict=True)
             _chunked_scan(
                 index, proj, store.f, dists, float("inf"), strict=True,
-                full_space=full_space, chunk=64,
+                key_is_scanned_min=fast_path, chunk=64,
             )
-            results[full_space] = (index.positions(), index.comparisons)
+            results[fast_path] = (index.positions(), index.comparisons)
         assert results[True][0] == results[False][0]
         assert results[True][1] < results[False][1]
 

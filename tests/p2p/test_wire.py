@@ -51,36 +51,44 @@ class TestResultMessage:
         assert back.k == 2
         assert len(back) == 10
 
-    def test_to_store_preserves_ids_f_and_projection(self, rng):
-        store = self._store(rng)
+    def test_to_store_keys_on_the_queried_coordinates(self, rng):
+        """The record carries no key: the rebuilt list is sorted on the
+        minimum over the coordinates that travelled (ties in wire order),
+        whatever order the sender's full-space ``f`` had them in."""
+        store = self._store(rng, n=40)
         msg = ResultMessage.from_store(9, sender=3, result=store, subspace=(1, 3))
-        rebuilt = msg.to_store()
-        assert rebuilt.points.id_set() == store.points.id_set()
-        np.testing.assert_allclose(rebuilt.f, store.f)
-        np.testing.assert_allclose(rebuilt.points.values, store.points.values[:, [1, 3]])
+        rebuilt = decode(msg.encode()).to_store()
+        proj = store.points.values[:, [1, 3]]
+        order = np.argsort(proj.min(axis=1), kind="stable")
+        assert not np.array_equal(order, np.arange(40)), "fixture must reorder"
+        assert np.array_equal(rebuilt.points.ids, store.points.ids[order])
+        assert np.array_equal(rebuilt.points.values, proj[order])
+        assert np.array_equal(rebuilt.f, proj.min(axis=1)[order])
 
     def test_empty_result(self):
-        msg = ResultMessage(query_id=1, sender=2, ids=(), f=(), coords=())
-        back = decode(msg.encode())
-        assert len(back) == 0
-        assert len(back.to_store()) == 0
+        for final in (False, True):
+            msg = ResultMessage(query_id=1, sender=2, ids=(), coords=(), final=final)
+            back = decode(msg.encode())
+            assert back == msg and back.final is final and not back.decline
+            assert len(back) == 0
+            assert len(back.to_store()) == 0
 
     def test_per_point_size_matches_cost_model_shape(self, rng):
-        """Growth per point is id + f + k coordinates (all 8 bytes)."""
+        """Growth per point is id + k coordinates (all 8 bytes)."""
         s1 = self._store(rng, n=1)
         s2 = self._store(rng, n=2)
         b1 = len(ResultMessage.from_store(1, 0, s1, (0, 1, 2)).encode())
         b2 = len(ResultMessage.from_store(1, 0, s2, (0, 1, 2)).encode())
-        assert b2 - b1 == 8 + 8 + 3 * 8
+        assert b2 - b1 == 8 + 3 * 8 == DEFAULT_COST_MODEL.point_bytes(3)
 
     def test_ragged_coords_rejected(self):
-        msg = ResultMessage(query_id=1, sender=0, ids=(1, 2), f=(0.1, 0.2),
+        msg = ResultMessage(query_id=1, sender=0, ids=(1, 2),
                             coords=((1.0, 2.0), (1.0,)))
         with pytest.raises(WireError, match="ragged"):
             msg.encode()
 
     def test_parallel_arrays_enforced(self):
-        msg = ResultMessage(query_id=1, sender=0, ids=(1,), f=(), coords=())
+        msg = ResultMessage(query_id=1, sender=0, ids=(1,), coords=())
         with pytest.raises(WireError, match="parallel"):
             msg.encode()
 
@@ -95,8 +103,8 @@ class TestResultMessage:
         assert decode(final.encode()).final and not decode(plain.encode()).final
 
     def test_decline_is_an_empty_last_word(self):
-        decline = ResultMessage(1, sender=2, ids=(), f=(), coords=(), final=True, decline=True)
-        empty = ResultMessage(1, sender=2, ids=(), f=(), coords=())
+        decline = ResultMessage(1, sender=2, ids=(), coords=(), final=True, decline=True)
+        empty = ResultMessage(1, sender=2, ids=(), coords=())
         back = decode(decline.encode())
         assert back == decline and back.decline and back.final
         assert len(decline.encode()) == len(empty.encode())
@@ -111,7 +119,7 @@ class TestResultMessage:
         with pytest.raises(WireError, match="decline"):
             decode(bytes(body))
         with pytest.raises(WireError, match="decline"):
-            ResultMessage(1, 0, (5,), (0.5,), ((0.5,),), decline=True).encode()
+            ResultMessage(1, 0, (5,), ((0.5,),), decline=True).encode()
 
 
 class TestFraming:
@@ -134,6 +142,22 @@ class TestFraming:
         blob[2] = 99
         with pytest.raises(WireError, match="version"):
             decode(bytes(blob))
+
+    def test_version_1_is_not_decoded(self, rng):
+        """The record that carried f per point: refused by its version
+        byte, for queries and results alike, before any body is read."""
+        store = SortedByF.from_points(PointSet(rng.random((3, 4)), np.arange(3)))
+        for message in (
+            QueryMessage(1, (0,), 1.0, 0),
+            ResultMessage.from_store(1, 0, store, (0, 2)),
+        ):
+            blob = bytearray(message.encode())
+            assert blob[2] == 2
+            blob[2] = 1
+            with pytest.raises(WireError, match=r"^unsupported version 1$"):
+                decode(bytes(blob))
+            with pytest.raises(WireError, match=r"^unsupported version 1$"):
+                cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
 
     def test_unknown_kind(self):
         blob = bytearray(QueryMessage(1, (0,), 1.0, 0).encode())
@@ -213,6 +237,19 @@ class TestCostEstimate:
         store = SortedByF.from_points(points)
         blob = ResultMessage.from_store(1, 0, store, (0, 1, 4)).encode()
         assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(7, 3)
+
+    def test_framing_delta_is_constant(self, rng):
+        """``cost_estimate`` is the model's charge for the record, and the
+        codec's own bytes differ from it by the same constant for every
+        n, k and mark (docs/TRANSPORT.md)."""
+        deltas = set()
+        for n, k, final in [(0, 1, False), (1, 1, True), (1, 4, False), (6, 2, True)]:
+            store = SortedByF.from_points(PointSet(rng.random((n, 4)), np.arange(n)))
+            blob = ResultMessage.from_store(1, 0, store, range(k), final=final).encode()
+            estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
+            assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k)
+            deltas.add(estimate - len(blob))
+        assert deltas == {34}
 
     def test_truncated_blob_rejected(self):
         blob = QueryMessage(1, (0,), 1.0, 0).encode()

@@ -46,7 +46,6 @@ def test_query_roundtrip(query_id, dims, threshold, initiator):
     st.lists(
         st.tuples(
             st.integers(0, 2**40),
-            finite_floats,
             st.lists(finite_floats, min_size=3, max_size=3),
         ),
         max_size=25,
@@ -58,11 +57,14 @@ def test_result_roundtrip(query_id, sender, rows):
         query_id=query_id,
         sender=sender,
         ids=tuple(r[0] for r in rows),
-        f=tuple(r[1] for r in rows),
-        coords=tuple(tuple(r[2]) for r in rows),
+        coords=tuple(tuple(r[1]) for r in rows),
     )
     back = decode(msg.encode())
     assert back == msg
+    # The key the receiver merges on is recomputed, ascending, from the record.
+    rebuilt = back.to_store()
+    assert sorted(rebuilt.points.ids.tolist()) == sorted(msg.ids)
+    assert rebuilt.f.tolist() == sorted(min(r[1]) for r in rows)
 
 
 @given(st.binary(max_size=200))
@@ -114,14 +116,13 @@ def test_result_size_matches_cost_model(k, n):
         query_id=3,
         sender=1,
         ids=tuple(range(n)),
-        f=tuple(float(v) for v in rng.random(n)),
         coords=tuple(tuple(float(v) for v in rng.random(k)) for _ in range(n)),
     )
     assert len(msg.encode()) == RESULT_COST.result_bytes(n, k)
 
 
 def test_empty_result_roundtrips_at_header_cost():
-    msg = ResultMessage(query_id=9, sender=4, ids=(), f=(), coords=())
+    msg = ResultMessage(query_id=9, sender=4, ids=(), coords=())
     blob = msg.encode()
     assert decode(blob) == msg
     assert len(blob) == RESULT_COST.result_bytes(0, 5)  # k is irrelevant at n=0
@@ -141,7 +142,7 @@ def _sample_messages():
     return [
         QueryMessage(query_id=5, subspace=(1, 3), threshold=0.75, initiator=2),
         ResultMessage(
-            query_id=6, sender=1, ids=(10, 11), f=(0.1, 0.2),
+            query_id=6, sender=1, ids=(10, 11),
             coords=((0.1, 0.5), (0.2, 0.4)),
         ),
     ]

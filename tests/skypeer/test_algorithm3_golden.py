@@ -1,18 +1,28 @@
 """The one Algorithm-3 node held to the numbers of the three it replaced.
 
-``algorithm3_golden.json`` was recorded **from the parent commit of the
-PR that unified Algorithm 3** (the plan-based executor) by running this
-file as a script against that tree: for three seeded networks — a
-single super-peer, a six-super-peer mesh and a sparse backbone whose BFS
-tree is at least three hops deep — every ``k`` in ``{1, 2, d}`` and all
-five variants it holds the result (ids and ``f`` in order), every
-deterministic count and, under a fixed-tick ``time.perf_counter``, both
-model times to the last bit.
+``algorithm3_golden.json`` is recorded by running this file as a script:
+for three seeded networks — a single super-peer, a six-super-peer mesh
+and a sparse backbone whose BFS tree is at least three hops deep — every
+``k`` in ``{1, 2, d}`` and all five variants it holds the result (ids
+and ``f`` in order), every deterministic count and, under a fixed-tick
+``time.perf_counter``, both model times to the last bit.
 
-``critical_path_examined`` is golden for the \\*PM variants only: the
-plan dropped the ``work`` component from every relayed result, so its
-\\*FM / naive values ignored all remote scans.  Those three are checked
-against the longest path written out by hand below.
+It was first recorded from the parent commit of the PR that unified
+Algorithm 3 (the plan-based executor), and re-recorded once, by the PR
+that took ``f`` off the backbone (a RESULT record is id + the k queried
+coordinates; a merged answer is ordered by, and its ``f`` is, the
+minimum over the queried coordinates).  Run on that PR's parent tree
+and on its own, every case kept its id set, ``message_count``,
+``local_result_points``, ``comparisons``, ``critical_path_examined`` and
+each scan's own ``comparisons`` / ``examined``, and ``volume_bytes`` fell
+by exactly ``8 * point_hops`` (CHANGES.md, PR 24).
+
+The first file's ``critical_path_examined`` was right for the \\*PM
+variants only (the plan dropped the ``work`` component from every
+relayed result, so its \\*FM / naive values ignored all remote scans);
+the re-recorded file holds the one node's values for all five, and the
+\\*FM / naive ones are also checked against the longest path written out
+by hand below.
 
 Re-recording (only ever from a tree whose numbers are the reference)::
 
@@ -31,7 +41,7 @@ import pytest
 from repro.core.merging import merge_sorted_skylines
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
-from repro.skypeer.executor import execute_query
+from repro.skypeer.executor import execute_query, run_on_model_clocks
 from repro.skypeer.variants import Variant
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "algorithm3_golden.json")
@@ -92,6 +102,7 @@ def _measure(network: SuperPeerNetwork, subspace, variant: Variant) -> dict:
         "volume_bytes": run.volume_bytes,
         "initial_threshold": None if math.isinf(run.initial_threshold) else run.initial_threshold,
         "local_result_points": run.local_result_points,
+        "point_hops": run.point_hops,
         "critical_path_examined": run.critical_path_examined,
         "computational_time": run.computational_time,
         "total_time": run.total_time,
@@ -112,11 +123,28 @@ def test_deep_network_is_deep(networks):
 def test_matches_the_parent(networks, golden, monkeypatch, name, subspace, variant):
     _fixed_tick(monkeypatch.setattr)
     got = _measure(networks[name], subspace, variant)
-    want = dict(golden[_key(name, subspace, variant)])
-    if not variant.progressive_merging:
-        want.pop("critical_path_examined")
-        got.pop("critical_path_examined")
-    assert got == want
+    assert got == golden[_key(name, subspace, variant)]
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_volume_is_headers_plus_point_hops(networks, variant):
+    """``volume_bytes`` written out: a query message per query, an envelope
+    per result and ``id + k coordinates`` per point per hop — nothing else
+    travels, so a change to the record shows here and not only in a bench."""
+    for name, network in networks.items():
+        cost = network.cost_model
+        for subspace in _subspaces(network.dimensionality):
+            run = run_on_model_clocks(
+                network, Query(subspace=subspace, initiator=_initiator(network)), variant
+            )
+            k, execution = len(subspace), run.execution
+            n_result = execution.message_count - run.query_messages
+            assert run.query_messages == network.n_superpeers - 1, name
+            assert execution.volume_bytes == (
+                run.query_messages * cost.query_bytes(k)
+                + n_result * cost.message_header_bytes
+                + execution.point_hops * (cost.id_bytes + k * cost.coordinate_bytes)
+            ), (name, subspace)
 
 
 @pytest.mark.parametrize("name", ["mesh", "deep"])

@@ -3,10 +3,12 @@
 One :class:`~repro.skypeer.protocol.ProtocolNode` runs under the model
 clocks on the BFS tree (``execute_query``), under the model clocks on
 the flooded backbone (``run_protocol``) and behind real sockets in both
-endpoint modes.  On tie-free data they return the same ids in the same
-order — the centralized skyline in ascending ``f``.  (Two carriers may
-order an exact ``f`` tie differently where their merge inputs are ranked
-differently; the id set never differs.)
+endpoint modes.  On tie-free data they return the same bytes — the
+centralized skyline in ascending ``g_U``, the minimum over the queried
+coordinates, which is the key Algorithm 2 merges on and the ``f`` a merged
+answer carries.  (Two carriers may order an exact key tie differently
+where their merge inputs are ranked differently; the id set never
+differs.)
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.extended_skyline import subspace_skyline_points
-from repro.core.mapping import f_values
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import execute_query
@@ -36,9 +37,10 @@ def test_all_carriers_one_answer(mesh_network, variant, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRANSPORT_RUNDIR", str(tmp_path))
     query = Query(subspace=(0, 2, 4), initiator=mesh_network.topology.superpeer_ids[0])
     oracle = subspace_skyline_points(mesh_network.all_points(), query.subspace)
-    by_f = sorted(zip(f_values(oracle.values), oracle.ids))
-    assert len({f for f, _ in by_f}) == len(by_f), "the fixture must be tie-free"
-    expected = [int(point_id) for _, point_id in by_f]
+    cols = list(query.subspace)
+    keys = oracle.values[:, cols].min(axis=1)
+    assert len(set(keys.tolist())) == len(keys), "the fixture must be tie-free"
+    order = keys.argsort()
 
     tree = execute_query(mesh_network, query, variant)
     flood = run_protocol(mesh_network, query, variant)
@@ -49,8 +51,11 @@ def test_all_carriers_one_answer(mesh_network, variant, tmp_path, monkeypatch):
         "process": run_socket_query(mesh_network, query, variant, mode="process").result,
     }
     for carrier, result in answers.items():
-        assert [int(i) for i in result.points.ids] == expected, carrier
-        assert list(result.f) == [f for f, _ in by_f], carrier
+        on_wire = carrier in ("task", "process")   # lists held the queried coordinates only
+        coords = result.points.values if on_wire else result.points.values[:, cols]
+        assert result.points.ids.tolist() == oracle.ids[order].tolist(), carrier
+        assert result.f.tolist() == keys[order].tolist(), carrier
+        assert coords.tolist() == oracle.values[order][:, cols].tolist(), carrier
 
     edges = sum(len(ns) for ns in mesh_network.topology.adjacency.values()) // 2
     assert flood.message_count >= tree.message_count

@@ -53,7 +53,7 @@ def _query_delta(k: int) -> int:
 def _result_delta(n: int, k: int) -> int:
     msg = ResultMessage(
         query_id=1, sender=0,
-        ids=tuple(range(n)), f=tuple(float(i) for i in range(n)),
+        ids=tuple(range(n)),
         coords=tuple((0.5,) * k for _ in range(n)),
     )
     return DEFAULT_COST_MODEL.result_bytes(n, k) - len(msg.encode())
@@ -80,7 +80,7 @@ class TestTaskModeEquality:
         ).id_set()
         assert outcome.result_ids == sim.result_ids == expected
 
-    def test_result_store_carries_f_and_projection(self, mesh_network):
+    def test_result_store_carries_the_projection_and_its_key(self, mesh_network):
         query = _query(mesh_network, subspace=(1, 3))
         outcome = run_socket_query(mesh_network, query, Variant.FTPM, mode="task")
         assert outcome.result.points.dimensionality == 2
@@ -88,6 +88,7 @@ class TestTaskModeEquality:
         for point_id, coords in outcome.result.points:
             original = all_points.by_id(point_id)
             np.testing.assert_allclose(coords, original[[1, 3]])
+        assert np.array_equal(outcome.result.f, outcome.result.points.values.min(axis=1))
 
     @pytest.mark.parametrize("variant", ALL)
     def test_measured_bytes_match_cost_model(self, mesh_network, variant):
