@@ -82,6 +82,13 @@ the minimum over the queried coordinates instead, which the receiver
 recomputes (docs/ALGORITHMS.md has the proof; result sets are
 identical), so every *volume* and the transfer share of every *total
 time* below is that of the 8-bytes-per-point-per-hop leaner record.
+(6) A SKYPEER query carries, beside the paper's threshold t, the point p
+with the smallest coordinate sum on U of its sender's answer so far, and
+every receiving super-peer drops from its scan result what p dominates:
+q(U, t, p) where the paper sends q(U, t).  Answers are identical
+(docs/ALGORITHMS.md has the argument); every query message grows by 8k
+bytes and fewer points travel, so every *volume* and *total time* below
+is that of the smaller lists.
 
 ---
 """

@@ -7,7 +7,8 @@ point counts into bytes and bytes into per-hop transfer seconds.
 A transmitted skyline point consists of its queried coordinates and its
 identifier — the receiver recomputes the key Algorithm 2 orders on,
 ``min_{i in U} p[i]``, from those coordinates; a query message carries
-the subspace and the threshold.
+the subspace, the threshold and at most one point on the subspace (the
+bound ``q(U, t, p)`` of ``docs/ALGORITHMS.md``).
 The numbers are deliberately simple — only relative volume matters for
 reproducing the figures — and every constant is overridable.
 """
@@ -38,9 +39,15 @@ class CostModel:
         """Bytes for one skyline point projected on a ``k``-dim subspace."""
         return self.id_bytes + k * self.coordinate_bytes
 
-    def query_bytes(self, k: int) -> int:
-        """Bytes of a forwarded query message ``q(U, t)``."""
-        return self.message_header_bytes + self.threshold_bytes + k * self.dimension_tag_bytes
+    def query_bytes(self, k: int, points: int = 0) -> int:
+        """Bytes of a forwarded query message ``q(U, t, p)`` whose bound
+        carries ``points`` points on its ``k`` queried coordinates (a
+        SKYPEER variant's carries one; the naive baseline's and a
+        constrained query's ``q(U, t)`` none)."""
+        return (
+            self.message_header_bytes + self.threshold_bytes + k * self.dimension_tag_bytes
+            + points * k * self.coordinate_bytes
+        )
 
     def result_bytes(self, num_points: int, k: int) -> int:
         """Bytes of a result message carrying ``num_points`` points."""

@@ -10,8 +10,10 @@ with a fixed header:
 
 Payloads:
 
-* ``QueryMessage`` — subspace size (2B), dimensions (2B each),
-  threshold (8B double), initiator (8B).
+* ``QueryMessage`` — subspace size k (2B), threshold (8B double),
+  initiator (8B), point count (1B, 0 or 1), then the k dimensions (2B
+  each) and, per point, its k coordinates on the subspace (8B doubles):
+  the bound ``(t, p)`` of ``q(U, t, p)``.
 * ``ResultMessage`` — point count (4B), query dimensionality (2B), then
   per point: id (8B), k coordinates (8B doubles).
   Its kind byte also says where the message stands on its link: a plain
@@ -24,7 +26,8 @@ Payloads:
 needs nothing else to run Algorithm 2, whose ordering key
 ``g_U(p) = min_{i in U} p[i]`` it recomputes from them — which is exactly
 the per-point size the cost model charges.  Version 1 also shipped the
-full-space ``f(p)`` per point; it is not decoded.
+full-space ``f(p)`` per point, and version 2's query carried the scalar
+``t`` alone; neither is decoded.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SP"
-_VERSION = 2
+_VERSION = 3
 _HEADER = struct.Struct("<2sBBqI")
 _KIND_QUERY = 1
 _KIND_RESULT = 2
@@ -66,38 +69,52 @@ class WireError(ValueError):
 
 @dataclass(frozen=True)
 class QueryMessage:
-    """``q(U, t)`` plus enough routing context to answer it."""
+    """``q(U, t, p)`` plus enough routing context to answer it.
+
+    ``point`` is ``p``, on the queried coordinates, or ``None`` (the
+    naive baseline's query carries none).
+    """
 
     query_id: int
     subspace: tuple[int, ...]
     threshold: float
     initiator: int
+    point: tuple[float, ...] | None = None
 
-    _BODY_HEAD = struct.Struct("<Hdq")
+    _BODY_HEAD = struct.Struct("<HdqB")
 
     def encode(self) -> bytes:
         if not self.subspace:
             raise WireError("a query must name at least one dimension")
-        if len(self.subspace) > 0xFFFF:
+        k = len(self.subspace)
+        if k > 0xFFFF:
             raise WireError("subspace too large")
-        body = self._BODY_HEAD.pack(len(self.subspace), self.threshold, self.initiator)
-        body += struct.pack(f"<{len(self.subspace)}H", *self.subspace)
+        point = () if self.point is None else tuple(self.point)
+        if self.point is not None and len(point) != k:
+            raise WireError(f"the query's point must have {k} coordinates")
+        body = self._BODY_HEAD.pack(k, self.threshold, self.initiator, len(point) // k)
+        body += struct.pack(f"<{k}H", *self.subspace)
+        body += struct.pack(f"<{len(point)}d", *point)
         return _HEADER.pack(_MAGIC, _VERSION, _KIND_QUERY, self.query_id, len(body)) + body
 
     @classmethod
     def _decode_body(cls, query_id: int, body: bytes) -> "QueryMessage":
         if len(body) < cls._BODY_HEAD.size:
             raise WireError("query body truncated")
-        k, threshold, initiator = cls._BODY_HEAD.unpack_from(body, 0)
-        dims_bytes = body[cls._BODY_HEAD.size :]
-        if len(dims_bytes) != 2 * k:
-            raise WireError(f"expected {k} dimensions, got {len(dims_bytes) // 2}")
-        subspace = struct.unpack(f"<{k}H", dims_bytes)
+        k, threshold, initiator, points = cls._BODY_HEAD.unpack_from(body, 0)
+        if points > 1:
+            raise WireError(f"a query carries at most one point, not {points}")
+        expected = cls._BODY_HEAD.size + 2 * k + 8 * k * points
+        if len(body) != expected:
+            raise WireError(f"query body has {len(body)} bytes, expected {expected}")
+        subspace = struct.unpack_from(f"<{k}H", body, cls._BODY_HEAD.size)
+        point = struct.unpack_from(f"<{k * points}d", body, cls._BODY_HEAD.size + 2 * k)
         return cls(
             query_id=query_id,
             subspace=tuple(int(d) for d in subspace),
             threshold=threshold,
             initiator=initiator,
+            point=point if points else None,
         )
 
 
@@ -260,8 +277,8 @@ def cost_estimate(blob: bytes, model: CostModel) -> int:
     if kind == _KIND_QUERY:
         if len(body) < QueryMessage._BODY_HEAD.size:
             raise WireError("query body truncated")
-        k = QueryMessage._BODY_HEAD.unpack_from(body, 0)[0]
-        return model.query_bytes(k)
+        k, _, _, points = QueryMessage._BODY_HEAD.unpack_from(body, 0)
+        return model.query_bytes(k, points)
     if len(body) < ResultMessage._BODY_HEAD.size:
         raise WireError("result body truncated")
     _, n, k = ResultMessage._BODY_HEAD.unpack_from(body, 0)

@@ -155,22 +155,72 @@ def sweep_dead_publishers() -> None:
 
     A publisher killed outright (SIGKILL, the OOM killer) cannot unlink
     its ``repro-shm-<pid>-*`` segments.  Every engine start removes, from
-    both directories a segment can live in, those whose pid names no
-    process, and only those: a live publisher's files are never touched.
-    Pids are reused, so a leftover whose pid now belongs to an unrelated
-    live process stays until that process has ended and an engine starts
-    again.
+    both directories a segment can live in, those whose publisher is
+    gone (:func:`_publisher_gone`), and only those: a live publisher's
+    files are never touched.
     """
+    boot = _boot_time()
     for directory in {_SHM_DIR, tempfile.gettempdir()}:
         pattern = os.path.join(glob.escape(directory), f"{_SEGMENT_PREFIX}-*")
         for path in glob.glob(pattern):
             try:
-                os.kill(int(os.path.basename(path).split("-")[2], 16), 0)
-            except ProcessLookupError:  # the publisher is gone
+                pid = int(os.path.basename(path).split("-")[2], 16)
+                gone = _publisher_gone(pid, os.stat(path).st_mtime, boot)
+            except (ValueError, OverflowError, OSError):
+                continue  # not a name this module wrote, or a concurrent sweep won
+            if gone:
                 with contextlib.suppress(OSError):  # a concurrent sweep won
                     os.unlink(path)
-            except (ValueError, OverflowError, OSError):
-                pass  # not a name this module wrote, or another user's live process
+
+
+#: ``btime`` counts whole seconds, so a process start time derived from
+#: it is known to a second; a file must predate its pid's process by
+#: more than that before the pid counts as reused.
+_START_TIME_SLACK_S = 1.0
+
+
+def _boot_time() -> float | None:
+    """The boot time in seconds since the epoch (``btime`` of
+    ``/proc/stat``), or ``None`` where there is no such file."""
+    try:
+        with open("/proc/stat", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("btime "):
+                    return float(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def _publisher_gone(pid: int, mtime: float, boot: float | None) -> bool:
+    """True when ``pid`` cannot be the live publisher of a file last
+    modified at ``mtime``: no process has that pid, the process is a
+    zombie (dead, not yet reaped), or it started after the file was
+    written — a live publisher always started before it wrote its files,
+    so such a process got the pid by reuse.  Without ``/proc`` only the
+    first case is seen."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass  # another user's live process: still a process, ask /proc
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as handle:
+            stat = handle.read()
+    except FileNotFoundError:
+        return True  # it ended since the signal
+    except OSError:
+        return False
+    # Fields after the parenthesised command name, which may hold spaces:
+    # the state (field 3), ..., the start time in clock ticks after boot (22).
+    fields = stat[stat.rindex(")") + 2 :].split()
+    if fields[0] == "Z":
+        return True
+    if boot is None:
+        return False
+    started = boot + int(fields[19]) / os.sysconf("SC_CLK_TCK")
+    return started > mtime + _START_TIME_SLACK_S
 
 
 def _align(offset: int) -> int:

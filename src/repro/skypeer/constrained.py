@@ -9,7 +9,9 @@ regimes, decided by the constraint itself:
   like a plain SKYPEER query over box-filtered stores.  Algorithm 1's
   own running threshold still prunes each local scan (Observation 5
   holds verbatim among in-box points); cross-peer threshold propagation
-  is intentionally not layered on top here.
+  is intentionally not layered on top here, and neither is the point a
+  plain SKYPEER query carries beside its threshold: this query is the
+  paper's scalar ``q(U, t)`` plus its box, charged ``query_bytes(k)``.
 * **full-data mode** — boxes with a lower bound.  A globally dominated
   point may be the best *inside* the box (its dominators fall below the
   bound), and the ext-skyline pre-aggregate is insufficient.  The

@@ -43,7 +43,7 @@ from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
 from ..p2p.engine import EventLoop, LinkLayer
 from ..p2p.network import SuperPeerNetwork
-from .protocol import ProtocolNode, make_kernels
+from .protocol import ProtocolNode, QueryBound, make_kernels
 from .variants import Variant
 
 __all__ = ["Clock", "QueryExecution", "execute_query", "make_local_compute"]
@@ -269,14 +269,15 @@ class _ModelClocks:
         self._incoming: dict[int, float] = {}   # kept for the refinement counter only
 
     # -- messages ------------------------------------------------------
-    def send_query(self, src: int, dst: int, threshold: float, at: Clock) -> None:
+    def send_query(self, src: int, dst: int, bound: QueryBound, at: Clock) -> None:
         self.query_messages += 1
 
         def deliver(arrived: Clock) -> None:
-            self._incoming.setdefault(dst, threshold)
-            self.nodes[dst].on_query(src, threshold, arrived)
+            self._incoming.setdefault(dst, bound.threshold)
+            self.nodes[dst].on_query(src, bound, arrived)
 
-        self._transmit("query", src, dst, self._cost.query_bytes(len(self._subspace)), at, deliver)
+        nbytes = self._cost.query_bytes(len(self._subspace), bound.points)
+        self._transmit("query", src, dst, nbytes, at, deliver)
 
     def send_result(
         self, src: int, dst: int, origin: int, result: SortedByF, final: bool, at: Clock

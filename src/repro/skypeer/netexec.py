@@ -61,7 +61,7 @@ from ..p2p.network import SuperPeerNetwork
 from ..p2p.cost import CostModel
 from ..p2p.transport import SocketEndpoint, TransportConfig, TransportError
 from ..p2p.wire import QueryMessage, ResultMessage, cost_estimate, decode, decode_header
-from .protocol import ProtocolNode, make_kernels
+from .protocol import ProtocolNode, QueryBound, make_kernels
 from .variants import Variant
 
 __all__ = [
@@ -130,8 +130,11 @@ class _SocketCarrier:
         self.accounting.record(blob)
         self._transmit(src, dst, blob)
 
-    def send_query(self, src: int, dst: int, threshold: float, at: None) -> None:
-        message = QueryMessage(self._query_id, self._subspace, threshold, self._initiator)
+    def send_query(self, src: int, dst: int, bound: QueryBound, at: None) -> None:
+        point = None if bound.point is None else tuple(float(x) for x in bound.point)
+        message = QueryMessage(
+            self._query_id, self._subspace, bound.threshold, self._initiator, point
+        )
         self._send(src, dst, message.encode())
 
     def send_result(
@@ -166,7 +169,8 @@ class _SocketCarrier:
         message = decode(blob)
         node = self.nodes[dst]
         if isinstance(message, QueryMessage):
-            node.on_query(sender, message.threshold, None)
+            point = None if message.point is None else np.array(message.point)
+            node.on_query(sender, QueryBound(message.threshold, point), None)
         elif message.decline:
             node.on_decline(sender, None)
         else:

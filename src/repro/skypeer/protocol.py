@@ -7,14 +7,18 @@ threshold propagates, who merges, and when a subtree is complete.  It is
 query floods), a *kernels* object that does the computing and a
 *carrier* that moves messages and time:
 
-``kernels.scan(sp, t)`` / ``kernels.merge(lists)``
+``kernels.scan(sp, bound)`` / ``kernels.merge(lists)``
     return a :class:`~repro.core.local_skyline.SkylineComputation` —
     Algorithm 1 / Algorithm 2 for the four SKYPEER variants
     (:class:`SkylineKernels`), BNL / BNL for the naive baseline
     (:class:`NaiveKernels`), on full-space stores in process or on the
     queried coordinates alone where the lists crossed a wire.
 
-``carrier.send_query(src, dst, t, at)``, ``carrier.send_result(src, dst, origin, result, final, at)``, ``carrier.decline(src, dst, at)``
+``kernels.best(point, result)``
+    the point of ``point`` and ``result`` with the smallest coordinate
+    sum on the subspace — how a bound's ``p`` is chosen and refined.
+
+``carrier.send_query(src, dst, bound, at)``, ``carrier.send_result(src, dst, origin, result, final, at)``, ``carrier.decline(src, dst, at)``
     put a message on the ``src -> dst`` link, which must be FIFO.
 
 ``carrier.compute(sp, phase, at, computation, then)``
@@ -31,6 +35,11 @@ model clocks of :mod:`repro.skypeer.executor` (``execute_query`` on the
 BFS tree and :func:`run_protocol`, below, on the flooded backbone) and
 the sockets of :mod:`repro.skypeer.netexec`, whose stamps are ``None``.
 
+A query's bound is a :class:`QueryBound` ``(t, p)``: the paper's
+threshold ``t``, and ``p``, the point with the smallest coordinate sum
+on ``U`` in the sender's answer so far, which every receiving super-peer
+drops the points it dominates for (``q(U, t, p)`` where the paper sends
+``q(U, t)``; ``docs/ALGORITHMS.md`` has why the answer stays exact).
 Five behaviours are settled here, once, for every carrier (the paper
 sentence each follows is in ``docs/ALGORITHMS.md``): the naive initiator
 forwards the query before it scans; a relaying super-peer ships its own
@@ -45,12 +54,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..algorithms.bnl import block_nested_loops
 from ..core.dataset import PointSet
+from ..core.dominance import dominated_mask
 from ..core.local_skyline import SkylineComputation
 from ..core.mapping import f_values
 from ..core.merging import merge_sorted_skylines
@@ -66,10 +76,28 @@ __all__ = [
     "NaiveKernels",
     "ProtocolNode",
     "ProtocolOutcome",
+    "QueryBound",
     "SkylineKernels",
     "make_kernels",
     "run_protocol",
 ]
+
+
+class QueryBound(NamedTuple):
+    """What a query carries besides ``U``: the bound ``(t, p)``.
+
+    ``threshold`` is the paper's ``t``; ``point`` is ``p`` on the queried
+    coordinates, or ``None`` before anybody has scanned and throughout
+    the naive baseline.
+    """
+
+    threshold: float
+    point: np.ndarray | None = None
+
+    @property
+    def points(self) -> int:
+        """How many points the bound carries (what a query is charged for)."""
+        return 0 if self.point is None else 1
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +115,8 @@ class SkylineKernels:
     """Algorithm 1 scans, Algorithm 2 merges.
 
     ``local_compute(sp, subspace, t)`` is the scan strategy (see
-    :func:`repro.skypeer.executor.make_local_compute`).  ``on_wire``
+    :func:`repro.skypeer.executor.make_local_compute`); a scan then
+    drops what the bound's point dominates on the subspace.  ``on_wire``
     keeps every list on the queried coordinates, which is how lists
     arrive once they have crossed a socket.
     """
@@ -103,17 +132,40 @@ class SkylineKernels:
         self._local_compute = local_compute
         self._subspace = subspace
         self._on_wire = on_wire
+        self._cols = list(range(len(subspace)) if on_wire else subspace)
         self._merge_options = {
-            "subspace": range(len(subspace)) if on_wire else subspace,
+            "subspace": self._cols,
             "index_kind": index_kind,
             "scan_chunk": scan_chunk,
         }
 
-    def scan(self, sp: int, threshold: float) -> SkylineComputation:
-        computation = self._local_compute(sp, self._subspace, threshold)
+    def scan(self, sp: int, bound: QueryBound) -> SkylineComputation:
+        computation = self._local_compute(sp, self._subspace, bound.threshold)
         if self._on_wire:
-            return replace(computation, result=_queried(computation.result, self._subspace))
-        return computation
+            computation = replace(computation, result=_queried(computation.result, self._subspace))
+        if bound.point is None:
+            return computation
+        result = computation.result
+        keep = ~dominated_mask(result.points.values[:, self._cols], bound.point)
+        if keep.all():
+            return computation
+        positions = computation.positions
+        return replace(
+            computation,
+            result=SortedByF(result.points.mask(keep), result.f[keep]),
+            positions=None if positions is None else positions[keep],
+        )
+
+    def best(self, point: np.ndarray | None, result: SortedByF) -> np.ndarray | None:
+        """The smallest coordinate sum on the subspace among ``point`` and
+        ``result``'s points; ``point`` wins a tie, so a forwarded ``p`` is
+        never larger in sum than the one received."""
+        candidates = result.points.values[:, self._cols]
+        if point is not None:
+            candidates = np.vstack([point, candidates])
+        if not len(candidates):
+            return None
+        return candidates[int(np.argmin(candidates.sum(axis=1)))].copy()
 
     def merge(self, lists: Sequence[SortedByF]) -> SkylineComputation:
         return merge_sorted_skylines(lists, **self._merge_options)
@@ -122,8 +174,8 @@ class SkylineKernels:
 class NaiveKernels:
     """The baseline of section 3.2: BNL local skylines, a BNL merge.
 
-    No threshold, no early termination — a scan reads its whole store
-    and a merge its whole input.  A merge sorts its survivors on the key
+    No threshold and no point, no early termination — a scan reads its
+    whole store and a merge its whole input.  A merge sorts its survivors on the key
     Algorithm 2 merges on (the minimum over the queried coordinates), so
     the answer comes out ordered as every other variant's.
     """
@@ -147,7 +199,7 @@ class NaiveKernels:
         survivors = block_nested_loops(points, cols, stats=stats)
         return survivors, stats["comparisons"], time.perf_counter() - started
 
-    def scan(self, sp: int, threshold: float) -> SkylineComputation:
+    def scan(self, sp: int, bound: QueryBound) -> SkylineComputation:
         store = self._store_of(sp)
         points, comparisons, duration = self._bnl(store.points, self._subspace)
         result = SortedByF(points, f_values(points.values))
@@ -253,9 +305,9 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     def start(self, at: Any) -> None:
         """P_init receives the user's query at stamp ``at``."""
-        self._receive(math.inf, at)
+        self._receive(QueryBound(math.inf), at)
 
-    def on_query(self, sender: int, threshold: float, at: Any) -> None:
+    def on_query(self, sender: int, bound: QueryBound, at: Any) -> None:
         if self._seen:
             # The paper leaves duplicates to the routing layer; on a
             # flooded backbone the second asker must still learn that
@@ -264,23 +316,25 @@ class ProtocolNode:
             self.carrier.decline(self.superpeer_id, sender, at)
             return
         self.parent = sender
-        self._receive(threshold, at)
+        self._receive(bound, at)
 
-    def _receive(self, threshold: float, at: Any) -> None:
+    def _receive(self, bound: QueryBound, at: Any) -> None:
         self._seen = True
-        # q(U, t) goes on at once when its t is already in hand (FT*, and
-        # naive, which has none).  RT* forwards the refined t' after the
-        # scan, and P_init has no t at all until it has scanned.
+        # q(U, t, p) goes on at once when its bound is already in hand
+        # (FT*, and naive, which has none).  RT* forwards the refined t'
+        # and the smaller-sum of p and its own list after the scan, and
+        # P_init has no bound at all until it has scanned.
         after_scan = self.variant.refined_threshold or (
             self.parent is None and self.variant.uses_threshold
         )
         if not after_scan:
-            self._forward(threshold, at)
-        scan = self.kernels.scan(self.superpeer_id, threshold)
+            self._forward(bound, at)
+        scan = self.kernels.scan(self.superpeer_id, bound)
 
         def scanned(at: Any) -> None:
             if after_scan:
-                self._forward(scan.threshold, at)
+                best = self.kernels.best(bound.point, scan.result)
+                self._forward(QueryBound(scan.threshold, best), at)
             self._own = scan.result
             if self._merges:
                 self._await(at)
@@ -293,12 +347,12 @@ class ProtocolNode:
 
         self.carrier.compute(self.superpeer_id, "scan", at, scan, scanned)
 
-    def _forward(self, threshold: float, at: Any) -> None:
+    def _forward(self, bound: QueryBound, at: Any) -> None:
         targets = [nb for nb in self.neighbours if nb != self.parent]
         self._pending = set(targets)
         self._forwarded = True
         for nb in targets:
-            self.carrier.send_query(self.superpeer_id, nb, threshold, at)
+            self.carrier.send_query(self.superpeer_id, nb, bound, at)
 
     # ------------------------------------------------------------------
     # results on their way up

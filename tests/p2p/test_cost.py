@@ -34,6 +34,12 @@ class TestCostModel:
             + 3 * model.dimension_tag_bytes
         )
 
+    def test_query_bytes_adds_the_bound_point(self):
+        model = CostModel()
+        for k in (1, 3, 8):
+            assert model.query_bytes(k, 1) - model.query_bytes(k, 0) == k * model.coordinate_bytes
+        assert model.query_bytes(3, 0) == model.query_bytes(3)
+
     def test_rejects_non_positive_bandwidth(self):
         with pytest.raises(ValueError):
             CostModel(bandwidth_bytes_per_sec=0.0)

@@ -1,6 +1,7 @@
 """Unit tests for the wire format."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +25,27 @@ class TestQueryMessage:
         msg = QueryMessage(query_id=7, subspace=(0, 3, 6), threshold=0.25, initiator=42)
         assert decode(msg.encode()) == msg
 
+    def test_roundtrip_with_and_without_a_point(self):
+        """``q(U, t, p)``: the point count is 0 or 1, the point k doubles."""
+        bare = QueryMessage(7, (0, 3, 6), 0.25, 42)
+        pointed = QueryMessage(7, (0, 3, 6), 0.25, 42, point=(0.125, 0.5, 1e-300))
+        for msg in (bare, pointed):
+            back = decode(msg.encode())
+            assert back == msg and back.point == msg.point
+        assert len(pointed.encode()) - len(bare.encode()) == 3 * 8
+
+    def test_point_must_have_k_coordinates(self):
+        with pytest.raises(WireError, match="3 coordinates"):
+            QueryMessage(1, (0, 1, 2), 1.0, 0, point=(0.5, 0.5)).encode()
+
+    def test_more_than_one_point_rejected(self):
+        blob = bytearray(QueryMessage(1, (0, 1), 1.0, 0, point=(0.5, 0.25)).encode())
+        blob[HEADER_SIZE + 18] = 2  # the point count
+        blob += struct.pack("<2d", 0.5, 0.25)
+        struct.pack_into("<I", blob, 12, len(blob) - HEADER_SIZE)
+        with pytest.raises(WireError, match="at most one point"):
+            decode(bytes(blob))
+
     def test_infinite_threshold_roundtrips(self):
         msg = QueryMessage(query_id=1, subspace=(2,), threshold=math.inf, initiator=0)
         assert decode(msg.encode()).threshold == math.inf
@@ -33,7 +55,7 @@ class TestQueryMessage:
             QueryMessage(query_id=1, subspace=(), threshold=1.0, initiator=0).encode()
 
     def test_byte_size_matches_structure(self):
-        """Size = header(16) + k*2 + threshold(8) + initiator(8)."""
+        """Size = header(16) + k*2 + threshold(8) + initiator(8) + count(1)."""
         k3 = len(QueryMessage(1, (0, 1, 2), 1.0, 0).encode())
         k5 = len(QueryMessage(1, (0, 1, 2, 3, 4), 1.0, 0).encode())
         assert k5 - k3 == 4  # two more 2-byte dimension tags
@@ -152,11 +174,27 @@ class TestFraming:
             ResultMessage.from_store(1, 0, store, (0, 2)),
         ):
             blob = bytearray(message.encode())
-            assert blob[2] == 2
+            assert blob[2] == 3
             blob[2] = 1
             with pytest.raises(WireError, match=r"^unsupported version 1$"):
                 decode(bytes(blob))
             with pytest.raises(WireError, match=r"^unsupported version 1$"):
+                cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
+
+    def test_version_2_is_not_decoded(self, rng):
+        """The query that carried the scalar ``t`` alone (and the result
+        record of that version): refused by the version byte."""
+        store = SortedByF.from_points(PointSet(rng.random((3, 4)), np.arange(3)))
+        for message in (
+            QueryMessage(1, (0, 2), 1.0, 0),
+            QueryMessage(1, (0, 2), 1.0, 0, point=(0.5, 0.25)),
+            ResultMessage.from_store(1, 0, store, (0, 2)),
+        ):
+            blob = bytearray(message.encode())
+            blob[2] = 2
+            with pytest.raises(WireError, match=r"^unsupported version 2$"):
+                decode(bytes(blob))
+            with pytest.raises(WireError, match=r"^unsupported version 2$"):
                 cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
 
     def test_unknown_kind(self):
@@ -171,9 +209,9 @@ class TestShortReads:
     struct.error — the header length field is validated before any
     payload unpacking (satellite of the socket-transport PR)."""
 
-    def _query_blob(self) -> bytes:
+    def _query_blob(self, point=(0.25, 0.5, 0.125)) -> bytes:
         return QueryMessage(
-            query_id=5, subspace=(0, 2, 4), threshold=0.75, initiator=11
+            query_id=5, subspace=(0, 2, 4), threshold=0.75, initiator=11, point=point
         ).encode()
 
     def _result_blob(self, rng) -> bytes:
@@ -183,10 +221,10 @@ class TestShortReads:
                                         subspace=(0, 2)).encode()
 
     def test_every_query_prefix_is_a_wire_error(self):
-        blob = self._query_blob()
-        for cut in range(len(blob)):
-            with pytest.raises(WireError):
-                decode(blob[:cut])
+        for blob in (self._query_blob(), self._query_blob(point=None)):
+            for cut in range(len(blob)):
+                with pytest.raises(WireError):
+                    decode(blob[:cut])
 
     def test_every_result_prefix_is_a_wire_error(self, rng):
         blob = self._result_blob(rng)
@@ -200,7 +238,9 @@ class TestShortReads:
         boundaries = {
             "magic": 2, "version": 3, "kind": 4, "query_id": 12,
             "length": HEADER_SIZE,
-            "query_body_head": HEADER_SIZE + 18,  # k + threshold + initiator
+            "query_body_head": HEADER_SIZE + 19,  # k + threshold + initiator + count
+            "query_dims": HEADER_SIZE + 19 + 3 * 2,
+            "query_point": HEADER_SIZE + 19 + 3 * 2 + 3 * 8,
             "result_body_head": HEADER_SIZE + 14,  # sender + n + k
         }
         for name, cut in boundaries.items():
@@ -209,6 +249,16 @@ class TestShortReads:
                     continue
                 with pytest.raises(WireError):
                     decode(blob[:cut])
+
+    def test_query_fields_cut_with_a_consistent_length(self):
+        """A body cut at any query field boundary whose header length was
+        rewritten to match: the body decoder itself refuses it."""
+        blob = self._query_blob()
+        for cut in (18, 19, 19 + 2, 19 + 3 * 2, 19 + 3 * 2 + 8, 19 + 3 * 2 + 3 * 8 - 1):
+            short = bytearray(blob[: HEADER_SIZE + cut])
+            struct.pack_into("<I", short, 12, cut)
+            with pytest.raises(WireError):
+                decode(bytes(short))
 
     def test_truncation_reported_before_struct_unpack(self):
         """A header promising more payload than arrived names the gap."""
@@ -231,6 +281,8 @@ class TestCostEstimate:
     def test_query_estimate_matches_model(self):
         blob = QueryMessage(1, (0, 3, 6), 1.0, 0).encode()
         assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.query_bytes(3)
+        blob = QueryMessage(1, (0, 3, 6), 1.0, 0, point=(0.5, 0.5, 0.5)).encode()
+        assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.query_bytes(3, 1)
 
     def test_result_estimate_matches_model(self, rng):
         points = PointSet(rng.random((7, 5)), np.arange(7))
@@ -250,6 +302,19 @@ class TestCostEstimate:
             assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k)
             deltas.add(estimate - len(blob))
         assert deltas == {34}
+
+    def test_query_framing_delta_is_constant(self):
+        """The same for queries, with and without the bound's point:
+        the model charges ``64 + 8 + 2k + 8k·points``, the codec packs
+        ``16 + 19 + 2k + 8k·points`` (docs/TRANSPORT.md)."""
+        deltas = set()
+        for k in (1, 2, 5, 8):
+            for point in (None, (0.5,) * k):
+                blob = QueryMessage(1, tuple(range(k)), 0.5, 0, point=point).encode()
+                estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
+                assert estimate == DEFAULT_COST_MODEL.query_bytes(k, 0 if point is None else 1)
+                deltas.add(estimate - len(blob))
+        assert deltas == {37}
 
     def test_truncated_blob_rejected(self):
         blob = QueryMessage(1, (0,), 1.0, 0).encode()

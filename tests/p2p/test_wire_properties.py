@@ -16,10 +16,10 @@ finite_floats = st.floats(0, 1e9, allow_nan=False)
 # ``message_header_bytes`` is a single knob covering "everything that
 # is not payload", so anchoring the estimate to the concrete layout
 # needs one calibration per message kind: a query's non-payload bytes
-# are frame + threshold-count/initiator fields minus the threshold the
-# model charges separately (16 + 18 - 8 = 26), a result's are frame +
-# sender/count/dimensionality fields (16 + 14 = 30).
-QUERY_COST = CostModel(message_header_bytes=26)
+# are frame + dimension-count/threshold/initiator/point-count fields
+# minus the threshold the model charges separately (16 + 19 - 8 = 27),
+# a result's are frame + sender/count/dimensionality fields (16 + 14 = 30).
+QUERY_COST = CostModel(message_header_bytes=27)
 RESULT_COST = CostModel(message_header_bytes=30)
 
 
@@ -28,14 +28,20 @@ RESULT_COST = CostModel(message_header_bytes=30)
     st.lists(st.integers(0, 1000), min_size=1, max_size=16, unique=True),
     st.floats(0, 1e12, allow_nan=False) | st.just(float("inf")),
     st.integers(-(2**40), 2**40),
+    st.booleans(),
+    st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_query_roundtrip(query_id, dims, threshold, initiator):
+def test_query_roundtrip(query_id, dims, threshold, initiator, pointed, data):
+    point = None
+    if pointed:
+        point = tuple(data.draw(st.lists(finite_floats, min_size=len(dims), max_size=len(dims))))
     msg = QueryMessage(
         query_id=query_id,
         subspace=tuple(sorted(dims)),
         threshold=threshold,
         initiator=initiator,
+        point=point,
     )
     assert decode(msg.encode()) == msg
 
@@ -77,10 +83,13 @@ def test_random_blobs_never_crash(blob):
         pass
 
 
-@given(st.data())
+@given(st.data(), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_truncation_always_detected(data):
-    msg = QueryMessage(query_id=1, subspace=(0, 2, 5), threshold=0.5, initiator=3)
+def test_truncation_always_detected(data, pointed):
+    msg = QueryMessage(
+        query_id=1, subspace=(0, 2, 5), threshold=0.5, initiator=3,
+        point=(0.25, 0.5, 0.75) if pointed else None,
+    )
     blob = msg.encode()
     cut = data.draw(st.integers(0, len(blob) - 1))
     try:
@@ -96,13 +105,15 @@ def test_truncation_always_detected(data):
 @given(
     st.lists(st.integers(0, 1000), min_size=1, max_size=16, unique=True),
     st.floats(0, 1e12, allow_nan=False) | st.just(float("inf")),
+    st.integers(0, 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_query_size_matches_cost_model(dims, threshold):
+def test_query_size_matches_cost_model(dims, threshold, points):
     msg = QueryMessage(
-        query_id=7, subspace=tuple(sorted(dims)), threshold=threshold, initiator=2
+        query_id=7, subspace=tuple(sorted(dims)), threshold=threshold, initiator=2,
+        point=(0.5,) * len(dims) if points else None,
     )
-    assert len(msg.encode()) == QUERY_COST.query_bytes(len(dims))
+    assert len(msg.encode()) == QUERY_COST.query_bytes(len(dims), points)
 
 
 @given(
@@ -141,6 +152,7 @@ def test_single_dimension_subspace_roundtrips():
 def _sample_messages():
     return [
         QueryMessage(query_id=5, subspace=(1, 3), threshold=0.75, initiator=2),
+        QueryMessage(query_id=5, subspace=(1, 3), threshold=0.75, initiator=2, point=(0.5, 0.25)),
         ResultMessage(
             query_id=6, sender=1, ids=(10, 11),
             coords=((0.1, 0.5), (0.2, 0.4)),
@@ -148,7 +160,7 @@ def _sample_messages():
     ]
 
 
-@given(st.integers(0, 1), st.integers(0, 2), st.integers(1, 255))
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(1, 255))
 @settings(max_examples=100, deadline=None)
 def test_magic_or_version_corruption_raises(msg_idx, byte_idx, delta):
     """Flipping any magic/version byte must fail decoding."""
@@ -161,7 +173,7 @@ def test_magic_or_version_corruption_raises(msg_idx, byte_idx, delta):
     raise AssertionError("corrupted magic/version decoded")
 
 
-@given(st.integers(0, 1), st.integers(0, 255))
+@given(st.integers(0, 2), st.integers(0, 255))
 @settings(max_examples=100, deadline=None)
 def test_unknown_kind_raises(msg_idx, kind):
     """Any kind byte outside the known kinds (query; result, final
@@ -177,7 +189,7 @@ def test_unknown_kind_raises(msg_idx, kind):
     raise AssertionError(f"unknown kind {kind} decoded")
 
 
-@given(st.integers(0, 1), st.integers(-16, 16).filter(lambda d: d != 0))
+@given(st.integers(0, 2), st.integers(-16, 16).filter(lambda d: d != 0))
 @settings(max_examples=100, deadline=None)
 def test_length_field_corruption_raises(msg_idx, delta):
     """A header length disagreeing with the body must fail decoding."""

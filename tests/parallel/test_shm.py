@@ -16,6 +16,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -503,6 +504,51 @@ class TestHardKill:
             for path in paths:
                 if os.path.exists(path):
                     os.unlink(path)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_sweep_treats_zombies_and_reused_pids_as_gone(self, segment_home):
+        """A pid names a live publisher only if its process is not a zombie
+        and started before the file was written.  A zombie's files go; of
+        two files named with a live child's pid, the one whose mtime
+        predates the child (as a reused pid's would) goes, the one written
+        after the child started stays."""
+        zombie = subprocess.Popen([sys.executable, "-c", "pass"])
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdin.read()"], stdin=subprocess.PIPE
+        )
+        directories = sorted({segment_home.directory, segment_home.tmpdir})
+        names = (
+            f"repro-shm-{zombie.pid:x}-0-deadbeef",
+            f"repro-shm-{child.pid:x}-0-0ld0ld00",
+            f"repro-shm-{child.pid:x}-1-5afe5afe",
+        )
+        paths = [os.path.join(d, n) for d in directories for n in names]
+        try:
+            deadline = time.monotonic() + 30
+            while _process_state(zombie.pid) != "Z":   # exited, not reaped
+                assert time.monotonic() < deadline, "the child never became a zombie"
+                time.sleep(0.01)
+            before = time.time() - 3600
+            for path in paths:
+                open(path, "wb").close()
+                if "0ld0ld00" in path:
+                    os.utime(path, (before, before))
+            sweep_dead_publishers()
+            assert [os.path.exists(p) for p in paths] == [False, False, True] * len(directories)
+        finally:
+            for process in (zombie, child):
+                process.kill()
+                process.wait(timeout=30)
+            child.stdin.close()
+            for path in paths:
+                if os.path.exists(path):
+                    os.unlink(path)
+
+
+def _process_state(pid: int) -> str:
+    with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as handle:
+        stat = handle.read()
+    return stat[stat.rindex(")") + 2]
 
 
 @off_dev_shm

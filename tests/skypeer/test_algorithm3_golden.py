@@ -8,14 +8,19 @@ and ``f`` in order), every deterministic count and, under a fixed-tick
 ``time.perf_counter``, both model times to the last bit.
 
 It was first recorded from the parent commit of the PR that unified
-Algorithm 3 (the plan-based executor), and re-recorded once, by the PR
-that took ``f`` off the backbone (a RESULT record is id + the k queried
-coordinates; a merged answer is ordered by, and its ``f`` is, the
-minimum over the queried coordinates).  Run on that PR's parent tree
-and on its own, every case kept its id set, ``message_count``,
-``local_result_points``, ``comparisons``, ``critical_path_examined`` and
-each scan's own ``comparisons`` / ``examined``, and ``volume_bytes`` fell
-by exactly ``8 * point_hops`` (CHANGES.md, PR 24).
+Algorithm 3 (the plan-based executor), and re-recorded twice since.
+Once when ``f`` came off the backbone (a RESULT record is id + the k
+queried coordinates; a merged answer is ordered by, and its ``f`` is,
+the minimum over the queried coordinates): against the tree before,
+every case kept its id set, ``message_count``, ``local_result_points``,
+``comparisons``, ``critical_path_examined`` and each scan's own
+``comparisons`` / ``examined``, and ``volume_bytes`` fell by exactly
+``8 * point_hops``.  Once when the query became ``q(U, t, p)`` (a
+receiving super-peer drops what ``p`` dominates): every case kept
+``ids``, ``f``, ``message_count`` and ``initial_threshold``, every naive
+case stayed byte-identical, and ``point_hops`` and
+``local_result_points`` stayed equal or fell.  CHANGES.md has both
+comparisons.
 
 The first file's ``critical_path_examined`` was right for the \\*PM
 variants only (the plan dropped the ``work`` component from every
@@ -128,9 +133,11 @@ def test_matches_the_parent(networks, golden, monkeypatch, name, subspace, varia
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_volume_is_headers_plus_point_hops(networks, variant):
-    """``volume_bytes`` written out: a query message per query, an envelope
-    per result and ``id + k coordinates`` per point per hop — nothing else
-    travels, so a change to the record shows here and not only in a bench."""
+    """``volume_bytes`` written out: a query message per query — carrying
+    the bound's one point under the four SKYPEER variants and none under
+    naive — an envelope per result and ``id + k coordinates`` per point
+    per hop.  Nothing else travels, so a change to either record shows
+    here and not only in a bench."""
     for name, network in networks.items():
         cost = network.cost_model
         for subspace in _subspaces(network.dimensionality):
@@ -139,9 +146,10 @@ def test_volume_is_headers_plus_point_hops(networks, variant):
             )
             k, execution = len(subspace), run.execution
             n_result = execution.message_count - run.query_messages
+            points = 0 if variant is Variant.NAIVE else 1
             assert run.query_messages == network.n_superpeers - 1, name
             assert execution.volume_bytes == (
-                run.query_messages * cost.query_bytes(k)
+                run.query_messages * cost.query_bytes(k, points)
                 + n_result * cost.message_header_bytes
                 + execution.point_hops * (cost.id_bytes + k * cost.coordinate_bytes)
             ), (name, subspace)

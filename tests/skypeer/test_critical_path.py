@@ -47,10 +47,13 @@ def chain() -> SuperPeerNetwork:
     """SP0 - SP1 - SP2, one peer each, two dimensions, queried whole.
 
     ====  ===================  =============================================
-    SP0   (1,4) (4,1)          f = 1, 1; reads both, t = 4
+    SP0   (1,4) (4,1)          f = 1, 1; reads both, t = 4, p = (1,4)
     SP1   (2,2)                f = 2; read under any t >= 2, refines t to 2
-    SP2   (9,2.5) (3,7)        f = 2.5, 3; both read under t = 4, none under 2
+    SP2   (9,2.5) (3,7)        f = 2.5, 3; both read under t = 4, none under 2;
+                               drops (3,7), which p = (1,4) dominates
     ====  ===================  =============================================
+
+    (SP0's two points tie on their sum, 5; the first in its list is ``p``.)
     """
     topology = Topology(
         adjacency={0: (1,), 1: (0, 2), 2: (1,)}, peers_of={0: (0,), 1: (1,), 2: (2,)}
@@ -68,11 +71,12 @@ def chain() -> SuperPeerNetwork:
 #: knows when a batch starts and these lists fit in one batch, so a merge
 #: (which starts from t = inf) reads its whole input.
 CHAIN_WORK = {
-    # SP0 scans 2, then SP1 and SP2 scan at once (2+1, 2+2); SP0 merges all 5.
-    Variant.FTFM: max(2, 2 + 1, 2 + 2) + 5,
-    # ... SP1 merges its 1 with SP2's 2 once they are in and keeps (2,2);
+    # SP0 scans 2, then SP1 and SP2 scan at once (2+1, 2+2); SP2 keeps 1,
+    # so SP0 merges 2+1+1.
+    Variant.FTFM: max(2, 2 + 1, 2 + 2) + 4,
+    # ... SP1 merges its 1 with SP2's 1 once they are in and keeps (2,2);
     # SP0 merges its 2 with that 1.
-    Variant.FTPM: max(2, max(2 + 1, 2 + 2) + 3) + 3,
+    Variant.FTPM: max(2, max(2 + 1, 2 + 2) + 2) + 3,
     # The scans cascade: 2, 2+1, 2+1+0; SP0 merges 2+1+0.
     Variant.RTFM: max(2, 2 + 1, 2 + 1 + 0) + 3,
     Variant.RTPM: max(2, max(2 + 1, 2 + 1 + 0) + 1) + 3,

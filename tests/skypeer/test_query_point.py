@@ -1,0 +1,156 @@
+"""The bound's point, checked against a skyline written out here.
+
+A query is ``q(U, t, p)``: a receiving super-peer drops from its scan
+result what ``p`` dominates on ``U``, and an RT* relay forwards the
+smaller-sum of the ``p`` it received and its own list.  Over random
+backbones, stores with ties and duplicates, every variant and every
+subspace size, with links delivered in any order: the answer is the
+skyline; every super-peer's own list (what it ships under *FM, what its
+merge starts from under *PM) is its scan minus exactly what the received
+``p`` dominates; and no forwarded ``p`` is larger in sum than the one
+received.  Nothing below checks with ``repro.core.dominance``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.dataset import PointSet
+from repro.core.store import SortedByF
+from repro.core.substrates import subspace_skyline
+from repro.skypeer.protocol import ProtocolNode, QueryBound, make_kernels
+from repro.skypeer.variants import Variant
+from tests.skypeer.test_node import LinkQueues, backbones
+
+
+def dominates(a, b) -> bool:
+    """``a`` is nowhere worse than ``b`` and somewhere better."""
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+def skyline_ids(rows) -> set[int]:
+    """Ids of the ``(id, coordinates)`` rows no other row dominates."""
+    return {
+        pid for pid, row in rows
+        if not any(dominates(other, row) for _, other in rows)
+    }
+
+
+def on(subspace, row) -> tuple[float, ...]:
+    return tuple(float(row[i]) for i in subspace)
+
+
+class Recording(LinkQueues):
+    """:class:`LinkQueues` that also keeps every bound and every list sent."""
+
+    def __init__(self, pick):
+        super().__init__(pick)
+        self.bounds: dict[tuple[int, int], QueryBound] = {}
+        self.shipped: list[tuple[int, int, SortedByF]] = []
+
+    def send_query(self, src, dst, bound, at):
+        self.bounds[src, dst] = bound
+        super().send_query(src, dst, bound, at)
+
+    def send_result(self, src, dst, origin, result, final, at):
+        self.shipped.append((src, origin, result))
+        super().send_result(src, dst, origin, result, final, at)
+
+
+@given(
+    backbones(),
+    st.sampled_from(list(Variant)),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_the_point_prunes_only_what_is_not_in_the_answer(backbone, variant, seed, k, random):
+    adjacency, _ = backbone
+    rng = np.random.default_rng(seed)
+    d = 3
+    stores, next_id = {}, 0
+    for sp in adjacency:
+        count = int(rng.integers(0, 9))
+        # A coarse grid: equal coordinates, equal sums and duplicates occur,
+        # and every sum is exact.
+        values = rng.integers(0, 5, size=(count, d)).astype(float)
+        stores[sp] = SortedByF.from_points(PointSet(values, np.arange(next_id, next_id + count)))
+        next_id += count
+    subspace = tuple(sorted(rng.choice(d, size=k, replace=False).tolist()))
+    initiator = int(rng.integers(0, len(adjacency)))
+
+    scanned: dict[int, SortedByF] = {}    # what Algorithm 1 returned
+    own: dict[int, SortedByF] = {}        # what the super-peer kept of it
+
+    def local_compute(sp, sub, threshold):
+        computation = subspace_skyline(stores[sp], sub, initial_threshold=threshold)
+        scanned[sp] = computation.result
+        return computation
+
+    carrier = Recording(random.choice)
+    kernels = make_kernels(
+        variant, subspace, store_of=stores.__getitem__, dimensionality=d,
+        index_kind="block", local_compute=local_compute,
+    )
+    scan = kernels.scan
+
+    def keep(sp, bound):
+        computation = scan(sp, bound)
+        own[sp] = computation.result
+        return computation
+
+    kernels.scan = keep
+    for sp, neighbours in adjacency.items():
+        carrier.nodes[sp] = ProtocolNode(
+            sp, neighbours=neighbours, variant=variant, kernels=kernels, carrier=carrier
+        )
+    carrier.nodes[initiator].start(None)
+    carrier.run()
+
+    everything = [(int(pid), row) for s in stores.values() for pid, row in s.points]
+    assert carrier.answer.points.id_set() == skyline_ids(
+        [(pid, on(subspace, row)) for pid, row in everything]
+    )
+
+    for sp, node in carrier.nodes.items():
+        received = QueryBound(math.inf) if node.parent is None else carrier.bounds[node.parent, sp]
+        p = received.point
+        if variant is Variant.NAIVE or node.parent is None:
+            assert p is None
+        raw = scanned[sp] if variant is not Variant.NAIVE else own[sp]
+        expected = [
+            int(pid) for pid, row in raw.points
+            if p is None or not dominates(tuple(p), on(subspace, row))
+        ]
+        assert own[sp].points.ids.tolist() == expected, sp
+
+        sent = {
+            None if bound.point is None else tuple(bound.point)
+            for (src, _), bound in carrier.bounds.items() if src == sp
+        }
+        if not sent:
+            continue
+        (forwarded,) = sent       # one bound to every neighbour
+        if variant is Variant.NAIVE:
+            assert forwarded is None
+        elif variant.refined_threshold or node.parent is None:
+            # The smaller-sum of the received p and the own list; p wins a tie.
+            candidates = ([tuple(p)] if p is not None else []) + [
+                on(subspace, row) for _, row in own[sp].points
+            ]
+            best = min(candidates, key=sum) if candidates else None
+            assert forwarded == best, sp
+            if p is not None:
+                assert sum(forwarded) <= sum(p)
+        else:
+            assert forwarded == (None if p is None else tuple(p))   # FT* relays it unchanged
+
+    merges = variant.progressive_merging
+    for src, origin, result in carrier.shipped:
+        if origin == src and not merges and carrier.nodes[src].parent is not None:
+            assert result.points.ids.tolist() == own[src].points.ids.tolist()
