@@ -89,6 +89,11 @@ q(U, t, p) where the paper sends q(U, t).  Answers are identical
 (docs/ALGORITHMS.md has the argument); every query message grows by 8k
 bytes and fewer points travel, so every *volume* and *total time* below
 is that of the smaller lists.
+(7) Pre-processing computes each peer's ext-skyline and each super-peer's
+store with one pivot-partitioned filter instead of Algorithm 1/2 in
+strict mode (docs/ALGORITHMS.md, "Pre-processing: one pivot-partitioned
+filter").  The sets, and the order of the stores, are byte-identical;
+only Figure 3(a)'s *compute s* column, which times that work, moves.
 
 ---
 """

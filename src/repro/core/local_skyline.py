@@ -7,10 +7,12 @@ lowered to ``min(threshold, dist_U(p))``.  The scan terminates as soon
 as the next ``f(p)`` exceeds the threshold — by Observation 5 no later
 point can be a skyline point.
 
-The same routine computes the *extended* skyline (``strict=True``):
-the dominance test becomes ext-domination and distances refer to the
-full space, which is exactly how the pre-processing phase of section
-5.3 reuses Algorithm 1.
+With ``strict=True`` the same routine computes the *extended* skyline
+(the dominance test becomes ext-domination).  Pre-processing does not
+use it: it needs only the set, which
+:func:`repro.core.extended_skyline.ext_skyline_positions` computes with
+fewer tests; the strict scan stays as the reference the tests compare
+that routine against.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def local_subspace_skyline(
     initial_threshold:
         Threshold ``t`` carried by the query; ``inf`` when absent.
     strict:
-        ``True`` switches to ext-domination (pre-processing mode).
+        ``True`` switches to ext-domination (the reference for
+        :mod:`repro.core.extended_skyline`).
     index_kind:
         Dominance index implementation (``block``, ``list``, ``rtree``).
     scan_chunk:

@@ -15,8 +15,10 @@ the threshold value" — the cited advantage over concatenating,
 re-sorting and re-running Algorithm 1.  On the full space ``g_U`` *is*
 ``f``.
 
-The same routine with ``strict=True`` merges peer ext-skylines into the
-super-peer ext-skyline during pre-processing (section 5.3).
+With ``strict=True`` the same routine merges ext-skylines.  The
+super-peer store is not built that way (see
+:func:`repro.core.extended_skyline.merge_ext_skylines`); the strict merge
+is the reference the tests compare it against.
 
 Two entry points share the semantics:
 

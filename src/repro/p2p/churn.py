@@ -34,7 +34,7 @@ class ChurnEvent:
     """Outcome of one churn operation.
 
     ``path`` records how the store absorbed the change: ``"merged"``
-    (join — incremental Algorithm 2 merge of the new list), ``"promoted"``
+    (join — the new list merged into the existing store), ``"promoted"``
     (fail — eviction-ledger withdrawal: the dead list spliced out and
     only the orphaned witnesses re-tested) or ``"rebuilt"`` (fail with
     no live ledger — surviving lists re-merged from scratch).
@@ -77,8 +77,8 @@ def join_peer(
     network.peers[peer_id] = peer
     peers_of = network.topology.peers_of
     peers_of[superpeer_id] = peers_of[superpeer_id] + (peer_id,)
-    uploaded = peer.compute_extended_skyline(index_kind=network.index_kind)
-    merge = superpeer.merge_in_peer(peer_id, uploaded.result, index_kind=network.index_kind)
+    uploaded = peer.compute_extended_skyline()
+    merge = superpeer.merge_in_peer(peer_id, uploaded.result)
     _refresh_preprocessing(network, touched=(superpeer_id,))
     return ChurnEvent(
         peer_id=peer_id,
@@ -107,7 +107,7 @@ def fail_peer(network: SuperPeerNetwork, peer_id: int) -> ChurnEvent:
     peers_of = network.topology.peers_of
     peers_of[superpeer_id] = tuple(p for p in peers_of[superpeer_id] if p != peer_id)
     superpeer.ensure_store_ledger()
-    merge = superpeer.drop_peer(peer_id, index_kind=network.index_kind)
+    merge = superpeer.drop_peer(peer_id)
     # drop_peer's rebuild fallback nulls the store ledger; the
     # incremental path keeps it live, so its presence names the path.
     path = "promoted" if superpeer.store_ledger is not None else "rebuilt"
@@ -180,12 +180,9 @@ def fail_superpeer(network: SuperPeerNetwork, superpeer_id: int) -> SuperPeerFai
         topology.peers_of[adopter_id] = topology.peers_of[adopter_id] + (peer_id,)
         uploaded = victim_state.peer_skylines.get(peer_id)
         if uploaded is None:  # pragma: no cover - defensive
-            computation = network.peers[peer_id].compute_extended_skyline(
-                index_kind=network.index_kind
-            )
-            uploaded = computation.result
+            uploaded = network.peers[peer_id].compute_extended_skyline().result
         adopter = network.superpeers[adopter_id]
-        adopter.merge_in_peer(peer_id, uploaded, index_kind=network.index_kind)
+        adopter.merge_in_peer(peer_id, uploaded)
     _refresh_preprocessing(network, touched=sorted(set(adopters.values())))
     return SuperPeerFailure(
         superpeer_id=superpeer_id,

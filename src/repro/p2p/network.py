@@ -14,17 +14,15 @@ and records the selectivity statistics Figure 3(a) reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from ..core.dataset import PointSet
+from ..core.extended_skyline import merge_ext_skylines
 from ..core.local_skyline import SkylineComputation
-from ..core.merging import merge_sorted_skylines
 from ..core.store import SortedByF
-from ..core.subspace import full_space
 from ..data.generators import make_generator
 from ..data.partition import partition_evenly
 from ..obs.runtime import active_metrics, active_tracer
@@ -289,7 +287,7 @@ class SuperPeerNetwork:
         """Run the full pre-processing phase and record its statistics.
 
         ``workers > 1`` fans the per-super-peer computations (peer
-        ext-skyline scans plus the Algorithm 2 merge) out over the
+        ext-skylines plus their merge) out over the
         persistent process-pool engine (an explicit ``engine`` pins the
         pool, see :func:`repro.parallel.get_engine`); the aggregation
         below is identical either way, so stores, selectivities and
@@ -314,14 +312,11 @@ class SuperPeerNetwork:
         peer_results: list[tuple[int, int, SkylineComputation]] = []
         for peer_id in self.topology.peers_of[superpeer_id]:
             peer = self.peers[peer_id]
-            computation = peer.compute_extended_skyline(index_kind=self.index_kind)
+            computation = peer.compute_extended_skyline()
             peer_results.append((peer_id, len(peer), computation))
-        merge = merge_sorted_skylines(
+        merge = merge_ext_skylines(
             [computation.result for _, _, computation in peer_results],
-            full_space(self.dimensionality),
-            initial_threshold=math.inf,
-            strict=True,
-            index_kind=self.index_kind,
+            self.dimensionality,
         )
         return SuperPeerPreprocess(
             superpeer_id=superpeer_id, peer_results=peer_results, merge=merge

@@ -12,7 +12,7 @@ For *incremental* maintenance under point updates, a super-peer also
 keeps eviction ledgers (:mod:`repro.core.ledger`): one per attached
 peer (witnessing the peer's data points that did not make its uploaded
 ext-skyline) and one for the store (witnessing uploaded points the
-strict merge evicted).  Ledgers are columnar (three arrays, no object
+store merge evicted).  Ledgers are columnar (three arrays, no object
 per point), bootstrap lazily with one plane-wise witness sweep and are
 invalidated whenever a list or the store is replaced wholesale
 (pre-processing, joins, rebuilds); the update paths re-install the
@@ -29,10 +29,9 @@ import numpy as np
 
 from ..core.dataset import PointSet
 from ..core.ledger import EvictionLedger, build_witness_ledger, promote_candidates
-from ..core.local_skyline import SkylineComputation, local_subspace_skyline
-from ..core.merging import merge_sorted_skylines
+from ..core.extended_skyline import ext_skyline_scan, merge_ext_skylines
+from ..core.local_skyline import SkylineComputation
 from ..core.store import SortedByF
-from ..core.subspace import full_space
 
 __all__ = ["Peer", "SuperPeer"]
 
@@ -44,16 +43,9 @@ class Peer:
     peer_id: int
     data: PointSet
 
-    def compute_extended_skyline(self, index_kind: str = "block") -> SkylineComputation:
+    def compute_extended_skyline(self) -> SkylineComputation:
         """Peer-side pre-processing: ``ext-SKY_D`` of the local data."""
-        store = SortedByF.from_points(self.data)
-        return local_subspace_skyline(
-            store,
-            full_space(self.data.dimensionality),
-            initial_threshold=math.inf,
-            strict=True,
-            index_kind=index_kind,
-        )
+        return ext_skyline_scan(SortedByF.from_points(self.data))
 
     def __len__(self) -> int:
         return len(self.data)
@@ -89,23 +81,14 @@ class SuperPeer:
         self.peer_skylines[peer_id] = skyline
         self.peer_ledgers.pop(peer_id, None)
 
-    def rebuild_store(self, index_kind: str = "block") -> SkylineComputation:
-        """Merge every attached peer's ext-skyline into the query store.
-
-        Algorithm 2 in strict (ext-domination) mode over the full space.
-        """
-        merged = merge_sorted_skylines(
-            list(self.peer_skylines.values()),
-            full_space(self.dimensionality),
-            initial_threshold=math.inf,
-            strict=True,
-            index_kind=index_kind,
-        )
+    def rebuild_store(self) -> SkylineComputation:
+        """Merge every attached peer's ext-skyline into the query store."""
+        merged = merge_ext_skylines(list(self.peer_skylines.values()), self.dimensionality)
         self.store = merged.result
         self.store_ledger = None
         return merged
 
-    def merge_in_peer(self, peer_id: int, skyline: SortedByF, index_kind: str = "block") -> SkylineComputation:
+    def merge_in_peer(self, peer_id: int, skyline: SortedByF) -> SkylineComputation:
         """Incrementally merge a newly joined peer (section 5.3).
 
         Only the existing store and the new list are merged — "there is
@@ -114,13 +97,7 @@ class SuperPeer:
         """
         self.receive_peer_skyline(peer_id, skyline)
         current = self.store if self.store is not None else SortedByF.empty(self.dimensionality)
-        merged = merge_sorted_skylines(
-            [current, skyline],
-            full_space(self.dimensionality),
-            initial_threshold=math.inf,
-            strict=True,
-            index_kind=index_kind,
-        )
+        merged = merge_ext_skylines([current, skyline], self.dimensionality)
         self.store = merged.result
         self.store_ledger = None
         return merged
@@ -152,7 +129,7 @@ class SuperPeer:
     def ensure_store_ledger(self) -> EvictionLedger | None:
         """The store's eviction ledger, bootstrapping lazily.
 
-        Witnesses every uploaded point the strict merge evicted against
+        Witnesses every uploaded point the store merge evicted against
         the store members, in one vectorized sweep.
         """
         if self.store_ledger is not None:
@@ -170,7 +147,7 @@ class SuperPeer:
             self.store_ledger = ledger
         return ledger
 
-    def drop_peer(self, peer_id: int, index_kind: str = "block") -> SkylineComputation:
+    def drop_peer(self, peer_id: int) -> SkylineComputation:
         """Handle a failed peer by withdrawing its contribution.
 
         When the store ledger is live, the withdrawal is incremental:
@@ -188,7 +165,7 @@ class SuperPeer:
         self.peer_ledgers.pop(peer_id, None)
         ledger = self.store_ledger
         if dropped is None or ledger is None or self.store is None:
-            return self.rebuild_store(index_kind=index_kind)
+            return self.rebuild_store()
         dropped_ids = dropped.points.ids
         ledger.discard(dropped_ids)
         removed = self.store.points.ids[np.isin(self.store.points.ids, dropped_ids)]

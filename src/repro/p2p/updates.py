@@ -242,9 +242,9 @@ def _rebuild(network: SuperPeerNetwork, superpeer: SuperPeer, peer_id: int) -> i
     pre-processing does, and re-merge the super-peer store.
     """
     before = len(superpeer.peer_skylines[peer_id])
-    upload = network.peers[peer_id].compute_extended_skyline(network.index_kind).result
+    upload = network.peers[peer_id].compute_extended_skyline().result
     superpeer.receive_peer_skyline(peer_id, upload)
-    superpeer.rebuild_store(index_kind=network.index_kind)
+    superpeer.rebuild_store()
     return len(upload) - before
 
 

@@ -176,14 +176,39 @@ def _noop() -> None:
     """Warm-up task: forces worker processes to start."""
 
 
-def _worker_init(counter: Any, pin: bool) -> None:
-    """Pool initializer: claim an ordinal, optionally pin to one CPU."""
-    if not pin:
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_SECONDS = 0.25
+
+
+def _worker_init(parent_pid: int | None, counter: Any) -> None:
+    """Pool initializer: end with the parent; pin to one CPU if asked.
+
+    A SIGKILLed parent runs no shutdown, and its workers would idle on
+    the pool queue for good.  Each worker therefore watches its parent
+    pid from a daemon thread and exits once it is reparented.  (Not
+    ``PR_SET_PDEATHSIG``: that signal fires when the *thread* that forked
+    the worker ends, and a pool may fork from a short-lived thread.)
+    ``counter`` is ``None`` unless the workers pin themselves: then each
+    claims an ordinal from it.  ``parent_pid=None`` watches the parent
+    the worker finds at start.
+    """
+    parent = os.getppid() if parent_pid is None else parent_pid
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent,), name="parent-watch", daemon=True
+    ).start()
+    if counter is None:
         return
     with counter.get_lock():
         ordinal = counter.value
         counter.value += 1
     _apply_pinning(ordinal)
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Poll until ``parent_pid`` is no longer this process's parent, then exit."""
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(0)
 
 
 def _apply_pinning(ordinal: int) -> int | None:
@@ -797,17 +822,21 @@ class ParallelEngine:
         self._gate = _EpochGate()
         started = time.perf_counter()
         ctx = multiprocessing.get_context(self.start_method)
-        pool_kwargs: dict[str, Any] = {}
+        counter = None
         if pin_cpus_enabled():
             # Workers claim ordinals from a shared counter at startup
             # and pin themselves round-robin over the parent's affinity
             # mask; replacement workers keep incrementing the counter,
             # which round-robin absorbs.
-            pool_kwargs["initializer"] = _worker_init
-            pool_kwargs["initargs"] = (ctx.Value("i", 0), True)
+            counter = ctx.Value("i", 0)
             self.stats.cpu_pinning = True
         self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=ctx, **pool_kwargs
+            max_workers=self.workers, mp_context=ctx,
+            # Under forkserver the workers' parent is the fork server
+            # (which ends with this process); they watch whichever
+            # parent they start under.
+            initializer=_worker_init,
+            initargs=(None if self.start_method == "forkserver" else os.getpid(), counter),
         )
         if warm:
             for future in [self._pool.submit(_noop) for _ in range(self.workers)]:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -57,3 +59,36 @@ def test_clean_directories_report_nothing_of_theirs(tmp_path):
     assert str(tmp_path) not in out.stdout
     for label in ("transport pidfiles", "live endpoint processes"):
         assert f"leaked {label}:" not in out.stdout
+
+
+def test_names_a_worker_that_outlived_its_group_leader(tmp_path):
+    # A stand-in for a SIGKILLed server: it leads its own process group
+    # and forks one child (whose command line, like a pool worker's, is
+    # its parent's) before it dies.
+    leader = subprocess.Popen(
+        [sys.executable, "-c",
+         "import os, sys, time  # repro.cli serve\n"
+         "pid = os.fork()\n"
+         "if pid == 0:\n"
+         "    time.sleep(60)\n"
+         "    os._exit(0)\n"
+         "print(pid, flush=True)\n"
+         "time.sleep(60)\n"],
+        stdout=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    worker = int(leader.stdout.readline())
+    try:
+        out = _run(tmp_path, tmp_path)
+        assert f"{worker}: " not in out.stdout  # its leader still lives
+        leader.kill()
+        leader.wait(timeout=30)
+        out = _run(tmp_path, tmp_path)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(worker, signal.SIGKILL)
+        leader.kill()
+        leader.wait(timeout=30)
+        leader.stdout.close()
+    assert out.returncode == 1, out.stdout + out.stderr
+    orphans = out.stdout.split("leaked orphaned pool workers:")[1]
+    assert f"{worker}: " in orphans

@@ -150,31 +150,50 @@ class TestCliServe:
     def test_sigint_stops_pool_and_unlinks_shm(self, tmp_path, when):
         self._signal_stops_pool(tmp_path, when, signal.SIGINT)
 
+    @needs_proc_and_shm
+    def test_sigkill_leaves_no_worker_behind(self, tmp_path):
+        """SIGKILL runs no shutdown, yet the pool workers follow their
+        server within 5 s: each watches its parent pid."""
+        server, tmpdir, port_file = _spawn_serve(tmp_path, ["24", "12", "4"])
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (port_file.exists() and port_file.read_text().endswith("\n")):
+                assert server.poll() is None, "serve exited before binding"
+                assert time.monotonic() < deadline, "serve never wrote its port file"
+                time.sleep(0.05)
+            host, port = port_file.read_text().split()
+
+            async def scenario():
+                async with await GatewayClient.connect(host, int(port)) as client:
+                    return await client.query([0, 1])
+
+            assert run(scenario()).ok  # the workers have attached and served
+            workers = [pid for pid in _session_pids(server.pid) if pid != server.pid]
+            assert len(workers) >= 2
+
+            server.kill()
+            server.wait(timeout=30.0)
+            deadline = time.monotonic() + 5.0
+            while _session_pids(server.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _session_pids(server.pid) == []
+        finally:
+            if _session_pids(server.pid):
+                os.killpg(server.pid, signal.SIGKILL)
+            server.wait(timeout=10.0)
+            # What a hard kill does leave: the server's segments.
+            for directory in (pathlib.Path("/dev/shm"), tmpdir):
+                for path in directory.glob(f"repro-shm-{server.pid:x}-*"):
+                    path.unlink()
+
     def _signal_stops_pool(self, tmp_path, when, signum):
         """On ``/dev/shm`` the server's segments are its only files: its
         own ``TMPDIR`` holds nothing of its making at any look and is
         empty once it has gone, so there is nothing a signal at a bad
         moment can strand."""
-        tmpdir = tmp_path / "tmp"
-        tmpdir.mkdir()
-        port_file = tmp_path / "gateway.addr"
-        env = dict(os.environ, TMPDIR=str(tmpdir))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
-        )
         # Pre-processing must outlast the poll below: ~1 s of it.
-        size = ["400", "250", "8"] if when == "preprocessing" else ["24", "12", "4"]
-        with open(tmp_path / "server.log", "wb") as log:
-            server = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.cli", "serve",
-                    "--peers", size[0], "--points-per-peer", size[1],
-                    "--dims", size[2], "--backend", "engine", "--workers", "2",
-                    "--port-file", str(port_file),
-                ],
-                env=env, stdout=log, stderr=subprocess.STDOUT,
-                start_new_session=True,
-            )
+        size = ["800", "250", "8"] if when == "preprocessing" else ["24", "12", "4"]
+        server, tmpdir, port_file = _spawn_serve(tmp_path, size)
 
         def segments() -> list[pathlib.Path]:
             return [
@@ -241,6 +260,31 @@ class TestCliServe:
             server.wait(timeout=10.0)
             for path in segments():  # a failed run cleans up too
                 path.unlink()
+
+
+def _spawn_serve(tmp_path, size):
+    """``serve --backend engine`` on ``size`` = (peers, points per peer,
+    dims), in a session of its own with a private ``TMPDIR``; returns the
+    process, that directory and the port file."""
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    port_file = tmp_path / "gateway.addr"
+    env = dict(os.environ, TMPDIR=str(tmpdir))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    with open(tmp_path / "server.log", "wb") as log:
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--peers", size[0], "--points-per-peer", size[1],
+                "--dims", size[2], "--backend", "engine", "--workers", "2",
+                "--port-file", str(port_file),
+            ],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True,
+        )
+    return server, tmpdir, port_file
 
 
 def _session_pids(session: int) -> list[int]:
