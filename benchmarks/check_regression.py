@@ -31,13 +31,10 @@ must exercise coalescing); p50/p99 latency and the shed rate are
 printed informationally — they move with CI hardware, correctness does
 not.
 
-Schema-5 reports add a ``kernels`` section (the five scan cells:
-``sorted``/``bbs``/``salsa`` over the whole store, ``range``/``angular``
-slices of the sorted scan).  Its gated verdict is ``identical`` (every
-cell — in-process and pooled — returns results byte-identical to the
-serial sorted scan).  The headline's serial / in-process / pooled walls
-and ratios, comparison counts per point and slice-size skew are printed
-informationally.
+Schema-5 reports add a ``kernels`` section (the three whole-store scan
+substrates ``sorted``/``bbs``/``salsa``).  Its gated verdict is
+``identical`` (every substrate returns results byte-identical to the
+sorted scan); comparison counts per point are printed informationally.
 
 Schema-6 reports add ``kernels.salsa`` with two more gated verdicts —
 ``identical`` (the SaLSa and BBS substrates byte-identical to the
@@ -181,11 +178,6 @@ def check_current_verdicts(current: dict) -> list[str]:
     if kernels is not None:
         if not kernels.get("identical", True):
             broken = [
-                name
-                for name, entry in kernels.get("headline", {})
-                .get("partitioners", {}).items()
-                if not entry.get("identical", True)
-            ] + [
                 f"{cell.get('distribution')}/d={cell.get('d')}"
                 for cell in kernels.get("crossover", [])
                 if not cell.get("identical", True)
@@ -228,28 +220,14 @@ def check_current_verdicts(current: dict) -> list[str]:
                     f"sorted {cpp.get('sorted', 0):.1f} / bbs "
                     f"{cpp.get('bbs', 0):.1f} / salsa {cpp.get('salsa', 0):.1f}"
                 )
-        headline = kernels.get("headline", {})
-        for name, entry in sorted(headline.get("partitioners", {}).items()):
-            skew = entry.get("skew", {})
-            print(
-                f"  [info] kernels.{name}: serial "
-                f"{headline.get('serial_wall_seconds', 0):.3g}s, in-process "
-                f"{entry.get('inprocess_speedup', 0):.2f}x, pool (cold) "
-                f"{entry.get('pool_speedup', 0):.2f}x, warm replay "
-                f"{entry.get('pool_warm_wall_seconds', 0):.3g}s, "
-                f"comparisons ratio "
-                f"{entry.get('comparison_ratio', 0):.2f}x, skew "
-                f"{skew.get('skew', 1):.2f} (max {skew.get('max_size', 0)} / "
-                f"mean {skew.get('mean_size', 0):.0f})"
-            )
         for cell in kernels.get("crossover", []):
             cpp = cell.get("comparisons_per_point", {})
-            base = cpp.get("sorted/none")
+            base = cpp.get("sorted")
             best = min(cpp.items(), key=lambda kv: kv[1]) if cpp else None
             if base and best:
                 print(
                     f"  [info] kernels.crossover {cell.get('distribution')} "
-                    f"d={cell.get('d')}: sorted/none {base:.1f} cmp/pt, best "
+                    f"d={cell.get('d')}: sorted {base:.1f} cmp/pt, best "
                     f"{best[0]} {best[1]:.1f} cmp/pt"
                 )
     incremental = current.get("incremental")

@@ -1,17 +1,16 @@
 #!/usr/bin/env python
-"""Profile the scan cells on the crossover matrix.
+"""Profile the scan substrates on the crossover matrix.
 
-Times every cell of :data:`repro.parallel.partition.SCAN_CELLS`
-(``sorted``/``bbs``/``salsa`` over the whole store, ``range``/``angular``
-slices of the sorted scan, 4 slices in-process) over a matrix of
-(distribution, dims, points, query subspace) stores generated from the
-``bench --smoke`` crossover seeds.  Each cell is picked the way a query
-picks it (:func:`repro.skypeer.executor.make_local_compute`), verified
-byte-equal to ``sorted/none`` on its first — *cold* — run, which also
-builds the per-subspace R-tree or SaLSa order cached on the store, and
-then timed best-of-``--repeats`` warm.  The report names the fastest
-warm cell per store and counts the wins, so the table that selects a
-cell is derived from data instead of folklore.
+Times every substrate of :data:`repro.core.substrates.SCAN_SUBSTRATES`
+(``sorted``/``bbs``/``salsa``, each over the whole store) over a matrix
+of (distribution, dims, points, query subspace) stores generated from
+the ``bench --smoke`` crossover seeds.  Each substrate is picked the way
+a query picks it (:func:`repro.skypeer.executor.make_local_compute`),
+verified byte-equal to ``sorted`` on its first — *cold* — run, which
+also builds the per-subspace R-tree or SaLSa order cached on the store,
+and then timed best-of-``--repeats`` warm.  The report names the fastest
+warm substrate per store and counts the wins, so the rule that picks a
+substrate is derived from data instead of folklore.
 
 Usage::
 
@@ -34,12 +33,11 @@ import numpy as np
 from repro.bench.smoke import _computations_identical, _single_store_network
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
+from repro.core.substrates import SCAN_SUBSTRATES
 from repro.data.generators import make_generator
-from repro.parallel.partition import SCAN_CELLS
 from repro.skypeer.executor import make_local_compute
 
 DISTRIBUTIONS = ("uniform", "correlated", "anticorrelated")
-PARTS = 4
 
 #: (distribution, dims, points, subspace): every distribution at
 #: d in {3, 5, 7} and n in {1 200, 20 000} on the full space and on the
@@ -64,7 +62,7 @@ QUICK_MATRIX = [
 
 
 def profile_store(dist: str, d: int, n: int, subspace: tuple, repeats: int) -> dict:
-    """Cold and best-of-``repeats`` warm seconds per scan cell for one store."""
+    """Cold and best-of-``repeats`` warm seconds per substrate for one store."""
     rng = np.random.default_rng(20070415 + 1000 * DISTRIBUTIONS.index(dist) + d)
     points = PointSet(make_generator(dist)(n, d, rng))
     network, sp = _single_store_network(points, SortedByF.from_points(points))
@@ -73,26 +71,22 @@ def profile_store(dist: str, d: int, n: int, subspace: tuple, repeats: int) -> d
         "distribution": dist, "d": d, "n": n, "subspace": list(subspace),
         "cold_seconds": {}, "seconds": {},
     }
-    for cell in SCAN_CELLS:
-        substrate, partitioner = cell.split("/")
-        scan = make_local_compute(
-            network, scan_substrate=substrate, partitioner=partitioner,
-            partition_parts=PARTS,
-        )
+    for substrate in SCAN_SUBSTRATES:
+        scan = make_local_compute(network, scan_substrate=substrate)
         started = time.perf_counter()
         first = scan(sp, subspace, float("inf"))
-        row["cold_seconds"][cell] = time.perf_counter() - started
-        if reference is None:  # SCAN_CELLS leads with sorted/none
+        row["cold_seconds"][substrate] = time.perf_counter() - started
+        if reference is None:  # SCAN_SUBSTRATES leads with sorted
             reference = first
             row["result_size"] = len(first.result)
         elif not _computations_identical(reference, first):  # pragma: no cover - tripwire
-            raise AssertionError(f"{cell} diverged on {(dist, d, n, subspace)}")
+            raise AssertionError(f"{substrate} diverged on {(dist, d, n, subspace)}")
         best = float("inf")
         for _ in range(repeats):
             started = time.perf_counter()
             scan(sp, subspace, float("inf"))
             best = min(best, time.perf_counter() - started)
-        row["seconds"][cell] = best
+        row["seconds"][substrate] = best
     row["fastest"] = min(row["seconds"], key=row["seconds"].get)
     return row
 
@@ -100,15 +94,14 @@ def profile_store(dist: str, d: int, n: int, subspace: tuple, repeats: int) -> d
 def run_profile(repeats: int = 5, quick: bool = False) -> dict:
     matrix = QUICK_MATRIX if quick else FULL_MATRIX
     rows = [profile_store(*entry, repeats) for entry in matrix]
-    wins = {cell: 0 for cell in SCAN_CELLS}
+    wins = {substrate: 0 for substrate in SCAN_SUBSTRATES}
     for row in rows:
         wins[row["fastest"]] += 1
     return {
-        "schema": "repro-profile-scans/1",
+        "schema": "repro-profile-scans/2",
         "cpu_count": os.cpu_count(),
         "repeats": repeats,
-        "parts": PARTS,
-        "cells": list(SCAN_CELLS),
+        "substrates": list(SCAN_SUBSTRATES),
         "stores": rows,
         "wins": wins,
     }

@@ -41,21 +41,13 @@ workload must actually exercise coalescing).  ``skypeer bench
 :func:`bench_serving`.  Latency percentiles are hardware-dependent and
 informational, like every wall-clock here.
 
-Schema 5 adds ``"kernels"``: the scan-cell matrix.  The *headline*
-is one full-space Algorithm-1 scan over a fixed anti-correlated
-5-dimensional store, run serially, split in-process by each
-partitioner (:mod:`repro.parallel.partition`) and fanned over a
-4-worker engine (:meth:`~repro.parallel.ParallelEngine.
-run_partitioned_scan`), with per-partitioner wall-clocks, comparison
-counts, slice-size skew and one verdict ``check_regression.py`` gates:
-``identical`` (every cell's result byte-identical to the serial scan).
-The serial / in-process / pooled walls and their ratios are
-informational — partitioning has not beaten the serial scan on any
-host measured so far (docs/PERFORMANCE.md).  The *crossover* matrix
-runs the five scan cells (:data:`repro.parallel.partition.SCAN_CELLS`)
-over small stores across dimensionalities and distributions, reporting
-deterministic comparisons-per-point so the crossover is diffable
-across revisions.
+Schema 5 adds ``"kernels"``: the scan-substrate matrix.  The
+*crossover* runs the three whole-store substrates
+(:data:`repro.core.substrates.SCAN_SUBSTRATES`) over small stores
+across dimensionalities and distributions, reporting deterministic
+comparisons-per-point so the crossover is diffable across revisions,
+and one verdict ``check_regression.py`` gates: ``identical`` (every
+substrate's result byte-identical to the sorted scan).
 
 Schema 6 adds two things.  ``"kernels.salsa"``: the sort-based-
 filtering section — the crossover datasets re-queried on the
@@ -114,6 +106,11 @@ beside the engine's, neither mirrored into the other.
 
 Schema 10 removes schema 3's other section, a comparison of two socket
 initiator merges: there is one now, the buffered Algorithm 2.
+
+Schema 11 removes ``kernels.headline`` (one 20 000-point scan split
+into slices in-process and over a pool) and the crossover's two slice
+columns: a scan is never split any more, and ``comparisons_per_point``
+is keyed by substrate name.
 """
 
 from __future__ import annotations
@@ -131,7 +128,7 @@ from .harness import VariantStats, build_network, make_queries, run_queries
 
 __all__ = ["SMOKE_SCHEMA", "bench_churn", "bench_serving", "bench_smoke", "write_bench_smoke"]
 
-SMOKE_SCHEMA = "repro-bench-smoke/10"
+SMOKE_SCHEMA = "repro-bench-smoke/11"
 
 #: VariantStats fields that do not depend on wall-clock measurement —
 #: these must match exactly between serial and parallel runs.
@@ -439,135 +436,28 @@ def _bench_salsa(
 
 def _bench_kernels(
     *,
-    primary: str,
-    headline_n: int = 20000,
-    headline_d: int = 5,
-    headline_workers: int = 4,
-    repeats: int = 3,
     crossover_n: int = 1200,
     crossover_dims: Sequence[int] = (3, 5, 7),
     crossover_distributions: Sequence[str] = (
         "uniform", "correlated", "anticorrelated",
     ),
 ) -> dict[str, Any]:
-    """Scan-cell matrix: the five surviving cells, identity-gated.
+    """Scan-substrate matrix: the three whole-store scans, identity-gated.
 
-    The headline is deliberately a *fixed* dataset (anti-correlated,
-    ``headline_d`` dimensions, ``headline_n`` points, full-space query)
-    rather than a scaled one: a scale-shrunk store would measure pool
-    overhead instead of the scan.  In-process wall-clocks are
-    best-of-``repeats``; the pooled wall is the *cold* first run
-    (repeats replay the shared block cache, so their wall measures
-    replay latency, reported separately as ``pool_warm_wall_seconds``).
-    Every wall and ratio here is informational; only ``identical``
-    gates.
+    The *crossover* runs every substrate of
+    :data:`~repro.core.substrates.SCAN_SUBSTRATES`, picked the way a
+    query picks it, over small full-space stores across dimensionalities
+    and distributions, reporting deterministic comparisons-per-point;
+    ``identical`` gates every substrate against the sorted scan.
     """
     import numpy as np
 
     from ..core.dataset import PointSet
     from ..core.local_skyline import local_subspace_skyline
     from ..core.store import SortedByF
+    from ..core.substrates import SCAN_SUBSTRATES
     from ..data.generators import make_generator
-    from ..parallel.partition import (
-        SCAN_CELLS,
-        partition_positions,
-        partition_skew,
-        partitioned_subspace_skyline,
-    )
     from ..skypeer.executor import make_local_compute
-
-    rng = np.random.default_rng(20070415)
-    points = PointSet(
-        make_generator("anticorrelated")(headline_n, headline_d, rng)
-    )
-    store = SortedByF.from_points(points)
-    subspace = tuple(range(headline_d))
-
-    serial_wall = float("inf")
-    serial = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        serial = local_subspace_skyline(store, subspace)
-        serial_wall = min(serial_wall, time.perf_counter() - started)
-
-    network, sp = _single_store_network(points, store)
-    proj, _dists = store.projection(subspace)
-    partitioners: dict[str, dict[str, Any]] = {}
-    identical = True
-    with ParallelEngine(headline_workers, mp_start=primary) as engine:
-        for partitioner in ("range", "angular"):
-            inproc_wall = float("inf")
-            scan = None
-            for _ in range(repeats):
-                started = time.perf_counter()
-                scan = partitioned_subspace_skyline(
-                    store, subspace,
-                    partitioner=partitioner, parts=headline_workers,
-                )
-                inproc_wall = min(inproc_wall, time.perf_counter() - started)
-            # First pooled run scans cold; repeats replay the pscan
-            # block cache, so their wall measures replay latency, not
-            # the scan; it rides along beside the honest cold wall.
-            started = time.perf_counter()
-            pooled = engine.run_partitioned_scan(
-                network, sp, subspace,
-                partitioner=partitioner, parts=headline_workers,
-            )
-            pool_wall = time.perf_counter() - started
-            pool_warm_wall = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                pooled = engine.run_partitioned_scan(
-                    network, sp, subspace,
-                    partitioner=partitioner, parts=headline_workers,
-                )
-                pool_warm_wall = min(pool_warm_wall, time.perf_counter() - started)
-            kernel_identical = _computations_identical(
-                serial, scan
-            ) and _computations_identical(serial, pooled)
-            identical = identical and kernel_identical
-            slices = partition_positions(partitioner, proj, headline_workers)
-            partitioners[partitioner] = {
-                "inprocess_wall_seconds": inproc_wall,
-                "inprocess_speedup": serial_wall / inproc_wall if inproc_wall else None,
-                "pool_wall_seconds": pool_wall,
-                "pool_speedup": serial_wall / pool_wall if pool_wall else None,
-                "pool_warm_wall_seconds": pool_warm_wall,
-                "comparisons": scan.comparisons,
-                "comparison_ratio": (
-                    serial.comparisons / scan.comparisons if scan.comparisons else None
-                ),
-                "skew": partition_skew(slices),
-                "identical": kernel_identical,
-            }
-        engine_stats = engine.stats.as_dict()
-
-    best_partitioner, best_speedup = max(
-        (
-            (name, max(entry["inprocess_speedup"], entry["pool_speedup"]))
-            for name, entry in partitioners.items()
-        ),
-        key=lambda item: item[1],
-    )
-    headline = {
-        "dataset": {
-            "distribution": "anticorrelated",
-            "n": headline_n,
-            "d": headline_d,
-            "subspace": list(subspace),
-        },
-        "workers": headline_workers,
-        "repeats": repeats,
-        "serial_wall_seconds": serial_wall,
-        "serial_comparisons": serial.comparisons,
-        "serial_result_size": len(serial.result),
-        "partitioners": partitioners,
-        "best_partitioner": best_partitioner,
-        "best_speedup": best_speedup,
-        "intra_query_scans": engine_stats["intra_query_scans"],
-        "intra_query_subtasks": engine_stats["intra_query_subtasks"],
-        "identical": identical,
-    }
 
     crossover: list[dict[str, Any]] = []
     crossover_identical = True
@@ -585,17 +475,15 @@ def _bench_kernels(
             cell_network, cell_sp = _single_store_network(cell_points, cell_store)
             cells: dict[str, float] = {}
             cell_identical = True
-            for cell in SCAN_CELLS:
-                substrate, partitioner = cell.split("/")
+            for substrate in SCAN_SUBSTRATES:
                 # Picked the way a query picks it, not re-dispatched here.
-                scan = make_local_compute(
-                    cell_network, scan_substrate=substrate,
-                    partitioner=partitioner, partition_parts=4,
-                )(cell_sp, cell_subspace, float("inf"))
+                scan = make_local_compute(cell_network, scan_substrate=substrate)(
+                    cell_sp, cell_subspace, float("inf")
+                )
                 cell_identical = cell_identical and _computations_identical(
                     reference, scan
                 )
-                cells[cell] = scan.comparisons / crossover_n
+                cells[substrate] = scan.comparisons / crossover_n
             crossover_identical = crossover_identical and cell_identical
             crossover.append(
                 {
@@ -611,10 +499,9 @@ def _bench_kernels(
     salsa = _bench_salsa(crossover_n, crossover_dims, crossover_distributions)
 
     return {
-        "headline": headline,
         "crossover": crossover,
         "salsa": salsa,
-        "identical": identical and crossover_identical and salsa["identical"],
+        "identical": crossover_identical and salsa["identical"],
     }
 
 
@@ -980,7 +867,7 @@ def bench_smoke(
     )
     serving["dimensionality"] = serving_dim
 
-    kernels = _bench_kernels(primary=primary)
+    kernels = _bench_kernels()
 
     incremental = _bench_incremental(n_workers, primary=primary)
 

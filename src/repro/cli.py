@@ -28,9 +28,9 @@ from typing import Sequence
 
 from . import bench
 from .bench.config import SCALES
+from .core.substrates import SCAN_SUBSTRATES
 from .data.workload import Query
 from .p2p.network import SuperPeerNetwork
-from .parallel import resolve_scan_cell
 from .skypeer.executor import execute_query
 from .skypeer.variants import Variant
 
@@ -61,16 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "Algorithm-1 scan substrate: 'sorted' (the paper's f-ascending "
         "list scan, default), 'bbs' (branch-and-bound over the R-tree) "
         "or 'salsa' (sort-based filtering with stop-point early "
-        "termination); also REPRO_SCAN_SUBSTRATE"
-    )
-    partition_help = (
-        "intra-query partitioner of the sorted scan: 'none' (default), "
-        "'range' or 'angular' (not with --substrate bbs/salsa); also "
-        "REPRO_PARTITION"
-    )
-    partition_parts_help = (
-        "slices per partitioned scan (default: worker count, or 4; "
-        "also REPRO_PARTITION_PARTS)"
+        "termination)"
     )
 
     fig = sub.add_parser("figure", help="run one paper experiment")
@@ -106,10 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="requests offered by --serve (default 96)")
     be.add_argument("--rate", type=float, default=400.0,
                     help="open-loop arrival rate in req/s for --serve")
-    be.add_argument("--substrate", default=None, help=substrate_help)
-    be.add_argument("--partition", default=None, help=partition_help)
-    be.add_argument("--partition-parts", type=int, default=None,
-                    help=partition_parts_help)
     be.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                     help="write the report to PATH (default: stdout only)")
 
@@ -175,10 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=transport_help)
     q.add_argument("--transport-mode", choices=("task", "process"), default=None,
                    help=transport_mode_help)
-    q.add_argument("--substrate", default=None, help=substrate_help)
-    q.add_argument("--partition", default=None, help=partition_help)
-    q.add_argument("--partition-parts", type=int, default=None,
-                   help=partition_parts_help)
+    q.add_argument("--substrate", choices=SCAN_SUBSTRATES, default=None,
+                   help=substrate_help)
     q.add_argument("--explain", action="store_true",
                    help="print a per-super-peer execution breakdown "
                         "(sim transport only)")
@@ -255,38 +240,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 @contextmanager
-def _scan_kernel_env(args: argparse.Namespace):
-    """Scope ``--substrate``/``--partition``/``--partition-parts`` as env vars."""
-    import os
-
-    from .core.substrates import SUBSTRATE_ENV
-    from .parallel import PARTITION_ENV, PARTITION_PARTS_ENV
-
-    overrides = {
-        SUBSTRATE_ENV: getattr(args, "substrate", None),
-        PARTITION_ENV: getattr(args, "partition", None),
-        PARTITION_PARTS_ENV: (
-            str(args.partition_parts)
-            if getattr(args, "partition_parts", None) is not None
-            else None
-        ),
-    }
-    saved = {key: os.environ.get(key) for key, value in overrides.items() if value}
-    for key, value in overrides.items():
-        if value:
-            os.environ[key] = value
-    try:
-        resolve_scan_cell()  # flags and ambient env together, before any work
-        yield
-    finally:
-        for key, previous in saved.items():
-            if previous is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = previous
-
-
-@contextmanager
 def _ambient_workers(workers: int | None):
     """Scope the CLI ``--workers`` value as the ambient pool size.
 
@@ -318,23 +271,18 @@ def _run_bench(args: argparse.Namespace) -> int:
     if not args.smoke and not args.serve and not args.churn:
         print("nothing to do: pass --smoke, --serve and/or --churn", file=sys.stderr)
         return 2
-    # Scan-kernel knobs travel as env vars: the bench mixes serial
-    # reference runs, in-process scans and engine workers, and the env
-    # is the one channel all of them resolve (the engine resolves it in
-    # the parent and ships the resolved values to its workers).
-    with _scan_kernel_env(args):
-        if args.churn and not args.smoke and not args.serve:
-            report = bench_churn(scale=args.scale, workers=args.workers)
-        elif args.serve and not args.smoke:
-            report = bench_serving(
-                scale=args.scale,
-                workers=args.workers,
-                concurrency=args.concurrency,
-                requests=args.requests,
-                rate=args.rate,
-            )
-        else:
-            report = bench_smoke(scale=args.scale, workers=args.workers)
+    if args.churn and not args.smoke and not args.serve:
+        report = bench_churn(scale=args.scale, workers=args.workers)
+    elif args.serve and not args.smoke:
+        report = bench_serving(
+            scale=args.scale,
+            workers=args.workers,
+            concurrency=args.concurrency,
+            requests=args.requests,
+            rate=args.rate,
+        )
+    else:
+        report = bench_smoke(scale=args.scale, workers=args.workers)
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.json_path:
         write_bench_smoke(args.json_path, report)
@@ -518,7 +466,6 @@ def _run_single_query(args: argparse.Namespace) -> int:
     subspace = tuple(int(x) for x in args.subspace.split(","))
     variant = Variant.parse(args.variant)
     transport = _resolve_transport(args)
-    resolve_scan_cell(args.substrate, args.partition)  # before the network is built
     print(
         f"building network: {args.peers} peers x {args.points_per_peer} points, "
         f"d={args.dims}, dataset={args.dataset}"
@@ -538,12 +485,7 @@ def _run_single_query(args: argparse.Namespace) -> int:
     query = Query(subspace=subspace, initiator=network.topology.superpeer_ids[0])
     if transport == "socket":
         return _run_socket_cli_query(args, network, query, variant)
-    execution = execute_query(
-        network, query, variant,
-        scan_substrate=args.substrate,
-        partitioner=args.partition,
-        partition_parts=args.partition_parts,
-    )
+    execution = execute_query(network, query, variant, scan_substrate=args.substrate)
     if args.json:
         from .skypeer.inspection import execution_report_json
 

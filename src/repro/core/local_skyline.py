@@ -233,7 +233,6 @@ def _chunked_scan(
     strict: bool,
     key_is_scanned_min: bool = False,
     chunk: int = _SCAN_CHUNK,
-    base: int = 0,
 ) -> tuple[int, float]:
     """Vectorized variant of the scan, identical semantics.
 
@@ -245,11 +244,6 @@ def _chunked_scan(
     the threshold known at batch start; points a tighter mid-batch
     threshold would have pruned are merely examined and discarded, so
     exactness is unaffected (they are dominated by the threshold point).
-
-    ``base`` offsets the positions handed to the index without moving
-    the local ``proj``/``f``/``dists`` arrays — the incremental merge
-    (:class:`repro.core.merging.IncrementalMerger`) feeds one run at a
-    time into a shared index and needs run-global candidate positions.
 
     ``key_is_scanned_min=True`` asserts that ``f`` — the key the rows
     ascend in — is the minimum over the scanned columns: the stored
@@ -290,11 +284,7 @@ def _chunked_scan(
                 can_evict = not key_is_scanned_min or (
                     not strict and float(f[positions[0]]) <= last_inserted_f
                 )
-                index.bulk_insert(
-                    base + positions if base else positions,
-                    chunk_rows[winners],
-                    can_evict=can_evict,
-                )
+                index.bulk_insert(positions, chunk_rows[winners], can_evict=can_evict)
                 last_inserted_f = float(f[positions[-1]])
                 batch_min = float(dists[positions].min())
                 if batch_min < threshold:

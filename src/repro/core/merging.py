@@ -19,20 +19,6 @@ With ``strict=True`` the same routine merges ext-skylines.  The
 super-peer store is not built that way (see
 :func:`repro.core.extended_skyline.merge_ext_skylines`); the strict merge
 is the reference the tests compare it against.
-
-Two entry points share the semantics:
-
-* :func:`merge_sorted_skylines` — the buffered form: all lists are in
-  hand, merge once.
-* :class:`IncrementalMerger` — the incremental form: runs arrive one at
-  a time (the slices of a partitioned scan) and each is
-  dominance-filtered into the running skyline on arrival.  Feeding
-  runs incrementally is exact because a threshold-pruned Algorithm 1/2
-  scan returns the *exact* skyline of its input (a survivor past the
-  final threshold would be dominated by the threshold point), and
-  skylines compose: ``sky(sky(A ∪ B) ∪ C) = sky(A ∪ B ∪ C)``.  Only
-  the relative order of exact ``f`` ties can differ from the buffered
-  merge; the result *set* is identical.
 """
 
 from __future__ import annotations
@@ -45,12 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PointSet
-from .indexes import BlockDominanceIndex, make_index
+from .indexes import make_index
 from .local_skyline import SkylineComputation, _chunked_scan, resolve_scan_chunk
-from .mapping import dist_values
 from .store import SortedByF
 
-__all__ = ["IncrementalMerger", "merge_sorted_skylines"]
+__all__ = ["merge_sorted_skylines"]
 
 
 def merge_sorted_skylines(
@@ -148,128 +133,3 @@ def merge_sorted_skylines(
         duration=time.perf_counter() - started,
         input_size=total_input,
     )
-
-
-class IncrementalMerger:
-    """Algorithm 2, one run at a time (the streaming half of the merge).
-
-    Feed each f-sorted run as it becomes available; every feed
-    dominance-filters the run against the skyline accumulated so far
-    (and lets the run evict previously kept candidates), then lowers
-    the threshold.  :meth:`result` finalizes: survivors come back
-    f-sorted, so the outcome composes with further merges exactly like
-    the buffered form's.
-
-    Exactness: each fed run is dominance-filtered at ``f <= t`` against
-    the running candidate block, which maintains ``candidates ==
-    skyline(runs so far)`` (see the module docstring); the final
-    candidate set therefore equals the buffered merge's result set,
-    with at most the relative order of exact ``f`` ties differing.
-
-    The running index is the vectorized block index; the buffered
-    entry point remains the place for alternative index kinds.
-    """
-
-    def __init__(
-        self,
-        subspace: Sequence[int],
-        dimensionality: int | None = None,
-        initial_threshold: float = math.inf,
-        strict: bool = False,
-        scan_chunk: int | None = None,
-    ):
-        self._cols = list(subspace)
-        self._dimensionality = dimensionality
-        self._strict = strict
-        self._chunk = resolve_scan_chunk(scan_chunk)
-        self._index = BlockDominanceIndex(len(self._cols), strict=strict)
-        self.threshold = float(initial_threshold)
-        self._runs: list[SortedByF] = []
-        self._run_labels: list[int] = []  # internal run index -> feed number
-        self._origins: list[tuple[int, int]] = []  # global position -> (run, row)
-        self._base = 0
-        self.examined = 0
-        self.input_size = 0
-        self.runs_fed = 0
-        self.runs_pruned = 0
-        self.compute_seconds = 0.0
-
-    @property
-    def comparisons(self) -> int:
-        return self._index.comparisons
-
-    def feed(self, run: SortedByF) -> int:
-        """Merge one f-sorted run into the running skyline.
-
-        Returns the number of points of the run that were examined
-        (zero when the whole run lies beyond the current threshold —
-        the whole-run pruning fast path).
-        """
-        started = time.perf_counter()
-        self.runs_fed += 1
-        if self._dimensionality is None and len(run):
-            self._dimensionality = run.dimensionality
-        n = len(run)
-        self.input_size += n
-        if n == 0 or float(run.f[0]) > self.threshold:
-            # Runs are f-sorted, so a head past the threshold means no
-            # element of the run can enter the skyline (Observation 5).
-            self.runs_pruned += n and 1
-            self.compute_seconds += time.perf_counter() - started
-            return 0
-        run_index = len(self._runs)
-        self._runs.append(run)
-        self._run_labels.append(self.runs_fed - 1)
-        proj = run.points.values[:, self._cols]
-        dists = dist_values(run.points.values, self._cols)
-        # Never claim the SFS fast path: fed runs are slices of a store
-        # in full-space f order, and later runs restart at low f anyway,
-        # so the eviction scan must always run.
-        examined, self.threshold = _chunked_scan(
-            self._index, proj, run.f, dists, self.threshold, self._strict,
-            key_is_scanned_min=False, chunk=self._chunk, base=self._base,
-        )
-        self.examined += examined
-        self._origins.extend((run_index, row) for row in range(n))
-        self._base += n
-        self.compute_seconds += time.perf_counter() - started
-        return examined
-
-    def survivor_origins(self) -> list[tuple[int, int]]:
-        """``(feed number, row within that run)`` for every survivor.
-
-        The feed number counts :meth:`feed` calls from zero *including*
-        whole-run-pruned feeds (which contribute no survivors), so a
-        caller that fed one run per shard can map survivors straight
-        back to its shards.  The partitioned scan uses this to recover
-        global store positions without re-matching point ids.
-        """
-        return [
-            (self._run_labels[ri], row)
-            for ri, row in (self._origins[s] for s in self._index.positions())
-        ]
-
-    def result(self) -> SkylineComputation:
-        """Finalize: the merged skyline, f-sorted, with its work stats."""
-        started = time.perf_counter()
-        survivors = self._index.positions()
-        rows = [self._origins[s] for s in survivors]
-        if rows:
-            values = np.vstack([self._runs[ri].points.values[pos] for ri, pos in rows])
-            ids = np.array(
-                [self._runs[ri].points.ids[pos] for ri, pos in rows], dtype=np.int64
-            )
-            f = np.array([float(self._runs[ri].f[pos]) for ri, pos in rows])
-            order = np.argsort(f, kind="stable")
-            result = SortedByF(points=PointSet(values[order], ids[order]), f=f[order])
-        else:
-            result = SortedByF.empty(self._dimensionality or len(self._cols))
-        self.compute_seconds += time.perf_counter() - started
-        return SkylineComputation(
-            result=result,
-            threshold=self.threshold,
-            examined=self.examined,
-            comparisons=self.comparisons,
-            duration=self.compute_seconds,
-            input_size=self.input_size,
-        )

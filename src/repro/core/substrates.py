@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
 from typing import Sequence
 
@@ -66,25 +65,23 @@ from .store import SortedByF
 
 __all__ = [
     "SCAN_SUBSTRATES",
-    "SUBSTRATE_ENV",
     "bbs_subspace_skyline",
     "resolve_scan_substrate",
     "salsa_subspace_skyline",
     "subspace_skyline",
 ]
 
-#: ``REPRO_SCAN_SUBSTRATE`` selects the scan execution globally
-#: (``sorted``, ``bbs`` or ``salsa``); explicit arguments win over the
-#: env var.
-SUBSTRATE_ENV = "REPRO_SCAN_SUBSTRATE"
-
 SCAN_SUBSTRATES = ("sorted", "bbs", "salsa")
 
 
 def resolve_scan_substrate(substrate: str | None = None) -> str:
-    """The effective scan substrate: argument, env var or ``sorted``."""
+    """The scan substrate named by ``substrate``, ``sorted`` when ``None``.
+
+    Only an explicit argument picks ``bbs`` or ``salsa``; no environment
+    variable is read.
+    """
     if substrate is None:
-        substrate = os.environ.get(SUBSTRATE_ENV) or "sorted"
+        substrate = "sorted"
     if substrate not in SCAN_SUBSTRATES:
         raise ValueError(
             f"unknown scan substrate {substrate!r}; expected one of {SCAN_SUBSTRATES}"

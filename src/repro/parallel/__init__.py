@@ -16,12 +16,10 @@ task order, so parallel runs produce results, work counts and metric
 totals identical to serial ones (wall-clock fields aside).  See
 ``docs/PERFORMANCE.md``.
 
-A third workload splits *one* heavy Algorithm-1 scan into disjoint
-slices of a single store (:mod:`repro.parallel.partition`): the
-partitioner (``range``/``angular``) decides the split, each
-slice is scanned independently — in-process or fanned over the same
-pool via :meth:`ParallelEngine.run_partitioned_scan` — and the
-per-slice skylines merge back byte-identically to the serial scan.
+The unit of fan-out is a whole query: each super-peer's Algorithm-1
+scan runs whole, inside the worker that executes its query, as SKYPEER
+runs it — the parallelism is across super-peers and queries, never
+inside one store's scan.
 """
 
 from .engine import (
@@ -37,47 +35,21 @@ from .engine import (
     shutdown_engines,
     start_method,
 )
-from .partition import (
-    PARTITION_ENV,
-    PARTITION_PARTS_ENV,
-    PARTITIONERS,
-    SCAN_CELLS,
-    merge_partition_scans,
-    partition_positions,
-    partition_skew,
-    partitioned_subspace_skyline,
-    resolve_partition_parts,
-    resolve_partitioner,
-    resolve_scan_cell,
-    scan_partition,
-)
 from .shm import AttachedNetwork, SharedNetwork, attach_network, publish_network
 
 __all__ = [
     "AttachedNetwork",
     "EngineStats",
-    "PARTITIONERS",
-    "PARTITION_ENV",
-    "PARTITION_PARTS_ENV",
     "ParallelEngine",
-    "SCAN_CELLS",
     "SharedNetwork",
     "UpdateReport",
     "attach_network",
     "default_workers",
     "get_engine",
-    "merge_partition_scans",
-    "partition_positions",
-    "partition_skew",
-    "partitioned_subspace_skyline",
     "preprocess_network_parallel",
     "publish_network",
-    "resolve_partition_parts",
-    "resolve_partitioner",
-    "resolve_scan_cell",
     "resolve_workers",
     "run_queries_parallel",
-    "scan_partition",
     "set_default_workers",
     "shutdown_engines",
     "start_method",

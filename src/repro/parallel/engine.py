@@ -10,8 +10,10 @@ and reused: workers stay warm across calls and whole bench sweeps, and
 each network is *published* once, into a segment of the shared-memory
 data plane (:mod:`repro.parallel.shm`) that workers attach zero-copy.
 It is the only way data reaches a worker, and it is byte-faithful: the
-worker sees the parent's stores verbatim, so intra-query partition
-slices computed on either side agree.
+worker sees the parent's stores verbatim, so a scan run on either side
+agrees.  A worker scans each store whole with
+:func:`~repro.skypeer.executor.make_local_compute`'s default scan — the
+engine has no scan selector of its own.
 
 *Batching and subspace affinity.*  Tasks are submitted as chunks, not
 one IPC round-trip per (query, variant) pair.  Chunks are formed by
@@ -77,12 +79,10 @@ if TYPE_CHECKING:  # imports deferred at runtime to keep workers lean
 
 __all__ = [
     "EngineStats",
-    "PIN_ENV",
     "ParallelEngine",
     "UpdateReport",
     "default_workers",
     "get_engine",
-    "pin_cpus_enabled",
     "preprocess_network_parallel",
     "resolve_workers",
     "run_queries_parallel",
@@ -90,16 +90,6 @@ __all__ = [
     "shutdown_engines",
     "start_method",
 ]
-
-#: ``REPRO_PIN_CPUS=1`` pins each pool worker to one CPU via
-#: ``os.sched_setaffinity`` (round-robin over the parent's affinity
-#: mask); default off, and a silent no-op on platforms without it.
-PIN_ENV = "REPRO_PIN_CPUS"
-
-
-def pin_cpus_enabled() -> bool:
-    return os.environ.get(PIN_ENV, "").strip().lower() in ("1", "on", "yes", "true")
-
 
 #: Ambient worker count (CLI ``--workers`` / ``REPRO_WORKERS``) applied
 #: when the bench harness is called without an explicit value.
@@ -180,28 +170,20 @@ def _noop() -> None:
 _PARENT_POLL_SECONDS = 0.25
 
 
-def _worker_init(parent_pid: int | None, counter: Any) -> None:
-    """Pool initializer: end with the parent; pin to one CPU if asked.
+def _worker_init(parent_pid: int | None) -> None:
+    """Pool initializer: end with the parent.
 
     A SIGKILLed parent runs no shutdown, and its workers would idle on
     the pool queue for good.  Each worker therefore watches its parent
     pid from a daemon thread and exits once it is reparented.  (Not
     ``PR_SET_PDEATHSIG``: that signal fires when the *thread* that forked
     the worker ends, and a pool may fork from a short-lived thread.)
-    ``counter`` is ``None`` unless the workers pin themselves: then each
-    claims an ordinal from it.  ``parent_pid=None`` watches the parent
-    the worker finds at start.
+    ``parent_pid=None`` watches the parent the worker finds at start.
     """
     parent = os.getppid() if parent_pid is None else parent_pid
     threading.Thread(
         target=_exit_when_orphaned, args=(parent,), name="parent-watch", daemon=True
     ).start()
-    if counter is None:
-        return
-    with counter.get_lock():
-        ordinal = counter.value
-        counter.value += 1
-    _apply_pinning(ordinal)
 
 
 def _exit_when_orphaned(parent_pid: int) -> None:
@@ -209,26 +191,6 @@ def _exit_when_orphaned(parent_pid: int) -> None:
     while os.getppid() == parent_pid:
         time.sleep(_PARENT_POLL_SECONDS)
     os._exit(0)
-
-
-def _apply_pinning(ordinal: int) -> int | None:
-    """Pin the current process to one CPU; returns it (None = no-op).
-
-    Round-robins over the inherited affinity mask so co-scheduled
-    engines interleave rather than pile onto CPU 0.  Platforms without
-    ``sched_setaffinity`` (macOS, Windows) fall through silently.
-    """
-    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
-        return None
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-        if not cpus:  # pragma: no cover - defensive
-            return None
-        cpu = cpus[ordinal % len(cpus)]
-        os.sched_setaffinity(0, {cpu})
-    except OSError:  # pragma: no cover - containers may forbid it
-        return None
-    return cpu
 
 
 def _materialize(spec: dict[str, Any]) -> tuple[AttachedNetwork, dict[str, Any] | None]:
@@ -260,26 +222,16 @@ def _materialize(spec: dict[str, Any]) -> tuple[AttachedNetwork, dict[str, Any] 
     return attached, {"mode": "shm", "seconds": seconds}
 
 
-def _cached_local_compute(
-    network: Any,
-    cache: Any,
-    scan_chunk: int,
-    substrate: str,
-    partitioner: str,
-    parts: int,
-):
+def _cached_local_compute(network: Any, cache: Any, scan_chunk: int):
     """Algorithm 1 with a block-cache probe in front of every scan.
 
-    The scan itself is whatever
-    :func:`~repro.skypeer.executor.make_local_compute` picks for the
-    (already resolved) knobs.  Hits *replay* the cached scan — result
+    The scan itself is :func:`~repro.skypeer.executor.make_local_compute`'s
+    default.  Hits *replay* the cached scan — result
     rebuilt from store positions (byte-identical, the store arrays are
     shared), work counters restored verbatim — so serial-vs-parallel
     determinism holds even when the scan never runs.  The key carries
     everything the counters depend on (store, subspace, threshold bits,
-    index kind, chunk, scan substrate, partitioner and slice count —
-    ``examined``/``comparisons`` differ per substrate even though the
-    result set does not); FT-variant siblings share thresholds, so their
+    index kind and chunk); FT-variant siblings share thresholds, so their
     scans hit across variants.  Payload views are copied before
     validation and a failed validation falls through to the real scan.
     """
@@ -289,10 +241,7 @@ def _cached_local_compute(
     from ..skypeer.executor import make_local_compute
 
     index_kind = network.index_kind
-    compute = make_local_compute(
-        network, index_kind=index_kind, scan_chunk=scan_chunk,
-        scan_substrate=substrate, partitioner=partitioner, partition_parts=parts,
-    )
+    compute = make_local_compute(network, index_kind=index_kind, scan_chunk=scan_chunk)
 
     def local_compute(sp: int, subspace: Any, threshold: float) -> SkylineComputation:
         cols = tuple(int(c) for c in subspace)
@@ -302,8 +251,7 @@ def _cached_local_compute(
         # cached scans keep hitting across the epoch bump.
         generation = network.store_generations.get(sp, 0)
         scan_key = make_key(
-            "scan", sp, generation, cols, float(threshold), index_kind, scan_chunk,
-            substrate, partitioner, parts,
+            "scan", sp, generation, cols, float(threshold), index_kind, scan_chunk
         )
         hit = cache.get(scan_key)
         if hit is not None:
@@ -343,16 +291,8 @@ def _run_query_batch(
     tasks: Sequence[tuple[int, "Query", str]],
     collect_metrics: bool,
     scan_chunk: int | None,
-    substrate: str,
-    partitioner: str,
-    parts: int,
 ) -> dict[str, Any]:
-    """Execute one chunk of (index, query, variant) tasks.
-
-    ``substrate``/``partitioner``/``parts`` arrive resolved by the
-    parent (argument over env), so worker processes never consult their
-    own environment and a spawn-started pool behaves like a forked one.
-    """
+    """Execute one chunk of (index, query, variant) tasks."""
     from ..obs.metrics import MetricsRegistry
     from ..obs.runtime import install, uninstall
     from ..skypeer.executor import execute_query
@@ -366,9 +306,7 @@ def _run_query_batch(
     # Resolved once per batch: the scans and merges below then never
     # consult the environment again.
     scan_chunk = resolve_scan_chunk(scan_chunk)
-    local_compute = _cached_local_compute(
-        network, cache, scan_chunk, substrate, partitioner, parts
-    )
+    local_compute = _cached_local_compute(network, cache, scan_chunk)
     runs: list[tuple[int, "QueryExecution"]] = []
     registry = MetricsRegistry() if collect_metrics else None
     if registry is not None:
@@ -477,72 +415,6 @@ def _upload_from_rows(
     return peer_id, len(data), scan
 
 
-def _run_partition_batch(
-    spec: dict[str, Any],
-    sp: int,
-    cols: tuple,
-    threshold: float,
-    strict: bool,
-    partitioner: str,
-    parts: int,
-    scan_chunk: int | None,
-    part_indices: Sequence[int],
-) -> dict[str, Any]:
-    """Scan a chunk of partition slices for one intra-query fan-out.
-
-    Workers recompute the split locally (quantile cuts are
-    deterministic, so every worker and the parent agree on the slices)
-    instead of shipping position arrays over IPC.  Each slice scan sits
-    behind a ``"pscan"`` block-cache probe, so a repeated partitioned
-    query replays without scanning; only the survivor positions and
-    work counters travel back — the parent rebuilds results from its
-    own store.
-    """
-    import numpy as np
-
-    from .partition import partition_positions, scan_partition
-
-    attached, attach = _materialize(spec)
-    network, cache = attached.network, attached.cache
-    started = time.perf_counter()
-    store = network.store_of(sp)
-    proj, _dists = store.projection(cols, rows=store.prefix(threshold))
-    slices = partition_positions(partitioner, proj, parts)
-    generation = network.store_generations.get(sp, 0)
-    scans: list[tuple[int, dict[str, Any]]] = []
-    for pi in part_indices:
-        key = make_key(
-            "pscan", sp, generation, cols, float(threshold), strict,
-            partitioner, parts, pi, scan_chunk,
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            meta, arrays, token = hit
-            positions = np.array(arrays["positions"], dtype=np.int64, copy=True)
-            if cache.still_valid(token):
-                scans.append((pi, {**meta, "positions": positions}))
-                continue
-            cache.stats.invalid += 1
-        computation = scan_partition(
-            store, cols, slices[pi],
-            initial_threshold=threshold, strict=strict, scan_chunk=scan_chunk,
-        )
-        meta = {
-            "threshold": computation.threshold,
-            "examined": computation.examined,
-            "comparisons": computation.comparisons,
-            "input_size": computation.input_size,
-        }
-        cache.put(key, meta, {"positions": computation.positions})
-        scans.append((pi, {**meta, "positions": computation.positions}))
-    return {
-        "scans": scans,
-        "attach": attach,
-        "compute_seconds": time.perf_counter() - started,
-        "cache": cache.stats.delta(),
-    }
-
-
 # ----------------------------------------------------------------------
 # parent-side engine
 # ----------------------------------------------------------------------
@@ -558,18 +430,10 @@ class EngineStats:
     ``attach_events`` records every worker-side attach (``"shm"``) or
     per-slot refresh (``"shm-delta"``) of a publication.  The
     ``cache_*`` fields aggregate the per-batch block-cache deltas the
-    workers ship back (:mod:`repro.parallel.shmcache`); ``cpu_pinning``
-    records whether the pool was started with per-worker CPU affinity.
+    workers ship back (:mod:`repro.parallel.shmcache`).
     What a :class:`~repro.serving.QueryGateway` in front of the engine
     counted (coalesce hits, shed requests, queue depth) is its own
     ``GatewayStats``; a query it dispatches is one of ``tasks`` here.
-
-    ``tasks`` counts *whole-query* executions only.  Intra-query
-    fan-outs (:meth:`ParallelEngine.run_partitioned_scan`) are counted
-    separately — ``intra_query_scans`` per partitioned scan and
-    ``intra_query_subtasks`` per slice — so slice subtasks never
-    inflate the per-task dispatch overhead or the query throughput
-    figures.
     """
 
     workers: int
@@ -579,8 +443,6 @@ class EngineStats:
     publications: int = 0
     batches: int = 0
     tasks: int = 0
-    intra_query_scans: int = 0
-    intra_query_subtasks: int = 0
     submit_seconds: float = 0.0
     worker_compute_seconds: float = 0.0
     attach_events: list[dict[str, Any]] = field(default_factory=list)
@@ -590,7 +452,6 @@ class EngineStats:
     cache_evictions: int = 0
     cache_oversize: int = 0
     cache_invalid: int = 0
-    cpu_pinning: bool = False
     updates_applied: int = 0
     incremental_republishes: int = 0
     full_republishes: int = 0
@@ -629,8 +490,6 @@ class EngineStats:
             "publications": self.publications,
             "batches": self.batches,
             "tasks": self.tasks,
-            "intra_query_scans": self.intra_query_scans,
-            "intra_query_subtasks": self.intra_query_subtasks,
             "submit_seconds": self.submit_seconds,
             "dispatch_overhead_per_task_seconds": self.dispatch_overhead_per_task(),
             "worker_compute_seconds": self.worker_compute_seconds,
@@ -643,7 +502,6 @@ class EngineStats:
             "cache_evictions": self.cache_evictions,
             "cache_oversize": self.cache_oversize,
             "cache_invalid": self.cache_invalid,
-            "cpu_pinning": self.cpu_pinning,
             "updates_applied": self.updates_applied,
             "incremental_republishes": self.incremental_republishes,
             "full_republishes": self.full_republishes,
@@ -822,21 +680,13 @@ class ParallelEngine:
         self._gate = _EpochGate()
         started = time.perf_counter()
         ctx = multiprocessing.get_context(self.start_method)
-        counter = None
-        if pin_cpus_enabled():
-            # Workers claim ordinals from a shared counter at startup
-            # and pin themselves round-robin over the parent's affinity
-            # mask; replacement workers keep incrementing the counter,
-            # which round-robin absorbs.
-            counter = ctx.Value("i", 0)
-            self.stats.cpu_pinning = True
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers, mp_context=ctx,
             # Under forkserver the workers' parent is the fork server
             # (which ends with this process); they watch whichever
             # parent they start under.
             initializer=_worker_init,
-            initargs=(None if self.start_method == "forkserver" else os.getpid(), counter),
+            initargs=(None if self.start_method == "forkserver" else os.getpid(),),
         )
         if warm:
             for future in [self._pool.submit(_noop) for _ in range(self.workers)]:
@@ -1068,9 +918,6 @@ class ParallelEngine:
         queries: Sequence["Query"],
         variants: Sequence["Variant"],
         scan_chunk: int | None = None,
-        scan_substrate: str | None = None,
-        partitioner: str | None = None,
-        partition_parts: int | None = None,
     ) -> dict["Variant", list["QueryExecution"]]:
         """Fan independent (query, variant) executions out in batches.
 
@@ -1079,13 +926,6 @@ class ParallelEngine:
         registry.  Results are placed by task index, so they are
         independent of chunking and scheduling.
 
-        ``scan_substrate``/``partitioner``/``partition_parts`` select
-        the local-scan kernel each worker runs (``None`` consults
-        ``REPRO_SCAN_SUBSTRATE``/``REPRO_PARTITION``/… *in the parent*,
-        so workers never read their own environment); a non-``none``
-        partitioner splits each scan in-process inside its worker —
-        whole queries stay the unit of fan-out here.
-
         Holds the read side of the epoch gate for the whole dispatch,
         so a concurrent :meth:`apply_update` waits for this fan-out to
         drain before retiring the segments it supersedes.
@@ -1093,10 +933,7 @@ class ParallelEngine:
         if self._closed:
             raise RuntimeError("engine is closed")
         with self._gate.read():
-            return self._run_queries_gated(
-                network, queries, variants, scan_chunk, scan_substrate,
-                partitioner, partition_parts,
-            )
+            return self._run_queries_gated(network, queries, variants, scan_chunk)
 
     def _run_queries_gated(
         self,
@@ -1104,24 +941,10 @@ class ParallelEngine:
         queries: Sequence["Query"],
         variants: Sequence["Variant"],
         scan_chunk: int | None,
-        scan_substrate: str | None,
-        partitioner: str | None,
-        partition_parts: int | None,
     ) -> dict["Variant", list["QueryExecution"]]:
         from ..obs.runtime import active_metrics
         from ..skypeer.variants import Variant
-        from .partition import resolve_partition_parts, resolve_scan_cell
 
-        substrate, part_kind = resolve_scan_cell(scan_substrate, partitioner)
-        # Whole-query scans resolve the slice count with the FIXED
-        # default (not the pool size): a serial execution of the same
-        # queries resolves the same knobs without a pool, and the two
-        # must stay byte-identical in work accounting, not just results.
-        parts = (
-            resolve_partition_parts(partition_parts)
-            if part_kind != "none"
-            else 0
-        )
         metrics = active_metrics()
         publication = self._publish(network)
         spec = publication.spec
@@ -1141,10 +964,7 @@ class ParallelEngine:
         total = len(queries) * len(variants)
         started = time.perf_counter()
         futures = [
-            self._pool.submit(
-                _run_query_batch, spec, chunk, metrics is not None, scan_chunk,
-                substrate, part_kind, parts,
-            )
+            self._pool.submit(_run_query_batch, spec, chunk, metrics is not None, scan_chunk)
             for chunk in chunks
         ]
         with self._lock:
@@ -1163,113 +983,6 @@ class ParallelEngine:
         for v, variant in enumerate(variants):
             runs_by_variant[variant] = flat[v * len(queries) : (v + 1) * len(queries)]
         return runs_by_variant
-
-    # ------------------------------------------------------------------
-    # intra-query fan-out
-    # ------------------------------------------------------------------
-    def run_partitioned_scan(
-        self,
-        network: "SuperPeerNetwork",
-        sp: int,
-        subspace: Sequence[int],
-        initial_threshold: float = math.inf,
-        strict: bool = False,
-        partitioner: str | None = None,
-        parts: int | None = None,
-        scan_chunk: int | None = None,
-    ) -> Any:
-        """One Algorithm-1 scan split across the pool's workers.
-
-        The single-heavy-query counterpart to :meth:`run_queries`:
-        instead of whole queries, the unit of fan-out is a partition
-        slice of one store, scanned by the sorted substrate
-        (:func:`~repro.parallel.partition.partitioned_subspace_skyline`
-        with the pool as its slice runner).  Shares the same publication
-        (epoch-keyed segment) and block cache as whole-query batches.
-        Returns a
-        :class:`~repro.core.local_skyline.SkylineComputation`
-        byte-identical to the serial scan; accounted under
-        ``intra_query_scans``/``intra_query_subtasks``, never ``tasks``.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        with self._gate.read():
-            return self._run_partitioned_scan_gated(
-                network, sp, subspace, initial_threshold, strict,
-                partitioner, parts, scan_chunk,
-            )
-
-    def _run_partitioned_scan_gated(
-        self,
-        network: "SuperPeerNetwork",
-        sp: int,
-        subspace: Sequence[int],
-        initial_threshold: float,
-        strict: bool,
-        partitioner: str | None,
-        parts: int | None,
-        scan_chunk: int | None,
-    ) -> Any:
-        from ..core.local_skyline import SkylineComputation
-        from .partition import (
-            partitioned_subspace_skyline,
-            resolve_partition_parts,
-            resolve_partitioner,
-        )
-
-        # "none" means "don't partition whole-query scans"; an explicit
-        # intra-query fan-out still needs a split, so fall back to the
-        # trivial one.
-        part_kind = resolve_partitioner(partitioner)
-        if part_kind == "none":
-            part_kind = "range"
-        parts = resolve_partition_parts(parts, default=self.workers)
-        threshold = float(initial_threshold)
-        cols = tuple(int(c) for c in subspace)
-        publication = self._publish(network)
-        spec = publication.spec
-        with self._lock:
-            publication.warm.add(cols)
-        store = network.store_of(sp)
-
-        def run_on_pool(slices: list[Any]) -> list[Any]:
-            # Only slice indices travel: workers recompute the split.
-            indices = list(range(len(slices)))
-            target = max(1, math.ceil(len(indices) / max(1, self.workers)))
-            chunks = [indices[i : i + target] for i in range(0, len(indices), target)]
-            submit_started = time.perf_counter()
-            futures = [
-                self._pool.submit(
-                    _run_partition_batch, spec, sp, cols, threshold, strict,
-                    part_kind, parts, scan_chunk, chunk,
-                )
-                for chunk in chunks
-            ]
-            with self._lock:
-                self.stats.submit_seconds += time.perf_counter() - submit_started
-                self.stats.batches += len(chunks)
-                self.stats.intra_query_scans += 1
-                self.stats.intra_query_subtasks += len(indices)
-            scans: list[Any] = [None] * len(slices)
-            for future in futures:
-                payload = future.result()
-                self._ingest_batch_stats(payload, None)
-                for pi, meta in payload["scans"]:
-                    scans[pi] = SkylineComputation.replay(
-                        store,
-                        meta["positions"],
-                        threshold=meta["threshold"],
-                        examined=meta["examined"],
-                        comparisons=meta["comparisons"],
-                        input_size=meta["input_size"],
-                    )
-            return scans
-
-        return partitioned_subspace_skyline(
-            store, cols, initial_threshold=threshold, strict=strict,
-            partitioner=part_kind, parts=parts, scan_chunk=scan_chunk,
-            runner=run_on_pool,
-        )
 
     # ------------------------------------------------------------------
     # pre-processing fan-out
@@ -1444,13 +1157,13 @@ _ENGINES_LOCK = threading.Lock()
 def get_engine(workers: int | None = None) -> ParallelEngine:
     """The process-wide persistent engine for the given worker count.
 
-    Keyed on (pool size, start method, pinning toggle) so an env change
-    yields a fresh engine rather than a stale one;
+    Keyed on (pool size, start method) so an env change yields a fresh
+    engine rather than a stale one;
     engines persist across calls and are torn down by
     :func:`shutdown_engines` or at interpreter exit.
     """
     n_workers = resolve_workers(workers)
-    key = (n_workers, start_method(), pin_cpus_enabled())
+    key = (n_workers, start_method())
     with _ENGINES_LOCK:
         engine = _ENGINES.get(key)
         if engine is None or engine.closed:
@@ -1492,9 +1205,6 @@ def run_queries_parallel(
     workers: int,
     scan_chunk: int | None = None,
     engine: ParallelEngine | None = None,
-    scan_substrate: str | None = None,
-    partitioner: str | None = None,
-    partition_parts: int | None = None,
 ) -> dict["Variant", list["QueryExecution"]]:
     """Fan (query, variant) executions out over the shared engine.
 
@@ -1502,11 +1212,7 @@ def run_queries_parallel(
     run; see :meth:`ParallelEngine.run_queries`.
     """
     engine = engine if engine is not None else get_engine(workers)
-    return engine.run_queries(
-        network, queries, variants, scan_chunk=scan_chunk,
-        scan_substrate=scan_substrate, partitioner=partitioner,
-        partition_parts=partition_parts,
-    )
+    return engine.run_queries(network, queries, variants, scan_chunk=scan_chunk)
 
 
 def preprocess_network_parallel(

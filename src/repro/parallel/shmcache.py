@@ -11,7 +11,7 @@ segment so one worker's scan benefits the whole pool:
   descriptors, and a data area of fixed-size slots
   (``REPRO_SHM_CACHE_SLOTS`` × ``REPRO_SHM_CACHE_SLOT_BYTES``).  Keys
   are opaque byte strings built by :func:`make_key` from a *kind* tag
-  (``"scan"``, ``"pscan"``) plus whatever identifies the
+  (``"scan"``) plus whatever identifies the
   artefact (subspace, thresholds, scan parameters); a blake2b digest in
   the directory makes probes a straight directory sweep with no
   payload reads on mismatch.

@@ -129,60 +129,26 @@ def make_local_compute(
     index_kind: str | None = None,
     scan_chunk: int | None = None,
     scan_substrate: str | None = None,
-    partitioner: str | None = None,
-    partition_parts: int | None = None,
-    engine=None,
 ):
     """Build the default per-super-peer Algorithm-1 strategy.
 
-    The scan cell is selected by ``scan_substrate`` (``sorted``/``bbs``/
-    ``salsa``; env ``REPRO_SCAN_SUBSTRATE``) and ``partitioner``
-    (``none``/``range``/``angular``; env ``REPRO_PARTITION``) — resolved
-    and checked here, once, so every scan of the query agrees and an
-    unsupported combination (a partitioner with ``bbs``/``salsa``)
-    raises before any scan runs.  This is the one place that decides
-    whole-store vs partitioned and pool vs in-process: with a
-    partitioner and an ``engine``
-    (:class:`~repro.parallel.engine.ParallelEngine`), each scan fans its
-    slices over the engine's worker pool
-    (:meth:`~repro.parallel.engine.ParallelEngine.run_partitioned_scan`);
-    without an engine the slices run in-process, which still realizes
-    the angular comparison savings.  Every cell returns results
-    byte-identical to the plain sorted scan.
+    Every scan runs over the super-peer's whole store on
+    ``scan_substrate`` — ``sorted`` (the paper's scan, the default),
+    ``bbs`` or ``salsa`` (:func:`repro.core.substrates.subspace_skyline`),
+    all byte-identical.  The name is checked here, once, so a bad one
+    raises before any scan runs.
     """
-    from ..core.substrates import subspace_skyline
-    from ..parallel.partition import (
-        partitioned_subspace_skyline,
-        resolve_partition_parts,
-        resolve_scan_cell,
-    )
+    from ..core.substrates import resolve_scan_substrate, subspace_skyline
 
     index_kind = index_kind or network.index_kind
-    substrate, part_kind = resolve_scan_cell(scan_substrate, partitioner)
-    if part_kind == "none":
-        def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-            return subspace_skyline(
-                network.store_of(sp), sub, initial_threshold=threshold,
-                substrate=substrate, index_kind=index_kind, scan_chunk=scan_chunk,
-            )
-        return local_compute
-    # Fixed default on purpose (never the pool size): the slice count
-    # shapes `examined`/`comparisons`, and a query must account
-    # identically whether it runs serially, with an engine, or on a
-    # differently-sized pool.
-    parts = resolve_partition_parts(partition_parts)
-    if engine is not None:
-        def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-            return engine.run_partitioned_scan(
-                network, sp, sub, initial_threshold=threshold,
-                partitioner=part_kind, parts=parts, scan_chunk=scan_chunk,
-            )
-    else:
-        def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-            return partitioned_subspace_skyline(
-                network.store_of(sp), sub, initial_threshold=threshold,
-                partitioner=part_kind, parts=parts, scan_chunk=scan_chunk,
-            )
+    substrate = resolve_scan_substrate(scan_substrate)
+
+    def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
+        return subspace_skyline(
+            network.store_of(sp), sub, initial_threshold=threshold,
+            substrate=substrate, index_kind=index_kind, scan_chunk=scan_chunk,
+        )
+
     return local_compute
 
 
@@ -194,9 +160,6 @@ def execute_query(
     local_compute=None,
     scan_chunk: int | None = None,
     scan_substrate: str | None = None,
-    partitioner: str | None = None,
-    partition_parts: int | None = None,
-    engine=None,
 ) -> QueryExecution:
     """Execute a subspace skyline query over the network.
 
@@ -213,21 +176,20 @@ def execute_query(
     local_compute:
         Optional strategy replacing the per-super-peer Algorithm 1 run
         (see :mod:`repro.skypeer.cache`); ignored by the naive baseline.
-        When given, the scan-kernel knobs below are ignored too — the
-        strategy owns the scan.
+        When given, ``scan_substrate`` is ignored too — the strategy
+        owns the scan.
     scan_chunk:
         Batch size override for the vectorized scans (see
         :func:`repro.core.local_skyline.resolve_scan_chunk`).
-    scan_substrate, partitioner, partition_parts, engine:
-        Scan-kernel selection for the default strategy; see
+    scan_substrate:
+        Scan substrate of the default strategy; see
         :func:`make_local_compute`.  Ignored by the naive baseline.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
     if local_compute is None and variant is not Variant.NAIVE:
         local_compute = make_local_compute(
             network, index_kind=index_kind, scan_chunk=scan_chunk,
-            scan_substrate=scan_substrate, partitioner=partitioner,
-            partition_parts=partition_parts, engine=engine,
+            scan_substrate=scan_substrate,
         )
     return run_on_model_clocks(
         network, query, variant, index_kind=index_kind,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
-from repro.core.merging import IncrementalMerger, merge_sorted_skylines
+from repro.core.merging import merge_sorted_skylines
 from repro.core.store import SortedByF
 from tests.conftest import brute_force_skyline_ids
 
@@ -152,83 +152,3 @@ class TestProjectedStoreFullSpace:
         local = local_subspace_skyline(SortedByF.from_points(points), (0, 1, 2)).result
         merged = merge_sorted_skylines([local], (0, 1, 2), scan_chunk=1)
         assert merged.points.id_set() == brute_force_skyline_ids(points, (0, 1, 2))
-
-
-class TestIncrementalMerger:
-    def _runs(self, rng, sub, parts=4, n=160, d=5):
-        return _split_local_skylines(rng, sub, parts=parts, n=n, d=d)
-
-    def test_feeding_matches_buffered_and_oracle(self, rng):
-        sub = (0, 2, 4)
-        points, lists = self._runs(rng, sub)
-        merger = IncrementalMerger(sub)
-        for run in lists:
-            merger.feed(run)
-        streamed = merger.result()
-        buffered = merge_sorted_skylines(lists, sub)
-        assert streamed.result.points.id_set() == buffered.result.points.id_set()
-        assert streamed.result.points.id_set() == brute_force_skyline_ids(points, sub)
-
-    def test_feed_order_never_changes_result(self, rng):
-        sub = (1, 3)
-        points, lists = self._runs(rng, sub)
-        expected = brute_force_skyline_ids(points, sub)
-        for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)):
-            merger = IncrementalMerger(sub)
-            for i in order:
-                merger.feed(lists[i])
-            assert merger.result().result.points.id_set() == expected, order
-
-    def test_result_is_f_sorted_and_composes(self, rng):
-        sub = (0, 1)
-        points, lists = self._runs(rng, sub, parts=6)
-        left = IncrementalMerger(sub)
-        for run in lists[:3]:
-            left.feed(run)
-        right = IncrementalMerger(sub)
-        for run in lists[3:]:
-            right.feed(run)
-        outer = IncrementalMerger(sub)
-        outer.feed(left.result().result)
-        outer.feed(right.result().result)
-        final = outer.result().result
-        assert np.all(np.diff(final.f) >= 0)
-        assert final.points.id_set() == brute_force_skyline_ids(points, sub)
-
-    def test_whole_run_beyond_threshold_is_pruned(self):
-        sub = (0, 1)
-        good = SortedByF.from_points(
-            PointSet(np.array([[0.1, 0.1]]), np.array([1]))
-        )
-        late = SortedByF.from_points(
-            PointSet(np.array([[0.9, 0.8], [0.95, 0.85]]), np.array([2, 3]))
-        )
-        merger = IncrementalMerger(sub)
-        assert merger.feed(good) == 1
-        assert merger.feed(late) == 0  # min f 0.8 > threshold 0.1
-        assert merger.runs_pruned == 1
-        assert merger.result().result.points.id_set() == {1}
-
-    def test_empty_runs_are_noops(self, rng):
-        sub = (0, 1)
-        points = PointSet(rng.random((30, 2)))
-        local = local_subspace_skyline(SortedByF.from_points(points), sub).result
-        merger = IncrementalMerger(sub)
-        merger.feed(SortedByF.empty(2))
-        merger.feed(local)
-        merger.feed(SortedByF.empty(2))
-        assert merger.runs_pruned == 0
-        assert merger.result().result.points.id_set() == local.points.id_set()
-
-    def test_work_accounting_accumulates(self, rng):
-        sub = (0, 2)
-        _points, lists = self._runs(rng, sub)
-        merger = IncrementalMerger(sub)
-        for run in lists:
-            merger.feed(run)
-        outcome = merger.result()
-        assert merger.runs_fed == len(lists)
-        assert merger.input_size == sum(len(r) for r in lists)
-        assert outcome.examined <= outcome.input_size
-        assert merger.comparisons > 0
-        assert merger.compute_seconds > 0

@@ -20,7 +20,6 @@ from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
 from repro.core.substrates import (
     SCAN_SUBSTRATES,
-    SUBSTRATE_ENV,
     resolve_scan_substrate,
     salsa_subspace_skyline,
     subspace_skyline,
@@ -230,21 +229,13 @@ class TestDispatcherAndResolver:
             subspace_skyline(store, (0, 2), substrate="salsa"),
         )
 
-    def test_env_var_reaches_dispatcher(self, rng, monkeypatch):
-        store = make_store(rng, n=60)
-        monkeypatch.setenv(SUBSTRATE_ENV, "salsa")
-        assert_identical(
-            salsa_subspace_skyline(store, (0, 1)),
-            subspace_skyline(store, (0, 1)),
-        )
-
     def test_salsa_is_registered(self):
         assert "salsa" in SCAN_SUBSTRATES
         assert resolve_scan_substrate("salsa") == "salsa"
 
     def test_error_message_lists_valid_names(self):
-        # Satellite: the resolver names every valid substrate so a typo
-        # in REPRO_SCAN_SUBSTRATE is self-explanatory.
+        # The resolver names every valid substrate, so a typo in an
+        # explicit argument is self-explanatory.
         with pytest.raises(ValueError) as exc:
             resolve_scan_substrate("quadtree")
         message = str(exc.value)

@@ -12,7 +12,6 @@ from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
 from repro.core.substrates import (
-    SUBSTRATE_ENV,
     bbs_subspace_skyline,
     resolve_scan_substrate,
     subspace_skyline,
@@ -38,17 +37,8 @@ def make_store(rng, n=200, d=4, anticorrelated=False):
 
 
 class TestResolveScanSubstrate:
-    def test_default_is_sorted(self, monkeypatch):
-        monkeypatch.delenv(SUBSTRATE_ENV, raising=False)
+    def test_default_is_sorted(self):
         assert resolve_scan_substrate() == "sorted"
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(SUBSTRATE_ENV, "bbs")
-        assert resolve_scan_substrate() == "bbs"
-
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(SUBSTRATE_ENV, "bbs")
-        assert resolve_scan_substrate("sorted") == "sorted"
 
     def test_unknown_substrate_raises(self):
         with pytest.raises(ValueError, match="unknown scan substrate"):
@@ -115,20 +105,12 @@ class TestDispatcher:
             subspace_skyline(store, (0, 2), substrate="bbs"),
         )
 
-    def test_default_dispatch_is_sorted(self, rng, monkeypatch):
-        monkeypatch.delenv(SUBSTRATE_ENV, raising=False)
+    def test_default_dispatch_is_sorted(self, rng):
         store = make_store(rng, n=80)
         assert_identical(
             local_subspace_skyline(store, (1, 3)),
             subspace_skyline(store, (1, 3)),
         )
-
-    def test_env_var_reaches_dispatcher(self, rng, monkeypatch):
-        store = make_store(rng, n=60)
-        monkeypatch.setenv(SUBSTRATE_ENV, "bbs")
-        via_env = subspace_skyline(store, (0, 1))
-        assert_identical(bbs_subspace_skyline(store, (0, 1)), via_env)
-
 
 class TestRtreeCache:
     def test_same_tree_returned_twice(self, rng):

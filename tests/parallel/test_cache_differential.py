@@ -91,26 +91,19 @@ class TestCachedMatchesUncached:
                 assert warm[variant][idx].result_ids == expected
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    @pytest.mark.parametrize(
-        "knobs",
-        [{}, {"scan_substrate": "sorted", "partitioner": "angular", "partition_parts": 3}],
-        ids=["ambient", "sorted-angular"],
-    )
-    def test_warm_pass_replays_every_scan(self, monkeypatch, method, knobs):
+    def test_warm_pass_replays_every_scan(self, monkeypatch, method):
         """A repeated batch scans nothing: every probe of the second pass
         hits.  60 = 5 queries × 4 SKYPEER variants × 3 super-peers (naive
-        never probes), the same count as before the worker's scan
-        dispatch moved behind ``make_local_compute`` — the ``"scan"`` key
-        fields did not move with it."""
+        never probes)."""
         monkeypatch.setenv("REPRO_MP_START", method)
         network = _network()
         queries = _queries(network)
         variants = list(Variant)
         with ParallelEngine(2) as engine:
             assert engine.start_method == method
-            cold = engine.run_queries(network, queries, variants, **knobs)
+            cold = engine.run_queries(network, queries, variants)
             after_cold = engine.stats.as_dict()
-            warm = engine.run_queries(network, queries, variants, **knobs)
+            warm = engine.run_queries(network, queries, variants)
             after_warm = engine.stats.as_dict()
         assert after_warm["cache_hits"] - after_cold["cache_hits"] == 60
         assert after_warm["cache_misses"] == after_cold["cache_misses"]
@@ -137,29 +130,6 @@ class TestCachedMatchesUncached:
             assert engine.stats.cache_hits > 0
 
         _assert_matches(off, on, "on-vs-off")
-
-
-@pytest.mark.skipif(
-    not hasattr(__import__("os"), "sched_setaffinity"),
-    reason="no sched_setaffinity on this platform",
-)
-class TestCpuPinning:
-    def test_pinned_pool_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PIN_CPUS", "1")
-        network = _network(seed=41)
-        queries = _queries(network)[:2]
-        serial = {
-            v: [execute_query(network, q, v) for q in queries] for v in Variant
-        }
-        with ParallelEngine(2) as engine:
-            parallel = engine.run_queries(network, queries, list(Variant))
-            assert engine.stats.cpu_pinning is True
-        _assert_matches(serial, parallel, "pinned")
-
-    def test_pinning_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PIN_CPUS", raising=False)
-        with ParallelEngine(2) as engine:
-            assert engine.stats.cpu_pinning is False
 
 
 @st.composite

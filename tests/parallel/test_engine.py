@@ -272,16 +272,15 @@ class TestWorkerMemory:
         )
         initiator = network.topology.superpeer_ids[0]
         subspaces = [c for k in (2, 3, 4) for c in combinations(range(8), k)]
-        # The sorted scan is what retains nothing; bbs and salsa keep a
-        # bounded per-subspace R-tree / visit order on the store by design,
-        # so an ambient REPRO_SCAN_SUBSTRATE must not pick the cell here.
-        cell = {"scan_substrate": "sorted", "partitioner": "none"}
+        # The engine's workers run the sorted scan, which retains nothing
+        # (bbs and salsa would keep a bounded per-subspace R-tree / visit
+        # order on the store by design).
         with ParallelEngine(workers=1, mp_start="spawn") as engine:
             (pid,) = engine._pool._processes
             first = [Query(subspace=subspaces[0], initiator=initiator)]
-            engine.run_queries(network, first, [Variant.FTPM], **cell)
+            engine.run_queries(network, first, [Variant.FTPM])
             after_first = _vmrss_kb(pid)
             cycle = [Query(subspace=s, initiator=initiator) for s in subspaces]
-            engine.run_queries(network, cycle, [Variant.FTPM], **cell)
+            engine.run_queries(network, cycle, [Variant.FTPM])
             after_cycle = _vmrss_kb(pid)
         assert after_cycle <= 1.10 * after_first

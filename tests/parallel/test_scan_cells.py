@@ -1,11 +1,12 @@
-"""The five scan cells on the bench's crossover datasets.
+"""The three scan substrates on the bench's crossover datasets.
 
-Every cell, picked by :func:`make_local_compute` exactly as a query
-picks it, must return the ``sorted/none`` scan byte for byte; on the
-full-space datasets its work accounting must also equal the committed
-``kernels.crossover`` column of the same name in ``BENCH_baseline.json``
-— so neither the one remaining dominance kernel nor the cut from twelve
-cells to five moved a single comparison.
+Every substrate of :data:`~repro.core.substrates.SCAN_SUBSTRATES`, picked
+by :func:`make_local_compute` exactly as a query picks it, must return
+the ``sorted`` scan byte for byte; on the full-space datasets its work
+accounting must also equal the committed ``kernels.crossover`` column of
+the same name in ``BENCH_baseline.json``.  Across whole queries, every
+substrate must be indistinguishable from the sorted scan under every
+variant — and only an explicit argument picks one.
 """
 
 from __future__ import annotations
@@ -16,13 +17,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.smoke import _single_store_network
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
+from repro.core.substrates import SCAN_SUBSTRATES
 from repro.data.generators import make_generator
-from repro.parallel.partition import SCAN_CELLS
-from repro.skypeer.executor import make_local_compute
+from repro.data.workload import Query
+from repro.p2p.network import SuperPeerNetwork
+from repro.p2p.topology import Topology
+from repro.skypeer.executor import execute_query, make_local_compute
+from repro.skypeer.variants import Variant
 
 N = 1200
 DISTRIBUTIONS = ("uniform", "correlated", "anticorrelated")
@@ -46,23 +53,20 @@ def committed_crossover() -> dict:
     return {(cell["distribution"], cell["d"]): cell for cell in cells}
 
 
-def run_cell(cell: str, distribution: str, d: int, subspace):
+def run_scan(substrate: str, distribution: str, d: int, subspace):
     network, sp = crossover_network(distribution, d)
-    substrate, partitioner = cell.split("/")
-    compute = make_local_compute(
-        network, scan_substrate=substrate, partitioner=partitioner, partition_parts=4
-    )
+    compute = make_local_compute(network, scan_substrate=substrate)
     return compute(sp, subspace, float("inf"))
 
 
 @pytest.mark.parametrize("space", ["full", "pivot"])
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-@pytest.mark.parametrize("cell", SCAN_CELLS)
-def test_cell_is_identical_to_the_sorted_scan(cell, distribution, d, space):
+@pytest.mark.parametrize("substrate", SCAN_SUBSTRATES)
+def test_substrate_is_identical_to_the_sorted_scan(substrate, distribution, d, space):
     subspace = tuple(range(d)) if space == "full" else PIVOT
-    reference = run_cell("sorted/none", distribution, d, subspace)
-    scan = run_cell(cell, distribution, d, subspace)
+    reference = run_scan("sorted", distribution, d, subspace)
+    scan = run_scan(substrate, distribution, d, subspace)
     assert scan.threshold == reference.threshold
     assert np.array_equal(scan.positions, reference.positions)
     assert scan.result.points.values.tobytes() == reference.result.points.values.tobytes()
@@ -72,9 +76,93 @@ def test_cell_is_identical_to_the_sorted_scan(cell, distribution, d, space):
     if space == "full":
         committed = committed_crossover()[(distribution, d)]
         assert committed["result_size"] == len(scan.result)
-        assert scan.comparisons / N == committed["comparisons_per_point"][cell]
+        assert scan.comparisons / N == committed["comparisons_per_point"][substrate]
 
 
 def test_committed_crossover_carries_exactly_the_surviving_cells():
     for cell in committed_crossover().values():
-        assert set(cell["comparisons_per_point"]) == set(SCAN_CELLS)
+        assert set(cell["comparisons_per_point"]) == set(SCAN_SUBSTRATES)
+
+
+def test_environment_never_picks_the_scan(monkeypatch):
+    """The substrate variable of older trees is ignored: only an
+    explicit argument reaches ``bbs``."""
+    monkeypatch.setenv("REPRO_SCAN_SUBSTRATE", "bbs")
+    subspace = tuple(range(5))
+    sorted_scan = run_scan("sorted", "anticorrelated", 5, subspace)
+    bbs_scan = run_scan("bbs", "anticorrelated", 5, subspace)
+    assert bbs_scan.comparisons != sorted_scan.comparisons
+    network, sp = crossover_network("anticorrelated", 5)
+    scan = make_local_compute(network)(sp, subspace, float("inf"))
+    assert scan.comparisons == sorted_scan.comparisons
+
+
+@st.composite
+def query_cases(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    d = draw(st.integers(2, 4))
+    n_superpeers = draw(st.integers(1, 2))
+    peers_per_sp = draw(st.integers(1, 2))
+    points_per_peer = draw(st.integers(2, 10))
+    topology = Topology.generate(
+        n_peers=n_superpeers * peers_per_sp,
+        n_superpeers=n_superpeers,
+        degree=3.0,
+        seed=seed,
+    )
+    partitions = {}
+    next_id = 0
+    for peers in topology.peers_of.values():
+        for pid in peers:
+            partitions[pid] = PointSet(
+                rng.random((points_per_peer, d)),
+                np.arange(next_id, next_id + points_per_peer),
+            )
+            next_id += points_per_peer
+    network = SuperPeerNetwork.from_partitions(topology, partitions)
+    k = draw(st.integers(1, d))
+    dims = draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k, unique=True))
+    initiator = draw(st.sampled_from(sorted(topology.superpeer_ids)))
+    return network, Query(subspace=tuple(sorted(dims)), initiator=initiator)
+
+
+@given(query_cases())
+@settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_kernels_are_indistinguishable_across_all_variants(case):
+    """Every substrate × every variant equals the sorted scan.
+
+    Indistinguishable means indistinguishable: not just the same result
+    ids but the same initial threshold and the same wire bytes — a
+    substrate that altered a local threshold or shipped a different
+    payload would leak through ``volume_bytes``.
+    """
+    network, query = case
+    for variant in Variant:
+        baseline = execute_query(network, query, variant, scan_substrate="sorted")
+        for substrate in ("bbs", "salsa"):
+            run = execute_query(network, query, variant, scan_substrate=substrate)
+            assert run.result_ids == baseline.result_ids, (variant, substrate)
+            assert np.array_equal(
+                run.result.points.values, baseline.result.points.values
+            ), (variant, substrate)
+            assert np.array_equal(
+                run.result.points.ids, baseline.result.points.ids
+            ), (variant, substrate)
+            assert run.initial_threshold == baseline.initial_threshold, (
+                variant,
+                substrate,
+            )
+            assert run.volume_bytes == baseline.volume_bytes, (variant, substrate)
+
+
+def test_naive_ignores_kernel_knobs(small_network):
+    query = Query(subspace=(1, 3), initiator=next(iter(small_network.superpeers)))
+    baseline = execute_query(small_network, query, Variant.NAIVE)
+    run = execute_query(small_network, query, Variant.NAIVE, scan_substrate="bbs")
+    assert run.result_ids == baseline.result_ids
+    assert run.comparisons == baseline.comparisons

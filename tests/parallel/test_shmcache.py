@@ -128,7 +128,7 @@ class TestSeqlock:
         assert publisher.get(make_key("scan", (7,))) is not None
 
     def test_second_handle_over_same_buffer_sees_publication(self, cache, segment_file):
-        key = make_key("pscan", 3, "block")
+        key = make_key("scan", 3, "block")
         meta, arrays = _payload(5)
         cache.put(key, meta, arrays)
         other = SharedBlockCache(cache._buf, 0, segment_file)
