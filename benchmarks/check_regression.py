@@ -18,9 +18,9 @@ than ``--max-ratio`` (default 2.0) against any baseline, or when the
 current run's parallel execution diverged from serial.
 
 Schema-3 reports carry a correctness verdict that is gated the same
-way (timings inside the section stay informational): the block-cache
+way (timings inside the section stay informational): the scan-cache
 ``identical`` flag (cache hits must replay the exact deterministic
-statistics of the scans that published them).  The section is optional
+statistics of the scans that stored them).  The section is optional
 so older reports still pass.
 
 Schema-4 reports add a ``serving`` section (``bench --smoke`` embeds
@@ -65,6 +65,10 @@ deterministic counters) and ``insert_no_resort`` (zero
 ``SortedByF.from_points`` full re-sorts during incremental inserts).
 The incremental-vs-rebuild wall-clock ratio is printed
 informationally.
+
+Schema-12 reports drop ``cache.publishes`` and ``cache.invalid`` (the
+scan cache is a worker-private LRU now); the ``cache`` gates above read
+only ``identical`` and the hit rates, so they hold for every schema.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ and ``"per_dimension"`` is deterministic and must be identical across
 machines, worker counts and start methods.
 
 Schema 3 adds ``"cache"``: a repeated-subspace workload run twice
-through one engine (cold pass publishes shared-memory block-cache
-entries, warm pass replays them), with hit rates per pass and an
+through one engine (the cold pass fills the workers' scan memos, the
+warm pass replays them), with hit rates per pass and an
 ``identical`` verdict: every deterministic statistic of both passes must
 equal the serial reference, which is how "cache hits are byte-identical
 to recomputation" shows up at this level.  ``check_regression.py``
@@ -99,7 +99,7 @@ data plus the super-peer's lists) and ``insert_no_resort`` (no
 insert — stores move only by O(k log n) sorted splices).  Both
 :func:`bench_smoke` and :func:`bench_churn` embed the section.
 
-Schema 9 adds no section: there is one data plane and one block cache
+Schema 9 adds no section: there is one data plane and one scan cache
 to run on, so runs are labelled by start method alone and nothing tells
 planes or cache kinds apart; ``serving`` reports the gateway's counters
 beside the engine's, neither mirrored into the other.
@@ -111,6 +111,11 @@ Schema 11 removes ``kernels.headline`` (one 20 000-point scan split
 into slices in-process and over a pool) and the crossover's two slice
 columns: a scan is never split any more, and ``comparisons_per_point``
 is keyed by substrate name.
+
+Schema 12 drops ``cache.publishes`` and ``cache.invalid``, and the
+engines' publish, oversize and invalid counters: the scan cache is a
+worker-private LRU (:class:`repro.parallel.engine.ScanMemo`) that keeps
+every scan it runs and has no entry a reader could find torn.
 """
 
 from __future__ import annotations
@@ -128,7 +133,7 @@ from .harness import VariantStats, build_network, make_queries, run_queries
 
 __all__ = ["SMOKE_SCHEMA", "bench_churn", "bench_serving", "bench_smoke", "write_bench_smoke"]
 
-SMOKE_SCHEMA = "repro-bench-smoke/11"
+SMOKE_SCHEMA = "repro-bench-smoke/12"
 
 #: VariantStats fields that do not depend on wall-clock measurement —
 #: these must match exactly between serial and parallel runs.
@@ -193,10 +198,10 @@ def _bench_cache(
     """Repeated-subspace workload through one engine: cold then warm pass.
 
     The sweep queries repeat subspaces across variants and passes, so the
-    shared block cache gets real hits.  ``identical`` asserts that both
+    workers' scan memos get real hits.  ``identical`` asserts that both
     passes reproduce every deterministic statistic of the serial
     reference — cached scans replay the exact examined/comparison
-    counters of the scan that published them.
+    counters of the scan that stored them.
     """
     with ParallelEngine(n_workers, mp_start=primary) as engine:
         cold_wall, cold = _run_sweep(prepared, variants, n_workers, engine=engine)
@@ -226,9 +231,7 @@ def _bench_cache(
             "hit_rate": _rate(warm_hits, warm_misses),
         },
         "hit_rate": stats.cache_hit_rate(),
-        "publishes": stats.cache_publishes,
         "evictions": stats.cache_evictions,
-        "invalid": stats.cache_invalid,
         "identical": not mismatched,
         "mismatched_fields": mismatched,
     }

@@ -63,7 +63,7 @@ class SkylineComputation:
         of the immutable store plus the scan parameters, so these
         positions — together with the scalar stats — are all a cache
         needs to replay the computation byte-identically; see
-        :meth:`replay` and :mod:`repro.parallel.shmcache`.
+        :meth:`replay` and :class:`repro.parallel.engine.ScanMemo`.
     """
 
     result: SortedByF

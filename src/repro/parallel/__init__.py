@@ -10,7 +10,8 @@ a segment — a file the plane itself creates, maps and unlinks (no
 helper process tracks it), in ``/dev/shm`` where the segment fits and
 in the temp directory where it does not — and attached zero-copy by
 every worker.  Tasks are submitted
-in subspace-affine batches so per-subspace projection caches hit across
+in subspace-affine batches so a worker's private scan memo
+(:class:`~repro.parallel.engine.ScanMemo`) replays repeated scans across
 queries, and all aggregation happens in the parent in deterministic
 task order, so parallel runs produce results, work counts and metric
 totals identical to serial ones (wall-clock fields aside).  See

@@ -18,11 +18,13 @@ engine has no scan selector of its own.
 *Batching and subspace affinity.*  Tasks are submitted as chunks, not
 one IPC round-trip per (query, variant) pair.  Chunks are formed by
 grouping tasks on the query subspace, so queries over the same
-subspace run on the same worker, where the block cache replays their
-repeated scans and the per-subspace R-tree / SaLSa-order caches on
-:class:`~repro.core.store.SortedByF` hit across queries and variants.
-Each worker caches a small number of attached networks, so sweeps
-alternating between configurations do not re-attach per batch.
+subspace run on the same worker, where its scan memo (:class:`ScanMemo`)
+replays their repeated scans and the per-subspace R-tree / SaLSa-order
+caches on :class:`~repro.core.store.SortedByF` hit across queries and
+variants.
+Each worker keeps as many networks attached as the engine keeps
+published, so sweeps alternating between configurations neither
+re-attach per batch nor lose their scan memos.
 
 *Pool before data.*  Workers fork from whatever heap the parent has
 when the engine is created, and never read it — they attach the
@@ -69,9 +71,9 @@ from .shm import (
     publish_network,
     sweep_dead_publishers,
 )
-from .shmcache import make_key
 
 if TYPE_CHECKING:  # imports deferred at runtime to keep workers lean
+    from ..core.local_skyline import SkylineComputation
     from ..data.workload import Query
     from ..p2p.network import SuperPeerNetwork, SuperPeerPreprocess
     from ..skypeer.executor import QueryExecution
@@ -80,6 +82,7 @@ if TYPE_CHECKING:  # imports deferred at runtime to keep workers lean
 __all__ = [
     "EngineStats",
     "ParallelEngine",
+    "ScanMemo",
     "UpdateReport",
     "default_workers",
     "get_engine",
@@ -99,12 +102,15 @@ _DEFAULT_WORKERS: int | None = None
 #: IPC, large enough to rebalance when chunk costs are uneven.
 _BATCH_OVERSUBSCRIBE = 4
 
-#: Networks kept attached per worker (sweeps alternate between a
-#: handful of configurations; the cap merely bounds memory).
-_WORKER_CACHE_CAP = 4
+#: Scans a worker memoizes per attached network: a skewed serving
+#: workload's working set (a few hundred (super-peer, subspace,
+#: threshold) keys) fits; the cap only bounds a cold sweep's memory.
+_SCAN_MEMO_CAP = 1024
 
 #: Publications kept per engine before the least recently used one is
-#: withdrawn (its segments unlinked).
+#: withdrawn (its segments unlinked), and networks kept attached per
+#: worker: a sweep cycling through as many configurations as the parent
+#: keeps published finds each one still attached, its scan memo warm.
 _PUBLICATION_CAP = 8
 
 
@@ -158,8 +164,8 @@ def start_method() -> str:
 # ----------------------------------------------------------------------
 # worker-side state and task functions
 # ----------------------------------------------------------------------
-#: token -> attached publication (its network and block cache); LRU, capped.
-_WORKER_NETWORKS: "OrderedDict[str, AttachedNetwork]" = OrderedDict()
+#: token -> attached publication and its scan memo; LRU, capped.
+_WORKER_NETWORKS: "OrderedDict[str, tuple[AttachedNetwork, ScanMemo]]" = OrderedDict()
 
 
 def _noop() -> None:
@@ -193,97 +199,109 @@ def _exit_when_orphaned(parent_pid: int) -> None:
     os._exit(0)
 
 
-def _materialize(spec: dict[str, Any]) -> tuple[AttachedNetwork, dict[str, Any] | None]:
-    """Return the spec's attached publication, attaching on first use.
+def _materialize(
+    spec: dict[str, Any],
+) -> tuple[AttachedNetwork, "ScanMemo", dict[str, Any] | None]:
+    """Return the spec's attached publication and its scan memo,
+    attaching on first use.
 
-    The second element reports what this call cost (``None`` on a cache
-    hit): ``{"mode": "shm", "seconds": ...}`` for a first attach,
+    The last element reports what this call cost (``None`` when already
+    attached): ``{"mode": "shm", "seconds": ...}`` for a first attach,
     ``"shm-delta"`` plus the re-mapped slots and bytes for a refresh.
     """
     token = spec["token"]
     manifest = spec["manifest"]
-    attached = _WORKER_NETWORKS.get(token)
-    if attached is not None:
+    entry = _WORKER_NETWORKS.get(token)
+    if entry is not None:
         _WORKER_NETWORKS.move_to_end(token)
+        attached, memo = entry
         if int(manifest.get("subepoch", 0)) == attached.subepoch:
-            return attached, None
+            return attached, memo, None
         # Same publication, newer sub-epoch: re-map only the slots whose
         # generation advanced instead of attaching the whole network.
+        # The memo stays: its keys carry each slot's generation.
         started = time.perf_counter()
         delta = attached.refresh(manifest)
         seconds = time.perf_counter() - started
-        return attached, {"mode": "shm-delta", "seconds": seconds, **delta}
+        return attached, memo, {"mode": "shm-delta", "seconds": seconds, **delta}
     started = time.perf_counter()
     attached = attach_network(manifest)
     seconds = time.perf_counter() - started
-    while len(_WORKER_NETWORKS) >= _WORKER_CACHE_CAP:
-        _WORKER_NETWORKS.popitem(last=False)[1].close()
-    _WORKER_NETWORKS[token] = attached
-    return attached, {"mode": "shm", "seconds": seconds}
+    while len(_WORKER_NETWORKS) >= _PUBLICATION_CAP:
+        _WORKER_NETWORKS.popitem(last=False)[1][0].close()
+    memo = ScanMemo(attached.network, _SCAN_MEMO_CAP)
+    _WORKER_NETWORKS[token] = (attached, memo)
+    return attached, memo, {"mode": "shm", "seconds": seconds}
 
 
-def _cached_local_compute(network: Any, cache: Any, scan_chunk: int):
-    """Algorithm 1 with a block-cache probe in front of every scan.
+class ScanMemo:
+    """A worker-private LRU of one network's Algorithm-1 scans.
 
-    The scan itself is :func:`~repro.skypeer.executor.make_local_compute`'s
-    default.  Hits *replay* the cached scan — result
-    rebuilt from store positions (byte-identical, the store arrays are
-    shared), work counters restored verbatim — so serial-vs-parallel
-    determinism holds even when the scan never runs.  The key carries
-    everything the counters depend on (store, subspace, threshold bits,
-    index kind and chunk); FT-variant siblings share thresholds, so their
-    scans hit across variants.  Payload views are copied before
-    validation and a failed validation falls through to the real scan.
+    A scan is a pure function of its store and parameters, so an entry
+    is keyed ``(sp, store generation, cols, threshold, scan_chunk)`` and
+    holds only the surviving store positions plus the scalar counters.
+    A hit *replays* the scan (:meth:`SkylineComputation.replay`): the
+    result is rebuilt from the store, the work counters are restored
+    verbatim, so serial-vs-parallel determinism holds even when the scan
+    never runs.  The generation invalidates by *slot*: an update to one
+    super-peer moves only its generation, so every other slot's entries
+    keep hitting.  FT-variant siblings share thresholds, so their scans
+    hit across variants.  Past ``cap`` entries the least recently used
+    one goes.
     """
-    import numpy as np
 
-    from ..core.local_skyline import SkylineComputation
-    from ..skypeer.executor import make_local_compute
+    def __init__(self, network: Any, cap: int):
+        self.network = network
+        self.cap = cap
+        self._scans: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
-    index_kind = network.index_kind
-    compute = make_local_compute(network, index_kind=index_kind, scan_chunk=scan_chunk)
+    def __len__(self) -> int:
+        return len(self._scans)
 
-    def local_compute(sp: int, subspace: Any, threshold: float) -> SkylineComputation:
-        cols = tuple(int(c) for c in subspace)
-        store = network.store_of(sp)
-        # The store generation invalidates by *slot*: an update to one
-        # super-peer moves only its generation, so every other slot's
-        # cached scans keep hitting across the epoch bump.
-        generation = network.store_generations.get(sp, 0)
-        scan_key = make_key(
-            "scan", sp, generation, cols, float(threshold), index_kind, scan_chunk
-        )
-        hit = cache.get(scan_key)
-        if hit is not None:
-            meta, arrays, token = hit
-            positions = np.array(arrays["positions"], dtype=np.int64, copy=True)
-            if cache.still_valid(token):
-                try:
-                    return SkylineComputation.replay(
-                        store, positions,
-                        threshold=meta["threshold"], examined=meta["examined"],
-                        comparisons=meta["comparisons"],
-                        input_size=meta["input_size"],
-                    )
-                except (IndexError, ValueError):
-                    cache.stats.invalid += 1
-            else:
-                cache.stats.invalid += 1
-        computation = compute(sp, cols, threshold)
-        if computation.positions is not None:
-            cache.put(
-                scan_key,
-                {
-                    "threshold": computation.threshold,
-                    "examined": computation.examined,
-                    "comparisons": computation.comparisons,
-                    "input_size": computation.input_size,
-                },
-                {"positions": computation.positions},
+    def counts(self) -> dict[str, int]:
+        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
+
+    def local_compute(self, scan_chunk: int):
+        """A ``local_compute`` strategy: the default scan, memoized."""
+        from ..core.local_skyline import SkylineComputation
+        from ..skypeer.executor import make_local_compute
+
+        network = self.network
+        compute = make_local_compute(network, scan_chunk=scan_chunk)
+        scans = self._scans
+
+        def local_compute(sp: int, subspace: Any, threshold: float) -> "SkylineComputation":
+            cols = tuple(int(c) for c in subspace)
+            key = (
+                sp, network.store_generations.get(sp, 0), cols, float(threshold), scan_chunk,
             )
-        return computation
+            entry = scans.get(key)
+            if entry is not None:
+                scans.move_to_end(key)
+                self.hits += 1
+                positions, threshold, examined, comparisons, input_size = entry
+                return SkylineComputation.replay(
+                    network.store_of(sp), positions, threshold=threshold,
+                    examined=examined, comparisons=comparisons, input_size=input_size,
+                )
+            self.misses += 1
+            computation = compute(sp, cols, threshold)
+            if computation.positions is not None:
+                computation.positions.setflags(write=False)  # shared with replays
+                scans[key] = (
+                    computation.positions, computation.threshold,
+                    computation.examined, computation.comparisons,
+                    computation.input_size,
+                )
+                if len(scans) > self.cap:
+                    scans.popitem(last=False)
+                    self.evictions += 1
+            return computation
 
-    return local_compute
+        return local_compute
 
 
 def _run_query_batch(
@@ -300,13 +318,14 @@ def _run_query_batch(
 
     from ..core.local_skyline import resolve_scan_chunk
 
-    attached, attach = _materialize(spec)
-    network, cache = attached.network, attached.cache
+    attached, memo, attach = _materialize(spec)
+    network = attached.network
+    before = memo.counts()
     started = time.perf_counter()
     # Resolved once per batch: the scans and merges below then never
     # consult the environment again.
     scan_chunk = resolve_scan_chunk(scan_chunk)
-    local_compute = _cached_local_compute(network, cache, scan_chunk)
+    local_compute = memo.local_compute(scan_chunk)
     runs: list[tuple[int, "QueryExecution"]] = []
     registry = MetricsRegistry() if collect_metrics else None
     if registry is not None:
@@ -332,7 +351,7 @@ def _run_query_batch(
         "snapshot": registry.snapshot() if registry is not None else None,
         "attach": attach,
         "compute_seconds": time.perf_counter() - started,
-        "cache": cache.stats.delta(),
+        "cache": {name: count - before[name] for name, count in memo.counts().items()},
     }
 
 
@@ -429,8 +448,8 @@ class EngineStats:
     per-task share is :meth:`dispatch_overhead_per_task`);
     ``attach_events`` records every worker-side attach (``"shm"``) or
     per-slot refresh (``"shm-delta"``) of a publication.  The
-    ``cache_*`` fields aggregate the per-batch block-cache deltas the
-    workers ship back (:mod:`repro.parallel.shmcache`).
+    ``cache_*`` fields aggregate the per-batch scan-memo deltas the
+    workers ship back (:class:`ScanMemo`).
     What a :class:`~repro.serving.QueryGateway` in front of the engine
     counted (coalesce hits, shed requests, queue depth) is its own
     ``GatewayStats``; a query it dispatches is one of ``tasks`` here.
@@ -448,10 +467,7 @@ class EngineStats:
     attach_events: list[dict[str, Any]] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_publishes: int = 0
     cache_evictions: int = 0
-    cache_oversize: int = 0
-    cache_invalid: int = 0
     updates_applied: int = 0
     incremental_republishes: int = 0
     full_republishes: int = 0
@@ -498,10 +514,7 @@ class EngineStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate(),
-            "cache_publishes": self.cache_publishes,
             "cache_evictions": self.cache_evictions,
-            "cache_oversize": self.cache_oversize,
-            "cache_invalid": self.cache_invalid,
             "updates_applied": self.updates_applied,
             "incremental_republishes": self.incremental_republishes,
             "full_republishes": self.full_republishes,
@@ -620,7 +633,7 @@ class _EpochGate:
 class _Publication:
     """One network made available to workers: its segments and its spec."""
 
-    __slots__ = ("token", "spec", "shared", "network_ref", "epoch", "warm")
+    __slots__ = ("token", "spec", "shared", "network_ref", "epoch")
 
     def __init__(
         self,
@@ -635,11 +648,6 @@ class _Publication:
         self.shared = shared
         self.network_ref = network_ref
         self.epoch = epoch
-        #: Subspaces whose scans this publication has already served —
-        #: their block-cache entries are likely present, so the
-        #: scheduler runs cold subspaces first (they do the publishing)
-        #: and warm ones last (they mostly replay).
-        self.warm: set[tuple[int, ...]] = set()
 
     def withdraw(self) -> None:
         self.shared.close(unlink=True)
@@ -833,7 +841,7 @@ class ParallelEngine:
         then refreshes every live publication of this network
         *incrementally*: only the touched super-peers' slots republish
         (under a new sub-epoch), workers re-map just those slots at the
-        next batch, and block-cache entries for untouched slots keep
+        next batch, and their memoized scans of untouched slots keep
         hitting.  Runs under the write side of the epoch gate, so
         concurrent ``run_queries`` calls see either the old epoch or the
         new one — never a torn mix — and the overlays this update
@@ -951,16 +959,6 @@ class ParallelEngine:
         queries = list(queries)
         variants = [Variant.parse(v) if isinstance(v, str) else v for v in variants]
         chunks = _affinity_chunks(queries, variants, self.workers)
-        # Cache-aware submission order: cold subspaces first so their
-        # scans publish block-cache entries while warm subspaces (which
-        # will mostly replay) queue behind them.  Python's sort is
-        # stable, so within each class the affinity order is preserved
-        # and result placement (by task index) is unaffected.
-        with self._lock:
-            chunks.sort(
-                key=lambda chunk: tuple(chunk[0][1].subspace) in publication.warm
-            )
-            publication.warm.update(tuple(chunk[0][1].subspace) for chunk in chunks)
         total = len(queries) * len(variants)
         started = time.perf_counter()
         futures = [
@@ -1059,13 +1057,11 @@ class ParallelEngine:
                 self.stats.attach_events.append(attach)
             cache = payload.get("cache")
             if cache is not None:
-                for name in (
-                    "hits", "misses", "publishes", "evictions", "oversize", "invalid",
-                ):
+                for name, count in cache.items():
                     setattr(
                         self.stats,
                         f"cache_{name}",
-                        getattr(self.stats, f"cache_{name}") + int(cache.get(name, 0)),
+                        getattr(self.stats, f"cache_{name}") + count,
                     )
         if metrics is not None:
             if attach is not None:
@@ -1073,10 +1069,7 @@ class ParallelEngine:
                     "parallel.attach_seconds", mode=attach["mode"]
                 ).observe(attach["seconds"])
             if cache is not None:
-                for name in (
-                    "hits", "misses", "publishes", "evictions", "oversize", "invalid",
-                ):
-                    count = int(cache.get(name, 0))
+                for name, count in cache.items():
                     if count:
                         metrics.counter(f"parallel.cache.{name}").inc(count)
             metrics.counter("parallel.batches").inc()
@@ -1126,8 +1119,8 @@ def _affinity_chunks(
 
     Tasks are indexed in the serial loop's order (variant-major), then
     grouped by query subspace so one chunk — hence one worker — serves
-    one subspace and its repeated scans replay from the block cache
-    across the chunk.  Groups larger than the load-balancing target
+    one subspace and its repeated scans replay from that worker's scan
+    memo across the chunk.  Groups larger than the load-balancing target
     split into consecutive chunks; ordering is deterministic
     (first-appearance groups, ascending indices within).
     """

@@ -64,8 +64,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
-from .shmcache import SharedBlockCache, cache_geometry, cache_region_nbytes
-
 if TYPE_CHECKING:
     from ..p2p.network import SuperPeerNetwork
 
@@ -292,19 +290,11 @@ class SharedNetwork:
         self._segment = segment
         self.manifest = manifest
         self._closed = False
-        self._cache: SharedBlockCache | None = None
         #: live overlay segments, one per incrementally-republished slot
         self._overlays: dict[int, Segment] = {}
         #: superseded overlay segments awaiting ``reap_retired``
         self._retired: list[Segment] = []
         atexit.register(self.close)
-
-    @property
-    def cache(self) -> SharedBlockCache | None:
-        """Parent-side view of the cache region (``None`` when absent)."""
-        if self._cache is None and not self._closed:
-            self._cache = _cache_view(self._segment, self.manifest)
-        return self._cache
 
     @property
     def path(self) -> str:
@@ -393,7 +383,6 @@ class SharedNetwork:
             return
         self._closed = True
         atexit.unregister(self.close)
-        self._cache = None
         self.reap_retired()
         for segment in self._overlays.values():
             _release_segment(segment, unlink=unlink)
@@ -416,11 +405,10 @@ def publish_network(
     """Copy what a fan-out reads into one shared-memory segment.
 
     A query publication (the default) carries each super-peer's store
-    and nothing else — queries never read a raw partition — followed by
-    the block-cache region its scans publish into.
+    and nothing else — queries never read a raw partition.
     ``partitions=True`` makes the pre-processing publication instead:
     the raw peer partitions the Section 5.3 fan-out builds stores
-    *from*, no stores and no cache region (each peer is computed once).
+    *from*, and no stores.
     """
     layout = _Layout()
     partition_slots: dict[int, dict[str, Any]] = {}
@@ -440,13 +428,7 @@ def publish_network(
             if store_slots is not None:
                 stores[sp_id] = store_slots
         slot_nbytes[sp_id] = layout.payload - start
-    nbytes = layout.nbytes
-    cache_offset = None
-    if not partitions:
-        slots, slot_bytes = cache_geometry()
-        cache_offset = _align(nbytes)
-        nbytes = cache_offset + cache_region_nbytes(slots, slot_bytes)
-    segment = _new_segment(nbytes)
+    segment = _new_segment(layout.nbytes)
     try:
         _write_arrays(segment, layout)
         manifest: dict[str, Any] = {
@@ -467,15 +449,6 @@ def publish_network(
             "overlays": {},
             "slot_nbytes": slot_nbytes,
         }
-        if cache_offset is not None:
-            SharedBlockCache.format(
-                segment.buf, cache_offset, slots, slot_bytes, network.epoch
-            )
-            manifest["cache"] = {
-                "offset": cache_offset,
-                "slots": slots,
-                "slot_bytes": slot_bytes,
-            }
     except BaseException:
         segment.close()
         segment.unlink()
@@ -495,20 +468,11 @@ class AttachedNetwork:
     ):
         self.network = network
         self._segment = segment
-        self._manifest = manifest
         self._closed = False
-        self._cache: SharedBlockCache | None = None
         self._overlay_segments: dict[int, Segment] = dict(
             overlay_segments or {}
         )
         self.subepoch = int(manifest.get("subepoch", 0)) if manifest is not None else 0
-
-    @property
-    def cache(self) -> SharedBlockCache | None:
-        """Worker-side view of the segment's cache region, if present."""
-        if self._cache is None and not self._closed and self._manifest is not None:
-            self._cache = _cache_view(self._segment, self._manifest)
-        return self._cache
 
     def close(self) -> None:
         """Drop the network and release the mapping (never unlinks).
@@ -521,7 +485,6 @@ class AttachedNetwork:
             return
         self._closed = True
         self.network = None
-        self._cache = None
         for segment in self._overlay_segments.values():
             _release_segment(segment)
         self._overlay_segments.clear()
@@ -534,7 +497,7 @@ class AttachedNetwork:
         base segment, higher ``subepoch``).  The store of every changed
         super-peer is swapped for zero-copy views over the new overlay
         segment; untouched slots keep their existing mappings
-        (and any cache entries keyed on their generation stay hot).
+        (and any memoized scans keyed on their generation stay hot).
         Returns ``{"slots": n, "bytes": m}`` for the re-attached delta.
 
         Raises ``ValueError`` when the super-peer set differs — callers
@@ -573,7 +536,6 @@ class AttachedNetwork:
             attached_bytes += int(overlay.get("nbytes", 0))
         network.epoch = int(manifest["epoch"])
         self.subepoch = subepoch
-        self._manifest = manifest
         return {"slots": len(changed), "bytes": attached_bytes}
 
     def __enter__(self) -> "SuperPeerNetwork":
@@ -581,15 +543,6 @@ class AttachedNetwork:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def _cache_view(segment: Segment, manifest: Mapping[str, Any]) -> SharedBlockCache | None:
-    """The block cache in a query publication's base segment; its writers
-    lock the segment file itself."""
-    spec = manifest.get("cache")
-    if spec is None:
-        return None
-    return SharedBlockCache(segment.buf, spec["offset"], segment.path)
 
 
 def _view(segment: Segment, slot: Mapping[str, Any]) -> np.ndarray:

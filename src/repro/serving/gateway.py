@@ -1,9 +1,10 @@
 """The asyncio query gateway: many clients, one warm backend.
 
-Everything below the protocol layer already exists — PR 3's persistent
+Everything below the protocol layer already exists — the persistent
 :class:`~repro.parallel.ParallelEngine` keeps a warm worker pool with
-zero-copy shared-memory data, PR 5's block cache replays repeated
-scans — but the system still executed one query at a time end-to-end.
+zero-copy shared-memory data, and each worker's scan memo replays
+repeated scans — but the system still executed one query at a time
+end-to-end.
 :class:`QueryGateway` is the multi-tenant serving loop in front of it:
 
 * **Framing reuse** — clients speak the same length-prefixed frames as

@@ -120,7 +120,7 @@ class QueryExecution:
 #: Strategy signature for per-super-peer local computations: given the
 #: super-peer id, the subspace and the incoming threshold, produce the
 #: local result.  The default runs Algorithm 1 over the super-peer's
-#: store; the query cache substitutes a prefix lookup.
+#: store; an engine worker's scan memo replays a repeated scan.
 LocalCompute = "Callable[[int, Subspace, float], SkylineComputation]"
 
 
@@ -175,7 +175,8 @@ def execute_query(
         Dominance index override (defaults to the network's).
     local_compute:
         Optional strategy replacing the per-super-peer Algorithm 1 run
-        (see :mod:`repro.skypeer.cache`); ignored by the naive baseline.
+        (see :class:`repro.parallel.engine.ScanMemo`); ignored by the
+        naive baseline.
         When given, ``scan_substrate`` is ignored too — the strategy
         owns the scan.
     scan_chunk:

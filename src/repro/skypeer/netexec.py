@@ -650,7 +650,8 @@ def gateway_dispatch(
     directly.  ``backend`` picks the path:
 
     * ``engine`` — the warm :class:`~repro.parallel.ParallelEngine`
-      passed as ``engine`` (shared-memory data plane, block cache);
+      passed as ``engine`` (shared-memory data plane, per-worker scan
+      memo);
     * ``serial`` — in-process :func:`~repro.skypeer.executor.
       execute_query`;
     * ``socket`` — the full asyncio transport via

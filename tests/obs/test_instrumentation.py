@@ -10,7 +10,6 @@ import pytest
 from repro.data.workload import Query
 from repro.obs import active_metrics, active_tracer, observed
 from repro.p2p.network import SuperPeerNetwork
-from repro.skypeer.cache import CachedQueryEngine
 from repro.skypeer.executor import execute_query
 from repro.skypeer.inspection import execution_report
 from repro.skypeer.protocol import run_protocol
@@ -120,17 +119,6 @@ def test_protocol_metrics_match_the_outcome(network, query):
     assert tracer.validate() == []
     # Protocol spans live on their own single real timeline.
     assert "protocol" in tracer.clocks()
-
-
-def test_cache_hit_and_miss_counters(network):
-    engine = CachedQueryEngine(network)
-    query = Query(subspace=(1, 3), initiator=network.topology.superpeer_ids[0])
-    with observed() as (_, metrics):
-        engine.execute(query, "FTPM")
-        engine.execute(query, "FTPM")
-    assert metrics.total("cache.misses") == engine.misses
-    assert metrics.total("cache.hits") == engine.hits
-    assert metrics.total("cache.hits") > 0
 
 
 def test_preprocessing_records_spans_and_counters():

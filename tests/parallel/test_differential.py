@@ -236,8 +236,8 @@ class TestPositionsHandOver:
                 ties += int(np.sum(np.diff(a.result.f) == 0))
         if make is _tied_network:
             assert ties > 50
-        # Each peer is computed once: no block-cache probe sits in front.
-        assert engine.stats.cache_misses == engine.stats.cache_publishes == 0
+        # Each peer is computed once: no scan-memo probe sits in front.
+        assert engine.stats.cache_hits == engine.stats.cache_misses == 0
 
     @pytest.mark.parametrize("make", [_uniform_network, _tied_network])
     def test_ingested_state_report_and_metrics_equal_serial(self, engine, make):

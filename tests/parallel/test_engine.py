@@ -251,11 +251,12 @@ def _vmrss_kb(pid: int) -> int:
     not os.path.exists("/proc/self/status"), reason="VmRSS needs Linux /proc"
 )
 class TestWorkerMemory:
-    def test_cycling_every_subspace_keeps_worker_rss_flat(self, monkeypatch):
-        """A worker retains nothing per subspace: after all 154
-        subspaces of d = 8 its resident set is where the first query
-        left it.  (A per-store projection cache put +20 % on this
-        network, +45 % on one three times the size.)"""
+    def test_cycling_every_subspace_keeps_worker_rss_flat(self):
+        """A worker retains nothing per subspace beyond its capped scan
+        memo (store positions only): after all 154 subspaces of d = 8
+        its resident set is where the first query left it.  (A per-store
+        projection cache put +20 % on this network, +45 % on one three
+        times the size.)"""
         from itertools import combinations
 
         from repro.data.workload import Query
@@ -263,10 +264,8 @@ class TestWorkerMemory:
         from repro.parallel import ParallelEngine
         from repro.skypeer.variants import Variant
 
-        # Few block-cache slots, so the pages of the shared cache region
-        # a worker touches as it fills stay out of the measurement; a
-        # spawned worker, so pytest's own heap does not dilute it.
-        monkeypatch.setenv("REPRO_SHM_CACHE_SLOTS", "8")
+        # A spawned worker, so pytest's own heap does not dilute the
+        # measurement.
         network = SuperPeerNetwork.build(
             n_peers=100, points_per_peer=100, dimensionality=8, seed=3
         )

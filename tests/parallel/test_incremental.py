@@ -309,11 +309,12 @@ class TestApplyUpdate:
                 engine.apply_update(network, "shuffle")
 
     def test_untouched_slot_cache_entries_survive_an_update(self):
-        """Block-cache invalidation is (slot, generation)-keyed: an update
-        to one super-peer must not evict the others' cached scans."""
+        """Scan-memo invalidation is (slot, generation)-keyed: an update
+        to one super-peer must not evict the others' memoized scans.  One
+        worker, so every pass probes the same memo."""
         network = build_network()
         queries = self._queries(network)
-        with ParallelEngine(2) as engine:
+        with ParallelEngine(1) as engine:
             engine.run_queries(network, queries, [Variant.FTPM])
             engine.run_queries(network, queries, [Variant.FTPM])  # warm
             warm_hits = engine.stats.cache_hits

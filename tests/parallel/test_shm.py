@@ -393,11 +393,10 @@ class TestLifecycleOffDevShm(TestLifecycle):
 
 
 #: Publishes a network with everything a hard kill can strand — base
-#: segment with a written-to block cache, one overlay — writes the manifest
-#: to argv[1], says "ready" and waits for a line before closing properly.
+#: segment, one overlay — writes the manifest to argv[1], says "ready"
+#: and waits for a line before closing properly.
 _PUBLISHER = """
 import pickle, sys
-import numpy as np
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.updates import insert_points
 from repro.p2p.workload import fresh_points
@@ -405,7 +404,6 @@ from repro.parallel.shm import publish_network
 
 net = SuperPeerNetwork.build(n_peers=6, points_per_peer=10, dimensionality=3, seed=0)
 shared = publish_network(net)
-assert shared.cache.put(b"key", {}, {"positions": np.arange(4)})
 sp = net.topology.superpeer_ids[0]
 insert_points(net, net.topology.peers_of[sp][0], fresh_points(net, 2, seed=1))
 shared.republish(net, [sp])

@@ -1,19 +1,15 @@
-"""Zipf-skewed workload against the shm block cache (LRU under pressure).
+"""Zipf-skewed workload against the workers' scan memos.
 
-The uniform bench workload touches each subspace a handful of times, so
-the block cache mostly measures cold publishes — the ROADMAP notes it
-never stresses the LRU.  Real serving load is skewed: a few subspaces
-dominate (that is exactly what makes gateway coalescing pay off).  This
-suite runs the same engine under a small cache (8 slots, forcing
-evictions) with a Zipf workload and a uniform one of the same size and
-asserts hit-rate monotonicity — skew concentrates probes on few keys,
-so its hit rate must strictly exceed the uniform baseline — while both
-workloads keep returning exactly the serial reference results.
+Real serving load is skewed: a few subspaces dominate (that is exactly
+what makes gateway coalescing pay off).  This suite runs the same engine
+with a Zipf workload and a uniform one of the same size and asserts
+hit-rate monotonicity — skew concentrates probes on few keys, so its
+hit rate must strictly exceed the uniform baseline — while the skewed
+workload keeps returning exactly the serial reference results.  (The
+memo's LRU under pressure is ``test_scan_memo.py``'s concern.)
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -44,15 +40,12 @@ def _network(seed: int = 31, d: int = 6) -> SuperPeerNetwork:
     return SuperPeerNetwork.from_partitions(topo, partitions)
 
 
-def _run_workload(network, queries, monkeypatch) -> tuple[float, int, list]:
-    """One fresh small-cache engine pass; returns (hit rate, evictions, runs)."""
-    monkeypatch.setenv("REPRO_SHM_CACHE_SLOTS", "8")
+def _run_workload(network, queries) -> tuple[float, list]:
+    """One fresh engine pass; returns (hit rate, runs)."""
     with ParallelEngine(2) as engine:
         runs = engine.run_queries(network, queries, [VARIANT])[VARIANT]
-        stats = engine.stats
-        rate = stats.cache_hit_rate() or 0.0
-        evictions = stats.cache_evictions
-    return rate, evictions, runs
+        rate = engine.stats.cache_hit_rate() or 0.0
+    return rate, runs
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +71,9 @@ def _zipf(network):
 
 
 class TestZipfCachePressure:
-    def test_skewed_hit_rate_dominates_uniform(self, network, monkeypatch):
-        uniform_rate, _, _ = _run_workload(network, _uniform(network), monkeypatch)
-        zipf_rate, _, _ = _run_workload(network, _zipf(network), monkeypatch)
+    def test_skewed_hit_rate_dominates_uniform(self, network):
+        uniform_rate, _ = _run_workload(network, _uniform(network))
+        zipf_rate, _ = _run_workload(network, _zipf(network))
         # Monotonicity: concentrating probes on 3 subspaces must beat
         # spreading the same number of probes over ~20 — by a margin,
         # not within noise.
@@ -89,18 +82,10 @@ class TestZipfCachePressure:
             f"uniform {uniform_rate:.3f}"
         )
 
-    def test_uniform_workload_pressures_the_lru(self, network, monkeypatch):
-        """~20 distinct subspaces into 8 slots must evict."""
-        queries = _uniform(network)
-        distinct = len({tuple(q.subspace) for q in queries})
-        assert distinct > 8  # more keys than slots, or the test is vacuous
-        _, evictions, _ = _run_workload(network, queries, monkeypatch)
-        assert evictions > 0
-
-    def test_skewed_results_stay_correct_under_eviction(self, network, monkeypatch):
-        """Cache pressure must never change answers: engine == serial."""
+    def test_skewed_results_stay_correct_under_eviction(self, network):
+        """Replayed scans must never change answers: engine == serial."""
         queries = _zipf(network)
-        _, _, runs = _run_workload(network, queries, monkeypatch)
+        _, runs = _run_workload(network, queries)
         for query, run in zip(queries, runs):
             serial = execute_query(network, query, VARIANT)
             assert run.result_ids == serial.result_ids, query

@@ -1,7 +1,7 @@
 """One end-to-end scenario composing the whole public surface.
 
 Build → query (all variants, tree-routed and flooded) → constrained query →
-churn + data updates → cached repeat queries → persist → reload →
+churn + data updates → persist → reload →
 re-verify.  Everything is checked against brute-force oracles at every
 stage; if this test is green the README's promises hold together, not
 just piecewise.
@@ -13,7 +13,6 @@ import pytest
 import repro
 from repro.core.constrained import RangeConstraint
 from repro.p2p.churn import fail_superpeer
-from repro.skypeer.cache import CachedQueryEngine
 from repro.skypeer.protocol import run_protocol
 
 
@@ -61,13 +60,6 @@ def test_full_story(tmp_path):
     assert net.topology.is_connected()
     assert repro.execute_query(net, query, "rtpm").result_ids == oracle((0, 2, 4))
     assert 99_999 in oracle((0, 2, 4))  # the all-zeros point rules
-
-    # --- cache ---------------------------------------------------------
-    engine = CachedQueryEngine(net)
-    first = engine.execute(query)
-    again = engine.execute(query)
-    assert first.result_ids == again.result_ids == oracle((0, 2, 4))
-    assert engine.hits >= net.n_superpeers
 
     # --- persistence ---------------------------------------------------
     path = tmp_path / "net.npz"
