@@ -10,9 +10,6 @@ has ended.  Lists, and exits 1 on, any of:
   the two places one can live (owners unlink at close/exit; a
   hard-killed owner's are swept by the next engine start, which a
   finished job no longer gets) — the data plane makes no other file;
-* transport pidfiles ``repro-transport-*.pid`` in the temp directory
-  and in ``$REPRO_TRANSPORT_RUNDIR`` — and, named separately, those
-  whose endpoint process is still alive;
 * a live ``multiprocessing.resource_tracker`` process of this user:
   the shm plane starts none, and one that a ``spawn`` pool brought
   along ends with its suite, so any that is still here was orphaned;
@@ -28,15 +25,6 @@ import glob
 import os
 import sys
 import tempfile
-
-
-def _alive(pidfile: str) -> bool:
-    try:
-        with open(pidfile, encoding="utf-8") as handle:
-            os.kill(int(handle.read().strip()), 0)
-    except (ValueError, OSError):
-        return False
-    return True
 
 
 #: Command-line fragments of processes that run this repository's code:
@@ -97,20 +85,12 @@ def _orphaned_workers(processes) -> list[str]:
 def find_leaks() -> dict[str, list[str]]:
     tmp = tempfile.gettempdir()
     processes = _processes()
-    rundirs = {tmp, os.environ.get("REPRO_TRANSPORT_RUNDIR") or tmp}
-    pidfiles = sorted(
-        path
-        for rundir in rundirs
-        for path in glob.glob(os.path.join(rundir, "repro-transport-*.pid"))
-    )
     return {
         "segments": sorted(
             path
             for directory in {"/dev/shm", tmp}
             for path in glob.glob(os.path.join(directory, "repro-shm-*"))
         ),
-        "transport pidfiles": pidfiles,
-        "live endpoint processes": [path for path in pidfiles if _alive(path)],
         "resource-tracker processes": _resource_trackers(processes),
         "orphaned pool workers": _orphaned_workers(processes),
     }
@@ -123,7 +103,7 @@ def main() -> int:
         for item in found:
             print(f"  {item}")
     if not leaks:
-        print("no leaked segments, pidfiles or processes")
+        print("no leaked segments or processes")
     return 1 if leaks else 0
 
 

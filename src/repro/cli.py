@@ -49,13 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "REPRO_WORKERS; negative = one per CPU)"
     )
     transport_help = (
-        "execution carrier: 'sim' (discrete-event simulation, default, or "
-        "REPRO_TRANSPORT) or 'socket' (real TCP via asyncio)"
-    )
-    transport_mode_help = (
-        "socket deployment: 'task' (all endpoints in one asyncio loop, "
-        "default) or 'process' (one OS process per super-peer); "
-        "also REPRO_TRANSPORT_MODE"
+        "execution carrier: 'sim' (discrete-event simulation, default) or "
+        "'socket' (real TCP via asyncio)"
     )
     substrate_help = (
         "Algorithm-1 scan substrate: 'sorted' (the paper's f-ascending "
@@ -158,10 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dataset", choices=("uniform", "clustered", "correlated", "anticorrelated"),
                    default="uniform")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--transport", choices=("sim", "socket"), default=None,
+    q.add_argument("--transport", choices=("sim", "socket"), default="sim",
                    help=transport_help)
-    q.add_argument("--transport-mode", choices=("task", "process"), default=None,
-                   help=transport_mode_help)
     q.add_argument("--substrate", choices=SCAN_SUBSTRATES, default=None,
                    help=substrate_help)
     q.add_argument("--explain", action="store_true",
@@ -184,10 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dataset", choices=("uniform", "clustered", "correlated", "anticorrelated"),
                     default="uniform")
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--transport", choices=("sim", "socket"), default=None,
+    tr.add_argument("--transport", choices=("sim", "socket"), default="sim",
                     help=transport_help)
-    tr.add_argument("--transport-mode", choices=("task", "process"), default=None,
-                    help=transport_mode_help)
     tr.add_argument("--output", default="query-trace.json",
                     help="Chrome-trace JSON path (open in chrome://tracing or Perfetto)")
     tr.add_argument("--metrics-output", default=None,
@@ -434,21 +425,10 @@ def _run_update(args: argparse.Namespace) -> int:
     return 0 if response.ok else 1
 
 
-def _resolve_transport(args: argparse.Namespace) -> str:
-    """``sim`` or ``socket`` — ``--transport``, else ``REPRO_TRANSPORT``."""
-    import os
-
-    transport = args.transport or os.environ.get("REPRO_TRANSPORT") or "sim"
-    if transport not in ("sim", "socket"):
-        raise SystemExit(f"unknown transport {transport!r} (sim|socket)")
-    return transport
-
-
 def _format_transport_report(report) -> str:
     """Measured wire traffic next to the cost model's estimate."""
     lines = [
-        f"transport          : socket ({report.mode} mode), "
-        f"{report.wall_seconds * 1e3:.1f} ms wall",
+        f"transport          : socket, {report.wall_seconds * 1e3:.1f} ms wall",
         f"  messages         : {report.messages} "
         f"({report.query_messages} query, {report.result_messages} result)",
         f"  measured bytes   : {report.payload_bytes} payload, "
@@ -465,7 +445,6 @@ def _format_transport_report(report) -> str:
 def _run_single_query(args: argparse.Namespace) -> int:
     subspace = tuple(int(x) for x in args.subspace.split(","))
     variant = Variant.parse(args.variant)
-    transport = _resolve_transport(args)
     print(
         f"building network: {args.peers} peers x {args.points_per_peer} points, "
         f"d={args.dims}, dataset={args.dataset}"
@@ -483,7 +462,7 @@ def _run_single_query(args: argparse.Namespace) -> int:
         f"SEL_sp={100 * report.sel_sp:.1f}%"
     )
     query = Query(subspace=subspace, initiator=network.topology.superpeer_ids[0])
-    if transport == "socket":
+    if args.transport == "socket":
         return _run_socket_cli_query(args, network, query, variant)
     execution = execute_query(network, query, variant, scan_substrate=args.substrate)
     if args.json:
@@ -508,7 +487,7 @@ def _run_socket_cli_query(args, network, query, variant) -> int:
     """The ``--transport socket`` path of ``skypeer query``."""
     from .skypeer.netexec import run_socket_query
 
-    outcome = run_socket_query(network, query, variant, mode=args.transport_mode)
+    outcome = run_socket_query(network, query, variant)
     if args.json:
         import json
 
@@ -516,7 +495,6 @@ def _run_socket_cli_query(args, network, query, variant) -> int:
         payload = {
             "variant": variant.value,
             "transport": "socket",
-            "mode": report.mode,
             "result_size": len(outcome.result),
             "result_ids": sorted(outcome.result_ids),
             "wall_seconds": report.wall_seconds,
@@ -549,7 +527,6 @@ def _run_trace(args: argparse.Namespace) -> int:
 
     subspace = tuple(int(x) for x in args.subspace.split(","))
     variant = Variant.parse(args.variant)
-    transport = _resolve_transport(args)
     outcome = None
     with observed() as (tracer, metrics):
         network = SuperPeerNetwork.build(
@@ -560,10 +537,10 @@ def _run_trace(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         query = Query(subspace=subspace, initiator=network.topology.superpeer_ids[0])
-        if transport == "socket":
+        if args.transport == "socket":
             from .skypeer.netexec import run_socket_query
 
-            outcome = run_socket_query(network, query, variant, mode=args.transport_mode)
+            outcome = run_socket_query(network, query, variant)
         else:
             execution = execute_query(network, query, variant)
     write_chrome_trace(args.output, tracer, indent=None)

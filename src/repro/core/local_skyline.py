@@ -18,7 +18,6 @@ that routine against.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -143,8 +142,7 @@ def local_subspace_skyline(
         Dominance index implementation (``block``, ``list``, ``rtree``).
     scan_chunk:
         Batch size of the vectorized scan; defaults to
-        :func:`resolve_scan_chunk` (the ``REPRO_SCAN_CHUNK`` env var or
-        the built-in default).
+        :func:`resolve_scan_chunk` (the built-in default).
 
     Notes
     -----
@@ -208,17 +206,14 @@ def _pointwise_scan(index, proj, f, dists, threshold: float) -> tuple[int, float
 #: alternatives (64 beats both 16, where dispatch overhead shows, and
 #: 256+, where the quadratic intra-batch pass and the points examined
 #: past tighter mid-batch thresholds start to dominate).  Override per
-#: call (``scan_chunk=...``) or per process (``REPRO_SCAN_CHUNK``).
+#: call (``scan_chunk=...``).
 _SCAN_CHUNK = 64
 
 
 def resolve_scan_chunk(scan_chunk: int | None = None) -> int:
-    """The effective scan batch size: argument, env var or default."""
+    """The effective scan batch size: the argument, else the default."""
     if scan_chunk is None:
-        raw = os.environ.get("REPRO_SCAN_CHUNK")
-        if raw is None:
-            return _SCAN_CHUNK
-        scan_chunk = int(raw)
+        return _SCAN_CHUNK
     if scan_chunk <= 0:
         raise ValueError(f"scan chunk must be positive, got {scan_chunk}")
     return scan_chunk

@@ -20,21 +20,19 @@ Layering, bottom up:
   the protocol's termination argument needs.  Connects retry with
   exponential backoff; writes carry timeouts; ``close()`` flushes and
   tears everything down.
-* **Configuration** — :class:`TransportConfig` holds every knob, each
-  overridable through ``REPRO_TRANSPORT_*`` environment variables
-  (see ``docs/TRANSPORT.md``).
+* **Configuration** — :class:`TransportConfig` holds every setting as a
+  validated field with a default (see ``docs/TRANSPORT.md``); a caller
+  that wants others passes its own instance.
 
 The endpoint is deliberately protocol-agnostic: it moves opaque frames
 and counts bytes.  :mod:`repro.skypeer.netexec` wires
 :class:`repro.skypeer.protocol.ProtocolNode` state machines to
-endpoints — either all in one event loop (task mode) or one endpoint
-per OS process (process mode) — and owns the wire codec boundary.
+endpoints, all in one event loop, and owns the wire codec boundary.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import struct
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Mapping
@@ -68,8 +66,7 @@ class TransportError(RuntimeError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TransportConfig:
-    """Socket-transport knobs (every field has a ``REPRO_TRANSPORT_*``
-    environment override, read by :meth:`from_env`)."""
+    """Socket-transport settings; ``__post_init__`` validates them."""
 
     host: str = "127.0.0.1"
     connect_timeout: float = 5.0
@@ -78,16 +75,6 @@ class TransportConfig:
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     max_frame_bytes: int = 64 << 20
-
-    _ENV = {
-        "host": ("REPRO_TRANSPORT_HOST", str),
-        "connect_timeout": ("REPRO_TRANSPORT_CONNECT_TIMEOUT", float),
-        "io_timeout": ("REPRO_TRANSPORT_IO_TIMEOUT", float),
-        "retries": ("REPRO_TRANSPORT_RETRIES", int),
-        "backoff_base": ("REPRO_TRANSPORT_BACKOFF", float),
-        "backoff_factor": ("REPRO_TRANSPORT_BACKOFF_FACTOR", float),
-        "max_frame_bytes": ("REPRO_TRANSPORT_MAX_FRAME", int),
-    }
 
     def __post_init__(self) -> None:
         if self.connect_timeout <= 0 or self.io_timeout <= 0:
@@ -98,19 +85,6 @@ class TransportConfig:
             raise ValueError("backoff must be non-negative and non-shrinking")
         if self.max_frame_bytes < FRAME_HEAD_BYTES:
             raise ValueError("max_frame_bytes too small")
-
-    @classmethod
-    def from_env(cls, env: Mapping[str, str] | None = None) -> "TransportConfig":
-        env = os.environ if env is None else env
-        overrides: dict[str, Any] = {}
-        for name, (key, parse) in cls._ENV.items():
-            raw = env.get(key)
-            if raw is not None and raw != "":
-                try:
-                    overrides[name] = parse(raw)
-                except ValueError as exc:
-                    raise ValueError(f"bad {key}={raw!r}") from exc
-        return cls(**overrides)
 
     def backoff_delay(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (0-based, exponential)."""
@@ -209,10 +183,6 @@ class EndpointStats:
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
 
-    def add(self, other: "EndpointStats") -> None:
-        for key, value in other.__dict__.items():
-            setattr(self, key, getattr(self, key) + value)
-
 
 class _Outbound:
     """One destination's FIFO queue plus the sender task draining it."""
@@ -260,17 +230,9 @@ class SocketEndpoint:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self, sock=None) -> tuple[str, int]:
-        """Bind and listen; returns the bound ``(host, port)``.
-
-        ``sock`` lets a pre-bound listening socket be adopted — process
-        mode binds before forking the asyncio loop so the parent can
-        collect every port before any endpoint needs to connect.
-        """
-        if sock is not None:
-            self._server = await asyncio.start_server(self._serve, sock=sock)
-        else:
-            self._server = await asyncio.start_server(self._serve, self._config.host, 0)
+    async def start(self) -> tuple[str, int]:
+        """Bind and listen; returns the bound ``(host, port)``."""
+        self._server = await asyncio.start_server(self._serve, self._config.host, 0)
         bound = self._server.sockets[0].getsockname()
         self.address = (bound[0], bound[1])
         return self.address

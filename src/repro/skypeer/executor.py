@@ -24,8 +24,9 @@ dependency DAG.  Durations are measured wall-clock around the actual
 Python computations; abstract dominance-comparison counts are
 aggregated alongside for machine-independent reporting.
 
-``execute_query`` routes over the BFS tree rooted at the initiator (the
-idealized routing the paper's figures charge);
+``execute_query`` routes over the BFS tree rooted at the initiator
+(:func:`spanning_tree`: the routing the paper's figures charge, and the
+one the sockets of :mod:`repro.skypeer.netexec` use too);
 :func:`repro.skypeer.protocol.run_protocol` hands the same driver the
 full adjacency.
 """
@@ -46,7 +47,9 @@ from ..p2p.network import SuperPeerNetwork
 from .protocol import ProtocolNode, QueryBound, make_kernels
 from .variants import Variant
 
-__all__ = ["Clock", "QueryExecution", "execute_query", "make_local_compute"]
+__all__ = [
+    "Clock", "QueryExecution", "execute_query", "make_local_compute", "spanning_tree",
+]
 
 
 @dataclass(frozen=True)
@@ -376,16 +379,9 @@ def run_on_model_clocks(
     """
     subspace = normalize_subspace(query.subspace, network.dimensionality)
     root = query.initiator
-    if root not in network.superpeers:
-        raise KeyError(f"unknown initiator super-peer {root}")
-    parent, children = network.topology.bfs_tree(root)
-    order = _bfs_preorder(root, children)
+    tree, rank = spanning_tree(network, root)
     if neighbours is None:
-        neighbours = {
-            sp: children[sp] + (() if parent[sp] is None else (parent[sp],))
-            for sp in order
-        }
-    rank = {sp: position for position, sp in enumerate(order)}
+        neighbours = tree
     kernels = make_kernels(
         variant, subspace, store_of=network.store_of,
         dimensionality=network.dimensionality,
@@ -393,7 +389,7 @@ def run_on_model_clocks(
         local_compute=local_compute, scan_chunk=scan_chunk,
     )
     carrier = _ModelClocks(network, query, subspace, variant, obs_prefix)
-    for sp in order:
+    for sp in rank:
         carrier.nodes[sp] = ProtocolNode(
             sp, neighbours=neighbours[sp], variant=variant, kernels=kernels,
             carrier=carrier, rank=rank.__getitem__,
@@ -430,6 +426,27 @@ def run_on_model_clocks(
         duplicate_queries=duplicate_queries,
         events=events,
     )
+
+
+def spanning_tree(
+    network: SuperPeerNetwork, root: int
+) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+    """The routing of one query: the backbone's BFS tree rooted at ``root``.
+
+    Returns every super-peer's tree neighbours (its children, then its
+    parent) and its BFS position, both keyed in BFS order.  The position
+    ranks a node's merge inputs, so every carrier that routes on the
+    tree merges the same lists in the same order.
+    """
+    if root not in network.superpeers:
+        raise KeyError(f"unknown initiator super-peer {root}")
+    parent, children = network.topology.bfs_tree(root)
+    order = _bfs_preorder(root, children)
+    neighbours = {
+        sp: children[sp] + (() if parent[sp] is None else (parent[sp],))
+        for sp in order
+    }
+    return neighbours, {sp: position for position, sp in enumerate(order)}
 
 
 def _bfs_preorder(root: int, children: dict[int, tuple[int, ...]]) -> list[int]:

@@ -2,34 +2,30 @@
 
 Runs Algorithm 3 with every super-peer as an independent network
 endpoint speaking the :mod:`repro.p2p.wire` format over real TCP
-sockets (:mod:`repro.p2p.transport`), in one of two deployment modes:
+sockets (:mod:`repro.p2p.transport`).  Every endpoint lives in one
+asyncio event loop of the calling process; bytes still cross the
+kernel's TCP stack, so the measured traffic is real.
 
-* ``task`` — every endpoint lives in one asyncio event loop of the
-  calling process.  Bytes still cross the kernel's TCP stack, so the
-  measured traffic is real, but setup cost is tiny; this is the
-  default and what CI's sim-vs-socket equality matrix runs.
-* ``process`` — one OS process per super-peer.  Each child receives
-  only *its* store and neighbour list, binds its own listening socket,
-  and exchanges messages with the other children; the parent only
-  coordinates addresses and collects the initiator's result.  This is
-  the deployment the paper describes, minus multiple hosts.
-
-Either way every endpoint runs the one
-:class:`repro.skypeer.protocol.ProtocolNode` that the model-clock driver
-runs, so result sets are identical across the model, task and process
-carriers — asserted in the test-suite for all five variants.  This
-module is its third carrier and the wire boundary: :mod:`repro.p2p.wire`
-encoding (projection onto the queried coordinates included) happens
-where a message leaves a node for a socket, decoding where a frame
-comes off one, and nowhere else.  There is no model clock here — the
-computations already spent their wall-clock time, so the carrier's
-stamps are ``None``.
+Every endpoint runs the one :class:`repro.skypeer.protocol.ProtocolNode`
+that the model-clock driver runs, on the same routing: the BFS tree of
+the initiator (:func:`repro.skypeer.executor.spanning_tree`), its tree
+neighbours and its BFS-position merge ranks.  So the sockets send the
+messages :func:`~repro.skypeer.executor.execute_query` charges, and
+return its answer in the same order — asserted in the test-suite for
+all five variants.  Flooding the full adjacency is
+:func:`~repro.skypeer.protocol.run_protocol`'s job alone.  This module
+is the wire boundary: :mod:`repro.p2p.wire` encoding (projection onto
+the queried coordinates included) happens where a message leaves a
+node for a socket, decoding where a frame comes off one, and nowhere
+else.  There is no model clock here — the computations already spent
+their wall-clock time, so the carrier's stamps are ``None``.
 
 Every sent message is tallied twice: ``len(blob)`` as *measured* wire
 bytes and :func:`repro.p2p.wire.cost_estimate` as the *estimated*
-bytes the cost model would charge for it.  The two differ by a small,
-constant per-message framing delta (the model charges an abstract
-64-byte envelope; the codec packs a 16-byte header) — documented in
+bytes the cost model would charge for it.  The estimates sum to the
+model's ``volume_bytes``; the two tallies differ by a small, constant
+per-message framing delta (the model charges an abstract 64-byte
+envelope; the codec packs a 16-byte header) — documented in
 ``docs/TRANSPORT.md`` and asserted in tests, which is what makes the
 reproduction's communication-cost claims falsifiable.
 """
@@ -37,21 +33,14 @@ reproduction's communication-cost claims falsifiable.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import os
-import pickle
-import socket
-import tempfile
-import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.dataset import PointSet
 from ..core.local_skyline import SkylineComputation
 from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
@@ -61,6 +50,7 @@ from ..p2p.network import SuperPeerNetwork
 from ..p2p.cost import CostModel
 from ..p2p.transport import SocketEndpoint, TransportConfig, TransportError
 from ..p2p.wire import QueryMessage, ResultMessage, cost_estimate, decode, decode_header
+from .executor import execute_query, spanning_tree
 from .protocol import ProtocolNode, QueryBound, make_kernels
 from .variants import Variant
 
@@ -69,23 +59,10 @@ __all__ = [
     "SocketOutcome",
     "TransportReport",
     "gateway_dispatch",
-    "resolve_transport_mode",
     "run_socket_query",
 ]
 
 _KIND_QUERY = 1
-
-#: Directory for the child-endpoint pid markers the CI leak check scans.
-RUNDIR_ENV = "REPRO_TRANSPORT_RUNDIR"
-MODE_ENV = "REPRO_TRANSPORT_MODE"
-
-
-def resolve_transport_mode(mode: str | None = None) -> str:
-    """``task`` or ``process`` — argument, else ``REPRO_TRANSPORT_MODE``."""
-    resolved = mode or os.environ.get(MODE_ENV) or "task"
-    if resolved not in ("task", "process"):
-        raise ValueError(f"unknown transport mode {resolved!r} (task|process)")
-    return resolved
 
 
 def query_id_for(query: Query) -> int:
@@ -196,20 +173,6 @@ class WireAccounting:
             self.result_messages += 1
         self.estimated_bytes += cost_estimate(blob, self._model)
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "messages": self.messages,
-            "query_messages": self.query_messages,
-            "result_messages": self.result_messages,
-            "estimated_bytes": self.estimated_bytes,
-        }
-
-    def add_dict(self, other: Mapping[str, int]) -> None:
-        self.messages += other["messages"]
-        self.query_messages += other["query_messages"]
-        self.result_messages += other["result_messages"]
-        self.estimated_bytes += other["estimated_bytes"]
-
 
 @dataclass
 class TransportReport:
@@ -219,7 +182,6 @@ class TransportReport:
     initiator's compute time (its scan and its merge).
     """
 
-    mode: str
     wall_seconds: float
     messages: int
     query_messages: int
@@ -267,34 +229,31 @@ def run_socket_query(
     variant: Variant | str = Variant.FTPM,
     index_kind: str | None = None,
     *,
-    mode: str | None = None,
+    mode: str = "task",
     config: TransportConfig | None = None,
 ) -> SocketOutcome:
     """Execute one query over the asyncio socket transport.
 
-    The answer carries the same point ids, in the same order, as
-    :func:`execute_query`'s and :func:`run_protocol`'s, on the queried
-    coordinates only; the report holds the measured per-super-peer wire
-    traffic next to the cost model's estimate for the very same messages.
+    The query travels the initiator's BFS tree, as under
+    :func:`execute_query`: the answer carries the same point ids in the
+    same order, on the queried coordinates only, and the report's
+    ``messages`` and ``estimated_bytes`` are that run's
+    ``message_count`` and ``volume_bytes``, next to the measured
+    per-super-peer wire traffic.  ``mode`` accepts ``"task"`` only (every
+    endpoint is a task of one event loop).
     """
+    if mode != "task":
+        raise ValueError(f"unknown transport mode {mode!r} (task)")
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
     index_kind = index_kind or network.index_kind
-    mode = resolve_transport_mode(mode)
-    config = config if config is not None else TransportConfig.from_env()
-    if query.initiator not in network.superpeers:
-        raise KeyError(f"unknown initiator super-peer {query.initiator}")
+    config = config if config is not None else TransportConfig()
+    neighbours, rank = spanning_tree(network, query.initiator)
     started = time.perf_counter()
-    if mode == "task":
-        result, stats, accounting, compute_seconds = asyncio.run(
-            _run_task_mode(network, query, variant, index_kind, config)
-        )
-    else:
-        result, stats, accounting, compute_seconds = _run_process_mode(
-            network, query, variant, index_kind, config
-        )
+    result, stats, accounting, compute_seconds = asyncio.run(
+        _run_endpoints(network, query, variant, index_kind, config, neighbours, rank)
+    )
     wall = time.perf_counter() - started
     report = TransportReport(
-        mode=mode,
         wall_seconds=wall,
         messages=accounting.messages,
         query_messages=accounting.query_messages,
@@ -318,34 +277,34 @@ def _record_observability(
     if metrics is not None:
         for sp, stats in report.per_superpeer.items():
             metrics.counter(
-                "transport.bytes_sent", superpeer=sp, mode=report.mode
+                "transport.bytes_sent", superpeer=sp
             ).inc(stats["payload_bytes_sent"])
             metrics.counter(
-                "transport.bytes_received", superpeer=sp, mode=report.mode
+                "transport.bytes_received", superpeer=sp
             ).inc(stats["payload_bytes_received"])
             metrics.counter(
-                "transport.frame_bytes_sent", superpeer=sp, mode=report.mode
+                "transport.frame_bytes_sent", superpeer=sp
             ).inc(stats["frame_bytes_sent"])
             metrics.counter(
-                "transport.retries", superpeer=sp, mode=report.mode
+                "transport.retries", superpeer=sp
             ).inc(stats["retries"])
         metrics.counter(
-            "transport.messages", variant=variant.value, mode=report.mode
+            "transport.messages", variant=variant.value
         ).inc(report.messages)
         metrics.counter(
-            "transport.estimated_bytes", variant=variant.value, mode=report.mode
+            "transport.estimated_bytes", variant=variant.value
         ).inc(report.estimated_bytes)
         metrics.histogram(
-            "transport.query_seconds", variant=variant.value, mode=report.mode
+            "transport.query_seconds", variant=variant.value
         ).observe(report.wall_seconds)
         metrics.histogram(
-            "netexec.initiator_idle_seconds", variant=variant.value, mode=report.mode
+            "netexec.initiator_idle_seconds", variant=variant.value
         ).observe(report.initiator_idle_seconds)
     if tracer is not None:
         tracer.interval(
             "socket query", category="transport", track="transport",
             start=0.0, end=report.wall_seconds, clock="wall",
-            variant=variant.value, mode=report.mode,
+            variant=variant.value,
             subspace=str(tuple(query.subspace)),
             payload_bytes=report.payload_bytes,
             estimated_bytes=report.estimated_bytes,
@@ -355,14 +314,16 @@ def _record_observability(
 
 
 # ----------------------------------------------------------------------
-# task mode: every endpoint in one asyncio loop
+# the endpoints: one asyncio task per super-peer
 # ----------------------------------------------------------------------
-async def _run_task_mode(
+async def _run_endpoints(
     network: SuperPeerNetwork,
     query: Query,
     variant: Variant,
     index_kind: str,
     config: TransportConfig,
+    neighbours: Mapping[int, Sequence[int]],
+    rank: Mapping[int, int],
 ) -> tuple[SortedByF, dict[int, dict[str, int]], WireAccounting, float]:
     subspace = normalize_subspace(query.subspace, network.dimensionality)
     endpoints: dict[int, SocketEndpoint] = {}
@@ -382,10 +343,10 @@ async def _run_task_mode(
         variant, subspace, store_of=network.store_of,
         dimensionality=network.dimensionality, index_kind=index_kind, on_wire=True,
     )
-    for sp in network.topology.superpeer_ids:
+    for sp in rank:
         carrier.nodes[sp] = ProtocolNode(
-            sp, neighbours=network.topology.adjacency[sp], variant=variant,
-            kernels=kernels, carrier=carrier,
+            sp, neighbours=neighbours[sp], variant=variant, kernels=kernels,
+            carrier=carrier, rank=rank.__getitem__,
         )
         endpoints[sp] = SocketEndpoint(sp, partial(carrier.deliver, sp), config)
     try:
@@ -413,214 +374,6 @@ async def _run_task_mode(
 
 
 # ----------------------------------------------------------------------
-# process mode: one endpoint per OS process
-# ----------------------------------------------------------------------
-def _rundir() -> str:
-    path = os.environ.get(RUNDIR_ENV) or tempfile.gettempdir()
-    # A custom rundir may not exist yet; endpoint children die before
-    # the 'bound' handshake if their pid marker has nowhere to go.
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _pidfile() -> str:
-    return os.path.join(_rundir(), f"repro-transport-{os.getpid()}.pid")
-
-
-def _store_payload(store: SortedByF) -> tuple[Any, Any, Any]:
-    return (
-        np.ascontiguousarray(store.points.values),
-        np.ascontiguousarray(store.points.ids),
-        np.ascontiguousarray(store.f),
-    )
-
-
-def _endpoint_child_main(conn, spec_bytes: bytes) -> None:
-    """Entry point of one super-peer endpoint process.
-
-    Handshake (over the pipe): send ``("bound", (host, port))`` →
-    receive ``("peers", addr_map)`` → send ``("ready",)`` → (initiator
-    only) receive ``("go",)``, run the query, send ``("result", ...)``
-    → receive ``("stop",)`` → flush, send ``("stats", ...)``, exit.
-    """
-    spec = pickle.loads(spec_bytes)
-    marker = _pidfile()
-    try:
-        with open(marker, "w", encoding="utf-8") as handle:
-            handle.write(str(os.getpid()))
-        sock = socket.create_server((spec["host"], 0))
-        conn.send(("bound", sock.getsockname()[:2]))
-        kind, peers = conn.recv()
-        assert kind == "peers"
-        asyncio.run(_endpoint_child_async(conn, spec, sock, peers))
-    finally:
-        try:
-            os.unlink(marker)
-        except OSError:
-            pass
-        conn.close()
-
-
-async def _endpoint_child_async(conn, spec: dict, sock, peers) -> None:
-    loop = asyncio.get_running_loop()
-    config = TransportConfig(**spec["config"])
-    variant = Variant.parse(spec["variant"])
-    store = SortedByF(PointSet(spec["values"], spec["ids"]), spec["f"])
-    subspace = tuple(spec["subspace"])
-    me = spec["superpeer_id"]
-    go = asyncio.Event()
-    stop = asyncio.Event()
-    done = asyncio.Event()
-    final: list[SortedByF] = []
-
-    def watch_pipe() -> None:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                message = ("stop",)
-            if message[0] == "go":
-                loop.call_soon_threadsafe(go.set)
-            elif message[0] == "stop":
-                loop.call_soon_threadsafe(stop.set)
-                return
-
-    def on_final(result: SortedByF) -> None:
-        final.append(result)
-        done.set()
-
-    carrier = _SocketCarrier(
-        lambda _src, dst, blob: endpoint.send(dst, blob),
-        query_id=spec["query_id"], subspace=subspace, initiator=spec["initiator"],
-        cost_model=CostModel(**spec["cost_model"]), on_final=on_final,
-    )
-    # The node only ever reads its *own* store: a process-per-super-peer
-    # deployment ships exactly ``store`` and ``neighbours`` to each endpoint.
-    carrier.nodes[me] = node = ProtocolNode(
-        me, neighbours=spec["neighbours"], variant=variant, carrier=carrier,
-        kernels=make_kernels(
-            variant, subspace, store_of=lambda _sp: store,
-            dimensionality=store.dimensionality, index_kind=spec["index_kind"],
-            on_wire=True,
-        ),
-    )
-    endpoint = SocketEndpoint(me, partial(carrier.deliver, me), config)
-    await endpoint.start(sock=sock)
-    endpoint.set_peers(peers)
-    threading.Thread(target=watch_pipe, daemon=True).start()
-    conn.send(("ready",))
-    try:
-        if me == spec["initiator"]:
-            await asyncio.wait_for(go.wait(), config.io_timeout)
-            node.start(None)
-            await asyncio.wait_for(done.wait(), config.io_timeout)
-            conn.send(("result", *_store_payload(final[0]), carrier.busy[me]))
-        await asyncio.wait_for(stop.wait(), config.io_timeout)
-        await endpoint.flush()
-    finally:
-        await endpoint.close()
-    conn.send(("stats", endpoint.stats.as_dict(), carrier.accounting.as_dict()))
-
-
-def _run_process_mode(
-    network: SuperPeerNetwork,
-    query: Query,
-    variant: Variant,
-    index_kind: str,
-    config: TransportConfig,
-) -> tuple[SortedByF, dict[int, dict[str, int]], WireAccounting, float]:
-    from ..parallel import start_method
-
-    ctx = multiprocessing.get_context(start_method())
-    subspace = normalize_subspace(query.subspace, network.dimensionality)
-    qid = query_id_for(query)
-    config_fields = {
-        name: getattr(config, name) for name in TransportConfig._ENV
-    }
-    cost_fields = dict(network.cost_model.__dict__)
-    children: dict[int, Any] = {}
-    pipes: dict[int, Any] = {}
-    deadline = config.io_timeout
-    try:
-        for sp in network.topology.superpeer_ids:
-            values, ids, f = _store_payload(network.store_of(sp))
-            spec = {
-                "superpeer_id": sp,
-                "host": config.host,
-                "values": values,
-                "ids": ids,
-                "f": f,
-                "neighbours": tuple(network.topology.adjacency[sp]),
-                "subspace": tuple(subspace),
-                "query_id": qid,
-                "initiator": query.initiator,
-                "variant": variant.value,
-                "index_kind": index_kind,
-                "config": config_fields,
-                "cost_model": cost_fields,
-            }
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_endpoint_child_main,
-                args=(child_conn, pickle.dumps(spec)),
-                name=f"repro-transport-sp{sp}",
-            )
-            process.start()
-            child_conn.close()
-            children[sp] = process
-            pipes[sp] = parent_conn
-
-        addresses = {
-            sp: tuple(_expect(pipes[sp], "bound", deadline)[1])
-            for sp in children
-        }
-        for sp in children:
-            pipes[sp].send(("peers", addresses))
-        for sp in children:
-            _expect(pipes[sp], "ready", deadline)
-        pipes[query.initiator].send(("go",))
-        result_msg = _expect(pipes[query.initiator], "result", deadline)
-        result = SortedByF(
-            PointSet(result_msg[1], result_msg[2]), result_msg[3]
-        )
-        for sp in children:
-            pipes[sp].send(("stop",))
-        stats: dict[int, dict[str, int]] = {}
-        accounting = WireAccounting(network.cost_model)
-        for sp in children:
-            message = _expect(pipes[sp], "stats", deadline)
-            stats[sp] = dict(message[1])
-            accounting.add_dict(message[2])
-        for sp, process in children.items():
-            process.join(timeout=deadline)
-        return result, stats, accounting, result_msg[4]
-    finally:
-        for process in children.values():
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        for pipe in pipes.values():
-            pipe.close()
-
-
-def _expect(pipe, kind: str, timeout: float):
-    """Read pipe messages until one of ``kind`` arrives (bounded wait)."""
-    deadline = time.monotonic() + timeout
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not pipe.poll(remaining):
-            raise TransportError(f"timed out waiting for {kind!r} from endpoint")
-        try:
-            message = pipe.recv()
-        except EOFError:
-            raise TransportError(
-                f"endpoint exited before sending {kind!r}"
-            ) from None
-        if message[0] == kind:
-            return message
-
-
-# ----------------------------------------------------------------------
 # gateway dispatch (repro.serving)
 # ----------------------------------------------------------------------
 class QueryAbandoned(RuntimeError):
@@ -640,7 +393,6 @@ def gateway_dispatch(
     backend: str = "serial",
     engine: Any = None,
     scan_chunk: int | None = None,
-    mode: str | None = None,
     abandoned=None,
 ) -> SortedByF:
     """Run one admitted gateway job on the chosen backend.
@@ -676,9 +428,7 @@ def gateway_dispatch(
         runs = engine.run_queries(network, [query], [variant], scan_chunk=scan_chunk)
         return runs[variant][0].result
     if backend == "serial":
-        from .executor import execute_query
-
         return execute_query(network, query, variant, scan_chunk=scan_chunk).result
     if backend == "socket":
-        return run_socket_query(network, query, variant, mode=mode).result
+        return run_socket_query(network, query, variant).result
     raise ValueError(f"unknown gateway backend {backend!r} (engine|serial|socket)")

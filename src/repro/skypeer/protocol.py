@@ -33,7 +33,8 @@ query floods), a *kernels* object that does the computing and a
 The stamps ``at`` are opaque to the node.  Three carriers exist: the
 model clocks of :mod:`repro.skypeer.executor` (``execute_query`` on the
 BFS tree and :func:`run_protocol`, below, on the flooded backbone) and
-the sockets of :mod:`repro.skypeer.netexec`, whose stamps are ``None``.
+the sockets of :mod:`repro.skypeer.netexec` (on the BFS tree too), whose
+stamps are ``None``.
 
 A query's bound is a :class:`QueryBound` ``(t, p)``: the paper's
 threshold ``t``, and ``p``, the point with the smallest coordinate sum
@@ -261,7 +262,8 @@ class ProtocolNode:
     ``rank`` orders the origins of the lists a merge takes (after the
     node's own, which always comes first): any key every carrier agrees
     on gives every carrier the same bytes.  It defaults to the origin's
-    id; the model-clock driver passes the BFS position, because BNL's
+    id; the model-clock and socket drivers pass the BFS position
+    (:func:`~repro.skypeer.executor.spanning_tree`), because BNL's
     comparison count depends on its input order.
     """
 

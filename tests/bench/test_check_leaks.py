@@ -13,21 +13,16 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 SCRIPT = REPO / "benchmarks" / "check_leaks.py"
 
 
-def _run(tmpdir: pathlib.Path, rundir: pathlib.Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, TMPDIR=str(tmpdir), REPRO_TRANSPORT_RUNDIR=str(rundir))
+def _run(tmpdir: pathlib.Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, TMPDIR=str(tmpdir))
     return subprocess.run(
         [sys.executable, str(SCRIPT)], env=env, capture_output=True, text=True, timeout=60
     )
 
 
 def test_names_every_kind_of_leftover_and_exits_1(tmp_path):
-    tmpdir, rundir = tmp_path / "tmp", tmp_path / "run"
-    tmpdir.mkdir()
-    rundir.mkdir()
-    (tmpdir / "repro-shm-1f-0-deadbeef").touch()  # a segment off /dev/shm
-    (tmpdir / "unrelated.txt").touch()
-    (rundir / "repro-transport-1.pid").write_text(f"{os.getpid()}\n")  # alive: us
-    (rundir / "repro-transport-2.pid").write_text("not a pid\n")
+    (tmp_path / "repro-shm-1f-0-deadbeef").touch()  # a segment off /dev/shm
+    (tmp_path / "unrelated.txt").touch()
     # A stand-in for an orphaned tracker: same command line, our uid.
     tracker = subprocess.Popen(
         [sys.executable, "-c",
@@ -35,30 +30,23 @@ def test_names_every_kind_of_leftover_and_exits_1(tmp_path):
         stdin=subprocess.PIPE,
     )
     try:
-        out = _run(tmpdir, rundir)
+        out = _run(tmp_path)
     finally:
         tracker.communicate(b"\n", timeout=30)
     assert out.returncode == 1, out.stdout + out.stderr
     for expected in (
-        "leaked segments:", str(tmpdir / "repro-shm-1f-0-deadbeef"),
-        "leaked transport pidfiles:", "repro-transport-2.pid",
-        "leaked live endpoint processes:",
+        "leaked segments:", str(tmp_path / "repro-shm-1f-0-deadbeef"),
         "leaked resource-tracker processes:", f"{tracker.pid}: ",
     ):
         assert expected in out.stdout, (expected, out.stdout)
-    live = out.stdout.split("leaked live endpoint processes:")[1]
-    assert "repro-transport-1.pid" in live.split("leaked")[0]
-    assert "repro-transport-2.pid" not in live.split("leaked")[0]
     assert "unrelated.txt" not in out.stdout
 
 
 def test_clean_directories_report_nothing_of_theirs(tmp_path):
     # /dev/shm is shared with whatever engines this test session still
-    # holds, so only the private directories' verdicts are asserted.
-    out = _run(tmp_path, tmp_path)
+    # holds, so only the private directory's verdict is asserted.
+    out = _run(tmp_path)
     assert str(tmp_path) not in out.stdout
-    for label in ("transport pidfiles", "live endpoint processes"):
-        assert f"leaked {label}:" not in out.stdout
 
 
 def test_names_a_worker_that_outlived_its_group_leader(tmp_path):
@@ -78,11 +66,11 @@ def test_names_a_worker_that_outlived_its_group_leader(tmp_path):
     )
     worker = int(leader.stdout.readline())
     try:
-        out = _run(tmp_path, tmp_path)
+        out = _run(tmp_path)
         assert f"{worker}: " not in out.stdout  # its leader still lives
         leader.kill()
         leader.wait(timeout=30)
-        out = _run(tmp_path, tmp_path)
+        out = _run(tmp_path)
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.kill(worker, signal.SIGKILL)

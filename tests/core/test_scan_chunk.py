@@ -21,16 +21,10 @@ from tests.conftest import brute_force_skyline_ids
 
 
 class TestResolveScanChunk:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCAN_CHUNK", raising=False)
-        assert resolve_scan_chunk() == _SCAN_CHUNK
+    def test_default(self):
+        assert resolve_scan_chunk() == _SCAN_CHUNK == 64
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_CHUNK", "7")
-        assert resolve_scan_chunk() == 7
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_CHUNK", "7")
+    def test_argument_overrides_default(self):
         assert resolve_scan_chunk(33) == 33
 
     @pytest.mark.parametrize("bad", [0, -1, -256])
@@ -38,10 +32,10 @@ class TestResolveScanChunk:
         with pytest.raises(ValueError, match="positive"):
             resolve_scan_chunk(bad)
 
-    def test_nonpositive_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_CHUNK", "0")
-        with pytest.raises(ValueError, match="positive"):
-            resolve_scan_chunk()
+    def test_environment_is_ignored(self, monkeypatch):
+        """The batch size has no environment spelling."""
+        monkeypatch.setenv("REPRO_SCAN_CHUNK", "2")
+        assert resolve_scan_chunk() == 64
 
 
 @pytest.fixture
@@ -68,14 +62,6 @@ def test_chunk_of_one_matches_oracle(store):
     assert result.result.points.id_set() == brute_force_skyline_ids(
         store.points, (0, 3)
     )
-
-
-def test_env_chunk_flows_through_scan(store, monkeypatch):
-    reference = local_subspace_skyline(store, (0, 1, 2))
-    monkeypatch.setenv("REPRO_SCAN_CHUNK", "2")
-    via_env = local_subspace_skyline(store, (0, 1, 2))
-    assert via_env.result.points.id_set() == reference.result.points.id_set()
-    assert via_env.threshold == reference.threshold
 
 
 def test_merge_accepts_scan_chunk(rng):

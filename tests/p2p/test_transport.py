@@ -114,15 +114,6 @@ class TestTransportConfig:
         assert config.connect_timeout > 0
         assert config.io_timeout > 0
 
-    def test_from_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT_RETRIES", "7")
-        monkeypatch.setenv("REPRO_TRANSPORT_IO_TIMEOUT", "1.5")
-        monkeypatch.setenv("REPRO_TRANSPORT_HOST", "127.0.0.9")
-        config = TransportConfig.from_env()
-        assert config.retries == 7
-        assert config.io_timeout == 1.5
-        assert config.host == "127.0.0.9"
-
     def test_backoff_is_exponential(self):
         config = TransportConfig(backoff_base=0.1, backoff_factor=2.0)
         delays = [config.backoff_delay(a) for a in range(4)]

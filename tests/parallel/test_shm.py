@@ -488,7 +488,7 @@ class TestHardKill:
         dead = f"repro-shm-{gone.pid:x}-0-deadbeef"
         mine = f"repro-shm-{os.getpid():x}-0-deadbeef"
         foreign = "repro-shm-nothex-0-deadbeef"
-        other = f"repro-transport-{gone.pid:x}.pid"  # right pid, not a segment
+        other = f"repro-other-{gone.pid:x}.pid"  # right pid, not a segment
         directories = sorted({segment_home.directory, segment_home.tmpdir})
         paths = [os.path.join(d, n) for d in directories for n in (dead, mine, foreign, other)]
         try:

@@ -2,8 +2,8 @@
 
 One :class:`~repro.skypeer.protocol.ProtocolNode` runs under the model
 clocks on the BFS tree (``execute_query``), under the model clocks on
-the flooded backbone (``run_protocol``) and behind real sockets in both
-endpoint modes.  On tie-free data they return the same bytes — the
+the flooded backbone (``run_protocol``) and behind real sockets on the
+BFS tree (``run_socket_query``).  On tie-free data they return the same bytes — the
 centralized skyline in ascending ``g_U``, the minimum over the queried
 coordinates, which is the key Algorithm 2 merges on and the ``f`` a merged
 answer carries.  (Two carriers may order an exact key tie differently
@@ -33,8 +33,7 @@ def mesh_network() -> SuperPeerNetwork:
 
 
 @pytest.mark.parametrize("variant", tuple(Variant), ids=lambda v: v.value)
-def test_all_carriers_one_answer(mesh_network, variant, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRANSPORT_RUNDIR", str(tmp_path))
+def test_all_carriers_one_answer(mesh_network, variant):
     query = Query(subspace=(0, 2, 4), initiator=mesh_network.topology.superpeer_ids[0])
     oracle = subspace_skyline_points(mesh_network.all_points(), query.subspace)
     cols = list(query.subspace)
@@ -47,16 +46,17 @@ def test_all_carriers_one_answer(mesh_network, variant, tmp_path, monkeypatch):
     answers = {
         "tree": tree.result,
         "flood": flood.result,
-        "task": run_socket_query(mesh_network, query, variant, mode="task").result,
-        "process": run_socket_query(mesh_network, query, variant, mode="process").result,
+        "socket": run_socket_query(mesh_network, query, variant).result,
     }
     for carrier, result in answers.items():
-        on_wire = carrier in ("task", "process")   # lists held the queried coordinates only
+        on_wire = carrier == "socket"   # lists held the queried coordinates only
         coords = result.points.values if on_wire else result.points.values[:, cols]
         assert result.points.ids.tolist() == oracle.ids[order].tolist(), carrier
         assert result.f.tolist() == keys[order].tolist(), carrier
         assert coords.tolist() == oracle.values[order][:, cols].tolist(), carrier
 
+    # Only run_protocol floods: it pays at least the tree's messages, plus
+    # a decline for every edge off the tree.
     edges = sum(len(ns) for ns in mesh_network.topology.adjacency.values()) // 2
     assert flood.message_count >= tree.message_count
     assert flood.duplicate_replies >= edges - (mesh_network.n_superpeers - 1)

@@ -8,8 +8,6 @@ constant per-message envelope delta (``docs/TRANSPORT.md``).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,8 @@ from repro.p2p.cost import DEFAULT_COST_MODEL
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.transport import TransportConfig
 from repro.p2p.wire import QueryMessage, ResultMessage
-from repro.skypeer.netexec import resolve_transport_mode, run_socket_query
+from repro.skypeer.executor import execute_query
+from repro.skypeer.netexec import run_socket_query
 from repro.skypeer.protocol import run_protocol
 from repro.skypeer.variants import Variant
 
@@ -74,7 +73,7 @@ class TestTaskModeEquality:
     def test_socket_matches_sim_and_oracle(self, mesh_network, variant):
         query = _query(mesh_network)
         sim = run_protocol(mesh_network, query, variant)
-        outcome = run_socket_query(mesh_network, query, variant, mode="task")
+        outcome = run_socket_query(mesh_network, query, variant)
         expected = subspace_skyline_points(
             mesh_network.all_points(), query.subspace
         ).id_set()
@@ -82,7 +81,7 @@ class TestTaskModeEquality:
 
     def test_result_store_carries_the_projection_and_its_key(self, mesh_network):
         query = _query(mesh_network, subspace=(1, 3))
-        outcome = run_socket_query(mesh_network, query, Variant.FTPM, mode="task")
+        outcome = run_socket_query(mesh_network, query, Variant.FTPM)
         assert outcome.result.points.dimensionality == 2
         all_points = mesh_network.all_points()
         for point_id, coords in outcome.result.points:
@@ -95,7 +94,7 @@ class TestTaskModeEquality:
         """estimate - measured == the constant envelope delta per message."""
         query = _query(mesh_network, which=1)
         report = run_socket_query(
-            mesh_network, query, variant, mode="task"
+            mesh_network, query, variant
         ).report
         assert report.messages == report.query_messages + report.result_messages
         assert report.messages > 0
@@ -132,52 +131,31 @@ class TestTaskModeEquality:
         assert dict(spans[0].args)["payload_bytes"] == report.payload_bytes
 
 
-class TestProcessMode:
-    @pytest.mark.parametrize("variant", (Variant.NAIVE, Variant.FTPM, Variant.RTPM))
-    def test_matches_sim(self, mesh_network, variant, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT_RUNDIR", str(tmp_path))
-        query = _query(mesh_network)
-        sim = run_protocol(mesh_network, query, variant)
-        outcome = run_socket_query(mesh_network, query, variant, mode="process")
-        assert outcome.result_ids == sim.result_ids
-        assert outcome.report.mode == "process"
-        assert outcome.report.messages > 0
-        # every endpoint process removed its pid marker on exit
-        leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".pid")]
-        assert leftovers == []
-
-    def test_cost_model_holds_across_processes(self, mesh_network, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT_RUNDIR", str(tmp_path))
-        query = _query(mesh_network, which=2)
-        report = run_socket_query(
-            mesh_network, query, Variant.FTFM, mode="process"
-        ).report
-        expected_delta = (
-            _query_delta(3) * report.query_messages
-            + _result_delta(2, 3) * report.result_messages
-        )
-        assert report.estimate_delta_bytes == expected_delta
+class TestModelVolume:
+    @pytest.mark.parametrize("which", (0, 1, 2))
+    @pytest.mark.parametrize("variant", ALL, ids=lambda v: v.value)
+    def test_socket_bytes_are_the_model_volume(self, mesh_network, variant, which):
+        """The sockets route on the model's tree: same messages, same
+        estimated bytes, same answer in the same order."""
+        query = _query(mesh_network, which=which)
+        model = execute_query(mesh_network, query, variant)
+        outcome = run_socket_query(mesh_network, query, variant)
+        assert outcome.report.estimated_bytes == model.volume_bytes
+        assert outcome.report.messages == model.message_count
+        assert outcome.result.points.ids.tolist() == model.result.points.ids.tolist()
 
 
 class TestModeResolution:
-    def test_default_is_task(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRANSPORT_MODE", raising=False)
-        assert resolve_transport_mode() == "task"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT_MODE", "process")
-        assert resolve_transport_mode() == "process"
-        assert resolve_transport_mode("task") == "task"  # argument wins
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown transport mode"):
-            resolve_transport_mode("carrier-pigeon")
-
     def test_unknown_initiator_rejected(self, mesh_network):
         query = Query(subspace=(0, 1), initiator=999_999)
         with pytest.raises(KeyError, match="unknown initiator"):
-            run_socket_query(mesh_network, query, Variant.FTPM, mode="task")
+            run_socket_query(mesh_network, query, Variant.FTPM)
+
+    def test_rejects_unknown(self, mesh_network):
+        """One event loop is the only endpoint mode."""
+        for mode in ("process", "carrier-pigeon"):
+            with pytest.raises(ValueError, match="unknown transport mode"):
+                run_socket_query(mesh_network, _query(mesh_network), Variant.FTPM, mode=mode)
 
 
 class TestConfigPlumbing:
@@ -185,6 +163,6 @@ class TestConfigPlumbing:
         config = TransportConfig(io_timeout=20.0, retries=1)
         query = _query(mesh_network)
         outcome = run_socket_query(
-            mesh_network, query, Variant.FTPM, mode="task", config=config
+            mesh_network, query, Variant.FTPM, config=config
         )
         assert len(outcome.result) > 0

@@ -157,7 +157,7 @@ class TestSocketTransport:
         assert code == 0
         out = capsys.readouterr().out
         assert "|SKY_U|" in out
-        assert "socket (task mode)" in out
+        assert "transport          : socket," in out
         assert "measured bytes" in out
         assert "estimated bytes" in out
 
@@ -185,11 +185,20 @@ class TestSocketTransport:
             )
         assert sizes["sim"] == sizes["socket"]
 
-    def test_env_selects_transport(self, capsys, monkeypatch):
+    def test_transport_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", *self._NET, "--transport", "socket",
+                  "--transport-mode", "process"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --transport-mode" in capsys.readouterr().err
+
+    def test_environment_does_not_pick_the_transport(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TRANSPORT", "socket")
         code = main(["query", *self._NET, "--variant", "FTFM"])
         assert code == 0
-        assert "socket (task mode)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "transferred volume" in out
+        assert "measured bytes" not in out
 
     def test_trace_surfaces_byte_comparison(self, tmp_path, capsys):
         import json

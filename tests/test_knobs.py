@@ -14,9 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("docs/API.md", "docs/TRANSPORT.md", "docs/SERVING.md")
 
-#: A full knob name; ``REPRO_SERVE_`` and ``REPRO_TRANSPORT_`` also
-#: occur as prefixes the gateway and transport configs build names
-#: from, and those are not names.
+#: A full knob name; ``REPRO_SERVE_`` also occurs as the prefix the
+#: gateway config builds names from, and that is not a name.
 NAME = re.compile(r"REPRO_[A-Z_]*[A-Z](?![A-Z_{])")
 
 
