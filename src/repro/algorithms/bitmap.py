@@ -29,21 +29,12 @@ __all__ = ["bitmap_skyline", "BitmapIndex"]
 
 
 class BitmapIndex:
-    """Rank-based bit-slices for one dataset on one subspace."""
+    """Bit-slices for one dataset on one subspace, cut from its raw values."""
 
     def __init__(self, values: np.ndarray):
         if values.ndim != 2:
             raise ValueError("expected a (n, d) array")
         self._values = np.asarray(values, dtype=np.float64)
-        # For each dimension, the sorted distinct values; a point's rank
-        # indexes into the dimension's bit-slices.
-        self._distinct = [np.unique(self._values[:, j]) for j in range(values.shape[1])]
-        self._ranks = np.column_stack(
-            [
-                np.searchsorted(self._distinct[j], self._values[:, j])
-                for j in range(values.shape[1])
-            ]
-        ) if values.shape[1] else np.empty((values.shape[0], 0), dtype=np.int64)
 
     def __len__(self) -> int:
         return self._values.shape[0]

@@ -26,8 +26,6 @@ import time
 from contextlib import contextmanager
 from typing import Sequence
 
-from . import bench
-from .bench.config import SCALES
 from .core.substrates import SCAN_SUBSTRATES
 from .data.workload import Query
 from .p2p.network import SuperPeerNetwork
@@ -42,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="skypeer",
         description="SKYPEER (ICDE 2007) reproduction: distributed subspace skylines",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     workers_help = (
         "process-pool size for query execution (default: serial, or "
@@ -59,41 +57,51 @@ def _build_parser() -> argparse.ArgumentParser:
         "termination)"
     )
 
-    fig = sub.add_parser("figure", help="run one paper experiment")
-    fig.add_argument("experiment", choices=sorted(bench.EXPERIMENTS))
-    fig.add_argument("--scale", choices=sorted(SCALES), default=None)
-    fig.add_argument("--markdown", action="store_true", help="emit Markdown instead of text")
-    fig.add_argument("--workers", type=int, default=None, help=workers_help)
+    def figure_arguments(fig: argparse.ArgumentParser) -> None:
+        from . import bench
 
-    allp = sub.add_parser("all", help="run every experiment")
-    allp.add_argument("--scale", choices=sorted(SCALES), default=None)
-    allp.add_argument("--markdown", action="store_true")
-    allp.add_argument("--workers", type=int, default=None, help=workers_help)
+        fig.add_argument("experiment", choices=sorted(bench.EXPERIMENTS))
+        fig.add_argument("--scale", choices=_scales(), default=None)
+        fig.add_argument("--markdown", action="store_true", help="emit Markdown instead of text")
+        fig.add_argument("--workers", type=int, default=None, help=workers_help)
 
+    def all_arguments(allp: argparse.ArgumentParser) -> None:
+        allp.add_argument("--scale", choices=_scales(), default=None)
+        allp.add_argument("--markdown", action="store_true")
+        allp.add_argument("--workers", type=int, default=None, help=workers_help)
+
+    def bench_arguments(be: argparse.ArgumentParser) -> None:
+        be.add_argument("--smoke", action="store_true",
+                        help="run the fig3b-scale serial-vs-parallel smoke")
+        be.add_argument("--churn", action="store_true",
+                        help="run the incremental churn grid alone: every cell must "
+                             "match from-scratch recomputation byte-for-byte")
+        be.add_argument("--serve", action="store_true",
+                        help="open-loop load through the asyncio gateway "
+                             "(p50/p99 latency, shed rate, coalescing verdicts)")
+        be.add_argument("--scale", choices=_scales(), default="tiny")
+        be.add_argument("--workers", type=int, default=None, help=workers_help)
+        be.add_argument("--concurrency", type=int, default=32,
+                        help="client connections for --serve (default 32)")
+        be.add_argument("--requests", type=int, default=96,
+                        help="requests offered by --serve (default 96)")
+        be.add_argument("--rate", type=float, default=400.0,
+                        help="open-loop arrival rate in req/s for --serve")
+        be.add_argument("--json", dest="json_path", default=None, metavar="PATH",
+                        help="write the report to PATH (default: stdout only)")
+
+    def export_arguments(ex: argparse.ArgumentParser) -> None:
+        ex.add_argument("--scale", choices=_scales(), default=None)
+        ex.add_argument("--output", default="EXPERIMENTS.md")
+
+    sub.add_parser("figure", help="run one paper experiment", arguments=figure_arguments)
+    sub.add_parser("all", help="run every experiment", arguments=all_arguments)
     sub.add_parser("list", help="list experiments")
-
-    be = sub.add_parser(
+    sub.add_parser(
         "bench",
         help="write a machine-readable perf baseline (serial vs parallel)",
+        arguments=bench_arguments,
     )
-    be.add_argument("--smoke", action="store_true",
-                    help="run the fig3b-scale serial-vs-parallel smoke")
-    be.add_argument("--churn", action="store_true",
-                    help="run the incremental churn grid alone: every cell must "
-                         "match from-scratch recomputation byte-for-byte")
-    be.add_argument("--serve", action="store_true",
-                    help="open-loop load through the asyncio gateway "
-                         "(p50/p99 latency, shed rate, coalescing verdicts)")
-    be.add_argument("--scale", choices=sorted(SCALES), default="tiny")
-    be.add_argument("--workers", type=int, default=None, help=workers_help)
-    be.add_argument("--concurrency", type=int, default=32,
-                    help="client connections for --serve (default 32)")
-    be.add_argument("--requests", type=int, default=96,
-                    help="requests offered by --serve (default 96)")
-    be.add_argument("--rate", type=float, default=400.0,
-                    help="open-loop arrival rate in req/s for --serve")
-    be.add_argument("--json", dest="json_path", default=None, metavar="PATH",
-                    help="write the report to PATH (default: stdout only)")
 
     sv = sub.add_parser(
         "serve",
@@ -184,14 +192,44 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--metrics-output", default=None,
                     help="optional path for the metrics snapshot JSON")
 
-    ex = sub.add_parser("export", help="regenerate EXPERIMENTS.md")
-    ex.add_argument("--scale", choices=sorted(SCALES), default=None)
-    ex.add_argument("--output", default="EXPERIMENTS.md")
+    sub.add_parser("export", help="regenerate EXPERIMENTS.md", arguments=export_arguments)
     return parser
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that may add its arguments when first used.
+
+    ``figure``, ``all``, ``bench`` and ``export`` take their choices
+    from :mod:`repro.bench`, which imports every figure module.  Their
+    arguments are added only once one of them parses its command line
+    (which is also where it prints its help or an error), so ``serve``,
+    ``update``, ``query`` and ``trace`` start without that import.
+    """
+
+    def __init__(self, *args, arguments=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def _add_arguments(self) -> None:
+        if self._arguments is not None:
+            add, self._arguments = self._arguments, None
+            add(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_arguments()
+        return super().parse_known_args(args, namespace)
+
+
+def _scales() -> list[str]:
+    from .bench.config import SCALES
+
+    return sorted(SCALES)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in ("list", "figure", "all"):
+        from . import bench
     if args.command == "list":
         for name in sorted(bench.EXPERIMENTS):
             doc = sys.modules[bench.EXPERIMENTS[name].__module__].__doc__ or ""

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PointSet
-from .dominance import batch_dominated_any, extended_skyline_mask, skyline_mask
+from .dominance import extended_skyline_mask, skyline_mask
 from .local_skyline import SkylineComputation, local_subspace_skyline
 from .store import SortedByF
 from .subspace import full_space, normalize_subspace
@@ -43,21 +43,23 @@ __all__ = [
     "subspace_skyline_points",
 ]
 
-#: An input of at most this many rows (every peer of the benchmarks) is
-#: one kernel call: below it the split's bookkeeping costs more than the
-#: pairs it saves.
-_ONE_CALL_ROWS = 256
+#: Rows per pivot cell an input aims for: it is split on
+#: ``floor(log2(n / _LEAF_ROWS))`` column medians, so an input of fewer
+#: than twice this many rows (every peer of the benchmarks) is one
+#: kernel call.  The bitset kernel tests 64 pairs per word and pays per
+#: pool row, so it wants bigger cells than a boolean plane did: swept
+#: 64…1024 on the benchmark networks' pre-processing, 256 is fastest
+#: (docs/PERFORMANCE.md).
+_LEAF_ROWS = 256
 
-#: Rows per pivot cell a larger input aims for: it is split on
-#: ``floor(log2(n / _LEAF_ROWS))`` column medians.  Swept 16…256 on the
-#: benchmark networks' super-peer merges (3 400–4 700 rows, d = 6 and 8):
-#: 32 tests 2.4–2.7× fewer pairs than 256 and runs ≈ 2× faster.
-_LEAF_ROWS = 32
+#: Most bytes one kernel step may hold: its prefix bitsets, the rows
+#: gathered from them and the sort indices they are built from.  The
+#: targets are taken in slices and the dimensions in groups so that a
+#: step fits, whatever the pool's size or skew.
+_SCRATCH_BYTES = 1 << 20
 
-#: Most (dominator, target) pairs one kernel call may hold — no more
-#: than a one-call input's.  A cell whose pool is large is tested in
-#: slices of targets, so a boolean plane stays 64 KB whatever the skew.
-_PLANE_PAIRS = _ONE_CALL_ROWS * _ONE_CALL_ROWS
+#: ``_BIT[i]`` is the word with only bit ``i`` set.
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 def ext_skyline_positions(values: np.ndarray) -> np.ndarray:
@@ -84,8 +86,10 @@ def _ext_skyline_filter(values: np.ndarray) -> tuple[np.ndarray, int]:
     therefore in the row's pool.
     """
     n, d = values.shape
-    bits = min(d, int(math.log2(n / _LEAF_ROWS))) if n > _ONE_CALL_ROWS else 0
     columns = np.ascontiguousarray(values.T)
+    if n < 2 * _LEAF_ROWS:  # one cell: its pool is the input
+        return np.flatnonzero(~_ext_dominated(columns, n)), n * n
+    bits = min(d, int(math.log2(n / _LEAF_ROWS)))
     codes = np.zeros(n, dtype=np.int64)
     for j in range(bits):
         pivot = np.partition(columns[j], n // 2)[n // 2]
@@ -107,24 +111,91 @@ def _ext_skyline_filter(values: np.ndarray) -> tuple[np.ndarray, int]:
             if sub in survivors:
                 pool.append(survivors[sub])
         # The cell's own rows lead the pool, so they are its first rows.
-        # Gathered column by column: the transpose the kernel works on is
-        # then the gather itself, not a copy per slice of targets.
-        dominators = np.take(columns, np.concatenate(pool), axis=1).T
-        m = dominators.shape[0]
-        comparisons += m * rows.size
-        step = max(1, _PLANE_PAIRS // m)
-        dominated = np.concatenate([
-            batch_dominated_any(
-                dominators, dominators[lo : min(lo + step, rows.size)], strict=True
-            )
-            for lo in range(0, rows.size, step)
-        ])
+        dominators = np.take(columns, np.concatenate(pool), axis=1)
+        comparisons += dominators.shape[1] * rows.size
+        dominated = _ext_dominated(dominators, rows.size)
         alive = rows[~dominated]
         if alive.size:
             survivors[code] = alive
     if not survivors:
         return np.zeros(0, dtype=np.int64), comparisons
     return np.sort(np.concatenate(list(survivors.values()))).astype(np.int64), comparisons
+
+
+def _ext_dominated(pool: np.ndarray, targets: int) -> np.ndarray:
+    """Is each of ``pool``'s first ``targets`` rows ext-dominated by a
+    pool row?
+
+    ``pool`` is ``(d, m)``, one C-contiguous row of values per
+    dimension.  Pool row ``i`` is bit ``i`` of a ``uint64`` word array,
+    so one word tests 64 pairs per dimension.  A target's ext-dominators
+    are the AND, over every dimension, of the pool rows strictly below
+    it there: some word survives iff the target is dominated.
+    """
+    d, m = pool.shape
+    if not targets:
+        return np.zeros(0, dtype=bool)
+    words = (m + 63) >> 6
+    # A slice of targets keeps the running AND within a quarter of the
+    # budget; a dimension costs its prefixes and gathered rows (about
+    # two words-rows per target) and a few int64 indices per pool row.
+    step = max(1, min(targets, _SCRATCH_BYTES // (32 * words)))
+    per_dim = 8 * (words * (2 * step + 1) + 6 * m)
+    group = max(1, min(d, _SCRATCH_BYTES // 2 // per_dim))
+    dominated = np.empty(targets, dtype=bool)
+    for lo in range(0, targets, step):
+        hi = min(lo + step, targets)
+        acc = _below_all(pool[:group], lo, hi)
+        for j in range(group, d, group):
+            if not acc.any():
+                break
+            acc &= _below_all(pool[j : j + group], lo, hi)
+        dominated[lo:hi] = acc.any(axis=1)
+    return dominated
+
+
+def _below_all(pool: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The pool rows strictly below target ``t`` on every one of
+    ``pool``'s dimensions, for ``t`` in ``lo..hi-1``: a
+    ``(hi - lo, words)`` bitset array.
+
+    Per dimension the pool is sorted once, and each row's *rank* is the
+    first slot of its tie group.  A row ``q`` is below target ``t``
+    exactly when ``rank(q) < rank(t)``: slots before ``t``'s tie group
+    hold the smaller values and only those (ties and ``-0.0 == 0.0``
+    included), so the rows below ``t`` are the prefix of the sorted
+    order that ends at ``rank(t)``.  Only the targets' ranks end a
+    prefix anyone reads, so the sorted order is cut there into
+    segments, each segment's rows are OR-ed into one bitset, and a
+    cumulative OR over the segments yields every prefix needed.
+    """
+    g, m = pool.shape
+    words = (m + 63) >> 6
+    base = (np.arange(g) * m)[:, None]
+    order = np.argsort(pool, axis=1)
+    flat = order + base
+    ranked = pool.reshape(-1)[flat]
+    first = np.empty((g, m), dtype=np.int64)
+    first[:, 0] = 0
+    np.multiply(ranked[:, 1:] != ranked[:, :-1], np.arange(1, m), out=first[:, 1:])
+    np.maximum.accumulate(first, axis=1, out=first)
+    rank = np.empty(g * m, dtype=np.int64)
+    rank[flat] = first
+    cut = rank.reshape(g, m)[:, lo:hi] + base  # the targets' ranks, as flat slots
+    # segment[j, s]: how many of the targets' ranks are <= slot s.
+    marks = np.zeros(g * m, dtype=np.int64)
+    marks[cut] = 1
+    segment = np.cumsum(marks.reshape(g, m), axis=1)
+    segments = int(segment[:, -1].max()) + 1
+    segment += (np.arange(g) * segments)[:, None]
+    prefixes = np.zeros(g * segments * words, dtype=np.uint64)
+    # ``at``: rows of one segment may share a word.
+    np.bitwise_or.at(prefixes, segment * words + (order >> 6), _BIT[order & 63])
+    prefixes = prefixes.reshape(g, segments, words)
+    np.bitwise_or.accumulate(prefixes, axis=1, out=prefixes)
+    # The rows below a target are the segments before its rank's.
+    gathered = np.take(prefixes.reshape(-1, words), segment.reshape(-1)[cut] - 1, axis=0)
+    return np.bitwise_and.reduce(gathered, axis=0)
 
 
 def ext_skyline_scan(

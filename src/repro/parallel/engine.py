@@ -759,10 +759,13 @@ class ParallelEngine:
         token = f"pub-{os.getpid():x}-{id(self):x}-{self._token_counter}"
         started = time.perf_counter()
         shared = publish_network(network, partitions=partitions)
-        # Specs carry an immutable *snapshot* of the manifest: a later
-        # in-place republish must not tear a spec that a concurrent
-        # submit is pickling.
-        spec = {"token": token, "manifest": copy.deepcopy(shared.manifest)}
+        # A query publication's spec carries an immutable *snapshot* of
+        # the manifest: a later in-place republish must not tear a spec
+        # that a concurrent submit is pickling.  A pre-processing one is
+        # withdrawn after its one fan-out and never republished, so its
+        # manifest is shared as is.
+        manifest = shared.manifest if partitions else copy.deepcopy(shared.manifest)
+        spec = {"token": token, "manifest": manifest}
         self.stats.publish_seconds += time.perf_counter() - started
         self.stats.publications += 1
         return _Publication(

@@ -13,8 +13,8 @@ ext-skyline in the system is computed with.  Two references pin it:
 Sizes cross the single-call bound and the split's leaf size, grids are
 coarse (ties and duplicate rows are common), and a scale of ``5e-324``
 makes every margin subnormal.  A second run shrinks the filter's
-constants, so small inputs split on every column and slice their
-kernel calls.
+constants, so small inputs split on every column and each kernel step
+takes one target on one dimension.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ def grids(draw, max_rows=600):
 
 
 #: The shipped constants, and ones that split even tiny inputs on every
-#: column and slice each kernel call into a few targets.
+#: column and give each kernel step one target and one dimension.
 GEOMETRIES = {
     "shipped": {"_LEAF_ROWS": ext._LEAF_ROWS},
-    "tiny": {"_ONE_CALL_ROWS": 1, "_LEAF_ROWS": 1, "_PLANE_PAIRS": 7},
+    "tiny": {"_LEAF_ROWS": 1, "_SCRATCH_BYTES": 1},
 }
 
 

@@ -238,6 +238,27 @@ class TestPersistentEngine:
             engine.run_queries(network, [query], ["FTPM"])
             assert engine.stats.publications == 2
 
+    def test_only_query_publications_snapshot_their_manifest(self):
+        """A query publication can be republished in place, so its spec
+        holds a copy of the manifest; the pre-processing one is withdrawn
+        after its single fan-out, so its spec shares the manifest."""
+        from repro.p2p.network import SuperPeerNetwork
+        from repro.parallel import ParallelEngine
+
+        network = SuperPeerNetwork.build(
+            n_peers=6, points_per_peer=10, dimensionality=3, seed=0
+        )
+        with ParallelEngine(workers=1) as engine, engine._lock:
+            raw = engine._new_publication(network, partitions=True)
+            stores = engine._new_publication(network, partitions=False)
+            try:
+                assert raw.spec["manifest"] is raw.shared.manifest
+                assert stores.spec["manifest"] is not stores.shared.manifest
+                assert stores.spec["manifest"] == stores.shared.manifest
+            finally:
+                raw.withdraw()
+                stores.withdraw()
+
 
 def _vmrss_kb(pid: int) -> int:
     with open(f"/proc/{pid}/status", encoding="ascii") as handle:

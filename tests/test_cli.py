@@ -1,5 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -213,3 +217,30 @@ class TestSocketTransport:
         trace = json.loads(target.read_text())
         names = {event.get("name") for event in trace["traceEvents"]}
         assert "socket query" in names
+
+
+class TestLeanStart:
+    """``serve``, ``update``, ``query`` and ``trace`` start without
+    :mod:`repro.bench` (the figure modules, harness and sweeps): neither
+    importing the CLI nor parsing one of their command lines loads it."""
+
+    def test_runtime_commands_do_not_import_bench(self):
+        source = (
+            "import sys\n"
+            "import repro.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('repro.bench'))\n"
+            "print(loaded())\n"
+            "for argv in (['serve'], ['update', 'insert'], ['query'], ['trace']):\n"
+            "    repro.cli._build_parser().parse_args(argv)\n"
+            "print(loaded())\n"
+            "repro.cli._build_parser().parse_args(['figure', 'fig3a'])\n"
+            "print('repro.bench' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:3] == ["[]", "[]", "True"]
