@@ -1,7 +1,7 @@
 """Micro-benchmarks for the substrates.
 
 Not a paper figure — these pin the costs of the building blocks every
-experiment rests on: R-tree construction and queries, wire
+experiment rests on: R-tree bulk loading (the BBS substrate), wire
 encode/decode, Algorithm 2 merges, and the pre-processing primitives.
 """
 
@@ -26,22 +26,6 @@ class TestRTreeMicro:
     def test_bulk_load(self, benchmark, cloud):
         tree = benchmark(RTree.bulk_load, cloud)
         assert len(tree) == len(cloud)
-
-    def test_incremental_insert(self, benchmark, cloud):
-        def build():
-            tree = RTree(4)
-            for i in range(500):
-                tree.insert(i, cloud[i])
-            return tree
-
-        tree = benchmark(build)
-        assert len(tree) == 500
-
-    def test_dominance_probe(self, benchmark, cloud):
-        tree = RTree.bulk_load(cloud)
-        probe = np.full(4, 0.5)
-        result = benchmark(tree.exists_dominator, probe)
-        assert result  # something dominates the center of a 5000 cloud
 
 
 class TestWireMicro:

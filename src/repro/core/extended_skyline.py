@@ -278,15 +278,11 @@ def extended_skyline_points(
     return points.mask(extended_skyline_mask(points.values, cols))
 
 
-def subspace_skyline(
-    points: PointSet, subspace: Sequence[int], index_kind: str = "block"
-) -> SkylineComputation:
+def subspace_skyline(points: PointSet, subspace: Sequence[int]) -> SkylineComputation:
     """Centralized ``SKY_U`` with the threshold-based scan (Algorithm 1)."""
     cols = normalize_subspace(subspace, points.dimensionality)
     store = SortedByF.from_points(points)
-    return local_subspace_skyline(
-        store, cols, initial_threshold=math.inf, strict=False, index_kind=index_kind
-    )
+    return local_subspace_skyline(store, cols)
 
 
 def subspace_skyline_points(points: PointSet, subspace: Sequence[int]) -> PointSet:

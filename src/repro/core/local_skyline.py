@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import PointSet
 from .dominance import batch_dominated_any, undominated_among
-from .indexes import make_index
+from .indexes import BlockDominanceIndex
 from .store import SortedByF
 
 __all__ = [
@@ -122,7 +122,6 @@ def local_subspace_skyline(
     subspace: Sequence[int],
     initial_threshold: float = math.inf,
     strict: bool = False,
-    index_kind: str = "block",
     scan_chunk: int | None = None,
 ) -> SkylineComputation:
     """Run Algorithm 1 over an f-sorted store.
@@ -138,8 +137,6 @@ def local_subspace_skyline(
     strict:
         ``True`` switches to ext-domination (the reference for
         :mod:`repro.core.extended_skyline`).
-    index_kind:
-        Dominance index implementation (``block``, ``list``, ``rtree``).
     scan_chunk:
         Batch size of the vectorized scan; defaults to
         :func:`resolve_scan_chunk` (the built-in default).
@@ -153,25 +150,19 @@ def local_subspace_skyline(
     started = time.perf_counter()
     cols = tuple(subspace)
     n = len(store)
-    index = make_index(index_kind, len(cols), strict=strict)
+    index = BlockDominanceIndex(len(cols), strict=strict)
     threshold = float(initial_threshold)
     f = store.f
     # The scan never reads past the last f(p) <= t, so only that prefix
     # is projected.
     proj, dists = store.projection(cols, rows=store.prefix(threshold))
-    if index_kind == "block":
-        examined, threshold = _chunked_scan(
-            index, proj, f, dists, threshold, strict,
-            key_is_scanned_min=len(cols) == store.dimensionality,
-            chunk=resolve_scan_chunk(scan_chunk),
-        )
-    else:
-        examined, threshold = _pointwise_scan(index, proj, f, dists, threshold)
-    positions = index.positions()
-    result_points = store.points.take(positions)
-    # len() (not truthiness) keeps this correct should an index ever
-    # return its positions as an ndarray instead of a list.
-    result = SortedByF(result_points, f[positions] if len(positions) else np.zeros(0))
+    examined, threshold = _chunked_scan(
+        index, proj, f, dists, threshold, strict,
+        key_is_scanned_min=len(cols) == store.dimensionality,
+        chunk=resolve_scan_chunk(scan_chunk),
+    )
+    positions = np.asarray(index.positions(), dtype=np.int64)
+    result = SortedByF(store.points.take(positions), f[positions])
     return SkylineComputation(
         result=result,
         threshold=threshold,
@@ -179,24 +170,8 @@ def local_subspace_skyline(
         comparisons=index.comparisons,
         duration=time.perf_counter() - started,
         input_size=n,
-        positions=np.asarray(positions, dtype=np.int64),
+        positions=positions,
     )
-
-
-def _pointwise_scan(index, proj, f, dists, threshold: float) -> tuple[int, float]:
-    """The paper's per-point loop, verbatim (any dominance index)."""
-    examined = 0
-    for i in range(proj.shape[0]):
-        if f[i] > threshold:
-            break
-        examined += 1
-        row = proj[i]
-        if index.is_dominated(row):
-            continue
-        index.insert_and_prune(i, row)
-        if dists[i] < threshold:
-            threshold = float(dists[i])
-    return examined, threshold
 
 
 #: Points pre-filtered per vectorized batch.  Chosen so the batch

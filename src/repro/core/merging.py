@@ -3,17 +3,14 @@
 Every super-peer delivers its local result as a list of skyline points
 on the queried coordinates.  The merge keys each point on
 ``g_U(p) = min_{i in U} p[i]`` — the paper's ``f`` restricted to the
-queried subspace, recomputable from exactly what a list carries — and
-repeatedly pulls the globally smallest head among the lists (a heap
-takes the paper's "list with the minimum first element" role), applies
-the same dominance test / eviction / threshold update as Algorithm 1,
-and stops as soon as every remaining head exceeds the threshold
-(Observation 5 holds verbatim for ``g_U``; ``docs/ALGORITHMS.md`` has
-the proof and says where this departs from the paper's text).  Each
-list is therefore "accessed only until its next element is larger than
-the threshold value" — the cited advantage over concatenating,
-re-sorting and re-running Algorithm 1.  On the full space ``g_U`` *is*
-``f``.
+queried subspace, recomputable from exactly what a list carries.  The
+lists are concatenated, stably sorted on that key, and scanned by the
+same vectorized loop as Algorithm 1 (the paper names this alternative
+to pulling the smallest head of each list).  The scan stops at the
+first key above the threshold, which is where every remaining head of
+the paper's merge exceeds it (Observation 5 holds verbatim for
+``g_U``; ``docs/ALGORITHMS.md`` has the proof and says where this
+departs from the paper's text).  On the full space ``g_U`` *is* ``f``.
 
 With ``strict=True`` the same routine merges ext-skylines.  The
 super-peer store is not built that way (see
@@ -23,7 +20,6 @@ is the reference the tests compare it against.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from typing import Sequence
@@ -31,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PointSet
-from .indexes import make_index
+from .indexes import BlockDominanceIndex
 from .local_skyline import SkylineComputation, _chunked_scan, resolve_scan_chunk
 from .store import SortedByF
 
@@ -43,7 +39,6 @@ def merge_sorted_skylines(
     subspace: Sequence[int],
     initial_threshold: float = math.inf,
     strict: bool = False,
-    index_kind: str = "block",
     scan_chunk: int | None = None,
 ) -> SkylineComputation:
     """Run Algorithm 2 over several skyline lists.
@@ -65,15 +60,11 @@ def merge_sorted_skylines(
     if len(dims) > 1:
         raise ValueError(f"mismatched dimensionalities: {sorted(dims)}")
     dimensionality = dims.pop() if dims else len(cols)
-    index = make_index(index_kind, len(cols), strict=strict)
+    index = BlockDominanceIndex(len(cols), strict=strict)
     threshold = float(initial_threshold)
     examined = 0
     result = SortedByF.empty(dimensionality)
-    if lists and index_kind == "block":
-        # Fast path: the paper notes the alternative of merging the
-        # sorted lists into one and scanning it; with a vectorized scan
-        # that alternative wins in CPython, and the early-termination
-        # semantics are identical (the scan stops at the same key bound).
+    if lists:
         values = np.concatenate([lst.points.values for lst in lists], axis=0)
         ids = np.concatenate([lst.points.ids for lst in lists], axis=0)
         proj = values[:, cols]
@@ -91,40 +82,6 @@ def merge_sorted_skylines(
         positions = index.positions()
         kept = order[positions]
         result = SortedByF(PointSet(values[kept], ids[kept]), keys[positions])
-    elif lists:
-        # Every input on the merge's key: (list rows, keys, projection),
-        # key-ascending.
-        runs = []
-        for lst in lists:
-            proj = lst.points.values[:, cols]
-            keys = proj.min(axis=1)
-            rows = np.argsort(keys, kind="stable")
-            runs.append((rows, keys[rows], proj[rows]))
-        # Heap of (key, list index, position within the run); ties broken
-        # by list order for determinism.
-        heap: list[tuple[float, int, int]] = [
-            (float(keys[0]), li, 0) for li, (_, keys, _) in enumerate(runs)
-        ]
-        heapq.heapify(heap)
-        alive: list[tuple[int, int, float]] = []  # index position -> (list, row, key)
-        while heap:
-            key, li, pos = heapq.heappop(heap)
-            if key > threshold:
-                break
-            examined += 1
-            rows, keys, proj = runs[li]
-            row = proj[pos]
-            if not index.is_dominated(row):
-                index.insert_and_prune(len(alive), row)
-                alive.append((li, int(rows[pos]), key))
-                threshold = min(threshold, float(row.max()))
-            if pos + 1 < len(keys):
-                heapq.heappush(heap, (float(keys[pos + 1]), li, pos + 1))
-        survivors = [alive[s] for s in index.positions()]
-        if survivors:
-            values = np.vstack([lists[li].points.values[row] for li, row, _ in survivors])
-            ids = np.array([lists[li].points.ids[row] for li, row, _ in survivors], dtype=np.int64)
-            result = SortedByF(PointSet(values, ids), np.array([key for _, _, key in survivors]))
     return SkylineComputation(
         result=result,
         threshold=threshold,

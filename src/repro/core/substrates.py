@@ -95,8 +95,6 @@ def subspace_skyline(
     initial_threshold: float = math.inf,
     strict: bool = False,
     substrate: str | None = None,
-    index_kind: str = "block",
-    scan_chunk: int | None = None,
 ) -> SkylineComputation:
     """Run Algorithm 1 over the whole store on the selected substrate.
 
@@ -109,19 +107,10 @@ def subspace_skyline(
         )
     if substrate == "salsa":
         return salsa_subspace_skyline(
-            store,
-            subspace,
-            initial_threshold=initial_threshold,
-            strict=strict,
-            scan_chunk=scan_chunk,
+            store, subspace, initial_threshold=initial_threshold, strict=strict
         )
     return local_subspace_skyline(
-        store,
-        subspace,
-        initial_threshold=initial_threshold,
-        strict=strict,
-        index_kind=index_kind,
-        scan_chunk=scan_chunk,
+        store, subspace, initial_threshold=initial_threshold, strict=strict
     )
 
 

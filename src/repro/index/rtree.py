@@ -6,13 +6,14 @@ using a main-memory R-tree with dimensionality equal to the query
 dimensionality".  This module provides that substrate: a classic
 Guttman R-tree (quadratic split) over points, with
 
-* dynamic ``insert`` / ``delete``,
-* STR (sort-tile-recursive) bulk loading,
-* axis-aligned ``window`` queries, and
-* the two dominance-specific operations the skyline algorithms need:
-  ``exists_dominator`` (is the probe dominated by any indexed point?)
-  and ``pop_dominated`` (remove and return every indexed point the
-  probe dominates).
+* STR (sort-tile-recursive) bulk loading, which the BBS scan
+  substrate traverses best-first (:meth:`RTree.root`),
+* dynamic ``insert``, and
+* axis-aligned ``window`` queries.
+
+The skyline loops test dominance against a vectorized block of
+candidates (:class:`repro.core.indexes.BlockDominanceIndex`), not with
+window queries over this tree.
 
 Points are stored in leaves as ``(point_id, coords)`` entries; inner
 nodes keep minimum bounding rectangles (MBRs) of their children.
@@ -36,7 +37,7 @@ class _Entry:
     a bulk load.  When the ids are store positions of an f-sorted store,
     ``min_id`` is a lower bound on ``f`` over the subtree, which lets a
     best-first scan skip whole subtrees past a threshold prefix.  It is
-    ``None`` on dynamically inserted entries (dynamic updates do not
+    ``None`` on dynamically inserted entries (an insert does not
     maintain it) and consumers must treat ``None`` as "no bound".
     """
 
@@ -105,10 +106,6 @@ class RTree:
             raise ValueError("min_entries must be in [1, max_entries // 2]")
         self._root = _Node(leaf=True)
         self._size = 0
-        #: Point-level dominance tests performed by ``exists_dominator``
-        #: and ``pop_dominated`` (one per leaf entry examined; subtrees
-        #: pruned by their MBR charge nothing).
-        self.comparisons = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -192,8 +189,8 @@ class RTree:
         """Fill every entry's ``min_id`` with the smallest id beneath it.
 
         One bottom-up pass, intended right after :meth:`bulk_load` while
-        the tree is static.  Dynamic ``insert``/``delete`` calls do not
-        maintain the annotation; consumers see ``min_id is None`` on any
+        the tree is static.  A dynamic ``insert`` does not maintain the
+        annotation; consumers see ``min_id is None`` on any
         entry touched afterwards and must fall back to "no bound".
         """
         self._annotate_node(self._root)
@@ -363,64 +360,6 @@ class RTree:
             node = node.parent
 
     # ------------------------------------------------------------------
-    # deletion
-    # ------------------------------------------------------------------
-    def delete(self, point_id: int, coords: np.ndarray) -> bool:
-        """Delete the point with the given id and coordinates.
-
-        Returns True when a matching entry was found and removed.
-        """
-        coords = self._check_coords(coords)
-        leaf = self._find_leaf(self._root, point_id, coords)
-        if leaf is None:
-            return False
-        leaf.entries = [
-            e for e in leaf.entries if not (e.point_id == point_id and np.array_equal(e.lo, coords))
-        ]
-        self._size -= 1
-        self._condense(leaf)
-        return True
-
-    def _find_leaf(self, node: _Node, point_id: int, coords: np.ndarray) -> _Node | None:
-        if node.leaf:
-            for e in node.entries:
-                if e.point_id == point_id and np.array_equal(e.lo, coords):
-                    return node
-            return None
-        for e in node.entries:
-            if np.all(e.lo <= coords) and np.all(coords <= e.hi):
-                found = self._find_leaf(e.child, point_id, coords)
-                if found is not None:
-                    return found
-        return None
-
-    def _condense(self, node: _Node) -> None:
-        orphans: list[tuple[int, np.ndarray]] = []
-        while node.parent is not None:
-            parent = node.parent
-            if len(node.entries) < self.min_entries:
-                orphans.extend(self._iter_node(node))
-                parent.entries = [e for e in parent.entries if e.child is not node]
-                self._size -= self._count_node(node)
-                node = parent
-            else:
-                self._refresh_entry(parent, node)
-                node = parent
-        # Shrink the root when it has a single child.
-        while not self._root.leaf and len(self._root.entries) == 1:
-            self._root = self._root.entries[0].child
-            self._root.parent = None
-        if not self._root.leaf and not self._root.entries:  # pragma: no cover - safety
-            self._root = _Node(leaf=True)
-        for point_id, coords in orphans:
-            self.insert(point_id, coords)
-
-    def _count_node(self, node: _Node) -> int:
-        if node.leaf:
-            return len(node.entries)
-        return sum(self._count_node(e.child) for e in node.entries)
-
-    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def window(self, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -439,59 +378,3 @@ class RTree:
                 else:
                     stack.append(e.child)
         return out
-
-    def exists_dominator(self, probe: np.ndarray, strict: bool = False) -> bool:
-        """Return True when some indexed point (ext-)dominates ``probe``.
-
-        This is the window-query dominance test of section 5.2.1: only
-        subtrees whose MBR lower corner lies inside ``[0, probe]`` can
-        contain a dominator.
-        """
-        probe = self._check_coords(probe)
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.leaf:
-                for e in node.entries:
-                    self.comparisons += 1
-                    if np.any(e.lo > probe):
-                        continue
-                    if strict:
-                        if np.all(e.lo < probe):
-                            return True
-                    elif np.all(e.lo <= probe) and np.any(e.lo < probe):
-                        return True
-            else:
-                for e in node.entries:
-                    if np.any(e.lo > probe):
-                        continue
-                    stack.append(e.child)
-        return False
-
-    def pop_dominated(self, probe: np.ndarray, strict: bool = False) -> list[tuple[int, np.ndarray]]:
-        """Remove and return every indexed point (ext-)dominated by ``probe``."""
-        probe = self._check_coords(probe)
-        victims: list[tuple[int, np.ndarray]] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.leaf:
-                for e in node.entries:
-                    self.comparisons += 1
-                    if np.any(e.hi < probe):
-                        continue
-                    dominated = (
-                        np.all(probe < e.lo)
-                        if strict
-                        else np.all(probe <= e.lo) and np.any(probe < e.lo)
-                    )
-                    if dominated:
-                        victims.append((e.point_id, e.lo))
-            else:
-                for e in node.entries:
-                    if np.any(e.hi < probe):
-                        continue
-                    stack.append(e.child)
-        for point_id, coords in victims:
-            self.delete(point_id, coords)
-        return victims

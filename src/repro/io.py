@@ -43,7 +43,6 @@ def save_network(path: str | Path, network: SuperPeerNetwork) -> None:
     meta = {
         "format": _FORMAT_VERSION,
         "dimensionality": network.dimensionality,
-        "index_kind": network.index_kind,
         "adjacency": {str(k): list(v) for k, v in network.topology.adjacency.items()},
         "peers_of": {str(k): list(v) for k, v in network.topology.peers_of.items()},
         "cost_model": dataclasses.asdict(network.cost_model),
@@ -77,13 +76,14 @@ def load_network(path: str | Path, preprocess: bool = True) -> SuperPeerNetwork:
         peers_of={int(k): tuple(v) for k, v in meta["peers_of"].items()},
     )
     # A file saved while the RESULT record still carried f also names that
-    # field's size; a size the model no longer has is dropped.
+    # field's size; a size the model no longer has is dropped.  An older
+    # file also names the dominance index it was scanned with; that key is
+    # ignored, as there is one index.
     sizes = {field.name for field in dataclasses.fields(CostModel)}
     cost_model = {k: v for k, v in meta["cost_model"].items() if k in sizes}
     return SuperPeerNetwork.from_partitions(
         topology,
         partitions,
         cost_model=CostModel(**cost_model),
-        index_kind=meta["index_kind"],
         preprocess=preprocess,
     )

@@ -102,13 +102,11 @@ class SuperPeerNetwork:
         peers: Mapping[int, Peer],
         dimensionality: int,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        index_kind: str = "block",
     ):
         self.topology = topology
         self.peers: dict[int, Peer] = dict(peers)
         self.dimensionality = dimensionality
         self.cost_model = cost_model
-        self.index_kind = index_kind
         self.superpeers: dict[int, SuperPeer] = {
             sp: SuperPeer(superpeer_id=sp, dimensionality=dimensionality)
             for sp in topology.superpeer_ids
@@ -190,7 +188,6 @@ class SuperPeerNetwork:
         dataset: str = "uniform",
         seed: int = 0,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        index_kind: str = "block",
         preprocess: bool = True,
         workers: int | None = None,
         engine: "ParallelEngine | None" = None,
@@ -215,7 +212,6 @@ class SuperPeerNetwork:
             peers=peers,
             dimensionality=dimensionality,
             cost_model=cost_model,
-            index_kind=index_kind,
         )
         if preprocess:
             network.preprocess(workers=workers, engine=engine)
@@ -254,7 +250,6 @@ class SuperPeerNetwork:
         topology: Topology,
         partitions: Mapping[int, PointSet],
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        index_kind: str = "block",
         preprocess: bool = True,
         workers: int | None = None,
         engine: "ParallelEngine | None" = None,
@@ -272,7 +267,6 @@ class SuperPeerNetwork:
             peers=peers,
             dimensionality=dims.pop(),
             cost_model=cost_model,
-            index_kind=index_kind,
         )
         if preprocess:
             network.preprocess(workers=workers, engine=engine)
@@ -305,9 +299,9 @@ class SuperPeerNetwork:
     def compute_superpeer_preprocess(self, superpeer_id: int) -> SuperPeerPreprocess:
         """The pure compute half of pre-processing one super-peer.
 
-        Independent across super-peers (only the topology, the attached
-        peers' partitions and the index kind are read), which is what
-        lets the parallel engine run one task per super-peer.
+        Independent across super-peers (only the topology and the
+        attached peers' partitions are read), which is what lets the
+        parallel engine run one task per super-peer.
         """
         peer_results: list[tuple[int, int, SkylineComputation]] = []
         for peer_id in self.topology.peers_of[superpeer_id]:

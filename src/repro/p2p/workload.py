@@ -213,7 +213,6 @@ def rebuild_reference(network: SuperPeerNetwork) -> SuperPeerNetwork:
         topology,
         partitions,
         cost_model=network.cost_model,
-        index_kind=network.index_kind,
     )
 
 

@@ -238,7 +238,7 @@ class ScanMemo:
     """A worker-private LRU of one network's Algorithm-1 scans.
 
     A scan is a pure function of its store and parameters, so an entry
-    is keyed ``(sp, store generation, cols, threshold, scan_chunk)`` and
+    is keyed ``(sp, store generation, cols, threshold)`` and
     holds only the surviving store positions plus the scalar counters.
     A hit *replays* the scan (:meth:`SkylineComputation.replay`): the
     result is rebuilt from the store, the work counters are restored
@@ -264,20 +264,18 @@ class ScanMemo:
     def counts(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
-    def local_compute(self, scan_chunk: int):
+    def local_compute(self):
         """A ``local_compute`` strategy: the default scan, memoized."""
         from ..core.local_skyline import SkylineComputation
         from ..skypeer.executor import make_local_compute
 
         network = self.network
-        compute = make_local_compute(network, scan_chunk=scan_chunk)
+        compute = make_local_compute(network)
         scans = self._scans
 
         def local_compute(sp: int, subspace: Any, threshold: float) -> "SkylineComputation":
             cols = tuple(int(c) for c in subspace)
-            key = (
-                sp, network.store_generations.get(sp, 0), cols, float(threshold), scan_chunk,
-            )
+            key = (sp, network.store_generations.get(sp, 0), cols, float(threshold))
             entry = scans.get(key)
             if entry is not None:
                 scans.move_to_end(key)
@@ -308,7 +306,6 @@ def _run_query_batch(
     spec: dict[str, Any],
     tasks: Sequence[tuple[int, "Query", str]],
     collect_metrics: bool,
-    scan_chunk: int | None,
 ) -> dict[str, Any]:
     """Execute one chunk of (index, query, variant) tasks."""
     from ..obs.metrics import MetricsRegistry
@@ -316,16 +313,11 @@ def _run_query_batch(
     from ..skypeer.executor import execute_query
     from ..skypeer.variants import Variant
 
-    from ..core.local_skyline import resolve_scan_chunk
-
     attached, memo, attach = _materialize(spec)
     network = attached.network
     before = memo.counts()
     started = time.perf_counter()
-    # Resolved once per batch: the scans and merges below then never
-    # consult the environment again.
-    scan_chunk = resolve_scan_chunk(scan_chunk)
-    local_compute = memo.local_compute(scan_chunk)
+    local_compute = memo.local_compute()
     runs: list[tuple[int, "QueryExecution"]] = []
     registry = MetricsRegistry() if collect_metrics else None
     if registry is not None:
@@ -333,11 +325,7 @@ def _run_query_batch(
     try:
         for index, query, variant_value in tasks:
             run = execute_query(
-                network,
-                query,
-                Variant.parse(variant_value),
-                local_compute=local_compute,
-                scan_chunk=scan_chunk,
+                network, query, Variant.parse(variant_value), local_compute=local_compute
             )
             # Per-super-peer scan traces are debugging detail; dropping
             # them keeps the result pickle small.
@@ -928,7 +916,6 @@ class ParallelEngine:
         network: "SuperPeerNetwork",
         queries: Sequence["Query"],
         variants: Sequence["Variant"],
-        scan_chunk: int | None = None,
     ) -> dict["Variant", list["QueryExecution"]]:
         """Fan independent (query, variant) executions out in batches.
 
@@ -944,14 +931,13 @@ class ParallelEngine:
         if self._closed:
             raise RuntimeError("engine is closed")
         with self._gate.read():
-            return self._run_queries_gated(network, queries, variants, scan_chunk)
+            return self._run_queries_gated(network, queries, variants)
 
     def _run_queries_gated(
         self,
         network: "SuperPeerNetwork",
         queries: Sequence["Query"],
         variants: Sequence["Variant"],
-        scan_chunk: int | None,
     ) -> dict["Variant", list["QueryExecution"]]:
         from ..obs.runtime import active_metrics
         from ..skypeer.variants import Variant
@@ -965,7 +951,7 @@ class ParallelEngine:
         total = len(queries) * len(variants)
         started = time.perf_counter()
         futures = [
-            self._pool.submit(_run_query_batch, spec, chunk, metrics is not None, scan_chunk)
+            self._pool.submit(_run_query_batch, spec, chunk, metrics is not None)
             for chunk in chunks
         ]
         with self._lock:
@@ -1199,7 +1185,6 @@ def run_queries_parallel(
     queries: Sequence["Query"],
     variants: Sequence["Variant"],
     workers: int,
-    scan_chunk: int | None = None,
     engine: ParallelEngine | None = None,
 ) -> dict["Variant", list["QueryExecution"]]:
     """Fan (query, variant) executions out over the shared engine.
@@ -1208,7 +1193,7 @@ def run_queries_parallel(
     run; see :meth:`ParallelEngine.run_queries`.
     """
     engine = engine if engine is not None else get_engine(workers)
-    return engine.run_queries(network, queries, variants, scan_chunk=scan_chunk)
+    return engine.run_queries(network, queries, variants)
 
 
 def preprocess_network_parallel(

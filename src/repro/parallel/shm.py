@@ -8,7 +8,7 @@ Pool workers need the network's arrays, and get them without a copy:
   the one pre-processing fan-out (``partitions=True``) every raw peer
   partition instead — and returns a :class:`SharedNetwork` handle whose
   small picklable ``manifest`` describes the layout plus the non-array
-  state (topology, cost model, index kind).
+  state (topology, cost model, epoch).
 * :func:`attach_network` maps the segment in a worker and rebuilds a
   :class:`~repro.p2p.network.SuperPeerNetwork` whose
   ``PointSet``/``SortedByF`` objects are zero-copy, read-only views over
@@ -435,7 +435,6 @@ def publish_network(
             "segment": segment.path,
             "nbytes": layout.nbytes,
             "dimensionality": network.dimensionality,
-            "index_kind": network.index_kind,
             "epoch": network.epoch,
             "adjacency": {k: tuple(v) for k, v in network.topology.adjacency.items()},
             "peers_of": {k: tuple(v) for k, v in network.topology.peers_of.items()},
@@ -605,7 +604,6 @@ def attach_network(manifest: Mapping[str, Any]) -> AttachedNetwork:
             peers=peers,
             dimensionality=manifest["dimensionality"],
             cost_model=CostModel(**manifest["cost_model"]),
-            index_kind=manifest["index_kind"],
         )
         for sp_id, slots in manifest["stores"].items():
             network.superpeers[int(sp_id)].store = _store_view(segment, slots)

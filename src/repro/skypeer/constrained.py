@@ -79,10 +79,8 @@ class ConstrainedExecution:
 def execute_constrained_query(
     network: SuperPeerNetwork,
     query: ConstrainedQuery,
-    index_kind: str | None = None,
 ) -> ConstrainedExecution:
     """Answer a constrained subspace skyline query exactly."""
-    index_kind = index_kind or network.index_kind
     subspace = normalize_subspace(query.subspace, network.dimensionality)
     if query.initiator not in network.superpeers:
         raise KeyError(f"unknown initiator super-peer {query.initiator}")
@@ -116,21 +114,21 @@ def execute_constrained_query(
                 if not len(inside):
                     continue
                 store = SortedByF.from_points(inside)
-                answer = local_subspace_skyline(store, subspace, index_kind=index_kind)
+                answer = local_subspace_skyline(store, subspace)
                 lists.append(answer.result)
                 peer_uploads += len(answer.result)
                 nbytes = cost.result_bytes(len(answer.result), k)
                 volume += nbytes
                 messages += 1
                 upload_seconds = max(upload_seconds, cost.transfer_seconds(nbytes))
-            merged = merge_sorted_skylines(lists, subspace, index_kind=index_kind)
+            merged = merge_sorted_skylines(lists, subspace)
             local[sp] = merged.result
             slowest_upload[sp] = upload_seconds
         else:
             store = network.store_of(sp)
             inside = store.points.mask(query.constraint.mask(store.points.values))
             filtered = SortedByF.from_points(inside)
-            answer = local_subspace_skyline(filtered, subspace, index_kind=index_kind)
+            answer = local_subspace_skyline(filtered, subspace)
             local[sp] = answer.result
         local_clock[sp] = time.perf_counter() - started
 
@@ -166,9 +164,7 @@ def execute_constrained_query(
             volume += nbytes
             messages += 1
             inbound.append(up_ready[child].after_transfer(cost.transfer_seconds(nbytes)))
-        merged = merge_sorted_skylines(
-            [local[sp]] + [up_list[c] for c in kids], subspace, index_kind=index_kind
-        )
+        merged = merge_sorted_skylines([local[sp]] + [up_list[c] for c in kids], subspace)
         up_list[sp] = merged.result
         up_ready[sp] = Clock.latest(inbound).after_compute(merged.duration)
 

@@ -129,8 +129,6 @@ LocalCompute = "Callable[[int, Subspace, float], SkylineComputation]"
 
 def make_local_compute(
     network: SuperPeerNetwork,
-    index_kind: str | None = None,
-    scan_chunk: int | None = None,
     scan_substrate: str | None = None,
 ):
     """Build the default per-super-peer Algorithm-1 strategy.
@@ -143,13 +141,11 @@ def make_local_compute(
     """
     from ..core.substrates import resolve_scan_substrate, subspace_skyline
 
-    index_kind = index_kind or network.index_kind
     substrate = resolve_scan_substrate(scan_substrate)
 
     def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
         return subspace_skyline(
-            network.store_of(sp), sub, initial_threshold=threshold,
-            substrate=substrate, index_kind=index_kind, scan_chunk=scan_chunk,
+            network.store_of(sp), sub, initial_threshold=threshold, substrate=substrate
         )
 
     return local_compute
@@ -159,9 +155,7 @@ def execute_query(
     network: SuperPeerNetwork,
     query: Query,
     variant: Variant | str = Variant.FTPM,
-    index_kind: str | None = None,
     local_compute=None,
-    scan_chunk: int | None = None,
     scan_substrate: str | None = None,
 ) -> QueryExecution:
     """Execute a subspace skyline query over the network.
@@ -174,31 +168,20 @@ def execute_query(
         Subspace and initiator super-peer.
     variant:
         One of the four SKYPEER variants or the naive baseline.
-    index_kind:
-        Dominance index override (defaults to the network's).
     local_compute:
         Optional strategy replacing the per-super-peer Algorithm 1 run
         (see :class:`repro.parallel.engine.ScanMemo`); ignored by the
         naive baseline.
         When given, ``scan_substrate`` is ignored too — the strategy
         owns the scan.
-    scan_chunk:
-        Batch size override for the vectorized scans (see
-        :func:`repro.core.local_skyline.resolve_scan_chunk`).
     scan_substrate:
         Scan substrate of the default strategy; see
         :func:`make_local_compute`.  Ignored by the naive baseline.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
     if local_compute is None and variant is not Variant.NAIVE:
-        local_compute = make_local_compute(
-            network, index_kind=index_kind, scan_chunk=scan_chunk,
-            scan_substrate=scan_substrate,
-        )
-    return run_on_model_clocks(
-        network, query, variant, index_kind=index_kind,
-        local_compute=local_compute, scan_chunk=scan_chunk,
-    ).execution
+        local_compute = make_local_compute(network, scan_substrate=scan_substrate)
+    return run_on_model_clocks(network, query, variant, local_compute=local_compute).execution
 
 
 class _ModelClocks:
@@ -363,9 +346,7 @@ def run_on_model_clocks(
     query: Query,
     variant: Variant,
     *,
-    index_kind: str | None = None,
     local_compute=None,
-    scan_chunk: int | None = None,
     neighbours: Mapping[int, Sequence[int]] | None = None,
     obs_prefix: str = "skypeer",
 ) -> ModelRun:
@@ -384,9 +365,7 @@ def run_on_model_clocks(
         neighbours = tree
     kernels = make_kernels(
         variant, subspace, store_of=network.store_of,
-        dimensionality=network.dimensionality,
-        index_kind=index_kind or network.index_kind,
-        local_compute=local_compute, scan_chunk=scan_chunk,
+        dimensionality=network.dimensionality, local_compute=local_compute,
     )
     carrier = _ModelClocks(network, query, subspace, variant, obs_prefix)
     for sp in rank:

@@ -227,7 +227,6 @@ def run_socket_query(
     network: SuperPeerNetwork,
     query: Query,
     variant: Variant | str = Variant.FTPM,
-    index_kind: str | None = None,
     *,
     mode: str = "task",
     config: TransportConfig | None = None,
@@ -245,12 +244,11 @@ def run_socket_query(
     if mode != "task":
         raise ValueError(f"unknown transport mode {mode!r} (task)")
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
-    index_kind = index_kind or network.index_kind
     config = config if config is not None else TransportConfig()
     neighbours, rank = spanning_tree(network, query.initiator)
     started = time.perf_counter()
     result, stats, accounting, compute_seconds = asyncio.run(
-        _run_endpoints(network, query, variant, index_kind, config, neighbours, rank)
+        _run_endpoints(network, query, variant, config, neighbours, rank)
     )
     wall = time.perf_counter() - started
     report = TransportReport(
@@ -320,7 +318,6 @@ async def _run_endpoints(
     network: SuperPeerNetwork,
     query: Query,
     variant: Variant,
-    index_kind: str,
     config: TransportConfig,
     neighbours: Mapping[int, Sequence[int]],
     rank: Mapping[int, int],
@@ -341,7 +338,7 @@ async def _run_endpoints(
     )
     kernels = make_kernels(
         variant, subspace, store_of=network.store_of,
-        dimensionality=network.dimensionality, index_kind=index_kind, on_wire=True,
+        dimensionality=network.dimensionality, on_wire=True,
     )
     for sp in rank:
         carrier.nodes[sp] = ProtocolNode(
@@ -392,7 +389,6 @@ def gateway_dispatch(
     *,
     backend: str = "serial",
     engine: Any = None,
-    scan_chunk: int | None = None,
     abandoned=None,
 ) -> SortedByF:
     """Run one admitted gateway job on the chosen backend.
@@ -425,10 +421,10 @@ def gateway_dispatch(
     if backend == "engine":
         if engine is None:
             raise ValueError("backend 'engine' requires an engine instance")
-        runs = engine.run_queries(network, [query], [variant], scan_chunk=scan_chunk)
+        runs = engine.run_queries(network, [query], [variant])
         return runs[variant][0].result
     if backend == "serial":
-        return execute_query(network, query, variant, scan_chunk=scan_chunk).result
+        return execute_query(network, query, variant).result
     if backend == "socket":
         return run_socket_query(network, query, variant).result
     raise ValueError(f"unknown gateway backend {backend!r} (engine|serial|socket)")

@@ -126,19 +126,12 @@ class SkylineKernels:
         self,
         local_compute: Callable[[int, Subspace, float], SkylineComputation],
         subspace: Subspace,
-        index_kind: str,
-        scan_chunk: int | None = None,
         on_wire: bool = False,
     ):
         self._local_compute = local_compute
         self._subspace = subspace
         self._on_wire = on_wire
         self._cols = list(range(len(subspace)) if on_wire else subspace)
-        self._merge_options = {
-            "subspace": self._cols,
-            "index_kind": index_kind,
-            "scan_chunk": scan_chunk,
-        }
 
     def scan(self, sp: int, bound: QueryBound) -> SkylineComputation:
         computation = self._local_compute(sp, self._subspace, bound.threshold)
@@ -169,7 +162,7 @@ class SkylineKernels:
         return candidates[int(np.argmin(candidates.sum(axis=1)))].copy()
 
     def merge(self, lists: Sequence[SortedByF]) -> SkylineComputation:
-        return merge_sorted_skylines(lists, **self._merge_options)
+        return merge_sorted_skylines(lists, self._cols)
 
 
 class NaiveKernels:
@@ -234,9 +227,7 @@ def make_kernels(
     *,
     store_of: Callable[[int], SortedByF],
     dimensionality: int,
-    index_kind: str,
     local_compute: Callable[[int, Subspace, float], SkylineComputation] | None = None,
-    scan_chunk: int | None = None,
     on_wire: bool = False,
 ) -> SkylineKernels | NaiveKernels:
     """The kernels ``variant`` runs.  Without a ``local_compute`` the scan
@@ -246,11 +237,8 @@ def make_kernels(
         return NaiveKernels(store_of, subspace, dimensionality, on_wire=on_wire)
     if local_compute is None:
         def local_compute(sp: int, sub: Subspace, threshold: float) -> SkylineComputation:
-            return subspace_skyline(
-                store_of(sp), sub, initial_threshold=threshold,
-                index_kind=index_kind, scan_chunk=scan_chunk,
-            )
-    return SkylineKernels(local_compute, subspace, index_kind, scan_chunk, on_wire=on_wire)
+            return subspace_skyline(store_of(sp), sub, initial_threshold=threshold)
+    return SkylineKernels(local_compute, subspace, on_wire=on_wire)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +422,6 @@ def run_protocol(
     network: SuperPeerNetwork,
     query: Query,
     variant: Variant | str = Variant.FTPM,
-    index_kind: str | None = None,
 ) -> ProtocolOutcome:
     """Flood one query through the backbone and collect the outcome.
 
@@ -449,7 +436,7 @@ def run_protocol(
 
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
     run = run_on_model_clocks(
-        network, query, variant, index_kind=index_kind,
+        network, query, variant,
         neighbours=network.topology.adjacency, obs_prefix="protocol",
     )
     flooding = {

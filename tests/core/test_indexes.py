@@ -1,70 +1,54 @@
-"""Unit tests for the pluggable dominance indexes."""
+"""Unit tests for the dominance index."""
 
 import numpy as np
-import pytest
 
-from repro.core.indexes import (
-    BlockDominanceIndex,
-    ListDominanceIndex,
-    RTreeDominanceIndex,
-    make_index,
-)
-
-ALL_KINDS = ("list", "block", "rtree")
+from repro.core.indexes import BlockDominanceIndex
 
 
-class TestFactory:
-    def test_make_index(self):
-        assert isinstance(make_index("list", 3), ListDominanceIndex)
-        assert isinstance(make_index("block", 3), BlockDominanceIndex)
-        assert isinstance(make_index("rtree", 3), RTreeDominanceIndex)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown index kind"):
-            make_index("btree", 3)
+def _insert(index: BlockDominanceIndex, position: int, point) -> None:
+    index.bulk_insert(np.array([position]), np.array([point], dtype=float))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
 class TestSemantics:
-    def test_empty_index_dominates_nothing(self, kind):
-        index = make_index(kind, 2)
+    def test_empty_index_dominates_nothing(self):
+        index = BlockDominanceIndex(2)
         assert not index.is_dominated(np.array([0.5, 0.5]))
         assert len(index) == 0
 
-    def test_insert_then_dominate(self, kind):
-        index = make_index(kind, 2)
-        index.insert_and_prune(0, np.array([0.2, 0.2]))
+    def test_insert_then_dominate(self):
+        index = BlockDominanceIndex(2)
+        _insert(index, 0, [0.2, 0.2])
         assert index.is_dominated(np.array([0.5, 0.5]))
         assert not index.is_dominated(np.array([0.1, 0.5]))
 
-    def test_identical_point_not_dominated(self, kind):
-        index = make_index(kind, 2)
-        index.insert_and_prune(0, np.array([0.2, 0.2]))
+    def test_identical_point_not_dominated(self):
+        index = BlockDominanceIndex(2)
+        _insert(index, 0, [0.2, 0.2])
         assert not index.is_dominated(np.array([0.2, 0.2]))
 
-    def test_insert_evicts_dominated(self, kind):
-        index = make_index(kind, 2)
-        index.insert_and_prune(0, np.array([0.5, 0.5]))
-        index.insert_and_prune(1, np.array([0.2, 0.2]))
+    def test_insert_evicts_dominated(self):
+        index = BlockDominanceIndex(2)
+        _insert(index, 0, [0.5, 0.5])
+        _insert(index, 1, [0.2, 0.2])
         assert len(index) == 1
         assert index.positions() == [1]
 
-    def test_incomparable_points_coexist(self, kind):
-        index = make_index(kind, 2)
-        index.insert_and_prune(0, np.array([0.1, 0.9]))
-        index.insert_and_prune(1, np.array([0.9, 0.1]))
+    def test_incomparable_points_coexist(self):
+        index = BlockDominanceIndex(2)
+        _insert(index, 0, [0.1, 0.9])
+        _insert(index, 1, [0.9, 0.1])
         assert sorted(index.positions()) == [0, 1]
 
-    def test_strict_mode(self, kind):
-        index = make_index(kind, 2, strict=True)
-        index.insert_and_prune(0, np.array([0.2, 0.5]))
+    def test_strict_mode(self):
+        index = BlockDominanceIndex(2, strict=True)
+        _insert(index, 0, [0.2, 0.5])
         # shares a coordinate -> not ext-dominated
         assert not index.is_dominated(np.array([0.2, 0.9]))
         assert index.is_dominated(np.array([0.3, 0.6]))
 
-    def test_comparisons_counter_increases(self, kind):
-        index = make_index(kind, 2)
-        index.insert_and_prune(0, np.array([0.5, 0.5]))
+    def test_comparisons_counter_increases(self):
+        index = BlockDominanceIndex(2)
+        _insert(index, 0, [0.5, 0.5])
         before = index.comparisons
         index.is_dominated(np.array([0.6, 0.6]))
         assert index.comparisons > before
@@ -73,80 +57,17 @@ class TestSemantics:
 class TestComparisonsAccounting:
     """`comparisons` must count work done, not candidates held."""
 
-    def test_list_early_exit_counts_one(self):
-        index = ListDominanceIndex(2)
-        # The first candidate dominates the probe: the scan must stop
-        # (and charge) after exactly one comparison despite 4 candidates.
-        index.insert_and_prune(0, np.array([0.1, 0.1]))
-        index.insert_and_prune(1, np.array([0.2, 0.9]))
-        index.insert_and_prune(2, np.array([0.9, 0.2]))
-        index.insert_and_prune(3, np.array([0.5, 0.6]))
-        before = index.comparisons
-        assert index.is_dominated(np.array([0.95, 0.95]))
-        assert index.comparisons - before == 1
-
-    def test_list_miss_counts_all(self):
-        index = ListDominanceIndex(2)
-        index.insert_and_prune(0, np.array([0.2, 0.9]))
-        index.insert_and_prune(1, np.array([0.9, 0.2]))
-        before = index.comparisons
-        assert not index.is_dominated(np.array([0.1, 0.1]))
-        assert index.comparisons - before == 2
-
-    def test_rtree_pruning_skips_subtrees(self):
-        # An anti-correlated diagonal (mutually incomparable, so all 64
-        # survive) and a probe below it: every subtree MBR exceeds the
-        # probe somewhere, so the window query prunes subtrees and
-        # charges (far) fewer than `len(tree)` point tests.
-        index = RTreeDominanceIndex(2, max_entries=4)
-        xs = np.linspace(0.1, 0.9, 64)
-        for pos, x in enumerate(xs):
-            index.insert_and_prune(pos, np.array([x, 1.0 - x]))
-        n = len(index)
-        assert n == 64
-        before = index.comparisons
-        assert not index.is_dominated(np.array([0.01, 0.01]))
-        assert index.comparisons - before < n
-
-    def test_rtree_and_list_agree_on_dominance_while_counting(self, rng):
-        """Accounting changes must not change verdicts."""
-        rtree = RTreeDominanceIndex(3)
-        ref = ListDominanceIndex(3)
-        for pos in range(100):
-            point = rng.random(3)
-            assert rtree.is_dominated(point) == ref.is_dominated(point)
-            if not ref.is_dominated(point):
-                rtree.insert_and_prune(pos, point)
-                ref.insert_and_prune(pos, point)
-        assert rtree.comparisons > 0
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_counts_never_exceed_candidate_scan(self, kind, rng):
-        """Upper bound: no index charges more than a full linear scan."""
-        index = make_index(kind, 2)
+    def test_counts_never_exceed_candidate_scan(self, rng):
+        """Upper bound: the index charges no more than a full linear scan."""
+        index = BlockDominanceIndex(2)
         worst_case = 0
         for pos in range(80):
             point = rng.random(2)
             worst_case += len(index)
             if not index.is_dominated(point):
                 worst_case += len(index)
-                index.insert_and_prune(pos, point)
+                _insert(index, pos, point)
         assert index.comparisons <= worst_case
-
-
-class TestIndexAgreement:
-    def test_random_stream_agreement(self, rng):
-        """All three implementations track identical candidate sets."""
-        indexes = {kind: make_index(kind, 3) for kind in ALL_KINDS}
-        for pos in range(200):
-            point = rng.random(3)
-            verdicts = {kind: idx.is_dominated(point) for kind, idx in indexes.items()}
-            assert len(set(verdicts.values())) == 1, f"disagreement at {pos}"
-            if not verdicts["list"]:
-                for idx in indexes.values():
-                    idx.insert_and_prune(pos, point)
-            survivors = {kind: sorted(idx.positions()) for kind, idx in indexes.items()}
-            assert survivors["list"] == survivors["block"] == survivors["rtree"]
 
 
 class TestBlockBulkInsert:
@@ -157,7 +78,7 @@ class TestBlockBulkInsert:
 
     def test_bulk_insert_evicts(self):
         index = BlockDominanceIndex(2)
-        index.insert_and_prune(0, np.array([0.5, 0.5]))
+        _insert(index, 0, [0.5, 0.5])
         index.bulk_insert(np.array([1]), np.array([[0.2, 0.2]]))
         assert index.positions() == [1]
 

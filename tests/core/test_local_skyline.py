@@ -13,26 +13,30 @@ from repro.core.mapping import dist_values, f_values
 from repro.core.store import SortedByF
 from tests.conftest import brute_force_skyline_ids
 
-INDEX_KINDS = ("block", "list", "rtree")
-
-
 def _store(rng, n=150, d=5) -> tuple[PointSet, SortedByF]:
     points = PointSet(rng.random((n, d)))
     return points, SortedByF.from_points(points)
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("index_kind", INDEX_KINDS)
-    def test_matches_brute_force(self, rng, index_kind):
+    def test_matches_brute_force(self, rng):
         points, store = _store(rng)
         for sub in [(0,), (1, 3), (0, 2, 4)]:
-            got = local_subspace_skyline(store, sub, index_kind=index_kind)
-            assert got.points.id_set() == brute_force_skyline_ids(points, sub)
+            for t0 in (math.inf, 0.4):
+                got = local_subspace_skyline(store, sub, initial_threshold=t0)
+                # The survivors are the skyline of the f <= t0 prefix, in
+                # store (f-ascending) order, and the refined threshold is
+                # t0 lowered by every survivor's dist_U.
+                prefix = points.take(np.flatnonzero(f_values(points.values) <= t0))
+                assert got.points.id_set() == brute_force_skyline_ids(prefix, sub)
+                assert np.all(np.diff(got.positions) > 0)
+                assert np.array_equal(got.result.f, store.f[got.positions])
+                dists = dist_values(got.result.points.values, sub)
+                assert got.threshold == min([t0, *dists.tolist()])
 
-    @pytest.mark.parametrize("index_kind", INDEX_KINDS)
-    def test_strict_mode_matches_brute_force(self, rng, index_kind):
+    def test_strict_mode_matches_brute_force(self, rng):
         points, store = _store(rng, n=100)
-        got = local_subspace_skyline(store, (0, 1, 2, 3, 4), strict=True, index_kind=index_kind)
+        got = local_subspace_skyline(store, (0, 1, 2, 3, 4), strict=True)
         assert got.points.id_set() == brute_force_skyline_ids(
             points, (0, 1, 2, 3, 4), strict=True
         )
@@ -148,20 +152,17 @@ class TestPrefixProjection:
     the reference below scans the whole-store projection instead."""
 
     @staticmethod
-    def _full_projection_scan(store, cols, threshold, strict, index_kind, chunk):
-        from repro.core.indexes import make_index
-        from repro.core.local_skyline import _chunked_scan, _pointwise_scan
+    def _full_projection_scan(store, cols, threshold, strict, chunk):
+        from repro.core.indexes import BlockDominanceIndex
+        from repro.core.local_skyline import _chunked_scan
 
-        index = make_index(index_kind, len(cols), strict=strict)
+        index = BlockDominanceIndex(len(cols), strict=strict)
         proj = store.points.values[:, list(cols)]
         dists = proj.max(axis=1) if len(store) else np.zeros(0)
-        if index_kind == "block":
-            examined, final = _chunked_scan(
-                index, proj, store.f, dists, threshold, strict,
-                key_is_scanned_min=len(cols) == store.dimensionality, chunk=chunk,
-            )
-        else:
-            examined, final = _pointwise_scan(index, proj, store.f, dists, threshold)
+        examined, final = _chunked_scan(
+            index, proj, store.f, dists, threshold, strict,
+            key_is_scanned_min=len(cols) == store.dimensionality, chunk=chunk,
+        )
         return list(index.positions()), final, examined, index.comparisons
 
     @settings(max_examples=120, deadline=None)
@@ -195,15 +196,13 @@ class TestPrefixProjection:
         # pruned), one below every f, one between, one above everything.
         choices = [-1.0, 0.3, 99.0] + sorted(set(store.f.tolist()))
         threshold = data.draw(st.sampled_from(choices), label="t")
-        index_kind = data.draw(st.sampled_from(INDEX_KINDS), label="index")
         chunk = data.draw(st.sampled_from([1, 3, 64]), label="chunk")
 
         got = local_subspace_skyline(
-            store, cols, initial_threshold=threshold, strict=strict,
-            index_kind=index_kind, scan_chunk=chunk,
+            store, cols, initial_threshold=threshold, strict=strict, scan_chunk=chunk,
         )
         positions, final, examined, comparisons = self._full_projection_scan(
-            store, cols, threshold, strict, index_kind, chunk
+            store, cols, threshold, strict, chunk
         )
         assert got.positions.tolist() == positions
         assert got.threshold == final

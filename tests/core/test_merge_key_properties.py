@@ -41,9 +41,9 @@ def merge_inputs(draw):
     return d, sorted(cols), lists
 
 
-@given(merge_inputs(), st.sampled_from(["block", "list"]))
+@given(merge_inputs())
 @settings(max_examples=200, deadline=None)
-def test_merge_is_the_skyline_in_key_order_and_stops_at_the_threshold(case, index_kind):
+def test_merge_is_the_skyline_in_key_order_and_stops_at_the_threshold(case):
     d, cols, lists = case
     rows = [tuple(map(float, r)) for lst in lists for r in lst]
     ids = list(range(100, 100 + len(rows)))
@@ -56,7 +56,7 @@ def test_merge_is_the_skyline_in_key_order_and_stops_at_the_threshold(case, inde
         stores.append(SortedByF(points, np.zeros(len(lst))))
         start += len(lst)
 
-    merged = merge_sorted_skylines(stores, cols, index_kind=index_kind, scan_chunk=1)
+    merged = merge_sorted_skylines(stores, cols, scan_chunk=1)
 
     assert set(merged.points.ids.tolist()) == quadratic_skyline(rows, ids, cols)
     assert len(merged.points) == len(set(merged.points.ids.tolist()))

@@ -11,9 +11,6 @@ from repro.core.merging import merge_sorted_skylines
 from repro.core.store import SortedByF
 from tests.conftest import brute_force_skyline_ids
 
-INDEX_KINDS = ("block", "list", "rtree")
-
-
 def _split_local_skylines(rng, subspace, parts=4, n=200, d=5):
     points = PointSet(rng.random((n, d)))
     part_sets = [PointSet(points.values[i::parts], points.ids[i::parts]) for i in range(parts)]
@@ -24,20 +21,22 @@ def _split_local_skylines(rng, subspace, parts=4, n=200, d=5):
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("index_kind", INDEX_KINDS)
-    def test_merge_equals_centralized(self, rng, index_kind):
-        sub = (0, 2, 4)
-        points, lists = _split_local_skylines(rng, sub)
-        merged = merge_sorted_skylines(lists, sub, index_kind=index_kind)
-        assert merged.points.id_set() == brute_force_skyline_ids(points, sub)
-
-    def test_fast_and_heap_paths_agree(self, rng):
-        sub = (1, 3)
-        _points, lists = _split_local_skylines(rng, sub)
-        fast = merge_sorted_skylines(lists, sub, index_kind="block")
-        heap = merge_sorted_skylines(lists, sub, index_kind="list")
-        assert fast.points.id_set() == heap.points.id_set()
-        assert fast.threshold == pytest.approx(heap.threshold)
+    def test_merge_equals_centralized(self, rng):
+        for sub in [(0, 2, 4), (1, 3)]:
+            points, lists = _split_local_skylines(rng, sub)
+            for t0 in (math.inf, 0.3):
+                merged = merge_sorted_skylines(lists, sub, initial_threshold=t0)
+                # The survivors are the skyline of the points whose key
+                # g_U = min over U is <= t0, ascending in that key, and
+                # the refined threshold is t0 lowered by every survivor's
+                # dist_U.
+                keys = points.values[:, list(sub)].min(axis=1)
+                prefix = points.take(np.flatnonzero(keys <= t0))
+                assert merged.points.id_set() == brute_force_skyline_ids(prefix, sub)
+                rows = merged.points.values[:, list(sub)]
+                assert np.array_equal(merged.result.f, rows.min(axis=1))
+                assert np.all(np.diff(merged.result.f) >= 0)
+                assert merged.threshold == min([t0, *rows.max(axis=1).tolist()])
 
     def test_merge_of_single_list_is_idempotent(self, rng):
         sub = (0, 1)
@@ -103,14 +102,11 @@ class TestEdgeCases:
         assert capped.points.id_set() <= unlimited.points.id_set()
         assert capped.threshold <= 0.1
 
-    @pytest.mark.parametrize("index_kind", INDEX_KINDS)
-    def test_threshold_below_every_head_reads_nothing(self, rng, index_kind):
+    def test_threshold_below_every_head_reads_nothing(self, rng):
         sub = (0, 1)
         _points, lists = _split_local_skylines(rng, sub, d=4)
         heads = min(lst.points.values[:, list(sub)].min() for lst in lists)
-        merged = merge_sorted_skylines(
-            lists, sub, initial_threshold=heads / 2, index_kind=index_kind
-        )
+        merged = merge_sorted_skylines(lists, sub, initial_threshold=heads / 2)
         assert (len(merged.result), merged.examined) == (0, 0)
         assert merged.result.dimensionality == 4
 

@@ -179,18 +179,6 @@ def test_partition_merge_equals_centralized(case, parts):
     assert merged.points.id_set() == subspace_skyline_points(points, sub).id_set()
 
 
-@given(point_sets_with_subspace())
-@settings(max_examples=60, deadline=None)
-def test_index_kinds_agree(case):
-    points, sub = case
-    store = SortedByF.from_points(points)
-    results = {
-        kind: local_subspace_skyline(store, sub, index_kind=kind).points.id_set()
-        for kind in ("block", "list", "rtree")
-    }
-    assert results["block"] == results["list"] == results["rtree"]
-
-
 @given(point_sets())
 @settings(max_examples=60, deadline=None)
 def test_ext_skyline_strict_scan_matches_mask(points):

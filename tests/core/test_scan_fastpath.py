@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-import repro.core.local_skyline as local_skyline_module
 from repro.core.dataset import PointSet
-from repro.core.indexes import BlockDominanceIndex, make_index
+from repro.core.indexes import BlockDominanceIndex
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
 
@@ -89,7 +87,6 @@ class TestFullSpaceFastPath:
     def test_fast_path_skips_eviction_comparisons(self, rng):
         # Same scan, fast path forced off vs on: identical candidates,
         # strictly fewer comparisons (the eviction scans are skipped).
-        from repro.core.indexes import BlockDominanceIndex
         from repro.core.local_skyline import _chunked_scan
 
         points = PointSet(rng.random((400, 4)))
@@ -108,62 +105,10 @@ class TestFullSpaceFastPath:
 
 
 class TestPositionsContract:
-    @pytest.mark.parametrize("kind", ["block", "list", "rtree"])
-    def test_positions_returns_a_list(self, rng, kind):
-        index = make_index(kind, 3)
-        for i, row in enumerate(rng.random((20, 3))):
-            if not index.is_dominated(row):
-                index.insert_and_prune(i, row)
-        positions = index.positions()
-        assert isinstance(positions, list)
-        assert all(isinstance(p, (int, np.integer)) for p in positions)
-        assert positions == sorted(positions)  # scan order is preserved
-
     def test_block_positions_are_python_ints(self, rng):
         # The block index stores positions in an int64 array; its
         # positions() must still hand back plain python ints.
-        index = make_index("block", 3)
+        index = BlockDominanceIndex(3)
+        assert index.positions() == []
         index.bulk_insert(np.array([3, 9]), rng.random((2, 3)))
         assert all(type(p) is int for p in index.positions())
-
-    @pytest.mark.parametrize("kind", ["block", "list", "rtree"])
-    def test_positions_empty_on_fresh_index(self, kind):
-        assert make_index(kind, 2).positions() == []
-
-
-class TestNdarraySafeAssembly:
-    """Result assembly must not rely on list truthiness for positions."""
-
-    @pytest.fixture
-    def ndarray_positions_index(self, monkeypatch):
-        real_make_index = make_index
-
-        class NdarrayPositions:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def positions(self):
-                return np.asarray(self._inner.positions(), dtype=np.intp)
-
-        monkeypatch.setattr(
-            local_skyline_module,
-            "make_index",
-            lambda *a, **kw: NdarrayPositions(real_make_index(*a, **kw)),
-        )
-
-    def test_nonempty_ndarray_positions(self, rng, ndarray_positions_index):
-        points = PointSet(rng.random((40, 3)))
-        store = SortedByF.from_points(points)
-        result = local_subspace_skyline(store, (0, 2), index_kind="list")
-        assert result.result.points.id_set() == brute_force_skyline_ids(
-            points, (0, 2)
-        )
-
-    def test_empty_ndarray_positions(self, ndarray_positions_index):
-        store = SortedByF.from_points(PointSet(np.zeros((0, 3))))
-        result = local_subspace_skyline(store, (0, 1), index_kind="list")
-        assert len(result.result) == 0
-        assert result.result.f.shape == (0,)

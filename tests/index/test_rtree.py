@@ -89,81 +89,3 @@ class TestWindow:
         tree, _values = _random_tree(rng, n=50)
         got = tree.window(np.full(3, 2.0), np.full(3, 3.0))
         assert got == []
-
-
-class TestDominanceQueries:
-    def test_exists_dominator_matches_scan(self, rng):
-        tree, values = _random_tree(rng, n=300)
-        for _ in range(50):
-            probe = rng.random(3)
-            expected = any(
-                np.all(v <= probe) and np.any(v < probe) for v in values
-            )
-            assert tree.exists_dominator(probe) == expected
-
-    def test_exists_dominator_strict(self, rng):
-        tree, values = _random_tree(rng, n=300)
-        for _ in range(50):
-            probe = rng.random(3)
-            expected = any(np.all(v < probe) for v in values)
-            assert tree.exists_dominator(probe, strict=True) == expected
-
-    def test_identical_point_is_not_dominator(self):
-        tree = RTree(2)
-        tree.insert(0, np.array([0.5, 0.5]))
-        assert not tree.exists_dominator(np.array([0.5, 0.5]))
-
-    def test_pop_dominated(self, rng):
-        tree, values = _random_tree(rng, n=200)
-        probe = np.full(3, 0.5)
-        expected = {
-            i
-            for i in range(len(values))
-            if np.all(probe <= values[i]) and np.any(probe < values[i])
-        }
-        victims = {i for i, _ in tree.pop_dominated(probe)}
-        assert victims == expected
-        assert len(tree) == 200 - len(expected)
-        assert not tree.exists_dominator(np.full(3, 0.99)) or True  # tree still valid
-        # remaining points are exactly the non-dominated ones
-        assert {i for i, _ in tree} == set(range(200)) - expected
-
-
-class TestDeletion:
-    def test_delete_removes_point(self, rng):
-        tree, values = _random_tree(rng, n=100)
-        assert tree.delete(42, values[42])
-        assert len(tree) == 99
-        assert 42 not in {i for i, _ in tree}
-
-    def test_delete_missing_returns_false(self, rng):
-        tree, _values = _random_tree(rng, n=10)
-        assert not tree.delete(5, np.full(3, 0.12345))
-
-    def test_delete_everything(self, rng):
-        tree, values = _random_tree(rng, n=120)
-        order = rng.permutation(120)
-        for i in order:
-            assert tree.delete(int(i), values[i])
-        assert len(tree) == 0
-        assert list(tree) == []
-
-    def test_delete_then_queries_consistent(self, rng):
-        tree, values = _random_tree(rng, n=150)
-        removed = set()
-        for i in range(0, 150, 3):
-            tree.delete(i, values[i])
-            removed.add(i)
-        lo, hi = np.zeros(3), np.ones(3)
-        remaining = {i for i, _ in tree.window(lo, hi)}
-        assert remaining == set(range(150)) - removed
-
-    def test_interleaved_insert_delete(self, rng):
-        tree = RTree(2, max_entries=4)
-        values = rng.random((60, 2))
-        for i in range(60):
-            tree.insert(i, values[i])
-            if i % 2 == 1:
-                tree.delete(i - 1, values[i - 1])
-        assert len(tree) == 30
-        assert {i for i, _ in tree} == {i for i in range(60) if i % 2 == 1}

@@ -37,34 +37,6 @@ def test_window_matches_scan(points, lo, hi)-> None:
     assert {i for i, _ in tree.window(lo, hi)} == expected
 
 
-@given(st.lists(coords, min_size=1, max_size=50), coords)
-@settings(max_examples=80, deadline=None)
-def test_dominator_queries_match_scan(points, probe):
-    tree = RTree(2, max_entries=4)
-    for i, p in enumerate(points):
-        tree.insert(i, p)
-    plain = any(np.all(p <= probe) and np.any(p < probe) for p in points)
-    strict = any(np.all(p < probe) for p in points)
-    assert tree.exists_dominator(probe) == plain
-    assert tree.exists_dominator(probe, strict=True) == strict
-
-
-@given(st.lists(coords, min_size=1, max_size=50), st.data())
-@settings(max_examples=60, deadline=None)
-def test_random_deletions_keep_tree_consistent(points, data):
-    tree = RTree(2, max_entries=4)
-    for i, p in enumerate(points):
-        tree.insert(i, p)
-    alive = dict(enumerate(points))
-    doomed = data.draw(
-        st.lists(st.sampled_from(sorted(alive)), max_size=len(alive), unique=True)
-    )
-    for i in doomed:
-        assert tree.delete(i, alive.pop(i))
-    assert len(tree) == len(alive)
-    assert {i: tuple(c) for i, c in tree} == {i: tuple(p) for i, p in alive.items()}
-
-
 @given(st.lists(coords, min_size=1, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_bulk_load_equals_incremental(points):

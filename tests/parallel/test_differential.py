@@ -159,14 +159,14 @@ class TestPreprocessing:
             assert [pid for pid, _, _ in result.peer_results] == list(attached)
 
 
-def _uniform_network(index_kind: str) -> SuperPeerNetwork:
+def _uniform_network() -> SuperPeerNetwork:
     return SuperPeerNetwork.build(
         n_peers=16, n_superpeers=4, points_per_peer=30, dimensionality=8, seed=5,
-        index_kind=index_kind, preprocess=False,
+        preprocess=False,
     )
 
 
-def _tied_network(index_kind: str) -> SuperPeerNetwork:
+def _tied_network() -> SuperPeerNetwork:
     """Anticorrelated d = 6 on a 0.1 grid: exact ``f`` ties within every
     peer, so the f-order of an upload leans on the stable sort."""
     rng = np.random.default_rng(11)
@@ -175,9 +175,7 @@ def _tied_network(index_kind: str) -> SuperPeerNetwork:
     for peer_id in sorted(p for peers in topology.peers_of.values() for p in peers):
         values = np.round(make_generator("anticorrelated")(40, 6, rng), 1)
         partitions[peer_id] = PointSet(values, np.arange(40) + 40 * peer_id)
-    return SuperPeerNetwork.from_partitions(
-        topology, partitions, index_kind=index_kind, preprocess=False
-    )
+    return SuperPeerNetwork.from_partitions(topology, partitions, preprocess=False)
 
 
 def _store_bytes(store) -> tuple[bytes, bytes, bytes]:
@@ -212,10 +210,9 @@ class TestPositionsHandOver:
                 yield engine
             assert home.files() == before
 
-    @pytest.mark.parametrize("index_kind", ["block", "list"])
     @pytest.mark.parametrize("make", [_uniform_network, _tied_network])
-    def test_pool_results_equal_serial_field_by_field(self, engine, make, index_kind):
-        network = make(index_kind)
+    def test_pool_results_equal_serial_field_by_field(self, engine, make):
+        network = make()
         serial = [network.compute_superpeer_preprocess(sp) for sp in network.superpeers]
         pooled = engine.preprocess_network(network)
         assert [r.superpeer_id for r in pooled] == [r.superpeer_id for r in serial]
@@ -243,7 +240,7 @@ class TestPositionsHandOver:
     def test_ingested_state_report_and_metrics_equal_serial(self, engine, make):
         networks, registries = [], []
         for pool in (None, engine):
-            network = make("block")
+            network = make()
             registry = MetricsRegistry()
             install(None, registry)
             try:
@@ -279,7 +276,7 @@ class TestPositionsHandOver:
         from repro.parallel.engine import _run_preprocess_batch
         from repro.parallel.shm import publish_network
 
-        network = _uniform_network("block")
+        network = _uniform_network()
         sp_ids = list(network.topology.superpeer_ids)
         with publish_network(network, partitions=True) as shared:
             spec = {"token": "t", "manifest": shared.manifest}

@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.local_skyline import resolve_scan_chunk
 from repro.data.workload import generate_workload
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.updates import insert_points
@@ -30,7 +29,7 @@ def network() -> SuperPeerNetwork:
 
 def _memo(network, cap):
     memo = ScanMemo(network, cap=cap)
-    return memo, memo.local_compute(resolve_scan_chunk(None))
+    return memo, memo.local_compute()
 
 
 def _assert_same_scan(a, b):
@@ -47,7 +46,7 @@ def _assert_same_scan(a, b):
 @pytest.mark.parametrize("subspace", [(0, 2), (1, 3, 4), (0, 1, 2, 3, 4)])
 def test_replay_equals_the_fresh_scan(network, subspace):
     memo, compute = _memo(network, cap=4)
-    fresh = make_local_compute(network, scan_chunk=resolve_scan_chunk(None))
+    fresh = make_local_compute(network)
     sp = network.topology.superpeer_ids[0]
     for threshold in (math.inf, fresh(sp, subspace, math.inf).threshold * 1.5):
         first = compute(sp, subspace, threshold)
@@ -83,7 +82,7 @@ def test_a_generation_bump_misses_only_its_own_slot(network):
     insert_points(network, peer, fresh_points(network, 3, seed=9))
     after = compute(touched, subspace, math.inf)
     assert (memo.hits, memo.misses) == (0, 3)
-    fresh = make_local_compute(network, scan_chunk=resolve_scan_chunk(None))
+    fresh = make_local_compute(network)
     _assert_same_scan(after, fresh(touched, subspace, math.inf))
     compute(other, subspace, math.inf)
     assert memo.hits == 1

@@ -183,7 +183,6 @@ class TestRoundtrip:
         with publish_network(network) as shared:
             with attach_network(shared.manifest) as attached:
                 assert attached.dimensionality == network.dimensionality
-                assert attached.index_kind == network.index_kind
                 assert attached.epoch == network.epoch
                 assert attached.topology.adjacency == network.topology.adjacency
                 for sp_id in network.topology.superpeer_ids:

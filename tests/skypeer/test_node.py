@@ -96,7 +96,7 @@ def test_every_interleaving_terminates_with_the_skyline(backbone, variant, seed,
 
     carrier = LinkQueues(random.choice)
     kernels = make_kernels(
-        variant, subspace, store_of=stores.__getitem__, dimensionality=d, index_kind="block"
+        variant, subspace, store_of=stores.__getitem__, dimensionality=d
     )
     scans, scan = Counter(), kernels.scan
     kernels.scan = lambda sp, t: (scans.update([sp]), scan(sp, t))[1]

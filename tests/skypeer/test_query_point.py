@@ -95,7 +95,7 @@ def test_the_point_prunes_only_what_is_not_in_the_answer(backbone, variant, seed
     carrier = Recording(random.choice)
     kernels = make_kernels(
         variant, subspace, store_of=stores.__getitem__, dimensionality=d,
-        index_kind="block", local_compute=local_compute,
+        local_compute=local_compute,
     )
     scan = kernels.scan
 

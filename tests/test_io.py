@@ -96,6 +96,37 @@ class TestNetworkRoundtrip:
         assert loaded.cost_model.point_bytes(3) == 8 + 3 * 8
         assert loaded.all_points() == network.all_points()
 
+    def test_loads_a_file_that_names_a_dominance_index(self, tmp_path, network):
+        """Format-1 files written while the scan's dominance index was
+        selectable name it in their meta; the key is ignored, and every
+        query answers exactly as on the network that was saved."""
+        import json
+
+        path = tmp_path / "net.npz"
+        save_network(path, network)
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["meta"].tobytes()).decode())
+        assert set(meta) == {
+            "format", "dimensionality", "adjacency", "peers_of", "cost_model", "peer_ids",
+        }
+        # What save_network wrote until then: the keys above plus the index.
+        meta["index_kind"] = "rtree"
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez_compressed(path, **data)
+        loaded = load_network(path)
+        assert loaded.all_points() == network.all_points()
+        for sp in network.topology.superpeer_ids:
+            for subspace in [(0, 2), (1, 3), (0, 1, 2, 3)]:
+                query = Query(subspace=subspace, initiator=sp)
+                for variant in Variant:
+                    a = execute_query(network, query, variant)
+                    b = execute_query(loaded, query, variant)
+                    assert b.result.points.ids.tolist() == a.result.points.ids.tolist()
+                    assert np.array_equal(b.result.points.values, a.result.points.values)
+                    assert (b.comparisons, b.message_count, b.volume_bytes) == (
+                        a.comparisons, a.message_count, a.volume_bytes,
+                    )
+
     def test_format_version_checked(self, tmp_path, network):
         import json
 
