@@ -1,16 +1,17 @@
 #!/usr/bin/env python
-"""Profile the scan substrates on the crossover matrix.
+"""Profile the three executions of Algorithm 1 on the crossover matrix.
 
-Times every substrate of :data:`repro.core.substrates.SCAN_SUBSTRATES`
-(``sorted``/``bbs``/``salsa``, each over the whole store) over a matrix
-of (distribution, dims, points, query subspace) stores generated from
-the ``bench --smoke`` crossover seeds.  Each substrate is picked the way
-a query picks it (:func:`repro.skypeer.executor.make_local_compute`),
-verified byte-equal to ``sorted`` on its first — *cold* — run, which
-also builds the per-subspace R-tree or SaLSa order cached on the store,
-and then timed best-of-``--repeats`` warm.  The report names the fastest
-warm substrate per store and counts the wins, so the rule that picks a
-substrate is derived from data instead of folklore.
+Times the paper's ``sorted`` scan
+(:func:`repro.core.local_skyline.local_subspace_skyline`, what every
+query runs) and the two alternatives of :mod:`repro.core.substrates`
+(``bbs``/``salsa``), each over the whole store, over a matrix of
+(distribution, dims, points, query subspace) stores generated from the
+``bench --smoke`` crossover seeds.  Each is verified byte-equal to
+``sorted`` on its first — *cold* — run, which also builds the
+per-subspace R-tree or SaLSa order cached on the store, and then timed
+best-of-``--repeats`` warm.  The report names the fastest warm scan per
+store and counts the wins, so whether an alternative earns its keep is
+derived from data instead of folklore.
 
 Usage::
 
@@ -30,14 +31,22 @@ import time
 
 import numpy as np
 
-from repro.bench.smoke import _computations_identical, _single_store_network
+from repro.bench.smoke import _computations_identical
 from repro.core.dataset import PointSet
+from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
-from repro.core.substrates import SCAN_SUBSTRATES
+from repro.core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
 from repro.data.generators import make_generator
-from repro.skypeer.executor import make_local_compute
 
 DISTRIBUTIONS = ("uniform", "correlated", "anticorrelated")
+
+#: Scan name -> function over ``(store, subspace)``; ``sorted`` leads,
+#: as the reference the others must equal.
+SCANS = {
+    "sorted": local_subspace_skyline,
+    "bbs": bbs_subspace_skyline,
+    "salsa": salsa_subspace_skyline,
+}
 
 #: (distribution, dims, points, subspace): every distribution at
 #: d in {3, 5, 7} and n in {1 200, 20 000} on the full space and on the
@@ -65,18 +74,17 @@ def profile_store(dist: str, d: int, n: int, subspace: tuple, repeats: int) -> d
     """Cold and best-of-``repeats`` warm seconds per substrate for one store."""
     rng = np.random.default_rng(20070415 + 1000 * DISTRIBUTIONS.index(dist) + d)
     points = PointSet(make_generator(dist)(n, d, rng))
-    network, sp = _single_store_network(points, SortedByF.from_points(points))
+    store = SortedByF.from_points(points)
     reference = None
     row: dict = {
         "distribution": dist, "d": d, "n": n, "subspace": list(subspace),
         "cold_seconds": {}, "seconds": {},
     }
-    for substrate in SCAN_SUBSTRATES:
-        scan = make_local_compute(network, scan_substrate=substrate)
+    for substrate, scan in SCANS.items():
         started = time.perf_counter()
-        first = scan(sp, subspace, float("inf"))
+        first = scan(store, subspace)
         row["cold_seconds"][substrate] = time.perf_counter() - started
-        if reference is None:  # SCAN_SUBSTRATES leads with sorted
+        if reference is None:  # SCANS leads with sorted
             reference = first
             row["result_size"] = len(first.result)
         elif not _computations_identical(reference, first):  # pragma: no cover - tripwire
@@ -84,7 +92,7 @@ def profile_store(dist: str, d: int, n: int, subspace: tuple, repeats: int) -> d
         best = float("inf")
         for _ in range(repeats):
             started = time.perf_counter()
-            scan(sp, subspace, float("inf"))
+            scan(store, subspace)
             best = min(best, time.perf_counter() - started)
         row["seconds"][substrate] = best
     row["fastest"] = min(row["seconds"], key=row["seconds"].get)
@@ -94,14 +102,14 @@ def profile_store(dist: str, d: int, n: int, subspace: tuple, repeats: int) -> d
 def run_profile(repeats: int = 5, quick: bool = False) -> dict:
     matrix = QUICK_MATRIX if quick else FULL_MATRIX
     rows = [profile_store(*entry, repeats) for entry in matrix]
-    wins = {substrate: 0 for substrate in SCAN_SUBSTRATES}
+    wins = {substrate: 0 for substrate in SCANS}
     for row in rows:
         wins[row["fastest"]] += 1
     return {
         "schema": "repro-profile-scans/2",
         "cpu_count": os.cpu_count(),
         "repeats": repeats,
-        "substrates": list(SCAN_SUBSTRATES),
+        "substrates": list(SCANS),
         "stores": rows,
         "wins": wins,
     }

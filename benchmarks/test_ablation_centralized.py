@@ -1,20 +1,31 @@
-"""Ablation: the six centralized skyline algorithms head-to-head.
+"""Ablation: the centralized skyline paths the package keeps, head-to-head.
 
-BNL, SFS, D&C, BBS, Bitmap and the Index method on uniform and
+BNL (the naive baseline's kernel), BBS (the progressive skyline), the
+sum-sorted ``skyline_mask`` oracle and Algorithm 1 on uniform and
 anticorrelated data.  Anticorrelated data blows the skyline up and
-separates window-based algorithms (BNL/SFS) from the index-based ones.
-All six must agree exactly — that assertion is the real point.
+separates the window-based BNL from the sorted and index-based paths.
+All of them must agree exactly — that assertion is the real point.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms import ALGORITHMS, compute_skyline
+from repro.algorithms import block_nested_loops, branch_and_bound_skyline
 from repro.core.dataset import PointSet
+from repro.core.extended_skyline import subspace_skyline, subspace_skyline_points
 from repro.data.generators import anticorrelated, uniform
 
 N = 1500
 D = 4
+FULL = tuple(range(D))
+
+#: name -> the full-space skyline of a PointSet, as a PointSet.
+PATHS = {
+    "algorithm1": lambda points: subspace_skyline(points, FULL).points,
+    "bbs": branch_and_bound_skyline,
+    "bnl": block_nested_loops,
+    "skyline_mask": lambda points: subspace_skyline_points(points, FULL),
+}
 
 
 def _dataset(kind):
@@ -24,12 +35,11 @@ def _dataset(kind):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "anticorrelated"])
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(PATHS))
 def test_algorithm(benchmark, kind, algorithm):
     points = _dataset(kind)
     result = benchmark.pedantic(
-        compute_skyline, args=(points,), kwargs={"algorithm": algorithm},
-        rounds=3, iterations=1,
+        PATHS[algorithm], args=(points,), rounds=3, iterations=1,
     )
     assert len(result) > 0
 
@@ -37,15 +47,13 @@ def test_algorithm(benchmark, kind, algorithm):
 @pytest.mark.parametrize("kind", ["uniform", "anticorrelated"])
 def test_all_algorithms_agree(kind):
     points = _dataset(kind)
-    results = {
-        name: compute_skyline(points, algorithm=name).id_set() for name in ALGORITHMS
-    }
+    results = {name: path(points).id_set() for name, path in PATHS.items()}
     assert len(set(results.values())) == 1, {
         name: len(ids) for name, ids in results.items()
     }
 
 
 def test_anticorrelated_skyline_is_larger():
-    uni = compute_skyline(_dataset("uniform"))
-    anti = compute_skyline(_dataset("anticorrelated"))
+    uni = subspace_skyline_points(_dataset("uniform"), FULL)
+    anti = subspace_skyline_points(_dataset("anticorrelated"), FULL)
     assert len(anti) > 2 * len(uni)

@@ -1,29 +1,22 @@
 """Centralized skyline algorithms from the related work.
 
-These are the classic algorithms the paper builds on: BNL and D&C from
-Borzsonyi et al. [4], SFS from Chomicki et al. [5], BBS from Papadias
-et al. [14], Bitmap and the Index method from Tan et al. [16].  They serve three
-purposes in this repository: independent correctness oracles for the
-threshold-based machinery, the engines a peer may use for its local
-pre-processing, and baselines in ablation benchmarks.
+Two classic algorithms the paper builds on, each kept for a use nothing
+else in the repository covers:
+
+* BNL [Borzsonyi et al., ICDE'01] — the naive baseline's kernel
+  (Section 3.2) and the tests' independent reference;
+* BBS [Papadias et al., TODS 2005] — the only *progressive* skyline:
+  :func:`~repro.algorithms.bbs.bbs_iter` reports skyline points one at a
+  time in mindist order.
+
+Algorithm 1 (``SKY_U``) and the Section 5.3 filter (``ext-SKY``) live in
+:mod:`repro.core`.
 """
 
 from .bbs import branch_and_bound_skyline
-from .bitmap import BitmapIndex, bitmap_skyline
 from .bnl import block_nested_loops
-from .dnc import divide_and_conquer
-from .index_method import index_method_skyline
-from .registry import ALGORITHMS, compute_skyline
-from .sfs import sort_filter_skyline
 
 __all__ = [
     "block_nested_loops",
-    "sort_filter_skyline",
-    "divide_and_conquer",
     "branch_and_bound_skyline",
-    "bitmap_skyline",
-    "BitmapIndex",
-    "index_method_skyline",
-    "compute_skyline",
-    "ALGORITHMS",
 ]

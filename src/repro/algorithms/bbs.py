@@ -110,7 +110,7 @@ def bbs_iter(
             count += 1
         return winners
 
-    push_node(tree._root)
+    push_node(tree.root())
     while heap:
         mindist, _seq, kind, payload = heapq.heappop(heap)
         if pending and mindist > pending_key:

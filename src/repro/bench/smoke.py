@@ -41,13 +41,13 @@ workload must actually exercise coalescing).  ``skypeer bench
 :func:`bench_serving`.  Latency percentiles are hardware-dependent and
 informational, like every wall-clock here.
 
-Schema 5 adds ``"kernels"``: the scan-substrate matrix.  The
-*crossover* runs the three whole-store substrates
-(:data:`repro.core.substrates.SCAN_SUBSTRATES`) over small stores
+Schema 5 adds ``"kernels"``: the scan matrix.  The *crossover* runs
+the paper's sorted scan and the two whole-store alternatives of
+:mod:`repro.core.substrates` (``bbs``, ``salsa``) over small stores
 across dimensionalities and distributions, reporting deterministic
 comparisons-per-point so the crossover is diffable across revisions,
 and one verdict ``check_regression.py`` gates: ``identical`` (every
-substrate's result byte-identical to the sorted scan).
+scan's result byte-identical to the sorted scan).
 
 Schema 6 adds two things.  ``"kernels.salsa"``: the sort-based-
 filtering section — the crossover datasets re-queried on the
@@ -343,24 +343,6 @@ def _computations_identical(reference: Any, other: Any) -> bool:
     )
 
 
-def _single_store_network(points: Any, store: Any) -> tuple[Any, int]:
-    """A one-super-peer network carrying ``store`` verbatim.
-
-    ``preprocess=False`` skips the peer → super-peer pipeline so the
-    kernels scan exactly the generated dataset, not its ext-skyline.
-    """
-    from ..p2p.network import SuperPeerNetwork
-    from ..p2p.topology import Topology
-
-    topology = Topology.generate(n_peers=1, n_superpeers=1, seed=0)
-    network = SuperPeerNetwork.from_partitions(
-        topology, {0: points}, preprocess=False
-    )
-    sp = topology.superpeer_ids[0]
-    network.superpeers[sp].store = store
-    return network, sp
-
-
 def _bench_salsa(
     n: int,
     dims: Sequence[int],
@@ -445,23 +427,27 @@ def _bench_kernels(
         "uniform", "correlated", "anticorrelated",
     ),
 ) -> dict[str, Any]:
-    """Scan-substrate matrix: the three whole-store scans, identity-gated.
+    """Scan matrix: the paper's scan and the two alternatives of
+    :mod:`repro.core.substrates`, identity-gated.
 
-    The *crossover* runs every substrate of
-    :data:`~repro.core.substrates.SCAN_SUBSTRATES`, picked the way a
-    query picks it, over small full-space stores across dimensionalities
-    and distributions, reporting deterministic comparisons-per-point;
-    ``identical`` gates every substrate against the sorted scan.
+    The *crossover* runs all three over small full-space stores across
+    dimensionalities and distributions, reporting deterministic
+    comparisons-per-point; ``identical`` gates each against the sorted
+    scan.
     """
     import numpy as np
 
     from ..core.dataset import PointSet
     from ..core.local_skyline import local_subspace_skyline
     from ..core.store import SortedByF
-    from ..core.substrates import SCAN_SUBSTRATES
+    from ..core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
     from ..data.generators import make_generator
-    from ..skypeer.executor import make_local_compute
 
+    scans = {
+        "sorted": local_subspace_skyline,
+        "bbs": bbs_subspace_skyline,
+        "salsa": salsa_subspace_skyline,
+    }
     crossover: list[dict[str, Any]] = []
     crossover_identical = True
     for dist_index, distribution in enumerate(crossover_distributions):
@@ -469,20 +455,15 @@ def _bench_kernels(
             # str hashes are per-process randomized; derive the seed
             # from stable integers so the datasets diff across runs.
             cell_rng = np.random.default_rng(20070415 + 1000 * dist_index + d)
-            cell_points = PointSet(
-                make_generator(distribution)(crossover_n, d, cell_rng)
+            cell_store = SortedByF.from_points(
+                PointSet(make_generator(distribution)(crossover_n, d, cell_rng))
             )
-            cell_store = SortedByF.from_points(cell_points)
             cell_subspace = tuple(range(d))
             reference = local_subspace_skyline(cell_store, cell_subspace)
-            cell_network, cell_sp = _single_store_network(cell_points, cell_store)
             cells: dict[str, float] = {}
             cell_identical = True
-            for substrate in SCAN_SUBSTRATES:
-                # Picked the way a query picks it, not re-dispatched here.
-                scan = make_local_compute(cell_network, scan_substrate=substrate)(
-                    cell_sp, cell_subspace, float("inf")
-                )
+            for substrate, scan_fn in scans.items():
+                scan = scan_fn(cell_store, cell_subspace)
                 cell_identical = cell_identical and _computations_identical(
                     reference, scan
                 )

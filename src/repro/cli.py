@@ -26,7 +26,6 @@ import time
 from contextlib import contextmanager
 from typing import Sequence
 
-from .core.substrates import SCAN_SUBSTRATES
 from .data.workload import Query
 from .p2p.network import SuperPeerNetwork
 from .skypeer.executor import execute_query
@@ -49,12 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     transport_help = (
         "execution carrier: 'sim' (discrete-event simulation, default) or "
         "'socket' (real TCP via asyncio)"
-    )
-    substrate_help = (
-        "Algorithm-1 scan substrate: 'sorted' (the paper's f-ascending "
-        "list scan, default), 'bbs' (branch-and-bound over the R-tree) "
-        "or 'salsa' (sort-based filtering with stop-point early "
-        "termination)"
     )
 
     def figure_arguments(fig: argparse.ArgumentParser) -> None:
@@ -163,8 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--transport", choices=("sim", "socket"), default="sim",
                    help=transport_help)
-    q.add_argument("--substrate", choices=SCAN_SUBSTRATES, default=None,
-                   help=substrate_help)
     q.add_argument("--explain", action="store_true",
                    help="print a per-super-peer execution breakdown "
                         "(sim transport only)")
@@ -502,7 +493,7 @@ def _run_single_query(args: argparse.Namespace) -> int:
     query = Query(subspace=subspace, initiator=network.topology.superpeer_ids[0])
     if args.transport == "socket":
         return _run_socket_cli_query(args, network, query, variant)
-    execution = execute_query(network, query, variant, scan_substrate=args.substrate)
+    execution = execute_query(network, query, variant)
     if args.json:
         from .skypeer.inspection import execution_report_json
 

@@ -1,35 +1,40 @@
-"""Scan substrates for Algorithm 1.
+"""Two alternative executions of Algorithm 1, called directly.
 
-The threshold scan has three interchangeable physical executions, each
-over the whole store:
+Every query, figure and engine worker runs the paper's f-ascending list
+scan (:func:`repro.core.local_skyline.local_subspace_skyline`).  This
+module holds two other physical executions of the same scan, each over
+the whole store; nothing picks them by name, so a caller runs one by
+calling it, or hands it to ``execute_query(local_compute=...)``:
 
-* ``"sorted"`` — the paper's f-ascending list scan
-  (:func:`repro.core.local_skyline.local_subspace_skyline`);
-* ``"bbs"`` — branch-and-bound over a bulk-loaded R-tree [Papadias et
-  al., TODS 2005], expanding entries best-first by ``dist_U`` (the
-  ``max`` of an entry's lower corner, a lower bound on ``dist_U`` of
-  every point beneath it) with MBR dominance pruning;
-* ``"salsa"`` — sort-based filtering with a stop-point [Bartolini,
-  Ciaccia & Patella's SaLSa; see also arXiv 1908.04083]: candidates
-  are visited in ascending order of the monotone sorting function
-  ``minC(p) = min_{i in U} p[i]`` (sum tiebreak) while the scan keeps
-  the *stop-point* ``stop = min`` over inserted candidates of
-  ``dist_U(p) = max_{i in U} p[i]``; once the next sort key exceeds
-  ``stop``, every remaining point is ext-dominated by the stop-point
-  witness (all its coordinates are ``<= stop < minC`` of anything
-  left) and the scan terminates without reading them.
+* :func:`bbs_subspace_skyline` — branch-and-bound over a bulk-loaded
+  R-tree [Papadias et al., TODS 2005], expanding entries best-first by
+  ``dist_U`` (the ``max`` of an entry's lower corner, a lower bound on
+  ``dist_U`` of every point beneath it) with MBR dominance pruning;
+* :func:`salsa_subspace_skyline` — sort-based filtering with a
+  stop-point [Bartolini, Ciaccia & Patella's SaLSa; see also arXiv
+  1908.04083]: candidates are visited in ascending order of the
+  monotone sorting function ``minC(p) = min_{i in U} p[i]`` (sum
+  tiebreak) while the scan keeps the *stop-point* ``stop = min`` over
+  inserted candidates of ``dist_U(p) = max_{i in U} p[i]``; once the
+  next sort key exceeds ``stop``, every remaining point is
+  ext-dominated by the stop-point witness (all its coordinates are
+  ``<= stop < minC`` of anything left) and the scan terminates without
+  reading them.
 
-All return the *same* skyline byte-for-byte: the threshold-scan result
-equals the skyline of ``store ∩ {f <= t}`` (a point with ``f`` above
-the refined threshold is ext-dominated by the point that refined it),
-and the skyline of a set is unique.  The alternative substrates report
-the surviving store positions sorted ascending — exactly the order the
-sorted scan produces — and the same refined threshold (the minimum
+They stay because they win stores of the scan matrix
+(``benchmarks/profile_scans.py``, docs/PERFORMANCE.md).
+
+Both return the sorted scan's skyline byte-for-byte: the threshold-scan
+result equals the skyline of ``store ∩ {f <= t}`` (a point with ``f``
+above the refined threshold is ext-dominated by the point that refined
+it), and the skyline of a set is unique.  Both report the surviving
+store positions sorted ascending — exactly the order the sorted scan
+produces — and the same refined threshold (the minimum
 ``dist_U`` over the result, which equals the minimum over all points
 the sorted scan ever inserts, because an evictor never has a larger
 ``dist_U`` than its victim).
 
-What *does* differ per substrate is the honest work accounting:
+What *does* differ per execution is the honest work accounting:
 ``examined`` counts points whose dominance test actually ran and
 ``comparisons`` follows the same charging rules as the sorted scan
 (block × batch products, quadratic tie groups, one comparison per MBR
@@ -56,62 +61,13 @@ import numpy as np
 
 from .dominance import batch_dominated_any, undominated_among
 from .indexes import BlockDominanceIndex
-from .local_skyline import (
-    SkylineComputation,
-    local_subspace_skyline,
-    resolve_scan_chunk,
-)
+from .local_skyline import SkylineComputation, resolve_scan_chunk
 from .store import SortedByF
 
 __all__ = [
-    "SCAN_SUBSTRATES",
     "bbs_subspace_skyline",
-    "resolve_scan_substrate",
     "salsa_subspace_skyline",
-    "subspace_skyline",
 ]
-
-SCAN_SUBSTRATES = ("sorted", "bbs", "salsa")
-
-
-def resolve_scan_substrate(substrate: str | None = None) -> str:
-    """The scan substrate named by ``substrate``, ``sorted`` when ``None``.
-
-    Only an explicit argument picks ``bbs`` or ``salsa``; no environment
-    variable is read.
-    """
-    if substrate is None:
-        substrate = "sorted"
-    if substrate not in SCAN_SUBSTRATES:
-        raise ValueError(
-            f"unknown scan substrate {substrate!r}; expected one of {SCAN_SUBSTRATES}"
-        )
-    return substrate
-
-
-def subspace_skyline(
-    store: SortedByF,
-    subspace: Sequence[int],
-    initial_threshold: float = math.inf,
-    strict: bool = False,
-    substrate: str | None = None,
-) -> SkylineComputation:
-    """Run Algorithm 1 over the whole store on the selected substrate.
-
-    The one place a substrate name becomes a scan function.
-    """
-    substrate = resolve_scan_substrate(substrate)
-    if substrate == "bbs":
-        return bbs_subspace_skyline(
-            store, subspace, initial_threshold=initial_threshold, strict=strict
-        )
-    if substrate == "salsa":
-        return salsa_subspace_skyline(
-            store, subspace, initial_threshold=initial_threshold, strict=strict
-        )
-    return local_subspace_skyline(
-        store, subspace, initial_threshold=initial_threshold, strict=strict
-    )
 
 
 def bbs_subspace_skyline(

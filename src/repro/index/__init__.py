@@ -1,4 +1,4 @@
-"""Spatial index substrate: a main-memory R-tree for dominance tests."""
+"""Spatial index: a main-memory R-tree the BBS traversals expand."""
 
 from .rtree import RTree
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from ..core.local_skyline import SkylineComputation
+from ..core.local_skyline import SkylineComputation, local_subspace_skyline
 from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
 from ..data.workload import Query
@@ -127,25 +127,13 @@ class QueryExecution:
 LocalCompute = "Callable[[int, Subspace, float], SkylineComputation]"
 
 
-def make_local_compute(
-    network: SuperPeerNetwork,
-    scan_substrate: str | None = None,
-):
-    """Build the default per-super-peer Algorithm-1 strategy.
-
-    Every scan runs over the super-peer's whole store on
-    ``scan_substrate`` — ``sorted`` (the paper's scan, the default),
-    ``bbs`` or ``salsa`` (:func:`repro.core.substrates.subspace_skyline`),
-    all byte-identical.  The name is checked here, once, so a bad one
-    raises before any scan runs.
-    """
-    from ..core.substrates import resolve_scan_substrate, subspace_skyline
-
-    substrate = resolve_scan_substrate(scan_substrate)
+def make_local_compute(network: SuperPeerNetwork):
+    """Build the default per-super-peer Algorithm-1 strategy: the
+    paper's scan over the super-peer's whole store."""
 
     def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-        return subspace_skyline(
-            network.store_of(sp), sub, initial_threshold=threshold, substrate=substrate
+        return local_subspace_skyline(
+            network.store_of(sp), sub, initial_threshold=threshold
         )
 
     return local_compute
@@ -156,7 +144,6 @@ def execute_query(
     query: Query,
     variant: Variant | str = Variant.FTPM,
     local_compute=None,
-    scan_substrate: str | None = None,
 ) -> QueryExecution:
     """Execute a subspace skyline query over the network.
 
@@ -169,18 +156,13 @@ def execute_query(
     variant:
         One of the four SKYPEER variants or the naive baseline.
     local_compute:
-        Optional strategy replacing the per-super-peer Algorithm 1 run
-        (see :class:`repro.parallel.engine.ScanMemo`); ignored by the
-        naive baseline.
-        When given, ``scan_substrate`` is ignored too — the strategy
-        owns the scan.
-    scan_substrate:
-        Scan substrate of the default strategy; see
-        :func:`make_local_compute`.  Ignored by the naive baseline.
+        Optional strategy replacing the per-super-peer Algorithm 1 run,
+        which is the paper's scan by default (as :func:`make_local_compute`
+        builds it).  See :class:`repro.parallel.engine.ScanMemo`, and
+        :mod:`repro.core.substrates` for two other executions of the
+        scan.  Ignored by the naive baseline.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
-    if local_compute is None and variant is not Variant.NAIVE:
-        local_compute = make_local_compute(network, scan_substrate=scan_substrate)
     return run_on_model_clocks(network, query, variant, local_compute=local_compute).execution
 
 

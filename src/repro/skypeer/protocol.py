@@ -62,12 +62,11 @@ import numpy as np
 from ..algorithms.bnl import block_nested_loops
 from ..core.dataset import PointSet
 from ..core.dominance import dominated_mask
-from ..core.local_skyline import SkylineComputation
+from ..core.local_skyline import SkylineComputation, local_subspace_skyline
 from ..core.mapping import f_values
 from ..core.merging import merge_sorted_skylines
 from ..core.store import SortedByF
 from ..core.subspace import Subspace
-from ..core.substrates import subspace_skyline
 from ..data.workload import Query
 from ..obs.runtime import active_metrics
 from ..p2p.network import SuperPeerNetwork
@@ -231,13 +230,13 @@ def make_kernels(
     on_wire: bool = False,
 ) -> SkylineKernels | NaiveKernels:
     """The kernels ``variant`` runs.  Without a ``local_compute`` the scan
-    is the default cell of :func:`repro.core.substrates.subspace_skyline`
-    over ``store_of(sp)``; the naive baseline ignores it either way."""
+    is :func:`repro.core.local_skyline.local_subspace_skyline` over
+    ``store_of(sp)``; the naive baseline ignores it either way."""
     if variant is Variant.NAIVE:
         return NaiveKernels(store_of, subspace, dimensionality, on_wire=on_wire)
     if local_compute is None:
         def local_compute(sp: int, sub: Subspace, threshold: float) -> SkylineComputation:
-            return subspace_skyline(store_of(sp), sub, initial_threshold=threshold)
+            return local_subspace_skyline(store_of(sp), sub, initial_threshold=threshold)
     return SkylineKernels(local_compute, subspace, on_wire=on_wire)
 
 

@@ -18,12 +18,7 @@ import pytest
 from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
-from repro.core.substrates import (
-    SCAN_SUBSTRATES,
-    resolve_scan_substrate,
-    salsa_subspace_skyline,
-    subspace_skyline,
-)
+from repro.core.substrates import salsa_subspace_skyline
 
 
 def assert_identical(reference, other):
@@ -219,26 +214,3 @@ class TestSalsaOrderCache:
             salsa_subspace_skyline(store, (0, 1)),
             salsa_subspace_skyline(clone, (0, 1)),
         )
-
-
-class TestDispatcherAndResolver:
-    def test_salsa_dispatch(self, rng):
-        store = make_store(rng, n=80)
-        assert_identical(
-            salsa_subspace_skyline(store, (0, 2)),
-            subspace_skyline(store, (0, 2), substrate="salsa"),
-        )
-
-    def test_salsa_is_registered(self):
-        assert "salsa" in SCAN_SUBSTRATES
-        assert resolve_scan_substrate("salsa") == "salsa"
-
-    def test_error_message_lists_valid_names(self):
-        # The resolver names every valid substrate, so a typo in an
-        # explicit argument is self-explanatory.
-        with pytest.raises(ValueError) as exc:
-            resolve_scan_substrate("quadtree")
-        message = str(exc.value)
-        assert "quadtree" in message
-        for name in ("sorted", "bbs", "salsa"):
-            assert name in message

@@ -11,11 +11,7 @@ import pytest
 from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
-from repro.core.substrates import (
-    bbs_subspace_skyline,
-    resolve_scan_substrate,
-    subspace_skyline,
-)
+from repro.core.substrates import bbs_subspace_skyline
 
 
 def assert_identical(reference, other):
@@ -34,15 +30,6 @@ def make_store(rng, n=200, d=4, anticorrelated=False):
         values = 0.5 + (values - values.mean(axis=1, keepdims=True))
         values = np.clip(values, 0.0, 1.0)
     return SortedByF.from_points(PointSet(values))
-
-
-class TestResolveScanSubstrate:
-    def test_default_is_sorted(self):
-        assert resolve_scan_substrate() == "sorted"
-
-    def test_unknown_substrate_raises(self):
-        with pytest.raises(ValueError, match="unknown scan substrate"):
-            resolve_scan_substrate("quadtree")
 
 
 class TestBBSIdentity:
@@ -96,21 +83,6 @@ class TestBBSIdentity:
         assert bbs.comparisons > 0
         assert bbs.input_size == len(store)
 
-
-class TestDispatcher:
-    def test_bbs_dispatch(self, rng):
-        store = make_store(rng, n=80)
-        assert_identical(
-            bbs_subspace_skyline(store, (0, 2)),
-            subspace_skyline(store, (0, 2), substrate="bbs"),
-        )
-
-    def test_default_dispatch_is_sorted(self, rng):
-        store = make_store(rng, n=80)
-        assert_identical(
-            local_subspace_skyline(store, (1, 3)),
-            subspace_skyline(store, (1, 3)),
-        )
 
 class TestRtreeCache:
     def test_same_tree_returned_twice(self, rng):

@@ -1,12 +1,12 @@
-"""The three scan substrates on the bench's crossover datasets.
+"""The three executions of Algorithm 1 on the bench's crossover datasets.
 
-Every substrate of :data:`~repro.core.substrates.SCAN_SUBSTRATES`, picked
-by :func:`make_local_compute` exactly as a query picks it, must return
-the ``sorted`` scan byte for byte; on the full-space datasets its work
-accounting must also equal the committed ``kernels.crossover`` column of
-the same name in ``BENCH_baseline.json``.  Across whole queries, every
-substrate must be indistinguishable from the sorted scan under every
-variant — and only an explicit argument picks one.
+The paper's ``sorted`` scan (what :func:`make_local_compute` builds for
+every query) and the two executions of :mod:`repro.core.substrates`
+must return the same scan byte for byte; on the full-space datasets each one's work accounting
+must also equal the committed ``kernels.crossover`` column of the same
+name in ``BENCH_baseline.json``.  Across whole queries, ``bbs`` and
+``salsa`` must be indistinguishable from the sorted scan under every
+variant — and nothing but an explicit ``local_compute`` runs them.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.smoke import _single_store_network
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
-from repro.core.substrates import SCAN_SUBSTRATES
+from repro.core.local_skyline import local_subspace_skyline
+from repro.core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
 from repro.data.generators import make_generator
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
@@ -35,15 +35,20 @@ N = 1200
 DISTRIBUTIONS = ("uniform", "correlated", "anticorrelated")
 DIMS = (3, 5, 7)
 PIVOT = (0, 1)
+#: The three scans, by their column name in ``kernels.crossover``.
+SCANS = {
+    "sorted": local_subspace_skyline,
+    "bbs": bbs_subspace_skyline,
+    "salsa": salsa_subspace_skyline,
+}
 
 
 @functools.lru_cache(maxsize=None)
-def crossover_network(distribution: str, d: int):
-    """The bench's crossover dataset as a one-super-peer network whose
-    store is the dataset itself (same seeds as ``bench --smoke``)."""
+def crossover_store(distribution: str, d: int) -> SortedByF:
+    """The bench's crossover dataset as one store (same seeds as
+    ``bench --smoke``)."""
     rng = np.random.default_rng(20070415 + 1000 * DISTRIBUTIONS.index(distribution) + d)
-    points = PointSet(make_generator(distribution)(N, d, rng))
-    return _single_store_network(points, SortedByF.from_points(points))
+    return SortedByF.from_points(PointSet(make_generator(distribution)(N, d, rng)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,16 +58,24 @@ def committed_crossover() -> dict:
     return {(cell["distribution"], cell["d"]): cell for cell in cells}
 
 
+def compute_for(network: SuperPeerNetwork, substrate: str):
+    """The ``local_compute`` that runs ``substrate`` over ``network``."""
+    scan = SCANS[substrate]
+
+    def local_compute(sp, sub, threshold):
+        return scan(network.store_of(sp), sub, initial_threshold=threshold)
+
+    return local_compute
+
+
 def run_scan(substrate: str, distribution: str, d: int, subspace):
-    network, sp = crossover_network(distribution, d)
-    compute = make_local_compute(network, scan_substrate=substrate)
-    return compute(sp, subspace, float("inf"))
+    return SCANS[substrate](crossover_store(distribution, d), subspace)
 
 
 @pytest.mark.parametrize("space", ["full", "pivot"])
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-@pytest.mark.parametrize("substrate", SCAN_SUBSTRATES)
+@pytest.mark.parametrize("substrate", SCANS)
 def test_substrate_is_identical_to_the_sorted_scan(substrate, distribution, d, space):
     subspace = tuple(range(d)) if space == "full" else PIVOT
     reference = run_scan("sorted", distribution, d, subspace)
@@ -81,19 +94,18 @@ def test_substrate_is_identical_to_the_sorted_scan(substrate, distribution, d, s
 
 def test_committed_crossover_carries_exactly_the_surviving_cells():
     for cell in committed_crossover().values():
-        assert set(cell["comparisons_per_point"]) == set(SCAN_SUBSTRATES)
+        assert set(cell["comparisons_per_point"]) == set(SCANS)
 
 
-def test_environment_never_picks_the_scan(monkeypatch):
+def test_environment_never_picks_the_scan(monkeypatch, small_network):
     """The substrate variable of older trees is ignored: only an
-    explicit argument reaches ``bbs``."""
+    explicit ``local_compute`` reaches ``bbs``."""
     monkeypatch.setenv("REPRO_SCAN_SUBSTRATE", "bbs")
-    subspace = tuple(range(5))
-    sorted_scan = run_scan("sorted", "anticorrelated", 5, subspace)
-    bbs_scan = run_scan("bbs", "anticorrelated", 5, subspace)
+    sp, subspace = next(iter(small_network.superpeers)), (0, 2, 4)
+    sorted_scan = compute_for(small_network, "sorted")(sp, subspace, float("inf"))
+    bbs_scan = compute_for(small_network, "bbs")(sp, subspace, float("inf"))
     assert bbs_scan.comparisons != sorted_scan.comparisons
-    network, sp = crossover_network("anticorrelated", 5)
-    scan = make_local_compute(network)(sp, subspace, float("inf"))
+    scan = make_local_compute(small_network)(sp, subspace, float("inf"))
     assert scan.comparisons == sorted_scan.comparisons
 
 
@@ -134,7 +146,7 @@ def query_cases(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_kernels_are_indistinguishable_across_all_variants(case):
-    """Every substrate × every variant equals the sorted scan.
+    """Every execution × every variant equals the sorted scan.
 
     Indistinguishable means indistinguishable: not just the same result
     ids but the same initial threshold and the same wire bytes — a
@@ -143,9 +155,11 @@ def test_kernels_are_indistinguishable_across_all_variants(case):
     """
     network, query = case
     for variant in Variant:
-        baseline = execute_query(network, query, variant, scan_substrate="sorted")
+        baseline = execute_query(network, query, variant)
         for substrate in ("bbs", "salsa"):
-            run = execute_query(network, query, variant, scan_substrate=substrate)
+            run = execute_query(
+                network, query, variant, local_compute=compute_for(network, substrate)
+            )
             assert run.result_ids == baseline.result_ids, (variant, substrate)
             assert np.array_equal(
                 run.result.points.values, baseline.result.points.values
@@ -163,6 +177,9 @@ def test_kernels_are_indistinguishable_across_all_variants(case):
 def test_naive_ignores_kernel_knobs(small_network):
     query = Query(subspace=(1, 3), initiator=next(iter(small_network.superpeers)))
     baseline = execute_query(small_network, query, Variant.NAIVE)
-    run = execute_query(small_network, query, Variant.NAIVE, scan_substrate="bbs")
+    run = execute_query(
+        small_network, query, Variant.NAIVE,
+        local_compute=compute_for(small_network, "bbs"),
+    )
     assert run.result_ids == baseline.result_ids
     assert run.comparisons == baseline.comparisons

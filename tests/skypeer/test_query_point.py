@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
-from repro.core.substrates import subspace_skyline
+from repro.core.local_skyline import local_subspace_skyline
 from repro.skypeer.protocol import ProtocolNode, QueryBound, make_kernels
 from repro.skypeer.variants import Variant
 from tests.skypeer.test_node import LinkQueues, backbones
@@ -88,7 +88,7 @@ def test_the_point_prunes_only_what_is_not_in_the_answer(backbone, variant, seed
     own: dict[int, SortedByF] = {}        # what the super-peer kept of it
 
     def local_compute(sp, sub, threshold):
-        computation = subspace_skyline(stores[sp], sub, initial_threshold=threshold)
+        computation = local_subspace_skyline(stores[sp], sub, initial_threshold=threshold)
         scanned[sp] = computation.result
         return computation
 

@@ -63,17 +63,6 @@ class TestQuery:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_unknown_substrate_exits_through_argparse(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "query", "--peers", "10", "--dims", "3", "--subspace", "0,1",
-                "--substrate", "quadtree",
-            ])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert "invalid choice: 'quadtree'" in captured.err
-        assert "building network" not in captured.out
-
     def test_explain(self, capsys):
         code = main([
             "query", "--peers", "12", "--points-per-peer", "10",
