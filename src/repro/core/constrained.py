@@ -17,6 +17,7 @@ so constrained queries must run against full local data — see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,8 +42,14 @@ class RangeConstraint:
 
     @classmethod
     def from_dict(cls, bounds: dict[int, tuple[float, float]]) -> "RangeConstraint":
+        """Build from ``{dim: (low, high)}``; a negative dimension, a NaN
+        bound or an empty interval raises :class:`ValueError`."""
         items = []
         for dim, (low, high) in sorted(bounds.items()):
+            if dim < 0:
+                raise ValueError(f"negative dimension {dim}")
+            if math.isnan(low) or math.isnan(high):
+                raise ValueError(f"NaN bound on dimension {dim}: ({low}, {high})")
             if low > high:
                 raise ValueError(f"empty interval on dimension {dim}: ({low}, {high})")
             items.append((int(dim), float(low), float(high)))

@@ -54,12 +54,14 @@ def merge_sorted_skylines(
     """
     started = time.perf_counter()
     cols = list(subspace)
-    lists = [lst for lst in lists if len(lst)]
-    total_input = sum(len(lst) for lst in lists)
-    dims = {lst.dimensionality for lst in lists}
+    dims = {lst.dimensionality for lst in lists if len(lst)}
     if len(dims) > 1:
         raise ValueError(f"mismatched dimensionalities: {sorted(dims)}")
-    dimensionality = dims.pop() if dims else len(cols)
+    # Non-empty lists must agree (a decoded empty one has one column); if
+    # all are empty the first says how wide the answer is, else ``len(U)``.
+    dimensionality = dims.pop() if dims else lists[0].dimensionality if lists else len(cols)
+    lists = [lst for lst in lists if len(lst)]
+    total_input = sum(len(lst) for lst in lists)
     index = BlockDominanceIndex(len(cols), strict=strict)
     threshold = float(initial_threshold)
     examined = 0

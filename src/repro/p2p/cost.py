@@ -42,8 +42,8 @@ class CostModel:
     def query_bytes(self, k: int, points: int = 0) -> int:
         """Bytes of a forwarded query message ``q(U, t, p)`` whose bound
         carries ``points`` points on its ``k`` queried coordinates (a
-        SKYPEER variant's carries one; the naive baseline's and a
-        constrained query's ``q(U, t)`` none)."""
+        SKYPEER variant's carries one; the naive baseline's ``q(U, t)``
+        none)."""
         return (
             self.message_header_bytes + self.threshold_bytes + k * self.dimension_tag_bytes
             + points * k * self.coordinate_bytes

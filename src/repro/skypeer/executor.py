@@ -72,24 +72,6 @@ class Clock:
     def after_compute(self, seconds: float, work: float = 0.0) -> "Clock":
         return Clock(self.comp + seconds, self.total + seconds, self.work + work)
 
-    def after_transfer(self, seconds: float) -> "Clock":
-        return Clock(self.comp, self.total + seconds, self.work)
-
-    @staticmethod
-    def latest(clocks: Sequence["Clock"]) -> "Clock":
-        """Element-wise max — the join point of parallel branches.
-
-        Each component is an independent longest-path metric over the
-        same DAG, so the element-wise max is exact for all three.
-        """
-        if not clocks:
-            return Clock()
-        return Clock(
-            comp=max(c.comp for c in clocks),
-            total=max(c.total for c in clocks),
-            work=max(c.work for c in clocks),
-        )
-
 
 @dataclass
 class QueryExecution:
@@ -277,7 +259,9 @@ class _ModelClocks:
 
     @staticmethod
     def join(a: Clock, b: Clock) -> Clock:
-        """:meth:`Clock.latest` of the two, spelled out (it runs per message)."""
+        """The stamp at which both ``a`` and ``b`` have happened: the
+        element-wise max, exact for all three components because each is
+        an independent longest path over the same DAG."""
         return Clock(max(a.comp, b.comp), max(a.total, b.total), max(a.work, b.work))
 
     # -- the answer ----------------------------------------------------

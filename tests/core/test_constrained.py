@@ -23,6 +23,15 @@ class TestRangeConstraint:
         with pytest.raises(ValueError, match="empty interval"):
             RangeConstraint.from_dict({0: (0.8, 0.2)})
 
+    def test_rejects_negative_dimension(self):
+        with pytest.raises(ValueError, match="negative dimension"):
+            RangeConstraint.from_dict({-1: (0.0, 0.5)})
+
+    @pytest.mark.parametrize("bound", [(float("nan"), 0.5), (0.0, float("nan"))])
+    def test_rejects_nan_bound(self, bound):
+        with pytest.raises(ValueError, match="NaN bound"):
+            RangeConstraint.from_dict({0: bound})
+
     def test_requires_full_data(self):
         assert RangeConstraint.from_dict({0: (0.2, 0.8)}).requires_full_data
         assert not RangeConstraint.from_dict({0: (0.0, 0.8)}).requires_full_data

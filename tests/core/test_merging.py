@@ -88,6 +88,12 @@ class TestEdgeCases:
         merged = merge_sorted_skylines([SortedByF.empty(2), local], sub)
         assert merged.points.id_set() == local.points.id_set()
 
+    def test_all_empty_lists_keep_their_dimensionality(self):
+        merged = merge_sorted_skylines([SortedByF.empty(5)] * 2, (0, 2))
+        assert len(merged.result) == 0
+        assert merged.result.dimensionality == 5
+        assert merge_sorted_skylines([], (0, 2)).result.dimensionality == 2
+
     def test_mismatched_dimensionalities_rejected(self, rng):
         a = SortedByF.from_points(PointSet(rng.random((5, 2))))
         b = SortedByF.from_points(PointSet(rng.random((5, 3))))

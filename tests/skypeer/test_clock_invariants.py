@@ -2,8 +2,9 @@
 
 Three families of guarantees:
 
-* algebraic — ``Clock`` operations keep ``comp <= total`` and never
-  move any component backwards (given non-negative durations);
+* algebraic — a computation keeps ``comp <= total`` and never moves
+  any component backwards (given non-negative durations), and the
+  carrier's join is the element-wise max;
 * schedule — in a traced execution every recorded hop/span is
   non-decreasing on both clocks and the per-track schedule is properly
   nested or disjoint;
@@ -14,6 +15,8 @@ Three families of guarantees:
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from repro.data.workload import Query
 from repro.obs import observed
 from repro.p2p.network import SuperPeerNetwork
-from repro.skypeer.executor import Clock, execute_query
+from repro.skypeer.executor import Clock, _ModelClocks, execute_query
 from repro.skypeer.variants import Variant
 
 finite = st.floats(
@@ -46,25 +49,16 @@ def test_after_compute_advances_both_clocks(clock, seconds, work):
     assert advanced.comp <= advanced.total
 
 
-@given(clocks(), finite)
-def test_after_transfer_only_advances_total(clock, seconds):
-    advanced = clock.after_transfer(seconds)
-    assert advanced.comp == clock.comp
-    assert advanced.work == clock.work
-    assert advanced.total >= clock.total
-    assert advanced.comp <= advanced.total
-
-
 @given(st.lists(clocks(), min_size=1, max_size=6))
 def test_latest_is_elementwise_max(branch_clocks):
-    joined = Clock.latest(branch_clocks)
+    joined = reduce(_ModelClocks.join, branch_clocks)
     assert joined.comp == max(c.comp for c in branch_clocks)
     assert joined.total == max(c.total for c in branch_clocks)
     assert joined.work == max(c.work for c in branch_clocks)
     assert joined.comp <= joined.total
     # Joining is idempotent and order-insensitive.
-    assert Clock.latest([joined]) == joined
-    assert Clock.latest(list(reversed(branch_clocks))) == joined
+    assert _ModelClocks.join(joined, joined) == joined
+    assert reduce(_ModelClocks.join, reversed(branch_clocks)) == joined
 
 
 @st.composite

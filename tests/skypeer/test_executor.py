@@ -20,19 +20,6 @@ class TestClock:
         c = Clock().after_compute(2.0)
         assert c.comp == 2.0 and c.total == 2.0
 
-    def test_transfer_advances_total_only(self):
-        c = Clock().after_transfer(3.0)
-        assert c.comp == 0.0 and c.total == 3.0
-
-    def test_latest_is_elementwise(self):
-        a = Clock(1.0, 5.0)
-        b = Clock(2.0, 3.0)
-        top = Clock.latest([a, b])
-        assert top.comp == 2.0 and top.total == 5.0
-
-    def test_latest_empty(self):
-        assert Clock.latest([]) == Clock()
-
     def test_comp_never_exceeds_total(self, small_network):
         query = Query(subspace=(0, 2), initiator=small_network.topology.superpeer_ids[0])
         for variant in ALL:
