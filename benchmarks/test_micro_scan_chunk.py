@@ -13,12 +13,17 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/test_micro_scan_chunk.py --benchmark-only
 """
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
+
+alg1 = importlib.import_module("repro.core.local_skyline")
 
 CHUNKS = [16, 64, 256, 1024, 4096]
 
@@ -36,18 +41,14 @@ def anticorrelated_store() -> SortedByF:
 class TestScanChunkSweep:
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_subspace_scan(self, benchmark, anticorrelated_store, chunk):
-        result = benchmark(
-            local_subspace_skyline, anticorrelated_store, (0, 2, 4), scan_chunk=chunk
-        )
+        with mock.patch.object(alg1, "_SCAN_CHUNK", chunk):
+            result = benchmark(local_subspace_skyline, anticorrelated_store, (0, 2, 4))
         assert len(result.result) > 0
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_full_space_strict_scan(self, benchmark, anticorrelated_store, chunk):
-        result = benchmark(
-            local_subspace_skyline,
-            anticorrelated_store,
-            (0, 1, 2, 3, 4, 5),
-            strict=True,
-            scan_chunk=chunk,
-        )
+    def test_full_space_scan(self, benchmark, anticorrelated_store, chunk):
+        with mock.patch.object(alg1, "_SCAN_CHUNK", chunk):
+            result = benchmark(
+                local_subspace_skyline, anticorrelated_store, (0, 1, 2, 3, 4, 5)
+            )
         assert len(result.result) > 0

@@ -33,7 +33,6 @@ __all__ = ["branch_and_bound_skyline", "bbs_iter"]
 def branch_and_bound_skyline(
     points: PointSet,
     subspace: Sequence[int] | None = None,
-    strict: bool = False,
     max_entries: int = 16,
 ) -> PointSet:
     """Return the skyline of ``points`` on ``subspace`` via BBS.
@@ -44,9 +43,7 @@ def branch_and_bound_skyline(
     """
     d = points.dimensionality
     cols = list(full_space(d) if subspace is None else normalize_subspace(subspace, d))
-    kept = [
-        i for i, _coords in bbs_iter(points, cols, strict=strict, max_entries=max_entries)
-    ]
+    kept = [i for i, _coords in bbs_iter(points, cols, max_entries=max_entries)]
     kept.sort()
     return points.take(kept)
 
@@ -54,7 +51,6 @@ def branch_and_bound_skyline(
 def bbs_iter(
     points: PointSet,
     cols: Sequence[int],
-    strict: bool = False,
     max_entries: int = 16,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(position, projected coords)`` of skyline points
@@ -98,7 +94,7 @@ def bbs_iter(
             return
         rows = np.vstack([coords for _pid, coords in pending])
         winners = [
-            entry for entry, ok in zip(pending, undominated_among(rows, strict)) if ok
+            entry for entry, ok in zip(pending, undominated_among(rows)) if ok
         ]
         pending.clear()
         for point_id, coords in winners:
@@ -117,12 +113,12 @@ def bbs_iter(
             yield from flush() or ()
         if kind == 0:
             lo, child = payload  # type: ignore[misc]
-            if count and any_dominator(skyline_block[:count], lo, strict=strict):
+            if count and any_dominator(skyline_block[:count], lo):
                 continue  # the whole subtree is dominated
             push_node(child)  # type: ignore[arg-type]
         else:
             point_id, coords = payload  # type: ignore[misc]
-            if count and any_dominator(skyline_block[:count], coords, strict=strict):
+            if count and any_dominator(skyline_block[:count], coords):
                 continue
             pending.append((int(point_id), coords))
             pending_key = mindist

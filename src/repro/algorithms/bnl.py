@@ -6,11 +6,6 @@ an in-memory reproduction only needs the window logic, which is
 retained faithfully: points dominated by a window point are dropped,
 window points dominated by the incoming point are evicted, and
 incomparable points join the window.
-
-Supports both regular and extended domination (``strict=True``) so the
-peer pre-processing phase can be driven by BNL as well as Algorithm 1
-("any of the existing centralized skyline algorithms may be applied",
-section 5.3).
 """
 
 from __future__ import annotations
@@ -28,10 +23,9 @@ __all__ = ["block_nested_loops"]
 def block_nested_loops(
     points: PointSet,
     subspace: Sequence[int] | None = None,
-    strict: bool = False,
     stats: dict | None = None,
 ) -> PointSet:
-    """Return the (extended) skyline of ``points`` on ``subspace``.
+    """Return the skyline of ``points`` on ``subspace``.
 
     When a ``stats`` dict is supplied, the number of pairwise dominance
     comparisons is accumulated under ``stats["comparisons"]`` — the
@@ -50,19 +44,10 @@ def block_nested_loops(
         row = values[i]
         block = window_block[:count]
         comparisons += 2 * count  # dominated-by test + eviction test
-        if strict:
-            dominated = bool(count) and bool(np.any(np.all(block < row, axis=1)))
-        else:
-            dominated = bool(count) and bool(
-                np.any(np.all(block <= row, axis=1) & np.any(block < row, axis=1))
-            )
-        if dominated:
+        if count and np.any(np.all(block <= row, axis=1) & np.any(block < row, axis=1)):
             continue
         if count:
-            if strict:
-                evict = np.all(row < block, axis=1)
-            else:
-                evict = np.all(row <= block, axis=1) & np.any(row < block, axis=1)
+            evict = np.all(row <= block, axis=1) & np.any(row < block, axis=1)
             if np.any(evict):
                 keep = ~evict
                 kept = int(np.count_nonzero(keep))

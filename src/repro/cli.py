@@ -107,9 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="uniform")
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--host", default=None,
-                    help="bind host (default REPRO_SERVE_HOST, else 127.0.0.1)")
+                    help="bind host (default 127.0.0.1)")
     sv.add_argument("--port", type=int, default=None,
-                    help="bind port (default REPRO_SERVE_PORT, else ephemeral)")
+                    help="bind port (default: ephemeral)")
     sv.add_argument("--backend", choices=("engine", "serial", "socket"), default="engine",
                     help="execution path for admitted queries (default engine)")
     sv.add_argument("--workers", type=int, default=None, help=workers_help)
@@ -340,10 +340,15 @@ def _run_serve(args: argparse.Namespace) -> int:
     """``skypeer serve``: stand up the gateway until interrupted.
 
     Lifecycle: pool → data → pre-process on the pool → bind.  The
-    engine comes first so its workers fork from an import-only parent
+    engine comes first so its workers fork before the network is built
     (they attach the published segment, never the parent's heap) and
     Section 5.3 pre-processing fans out over them; the query
-    publication follows with the first query.  SIGTERM takes the
+    publication follows with the first query.  The parent is not lean
+    when they fork: the package ``__init__``s and the imports above have
+    already loaded nearly all of ``repro`` (all but ``repro.bench`` and
+    a few leaf modules), ``asyncio`` and ``ssl`` with it, the gateway
+    and the socket transport included, and every worker inherits that
+    heap.  SIGTERM takes the
     SIGINT path, so either one closes the gateway and then the pool.
     """
     import asyncio
@@ -363,7 +368,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         overrides["host"] = args.host
     if args.port is not None:
         overrides["port"] = args.port
-    config = GatewayConfig.from_env(**overrides)
+    config = GatewayConfig(**overrides)
 
     async def serve() -> None:
         gateway = QueryGateway(

@@ -9,7 +9,12 @@ conditions on every dimension and non-negative values:
   ``i in U`` (strict on *all* dimensions).
 
 Both scalar predicates and vectorized (numpy) bulk forms are provided;
-the bulk forms are what the hot paths use.
+the bulk forms are what the hot paths use.  Every query-side kernel
+here tests dominance and nothing else.  Ext-domination is computed in
+three places only: the Section 5.3 filter
+(:func:`repro.core.extended_skyline.ext_skyline_positions`), the
+witness ledger (:func:`repro.core.ledger.find_witnesses`) and the
+oracle behind :func:`extended_skyline_mask`.
 """
 
 from __future__ import annotations
@@ -31,10 +36,8 @@ __all__ = [
 ]
 
 
-def batch_dominated_any(
-    dominators: np.ndarray, targets: np.ndarray, strict: bool = False
-) -> np.ndarray:
-    """Per-``targets``-row mask: is the row (ext-)dominated by any
+def batch_dominated_any(dominators: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-``targets``-row mask: is the row dominated by any
     ``dominators`` row?
 
     Both inputs are pre-projected ``(m, k)`` / ``(c, k)`` arrays.  This
@@ -58,17 +61,9 @@ def batch_dominated_any(
         return np.zeros(c, dtype=bool)
     dom_t = np.ascontiguousarray(dominators.T)
     tgt_t = np.ascontiguousarray(targets.T)
-    k = dom_t.shape[0]
-    if strict:
-        acc = dom_t[0][None, :] < tgt_t[0][:, None]
-        for d in range(1, k):
-            if not acc.any():
-                break
-            acc &= dom_t[d][None, :] < tgt_t[d][:, None]
-        return np.any(acc, axis=1)
     acc = dom_t[0][None, :] <= tgt_t[0][:, None]
     less = dom_t[0][None, :] < tgt_t[0][:, None]
-    for d in range(1, k):
+    for d in range(1, dom_t.shape[0]):
         if not acc.any():
             break
         acc &= dom_t[d][None, :] <= tgt_t[d][:, None]
@@ -76,8 +71,8 @@ def batch_dominated_any(
     return np.any(acc & less, axis=1)
 
 
-def undominated_among(rows: np.ndarray, strict: bool = False) -> np.ndarray:
-    """Mask of ``rows`` that no *other* row (ext-)dominates.
+def undominated_among(rows: np.ndarray) -> np.ndarray:
+    """Mask of ``rows`` that no *other* row dominates.
 
     The pairwise pass every batched scan runs over the rows that
     survived the candidate block: a survivor stays iff no other
@@ -85,15 +80,11 @@ def undominated_among(rows: np.ndarray, strict: bool = False) -> np.ndarray:
     insert and later evict is simply never inserted — the final set is
     identical.)  Callers charge ``len(rows) ** 2`` comparisons.
     """
-    if strict:
-        dom = np.all(rows[None, :, :] < rows[:, None, :], axis=2)
-    else:
-        # dom[i, j] = j dominates i = (j <= i everywhere) and not
-        # (i <= j everywhere); one 3-D reduction suffices since
-        # le & le.T means "equal on every dimension".
-        le = np.all(rows[None, :, :] <= rows[:, None, :], axis=2)
-        dom = le & ~le.T
-    return ~np.any(dom, axis=1)
+    # dom[i, j] = j dominates i = (j <= i everywhere) and not
+    # (i <= j everywhere); one 3-D reduction suffices since
+    # le & le.T means "equal on every dimension".
+    le = np.all(rows[None, :, :] <= rows[:, None, :], axis=2)
+    return ~np.any(le & ~le.T, axis=1)
 
 
 def _as_f64(a: np.ndarray) -> np.ndarray:
@@ -137,37 +128,32 @@ def ext_dominates(p: np.ndarray, q: np.ndarray, subspace: Sequence[int] | None =
     return bool(np.all(pu < qu))
 
 
-def dominators_mask(candidates: np.ndarray, q: np.ndarray, strict: bool = False) -> np.ndarray:
-    """Mask of ``candidates`` rows that (ext-)dominate point ``q``.
+def dominators_mask(candidates: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Mask of ``candidates`` rows that dominate point ``q``.
 
     ``candidates`` must already be projected to the query subspace
     (shape ``(m, k)``), and ``q`` likewise (shape ``(k,)``).
-    ``strict=True`` selects ext-domination.
     """
     candidates = _as_f64(candidates)
     q = _as_f64(q)
-    if strict:
-        return np.all(candidates < q, axis=1)
     return np.all(candidates <= q, axis=1) & np.any(candidates < q, axis=1)
 
 
-def dominated_mask(candidates: np.ndarray, p: np.ndarray, strict: bool = False) -> np.ndarray:
-    """Mask of ``candidates`` rows that are (ext-)dominated by ``p``.
+def dominated_mask(candidates: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mask of ``candidates`` rows that are dominated by ``p``.
 
     Mirror image of :func:`dominators_mask`; inputs are pre-projected.
     """
     candidates = _as_f64(candidates)
     p = _as_f64(p)
-    if strict:
-        return np.all(p < candidates, axis=1)
     return np.all(p <= candidates, axis=1) & np.any(p < candidates, axis=1)
 
 
-def any_dominator(candidates: np.ndarray, q: np.ndarray, strict: bool = False) -> bool:
-    """Return True when any ``candidates`` row (ext-)dominates ``q``."""
+def any_dominator(candidates: np.ndarray, q: np.ndarray) -> bool:
+    """Return True when any ``candidates`` row dominates ``q``."""
     if candidates.shape[0] == 0:
         return False
-    return bool(np.any(dominators_mask(candidates, q, strict=strict)))
+    return bool(np.any(dominators_mask(candidates, q)))
 
 
 def skyline_mask(values: np.ndarray, subspace: Sequence[int] | None = None) -> np.ndarray:

@@ -203,10 +203,11 @@ def ext_skyline_scan(
 ) -> SkylineComputation:
     """``ext-SKY_U`` of an f-sorted store, in store order.
 
-    The outcome has the shape an Algorithm 1 scan in strict mode has, and
-    the same result and threshold: strict mode never evicts, so its
-    threshold is ``min dist_U`` over the result.  ``examined`` is the
-    whole store and ``comparisons`` the pairs the filter tested.
+    The outcome has an Algorithm 1 scan's shape.  Its threshold is
+    ``min dist_U`` over the result (``inf`` when empty): every row with
+    ``f`` above it is ext-dominated by the row that sets it, so it is the
+    refined ``t'`` of the paper's scan.  ``examined`` is the whole store
+    and ``comparisons`` the pairs the filter tested.
     """
     started = time.perf_counter()
     cols = full_space(store.dimensionality) if subspace is None else tuple(subspace)

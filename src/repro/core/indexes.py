@@ -33,8 +33,7 @@ class BlockDominanceIndex:
 
     _INITIAL_CAPACITY = 64
 
-    def __init__(self, dimensionality: int, strict: bool = False):
-        self._strict = strict
+    def __init__(self, dimensionality: int):
         self._block = np.empty((self._INITIAL_CAPACITY, dimensionality), dtype=np.float64)
         self._positions = np.empty(self._INITIAL_CAPACITY, dtype=np.int64)
         self._count = 0
@@ -44,11 +43,11 @@ class BlockDominanceIndex:
         return self._count
 
     def is_dominated(self, point: np.ndarray) -> bool:
-        """True when an indexed point (ext-)dominates ``point``."""
+        """True when an indexed point dominates ``point``."""
         if self._count == 0:
             return False
         self.comparisons += self._count
-        return any_dominator(self._block[: self._count], point, strict=self._strict)
+        return any_dominator(self._block[: self._count], point)
 
     def positions(self) -> list[int]:
         """Scan positions of the surviving points, in insertion order."""
@@ -81,7 +80,7 @@ class BlockDominanceIndex:
         if self._count and can_evict:
             block = self._block[: self._count]
             self.comparisons += self._count * incoming
-            doomed = batch_dominated_any(rows, block, strict=self._strict)
+            doomed = batch_dominated_any(rows, block)
             if np.any(doomed):
                 keep = ~doomed
                 kept = int(np.count_nonzero(keep))

@@ -7,12 +7,10 @@ lowered to ``min(threshold, dist_U(p))``.  The scan terminates as soon
 as the next ``f(p)`` exceeds the threshold — by Observation 5 no later
 point can be a skyline point.
 
-With ``strict=True`` the same routine computes the *extended* skyline
-(the dominance test becomes ext-domination).  Pre-processing does not
-use it: it needs only the set, which
-:func:`repro.core.extended_skyline.ext_skyline_positions` computes with
-fewer tests; the strict scan stays as the reference the tests compare
-that routine against.
+The scan tests dominance only.  Section 5.3 pre-processing needs the
+*extended* skyline, a set, which
+:func:`repro.core.extended_skyline.ext_skyline_positions` computes as
+one filter instead of a scan.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .store import SortedByF
 __all__ = [
     "SkylineComputation",
     "local_subspace_skyline",
-    "resolve_scan_chunk",
 ]
 
 
@@ -121,8 +118,6 @@ def local_subspace_skyline(
     store: SortedByF,
     subspace: Sequence[int],
     initial_threshold: float = math.inf,
-    strict: bool = False,
-    scan_chunk: int | None = None,
 ) -> SkylineComputation:
     """Run Algorithm 1 over an f-sorted store.
 
@@ -134,12 +129,6 @@ def local_subspace_skyline(
         Query dimensions ``U`` (full space for pre-processing).
     initial_threshold:
         Threshold ``t`` carried by the query; ``inf`` when absent.
-    strict:
-        ``True`` switches to ext-domination (the reference for
-        :mod:`repro.core.extended_skyline`).
-    scan_chunk:
-        Batch size of the vectorized scan; defaults to
-        :func:`resolve_scan_chunk` (the built-in default).
 
     Notes
     -----
@@ -150,16 +139,15 @@ def local_subspace_skyline(
     started = time.perf_counter()
     cols = tuple(subspace)
     n = len(store)
-    index = BlockDominanceIndex(len(cols), strict=strict)
+    index = BlockDominanceIndex(len(cols))
     threshold = float(initial_threshold)
     f = store.f
     # The scan never reads past the last f(p) <= t, so only that prefix
     # is projected.
     proj, dists = store.projection(cols, rows=store.prefix(threshold))
     examined, threshold = _chunked_scan(
-        index, proj, f, dists, threshold, strict,
+        index, proj, f, dists, threshold,
         key_is_scanned_min=len(cols) == store.dimensionality,
-        chunk=resolve_scan_chunk(scan_chunk),
     )
     positions = np.asarray(index.positions(), dtype=np.int64)
     result = SortedByF(store.points.take(positions), f[positions])
@@ -177,32 +165,17 @@ def local_subspace_skyline(
 #: Points pre-filtered per vectorized batch.  Chosen so the batch
 #: dominance test amortizes numpy dispatch without growing the
 #: batch-vs-candidates matrix beyond cache-friendly sizes — the
-#: micro-benchmark in ``benchmarks/test_micro_scan_chunk.py`` sweeps
+#: batch-size micro-benchmark under ``benchmarks/`` sweeps
 #: alternatives (64 beats both 16, where dispatch overhead shows, and
 #: 256+, where the quadratic intra-batch pass and the points examined
-#: past tighter mid-batch thresholds start to dominate).  Override per
-#: call (``scan_chunk=...``).
+#: past tighter mid-batch thresholds start to dominate).  Every scan
+#: reads it when it runs, so a test or a sweep patches the module
+#: attribute.
 _SCAN_CHUNK = 64
 
 
-def resolve_scan_chunk(scan_chunk: int | None = None) -> int:
-    """The effective scan batch size: the argument, else the default."""
-    if scan_chunk is None:
-        return _SCAN_CHUNK
-    if scan_chunk <= 0:
-        raise ValueError(f"scan chunk must be positive, got {scan_chunk}")
-    return scan_chunk
-
-
 def _chunked_scan(
-    index,
-    proj,
-    f,
-    dists,
-    threshold: float,
-    strict: bool,
-    key_is_scanned_min: bool = False,
-    chunk: int = _SCAN_CHUNK,
+    index, proj, f, dists, threshold: float, key_is_scanned_min: bool = False
 ) -> tuple[int, float]:
     """Vectorized variant of the scan, identical semantics.
 
@@ -221,11 +194,10 @@ def _chunked_scan(
     merge on any subspace.  Then a dominator always satisfies
     ``f(q) <= f(p)`` (min is monotone), so a point inserted later in the
     ascending scan can evict an earlier candidate only on an exact key
-    tie — and in strict (ext-domination) mode never, since ``q < p``
-    everywhere forces ``f(q) < f(p)``.  The insert below skips the
-    eviction scan whenever that argument applies (the SFS property); a
-    store scanned on a proper subspace in full-space ``f`` order has no
-    such guarantee and the eviction scan always runs.
+    tie.  The insert below skips the eviction scan whenever that
+    argument applies (the SFS property); a store scanned on a proper
+    subspace in full-space ``f`` order has no such guarantee and the
+    eviction scan always runs.
     """
     n = proj.shape[0]
     examined = 0
@@ -234,7 +206,7 @@ def _chunked_scan(
     while i < n:
         if f[i] > threshold:
             break
-        hi = min(n, i + chunk)
+        hi = min(n, i + _SCAN_CHUNK)
         # Only points with f <= threshold may be skyline points.
         hi = i + int(np.searchsorted(f[i:hi], threshold, side="right"))
         chunk_rows = proj[i:hi]
@@ -242,17 +214,17 @@ def _chunked_scan(
         block = index.block_view()
         if block.shape[0]:
             index.comparisons += block.shape[0] * chunk_rows.shape[0]
-            dominated = batch_dominated_any(block, chunk_rows, strict=strict)
+            dominated = batch_dominated_any(block, chunk_rows)
             candidates = np.nonzero(~dominated)[0]
         else:
             candidates = np.arange(chunk_rows.shape[0])
         if candidates.size:
             index.comparisons += candidates.size * candidates.size
-            winners = candidates[undominated_among(chunk_rows[candidates], strict)]
+            winners = candidates[undominated_among(chunk_rows[candidates])]
             if winners.size:
                 positions = i + winners
-                can_evict = not key_is_scanned_min or (
-                    not strict and float(f[positions[0]]) <= last_inserted_f
+                can_evict = (
+                    not key_is_scanned_min or float(f[positions[0]]) <= last_inserted_f
                 )
                 index.bulk_insert(positions, chunk_rows[winners], can_evict=can_evict)
                 last_inserted_f = float(f[positions[-1]])

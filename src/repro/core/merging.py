@@ -12,10 +12,8 @@ the paper's merge exceeds it (Observation 5 holds verbatim for
 ``g_U``; ``docs/ALGORITHMS.md`` has the proof and says where this
 departs from the paper's text).  On the full space ``g_U`` *is* ``f``.
 
-With ``strict=True`` the same routine merges ext-skylines.  The
-super-peer store is not built that way (see
-:func:`repro.core.extended_skyline.merge_ext_skylines`); the strict merge
-is the reference the tests compare it against.
+The merge tests dominance only; a super-peer's store, an ext-skyline,
+is merged by :func:`repro.core.extended_skyline.merge_ext_skylines`.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 
 from .dataset import PointSet
 from .indexes import BlockDominanceIndex
-from .local_skyline import SkylineComputation, _chunked_scan, resolve_scan_chunk
+from .local_skyline import SkylineComputation, _chunked_scan
 from .store import SortedByF
 
 __all__ = ["merge_sorted_skylines"]
@@ -38,8 +36,6 @@ def merge_sorted_skylines(
     lists: Sequence[SortedByF],
     subspace: Sequence[int],
     initial_threshold: float = math.inf,
-    strict: bool = False,
-    scan_chunk: int | None = None,
 ) -> SkylineComputation:
     """Run Algorithm 2 over several skyline lists.
 
@@ -62,7 +58,7 @@ def merge_sorted_skylines(
     dimensionality = dims.pop() if dims else lists[0].dimensionality if lists else len(cols)
     lists = [lst for lst in lists if len(lst)]
     total_input = sum(len(lst) for lst in lists)
-    index = BlockDominanceIndex(len(cols), strict=strict)
+    index = BlockDominanceIndex(len(cols))
     threshold = float(initial_threshold)
     examined = 0
     result = SortedByF.empty(dimensionality)
@@ -78,8 +74,7 @@ def merge_sorted_skylines(
         # sorts after what it dominates: the scan skips the eviction pass
         # outside exact key ties (SFS), on every subspace.
         examined, threshold = _chunked_scan(
-            index, proj, keys, proj.max(axis=1), threshold, strict,
-            key_is_scanned_min=True, chunk=resolve_scan_chunk(scan_chunk),
+            index, proj, keys, proj.max(axis=1), threshold, key_is_scanned_min=True
         )
         positions = index.positions()
         kept = order[positions]

@@ -59,9 +59,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import local_skyline
 from .dominance import batch_dominated_any, undominated_among
 from .indexes import BlockDominanceIndex
-from .local_skyline import SkylineComputation, resolve_scan_chunk
+from .local_skyline import SkylineComputation
 from .store import SortedByF
 
 __all__ = [
@@ -74,7 +75,6 @@ def bbs_subspace_skyline(
     store: SortedByF,
     subspace: Sequence[int],
     initial_threshold: float = math.inf,
-    strict: bool = False,
     max_entries: int = 16,
 ) -> SkylineComputation:
     """Algorithm 1 as BBS over the tree cached on the store
@@ -83,7 +83,7 @@ def bbs_subspace_skyline(
     cols = tuple(subspace)
     f = store.f
     tree = store.rtree(cols, max_entries=max_entries)
-    index = BlockDominanceIndex(len(cols), strict=strict)
+    index = BlockDominanceIndex(len(cols))
     threshold = float(initial_threshold)
     examined = 0
 
@@ -122,11 +122,11 @@ def bbs_subspace_skyline(
             block = index.block_view()
             if block.shape[0]:
                 index.comparisons += block.shape[0] * rows.shape[0]
-                alive = ~batch_dominated_any(block, rows, strict=strict)
+                alive = ~batch_dominated_any(block, rows)
                 kept, rows = kept[alive], rows[alive]
             if rows.shape[0] > 1:
                 index.comparisons += rows.shape[0] * rows.shape[0]
-                winners = undominated_among(rows, strict)
+                winners = undominated_among(rows)
                 kept, rows = kept[winners], rows[winners]
             if rows.shape[0]:
                 index.bulk_insert(kept, rows, can_evict=False)
@@ -183,14 +183,13 @@ def salsa_subspace_skyline(
     store: SortedByF,
     subspace: Sequence[int],
     initial_threshold: float = math.inf,
-    strict: bool = False,
-    scan_chunk: int | None = None,
 ) -> SkylineComputation:
     """Algorithm 1 as a SaLSa sort-and-limit scan.
 
     Candidates are visited in ascending ``minC`` order (sum tiebreak;
     see :meth:`repro.core.store.SortedByF.salsa_order`) in vectorized
-    batches mirroring the sorted scan's chunking.  Two monotone
+    batches of the sorted scan's size
+    (:data:`repro.core.local_skyline._SCAN_CHUNK`).  Two monotone
     filters bound the work:
 
     * the *threshold prefix* — points with ``f > t`` live past the
@@ -215,11 +214,11 @@ def salsa_subspace_skyline(
     proj, dists = store.projection(cols)
     f = store.f
     order, keys = store.salsa_order(cols)
-    index = BlockDominanceIndex(len(cols), strict=strict)
+    index = BlockDominanceIndex(len(cols))
     threshold = float(initial_threshold)
     stop = math.inf
     examined = 0
-    chunk = resolve_scan_chunk(scan_chunk)
+    chunk = local_skyline._SCAN_CHUNK
     n = order.shape[0]
     if n:
         # First position whose f exceeds the threshold; f == t ties are
@@ -245,12 +244,12 @@ def salsa_subspace_skyline(
                 block = index.block_view()
                 if block.shape[0]:
                     index.comparisons += block.shape[0] * rows.shape[0]
-                    alive = ~batch_dominated_any(block, rows, strict=strict)
+                    alive = ~batch_dominated_any(block, rows)
                     batch, rows = batch[alive], rows[alive]
                 if batch.size:
                     # Charged like the sorted scan's quadratic pass.
                     index.comparisons += int(batch.size) * int(batch.size)
-                    winners = undominated_among(rows, strict)
+                    winners = undominated_among(rows)
                     batch, rows = batch[winners], rows[winners]
                 if batch.size:
                     # minC order permits eviction only inside exact

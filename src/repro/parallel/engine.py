@@ -30,9 +30,13 @@ re-attach per batch nor lose their scan memos.
 when the engine is created, and never read it — they attach the
 published segment instead.  A long-lived host therefore creates the
 engine *first* and builds its network with ``build(engine=...)``:
-workers fork from an import-only parent, Section 5.3 pre-processing
+workers fork before any network exists, Section 5.3 pre-processing
 fans out over them, and the pre-processing publication (the raw
-partitions) is withdrawn as soon as that fan-out returns.
+partitions) is withdrawn as soon as that fan-out returns.  The parent
+is not import-only when they fork: ``skypeer serve`` has by then
+imported nearly all of ``repro`` through the package ``__init__``s,
+``asyncio``, ``ssl``, the gateway and the socket transport included,
+and every worker inherits those modules.
 
 *Determinism.*  Every task carries its index in the serial loop's
 iteration order and the parent reassembles results by index, so the
@@ -72,7 +76,7 @@ from .shm import (
     sweep_dead_publishers,
 )
 
-if TYPE_CHECKING:  # imports deferred at runtime to keep workers lean
+if TYPE_CHECKING:  # annotations only; ``repro/__init__`` imports these anyway
     from ..core.local_skyline import SkylineComputation
     from ..data.workload import Query
     from ..p2p.network import SuperPeerNetwork, SuperPeerPreprocess

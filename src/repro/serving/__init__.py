@@ -4,8 +4,8 @@ The serving layer turns the one-query-at-a-time reproduction into a
 concurrent endpoint: :class:`QueryGateway` accepts many clients over
 the p2p framing, coalesces identical in-flight requests, sheds excess
 load explicitly, and dispatches onto the warm parallel engine.  See
-``docs/SERVING.md`` for the architecture and the ``REPRO_SERVE_*``
-knobs.
+``docs/SERVING.md`` for the architecture and the
+:class:`GatewayConfig` knobs.
 """
 
 from .client import GatewayClient, GatewayResponse

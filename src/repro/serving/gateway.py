@@ -35,8 +35,9 @@ end-to-end.
   is resolved, and connections are drained then closed.  No request
   ever hangs across a shutdown.
 
-Every knob has a ``REPRO_SERVE_*`` environment override (see
-``docs/SERVING.md``); counters surface through :class:`GatewayStats`,
+The knobs are :class:`GatewayConfig` fields, set by the embedding
+code (``skypeer serve`` sets ``host`` and ``port`` from its flags);
+counters surface through :class:`GatewayStats`,
 the ``serving.*`` metrics of :mod:`repro.obs`, and — when an engine is
 attached — the engine's :class:`~repro.parallel.EngineStats`.
 """
@@ -44,10 +45,9 @@ attached — the engine's :class:`~repro.parallel.EngineStats`.
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..data.workload import Query
@@ -82,7 +82,7 @@ _READ_CHUNK = 1 << 16
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway knobs (each with a ``REPRO_SERVE_*`` env override).
+    """Gateway knobs; no environment variable sets them.
 
     ``rate`` is the token-bucket refill in requests/second (``0`` means
     unlimited) with ``burst`` tokens of headroom; ``max_pending`` bounds
@@ -103,18 +103,6 @@ class GatewayConfig:
     shutdown_timeout: float = 5.0
     max_frame_bytes: int = 8 << 20
 
-    _ENV = {
-        "host": ("REPRO_SERVE_HOST", str),
-        "port": ("REPRO_SERVE_PORT", int),
-        "max_pending": ("REPRO_SERVE_MAX_PENDING", int),
-        "rate": ("REPRO_SERVE_RATE", float),
-        "burst": ("REPRO_SERVE_BURST", int),
-        "dispatchers": ("REPRO_SERVE_DISPATCHERS", int),
-        "request_timeout": ("REPRO_SERVE_REQUEST_TIMEOUT", float),
-        "shutdown_timeout": ("REPRO_SERVE_SHUTDOWN_TIMEOUT", float),
-        "max_frame_bytes": ("REPRO_SERVE_MAX_FRAME", int),
-    }
-
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError("max_pending must be positive")
@@ -128,20 +116,6 @@ class GatewayConfig:
             raise ValueError("timeouts must be positive")
         if self.max_frame_bytes < 64:
             raise ValueError("max_frame_bytes too small")
-
-    @classmethod
-    def from_env(cls, env: Mapping[str, str] | None = None, **overrides: Any) -> "GatewayConfig":
-        env = os.environ if env is None else env
-        values: dict[str, Any] = {}
-        for name, (key, parse) in cls._ENV.items():
-            raw = env.get(key)
-            if raw is not None and raw != "":
-                try:
-                    values[name] = parse(raw)
-                except ValueError as exc:
-                    raise ValueError(f"bad {key}={raw!r}") from exc
-        values.update(overrides)
-        return cls(**values)
 
 
 class TokenBucket:
@@ -282,7 +256,7 @@ class QueryGateway:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.network = network
-        self.config = config if config is not None else GatewayConfig.from_env()
+        self.config = config if config is not None else GatewayConfig()
         self.engine = engine
         self.backend = backend or ("engine" if engine is not None else "serial")
         if self.backend == "engine" and engine is None:

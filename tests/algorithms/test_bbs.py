@@ -15,11 +15,6 @@ class TestBBS:
             expected = brute_force_skyline_ids(points, sub or (0, 1, 2, 3))
             assert branch_and_bound_skyline(points, sub).id_set() == expected
 
-    def test_strict_mode(self, rng):
-        points = PointSet(rng.random((150, 3)))
-        expected = brute_force_skyline_ids(points, (0, 1, 2), strict=True)
-        assert branch_and_bound_skyline(points, strict=True).id_set() == expected
-
     def test_progressive_order_is_mindist(self, rng):
         """BBS emits skyline points in ascending L1 mindist order —
         the 'progressive' property of the original paper."""

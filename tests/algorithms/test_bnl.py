@@ -14,11 +14,6 @@ class TestBNL:
             expected = brute_force_skyline_ids(points, sub or (0, 1, 2, 3))
             assert block_nested_loops(points, sub).id_set() == expected
 
-    def test_strict_mode(self, rng):
-        points = PointSet(rng.random((100, 4)))
-        expected = brute_force_skyline_ids(points, (0, 1, 2, 3), strict=True)
-        assert block_nested_loops(points, strict=True).id_set() == expected
-
     def test_empty_input(self):
         assert len(block_nested_loops(PointSet.empty(3))) == 0
 

@@ -6,7 +6,8 @@ round to exactly ``1.0``, so sum-sorted scans (skyline_mask and its
 extended twin, BBS's mindist order) could visit the dominated point
 first and keep it.  All sum-sorted paths now resolve equal-sum groups
 with a pairwise pass; this file pins the fix across every skyline path
-the package keeps, in plain and in strict (ext-dominance) mode.
+the package keeps, the dominance ones and the two that compute
+ext-domination (the mask oracle and the Section 5.3 filter).
 """
 
 import numpy as np
@@ -26,11 +27,7 @@ TINY = 1.17549435e-38  # smallest normal float32; vanishes in 1.0 + x
 #: name -> (skyline ids of ``points`` on ``sub``, whether it is strict).
 PATHS = {
     "bnl": (lambda p, s: block_nested_loops(p, s).id_set(), False),
-    "bnl_strict": (lambda p, s: block_nested_loops(p, s, strict=True).id_set(), True),
     "bbs": (lambda p, s: branch_and_bound_skyline(p, s).id_set(), False),
-    "bbs_strict": (
-        lambda p, s: branch_and_bound_skyline(p, s, strict=True).id_set(), True
-    ),
     "skyline_mask": (lambda p, s: p.mask(skyline_mask(p.values, s)).id_set(), False),
     "extended_skyline_mask": (
         lambda p, s: p.mask(extended_skyline_mask(p.values, s)).id_set(), True

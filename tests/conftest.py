@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
+from repro.core.store import SortedByF
 from repro.p2p.network import SuperPeerNetwork
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -88,6 +90,30 @@ def brute_force_skyline_ids(points: PointSet, subspace, strict: bool = False) ->
         if not dominated:
             keep.append(int(ids[i]))
     return frozenset(keep)
+
+
+def ordered_ext_skyline(store: SortedByF, subspace=None) -> SimpleNamespace:
+    """``ext-SKY_U`` of an f-sorted store, the ordered reference the
+    Section 5.3 filter's outcomes are checked against: one plain loop over
+    the rows, each compared with every row (O(n^2)), independent of
+    ``repro.core.dominance``.
+
+    ``result`` keeps store order (ties and duplicate rows included) and
+    each row's ``f``; ``threshold`` is ``min dist_U`` over the result,
+    ``inf`` when it is empty — exactly what Algorithm 1 (a store) and
+    Algorithm 2 (an f-sorted union of lists) return under ext-domination.
+    """
+    values = store.points.values
+    rows = values if subspace is None else values[:, list(subspace)]
+    kept = np.array(
+        [i for i, p in enumerate(rows) if not np.all(rows < p, axis=1).any()],
+        dtype=np.int64,
+    )
+    return SimpleNamespace(
+        result=SortedByF(store.points.take(kept), store.f[kept]),
+        threshold=min((float(rows[i].max()) for i in kept), default=math.inf),
+        input_size=len(store),
+    )
 
 
 def network_state(network: SuperPeerNetwork) -> tuple:

@@ -71,9 +71,12 @@ class TestMasks:
         assert mask.tolist() == [False, True, False]
 
     def test_strict_masks(self):
+        # The masks test dominance only; ext-domination is the scalar
+        # predicate (and the Section 5.3 filter).
         cands = np.array([[1.0, 2.0], [0.5, 1.0]])
         q = np.array([1.0, 3.0])
-        assert dominators_mask(cands, q, strict=True).tolist() == [False, True]
+        assert dominators_mask(cands, q).tolist() == [True, True]
+        assert [ext_dominates(c, q) for c in cands] == [False, True]
 
     def test_any_dominator_empty(self):
         assert not any_dominator(np.empty((0, 2)), np.array([1.0, 1.0]))

@@ -1,5 +1,11 @@
 """The batch-dominance kernel and the pairwise helper, against references
-written here: a 3-D broadcast reduction and plain Python loops."""
+written here: a 3-D broadcast reduction and plain Python loops.
+
+Both test dominance only.  The ``strict`` half of each test puts the one
+ext-domination kernel left, the Section 5.3 filter
+(:func:`~repro.core.extended_skyline.ext_skyline_positions`), through
+the same references.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.dominance import batch_dominated_any, undominated_among
+from repro.core.extended_skyline import ext_skyline_positions
 
 #: (dominators m, targets c, dims k) — the block-vs-batch shapes the
 #: chunked scans produce (c = scan chunk) plus square eviction-style
@@ -17,6 +24,28 @@ SHAPES = [
     (16, 64, 9), (64, 64, 9), (256, 64, 9), (1024, 64, 9), (4096, 64, 9),
     (256, 256, 5), (1024, 256, 5), (1024, 1024, 5),
 ]
+
+
+def dominated_any(dominators, targets, strict):
+    """Is each target (ext-)dominated by a ``dominators`` row?  Under
+    ext-domination the filter is asked once per target, with the target
+    leading the pool: row 0 survives iff no dominator ext-dominates it."""
+    if not strict:
+        return batch_dominated_any(dominators, targets)
+    return np.array(
+        [ext_skyline_positions(np.vstack([t, dominators]))[:1].tolist() != [0]
+         for t in np.asarray(targets, dtype=np.float64)],
+        dtype=bool,
+    )
+
+
+def undominated(rows, strict):
+    """Mask of ``rows`` no other row (ext-)dominates."""
+    if not strict:
+        return undominated_among(rows)
+    mask = np.zeros(len(rows), dtype=bool)
+    mask[ext_skyline_positions(rows)] = True
+    return mask
 
 
 def broadcast_reference(dominators, targets, strict):
@@ -55,18 +84,18 @@ class TestKernelEquality:
         base = rng.uniform(0.0, 1.0, size=(m + c, 1))
         cloud = np.clip(1.0 - base + rng.normal(0.0, 0.2, size=(m + c, k)), 0.0, 1.0)
         dominators, targets = cloud[:m], cloud[m:]
-        out = batch_dominated_any(dominators, targets, strict)
+        out = dominated_any(dominators, targets, strict)
         assert out.dtype == bool and out.shape == (c,)
         assert np.array_equal(out, broadcast_reference(dominators, targets, strict))
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_tie_heavy_integer_grid(self, rng, strict):
-        # Duplicated rows and shared coordinates: the <=/&-any branch
-        # and the all-< strict branch both have to get exact ties right
-        # in every plane.
+        # Duplicated rows and shared coordinates: the <=/&-any kernel
+        # and the all-< filter both have to get exact ties right in
+        # every plane.
         dominators = rng.integers(0, 3, size=(120, 3)).astype(float)
         targets = np.vstack([dominators[:40], rng.integers(0, 3, size=(40, 3))])
-        out = batch_dominated_any(dominators, targets, strict)
+        out = dominated_any(dominators, targets, strict)
         assert np.array_equal(out, broadcast_reference(dominators, targets, strict))
         assert np.array_equal(out, loop_reference(dominators, targets, strict))
 
@@ -76,7 +105,7 @@ class TestKernelEquality:
         # acc.any() exit must not change the answer.
         dominators = np.vstack([np.zeros((1, 3)), rng.random((500, 3))])
         targets = rng.random((50, 3)) + 0.1
-        assert batch_dominated_any(dominators, targets, strict).all()
+        assert dominated_any(dominators, targets, strict).all()
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_early_exit_when_nothing_is_dominated(self, rng, strict):
@@ -84,7 +113,7 @@ class TestKernelEquality:
         # later dimensions and must still answer all-False.
         dominators = rng.random((40, 4)) + 1.0
         targets = rng.random((30, 4))
-        assert not batch_dominated_any(dominators, targets, strict).any()
+        assert not dominated_any(dominators, targets, strict).any()
 
     def test_transposed_handles_non_contiguous_planes(self, rng):
         # The kernel reads column-major copies; strided inputs must be
@@ -145,15 +174,13 @@ class TestUndominatedAmong:
     @pytest.mark.parametrize("strict", [False, True])
     def test_matches_double_loop_random(self, rng, strict):
         rows = rng.random((64, 3))
-        assert np.array_equal(
-            undominated_among(rows, strict), self.double_loop(rows, strict)
-        )
+        assert np.array_equal(undominated(rows, strict), self.double_loop(rows, strict))
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_matches_double_loop_with_ties_and_duplicates(self, rng, strict):
         base = rng.integers(0, 3, size=(30, 3)).astype(float)
         rows = np.vstack([base, base[:10]])
-        mask = undominated_among(rows, strict)
+        mask = undominated(rows, strict)
         assert np.array_equal(mask, self.double_loop(rows, strict))
         # Exact duplicates never dominate each other: both copies share
         # one verdict.

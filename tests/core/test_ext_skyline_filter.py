@@ -6,9 +6,9 @@ ext-skyline in the system is computed with.  Two references pin it:
 * ``quadratic_ext_skyline`` below, plain loops that share no code with
   ``repro.core`` (in particular not ``repro.core.dominance``), for the
   set;
-* Algorithm 1 and Algorithm 2 in strict mode, for everything the old
-  pre-processing produced: ids, values, ``f``, the order of ties and the
-  threshold.
+* ``tests.conftest.ordered_ext_skyline``, for everything strict
+  Algorithm 1 and Algorithm 2 produced when pre-processing still ran
+  them: ids, values, ``f``, the order of ties and the threshold.
 
 Sizes cross the single-call bound and the split's leaf size, grids are
 coarse (ties and duplicate rows are common), and a scale of ``5e-324``
@@ -29,9 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
-from repro.core.local_skyline import local_subspace_skyline
-from repro.core.merging import merge_sorted_skylines
 from repro.core.store import SortedByF
+
+from tests.conftest import ordered_ext_skyline
 
 ext = importlib.import_module("repro.core.extended_skyline")
 
@@ -90,17 +90,16 @@ def test_matches_strict_algorithms_1_and_2(geometry, values, cut, data):
     n, d = values.shape
     ids = np.arange(7, 7 + n, dtype=np.int64)
     store = SortedByF.from_points(PointSet(values, ids))
-    cols = tuple(range(d))
 
     got = ext.ext_skyline_scan(store)
-    _assert_same(got, local_subspace_skyline(store, cols, strict=True))
+    _assert_same(got, ordered_ext_skyline(store))
     assert got.positions.tolist() == quadratic_ext_skyline(store.points.values.tolist())
     assert got.examined == got.input_size == n
 
     sub = tuple(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1))))
     _assert_same(
         ext.extended_skyline(PointSet(values, ids), sub),
-        local_subspace_skyline(store, sub, strict=True),
+        ordered_ext_skyline(store, sub),
     )
 
     # Lists in drawn order, each f-sorted: the super-peer merge's input.
@@ -108,7 +107,12 @@ def test_matches_strict_algorithms_1_and_2(geometry, values, cut, data):
     lists = [SortedByF.from_points(PointSet(values[owner == k], ids[owner == k]))
              for k in range(cut)]
     merged = ext.merge_ext_skylines(lists, d)
-    _assert_same(merged, merge_sorted_skylines(lists, cols, strict=True))
+    # Algorithm 2's input: the lists concatenated in order, stably f-sorted.
+    union = PointSet(
+        np.concatenate([lst.points.values for lst in lists]),
+        np.concatenate([lst.points.ids for lst in lists]),
+    )
+    _assert_same(merged, ordered_ext_skyline(SortedByF.from_points(union)))
     assert merged.positions is None and merged.examined == n
 
 

@@ -39,13 +39,6 @@ class TestSemantics:
         _insert(index, 1, [0.9, 0.1])
         assert sorted(index.positions()) == [0, 1]
 
-    def test_strict_mode(self):
-        index = BlockDominanceIndex(2, strict=True)
-        _insert(index, 0, [0.2, 0.5])
-        # shares a coordinate -> not ext-dominated
-        assert not index.is_dominated(np.array([0.2, 0.9]))
-        assert index.is_dominated(np.array([0.3, 0.6]))
-
     def test_comparisons_counter_increases(self):
         index = BlockDominanceIndex(2)
         _insert(index, 0, [0.5, 0.5])

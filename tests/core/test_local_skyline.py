@@ -1,6 +1,8 @@
 """Unit tests for Algorithm 1 (threshold-based local subspace skyline)."""
 
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from repro.core.local_skyline import local_subspace_skyline
 from repro.core.mapping import dist_values, f_values
 from repro.core.store import SortedByF
 from tests.conftest import brute_force_skyline_ids
+
+alg1 = importlib.import_module("repro.core.local_skyline")
+
 
 def _store(rng, n=150, d=5) -> tuple[PointSet, SortedByF]:
     points = PointSet(rng.random((n, d)))
@@ -33,13 +38,6 @@ class TestCorrectness:
                 assert np.array_equal(got.result.f, store.f[got.positions])
                 dists = dist_values(got.result.points.values, sub)
                 assert got.threshold == min([t0, *dists.tolist()])
-
-    def test_strict_mode_matches_brute_force(self, rng):
-        points, store = _store(rng, n=100)
-        got = local_subspace_skyline(store, (0, 1, 2, 3, 4), strict=True)
-        assert got.points.id_set() == brute_force_skyline_ids(
-            points, (0, 1, 2, 3, 4), strict=True
-        )
 
     def test_result_is_f_sorted(self, rng):
         _points, store = _store(rng)
@@ -152,16 +150,15 @@ class TestPrefixProjection:
     the reference below scans the whole-store projection instead."""
 
     @staticmethod
-    def _full_projection_scan(store, cols, threshold, strict, chunk):
+    def _full_projection_scan(store, cols, threshold):
         from repro.core.indexes import BlockDominanceIndex
-        from repro.core.local_skyline import _chunked_scan
 
-        index = BlockDominanceIndex(len(cols), strict=strict)
+        index = BlockDominanceIndex(len(cols))
         proj = store.points.values[:, list(cols)]
         dists = proj.max(axis=1) if len(store) else np.zeros(0)
-        examined, final = _chunked_scan(
-            index, proj, store.f, dists, threshold, strict,
-            key_is_scanned_min=len(cols) == store.dimensionality, chunk=chunk,
+        examined, final = alg1._chunked_scan(
+            index, proj, store.f, dists, threshold,
+            key_is_scanned_min=len(cols) == store.dimensionality,
         )
         return list(index.positions()), final, examined, index.comparisons
 
@@ -180,30 +177,23 @@ class TestPrefixProjection:
         )
         values = np.asarray(grid, dtype=np.float64).reshape(n, d) / 4.0
         store = SortedByF.from_points(PointSet(values))
-        strict = data.draw(st.booleans(), label="strict")
-        if strict:  # the ext-skyline mode runs over the full space
-            cols = tuple(range(d))
-        else:
-            cols = tuple(
-                data.draw(
-                    st.lists(
-                        st.integers(0, d - 1), min_size=1, max_size=d, unique=True
-                    ),
-                    label="cols",
-                )
+        cols = tuple(
+            data.draw(
+                st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True),
+                label="cols",
             )
+        )
         # Thresholds: an exact f value (the f == t tie is examined, not
         # pruned), one below every f, one between, one above everything.
         choices = [-1.0, 0.3, 99.0] + sorted(set(store.f.tolist()))
         threshold = data.draw(st.sampled_from(choices), label="t")
         chunk = data.draw(st.sampled_from([1, 3, 64]), label="chunk")
 
-        got = local_subspace_skyline(
-            store, cols, initial_threshold=threshold, strict=strict, scan_chunk=chunk,
-        )
-        positions, final, examined, comparisons = self._full_projection_scan(
-            store, cols, threshold, strict, chunk
-        )
+        with mock.patch.object(alg1, "_SCAN_CHUNK", chunk):
+            got = local_subspace_skyline(store, cols, initial_threshold=threshold)
+            positions, final, examined, comparisons = self._full_projection_scan(
+                store, cols, threshold
+            )
         assert got.positions.tolist() == positions
         assert got.threshold == final
         assert got.examined == examined

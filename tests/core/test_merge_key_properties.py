@@ -9,6 +9,9 @@ in the dominance kernel cannot agree with itself here.
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,8 @@ from hypothesis import strategies as st
 from repro.core.dataset import PointSet
 from repro.core.merging import merge_sorted_skylines
 from repro.core.store import SortedByF
+
+alg1 = importlib.import_module("repro.core.local_skyline")
 
 
 def quadratic_skyline(rows, ids, cols):
@@ -56,7 +61,8 @@ def test_merge_is_the_skyline_in_key_order_and_stops_at_the_threshold(case):
         stores.append(SortedByF(points, np.zeros(len(lst))))
         start += len(lst)
 
-    merged = merge_sorted_skylines(stores, cols, scan_chunk=1)
+    with mock.patch.object(alg1, "_SCAN_CHUNK", 1):
+        merged = merge_sorted_skylines(stores, cols)
 
     assert set(merged.points.ids.tolist()) == quadratic_skyline(rows, ids, cols)
     assert len(merged.points) == len(set(merged.points.ids.tolist()))

@@ -1,15 +1,20 @@
 """Unit tests for Algorithm 2 (threshold-based merge of sorted lists)."""
 
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
+from repro.core.extended_skyline import extended_skyline, merge_ext_skylines
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.merging import merge_sorted_skylines
 from repro.core.store import SortedByF
 from tests.conftest import brute_force_skyline_ids
+
+alg1 = importlib.import_module("repro.core.local_skyline")
 
 def _split_local_skylines(rng, subspace, parts=4, n=200, d=5):
     points = PointSet(rng.random((n, d)))
@@ -63,15 +68,13 @@ class TestCorrectness:
 
     def test_strict_mode_merges_ext_skylines(self, rng):
         """The pre-processing merge: ext-skylines of partitions merge to
-        the ext-skyline of the union."""
+        the ext-skyline of the union (Algorithm 2's ext-domination form,
+        :func:`~repro.core.extended_skyline.merge_ext_skylines`)."""
         sub = (0, 1, 2, 3, 4)
         points = PointSet(rng.random((150, 5)))
         parts = [PointSet(points.values[i::3], points.ids[i::3]) for i in range(3)]
-        lists = [
-            local_subspace_skyline(SortedByF.from_points(p), sub, strict=True).result
-            for p in parts
-        ]
-        merged = merge_sorted_skylines(lists, sub, strict=True)
+        lists = [extended_skyline(p).result for p in parts]
+        merged = merge_ext_skylines(lists, 5)
         assert merged.points.id_set() == brute_force_skyline_ids(points, sub, strict=True)
 
 
@@ -146,11 +149,13 @@ class TestProjectedStoreFullSpace:
             points=PointSet(np.array([[0.5, 0.9], [0.3, 0.8]]), np.array([1, 2])),
             f=np.array([0.1, 0.3]),
         )
-        merged = merge_sorted_skylines([store], (0, 1), scan_chunk=1)
+        with mock.patch.object(alg1, "_SCAN_CHUNK", 1):
+            merged = merge_sorted_skylines([store], (0, 1))
         assert merged.points.id_set() == {2}
 
     def test_true_full_space_fast_path_still_exact(self, rng):
         points = PointSet(rng.random((60, 3)))
         local = local_subspace_skyline(SortedByF.from_points(points), (0, 1, 2)).result
-        merged = merge_sorted_skylines([local], (0, 1, 2), scan_chunk=1)
+        with mock.patch.object(alg1, "_SCAN_CHUNK", 1):
+            merged = merge_sorted_skylines([local], (0, 1, 2))
         assert merged.points.id_set() == brute_force_skyline_ids(points, (0, 1, 2))

@@ -21,7 +21,11 @@ from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
 from repro.core.dominance import dominates
-from repro.core.extended_skyline import extended_skyline_points, subspace_skyline_points
+from repro.core.extended_skyline import (
+    ext_skyline_scan,
+    extended_skyline_points,
+    subspace_skyline_points,
+)
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.merging import merge_sorted_skylines
 from repro.core.store import SortedByF
@@ -182,10 +186,6 @@ def test_partition_merge_equals_centralized(case, parts):
 @given(point_sets())
 @settings(max_examples=60, deadline=None)
 def test_ext_skyline_strict_scan_matches_mask(points):
-    scan = local_subspace_skyline(
-        SortedByF.from_points(points),
-        tuple(range(points.dimensionality)),
-        strict=True,
-    ).points.id_set()
+    scan = ext_skyline_scan(SortedByF.from_points(points)).points.id_set()
     mask = extended_skyline_points(points).id_set()
     assert scan == mask

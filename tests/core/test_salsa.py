@@ -9,8 +9,10 @@ scan — same ids, same positions contract, same threshold — while its
 
 from __future__ import annotations
 
+import importlib
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,13 @@ from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
 from repro.core.substrates import salsa_subspace_skyline
+
+alg1 = importlib.import_module("repro.core.local_skyline")
+
+
+def chunk_of(size):
+    """Run the scans of a ``with`` block in batches of ``size`` points."""
+    return mock.patch.object(alg1, "_SCAN_CHUNK", size)
 
 
 def assert_identical(reference, other):
@@ -72,7 +81,8 @@ class TestStopPointRegression:
         return SortedByF.from_points(PointSet(self.POINTS))
 
     def test_point_at_a_time_stops_after_three(self, store):
-        scan = salsa_subspace_skyline(store, (0, 1), scan_chunk=1)
+        with chunk_of(1):
+            scan = salsa_subspace_skyline(store, (0, 1))
         assert scan.examined == 3
         assert scan.threshold == 0.25
         assert set(scan.result.points.ids) == {0, 1, 2}
@@ -84,7 +94,8 @@ class TestStopPointRegression:
         # Batch 1 = {id 2, id 0} sets stop = 0.3; the next window is cut
         # at searchsorted(keys, 0.3) so only id 1 is examined before the
         # stop tightens to 0.25 and the scan halts.
-        scan = salsa_subspace_skyline(store, (0, 1), scan_chunk=2)
+        with chunk_of(2):
+            scan = salsa_subspace_skyline(store, (0, 1))
         assert scan.examined == 3
         assert scan.threshold == 0.25
 
@@ -100,18 +111,21 @@ class TestStopPointRegression:
         # minC == dist_U, none dominates another (non-strict), so all
         # three belong to the skyline.
         store = SortedByF.from_points(PointSet(np.full((3, 2), 0.5)))
-        scan = salsa_subspace_skyline(store, (0, 1), scan_chunk=1)
+        with chunk_of(1):
+            scan = salsa_subspace_skyline(store, (0, 1))
         assert len(scan.positions) == 3
         assert_identical(local_subspace_skyline(store, (0, 1)), scan)
 
 
 class TestSalsaIdentity:
     @pytest.mark.parametrize("subspace", [(0, 1, 2, 3), (0, 2), (1,), (1, 3)])
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_matches_sorted_scan(self, rng, subspace, strict):
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_matches_sorted_scan(self, rng, subspace, bounded):
+        # ``bounded``: the query carries the store's median f as ``t``.
         store = make_store(rng)
-        serial = local_subspace_skyline(store, subspace, strict=strict)
-        salsa = salsa_subspace_skyline(store, subspace, strict=strict)
+        t = float(np.median(store.f)) if bounded else math.inf
+        serial = local_subspace_skyline(store, subspace, initial_threshold=t)
+        salsa = salsa_subspace_skyline(store, subspace, initial_threshold=t)
         assert_identical(serial, salsa)
 
     def test_anticorrelated_large_skyline(self, rng):
@@ -127,11 +141,10 @@ class TestSalsaIdentity:
         # can_evict insert must reproduce the sorted scan's tie handling.
         base = rng.integers(0, 4, size=(80, 3)).astype(float)
         store = SortedByF.from_points(PointSet(np.vstack([base, base[:30]])))
-        for strict in (False, True):
-            assert_identical(
-                local_subspace_skyline(store, (0, 1, 2), strict=strict),
-                salsa_subspace_skyline(store, (0, 1, 2), strict=strict),
-            )
+        assert_identical(
+            local_subspace_skyline(store, (0, 1, 2)),
+            salsa_subspace_skyline(store, (0, 1, 2)),
+        )
 
     def test_finite_initial_threshold(self, rng):
         store = make_store(rng)
@@ -144,10 +157,9 @@ class TestSalsaIdentity:
     @pytest.mark.parametrize("chunk", [1, 3, 16, 64])
     def test_every_chunk_size_is_identical(self, rng, chunk):
         store = make_store(rng, n=150, d=3)
-        assert_identical(
-            local_subspace_skyline(store, (0, 1, 2)),
-            salsa_subspace_skyline(store, (0, 1, 2), scan_chunk=chunk),
-        )
+        reference = local_subspace_skyline(store, (0, 1, 2))
+        with chunk_of(chunk):
+            assert_identical(reference, salsa_subspace_skyline(store, (0, 1, 2)))
 
     def test_empty_store(self):
         store = SortedByF.from_points(PointSet(np.zeros((0, 3))))
@@ -164,8 +176,9 @@ class TestEarlyTermination:
         head = rng.random((40, 3)) * 0.2
         tail = 0.4 + rng.random((400, 3)) * 0.6
         store = SortedByF.from_points(PointSet(np.vstack([head, tail])))
-        serial = local_subspace_skyline(store, (0, 1), scan_chunk=16)
-        salsa = salsa_subspace_skyline(store, (0, 1), scan_chunk=16)
+        with chunk_of(16):
+            serial = local_subspace_skyline(store, (0, 1))
+            salsa = salsa_subspace_skyline(store, (0, 1))
         assert_identical(serial, salsa)
         assert salsa.examined < len(store)
         assert salsa.comparisons < serial.comparisons

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dataset import PointSet
+from repro.core.extended_skyline import ext_skyline_scan
 from repro.core.indexes import BlockDominanceIndex
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
@@ -44,9 +45,10 @@ class TestFullSpaceFastPath:
     """The fast path may only fire where f-order makes it sound."""
 
     def test_full_space_strict_matches_oracle(self, rng):
+        # The full-space ext-domination scan is Section 5.3's filter.
         points = PointSet(rng.random((150, 4)))
         store = SortedByF.from_points(points)
-        result = local_subspace_skyline(store, (0, 1, 2, 3), strict=True)
+        result = ext_skyline_scan(store)
         assert result.result.points.id_set() == brute_force_skyline_ids(
             points, (0, 1, 2, 3), strict=True
         )
@@ -67,11 +69,10 @@ class TestFullSpaceFastPath:
         values = np.vstack([base, base[:20]])
         points = PointSet(values)
         store = SortedByF.from_points(points)
-        for strict in (False, True):
-            result = local_subspace_skyline(store, (0, 1, 2), strict=strict)
-            assert result.result.points.id_set() == brute_force_skyline_ids(
-                points, (0, 1, 2), strict=strict
-            ), strict
+        result = local_subspace_skyline(store, (0, 1, 2))
+        assert result.result.points.id_set() == brute_force_skyline_ids(
+            points, (0, 1, 2)
+        )
 
     def test_subspace_scan_still_evicts(self, rng):
         # f is computed over the full space, so for proper subspaces a
@@ -94,10 +95,9 @@ class TestFullSpaceFastPath:
         proj, dists = store.projection((0, 1, 2, 3))
         results = {}
         for fast_path in (False, True):
-            index = BlockDominanceIndex(4, strict=True)
+            index = BlockDominanceIndex(4)
             _chunked_scan(
-                index, proj, store.f, dists, float("inf"), strict=True,
-                key_is_scanned_min=fast_path, chunk=64,
+                index, proj, store.f, dists, float("inf"), key_is_scanned_min=fast_path
             )
             results[fast_path] = (index.positions(), index.comparisons)
         assert results[True][0] == results[False][0]

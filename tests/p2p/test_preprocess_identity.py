@@ -1,12 +1,15 @@
-"""Every ext-skyline the network holds equals strict Algorithm 1 / 2's.
+"""Every ext-skyline the network holds equals what strict Algorithm 1 / 2
+returned.
 
 Pre-processing, joins, peer-failure rebuilds and super-peer failures
 compute ext-skylines with the pivot-partitioned filter
-(:mod:`repro.core.extended_skyline`).  The references here are computed
-in the test with Algorithm 1 (each peer's list) and Algorithm 2 (each
-store) in strict mode, on the same inputs in the same order, and every
-list and store must equal them in ids, values, ``f`` and order — on all
-four generators, serially and on the process pool.
+(:mod:`repro.core.extended_skyline`).  The references here come from
+``tests.conftest.ordered_ext_skyline``, plain loops that return what
+Algorithm 1 (each peer's list) and Algorithm 2 (each store, over the
+f-sorted union of its lists) computed under ext-domination, on the same
+inputs in the same order.  Every list and store must equal them in ids,
+values, ``f`` and order — on all four generators, serially and on the
+process pool.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.local_skyline import local_subspace_skyline
-from repro.core.merging import merge_sorted_skylines
+from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
-from repro.core.subspace import full_space
 from repro.p2p.churn import fail_peer, fail_superpeer, join_peer
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.workload import fresh_points
 from repro.parallel import ParallelEngine
+
+from tests.conftest import ordered_ext_skyline
 
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
@@ -38,16 +41,16 @@ SHAPE = dict(n_peers=24, points_per_peer=200, dimensionality=6, n_superpeers=3, 
 
 
 def reference_list(network: SuperPeerNetwork, peer_id: int) -> SortedByF:
-    store = SortedByF.from_points(network.peers[peer_id].data)
-    return local_subspace_skyline(
-        store, full_space(network.dimensionality), strict=True
-    ).result
+    return ordered_ext_skyline(SortedByF.from_points(network.peers[peer_id].data)).result
 
 
 def reference_merge(network: SuperPeerNetwork, lists) -> SortedByF:
-    return merge_sorted_skylines(
-        lists, full_space(network.dimensionality), strict=True
-    ).result
+    """Algorithm 2's input order: the lists concatenated, stably f-sorted."""
+    union = PointSet(
+        np.concatenate([lst.points.values for lst in lists]),
+        np.concatenate([lst.points.ids for lst in lists]),
+    )
+    return ordered_ext_skyline(SortedByF.from_points(union)).result
 
 
 def assert_same(got: SortedByF, expected: SortedByF) -> None:

@@ -31,19 +31,6 @@ class TestGatewayConfig:
         assert config.dispatchers >= 1
         assert config.request_timeout > 0
 
-    def test_from_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "7")
-        monkeypatch.setenv("REPRO_SERVE_RATE", "12.5")
-        monkeypatch.setenv("REPRO_SERVE_HOST", "127.0.0.9")
-        config = GatewayConfig.from_env()
-        assert config.max_pending == 7
-        assert config.rate == 12.5
-        assert config.host == "127.0.0.9"
-
-    def test_explicit_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_PENDING", "7")
-        assert GatewayConfig.from_env(max_pending=3).max_pending == 3
-
     def test_rejects_nonsense(self):
         with pytest.raises(ValueError):
             GatewayConfig(max_pending=0)
@@ -53,11 +40,6 @@ class TestGatewayConfig:
             GatewayConfig(dispatchers=0)
         with pytest.raises(ValueError):
             GatewayConfig(request_timeout=0.0)
-
-    def test_bad_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_PORT", "not-a-port")
-        with pytest.raises(ValueError, match="REPRO_SERVE_PORT"):
-            GatewayConfig.from_env()
 
 
 class TestTokenBucket:

@@ -14,8 +14,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("docs/API.md", "docs/TRANSPORT.md", "docs/SERVING.md")
 
-#: A full knob name; ``REPRO_SERVE_`` also occurs as the prefix the
-#: gateway config builds names from, and that is not a name.
+#: A full knob name: a prefix followed by ``_``, ``{`` or more capitals
+#: (a name built in a format string) is not one.
 NAME = re.compile(r"REPRO_[A-Z_]*[A-Z](?![A-Z_{])")
 
 
