@@ -31,14 +31,14 @@ must exercise coalescing); p50/p99 latency and the shed rate are
 printed informationally — they move with CI hardware, correctness does
 not.
 
-Schema-5 reports add a ``kernels`` section (the three whole-store scan
-substrates ``sorted``/``bbs``/``salsa``).  Its gated verdict is
+Schema-5 reports add a ``kernels`` section (the whole-store scans
+``sorted``/``salsa``).  Its gated verdict is
 ``identical`` (every substrate returns results byte-identical to the
 sorted scan); comparison counts per point are printed informationally.
 
 Schema-6 reports add ``kernels.salsa`` with two more gated verdicts —
-``identical`` (the SaLSa and BBS substrates byte-identical to the
-sorted scan on every pivot-subspace cell) and ``terminates_early``
+``identical`` (the SaLSa scan byte-identical to the sorted scan on
+every pivot-subspace cell) and ``terminates_early``
 (every correlated cell skips at least 20% of its points *and* spends
 strictly fewer comparisons than the sorted scan; both sides are
 deterministic counters, so the gate is machine-stable).
@@ -221,8 +221,8 @@ def check_current_verdicts(current: dict) -> list[str]:
                     f"  [info] kernels.salsa {cell.get('distribution')} "
                     f"d={cell.get('d')}: skip "
                     f"{cell.get('skipped_fraction', 0):.2f}, cmp/pt "
-                    f"sorted {cpp.get('sorted', 0):.1f} / bbs "
-                    f"{cpp.get('bbs', 0):.1f} / salsa {cpp.get('salsa', 0):.1f}"
+                    f"sorted {cpp.get('sorted', 0):.1f} / salsa "
+                    f"{cpp.get('salsa', 0):.1f}"
                 )
         for cell in kernels.get("crossover", []):
             cpp = cell.get("comparisons_per_point", {})

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Profile the three executions of Algorithm 1 on the crossover matrix.
+"""Profile the two executions of Algorithm 1 on the crossover matrix.
 
 Times the paper's ``sorted`` scan
 (:func:`repro.core.local_skyline.local_subspace_skyline`, what every
-query runs) and the two alternatives of :mod:`repro.core.substrates`
-(``bbs``/``salsa``), each over the whole store, over a matrix of
+query runs) and the alternative of :mod:`repro.core.substrates`
+(``salsa``), each over the whole store, over a matrix of
 (distribution, dims, points, query subspace) stores generated from the
-``bench --smoke`` crossover seeds.  Each is verified byte-equal to
+``bench --smoke`` crossover seeds.  SaLSa is verified byte-equal to
 ``sorted`` on its first — *cold* — run, which also builds the
-per-subspace R-tree or SaLSa order cached on the store, and then timed
+per-subspace SaLSa order cached on the store, and then both are timed
 best-of-``--repeats`` warm.  The report names the fastest warm scan per
 store and counts the wins, so whether an alternative earns its keep is
 derived from data instead of folklore.
@@ -35,16 +35,15 @@ from repro.bench.smoke import _computations_identical
 from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
-from repro.core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
+from repro.core.substrates import salsa_subspace_skyline
 from repro.data.generators import make_generator
 
 DISTRIBUTIONS = ("uniform", "correlated", "anticorrelated")
 
 #: Scan name -> function over ``(store, subspace)``; ``sorted`` leads,
-#: as the reference the others must equal.
+#: as the reference the other must equal.
 SCANS = {
     "sorted": local_subspace_skyline,
-    "bbs": bbs_subspace_skyline,
     "salsa": salsa_subspace_skyline,
 }
 

@@ -1,16 +1,16 @@
 """Ablation: the centralized skyline paths the package keeps, head-to-head.
 
-BNL (the naive baseline's kernel), BBS (the progressive skyline), the
-sum-sorted ``skyline_mask`` oracle and Algorithm 1 on uniform and
-anticorrelated data.  Anticorrelated data blows the skyline up and
-separates the window-based BNL from the sorted and index-based paths.
+BNL (the naive baseline's kernel), the sum-sorted ``skyline_mask``
+oracle and Algorithm 1 on uniform and anticorrelated data.
+Anticorrelated data blows the skyline up and separates the window-based
+BNL from the sorted paths.
 All of them must agree exactly — that assertion is the real point.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms import block_nested_loops, branch_and_bound_skyline
+from repro.algorithms import block_nested_loops
 from repro.core.dataset import PointSet
 from repro.core.extended_skyline import subspace_skyline, subspace_skyline_points
 from repro.data.generators import anticorrelated, uniform
@@ -22,7 +22,6 @@ FULL = tuple(range(D))
 #: name -> the full-space skyline of a PointSet, as a PointSet.
 PATHS = {
     "algorithm1": lambda points: subspace_skyline(points, FULL).points,
-    "bbs": branch_and_bound_skyline,
     "bnl": block_nested_loops,
     "skyline_mask": lambda points: subspace_skyline_points(points, FULL),
 }

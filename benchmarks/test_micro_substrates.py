@@ -1,8 +1,8 @@
 """Micro-benchmarks for the substrates.
 
 Not a paper figure — these pin the costs of the building blocks every
-experiment rests on: R-tree bulk loading (the BBS substrate), wire
-encode/decode, Algorithm 2 merges, and the pre-processing primitives.
+experiment rests on: wire encode/decode, Algorithm 2 merges, and the
+pre-processing primitives.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ from repro.core.dataset import PointSet
 from repro.core.extended_skyline import extended_skyline
 from repro.core.merging import merge_sorted_skylines
 from repro.core.store import SortedByF
-from repro.index.rtree import RTree
 from repro.p2p.wire import ResultMessage, decode
 
 
@@ -20,12 +19,6 @@ from repro.p2p.wire import ResultMessage, decode
 def cloud():
     rng = np.random.default_rng(2)
     return rng.random((5000, 4))
-
-
-class TestRTreeMicro:
-    def test_bulk_load(self, benchmark, cloud):
-        tree = benchmark(RTree.bulk_load, cloud)
-        assert not tree.root().leaf  # 5 000 points need inner nodes
 
 
 class TestWireMicro:

@@ -28,7 +28,6 @@ from .core import (
     extended_skyline_points,
     local_subspace_skyline,
     merge_sorted_skylines,
-    skycube,
     subspace_skyline,
     subspace_skyline_points,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "constrained_subspace_skyline",
     "local_subspace_skyline",
     "merge_sorted_skylines",
-    "skycube",
     # data
     "Query",
     "generate_workload",

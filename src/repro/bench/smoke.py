@@ -42,8 +42,8 @@ workload must actually exercise coalescing).  ``skypeer bench
 informational, like every wall-clock here.
 
 Schema 5 adds ``"kernels"``: the scan matrix.  The *crossover* runs
-the paper's sorted scan and the two whole-store alternatives of
-:mod:`repro.core.substrates` (``bbs``, ``salsa``) over small stores
+the paper's sorted scan and the whole-store alternative of
+:mod:`repro.core.substrates` (``salsa``) over small stores
 across dimensionalities and distributions, reporting deterministic
 comparisons-per-point so the crossover is diffable across revisions,
 and one verdict ``check_regression.py`` gates: ``identical`` (every
@@ -56,8 +56,8 @@ low-dimensional pivot subspace ``(0, 1)`` (the regime SaLSa targets:
 scan's prefix pruning weakens while SaLSa's stop-point, computed from
 the subspace coordinates themselves, does not), with the
 early-termination fraction, comparisons-per-point against ``sorted``
-and ``bbs`` and two gated verdicts: ``identical`` (SaLSa and BBS
-byte-identical to ``sorted`` on every cell) and ``terminates_early``
+and two gated verdicts: ``identical`` (SaLSa byte-identical to
+``sorted`` on every cell) and ``terminates_early``
 (every correlated cell skips ≥ 20 % of its points and spends strictly
 fewer comparisons than the sorted scan — comparison counters are
 deterministic, so this gate is machine-stable).  And
@@ -358,7 +358,7 @@ def _bench_salsa(
     on a subspace, while the SaLSa stop-point is computed from the
     subspace coordinates themselves and keeps cutting.  Cells report
     the skipped fraction (``pruned_by_threshold / input_size``) and
-    comparisons-per-point for all three substrates, all deterministic.
+    comparisons-per-point for both scans, all deterministic.
     ``terminates_early`` gates the
     correlated cells: skipped fraction at least ``min_skip`` *and*
     strictly fewer comparisons than the sorted scan.
@@ -368,7 +368,7 @@ def _bench_salsa(
     from ..core.dataset import PointSet
     from ..core.local_skyline import local_subspace_skyline
     from ..core.store import SortedByF
-    from ..core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
+    from ..core.substrates import salsa_subspace_skyline
     from ..data.generators import make_generator
 
     subspace = tuple(pivot_subspace)
@@ -383,10 +383,7 @@ def _bench_salsa(
             )
             reference = local_subspace_skyline(store, subspace)
             salsa = salsa_subspace_skyline(store, subspace)
-            bbs = bbs_subspace_skyline(store, subspace)
-            cell_identical = _computations_identical(
-                reference, salsa
-            ) and _computations_identical(reference, bbs)
+            cell_identical = _computations_identical(reference, salsa)
             skipped = salsa.pruned_by_threshold / n
             cell_early = skipped >= min_skip and salsa.comparisons < reference.comparisons
             if distribution == "correlated":
@@ -403,7 +400,6 @@ def _bench_salsa(
                     "sorted_skipped_fraction": reference.pruned_by_threshold / n,
                     "comparisons_per_point": {
                         "sorted": reference.comparisons / n,
-                        "bbs": bbs.comparisons / n,
                         "salsa": salsa.comparisons / n,
                     },
                     "identical": cell_identical,
@@ -427,10 +423,10 @@ def _bench_kernels(
         "uniform", "correlated", "anticorrelated",
     ),
 ) -> dict[str, Any]:
-    """Scan matrix: the paper's scan and the two alternatives of
+    """Scan matrix: the paper's scan and the alternative of
     :mod:`repro.core.substrates`, identity-gated.
 
-    The *crossover* runs all three over small full-space stores across
+    The *crossover* runs both over small full-space stores across
     dimensionalities and distributions, reporting deterministic
     comparisons-per-point; ``identical`` gates each against the sorted
     scan.
@@ -440,12 +436,11 @@ def _bench_kernels(
     from ..core.dataset import PointSet
     from ..core.local_skyline import local_subspace_skyline
     from ..core.store import SortedByF
-    from ..core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
+    from ..core.substrates import salsa_subspace_skyline
     from ..data.generators import make_generator
 
     scans = {
         "sorted": local_subspace_skyline,
-        "bbs": bbs_subspace_skyline,
         "salsa": salsa_subspace_skyline,
     }
     crossover: list[dict[str, Any]] = []

@@ -17,7 +17,6 @@ from .extended_skyline import (
 from .local_skyline import SkylineComputation, local_subspace_skyline
 from .mapping import dist_value, dist_values, f_value, f_values
 from .merging import merge_sorted_skylines
-from .skycube import skycube
 from .store import SortedByF
 from .subspace import Subspace, all_subspaces, full_space, normalize_subspace
 
@@ -38,7 +37,6 @@ __all__ = [
     "constrained_subspace_skyline",
     "local_subspace_skyline",
     "merge_sorted_skylines",
-    "skycube",
     "f_value",
     "f_values",
     "dist_value",

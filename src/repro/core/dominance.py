@@ -29,7 +29,6 @@ __all__ = [
     "ext_dominates",
     "dominators_mask",
     "dominated_mask",
-    "any_dominator",
     "skyline_mask",
     "extended_skyline_mask",
     "undominated_among",
@@ -147,13 +146,6 @@ def dominated_mask(candidates: np.ndarray, p: np.ndarray) -> np.ndarray:
     candidates = _as_f64(candidates)
     p = _as_f64(p)
     return np.all(p <= candidates, axis=1) & np.any(p < candidates, axis=1)
-
-
-def any_dominator(candidates: np.ndarray, q: np.ndarray) -> bool:
-    """Return True when any ``candidates`` row dominates ``q``."""
-    if candidates.shape[0] == 0:
-        return False
-    return bool(np.any(dominators_mask(candidates, q)))
 
 
 def skyline_mask(values: np.ndarray, subspace: Sequence[int] | None = None) -> np.ndarray:

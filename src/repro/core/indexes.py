@@ -6,20 +6,22 @@ candidates found so far:
 1. is the next point dominated by any candidate? and
 2. which candidates does the next point dominate (to be removed)?
 
-The paper answers them with window queries over a main-memory R-tree
-(section 5.2.1).  Here both are vectorized numpy comparisons over one
-growing block of candidates, asked a batch of points at a time by
-:func:`repro.core.local_skyline._chunked_scan`; ``docs/PERFORMANCE.md``
-has the matrix in which this beat the per-point list and R-tree forms
-on every cell.  The index counts its comparisons so callers can report
-abstract work alongside wall-clock time.
+The paper answers them with window queries over a main-memory spatial
+index (section 5.2.1).  Here both are vectorized numpy comparisons over
+one growing block of candidates, asked a batch of points at a time by
+:func:`repro.core.local_skyline._chunked_scan` through
+:func:`~repro.core.dominance.batch_dominated_any`;
+``docs/PERFORMANCE.md`` has the matrix in which this beat the per-point
+list and spatial-index forms on every cell.  The index counts its
+comparisons so callers can report abstract work alongside wall-clock
+time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dominance import any_dominator, batch_dominated_any
+from .dominance import batch_dominated_any
 
 __all__ = ["BlockDominanceIndex"]
 
@@ -41,13 +43,6 @@ class BlockDominanceIndex:
 
     def __len__(self) -> int:
         return self._count
-
-    def is_dominated(self, point: np.ndarray) -> bool:
-        """True when an indexed point dominates ``point``."""
-        if self._count == 0:
-            return False
-        self.comparisons += self._count
-        return any_dominator(self._block[: self._count], point)
 
     def positions(self) -> list[int]:
         """Scan positions of the surviving points, in insertion order."""

@@ -11,15 +11,14 @@ churn, data updates) *replace* the store object and bump
 ``SuperPeerNetwork.epoch``.  The column projection Algorithm 1 scans
 (:meth:`SortedByF.projection`) is derived per call and never retained —
 it costs about 1 % of a cold scan, and a scan reads only the
-``f(p) <= t`` prefix of it.  What *is* cached on the instance are the
-position-dependent scan structures that are expensive to rebuild: the
-R-tree (:meth:`SortedByF.rtree`) and the SaLSa visit order
-(:meth:`SortedByF.salsa_order`).
+``f(p) <= t`` prefix of it.  What *is* cached on the instance is the
+one position-dependent scan structure that is expensive to rebuild:
+the SaLSa visit order (:meth:`SortedByF.salsa_order`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,21 +26,18 @@ from ..obs.runtime import active_metrics
 from .dataset import PointSet
 from .mapping import f_values
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..index.rtree import RTree
-
 __all__ = ["SortedByF"]
 
 
 class SortedByF:
     """A point set sorted ascending by ``f(p)`` with cached keys."""
 
-    __slots__ = ("points", "f", "_rtrees", "_salsa")
+    __slots__ = ("points", "f", "_salsa")
 
-    #: Most distinct subspaces whose R-tree / SaLSa order is cached per
-    #: store.  Workloads concentrate on a handful of subspaces (the
-    #: query-cache motivation); the cap merely bounds memory under
-    #: adversarial workloads.
+    #: Most distinct subspaces whose SaLSa order is cached per store.
+    #: Workloads concentrate on a handful of subspaces (the query-cache
+    #: motivation); the cap merely bounds memory under adversarial
+    #: workloads.
     MAX_CACHED_SUBSPACES = 32
 
     def __init__(self, points: PointSet, f: np.ndarray):
@@ -52,7 +48,6 @@ class SortedByF:
         self.points = points
         self.f = np.asarray(f, dtype=np.float64)
         self.f.setflags(write=False)
-        self._rtrees: dict[tuple[tuple[int, ...], int], "RTree"] | None = None
         self._salsa: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
 
     @classmethod
@@ -88,7 +83,6 @@ class SortedByF:
         self.points = points
         self.f = f
         self.f.setflags(write=False)
-        self._rtrees = None
         self._salsa = None
         return self
 
@@ -133,34 +127,6 @@ class SortedByF:
         dists.setflags(write=False)
         return proj, dists
 
-    def rtree(self, subspace: Sequence[int], max_entries: int = 16) -> "RTree":
-        """A bulk-loaded R-tree over the subspace projection, cached.
-
-        Leaf ids are the store positions (f-ascending ranks), and the
-        tree carries the ``min_id`` subtree annotations, so a best-first
-        scan can bound ``f`` over a subtree by looking at its smallest
-        position — the substrate the BBS scan
-        (:mod:`repro.core.substrates`) expands.  Cached per
-        ``(subspace, max_entries)`` under the FIFO cap
-        ``MAX_CACHED_SUBSPACES``; the store is immutable, so entries
-        never go stale.
-        """
-        from ..index.rtree import RTree
-
-        key = (tuple(subspace), int(max_entries))
-        cache = self._rtrees
-        if cache is None:
-            cache = self._rtrees = {}
-        hit = cache.get(key)
-        if hit is None:
-            proj, _dists = self.projection(key[0])
-            tree = RTree.bulk_load(proj, max_entries=max_entries)
-            tree.annotate_min_ids()
-            if len(cache) >= self.MAX_CACHED_SUBSPACES:
-                cache.pop(next(iter(cache)))
-            hit = cache[key] = tree
-        return hit
-
     def salsa_order(self, subspace: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The SaLSa visit order for ``subspace``: ``(order, keys)``.
 
@@ -172,8 +138,8 @@ class SortedByF:
         its victim's, which is what lets the SaLSa scan
         (:func:`repro.core.substrates.salsa_subspace_skyline`) stop
         early at the running stop-point.  Cached per subspace under the
-        same cap as the R-trees; the store is immutable, so entries
-        never go stale.
+        FIFO cap ``MAX_CACHED_SUBSPACES``; the store is immutable, so
+        entries never go stale.
         """
         key = tuple(subspace)
         cache = self._salsa
@@ -208,8 +174,8 @@ class SortedByF:
         invariant is preserved without re-sorting the store
         (ties land after existing equal keys, matching the stable-sort
         order of :meth:`from_points` over ``[existing, new]``).  The
-        new store starts without R-tree and SaLSa caches (their layouts
-        are position-dependent); they rebuild lazily.  The caller
+        new store starts without SaLSa orders (they are
+        position-dependent); they rebuild lazily.  The caller
         guarantees the incoming ids are not already present.
         """
         if len(points) == 0:
@@ -230,7 +196,7 @@ class SortedByF:
 
         Ids not present are ignored.  The surviving rows keep their
         relative f-order, so no re-sort or re-validation is needed
-        (R-tree and SaLSa caches drop, as in :meth:`splice_insert`).
+        (SaLSa orders drop, as in :meth:`splice_insert`).
         """
         drop_ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
         if len(self) == 0 or drop_ids.size == 0:
@@ -243,16 +209,15 @@ class SortedByF:
             self.f[keep],
         )
 
-    # Slots would otherwise pickle the R-tree/SaLSa caches alongside the
-    # data; rebuild lean on the far side (the parallel engine ships
-    # stores between processes).
+    # Slots would otherwise pickle the SaLSa orders alongside the data;
+    # rebuild lean on the far side (the parallel engine ships stores
+    # between processes).
     def __getstate__(self) -> tuple[PointSet, np.ndarray]:
         return (self.points, self.f)
 
     def __setstate__(self, state: tuple[PointSet, np.ndarray]) -> None:
         self.points, self.f = state
         self.f.setflags(write=False)
-        self._rtrees = None
         self._salsa = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -53,8 +53,8 @@ def is_subspace_of(inner: Sequence[int], outer: Sequence[int]) -> bool:
 def all_subspaces(dimensionality: int) -> Iterator[Subspace]:
     """Yield every non-empty subspace of a ``dimensionality``-dim space.
 
-    There are ``2^d - 1`` of them; only use on small ``d`` (the skycube
-    oracle in tests does).  Yields in order of increasing size, then
+    There are ``2^d - 1`` of them; only use on small ``d`` (the
+    Observation 4 test does).  Yields in order of increasing size, then
     lexicographically.
     """
     dims = range(dimensionality)

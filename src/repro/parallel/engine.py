@@ -19,9 +19,7 @@ engine has no scan selector of its own.
 one IPC round-trip per (query, variant) pair.  Chunks are formed by
 grouping tasks on the query subspace, so queries over the same
 subspace run on the same worker, where its scan memo (:class:`ScanMemo`)
-replays their repeated scans and the per-subspace R-tree / SaLSa-order
-caches on :class:`~repro.core.store.SortedByF` hit across queries and
-variants.
+replays their repeated scans across queries and variants.
 Each worker keeps as many networks attached as the engine keeps
 published, so sweeps alternating between configurations neither
 re-attach per batch nor lose their scan memos.

@@ -3,8 +3,7 @@
 Found by hypothesis: with ``p = (tiny, 0, 0, 1)`` and ``q = (0, 0, 0, 1)``
 (``tiny`` denormal-ish), ``q`` dominates ``p`` but both coordinate sums
 round to exactly ``1.0``, so sum-sorted scans (skyline_mask and its
-extended twin, BBS's mindist order) could visit the dominated point
-first and keep it.  All sum-sorted paths now resolve equal-sum groups
+extended twin) could visit the dominated point first and keep it.  All sum-sorted paths now resolve equal-sum groups
 with a pairwise pass; this file pins the fix across every skyline path
 the package keeps, the dominance ones and the two that compute
 ext-domination (the mask oracle and the Section 5.3 filter).
@@ -13,7 +12,7 @@ ext-domination (the mask oracle and the Section 5.3 filter).
 import numpy as np
 import pytest
 
-from repro.algorithms import block_nested_loops, branch_and_bound_skyline
+from repro.algorithms import block_nested_loops
 from repro.core.dataset import PointSet
 from repro.core.dominance import extended_skyline_mask, skyline_mask
 from repro.core.extended_skyline import (
@@ -27,7 +26,6 @@ TINY = 1.17549435e-38  # smallest normal float32; vanishes in 1.0 + x
 #: name -> (skyline ids of ``points`` on ``sub``, whether it is strict).
 PATHS = {
     "bnl": (lambda p, s: block_nested_loops(p, s).id_set(), False),
-    "bbs": (lambda p, s: branch_and_bound_skyline(p, s).id_set(), False),
     "skyline_mask": (lambda p, s: p.mask(skyline_mask(p.values, s)).id_set(), False),
     "extended_skyline_mask": (
         lambda p, s: p.mask(extended_skyline_mask(p.values, s)).id_set(), True

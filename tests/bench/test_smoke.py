@@ -87,7 +87,7 @@ def test_kernels_salsa_section(report):
     for cell in salsa["cells"]:
         assert cell["identical"] is True
         cpp = cell["comparisons_per_point"]
-        assert set(cpp) == {"sorted", "bbs", "salsa"}
+        assert set(cpp) == {"sorted", "salsa"}
         assert 0.0 <= cell["skipped_fraction"] <= 1.0
         if cell["distribution"] == "correlated":
             # The acceptance gate: ≥ 20 % of points skipped and strictly

@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.core.dataset import PointSet
 from repro.core.dominance import (
-    any_dominator,
     dominated_mask,
     dominates,
     dominators_mask,
@@ -77,9 +76,6 @@ class TestMasks:
         q = np.array([1.0, 3.0])
         assert dominators_mask(cands, q).tolist() == [True, True]
         assert [ext_dominates(c, q) for c in cands] == [False, True]
-
-    def test_any_dominator_empty(self):
-        assert not any_dominator(np.empty((0, 2)), np.array([1.0, 1.0]))
 
 
 class TestSkylineMask:

@@ -92,19 +92,17 @@ class TestProjectionCacheConsistency:
         base = SortedByF.from_points(_points(rng, 10, 3))
         base.projection((0, 1))
         spliced = base.splice_insert(_points(rng, 3, 3, start_id=50))
-        assert spliced._rtrees is None and spliced._salsa is None
+        assert spliced._salsa is None
         assert not hasattr(spliced, "_projections")
 
     def test_position_dependent_caches_drop(self):
-        """R-tree and SaLSa orders index store positions — they must
-        rebuild after a splice, not survive it stale."""
+        """SaLSa orders index store positions — they must rebuild
+        after a splice, not survive it stale."""
         rng = np.random.default_rng(18)
         base = SortedByF.from_points(_points(rng, 20, 3))
         base.salsa_order((0, 1))
-        base.rtree((0, 1))
         spliced = base.splice_insert(_points(rng, 4, 3, start_id=60))
         assert spliced._salsa is None
-        assert spliced._rtrees is None
         order, keys = spliced.salsa_order((0, 1))
         assert order.shape == (24,)
         assert np.all(np.diff(keys) >= 0)

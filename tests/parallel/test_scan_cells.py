@@ -1,12 +1,13 @@
-"""The three executions of Algorithm 1 on the bench's crossover datasets.
+"""The two executions of Algorithm 1 on the bench's crossover datasets.
 
 The paper's ``sorted`` scan (what :func:`make_local_compute` builds for
-every query) and the two executions of :mod:`repro.core.substrates`
-must return the same scan byte for byte; on the full-space datasets each one's work accounting
-must also equal the committed ``kernels.crossover`` column of the same
-name in ``BENCH_baseline.json``.  Across whole queries, ``bbs`` and
-``salsa`` must be indistinguishable from the sorted scan under every
-variant — and nothing but an explicit ``local_compute`` runs them.
+every query) and the SaLSa execution of :mod:`repro.core.substrates`
+must return the same scan byte for byte; on the full-space datasets
+each one's work accounting must also equal the committed
+``kernels.crossover`` column of the same name in
+``BENCH_baseline.json``.  Across whole queries, ``salsa`` must be
+indistinguishable from the sorted scan under every variant — and
+nothing but an explicit ``local_compute`` runs it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
 from repro.core.local_skyline import local_subspace_skyline
-from repro.core.substrates import bbs_subspace_skyline, salsa_subspace_skyline
+from repro.core.substrates import salsa_subspace_skyline
 from repro.data.generators import make_generator
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
@@ -35,10 +36,9 @@ N = 1200
 DISTRIBUTIONS = ("uniform", "correlated", "anticorrelated")
 DIMS = (3, 5, 7)
 PIVOT = (0, 1)
-#: The three scans, by their column name in ``kernels.crossover``.
+#: The two scans, by their column name in ``kernels.crossover``.
 SCANS = {
     "sorted": local_subspace_skyline,
-    "bbs": bbs_subspace_skyline,
     "salsa": salsa_subspace_skyline,
 }
 
@@ -99,12 +99,12 @@ def test_committed_crossover_carries_exactly_the_surviving_cells():
 
 def test_environment_never_picks_the_scan(monkeypatch, small_network):
     """The substrate variable of older trees is ignored: only an
-    explicit ``local_compute`` reaches ``bbs``."""
-    monkeypatch.setenv("REPRO_SCAN_SUBSTRATE", "bbs")
+    explicit ``local_compute`` reaches ``salsa``."""
+    monkeypatch.setenv("REPRO_SCAN_SUBSTRATE", "salsa")
     sp, subspace = next(iter(small_network.superpeers)), (0, 2, 4)
     sorted_scan = compute_for(small_network, "sorted")(sp, subspace, float("inf"))
-    bbs_scan = compute_for(small_network, "bbs")(sp, subspace, float("inf"))
-    assert bbs_scan.comparisons != sorted_scan.comparisons
+    salsa_scan = compute_for(small_network, "salsa")(sp, subspace, float("inf"))
+    assert salsa_scan.comparisons != sorted_scan.comparisons
     scan = make_local_compute(small_network)(sp, subspace, float("inf"))
     assert scan.comparisons == sorted_scan.comparisons
 
@@ -146,7 +146,7 @@ def query_cases(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_kernels_are_indistinguishable_across_all_variants(case):
-    """Every execution × every variant equals the sorted scan.
+    """SaLSa under every variant equals the sorted scan.
 
     Indistinguishable means indistinguishable: not just the same result
     ids but the same initial threshold and the same wire bytes — a
@@ -156,22 +156,16 @@ def test_kernels_are_indistinguishable_across_all_variants(case):
     network, query = case
     for variant in Variant:
         baseline = execute_query(network, query, variant)
-        for substrate in ("bbs", "salsa"):
-            run = execute_query(
-                network, query, variant, local_compute=compute_for(network, substrate)
-            )
-            assert run.result_ids == baseline.result_ids, (variant, substrate)
-            assert np.array_equal(
-                run.result.points.values, baseline.result.points.values
-            ), (variant, substrate)
-            assert np.array_equal(
-                run.result.points.ids, baseline.result.points.ids
-            ), (variant, substrate)
-            assert run.initial_threshold == baseline.initial_threshold, (
-                variant,
-                substrate,
-            )
-            assert run.volume_bytes == baseline.volume_bytes, (variant, substrate)
+        run = execute_query(
+            network, query, variant, local_compute=compute_for(network, "salsa")
+        )
+        assert run.result_ids == baseline.result_ids, variant
+        assert np.array_equal(
+            run.result.points.values, baseline.result.points.values
+        ), variant
+        assert np.array_equal(run.result.points.ids, baseline.result.points.ids), variant
+        assert run.initial_threshold == baseline.initial_threshold, variant
+        assert run.volume_bytes == baseline.volume_bytes, variant
 
 
 def test_naive_ignores_kernel_knobs(small_network):
@@ -179,7 +173,7 @@ def test_naive_ignores_kernel_knobs(small_network):
     baseline = execute_query(small_network, query, Variant.NAIVE)
     run = execute_query(
         small_network, query, Variant.NAIVE,
-        local_compute=compute_for(small_network, "bbs"),
+        local_compute=compute_for(small_network, "salsa"),
     )
     assert run.result_ids == baseline.result_ids
     assert run.comparisons == baseline.comparisons
