@@ -1,8 +1,8 @@
 """Micro-benchmarks for the substrates.
 
 Not a paper figure — these pin the costs of the building blocks every
-experiment rests on: wire encode/decode, Algorithm 2 merges, and the
-pre-processing primitives.
+experiment rests on: Algorithm 2 merges and the pre-processing
+primitives (wire encode/decode is ``test_micro_wire.py``).
 """
 
 import numpy as np
@@ -12,25 +12,12 @@ from repro.core.dataset import PointSet
 from repro.core.extended_skyline import extended_skyline
 from repro.core.merging import merge_sorted_skylines
 from repro.core.store import SortedByF
-from repro.p2p.wire import ResultMessage, decode
 
 
 @pytest.fixture(scope="module")
 def cloud():
     rng = np.random.default_rng(2)
     return rng.random((5000, 4))
-
-
-class TestWireMicro:
-    def test_encode_decode_roundtrip(self, benchmark, cloud):
-        store = SortedByF.from_points(PointSet(cloud[:200]))
-        msg = ResultMessage.from_store(1, 0, store, (0, 1, 2))
-
-        def roundtrip():
-            return decode(msg.encode())
-
-        back = benchmark(roundtrip)
-        assert len(back) == 200
 
 
 class TestCoreMicro:

@@ -80,8 +80,12 @@ clauses are unchanged), and Figure 4(b)'s growth check passes.
 the paper's lists also carry each point's f(p).  Algorithm 2 merges on
 the minimum over the queried coordinates instead, which the receiver
 recomputes (docs/ALGORITHMS.md has the proof; result sets are
-identical), so every *volume* and the transfer share of every *total
-time* below is that of the 8-bytes-per-point-per-hop leaner record.
+identical).  A result message also sends its ids as one column, each id
+in the fewest whole bytes that hold the message's largest id (at most 3
+bytes at these scales) rather than in a fixed 8.  So every *volume*,
+Figure 3(a)'s *upload KB* and the transfer share of every *total time*
+below is that of the leaner record: 8 bytes fewer per point per hop for
+f(p), and 8 - w fewer for an id of width w.
 (6) A SKYPEER query carries, beside the paper's threshold t, the point p
 with the smallest coordinate sum on U of its sender's answer so far, and
 every receiving super-peer drops from its scan result what p dominates:
@@ -95,6 +99,16 @@ of Algorithm 1/2 in strict mode (docs/ALGORITHMS.md, "Pre-processing:
 one pivot-partitioned filter").  The sets, and the order of the stores,
 are byte-identical; only Figure 3(a)'s *compute s* column, which times
 that work, moves.
+(8) Section 5.2.1 tests dominance with window queries over a main-memory
+R-tree.  Algorithms 1 and 2 here test it with a vectorized block
+comparison instead: a batch of f-ascending points against a numpy block
+of the candidates found so far (`repro.core.indexes.BlockDominanceIndex`
+under `repro.core.local_skyline._chunked_scan`).  The answers and the
+refined thresholds are those of the paper's per-point loop, so every
+*computational time* below is that of the faster test.  The matrix that
+chose it (Algorithm 1 with the block test 9–353× faster than a per-point
+list scan and 13–109× faster than the R-tree) is in docs/PERFORMANCE.md,
+"One dominance index".
 
 ---
 """

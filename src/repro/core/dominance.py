@@ -27,7 +27,6 @@ __all__ = [
     "batch_dominated_any",
     "dominates",
     "ext_dominates",
-    "dominators_mask",
     "dominated_mask",
     "skyline_mask",
     "extended_skyline_mask",
@@ -127,21 +126,11 @@ def ext_dominates(p: np.ndarray, q: np.ndarray, subspace: Sequence[int] | None =
     return bool(np.all(pu < qu))
 
 
-def dominators_mask(candidates: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Mask of ``candidates`` rows that dominate point ``q``.
-
-    ``candidates`` must already be projected to the query subspace
-    (shape ``(m, k)``), and ``q`` likewise (shape ``(k,)``).
-    """
-    candidates = _as_f64(candidates)
-    q = _as_f64(q)
-    return np.all(candidates <= q, axis=1) & np.any(candidates < q, axis=1)
-
-
 def dominated_mask(candidates: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Mask of ``candidates`` rows that are dominated by ``p``.
 
-    Mirror image of :func:`dominators_mask`; inputs are pre-projected.
+    ``candidates`` must already be projected to the query subspace
+    (shape ``(m, k)``), and ``p`` likewise (shape ``(k,)``).
     """
     candidates = _as_f64(candidates)
     p = _as_f64(p)

@@ -26,7 +26,7 @@ from ..core.store import SortedByF
 from ..data.generators import make_generator
 from ..data.partition import partition_evenly
 from ..obs.runtime import active_metrics, active_tracer
-from .cost import DEFAULT_COST_MODEL, CostModel
+from .cost import DEFAULT_COST_MODEL, CostModel, id_width
 from .node import Peer, SuperPeer
 from .topology import Topology
 
@@ -142,7 +142,9 @@ class SuperPeerNetwork:
         upload_bytes = 0
         for lst in superpeer.peer_skylines.values():
             uploaded += len(lst)
-            upload_bytes += self.cost_model.result_bytes(len(lst), self.dimensionality)
+            upload_bytes += self.cost_model.result_bytes(
+                len(lst), self.dimensionality, id_width(lst.points.ids)
+            )
         return peer_points, uploaded, superpeer.store_size, upload_bytes
 
     def refresh_selectivity(
@@ -337,7 +339,8 @@ class SuperPeerNetwork:
                 total_points += n_points
                 uploaded += len(computation.result)
                 peer_bytes = self.cost_model.result_bytes(
-                    len(computation.result), self.dimensionality
+                    len(computation.result), self.dimensionality,
+                    id_width(computation.result.points.ids),
                 )
                 upload_bytes += peer_bytes
                 compute_seconds += computation.duration

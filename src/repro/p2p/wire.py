@@ -3,8 +3,9 @@
 The cost model (``repro.p2p.cost``) *estimates* message sizes; this
 module actually serializes them, so the estimates are anchored to a
 concrete byte layout and a real deployment could speak the protocol.
-Encoding is explicit little-endian ``struct`` packing — no pickling —
-with a fixed header:
+Encoding is explicit little-endian packing — ``struct`` for the fixed
+fields, whole numpy columns for a result's records, no pickling — with a
+fixed header:
 
     magic (2B) | version (1B) | kind (1B) | query id (8B) | payload length (4B)
 
@@ -14,8 +15,12 @@ Payloads:
   initiator (8B), point count (1B, 0 or 1), then the k dimensions (2B
   each) and, per point, its k coordinates on the subspace (8B doubles):
   the bound ``(t, p)`` of ``q(U, t, p)``.
-* ``ResultMessage`` — point count (4B), query dimensionality (2B), then
-  per point: id (8B), k coordinates (8B doubles).
+* ``ResultMessage`` — sender (8B), point count n (4B), query
+  dimensionality k (2B), id width w (1B), then two columns: the n ids,
+  each little-endian in ``w`` bytes, and the n x k coordinates (8B
+  doubles, row-major).  ``w`` is :func:`repro.p2p.cost.id_width` of the
+  ids — the fewest whole bytes that hold the largest one, 8 if any is
+  negative — so the ids cost what the cost model charges for them.
   Its kind byte also says where the message stands on its link: a plain
   result, a *final* one (the last message the sender's subtree puts on
   this link), or a *decline* (no result will ever come over this link —
@@ -26,8 +31,9 @@ Payloads:
 needs nothing else to run Algorithm 2, whose ordering key
 ``g_U(p) = min_{i in U} p[i]`` it recomputes from them — which is exactly
 the per-point size the cost model charges.  Version 1 also shipped the
-full-space ``f(p)`` per point, and version 2's query carried the scalar
-``t`` alone; neither is decoded.
+full-space ``f(p)`` per point, version 2's query carried the scalar
+``t`` alone, and version 3's record was a fixed 8-byte id plus the
+coordinates, point by point; none of them is decoded.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 
 from ..core.dataset import PointSet
 from ..core.store import SortedByF
-from .cost import CostModel
+from .cost import CostModel, id_width
 
 __all__ = [
     "HEADER_SIZE",
@@ -53,7 +59,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SP"
-_VERSION = 3
+_VERSION = 4
 _HEADER = struct.Struct("<2sBBqI")
 _KIND_QUERY = 1
 _KIND_RESULT = 2
@@ -118,85 +124,110 @@ class QueryMessage:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultMessage:
     """A local (or progressively merged) result list.
 
     Only the queried coordinates travel; the full-space points stay at
-    their super-peers.  ``ids`` and ``coords`` are parallel;
-    ``sender`` is the super-peer whose list this is (a relay passes it
-    on unchanged).  ``final`` and ``decline`` ride in the kind byte.
+    their super-peers.  ``ids`` (``int64``, length n) and ``coords``
+    (``float64``, n x k) are parallel numpy arrays — any array-like is
+    taken at construction; ``sender`` is the super-peer whose list this
+    is (a relay passes it on unchanged).  ``final`` and ``decline`` ride
+    in the kind byte.  Equality compares by value.
     """
 
     query_id: int
     sender: int
-    ids: tuple[int, ...]
-    coords: tuple[tuple[float, ...], ...]
+    ids: np.ndarray
+    coords: np.ndarray
     final: bool = False
     decline: bool = False
 
-    _BODY_HEAD = struct.Struct("<qIH")
+    _BODY_HEAD = struct.Struct("<qIHB")
+
+    def __post_init__(self) -> None:
+        ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
+        try:
+            coords = np.asarray(self.coords, dtype=np.float64)
+        except ValueError:
+            raise WireError("ragged coordinate rows") from None
+        if coords.ndim != 2:
+            if coords.size:
+                raise WireError("ragged coordinate rows")
+            coords = coords.reshape(0, 0)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def from_store(
         cls, query_id: int, sender: int, result: SortedByF, subspace: Sequence[int],
         final: bool = False,
     ) -> "ResultMessage":
-        cols = list(subspace)
-        proj = result.points.values[:, cols] if len(result) else np.empty((0, len(cols)))
         return cls(
             query_id=query_id,
             sender=sender,
-            ids=tuple(int(i) for i in result.points.ids),
-            coords=tuple(tuple(float(x) for x in row) for row in proj),
+            ids=result.points.ids,
+            coords=result.points.values[:, list(subspace)],
             final=final,
         )
 
     @property
     def k(self) -> int:
-        return len(self.coords[0]) if self.coords else 0
+        return self.coords.shape[1]
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultMessage):
+            return NotImplemented
+        head = (self.query_id, self.sender, self.final, self.decline)
+        other_head = (other.query_id, other.sender, other.final, other.decline)
+        return (
+            head == other_head
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.coords, other.coords)
+        )
+
     def encode(self) -> bytes:
-        n = len(self.ids)
+        n, k = len(self.ids), self.k
         if len(self.coords) != n:
             raise WireError("ids and coords must be parallel")
         if self.decline and n:
             raise WireError("a decline carries no points")
-        k = self.k
         kind = _KIND_DECLINE if self.decline else _KIND_FINAL if self.final else _KIND_RESULT
-        body = self._BODY_HEAD.pack(self.sender, n, k)
-        for point_id, row in zip(self.ids, self.coords):
-            if len(row) != k:
-                raise WireError("ragged coordinate rows")
-            body += struct.pack(f"<q{k}d", point_id, *row)
+        width = id_width(self.ids)
+        # Each id's low ``width`` bytes, little-endian.
+        id_column = self.ids.astype("<i8", copy=False).view(np.uint8).reshape(n, 8)[:, :width]
+        body = (
+            self._BODY_HEAD.pack(self.sender, n, k, width)
+            + id_column.tobytes()
+            + self.coords.astype("<f8", copy=False).tobytes()
+        )
         return _HEADER.pack(_MAGIC, _VERSION, kind, self.query_id, len(body)) + body
 
     @classmethod
     def _decode_body(cls, query_id: int, body: bytes, kind: int) -> "ResultMessage":
-        if len(body) < cls._BODY_HEAD.size:
+        head = cls._BODY_HEAD.size
+        if len(body) < head:
             raise WireError("result body truncated")
-        sender, n, k = cls._BODY_HEAD.unpack_from(body, 0)
+        sender, n, k, width = cls._BODY_HEAD.unpack_from(body, 0)
         if kind == _KIND_DECLINE and n:
             raise WireError("a decline carries no points")
-        record = struct.Struct(f"<q{k}d")
-        expected = cls._BODY_HEAD.size + n * record.size
+        if not 1 <= width <= 8:
+            raise WireError(f"id width {width} is not 1..8 bytes")
+        expected = head + n * (width + 8 * k)
         if len(body) != expected:
             raise WireError(f"result body has {len(body)} bytes, expected {expected}")
-        ids, coords = [], []
-        offset = cls._BODY_HEAD.size
-        for _ in range(n):
-            fields = record.unpack_from(body, offset)
-            ids.append(int(fields[0]))
-            coords.append(tuple(float(x) for x in fields[1:]))
-            offset += record.size
+        # Zero-extend each id to 8 bytes; width 8 carries negatives as they are.
+        padded = np.zeros((n, 8), dtype=np.uint8)
+        padded[:, :width] = np.frombuffer(body, np.uint8, n * width, head).reshape(n, width)
+        coords = np.frombuffer(body, "<f8", n * k, head + n * width).reshape(n, k)
         return cls(
             query_id=query_id,
             sender=sender,
-            ids=tuple(ids),
-            coords=tuple(coords),
+            ids=padded.view("<i8").reshape(n),
+            coords=coords,
             final=kind != _KIND_RESULT,
             decline=kind == _KIND_DECLINE,
         )
@@ -209,10 +240,9 @@ class ResultMessage:
         ``g_U`` — the minimum over the queried coordinates, which is the
         key Algorithm 2 merges on — whatever order the sender had them in.
         """
-        if not self.ids:
+        if not len(self.ids):
             return SortedByF.empty(self.k or 1)
-        values = np.asarray(self.coords, dtype=np.float64)
-        return SortedByF.from_points(PointSet(values, np.asarray(self.ids, dtype=np.int64)))
+        return SortedByF.from_points(PointSet(self.coords, self.ids))
 
 
 def decode_header(blob: bytes) -> tuple[int, int, int]:
@@ -281,5 +311,5 @@ def cost_estimate(blob: bytes, model: CostModel) -> int:
         return model.query_bytes(k, points)
     if len(body) < ResultMessage._BODY_HEAD.size:
         raise WireError("result body truncated")
-    _, n, k = ResultMessage._BODY_HEAD.unpack_from(body, 0)
-    return model.result_bytes(n, k)
+    _, n, k, width = ResultMessage._BODY_HEAD.unpack_from(body, 0)
+    return model.result_bytes(n, k, width)

@@ -31,6 +31,7 @@ from ..core.merging import merge_sorted_skylines
 from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
 from ..data.workload import Query
+from ..p2p.cost import id_width
 from ..p2p.network import SuperPeerNetwork
 from .executor import QueryExecution, run_on_model_clocks
 from .variants import Variant
@@ -70,7 +71,7 @@ def execute_constrained_query(
     beyond = [dim for dim, _low, _high in box.bounds if dim >= d]
     if beyond:
         raise ValueError(f"constraint on dimension(s) {beyond} of {d}-dimensional data")
-    uploads: list[int] = []  # the size of every non-empty peer upload
+    uploads: list[SortedByF] = []  # every non-empty peer upload
 
     def store_scan(sp: int, sub: Subspace, t: float) -> SkylineComputation:
         store = network.store_of(sp)
@@ -89,7 +90,7 @@ def execute_constrained_query(
                     SortedByF.from_points(inside), sub, initial_threshold=t
                 ))
         lists = [run.result for run in runs if len(run.result)]
-        uploads.extend(len(lst) for lst in lists)
+        uploads.extend(lists)
         runs.append(merge_sorted_skylines(lists or [SortedByF.empty(d)], sub, initial_threshold=t))
         # One computation: the merge's answer and threshold, everybody's work.
         return replace(runs[-1], **{
@@ -103,11 +104,14 @@ def execute_constrained_query(
         local_compute=full_data_scan if full_data else store_scan,
     )
     extra_bytes = 16 * len(box.bounds) * run.query_messages + sum(
-        network.cost_model.result_bytes(n, len(subspace)) for n in uploads
+        network.cost_model.result_bytes(len(lst), len(subspace), id_width(lst.points.ids))
+        for lst in uploads
     )
     fields = vars(run.execution) | {
         "query": query,
         "volume_bytes": run.execution.volume_bytes + extra_bytes,
         "message_count": run.execution.message_count + len(uploads),
     }
-    return ConstrainedExecution(**fields, used_full_data=full_data, peer_uploads=sum(uploads))
+    return ConstrainedExecution(
+        **fields, used_full_data=full_data, peer_uploads=sum(map(len, uploads))
+    )

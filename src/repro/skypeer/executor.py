@@ -42,6 +42,7 @@ from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
 from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
+from ..p2p.cost import id_width
 from ..p2p.engine import EventLoop, LinkLayer
 from ..p2p.network import SuperPeerNetwork
 from .protocol import ProtocolNode, QueryBound, make_kernels
@@ -88,7 +89,8 @@ class QueryExecution:
     initial_threshold: float
     local_result_points: int
     #: Points summed over every RESULT message: what ``volume_bytes``
-    #: charges ``point_bytes(k)`` for, hop by hop.
+    #: charges ``point_bytes(k, w)`` for, hop by hop, ``w`` the id
+    #: width of the message that carried the point.
     point_hops: int
     critical_path_examined: float = 0.0
     traces: dict[int, SkylineComputation] = field(default_factory=dict)
@@ -196,16 +198,18 @@ class _ModelClocks:
         self, src: int, dst: int, origin: int, result: SortedByF, final: bool, at: Clock
     ) -> None:
         self.point_hops += len(result)
+        nbytes = self._cost.result_bytes(
+            len(result), len(self._subspace), id_width(result.points.ids)
+        )
         self._transmit(
-            "result", src, dst,
-            self._cost.result_bytes(len(result), len(self._subspace)), at,
+            "result", src, dst, nbytes, at,
             lambda arrived: self.nodes[dst].on_result(src, origin, result, final, arrived),
             points=len(result),
         )
 
     def decline(self, src: int, dst: int, at: Clock) -> None:
         self._transmit(
-            "result", src, dst, self._cost.result_bytes(0, len(self._subspace)), at,
+            "result", src, dst, self._cost.result_bytes(0, len(self._subspace), 1), at,
             lambda arrived: self.nodes[dst].on_decline(src, arrived), points=0,
         )
 

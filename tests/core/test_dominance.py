@@ -6,7 +6,6 @@ from repro.core.dataset import PointSet
 from repro.core.dominance import (
     dominated_mask,
     dominates,
-    dominators_mask,
     ext_dominates,
     extended_skyline_mask,
     skyline_mask,
@@ -59,23 +58,18 @@ class TestExtDominates:
 
 
 class TestMasks:
-    def test_dominators_mask(self):
-        cands = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
-        mask = dominators_mask(cands, np.array([2.0, 2.0]))
-        assert mask.tolist() == [True, False, False]
-
     def test_dominated_mask(self):
         cands = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
         mask = dominated_mask(cands, np.array([1.0, 1.0]))
         assert mask.tolist() == [False, True, False]
 
     def test_strict_masks(self):
-        # The masks test dominance only; ext-domination is the scalar
+        # The mask tests dominance only; ext-domination is the scalar
         # predicate (and the Section 5.3 filter).
-        cands = np.array([[1.0, 2.0], [0.5, 1.0]])
-        q = np.array([1.0, 3.0])
-        assert dominators_mask(cands, q).tolist() == [True, True]
-        assert [ext_dominates(c, q) for c in cands] == [False, True]
+        p = np.array([1.0, 2.0])
+        targets = np.array([[1.0, 3.0], [2.0, 3.0]])
+        assert dominated_mask(targets, p).tolist() == [True, True]
+        assert [ext_dominates(p, t) for t in targets] == [False, True]
 
 
 class TestSkylineMask:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
-from repro.p2p.cost import DEFAULT_COST_MODEL
+from repro.p2p.cost import DEFAULT_COST_MODEL, id_width
 from repro.p2p.wire import (
     HEADER_SIZE,
     QueryMessage,
@@ -96,18 +96,45 @@ class TestResultMessage:
             assert len(back.to_store()) == 0
 
     def test_per_point_size_matches_cost_model_shape(self, rng):
-        """Growth per point is id + k coordinates (all 8 bytes)."""
+        """Growth per point is the message's id width + k coordinates
+        (8 bytes each); ids 100 and 101 fit in one byte."""
         s1 = self._store(rng, n=1)
         s2 = self._store(rng, n=2)
         b1 = len(ResultMessage.from_store(1, 0, s1, (0, 1, 2)).encode())
         b2 = len(ResultMessage.from_store(1, 0, s2, (0, 1, 2)).encode())
-        assert b2 - b1 == 8 + 3 * 8 == DEFAULT_COST_MODEL.point_bytes(3)
+        assert b2 - b1 == 1 + 3 * 8 == DEFAULT_COST_MODEL.point_bytes(3, 1)
+
+    @pytest.mark.parametrize(
+        "largest,width", [(255, 1), (256, 2), (2**24, 4), (2**63 - 1, 8), (-1, 8)]
+    )
+    def test_the_id_column_is_as_wide_as_the_largest_id(self, largest, width):
+        """The body is the head, then ``n * w`` id bytes, then the
+        ``n x k`` coordinate block; every id decodes to its own value."""
+        ids = (0, 7, largest)
+        coords = ((0.5, 0.25), (0.125, 1.0), (2.0, 0.0))
+        blob = ResultMessage(1, 3, ids, coords).encode()
+        head = HEADER_SIZE + 15
+        assert blob[head - 1] == width
+        assert len(blob) == head + 3 * width + 3 * 2 * 8
+        column = blob[head : head + 3 * width]
+        assert column[:width] == bytes(width)  # id 0
+        assert column[width : 2 * width] == (7).to_bytes(width, "little")
+        assert blob[head + 3 * width :] == np.array(coords).astype("<f8").tobytes()
+        back = decode(blob)
+        assert back.ids.dtype == np.int64 and back.ids.tolist() == list(ids)
+        assert back.coords.tolist() == [list(row) for row in coords]
+
+    def test_equality_compares_by_value(self):
+        a = ResultMessage(1, 2, (5, 6), ((0.5,), (0.25,)))
+        assert a == ResultMessage(1, 2, np.array([5, 6]), np.array([[0.5], [0.25]]))
+        assert a != ResultMessage(1, 2, (5, 7), ((0.5,), (0.25,)))
+        assert a != ResultMessage(1, 2, (5, 6), ((0.5,), (0.5,)))
+        assert a != ResultMessage(1, 2, (5, 6), ((0.5,), (0.25,)), final=True)
+        assert a != ResultMessage(1, 2, (5, 6), ((0.5, 0.5), (0.25, 0.25)))
 
     def test_ragged_coords_rejected(self):
-        msg = ResultMessage(query_id=1, sender=0, ids=(1, 2),
-                            coords=((1.0, 2.0), (1.0,)))
         with pytest.raises(WireError, match="ragged"):
-            msg.encode()
+            ResultMessage(query_id=1, sender=0, ids=(1, 2), coords=((1.0, 2.0), (1.0,)))
 
     def test_parallel_arrays_enforced(self):
         msg = ResultMessage(query_id=1, sender=0, ids=(1,), coords=())
@@ -131,7 +158,7 @@ class TestResultMessage:
         assert back == decline and back.decline and back.final
         assert len(decline.encode()) == len(empty.encode())
         assert cost_estimate(decline.encode(), DEFAULT_COST_MODEL) == (
-            DEFAULT_COST_MODEL.result_bytes(0, 0)
+            DEFAULT_COST_MODEL.result_bytes(0, 0, 1)
         )
 
     def test_decline_with_points_rejected(self, rng):
@@ -174,7 +201,7 @@ class TestFraming:
             ResultMessage.from_store(1, 0, store, (0, 2)),
         ):
             blob = bytearray(message.encode())
-            assert blob[2] == 3
+            assert blob[2] == 4
             blob[2] = 1
             with pytest.raises(WireError, match=r"^unsupported version 1$"):
                 decode(bytes(blob))
@@ -196,6 +223,37 @@ class TestFraming:
                 decode(bytes(blob))
             with pytest.raises(WireError, match=r"^unsupported version 2$"):
                 cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
+
+    def test_version_3_is_not_decoded(self, rng):
+        """The record with a fixed 8-byte id per point, interleaved with
+        its coordinates: refused by the version byte, with no selector
+        and no version-3 decoder."""
+        store = SortedByF.from_points(PointSet(rng.random((3, 4)), np.arange(3)))
+        for message in (
+            QueryMessage(1, (0, 2), 1.0, 0, point=(0.5, 0.25)),
+            ResultMessage.from_store(1, 0, store, (0, 2)),
+        ):
+            blob = bytearray(message.encode())
+            blob[2] = 3
+            with pytest.raises(WireError, match=r"^unsupported version 3$"):
+                decode(bytes(blob))
+            with pytest.raises(WireError, match=r"^unsupported version 3$"):
+                cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
+
+    @pytest.mark.parametrize("width", [0, 9, 255])
+    def test_id_width_outside_one_to_eight_rejected(self, width):
+        """The width byte is checked before any column is read, whatever
+        the length fields say."""
+        blob = bytearray(ResultMessage(1, 0, (1, 2), ((0.5,), (0.25,))).encode())
+        blob[HEADER_SIZE + 14] = width
+        with pytest.raises(WireError, match=f"id width {width}"):
+            decode(bytes(blob))
+        # The same, with a body as long as that width would need.
+        body = blob[HEADER_SIZE : HEADER_SIZE + 15] + bytes(2 * width + 2 * 8)
+        head = bytearray(blob[:HEADER_SIZE])
+        struct.pack_into("<I", head, 12, len(body))
+        with pytest.raises(WireError, match=f"id width {width}"):
+            decode(bytes(head + body))
 
     def test_unknown_kind(self):
         blob = bytearray(QueryMessage(1, (0,), 1.0, 0).encode())
@@ -241,7 +299,10 @@ class TestShortReads:
             "query_body_head": HEADER_SIZE + 19,  # k + threshold + initiator + count
             "query_dims": HEADER_SIZE + 19 + 3 * 2,
             "query_point": HEADER_SIZE + 19 + 3 * 2 + 3 * 8,
-            "result_body_head": HEADER_SIZE + 14,  # sender + n + k
+            "result_count": HEADER_SIZE + 14,  # sender + n + k
+            "result_body_head": HEADER_SIZE + 15,  # sender + n + k + w
+            "result_ids": HEADER_SIZE + 15 + 3,  # ids 0..2 fit one byte each
+            "result_coords": HEADER_SIZE + 15 + 3 + 3 * 2 * 8 - 1,
         }
         for name, cut in boundaries.items():
             for blob in (query, result):
@@ -259,6 +320,23 @@ class TestShortReads:
             struct.pack_into("<I", short, 12, cut)
             with pytest.raises(WireError):
                 decode(bytes(short))
+
+    def test_result_fields_cut_with_a_consistent_length(self, rng):
+        """A RESULT body cut at each field boundary — the body head, the
+        width byte, inside and at the end of the id column, inside the
+        coordinate block — whose header length was rewritten to match:
+        the body decoder itself refuses it."""
+        blob = self._result_blob(rng)
+        n, k, width = 3, 2, 1
+        assert blob[HEADER_SIZE + 14] == width
+        ids_end = 15 + n * width
+        for cut in (0, 8, 12, 14, 15, 15 + 1, ids_end, ids_end + 8, ids_end + n * k * 8 - 1):
+            short = bytearray(blob[: HEADER_SIZE + cut])
+            struct.pack_into("<I", short, 12, cut)
+            with pytest.raises(WireError):
+                decode(bytes(short))
+            with pytest.raises(WireError):
+                decode(blob[: HEADER_SIZE + cut])
 
     def test_truncation_reported_before_struct_unpack(self):
         """A header promising more payload than arrived names the gap."""
@@ -288,20 +366,26 @@ class TestCostEstimate:
         points = PointSet(rng.random((7, 5)), np.arange(7))
         store = SortedByF.from_points(points)
         blob = ResultMessage.from_store(1, 0, store, (0, 1, 4)).encode()
-        assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(7, 3)
+        assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(7, 3, 1)
+        ids = np.array([70_000, 12, 99_999])
+        store = SortedByF.from_points(PointSet(rng.random((3, 5)), ids))
+        blob = ResultMessage.from_store(1, 0, store, (0, 1, 4)).encode()
+        assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(3, 3, 3)
 
     def test_framing_delta_is_constant(self, rng):
         """``cost_estimate`` is the model's charge for the record, and the
         codec's own bytes differ from it by the same constant for every
         n, k and mark (docs/TRANSPORT.md)."""
         deltas = set()
-        for n, k, final in [(0, 1, False), (1, 1, True), (1, 4, False), (6, 2, True)]:
-            store = SortedByF.from_points(PointSet(rng.random((n, 4)), np.arange(n)))
+        cases = [(0, 1, False, 0), (1, 1, True, 0), (1, 4, False, 2**20), (6, 2, True, 2**40)]
+        for n, k, final, first_id in cases:
+            ids = np.arange(first_id, first_id + n)
+            store = SortedByF.from_points(PointSet(rng.random((n, 4)), ids))
             blob = ResultMessage.from_store(1, 0, store, range(k), final=final).encode()
             estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
-            assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k)
+            assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids))
             deltas.add(estimate - len(blob))
-        assert deltas == {34}
+        assert deltas == {33}
 
     def test_query_framing_delta_is_constant(self):
         """The same for queries, with and without the bound's point:

@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p2p.cost import CostModel
-from repro.p2p.wire import QueryMessage, ResultMessage, WireError, decode
+from repro.p2p.cost import DEFAULT_COST_MODEL, CostModel, id_width
+from repro.p2p.wire import QueryMessage, ResultMessage, WireError, cost_estimate, decode
 
 finite_floats = st.floats(0, 1e9, allow_nan=False)
 
@@ -18,9 +18,15 @@ finite_floats = st.floats(0, 1e9, allow_nan=False)
 # needs one calibration per message kind: a query's non-payload bytes
 # are frame + dimension-count/threshold/initiator/point-count fields
 # minus the threshold the model charges separately (16 + 19 - 8 = 27),
-# a result's are frame + sender/count/dimensionality fields (16 + 14 = 30).
+# a result's are frame + sender/count/dimensionality/id-width fields
+# (16 + 15 = 31).
 QUERY_COST = CostModel(message_header_bytes=27)
-RESULT_COST = CostModel(message_header_bytes=30)
+RESULT_COST = CostModel(message_header_bytes=31)
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+#: Ids on both sides of every width step, the extremes and negatives.
+EDGE_IDS = [0, 255, 256, 2**16 - 1, 2**16, 2**24, 2**32, 2**56, INT64_MAX, -1, INT64_MIN]
+ids_strategy = st.sampled_from(EDGE_IDS) | st.integers(INT64_MIN, INT64_MAX)
 
 
 @given(
@@ -43,34 +49,51 @@ def test_query_roundtrip(query_id, dims, threshold, initiator, pointed, data):
         initiator=initiator,
         point=point,
     )
-    assert decode(msg.encode()) == msg
+    blob = msg.encode()
+    assert decode(blob) == msg
+    # The envelope is one constant for every k, with or without a point.
+    assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 37
 
 
 @given(
     st.integers(0, 2**31 - 1),
     st.integers(-(2**40), 2**40),
-    st.lists(
-        st.tuples(
-            st.integers(0, 2**40),
-            st.lists(finite_floats, min_size=3, max_size=3),
-        ),
-        max_size=25,
-    ),
+    st.integers(1, 8),
+    st.lists(ids_strategy, max_size=25),
+    st.sampled_from(["plain", "final", "decline"]),
+    st.data(),
 )
-@settings(max_examples=100, deadline=None)
-def test_result_roundtrip(query_id, sender, rows):
+@settings(max_examples=300, deadline=None)
+def test_result_roundtrip(query_id, sender, k, ids, mark, data):
+    if mark == "decline":
+        ids = []
+    rows = [data.draw(st.lists(finite_floats, min_size=k, max_size=k)) for _ in ids]
+    coords = np.array(rows).reshape(len(ids), k)
     msg = ResultMessage(
         query_id=query_id,
         sender=sender,
-        ids=tuple(r[0] for r in rows),
-        coords=tuple(tuple(r[1]) for r in rows),
+        ids=ids,
+        coords=coords,
+        final=mark != "plain",
+        decline=mark == "decline",
     )
-    back = decode(msg.encode())
+    blob = msg.encode()
+    back = decode(blob)
     assert back == msg
+    assert back.ids.tolist() == ids and back.k == k
+    assert (back.final, back.decline) == (mark != "plain", mark == "decline")
+    # The column is as wide as the largest id needs; the estimate charges it.
+    width = id_width(ids)
+    assert blob[16 + 14] == width
+    assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
+        len(ids), k, width
+    )
+    # The envelope is one constant for every n, k, width and mark.
+    assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 33
     # The key the receiver merges on is recomputed, ascending, from the record.
     rebuilt = back.to_store()
-    assert sorted(rebuilt.points.ids.tolist()) == sorted(msg.ids)
-    assert rebuilt.f.tolist() == sorted(min(r[1]) for r in rows)
+    assert sorted(rebuilt.points.ids.tolist()) == sorted(ids)
+    assert rebuilt.f.tolist() == sorted(min(row) for row in msg.coords.tolist())
 
 
 @given(st.binary(max_size=200))
@@ -119,24 +142,27 @@ def test_query_size_matches_cost_model(dims, threshold, points):
 @given(
     st.integers(1, 8),
     st.integers(0, 30),
+    st.sampled_from(EDGE_IDS),
 )
 @settings(max_examples=100, deadline=None)
-def test_result_size_matches_cost_model(k, n):
+def test_result_size_matches_cost_model(k, n, largest):
     rng = np.random.default_rng(n * 31 + k)
+    ids = [largest] + list(range(n - 1)) if n else []
     msg = ResultMessage(
         query_id=3,
         sender=1,
-        ids=tuple(range(n)),
-        coords=tuple(tuple(float(v) for v in rng.random(k)) for _ in range(n)),
+        ids=ids,
+        coords=rng.random((n, k)),
     )
-    assert len(msg.encode()) == RESULT_COST.result_bytes(n, k)
+    assert len(msg.encode()) == RESULT_COST.result_bytes(n, k, id_width(ids))
 
 
 def test_empty_result_roundtrips_at_header_cost():
     msg = ResultMessage(query_id=9, sender=4, ids=(), coords=())
     blob = msg.encode()
     assert decode(blob) == msg
-    assert len(blob) == RESULT_COST.result_bytes(0, 5)  # k is irrelevant at n=0
+    # k and the id width are irrelevant at n=0.
+    assert len(blob) == RESULT_COST.result_bytes(0, 5, 8)
 
 
 def test_single_dimension_subspace_roundtrips():

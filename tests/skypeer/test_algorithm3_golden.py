@@ -8,7 +8,7 @@ and ``f`` in order), every deterministic count and, under a fixed-tick
 ``time.perf_counter``, both model times to the last bit.
 
 It was first recorded from the parent commit of the PR that unified
-Algorithm 3 (the plan-based executor), and re-recorded twice since.
+Algorithm 3 (the plan-based executor), and re-recorded three times since.
 Once when ``f`` came off the backbone (a RESULT record is id + the k
 queried coordinates; a merged answer is ordered by, and its ``f`` is,
 the minimum over the queried coordinates): against the tree before,
@@ -19,7 +19,12 @@ every case kept its id set, ``message_count``, ``local_result_points``,
 receiving super-peer drops what ``p`` dominates): every case kept
 ``ids``, ``f``, ``message_count`` and ``initial_threshold``, every naive
 case stayed byte-identical, and ``point_hops`` and
-``local_result_points`` stayed equal or fell.  CHANGES.md has both
+``local_result_points`` stayed equal or fell.  Once when a RESULT
+message's ids became one column in the fewest whole bytes ``w`` that
+hold its largest id: every case kept ``ids``, ``f``, every count,
+``computational_time`` and ``initial_threshold``, ``volume_bytes`` fell
+by exactly the sum of ``n * (8 - w)`` over its result messages, and
+``total_time`` fell with the transfers.  CHANGES.md has all three
 comparisons.
 
 The first file's ``critical_path_examined`` was right for the \\*PM
@@ -45,8 +50,9 @@ import pytest
 
 from repro.core.merging import merge_sorted_skylines
 from repro.data.workload import Query
+from repro.p2p.cost import id_width
 from repro.p2p.network import SuperPeerNetwork
-from repro.skypeer.executor import execute_query, run_on_model_clocks
+from repro.skypeer.executor import _ModelClocks, execute_query, run_on_model_clocks
 from repro.skypeer.variants import Variant
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "algorithm3_golden.json")
@@ -132,15 +138,26 @@ def test_matches_the_parent(networks, golden, monkeypatch, name, subspace, varia
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-def test_volume_is_headers_plus_point_hops(networks, variant):
+def test_volume_is_headers_plus_point_hops(networks, monkeypatch, variant):
     """``volume_bytes`` written out: a query message per query — carrying
     the bound's one point under the four SKYPEER variants and none under
-    naive — an envelope per result and ``id + k coordinates`` per point
-    per hop.  Nothing else travels, so a change to either record shows
-    here and not only in a bench."""
+    naive — an envelope per result and ``w + k coordinates`` per point
+    per hop, ``w`` the fewest whole bytes that hold the largest id of the
+    message (read here through a spy on the carrier).  Nothing else
+    travels, so a change to either record shows here and not only in a
+    bench."""
+    sent: list[tuple[int, int]] = []  # (points, id width) per result message
+    send_result = _ModelClocks.send_result
+
+    def spy(self, src, dst, origin, result, final, at):
+        sent.append((len(result), id_width(result.points.ids)))
+        send_result(self, src, dst, origin, result, final, at)
+
+    monkeypatch.setattr(_ModelClocks, "send_result", spy)
     for name, network in networks.items():
         cost = network.cost_model
         for subspace in _subspaces(network.dimensionality):
+            sent.clear()
             run = run_on_model_clocks(
                 network, Query(subspace=subspace, initiator=_initiator(network)), variant
             )
@@ -148,10 +165,11 @@ def test_volume_is_headers_plus_point_hops(networks, variant):
             n_result = execution.message_count - run.query_messages
             points = 0 if variant is Variant.NAIVE else 1
             assert run.query_messages == network.n_superpeers - 1, name
+            assert sum(n for n, _ in sent) == execution.point_hops
             assert execution.volume_bytes == (
                 run.query_messages * cost.query_bytes(k, points)
                 + n_result * cost.message_header_bytes
-                + execution.point_hops * (cost.id_bytes + k * cost.coordinate_bytes)
+                + sum(n * (width + k * cost.coordinate_bytes) for n, width in sent)
             ), (name, subspace)
 
 

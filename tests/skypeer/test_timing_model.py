@@ -58,8 +58,9 @@ class TestTimingStructure:
         the data that actually crossed the initiator's incoming links."""
         query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
         got = execute_query(network, query, Variant.FTPM)
-        # every byte of the final result crossed at least one 4 KB/s hop
-        final_bytes = network.cost_model.result_bytes(len(got.result), 2)
+        # every byte of the final result crossed at least one 4 KB/s hop,
+        # each id in at least one byte
+        final_bytes = network.cost_model.result_bytes(len(got.result), 2, 1)
         assert got.total_time * 4096 * network.n_superpeers >= final_bytes
 
     def test_initiator_locality_matters(self, network):

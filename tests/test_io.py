@@ -74,8 +74,9 @@ class TestNetworkRoundtrip:
         assert loaded.preprocessing is None
 
     def test_loads_a_file_saved_before_f_left_the_wire(self, tmp_path, network):
-        """Format-1 files written while the RESULT record carried ``f`` name
-        that field's size in their cost model; it is dropped, not fatal."""
+        """Format-1 files written while the RESULT record carried ``f``, or
+        a fixed-size id, name that field's size in their cost model; it is
+        dropped, not fatal."""
         import json
 
         path = tmp_path / "net.npz"
@@ -84,16 +85,18 @@ class TestNetworkRoundtrip:
         meta = json.loads(bytes(data["meta"].tobytes()).decode())
         assert set(meta["cost_model"]) == {
             "bandwidth_bytes_per_sec", "message_header_bytes", "coordinate_bytes",
-            "id_bytes", "threshold_bytes", "dimension_tag_bytes",
+            "threshold_bytes", "dimension_tag_bytes",
         }
-        # What save_network wrote until then: the six sizes above plus the
-        # retired one (spelt in two halves so a grep for it finds only uses).
+        # What save_network wrote until then: the five sizes above plus the
+        # two retired ones (spelt in two halves so a grep for them finds
+        # only uses).
         meta["cost_model"]["f_value_" "bytes"] = 8
+        meta["cost_model"]["id_" "bytes"] = 8
         data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez_compressed(path, **data)
         loaded = load_network(path)
         assert loaded.cost_model == network.cost_model
-        assert loaded.cost_model.point_bytes(3) == 8 + 3 * 8
+        assert loaded.cost_model.point_bytes(3, 2) == 2 + 3 * 8
         assert loaded.all_points() == network.all_points()
 
     def test_loads_a_file_that_names_a_dominance_index(self, tmp_path, network):
