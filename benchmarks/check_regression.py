@@ -15,13 +15,17 @@ reported informationally only.
 
 Exit status 1 when any tracked metric of any variant worsens by more
 than ``--max-ratio`` (default 2.0) against any baseline, or when the
-current run's parallel execution diverged from serial.
+current run's parallel execution diverged from serial.  A report that
+lacks something its baseline has also fails: a variant, a tracked
+metric, the ``parallel_matches_serial`` verdict, or one of the gated
+sections (``GATED_SECTIONS``).  So a section below may be absent only
+when the baseline lacks it too (a ``bench --serve`` or ``--churn``
+report compared with itself).
 
 Schema-3 reports carry a correctness verdict that is gated the same
 way (timings inside the section stay informational): the scan-cache
 ``identical`` flag (cache hits must replay the exact deterministic
-statistics of the scans that stored them).  The section is optional
-so older reports still pass.
+statistics of the scans that stored them).
 
 Schema-4 reports add a ``serving`` section (``bench --smoke`` embeds
 it; ``bench --serve`` emits it standalone).  Its gated verdicts are
@@ -30,18 +34,6 @@ re-execution) and ``coalesce_hits > 0`` (the skewed open-loop workload
 must exercise coalescing); p50/p99 latency and the shed rate are
 printed informationally — they move with CI hardware, correctness does
 not.
-
-Schema-5 reports add a ``kernels`` section (the whole-store scans
-``sorted``/``salsa``).  Its gated verdict is
-``identical`` (every substrate returns results byte-identical to the
-sorted scan); comparison counts per point are printed informationally.
-
-Schema-6 reports add ``kernels.salsa`` with two more gated verdicts —
-``identical`` (the SaLSa scan byte-identical to the sorted scan on
-every pivot-subspace cell) and ``terminates_early``
-(every correlated cell skips at least 20% of its points *and* spends
-strictly fewer comparisons than the sorted scan; both sides are
-deterministic counters, so the gate is machine-stable).
 
 Schema-7 reports add ``incremental`` (``bench --smoke`` embeds it;
 ``bench --churn`` emits it standalone): the churn gauntlet's grid of
@@ -93,17 +85,37 @@ INFORMATIONAL = (
 )
 
 
+#: Sections whose verdicts :func:`check_current_verdicts` gates.
+GATED_SECTIONS = ("cache", "serving", "incremental", "update_latency")
+
+
 def compare(current: dict, baseline: dict, name: str, max_ratio: float) -> list[str]:
-    """Return a list of human-readable regression descriptions."""
-    problems: list[str] = []
-    baseline_variants = baseline.get("variants", {})
-    for variant, stats in sorted(current.get("variants", {}).items()):
-        base = baseline_variants.get(variant)
-        if base is None:
+    """Return a list of human-readable regression descriptions.
+
+    Walks the *baseline*, so a report that drops a variant, a tracked
+    metric, the parallel verdict or a gated section fails instead of
+    passing every gate it no longer carries.
+    """
+    def missing(key: str) -> str:
+        return f"{key}: in {name} but missing from the current report"
+
+    problems: list[str] = [
+        missing(key)
+        for key in ("parallel_matches_serial", *GATED_SECTIONS)
+        if key in baseline and key not in current
+    ]
+    current_variants = current.get("variants", {})
+    for variant, base in sorted(baseline.get("variants", {}).items()):
+        stats = current_variants.get(variant)
+        if stats is None:
+            problems.append(missing(f"variants.{variant}"))
             continue
         for metric in TRACKED:
             now, then = stats.get(metric), base.get(metric)
-            if now is None or then is None:
+            if then is None:
+                continue
+            if now is None:
+                problems.append(missing(f"{variant}.{metric}"))
                 continue
             if then <= 0:
                 continue
@@ -178,62 +190,6 @@ def check_current_verdicts(current: dict) -> list[str]:
             f"{load.get('ok', 0)} ok, shed rate {load.get('shed_rate', 0):.3f}, "
             f"coalesce hit rate {serving.get('coalesce_hit_rate', 0):.3f}"
         )
-    kernels = current.get("kernels")
-    if kernels is not None:
-        if not kernels.get("identical", True):
-            broken = [
-                f"{cell.get('distribution')}/d={cell.get('d')}"
-                for cell in kernels.get("crossover", [])
-                if not cell.get("identical", True)
-            ]
-            problems.append(
-                f"scan kernels diverged from the serial sorted scan: {broken}"
-            )
-        salsa = kernels.get("salsa")
-        if salsa is not None:
-            if not salsa.get("identical", True):
-                broken = [
-                    f"{cell.get('distribution')}/d={cell.get('d')}"
-                    for cell in salsa.get("cells", [])
-                    if not cell.get("identical", True)
-                ]
-                problems.append(
-                    f"salsa substrate diverged from the sorted scan: {broken}"
-                )
-            if not salsa.get("terminates_early", True):
-                lazy = [
-                    f"{cell.get('distribution')}/d={cell.get('d')} "
-                    f"(skip {cell.get('skipped_fraction', 0):.2f}, "
-                    f"cmp/pt {cell.get('comparisons_per_point', {}).get('salsa', 0):.1f}"
-                    f" vs sorted "
-                    f"{cell.get('comparisons_per_point', {}).get('sorted', 0):.1f})"
-                    for cell in salsa.get("cells", [])
-                    if cell.get("distribution") == "correlated"
-                    and not cell.get("terminates_early", True)
-                ]
-                problems.append(
-                    "salsa failed to terminate early on correlated cells: "
-                    f"{lazy}"
-                )
-            for cell in salsa.get("cells", []):
-                cpp = cell.get("comparisons_per_point", {})
-                print(
-                    f"  [info] kernels.salsa {cell.get('distribution')} "
-                    f"d={cell.get('d')}: skip "
-                    f"{cell.get('skipped_fraction', 0):.2f}, cmp/pt "
-                    f"sorted {cpp.get('sorted', 0):.1f} / salsa "
-                    f"{cpp.get('salsa', 0):.1f}"
-                )
-        for cell in kernels.get("crossover", []):
-            cpp = cell.get("comparisons_per_point", {})
-            base = cpp.get("sorted")
-            best = min(cpp.items(), key=lambda kv: kv[1]) if cpp else None
-            if base and best:
-                print(
-                    f"  [info] kernels.crossover {cell.get('distribution')} "
-                    f"d={cell.get('d')}: sorted {base:.1f} cmp/pt, best "
-                    f"{best[0]} {best[1]:.1f} cmp/pt"
-                )
     incremental = current.get("incremental")
     if incremental is not None:
         if not incremental.get("identical", True):
@@ -364,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: no baseline could be read", file=sys.stderr)
         return 2
     if failures:
-        print(f"\n{len(failures)} tracked metric(s) regressed:", file=sys.stderr)
+        print(f"\n{len(failures)} check(s) failed:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1

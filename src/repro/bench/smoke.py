@@ -41,28 +41,8 @@ workload must actually exercise coalescing).  ``skypeer bench
 :func:`bench_serving`.  Latency percentiles are hardware-dependent and
 informational, like every wall-clock here.
 
-Schema 5 adds ``"kernels"``: the scan matrix.  The *crossover* runs
-the paper's sorted scan and the whole-store alternative of
-:mod:`repro.core.substrates` (``salsa``) over small stores
-across dimensionalities and distributions, reporting deterministic
-comparisons-per-point so the crossover is diffable across revisions,
-and one verdict ``check_regression.py`` gates: ``identical`` (every
-scan's result byte-identical to the sorted scan).
-
-Schema 6 adds two things.  ``"kernels.salsa"``: the sort-based-
-filtering section — the crossover datasets re-queried on the
-low-dimensional pivot subspace ``(0, 1)`` (the regime SaLSa targets:
-``f`` is a full-space statistic, so on a *proper* subspace the sorted
-scan's prefix pruning weakens while SaLSa's stop-point, computed from
-the subspace coordinates themselves, does not), with the
-early-termination fraction, comparisons-per-point against ``sorted``
-and two gated verdicts: ``identical`` (SaLSa byte-identical to
-``sorted`` on every cell) and ``terminates_early``
-(every correlated cell skips ≥ 20 % of its points and spends strictly
-fewer comparisons than the sorted scan — comparison counters are
-deterministic, so this gate is machine-stable).  And
-``"degraded_parallelism"``: true when ``cpu_count < 2``, so readers
-can tell a single-core host's wall-clock ratios apart.
+Schema 6 adds ``"degraded_parallelism"``: true when ``cpu_count < 2``,
+so readers can tell a single-core host's wall-clock ratios apart.
 
 Schema 7 adds ``"incremental"``: the churn gauntlet.  Each cell of an
 update-rate × churn-rate grid replays a deterministic write schedule
@@ -116,6 +96,9 @@ Schema 12 drops ``cache.publishes`` and ``cache.invalid``, and the
 engines' publish, oversize and invalid counters: the scan cache is a
 worker-private LRU (:class:`repro.parallel.engine.ScanMemo`) that keeps
 every scan it runs and has no entry a reader could find torn.
+
+Schema 13 removes ``"kernels"``, the scan matrix of schemas 5 and 6:
+Algorithm 1 has one execution, so there is no other scan to compare.
 """
 
 from __future__ import annotations
@@ -133,7 +116,7 @@ from .harness import VariantStats, build_network, make_queries, run_queries
 
 __all__ = ["SMOKE_SCHEMA", "bench_churn", "bench_serving", "bench_smoke", "write_bench_smoke"]
 
-SMOKE_SCHEMA = "repro-bench-smoke/12"
+SMOKE_SCHEMA = "repro-bench-smoke/13"
 
 #: VariantStats fields that do not depend on wall-clock measurement —
 #: these must match exactly between serial and parallel runs.
@@ -327,160 +310,6 @@ def _bench_serving(
             load.result_bytes
         ),
         "mismatched_subspaces": mismatched,
-    }
-
-
-def _computations_identical(reference: Any, other: Any) -> bool:
-    """Byte-identity of two scans: result arrays, positions, threshold."""
-    import numpy as np
-
-    return bool(
-        reference.threshold == other.threshold
-        and np.array_equal(reference.positions, other.positions)
-        and np.array_equal(reference.result.points.values, other.result.points.values)
-        and np.array_equal(reference.result.points.ids, other.result.points.ids)
-        and np.array_equal(reference.result.f, other.result.f)
-    )
-
-
-def _bench_salsa(
-    n: int,
-    dims: Sequence[int],
-    distributions: Sequence[str],
-    pivot_subspace: Sequence[int] = (0, 1),
-    min_skip: float = 0.20,
-) -> dict[str, Any]:
-    """SaLSa early-termination cells on the crossover datasets.
-
-    Each crossover dataset is re-queried on a *proper* low-dimensional
-    subspace — the regime sort-based filtering targets: ``f`` is the
-    full-space minimum, so the sorted scan's threshold prefix loosens
-    on a subspace, while the SaLSa stop-point is computed from the
-    subspace coordinates themselves and keeps cutting.  Cells report
-    the skipped fraction (``pruned_by_threshold / input_size``) and
-    comparisons-per-point for both scans, all deterministic.
-    ``terminates_early`` gates the
-    correlated cells: skipped fraction at least ``min_skip`` *and*
-    strictly fewer comparisons than the sorted scan.
-    """
-    import numpy as np
-
-    from ..core.dataset import PointSet
-    from ..core.local_skyline import local_subspace_skyline
-    from ..core.store import SortedByF
-    from ..core.substrates import salsa_subspace_skyline
-    from ..data.generators import make_generator
-
-    subspace = tuple(pivot_subspace)
-    cells: list[dict[str, Any]] = []
-    identical = True
-    terminates_early = True
-    for dist_index, distribution in enumerate(distributions):
-        for d in dims:
-            cell_rng = np.random.default_rng(20070415 + 1000 * dist_index + d)
-            store = SortedByF.from_points(
-                PointSet(make_generator(distribution)(n, d, cell_rng))
-            )
-            reference = local_subspace_skyline(store, subspace)
-            salsa = salsa_subspace_skyline(store, subspace)
-            cell_identical = _computations_identical(reference, salsa)
-            skipped = salsa.pruned_by_threshold / n
-            cell_early = skipped >= min_skip and salsa.comparisons < reference.comparisons
-            if distribution == "correlated":
-                terminates_early = terminates_early and cell_early
-            identical = identical and cell_identical
-            cells.append(
-                {
-                    "distribution": distribution,
-                    "d": d,
-                    "n": n,
-                    "subspace": list(subspace),
-                    "result_size": len(reference.result),
-                    "skipped_fraction": skipped,
-                    "sorted_skipped_fraction": reference.pruned_by_threshold / n,
-                    "comparisons_per_point": {
-                        "sorted": reference.comparisons / n,
-                        "salsa": salsa.comparisons / n,
-                    },
-                    "identical": cell_identical,
-                    "terminates_early": cell_early,
-                }
-            )
-    return {
-        "pivot_subspace": list(subspace),
-        "min_skip_fraction": min_skip,
-        "cells": cells,
-        "identical": identical,
-        "terminates_early": terminates_early,
-    }
-
-
-def _bench_kernels(
-    *,
-    crossover_n: int = 1200,
-    crossover_dims: Sequence[int] = (3, 5, 7),
-    crossover_distributions: Sequence[str] = (
-        "uniform", "correlated", "anticorrelated",
-    ),
-) -> dict[str, Any]:
-    """Scan matrix: the paper's scan and the alternative of
-    :mod:`repro.core.substrates`, identity-gated.
-
-    The *crossover* runs both over small full-space stores across
-    dimensionalities and distributions, reporting deterministic
-    comparisons-per-point; ``identical`` gates each against the sorted
-    scan.
-    """
-    import numpy as np
-
-    from ..core.dataset import PointSet
-    from ..core.local_skyline import local_subspace_skyline
-    from ..core.store import SortedByF
-    from ..core.substrates import salsa_subspace_skyline
-    from ..data.generators import make_generator
-
-    scans = {
-        "sorted": local_subspace_skyline,
-        "salsa": salsa_subspace_skyline,
-    }
-    crossover: list[dict[str, Any]] = []
-    crossover_identical = True
-    for dist_index, distribution in enumerate(crossover_distributions):
-        for d in crossover_dims:
-            # str hashes are per-process randomized; derive the seed
-            # from stable integers so the datasets diff across runs.
-            cell_rng = np.random.default_rng(20070415 + 1000 * dist_index + d)
-            cell_store = SortedByF.from_points(
-                PointSet(make_generator(distribution)(crossover_n, d, cell_rng))
-            )
-            cell_subspace = tuple(range(d))
-            reference = local_subspace_skyline(cell_store, cell_subspace)
-            cells: dict[str, float] = {}
-            cell_identical = True
-            for substrate, scan_fn in scans.items():
-                scan = scan_fn(cell_store, cell_subspace)
-                cell_identical = cell_identical and _computations_identical(
-                    reference, scan
-                )
-                cells[substrate] = scan.comparisons / crossover_n
-            crossover_identical = crossover_identical and cell_identical
-            crossover.append(
-                {
-                    "distribution": distribution,
-                    "d": d,
-                    "n": crossover_n,
-                    "result_size": len(reference.result),
-                    "comparisons_per_point": cells,
-                    "identical": cell_identical,
-                }
-            )
-
-    salsa = _bench_salsa(crossover_n, crossover_dims, crossover_distributions)
-
-    return {
-        "crossover": crossover,
-        "salsa": salsa,
-        "identical": crossover_identical and salsa["identical"],
     }
 
 
@@ -846,8 +675,6 @@ def bench_smoke(
     )
     serving["dimensionality"] = serving_dim
 
-    kernels = _bench_kernels()
-
     incremental = _bench_incremental(n_workers, primary=primary)
 
     update_latency = _bench_update_latency()
@@ -876,7 +703,6 @@ def bench_smoke(
         "shm_attach_mean_seconds": shm_attach,
         "cache": cache,
         "serving": serving,
-        "kernels": kernels,
         "incremental": incremental,
         "update_latency": update_latency,
         "engines": engines,

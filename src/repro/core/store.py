@@ -8,12 +8,10 @@ Algorithm 1 and Algorithm 2 need.
 
 A store is immutable: store-changing operations (pre-processing,
 churn, data updates) *replace* the store object and bump
-``SuperPeerNetwork.epoch``.  The column projection Algorithm 1 scans
-(:meth:`SortedByF.projection`) is derived per call and never retained —
-it costs about 1 % of a cold scan, and a scan reads only the
-``f(p) <= t`` prefix of it.  What *is* cached on the instance is the
-one position-dependent scan structure that is expensive to rebuild:
-the SaLSa visit order (:meth:`SortedByF.salsa_order`).
+``SuperPeerNetwork.epoch``.  The store caches nothing: the column
+projection Algorithm 1 scans (:meth:`SortedByF.projection`) is derived
+per call and never retained — it costs about 1 % of a cold scan, and a
+scan reads only the ``f(p) <= t`` prefix of it.
 """
 
 from __future__ import annotations
@@ -32,13 +30,7 @@ __all__ = ["SortedByF"]
 class SortedByF:
     """A point set sorted ascending by ``f(p)`` with cached keys."""
 
-    __slots__ = ("points", "f", "_salsa")
-
-    #: Most distinct subspaces whose SaLSa order is cached per store.
-    #: Workloads concentrate on a handful of subspaces (the query-cache
-    #: motivation); the cap merely bounds memory under adversarial
-    #: workloads.
-    MAX_CACHED_SUBSPACES = 32
+    __slots__ = ("points", "f")
 
     def __init__(self, points: PointSet, f: np.ndarray):
         if len(points) != len(f):
@@ -48,7 +40,6 @@ class SortedByF:
         self.points = points
         self.f = np.asarray(f, dtype=np.float64)
         self.f.setflags(write=False)
-        self._salsa: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] | None = None
 
     @classmethod
     def from_points(cls, points: PointSet) -> "SortedByF":
@@ -83,7 +74,6 @@ class SortedByF:
         self.points = points
         self.f = f
         self.f.setflags(write=False)
-        self._salsa = None
         return self
 
     def __len__(self) -> int:
@@ -127,43 +117,6 @@ class SortedByF:
         dists.setflags(write=False)
         return proj, dists
 
-    def salsa_order(self, subspace: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The SaLSa visit order for ``subspace``: ``(order, keys)``.
-
-        ``order`` is the store positions sorted ascending by the
-        monotone sorting function ``minC(p) = min_{i in U} p[i]`` with
-        the coordinate sum as tiebreak (and, the sort being stable,
-        store position beyond that), and ``keys`` is ``minC`` in that
-        order.  A dominator's ``(minC, sum)`` pair never sorts after
-        its victim's, which is what lets the SaLSa scan
-        (:func:`repro.core.substrates.salsa_subspace_skyline`) stop
-        early at the running stop-point.  Cached per subspace under the
-        FIFO cap ``MAX_CACHED_SUBSPACES``; the store is immutable, so
-        entries never go stale.
-        """
-        key = tuple(subspace)
-        cache = self._salsa
-        if cache is None:
-            cache = self._salsa = {}
-        hit = cache.get(key)
-        if hit is None:
-            proj, _dists = self.projection(key)
-            if len(self):
-                mins = proj.min(axis=1)
-                order = np.ascontiguousarray(
-                    np.lexsort((proj.sum(axis=1), mins)), dtype=np.int64
-                )
-                keys = np.ascontiguousarray(mins[order], dtype=np.float64)
-            else:
-                order = np.zeros(0, dtype=np.int64)
-                keys = np.zeros(0, dtype=np.float64)
-            order.setflags(write=False)
-            keys.setflags(write=False)
-            if len(cache) >= self.MAX_CACHED_SUBSPACES:
-                cache.pop(next(iter(cache)))
-            hit = cache[key] = (order, keys)
-        return hit
-
     # ------------------------------------------------------------------
     # sorted splices (incremental maintenance)
     # ------------------------------------------------------------------
@@ -174,9 +127,7 @@ class SortedByF:
         invariant is preserved without re-sorting the store
         (ties land after existing equal keys, matching the stable-sort
         order of :meth:`from_points` over ``[existing, new]``).  The
-        new store starts without SaLSa orders (they are
-        position-dependent); they rebuild lazily.  The caller
-        guarantees the incoming ids are not already present.
+        caller guarantees the incoming ids are not already present.
         """
         if len(points) == 0:
             return self
@@ -195,8 +146,7 @@ class SortedByF:
         """A new store with the given point ids spliced out.
 
         Ids not present are ignored.  The surviving rows keep their
-        relative f-order, so no re-sort or re-validation is needed
-        (SaLSa orders drop, as in :meth:`splice_insert`).
+        relative f-order, so no re-sort or re-validation is needed.
         """
         drop_ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
         if len(self) == 0 or drop_ids.size == 0:
@@ -209,16 +159,12 @@ class SortedByF:
             self.f[keep],
         )
 
-    # Slots would otherwise pickle the SaLSa orders alongside the data;
-    # rebuild lean on the far side (the parallel engine ships stores
-    # between processes).
-    def __getstate__(self) -> tuple[PointSet, np.ndarray]:
-        return (self.points, self.f)
-
-    def __setstate__(self, state: tuple[PointSet, np.ndarray]) -> None:
-        self.points, self.f = state
+    # An unpickled array comes back writeable; keep ``f`` read-only on
+    # the far side (the parallel engine ships stores between processes).
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
         self.f.setflags(write=False)
-        self._salsa = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SortedByF(n={len(self)}, d={self.dimensionality})"

@@ -142,9 +142,10 @@ def execute_query(
     local_compute:
         Optional strategy replacing the per-super-peer Algorithm 1 run,
         which is the paper's scan by default (as :func:`make_local_compute`
-        builds it).  See :class:`repro.parallel.engine.ScanMemo`, and
-        :mod:`repro.core.substrates` for two other executions of the
-        scan.  Ignored by the naive baseline.
+        builds it).  :class:`repro.parallel.engine.ScanMemo` replays
+        cached scans through it, and :mod:`repro.skypeer.constrained`
+        scans each store restricted to a box.  Ignored by the naive
+        baseline.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
     return run_on_model_clocks(network, query, variant, local_compute=local_compute).execution

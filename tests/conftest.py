@@ -69,26 +69,21 @@ def small_network() -> SuperPeerNetwork:
 
 
 def brute_force_skyline_ids(points: PointSet, subspace, strict: bool = False) -> frozenset[int]:
-    """O(n^2) dominance oracle, independent of all library code paths."""
+    """O(n^2) dominance oracle, independent of all library code paths.
+
+    Each row is tested against every other row at once.
+    """
     cols = list(subspace)
     values = points.values[:, cols]
-    ids = points.ids
-    n = values.shape[0]
     keep = []
-    for i in range(n):
-        dominated = False
-        for j in range(n):
-            if i == j:
-                continue
-            if strict:
-                if np.all(values[j] < values[i]):
-                    dominated = True
-                    break
-            elif np.all(values[j] <= values[i]) and np.any(values[j] < values[i]):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(int(ids[i]))
+    for i, row in enumerate(values):
+        if strict:
+            dominators = np.all(values < row, axis=1)
+        else:
+            dominators = np.all(values <= row, axis=1) & np.any(values < row, axis=1)
+        dominators[i] = False
+        if not dominators.any():
+            keep.append(int(points.ids[i]))
     return frozenset(keep)
 
 

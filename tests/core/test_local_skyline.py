@@ -25,19 +25,23 @@ def _store(rng, n=150, d=5) -> tuple[PointSet, SortedByF]:
 
 class TestCorrectness:
     def test_matches_brute_force(self, rng):
-        points, store = _store(rng)
-        for sub in [(0,), (1, 3), (0, 2, 4)]:
-            for t0 in (math.inf, 0.4):
-                got = local_subspace_skyline(store, sub, initial_threshold=t0)
-                # The survivors are the skyline of the f <= t0 prefix, in
-                # store (f-ascending) order, and the refined threshold is
-                # t0 lowered by every survivor's dist_U.
-                prefix = points.take(np.flatnonzero(f_values(points.values) <= t0))
-                assert got.points.id_set() == brute_force_skyline_ids(prefix, sub)
-                assert np.all(np.diff(got.positions) > 0)
-                assert np.array_equal(got.result.f, store.f[got.positions])
-                dists = dist_values(got.result.points.values, sub)
-                assert got.threshold == min([t0, *dists.tolist()])
+        random_rows = PointSet(rng.random((150, 5)))
+        # Duplicated tie groups: rows on a coarse grid, 30 of them twice.
+        grid = rng.integers(0, 4, size=(80, 5)).astype(float)
+        for points in (random_rows, PointSet(np.vstack([grid, grid[:30]]))):
+            store = SortedByF.from_points(points)
+            for sub in [(0,), (1, 3), (0, 2, 4)]:
+                for t0 in (math.inf, 0.4):
+                    got = local_subspace_skyline(store, sub, initial_threshold=t0)
+                    # The survivors are the skyline of the f <= t0 prefix,
+                    # in store (f-ascending) order, and the refined
+                    # threshold is t0 lowered by every survivor's dist_U.
+                    prefix = points.take(np.flatnonzero(f_values(points.values) <= t0))
+                    assert got.points.id_set() == brute_force_skyline_ids(prefix, sub)
+                    assert np.all(np.diff(got.positions) > 0)
+                    assert np.array_equal(got.result.f, store.f[got.positions])
+                    dists = dist_values(got.result.points.values, sub)
+                    assert got.threshold == min([t0, *dists.tolist()])
 
     def test_result_is_f_sorted(self, rng):
         _points, store = _store(rng)
@@ -47,6 +51,7 @@ class TestCorrectness:
     def test_empty_store(self):
         got = local_subspace_skyline(SortedByF.empty(3), (0, 1))
         assert len(got.result) == 0
+        assert got.positions.shape == (0,)
         assert got.threshold == math.inf
         assert got.examined == 0
 
@@ -57,9 +62,11 @@ class TestCorrectness:
         assert got.threshold == pytest.approx(0.7)
 
     def test_all_duplicates_kept(self):
-        pts = PointSet(np.array([[0.5, 0.5]] * 4))
-        got = local_subspace_skyline(SortedByF.from_points(pts), (0, 1))
-        assert len(got.result) == 4
+        store = SortedByF.from_points(PointSet(np.array([[0.5, 0.5]] * 4)))
+        for chunk in (1, alg1._SCAN_CHUNK):
+            with mock.patch.object(alg1, "_SCAN_CHUNK", chunk):
+                got = local_subspace_skyline(store, (0, 1))
+            assert len(got.result) == 4
 
 
 class TestThreshold:

@@ -46,8 +46,7 @@ class TestProjectionCache:
         finally:
             tracemalloc.stop()
         assert after - before < 1 << 20
-        assert SortedByF.__slots__ == ("points", "f", "_salsa")
-        assert store._salsa is None
+        assert SortedByF.__slots__ == ("points", "f")
 
     def test_repeat_call_is_equal_not_shared(self, store):
         first = store.projection((0, 2, 4))
@@ -88,17 +87,6 @@ class TestProjectionCache:
         with pytest.raises(ValueError):
             dists[0] = -1.0
 
-    def test_cache_is_bounded(self, store):
-        """The per-subspace cache that remains (SaLSa orders) stays
-        under the cap however many subspaces are visited."""
-        subspaces = [c for k in (1, 2, 3, 4) for c in combinations(range(5), k)]
-        subspaces += [(1, 0), (2, 0), (3, 0), (4, 0)]
-        assert len(subspaces) > SortedByF.MAX_CACHED_SUBSPACES
-        for _ in range(2):  # revisit to exercise eviction + refill
-            for sub in subspaces:
-                store.salsa_order(sub)
-        assert len(store._salsa) <= SortedByF.MAX_CACHED_SUBSPACES
-
     def test_empty_store(self):
         empty = SortedByF.from_points(PointSet(np.zeros((0, 3))))
         proj, dists = empty.projection((0, 2))
@@ -107,10 +95,8 @@ class TestProjectionCache:
 
 
 class TestPickling:
-    def test_round_trip_preserves_data_and_drops_cache(self, store):
-        store.salsa_order((0, 1))  # populate a cache
+    def test_round_trip_preserves_data(self, store):
         clone = pickle.loads(pickle.dumps(store))
-        assert clone._salsa is None
         assert np.array_equal(clone.points.values, store.points.values)
         assert np.array_equal(clone.points.ids, store.points.ids)
         assert np.array_equal(clone.f, store.f)

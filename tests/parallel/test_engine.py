@@ -292,9 +292,8 @@ class TestWorkerMemory:
         )
         initiator = network.topology.superpeer_ids[0]
         subspaces = [c for k in (2, 3, 4) for c in combinations(range(8), k)]
-        # The engine's workers run the sorted scan, which retains nothing
-        # (salsa would keep a bounded per-subspace visit order on the
-        # store by design).
+        # The engine's workers run the sorted scan, and a store caches
+        # nothing per subspace.
         with ParallelEngine(workers=1, mp_start="spawn") as engine:
             (pid,) = engine._pool._processes
             first = [Query(subspace=subspaces[0], initiator=initiator)]
