@@ -100,15 +100,15 @@ one pivot-partitioned filter").  The sets, and the order of the stores,
 are byte-identical; only Figure 3(a)'s *compute s* column, which times
 that work, moves.
 (8) Section 5.2.1 tests dominance with window queries over a main-memory
-R-tree.  Algorithms 1 and 2 here test it with a vectorized block
-comparison instead: a batch of f-ascending points against a numpy block
-of the candidates found so far (`repro.core.indexes.BlockDominanceIndex`
-under `repro.core.local_skyline._chunked_scan`).  The answers and the
-refined thresholds are those of the paper's per-point loop, so every
-*computational time* below is that of the faster test.  The matrix that
-chose it (Algorithm 1 with the block test 9–353× faster than a per-point
-list scan and 13–109× faster than the R-tree) is in docs/PERFORMANCE.md,
-"One dominance index".
+R-tree.  Algorithms 1 and 2 here run two passes instead: a stop-point
+loop over the f-ascending points that reads only `f`, `dist_U` and the
+threshold, then one call of the rank-bitset filter that pre-processing
+runs, in its dominance form, over the points examined (docs/ALGORITHMS.md,
+"Algorithm 1").  The answers, the refined thresholds and `examined` are
+those of the paper's per-point loop read in 64-point chunks, so every
+*computational time* below is that of the faster test.  `comparisons`
+counts the pairs the filter tested, not the per-point candidate tests
+(docs/PERFORMANCE.md, "One dominance kernel").
 
 ---
 """

@@ -1,16 +1,19 @@
 """Algorithm 1 — threshold-based local subspace skyline computation.
 
-The store is scanned in ascending ``f(p)`` order.  Every examined point
-is tested for dominance against the skyline found so far; survivors are
-inserted (evicting any candidate they dominate) and the threshold is
-lowered to ``min(threshold, dist_U(p))``.  The scan terminates as soon
-as the next ``f(p)`` exceeds the threshold — by Observation 5 no later
-point can be a skyline point.
+The store is scanned in ascending ``f(p)`` order, the threshold lowered
+to ``min(threshold, dist_U(p))`` by every skyline point found, and the
+scan terminates as soon as the next ``f(p)`` exceeds the threshold — by
+Observation 5 no later point can be a skyline point.
 
-The scan tests dominance only.  Section 5.3 pre-processing needs the
-*extended* skyline, a set, which
-:func:`repro.core.extended_skyline.ext_skyline_positions` computes as
-one filter instead of a scan.
+It runs as two passes.  :func:`_stop_point` finds where the scan stops
+and its final threshold from ``f``, ``dist_U`` and ``t0`` alone: every
+row examined lowers the threshold exactly as far as the skyline point
+that dominates it would.  The skyline of the examined prefix is then one
+call of the skyline filter
+(:func:`repro.core.dominance._skyline_filter`) in its dominance form —
+the kernel Section 5.3 pre-processing runs in its ext-dominance form.
+``docs/ALGORITHMS.md`` has the proof that both passes return what the
+scan testing dominance row by row returns.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PointSet
-from .dominance import batch_dominated_any, undominated_among
-from .indexes import BlockDominanceIndex
+from .dominance import _skyline_filter
 from .store import SortedByF
 
 __all__ = [
@@ -138,98 +140,64 @@ def local_subspace_skyline(
     """
     started = time.perf_counter()
     cols = tuple(subspace)
-    n = len(store)
-    index = BlockDominanceIndex(len(cols))
-    threshold = float(initial_threshold)
-    f = store.f
     # The scan never reads past the last f(p) <= t, so only that prefix
     # is projected.
-    proj, dists = store.projection(cols, rows=store.prefix(threshold))
-    examined, threshold = _chunked_scan(
-        index, proj, f, dists, threshold,
-        key_is_scanned_min=len(cols) == store.dimensionality,
-    )
-    positions = np.asarray(index.positions(), dtype=np.int64)
-    result = SortedByF(store.points.take(positions), f[positions])
+    proj, dists = store.projection(cols, rows=store.prefix(initial_threshold))
+    examined, threshold = _stop_point(store.f, dists, initial_threshold)
+    positions, comparisons = _skyline_filter(proj[:examined], ext=False)
+    result = SortedByF(store.points.take(positions), store.f[positions])
     return SkylineComputation(
         result=result,
         threshold=threshold,
         examined=examined,
-        comparisons=index.comparisons,
+        comparisons=comparisons,
         duration=time.perf_counter() - started,
-        input_size=n,
+        input_size=len(store),
         positions=positions,
     )
 
 
-#: Points pre-filtered per vectorized batch.  Chosen so the batch
-#: dominance test amortizes numpy dispatch without growing the
-#: batch-vs-candidates matrix beyond cache-friendly sizes — the
-#: batch-size micro-benchmark under ``benchmarks/`` sweeps
-#: alternatives (64 beats both 16, where dispatch overhead shows, and
-#: 256+, where the quadratic intra-batch pass and the points examined
-#: past tighter mid-batch thresholds start to dominate).  Every scan
-#: reads it when it runs, so a test or a sweep patches the module
-#: attribute.
+#: Rows a scan examines between two looks at its threshold.  A scan may
+#: stop only at a multiple of it (or where ``f`` passes the threshold
+#: inside a chunk), so it fixes ``examined`` — the work clock of Figures
+#: 3(f) and 4(b) — at the value every recorded count was taken at.  It
+#: sizes no dominance test: the skyline of the examined prefix is one
+#: filter call.  A test or a sweep patches the module attribute; every
+#: scan reads it when it runs.
 _SCAN_CHUNK = 64
 
 
-def _chunked_scan(
-    index, proj, f, dists, threshold: float, key_is_scanned_min: bool = False
-) -> tuple[int, float]:
-    """Vectorized variant of the scan, identical semantics.
+def _stop_point(f: np.ndarray, dists: np.ndarray, threshold: float) -> tuple[int, float]:
+    """``(examined, threshold)`` of a threshold scan over rows in
+    ascending ``f``, with no dominance test.
 
-    Each batch of f-ascending points is tested against the current
-    candidate block in one matrix comparison; only the (few) survivors
-    go through the per-point insert/evict/threshold path.  A verdict of
-    "dominated" stays valid even when the dominator is later evicted,
-    because its evictor dominates transitively.  Batch boundaries honor
-    the threshold known at batch start; points a tighter mid-batch
-    threshold would have pruned are merely examined and discarded, so
-    exactness is unaffected (they are dominated by the threshold point).
-
-    ``key_is_scanned_min=True`` asserts that ``f`` — the key the rows
-    ascend in — is the minimum over the scanned columns: the stored
-    ``f = min_i p[i]`` on a full-space scan, ``g_U`` in an Algorithm-2
-    merge on any subspace.  Then a dominator always satisfies
-    ``f(q) <= f(p)`` (min is monotone), so a point inserted later in the
-    ascending scan can evict an earlier candidate only on an exact key
-    tie.  The insert below skips the eviction scan whenever that
-    argument applies (the SFS property); a store scanned on a proper
-    subspace in full-space ``f`` order has no such guarantee and the
-    eviction scan always runs.
+    ``dists`` is ``dist_U`` per row (at least ``f``) and may cover only
+    a prefix of ``f``; the scan never reads beyond it.  The scan looks
+    at its threshold once per ``_SCAN_CHUNK`` rows: a chunk examines its
+    rows up to the last ``f <= t`` for the ``t`` it started with, and
+    the scan stops after a chunk it did not finish.  After each chunk
+    the threshold is ``min(t0, dist_U over every row examined so far)``:
+    a row whose dominator is examined has a ``dist_U`` no smaller than
+    the dominator's, and a row examined past a tighter mid-chunk
+    threshold has ``dist_U >= f > t`` (docs/ALGORITHMS.md).  So where a
+    chunk ends depends only on the threshold at its start, and both
+    numbers are those of the scan that tests dominance row by row.
     """
-    n = proj.shape[0]
-    examined = 0
-    i = 0
-    last_inserted_f = -math.inf
-    while i < n:
-        if f[i] > threshold:
-            break
-        hi = min(n, i + _SCAN_CHUNK)
-        # Only points with f <= threshold may be skyline points.
-        hi = i + int(np.searchsorted(f[i:hi], threshold, side="right"))
-        chunk_rows = proj[i:hi]
-        examined += hi - i
-        block = index.block_view()
-        if block.shape[0]:
-            index.comparisons += block.shape[0] * chunk_rows.shape[0]
-            dominated = batch_dominated_any(block, chunk_rows)
-            candidates = np.nonzero(~dominated)[0]
-        else:
-            candidates = np.arange(chunk_rows.shape[0])
-        if candidates.size:
-            index.comparisons += candidates.size * candidates.size
-            winners = candidates[undominated_among(chunk_rows[candidates])]
-            if winners.size:
-                positions = i + winners
-                can_evict = (
-                    not key_is_scanned_min or float(f[positions[0]]) <= last_inserted_f
-                )
-                index.bulk_insert(positions, chunk_rows[winners], can_evict=can_evict)
-                last_inserted_f = float(f[positions[-1]])
-                batch_min = float(dists[positions].min())
-                if batch_min < threshold:
-                    threshold = batch_min
-        i = hi
-    return examined, threshold
+    threshold = float(threshold)
+    n = len(dists)
+    if n == 0:
+        return 0, threshold
+    starts = np.arange(0, n, _SCAN_CHUNK)
+    ends = np.minimum(starts + _SCAN_CHUNK, n)
+    # The threshold each chunk starts with, were every earlier one whole.
+    lowest = np.minimum.accumulate(np.minimum.reduceat(dists, starts))
+    start_threshold = np.minimum(threshold, np.concatenate(([np.inf], lowest[:-1])))
+    short = np.flatnonzero(f[ends - 1] > start_threshold)
+    if not short.size:
+        return n, min(threshold, float(lowest[-1]))
+    c = int(short[0])
+    t = float(start_threshold[c])
+    examined = int(starts[c]) + int(np.searchsorted(f[starts[c] : ends[c]], t, side="right"))
+    if examined > starts[c]:
+        t = min(t, float(dists[starts[c] : examined].min()))
+    return examined, t

@@ -4,9 +4,9 @@ Every super-peer delivers its local result as a list of skyline points
 on the queried coordinates.  The merge keys each point on
 ``g_U(p) = min_{i in U} p[i]`` — the paper's ``f`` restricted to the
 queried subspace, recomputable from exactly what a list carries.  The
-lists are concatenated, stably sorted on that key, and scanned by the
-same vectorized loop as Algorithm 1 (the paper names this alternative
-to pulling the smallest head of each list).  The scan stops at the
+lists are concatenated, stably sorted on that key, and scanned in
+Algorithm 1's two passes (the paper names this alternative to pulling
+the smallest head of each list).  The scan stops at the
 first key above the threshold, which is where every remaining head of
 the paper's merge exceeds it (Observation 5 holds verbatim for
 ``g_U``; ``docs/ALGORITHMS.md`` has the proof and says where this
@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PointSet
-from .indexes import BlockDominanceIndex
-from .local_skyline import SkylineComputation, _chunked_scan
+from .dominance import _skyline_filter
+from .local_skyline import SkylineComputation, _stop_point
 from .store import SortedByF
 
 __all__ = ["merge_sorted_skylines"]
@@ -58,9 +58,8 @@ def merge_sorted_skylines(
     dimensionality = dims.pop() if dims else lists[0].dimensionality if lists else len(cols)
     lists = [lst for lst in lists if len(lst)]
     total_input = sum(len(lst) for lst in lists)
-    index = BlockDominanceIndex(len(cols))
     threshold = float(initial_threshold)
-    examined = 0
+    examined = comparisons = 0
     result = SortedByF.empty(dimensionality)
     if lists:
         values = np.concatenate([lst.points.values for lst in lists], axis=0)
@@ -70,20 +69,15 @@ def merge_sorted_skylines(
         # Stable: exact key ties stay in list order, then in each list's own.
         order = np.argsort(keys, kind="stable")
         proj, keys = proj[order], keys[order]
-        # The key is the min over the scanned columns, so a dominator never
-        # sorts after what it dominates: the scan skips the eviction pass
-        # outside exact key ties (SFS), on every subspace.
-        examined, threshold = _chunked_scan(
-            index, proj, keys, proj.max(axis=1), threshold, key_is_scanned_min=True
-        )
-        positions = index.positions()
+        examined, threshold = _stop_point(keys, proj.max(axis=1), threshold)
+        positions, comparisons = _skyline_filter(proj[:examined], ext=False)
         kept = order[positions]
         result = SortedByF(PointSet(values[kept], ids[kept]), keys[positions])
     return SkylineComputation(
         result=result,
         threshold=threshold,
         examined=examined,
-        comparisons=index.comparisons,
+        comparisons=comparisons,
         duration=time.perf_counter() - started,
         input_size=total_input,
     )

@@ -35,10 +35,12 @@ class SortedByF:
     def __init__(self, points: PointSet, f: np.ndarray):
         if len(points) != len(f):
             raise ValueError("one f value per point required")
-        if len(f) > 1 and np.any(np.diff(f) < 0):
+        f = np.asarray(f, dtype=np.float64)
+        # Neighbours are compared, not subtracted: ``inf - inf`` is NaN.
+        if len(f) > 1 and np.any(f[1:] < f[:-1]):
             raise ValueError("points must be sorted ascending by f")
         self.points = points
-        self.f = np.asarray(f, dtype=np.float64)
+        self.f = f
         self.f.setflags(write=False)
 
     @classmethod

@@ -1,10 +1,11 @@
-"""The batch-dominance kernel and the pairwise helper, against references
+"""The batch-dominance kernel and the skyline filter, against references
 written here: a 3-D broadcast reduction and plain Python loops.
 
-Both test dominance only.  The ``strict`` half of each test puts the one
-ext-domination kernel left, the Section 5.3 filter
-(:func:`~repro.core.extended_skyline.ext_skyline_positions`), through
-the same references.
+``batch_dominated_any`` tests dominance only.  The filter
+(:func:`repro.core.dominance._skyline_filter`) runs both relations: the
+``strict`` half of each test puts its ext-dominance form (Section 5.3
+pre-processing) through the same references, and the other half its
+dominance form (Algorithms 1 and 2).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dominance import batch_dominated_any, undominated_among
+from repro.core.dominance import _skyline_filter, batch_dominated_any
 from repro.core.extended_skyline import ext_skyline_positions
 
 #: (dominators m, targets c, dims k) — the block-vs-batch shapes the
@@ -41,10 +42,8 @@ def dominated_any(dominators, targets, strict):
 
 def undominated(rows, strict):
     """Mask of ``rows`` no other row (ext-)dominates."""
-    if not strict:
-        return undominated_among(rows)
     mask = np.zeros(len(rows), dtype=bool)
-    mask[ext_skyline_positions(rows)] = True
+    mask[_skyline_filter(rows, ext=strict)[0]] = True
     return mask
 
 
@@ -187,5 +186,5 @@ class TestUndominatedAmong:
         assert np.array_equal(mask[:10], mask[30:])
 
     def test_single_row_and_empty(self):
-        assert undominated_among(np.ones((1, 4))).tolist() == [True]
-        assert undominated_among(np.zeros((0, 4))).shape == (0,)
+        assert undominated(np.ones((1, 4)), strict=False).tolist() == [True]
+        assert undominated(np.zeros((0, 4)), strict=False).shape == (0,)

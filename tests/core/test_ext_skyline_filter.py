@@ -4,8 +4,7 @@
 ext-skyline in the system is computed with.  Two references pin it:
 
 * ``quadratic_ext_skyline`` below, plain loops that share no code with
-  ``repro.core`` (in particular not ``repro.core.dominance``), for the
-  set;
+  ``repro.core``, for the set;
 * ``tests.conftest.ordered_ext_skyline``, for everything strict
   Algorithm 1 and Algorithm 2 produced when pre-processing still ran
   them: ids, values, ``f``, the order of ties and the threshold.
@@ -33,6 +32,7 @@ from repro.core.store import SortedByF
 
 from tests.conftest import ordered_ext_skyline
 
+dom = importlib.import_module("repro.core.dominance")
 ext = importlib.import_module("repro.core.extended_skyline")
 
 
@@ -65,14 +65,14 @@ def grids(draw, max_rows=600):
 #: The shipped constants, and ones that split even tiny inputs on every
 #: column and give each kernel step one target and one dimension.
 GEOMETRIES = {
-    "shipped": {"_LEAF_ROWS": ext._LEAF_ROWS},
+    "shipped": {"_LEAF_ROWS": dom._LEAF_ROWS},
     "tiny": {"_LEAF_ROWS": 1, "_SCRATCH_BYTES": 1},
 }
 
 
 @pytest.fixture(scope="module", params=sorted(GEOMETRIES))
 def geometry(request):
-    with mock.patch.multiple(ext, **GEOMETRIES[request.param]):
+    with mock.patch.multiple(dom, **GEOMETRIES[request.param]):
         yield request.param
 
 

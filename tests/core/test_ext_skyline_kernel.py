@@ -1,17 +1,19 @@
-"""The rank-bitset ext-dominance kernel, against an oracle written here.
+"""The rank-bitset dominance kernel, against an oracle written here.
 
-``repro.core.extended_skyline._ext_dominated(pool, targets)`` answers, for
-each of a ``(d, m)`` pool's first ``targets`` rows, whether some pool row
-is strictly smaller on every dimension.  ``quadratic_dominated`` below is
-plain loops that share no code with ``repro.core`` (in particular not
-``repro.core.dominance``).
+``repro.core.dominance._dominated(pool, targets, ext)`` answers, for each
+of a ``(d, m)`` pool's first ``targets`` rows, whether some pool row
+ext-dominates it (is strictly smaller on every dimension) or, without
+``ext``, dominates it (no larger anywhere and smaller somewhere).
+``quadratic_dominated`` below is plain loops that share no code with
+``repro.core``.  Every case runs both relations.
 
 Pools straddle the 64-bit word boundaries; values come from coarse grids
 holding exact ties, ``-0.0`` beside ``0.0``, ``+inf`` and duplicate rows;
 targets run from one to the whole pool.  Each case also runs with a
 shrunk scratch budget, so the kernel slices its targets and takes its
 dimensions one group at a time.  A ``tracemalloc`` test bounds what one
-filter call holds.
+filter call holds, and a pool whose sorted columns pass that cap must
+still take many targets per slice.
 """
 
 from __future__ import annotations
@@ -25,21 +27,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-ext = importlib.import_module("repro.core.extended_skyline")
+dom = importlib.import_module("repro.core.dominance")
 
 #: Pool sizes at and beside one and two words.
 WORD_EDGES = [63, 64, 65, 127, 128, 129]
 
 #: The shipped budget; one that holds a target per slice and a
 #: dimension per group; one that groups a few dimensions of small pools.
-BUDGETS = [ext._SCRATCH_BYTES, 1, 1 << 13]
+BUDGETS = [dom._SCRATCH_BYTES, 1, 1 << 13]
 
 
-def quadratic_dominated(rows, targets):
-    """For each of the first ``targets`` rows: is another row smaller everywhere?"""
+def quadratic_dominated(rows, targets, ext=True):
+    """For each of the first ``targets`` rows: does another row
+    ext-dominate it (``ext``) or dominate it?"""
     out = []
     for p in rows[:targets]:
-        out.append(any(all(qc < pc for qc, pc in zip(q, p)) for q in rows))
+        if ext:
+            out.append(any(all(qc < pc for qc, pc in zip(q, p)) for q in rows))
+        else:
+            out.append(any(
+                all(qc <= pc for qc, pc in zip(q, p)) and any(qc < pc for qc, pc in zip(q, p))
+                for q in rows
+            ))
     return out
 
 
@@ -66,10 +75,11 @@ def pools(draw):
 @settings(max_examples=80, deadline=None)
 def test_kernel_is_the_oracle(budget, case):
     rows, targets = case
-    with mock.patch.object(ext, "_SCRATCH_BYTES", budget):
-        got = ext._ext_dominated(np.ascontiguousarray(rows.T), targets)
-    assert got.dtype == bool and got.shape == (targets,)
-    assert got.tolist() == quadratic_dominated(rows.tolist(), targets)
+    for relation in (True, False):
+        with mock.patch.object(dom, "_SCRATCH_BYTES", budget):
+            got = dom._dominated(np.ascontiguousarray(rows.T), targets, relation)
+        assert got.dtype == bool and got.shape == (targets,)
+        assert got.tolist() == quadratic_dominated(rows.tolist(), targets, relation)
 
 
 @pytest.mark.parametrize("m", WORD_EDGES)
@@ -80,9 +90,14 @@ def test_signed_zeros_and_infinities_tie(m):
     rows[0] = [0.0, 0.0, np.inf]
     rows[1] = [-0.0, -0.0, np.inf]
     rows[2] = [-0.0, 0.0, 5.0]
-    got = ext._ext_dominated(np.ascontiguousarray(rows.T), m)
+    pool = np.ascontiguousarray(rows.T)
+    got = dom._dominated(pool, m, True)
     assert got.tolist() == quadratic_dominated(rows.tolist(), m)
     assert not got[0] and not got[1] and not got[2]
+    # Under dominance the twins stay (equal rows), and row 2 beats both.
+    got = dom._dominated(pool, m, False)
+    assert got.tolist() == quadratic_dominated(rows.tolist(), m, ext=False)
+    assert got[0] and got[1] and not got[2]
 
 
 def test_filter_stays_under_the_scratch_cap():
@@ -90,26 +105,53 @@ def test_filter_stays_under_the_scratch_cap():
     ``_SCRATCH_BYTES``; the whole call adds no more than a few copies of
     its input (the column copy, the codes, a pool) on top."""
     values = np.random.default_rng(5).random((5000, 8))
-    kernel = ext._ext_dominated
+    kernel = dom._dominated
     steps = []
 
-    def measured(pool, targets):
+    def measured(pool, targets, relation):
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = kernel(pool, targets)
+        out = kernel(pool, targets, relation)
         steps.append(tracemalloc.get_traced_memory()[1] - entry)
         return out
 
-    tracemalloc.start()
-    try:
-        with mock.patch.object(ext, "_ext_dominated", measured):
-            ext._ext_skyline_filter(values)
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        ext._ext_skyline_filter(values)
-        whole = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
-    assert len(steps) > 1
-    assert max(steps) <= ext._SCRATCH_BYTES
-    assert whole <= ext._SCRATCH_BYTES + 4 * values.nbytes
+    for relation in (True, False):
+        steps.clear()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(dom, "_dominated", measured):
+                dom._skyline_filter(values, relation)
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dom._skyline_filter(values, relation)
+            whole = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert len(steps) > 1
+        assert max(steps) <= dom._SCRATCH_BYTES
+        assert whole <= dom._SCRATCH_BYTES + 4 * values.nbytes
+
+
+def test_a_pool_past_the_cap_still_slices_many_targets():
+    """A pool whose sorted columns alone pass ``_SCRATCH_BYTES`` (30 000
+    rows, four columns plus the rank sum) still tests many targets per
+    slice, not one, and answers exactly."""
+    rng = np.random.default_rng(11)
+    rows = rng.random((30_000, 4))
+    targets = 200
+    widths = []
+    prefixes = dom._prefixes
+
+    def spy(order, cuts, words):
+        widths.append(cuts.shape[1])
+        return prefixes(order, cuts, words)
+
+    with mock.patch.object(dom, "_prefixes", spy):
+        got = dom._dominated(np.ascontiguousarray(rows.T), targets, False)
+    assert 5 * rows.shape[0] * 8 > dom._SCRATCH_BYTES  # the sorted columns alone
+    assert max(widths) > 1
+    expected = [
+        bool(np.any(np.all(rows <= p, axis=1) & np.any(rows < p, axis=1)))
+        for p in rows[:targets]
+    ]
+    assert got.tolist() == expected

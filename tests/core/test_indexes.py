@@ -1,98 +1,71 @@
-"""Unit tests for the dominance index.
+"""Unit tests for the dominance index of the skyline loops.
 
-The scans ask "is this point dominated by a candidate?" through
-``batch_dominated_any(index.block_view(), rows)``; the probes here ask
-it the same way.
+Algorithm 1 asks its index two questions about the rows it examines:
+is the next row dominated by a candidate, and which candidates does the
+next row evict?  One call of the skyline filter
+(:func:`repro.core.dominance._skyline_filter`, dominance form) answers
+both for the whole examined prefix: the positions it keeps are the
+candidates a row-by-row index would hold at the end, in row order.
 """
 
 import numpy as np
 
-from repro.core.dominance import batch_dominated_any
-from repro.core.indexes import BlockDominanceIndex
+from repro.core.dominance import _skyline_filter
 
 
-def _insert(index: BlockDominanceIndex, position: int, point) -> None:
-    index.bulk_insert(np.array([position]), np.array([point], dtype=float))
+def _kept(rows) -> list[int]:
+    return _skyline_filter(np.asarray(rows, dtype=float), ext=False)[0].tolist()
 
 
-def _dominated(index: BlockDominanceIndex, point) -> bool:
-    rows = np.array([point], dtype=float)
-    return bool(batch_dominated_any(index.block_view(), rows)[0])
+def _comparisons(rows) -> int:
+    return _skyline_filter(np.asarray(rows, dtype=float), ext=False)[1]
 
 
 class TestSemantics:
     def test_empty_index_dominates_nothing(self):
-        index = BlockDominanceIndex(2)
-        assert not _dominated(index, [0.5, 0.5])
-        assert len(index) == 0
+        assert _kept([[0.5, 0.5]]) == [0]
+        assert _skyline_filter(np.empty((0, 2)), ext=False)[0].tolist() == []
 
     def test_insert_then_dominate(self):
-        index = BlockDominanceIndex(2)
-        _insert(index, 0, [0.2, 0.2])
-        assert _dominated(index, [0.5, 0.5])
-        assert not _dominated(index, [0.1, 0.5])
+        assert _kept([[0.2, 0.2], [0.5, 0.5]]) == [0]
+        assert _kept([[0.2, 0.2], [0.1, 0.5]]) == [0, 1]
 
     def test_identical_point_not_dominated(self):
-        index = BlockDominanceIndex(2)
-        _insert(index, 0, [0.2, 0.2])
-        assert not _dominated(index, [0.2, 0.2])
+        assert _kept([[0.2, 0.2], [0.2, 0.2]]) == [0, 1]
 
     def test_insert_evicts_dominated(self):
-        index = BlockDominanceIndex(2)
-        _insert(index, 0, [0.5, 0.5])
-        _insert(index, 1, [0.2, 0.2])
-        assert len(index) == 1
-        assert index.positions() == [1]
+        # The later row dominates the earlier one.
+        assert _kept([[0.5, 0.5], [0.2, 0.2]]) == [1]
 
     def test_incomparable_points_coexist(self):
-        index = BlockDominanceIndex(2)
-        _insert(index, 0, [0.1, 0.9])
-        _insert(index, 1, [0.9, 0.1])
-        assert sorted(index.positions()) == [0, 1]
+        assert _kept([[0.1, 0.9], [0.9, 0.1]]) == [0, 1]
 
     def test_comparisons_counter_increases(self):
-        index = BlockDominanceIndex(2)
-        _insert(index, 0, [0.5, 0.5])
-        before = index.comparisons
-        _insert(index, 1, [0.4, 0.6])  # the eviction scan is charged
-        assert index.comparisons > before
+        assert _comparisons([[0.5, 0.5]]) < _comparisons([[0.5, 0.5], [0.4, 0.6]])
 
 
 class TestComparisonsAccounting:
-    """`comparisons` must count work done, not candidates held."""
+    """`comparisons` counts the pairs the filter tested."""
 
     def test_counts_never_exceed_candidate_scan(self, rng):
-        """Upper bound: the index charges no more than a full linear scan."""
-        index = BlockDominanceIndex(2)
-        worst_case = 0
-        for pos in range(80):
-            point = rng.random(2)
-            if not _dominated(index, point):
-                worst_case += len(index)
-                _insert(index, pos, point)
-        assert index.comparisons <= worst_case
+        """Upper bound: no more pairs than a full quadratic pass."""
+        for n in (80, 700):
+            assert 0 < _comparisons(rng.random((n, 2))) <= n * n
 
 
 class TestBlockBulkInsert:
     def test_bulk_insert_appends(self):
-        index = BlockDominanceIndex(2)
-        index.bulk_insert(np.array([0, 1]), np.array([[0.1, 0.9], [0.9, 0.1]]))
-        assert sorted(index.positions()) == [0, 1]
+        assert _kept([[0.1, 0.9], [0.9, 0.1]]) == [0, 1]
 
     def test_bulk_insert_evicts(self):
-        index = BlockDominanceIndex(2)
-        _insert(index, 0, [0.5, 0.5])
-        index.bulk_insert(np.array([1]), np.array([[0.2, 0.2]]))
-        assert index.positions() == [1]
+        assert _kept([[0.5, 0.5], [0.2, 0.2], [0.1, 0.9]]) == [1, 2]
 
     def test_bulk_insert_grows_capacity(self):
-        index = BlockDominanceIndex(2)
-        n = 300  # beyond the initial capacity of 64
+        # More rows than one 64-bit word and than one pivot cell holds.
+        n = 700
         rows = np.column_stack([np.linspace(0, 1, n), np.linspace(1, 0, n)])
-        index.bulk_insert(np.arange(n), rows)
-        assert len(index) == n
+        assert _kept(rows) == list(range(n))
 
     def test_bulk_insert_empty_is_noop(self):
-        index = BlockDominanceIndex(2)
-        index.bulk_insert(np.array([], dtype=int), np.empty((0, 2)))
-        assert len(index) == 0
+        positions, comparisons = _skyline_filter(np.empty((0, 2)), ext=False)
+        assert positions.shape == (0,) and comparisons == 0

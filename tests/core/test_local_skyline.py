@@ -158,16 +158,13 @@ class TestPrefixProjection:
 
     @staticmethod
     def _full_projection_scan(store, cols, threshold):
-        from repro.core.indexes import BlockDominanceIndex
+        from repro.core.dominance import _skyline_filter
 
-        index = BlockDominanceIndex(len(cols))
         proj = store.points.values[:, list(cols)]
         dists = proj.max(axis=1) if len(store) else np.zeros(0)
-        examined, final = alg1._chunked_scan(
-            index, proj, store.f, dists, threshold,
-            key_is_scanned_min=len(cols) == store.dimensionality,
-        )
-        return list(index.positions()), final, examined, index.comparisons
+        examined, final = alg1._stop_point(store.f, dists, threshold)
+        positions, comparisons = _skyline_filter(proj[:examined], ext=False)
+        return positions.tolist(), final, examined, comparisons
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())

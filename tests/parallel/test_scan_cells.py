@@ -4,9 +4,10 @@ Eighteen cells: three distributions × d ∈ {3, 5, 7}, each on the full
 space and on the pivot subspace ``(0, 1)``.  On every cell the sorted
 scan (what :func:`make_local_compute` builds for every query) must
 return exactly the skyline of the quadratic oracle.  On the full-space
-cells its work accounting must also equal ``CROSSOVER``, the values
-``BENCH_baseline.json`` recorded under ``kernels.crossover`` until
-smoke schema 13 dropped that section.
+cells its work accounting must also equal ``CROSSOVER``: the result
+sizes ``BENCH_baseline.json`` recorded under ``kernels.crossover`` until
+smoke schema 13 dropped that section, and the pairs the skyline filter
+tests (re-recorded when the filter replaced the block scan).
 """
 
 from __future__ import annotations
@@ -30,17 +31,18 @@ DISTRIBUTIONS = ("uniform", "correlated", "anticorrelated")
 DIMS = (3, 5, 7)
 PIVOT = (0, 1)
 #: (distribution, d) -> (comparisons, result size) of the full-space
-#: sorted scan over ``crossover_store(distribution, d)``.
+#: sorted scan over ``crossover_store(distribution, d)``; ``comparisons``
+#: are the pairs its skyline filter tested.
 CROSSOVER = {
-    ("uniform", 3): (8021, 26),
-    ("uniform", 5): (126488, 173),
-    ("uniform", 7): (370400, 469),
-    ("correlated", 3): (4377, 5),
-    ("correlated", 5): (7319, 11),
-    ("correlated", 7): (18898, 55),
-    ("anticorrelated", 3): (94572, 135),
-    ("anticorrelated", 5): (510644, 717),
-    ("anticorrelated", 7): (719382, 1081),
+    ("uniform", 3): (55696, 26),
+    ("uniform", 5): (445446, 173),
+    ("uniform", 7): (503394, 469),
+    ("correlated", 3): (26569, 5),
+    ("correlated", 5): (58564, 11),
+    ("correlated", 7): (108241, 55),
+    ("anticorrelated", 3): (523488, 135),
+    ("anticorrelated", 5): (648707, 717),
+    ("anticorrelated", 7): (757032, 1081),
 }
 
 

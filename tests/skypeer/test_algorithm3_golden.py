@@ -8,7 +8,7 @@ and ``f`` in order), every deterministic count and, under a fixed-tick
 ``time.perf_counter``, both model times to the last bit.
 
 It was first recorded from the parent commit of the PR that unified
-Algorithm 3 (the plan-based executor), and re-recorded three times since.
+Algorithm 3 (the plan-based executor), and re-recorded four times since.
 Once when ``f`` came off the backbone (a RESULT record is id + the k
 queried coordinates; a merged answer is ordered by, and its ``f`` is,
 the minimum over the queried coordinates): against the tree before,
@@ -24,8 +24,12 @@ message's ids became one column in the fewest whole bytes ``w`` that
 hold its largest id: every case kept ``ids``, ``f``, every count,
 ``computational_time`` and ``initial_threshold``, ``volume_bytes`` fell
 by exactly the sum of ``n * (8 - w)`` over its result messages, and
-``total_time`` fell with the transfers.  CHANGES.md has all three
-comparisons.
+``total_time`` fell with the transfers.  Once when Algorithms 1 and 2
+became a stop-point loop plus the skyline filter: ``comparisons`` now
+counts the pairs the filter tested, and it alone moved, in the eight
+full-space SKYPEER cases of ``mesh`` and ``deep``; every other key of
+all 45 cases, naive included, stayed byte-equal.  CHANGES.md has all
+four comparisons.
 
 The first file's ``critical_path_examined`` was right for the \\*PM
 variants only (the plan dropped the ``work`` component from every
