@@ -1,9 +1,11 @@
 """Micro-benchmark: encode + decode of one RESULT message.
 
 A 300-point list on a k = 4 subspace — the size of a ``wide_skyline``
-answer — with ids below 100 000, so the id column is 3 bytes wide.  The
-round trip rebuilds the receiver's sorted store, as a socket endpoint
-does for every list it merges.
+answer — with ids below 100 000, so the id column is 3 bytes wide, and
+coordinates in [0, 1), so the coordinate block sends their shared top
+byte once and 7 low bytes per value.  The round trip rebuilds the
+receiver's sorted store, as a socket endpoint does for every list it
+merges; encode and decode are also timed alone.
 
 Run with::
 
@@ -15,6 +17,7 @@ import pytest
 
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
+from repro.p2p.cost import coord_width
 from repro.p2p.wire import ResultMessage, decode
 
 
@@ -33,5 +36,18 @@ def test_encode_decode_300_points_k4(benchmark, message):
 
     back, store = benchmark(roundtrip)
     assert back == message
-    assert len(message.encode()) == 16 + 15 + 300 * (3 + 4 * 8)
+    assert coord_width(message.coords) == 7
+    assert len(message.encode()) == 16 + 16 + 300 * 3 + 1 + 300 * 4 * 7
     assert sorted(store.points.ids.tolist()) == sorted(message.ids.tolist())
+
+
+def test_encode_300_points_k4(benchmark, message):
+    blob = benchmark(message.encode)
+    assert decode(blob) == message
+
+
+def test_decode_300_points_k4(benchmark, message):
+    blob = message.encode()
+    back = benchmark(decode, blob)
+    assert back == message
+    assert back.coords.view("<u8").tolist() == message.coords.view("<u8").tolist()

@@ -109,6 +109,15 @@ those of the paper's per-point loop read in 64-point chunks, so every
 *computational time* below is that of the faster test.  `comparisons`
 counts the pairs the filter tested, not the per-point candidate tests
 (docs/PERFORMANCE.md, "One dominance kernel").
+(9) A result message also sends its coordinates in one width: the high
+bytes that the float64 bit patterns of all its coordinates share travel
+once, and each coordinate sends only the c bytes below them (c = 7 for
+a list whose values all lie in [2^-15, 2), 8 when one of them is 0.0).
+Every double arrives bit for bit, so answers do not move; every
+*volume*, Figure 3(a)'s *upload KB* and the transfer share of every
+*total time* below is that of the narrower block, (8 - c)(nk - 1) bytes
+fewer for a message of n points on k coordinates
+(docs/TRANSPORT.md, "The records").
 
 ---
 """

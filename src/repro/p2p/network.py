@@ -26,7 +26,7 @@ from ..core.store import SortedByF
 from ..data.generators import make_generator
 from ..data.partition import partition_evenly
 from ..obs.runtime import active_metrics, active_tracer
-from .cost import DEFAULT_COST_MODEL, CostModel, id_width
+from .cost import DEFAULT_COST_MODEL, CostModel, coord_width, id_width
 from .node import Peer, SuperPeer
 from .topology import Topology
 
@@ -143,7 +143,8 @@ class SuperPeerNetwork:
         for lst in superpeer.peer_skylines.values():
             uploaded += len(lst)
             upload_bytes += self.cost_model.result_bytes(
-                len(lst), self.dimensionality, id_width(lst.points.ids)
+                len(lst), self.dimensionality, id_width(lst.points.ids),
+                coord_width(lst.points.values),
             )
         return peer_points, uploaded, superpeer.store_size, upload_bytes
 
@@ -341,6 +342,7 @@ class SuperPeerNetwork:
                 peer_bytes = self.cost_model.result_bytes(
                     len(computation.result), self.dimensionality,
                     id_width(computation.result.points.ids),
+                    coord_width(computation.result.points.values),
                 )
                 upload_bytes += peer_bytes
                 compute_seconds += computation.duration

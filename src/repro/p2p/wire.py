@@ -16,11 +16,16 @@ Payloads:
   each) and, per point, its k coordinates on the subspace (8B doubles):
   the bound ``(t, p)`` of ``q(U, t, p)``.
 * ``ResultMessage`` — sender (8B), point count n (4B), query
-  dimensionality k (2B), id width w (1B), then two columns: the n ids,
-  each little-endian in ``w`` bytes, and the n x k coordinates (8B
-  doubles, row-major).  ``w`` is :func:`repro.p2p.cost.id_width` of the
-  ids — the fewest whole bytes that hold the largest one, 8 if any is
-  negative — so the ids cost what the cost model charges for them.
+  dimensionality k (2B), id width w (1B), coordinate width c (1B), then
+  the n ids, each little-endian in ``w`` bytes, then the coordinate
+  block: the ``8 - c`` high bytes every coordinate shares, once, and
+  each of the n x k coordinates' ``c`` low bytes (little-endian,
+  row-major).  ``w`` is :func:`repro.p2p.cost.id_width` of the ids —
+  the fewest whole bytes that hold the largest one, 8 if any is
+  negative — and ``c`` is :func:`repro.p2p.cost.coord_width` of the
+  block — 8 less the whole high bytes all its float64 bit patterns
+  share, 8 when it is empty — so the record costs what the cost model
+  charges for it, and every double comes back bit for bit.
   Its kind byte also says where the message stands on its link: a plain
   result, a *final* one (the last message the sender's subtree puts on
   this link), or a *decline* (no result will ever come over this link —
@@ -32,8 +37,9 @@ needs nothing else to run Algorithm 2, whose ordering key
 ``g_U(p) = min_{i in U} p[i]`` it recomputes from them — which is exactly
 the per-point size the cost model charges.  Version 1 also shipped the
 full-space ``f(p)`` per point, version 2's query carried the scalar
-``t`` alone, and version 3's record was a fixed 8-byte id plus the
-coordinates, point by point; none of them is decoded.
+``t`` alone, version 3's record was a fixed 8-byte id plus the
+coordinates, point by point, and version 4's sent every coordinate as
+a whole 8-byte double; none of them is decoded.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import numpy as np
 
 from ..core.dataset import PointSet
 from ..core.store import SortedByF
-from .cost import CostModel, id_width
+from .cost import CostModel, coord_width, id_width
 
 __all__ = [
     "HEADER_SIZE",
@@ -59,7 +65,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SP"
-_VERSION = 4
+_VERSION = 5
 _HEADER = struct.Struct("<2sBBqI")
 _KIND_QUERY = 1
 _KIND_RESULT = 2
@@ -143,7 +149,7 @@ class ResultMessage:
     final: bool = False
     decline: bool = False
 
-    _BODY_HEAD = struct.Struct("<qIHB")
+    _BODY_HEAD = struct.Struct("<qIHBB")
 
     def __post_init__(self) -> None:
         ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
@@ -197,12 +203,15 @@ class ResultMessage:
             raise WireError("a decline carries no points")
         kind = _KIND_DECLINE if self.decline else _KIND_FINAL if self.final else _KIND_RESULT
         width = id_width(self.ids)
-        # Each id's low ``width`` bytes, little-endian.
-        id_column = self.ids.astype("<i8", copy=False).view(np.uint8).reshape(n, 8)[:, :width]
+        coords = np.ascontiguousarray(self.coords, dtype="<f8")
+        low = coord_width(coords)
+        # The high ``8 - low`` bytes are the same in every coordinate: the
+        # first one's go once.
         body = (
-            self._BODY_HEAD.pack(self.sender, n, k, width)
-            + id_column.tobytes()
-            + self.coords.astype("<f8", copy=False).tobytes()
+            self._BODY_HEAD.pack(self.sender, n, k, width, low)
+            + _low_bytes(np.ascontiguousarray(self.ids, dtype="<i8"), width)
+            + coords.reshape(-1)[:1].tobytes()[low:]
+            + _low_bytes(coords, low)
         )
         return _HEADER.pack(_MAGIC, _VERSION, kind, self.query_id, len(body)) + body
 
@@ -211,23 +220,30 @@ class ResultMessage:
         head = cls._BODY_HEAD.size
         if len(body) < head:
             raise WireError("result body truncated")
-        sender, n, k, width = cls._BODY_HEAD.unpack_from(body, 0)
+        sender, n, k, width, low = cls._BODY_HEAD.unpack_from(body, 0)
         if kind == _KIND_DECLINE and n:
             raise WireError("a decline carries no points")
         if not 1 <= width <= 8:
             raise WireError(f"id width {width} is not 1..8 bytes")
-        expected = head + n * (width + 8 * k)
+        if low > 8:
+            raise WireError(f"coordinate width {low} is not 0..8 bytes")
+        if not n * k and low != 8:
+            raise WireError(f"an empty coordinate block has width 8, not {low}")
+        shared = 8 - low
+        expected = head + n * width + shared + n * k * low
         if len(body) != expected:
             raise WireError(f"result body has {len(body)} bytes, expected {expected}")
         # Zero-extend each id to 8 bytes; width 8 carries negatives as they are.
-        padded = np.zeros((n, 8), dtype=np.uint8)
-        padded[:, :width] = np.frombuffer(body, np.uint8, n * width, head).reshape(n, width)
-        coords = np.frombuffer(body, "<f8", n * k, head + n * width).reshape(n, k)
+        ids = _words(body, head, n, width, 0)
+        # The shared high bytes, then each coordinate's low bytes.
+        start = head + n * width
+        high = int.from_bytes(bytes(low) + body[start : start + shared], "little")
+        coords = _words(body, start + shared, n * k, low, high)
         return cls(
             query_id=query_id,
             sender=sender,
-            ids=padded.view("<i8").reshape(n),
-            coords=coords,
+            ids=ids.view("<i8"),
+            coords=coords.view("<f8").reshape(n, k),
             final=kind != _KIND_RESULT,
             decline=kind == _KIND_DECLINE,
         )
@@ -243,6 +259,28 @@ class ResultMessage:
         if not len(self.ids):
             return SortedByF.empty(self.k or 1)
         return SortedByF.from_points(PointSet(self.coords, self.ids))
+
+
+def _low_bytes(words: np.ndarray, width: int) -> bytes:
+    """The low ``width`` bytes of each 8-byte little-endian word of the
+    contiguous array ``words``, word after word."""
+    if width == 8:
+        return words.tobytes()
+    if not width or not words.size:
+        return b""
+    # One ``width``-byte item every 8 bytes: a strided copy of whole items.
+    return np.ndarray((words.size,), f"V{width}", words, strides=(8,)).tobytes()
+
+
+def _words(body: bytes, offset: int, count: int, width: int, high: int) -> np.ndarray:
+    """``count`` 8-byte little-endian words (``uint64``) whose low
+    ``width`` bytes lie back to back at ``offset`` in ``body`` and whose
+    high bytes are those of ``high``: the inverse of :func:`_low_bytes`."""
+    words = np.full(count, high, dtype="<u8")
+    if width and count:
+        items = np.frombuffer(body, f"V{width}", count, offset)
+        np.ndarray((count,), f"V{width}", words, strides=(8,))[...] = items
+    return words
 
 
 def decode_header(blob: bytes) -> tuple[int, int, int]:
@@ -311,5 +349,7 @@ def cost_estimate(blob: bytes, model: CostModel) -> int:
         return model.query_bytes(k, points)
     if len(body) < ResultMessage._BODY_HEAD.size:
         raise WireError("result body truncated")
-    _, n, k, width = ResultMessage._BODY_HEAD.unpack_from(body, 0)
-    return model.result_bytes(n, k, width)
+    _, n, k, width, low = ResultMessage._BODY_HEAD.unpack_from(body, 0)
+    if low > 8:
+        raise WireError(f"coordinate width {low} is not 0..8 bytes")
+    return model.result_bytes(n, k, width, low)

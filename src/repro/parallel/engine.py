@@ -41,6 +41,15 @@ iteration order and the parent reassembles results by index, so the
 aggregated statistics cannot depend on chunking or worker scheduling.
 Metric snapshots ride back one per batch and merge commutatively.
 
+*A dead worker.*  When a worker process dies (SIGKILL, the OOM killer)
+``concurrent.futures`` marks the whole pool broken, and every later
+submit to it raises ``BrokenProcessPool``.  A fan-out that meets a
+broken pool replaces it once, under the engine lock, and resubmits all
+of its batches: a batch only reads a publication, which the new
+workers attach by its token like any first attach, so a rerun returns
+what the first run would have.  A second break in the same fan-out
+propagates (the gateway answers it as a backend error).
+
 *Observability.*  Workers never install a tracer (spans model the
 simulated distributed schedule, which the parent owns).  When the
 parent has an active :class:`~repro.obs.metrics.MetricsRegistry`, each
@@ -63,6 +72,7 @@ import time
 import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -439,7 +449,8 @@ class EngineStats:
     ``attach_events`` records every worker-side attach (``"shm"``) or
     per-slot refresh (``"shm-delta"``) of a publication.  The
     ``cache_*`` fields aggregate the per-batch scan-memo deltas the
-    workers ship back (:class:`ScanMemo`).
+    workers ship back (:class:`ScanMemo`).  ``pool_replacements``
+    counts the broken pools replaced after a worker died.
     What a :class:`~repro.serving.QueryGateway` in front of the engine
     counted (coalesce hits, shed requests, queue depth) is its own
     ``GatewayStats``; a query it dispatches is one of ``tasks`` here.
@@ -467,6 +478,7 @@ class EngineStats:
     update_promoted: int = 0
     update_rebuilt: int = 0
     update_points_examined: int = 0
+    pool_replacements: int = 0
 
     def dispatch_overhead_per_task(self) -> float:
         return self.submit_seconds / self.tasks if self.tasks else 0.0
@@ -514,6 +526,7 @@ class EngineStats:
             "update_promoted": self.update_promoted,
             "update_rebuilt": self.update_rebuilt,
             "update_points_examined": self.update_points_examined,
+            "pool_replacements": self.pool_replacements,
         }
 
 
@@ -677,20 +690,69 @@ class ParallelEngine:
         # in-place republish are only unlinked once readers drain.
         self._gate = _EpochGate()
         started = time.perf_counter()
-        ctx = multiprocessing.get_context(self.start_method)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=ctx,
+        self._pool = self._new_pool()
+        if warm:
+            for future in [self._pool.submit(_noop) for _ in range(self.workers)]:
+                future.result()
+        self.stats.pool_startup_seconds = time.perf_counter() - started
+        atexit.register(self.close)
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context(self.start_method),
             # Under forkserver the workers' parent is the fork server
             # (which ends with this process); they watch whichever
             # parent they start under.
             initializer=_worker_init,
             initargs=(None if self.start_method == "forkserver" else os.getpid(),),
         )
-        if warm:
-            for future in [self._pool.submit(_noop) for _ in range(self.workers)]:
-                future.result()
-        self.stats.pool_startup_seconds = time.perf_counter() - started
-        atexit.register(self.close)
+
+    def _fan_out(self, fn: Any, batches: Sequence[tuple[Any, ...]]) -> list[Any]:
+        """Run ``fn(*batch)`` for every batch on the pool; their results
+        in batch order.
+
+        If the pool is broken — already, or by a worker dying mid-batch —
+        it is replaced once and every batch resubmitted; a second break
+        raises ``BrokenProcessPool``.
+        """
+        pool = self._pool
+        try:
+            return self._run_batches(pool, fn, batches)
+        except BrokenProcessPool:
+            self._replace_pool(pool)
+        return self._run_batches(self._pool, fn, batches)
+
+    def _run_batches(
+        self, pool: ProcessPoolExecutor, fn: Any, batches: Sequence[tuple[Any, ...]]
+    ) -> list[Any]:
+        """One submission of every batch.  Whatever a batch raises
+        propagates only once every batch has finished or been cancelled,
+        so nothing still reads a publication the caller may withdraw."""
+        futures: list[Future] = []
+        started = time.perf_counter()
+        try:
+            for batch in batches:
+                futures.append(pool.submit(fn, *batch))
+            with self._lock:
+                self.stats.submit_seconds += time.perf_counter() - started
+                self.stats.batches += len(batches)
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+
+    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap ``broken`` for a fresh pool, unless a concurrent fan-out
+        already did."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("engine is closed")
+            if self._pool is broken:
+                self._pool = self._new_pool()
+                self.stats.pool_replacements += 1
+        broken.shutdown(wait=True)
 
     @property
     def closed(self) -> bool:
@@ -951,18 +1013,13 @@ class ParallelEngine:
         variants = [Variant.parse(v) if isinstance(v, str) else v for v in variants]
         chunks = _affinity_chunks(queries, variants, self.workers)
         total = len(queries) * len(variants)
-        started = time.perf_counter()
-        futures = [
-            self._pool.submit(_run_query_batch, spec, chunk, metrics is not None)
-            for chunk in chunks
-        ]
+        payloads = self._fan_out(
+            _run_query_batch, [(spec, chunk, metrics is not None) for chunk in chunks]
+        )
         with self._lock:
-            self.stats.submit_seconds += time.perf_counter() - started
-            self.stats.batches += len(chunks)
             self.stats.tasks += total
         flat: list["QueryExecution" | None] = [None] * total
-        for future in futures:
-            payload = future.result()
+        for payload in payloads:
             self._ingest_batch_stats(payload, metrics)
             if payload["snapshot"] is not None and metrics is not None:
                 metrics.merge_snapshot(payload["snapshot"])
@@ -1003,24 +1060,21 @@ class ParallelEngine:
             if self._closed:
                 raise RuntimeError("engine is closed")
             publication = self._new_publication(network, partitions=True)
-        futures: list[Future] = []
         try:
             sp_ids = list(network.topology.superpeer_ids)
             target = max(
                 1, math.ceil(len(sp_ids) / (self.workers * _BATCH_OVERSUBSCRIBE))
             )
             chunks = [sp_ids[i : i + target] for i in range(0, len(sp_ids), target)]
-            started = time.perf_counter()
-            futures = [
-                self._pool.submit(_run_preprocess_batch, publication.spec, chunk)
-                for chunk in chunks
-            ]
-            self.stats.submit_seconds += time.perf_counter() - started
-            self.stats.batches += len(chunks)
-            self.stats.tasks += len(sp_ids)
+            # ``_fan_out`` returns (or raises) only once no batch still
+            # reads the raw partitions, so the segment can go after it.
+            payloads = self._fan_out(
+                _run_preprocess_batch, [(publication.spec, chunk) for chunk in chunks]
+            )
+            with self._lock:
+                self.stats.tasks += len(sp_ids)
             results: list["SuperPeerPreprocess"] = []
-            for future in futures:
-                payload = future.result()
+            for payload in payloads:
                 self._ingest_batch_stats(payload, None)
                 results.extend(
                     SuperPeerPreprocess(
@@ -1031,13 +1085,7 @@ class ParallelEngine:
             return results
         finally:
             # The raw partitions were needed for this fan-out only: the
-            # stores it produced travel with the query publication.  On
-            # an error or interrupt, batches may still be queued or
-            # running; they finish (or never start) before the segment
-            # they attach by name goes.
-            for future in futures:
-                future.cancel()
-            wait(futures)
+            # stores it produced travel with the query publication.
             publication.withdraw()
 
     def _ingest_batch_stats(self, payload: dict[str, Any], metrics: Any) -> None:

@@ -31,7 +31,7 @@ from ..core.merging import merge_sorted_skylines
 from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
 from ..data.workload import Query
-from ..p2p.cost import id_width
+from ..p2p.cost import coord_width, id_width
 from ..p2p.network import SuperPeerNetwork
 from .executor import QueryExecution, run_on_model_clocks
 from .variants import Variant
@@ -104,7 +104,10 @@ def execute_constrained_query(
         local_compute=full_data_scan if full_data else store_scan,
     )
     extra_bytes = 16 * len(box.bounds) * run.query_messages + sum(
-        network.cost_model.result_bytes(len(lst), len(subspace), id_width(lst.points.ids))
+        network.cost_model.result_bytes(
+            len(lst), len(subspace), id_width(lst.points.ids),
+            coord_width(lst.points.values[:, list(subspace)]),
+        )
         for lst in uploads
     )
     fields = vars(run.execution) | {

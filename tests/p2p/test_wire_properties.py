@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p2p.cost import DEFAULT_COST_MODEL, CostModel, id_width
+from repro.p2p.cost import DEFAULT_COST_MODEL, CostModel, coord_width, id_width
 from repro.p2p.wire import QueryMessage, ResultMessage, WireError, cost_estimate, decode
 
 finite_floats = st.floats(0, 1e9, allow_nan=False)
@@ -18,10 +18,10 @@ finite_floats = st.floats(0, 1e9, allow_nan=False)
 # needs one calibration per message kind: a query's non-payload bytes
 # are frame + dimension-count/threshold/initiator/point-count fields
 # minus the threshold the model charges separately (16 + 19 - 8 = 27),
-# a result's are frame + sender/count/dimensionality/id-width fields
-# (16 + 15 = 31).
+# a result's are frame + sender/count/dimensionality/id-width/
+# coordinate-width fields (16 + 16 = 32).
 QUERY_COST = CostModel(message_header_bytes=27)
-RESULT_COST = CostModel(message_header_bytes=31)
+RESULT_COST = CostModel(message_header_bytes=32)
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 #: Ids on both sides of every width step, the extremes and negatives.
@@ -82,18 +82,54 @@ def test_result_roundtrip(query_id, sender, k, ids, mark, data):
     assert back == msg
     assert back.ids.tolist() == ids and back.k == k
     assert (back.final, back.decline) == (mark != "plain", mark == "decline")
-    # The column is as wide as the largest id needs; the estimate charges it.
-    width = id_width(ids)
-    assert blob[16 + 14] == width
+    # The column is as wide as the largest id needs, each coordinate as
+    # wide as the block's unshared low bytes; the estimate charges both.
+    width, low = id_width(ids), coord_width(coords)
+    assert (blob[16 + 14], blob[16 + 15]) == (width, low)
     assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
-        len(ids), k, width
+        len(ids), k, width, low
     )
     # The envelope is one constant for every n, k, width and mark.
-    assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 33
+    assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
     # The key the receiver merges on is recomputed, ascending, from the record.
     rebuilt = back.to_store()
     assert sorted(rebuilt.points.ids.tolist()) == sorted(ids)
     assert rebuilt.f.tolist() == sorted(min(row) for row in msg.coords.tolist())
+
+
+@given(
+    st.integers(0, 40),
+    st.integers(1, 8),
+    st.integers(0, 8),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(["plain", "final"]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_coordinate_block_roundtrips_bit_for_bit(n, k, shared, base, mark, data):
+    """Blocks whose bit patterns agree on at least ``shared`` high bytes
+    — NaN payloads, infinities, signed zeros and subnormals included —
+    come back bit for bit, at the width ``coord_width`` picks, and the
+    estimate stays one constant above the measured bytes."""
+    unshared = (1 << 8 * (8 - shared)) - 1
+    rows = data.draw(
+        st.lists(st.integers(0, unshared), min_size=n * k, max_size=n * k), label="low bits"
+    )
+    bits = np.array([base & ~unshared | low for low in rows], dtype=np.uint64).reshape(n, k)
+    coords = bits.view("<f8")
+    msg = ResultMessage(query_id=2, sender=5, ids=range(n), coords=coords, final=mark == "final")
+    blob = msg.encode()
+    back = decode(blob)
+    assert back.coords.view("<u8").tolist() == bits.tolist()
+    assert back.ids.tolist() == list(range(n)) and back.final is (mark == "final")
+    low = coord_width(coords)
+    assert blob[16 + 15] == low
+    assert low <= 8 - shared if n * k else low == 8
+    estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
+    assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(range(n)), low)
+    assert estimate - len(blob) == 32
+    assert len(blob) == RESULT_COST.result_bytes(n, k, id_width(range(n)), low)
+    assert len(blob) <= RESULT_COST.result_bytes(n, k, id_width(range(n)), 8)
 
 
 @given(st.binary(max_size=200))
@@ -106,13 +142,19 @@ def test_random_blobs_never_crash(blob):
         pass
 
 
-@given(st.data(), st.booleans())
+@given(st.data(), st.sampled_from(["query", "pointed query", "result", "shared result"]))
 @settings(max_examples=100, deadline=None)
-def test_truncation_always_detected(data, pointed):
-    msg = QueryMessage(
-        query_id=1, subspace=(0, 2, 5), threshold=0.5, initiator=3,
-        point=(0.25, 0.5, 0.75) if pointed else None,
-    )
+def test_truncation_always_detected(data, which):
+    if which.endswith("query"):
+        msg = QueryMessage(
+            query_id=1, subspace=(0, 2, 5), threshold=0.5, initiator=3,
+            point=(0.25, 0.5, 0.75) if which == "pointed query" else None,
+        )
+    else:
+        # 0.0 shares no byte with the others; without it the block's
+        # width byte is 7 and the top byte 0x3F travels once.
+        rows = [(0.25, 0.5, 0.75), (0.5, 0.125, 0.0 if which == "result" else 1.5)]
+        msg = ResultMessage(query_id=1, sender=3, ids=(7, 300), coords=rows)
     blob = msg.encode()
     cut = data.draw(st.integers(0, len(blob) - 1))
     try:
@@ -148,21 +190,23 @@ def test_query_size_matches_cost_model(dims, threshold, points):
 def test_result_size_matches_cost_model(k, n, largest):
     rng = np.random.default_rng(n * 31 + k)
     ids = [largest] + list(range(n - 1)) if n else []
+    coords = rng.random((n, k))
     msg = ResultMessage(
         query_id=3,
         sender=1,
         ids=ids,
-        coords=rng.random((n, k)),
+        coords=coords,
     )
-    assert len(msg.encode()) == RESULT_COST.result_bytes(n, k, id_width(ids))
+    assert len(msg.encode()) == RESULT_COST.result_bytes(n, k, id_width(ids), coord_width(coords))
 
 
 def test_empty_result_roundtrips_at_header_cost():
     msg = ResultMessage(query_id=9, sender=4, ids=(), coords=())
     blob = msg.encode()
     assert decode(blob) == msg
-    # k and the id width are irrelevant at n=0.
-    assert len(blob) == RESULT_COST.result_bytes(0, 5, 8)
+    # k and the id width are irrelevant at n=0; an empty block is width 8.
+    assert blob[16 + 15] == 8
+    assert len(blob) == RESULT_COST.result_bytes(0, 5, 8, 8)
 
 
 def test_single_dimension_subspace_roundtrips():

@@ -13,6 +13,7 @@ injected faults are the ones the gateway was designed around:
 from __future__ import annotations
 
 import asyncio
+import os
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,11 @@ TIMEOUT = 20.0
 
 def bounded(coro):
     return asyncio.wait_for(coro, timeout=TIMEOUT)
+
+
+def _die(*_args):
+    """A pool batch whose worker process dies at once."""
+    os._exit(1)
 
 
 class TestClientFaults:
@@ -212,30 +218,53 @@ class TestBackendFaults:
         assert "backend worker died" in response.payload["error"]
         assert stats.backend_errors == 1
 
-    def test_real_worker_death_surfaces_as_error_not_hang(self, network):
-        """Kill the engine's pool workers; queries get error frames."""
+    @staticmethod
+    def _query_through(engine, network):
+        async def scenario():
+            gateway = QueryGateway(network, engine=engine, backend="engine")
+            async with gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    return await client.query([0, 1]), gateway.stats
+
+        return run(bounded(scenario()))
+
+    def test_real_worker_death_surfaces_as_error_not_hang(self, network, monkeypatch):
+        """Kill the engine's pool workers, and let every batch kill its
+        worker too, so the pool the engine replaces the broken one with
+        breaks as well: the query gets an error frame."""
+        import repro.parallel.engine as engine_module
         from repro.parallel import ParallelEngine
 
         engine = ParallelEngine(2)
         try:
             for pid in list(engine._pool._processes):
-                import os
-
                 os.kill(pid, signal.SIGKILL)
-
-            async def scenario():
-                gateway = QueryGateway(network, engine=engine, backend="engine")
-                async with gateway:
-                    host, port = gateway.address
-                    async with await GatewayClient.connect(host, port) as client:
-                        return await client.query([0, 1]), gateway.stats
-
-            response, stats = run(bounded(scenario()))
+            monkeypatch.setattr(engine_module, "_run_query_batch", _die)
+            response, stats = self._query_through(engine, network)
             assert response.status == "error"
             assert stats.backend_errors == 1
+            assert engine.stats.pool_replacements == 1
         finally:
             engine.close()
             engine.close()  # idempotent even after a pool break
+        assert engine.published_segments() == []
+
+    def test_one_dead_pool_is_replaced_and_the_query_answered(self, network):
+        """Kill the engine's pool workers: the engine replaces the
+        broken pool once and the query is answered, not refused."""
+        from repro.parallel import ParallelEngine
+
+        engine = ParallelEngine(2)
+        try:
+            for pid in list(engine._pool._processes):
+                os.kill(pid, signal.SIGKILL)
+            response, stats = self._query_through(engine, network)
+            assert response.status == "ok"
+            assert stats.backend_errors == 0
+            assert engine.stats.pool_replacements == 1
+        finally:
+            engine.close()
         assert engine.published_segments() == []
 
 

@@ -8,7 +8,7 @@ and ``f`` in order), every deterministic count and, under a fixed-tick
 ``time.perf_counter``, both model times to the last bit.
 
 It was first recorded from the parent commit of the PR that unified
-Algorithm 3 (the plan-based executor), and re-recorded four times since.
+Algorithm 3 (the plan-based executor), and re-recorded five times since.
 Once when ``f`` came off the backbone (a RESULT record is id + the k
 queried coordinates; a merged answer is ordered by, and its ``f`` is,
 the minimum over the queried coordinates): against the tree before,
@@ -28,8 +28,14 @@ by exactly the sum of ``n * (8 - w)`` over its result messages, and
 became a stop-point loop plus the skyline filter: ``comparisons`` now
 counts the pairs the filter tested, and it alone moved, in the eight
 full-space SKYPEER cases of ``mesh`` and ``deep``; every other key of
-all 45 cases, naive included, stayed byte-equal.  CHANGES.md has all
-four comparisons.
+all 45 cases, naive included, stayed byte-equal.  Once when a RESULT
+message's coordinates began to send the high bytes they all share once
+and ``c`` low bytes each: every case kept ``ids``, ``f``, every count,
+``computational_time`` and ``initial_threshold``, and ``volume_bytes``
+fell by exactly the sum of ``(8 - c) * (n * k - 1)`` over its result
+messages (in the 20 cases where some message has ``n * k > 1``), and
+``total_time`` with the transfers.  CHANGES.md has all five
+comparisons.
 
 The first file's ``critical_path_examined`` was right for the \\*PM
 variants only (the plan dropped the ``work`` component from every
@@ -54,7 +60,7 @@ import pytest
 
 from repro.core.merging import merge_sorted_skylines
 from repro.data.workload import Query
-from repro.p2p.cost import id_width
+from repro.p2p.cost import coord_width, id_width
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import _ModelClocks, execute_query, run_on_model_clocks
 from repro.skypeer.variants import Variant
@@ -145,16 +151,18 @@ def test_matches_the_parent(networks, golden, monkeypatch, name, subspace, varia
 def test_volume_is_headers_plus_point_hops(networks, monkeypatch, variant):
     """``volume_bytes`` written out: a query message per query — carrying
     the bound's one point under the four SKYPEER variants and none under
-    naive — an envelope per result and ``w + k coordinates`` per point
-    per hop, ``w`` the fewest whole bytes that hold the largest id of the
-    message (read here through a spy on the carrier).  Nothing else
-    travels, so a change to either record shows here and not only in a
-    bench."""
-    sent: list[tuple[int, int]] = []  # (points, id width) per result message
+    naive — an envelope and the ``8 − c`` shared high coordinate bytes
+    per result, and ``w + k·c`` per point per hop, ``w`` the fewest whole
+    bytes that hold the largest id of the message and ``c`` the low bytes
+    its queried coordinates do not all share (both read here through a
+    spy on the carrier).  Nothing else travels, so a change to either
+    record shows here and not only in a bench."""
+    sent: list[tuple[int, int, int]] = []  # (points, id width, coord width) per result
     send_result = _ModelClocks.send_result
 
     def spy(self, src, dst, origin, result, final, at):
-        sent.append((len(result), id_width(result.points.ids)))
+        low = coord_width(result.points.values[:, list(self._subspace)])
+        sent.append((len(result), id_width(result.points.ids), low))
         send_result(self, src, dst, origin, result, final, at)
 
     monkeypatch.setattr(_ModelClocks, "send_result", spy)
@@ -169,11 +177,11 @@ def test_volume_is_headers_plus_point_hops(networks, monkeypatch, variant):
             n_result = execution.message_count - run.query_messages
             points = 0 if variant is Variant.NAIVE else 1
             assert run.query_messages == network.n_superpeers - 1, name
-            assert sum(n for n, _ in sent) == execution.point_hops
+            assert sum(n for n, _, _ in sent) == execution.point_hops
             assert execution.volume_bytes == (
                 run.query_messages * cost.query_bytes(k, points)
                 + n_result * cost.message_header_bytes
-                + sum(n * (width + k * cost.coordinate_bytes) for n, width in sent)
+                + sum(n * (width + k * low) + 8 - low for n, width, low in sent)
             ), (name, subspace)
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.obs import observed
-from repro.p2p.cost import DEFAULT_COST_MODEL, id_width
+from repro.p2p.cost import DEFAULT_COST_MODEL, coord_width, id_width
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.transport import TransportConfig
 from repro.p2p.wire import QueryMessage, ResultMessage
@@ -49,14 +49,16 @@ def _query_delta(k: int) -> int:
     return DEFAULT_COST_MODEL.query_bytes(k) - len(blob)
 
 
-def _result_delta(n: int, k: int, first_id: int = 0) -> int:
+def _result_delta(n: int, k: int, first_id: int = 0, step: float = 0.0) -> int:
     ids = range(first_id, first_id + n)
-    msg = ResultMessage(
-        query_id=1, sender=0,
-        ids=tuple(ids),
-        coords=tuple((0.5,) * k for _ in range(n)),
+    # ``step`` sets the coordinate width: 0 makes every value 0.5 (width
+    # 0), a tiny step keeps the high bytes, -1 crosses the sign (width 8).
+    coords = 0.5 + step * np.arange(n * k, dtype=np.float64).reshape(n, k)
+    msg = ResultMessage(query_id=1, sender=0, ids=tuple(ids), coords=coords)
+    return (
+        DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids), coord_width(coords))
+        - len(msg.encode())
     )
-    return DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids)) - len(msg.encode())
 
 
 class TestEnvelopeDelta:
@@ -66,10 +68,11 @@ class TestEnvelopeDelta:
 
     def test_result_delta_is_constant_in_n_and_k(self):
         deltas = {
-            _result_delta(n, k, first_id)
+            _result_delta(n, k, first_id, step)
             for n in (0, 1, 4, 9)
             for k in (1, 3, 5)
             for first_id in (0, 300, 10_000_000, 2**62)
+            for step in (0.0, 2.0**-40, 0.25, -1.0)
         }
         assert len(deltas) == 1
 

@@ -59,8 +59,9 @@ class TestTimingStructure:
         query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
         got = execute_query(network, query, Variant.FTPM)
         # every byte of the final result crossed at least one 4 KB/s hop,
-        # each id in at least one byte
-        final_bytes = network.cost_model.result_bytes(len(got.result), 2, 1)
+        # each id in at least one byte (and a coordinate in none, at worst:
+        # a block of equal values sends its 8 bytes once)
+        final_bytes = network.cost_model.result_bytes(len(got.result), 2, 1, 0)
         assert got.total_time * 4096 * network.n_superpeers >= final_bytes
 
     def test_initiator_locality_matters(self, network):
