@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
-from . import fig3a, fig3b, fig3c, fig3d, fig3e, fig3f
-from . import fig4a, fig4b, fig4c, fig4d, fig4e, fig4f, fig4g, fig4h
 from .config import SCALES, ExperimentConfig, Scale, resolve_scale
+from .figures import EXPERIMENTS
 from .harness import VariantStats, build_network, make_queries, run_queries
 from .report import ResultTable
 
@@ -23,24 +20,6 @@ __all__ = [
     "make_queries",
     "run_queries",
 ]
-
-#: Experiment id -> runner.  Ids match the paper's figure numbers.
-EXPERIMENTS: dict[str, Callable[..., ResultTable]] = {
-    "fig3a": fig3a.run,
-    "fig3b": fig3b.run,
-    "fig3c": fig3c.run,
-    "fig3d": fig3d.run,
-    "fig3e": fig3e.run,
-    "fig3f": fig3f.run,
-    "fig4a": fig4a.run,
-    "fig4b": fig4b.run,
-    "fig4c": fig4c.run,
-    "fig4d": fig4d.run,
-    "fig4e": fig4e.run,
-    "fig4f": fig4f.run,
-    "fig4g": fig4g.run,
-    "fig4h": fig4h.run,
-}
 
 
 def run_experiment(experiment_id: str, scale: str | None = None) -> ResultTable:

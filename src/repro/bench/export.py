@@ -13,7 +13,7 @@ the *shapes* are what reproduce (see the per-figure notes).
 from __future__ import annotations
 
 import argparse
-import sys
+import inspect
 import time
 from pathlib import Path
 
@@ -135,8 +135,7 @@ def build_document(scale_name: str | None = None) -> str:
         )
     ]
     for name in sorted(EXPERIMENTS):
-        module = sys.modules[EXPERIMENTS[name].__module__]
-        doc = (module.__doc__ or "").strip()
+        doc = inspect.getdoc(EXPERIMENTS[name])
         started = time.time()
         table = run_experiment(name, scale.name)
         elapsed = time.time() - started

@@ -4,9 +4,6 @@
 
     skypeer figure fig3b --scale tiny       # one experiment
     skypeer all --scale default --workers 4 # every table/figure, 4 procs
-    skypeer bench --smoke --json BENCH.json # machine-readable baseline
-    skypeer bench --serve --json BENCH.json # open-loop gateway load
-    skypeer bench --churn --json CHURN.json # incremental churn grid
     skypeer serve --peers 60 --dims 5       # asyncio query gateway
     skypeer update insert --peer-id 3 --random 4 --port-file gw.port
                                             # live update on a gateway
@@ -21,6 +18,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from contextlib import contextmanager
@@ -63,26 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         allp.add_argument("--markdown", action="store_true")
         allp.add_argument("--workers", type=int, default=None, help=workers_help)
 
-    def bench_arguments(be: argparse.ArgumentParser) -> None:
-        be.add_argument("--smoke", action="store_true",
-                        help="run the fig3b-scale serial-vs-parallel smoke")
-        be.add_argument("--churn", action="store_true",
-                        help="run the incremental churn grid alone: every cell must "
-                             "match from-scratch recomputation byte-for-byte")
-        be.add_argument("--serve", action="store_true",
-                        help="open-loop load through the asyncio gateway "
-                             "(p50/p99 latency, shed rate, coalescing verdicts)")
-        be.add_argument("--scale", choices=_scales(), default="tiny")
-        be.add_argument("--workers", type=int, default=None, help=workers_help)
-        be.add_argument("--concurrency", type=int, default=32,
-                        help="client connections for --serve (default 32)")
-        be.add_argument("--requests", type=int, default=96,
-                        help="requests offered by --serve (default 96)")
-        be.add_argument("--rate", type=float, default=400.0,
-                        help="open-loop arrival rate in req/s for --serve")
-        be.add_argument("--json", dest="json_path", default=None, metavar="PATH",
-                        help="write the report to PATH (default: stdout only)")
-
     def export_arguments(ex: argparse.ArgumentParser) -> None:
         ex.add_argument("--scale", choices=_scales(), default=None)
         ex.add_argument("--output", default="EXPERIMENTS.md")
@@ -90,11 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("figure", help="run one paper experiment", arguments=figure_arguments)
     sub.add_parser("all", help="run every experiment", arguments=all_arguments)
     sub.add_parser("list", help="list experiments")
-    sub.add_parser(
-        "bench",
-        help="write a machine-readable perf baseline (serial vs parallel)",
-        arguments=bench_arguments,
-    )
 
     sv = sub.add_parser(
         "serve",
@@ -190,8 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
 class _CommandParser(argparse.ArgumentParser):
     """A subcommand's parser that may add its arguments when first used.
 
-    ``figure``, ``all``, ``bench`` and ``export`` take their choices
-    from :mod:`repro.bench`, which imports every figure module.  Their
+    ``figure``, ``all`` and ``export`` take their choices
+    from :mod:`repro.bench`, which imports every figure runner.  Their
     arguments are added only once one of them parses its command line
     (which is also where it prints its help or an error), so ``serve``,
     ``update``, ``query`` and ``trace`` start without that import.
@@ -223,8 +196,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from . import bench
     if args.command == "list":
         for name in sorted(bench.EXPERIMENTS):
-            doc = sys.modules[bench.EXPERIMENTS[name].__module__].__doc__ or ""
-            headline = doc.strip().splitlines()[0]
+            headline = inspect.getdoc(bench.EXPERIMENTS[name]).splitlines()[0]
             print(f"{name}: {headline}")
         return 0
     if args.command == "figure":
@@ -241,8 +213,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"[{name} finished in {time.time() - started:.1f}s]")
                 print()
         return 0
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "update":
@@ -280,56 +250,6 @@ def _ambient_workers(workers: int | None):
     finally:
         set_default_workers(None)
         shutdown_engines()
-
-
-def _run_bench(args: argparse.Namespace) -> int:
-    """``skypeer bench``: smoke baseline or open-loop serving load."""
-    import json
-
-    from .bench.smoke import bench_churn, bench_serving, bench_smoke, write_bench_smoke
-
-    if not args.smoke and not args.serve and not args.churn:
-        print("nothing to do: pass --smoke, --serve and/or --churn", file=sys.stderr)
-        return 2
-    if args.churn and not args.smoke and not args.serve:
-        report = bench_churn(scale=args.scale, workers=args.workers)
-    elif args.serve and not args.smoke:
-        report = bench_serving(
-            scale=args.scale,
-            workers=args.workers,
-            concurrency=args.concurrency,
-            requests=args.requests,
-            rate=args.rate,
-        )
-    else:
-        report = bench_smoke(scale=args.scale, workers=args.workers)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.json_path:
-        write_bench_smoke(args.json_path, report)
-        print(f"baseline -> {args.json_path}", file=sys.stderr)
-    failed = False
-    if "parallel_matches_serial" in report and not report["parallel_matches_serial"]:
-        print("parallel run diverged from serial!", file=sys.stderr)
-        failed = True
-    serving = report.get("serving")
-    if serving is not None and not serving["results_match"]:
-        print("gateway responses diverged from serial re-execution!", file=sys.stderr)
-        failed = True
-    incremental = report.get("incremental")
-    if incremental is not None:
-        if not incremental["identical"]:
-            print(
-                "incremental maintenance diverged from from-scratch recomputation!",
-                file=sys.stderr,
-            )
-            failed = True
-        if not incremental["delta_bounded"]:
-            print(
-                "incremental republish rewrote more than the touched slots!",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
 
 
 def _run_serve(args: argparse.Namespace) -> int:

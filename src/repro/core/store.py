@@ -49,8 +49,8 @@ class SortedByF:
 
         This is the O(n log n) full re-sort; the update hot path must
         use :meth:`splice_insert`/:meth:`splice_delete` instead, and the
-        ``store.from_points`` counter exists so tests and the bench can
-        assert it stays off that path.
+        ``store.from_points`` counter exists so tests can assert it
+        stays off that path.
         """
         metrics = active_metrics()
         if metrics is not None:

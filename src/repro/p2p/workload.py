@@ -12,7 +12,8 @@ and every op carries its own derived seed, so a schedule replays
 identically from ``(n_ops, rates, seed)`` alone.  ``apply_op`` executes
 one op against a live network (picking deterministic targets from the
 op seed); ``rebuild_reference`` produces the from-scratch recomputation
-the bench compares incremental maintenance against, byte for byte.
+that incremental maintenance is held to, byte for byte
+(``tests/parallel/test_churn_grid.py``).
 """
 
 from __future__ import annotations

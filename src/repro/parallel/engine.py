@@ -439,7 +439,7 @@ def _upload_from_rows(
 # ----------------------------------------------------------------------
 @dataclass
 class EngineStats:
-    """What one engine spent where (the bench's pool-overhead fields).
+    """What one engine spent where: pool start-up, dispatch, attach, cache.
 
     ``pool_startup_seconds`` covers executor creation plus the warm-up
     barrier; ``publish_seconds`` is the parent-side cost of making
@@ -499,7 +499,7 @@ class EngineStats:
         return sum(samples) / len(samples) if samples else None
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready view (what ``skypeer bench --smoke`` embeds)."""
+        """JSON-ready view (the gateway's ``stats`` reply carries it as ``engine``)."""
         return {
             "workers": self.workers,
             "start_method": self.start_method,
@@ -537,8 +537,9 @@ class UpdateReport:
     ``republished_bytes`` is the shm delta actually rewritten (0 when no
     publication was live); a slot is one super-peer's store, so
     ``slot_nbytes`` is the touched stores' array bytes and
-    ``total_nbytes`` every published store's — the bench asserts
-    ``republished_bytes <= slot_nbytes < total_nbytes``, i.e. the delta
+    ``total_nbytes`` every published store's —
+    ``tests/parallel/test_churn_grid.py`` asserts
+    ``republished_bytes == slot_nbytes < total_nbytes``, i.e. the delta
     scales with the touched stores, not the network.  ``full_republish``
     marks what cannot go incremental (super-peer set surgery, an update
     that moves every slot): the stale publication is withdrawn and the
@@ -548,8 +549,7 @@ class UpdateReport:
     delete outcomes, churn events), :meth:`as_dict` surfaces it:
     ``path`` (``spliced``/``promoted``/``rebuilt``/``merged``),
     ``examined`` candidate points dominance-tested and ``promoted``
-    points re-admitted — the delta-maintenance accounting the update-
-    latency bench gates on.
+    points re-admitted — the delta-maintenance accounting.
     """
 
     kind: str

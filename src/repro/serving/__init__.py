@@ -1,4 +1,4 @@
-"""Multi-tenant query serving: gateway, client, open-loop load.
+"""Multi-tenant query serving: gateway and client.
 
 The serving layer turns the one-query-at-a-time reproduction into a
 concurrent endpoint: :class:`QueryGateway` accepts many clients over
@@ -10,8 +10,9 @@ load explicitly, and dispatches onto the warm parallel engine.  See
 
 from .client import GatewayClient, GatewayResponse
 from .gateway import GatewayConfig, GatewayStats, QueryGateway, TokenBucket
-from .loadgen import LoadReport, run_open_loop
 from .proto import (
+    ERROR_BACKEND,
+    ERROR_REQUEST,
     SHED_QUEUE_FULL,
     SHED_RATE_LIMITED,
     SHED_SHUTDOWN,
@@ -21,11 +22,12 @@ from .proto import (
 )
 
 __all__ = [
+    "ERROR_BACKEND",
+    "ERROR_REQUEST",
     "GatewayClient",
     "GatewayConfig",
     "GatewayResponse",
     "GatewayStats",
-    "LoadReport",
     "ProtocolError",
     "QueryGateway",
     "SHED_QUEUE_FULL",
@@ -34,5 +36,4 @@ __all__ = [
     "TokenBucket",
     "decode_payload",
     "encode_payload",
-    "run_open_loop",
 ]

@@ -56,6 +56,8 @@ from ..p2p.transport import FrameDecoder, TransportError, encode_frame
 from ..skypeer.netexec import QueryAbandoned
 from ..skypeer.variants import Variant
 from .proto import (
+    ERROR_BACKEND,
+    ERROR_REQUEST,
     SHED_QUEUE_FULL,
     SHED_RATE_LIMITED,
     SHED_SHUTDOWN,
@@ -149,7 +151,7 @@ class TokenBucket:
 # ----------------------------------------------------------------------
 @dataclass
 class GatewayStats:
-    """Everything the gateway counted (``stats`` op / bench section).
+    """Everything the gateway counted (the ``stats`` op's ``stats``).
 
     ``executed + coalesce_hits + shed_total + errors + cancelled``
     accounts for every query request; ``queue_depth_peak`` is the
@@ -457,7 +459,9 @@ class QueryGateway:
             payload = decode_payload(blob)
         except ProtocolError as exc:
             self.stats.protocol_errors += 1
-            await self._write(conn, {**error_payload(str(exc)), "id": None})
+            await self._write(
+                conn, {**error_payload(str(exc), ERROR_REQUEST), "id": None}
+            )
             return
         request_id = payload.get("id")
         op = payload.get("op", "query")
@@ -476,7 +480,8 @@ class QueryGateway:
         if op != "query":
             self.stats.protocol_errors += 1
             await self._write(
-                conn, {**error_payload(f"unknown op {op!r}"), "id": request_id}
+                conn,
+                {**error_payload(f"unknown op {op!r}", ERROR_REQUEST), "id": request_id},
             )
             return
         await self._serve_query(conn, payload, request_id)
@@ -507,7 +512,8 @@ class QueryGateway:
         except (TypeError, ValueError, KeyError) as exc:
             self.stats.protocol_errors += 1
             await self._write(
-                conn, {**error_payload(f"bad update: {exc}"), "id": request_id}
+                conn,
+                {**error_payload(f"bad update: {exc}", ERROR_REQUEST), "id": request_id},
             )
             return
         loop = asyncio.get_running_loop()
@@ -519,7 +525,11 @@ class QueryGateway:
             self.stats.backend_errors += 1
             self._count("serving.backend_errors")
             await self._write(
-                conn, {**error_payload(f"{type(exc).__name__}: {exc}"), "id": request_id}
+                conn,
+                {
+                    **error_payload(f"{type(exc).__name__}: {exc}", ERROR_BACKEND),
+                    "id": request_id,
+                },
             )
             return
         self.stats.updates_applied += 1
@@ -667,7 +677,7 @@ class QueryGateway:
             query, variant = self._parse_query(payload)
         except (TypeError, ValueError, KeyError) as exc:
             self.stats.protocol_errors += 1
-            return error_payload(f"bad query: {exc}")
+            return error_payload(f"bad query: {exc}", ERROR_REQUEST)
         key = (
             self.network.epoch,
             tuple(query.subspace),
@@ -748,7 +758,9 @@ class QueryGateway:
                 self.stats.backend_errors += 1
                 self._count("serving.backend_errors")
                 self._finish(
-                    job, error_payload(f"{type(exc).__name__}: {exc}"), shed=None
+                    job,
+                    error_payload(f"{type(exc).__name__}: {exc}", ERROR_BACKEND),
+                    shed=None,
                 )
                 continue
             elapsed = self._clock() - started

@@ -40,9 +40,12 @@ Responses
     Load shedding: ``rate_limited`` (token bucket), ``queue_full``
     (bounded admission queue), ``shutdown`` (gateway closing or the
     request was abandoned before dispatch).
-``{"id": ..., "status": "error", "error": ...}``
-    The request was malformed or the backend failed; the connection
-    stays usable.
+``{"id": ..., "status": "error", "code": ..., "error": ...}``
+    ``code`` says whose fault it was: ``request`` (an undecodable
+    frame, an unknown op, a malformed query or update — sending it
+    again gets the same answer) or ``backend`` (the execution failed,
+    e.g. a dead worker pool — a retry may succeed).  ``error`` is the
+    human-readable message.  The connection stays usable.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ import json
 from typing import Any, Mapping
 
 __all__ = [
+    "ERROR_BACKEND",
+    "ERROR_REQUEST",
     "SHED_QUEUE_FULL",
     "SHED_RATE_LIMITED",
     "SHED_SHUTDOWN",
@@ -66,6 +71,9 @@ __all__ = [
 SHED_RATE_LIMITED = "rate_limited"
 SHED_QUEUE_FULL = "queue_full"
 SHED_SHUTDOWN = "shutdown"
+
+ERROR_REQUEST = "request"
+ERROR_BACKEND = "backend"
 
 
 class ProtocolError(ValueError):
@@ -119,5 +127,5 @@ def shed_payload(reason: str) -> dict[str, Any]:
     return {"status": "shed", "reason": reason}
 
 
-def error_payload(message: str) -> dict[str, Any]:
-    return {"status": "error", "error": message}
+def error_payload(message: str, code: str) -> dict[str, Any]:
+    return {"status": "error", "code": code, "error": message}

@@ -2,14 +2,53 @@
 
 These are integration tests for the bench layer; the quantitative
 paper-shape assertions live in benchmarks/ where the scale is larger.
+
+``figure_tables.json`` was recorded at ``--scale tiny`` when each figure
+still had its own module: per experiment, the table's ``experiment``,
+``title``, ``columns``, ``notes``, the swept values down its first
+column, and the module docstring (the ``claim`` that ``skypeer list``
+and EXPERIMENTS.md print).  Timing cells vary run to run, so the eight
+one-statistic tables are checked against their sweep instead: each cell
+is the statistic the old module plotted.
 """
+
+import inspect
+import json
+import os
 
 import pytest
 
 from repro.bench import EXPERIMENTS, run_experiment
 from repro.bench.report import ResultTable
+from repro.bench.sweeps import (
+    sweep_degree,
+    sweep_dimensionality,
+    sweep_large_network_size,
+    sweep_points_per_peer,
+    sweep_query_dimensionality,
+)
+from repro.skypeer.variants import Variant
 
 pytestmark = pytest.mark.slow
+
+with open(os.path.join(os.path.dirname(__file__), "figure_tables.json"), encoding="utf-8") as _f:
+    TABLES = json.load(_f)
+
+#: experiment -> (sweep, plotted VariantStats field, factor)
+PLOTTED = {
+    "fig3b": (sweep_dimensionality, "mean_computational_time", 1e3),
+    "fig3c": (sweep_dimensionality, "mean_total_time", 1.0),
+    "fig4a": (sweep_query_dimensionality, "mean_total_time", 1.0),
+    "fig4b": (sweep_large_network_size, "mean_computational_time", 1e3),
+    "fig4c": (sweep_large_network_size, "mean_total_time", 1.0),
+    "fig4d": (sweep_degree, "mean_computational_time", 1e3),
+    "fig4e": (sweep_degree, "mean_total_time", 1.0),
+    "fig4f": (sweep_points_per_peer, "mean_total_time", 1.0),
+}
+
+
+def test_every_experiment_is_recorded():
+    assert sorted(EXPERIMENTS) == sorted(TABLES)
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
@@ -24,6 +63,24 @@ def test_experiment_runs_at_tiny_scale(experiment_id):
     # renders without blowing up
     assert table.to_text()
     assert table.to_markdown()
+    # the shape recorded before the figures were folded into one module
+    expected = TABLES[experiment_id]
+    assert table.title == expected["title"]
+    assert table.columns == expected["columns"]
+    assert table.notes == expected["notes"]
+    assert table.column(table.columns[0]) == expected["keys"]
+    assert inspect.getdoc(EXPERIMENTS[experiment_id]) == expected["claim"]
+
+
+@pytest.mark.parametrize("experiment_id", sorted(PLOTTED))
+def test_one_statistic_tables_plot_it_for_every_variant(experiment_id):
+    sweep, field, factor = PLOTTED[experiment_id]
+    table = run_experiment(experiment_id, "tiny")
+    results = sweep("tiny")
+    assert table.column(table.columns[0]) == list(results)
+    for row, stats in zip(table.rows, results.values()):
+        for variant in Variant:
+            assert row[variant.value] == getattr(stats[variant], field) * factor
 
 
 def test_unknown_experiment():

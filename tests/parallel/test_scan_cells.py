@@ -5,8 +5,9 @@ space and on the pivot subspace ``(0, 1)``.  On every cell the sorted
 scan (what :func:`make_local_compute` builds for every query) must
 return exactly the skyline of the quadratic oracle.  On the full-space
 cells its work accounting must also equal ``CROSSOVER``: the result
-sizes ``BENCH_baseline.json`` recorded under ``kernels.crossover`` until
-smoke schema 13 dropped that section, and the pairs the skyline filter
+sizes the smoke bench's committed baseline recorded under
+``kernels.crossover`` until its schema 13 dropped that section (the
+bench is retired since), and the pairs the skyline filter
 tests (re-recorded when the filter replaced the block scan).
 """
 

@@ -1,16 +1,13 @@
-"""The open-loop serving bench (``skypeer bench --serve``) and ``skypeer serve``.
+"""``skypeer serve`` end to end.
 
-Small-parameter end-to-end runs: the standalone serving bench emits a
-schema-4 document whose verdicts the regression gate accepts, the CLI
-wires ``--serve`` through to it, and ``skypeer serve`` stands up a real
-gateway that answers queries until its ``--duration`` elapses — or
-until SIGTERM or SIGINT, which must take the pool and its segments with
-it.
+The CLI stands up a real gateway that answers queries until its
+``--duration`` elapses — or until SIGTERM or SIGINT, which must take
+the pool and its segments with it — and a SIGKILL leaves no worker
+behind.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import signal
@@ -21,7 +18,6 @@ import time
 
 import pytest
 
-from repro.bench.smoke import SMOKE_SCHEMA, bench_serving
 from repro.cli import main as cli_main
 from repro.parallel import start_method
 from repro.serving.client import GatewayClient
@@ -30,71 +26,9 @@ from .conftest import run
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
-# Open-loop runs spin a pool and replay full request schedules: allow
-# well beyond CI's per-test --timeout default.
+# Each serve run spins a pool and builds a network: allow well beyond
+# CI's per-test --timeout default.
 pytestmark = pytest.mark.timeout(900)
-
-BENCH_KWARGS = dict(
-    scale="tiny", workers=2, concurrency=8, requests=32, rate=300.0
-)
-
-
-@pytest.fixture(scope="module")
-def report():
-    """One small open-loop run shared across assertions (spins a pool)."""
-    return bench_serving(**BENCH_KWARGS)
-
-
-class TestBenchServing:
-    def test_schema_and_verdicts(self, report):
-        assert report["schema"] == SMOKE_SCHEMA
-        assert report["sweep"] == "serving-open-loop"
-        serving = report["serving"]
-        assert serving["results_match"] is True
-        assert serving["coalesce_hits"] > 0
-        load = serving["load"]
-        assert load["offered"] == BENCH_KWARGS["requests"]
-        assert load["ok"] + load["shed"] + load["errors"] == load["offered"]
-        for q in ("p50", "p90", "p99"):
-            assert load["latency_seconds"][q] >= 0.0
-
-    def test_regression_gate_accepts_the_report(self, report, tmp_path):
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps(report))
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "benchmarks" / "check_regression.py"),
-             str(path), "--baseline", str(path)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "serving" in proc.stdout
-
-    def test_regression_gate_rejects_divergence(self, report, tmp_path):
-        broken = json.loads(json.dumps(report))
-        broken["serving"]["results_match"] = False
-        path = tmp_path / "BENCH_broken.json"
-        path.write_text(json.dumps(broken))
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "benchmarks" / "check_regression.py"),
-             str(path), "--baseline", str(path)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode != 0
-
-
-class TestCliBenchServe:
-    def test_bench_serve_writes_schema_4_json(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_cli_serve.json"
-        code = cli_main([
-            "bench", "--serve", "--scale", "tiny", "--workers", "2",
-            "--concurrency", "8", "--requests", "24", "--rate", "300",
-            "--json", str(path),
-        ])
-        capsys.readouterr()
-        assert code == 0
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SMOKE_SCHEMA
-        assert loaded["serving"]["results_match"] is True
 
 
 class TestCliServe:

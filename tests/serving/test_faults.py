@@ -19,10 +19,16 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs.runtime import observed
-from repro.p2p.transport import encode_frame
+from repro.p2p.transport import encode_frame, read_frame
 from repro.serving.client import GatewayClient
 from repro.serving.gateway import GatewayConfig, QueryGateway
-from repro.serving.proto import SHED_SHUTDOWN, encode_payload
+from repro.serving.proto import (
+    ERROR_BACKEND,
+    ERROR_REQUEST,
+    SHED_SHUTDOWN,
+    decode_payload,
+    encode_payload,
+)
 from repro.skypeer.executor import execute_query
 
 from .conftest import run
@@ -215,6 +221,7 @@ class TestBackendFaults:
 
         response, stats = run(bounded(scenario()))
         assert response.status == "error"
+        assert response.payload["code"] == ERROR_BACKEND
         assert "backend worker died" in response.payload["error"]
         assert stats.backend_errors == 1
 
@@ -243,6 +250,8 @@ class TestBackendFaults:
             monkeypatch.setattr(engine_module, "_run_query_batch", _die)
             response, stats = self._query_through(engine, network)
             assert response.status == "error"
+            assert response.payload["code"] == ERROR_BACKEND
+            assert response.payload["error"].startswith("BrokenProcessPool: ")
             assert stats.backend_errors == 1
             assert engine.stats.pool_replacements == 1
         finally:
@@ -266,6 +275,37 @@ class TestBackendFaults:
         finally:
             engine.close()
         assert engine.published_segments() == []
+
+
+class TestErrorCodes:
+    """A reply to what the client sent wrong carries ``code: request``;
+    the backend failures above carry ``backend``."""
+
+    def test_malformed_requests_are_request_errors(self, network):
+        async def scenario():
+            async with QueryGateway(network) as gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    replies = [
+                        await client.query([0, 99]),
+                        await client.query([]),
+                        await client.request({"op": "shuffle"}),
+                        await client.update("insert", points="nope"),
+                    ]
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(encode_frame(b"{not json"))
+                await writer.drain()
+                undecodable = decode_payload(await read_frame(reader))
+                writer.close()
+                await writer.wait_closed()
+            return [*(r.payload for r in replies), undecodable], gateway.stats
+
+        replies, stats = run(bounded(scenario()))
+        for reply in replies:
+            assert reply["status"] == "error", reply
+            assert reply["code"] == ERROR_REQUEST, reply
+        assert stats.protocol_errors == len(replies)
+        assert stats.backend_errors == 0
 
 
 class TestShutdownFaults:

@@ -13,6 +13,7 @@ from repro.serving.proto import (
     SHED_QUEUE_FULL,
     SHED_RATE_LIMITED,
     encode_payload,
+    result_payload,
 )
 from repro.skypeer.executor import execute_query
 from repro.data.workload import Query
@@ -279,9 +280,10 @@ class TestTwoStatsSurfaces:
             Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0]),
             "FTPM",
         )
+        expected = encode_payload(result_payload(serial.result))
         for response in responses:
             assert response.ok
-            assert response.payload["result"]["ids"] == serial.result.points.ids.tolist()
+            assert encode_payload(response.payload["result"]) == expected
         assert stats.coalesce_hits >= 1
         assert stats.executed + stats.coalesce_hits == 4
         assert engine_stats["tasks"] == stats.executed  # coalesced ones never got there

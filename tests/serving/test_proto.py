@@ -81,4 +81,8 @@ class TestPayloads:
 
     def test_shed_and_error_payloads(self):
         assert shed_payload("queue_full") == {"status": "shed", "reason": "queue_full"}
-        assert error_payload("boom") == {"status": "error", "error": "boom"}
+        assert error_payload("boom", "backend") == {
+            "status": "error",
+            "code": "backend",
+            "error": "boom",
+        }

@@ -63,6 +63,12 @@ class TestQuery:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--smoke"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_explain(self, capsys):
         code = main([
             "query", "--peers", "12", "--points-per-peer", "10",
