@@ -3,9 +3,12 @@
 A 300-point list on a k = 4 subspace — the size of a ``wide_skyline``
 answer — with ids below 100 000, so the id column is 3 bytes wide, and
 coordinates in [0, 1), so the coordinate block sends their shared top
-byte once and 7 low bytes per value.  The round trip rebuilds the
-receiver's sorted store, as a socket endpoint does for every list it
-merges; encode and decode are also timed alone.
+byte once and 7 low bytes per value.  The ``zeros`` block clips every
+value below 0.108 to +0.0, as the anticorrelated generator's clipping
+leaves about 10.8 % of ``wide_skyline``'s shipped coordinates: it
+carries a zero bitmap and sends the rest at the same 7 low bytes.  The
+round trip rebuilds the receiver's sorted store, as a socket endpoint
+does for every list it merges; encode and decode are also timed alone.
 
 Run with::
 
@@ -21,11 +24,14 @@ from repro.p2p.cost import coord_width
 from repro.p2p.wire import ResultMessage, decode
 
 
-@pytest.fixture(scope="module")
-def message() -> ResultMessage:
+@pytest.fixture(scope="module", params=["plain", "zeros"])
+def message(request) -> ResultMessage:
     rng = np.random.default_rng(36)
     ids = rng.choice(100_000, size=300, replace=False)
-    store = SortedByF.from_points(PointSet(rng.random((300, 8)), ids))
+    values = rng.random((300, 8))
+    if request.param == "zeros":
+        values[values < 0.108] = 0.0
+    store = SortedByF.from_points(PointSet(values, ids))
     return ResultMessage.from_store(1, 0, store, (0, 2, 5, 7))
 
 
@@ -36,8 +42,11 @@ def test_encode_decode_300_points_k4(benchmark, message):
 
     back, store = benchmark(roundtrip)
     assert back == message
-    assert coord_width(message.coords) == 7
-    assert len(message.encode()) == 16 + 16 + 300 * 3 + 1 + 300 * 4 * 7
+    low, sent = coord_width(message.coords)
+    zeros = int((message.coords == 0.0).sum())
+    assert (low, sent) == (7, 1200 - zeros)
+    bitmap = 1200 // 8 if zeros else 0
+    assert len(message.encode()) == 16 + 16 + 300 * 3 + bitmap + 1 + sent * 7
     assert sorted(store.points.ids.tolist()) == sorted(message.ids.tolist())
 
 

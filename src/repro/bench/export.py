@@ -112,12 +112,16 @@ counts the pairs the filter tested, not the per-point candidate tests
 (9) A result message also sends its coordinates in one width: the high
 bytes that the float64 bit patterns of all its coordinates share travel
 once, and each coordinate sends only the c bytes below them (c = 7 for
-a list whose values all lie in [2^-15, 2), 8 when one of them is 0.0).
+a list whose values all lie in [2^-15, 2)).  A message whose block
+mixes values of exactly +0.0 (what the clustered, correlated and
+anticorrelated generators clip to) with others marks them in a bitmap
+of ceil(nk/8) bytes, sends only the rest, and takes c over those.
 Every double arrives bit for bit, so answers do not move; every
 *volume*, Figure 3(a)'s *upload KB* and the transfer share of every
-*total time* below is that of the narrower block, (8 - c)(nk - 1) bytes
-fewer for a message of n points on k coordinates
-(docs/TRANSPORT.md, "The records").
+*total time* below is that of the narrower block: a message of n points
+on k coordinates that sends nz of its nk coordinates costs
+(8 - c)(nz - 1) + 8(nk - nz) - ceil(nk/8) bytes less than whole doubles,
+(8 - c)(nk - 1) without a bitmap (docs/TRANSPORT.md, "The records").
 
 ---
 """

@@ -10,7 +10,9 @@ identifier — the receiver recomputes the key Algorithm 2 orders on,
 every id in one width, :func:`id_width` of the message's ids (the
 fewest whole bytes that hold its largest id), and every coordinate in
 one width, :func:`coord_width` of its coordinate block (the low bytes
-left once the high bytes all of them share are sent once).  A query message carries
+left once the high bytes all of them share are sent once).  A block
+that mixes ``+0.0`` with other values marks its zeros in a bitmap and
+sends, and sizes its width over, only the rest.  A query message carries
 the subspace, the threshold and at most one point on the subspace (the
 bound ``q(U, t, p)`` of ``docs/ALGORITHMS.md``).
 The numbers are deliberately simple — only relative volume matters for
@@ -42,19 +44,25 @@ def id_width(ids: Sequence[int] | np.ndarray) -> int:
     return max(1, (int(column.max()).bit_length() + 7) // 8)
 
 
-def coord_width(values: Sequence[float] | np.ndarray) -> int:
-    """Low bytes per coordinate of a result message carrying ``values``.
+def coord_width(values: Sequence[float] | np.ndarray) -> tuple[int, int]:
+    """``(c, nz)`` of a result message's coordinate block ``values``.
 
-    8 minus the number of whole high bytes that every value's float64
-    bit pattern shares with every other's: the message sends those
-    ``8 - c`` bytes once and each value's ``c`` low bytes.  8 for an
-    empty block, 0 when every value is bitwise equal.
+    ``nz`` is how many coordinates the block sends and ``c`` their low
+    bytes each: 8 minus the number of whole high bytes that every sent
+    value's float64 bit pattern shares with every other's, which the
+    message sends once.  A block that holds both ``+0.0`` (bit pattern
+    0; ``-0.0`` is not one) and another value marks its zeros in a
+    bitmap instead, so ``nz`` counts its other values and ``c`` is
+    taken over them alone; any other block sends all of its values.
+    ``(8, 0)`` for an empty block, ``c = 0`` when every value is
+    bitwise equal.
     """
     bits = np.ascontiguousarray(values, dtype="<f8").reshape(-1).view("<u8")
     if not bits.size:
-        return 8
-    differ = np.bitwise_or.reduce(bits ^ bits[0])
-    return (int(differ).bit_length() + 7) // 8
+        return 8, 0
+    sent = bits[bits != 0] if 0 < np.count_nonzero(bits) < bits.size else bits
+    differ = np.bitwise_or.reduce(sent ^ sent[0])
+    return (int(differ).bit_length() + 7) // 8, sent.size
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,8 @@ class CostModel:
     def point_bytes(self, k: int, id_width: int, coord_width: int) -> int:
         """Bytes for one skyline point projected on a ``k``-dim subspace,
         in a result message whose ids are ``id_width`` bytes wide and
-        whose coordinates share all but ``coord_width`` low bytes."""
+        whose coordinates, all sent, share all but ``coord_width`` low
+        bytes."""
         return id_width + k * (self.coordinate_bytes - self._shared_bytes(coord_width))
 
     def query_bytes(self, k: int, points: int = 0) -> int:
@@ -87,17 +96,30 @@ class CostModel:
             + points * k * self.coordinate_bytes
         )
 
-    def result_bytes(self, num_points: int, k: int, id_width: int, coord_width: int) -> int:
+    def result_bytes(
+        self, num_points: int, k: int, id_width: int, coord_width: int, nonzero: int
+    ) -> int:
         """Bytes of a result message carrying ``num_points`` points whose
         ids are ``id_width`` bytes wide (:func:`id_width` of its ids) and
-        whose coordinates keep ``coord_width`` low bytes each
-        (:func:`coord_width` of its coordinate block): the ``8 -
-        coord_width`` high bytes they share travel once."""
+        whose coordinate block is ``(coord_width, nonzero)``
+        (:func:`coord_width` of it): the ``8 - coord_width`` high bytes
+        the sent coordinates share travel once, then each of the
+        ``nonzero`` sent coordinates' low bytes, and a block that sends
+        fewer than its ``num_points * k`` coordinates adds its zero
+        bitmap, one bit per coordinate."""
         if num_points < 0:
             raise ValueError("num_points must be non-negative")
+        size = num_points * k
+        if not 0 <= nonzero <= size:
+            raise ValueError(f"{nonzero} sent coordinates is not 0..{size}")
+        bitmap = (size + 7) // 8 if nonzero < size else 0
+        shared = self._shared_bytes(coord_width)
         return (
-            self.message_header_bytes + num_points * self.point_bytes(k, id_width, coord_width)
-            + self._shared_bytes(coord_width)
+            self.message_header_bytes
+            + num_points * id_width
+            + bitmap
+            + shared
+            + nonzero * (self.coordinate_bytes - shared)
         )
 
     def _shared_bytes(self, coord_width: int) -> int:

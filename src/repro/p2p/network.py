@@ -144,7 +144,7 @@ class SuperPeerNetwork:
             uploaded += len(lst)
             upload_bytes += self.cost_model.result_bytes(
                 len(lst), self.dimensionality, id_width(lst.points.ids),
-                coord_width(lst.points.values),
+                *coord_width(lst.points.values),
             )
         return peer_points, uploaded, superpeer.store_size, upload_bytes
 
@@ -342,7 +342,7 @@ class SuperPeerNetwork:
                 peer_bytes = self.cost_model.result_bytes(
                     len(computation.result), self.dimensionality,
                     id_width(computation.result.points.ids),
-                    coord_width(computation.result.points.values),
+                    *coord_width(computation.result.points.values),
                 )
                 upload_bytes += peer_bytes
                 compute_seconds += computation.duration

@@ -40,7 +40,16 @@ from ..obs.runtime import active_metrics
 from .network import SuperPeerNetwork
 from .node import Peer, SuperPeer
 
-__all__ = ["UpdateOutcome", "check_incoming", "insert_points", "delete_points"]
+__all__ = ["UpdateOutcome", "UpdateRejected", "check_incoming", "insert_points", "delete_points"]
+
+
+class UpdateRejected(KeyError, ValueError):
+    """An update naming what the peer does not hold as asked: an unknown
+    peer, ids it does not hold, or ids it already holds.  Raised before
+    anything changes, so retrying it cannot succeed.  It is both a
+    ``KeyError`` and a ``ValueError``, as those checks raised before."""
+
+    __str__ = Exception.__str__  # the message, without ``KeyError``'s quotes
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,7 @@ def insert_points(network: SuperPeerNetwork, peer_id: int, points: PointSet) -> 
     check_incoming(network, points)
     clash = points.ids[np.isin(points.ids, peer.data.ids)]
     if clash.size:
-        raise ValueError(f"point ids already present: {sorted(clash.tolist())[:5]}")
+        raise UpdateRejected(f"point ids already present: {sorted(clash.tolist())[:5]}")
     superpeer_id = network.topology.superpeer_of_peer(peer_id)
     superpeer = network.superpeers[superpeer_id]
 
@@ -169,7 +178,7 @@ def delete_points(network: SuperPeerNetwork, peer_id: int, point_ids) -> UpdateO
     doomed = np.unique(np.fromiter((int(i) for i in point_ids), dtype=np.int64))
     missing = doomed[~np.isin(doomed, peer.data.ids)]
     if missing.size:
-        raise KeyError(f"peer {peer_id} does not hold points {missing[:5].tolist()}")
+        raise UpdateRejected(f"peer {peer_id} does not hold points {missing[:5].tolist()}")
     superpeer_id = network.topology.superpeer_of_peer(peer_id)
     superpeer = network.superpeers[superpeer_id]
     old_upload = superpeer.peer_skylines[peer_id]
@@ -262,7 +271,7 @@ def _get_peer(network: SuperPeerNetwork, peer_id: int) -> Peer:
     try:
         return network.peers[peer_id]
     except KeyError:
-        raise KeyError(f"unknown peer {peer_id}") from None
+        raise UpdateRejected(f"unknown peer {peer_id}") from None
 
 
 def _refresh(network: SuperPeerNetwork, superpeer_id: int) -> None:

@@ -16,16 +16,23 @@ Payloads:
   each) and, per point, its k coordinates on the subspace (8B doubles):
   the bound ``(t, p)`` of ``q(U, t, p)``.
 * ``ResultMessage`` — sender (8B), point count n (4B), query
-  dimensionality k (2B), id width w (1B), coordinate width c (1B), then
-  the n ids, each little-endian in ``w`` bytes, then the coordinate
-  block: the ``8 - c`` high bytes every coordinate shares, once, and
-  each of the n x k coordinates' ``c`` low bytes (little-endian,
-  row-major).  ``w`` is :func:`repro.p2p.cost.id_width` of the ids —
-  the fewest whole bytes that hold the largest one, 8 if any is
-  negative — and ``c`` is :func:`repro.p2p.cost.coord_width` of the
-  block — 8 less the whole high bytes all its float64 bit patterns
-  share, 8 when it is empty — so the record costs what the cost model
-  charges for it, and every double comes back bit for bit.
+  dimensionality k (2B), id width w (1B), coordinate width c (1B, its
+  ``0x80`` bit the zero-bitmap flag, its other high bits reserved and
+  refused), then the n ids, each little-endian in ``w`` bytes, then the
+  coordinate block: when flagged, a bitmap of ``ceil(n*k/8)`` bytes
+  (``np.packbits(..., bitorder="little")`` of the row-major n x k
+  block) whose set bits mark the coordinates that are ``+0.0``; then
+  the ``8 - c`` high bytes every sent coordinate shares, once, and each
+  sent coordinate's ``c`` low bytes (little-endian, row-major).  A
+  flagged block sends the coordinates its bitmap does not mark, any
+  other block all n x k.  ``w`` is :func:`repro.p2p.cost.id_width` of
+  the ids — the fewest whole bytes that hold the largest one, 8 if any
+  is negative — and ``c`` and the flag come from
+  :func:`repro.p2p.cost.coord_width` of the block — a block is flagged
+  when it holds ``+0.0`` and another value, and ``c`` is 8 less the
+  whole high bytes the float64 bit patterns it sends all share, 8 when
+  it is empty — so the record costs what the cost model charges for
+  it, and every double comes back bit for bit.
   Its kind byte also says where the message stands on its link: a plain
   result, a *final* one (the last message the sender's subtree puts on
   this link), or a *decline* (no result will ever come over this link —
@@ -38,8 +45,9 @@ needs nothing else to run Algorithm 2, whose ordering key
 the per-point size the cost model charges.  Version 1 also shipped the
 full-space ``f(p)`` per point, version 2's query carried the scalar
 ``t`` alone, version 3's record was a fixed 8-byte id plus the
-coordinates, point by point, and version 4's sent every coordinate as
-a whole 8-byte double; none of them is decoded.
+coordinates, point by point, version 4's sent every coordinate as a
+whole 8-byte double, and version 5's had no zero bitmap; none of them
+is decoded.
 """
 
 from __future__ import annotations
@@ -65,12 +73,14 @@ __all__ = [
 ]
 
 _MAGIC = b"SP"
-_VERSION = 5
+_VERSION = 6
 _HEADER = struct.Struct("<2sBBqI")
 _KIND_QUERY = 1
 _KIND_RESULT = 2
 _KIND_FINAL = 3
 _KIND_DECLINE = 4
+#: The coordinate width byte's flag: a zero bitmap leads the block.
+_ZERO_BITMAP = 0x80
 
 HEADER_SIZE = _HEADER.size
 
@@ -203,15 +213,21 @@ class ResultMessage:
             raise WireError("a decline carries no points")
         kind = _KIND_DECLINE if self.decline else _KIND_FINAL if self.final else _KIND_RESULT
         width = id_width(self.ids)
-        coords = np.ascontiguousarray(self.coords, dtype="<f8")
-        low = coord_width(coords)
-        # The high ``8 - low`` bytes are the same in every coordinate: the
-        # first one's go once.
+        words = np.ascontiguousarray(self.coords, dtype="<f8").reshape(-1).view("<u8")
+        low, sent = coord_width(words.view("<f8"))
+        flag, bitmap = 0, b""
+        if sent < words.size:
+            zero = words == 0
+            flag, bitmap = _ZERO_BITMAP, np.packbits(zero, bitorder="little").tobytes()
+            words = words[~zero]
+        # The high ``8 - low`` bytes are the same in every sent coordinate:
+        # the first one's go once.
         body = (
-            self._BODY_HEAD.pack(self.sender, n, k, width, low)
+            self._BODY_HEAD.pack(self.sender, n, k, width, low | flag)
             + _low_bytes(np.ascontiguousarray(self.ids, dtype="<i8"), width)
-            + coords.reshape(-1)[:1].tobytes()[low:]
-            + _low_bytes(coords, low)
+            + bitmap
+            + words[:1].tobytes()[low:]
+            + _low_bytes(words, low)
         )
         return _HEADER.pack(_MAGIC, _VERSION, kind, self.query_id, len(body)) + body
 
@@ -220,25 +236,32 @@ class ResultMessage:
         head = cls._BODY_HEAD.size
         if len(body) < head:
             raise WireError("result body truncated")
-        sender, n, k, width, low = cls._BODY_HEAD.unpack_from(body, 0)
+        sender, n, k, width, block = cls._BODY_HEAD.unpack_from(body, 0)
         if kind == _KIND_DECLINE and n:
             raise WireError("a decline carries no points")
         if not 1 <= width <= 8:
             raise WireError(f"id width {width} is not 1..8 bytes")
-        if low > 8:
-            raise WireError(f"coordinate width {low} is not 0..8 bytes")
-        if not n * k and low != 8:
+        low, size, start = _coord_width_byte(block), n * k, head + n * width
+        if not size and low != 8:
             raise WireError(f"an empty coordinate block has width 8, not {low}")
+        zero: np.ndarray | None = None
+        marked = 0
+        if block & _ZERO_BITMAP:
+            zero, marked = _zero_bitmap(body, start, size)
+            start += (size + 7) // 8
+        sent = size - marked
         shared = 8 - low
-        expected = head + n * width + shared + n * k * low
+        expected = start + shared + sent * low
         if len(body) != expected:
             raise WireError(f"result body has {len(body)} bytes, expected {expected}")
         # Zero-extend each id to 8 bytes; width 8 carries negatives as they are.
         ids = _words(body, head, n, width, 0)
-        # The shared high bytes, then each coordinate's low bytes.
-        start = head + n * width
+        # The shared high bytes, then each sent coordinate's low bytes.
         high = int.from_bytes(bytes(low) + body[start : start + shared], "little")
-        coords = _words(body, start + shared, n * k, low, high)
+        coords = _words(body, start + shared, sent, low, high)
+        if zero is not None:
+            words, coords = coords, np.zeros(size, dtype="<u8")
+            coords[~zero] = words
         return cls(
             query_id=query_id,
             sender=sender,
@@ -259,6 +282,34 @@ class ResultMessage:
         if not len(self.ids):
             return SortedByF.empty(self.k or 1)
         return SortedByF.from_points(PointSet(self.coords, self.ids))
+
+
+def _coord_width_byte(block: int) -> int:
+    """The coordinate width ``c`` a body head's width byte carries,
+    refusing one outside 0..8 or with a reserved bit set."""
+    low = block & ~_ZERO_BITMAP
+    if low > 8:
+        raise WireError(f"coordinate width {block} is not 0..8 bytes, or that plus {_ZERO_BITMAP}")
+    return low
+
+
+def _zero_bitmap(body: bytes, offset: int, size: int) -> tuple[np.ndarray, int]:
+    """The ``+0.0`` mask (``bool``, row-major) of a flagged block of
+    ``size`` coordinates whose bitmap starts at ``offset`` in ``body``,
+    and how many it marks; refuses a bitmap that is cut short, sets a
+    padding bit, or marks none or all of the block (such a block is
+    never flagged)."""
+    nbytes = (size + 7) // 8
+    if len(body) < offset + nbytes:
+        raise WireError("zero bitmap truncated")
+    packed = np.frombuffer(body, np.uint8, nbytes, offset)
+    if size % 8 and packed[-1] >> (size % 8):
+        raise WireError("zero bitmap sets a padding bit")
+    zero = np.unpackbits(packed, count=size, bitorder="little").view(bool)
+    marked = int(np.count_nonzero(zero))
+    if not 0 < marked < size:
+        raise WireError("a zero bitmap marks some, not none or all, of its block")
+    return zero, marked
 
 
 def _low_bytes(words: np.ndarray, width: int) -> bytes:
@@ -327,13 +378,13 @@ def decode(blob: bytes) -> QueryMessage | ResultMessage:
 def cost_estimate(blob: bytes, model: CostModel) -> int:
     """The cost model's byte estimate for one encoded message.
 
-    Reads only the header and the fixed-size body head (guarded, like
-    :func:`decode`), so a transport can tally *estimated* bytes next to
-    the *measured* ``len(blob)`` it actually puts on the wire.  The two
-    differ by a constant per-message framing delta — see
-    ``docs/TRANSPORT.md`` — because the model charges an abstract
-    ``message_header_bytes`` envelope instead of this codec's packed
-    header.
+    Reads only the header, the fixed-size body head and a flagged
+    block's zero bitmap (guarded, like :func:`decode`), so a transport
+    can tally *estimated* bytes next to the *measured* ``len(blob)`` it
+    actually puts on the wire.  The two differ by a constant
+    per-message framing delta — see ``docs/TRANSPORT.md`` — because the
+    model charges an abstract ``message_header_bytes`` envelope instead
+    of this codec's packed header.
     """
     kind, _, length = decode_header(blob)
     body = blob[_HEADER.size :]
@@ -349,7 +400,9 @@ def cost_estimate(blob: bytes, model: CostModel) -> int:
         return model.query_bytes(k, points)
     if len(body) < ResultMessage._BODY_HEAD.size:
         raise WireError("result body truncated")
-    _, n, k, width, low = ResultMessage._BODY_HEAD.unpack_from(body, 0)
-    if low > 8:
-        raise WireError(f"coordinate width {low} is not 0..8 bytes")
-    return model.result_bytes(n, k, width, low)
+    _, n, k, width, block = ResultMessage._BODY_HEAD.unpack_from(body, 0)
+    low, size = _coord_width_byte(block), n * k
+    sent = size
+    if block & _ZERO_BITMAP:
+        sent -= _zero_bitmap(body, ResultMessage._BODY_HEAD.size + n * width, size)[1]
+    return model.result_bytes(n, k, width, low, sent)

@@ -697,15 +697,16 @@ class ParallelEngine:
         self.stats.pool_startup_seconds = time.perf_counter() - started
         atexit.register(self.close)
 
-    def _new_pool(self) -> ProcessPoolExecutor:
+    def _new_pool(self, method: str | None = None) -> ProcessPoolExecutor:
+        method = method or self.start_method
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=multiprocessing.get_context(self.start_method),
+            mp_context=multiprocessing.get_context(method),
             # Under forkserver the workers' parent is the fork server
             # (which ends with this process); they watch whichever
             # parent they start under.
             initializer=_worker_init,
-            initargs=(None if self.start_method == "forkserver" else os.getpid(),),
+            initargs=(None if method == "forkserver" else os.getpid(),),
         )
 
     def _fan_out(self, fn: Any, batches: Sequence[tuple[Any, ...]]) -> list[Any]:
@@ -745,12 +746,19 @@ class ParallelEngine:
 
     def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
         """Swap ``broken`` for a fresh pool, unless a concurrent fan-out
-        already did."""
+        already did.
+
+        The new pool spawns, whatever the start method: a fork now would
+        copy the serving parent's heap, its built network and all, into
+        every new worker for the rest of the server's life (``serve
+        --backend engine`` forks its first pool before it builds
+        anything).  The new workers attach the live publications by
+        token, as forked ones do."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
             if self._pool is broken:
-                self._pool = self._new_pool()
+                self._pool = self._new_pool("spawn")
                 self.stats.pool_replacements += 1
         broken.shutdown(wait=True)
 

@@ -53,6 +53,7 @@ from typing import Any, Callable, Mapping
 from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
 from ..p2p.transport import FrameDecoder, TransportError, encode_frame
+from ..p2p.updates import UpdateRejected
 from ..skypeer.netexec import QueryAbandoned
 from ..skypeer.variants import Variant
 from .proto import (
@@ -510,17 +511,18 @@ class QueryGateway:
         try:
             kind, kwargs = self._parse_update(payload)
         except (TypeError, ValueError, KeyError) as exc:
-            self.stats.protocol_errors += 1
-            await self._write(
-                conn,
-                {**error_payload(f"bad update: {exc}", ERROR_REQUEST), "id": request_id},
-            )
+            await self._reject_update(conn, exc, request_id)
             return
         loop = asyncio.get_running_loop()
         try:
             report = await loop.run_in_executor(
                 self._executor, self._run_update, kind, kwargs
             )
+        except UpdateRejected as exc:
+            # The stores refused the target (an unknown peer, ids not or
+            # already held): what the client sent, not a backend failure.
+            await self._reject_update(conn, exc, request_id)
+            return
         except Exception as exc:
             self.stats.backend_errors += 1
             self._count("serving.backend_errors")
@@ -536,6 +538,12 @@ class QueryGateway:
         self._count("serving.updates_applied", kind=kind)
         await self._write(
             conn, {"id": request_id, "status": "ok", "op": "update", "update": report}
+        )
+
+    async def _reject_update(self, conn: _Connection, exc: Exception, request_id: Any) -> None:
+        self.stats.protocol_errors += 1
+        await self._write(
+            conn, {**error_payload(f"bad update: {exc}", ERROR_REQUEST), "id": request_id}
         )
 
     def _parse_update(self, payload: dict) -> tuple[str, dict[str, Any]]:

@@ -106,7 +106,7 @@ def execute_constrained_query(
     extra_bytes = 16 * len(box.bounds) * run.query_messages + sum(
         network.cost_model.result_bytes(
             len(lst), len(subspace), id_width(lst.points.ids),
-            coord_width(lst.points.values[:, list(subspace)]),
+            *coord_width(lst.points.values[:, list(subspace)]),
         )
         for lst in uploads
     )

@@ -89,8 +89,10 @@ class QueryExecution:
     initial_threshold: float
     local_result_points: int
     #: Points summed over every RESULT message: what ``volume_bytes``
-    #: charges ``point_bytes(k, w, c)`` for, hop by hop, ``w`` and ``c``
-    #: the id and coordinate widths of the message that carried the point.
+    #: charges an id of ``w`` bytes and up to ``k`` coordinates of ``c``
+    #: low bytes for, hop by hop, ``w`` and ``c`` the id and coordinate
+    #: widths of the message that carried the point (its ``+0.0``
+    #: coordinates cost a bitmap bit instead when the block mixes them).
     point_hops: int
     critical_path_examined: float = 0.0
     traces: dict[int, SkylineComputation] = field(default_factory=dict)
@@ -201,7 +203,7 @@ class _ModelClocks:
         self.point_hops += len(result)
         nbytes = self._cost.result_bytes(
             len(result), len(self._subspace), id_width(result.points.ids),
-            coord_width(result.points.values[:, list(self._subspace)]),
+            *coord_width(result.points.values[:, list(self._subspace)]),
         )
         self._transmit(
             "result", src, dst, nbytes, at,
@@ -211,7 +213,7 @@ class _ModelClocks:
 
     def decline(self, src: int, dst: int, at: Clock) -> None:
         self._transmit(
-            "result", src, dst, self._cost.result_bytes(0, len(self._subspace), 1, 8), at,
+            "result", src, dst, self._cost.result_bytes(0, len(self._subspace), 1, 8, 0), at,
             lambda arrived: self.nodes[dst].on_decline(src, arrived), points=0,
         )
 

@@ -32,43 +32,64 @@ class TestCostModel:
 
     def test_result_bytes_linear_in_points(self):
         model = CostModel()
-        header = model.result_bytes(0, 3, 2, 8)
+        header = model.result_bytes(0, 3, 2, 8, 0)
         assert header == model.message_header_bytes
-        assert model.result_bytes(10, 3, 2, 8) == header + 10 * model.point_bytes(3, 2, 8)
+        assert model.result_bytes(10, 3, 2, 8, 30) == header + 10 * model.point_bytes(3, 2, 8)
 
     def test_result_bytes_sends_the_shared_high_bytes_once(self):
-        """``header + n·(w + k·c) + (8 − c)``, for every width."""
+        """``header + n·(w + k·c) + (8 − c)``, for every width, when the
+        block sends every coordinate."""
         model = CostModel()
         for n in (0, 1, 7):
             for k in (1, 4, 8):
                 for low in range(9):
-                    assert model.result_bytes(n, k, 2, low) == (
+                    assert model.result_bytes(n, k, 2, low, n * k) == (
                         model.message_header_bytes + n * (2 + k * low) + (8 - low)
                     )
+
+    def test_result_bytes_charges_a_zero_bitmap_and_the_sent_coordinates(self):
+        """``header + n·w + ⌈nk/8⌉ + (8 − c) + nz·c`` when ``nz < nk``."""
+        model = CostModel()
+        for n in (1, 3, 300):
+            for k in (1, 4, 8):
+                for nz in {0, n * k // 2, n * k - 1}:
+                    for low in range(9):
+                        assert model.result_bytes(n, k, 2, low, nz) == (
+                            model.message_header_bytes + 2 * n + (n * k + 7) // 8
+                            + (8 - low) + nz * low
+                        )
 
     def test_a_result_never_costs_more_than_whole_doubles(self):
         """``(8 − c) + nk·c ≤ 8nk`` whenever the block is not empty."""
         model = CostModel()
         for n in (1, 2, 300):
             for k in (1, 3, 8):
-                whole = model.result_bytes(n, k, 3, 8)
-                assert all(model.result_bytes(n, k, 3, low) <= whole for low in range(9))
+                whole = model.result_bytes(n, k, 3, 8, n * k)
+                assert all(
+                    model.result_bytes(n, k, 3, low, n * k) <= whole for low in range(9)
+                )
 
     def test_result_bytes_rejects_negative(self):
         with pytest.raises(ValueError):
-            CostModel().result_bytes(-1, 2, 1, 8)
+            CostModel().result_bytes(-1, 2, 1, 8, 0)
 
     @pytest.mark.parametrize("low", [-1, 9])
     def test_result_bytes_rejects_a_coordinate_width_outside_zero_to_eight(self, low):
         with pytest.raises(ValueError, match="coordinate width"):
-            CostModel().result_bytes(3, 2, 1, low)
+            CostModel().result_bytes(3, 2, 1, low, 6)
+
+    @pytest.mark.parametrize("nonzero", [-1, 7])
+    def test_result_bytes_rejects_a_sent_count_outside_the_block(self, nonzero):
+        with pytest.raises(ValueError, match="sent coordinates"):
+            CostModel().result_bytes(3, 2, 1, 8, nonzero)
 
     def test_a_model_with_small_coordinates_never_charges_below_zero(self):
         """The shared bytes are capped at a whole ``coordinate_bytes``."""
         model = CostModel(coordinate_bytes=1)
         for low in range(9):
             assert model.point_bytes(3, 1, low) >= 1
-            assert model.result_bytes(5, 3, 1, low) >= model.message_header_bytes
+            for nonzero in (0, 7, 15):
+                assert model.result_bytes(5, 3, 1, low, nonzero) >= model.message_header_bytes
 
     def test_the_wire_has_no_fixed_id_size(self):
         assert not hasattr(CostModel(), "id_bytes")
@@ -141,15 +162,21 @@ def _double(bits: int) -> float:
 
 class TestCoordWidth:
     def test_empty_is_eight_bytes(self):
-        assert coord_width([]) == 8
-        assert coord_width(np.empty((0, 3))) == 8
-        assert coord_width(np.empty((4, 0))) == 8
+        assert coord_width([]) == (8, 0)
+        assert coord_width(np.empty((0, 3))) == (8, 0)
+        assert coord_width(np.empty((4, 0))) == (8, 0)
 
     def test_bitwise_equal_values_share_all_eight_bytes(self):
-        assert coord_width([0.5]) == 0
-        assert coord_width(np.full((5, 3), 0.25)) == 0
+        assert coord_width([0.5]) == (0, 1)
+        assert coord_width(np.full((5, 3), 0.25)) == (0, 15)
         nan = _double(0x7FF8_0000_DEAD_BEEF)
-        assert coord_width([nan, nan]) == 0
+        assert coord_width([nan, nan]) == (0, 2)
+
+    def test_an_all_zero_block_sends_every_zero_at_width_zero(self):
+        """No bitmap: ``8 − 0`` shared bytes and nothing per coordinate,
+        so a list of tied zeros never grows."""
+        assert coord_width([0.0]) == (0, 1)
+        assert coord_width(np.zeros((300, 1))) == (0, 300)
 
     @pytest.mark.parametrize("shared", range(9))
     def test_the_width_is_eight_less_the_shared_high_bytes(self, shared):
@@ -160,17 +187,29 @@ class TestCoordWidth:
         else:
             flip = 1 << (8 * (8 - shared) - 1)  # the top bit of the first differing byte
             values = [_double(base), _double(base ^ flip)]
-        assert coord_width(values) == 8 - shared
-        assert coord_width(np.array(values).reshape(2, 1)) == 8 - shared
+        assert coord_width(values) == (8 - shared, 2)
+        assert coord_width(np.array(values).reshape(2, 1)) == (8 - shared, 2)
+        # A +0.0 beside them is marked, not sent: the width stays.
+        assert coord_width([values[0], 0.0, values[1]]) == (8 - shared, 2)
 
     def test_signed_zeros_and_infinities_differ_in_the_top_byte(self):
-        assert coord_width([0.0, -0.0]) == 8
-        assert coord_width([np.inf, -np.inf]) == 8
-        assert coord_width([0.0, 5e-324]) == 1  # the smallest subnormal
+        assert coord_width([-0.0, 0.5]) == (8, 2)
+        assert coord_width([np.inf, -np.inf]) == (8, 2)
+        assert coord_width([-0.0, 5e-324]) == (8, 2)  # the smallest subnormal
+
+    def test_only_positive_zero_is_marked(self):
+        """``-0.0`` (bit pattern ``0x8000…``) is sent like any value."""
+        assert coord_width([0.0, -0.0]) == (0, 1)
+        assert coord_width([0.0, -0.0, -0.0, 0.0]) == (0, 2)
+        assert coord_width([0.0, 5e-324]) == (0, 1)
+        assert coord_width([0.0, 5e-324, 2 * 5e-324]) == (1, 2)
 
     def test_values_in_one_binade_share_the_top_byte(self):
-        """Every value in [2**-15, 2) begins with ``0x3F``."""
+        """Every value in [2**-15, 2) begins with ``0x3F``, and a +0.0
+        among them no longer forces the width to 8."""
         rng = np.random.default_rng(40)
         values = rng.uniform(2.0**-15, 2.0, size=(300, 4))
-        assert coord_width(values) <= 7
-        assert coord_width(np.append(values, 0.0)) == 8
+        low, sent = coord_width(values)
+        assert low <= 7 and sent == values.size
+        assert coord_width(np.append(values, 0.0)) == (low, values.size)
+        assert coord_width(np.append(values, -0.0)) == (8, values.size + 1)

@@ -102,7 +102,7 @@ class TestResultMessage:
         rows = [(0.5, 0.75, 0.625), (0.5625, 0.875, 0.5)]
         b1 = len(ResultMessage(1, 0, (100,), rows[:1]).encode())
         b2 = len(ResultMessage(1, 0, (100, 101), rows).encode())
-        assert coord_width(rows[:1]) == coord_width(rows) == 7
+        assert coord_width(rows[:1]) == (7, 3) and coord_width(rows) == (7, 6)
         assert b2 - b1 == 1 + 3 * 7 == DEFAULT_COST_MODEL.point_bytes(3, 1, 7)
 
     @pytest.mark.parametrize(
@@ -110,10 +110,10 @@ class TestResultMessage:
     )
     def test_the_id_column_is_as_wide_as_the_largest_id(self, largest, width):
         """The body is the head, then ``n * w`` id bytes, then the
-        ``n x k`` coordinate block (whole doubles here: 0.0 shares no
+        ``n x k`` coordinate block (whole doubles here: -0.0 shares no
         byte with 0.5); every id decodes to its own value."""
         ids = (0, 7, largest)
-        coords = ((0.5, 0.25), (0.125, 1.0), (2.0, 0.0))
+        coords = ((0.5, 0.25), (0.125, 1.0), (2.0, -0.0))
         blob = ResultMessage(1, 3, ids, coords).encode()
         head = HEADER_SIZE + 16
         assert (blob[head - 2], blob[head - 1]) == (width, 8)
@@ -160,7 +160,7 @@ class TestResultMessage:
         assert back == decline and back.decline and back.final
         assert len(decline.encode()) == len(empty.encode())
         assert cost_estimate(decline.encode(), DEFAULT_COST_MODEL) == (
-            DEFAULT_COST_MODEL.result_bytes(0, 0, 1, 8)
+            DEFAULT_COST_MODEL.result_bytes(0, 0, 1, 8, 0)
         )
 
     def test_decline_with_points_rejected(self, rng):
@@ -203,7 +203,7 @@ class TestFraming:
             ResultMessage.from_store(1, 0, store, (0, 2)),
         ):
             blob = bytearray(message.encode())
-            assert blob[2] == 5
+            assert blob[2] == 6
             blob[2] = 1
             with pytest.raises(WireError, match=r"^unsupported version 1$"):
                 decode(bytes(blob))
@@ -259,6 +259,24 @@ class TestFraming:
             with pytest.raises(WireError, match=r"^unsupported version 4$"):
                 cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
 
+    def test_version_5_is_not_decoded(self, rng):
+        """The record without a zero bitmap, whose width byte had no
+        flag: refused by the version byte, with no selector and no
+        version-5 decoder."""
+        store = SortedByF.from_points(PointSet(rng.random((3, 4)), np.arange(3)))
+        for message in (
+            QueryMessage(1, (0, 2), 1.0, 0, point=(0.5, 0.25)),
+            ResultMessage.from_store(1, 0, store, (0, 2)),
+            ResultMessage(1, 0, (0, 1), ((0.0, 0.5), (0.25, 0.0))),
+            ResultMessage(1, 0, (), ()),
+        ):
+            blob = bytearray(message.encode())
+            blob[2] = 5
+            with pytest.raises(WireError, match=r"^unsupported version 5$"):
+                decode(bytes(blob))
+            with pytest.raises(WireError, match=r"^unsupported version 5$"):
+                cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
+
     @pytest.mark.parametrize("width", [0, 9, 255])
     def test_id_width_outside_one_to_eight_rejected(self, width):
         """The width byte is checked before any column is read, whatever
@@ -285,6 +303,19 @@ class TestFraming:
         with pytest.raises(WireError, match=f"coordinate width {low}"):
             decode(bytes(blob))
         with pytest.raises(WireError, match=f"coordinate width {low}"):
+            cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
+
+    @pytest.mark.parametrize("reserved", [0x10, 0x20, 0x40])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_a_reserved_bit_of_the_width_byte_is_refused(self, reserved, zeros):
+        """Only ``0x80`` (the zero bitmap) may ride beside the width."""
+        coords = ((0.0, 0.5), (0.25, 0.0)) if zeros else ((0.5, 0.75), (0.25, 1.0))
+        blob = bytearray(ResultMessage(1, 0, (1, 2), coords).encode())
+        assert bool(blob[HEADER_SIZE + 15] & 0x80) is zeros
+        blob[HEADER_SIZE + 15] |= reserved
+        with pytest.raises(WireError, match="coordinate width"):
+            decode(bytes(blob))
+        with pytest.raises(WireError, match="coordinate width"):
             cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
 
     @pytest.mark.parametrize("low", [0, 3, 7])
@@ -420,35 +451,42 @@ class TestCostEstimate:
         points = PointSet(rng.random((7, 5)), np.arange(7))
         store = SortedByF.from_points(points)
         blob = ResultMessage.from_store(1, 0, store, (0, 1, 4)).encode()
-        low = coord_width(store.points.values[:, [0, 1, 4]])
+        block = coord_width(store.points.values[:, [0, 1, 4]])
         assert cost_estimate(blob, DEFAULT_COST_MODEL) == (
-            DEFAULT_COST_MODEL.result_bytes(7, 3, 1, low)
+            DEFAULT_COST_MODEL.result_bytes(7, 3, 1, *block)
         )
         ids = np.array([70_000, 12, 99_999])
         store = SortedByF.from_points(PointSet(np.full((3, 5), 0.75), ids))
         blob = ResultMessage.from_store(1, 0, store, (0, 1, 4)).encode()
         assert cost_estimate(blob, DEFAULT_COST_MODEL) == (
-            DEFAULT_COST_MODEL.result_bytes(3, 3, 3, 0)
+            DEFAULT_COST_MODEL.result_bytes(3, 3, 3, 0, 9)
         )
 
     def test_framing_delta_is_constant(self, rng):
         """``cost_estimate`` is the model's charge for the record, and the
         codec's own bytes differ from it by the same constant for every
-        n, k, mark, id width and coordinate width (docs/TRANSPORT.md)."""
-        deltas, widths = set(), set()
+        n, k, mark, id width, coordinate width and zero count
+        (docs/TRANSPORT.md)."""
+        deltas, widths, zeros = set(), set(), set()
         cases = [(0, 1, False, 0), (1, 1, True, 0), (1, 4, False, 2**20), (6, 2, True, 2**40)]
         for n, k, final, first_id in cases:
             ids = np.arange(first_id, first_id + n)
-            for values in (rng.random((n, 4)), 0.5 + rng.random((n, 4)) / 2, np.full((n, 4), 3.0)):
+            clipped = np.where(rng.random((n, 4)) < 0.3, 0.0, 0.5 + rng.random((n, 4)) / 2)
+            clipped[:1, :1] = 0.0
+            for values in (
+                rng.random((n, 4)), 0.5 + rng.random((n, 4)) / 2, np.full((n, 4), 3.0), clipped,
+            ):
                 store = SortedByF.from_points(PointSet(values, ids))
                 blob = ResultMessage.from_store(1, 0, store, range(k), final=final).encode()
                 estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
-                low = coord_width(values[:, :k])
-                assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids), low)
+                low, sent = coord_width(values[:, :k])
+                assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids), low, sent)
                 deltas.add(estimate - len(blob))
                 widths.add(low)
+                zeros.add(n * k - sent)
         assert deltas == {32}
         assert {0, 8} < widths
+        assert len(zeros) > 2
 
     def test_query_framing_delta_is_constant(self):
         """The same for queries, with and without the bound's point:
@@ -507,7 +545,8 @@ def _block_sharing(shared: int, n: int, k: int) -> np.ndarray:
 
 
 class TestCoordinateBlock:
-    """Wire version 5: the shared high bytes once, then each
+    """Wire version 6: a zero bitmap when the block mixes +0.0 with
+    other values, the shared high bytes once, then each sent
     coordinate's low bytes; every double comes back bit for bit."""
 
     @staticmethod
@@ -528,7 +567,9 @@ class TestCoordinateBlock:
         bits = np.resize(np.array(SPECIAL_BITS, dtype=np.uint64), n * k)
         coords = bits.view("<f8").reshape(n, k)
         blob, _ = self._roundtrip(coords)
-        assert blob[HEADER_SIZE + 15] == coord_width(coords)
+        low, sent = coord_width(coords)
+        assert blob[HEADER_SIZE + 15] == low | (0x80 if sent < n * k else 0)
+        assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
 
     @pytest.mark.parametrize(
         "n,k,shared",
@@ -542,7 +583,7 @@ class TestCoordinateBlock:
         coords = _block_sharing(shared, n, k)
         blob, _ = self._roundtrip(coords)
         low = 8 - shared
-        assert coord_width(coords) == low
+        assert coord_width(coords) == (low, n * k)
         head = HEADER_SIZE + 16
         assert blob[head - 1] == low
         assert len(blob) == head + n * id_width(range(n)) + shared + n * k * low
@@ -574,3 +615,118 @@ class TestCoordinateBlock:
                 struct.pack_into("<I", short, 12, cut - HEADER_SIZE)
                 with pytest.raises(WireError):
                     decode(bytes(short))
+
+
+class TestZeroBitmap:
+    """Version 6's bitmap: a block that mixes +0.0 with other values
+    marks its zeros and sends, and sizes its width over, only the rest."""
+
+    #: Zeros at row-major positions 0, 2, 4, 5 and 8; the rest share 0x3F.
+    HAND = np.array([[0.0, 0.5, 0.0], [0.75, 0.0, 0.0], [0.5, 0.5, 0.0]])
+
+    def test_bit_order_on_a_hand_written_block(self):
+        """Bit ``i % 8`` of bitmap byte ``i // 8`` marks coordinate ``i``
+        (``np.packbits(..., bitorder="little")``), then the shared byte,
+        then the sent coordinates' low bytes in row-major order."""
+        blob = ResultMessage(1, 0, (0, 1, 2), self.HAND).encode()
+        head = HEADER_SIZE + 16
+        assert blob[head - 2 : head] == bytes([1, 0x80 | 7])
+        assert blob[head : head + 3] == bytes([0, 1, 2])
+        assert blob[head + 3 : head + 5] == bytes([0b0011_0101, 0b0000_0001])
+        assert blob[head + 5 : head + 6] == b"\x3f"
+        assert blob[head + 6 :] == b"".join(struct.pack("<d", v)[:7] for v in (0.5, 0.75, 0.5, 0.5))
+        assert decode(blob).coords.tolist() == self.HAND.tolist()
+        assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
+            3, 3, 1, 7, 4
+        ) == len(blob) + 32
+
+    @pytest.mark.parametrize(
+        "name,coords",
+        [
+            ("no zeros", np.array([[0.5, 0.75], [0.625, 0.5]])),
+            ("some zeros", np.array([[0.0, 0.75], [0.625, 0.0], [0.0, 0.0]])),
+            ("all zeros", np.zeros((4, 3))),
+            ("signed zeros", np.array([[0.0, -0.0], [-0.0, 0.0]])),
+            ("only -0.0", np.full((3, 2), -0.0)),
+            ("nan payloads", np.array([[0.0, _double(0x7FF0_0000_0000_0001)],
+                                       [_double(0xFFFF_FFFF_FFFF_FFFF), 0.0]])),
+            ("subnormals", np.array([[0.0, 5e-324], [_double(0x000F_FFFF_FFFF_FFFF), 0.0]])),
+            ("infinities", np.array([[np.inf, 0.0, -np.inf]])),
+            ("one zero", np.array([[0.0]])),
+            ("a zero among many", np.append(np.full(299, 0.5), 0.0).reshape(75, 4)),
+        ],
+    )
+    def test_roundtrips_bit_for_bit(self, name, coords):
+        blob, _ = TestCoordinateBlock._roundtrip(coords)
+        bits = coords.reshape(-1).view("<u8")
+        flagged = bool((bits == 0).any() and (bits != 0).any())
+        assert bool(blob[HEADER_SIZE + 15] & 0x80) is flagged, name
+        low, sent = coord_width(coords)
+        assert sent == (int((bits != 0).sum()) if flagged else bits.size)
+        n, k = coords.shape
+        assert len(blob) == (
+            HEADER_SIZE + 16 + n + ((n * k + 7) // 8 if flagged else 0) + 8 - low + sent * low
+        )
+        assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
+
+    def test_a_list_of_tied_zeros_keeps_its_eight_bytes(self):
+        """An all-zero block is never flagged: 8 shared bytes in all."""
+        for n, k in ((1, 1), (300, 1), (7, 4)):
+            blob = ResultMessage(1, 0, np.arange(n), np.zeros((n, k))).encode()
+            assert blob[HEADER_SIZE + 15] == 0
+            assert len(blob) == HEADER_SIZE + 16 + n * id_width(range(n)) + 8
+
+    def test_every_prefix_of_a_zero_bearing_message_is_a_wire_error(self):
+        blob = ResultMessage(1, 0, (0, 1, 2), self.HAND).encode()
+        bitmap_end = HEADER_SIZE + 16 + 3 + 2
+        for cut in range(len(blob)):
+            with pytest.raises(WireError):
+                decode(blob[:cut])
+            with pytest.raises(WireError):
+                cost_estimate(blob[:cut], DEFAULT_COST_MODEL)
+            if cut < HEADER_SIZE:
+                continue
+            short = bytearray(blob[:cut])
+            struct.pack_into("<I", short, 12, cut - HEADER_SIZE)
+            with pytest.raises(WireError):
+                decode(bytes(short))
+            if cut < bitmap_end:
+                # The estimate reads the bitmap: a body too short for it is refused.
+                with pytest.raises(WireError):
+                    cost_estimate(bytes(short), DEFAULT_COST_MODEL)
+
+    @pytest.mark.parametrize(
+        "bitmap,match",
+        [
+            (b"\x00\x00", "marks some"),
+            (b"\xff\x01", "marks some"),
+            (b"\x35\x03", "padding bit"),
+        ],
+    )
+    def test_a_bitmap_that_marks_none_all_or_padding_is_refused(self, bitmap, match):
+        blob = bytearray(ResultMessage(1, 0, (0, 1, 2), self.HAND).encode())
+        start = HEADER_SIZE + 16 + 3
+        blob[start : start + 2] = bitmap
+        with pytest.raises(WireError, match=match):
+            decode(bytes(blob))
+        with pytest.raises(WireError, match=match):
+            cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
+
+    def test_the_flag_is_read_not_guessed(self):
+        """Clearing the flag of a flagged block, or setting it on a block
+        without one, leaves a body whose length no longer adds up."""
+        flagged = bytearray(ResultMessage(1, 0, (0, 1, 2), self.HAND).encode())
+        flagged[HEADER_SIZE + 15] &= 0x7F
+        plain = bytearray(ResultMessage(1, 0, (0, 1), ((0.5, 0.75), (0.625, 0.5))).encode())
+        plain[HEADER_SIZE + 15] |= 0x80
+        for blob in (flagged, plain):
+            with pytest.raises(WireError):
+                decode(bytes(blob))
+
+    def test_an_empty_block_is_never_flagged(self):
+        blob = bytearray(ResultMessage(1, 0, (), ()).encode())
+        blob[HEADER_SIZE + 15] |= 0x80
+        with pytest.raises(WireError):
+            decode(bytes(blob))
+        with pytest.raises(WireError):
+            cost_estimate(bytes(blob), DEFAULT_COST_MODEL)

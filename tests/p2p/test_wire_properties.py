@@ -19,7 +19,8 @@ finite_floats = st.floats(0, 1e9, allow_nan=False)
 # are frame + dimension-count/threshold/initiator/point-count fields
 # minus the threshold the model charges separately (16 + 19 - 8 = 27),
 # a result's are frame + sender/count/dimensionality/id-width/
-# coordinate-width fields (16 + 16 = 32).
+# coordinate-width fields (16 + 16 = 32); a zero bitmap is payload,
+# charged by both sides alike.
 QUERY_COST = CostModel(message_header_bytes=27)
 RESULT_COST = CostModel(message_header_bytes=32)
 
@@ -82,14 +83,16 @@ def test_result_roundtrip(query_id, sender, k, ids, mark, data):
     assert back == msg
     assert back.ids.tolist() == ids and back.k == k
     assert (back.final, back.decline) == (mark != "plain", mark == "decline")
-    # The column is as wide as the largest id needs, each coordinate as
-    # wide as the block's unshared low bytes; the estimate charges both.
-    width, low = id_width(ids), coord_width(coords)
-    assert (blob[16 + 14], blob[16 + 15]) == (width, low)
+    # The column is as wide as the largest id needs, each sent coordinate
+    # as wide as the sent values' unshared low bytes; the estimate
+    # charges both, and the zero bitmap of a block that has one.
+    width, (low, sent) = id_width(ids), coord_width(coords)
+    flag = 0x80 if sent < coords.size else 0
+    assert (blob[16 + 14], blob[16 + 15]) == (width, low | flag)
     assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
-        len(ids), k, width, low
+        len(ids), k, width, low, sent
     )
-    # The envelope is one constant for every n, k, width and mark.
+    # The envelope is one constant for every n, k, width, zero count and mark.
     assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
     # The key the receiver merges on is recomputed, ascending, from the record.
     rebuilt = back.to_store()
@@ -122,14 +125,50 @@ def test_coordinate_block_roundtrips_bit_for_bit(n, k, shared, base, mark, data)
     back = decode(blob)
     assert back.coords.view("<u8").tolist() == bits.tolist()
     assert back.ids.tolist() == list(range(n)) and back.final is (mark == "final")
-    low = coord_width(coords)
-    assert blob[16 + 15] == low
+    low, sent = coord_width(coords)
+    assert blob[16 + 15] == low | (0x80 if sent < n * k else 0)
     assert low <= 8 - shared if n * k else low == 8
     estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
-    assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(range(n)), low)
+    assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(range(n)), low, sent)
     assert estimate - len(blob) == 32
-    assert len(blob) == RESULT_COST.result_bytes(n, k, id_width(range(n)), low)
-    assert len(blob) <= RESULT_COST.result_bytes(n, k, id_width(range(n)), 8)
+    assert len(blob) == RESULT_COST.result_bytes(n, k, id_width(range(n)), low, sent)
+    if sent == n * k:  # a bitmap can outweigh the one zero it drops (docs/TRANSPORT.md)
+        assert len(blob) <= RESULT_COST.result_bytes(n, k, id_width(range(n)), 8, n * k)
+
+
+#: The generators' unit cube: every value in [2**-15, 1] shares the top
+#: byte 0x3F, and a value clipped to the cube's floor is +0.0.
+cube_values = st.just(0.0) | st.floats(2.0**-15, 1.0)
+
+
+@given(st.integers(1, 40), st.integers(1, 8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_zero_bearing_block_roundtrips_at_the_constant_envelope(n, k, data):
+    """Blocks of +0.0 mixed with -0.0 and other values come back bit for
+    bit, and the estimate, which reads the bitmap, is 32 B above the
+    measured bytes."""
+    values = data.draw(
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324]) | cube_values, min_size=n * k,
+                 max_size=n * k)
+    )
+    coords = np.array(values).reshape(n, k)
+    blob = ResultMessage(query_id=2, sender=5, ids=range(n), coords=coords).encode()
+    assert decode(blob).coords.view("<u8").tolist() == coords.view("<u8").tolist()
+    assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
+
+
+@given(st.integers(1, 300), st.integers(1, 8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_unit_cube_block_is_never_larger_than_version_5(n, k, data):
+    """The v6 record of a block drawn from ``{+0.0} ∪ [2**-15, 1]`` is
+    never longer than version 5's: ``32 + n·w + (8 − c) + nk·c``, ``c``
+    taken over every value, +0.0 included."""
+    values = data.draw(st.lists(cube_values, min_size=n * k, max_size=n * k))
+    coords = np.array(values).reshape(n, k)
+    bits = coords.reshape(-1).view("<u8")
+    v5_low = (int(np.bitwise_or.reduce(bits ^ bits[0])).bit_length() + 7) // 8
+    v5 = 32 + n * id_width(range(n)) + (8 - v5_low) + n * k * v5_low
+    assert len(ResultMessage(1, 0, range(n), coords).encode()) <= v5
 
 
 @given(st.binary(max_size=200))
@@ -151,12 +190,19 @@ def test_truncation_always_detected(data, which):
             point=(0.25, 0.5, 0.75) if which == "pointed query" else None,
         )
     else:
-        # 0.0 shares no byte with the others; without it the block's
-        # width byte is 7 and the top byte 0x3F travels once.
+        # 0.0 is marked in a bitmap; without it the block's width byte
+        # is 7 and the top byte 0x3F travels once, with it the 0x80 flag
+        # rides beside the 7.
         rows = [(0.25, 0.5, 0.75), (0.5, 0.125, 0.0 if which == "result" else 1.5)]
         msg = ResultMessage(query_id=1, sender=3, ids=(7, 300), coords=rows)
     blob = msg.encode()
     cut = data.draw(st.integers(0, len(blob) - 1))
+    try:
+        cost_estimate(blob[:cut], DEFAULT_COST_MODEL)
+    except WireError:
+        pass
+    else:
+        raise AssertionError("a truncated blob was estimated")
     try:
         decoded = decode(blob[:cut])
     except WireError:
@@ -197,7 +243,7 @@ def test_result_size_matches_cost_model(k, n, largest):
         ids=ids,
         coords=coords,
     )
-    assert len(msg.encode()) == RESULT_COST.result_bytes(n, k, id_width(ids), coord_width(coords))
+    assert len(msg.encode()) == RESULT_COST.result_bytes(n, k, id_width(ids), *coord_width(coords))
 
 
 def test_empty_result_roundtrips_at_header_cost():
@@ -206,7 +252,7 @@ def test_empty_result_roundtrips_at_header_cost():
     assert decode(blob) == msg
     # k and the id width are irrelevant at n=0; an empty block is width 8.
     assert blob[16 + 15] == 8
-    assert len(blob) == RESULT_COST.result_bytes(0, 5, 8, 8)
+    assert len(blob) == RESULT_COST.result_bytes(0, 5, 8, 8, 0)
 
 
 def test_single_dimension_subspace_roundtrips():

@@ -9,6 +9,7 @@ the rerun answers as the serial executor does.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -21,6 +22,7 @@ import pytest
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.parallel import ParallelEngine
+from repro.parallel.engine import _noop
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
 
@@ -78,6 +80,7 @@ def test_a_killed_worker_between_two_calls(network, queries):
         assert {v: list(map(_fingerprint, runs)) for v, runs in second.items()} == serial
         assert engine.stats.pool_replacements == 1
         assert killed not in engine._pool._processes
+        assert engine._pool._mp_context.get_start_method() == "spawn"
         # The live publication was kept and attached again, not redone.
         assert engine._publications[id(network)].token == token
         assert engine.stats.publications == 1
@@ -135,3 +138,44 @@ def test_a_second_break_propagates_and_the_next_call_recovers(network, queries):
         assert engine.stats.pool_replacements == 2
         expected = [_fingerprint(execute_query(network, q, Variant.FTPM)) for q in queries]
         assert list(map(_fingerprint, runs[Variant.FTPM])) == expected
+
+
+def _vm_rss_kb(pid: int) -> int:
+    with open(f"/proc/{pid}/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no VmRSS for {pid}")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status")
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="reads VmRSS from /proc and compares against a forked pool",
+)
+def test_the_replacement_pool_spawns_lean_workers(queries):
+    """A fork after the build would copy the parent's heap, its network
+    and all, into every new worker: the replacement spawns instead, so
+    each of its workers is smaller than a worker forked at that moment,
+    and still answers as the serial executor does."""
+    big = SuperPeerNetwork.build(n_peers=400, points_per_peer=250, dimensionality=8, seed=5)
+    sp = big.topology.superpeer_ids
+    asked = [Query(subspace=q.subspace, initiator=sp[i % len(sp)]) for i, q in enumerate(queries)]
+    serial = [_fingerprint(execute_query(big, q, Variant.FTPM)) for q in asked]
+    with ParallelEngine(2, mp_start="fork") as engine:
+        engine.run_queries(big, asked, [Variant.FTPM])
+        _kill_a_worker(engine)
+        runs = engine.run_queries(big, asked, [Variant.FTPM])[Variant.FTPM]
+        assert list(map(_fingerprint, runs)) == serial
+        assert engine.stats.pool_replacements == 1
+        assert engine._pool._mp_context.get_start_method() == "spawn"
+        spawned = [_vm_rss_kb(pid) for pid in engine._pool._processes]
+        forked_pool = engine._new_pool("fork")
+        try:
+            for future in [forked_pool.submit(_noop) for _ in range(engine.workers)]:
+                future.result()
+            forked = [_vm_rss_kb(pid) for pid in forked_pool._processes]
+        finally:
+            forked_pool.shutdown(wait=True)
+    assert spawned and forked
+    assert max(spawned) < min(forked), (spawned, forked)

@@ -18,6 +18,8 @@ import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro.obs.runtime import observed
 from repro.p2p.transport import encode_frame, read_frame
 from repro.serving.client import GatewayClient
@@ -306,6 +308,49 @@ class TestErrorCodes:
             assert reply["code"] == ERROR_REQUEST, reply
         assert stats.protocol_errors == len(replies)
         assert stats.backend_errors == 0
+
+    @pytest.mark.parametrize("backend", ["serial", "engine"])
+    def test_updates_the_stores_reject_are_request_errors(self, network, backend):
+        """An unknown peer, ids the peer does not hold and ids it already
+        holds are the client's mistakes: a retry cannot cure them, so
+        they are coded ``request`` on either backend, never ``backend``,
+        and the network is left as it was."""
+        from repro.parallel import ParallelEngine
+
+        peer = min(network.peers)
+        held = int(network.peers[peer].data.ids[0])
+        row = [0.5] * network.dimensionality
+        epoch = network.epoch
+
+        async def scenario(engine):
+            gateway = QueryGateway(network, engine=engine, backend=backend)
+            async with gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    replies = [
+                        await client.update("insert", peer_id=10_000, points=[row]),
+                        await client.update("delete", peer_id=peer, point_ids=[10_000_000]),
+                        await client.update(
+                            "insert", peer_id=peer, points={"values": [row], "ids": [held]}
+                        ),
+                    ]
+            return [r.payload for r in replies], gateway.stats
+
+        engine = ParallelEngine(1) if backend == "engine" else None
+        try:
+            replies, stats = run(bounded(scenario(engine)))
+        finally:
+            if engine is not None:
+                engine.close()
+        messages = ("unknown peer 10000", "does not hold points [10000000]", "already present")
+        for reply, message in zip(replies, messages):
+            assert reply["status"] == "error", reply
+            assert reply["code"] == ERROR_REQUEST, reply
+            assert reply["error"].startswith("bad update: ") and message in reply["error"], reply
+        assert stats.protocol_errors == 3
+        assert stats.backend_errors == 0
+        assert stats.updates_applied == 0
+        assert network.epoch == epoch
 
 
 class TestShutdownFaults:

@@ -98,6 +98,16 @@ def networks() -> dict[str, SuperPeerNetwork]:
 
 
 @pytest.fixture(scope="module")
+def anti_network() -> SuperPeerNetwork:
+    """Anticorrelated, so its lists hold values clipped to +0.0 and their
+    blocks carry a zero bitmap (the uniform networks' never do)."""
+    return SuperPeerNetwork.build(
+        n_peers=36, points_per_peer=20, dimensionality=4, n_superpeers=6, seed=7,
+        dataset="anticorrelated",
+    )
+
+
+@pytest.fixture(scope="module")
 def golden() -> dict:
     with open(GOLDEN, encoding="utf-8") as handle:
         return json.load(handle)
@@ -148,25 +158,29 @@ def test_matches_the_parent(networks, golden, monkeypatch, name, subspace, varia
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-def test_volume_is_headers_plus_point_hops(networks, monkeypatch, variant):
+def test_volume_is_headers_plus_point_hops(networks, anti_network, monkeypatch, variant):
     """``volume_bytes`` written out: a query message per query — carrying
     the bound's one point under the four SKYPEER variants and none under
     naive — an envelope and the ``8 − c`` shared high coordinate bytes
-    per result, and ``w + k·c`` per point per hop, ``w`` the fewest whole
-    bytes that hold the largest id of the message and ``c`` the low bytes
-    its queried coordinates do not all share (both read here through a
-    spy on the carrier).  Nothing else travels, so a change to either
-    record shows here and not only in a bench."""
-    sent: list[tuple[int, int, int]] = []  # (points, id width, coord width) per result
+    per result, ``w`` per point per hop and ``c`` per sent coordinate,
+    and a ``⌈n·k/8⌉``-byte zero bitmap for a block that sends fewer than
+    its ``n·k`` coordinates; ``w`` is the fewest whole bytes that hold
+    the largest id of the message, ``nz`` the coordinates it sends (its
+    non-+0.0 ones when it mixes +0.0 with others, else all) and ``c``
+    the low bytes those do not all share (all read here through a spy
+    on the carrier).  Nothing else travels, so a change to either record
+    shows here and not only in a bench."""
+    sent: list[tuple[int, int, int, int]] = []  # (points, id width, coord width, nz)
     send_result = _ModelClocks.send_result
 
     def spy(self, src, dst, origin, result, final, at):
-        low = coord_width(result.points.values[:, list(self._subspace)])
-        sent.append((len(result), id_width(result.points.ids), low))
+        low, nonzero = coord_width(result.points.values[:, list(self._subspace)])
+        sent.append((len(result), id_width(result.points.ids), low, nonzero))
         send_result(self, src, dst, origin, result, final, at)
 
     monkeypatch.setattr(_ModelClocks, "send_result", spy)
-    for name, network in networks.items():
+    bitmaps = 0
+    for name, network in {**networks, "anti": anti_network}.items():
         cost = network.cost_model
         for subspace in _subspaces(network.dimensionality):
             sent.clear()
@@ -177,12 +191,17 @@ def test_volume_is_headers_plus_point_hops(networks, monkeypatch, variant):
             n_result = execution.message_count - run.query_messages
             points = 0 if variant is Variant.NAIVE else 1
             assert run.query_messages == network.n_superpeers - 1, name
-            assert sum(n for n, _, _ in sent) == execution.point_hops
+            assert sum(n for n, _, _, _ in sent) == execution.point_hops
             assert execution.volume_bytes == (
                 run.query_messages * cost.query_bytes(k, points)
                 + n_result * cost.message_header_bytes
-                + sum(n * (width + k * low) + 8 - low for n, width, low in sent)
+                + sum(
+                    n * width + ((n * k + 7) // 8 if nz < n * k else 0) + 8 - low + nz * low
+                    for n, width, low, nz in sent
+                )
             ), (name, subspace)
+            bitmaps += sum(nz < n * k for n, _, _, nz in sent)
+    assert bitmaps > 0
 
 
 @pytest.mark.parametrize("name", ["mesh", "deep"])

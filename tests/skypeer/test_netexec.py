@@ -16,6 +16,7 @@ from repro.data.workload import Query
 from repro.obs import observed
 from repro.p2p.cost import DEFAULT_COST_MODEL, coord_width, id_width
 from repro.p2p.network import SuperPeerNetwork
+from repro.p2p import wire
 from repro.p2p.transport import TransportConfig
 from repro.p2p.wire import QueryMessage, ResultMessage
 from repro.skypeer.executor import execute_query
@@ -35,6 +36,14 @@ def mesh_network() -> SuperPeerNetwork:
     )
 
 
+@pytest.fixture(scope="module")
+def anti_network() -> SuperPeerNetwork:
+    return SuperPeerNetwork.build(
+        n_peers=36, points_per_peer=20, dimensionality=4,
+        n_superpeers=6, seed=7, dataset="anticorrelated",
+    )
+
+
 def _query(network, subspace=(0, 2, 4), which=0) -> Query:
     return Query(
         subspace=subspace, initiator=network.topology.superpeer_ids[which]
@@ -49,14 +58,18 @@ def _query_delta(k: int) -> int:
     return DEFAULT_COST_MODEL.query_bytes(k) - len(blob)
 
 
-def _result_delta(n: int, k: int, first_id: int = 0, step: float = 0.0) -> int:
+def _result_delta(
+    n: int, k: int, first_id: int = 0, step: float = 0.0, zeros: int = 0
+) -> int:
     ids = range(first_id, first_id + n)
     # ``step`` sets the coordinate width: 0 makes every value 0.5 (width
-    # 0), a tiny step keeps the high bytes, -1 crosses the sign (width 8).
+    # 0), a tiny step keeps the high bytes, -1 crosses the sign (width 8);
+    # the first ``zeros`` coordinates are +0.0 (a bitmap, unless all are).
     coords = 0.5 + step * np.arange(n * k, dtype=np.float64).reshape(n, k)
+    coords.reshape(-1)[:zeros] = 0.0
     msg = ResultMessage(query_id=1, sender=0, ids=tuple(ids), coords=coords)
     return (
-        DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids), coord_width(coords))
+        DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids), *coord_width(coords))
         - len(msg.encode())
     )
 
@@ -73,8 +86,9 @@ class TestEnvelopeDelta:
             for k in (1, 3, 5)
             for first_id in (0, 300, 10_000_000, 2**62)
             for step in (0.0, 2.0**-40, 0.25, -1.0)
+            for zeros in {0, 1, n * k // 2, n * k}
         }
-        assert len(deltas) == 1
+        assert deltas == {32}
 
 
 class TestTaskModeEquality:
@@ -112,6 +126,32 @@ class TestTaskModeEquality:
             + _result_delta(2, 3) * report.result_messages
         )
         assert report.estimate_delta_bytes == expected_delta
+
+    @pytest.mark.parametrize("variant", ALL)
+    def test_zero_bearing_blocks_cross_the_sockets(self, anti_network, variant, monkeypatch):
+        """Anticorrelated lists hold values clipped to +0.0, so their
+        blocks carry a zero bitmap over real TCP: the answer is the
+        model carrier's, and the estimator, which reads each bitmap,
+        stays the constant envelope above the measured bytes."""
+        blocks: list[tuple[int, int]] = []  # (sent, size) per encoded block
+
+        def spy(values):
+            low, sent = coord_width(values)
+            blocks.append((sent, np.size(values)))
+            return low, sent
+
+        monkeypatch.setattr(wire, "coord_width", spy)
+        query = _query(anti_network, subspace=(0, 1, 2), which=1)
+        model = execute_query(anti_network, query, variant)
+        outcome = run_socket_query(anti_network, query, variant)
+        assert outcome.result_ids == model.result_ids
+        assert any(sent < size for sent, size in blocks)
+        report = outcome.report
+        assert report.result_messages > 0
+        assert report.estimate_delta_bytes == (
+            32 * report.result_messages + _query_delta(3) * report.query_messages
+        )
+        assert report.estimated_bytes == model.volume_bytes
 
     def test_per_superpeer_stats_sum_to_totals(self, mesh_network):
         query = _query(mesh_network)
