@@ -10,15 +10,14 @@ conditions on every dimension and non-negative values:
 
 Both scalar predicates and vectorized (numpy) bulk forms are provided.
 The hot path is the skyline filter at the bottom (:func:`_skyline_filter`):
-pivot cells plus a rank-bitset kernel, shared by Algorithms 1 and 2 and
-pre-processing.  Its dominance form is pass two of Algorithms 1 and 2 (the
-skyline of the rows a scan examined); its ext-dominance form is Section
-5.3 pre-processing (:func:`repro.core.extended_skyline.ext_skyline_positions`).
-One private argument picks the relation.  Ext-domination is computed in
-two other places only: the witness ledger
-(:func:`repro.core.ledger.find_witnesses`) and the oracle behind
-:func:`extended_skyline_mask`.  :func:`batch_dominated_any` and
-:func:`dominated_mask` test dominance between given row sets.
+pivot cells plus a rank-bitset kernel.  Its dominance form is pass two of
+Algorithms 1 and 2; its ext-dominance form is every ext-skyline
+(:func:`repro.core.extended_skyline.ext_skyline_positions`), and the
+kernel's witness form, :func:`find_witnesses`, serves the eviction
+ledgers.  So ext-domination is one kernel plus one oracle, the sum-sorted
+scan behind :func:`extended_skyline_mask`, which no served path calls.
+:func:`batch_dominated_any` and :func:`dominated_mask` test dominance
+between given row sets.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ __all__ = [
     "dominated_mask",
     "skyline_mask",
     "extended_skyline_mask",
+    "find_witnesses",
 ]
 
 
@@ -148,12 +148,9 @@ def _sorted_filter_mask(
     values: np.ndarray, subspace: Sequence[int] | None, strict: bool
 ) -> np.ndarray:
     values = _as_f64(values)
-    n = values.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     proj = values if subspace is None else values[:, list(subspace)]
     kept_idx = sum_sorted_skyline_positions(proj, strict=strict)
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros(values.shape[0], dtype=bool)
     mask[kept_idx] = True
     return mask
 
@@ -171,8 +168,6 @@ def sum_sorted_skyline_positions(proj: np.ndarray, strict: bool = False) -> list
     cover the subnormal-margin case.)
     """
     n = proj.shape[0]
-    if n == 0:
-        return []
     sums = proj.sum(axis=1)
     order = np.argsort(sums, kind="stable")
     kept = np.empty_like(proj)
@@ -313,7 +308,38 @@ def _dominated(pool: np.ndarray, targets: int, ext: bool) -> np.ndarray:
     if not targets:
         return np.zeros(0, dtype=bool)
     order, cuts = _sorted_cuts(pool, targets, ext)
+    return _sweep(order, cuts, lambda acc: acc.any(axis=1))
+
+
+def find_witnesses(members: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """For each ``candidates`` row, the index of the lowest-index
+    ``members`` row that ext-dominates it, else ``-1``.
+
+    The witness form of :func:`_dominated`.  The pool is the members
+    below the candidates' maxima on every column (no other can
+    ext-dominate one), in ascending index; a left binary search into its
+    sorted columns cuts each candidate's prefixes at the rows strictly
+    below it (``-0.0`` ties ``0.0``).  The lowest surviving bit wins.
+    """
+    members, candidates = _as_f64(members), _as_f64(candidates)
+    out = np.full(candidates.shape[0], -1, dtype=np.int64)
+    pool = np.flatnonzero(np.all(members < candidates.max(axis=0, initial=-np.inf), axis=1))
+    if not out.size or not pool.size:
+        return out
+    columns = np.ascontiguousarray(members[pool].T)
+    order = np.argsort(columns, axis=1)
+    ranked = columns[np.arange(columns.shape[0])[:, None], order]
+    cuts = np.stack([r.searchsorted(c) for r, c in zip(ranked, candidates.T.copy())])
+    witness = _sweep(order, cuts, _lowest_member)
+    return np.where(witness >= 0, pool[witness], -1)
+
+
+def _sweep(order: np.ndarray, cuts: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of each target's dominator bitsets, the AND over every
+    column ``j`` of the rows in the first ``cuts[j, t]`` slots of
+    ``order[j]``, taken a ``(targets, words)`` slice at a time."""
     columns, m = order.shape
+    targets = cuts.shape[1]
     words = (m + 63) >> 6
     # A slice of targets keeps the running AND within a quarter of what
     # the sorted columns leave of the budget (never less than a quarter
@@ -325,16 +351,25 @@ def _dominated(pool: np.ndarray, targets: int, ext: bool) -> np.ndarray:
     segments = m + 1 if m <= 2 * step else step + 1
     per_column = 8 * (words * (segments + step) + 6 * m)
     group = max(1, min(columns, budget // 2 // per_column))
-    dominated = np.empty(targets, dtype=bool)
+    parts = []
     for lo in range(0, targets, step):
-        hi = min(lo + step, targets)
-        acc = _prefixes(order[:group], cuts[:group, lo:hi], words)
+        cut = cuts[:, lo : lo + step]
+        acc = _prefixes(order[:group], cut[:group], words)
         for j in range(group, columns, group):
             if not acc.any():
                 break
-            acc &= _prefixes(order[j : j + group], cuts[j : j + group, lo:hi], words)
-        dominated[lo:hi] = acc.any(axis=1)
-    return dominated
+            acc &= _prefixes(order[j : j + group], cut[j : j + group], words)
+        parts.append(reduce(acc))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _lowest_member(acc: np.ndarray) -> np.ndarray:
+    """Each ``(targets, words)`` bitset's lowest set bit, ``-1`` if none."""
+    first = (acc != 0).argmax(axis=1)
+    word = acc[np.arange(acc.shape[0]), first]
+    # ``word & -word`` keeps the lowest set bit, 2**b; its ``frexp`` is (0.5, b + 1).
+    bit = np.frexp((word & (~word + np.uint64(1))).astype(np.float64))[1] - 1
+    return np.where(word != 0, first * 64 + bit, -1)
 
 
 def _sorted_cuts(pool: np.ndarray, targets: int, ext: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -1,30 +1,25 @@
 """Eviction ledgers: dominance witnesses for incremental maintenance.
 
-When a strict (ext-domination) merge evicts a point, the evicted point
-was ext-dominated by at least one *member* of the surviving skyline —
-strict ``<`` on every dimension is transitive, so any chain of
-dominators terminates at a member.  An :class:`EvictionLedger` records
-one such member per evicted point (its *witness*) together with the
-point's full-space row.  That single pointer is what makes deletions
-cheap (the survey's dynamic-maintenance technique): when points die,
-only *orphans* — entries whose witness was among the victims — can
-possibly resurface, so they alone are re-tested against the remaining
-members, instead of recomputing the whole skyline.
+When a strict (ext-domination) merge evicts a point, some *member* of
+the surviving skyline ext-dominates it (strict ``<`` on every dimension
+is transitive, so dominator chains end at a member).  An
+:class:`EvictionLedger` records one such member per evicted point (its
+*witness*) with the point's full-space row.  When points die, only
+*orphans* — entries whose witness died — can resurface, so they alone
+are re-tested instead of recomputing the skyline.  Every witness and
+every skyline here comes from the one rank-bitset kernel
+(:func:`repro.core.dominance.find_witnesses`,
+:func:`repro.core.extended_skyline.ext_skyline_positions`).
 
 The load-bearing invariant is **member witnesses**: every entry's
 witness is a *current* member of the skyline the ledger shadows.  The
 maintenance paths (:mod:`repro.p2p.updates`, ``SuperPeer.drop_peer``)
-preserve it by re-pointing dependents whenever a witness is itself
-evicted (:meth:`EvictionLedger.repoint`) and by assigning fresh member
-witnesses during promotion (:func:`promote_candidates`).
-
-A second structural fact keeps promotions one-directional: a promoted
-orphan can never evict a surviving member.  Before the delete, the
-orphan ``c`` was ext-dominated by a (now dead) witness ``t`` that was a
-member; had ``c`` ext-dominated a surviving member ``m``, transitivity
-would give ``t`` ext-dom ``m`` — impossible, members are mutually
-non-ext-dominated.  Deletions therefore splice promoted points in with
-no eviction scan at all.
+keep it by re-pointing dependents whenever a witness is itself evicted
+(:meth:`EvictionLedger.repoint`) and by witnessing afresh during
+promotion (:func:`promote_candidates`).  A promoted orphan ``c`` never
+evicts a surviving member ``m``: its dead witness ``t`` was a member,
+and ``c`` ext-dom ``m`` would give ``t`` ext-dom ``m``.  So deletions
+splice promoted points in with no eviction scan.
 """
 
 from __future__ import annotations
@@ -34,22 +29,16 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import PointSet
-from .dominance import extended_skyline_mask
-
-if False:  # pragma: no cover - import cycle guard (typing only)
-    from .store import SortedByF
+from .dominance import find_witnesses
+from .extended_skyline import ext_skyline_positions
+from .store import SortedByF
 
 __all__ = [
     "EvictionLedger",
     "admit_points",
     "build_witness_ledger",
-    "find_witnesses",
     "promote_candidates",
 ]
-
-#: Candidate rows are witnessed in blocks so the ``(chunk, m)`` boolean
-#: plane stays small even against large member sets.
-_WITNESS_CHUNK = 256
 
 
 def _id_array(ids: Iterable[int]) -> np.ndarray:
@@ -166,40 +155,12 @@ class EvictionLedger:
         self.witnesses[moved] = evictors[position[moved]]
 
 
-def find_witnesses(
-    member_values: np.ndarray, candidate_values: np.ndarray, chunk: int = _WITNESS_CHUNK
-) -> np.ndarray:
-    """For each candidate row, the index of one ext-dominating member.
-
-    Returns ``-1`` where no member strictly dominates the candidate on
-    every dimension (the candidate belongs in the skyline).  The sweep
-    runs on per-dimension planes: one ``(chunk, m)`` boolean matrix
-    AND-accumulated over the columns, never an ``(n, m, d)`` cube.
-    """
-    n = candidate_values.shape[0]
-    out = np.full(n, -1, dtype=np.int64)
-    if n == 0 or member_values.shape[0] == 0:
-        return out
-    planes = np.ascontiguousarray(member_values.T)
-    for start in range(0, n, chunk):
-        block = candidate_values[start : start + chunk]
-        dom = np.ones((block.shape[0], planes.shape[1]), dtype=bool)
-        for plane, column in zip(planes, block.T):
-            dom &= plane[None, :] < column[:, None]
-        has = dom.any(axis=1)
-        out[start : start + block.shape[0]][has] = dom.argmax(axis=1)[has]
-    return out
-
-
 def build_witness_ledger(members: PointSet, others: PointSet) -> EvictionLedger | None:
-    """Witness every non-member against the member set, in one pass.
-
-    This is the lazy bootstrap for stores built before ledgers existed
-    (pre-processing, joins): one vectorized dominance sweep, no skyline
-    recomputation.  Returns ``None`` when some non-member has no member
-    ext-dominator — theoretically impossible for a genuine ext-skyline
-    plus its evictees, so the caller treats it as "the ledger cannot
-    answer" and falls back to the honest rebuild.
+    """Witness every non-member against the member set in one kernel
+    call: the lazy bootstrap for lists and stores built without a ledger
+    (pre-processing, joins).  ``None`` when some non-member has no member
+    ext-dominator (impossible for a genuine ext-skyline plus its
+    evictees), so the caller falls back to the honest rebuild.
     """
     ledger = EvictionLedger(members.dimensionality)
     if len(others) == 0:
@@ -212,11 +173,11 @@ def build_witness_ledger(members: PointSet, others: PointSet) -> EvictionLedger 
 
 
 def promote_candidates(
-    store: "SortedByF",
+    store: SortedByF,
     ledger: EvictionLedger,
     candidate_ids: np.ndarray,
     candidate_rows: np.ndarray,
-) -> tuple["SortedByF", PointSet, int]:
+) -> tuple[SortedByF, PointSet, int]:
     """Re-admit orphaned candidates into an ext-skyline store.
 
     Candidates are tested against the surviving members and against each
@@ -239,7 +200,7 @@ def promote_candidates(
     free_rows = candidate_rows[~held]
     if free_ids.shape[0] == 0:
         return store, PointSet.empty(store.dimensionality), examined
-    mask = extended_skyline_mask(free_rows)
+    mask = np.isin(np.arange(free_ids.shape[0]), ext_skyline_positions(free_rows))
     promoted = PointSet(free_rows[mask], free_ids[mask])
     loser_ids = free_ids[~mask]
     if loser_ids.shape[0]:
@@ -252,8 +213,8 @@ def promote_candidates(
 
 
 def admit_points(
-    store: "SortedByF", ledger: EvictionLedger, incoming: PointSet
-) -> tuple["SortedByF", PointSet, dict[int, int]]:
+    store: SortedByF, ledger: EvictionLedger, incoming: PointSet
+) -> tuple[SortedByF, PointSet, dict[int, int]]:
     """Merge mutually non-dominated ``incoming`` points into a store.
 
     The insert-path counterpart of :func:`promote_candidates`: incoming

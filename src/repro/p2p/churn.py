@@ -25,6 +25,7 @@ from ..core.dataset import PointSet
 from ..core.local_skyline import SkylineComputation
 from .network import SuperPeerNetwork
 from .node import Peer
+from .updates import UpdateRejected
 
 __all__ = ["ChurnEvent", "SuperPeerFailure", "join_peer", "fail_peer", "fail_superpeer"]
 
@@ -63,6 +64,8 @@ def join_peer(
     computes its local ext-skyline and the super-peer merges it into
     the existing store incrementally.
     """
+    if superpeer_id not in network.superpeers:
+        raise UpdateRejected(f"unknown super-peer {superpeer_id}")
     superpeer = network.superpeers[superpeer_id]
     if data.dimensionality != network.dimensionality:
         raise ValueError(
@@ -72,7 +75,7 @@ def join_peer(
     if peer_id is None:
         peer_id = max(network.peers) + 1 if network.peers else 0
     if peer_id in network.peers:
-        raise ValueError(f"peer id {peer_id} already present")
+        raise UpdateRejected(f"peer id {peer_id} already present")
     peer = Peer(peer_id=peer_id, data=data)
     network.peers[peer_id] = peer
     peers_of = network.topology.peers_of
@@ -100,7 +103,7 @@ def fail_peer(network: SuperPeerNetwork, peer_id: int) -> ChurnEvent:
     surviving lists are re-merged from scratch (``path="rebuilt"``).
     """
     if peer_id not in network.peers:
-        raise KeyError(f"unknown peer {peer_id}")
+        raise UpdateRejected(f"unknown peer {peer_id}")
     superpeer_id = network.topology.superpeer_of_peer(peer_id)
     superpeer = network.superpeers[superpeer_id]
     del network.peers[peer_id]
@@ -150,9 +153,9 @@ def fail_superpeer(network: SuperPeerNetwork, superpeer_id: int) -> SuperPeerFai
     Every later query remains exact — only routing costs change.
     """
     if superpeer_id not in network.superpeers:
-        raise KeyError(f"unknown super-peer {superpeer_id}")
+        raise UpdateRejected(f"unknown super-peer {superpeer_id}")
     if len(network.superpeers) == 1:
-        raise ValueError("cannot fail the last super-peer")
+        raise UpdateRejected("cannot fail the last super-peer")
     topology = network.topology
     victim_neighbours = topology.adjacency[superpeer_id]
     orphans = topology.peers_of[superpeer_id]

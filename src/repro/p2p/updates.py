@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.dataset import PointSet
-from ..core.dominance import extended_skyline_mask
-from ..core.ledger import EvictionLedger, admit_points, find_witnesses, promote_candidates
+from ..core.dominance import find_witnesses
+from ..core.extended_skyline import ext_skyline_positions
+from ..core.ledger import EvictionLedger, admit_points, promote_candidates
 from ..obs.runtime import active_metrics
 from .network import SuperPeerNetwork
 from .node import Peer, SuperPeer
@@ -44,10 +45,10 @@ __all__ = ["UpdateOutcome", "UpdateRejected", "check_incoming", "insert_points",
 
 
 class UpdateRejected(KeyError, ValueError):
-    """An update naming what the peer does not hold as asked: an unknown
-    peer, ids it does not hold, or ids it already holds.  Raised before
-    anything changes, so retrying it cannot succeed.  It is both a
-    ``KeyError`` and a ``ValueError``, as those checks raised before."""
+    """An update or churn op naming what the network does not hold as
+    asked (an unknown peer or super-peer, ids or a peer id not or already
+    held, the last super-peer).  Raised before anything changes, so a
+    retry cannot succeed; a ``KeyError`` and a ``ValueError`` alike."""
 
     __str__ = Exception.__str__  # the message, without ``KeyError``'s quotes
 
@@ -141,10 +142,9 @@ def _insert_spliced(
 ) -> int:
     """Ledger insert: admit into the upload, then into the store."""
     old_upload = superpeer.peer_skylines[peer_id]
-    # The newcomers' own ext-skyline (vectorized mask — order-preserving,
-    # no sort); internal victims are witnessed after the admission pass
-    # so their witness chains resolve to upload members.
-    inner_mask = extended_skyline_mask(points.values)
+    # The newcomers' own ext-skyline, in arrival order; internal victims are
+    # witnessed after admission so their witness chains end at upload members.
+    inner_mask = np.isin(np.arange(len(points)), ext_skyline_positions(points.values))
     inner = points.mask(inner_mask)
     new_upload, admitted, evictions = admit_points(old_upload, peer_ledger, inner)
     victims = points.mask(~inner_mask)

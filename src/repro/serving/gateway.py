@@ -519,8 +519,9 @@ class QueryGateway:
                 self._executor, self._run_update, kind, kwargs
             )
         except UpdateRejected as exc:
-            # The stores refused the target (an unknown peer, ids not or
-            # already held): what the client sent, not a backend failure.
+            # The network refused the target (an unknown peer or
+            # super-peer, ids not or already held): what the client
+            # sent, not a backend failure.
             await self._reject_update(conn, exc, request_id)
             return
         except Exception as exc:

@@ -4,16 +4,19 @@
 of a ``(d, m)`` pool's first ``targets`` rows, whether some pool row
 ext-dominates it (is strictly smaller on every dimension) or, without
 ``ext``, dominates it (no larger anywhere and smaller somewhere).
-``quadratic_dominated`` below is plain loops that share no code with
-``repro.core``.  Every case runs both relations.
+Its witness form, ``find_witnesses(members, candidates)``, names for each
+candidate the lowest-index member that ext-dominates it.
+``quadratic_dominated`` and ``quadratic_witness`` below are plain loops
+that share no code with ``repro.core``.  Every ``_dominated`` case runs
+both relations.
 
 Pools straddle the 64-bit word boundaries; values come from coarse grids
 holding exact ties, ``-0.0`` beside ``0.0``, ``+inf`` and duplicate rows;
 targets run from one to the whole pool.  Each case also runs with a
 shrunk scratch budget, so the kernel slices its targets and takes its
 dimensions one group at a time.  A ``tracemalloc`` test bounds what one
-filter call holds, and a pool whose sorted columns pass that cap must
-still take many targets per slice.
+filter or witness call holds, and a pool whose sorted columns pass that
+cap must still take many targets per slice.
 """
 
 from __future__ import annotations
@@ -52,6 +55,15 @@ def quadratic_dominated(rows, targets, ext=True):
     return out
 
 
+def quadratic_witness(members, candidates):
+    """For each candidate: the first member strictly smaller on every
+    dimension, else ``-1``."""
+    return [
+        next((i for i, q in enumerate(members) if all(qc < cc for qc, cc in zip(q, c))), -1)
+        for c in candidates
+    ]
+
+
 @st.composite
 def pools(draw):
     """``(rows, targets)``: an ``(m, d)`` grid of values and a target count."""
@@ -82,6 +94,58 @@ def test_kernel_is_the_oracle(budget, case):
         assert got.tolist() == quadratic_dominated(rows.tolist(), targets, relation)
 
 
+@st.composite
+def witness_cases(draw):
+    """``(members, candidates)``: a pool and candidate rows on its grid,
+    each column's value taken from a random member, so ties, ``-0.0``,
+    ``+inf`` and candidates equal to members all occur."""
+    members, _ = draw(pools())
+    m, d = members.shape
+    count = draw(st.one_of(st.integers(0, 8), st.integers(0, 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    candidates = members[rng.integers(0, m, size=(count, d)), np.arange(d)]
+    return members, candidates
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@given(case=witness_cases())
+@settings(max_examples=80, deadline=None)
+def test_witness_form_is_the_oracle(budget, case):
+    members, candidates = case
+    with mock.patch.object(dom, "_SCRATCH_BYTES", budget):
+        got = dom.find_witnesses(members, candidates)
+    assert got.dtype == np.int64 and got.shape == (candidates.shape[0],)
+    assert got.tolist() == quadratic_witness(members.tolist(), candidates.tolist())
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("m", WORD_EDGES)
+def test_witness_in_a_later_word(budget, m):
+    """The lowest-index dominator wins, wherever it sits: row ``m // 2``
+    ahead of the later ``m - 1``, and ``m - 1`` alone in the last word.
+    A tie on one column, or a candidate equal to its only possible
+    dominator, has none.  The ``2.0`` candidate keeps every member in
+    the kernel's pool, so the witnesses sit in its later words."""
+    members = np.ones((m, 3))
+    members[m // 2] = [0.0, -0.0, 0.0]
+    members[m - 1] = [-1.0, -1.0, -1.0]
+    lead = [[0.5, 0.5, np.inf], [-0.5, -0.5, 0.0], [0.5, -1.0, 0.5], [2.0, 2.0, 2.0]]
+    candidates = np.vstack([lead, members])
+    with mock.patch.object(dom, "_SCRATCH_BYTES", budget):
+        got = dom.find_witnesses(members, candidates)
+    assert got.tolist() == quadratic_witness(members.tolist(), candidates.tolist())
+    assert got[:4].tolist() == [m // 2, m - 1, -1, 0]
+    assert got[4] == m // 2 and got[4 + m // 2] == m - 1 and got[3 + m] == -1
+
+
+def test_witness_of_empty_sets():
+    """No members, or no candidates: every answer is ``-1``."""
+    rows = np.random.default_rng(3).random((5, 4))
+    assert dom.find_witnesses(np.zeros((0, 4)), rows).tolist() == [-1] * 5
+    got = dom.find_witnesses(rows, np.zeros((0, 4)))
+    assert got.dtype == np.int64 and got.shape == (0,)
+
+
 @pytest.mark.parametrize("m", WORD_EDGES)
 def test_signed_zeros_and_infinities_tie(m):
     """A row's twin with ``-0.0`` for ``0.0`` ties it; ``+inf`` is topmost."""
@@ -101,33 +165,39 @@ def test_signed_zeros_and_infinities_tie(m):
 
 
 def test_filter_stays_under_the_scratch_cap():
-    """Every kernel step of one 5 000 × 8 filter call holds at most
-    ``_SCRATCH_BYTES``; the whole call adds no more than a few copies of
-    its input (the column copy, the codes, a pool) on top."""
+    """Every kernel step of one 5 000 × 8 filter call, and the AND sweep
+    of one witness call that splits the same rows into members and
+    candidates, holds at most ``_SCRATCH_BYTES``; each whole call adds
+    no more than a few copies of its input (the column copy, the codes,
+    a pool, the sorted columns) on top."""
     values = np.random.default_rng(5).random((5000, 8))
-    kernel = dom._dominated
-    steps = []
+    cases = [
+        ("_dominated", dom._skyline_filter, (values, True)),
+        ("_dominated", dom._skyline_filter, (values, False)),
+        ("_sweep", dom.find_witnesses, (values[:2500], values[2500:])),
+    ]
+    for step, call, args in cases:
+        kernel = getattr(dom, step)
+        steps = []
 
-    def measured(pool, targets, relation):
-        entry = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = kernel(pool, targets, relation)
-        steps.append(tracemalloc.get_traced_memory()[1] - entry)
-        return out
-
-    for relation in (True, False):
-        steps.clear()
-        tracemalloc.start()
-        try:
-            with mock.patch.object(dom, "_dominated", measured):
-                dom._skyline_filter(values, relation)
+        def measured(*kernel_args):
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            dom._skyline_filter(values, relation)
+            out = kernel(*kernel_args)
+            steps.append(tracemalloc.get_traced_memory()[1] - entry)
+            return out
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(dom, step, measured):
+                call(*args)
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call(*args)
             whole = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert len(steps) > 1
+        assert len(steps) > (call is dom._skyline_filter)
         assert max(steps) <= dom._SCRATCH_BYTES
         assert whole <= dom._SCRATCH_BYTES + 4 * values.nbytes
 

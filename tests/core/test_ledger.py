@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
-from repro.core.dominance import extended_skyline_mask
+from repro.core.dominance import extended_skyline_mask, find_witnesses
 from repro.core.ledger import (
     EvictionLedger,
     admit_points,
     build_witness_ledger,
-    find_witnesses,
     promote_candidates,
 )
 from repro.core.store import SortedByF
@@ -42,31 +41,24 @@ class TestFindWitnesses:
         witness = find_witnesses(members.values, members.values)
         assert np.all(witness == -1)
 
-    def test_chunking_matches_unchunked(self):
-        _, members, others = _split_skyline(seed=3, n=100)
-        small = find_witnesses(members.values, others.values, chunk=3)
-        big = find_witnesses(members.values, others.values, chunk=10_000)
-        assert np.array_equal(small, big)
-
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
         m=st.integers(0, 12),
         n=st.integers(0, 23),
         d=st.integers(1, 4),
-        chunk=st.sampled_from([1, 4, 5, 256]),
     )
-    def test_equals_the_broadcast_reference(self, seed, m, n, d, chunk):
+    def test_equals_the_broadcast_reference(self, seed, m, n, d):
         """Same boolean matrix, hence the same first-dominator indices.
 
         Coordinates come from a four-value grid so exact ties (where
-        strict ``<`` must fail) are the common case, sizes include empty
-        members/candidates and ``n`` not a multiple of the chunk.
+        strict ``<`` must fail) are the common case, and sizes include
+        empty members/candidates.
         """
         rng = np.random.default_rng(seed)
         members = rng.integers(0, 4, size=(m, d)) / 4.0
         candidates = rng.integers(0, 4, size=(n, d)) / 4.0
-        got = find_witnesses(members, candidates, chunk=chunk)
+        got = find_witnesses(members, candidates)
         expected = np.full(n, -1, dtype=np.int64)
         if m and n:
             dom = np.all(members[None, :, :] < candidates[:, None, :], axis=2)

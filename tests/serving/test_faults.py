@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs.runtime import observed
+from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.transport import encode_frame, read_frame
 from repro.serving.client import GatewayClient
 from repro.serving.gateway import GatewayConfig, QueryGateway
@@ -311,30 +312,51 @@ class TestErrorCodes:
 
     @pytest.mark.parametrize("backend", ["serial", "engine"])
     def test_updates_the_stores_reject_are_request_errors(self, network, backend):
-        """An unknown peer, ids the peer does not hold and ids it already
-        holds are the client's mistakes: a retry cannot cure them, so
-        they are coded ``request`` on either backend, never ``backend``,
-        and the network is left as it was."""
+        """An unknown peer or super-peer, ids the peer does not hold and
+        ids it already holds, a joining peer id already present and the
+        last super-peer's failure are the client's mistakes: a retry
+        cannot cure them, so they are coded ``request`` on either
+        backend, never ``backend``, and the network is left as it was."""
         from repro.parallel import ParallelEngine
 
         peer = min(network.peers)
         held = int(network.peers[peer].data.ids[0])
         row = [0.5] * network.dimensionality
-        epoch = network.epoch
+        superpeer = min(network.superpeers)
+        lone = SuperPeerNetwork.build(
+            n_peers=3, points_per_peer=5, dimensionality=4, n_superpeers=1, seed=2
+        )
+        cases = [
+            (network, {"kind": "insert", "peer_id": 10_000, "points": [row]},
+             "unknown peer 10000"),
+            (network, {"kind": "delete", "peer_id": peer, "point_ids": [10_000_000]},
+             "does not hold points [10000000]"),
+            (network, {"kind": "insert", "peer_id": peer,
+                       "points": {"values": [row], "ids": [held]}}, "already present"),
+            (network, {"kind": "fail", "peer_id": 10_000}, "unknown peer 10000"),
+            (network, {"kind": "join", "superpeer_id": superpeer, "peer_id": peer,
+                       "points": [row]}, f"peer id {peer} already present"),
+            (network, {"kind": "join", "superpeer_id": 10_000, "points": [row]},
+             "unknown super-peer 10000"),
+            (network, {"kind": "fail-superpeer", "superpeer_id": 10_000},
+             "unknown super-peer 10000"),
+            (lone, {"kind": "fail-superpeer", "superpeer_id": min(lone.superpeers)},
+             "cannot fail the last super-peer"),
+        ]
+        epochs = {id(net): net.epoch for net in (network, lone)}
 
         async def scenario(engine):
-            gateway = QueryGateway(network, engine=engine, backend=backend)
-            async with gateway:
-                host, port = gateway.address
-                async with await GatewayClient.connect(host, port) as client:
-                    replies = [
-                        await client.update("insert", peer_id=10_000, points=[row]),
-                        await client.update("delete", peer_id=peer, point_ids=[10_000_000]),
-                        await client.update(
-                            "insert", peer_id=peer, points={"values": [row], "ids": [held]}
-                        ),
-                    ]
-            return [r.payload for r in replies], gateway.stats
+            replies, stats = [], []
+            for net in (network, lone):
+                gateway = QueryGateway(net, engine=engine, backend=backend)
+                async with gateway:
+                    host, port = gateway.address
+                    async with await GatewayClient.connect(host, port) as client:
+                        for target, fields, _ in cases:
+                            if target is net:
+                                replies.append(await client.update(**fields))
+                stats.append(gateway.stats)
+            return [r.payload for r in replies], stats
 
         engine = ParallelEngine(1) if backend == "engine" else None
         try:
@@ -342,15 +364,15 @@ class TestErrorCodes:
         finally:
             if engine is not None:
                 engine.close()
-        messages = ("unknown peer 10000", "does not hold points [10000000]", "already present")
-        for reply, message in zip(replies, messages):
+        assert len(replies) == len(cases)
+        for reply, (_, _, message) in zip(replies, cases):
             assert reply["status"] == "error", reply
             assert reply["code"] == ERROR_REQUEST, reply
             assert reply["error"].startswith("bad update: ") and message in reply["error"], reply
-        assert stats.protocol_errors == 3
-        assert stats.backend_errors == 0
-        assert stats.updates_applied == 0
-        assert network.epoch == epoch
+        assert [s.protocol_errors for s in stats] == [len(cases) - 1, 1]
+        assert sum(s.backend_errors for s in stats) == 0
+        assert sum(s.updates_applied for s in stats) == 0
+        assert all(net.epoch == epochs[id(net)] for net in (network, lone))
 
 
 class TestShutdownFaults:
