@@ -48,8 +48,9 @@ def main() -> None:
         event = join_peer(network, superpeer, data)
         print(
             f"join: peer {event.peer_id} -> super-peer {superpeer}; uploaded "
-            f"{event.uploaded_points}/40 points (its ext-skyline); incremental merge "
-            f"touched {event.merge.input_size} points; store now {event.store_size_after}"
+            f"{event.peer_skyline_delta}/40 points (its ext-skyline); incremental merge "
+            f"touched {event.examined} points; "
+            f"store now {network.superpeers[superpeer].store_size}"
         )
         print(f"  queries still exact; |SKY_U| = {verify_exact(network, subspace)}")
 
@@ -59,7 +60,8 @@ def main() -> None:
         event = fail_peer(network, victim)
         print(
             f"failure: peer {victim} left super-peer {event.superpeer_id}; "
-            f"store rebuilt from surviving lists ({event.store_size_after} points)"
+            f"withdrawn on the {event.path} path ({event.examined} points re-tested, store now "
+            f"{network.superpeers[event.superpeer_id].store_size})"
         )
         print(f"  queries still exact; |SKY_U| = {verify_exact(network, subspace)}")
 

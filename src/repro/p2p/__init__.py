@@ -1,6 +1,6 @@
 """The super-peer P2P substrate: topology, nodes, cost model, churn."""
 
-from .churn import ChurnEvent, fail_peer, join_peer
+from .churn import fail_peer, join_peer
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .engine import EventLoop, LinkLayer
 from .network import PreprocessingReport, SuperPeerNetwork
@@ -14,7 +14,7 @@ from .transport import (
     encode_frame,
     read_frame,
 )
-from .updates import UpdateOutcome, delete_points, insert_points
+from .updates import UpdateOutcome, UpdateReport, delete_points, insert_points
 from .workload import (
     ChurnOp,
     apply_op,
@@ -36,7 +36,6 @@ __all__ = [
     "PreprocessingReport",
     "CostModel",
     "DEFAULT_COST_MODEL",
-    "ChurnEvent",
     "join_peer",
     "fail_peer",
     "EventLoop",
@@ -53,6 +52,7 @@ __all__ = [
     "encode_frame",
     "read_frame",
     "UpdateOutcome",
+    "UpdateReport",
     "insert_points",
     "delete_points",
     "ChurnOp",

@@ -11,45 +11,24 @@ lists.  (The paper defers failures to future work; this is the
 straightforward recovery its data structures support, and the tests
 assert it restores exactness.)
 
-Every mutation here also bumps the touched super-peers' store
-generations (``SuperPeerNetwork.store_generations``) so the shared-
-memory publication layer can republish only the changed slots.
+Every mutation here ends like a data update (:func:`repro.p2p.updates.
+settle`): it bumps the touched super-peers' store generations
+(``SuperPeerNetwork.store_generations``) so the shared-memory
+publication layer can republish only the changed slots, and emits the
+``update.*`` counters.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..core.dataset import PointSet
-from ..core.local_skyline import SkylineComputation
 from .network import SuperPeerNetwork
 from .node import Peer
-from .updates import UpdateRejected
+from .updates import UpdateOutcome, UpdateRejected, settle
 
-__all__ = ["ChurnEvent", "SuperPeerFailure", "join_peer", "fail_peer", "fail_superpeer"]
-
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """Outcome of one churn operation.
-
-    ``path`` records how the store absorbed the change: ``"merged"``
-    (join — the new list merged into the existing store), ``"promoted"``
-    (fail — eviction-ledger withdrawal: the dead list spliced out and
-    only the orphaned witnesses re-tested) or ``"rebuilt"`` (fail with
-    no live ledger — surviving lists re-merged from scratch).
-    ``examined`` counts the points dominance-tested on that path.
-    """
-
-    peer_id: int
-    superpeer_id: int
-    kind: str  # "join" or "fail"
-    uploaded_points: int
-    store_size_after: int
-    merge: SkylineComputation
-    path: str = "rebuilt"
-    examined: int = 0
+__all__ = ["SuperPeerFailure", "join_peer", "fail_peer", "fail_superpeer"]
 
 
 def join_peer(
@@ -57,12 +36,13 @@ def join_peer(
     superpeer_id: int,
     data: PointSet,
     peer_id: int | None = None,
-) -> ChurnEvent:
+) -> UpdateOutcome:
     """Attach a new peer with ``data`` to ``superpeer_id``.
 
     Runs the basic bootstrapping protocol of section 5.3: the peer
     computes its local ext-skyline and the super-peer merges it into
-    the existing store incrementally.
+    the existing store incrementally (``path="merged"``; ``examined`` is
+    the merge's input, the old store plus the new list).
     """
     if superpeer_id not in network.superpeers:
         raise UpdateRejected(f"unknown super-peer {superpeer_id}")
@@ -80,22 +60,21 @@ def join_peer(
     network.peers[peer_id] = peer
     peers_of = network.topology.peers_of
     peers_of[superpeer_id] = peers_of[superpeer_id] + (peer_id,)
-    uploaded = peer.compute_extended_skyline()
-    merge = superpeer.merge_in_peer(peer_id, uploaded.result)
-    _refresh_preprocessing(network, touched=(superpeer_id,))
-    return ChurnEvent(
+    uploaded = peer.compute_extended_skyline().result
+    merge = superpeer.merge_in_peer(peer_id, uploaded)
+    outcome = UpdateOutcome(
         peer_id=peer_id,
         superpeer_id=superpeer_id,
         kind="join",
-        uploaded_points=len(uploaded.result),
-        store_size_after=superpeer.store_size,
-        merge=merge,
+        points_changed=len(data),
+        peer_skyline_delta=len(uploaded),
         path="merged",
         examined=merge.examined,
     )
+    return settle(network, (superpeer_id,), outcome)
 
 
-def fail_peer(network: SuperPeerNetwork, peer_id: int) -> ChurnEvent:
+def fail_peer(network: SuperPeerNetwork, peer_id: int) -> UpdateOutcome:
     """Remove a peer and withdraw its contribution from the store.
 
     With a live store ledger the withdrawal is incremental (dead list
@@ -106,35 +85,44 @@ def fail_peer(network: SuperPeerNetwork, peer_id: int) -> ChurnEvent:
         raise UpdateRejected(f"unknown peer {peer_id}")
     superpeer_id = network.topology.superpeer_of_peer(peer_id)
     superpeer = network.superpeers[superpeer_id]
-    del network.peers[peer_id]
+    departed = network.peers.pop(peer_id)
     peers_of = network.topology.peers_of
     peers_of[superpeer_id] = tuple(p for p in peers_of[superpeer_id] if p != peer_id)
+    upload = superpeer.peer_skylines.get(peer_id, ())
     superpeer.ensure_store_ledger()
-    merge = superpeer.drop_peer(peer_id)
-    # drop_peer's rebuild fallback nulls the store ledger; the
-    # incremental path keeps it live, so its presence names the path.
-    path = "promoted" if superpeer.store_ledger is not None else "rebuilt"
-    _refresh_preprocessing(network, touched=(superpeer_id,))
-    return ChurnEvent(
+    path, examined, promoted = superpeer.drop_peer(peer_id)
+    outcome = UpdateOutcome(
         peer_id=peer_id,
         superpeer_id=superpeer_id,
         kind="fail",
-        uploaded_points=0,
-        store_size_after=superpeer.store_size,
-        merge=merge,
+        points_changed=len(departed),
+        peer_skyline_delta=-len(upload),
         path=path,
-        examined=merge.examined,
+        examined=examined,
+        promoted=promoted,
     )
+    return settle(network, (superpeer_id,), outcome)
 
 
 @dataclass(frozen=True)
 class SuperPeerFailure:
-    """Outcome of a super-peer failure and the ensuing re-organization."""
+    """Outcome of a super-peer failure and the ensuing re-organization.
+
+    Its maintenance accounting has the shape of an
+    :class:`~repro.p2p.updates.UpdateOutcome`'s: every orphan's list is
+    ``"merged"`` into its adopter's store, ``examined`` sums those
+    merges' input and nothing is ``promoted``.
+    """
+
+    kind: ClassVar[str] = "fail-superpeer"
 
     superpeer_id: int
     orphaned_peers: tuple[int, ...]
     adopters: dict[int, int]  # peer -> adopting super-peer
     healing_edges: tuple[tuple[int, int], ...]  # backbone edges added
+    path: str = "merged"
+    examined: int = 0
+    promoted: int = 0
 
 
 def fail_superpeer(network: SuperPeerNetwork, superpeer_id: int) -> SuperPeerFailure:
@@ -177,6 +165,7 @@ def fail_superpeer(network: SuperPeerNetwork, superpeer_id: int) -> SuperPeerFai
     victim_state = network.superpeers.pop(superpeer_id)
     survivors = sorted(network.superpeers)
     adopters: dict[int, int] = {}
+    examined = 0
     for i, peer_id in enumerate(orphans):
         adopter_id = survivors[i % len(survivors)]
         adopters[peer_id] = adopter_id
@@ -184,45 +173,12 @@ def fail_superpeer(network: SuperPeerNetwork, superpeer_id: int) -> SuperPeerFai
         uploaded = victim_state.peer_skylines.get(peer_id)
         if uploaded is None:  # pragma: no cover - defensive
             uploaded = network.peers[peer_id].compute_extended_skyline().result
-        adopter = network.superpeers[adopter_id]
-        adopter.merge_in_peer(peer_id, uploaded)
-    _refresh_preprocessing(network, touched=sorted(set(adopters.values())))
-    return SuperPeerFailure(
+        examined += network.superpeers[adopter_id].merge_in_peer(peer_id, uploaded).examined
+    outcome = SuperPeerFailure(
         superpeer_id=superpeer_id,
         orphaned_peers=tuple(orphans),
         adopters=adopters,
         healing_edges=tuple(healing),
+        examined=examined,
     )
-
-
-def _refresh_preprocessing(
-    network: SuperPeerNetwork, touched: Iterable[int] | None = None
-) -> None:
-    """Refresh the selectivity report after a membership or data change.
-
-    ``touched`` names the super-peers whose stores (or peer sets)
-    changed; only their generation counters advance, which is what lets
-    the shm layer republish per-slot deltas — and only their selectivity
-    rows are recomputed (:meth:`SuperPeerNetwork.refresh_selectivity`),
-    so a one-point update does O(touched) work instead of re-summing
-    every peer and list network-wide.  ``None`` bumps and recomputes
-    everyone.
-    """
-    from .network import PreprocessingReport
-
-    touched_ids = None if touched is None else tuple(touched)
-    total, uploaded, stored, upload_bytes = network.refresh_selectivity(touched_ids)
-    previous = network.preprocessing
-    network.epoch += 1
-    live = set(network.superpeers)
-    for stale in [sp for sp in network.store_generations if sp not in live]:
-        del network.store_generations[stale]
-    for sp_id in sorted(live if touched_ids is None else set(touched_ids) & live):
-        network.bump_store_generation(sp_id)
-    network.preprocessing = PreprocessingReport(
-        total_points=total,
-        peer_skyline_points=uploaded,
-        superpeer_store_points=stored,
-        upload_bytes=upload_bytes,
-        compute_seconds=previous.compute_seconds if previous else 0.0,
-    )
+    return settle(network, adopters.values(), outcome)

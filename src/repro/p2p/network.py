@@ -14,8 +14,8 @@ and records the selectivity statistics Figure 3(a) reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -177,6 +177,35 @@ class SuperPeerNetwork:
             upload_bytes += ub
         return total, uploaded, stored, upload_bytes
 
+    def advance_epoch(self, touched: Iterable[int] | None = None) -> None:
+        """Record a change to the ``touched`` super-peers' stores or peer sets.
+
+        The one refresh after pre-processing and after every update: the
+        epoch moves (caches key their entries on it), the generation
+        counters of the touched live super-peers advance and those of
+        dead ones go (so shm publication republishes only the changed
+        slots), and ``preprocessing`` is rebuilt from the selectivity
+        rows :meth:`refresh_selectivity` recomputes for the touched
+        super-peers alone.  ``compute_seconds`` carries over.  ``None``
+        touches everyone.
+        """
+        touched_ids = None if touched is None else tuple(touched)
+        total, uploaded, stored, upload_bytes = self.refresh_selectivity(touched_ids)
+        self.epoch += 1
+        live = set(self.superpeers)
+        for stale in [sp for sp in self.store_generations if sp not in live]:
+            del self.store_generations[stale]
+        for sp_id in sorted(live if touched_ids is None else set(touched_ids) & live):
+            self.bump_store_generation(sp_id)
+        previous = self.preprocessing
+        self.preprocessing = PreprocessingReport(
+            total_points=total,
+            peer_skyline_points=uploaded,
+            superpeer_store_points=stored,
+            upload_bytes=upload_bytes,
+            compute_seconds=previous.compute_seconds if previous else 0.0,
+        )
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -325,10 +354,6 @@ class SuperPeerNetwork:
         """Apply computed pre-processing results: state, obs, report."""
         tracer = active_tracer()
         metrics = active_metrics()
-        total_points = 0
-        uploaded = 0
-        stored = 0
-        upload_bytes = 0
         compute_seconds = 0.0
         for result in results:
             sp_id = result.superpeer_id
@@ -337,14 +362,11 @@ class SuperPeerNetwork:
             # super-peer merge starts once the slowest one uploaded.
             slowest_peer = 0.0
             for peer_id, n_points, computation in result.peer_results:
-                total_points += n_points
-                uploaded += len(computation.result)
                 peer_bytes = self.cost_model.result_bytes(
                     len(computation.result), self.dimensionality,
                     id_width(computation.result.points.ids),
                     *coord_width(computation.result.points.values),
                 )
-                upload_bytes += peer_bytes
                 compute_seconds += computation.duration
                 slowest_peer = max(slowest_peer, computation.duration)
                 superpeer.receive_peer_skyline(peer_id, computation.result)
@@ -366,7 +388,6 @@ class SuperPeerNetwork:
             superpeer.store = result.merge.result
             superpeer.store_ledger = None  # wholesale replacement
             compute_seconds += result.merge.duration
-            stored += superpeer.store_size
             if tracer is not None:
                 tracer.interval(
                     "ext-skyline merge", category="preprocess",
@@ -378,20 +399,11 @@ class SuperPeerNetwork:
                 metrics.counter(
                     "preprocess.store_points", superpeer=sp_id
                 ).inc(superpeer.store_size)
+        self.advance_epoch()
+        self.preprocessing = replace(self.preprocessing, compute_seconds=compute_seconds)
         if metrics is not None:
-            metrics.counter("preprocess.total_points").inc(total_points)
+            metrics.counter("preprocess.total_points").inc(self.preprocessing.total_points)
             metrics.histogram("preprocess.compute_seconds").observe(compute_seconds)
-        self.preprocessing = PreprocessingReport(
-            total_points=total_points,
-            peer_skyline_points=uploaded,
-            superpeer_store_points=stored,
-            upload_bytes=upload_bytes,
-            compute_seconds=compute_seconds,
-        )
-        self.epoch += 1
-        for sp_id in self.topology.superpeer_ids:
-            self.bump_store_generation(sp_id)
-        self.refresh_selectivity(touched=None)
         return self.preprocessing
 
     # ------------------------------------------------------------------

@@ -21,8 +21,6 @@ ledgers they maintain.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,42 +145,33 @@ class SuperPeer:
             self.store_ledger = ledger
         return ledger
 
-    def drop_peer(self, peer_id: int) -> SkylineComputation:
+    def drop_peer(self, peer_id: int) -> tuple[str, int, int]:
         """Handle a failed peer by withdrawing its contribution.
 
         When the store ledger is live, the withdrawal is incremental:
         the dropped list's points splice out of the store and only the
         orphans — surviving uploads whose store witness was among the
-        dropped points — are re-tested and promoted.  Otherwise the
-        surviving lists are re-merged from scratch (the paper's stated
-        future work; the rebuild its data structures allow).  Either way
-        a :class:`SkylineComputation` describes the work: ``examined``
-        counts the points dominance-tested, which on the ledger path is
-        the orphan set, not the store.
+        dropped points — are re-tested and promoted (``"promoted"``).
+        Otherwise the surviving lists are re-merged from scratch
+        (``"rebuilt"``; the paper's stated future work, the rebuild its
+        data structures allow).  Returns ``(path, examined, promoted)``:
+        ``examined`` counts the points dominance-tested, which on the
+        ledger path is the orphan set, not the store.
         """
-        started = time.perf_counter()
         dropped = self.peer_skylines.pop(peer_id, None)
         self.peer_ledgers.pop(peer_id, None)
         ledger = self.store_ledger
         if dropped is None or ledger is None or self.store is None:
-            return self.rebuild_store()
+            return "rebuilt", self.rebuild_store().examined, 0
         dropped_ids = dropped.points.ids
         ledger.discard(dropped_ids)
         removed = self.store.points.ids[np.isin(self.store.points.ids, dropped_ids)]
         store = self.store.splice_delete(dropped_ids)
         orphan_ids, orphan_rows = ledger.pop_orphans(removed)
-        store, _promoted, examined = promote_candidates(
+        self.store, promoted, examined = promote_candidates(
             store, ledger, orphan_ids, orphan_rows
         )
-        self.store = store
-        return SkylineComputation(
-            result=store,
-            threshold=math.inf,
-            examined=examined,
-            comparisons=examined * max(len(store), 1),
-            duration=time.perf_counter() - started,
-            input_size=len(dropped) + examined,
-        )
+        return "promoted", examined, len(promoted)
 
     @property
     def store_size(self) -> int:

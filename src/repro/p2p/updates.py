@@ -16,7 +16,7 @@ algebra:
   (:mod:`repro.core.ledger`) — are re-tested and promoted, first into
   the peer's list and then into the store.  When a ledger cannot
   answer, the path falls back to the honest from-scratch recompute and
-  says so (``path="rebuilt"``, ``store_rebuilt=True``).
+  says so (``path="rebuilt"``).
 
 Both paths keep every future query exact; the property tests compare
 against a from-scratch rebuild byte for byte.  Stores change by
@@ -25,11 +25,18 @@ splice_insert`), so ``SortedByF.from_points`` never runs on the
 incremental path — the ``store.from_points`` metric pins that down.
 Each update bumps the owning super-peer's store generation so shm
 publication republishes only that slot.
+
+Every write — these two, the churn ops of :mod:`repro.p2p.churn` — ends
+in :func:`settle` and comes back as an :class:`UpdateOutcome` (churn's
+``SuperPeerFailure`` for a super-peer failure);
+:func:`repro.p2p.workload.apply_mutation` wraps it in the one
+:class:`UpdateReport` every caller gets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -41,7 +48,14 @@ from ..obs.runtime import active_metrics
 from .network import SuperPeerNetwork
 from .node import Peer, SuperPeer
 
-__all__ = ["UpdateOutcome", "UpdateRejected", "check_incoming", "insert_points", "delete_points"]
+__all__ = [
+    "UpdateOutcome",
+    "UpdateRejected",
+    "UpdateReport",
+    "check_incoming",
+    "insert_points",
+    "delete_points",
+]
 
 
 class UpdateRejected(KeyError, ValueError):
@@ -55,28 +69,91 @@ class UpdateRejected(KeyError, ValueError):
 
 @dataclass(frozen=True)
 class UpdateOutcome:
-    """What one update did to the peer and its super-peer.
+    """What one insert, delete, join or fail did to a peer and its super-peer.
 
     ``path`` names the maintenance route taken: ``"spliced"`` (pure
-    sorted splices, no candidate re-testing), ``"promoted"`` (the
-    eviction ledger answered a skyline-touching delete by re-testing
-    only the orphaned candidates) or ``"rebuilt"`` (the ledger could
-    not answer; peer ext-skyline recomputed and the store re-merged
-    from scratch).  ``examined`` counts the candidate points dominance-
-    tested on the incremental paths — the work a rebuild would have
-    spent is everything *not* in this number — and ``promoted`` counts
-    the candidates that re-entered a list or the store.
+    sorted splices, no candidate re-testing), ``"merged"`` (a join: the
+    new list merged into the existing store, section 5.3),
+    ``"promoted"`` (the eviction ledger answered a skyline-touching
+    delete or a failure by re-testing only the orphaned candidates) or
+    ``"rebuilt"`` (the ledger could not answer; the lists and the store
+    re-merged from scratch).  ``examined`` counts the points dominance-
+    tested on that path — on the incremental ones, the work a rebuild
+    would have spent is everything *not* in this number — and
+    ``promoted`` counts the candidates that re-entered a list or the
+    store.  ``peer_skyline_delta`` is the change in the peer's uploaded
+    list size: a join's whole upload, a failure's negated one.
     """
 
     peer_id: int
     superpeer_id: int
-    kind: str  # "insert" or "delete"
+    kind: str  # "insert" | "delete" | "join" | "fail"
     points_changed: int
-    peer_skyline_delta: int  # change in the peer's uploaded list size
-    store_rebuilt: bool  # True when the cheap incremental path was unavailable
-    path: str = "spliced"  # "spliced" | "promoted" | "rebuilt"
+    peer_skyline_delta: int
+    path: str
     examined: int = 0
     promoted: int = 0
+
+
+@dataclass(frozen=True)
+class UpdateReport:
+    """What one update did, end to end: every write path returns one.
+
+    :func:`repro.p2p.workload.apply_mutation` fills in the mutation's
+    ``outcome`` (an :class:`UpdateOutcome`, or churn's
+    ``SuperPeerFailure``), the ``epoch`` after it, the super-peers whose
+    store generation moved and the wall-clock ``seconds``.  The
+    publication fields stay ``0``/``False`` unless
+    :meth:`repro.parallel.ParallelEngine.apply_update` republished:
+    ``republished_bytes`` is the shm delta actually rewritten (0 when no
+    publication was live); a slot is one super-peer's store, so
+    ``slot_nbytes`` is the touched stores' array bytes and
+    ``total_nbytes`` every published store's —
+    ``tests/parallel/test_churn_grid.py`` asserts
+    ``republished_bytes == slot_nbytes < total_nbytes``, i.e. the delta
+    scales with the touched stores, not the network.  ``full_republish``
+    marks what cannot go incremental (super-peer set surgery, an update
+    that moves every slot): the stale publication is withdrawn and the
+    next fan-out republishes in full.
+    """
+
+    kind: str
+    epoch: int
+    touched_superpeers: tuple[int, ...]
+    seconds: float
+    outcome: Any  # UpdateOutcome | repro.p2p.churn.SuperPeerFailure
+    full_republish: bool = False
+    republished_bytes: int = 0
+    slot_nbytes: int = 0
+    total_nbytes: int = 0
+
+    @property
+    def path(self) -> str:
+        return self.outcome.path
+
+    @property
+    def examined(self) -> int:
+        return self.outcome.examined
+
+    @property
+    def promoted(self) -> int:
+        return self.outcome.promoted
+
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-ready view: the gateway's ``update`` reply."""
+        return {
+            "kind": self.kind,
+            "epoch": self.epoch,
+            "touched_superpeers": list(self.touched_superpeers),
+            "full_republish": self.full_republish,
+            "republished_bytes": self.republished_bytes,
+            "slot_nbytes": self.slot_nbytes,
+            "total_nbytes": self.total_nbytes,
+            "seconds": self.seconds,
+            "path": self.path,
+            "examined": self.examined,
+            "promoted": self.promoted,
+        }
 
 
 def check_incoming(network: SuperPeerNetwork, points: PointSet) -> None:
@@ -113,24 +190,21 @@ def insert_points(network: SuperPeerNetwork, peer_id: int, points: PointSet) -> 
     store_ledger = superpeer.ensure_store_ledger()
     network.peers[peer_id] = Peer(peer_id=peer_id, data=PointSet.concat([peer.data, points]))
 
-    rebuilt = peer_ledger is None or store_ledger is None or superpeer.store is None
-    if rebuilt:
-        delta = _rebuild(network, superpeer, peer_id)
+    if peer_ledger is None or store_ledger is None or superpeer.store is None:
+        path, delta = "rebuilt", _rebuild(network, superpeer, peer_id)
     else:
+        path = "spliced"
         delta = _insert_spliced(superpeer, peer_id, peer_ledger, store_ledger, points)
-    _refresh(network, superpeer_id)
     outcome = UpdateOutcome(
         peer_id=peer_id,
         superpeer_id=superpeer_id,
         kind="insert",
         points_changed=len(points),
         peer_skyline_delta=delta,
-        store_rebuilt=rebuilt,
-        path="rebuilt" if rebuilt else "spliced",
+        path=path,
         examined=len(points),
     )
-    _record(outcome)
-    return outcome
+    return settle(network, (superpeer_id,), outcome)
 
 
 def _insert_spliced(
@@ -194,9 +268,9 @@ def delete_points(network: SuperPeerNetwork, peer_id: int, point_ids) -> UpdateO
         # the ledger forgets the victims.
         if peer_ledger is not None:
             peer_ledger.discard(doomed)
-        path, delta, examined, promoted, rebuilt = "spliced", 0, 0, 0, False
+        path, delta, examined, promoted = "spliced", 0, 0, 0
     elif peer_ledger is None or store_ledger is None or superpeer.store is None:
-        path, delta, rebuilt = "rebuilt", _rebuild(network, superpeer, peer_id), True
+        path, delta = "rebuilt", _rebuild(network, superpeer, peer_id)
         examined, promoted = len(remaining), 0
     else:
         # Peer list: splice the victims out, re-test only the orphans.
@@ -224,23 +298,20 @@ def delete_points(network: SuperPeerNetwork, peer_id: int, point_ids) -> UpdateO
         )
         superpeer.store = store
         superpeer.store_ledger = store_ledger
-        path, rebuilt = "promoted", False
+        path = "promoted"
         examined = peer_examined + store_examined
         promoted = len(peer_promoted) + len(store_promoted)
-    _refresh(network, superpeer_id)
     outcome = UpdateOutcome(
         peer_id=peer_id,
         superpeer_id=superpeer_id,
         kind="delete",
         points_changed=len(doomed),
         peer_skyline_delta=delta,
-        store_rebuilt=rebuilt,
         path=path,
         examined=examined,
         promoted=promoted,
     )
-    _record(outcome)
-    return outcome
+    return settle(network, (superpeer_id,), outcome)
 
 
 def _rebuild(network: SuperPeerNetwork, superpeer: SuperPeer, peer_id: int) -> int:
@@ -257,14 +328,20 @@ def _rebuild(network: SuperPeerNetwork, superpeer: SuperPeer, peer_id: int) -> i
     return len(upload) - before
 
 
-def _record(outcome: UpdateOutcome) -> None:
-    """Emit the ``update.*`` counters (no-ops when observability is off)."""
+def settle(network: SuperPeerNetwork, touched: Iterable[int], outcome: Any) -> Any:
+    """Close one write: advance the epoch past ``touched``, count ``outcome``.
+
+    Every update and churn op ends here, so each emits the ``update.*``
+    counters once (no-ops when observability is off), labelled with its
+    ``kind``, and returns ``outcome``.
+    """
+    network.advance_epoch(touched)
     metrics = active_metrics()
-    if metrics is None:
-        return
-    metrics.counter(f"update.{outcome.path}", kind=outcome.kind).inc()
-    metrics.counter("update.examined_points", kind=outcome.kind).inc(outcome.examined)
-    metrics.counter("update.promoted_points", kind=outcome.kind).inc(outcome.promoted)
+    if metrics is not None:
+        metrics.counter(f"update.{outcome.path}", kind=outcome.kind).inc()
+        metrics.counter("update.examined_points", kind=outcome.kind).inc(outcome.examined)
+        metrics.counter("update.promoted_points", kind=outcome.kind).inc(outcome.promoted)
+    return outcome
 
 
 def _get_peer(network: SuperPeerNetwork, peer_id: int) -> Peer:
@@ -272,9 +349,3 @@ def _get_peer(network: SuperPeerNetwork, peer_id: int) -> Peer:
         return network.peers[peer_id]
     except KeyError:
         raise UpdateRejected(f"unknown peer {peer_id}") from None
-
-
-def _refresh(network: SuperPeerNetwork, superpeer_id: int) -> None:
-    from .churn import _refresh_preprocessing
-
-    _refresh_preprocessing(network, touched=(superpeer_id,))

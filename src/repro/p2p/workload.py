@@ -18,6 +18,7 @@ that incremental maintenance is held to, byte for byte
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -29,7 +30,7 @@ from ..data.generators import make_generator
 from .churn import fail_peer, fail_superpeer, join_peer
 from .network import SuperPeerNetwork
 from .topology import Topology
-from .updates import delete_points, insert_points
+from .updates import UpdateReport, delete_points, insert_points
 
 __all__ = [
     "ChurnOp",
@@ -148,13 +149,10 @@ def plan_op(
     raise ValueError(f"unknown op kind {op.kind!r}")
 
 
-def apply_op(network: SuperPeerNetwork, op: ChurnOp, dataset: str = "uniform") -> Any:
+def apply_op(network: SuperPeerNetwork, op: ChurnOp, dataset: str = "uniform") -> UpdateReport:
     """Plan and execute one scheduled op against a live network.
 
-    Returns the underlying outcome
-    (:class:`~repro.p2p.updates.UpdateOutcome` or
-    :class:`~repro.p2p.churn.ChurnEvent`).  Serving engines should
-    route the planned op through
+    Serving engines should route the planned op through
     :meth:`repro.parallel.ParallelEngine.apply_update` instead so live
     publications refresh incrementally.
     """
@@ -171,24 +169,38 @@ def apply_mutation(
     point_ids: Sequence[int] | None = None,
     superpeer_id: int | None = None,
     data: PointSet | None = None,
-) -> Any:
-    """Run one ``(kind, kwargs)`` mutation; returns its outcome/event.
+) -> UpdateReport:
+    """Run one ``(kind, kwargs)`` mutation and report it.
 
-    The one dispatch every write path shares — planned ops, the engine's
-    ``apply_update`` and the serial gateway.
+    The one write path: planned ops, the engine's ``apply_update``, the
+    serial gateway and library callers all run it.  The report's
+    ``touched_superpeers`` are those whose store generation moved, its
+    ``seconds`` the mutation's wall clock; its publication fields stay
+    ``0``/``False`` (only the engine republishes).
     """
+    started = time.perf_counter()
+    before = dict(network.store_generations)
     if kind == "insert":
-        return insert_points(network, peer_id, points)
-    if kind == "delete":
-        return delete_points(network, peer_id, point_ids)
-    if kind == "join":
-        return join_peer(network, superpeer_id, data, peer_id=peer_id)
-    if kind == "fail":
-        return fail_peer(network, peer_id)
-    if kind == "fail-superpeer":
-        return fail_superpeer(network, superpeer_id)
-    raise ValueError(
-        f"unknown update kind {kind!r}; expected insert/delete/join/fail/fail-superpeer"
+        outcome = insert_points(network, peer_id, points)
+    elif kind == "delete":
+        outcome = delete_points(network, peer_id, point_ids)
+    elif kind == "join":
+        outcome = join_peer(network, superpeer_id, data, peer_id=peer_id)
+    elif kind == "fail":
+        outcome = fail_peer(network, peer_id)
+    elif kind == "fail-superpeer":
+        outcome = fail_superpeer(network, superpeer_id)
+    else:
+        raise ValueError(
+            f"unknown update kind {kind!r}; expected insert/delete/join/fail/fail-superpeer"
+        )
+    touched = sorted(sp for sp, gen in network.store_generations.items() if before.get(sp) != gen)
+    return UpdateReport(
+        kind=kind,
+        epoch=network.epoch,
+        touched_superpeers=tuple(touched),
+        seconds=time.perf_counter() - started,
+        outcome=outcome,
     )
 
 

@@ -26,7 +26,6 @@ inside one store's scan.
 from .engine import (
     EngineStats,
     ParallelEngine,
-    UpdateReport,
     default_workers,
     get_engine,
     preprocess_network_parallel,
@@ -43,7 +42,6 @@ __all__ = [
     "EngineStats",
     "ParallelEngine",
     "SharedNetwork",
-    "UpdateReport",
     "attach_network",
     "default_workers",
     "get_engine",

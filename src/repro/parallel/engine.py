@@ -73,7 +73,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .shm import (
@@ -88,6 +88,7 @@ if TYPE_CHECKING:  # annotations only; ``repro/__init__`` imports these anyway
     from ..core.local_skyline import SkylineComputation
     from ..data.workload import Query
     from ..p2p.network import SuperPeerNetwork, SuperPeerPreprocess
+    from ..p2p.updates import UpdateReport
     from ..skypeer.executor import QueryExecution
     from ..skypeer.variants import Variant
 
@@ -95,7 +96,6 @@ __all__ = [
     "EngineStats",
     "ParallelEngine",
     "ScanMemo",
-    "UpdateReport",
     "default_workers",
     "get_engine",
     "preprocess_network_parallel",
@@ -473,11 +473,6 @@ class EngineStats:
     incremental_republishes: int = 0
     full_republishes: int = 0
     republished_bytes: int = 0
-    update_seconds: float = 0.0
-    update_spliced: int = 0
-    update_promoted: int = 0
-    update_rebuilt: int = 0
-    update_points_examined: int = 0
     pool_replacements: int = 0
 
     def dispatch_overhead_per_task(self) -> float:
@@ -521,65 +516,8 @@ class EngineStats:
             "incremental_republishes": self.incremental_republishes,
             "full_republishes": self.full_republishes,
             "republished_bytes": self.republished_bytes,
-            "update_seconds": self.update_seconds,
-            "update_spliced": self.update_spliced,
-            "update_promoted": self.update_promoted,
-            "update_rebuilt": self.update_rebuilt,
-            "update_points_examined": self.update_points_examined,
             "pool_replacements": self.pool_replacements,
         }
-
-
-@dataclass(frozen=True)
-class UpdateReport:
-    """What one :meth:`ParallelEngine.apply_update` did, end to end.
-
-    ``republished_bytes`` is the shm delta actually rewritten (0 when no
-    publication was live); a slot is one super-peer's store, so
-    ``slot_nbytes`` is the touched stores' array bytes and
-    ``total_nbytes`` every published store's —
-    ``tests/parallel/test_churn_grid.py`` asserts
-    ``republished_bytes == slot_nbytes < total_nbytes``, i.e. the delta
-    scales with the touched stores, not the network.  ``full_republish``
-    marks what cannot go incremental (super-peer set surgery, an update
-    that moves every slot): the stale publication is withdrawn and the
-    next fan-out republishes in full.
-
-    When the underlying mutation reports a maintenance path (insert/
-    delete outcomes, churn events), :meth:`as_dict` surfaces it:
-    ``path`` (``spliced``/``promoted``/``rebuilt``/``merged``),
-    ``examined`` candidate points dominance-tested and ``promoted``
-    points re-admitted — the delta-maintenance accounting.
-    """
-
-    kind: str
-    epoch: int
-    touched_superpeers: tuple[int, ...]
-    full_republish: bool
-    republished_bytes: int
-    slot_nbytes: int
-    total_nbytes: int
-    seconds: float
-    outcome: Any
-
-    def as_dict(self) -> dict[str, Any]:
-        out = {
-            "kind": self.kind,
-            "epoch": self.epoch,
-            "touched_superpeers": list(self.touched_superpeers),
-            "full_republish": self.full_republish,
-            "republished_bytes": self.republished_bytes,
-            "slot_nbytes": self.slot_nbytes,
-            "total_nbytes": self.total_nbytes,
-            "seconds": self.seconds,
-        }
-        path = getattr(self.outcome, "path", None)
-        if path is not None:
-            out["path"] = path
-            out["examined"] = getattr(self.outcome, "examined", 0)
-            out["promoted"] = getattr(self.outcome, "promoted", 0)
-            out["store_rebuilt"] = getattr(self.outcome, "store_rebuilt", path == "rebuilt")
-        return out
 
 
 class _EpochGate:
@@ -886,29 +824,22 @@ class ParallelEngine:
     # live updates
     # ------------------------------------------------------------------
     def apply_update(
-        self,
-        network: "SuperPeerNetwork",
-        kind: str,
-        *,
-        peer_id: int | None = None,
-        points: Any = None,
-        point_ids: Sequence[int] | None = None,
-        superpeer_id: int | None = None,
-        data: Any = None,
-    ) -> UpdateReport:
+        self, network: "SuperPeerNetwork", kind: str, **change: Any
+    ) -> "UpdateReport":
         """Apply one update/churn event to a *live, served* network.
 
-        ``kind`` selects the mutation — ``"insert"``/``"delete"``
-        (:mod:`repro.p2p.updates`), ``"join"``/``"fail"``/
-        ``"fail-superpeer"`` (:mod:`repro.p2p.churn`) — and the engine
-        then refreshes every live publication of this network
-        *incrementally*: only the touched super-peers' slots republish
-        (under a new sub-epoch), workers re-map just those slots at the
-        next batch, and their memoized scans of untouched slots keep
-        hitting.  Runs under the write side of the epoch gate, so
-        concurrent ``run_queries`` calls see either the old epoch or the
-        new one — never a torn mix — and the overlays this update
-        supersedes are unlinked only after in-flight fan-outs drain.
+        ``kind`` and ``change`` are those of :func:`repro.p2p.workload.
+        apply_mutation`, which this runs and whose report it returns.
+        The engine adds what it alone owns.  The write side of the epoch
+        gate: concurrent ``run_queries`` calls see either the old epoch
+        or the new one — never a torn mix.  The republish: every live
+        publication of this network refreshes *incrementally* — only the
+        touched super-peers' slots republish (under a new sub-epoch),
+        workers re-map just those slots at the next batch, and their
+        memoized scans of untouched slots keep hitting — and the
+        overlays this update supersedes are unlinked only after
+        in-flight fan-outs drain.  The report gains the publication
+        fields, and its ``seconds`` covers the whole call.
         """
         from ..p2p.workload import apply_mutation
 
@@ -916,22 +847,8 @@ class ParallelEngine:
             raise RuntimeError("engine is closed")
         started = time.perf_counter()
         with self._gate.write():
-            before = dict(network.store_generations)
-            outcome = apply_mutation(
-                network, kind, peer_id=peer_id, points=points, point_ids=point_ids,
-                superpeer_id=superpeer_id, data=data,
-            )
-            touched = tuple(
-                sorted(
-                    sp
-                    for sp, gen in network.store_generations.items()
-                    if before.get(sp) != gen
-                )
-            )
-            republished = 0
-            slot_nbytes = 0
-            total_nbytes = 0
-            full = False
+            report = apply_mutation(network, kind, **change)
+            published: dict[str, Any] = {}
             with self._lock:
                 publication = self._publications.get(id(network))
                 if (
@@ -946,39 +863,20 @@ class ParallelEngine:
                         # republishes in full.
                         del self._publications[id(network)]
                         publication.withdraw()
-                        full = True
+                        published["full_republish"] = True
                         self.stats.full_republishes += 1
                     else:
-                        republished = nbytes
                         manifest = publication.shared.manifest
-                        slot_nbytes = sum(
-                            int(manifest["slot_nbytes"][sp]) for sp in touched
+                        published["republished_bytes"] = nbytes
+                        published["slot_nbytes"] = sum(
+                            int(manifest["slot_nbytes"][sp]) for sp in report.touched_superpeers
                         )
-                        total_nbytes = manifest_data_nbytes(manifest)
+                        published["total_nbytes"] = manifest_data_nbytes(manifest)
                         # Readers are drained (write gate held): segments
                         # superseded by this republish can go now.
                         publication.shared.reap_retired()
                 self.stats.updates_applied += 1
-                self.stats.update_seconds += time.perf_counter() - started
-                path = getattr(outcome, "path", None)
-                if path in ("spliced", "merged"):
-                    self.stats.update_spliced += 1
-                elif path == "promoted":
-                    self.stats.update_promoted += 1
-                elif path == "rebuilt":
-                    self.stats.update_rebuilt += 1
-                self.stats.update_points_examined += getattr(outcome, "examined", 0)
-        return UpdateReport(
-            kind=kind,
-            epoch=network.epoch,
-            touched_superpeers=touched,
-            full_republish=full,
-            republished_bytes=republished,
-            slot_nbytes=slot_nbytes,
-            total_nbytes=total_nbytes,
-            seconds=time.perf_counter() - started,
-            outcome=outcome,
-        )
+        return replace(report, seconds=time.perf_counter() - started, **published)
 
     # ------------------------------------------------------------------
     # query fan-out

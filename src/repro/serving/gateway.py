@@ -53,7 +53,8 @@ from typing import Any, Callable, Mapping
 from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
 from ..p2p.transport import FrameDecoder, TransportError, encode_frame
-from ..p2p.updates import UpdateRejected
+from ..p2p.updates import UpdateRejected, check_incoming
+from ..p2p.workload import apply_mutation, fresh_points, next_point_id
 from ..skypeer.netexec import QueryAbandoned
 from ..skypeer.variants import Variant
 from .proto import (
@@ -587,8 +588,6 @@ class QueryGateway:
         import numpy as np
 
         from ..core.dataset import PointSet
-        from ..p2p.updates import check_incoming
-        from ..p2p.workload import fresh_points, next_point_id
 
         if isinstance(raw, Mapping) and "random" in raw:
             count = int(raw["random"])
@@ -618,30 +617,9 @@ class QueryGateway:
         """Executor-thread entry: mutate through the backend's path."""
         if self.backend == "engine" and self.engine is not None:
             report = self.engine.apply_update(self.network, kind, **kwargs)
-            return report.as_dict()
-        from ..p2p.workload import apply_mutation
-        from ..parallel.engine import UpdateReport
-
-        started = self._clock()
-        before = dict(self.network.store_generations)
-        outcome = apply_mutation(self.network, kind, **kwargs)
-        touched = sorted(
-            sp
-            for sp, gen in self.network.store_generations.items()
-            if before.get(sp) != gen
-        )
-        # Nothing is published on the serial backend: the byte fields are 0.
-        return UpdateReport(
-            kind=kind,
-            epoch=self.network.epoch,
-            touched_superpeers=tuple(touched),
-            full_republish=False,
-            republished_bytes=0,
-            slot_nbytes=0,
-            total_nbytes=0,
-            seconds=self._clock() - started,
-            outcome=outcome,
-        ).as_dict()
+        else:
+            report = apply_mutation(self.network, kind, **kwargs)
+        return report.as_dict()
 
     # ------------------------------------------------------------------
     # admission + fan-out

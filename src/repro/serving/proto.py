@@ -27,8 +27,10 @@ Requests
     insert/join are either explicit rows (``[[...], ...]`` or
     ``{"values": ..., "ids": ...}``) or a server-side draw
     (``{"random": n, "seed": s}``).  The response's ``update`` object
-    is the engine's :class:`~repro.parallel.UpdateReport` — touched
-    super-peers, republished delta bytes, new epoch.
+    is :class:`repro.p2p.UpdateReport` as a dict — the same keys for
+    every kind on every backend: touched super-peers, new epoch,
+    maintenance ``path``/``examined``/``promoted`` and, on the engine
+    backend, the republished delta bytes.
 
 Responses
 ---------

@@ -389,7 +389,6 @@ def gateway_dispatch(
     *,
     backend: str = "serial",
     engine: Any = None,
-    abandoned=None,
 ) -> SortedByF:
     """Run one admitted gateway job on the chosen backend.
 
@@ -405,19 +404,11 @@ def gateway_dispatch(
     * ``socket`` — the full asyncio transport via
       :func:`run_socket_query`.
 
-    ``abandoned`` is an optional zero-argument callable polled once
-    before the (potentially expensive) execution starts; when it
-    reports ``True`` the dispatch raises :class:`QueryAbandoned` —
-    cancellation propagation for jobs whose waiters all left.  All
-    three paths return the same :class:`~repro.core.store.SortedByF`
+    All three paths return the same :class:`~repro.core.store.SortedByF`
     for a given ``(subspace, variant)``, which is what makes gateway
     coalescing exact.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
-    if abandoned is not None and abandoned():
-        raise QueryAbandoned(
-            f"no waiters left for {query.subspace} / {variant.value}"
-        )
     if backend == "engine":
         if engine is None:
             raise ValueError("backend 'engine' requires an engine instance")

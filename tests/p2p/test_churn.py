@@ -29,7 +29,7 @@ class TestJoin:
         assert network.n_peers == before + 1
         assert event.kind == "join"
         assert event.peer_id in network.topology.peers_of[sp]
-        assert event.uploaded_points > 0
+        assert event.peer_skyline_delta > 0
 
     def test_join_keeps_queries_exact(self, network, rng):
         sp = network.topology.superpeer_ids[0]
@@ -45,7 +45,7 @@ class TestJoin:
         sp_id = network.topology.superpeer_ids[0]
         store_before = network.superpeers[sp_id].store_size
         event = join_peer(network, sp_id, _fresh_points(rng, 25, 10_000))
-        assert event.merge.input_size <= store_before + event.uploaded_points
+        assert event.examined <= store_before + event.peer_skyline_delta
 
     def test_join_refreshes_selectivity(self, network, rng):
         total_before = network.preprocessing.total_points

@@ -87,7 +87,7 @@ def test_preprocessing_and_churn_match_algorithms_1_and_2(dataset, backend, requ
     # A join merges the new list into the current store.
     sp = network.topology.superpeer_ids[0]
     joined = join_peer(network, sp, fresh_points(network, 150, dataset=dataset, seed=3))
-    assert joined.examined == len(stores[sp]) + joined.uploaded_points
+    assert joined.examined == len(stores[sp]) + joined.peer_skyline_delta
     stores[sp] = reference_merge(
         network, [stores[sp], reference_list(network, joined.peer_id)]
     )

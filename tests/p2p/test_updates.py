@@ -42,7 +42,7 @@ class TestInsert:
         )
         assert outcome.kind == "insert"
         assert outcome.points_changed == 10
-        assert not outcome.store_rebuilt
+        assert outcome.path != "rebuilt"
         _assert_stores_fresh(network)
         _assert_queries_exact(network)
 
@@ -125,7 +125,7 @@ class TestDelete:
             dominated = [int(i) for i in peer.data.ids if int(i) not in uploaded]
             if dominated:
                 outcome = delete_points(network, peer_id, [dominated[0]])
-                assert not outcome.store_rebuilt
+                assert outcome.path != "rebuilt"
                 assert outcome.peer_skyline_delta == 0
                 _assert_stores_fresh(network)
                 _assert_queries_exact(network)
@@ -140,7 +140,7 @@ class TestDelete:
         # The eviction ledger answers: only orphans are re-tested, no
         # peer ext-skyline recompute, no store rebuild.
         assert outcome.path == "promoted"
-        assert not outcome.store_rebuilt
+        assert outcome.path != "rebuilt"
         assert 0 < outcome.examined < len(network.peers[peer_id])
         _assert_stores_fresh(network)
         _assert_queries_exact(network)

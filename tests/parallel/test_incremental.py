@@ -425,12 +425,19 @@ def test_ledgers_and_segments_stay_proportional_to_their_payload():
 
 
 def test_fail_superpeer_bumps_only_adopters():
-    network = build_network(n_superpeers=3)
+    network = build_network(n_superpeers=6)
     doomed = sorted(network.superpeers)[-1]
     before = dict(network.store_generations)
     event = fail_superpeer(network, doomed)
     assert doomed not in network.store_generations
-    adopters = set(event.adoptions.values()) if hasattr(event, "adoptions") else None
+    adopters = set(event.adopters.values())
+    assert adopters and set(network.superpeers) - adopters  # "only" is tested
     for sp, gen in network.store_generations.items():
-        if adopters is None or sp in adopters:
-            assert gen >= before[sp]
+        assert gen == before[sp] + (sp in adopters), sp
+
+    # The engine reports exactly those slots as touched.
+    served = build_network(n_superpeers=6)
+    with ParallelEngine(1) as engine:
+        report = engine.apply_update(served, "fail-superpeer", superpeer_id=doomed)
+    assert report.touched_superpeers == tuple(sorted(set(report.outcome.adopters.values())))
+    assert report.outcome.adopters == event.adopters

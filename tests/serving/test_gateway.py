@@ -467,3 +467,71 @@ class TestUpdateOp:
         # Distinct epochs => distinct coalescing keys => both executed.
         assert stats.executed == 2
         assert stats.coalesce_hits == 0
+
+    @pytest.mark.parametrize("backend", ["serial", "engine"])
+    def test_every_kind_replies_one_shape_and_counts_one_path(self, backend):
+        """All five kinds, on either backend, reply with the one report's
+        keys and add exactly one ``update.<path>`` count each."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.runtime import observed
+        from repro.parallel import ParallelEngine
+
+        from .conftest import build_network
+
+        keys = {
+            "kind", "epoch", "touched_superpeers", "full_republish", "republished_bytes",
+            "slot_nbytes", "total_nbytes", "seconds", "path", "examined", "promoted",
+        }
+        paths = ("spliced", "promoted", "rebuilt", "merged")
+        network = build_network(seed=47)
+        peer_id = sorted(network.peers)[0]
+        peers_before = set(network.peers)
+        registry = MetricsRegistry()
+
+        def path_counts():
+            return {path: registry.total(f"update.{path}") for path in paths}
+
+        async def scenario(engine):
+            gateway = QueryGateway(
+                network, engine=engine, backend=backend, config=GatewayConfig()
+            )
+            replies = []
+            async with gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    assert (await client.query([0, 1])).ok  # a live publication
+                    doomed = [int(i) for i in network.peers[peer_id].data.ids[:2]]
+                    first, *_, last = sorted(network.superpeers)
+                    ops = [
+                        ("insert", {"peer_id": peer_id, "points": {"random": 3, "seed": 5}}),
+                        ("delete", {"peer_id": peer_id, "point_ids": doomed}),
+                        ("join", {"superpeer_id": first, "points": {"random": 4, "seed": 9}}),
+                        ("fail", None),
+                        ("fail-superpeer", {"superpeer_id": last}),
+                    ]
+                    for kind, fields in ops:
+                        if kind == "fail":
+                            fields = {"peer_id": (set(network.peers) - peers_before).pop()}
+                        before = path_counts()
+                        response = await client.update(kind, **fields)
+                        assert response.ok, (kind, response.payload)
+                        after = path_counts()
+                        replies.append((kind, response.payload["update"], before, after))
+            return replies
+
+        with observed(metrics=registry):
+            if backend == "engine":
+                with ParallelEngine(1) as engine:
+                    replies = run(scenario(engine))
+            else:
+                replies = run(scenario(None))
+        assert [kind for kind, *_ in replies] == [
+            "insert", "delete", "join", "fail", "fail-superpeer"
+        ]
+        for kind, reply, before, after in replies:
+            assert set(reply) == keys, kind
+            assert reply["kind"] == kind
+            added = {path: after[path] - before[path] for path in paths}
+            assert added == {path: int(path == reply["path"]) for path in paths}, kind
+        assert replies[2][1]["path"] == "merged"
+        assert replies[4][1]["path"] == "merged"
