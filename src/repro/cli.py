@@ -265,7 +265,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     a few leaf modules), ``asyncio`` and ``ssl`` with it, the gateway
     and the socket transport included, and every worker inherits that
     heap.  SIGTERM takes the
-    SIGINT path, so either one closes the gateway and then the pool.
+    SIGINT path, so either one closes the gateway and then the pool;
+    SIGINT does so even when the server started with it ignored (as a
+    background job of a non-interactive shell does).
     """
     import asyncio
     import json
@@ -278,7 +280,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     # Handlers can only be set from the main thread; an embedding host
     # that runs ``serve`` on another thread owns its own signals.
     if threading.current_thread() is threading.main_thread():
-        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, signal.default_int_handler)
     overrides = {}
     if args.host is not None:
         overrides["host"] = args.host

@@ -88,10 +88,10 @@ def merge_ext_skylines(
 ) -> SkylineComputation:
     """``ext-SKY_D`` of the union of several lists (a super-peer's store).
 
-    The lists are concatenated in order and stably sorted on ``f`` —
-    the order Algorithm 2 visits them in — so exact ties keep list
-    order, then each list's own.  ``positions`` is ``None``: the sorted
-    union is transient.
+    The lists are concatenated and sorted on ``(f, id)`` — the order
+    Algorithm 2 visits them in, with exact ``f`` ties in id order as
+    every store keeps them (:meth:`SortedByF.from_points`).
+    ``positions`` is ``None``: the sorted union is transient.
     """
     started = time.perf_counter()
     lists = [lst for lst in lists if len(lst)]
@@ -101,8 +101,9 @@ def merge_ext_skylines(
     if lists:
         values = np.concatenate([lst.points.values for lst in lists], axis=0)
         keys = values.min(axis=1)
-        order = np.argsort(keys, kind="stable")
-        ids = np.concatenate([lst.points.ids for lst in lists], axis=0)[order]
+        ids = np.concatenate([lst.points.ids for lst in lists], axis=0)
+        order = np.lexsort((ids, keys))
+        ids = ids[order]
         values = values[order]  # the unsorted copy is dropped here
         union = SortedByF.from_trusted(PointSet.from_trusted(values, ids), keys[order])
     else:

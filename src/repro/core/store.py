@@ -45,8 +45,11 @@ class SortedByF:
 
     @classmethod
     def from_points(cls, points: PointSet) -> "SortedByF":
-        """Sort an arbitrary point set by ``f`` and cache the keys.
+        """Sort an arbitrary point set by ``(f, id)`` and cache the keys.
 
+        Exact ``f`` ties go in id order, as :meth:`splice_insert` and
+        :func:`~repro.core.extended_skyline.merge_ext_skylines` place
+        them, so a spliced store equals a rebuilt one byte for byte.
         This is the O(n log n) full re-sort; the update hot path must
         use :meth:`splice_insert`/:meth:`splice_delete` instead, and the
         ``store.from_points`` counter exists so tests can assert it
@@ -56,7 +59,7 @@ class SortedByF:
         if metrics is not None:
             metrics.counter("store.from_points").inc()
         keys = f_values(points.values)
-        order = np.argsort(keys, kind="stable")
+        order = np.lexsort((points.ids, keys))
         return cls(points.take(order), keys[order])
 
     @classmethod
@@ -125,19 +128,22 @@ class SortedByF:
     def splice_insert(self, points: PointSet) -> "SortedByF":
         """A new store with ``points`` spliced in at their f-positions.
 
-        O(k log n) ``searchsorted`` plus one array splice — the f-order
-        invariant is preserved without re-sorting the store
-        (ties land after existing equal keys, matching the stable-sort
-        order of :meth:`from_points` over ``[existing, new]``).  The
-        caller guarantees the incoming ids are not already present.
+        O(k log n) ``searchsorted`` plus one array splice — the
+        ``(f, id)`` order of :meth:`from_points` is preserved without
+        re-sorting the store (a newcomer tying existing rows on ``f``
+        lands among them by id).  The caller guarantees the incoming ids
+        are not already present.
         """
         if len(points) == 0:
             return self
         keys = f_values(points.values)
-        order = np.argsort(keys, kind="stable")
+        order = np.lexsort((points.ids, keys))
         incoming = points.take(order)
         keys = keys[order]
-        pos = np.searchsorted(self.f, keys, side="right")
+        pos = np.searchsorted(self.f, keys, side="left")
+        end = np.searchsorted(self.f, keys, side="right")
+        for i in np.flatnonzero(end > pos):  # exact f ties: place by id
+            pos[i] += np.searchsorted(self.points.ids[pos[i] : end[i]], incoming.ids[i])
         values = np.insert(self.points.values, pos, incoming.values, axis=0)
         ids = np.insert(self.points.ids, pos, incoming.ids)
         return SortedByF.from_trusted(

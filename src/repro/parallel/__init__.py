@@ -6,10 +6,10 @@ independent per-super-peer computations — fan out over a persistent
 ``concurrent.futures`` process pool (:class:`ParallelEngine`).  The
 network travels to workers over the shared-memory data plane
 (:mod:`repro.parallel.shm`), and over nothing else: published once into
-a segment — a file the plane itself creates, maps and unlinks (no
-helper process tracks it), in ``/dev/shm`` where the segment fits and
-in the temp directory where it does not — and attached zero-copy by
-every worker.  Tasks are submitted
+one segment per super-peer slot — a file the plane itself creates, maps
+and unlinks (no helper process tracks it), in ``/dev/shm`` where the
+segment fits and in the temp directory where it does not — attached
+zero-copy by every worker, and synced slot by slot after an update.  Tasks are submitted
 in subspace-affine batches so a worker's private scan memo
 (:class:`~repro.parallel.engine.ScanMemo`) replays repeated scans across
 queries, and all aggregation happens in the parent in deterministic

@@ -7,11 +7,13 @@ a fresh ``.npz`` snapshot) for every ``run_queries`` call, so pool
 startup and per-task IPC dominated exactly the many-small-queries
 regimes the paper evaluates.  :class:`ParallelEngine` is created once
 and reused: workers stay warm across calls and whole bench sweeps, and
-each network is *published* once, into a segment of the shared-memory
-data plane (:mod:`repro.parallel.shm`) that workers attach zero-copy.
-It is the only way data reaches a worker, and it is byte-faithful: the
-worker sees the parent's stores verbatim, so a scan run on either side
-agrees.  A worker scans each store whole with
+each network is *published* once, one segment per super-peer slot of
+the shared-memory data plane (:mod:`repro.parallel.shm`), which workers
+attach zero-copy.  After an update the publication *syncs*: only the
+slots whose store generation moved are rewritten, and a worker re-maps
+only those at its next batch.  It is the only way data reaches a
+worker, and it is byte-faithful: the worker sees the parent's stores
+verbatim, so a scan run on either side agrees.  A worker scans each store whole with
 :func:`~repro.skypeer.executor.make_local_compute`'s default scan — the
 engine has no scan selector of its own.
 
@@ -55,7 +57,7 @@ simulated distributed schedule, which the parent owns).  When the
 parent has an active :class:`~repro.obs.metrics.MetricsRegistry`, each
 batch records into a fresh worker-local registry and ships its
 snapshot back; the parent additionally emits ``parallel.*`` counters
-and histograms describing the engine itself (batches, tasks, attach
+and histograms describing the engine itself (batches, tasks, sync
 timings) — see :class:`EngineStats`.
 """
 
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import copy
 import math
 import multiprocessing
 import os
@@ -73,14 +74,13 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .shm import (
     AttachedNetwork,
-    attach_network,
+    SharedNetwork,
     manifest_data_nbytes,
-    publish_network,
     sweep_dead_publishers,
 )
 
@@ -211,39 +211,38 @@ def _exit_when_orphaned(parent_pid: int) -> None:
     os._exit(0)
 
 
+def _timed_sync(attached: AttachedNetwork, manifest: dict[str, Any]) -> dict[str, Any]:
+    """Sync ``attached`` to ``manifest``: its seconds and re-mapped slots and bytes."""
+    started = time.perf_counter()
+    remapped = attached.sync(manifest)
+    return {"seconds": time.perf_counter() - started, **remapped}
+
+
 def _materialize(
     spec: dict[str, Any],
 ) -> tuple[AttachedNetwork, "ScanMemo", dict[str, Any] | None]:
-    """Return the spec's attached publication and its scan memo,
-    attaching on first use.
+    """Return the spec's attached publication and its scan memo, synced
+    to the spec's manifest.
 
-    The last element reports what this call cost (``None`` when already
-    attached): ``{"mode": "shm", "seconds": ...}`` for a first attach,
-    ``"shm-delta"`` plus the re-mapped slots and bytes for a refresh.
+    The first batch of a publication maps every slot; a later one whose
+    manifest is of a newer epoch re-maps only the slots that changed,
+    and the memo stays (its keys carry each slot's generation).  The
+    last element reports the sync (``None`` when none was needed).
     """
     token = spec["token"]
     manifest = spec["manifest"]
     entry = _WORKER_NETWORKS.get(token)
-    if entry is not None:
+    if entry is None:
+        while len(_WORKER_NETWORKS) >= _PUBLICATION_CAP:
+            _WORKER_NETWORKS.popitem(last=False)[1][0].close()
+        attached = AttachedNetwork()
+        entry = _WORKER_NETWORKS[token] = (attached, ScanMemo(attached.network, _SCAN_MEMO_CAP))
+    else:
         _WORKER_NETWORKS.move_to_end(token)
-        attached, memo = entry
-        if int(manifest.get("subepoch", 0)) == attached.subepoch:
-            return attached, memo, None
-        # Same publication, newer sub-epoch: re-map only the slots whose
-        # generation advanced instead of attaching the whole network.
-        # The memo stays: its keys carry each slot's generation.
-        started = time.perf_counter()
-        delta = attached.refresh(manifest)
-        seconds = time.perf_counter() - started
-        return attached, memo, {"mode": "shm-delta", "seconds": seconds, **delta}
-    started = time.perf_counter()
-    attached = attach_network(manifest)
-    seconds = time.perf_counter() - started
-    while len(_WORKER_NETWORKS) >= _PUBLICATION_CAP:
-        _WORKER_NETWORKS.popitem(last=False)[1][0].close()
-    memo = ScanMemo(attached.network, _SCAN_MEMO_CAP)
-    _WORKER_NETWORKS[token] = (attached, memo)
-    return attached, memo, {"mode": "shm", "seconds": seconds}
+    attached, memo = entry
+    if attached.epoch == manifest["epoch"]:
+        return attached, memo, None
+    return attached, memo, _timed_sync(attached, manifest)
 
 
 class ScanMemo:
@@ -360,11 +359,12 @@ def _run_preprocess_batch(
 ) -> dict[str, Any]:
     """Pre-process a chunk of super-peers (pure compute, no obs).
 
-    The pre-processing publication lives for one fan-out (the parent
-    withdraws it once the results are in), so it is attached for this
-    batch only and never enters the worker's network cache: a serving
-    worker keeps no mapping of the raw partitions beside the query
-    publication's stores.
+    A batch maps only the chunk's slots of the pre-processing
+    publication: the partitions it reads.  The publication lives for
+    one fan-out (the parent withdraws it once the results are in), so
+    it is attached for this batch only and never enters the worker's
+    network cache: a serving worker keeps no mapping of the raw
+    partitions beside the query publication's stores.
 
     Each result is ``(superpeer_id, uploads, merge)``: the merged store
     travels whole (it is the product), a peer's ext-skyline as ``(peer_id,
@@ -375,30 +375,30 @@ def _run_preprocess_batch(
 
     from ..core.mapping import f_values
 
-    started = time.perf_counter()
-    attached = attach_network(spec["manifest"])
-    attach = {"mode": "shm", "seconds": time.perf_counter() - started}
-    network = attached.network
-    started = time.perf_counter()
+    attached = AttachedNetwork()
     results = []
     try:
+        manifest = spec["manifest"]
+        slots = {sp: manifest["slots"][sp] for sp in superpeer_ids}
+        attach = _timed_sync(attached, {**manifest, "slots": slots})
+        network = attached.network
+        started = time.perf_counter()
         for sp in superpeer_ids:
             computed = network.compute_superpeer_preprocess(sp)
             uploads = []
             for peer_id, _n_points, scan in computed.peer_results:
-                # ``scan.positions`` index the f-sorted partition; the stable
-                # argsort ``from_points`` sorted it by maps them back to rows.
-                order = np.argsort(
-                    f_values(network.peers[peer_id].data.values), kind="stable"
-                )
+                # ``scan.positions`` index the partition sorted on (f, id);
+                # the order ``from_points`` sorted it by maps them back to rows.
+                data = network.peers[peer_id].data
+                order = np.lexsort((data.ids, f_values(data.values)))
                 uploads.append((
                     peer_id, order[scan.positions], scan.threshold, scan.examined,
                     scan.comparisons, scan.duration,
                 ))
             results.append((sp, uploads, computed.merge))
     finally:
-        # The array views over the segment must be garbage before the
-        # mapping can be released (results are copies, never views).
+        # The array views over the segments must be garbage before the
+        # mappings can be released (results are copies, never views).
         network = computed = None
         attached.close()
     return {
@@ -416,9 +416,9 @@ def _upload_from_rows(
 
     The parent holds every partition, so an upload need not travel: it
     is the peer's partition taken at the surviving rows, which arrive in
-    ascending ``f`` — nothing is re-sorted, and ``f = min_i p[i]`` per
+    ``(f, id)`` order — nothing is re-sorted, and ``f = min_i p[i]`` per
     row is the worker's value bit for bit.  ``positions`` stays ``None``:
-    it indexes the f-sorted copy of the partition only the worker built.
+    it indexes the sorted copy of the partition only the worker built.
     """
     from ..core.local_skyline import SkylineComputation
     from ..core.mapping import f_values
@@ -443,14 +443,18 @@ class EngineStats:
 
     ``pool_startup_seconds`` covers executor creation plus the warm-up
     barrier; ``publish_seconds`` is the parent-side cost of making
-    networks available (the copy into the segment);
+    networks available (the copies into the slot segments);
     ``submit_seconds`` is parent time spent dispatching batches (the
     per-task share is :meth:`dispatch_overhead_per_task`);
-    ``attach_events`` records every worker-side attach (``"shm"``) or
-    per-slot refresh (``"shm-delta"``) of a publication.  The
-    ``cache_*`` fields aggregate the per-batch scan-memo deltas the
-    workers ship back (:class:`ScanMemo`).  ``pool_replacements``
-    counts the broken pools replaced after a worker died.
+    ``attaches`` counts the worker-side syncs of a publication (a first
+    attach maps every slot, a later one the changed slots), with their
+    running sums of seconds, slots and bytes re-mapped.  A republish is
+    a sync of a live publication after an update: ``full_republishes``
+    counts those that rewrote every live slot, ``incremental_republishes``
+    the rest, ``republished_bytes`` what both wrote.  The ``cache_*``
+    fields aggregate the per-batch scan-memo deltas the workers ship
+    back (:class:`ScanMemo`).  ``pool_replacements`` counts the broken
+    pools replaced after a worker died.
     What a :class:`~repro.serving.QueryGateway` in front of the engine
     counted (coalesce hits, shed requests, queue depth) is its own
     ``GatewayStats``; a query it dispatches is one of ``tasks`` here.
@@ -465,7 +469,10 @@ class EngineStats:
     tasks: int = 0
     submit_seconds: float = 0.0
     worker_compute_seconds: float = 0.0
-    attach_events: list[dict[str, Any]] = field(default_factory=list)
+    attaches: int = 0
+    attach_seconds: float = 0.0
+    attached_slots: int = 0
+    attached_bytes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -482,17 +489,6 @@ class EngineStats:
         probes = self.cache_hits + self.cache_misses
         return self.cache_hits / probes if probes else None
 
-    def attach_seconds(self, mode: str | None = None) -> list[float]:
-        return [
-            event["seconds"]
-            for event in self.attach_events
-            if mode is None or event["mode"] == mode
-        ]
-
-    def mean_attach_seconds(self, mode: str | None = None) -> float | None:
-        samples = self.attach_seconds(mode)
-        return sum(samples) / len(samples) if samples else None
-
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready view (the gateway's ``stats`` reply carries it as ``engine``)."""
         return {
@@ -506,8 +502,10 @@ class EngineStats:
             "submit_seconds": self.submit_seconds,
             "dispatch_overhead_per_task_seconds": self.dispatch_overhead_per_task(),
             "worker_compute_seconds": self.worker_compute_seconds,
-            "attach_count": len(self.attach_events),
-            "shm_attach_mean_seconds": self.mean_attach_seconds("shm"),
+            "attach_count": self.attaches,
+            "shm_attach_mean_seconds": (
+                self.attach_seconds / self.attaches if self.attaches else None
+            ),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate(),
@@ -525,9 +523,9 @@ class _EpochGate:
 
     Query/pre-processing fan-outs hold the *read* side for their whole
     dispatch (submit through result collection), so an update's *write*
-    side — which mutates the network, republishes slots and unlinks the
-    overlays it supersedes — runs only when no worker can still be
-    asked to attach a superseded segment.  Writers get priority (new
+    side — which mutates the network, syncs the publication and unlinks
+    the slot segments it replaced — runs only when no worker can still
+    be asked to attach a replaced segment.  Writers get priority (new
     readers queue behind a waiting writer), so a steady query stream
     cannot starve updates; queries observe either the pre-update or the
     post-update epoch, never a torn mix.
@@ -574,24 +572,18 @@ class _EpochGate:
 class _Publication:
     """One network made available to workers: its segments and its spec."""
 
-    __slots__ = ("token", "spec", "shared", "network_ref", "epoch")
+    __slots__ = ("token", "shared", "network_ref")
 
-    def __init__(
-        self,
-        token: str,
-        spec: dict[str, Any],
-        shared: Any,
-        network_ref: "weakref.ref[Any]",
-        epoch: int,
-    ):
+    def __init__(self, token: str, shared: SharedNetwork, network_ref: "weakref.ref[Any]"):
         self.token = token
-        self.spec = spec
         self.shared = shared
         self.network_ref = network_ref
-        self.epoch = epoch
 
-    def withdraw(self) -> None:
-        self.shared.close(unlink=True)
+    @property
+    def spec(self) -> dict[str, Any]:
+        """What a batch carries: the token and the current manifest (a
+        sync swaps the manifest in whole, so a spec never tears)."""
+        return {"token": self.token, "manifest": self.shared.manifest}
 
 
 class ParallelEngine:
@@ -607,12 +599,7 @@ class ParallelEngine:
     (:func:`~repro.parallel.shm.sweep_dead_publishers`).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        mp_start: str | None = None,
-        warm: bool = True,
-    ):
+    def __init__(self, workers: int, mp_start: str | None = None):
         self.workers = max(1, int(workers))
         self.start_method = mp_start if mp_start is not None else start_method()
         self.stats = EngineStats(workers=self.workers, start_method=self.start_method)
@@ -622,16 +609,16 @@ class ParallelEngine:
         self._closed = False
         # The serving gateway drives ``run_queries`` from several
         # executor threads at once; the publication table, the stats
-        # accumulators and close() serialize on this lock.
-        self._lock = threading.Lock()
-        # Fan-outs read, ``apply_update`` writes: segments retired by an
-        # in-place republish are only unlinked once readers drain.
+        # accumulators and close() serialize on this lock (reentrant:
+        # ``apply_update`` syncs through ``_publish`` while holding it).
+        self._lock = threading.RLock()
+        # Fan-outs read, ``apply_update`` writes: segments retired by a
+        # sync are only unlinked once readers drain.
         self._gate = _EpochGate()
         started = time.perf_counter()
         self._pool = self._new_pool()
-        if warm:
-            for future in [self._pool.submit(_noop) for _ in range(self.workers)]:
-                future.result()
+        for future in [self._pool.submit(_noop) for _ in range(self.workers)]:
+            future.result()
         self.stats.pool_startup_seconds = time.perf_counter() - started
         atexit.register(self.close)
 
@@ -707,11 +694,22 @@ class ParallelEngine:
     # ------------------------------------------------------------------
     # publications
     # ------------------------------------------------------------------
-    def _publish(self, network: "SuperPeerNetwork") -> _Publication:
-        """Publish (or reuse) a network for query fan-outs.
+    def _publish(
+        self, network: "SuperPeerNetwork", partitions: bool = False
+    ) -> tuple[_Publication, list[int]]:
+        """The network's publication, synced to its epoch, and the
+        super-peers whose slots this call wrote.
 
-        Publications are keyed on object identity + ``epoch`` (store
-        changes bump the epoch, so stale data can never be served).
+        A query publication (the default) is kept in the table, keyed on
+        the network object's identity, and every later call syncs it:
+        only the slots whose store generation moved are rewritten, the
+        token stays (so workers re-map those slots instead of attaching
+        anew), and the spec takes the new manifest.  Replaced segments
+        are *not* unlinked here — a reader may still be dispatching
+        against the previous spec — but under the write gate
+        (:meth:`apply_update`) or at close.  ``partitions=True`` makes
+        the pre-processing publication instead, which the caller owns
+        and withdraws when its one fan-out ends.
 
         The closed check lives *inside* the lock: a concurrent
         ``close()`` either drains this publication or this call raises
@@ -721,104 +719,44 @@ class ParallelEngine:
             if self._closed:
                 raise RuntimeError("engine is closed")
             key = id(network)
-            cached = self._publications.get(key)
-            if cached is not None:
-                alive = cached.network_ref()
-                if alive is network:
-                    if cached.epoch == network.epoch:
-                        self._publications.move_to_end(key)
-                        return cached
-                    if self._republish_incremental(cached, network):
-                        self._publications.move_to_end(key)
-                        return cached
+            publication = None if partitions else self._publications.get(key)
+            if publication is not None and publication.network_ref() is not network:
                 del self._publications[key]
-                cached.withdraw()
-            publication = self._publications[key] = self._new_publication(
-                network, partitions=False
-            )
-            while len(self._publications) > _PUBLICATION_CAP:
-                _, old = self._publications.popitem(last=False)
-                old.withdraw()
-            return publication
-
-    def _new_publication(
-        self, network: "SuperPeerNetwork", partitions: bool
-    ) -> _Publication:
-        """Copy ``network`` into a fresh segment.
-
-        ``partitions`` says what the fan-out reads, and so what the
-        segment carries: the raw peer partitions (pre-processing) or
-        the super-peer stores (queries).  The caller owns the result:
-        it either enters the publication table (:meth:`_publish`) or is
-        withdrawn when its one fan-out ends
-        (:meth:`preprocess_network`).  Caller must hold ``self._lock``.
-        """
-        self._token_counter += 1
-        token = f"pub-{os.getpid():x}-{id(self):x}-{self._token_counter}"
-        started = time.perf_counter()
-        shared = publish_network(network, partitions=partitions)
-        # A query publication's spec carries an immutable *snapshot* of
-        # the manifest: a later in-place republish must not tear a spec
-        # that a concurrent submit is pickling.  A pre-processing one is
-        # withdrawn after its one fan-out and never republished, so its
-        # manifest is shared as is.
-        manifest = shared.manifest if partitions else copy.deepcopy(shared.manifest)
-        spec = {"token": token, "manifest": manifest}
-        self.stats.publish_seconds += time.perf_counter() - started
-        self.stats.publications += 1
-        return _Publication(
-            token=token,
-            spec=spec,
-            shared=shared,
-            network_ref=weakref.ref(network),
-            epoch=network.epoch,
-        )
-
-    def _republish_incremental(
-        self, publication: _Publication, network: "SuperPeerNetwork"
-    ) -> int | None:
-        """Try to refresh a stale publication in place; returns the bytes.
-
-        Republishes only the slots whose generation moved since the
-        publication last saw this network, keeping the token (so worker
-        LRU entries refresh instead of re-attaching) and swapping the
-        spec for a fresh manifest snapshot.  Returns ``None`` when the
-        publication cannot go incremental: the super-peer set itself
-        changed (topology surgery republishes in full), or every slot
-        moved.  Superseded overlays are *not* unlinked here: a reader
-        may still be dispatching against the previous spec.  They are
-        reaped under the write gate (``apply_update``) or at close.
-
-        Caller must hold ``self._lock``.
-        """
-        shared = publication.shared
-        generations = {int(k): int(v) for k, v in shared.manifest["generations"].items()}
-        if set(network.superpeers) != set(generations):
-            return None
-        touched = sorted(
-            sp
-            for sp, gen in network.store_generations.items()
-            if generations.get(sp) != int(gen)
-        )
-        if touched and len(touched) >= len(generations):
-            # Every slot moved (e.g. a full re-preprocess): overlaying
-            # everything would strand the entire base segment as
-            # garbage, so republish from scratch instead.
-            return None
-        started = time.perf_counter()
-        nbytes = shared.republish(network, touched)
-        publication.spec = {
-            **publication.spec, "manifest": copy.deepcopy(shared.manifest),
-        }
-        publication.epoch = network.epoch
-        self.stats.publish_seconds += time.perf_counter() - started
-        self.stats.incremental_republishes += 1
-        self.stats.republished_bytes += nbytes
-        return nbytes
+                publication.shared.close()
+                publication = None
+            fresh = publication is None
+            if fresh:
+                self._token_counter += 1
+                token = f"pub-{os.getpid():x}-{id(self):x}-{self._token_counter}"
+                publication = _Publication(
+                    token, SharedNetwork(partitions), weakref.ref(network)
+                )
+                self.stats.publications += 1
+                if not partitions:
+                    self._publications[key] = publication
+                    while len(self._publications) > _PUBLICATION_CAP:
+                        self._publications.popitem(last=False)[1].shared.close()
+            else:
+                self._publications.move_to_end(key)
+            shared = publication.shared
+            if shared.manifest["epoch"] == network.epoch:
+                return publication, []
+            started = time.perf_counter()
+            written = shared.sync(network)
+            self.stats.publish_seconds += time.perf_counter() - started
+            if not fresh:
+                if written and len(written) == len(shared.manifest["slots"]):
+                    self.stats.full_republishes += 1
+                else:
+                    self.stats.incremental_republishes += 1
+                self.stats.republished_bytes += sum(
+                    shared.manifest["slots"][sp]["nbytes"] for sp in written
+                )
+            return publication, written
 
     def published_segments(self) -> list[str]:
-        """Paths of the live base segments (tests assert cleanup)."""
-        return [p.shared.path for p in self._publications.values()]
+        """Paths of the live publications' slot segments (tests assert cleanup)."""
+        return [path for p in self._publications.values() for path in p.shared.paths]
 
     # ------------------------------------------------------------------
     # live updates
@@ -832,14 +770,14 @@ class ParallelEngine:
         apply_mutation`, which this runs and whose report it returns.
         The engine adds what it alone owns.  The write side of the epoch
         gate: concurrent ``run_queries`` calls see either the old epoch
-        or the new one — never a torn mix.  The republish: every live
-        publication of this network refreshes *incrementally* — only the
-        touched super-peers' slots republish (under a new sub-epoch),
-        workers re-map just those slots at the next batch, and their
-        memoized scans of untouched slots keep hitting — and the
-        overlays this update supersedes are unlinked only after
-        in-flight fan-outs drain.  The report gains the publication
-        fields, and its ``seconds`` covers the whole call.
+        or the new one — never a torn mix.  The republish: the network's
+        live publication syncs — only the touched super-peers' slots are
+        rewritten (a failed super-peer's slot is dropped), workers re-map
+        just those slots at the next batch, and their memoized scans of
+        untouched slots keep hitting — and the segments this update
+        replaced are unlinked, since in-flight fan-outs have drained.
+        The report gains the publication fields, and its ``seconds``
+        covers the whole call.
         """
         from ..p2p.workload import apply_mutation
 
@@ -851,30 +789,20 @@ class ParallelEngine:
             published: dict[str, Any] = {}
             with self._lock:
                 publication = self._publications.get(id(network))
-                if (
-                    publication is not None
-                    and publication.network_ref() is network
-                    and publication.epoch != network.epoch
-                ):
-                    nbytes = self._republish_incremental(publication, network)
-                    if nbytes is None:
-                        # Super-peer set surgery, or every slot moved:
-                        # drop the stale publication; the next fan-out
-                        # republishes in full.
-                        del self._publications[id(network)]
-                        publication.withdraw()
-                        published["full_republish"] = True
-                        self.stats.full_republishes += 1
-                    else:
-                        manifest = publication.shared.manifest
-                        published["republished_bytes"] = nbytes
-                        published["slot_nbytes"] = sum(
-                            int(manifest["slot_nbytes"][sp]) for sp in report.touched_superpeers
-                        )
-                        published["total_nbytes"] = manifest_data_nbytes(manifest)
-                        # Readers are drained (write gate held): segments
-                        # superseded by this republish can go now.
-                        publication.shared.reap_retired()
+                if publication is not None and publication.network_ref() is network:
+                    publication, written = self._publish(network)
+                    slots = publication.shared.manifest["slots"]
+                    published = {
+                        "full_republish": bool(written) and len(written) == len(slots),
+                        "republished_bytes": sum(slots[sp]["nbytes"] for sp in written),
+                        "slot_nbytes": sum(
+                            slots[sp]["nbytes"] for sp in report.touched_superpeers
+                        ),
+                        "total_nbytes": manifest_data_nbytes(publication.shared.manifest),
+                    }
+                    # Readers are drained (write gate held): the segments
+                    # this sync replaced or dropped can go now.
+                    publication.shared.reap_retired()
                 self.stats.updates_applied += 1
         return replace(report, seconds=time.perf_counter() - started, **published)
 
@@ -913,8 +841,7 @@ class ParallelEngine:
         from ..skypeer.variants import Variant
 
         metrics = active_metrics()
-        publication = self._publish(network)
-        spec = publication.spec
+        spec = self._publish(network)[0].spec
         queries = list(queries)
         variants = [Variant.parse(v) if isinstance(v, str) else v for v in variants]
         chunks = _affinity_chunks(queries, variants, self.workers)
@@ -962,10 +889,7 @@ class ParallelEngine:
     ) -> list["SuperPeerPreprocess"]:
         from ..p2p.network import SuperPeerPreprocess
 
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("engine is closed")
-            publication = self._new_publication(network, partitions=True)
+        publication = self._publish(network, partitions=True)[0]
         try:
             sp_ids = list(network.topology.superpeer_ids)
             target = max(
@@ -973,7 +897,7 @@ class ParallelEngine:
             )
             chunks = [sp_ids[i : i + target] for i in range(0, len(sp_ids), target)]
             # ``_fan_out`` returns (or raises) only once no batch still
-            # reads the raw partitions, so the segment can go after it.
+            # reads the raw partitions, so the segments can go after it.
             payloads = self._fan_out(
                 _run_preprocess_batch, [(publication.spec, chunk) for chunk in chunks]
             )
@@ -992,14 +916,17 @@ class ParallelEngine:
         finally:
             # The raw partitions were needed for this fan-out only: the
             # stores it produced travel with the query publication.
-            publication.withdraw()
+            publication.shared.close()
 
     def _ingest_batch_stats(self, payload: dict[str, Any], metrics: Any) -> None:
         with self._lock:
             self.stats.worker_compute_seconds += payload["compute_seconds"]
             attach = payload["attach"]
             if attach is not None:
-                self.stats.attach_events.append(attach)
+                self.stats.attaches += 1
+                self.stats.attach_seconds += attach["seconds"]
+                self.stats.attached_slots += attach["slots"]
+                self.stats.attached_bytes += attach["bytes"]
             cache = payload.get("cache")
             if cache is not None:
                 for name, count in cache.items():
@@ -1010,9 +937,7 @@ class ParallelEngine:
                     )
         if metrics is not None:
             if attach is not None:
-                metrics.histogram(
-                    "parallel.attach_seconds", mode=attach["mode"]
-                ).observe(attach["seconds"])
+                metrics.histogram("parallel.attach_seconds").observe(attach["seconds"])
             if cache is not None:
                 for name, count in cache.items():
                     if count:
@@ -1041,8 +966,7 @@ class ParallelEngine:
         self._pool.shutdown(wait=True)
         with self._lock:
             while self._publications:
-                _, publication = self._publications.popitem(last=False)
-                publication.withdraw()
+                self._publications.popitem(last=False)[1].shared.close()
 
     def __enter__(self) -> "ParallelEngine":
         return self

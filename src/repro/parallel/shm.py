@@ -1,47 +1,47 @@
-"""Shared-memory data plane: publish a network once, attach everywhere.
+"""Shared-memory data plane: one segment per super-peer slot.
 
-Pool workers need the network's arrays, and get them without a copy:
+Pool workers need the network's arrays, and get them without a copy.
+A publication is laid out as one *slot* per super-peer, each slot one
+:class:`Segment`: for queries the slot holds that super-peer's store
+(coordinate block, ``f`` values, id arrays), which is all Algorithm 1
+scans; for the one pre-processing fan-out (``partitions=True``) it holds
+that super-peer's raw peer partitions instead.  A small picklable
+``manifest`` names every slot's segment, array layout and store
+generation, plus the non-array state (topology, cost model, epoch).
+Each side has one operation:
 
-* :func:`publish_network` writes what its consumer reads into one
-  :class:`Segment` — for queries every super-peer store (coordinate
-  block, ``f`` values, id arrays), which is all Algorithm 1 scans; for
-  the one pre-processing fan-out (``partitions=True``) every raw peer
-  partition instead — and returns a :class:`SharedNetwork` handle whose
-  small picklable ``manifest`` describes the layout plus the non-array
-  state (topology, cost model, epoch).
-* :func:`attach_network` maps the segment in a worker and rebuilds a
-  :class:`~repro.p2p.network.SuperPeerNetwork` whose
-  ``PointSet``/``SortedByF`` objects are zero-copy, read-only views over
-  the shared buffer — byte-identical to the parent's stores (no rebuild,
-  so even incrementally-updated stores attach exactly).  A network
-  attached from a query publication has stores and no peers.
+* :meth:`SharedNetwork.sync` writes a fresh segment for every live
+  super-peer whose generation differs from the manifest's, and retires
+  the segments of replaced and vanished slots.
+  :func:`publish_network` is a sync on an empty handle, so an update or
+  churn event republishes exactly the stores it touched.
+* :meth:`AttachedNetwork.sync` maps, in a worker, the slots whose
+  segment changed, drops the vanished ones and takes the manifest's
+  topology, mutating its :class:`~repro.p2p.network.SuperPeerNetwork` in
+  place: its ``PointSet``/``SortedByF`` objects are zero-copy, read-only
+  views over the slot buffers, byte-identical to the parent's stores (no
+  rebuild, so even incrementally-updated stores attach exactly), and
+  every untouched slot keeps its mapping.  :func:`attach_network` is a
+  sync on an empty network.  A network attached from a query
+  publication has stores and no peers.
 
-**Incremental republish.**  A query publication is laid out as one
-*slot per super-peer*: its store, nothing else.  When an update/churn
-event touches one super-peer, :meth:`SharedNetwork.republish` writes
-just that store into a small *overlay* segment and advances the
-manifest's per-slot generation counter plus a ``subepoch``; the base
-segment is never rewritten.  Workers holding an attached copy call
-:meth:`AttachedNetwork.refresh` to re-map only the changed slots —
-republished bytes and attach time scale with the touched stores, not
-the network.  Retired overlay segments are kept until
-:meth:`SharedNetwork.reap_retired` (or ``close``) unlinks them, so
-in-flight attaches never race an unlink.
+Retired segments are kept until :meth:`SharedNetwork.reap_retired` (or
+``close``) unlinks them, so in-flight attaches never race an unlink.
 
 **Where a segment lives.**  A segment is a file that :class:`Segment`
 creates, maps and unlinks itself — no helper process tracks it — so it
 can live wherever files map.  :func:`segment_directory` puts each new
-one (the base and every overlay, each on its own) in ``/dev/shm`` when
-that takes new files and has room for it, else in the temp directory:
-a host without ``/dev/shm``, or with one too small for the network (a
-default container's is 64 MB, and writing past a full tmpfs is a
-``SIGBUS``), runs the same plane over page-cache-backed files.  The
-manifest names every segment by its path and attachers open what it
-names; there is no other plane to fall back to.
+one, on its own, in ``/dev/shm`` when that takes new files and has room
+for it, else in the temp directory: a host without ``/dev/shm``, or with
+one too small for the network (a default container's is 64 MB, and
+writing past a full tmpfs is a ``SIGBUS``), runs the same plane over
+page-cache-backed files.  The manifest names every segment by its path
+and attachers open what it names; there is no other plane to fall back
+to.
 
 Lifecycle: the publisher owns its segments.  ``SharedNetwork`` is a
 context manager, registers an ``atexit`` unlink so an abandoned handle
-cannot leak a file past interpreter exit, and ``close(unlink=True)`` is
+cannot leak a file past interpreter exit, and ``close()`` is
 idempotent.  Workers only ever *attach*, never unlink, so a worker's
 exit cannot take a segment the parent still serves.  What a publisher
 killed outright leaves behind — segments, nothing else — the next
@@ -59,7 +59,6 @@ import mmap
 import os
 import secrets
 import tempfile
-from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
@@ -226,7 +225,7 @@ def _align(offset: int) -> int:
 
 
 class _Layout:
-    """Accumulates arrays into (offset, shape, dtype) slots."""
+    """Accumulates arrays into (offset, shape, dtype) entries."""
 
     def __init__(self) -> None:
         self.arrays: list[tuple[dict[str, Any], np.ndarray]] = []
@@ -257,15 +256,40 @@ def _write_arrays(segment: Segment, layout: _Layout) -> None:
         del view  # release the buffer export so close() stays legal
 
 
-def _pack_store(layout: _Layout, store: Any) -> dict[str, Any] | None:
-    """Append one super-peer's query slot: its store's three arrays."""
-    if store is None:
-        return None
-    return {
-        "values": layout.add(store.points.values),
-        "ids": layout.add(store.points.ids),
-        "f": layout.add(store.f),
+def _write_slot(
+    network: "SuperPeerNetwork", sp_id: int, partitions: bool
+) -> tuple[Segment, dict[str, Any]]:
+    """Write one super-peer's slot into a fresh segment; the segment and
+    the slot's manifest entry."""
+    layout = _Layout()
+    if partitions:
+        arrays: dict[str, Any] = {"peers": {}}
+        for peer_id in network.topology.peers_of[sp_id]:
+            data = network.peers[peer_id].data
+            arrays["peers"][peer_id] = {
+                "values": layout.add(data.values),
+                "ids": layout.add(data.ids),
+            }
+    else:
+        store = network.superpeers[sp_id].store
+        arrays = {"store": None if store is None else {
+            "values": layout.add(store.points.values),
+            "ids": layout.add(store.points.ids),
+            "f": layout.add(store.f),
+        }}
+    segment = _new_segment(layout.nbytes)
+    try:
+        _write_arrays(segment, layout)
+    except BaseException:
+        _release_segment(segment, unlink=True)
+        raise
+    slot = {
+        "segment": segment.path,
+        "generation": int(network.store_generations.get(sp_id, 0)),
+        "nbytes": layout.payload,
+        **arrays,
     }
+    return segment, slot
 
 
 def _release_segment(segment: Segment, unlink: bool = False) -> None:
@@ -279,88 +303,81 @@ def _release_segment(segment: Segment, unlink: bool = False) -> None:
 
 
 def manifest_data_nbytes(manifest: Mapping[str, Any]) -> int:
-    """Array bytes of the *current* data slots (a full republish's cost)."""
-    return int(sum(manifest.get("slot_nbytes", {}).values()))
+    """Array bytes of every live slot (what rewriting them all costs)."""
+    return sum(slot["nbytes"] for slot in manifest["slots"].values())
 
 
 class SharedNetwork:
-    """Parent-side handle of a published network (owns the segment)."""
+    """Parent-side handle of a publication: owns one segment per slot.
 
-    def __init__(self, segment: Segment, manifest: dict[str, Any]):
-        self._segment = segment
-        self.manifest = manifest
-        self._closed = False
-        #: live overlay segments, one per incrementally-republished slot
-        self._overlays: dict[int, Segment] = {}
-        #: superseded overlay segments awaiting ``reap_retired``
+    A fresh handle publishes nothing; :meth:`sync` brings it to a
+    network (:func:`publish_network` does both).  ``partitions`` picks
+    what every slot carries: the super-peer's store (queries) or its raw
+    peer partitions (the pre-processing fan-out).
+    """
+
+    def __init__(self, partitions: bool = False):
+        self.manifest: dict[str, Any] = {"partitions": partitions, "epoch": None, "slots": {}}
+        self._segments: dict[int, Segment] = {}
+        #: segments of replaced and vanished slots awaiting ``reap_retired``
         self._retired: list[Segment] = []
+        self._closed = False
         atexit.register(self.close)
 
     @property
-    def path(self) -> str:
-        """The base segment's file."""
-        return self.manifest["segment"]
+    def paths(self) -> list[str]:
+        """The live slots' segment files."""
+        return [segment.path for segment in self._segments.values()]
 
     @property
     def nbytes(self) -> int:
-        return self.manifest["nbytes"]
+        """Bytes of the live slots' segments, alignment padding included."""
+        return sum(len(segment.buf) for segment in self._segments.values())
 
-    @property
-    def subepoch(self) -> int:
-        """Incremental-republish counter (0 for a fresh publication)."""
-        return int(self.manifest.get("subepoch", 0))
+    def sync(self, network: "SuperPeerNetwork") -> list[int]:
+        """Bring the publication to ``network``; the super-peers rewritten.
 
-    def republish(self, network: "SuperPeerNetwork", touched: Iterable[int]) -> int:
-        """Republish only the ``touched`` super-peers' slots.
-
-        Writes each touched store into a fresh overlay segment, updates
-        the manifest *in place* (generations, ``peers_of``, ``epoch``,
-        ``subepoch``, overlay locations) and retires any overlay it
-        supersedes.  Returns the number of array bytes republished.  The
-        super-peer *set* must be unchanged — topology surgery
-        (``fail_superpeer``) needs a full :func:`publish_network` — and
-        the publication must be a query publication: the pre-processing
-        one is withdrawn after its fan-out, never refreshed.
+        Writes a fresh segment for every live super-peer whose store
+        generation differs from the manifest's (every one, on an empty
+        handle), retires the segments of replaced and vanished slots,
+        and swaps in a new manifest with the network's topology and
+        epoch.  A manifest is never mutated once made, so one handed to
+        a worker cannot tear.  If a write fails, the segments this call
+        made are removed and the publication stays as it was.
         """
         if self._closed:
-            raise RuntimeError("cannot republish a closed SharedNetwork")
-        manifest = self.manifest
-        if manifest["partitions"]:
-            raise ValueError("a pre-processing publication cannot be republished")
-        if set(network.superpeers) != {int(k) for k in manifest["generations"]}:
-            raise ValueError("super-peer set changed; a full publish is required")
-        republished = 0
-        for sp_id in sorted({int(sp) for sp in touched}):
-            if sp_id not in network.superpeers:
-                raise KeyError(f"unknown super-peer {sp_id}")
-            layout = _Layout()
-            store_slots = _pack_store(layout, network.superpeers[sp_id].store)
-            segment = _new_segment(layout.nbytes)
-            try:
-                _write_arrays(segment, layout)
-            except BaseException:
-                segment.close()
-                segment.unlink()
-                raise
-            old = self._overlays.pop(sp_id, None)
-            if old is not None:
-                self._retired.append(old)
-            self._overlays[sp_id] = segment
-            manifest["overlays"][sp_id] = {
-                "segment": segment.path,
-                "nbytes": layout.payload,
-                "store": store_slots,
-            }
-            manifest["generations"][sp_id] = int(network.store_generations.get(sp_id, 0))
-            manifest["slot_nbytes"][sp_id] = layout.payload
-            manifest["peers_of"][sp_id] = tuple(network.topology.peers_of[sp_id])
-            republished += layout.payload
-        manifest["epoch"] = network.epoch
-        manifest["subepoch"] = int(manifest.get("subepoch", 0)) + 1
-        return republished
+            raise RuntimeError("cannot sync a closed SharedNetwork")
+        partitions = self.manifest["partitions"]
+        old_slots = self.manifest["slots"]
+        slots: dict[int, dict[str, Any]] = {}
+        fresh: dict[int, Segment] = {}
+        try:
+            for sp_id in sorted(network.superpeers):
+                slot = old_slots.get(sp_id)
+                if slot is None or slot["generation"] != network.store_generations.get(sp_id, 0):
+                    fresh[sp_id], slot = _write_slot(network, sp_id, partitions)
+                slots[sp_id] = slot
+        except BaseException:
+            for segment in fresh.values():
+                _release_segment(segment, unlink=True)
+            raise
+        for sp_id in [sp for sp in self._segments if sp in fresh or sp not in slots]:
+            self._retired.append(self._segments.pop(sp_id))
+        self._segments.update(fresh)
+        topology = network.topology
+        self.manifest = {
+            "partitions": partitions,
+            "dimensionality": network.dimensionality,
+            "cost_model": dataclasses.asdict(network.cost_model),
+            "epoch": network.epoch,
+            "adjacency": {k: tuple(v) for k, v in topology.adjacency.items()},
+            "peers_of": {k: tuple(v) for k, v in topology.peers_of.items()},
+            "slots": slots,
+        }
+        return list(fresh)
 
     def reap_retired(self) -> int:
-        """Unlink overlay segments superseded by later ``republish`` calls.
+        """Unlink the segments later syncs replaced or dropped.
 
         Deferred so callers can quiesce attachers first (an unlink only
         breaks *new* attaches by path; existing mappings stay valid).
@@ -372,37 +389,34 @@ class SharedNetwork:
             reaped += 1
         return reaped
 
-    def close(self, unlink: bool = True) -> None:
-        """Release the mappings and (by default) remove the segments.
+    def close(self) -> None:
+        """Release and remove every segment, retired ones included.
 
         Idempotent; also de-registers the ``atexit`` hook so a closed
-        handle leaves no trace.  Retired overlays are always unlinked —
-        nothing can reference them once superseded.
+        handle leaves no trace.
         """
         if self._closed:
             return
         self._closed = True
         atexit.unregister(self.close)
+        self._retired.extend(self._segments.values())
+        self._segments.clear()
         self.reap_retired()
-        for segment in self._overlays.values():
-            _release_segment(segment, unlink=unlink)
-        self._overlays.clear()
-        _release_segment(self._segment, unlink=unlink)
 
     def __enter__(self) -> "SharedNetwork":
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.close(unlink=True)
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedNetwork(path={self.path!r}, nbytes={self.nbytes})"
+        return f"SharedNetwork(slots={len(self._segments)}, nbytes={self.nbytes})"
 
 
 def publish_network(
     network: "SuperPeerNetwork", partitions: bool = False
 ) -> SharedNetwork:
-    """Copy what a fan-out reads into one shared-memory segment.
+    """Copy what a fan-out reads into one segment per super-peer slot.
 
     A query publication (the default) carries each super-peer's store
     and nothing else — queries never read a raw partition.
@@ -410,71 +424,99 @@ def publish_network(
     the raw peer partitions the Section 5.3 fan-out builds stores
     *from*, and no stores.
     """
-    layout = _Layout()
-    partition_slots: dict[int, dict[str, Any]] = {}
-    stores: dict[int, dict[str, Any]] = {}
-    slot_nbytes: dict[int, int] = {}
-    for sp_id in sorted(network.superpeers):
-        start = layout.payload
-        if partitions:
-            for peer_id in network.topology.peers_of[sp_id]:
-                data = network.peers[peer_id].data
-                partition_slots[peer_id] = {
-                    "values": layout.add(data.values),
-                    "ids": layout.add(data.ids),
-                }
-        else:
-            store_slots = _pack_store(layout, network.superpeers[sp_id].store)
-            if store_slots is not None:
-                stores[sp_id] = store_slots
-        slot_nbytes[sp_id] = layout.payload - start
-    segment = _new_segment(layout.nbytes)
+    shared = SharedNetwork(partitions)
     try:
-        _write_arrays(segment, layout)
-        manifest: dict[str, Any] = {
-            "segment": segment.path,
-            "nbytes": layout.nbytes,
-            "dimensionality": network.dimensionality,
-            "epoch": network.epoch,
-            "adjacency": {k: tuple(v) for k, v in network.topology.adjacency.items()},
-            "peers_of": {k: tuple(v) for k, v in network.topology.peers_of.items()},
-            "cost_model": dataclasses.asdict(network.cost_model),
-            "partitions": partition_slots,
-            "stores": stores,
-            "generations": {
-                sp: int(network.store_generations.get(sp, 0)) for sp in network.superpeers
-            },
-            "subepoch": 0,
-            "overlays": {},
-            "slot_nbytes": slot_nbytes,
-        }
+        shared.sync(network)
     except BaseException:
-        segment.close()
-        segment.unlink()
+        shared.close()
         raise
-    return SharedNetwork(segment, manifest)
+    return shared
 
 
 class AttachedNetwork:
-    """Worker-side view: a network plus the mapping keeping it alive."""
+    """Worker-side view: a network over the slot segments it maps.
 
-    def __init__(
-        self,
-        network: "SuperPeerNetwork",
-        segment: Segment,
-        manifest: Mapping[str, Any] | None = None,
-        overlay_segments: Mapping[int, Segment] | None = None,
-    ):
-        self.network = network
-        self._segment = segment
-        self._closed = False
-        self._overlay_segments: dict[int, Segment] = dict(
-            overlay_segments or {}
+    A fresh one holds an empty network; :meth:`sync` maps a manifest
+    into it (:func:`attach_network` does both).
+    """
+
+    def __init__(self) -> None:
+        from ..p2p.network import SuperPeerNetwork
+        from ..p2p.topology import Topology
+
+        self.network = SuperPeerNetwork(
+            topology=Topology(adjacency={}, peers_of={}), peers={}, dimensionality=0
         )
-        self.subepoch = int(manifest.get("subepoch", 0)) if manifest is not None else 0
+        #: the epoch of the manifest last synced (``None`` before the first)
+        self.epoch: int | None = None
+        #: super-peer -> its mapped segment and the slot entry it maps
+        self._mapped: dict[int, tuple[Segment, Mapping[str, Any]]] = {}
+        self._closed = False
+
+    def sync(self, manifest: Mapping[str, Any]) -> dict[str, int]:
+        """Bring the network to ``manifest``, in place.
+
+        Maps the slots whose segment changed, drops the vanished ones and
+        takes the manifest's topology and epoch; every other slot keeps
+        its mapping (and any memoized scan keyed on its generation stays
+        hot).  Returns ``{"slots": n, "bytes": m}`` re-mapped.
+        """
+        from ..core.dataset import PointSet
+        from ..p2p.cost import CostModel
+        from ..p2p.node import Peer, SuperPeer
+        from ..p2p.topology import Topology
+
+        if self._closed:
+            raise RuntimeError("cannot sync a closed AttachedNetwork")
+        network = self.network
+        slots = manifest["slots"]
+        # Unmap everything stale before mapping anything: a peer may move
+        # between two replaced slots.
+        for sp_id in [
+            sp for sp, (segment, _) in self._mapped.items()
+            if sp not in slots or segment.path != slots[sp]["segment"]
+        ]:
+            segment, slot = self._mapped.pop(sp_id)
+            for peer_id in slot.get("peers", ()):
+                del network.peers[peer_id]
+            if sp_id in slots:
+                network.superpeers[sp_id].store = None
+            else:
+                del network.superpeers[sp_id]
+                del network.store_generations[sp_id]
+            _release_segment(segment)
+        network.dimensionality = manifest["dimensionality"]
+        network.cost_model = CostModel(**manifest["cost_model"])
+        remapped = nbytes = 0
+        for sp_id, slot in slots.items():
+            if sp_id in self._mapped:
+                continue
+            segment = Segment(slot["segment"])
+            self._mapped[sp_id] = (segment, slot)
+            superpeer = network.superpeers.setdefault(
+                sp_id, SuperPeer(superpeer_id=sp_id, dimensionality=network.dimensionality)
+            )
+            if "store" in slot:
+                superpeer.store = _store_view(segment, slot["store"])
+            for peer_id, arrays in slot.get("peers", {}).items():
+                network.peers[peer_id] = Peer(
+                    peer_id=peer_id,
+                    data=PointSet.from_trusted(
+                        _view(segment, arrays["values"]), _view(segment, arrays["ids"])
+                    ),
+                )
+            network.store_generations[sp_id] = slot["generation"]
+            remapped += 1
+            nbytes += slot["nbytes"]
+        network.topology = Topology(
+            adjacency={k: tuple(v) for k, v in manifest["adjacency"].items()},
+            peers_of={k: tuple(v) for k, v in manifest["peers_of"].items()},
+        )
+        network.epoch = self.epoch = manifest["epoch"]
+        return {"slots": remapped, "bytes": nbytes}
 
     def close(self) -> None:
-        """Drop the network and release the mapping (never unlinks).
+        """Drop the network and release the mappings (never unlinks).
 
         The caller drops its store views first: they hold no export
         on the buffer (see :meth:`Segment.close`), so nothing keeps the
@@ -484,58 +526,9 @@ class AttachedNetwork:
             return
         self._closed = True
         self.network = None
-        for segment in self._overlay_segments.values():
+        for segment, _ in self._mapped.values():
             _release_segment(segment)
-        self._overlay_segments.clear()
-        _release_segment(self._segment)
-
-    def refresh(self, manifest: Mapping[str, Any]) -> dict[str, Any]:
-        """Re-attach only the slots whose generation advanced.
-
-        ``manifest`` is a newer snapshot of the *same* publication (same
-        base segment, higher ``subepoch``).  The store of every changed
-        super-peer is swapped for zero-copy views over the new overlay
-        segment; untouched slots keep their existing mappings
-        (and any memoized scans keyed on their generation stay hot).
-        Returns ``{"slots": n, "bytes": m}`` for the re-attached delta.
-
-        Raises ``ValueError`` when the super-peer set differs — callers
-        must re-attach from scratch instead (the engine republishes in
-        full for topology surgery, so this only guards misuse).
-        """
-        if self._closed:
-            raise RuntimeError("cannot refresh a closed AttachedNetwork")
-        network = self.network
-        subepoch = int(manifest.get("subepoch", 0))
-        if subepoch == self.subepoch and int(manifest["epoch"]) == network.epoch:
-            return {"slots": 0, "bytes": 0}
-        generations = {int(k): int(v) for k, v in manifest.get("generations", {}).items()}
-        if set(generations) != set(network.superpeers):
-            raise ValueError("super-peer set changed; re-attach instead of refreshing")
-        overlays = {int(k): v for k, v in manifest.get("overlays", {}).items()}
-        peers_of = {int(k): tuple(v) for k, v in manifest["peers_of"].items()}
-        changed = [
-            sp_id
-            for sp_id in sorted(generations)
-            if generations[sp_id] != network.store_generations.get(sp_id)
-        ]
-        attached_bytes = 0
-        for sp_id in changed:
-            overlay = overlays.get(sp_id)
-            if overlay is None:  # pragma: no cover - defensive
-                raise ValueError(f"generation moved for super-peer {sp_id} with no overlay")
-            segment = Segment(overlay["segment"])
-            network.topology.peers_of[sp_id] = peers_of[sp_id]
-            network.superpeers[sp_id].store = _store_view(segment, overlay["store"])
-            old = self._overlay_segments.pop(sp_id, None)
-            self._overlay_segments[sp_id] = segment
-            if old is not None:
-                _release_segment(old)
-            network.store_generations[sp_id] = generations[sp_id]
-            attached_bytes += int(overlay.get("nbytes", 0))
-        network.epoch = int(manifest["epoch"])
-        self.subepoch = subepoch
-        return {"slots": len(changed), "bytes": attached_bytes}
+        self._mapped.clear()
 
     def __enter__(self) -> "SuperPeerNetwork":
         return self.network
@@ -551,9 +544,7 @@ def _view(segment: Segment, slot: Mapping[str, Any]) -> np.ndarray:
     )
 
 
-def _store_view(
-    segment: Segment, slots: Mapping[str, Any] | None
-) -> Any:
+def _store_view(segment: Segment, slots: Mapping[str, Any] | None) -> Any:
     """A store over its published arrays (``None`` where none was published)."""
     from ..core.dataset import PointSet
     from ..core.store import SortedByF
@@ -567,56 +558,17 @@ def _store_view(
 
 
 def attach_network(manifest: Mapping[str, Any]) -> AttachedNetwork:
-    """Rebuild a network as zero-copy views over a published segment.
+    """Map a publication into a fresh network of zero-copy views.
 
     The attached stores are the parent's exact arrays (same bytes, no
     re-sort, no re-preprocessing), so validation is skipped via the
     trusted constructors and the per-store invariants hold by
     construction.
     """
-    from ..core.dataset import PointSet
-    from ..p2p.cost import CostModel
-    from ..p2p.network import SuperPeerNetwork
-    from ..p2p.node import Peer
-    from ..p2p.topology import Topology
-
-    segment = Segment(manifest["segment"])
-    overlay_segments: dict[int, Segment] = {}
+    attached = AttachedNetwork()
     try:
-        overlays = {int(k): v for k, v in manifest.get("overlays", {}).items()}
-        for sp_id, overlay in overlays.items():
-            overlay_segments[sp_id] = Segment(overlay["segment"])
-        topology = Topology(
-            adjacency={int(k): tuple(v) for k, v in manifest["adjacency"].items()},
-            peers_of={int(k): tuple(v) for k, v in manifest["peers_of"].items()},
-        )
-        peers = {
-            int(peer_id): Peer(
-                peer_id=int(peer_id),
-                data=PointSet.from_trusted(
-                    _view(segment, slots["values"]), _view(segment, slots["ids"])
-                ),
-            )
-            for peer_id, slots in manifest["partitions"].items()
-        }
-        network = SuperPeerNetwork(
-            topology=topology,
-            peers=peers,
-            dimensionality=manifest["dimensionality"],
-            cost_model=CostModel(**manifest["cost_model"]),
-        )
-        for sp_id, slots in manifest["stores"].items():
-            network.superpeers[int(sp_id)].store = _store_view(segment, slots)
-        for sp_id, overlay in overlays.items():
-            network.superpeers[sp_id].store = _store_view(
-                overlay_segments[sp_id], overlay["store"]
-            )
-        network.epoch = manifest["epoch"]
-        for sp_id, gen in manifest.get("generations", {}).items():
-            network.store_generations[int(sp_id)] = int(gen)
+        attached.sync(manifest)
     except BaseException:
-        for overlay_segment in overlay_segments.values():
-            overlay_segment.close()
-        segment.close()
+        attached.close()
         raise
-    return AttachedNetwork(network, segment, manifest, overlay_segments)
+    return attached

@@ -27,8 +27,8 @@ end-to-end.
 * **Live updates** — the ``update`` admin op applies point
   inserts/deletes and peer joins/failures to the *served* network
   without a restart: with the engine backend it routes through
-  :meth:`~repro.parallel.ParallelEngine.apply_update`, so shm
-  publications refresh per-slot (sub-epoch republish) while queries
+  :meth:`~repro.parallel.ParallelEngine.apply_update`, so the shm
+  publication syncs only the touched super-peers' slots while queries
   keep flowing.
 * **Shutdown** — ``close()`` is idempotent: queued jobs are shed,
   running dispatches get ``shutdown_timeout`` to finish, every future

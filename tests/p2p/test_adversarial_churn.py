@@ -7,10 +7,9 @@ together, so each delete orphans as many entries as it can; the ops in
 between insert clusters of exact ties around a current store member.
 After every op:
 
-* every super-peer store holds :func:`~repro.p2p.workload.rebuild_reference`'s
-  rows (ids, values and ``f``), ``f``-sorted.  Only the order among rows
-  of equal ``f`` is left free: a splice puts a newcomer after its ties,
-  a rebuild orders them by list;
+* every super-peer store is :func:`~repro.p2p.workload.rebuild_reference`'s
+  byte for byte (ids, values and ``f``, in ``(f, id)`` order: a splice
+  and a rebuild both put exact ``f`` ties in id order);
 * every ledger entry's witness is a current member of the list the
   ledger shadows, and that member ext-dominates the entry's row;
 * no op fell back to the from-scratch rebuild.
@@ -77,20 +76,16 @@ def _tie_cluster(network: SuperPeerNetwork, rng: np.random.Generator) -> PointSe
     return PointSet(values, np.arange(start, start + len(values)))
 
 
-def _canonical(store) -> tuple[np.ndarray, ...]:
-    """The store's rows ordered by ``(f, id)``: a splice and a rebuild
-    may order rows of equal ``f`` differently."""
-    assert np.all(np.diff(store.f) >= 0)
-    order = np.lexsort((store.points.ids, store.f))
-    return store.points.ids[order], store.points.values[order], store.f[order]
+def _arrays(store) -> tuple[bytes, ...]:
+    return store.points.ids.tobytes(), store.points.values.tobytes(), store.f.tobytes()
 
 
 def _assert_exact(network: SuperPeerNetwork) -> None:
     reference = rebuild_reference(network)
     for sp_id, superpeer in network.superpeers.items():
-        live = _canonical(superpeer.require_store())
-        ref = _canonical(reference.superpeers[sp_id].require_store())
-        assert all(np.array_equal(a, b) for a, b in zip(live, ref))
+        live = superpeer.require_store()
+        assert np.all(np.diff(live.f) >= 0)
+        assert _arrays(live) == _arrays(reference.superpeers[sp_id].require_store())
     for ledger, members in _ledgers(network):
         position = {int(i): k for k, i in enumerate(members.ids)}
         for witness, row in zip(ledger.witnesses.tolist(), ledger.rows):

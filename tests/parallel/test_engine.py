@@ -226,6 +226,8 @@ class TestPersistentEngine:
         from repro.data.workload import Query
         from repro.p2p.network import SuperPeerNetwork
         from repro.parallel import ParallelEngine
+        from repro.skypeer.executor import execute_query
+        from repro.skypeer.variants import Variant
 
         network = SuperPeerNetwork.build(
             n_peers=6, points_per_peer=10, dimensionality=3, seed=0
@@ -235,29 +237,42 @@ class TestPersistentEngine:
             engine.run_queries(network, [query], ["FTPM"])
             assert engine.stats.publications == 1
             network.preprocess()  # bumps the epoch: stores were rebuilt
-            engine.run_queries(network, [query], ["FTPM"])
-            assert engine.stats.publications == 2
+            (pooled,) = engine.run_queries(network, [query], [Variant.FTPM])[Variant.FTPM]
+            # The same publication, every slot rewritten.
+            assert engine.stats.publications == 1
+            assert engine.stats.full_republishes == 1
+            assert engine.stats.republished_bytes == sum(
+                network.store_of(sp).nbytes for sp in network.superpeers
+            )
+            assert pooled.result_ids == execute_query(network, query, Variant.FTPM).result_ids
 
-    def test_only_query_publications_snapshot_their_manifest(self):
-        """A query publication can be republished in place, so its spec
-        holds a copy of the manifest; the pre-processing one is withdrawn
-        after its single fan-out, so its spec shares the manifest."""
+    def test_a_sync_leaves_the_handed_out_manifest_intact(self):
+        """A spec handed to workers shares its publication's manifest, and
+        a sync swaps in a new one instead of editing it, so a spec being
+        pickled while an update lands cannot tear."""
+        import copy
+
+        from repro.data.workload import Query
         from repro.p2p.network import SuperPeerNetwork
+        from repro.p2p.workload import fresh_points
         from repro.parallel import ParallelEngine
 
         network = SuperPeerNetwork.build(
-            n_peers=6, points_per_peer=10, dimensionality=3, seed=0
+            n_peers=12, n_superpeers=3, points_per_peer=10, dimensionality=3, seed=0
         )
-        with ParallelEngine(workers=1) as engine, engine._lock:
-            raw = engine._new_publication(network, partitions=True)
-            stores = engine._new_publication(network, partitions=False)
-            try:
-                assert raw.spec["manifest"] is raw.shared.manifest
-                assert stores.spec["manifest"] is not stores.shared.manifest
-                assert stores.spec["manifest"] == stores.shared.manifest
-            finally:
-                raw.withdraw()
-                stores.withdraw()
+        query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
+        with ParallelEngine(workers=1) as engine:
+            engine.run_queries(network, [query], ["FTPM"])
+            (publication,) = engine._publications.values()
+            spec = publication.spec
+            assert spec["manifest"] is publication.shared.manifest
+            handed_out = copy.deepcopy(spec["manifest"])
+            engine.apply_update(
+                network, "insert", peer_id=0, points=fresh_points(network, 2, seed=1)
+            )
+            assert spec["manifest"] == handed_out
+            assert publication.spec["manifest"] is publication.shared.manifest
+            assert publication.spec["manifest"]["epoch"] == network.epoch
 
 
 def _vmrss_kb(pid: int) -> int:

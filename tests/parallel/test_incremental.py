@@ -65,26 +65,28 @@ class TestRepublish:
         network = build_network()
         shared = publish_network(network)
         try:
-            before = copy.deepcopy(shared.manifest)
+            before = shared.manifest
+            handed_out = copy.deepcopy(before)
             target = sorted(network.superpeers)[0]
             peer_id = network.topology.peers_of[target][0]
             insert_points(network, peer_id, fresh_points(network, 3, seed=5))
-            nbytes = shared.republish(network, [target])
+            assert shared.sync(network) == [target]
             manifest = shared.manifest
-            assert manifest["subepoch"] == before["subepoch"] + 1
-            assert manifest["generations"][target] == before["generations"][target] + 1
-            assert nbytes == manifest["slot_nbytes"][target]
-            assert nbytes == network.store_of(target).nbytes
-            assert manifest["overlays"][target]["nbytes"] == nbytes
-            assert set(manifest["overlays"][target]) == {"segment", "nbytes", "store"}
-            overlay = manifest["overlays"][target]["segment"]
-            assert {shared.path, overlay} <= set(_shm_leaks())
-            assert os.path.dirname(shared.path) == segment_home.directory
-            assert os.path.dirname(overlay) == segment_home.directory
+            assert before == handed_out  # a handed-out manifest never changes
+            assert manifest["epoch"] == network.epoch
+            slot = manifest["slots"][target]
+            assert set(slot) == {"segment", "generation", "nbytes", "store"}
+            assert slot["generation"] == before["slots"][target]["generation"] + 1
+            assert slot["nbytes"] == network.store_of(target).nbytes
+            old = before["slots"][target]["segment"]
+            assert slot["segment"] != old
+            # The replaced segment is retired, not yet unlinked.
+            assert set(shared.paths) | {old} <= set(_shm_leaks())
+            assert old not in shared.paths
+            assert os.path.dirname(slot["segment"]) == segment_home.directory
             for sp in network.superpeers:
                 if sp != target:
-                    assert manifest["generations"][sp] == before["generations"][sp]
-                    assert sp not in manifest["overlays"]
+                    assert manifest["slots"][sp] is before["slots"][sp]
         finally:
             shared.close()
         assert _shm_leaks() == []
@@ -96,16 +98,26 @@ class TestRepublish:
             target = sorted(network.superpeers)[0]
             peer_id = network.topology.peers_of[target][0]
             insert_points(network, peer_id, fresh_points(network, 2, seed=6))
-            delta = shared.republish(network, [target])
+            (written,) = shared.sync(network)
+            delta = shared.manifest["slots"][written]["nbytes"]
             assert 0 < delta < manifest_data_nbytes(shared.manifest)
         finally:
             shared.close()
 
-    def test_preprocessing_publication_cannot_be_republished(self):
+    def test_preprocessing_publication_syncs_its_partitions(self):
         network = build_network()
         with publish_network(network, partitions=True) as shared:
-            with pytest.raises(ValueError):
-                shared.republish(network, [sorted(network.superpeers)[0]])
+            target = sorted(network.superpeers)[0]
+            join_peer(network, target, fresh_points(network, 5, seed=7))
+            assert shared.sync(network) == [target]
+            assert shared.reap_retired() == 1
+            with attach_network(shared.manifest) as attached:
+                assert set(attached.peers) == set(network.peers)
+                for peer_id, peer in network.peers.items():
+                    mirror = attached.peers[peer_id].data
+                    assert np.array_equal(mirror.values, peer.data.values)
+                    assert np.array_equal(mirror.ids, peer.data.ids)
+        assert _shm_leaks() == []
 
     def test_superseded_overlays_are_retired_not_leaked(self):
         network = build_network()
@@ -115,9 +127,10 @@ class TestRepublish:
             peer_id = network.topology.peers_of[target][0]
             for seed in (7, 8):
                 insert_points(network, peer_id, fresh_points(network, 1, seed=seed))
-                shared.republish(network, [target])
-            assert shared.reap_retired() == 1  # the first overlay, superseded
+                shared.sync(network)
+            assert shared.reap_retired() == 2  # both replaced slot segments
             assert shared.reap_retired() == 0
+            assert sorted(_shm_leaks()) == sorted(shared.paths)
         finally:
             shared.close()
         assert _shm_leaks() == []
@@ -129,7 +142,7 @@ class TestRepublishOffDevShm(TestRepublish):
 
 
 # ----------------------------------------------------------------------
-# slot refresh (worker side)
+# slot sync (worker side)
 # ----------------------------------------------------------------------
 @pytest.mark.usefixtures("segment_home")
 class TestRefresh:
@@ -139,14 +152,17 @@ class TestRefresh:
         attached = None
         try:
             attached = attach_network(shared.manifest)
+            stores = {sp: s.store for sp, s in attached.network.superpeers.items()}
             target = sorted(network.superpeers)[0]
             peer_id = network.topology.peers_of[target][0]
             insert_points(network, peer_id, fresh_points(network, 4, seed=9))
-            shared.republish(network, [target])
-            delta = attached.refresh(shared.manifest)
+            shared.sync(network)
+            delta = attached.sync(shared.manifest)
             assert delta["slots"] == 1
             assert delta["bytes"] == network.store_of(target).nbytes
-            assert list(attached._overlay_segments) == [target]
+            for sp, superpeer in attached.network.superpeers.items():
+                # Only the changed slot was re-mapped; the others kept theirs.
+                assert (superpeer.store is stores[sp]) == (sp != target)
             _attached_equals_network(attached, network)
         finally:
             if attached is not None:
@@ -160,28 +176,39 @@ class TestRefresh:
         attached = None
         try:
             attached = attach_network(shared.manifest)
-            assert attached.refresh(shared.manifest) == {"slots": 0, "bytes": 0}
+            assert attached.sync(shared.manifest) == {"slots": 0, "bytes": 0}
         finally:
             if attached is not None:
                 attached.close()
             shared.close()
 
-    def test_refresh_rejects_superpeer_set_surgery(self):
-        network = build_network()
+    def test_sync_follows_superpeer_set_surgery(self):
+        """A failed super-peer: the publisher rewrites the adopters' slots
+        and drops the dead one; the worker re-maps those, drops the dead
+        slot and takes the healed topology."""
+        network = build_network(n_superpeers=6)
         shared = publish_network(network)
         attached = None
         try:
             attached = attach_network(shared.manifest)
-            mangled = copy.deepcopy(shared.manifest)
-            mangled["subepoch"] += 1
-            doomed = sorted(mangled["generations"])[0]
-            del mangled["generations"][doomed]
-            with pytest.raises(ValueError):
-                attached.refresh(mangled)
+            doomed = sorted(network.superpeers)[-1]
+            adopters = sorted(set(fail_superpeer(network, doomed).adopters.values()))
+            assert len(adopters) < len(network.superpeers)  # "only" is tested
+            assert shared.sync(network) == adopters
+            assert doomed not in shared.manifest["slots"]
+            delta = attached.sync(shared.manifest)
+            assert delta["slots"] == len(adopters)
+            assert delta["bytes"] == sum(network.store_of(sp).nbytes for sp in adopters)
+            assert set(attached.network.superpeers) == set(network.superpeers)
+            assert attached.network.topology.adjacency == network.topology.adjacency
+            assert attached.network.store_generations == network.store_generations
+            _attached_equals_network(attached, network)
+            assert shared.reap_retired() == len(adopters) + 1  # the dead slot too
         finally:
             if attached is not None:
                 attached.close()
             shared.close()
+        assert _shm_leaks() == []
 
     def test_sequential_updates_converge_to_the_live_network(self):
         network = build_network()
@@ -191,12 +218,12 @@ class TestRefresh:
             attached = attach_network(shared.manifest)
             superpeers = sorted(network.superpeers)
             join_peer(network, superpeers[1], fresh_points(network, 5, seed=10))
-            shared.republish(network, [superpeers[1]])
-            attached.refresh(shared.manifest)
+            shared.sync(network)
+            attached.sync(shared.manifest)
             peer_id = network.topology.peers_of[superpeers[0]][0]
             insert_points(network, peer_id, fresh_points(network, 3, seed=11))
-            shared.republish(network, [superpeers[0]])
-            attached.refresh(shared.manifest)
+            shared.sync(network)
+            attached.sync(shared.manifest)
             _attached_equals_network(attached, network)
             assert attached.network.store_generations == network.store_generations
         finally:
@@ -244,23 +271,25 @@ class TestApplyUpdate:
                 network.store_of(sp).nbytes for sp in network.superpeers
             )
             (publication,) = engine._publications.values()
-            overlay = publication.shared.manifest["overlays"][touched]
-            assert overlay["nbytes"] == report.republished_bytes
+            slot = publication.shared.manifest["slots"][touched]
+            assert slot["nbytes"] == report.republished_bytes
             assert engine.stats.publications == publications_before
             assert engine.stats.incremental_republishes == 1
             assert engine.stats.updates_applied == 1
             assert engine.stats.republished_bytes == report.republished_bytes
+            attaches = engine.stats.attaches
+            slots = engine.stats.attached_slots
+            attached_bytes = engine.stats.attached_bytes
             # Post-update answers are byte-identical to a serial run on
             # the live (mutated) network.
             live = engine.run_queries(network, queries, [Variant.FTPM])[Variant.FTPM]
-            # Workers re-mapped exactly the republished slot, nothing else.
-            refreshes = [
-                e for e in engine.stats.attach_events if e["mode"] == "shm-delta"
-            ]
-            assert refreshes
-            for event in refreshes:
-                assert event["slots"] == 1
-                assert event["bytes"] == report.republished_bytes
+            # Every worker sync re-mapped exactly the republished slot.
+            syncs = engine.stats.attaches - attaches
+            assert syncs >= 1
+            assert engine.stats.attached_slots - slots == syncs
+            assert engine.stats.attached_bytes - attached_bytes == (
+                syncs * report.republished_bytes
+            )
             for query, execution in zip(queries, live):
                 reference = execute_query(network, query, Variant.FTPM)
                 assert np.array_equal(
@@ -272,22 +301,38 @@ class TestApplyUpdate:
                 assert np.array_equal(execution.result.f, reference.result.f)
         assert _shm_leaks() == []
 
-    def test_superpeer_failure_falls_back_to_full_republish(self):
-        network = build_network(n_superpeers=3)
+    def test_superpeer_failure_republishes_only_the_adopters(self):
+        network = build_network(n_superpeers=6)
         queries = self._queries(network)
         with ParallelEngine(2) as engine:
             engine.run_queries(network, queries, [Variant.FTPM])
+            (publication,) = engine._publications.values()
+            before = {
+                sp: slot["segment"] for sp, slot in publication.shared.manifest["slots"].items()
+            }
             doomed = sorted(network.superpeers)[-1]
             report = engine.apply_update(
                 network, "fail-superpeer", superpeer_id=doomed
             )
-            assert report.full_republish
-            assert engine.stats.full_republishes == 1
-            live = engine.run_queries(network, queries, [Variant.FTPM])[Variant.FTPM]
-            reference = execute_query(network, queries[0], Variant.FTPM)
-            assert np.array_equal(
-                live[0].result.points.ids, reference.result.points.ids
+            adopters = set(report.outcome.adopters.values())
+            assert adopters and set(network.superpeers) - adopters  # "only" is tested
+            assert not report.full_republish
+            assert engine.stats.full_republishes == 0
+            assert report.republished_bytes == sum(
+                network.store_of(sp).nbytes for sp in adopters
             )
+            after = publication.shared.manifest["slots"]
+            assert set(after) == set(before) - {doomed}
+            for sp, slot in after.items():
+                assert (slot["segment"] != before[sp]) == (sp in adopters), sp
+            # The dead and the replaced slots' segments are gone already.
+            assert not os.path.exists(before[doomed])
+            assert sorted(_shm_leaks()) == sorted(publication.shared.paths)
+            live = engine.run_queries(network, queries, [Variant.FTPM])[Variant.FTPM]
+            for query, execution in zip(queries, live):
+                reference = execute_query(network, query, Variant.FTPM)
+                assert execution.result_ids == reference.result_ids
+                assert execution.volume_bytes == reference.volume_bytes
         assert _shm_leaks() == []
 
     def test_update_on_unpublished_network_reports_no_bytes(self):
@@ -348,7 +393,9 @@ def test_query_publication_answers_every_variant(mp_start, monkeypatch):
         assert engine.start_method == mp_start
         pooled = engine.run_queries(network, queries, variants)
         (publication,) = engine._publications.values()
-        assert publication.spec["manifest"]["partitions"] == {}
+        manifest = publication.spec["manifest"]
+        assert not manifest["partitions"]
+        assert all("peers" not in slot for slot in manifest["slots"].values())
     for variant in variants:
         for query, run in zip(queries, pooled[variant]):
             reference = execute_query(network, query, variant)
@@ -372,8 +419,8 @@ def test_ledgers_and_segments_stay_proportional_to_their_payload():
     """200 updates retain what they hold, not a Python object per point.
 
     ``tracemalloc`` bytes attributed to ``core/ledger.py`` stay under
-    twice the ledger columns' ``nbytes``, and the engine keeps at most
-    the base segment plus one overlay per super-peer.
+    twice the ledger columns' ``nbytes``, and the engine keeps exactly
+    one segment per super-peer.
     """
     import tracemalloc
 
@@ -402,7 +449,7 @@ def test_ledgers_and_segments_stay_proportional_to_their_payload():
                 kind, kwargs = plan_op(network, op)
                 report = engine.apply_update(network, kind, **kwargs)
                 assert not report.full_republish
-                assert len(_shm_leaks()) <= 1 + len(network.superpeers)
+                assert len(_shm_leaks()) == len(network.superpeers)
             traced = sum(
                 stat.size
                 for stat in tracemalloc.take_snapshot()

@@ -146,8 +146,9 @@ class TestPlacement:
     def test_overlay_in_the_other_directory_attaches_and_refreshes(
         self, segment_home, monkeypatch
     ):
-        """Base where the host puts it, overlay in the temp directory: the
-        manifest names both and an attacher maps both."""
+        """One slot's segment rewritten into the temp directory, the
+        others where the host put them: the manifest names both places
+        and an attacher maps both."""
         import copy
 
         from repro.p2p.updates import insert_points
@@ -161,11 +162,11 @@ class TestPlacement:
             attached = attach_network(copy.deepcopy(shared.manifest))
             place_segments(monkeypatch.setattr, "/no-such-dev-shm")
             insert_points(net, net.topology.peers_of[sp][0], fresh_points(net, 2, seed=1))
-            shared.republish(net, [sp])
-            overlay = shared.manifest["overlays"][sp]["segment"]
-            assert os.path.dirname(overlay) == segment_home.tmpdir
-            assert os.path.dirname(shared.path) == segment_home.directory
-            assert attached.refresh(copy.deepcopy(shared.manifest))["slots"] == 1
+            assert shared.sync(net) == [sp]
+            slots = shared.manifest["slots"]
+            assert os.path.dirname(slots[sp]["segment"]) == segment_home.tmpdir
+            assert os.path.dirname(slots[other]["segment"]) == segment_home.directory
+            assert attached.sync(copy.deepcopy(shared.manifest))["slots"] == 1
             with attach_network(shared.manifest) as fresh:
                 for view in (attached.network, fresh):
                     for sp_id in (sp, other):
@@ -195,7 +196,10 @@ class TestRoundtrip:
     def test_attached_partitions_match(self, network):
         """The pre-processing publication: raw partitions, no stores."""
         with publish_network(network, partitions=True) as shared:
-            assert shared.manifest["stores"] == {}
+            assert shared.manifest["partitions"]
+            slots = shared.manifest["slots"].values()
+            assert all("store" not in slot for slot in slots)
+            assert {peer for slot in slots for peer in slot["peers"]} == set(network.peers)
             with attach_network(shared.manifest) as attached:
                 assert all(sp.store is None for sp in attached.superpeers.values())
                 assert set(attached.peers) == set(network.peers)
@@ -214,7 +218,9 @@ class TestRoundtrip:
             s.points.values.nbytes + s.points.ids.nbytes + s.f.nbytes for s in stores
         )
         with publish_network(network) as shared:
-            assert shared.manifest["partitions"] == {}
+            assert not shared.manifest["partitions"]
+            assert all("peers" not in slot for slot in shared.manifest["slots"].values())
+            assert len(shared.paths) == len(stores)  # one segment per slot
             assert manifest_data_nbytes(shared.manifest) == store_nbytes
             assert store_nbytes <= shared.nbytes < store_nbytes + 64 * 3 * len(stores)
             with attach_network(shared.manifest) as attached:
@@ -253,7 +259,7 @@ class TestRoundtrip:
         with publish_network(raw) as query_publication:
             assert manifest_data_nbytes(query_publication.manifest) == 0
         with publish_network(raw, partitions=True) as shared:
-            assert shared.manifest["stores"] == {}
+            assert all("store" not in slot for slot in shared.manifest["slots"].values())
             with attach_network(shared.manifest) as attached:
                 assert all(sp.store is None for sp in attached.superpeers.values())
                 result = attached.compute_superpeer_preprocess(
@@ -271,16 +277,18 @@ class TestRoundtripOffDevShm(TestRoundtrip):
 class TestLifecycle:
     def test_close_unlinks_segment(self, network, segment_home):
         shared = publish_network(network)
-        assert shared.path in segment_home.files()
-        assert os.path.dirname(shared.path) == segment_home.directory
+        paths = shared.paths
+        assert paths and set(paths) <= set(segment_home.files())
+        assert {os.path.dirname(path) for path in paths} == {segment_home.directory}
         shared.close()
-        assert shared.path not in segment_home.files()
+        assert not set(paths) & set(segment_home.files())
         shared.close()  # idempotent
 
     def test_context_manager_unlinks(self, network, segment_home):
         with publish_network(network) as shared:
-            assert shared.path in segment_home.files()
-        assert shared.path not in segment_home.files()
+            paths = shared.paths
+            assert paths and set(paths) <= set(segment_home.files())
+        assert not set(paths) & set(segment_home.files())
 
     def test_engine_close_unlinks_publications(self, network, segment_home):
         from repro.data.workload import Query
@@ -306,7 +314,7 @@ class TestLifecycle:
             "net = SuperPeerNetwork.build(n_peers=6, points_per_peer=10,"
             " dimensionality=3, seed=0)\n"
             "shared = publish_network(net)\n"
-            "print(os.getpid(), shared.path)\n"
+            "print(os.getpid(), *shared.paths)\n"
             "sys.stdout.flush()\n"
             # exit WITHOUT closing: the atexit hook must unlink
         )
@@ -315,9 +323,11 @@ class TestLifecycle:
             capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
-        pid, path = out.stdout.split()
-        assert os.path.dirname(path) == segment_home.directory
-        assert os.path.basename(path).startswith(f"repro-shm-{int(pid):x}-")
+        pid, *paths = out.stdout.split()
+        assert paths
+        for path in paths:
+            assert os.path.dirname(path) == segment_home.directory
+            assert os.path.basename(path).startswith(f"repro-shm-{int(pid):x}-")
         assert segment_home.files(int(pid)) == []
 
     def test_engine_interpreter_exit_unlinks(self, segment_home):
@@ -341,8 +351,9 @@ class TestLifecycle:
             capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
-        pid, path = out.stdout.split()
-        assert os.path.dirname(path) == segment_home.directory
+        pid, *paths = out.stdout.split()
+        assert paths
+        assert {os.path.dirname(path) for path in paths} == {segment_home.directory}
         assert segment_home.files(int(pid)) == []
 
     def test_fork_pool_starts_no_resource_tracker(self, segment_home):
@@ -363,7 +374,7 @@ class TestLifecycle:
             "engine.run_queries(net, [query], ['FTPM'])\n"
             "report = engine.apply_update(net, 'insert', peer_id=0,"
             " points=fresh_points(net, 2, seed=1))\n"
-            "assert report.republished_bytes > 0  # an overlay segment was made\n"
+            "assert report.republished_bytes > 0  # a slot segment was rewritten\n"
             "engine.run_queries(net, [query], ['FTPM'])\n"
             "shutdown_engines()\n"
             "assert resource_tracker._resource_tracker._pid is None\n"
@@ -391,9 +402,10 @@ class TestLifecycleOffDevShm(TestLifecycle):
     pass
 
 
-#: Publishes a network with everything a hard kill can strand — base
-#: segment, one overlay — writes the manifest to argv[1], says "ready"
-#: and waits for a line before closing properly.
+#: Publishes a network with everything a hard kill can strand — every
+#: slot's segment, one retired by a sync and not yet reaped — writes the
+#: manifest and those paths to argv[1], says "ready" and waits for a
+#: line before closing properly.
 _PUBLISHER = """
 import pickle, sys
 from repro.p2p.network import SuperPeerNetwork
@@ -401,13 +413,16 @@ from repro.p2p.updates import insert_points
 from repro.p2p.workload import fresh_points
 from repro.parallel.shm import publish_network
 
-net = SuperPeerNetwork.build(n_peers=6, points_per_peer=10, dimensionality=3, seed=0)
+net = SuperPeerNetwork.build(
+    n_peers=6, n_superpeers=2, points_per_peer=10, dimensionality=3, seed=0
+)
 shared = publish_network(net)
+published = shared.paths
 sp = net.topology.superpeer_ids[0]
 insert_points(net, net.topology.peers_of[sp][0], fresh_points(net, 2, seed=1))
-shared.republish(net, [sp])
+assert shared.sync(net) == [sp]
 with open(sys.argv[1], "wb") as handle:
-    pickle.dump(shared.manifest, handle)
+    pickle.dump((shared.manifest, sorted(set(published + shared.paths))), handle)
 print("ready", flush=True)
 sys.stdin.readline()
 shared.close()
@@ -434,14 +449,14 @@ class TestHardKill:
                 )
                 publishers.append(publisher)
                 assert publisher.stdout.readline() == "ready\n"
-                manifests.append(pickle.loads((tmp_path / role).read_bytes()))
-            victim, live = publishers
-            for manifest in manifests:
-                (overlay,) = manifest["overlays"].values()
-                expected.append(sorted([manifest["segment"], overlay["segment"]]))
-                assert {os.path.dirname(path) for path in expected[-1]} == {
+                manifest, stranded = pickle.loads((tmp_path / role).read_bytes())
+                manifests.append(manifest)
+                expected.append(stranded)
+                assert len(stranded) == len(manifest["slots"]) + 1  # one retired
+                assert {os.path.dirname(path) for path in stranded} == {
                     segment_home.directory
                 }
+            victim, live = publishers
             victim_segments, live_segments = expected
 
             victim.send_signal(signal.SIGKILL)
@@ -463,7 +478,7 @@ class TestHardKill:
             assert sweeper.returncode == 0, sweeper.stderr
             assert segment_home.files(victim.pid) == []
             assert segment_home.files(live.pid) == live_segments
-            with attach_network(manifests[1]) as attached:  # base and overlay map
+            with attach_network(manifests[1]) as attached:  # every slot maps
                 assert all(len(sp.store) for sp in attached.superpeers.values())
 
             live.stdin.write("done\n")

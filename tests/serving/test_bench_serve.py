@@ -80,9 +80,15 @@ class TestCliServe:
         self._signal_stops_pool(tmp_path, when, signal.SIGTERM)
 
     @needs_proc_and_shm
-    @pytest.mark.parametrize("when", ["preprocessing", "serving"])
-    def test_sigint_stops_pool_and_unlinks_shm(self, tmp_path, when):
-        self._signal_stops_pool(tmp_path, when, signal.SIGINT)
+    @pytest.mark.parametrize(
+        "when, ignored",
+        [("preprocessing", False), ("serving", False), ("serving", True)],
+        ids=["preprocessing", "serving", "serving-sigint-ignored"],
+    )
+    def test_sigint_stops_pool_and_unlinks_shm(self, tmp_path, when, ignored):
+        """Also when the server starts with SIGINT ignored, as a background
+        job of a non-interactive shell does: serve handles it anyway."""
+        self._signal_stops_pool(tmp_path, when, signal.SIGINT, ignored)
 
     @needs_proc_and_shm
     def test_sigkill_leaves_no_worker_behind(self, tmp_path):
@@ -120,14 +126,14 @@ class TestCliServe:
                 for path in directory.glob(f"repro-shm-{server.pid:x}-*"):
                     path.unlink()
 
-    def _signal_stops_pool(self, tmp_path, when, signum):
+    def _signal_stops_pool(self, tmp_path, when, signum, ignore_sigint=False):
         """On ``/dev/shm`` the server's segments are its only files: its
         own ``TMPDIR`` holds nothing of its making at any look and is
         empty once it has gone, so there is nothing a signal at a bad
         moment can strand."""
         # Pre-processing must outlast the poll below: ~1 s of it.
         size = ["800", "250", "8"] if when == "preprocessing" else ["24", "12", "4"]
-        server, tmpdir, port_file = _spawn_serve(tmp_path, size)
+        server, tmpdir, port_file = _spawn_serve(tmp_path, size, ignore_sigint)
 
         def segments() -> list[pathlib.Path]:
             return [
@@ -196,10 +202,11 @@ class TestCliServe:
                 path.unlink()
 
 
-def _spawn_serve(tmp_path, size):
+def _spawn_serve(tmp_path, size, ignore_sigint=False):
     """``serve --backend engine`` on ``size`` = (peers, points per peer,
-    dims), in a session of its own with a private ``TMPDIR``; returns the
-    process, that directory and the port file."""
+    dims), in a session of its own with a private ``TMPDIR`` (and, with
+    ``ignore_sigint``, exec'd with SIGINT ignored); returns the process,
+    that directory and the port file."""
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
     port_file = tmp_path / "gateway.addr"
@@ -207,15 +214,22 @@ def _spawn_serve(tmp_path, size):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
     )
+    command = [
+        sys.executable, "-m", "repro.cli", "serve",
+        "--peers", size[0], "--points-per-peer", size[1],
+        "--dims", size[2], "--backend", "engine", "--workers", "2",
+        "--port-file", str(port_file),
+    ]
+    if ignore_sigint:  # SIG_IGN survives exec, as it does for a shell's background job
+        command = [
+            sys.executable, "-c",
+            "import os, signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+            "os.execv(sys.argv[1], sys.argv[1:])",
+            *command,
+        ]
     with open(tmp_path / "server.log", "wb") as log:
         server = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--peers", size[0], "--points-per-peer", size[1],
-                "--dims", size[2], "--backend", "engine", "--workers", "2",
-                "--port-file", str(port_file),
-            ],
-            env=env, stdout=log, stderr=subprocess.STDOUT,
+            command, env=env, stdout=log, stderr=subprocess.STDOUT,
             start_new_session=True,
         )
     return server, tmpdir, port_file
