@@ -20,10 +20,8 @@ reproduction of every table and figure of the paper.
 
 from .core import (
     PointSet,
-    RangeConstraint,
     SkylineComputation,
     SortedByF,
-    constrained_subspace_skyline,
     extended_skyline,
     extended_skyline_points,
     local_subspace_skyline,
@@ -45,10 +43,8 @@ from .p2p import (
     join_peer,
 )
 from .skypeer import (
-    ConstrainedQuery,
     QueryExecution,
     Variant,
-    execute_constrained_query,
     execute_query,
     run_protocol,
     run_socket_query,
@@ -62,12 +58,10 @@ __all__ = [
     "PointSet",
     "SortedByF",
     "SkylineComputation",
-    "RangeConstraint",
     "extended_skyline",
     "extended_skyline_points",
     "subspace_skyline",
     "subspace_skyline_points",
-    "constrained_subspace_skyline",
     "local_subspace_skyline",
     "merge_sorted_skylines",
     # data
@@ -98,6 +92,4 @@ __all__ = [
     "execute_query",
     "run_protocol",
     "run_socket_query",
-    "ConstrainedQuery",
-    "execute_constrained_query",
 ]

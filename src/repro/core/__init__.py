@@ -1,6 +1,5 @@
 """The paper's core machinery: dominance, extended skylines, Algorithms 1 & 2."""
 
-from .constrained import RangeConstraint, constrained_subspace_skyline
 from .dataset import PointSet
 from .dominance import (
     dominates,
@@ -25,7 +24,6 @@ __all__ = [
     "SortedByF",
     "Subspace",
     "SkylineComputation",
-    "RangeConstraint",
     "dominates",
     "ext_dominates",
     "skyline_mask",
@@ -34,7 +32,6 @@ __all__ = [
     "extended_skyline_points",
     "subspace_skyline",
     "subspace_skyline_points",
-    "constrained_subspace_skyline",
     "local_subspace_skyline",
     "merge_sorted_skylines",
     "f_value",

@@ -26,7 +26,7 @@ from typing import ClassVar
 from ..core.dataset import PointSet
 from .network import SuperPeerNetwork
 from .node import Peer
-from .updates import UpdateOutcome, UpdateRejected, settle
+from .updates import UpdateOutcome, UpdateRejected, check_incoming, check_unheld, settle
 
 __all__ = ["SuperPeerFailure", "join_peer", "fail_peer", "fail_superpeer"]
 
@@ -47,11 +47,8 @@ def join_peer(
     if superpeer_id not in network.superpeers:
         raise UpdateRejected(f"unknown super-peer {superpeer_id}")
     superpeer = network.superpeers[superpeer_id]
-    if data.dimensionality != network.dimensionality:
-        raise ValueError(
-            f"joining peer has {data.dimensionality}-dim data, "
-            f"network is {network.dimensionality}-dim"
-        )
+    check_incoming(network, data)
+    check_unheld(network, data)
     if peer_id is None:
         peer_id = max(network.peers) + 1 if network.peers else 0
     if peer_id in network.peers:

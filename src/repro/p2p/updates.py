@@ -53,6 +53,7 @@ __all__ = [
     "UpdateRejected",
     "UpdateReport",
     "check_incoming",
+    "check_unheld",
     "insert_points",
     "delete_points",
 ]
@@ -160,14 +161,15 @@ def check_incoming(network: SuperPeerNetwork, points: PointSet) -> None:
     """Reject points the network's f-sorted stores cannot hold.
 
     The ingress check of every path that adds data to a live network
-    (``insert_points``, the gateway's ``update`` op): a NaN coordinate
-    has ``f = NaN``, which breaks the ``searchsorted`` splice order and
-    is never dominated — a wrong skyline rather than an error — and the
-    bulk ledger paths assume ids do not repeat within a batch.
+    (``insert_points``, ``join_peer``, the gateway's ``update`` op): a
+    NaN coordinate has ``f = NaN``, which breaks the ``searchsorted``
+    splice order and is never dominated — a wrong skyline rather than an
+    error — and the bulk ledger paths assume ids do not repeat within a
+    batch.
     """
     if points.dimensionality != network.dimensionality:
         raise ValueError(
-            f"inserting {points.dimensionality}-dim points into a "
+            f"adding {points.dimensionality}-dim points to a "
             f"{network.dimensionality}-dim network"
         )
     if not np.isfinite(points.values).all():
@@ -176,13 +178,29 @@ def check_incoming(network: SuperPeerNetwork, points: PointSet) -> None:
         raise ValueError("point ids repeat within the batch")
 
 
+def check_unheld(network: SuperPeerNetwork, points: PointSet) -> None:
+    """Reject point ids that any peer of the network already holds.
+
+    A point id names one point network-wide: a delete takes the id out
+    of the named peer's data and out of every store, so a second copy
+    at another peer would stay in the data while the stores lose it.
+    The held ids are looked up in the batch, not the batch in them:
+    ``np.isin`` sizes its table by the second array's id range, which
+    for the held ids can be millions.
+    """
+    held = np.concatenate(
+        [np.empty(0, np.int64)] + [peer.data.ids for peer in network.peers.values()]
+    )
+    clash = np.unique(held[np.isin(held, points.ids)])
+    if clash.size:
+        raise UpdateRejected(f"point ids already present: {clash[:5].tolist()}")
+
+
 def insert_points(network: SuperPeerNetwork, peer_id: int, points: PointSet) -> UpdateOutcome:
     """Add ``points`` to a peer; update stores by sorted splices."""
     peer = _get_peer(network, peer_id)
     check_incoming(network, points)
-    clash = points.ids[np.isin(points.ids, peer.data.ids)]
-    if clash.size:
-        raise UpdateRejected(f"point ids already present: {sorted(clash.tolist())[:5]}")
+    check_unheld(network, points)
     superpeer_id = network.topology.superpeer_of_peer(peer_id)
     superpeer = network.superpeers[superpeer_id]
 

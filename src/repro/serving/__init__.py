@@ -9,12 +9,11 @@ load explicitly, and dispatches onto the warm parallel engine.  See
 """
 
 from .client import GatewayClient, GatewayResponse
-from .gateway import GatewayConfig, GatewayStats, QueryGateway, TokenBucket
+from .gateway import GatewayConfig, GatewayStats, QueryGateway
 from .proto import (
     ERROR_BACKEND,
     ERROR_REQUEST,
     SHED_QUEUE_FULL,
-    SHED_RATE_LIMITED,
     SHED_SHUTDOWN,
     ProtocolError,
     decode_payload,
@@ -31,9 +30,7 @@ __all__ = [
     "ProtocolError",
     "QueryGateway",
     "SHED_QUEUE_FULL",
-    "SHED_RATE_LIMITED",
     "SHED_SHUTDOWN",
-    "TokenBucket",
     "decode_payload",
     "encode_payload",
 ]

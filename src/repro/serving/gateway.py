@@ -16,10 +16,9 @@ end-to-end.
   independent, so the dedup is exact, not approximate; the property
   suite asserts coalesced responses are byte-identical to serial
   uncoalesced execution.
-* **Admission control** — a token bucket (``rate``/``burst``) sheds
-  excess arrivals with ``rate_limited`` and a bounded job queue
-  (``max_pending``) sheds with ``queue_full``.  Shedding is an
-  explicit response frame, never a silent drop or a hang.
+* **Admission control** — a bounded job queue (``max_pending``)
+  sheds excess arrivals with ``queue_full``.  Shedding is an explicit
+  response frame, never a silent drop or a hang.
 * **Dispatch** — admitted jobs run on an executor thread through
   :func:`repro.skypeer.netexec.gateway_dispatch` (warm engine, serial,
   or the socket transport).  A job whose waiters all disconnect before
@@ -61,7 +60,6 @@ from .proto import (
     ERROR_BACKEND,
     ERROR_REQUEST,
     SHED_QUEUE_FULL,
-    SHED_RATE_LIMITED,
     SHED_SHUTDOWN,
     ProtocolError,
     decode_payload,
@@ -75,7 +73,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayStats",
     "QueryGateway",
-    "TokenBucket",
 ]
 
 _READ_CHUNK = 1 << 16
@@ -88,20 +85,18 @@ _READ_CHUNK = 1 << 16
 class GatewayConfig:
     """Gateway knobs; no environment variable sets them.
 
-    ``rate`` is the token-bucket refill in requests/second (``0`` means
-    unlimited) with ``burst`` tokens of headroom; ``max_pending`` bounds
-    the number of *distinct* jobs awaiting dispatch (coalesced waiters
-    do not count — they add no backend work).  ``request_timeout`` is
-    the per-connection read deadline: a client stalled mid-frame (the
-    slow-loris shape) or idle with nothing in flight is dropped when it
-    expires; a client merely waiting on its responses is not.
+    ``max_pending`` bounds the number of *distinct* jobs awaiting
+    dispatch (coalesced waiters do not count — they add no backend
+    work).  ``request_timeout`` is the per-connection read deadline: a
+    client stalled mid-frame (the slow-loris shape) or idle with nothing
+    in flight is dropped when it expires; a client merely waiting on its
+    responses is not.  ``max_frame_bytes`` bounds one frame, and with it
+    the coordinate bytes of a server-drawn ``random`` batch.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_pending: int = 64
-    rate: float = 0.0
-    burst: int = 32
     dispatchers: int = 4
     request_timeout: float = 30.0
     shutdown_timeout: float = 5.0
@@ -110,42 +105,12 @@ class GatewayConfig:
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError("max_pending must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be non-negative (0 = unlimited)")
-        if self.burst < 1:
-            raise ValueError("burst must be positive")
         if self.dispatchers < 1:
             raise ValueError("dispatchers must be positive")
         if self.request_timeout <= 0 or self.shutdown_timeout < 0:
             raise ValueError("timeouts must be positive")
         if self.max_frame_bytes < 64:
             raise ValueError("max_frame_bytes too small")
-
-
-class TokenBucket:
-    """Classic token bucket; ``rate <= 0`` disables the limit.
-
-    The clock is injectable so admission tests are deterministic —
-    time does not pass unless the test advances it.
-    """
-
-    def __init__(self, rate: float, burst: int, clock: Callable[[], float] = time.monotonic):
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._clock = clock
-        self._tokens = float(burst)
-        self._updated = clock()
-
-    def try_acquire(self) -> bool:
-        if self.rate <= 0:
-            return True
-        now = self._clock()
-        self._tokens = min(self.burst, self._tokens + (now - self._updated) * self.rate)
-        self._updated = now
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +133,6 @@ class GatewayStats:
     ok: int = 0
     executed: int = 0
     coalesce_hits: int = 0
-    shed_rate_limited: int = 0
     shed_queue_full: int = 0
     shed_shutdown: int = 0
     cancelled_jobs: int = 0
@@ -183,7 +147,7 @@ class GatewayStats:
 
     @property
     def shed_total(self) -> int:
-        return self.shed_rate_limited + self.shed_queue_full + self.shed_shutdown
+        return self.shed_queue_full + self.shed_shutdown
 
     def shed_rate(self) -> float:
         return self.shed_total / self.queries if self.queries else 0.0
@@ -257,7 +221,6 @@ class QueryGateway:
         dispatch: Callable[[Any, Query, Variant], Any] | None = None,
         executor: ThreadPoolExecutor | None = None,
         initiator: int | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ):
         self.network = network
         self.config = config if config is not None else GatewayConfig()
@@ -271,8 +234,6 @@ class QueryGateway:
         )
         if self.initiator not in network.superpeers:
             raise KeyError(f"unknown initiator super-peer {self.initiator}")
-        self._clock = clock
-        self._bucket = TokenBucket(self.config.rate, self.config.burst, clock)
         if dispatch is not None:
             self._dispatch = dispatch
         else:
@@ -362,12 +323,12 @@ class QueryGateway:
             self._finish(job, shed_payload(SHED_SHUTDOWN), shed=SHED_SHUTDOWN)
         # Waiters now all hold resolved futures; give them a moment to
         # write their response frames before connections close.
-        deadline = self._clock() + min(1.0, self.config.shutdown_timeout or 1.0)
-        while self._clock() < deadline:
+        deadline = time.monotonic() + min(1.0, self.config.shutdown_timeout or 1.0)
+        while time.monotonic() < deadline:
             tasks = [t for c in self._connections for t in c.tasks if not t.done()]
             if not tasks:
                 break
-            await asyncio.wait(tasks, timeout=max(0.01, deadline - self._clock()))
+            await asyncio.wait(tasks, timeout=max(0.01, deadline - time.monotonic()))
         for conn in list(self._connections):
             for task in list(conn.tasks):
                 task.cancel()
@@ -511,8 +472,13 @@ class QueryGateway:
             return
         try:
             kind, kwargs = self._parse_update(payload)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             await self._reject_update(conn, exc, request_id)
+            return
+        except Exception as exc:
+            # Anything else (a MemoryError, say) is the server's failure;
+            # it still gets a reply, so no update request goes unanswered.
+            await self._fail_update(conn, exc, request_id)
             return
         loop = asyncio.get_running_loop()
         try:
@@ -526,15 +492,7 @@ class QueryGateway:
             await self._reject_update(conn, exc, request_id)
             return
         except Exception as exc:
-            self.stats.backend_errors += 1
-            self._count("serving.backend_errors")
-            await self._write(
-                conn,
-                {
-                    **error_payload(f"{type(exc).__name__}: {exc}", ERROR_BACKEND),
-                    "id": request_id,
-                },
-            )
+            await self._fail_update(conn, exc, request_id)
             return
         self.stats.updates_applied += 1
         self._count("serving.updates_applied", kind=kind)
@@ -546,6 +504,14 @@ class QueryGateway:
         self.stats.protocol_errors += 1
         await self._write(
             conn, {**error_payload(f"bad update: {exc}", ERROR_REQUEST), "id": request_id}
+        )
+
+    async def _fail_update(self, conn: _Connection, exc: Exception, request_id: Any) -> None:
+        self.stats.backend_errors += 1
+        self._count("serving.backend_errors")
+        await self._write(
+            conn,
+            {**error_payload(f"{type(exc).__name__}: {exc}", ERROR_BACKEND), "id": request_id},
         )
 
     def _parse_update(self, payload: dict) -> tuple[str, dict[str, Any]]:
@@ -579,11 +545,14 @@ class QueryGateway:
 
         ``{"random": n, "seed": s, "dataset": ...}`` asks the server to
         generate ``n`` fresh points (ids allocated past the network's
-        current maximum); a list of coordinate rows — optionally wrapped
-        as ``{"values": [...], "ids": [...]}`` — ships them explicitly.
-        Explicit rows are checked here (finite, network-wide, ids unique
+        current maximum); ``n`` may draw no more coordinate bytes than
+        one frame (``max_frame_bytes``) can carry explicitly.  A list of
+        coordinate rows — optionally wrapped as ``{"values": [...],
+        "ids": [...]}`` — ships them explicitly.  Explicit rows are
+        checked here (the network's dimensionality, finite, ids unique
         within the batch) so a bad batch is a ``bad update`` protocol
-        error that never reaches the backend.
+        error that never reaches the backend; ids another peer already
+        holds are refused by the write itself (``UpdateRejected``).
         """
         import numpy as np
 
@@ -593,6 +562,11 @@ class QueryGateway:
             count = int(raw["random"])
             if count < 1:
                 raise ValueError("random point count must be positive")
+            if count * self.network.dimensionality * 8 > self.config.max_frame_bytes:
+                raise ValueError(
+                    f"random point count {count} exceeds one frame's "
+                    f"{self.config.max_frame_bytes} coordinate bytes"
+                )
             return fresh_points(
                 self.network,
                 count,
@@ -627,7 +601,7 @@ class QueryGateway:
     async def _serve_query(self, conn: _Connection, payload: dict, request_id: Any) -> None:
         self.stats.queries += 1
         self._count("serving.requests")
-        arrived = self._clock()
+        arrived = time.monotonic()
         admitted = self._admit(payload)
         if isinstance(admitted, dict):  # shed or error, already counted
             await self._write(conn, {**admitted, "id": request_id})
@@ -645,7 +619,7 @@ class QueryGateway:
         await self._write(conn, resp)
         if resp.get("status") == "ok":
             self.stats.ok += 1
-            latency = self._clock() - arrived
+            latency = time.monotonic() - arrived
             metrics = active_metrics()
             if metrics is not None:
                 metrics.histogram(
@@ -657,12 +631,9 @@ class QueryGateway:
         if self._closing:
             self._note_shed(SHED_SHUTDOWN)
             return shed_payload(SHED_SHUTDOWN)
-        if not self._bucket.try_acquire():
-            self._note_shed(SHED_RATE_LIMITED)
-            return shed_payload(SHED_RATE_LIMITED)
         try:
             query, variant = self._parse_query(payload)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             self.stats.protocol_errors += 1
             return error_payload(f"bad query: {exc}", ERROR_REQUEST)
         key = (
@@ -679,7 +650,7 @@ class QueryGateway:
         if self.queue_depth() >= self.config.max_pending:
             self._note_shed(SHED_QUEUE_FULL)
             return shed_payload(SHED_QUEUE_FULL)
-        job = _Job(key, query, variant, self._clock())
+        job = _Job(key, query, variant, time.monotonic())
         self._inflight[key] = job
         self.stats.inflight_keys_peak = max(
             self.stats.inflight_keys_peak, len(self._inflight)
@@ -703,9 +674,7 @@ class QueryGateway:
         return Query(subspace=tuple(subspace), initiator=self.initiator), variant
 
     def _note_shed(self, reason: str) -> None:
-        if reason == SHED_RATE_LIMITED:
-            self.stats.shed_rate_limited += 1
-        elif reason == SHED_QUEUE_FULL:
+        if reason == SHED_QUEUE_FULL:
             self.stats.shed_queue_full += 1
         else:
             self.stats.shed_shutdown += 1
@@ -729,7 +698,7 @@ class QueryGateway:
                 self._reap_abandoned(job)
                 continue
             job.started = True
-            started = self._clock()
+            started = time.monotonic()
             wall_started = time.perf_counter()
             try:
                 store = await loop.run_in_executor(self._executor, self._run_job, job)
@@ -750,7 +719,7 @@ class QueryGateway:
                     shed=None,
                 )
                 continue
-            elapsed = self._clock() - started
+            elapsed = time.monotonic() - started
             self.stats.executed += 1
             self._count("serving.executed", variant=job.variant.value)
             tracer = active_tracer()

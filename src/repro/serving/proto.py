@@ -39,9 +39,9 @@ Responses
     ``ids`` and the monotone ``f`` ordering, exactly as
     :class:`repro.core.store.SortedByF` carries them.
 ``{"id": ..., "status": "shed", "reason": ...}``
-    Load shedding: ``rate_limited`` (token bucket), ``queue_full``
-    (bounded admission queue), ``shutdown`` (gateway closing or the
-    request was abandoned before dispatch).
+    Load shedding: ``queue_full`` (bounded admission queue) or
+    ``shutdown`` (gateway closing or the request was abandoned before
+    dispatch).
 ``{"id": ..., "status": "error", "code": ..., "error": ...}``
     ``code`` says whose fault it was: ``request`` (an undecodable
     frame, an unknown op, a malformed query or update — sending it
@@ -59,7 +59,6 @@ __all__ = [
     "ERROR_BACKEND",
     "ERROR_REQUEST",
     "SHED_QUEUE_FULL",
-    "SHED_RATE_LIMITED",
     "SHED_SHUTDOWN",
     "ProtocolError",
     "decode_payload",
@@ -70,7 +69,6 @@ __all__ = [
     "shed_payload",
 ]
 
-SHED_RATE_LIMITED = "rate_limited"
 SHED_QUEUE_FULL = "queue_full"
 SHED_SHUTDOWN = "shutdown"
 

@@ -1,10 +1,5 @@
 """The SKYPEER distributed subspace-skyline engine (Algorithm 3)."""
 
-from .constrained import (
-    ConstrainedExecution,
-    ConstrainedQuery,
-    execute_constrained_query,
-)
 from .executor import Clock, QueryExecution, execute_query
 from .netexec import SocketOutcome, TransportReport, run_socket_query
 from .protocol import ProtocolNode, ProtocolOutcome, run_protocol
@@ -21,7 +16,4 @@ __all__ = [
     "SocketOutcome",
     "TransportReport",
     "run_socket_query",
-    "ConstrainedQuery",
-    "ConstrainedExecution",
-    "execute_constrained_query",
 ]

@@ -145,9 +145,7 @@ def execute_query(
         Optional strategy replacing the per-super-peer Algorithm 1 run,
         which is the paper's scan by default (as :func:`make_local_compute`
         builds it).  :class:`repro.parallel.engine.ScanMemo` replays
-        cached scans through it, and :mod:`repro.skypeer.constrained`
-        scans each store restricted to a box.  Ignored by the naive
-        baseline.
+        cached scans through it.  Ignored by the naive baseline.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
     return run_on_model_clocks(network, query, variant, local_compute=local_compute).execution

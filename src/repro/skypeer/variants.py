@@ -55,6 +55,8 @@ class Variant(str, Enum):
     @classmethod
     def parse(cls, name: str) -> "Variant":
         """Parse a (case-insensitive) mnemonic such as ``"ftpm"``."""
+        if not isinstance(name, str):
+            raise ValueError(f"variant must be a string, got {name!r}")
         try:
             return cls[name.upper()] if name.upper() in cls.__members__ else cls(name.lower())
         except (KeyError, ValueError):

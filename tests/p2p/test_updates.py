@@ -9,7 +9,8 @@ from repro.core.dataset import PointSet
 from repro.core.extended_skyline import extended_skyline_points, subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
-from repro.p2p.updates import delete_points, insert_points
+from repro.p2p.updates import UpdateRejected, delete_points, insert_points
+from repro.p2p.workload import apply_mutation
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
 from tests.conftest import network_state
@@ -79,6 +80,32 @@ class TestInsert:
                 network, peer_id, PointSet(rng.random((1, 4)), np.array([existing]))
             )
 
+    @pytest.mark.parametrize("kind", ["insert", "join"])
+    def test_an_id_another_peer_holds_is_rejected(self, kind):
+        """A point id names one point network-wide.  Were a second copy
+        accepted at another peer, deleting the id at the first peer would
+        take it out of every store while the copy's row stays in the
+        data: the answer would lose the all-zeros point."""
+        net = SuperPeerNetwork.build(
+            n_peers=20, points_per_peer=10, dimensionality=3, seed=1
+        )
+        a, b = min(net.peers), max(net.peers)
+        id0 = int(net.peers[a].data.ids[0])
+        copy = PointSet(np.zeros((1, 3)), np.array([id0]))
+        change = (
+            {"peer_id": b, "points": copy}
+            if kind == "insert"
+            else {"superpeer_id": net.topology.superpeer_of_peer(b), "data": copy}
+        )
+        before = network_state(net)
+        with pytest.raises(UpdateRejected, match=f"already present: \\[{id0}\\]"):
+            apply_mutation(net, kind, **change)
+        assert network_state(net) == before
+        apply_mutation(net, "delete", peer_id=a, point_ids=[id0])
+        query = Query(subspace=(0, 1), initiator=net.topology.superpeer_ids[0])
+        truth = subspace_skyline_points(net.all_points(), (0, 1)).id_set()
+        assert execute_query(net, query, Variant.FTPM).result_ids == truth
+
     def test_dimensionality_checked(self, network, rng):
         peer_id = next(iter(network.peers))
         with pytest.raises(ValueError, match="dim"):
@@ -100,8 +127,10 @@ class TestInsert:
     def test_bad_batches_are_rejected_before_any_mutation(
         self, network, values, ids, message
     ):
-        """A NaN row would get ``f = NaN`` and never be dominated."""
+        """A NaN row would get ``f = NaN`` and never be dominated; a
+        joining peer's data passes the same check as an insert."""
         peer_id = next(iter(network.peers))
+        superpeer_id = network.topology.superpeer_of_peer(peer_id)
         before = network_state(network)
         # ``from_trusted``: the checked constructor already refuses NaN.
         points = PointSet.from_trusted(
@@ -109,6 +138,8 @@ class TestInsert:
         )
         with pytest.raises(ValueError, match=message):
             insert_points(network, peer_id, points)
+        with pytest.raises(ValueError, match=message):
+            apply_mutation(network, "join", superpeer_id=superpeer_id, data=points)
         assert network_state(network) == before
 
     def test_pointset_refuses_nan(self):

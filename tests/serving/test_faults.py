@@ -294,6 +294,7 @@ class TestErrorCodes:
                         await client.query([]),
                         await client.request({"op": "shuffle"}),
                         await client.update("insert", points="nope"),
+                        await client.update("insert", peer_id=float("inf"), points="nope"),
                     ]
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(encode_frame(b"{not json"))
@@ -310,16 +311,43 @@ class TestErrorCodes:
         assert stats.protocol_errors == len(replies)
         assert stats.backend_errors == 0
 
+    def test_an_update_parse_failure_is_answered_as_backend(self, network, monkeypatch):
+        """An exception the request-error guards do not name (here a
+        ``MemoryError`` from a server-side draw) still gets a reply."""
+        import repro.serving.gateway as gateway_module
+
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(gateway_module, "fresh_points", exhausted)
+
+        async def scenario():
+            async with QueryGateway(network) as gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    reply = await client.update(
+                        "insert", peer_id=min(network.peers), points={"random": 1}
+                    )
+            return reply.payload, gateway.stats
+
+        reply, stats = run(bounded(scenario()))
+        assert reply["status"] == "error" and reply["code"] == ERROR_BACKEND, reply
+        assert reply["error"] == "MemoryError: cannot allocate"
+        assert stats.backend_errors == 1 and stats.updates_applied == 0
+
     @pytest.mark.parametrize("backend", ["serial", "engine"])
     def test_updates_the_stores_reject_are_request_errors(self, network, backend):
-        """An unknown peer or super-peer, ids the peer does not hold and
-        ids it already holds, a joining peer id already present and the
-        last super-peer's failure are the client's mistakes: a retry
-        cannot cure them, so they are coded ``request`` on either
-        backend, never ``backend``, and the network is left as it was."""
+        """An unknown peer or super-peer, ids the peer does not hold, ids
+        it or another peer already holds (inserted or brought by a
+        joining peer), a joining peer id already present and the last
+        super-peer's failure are the client's mistakes: a retry cannot
+        cure them, so they are coded ``request`` on either backend, never
+        ``backend``, and the network is left as it was."""
         from repro.parallel import ParallelEngine
 
-        peer = min(network.peers)
+        from tests.conftest import network_state
+
+        peer, other = min(network.peers), max(network.peers)
         held = int(network.peers[peer].data.ids[0])
         row = [0.5] * network.dimensionality
         superpeer = min(network.superpeers)
@@ -333,6 +361,12 @@ class TestErrorCodes:
              "does not hold points [10000000]"),
             (network, {"kind": "insert", "peer_id": peer,
                        "points": {"values": [row], "ids": [held]}}, "already present"),
+            (network, {"kind": "insert", "peer_id": other,
+                       "points": {"values": [row], "ids": [held]}},
+             f"point ids already present: [{held}]"),
+            (network, {"kind": "join", "superpeer_id": superpeer,
+                       "points": {"values": [row], "ids": [held]}},
+             f"point ids already present: [{held}]"),
             (network, {"kind": "fail", "peer_id": 10_000}, "unknown peer 10000"),
             (network, {"kind": "join", "superpeer_id": superpeer, "peer_id": peer,
                        "points": [row]}, f"peer id {peer} already present"),
@@ -343,7 +377,7 @@ class TestErrorCodes:
             (lone, {"kind": "fail-superpeer", "superpeer_id": min(lone.superpeers)},
              "cannot fail the last super-peer"),
         ]
-        epochs = {id(net): net.epoch for net in (network, lone)}
+        states = {id(net): network_state(net) for net in (network, lone)}
 
         async def scenario(engine):
             replies, stats = [], []
@@ -372,7 +406,7 @@ class TestErrorCodes:
         assert [s.protocol_errors for s in stats] == [len(cases) - 1, 1]
         assert sum(s.backend_errors for s in stats) == 0
         assert sum(s.updates_applied for s in stats) == 0
-        assert all(net.epoch == epochs[id(net)] for net in (network, lone))
+        assert all(network_state(net) == states[id(net)] for net in (network, lone))
 
 
 class TestShutdownFaults:

@@ -8,10 +8,10 @@ import threading
 import pytest
 
 from repro.serving.client import GatewayClient
-from repro.serving.gateway import GatewayConfig, QueryGateway, TokenBucket
+from repro.serving.gateway import GatewayConfig, QueryGateway
 from repro.serving.proto import (
+    ERROR_REQUEST,
     SHED_QUEUE_FULL,
-    SHED_RATE_LIMITED,
     encode_payload,
     result_payload,
 )
@@ -28,7 +28,6 @@ class TestGatewayConfig:
     def test_defaults_are_sane(self):
         config = GatewayConfig()
         assert config.max_pending >= 1
-        assert config.rate == 0.0  # unlimited by default
         assert config.dispatchers >= 1
         assert config.request_timeout > 0
 
@@ -36,34 +35,9 @@ class TestGatewayConfig:
         with pytest.raises(ValueError):
             GatewayConfig(max_pending=0)
         with pytest.raises(ValueError):
-            GatewayConfig(rate=-1.0)
-        with pytest.raises(ValueError):
             GatewayConfig(dispatchers=0)
         with pytest.raises(ValueError):
             GatewayConfig(request_timeout=0.0)
-
-
-class TestTokenBucket:
-    def test_unlimited_when_rate_zero(self):
-        bucket = TokenBucket(rate=0.0, burst=1, clock=lambda: 0.0)
-        assert all(bucket.try_acquire() for _ in range(1000))
-
-    def test_burst_then_refill(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=1.0, burst=2, clock=lambda: now[0])
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()  # burst exhausted, no time passed
-        now[0] = 1.0  # one second = one token at rate 1/s
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refill_caps_at_burst(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=3, clock=lambda: now[0])
-        now[0] = 1000.0
-        grabbed = sum(bucket.try_acquire() for _ in range(10))
-        assert grabbed == 3
 
 
 # ----------------------------------------------------------------------
@@ -86,27 +60,38 @@ class TestGatewayRequests:
         assert bogus.status == "error" and "explode" in bogus.payload["error"]
 
     def test_malformed_subspace_is_an_error_not_a_drop(self, network):
+        bad = [
+            {"subspace": []},
+            {"subspace": [99]},
+            {"subspace": [0], "variant": "XXXX"},
+            # not a string: each must get a reply, not a dead request task
+            {"subspace": [0], "variant": 5},
+            {"subspace": [0], "variant": None},
+            {"subspace": [0], "variant": ["x"]},
+            {"subspace": [float("inf")]},  # int() raises OverflowError
+        ]
+
         async def scenario():
             async with QueryGateway(network, config=GatewayConfig()) as gateway:
                 host, port = gateway.address
                 async with await GatewayClient.connect(host, port) as client:
-                    empty = await client.request({"op": "query", "subspace": []})
-                    out_of_range = await client.request(
-                        {"op": "query", "subspace": [99]}
-                    )
-                    bad_variant = await client.request(
-                        {"op": "query", "subspace": [0], "variant": "XXXX"}
-                    )
-                    # connection still usable after three bad requests
-                    good = await client.query([0, 1])
-            return empty, out_of_range, bad_variant, good, gateway.stats
+                    replies = [
+                        await asyncio.wait_for(
+                            client.request({"op": "query", **fields}), timeout=10.0
+                        )
+                        for fields in bad
+                    ]
+                    # connection still usable after the bad requests
+                    good = await asyncio.wait_for(client.query([0, 1]), timeout=10.0)
+            return replies, good, gateway.stats
 
-        empty, out_of_range, bad_variant, good, stats = run(scenario())
-        assert empty.status == "error"
-        assert out_of_range.status == "error"
-        assert bad_variant.status == "error"
+        replies, good, stats = run(scenario())
+        for reply in replies:
+            assert reply.status == "error", reply.payload
+            assert reply.payload["code"] == ERROR_REQUEST, reply.payload
+            assert reply.payload["error"].startswith("bad query: "), reply.payload
         assert good.ok
-        assert stats.protocol_errors == 3
+        assert stats.protocol_errors == len(bad)
 
     def test_result_matches_serial_execution(self, network):
         async def scenario():
@@ -156,25 +141,6 @@ class TestGatewayRequests:
 
 
 class TestAdmissionControl:
-    def test_rate_limit_sheds_explicitly(self, network):
-        now = [0.0]
-        config = GatewayConfig(rate=1.0, burst=1)
-
-        async def scenario():
-            gateway = QueryGateway(network, config=config, clock=lambda: now[0])
-            async with gateway:
-                host, port = gateway.address
-                async with await GatewayClient.connect(host, port) as client:
-                    first = await client.query([0])
-                    second = await client.query([1])
-            return first, second, gateway.stats
-
-        first, second, stats = run(scenario())
-        assert first.ok
-        assert second.status == "shed"
-        assert second.shed_reason == SHED_RATE_LIMITED
-        assert stats.shed_rate_limited == 1
-
     def test_full_queue_sheds_explicitly(self, network):
         release = threading.Event()
 
@@ -402,8 +368,9 @@ class TestUpdateOp:
         assert stats.updates_applied == 0
 
     def test_bad_point_batches_are_protocol_errors(self):
-        """NaN/inf rows, a wrong row width and ids repeated within the
-        batch are ``bad update`` responses that never reach the backend."""
+        """NaN/inf rows, a wrong row width, ids repeated within the batch
+        and a server-drawn count past one frame's coordinate bytes are
+        ``bad update`` responses that never reach the backend."""
         from tests.conftest import network_state
 
         from .conftest import build_network
@@ -419,6 +386,8 @@ class TestUpdateOp:
             [[float("inf")] + [0.5] * (d - 1)],
             [[0.5] * (d + 1)],
             {"values": [[0.1] * d, [0.2] * d], "ids": [7000, 7000]},
+            # more coordinate bytes than one frame carries
+            {"random": 10**10},
         ]
 
         async def scenario():
@@ -426,12 +395,18 @@ class TestUpdateOp:
                 host, port = gateway.address
                 async with await GatewayClient.connect(host, port) as client:
                     responses = [
-                        await client.update("insert", peer_id=peer_id, points=batch)
+                        await asyncio.wait_for(
+                            client.update("insert", peer_id=peer_id, points=batch),
+                            timeout=10.0,
+                        )
                         for batch in batches
                     ]
                     responses.append(
-                        await client.update(
-                            "join", superpeer_id=superpeer_id, points=batches[0]
+                        await asyncio.wait_for(
+                            client.update(
+                                "join", superpeer_id=superpeer_id, points=batches[0]
+                            ),
+                            timeout=10.0,
                         )
                     )
             return responses, gateway.stats

@@ -1,8 +1,7 @@
 """One end-to-end scenario composing the whole public surface.
 
-Build → query (all variants, tree-routed and flooded) → constrained query →
-churn + data updates → persist → reload →
-re-verify.  Everything is checked against brute-force oracles at every
+Build → query (all variants, tree-routed and flooded) → churn + data
+updates → persist → reload → re-verify.  Everything is checked against brute-force oracles at every
 stage; if this test is green the README's promises hold together, not
 just piecewise.
 """
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.constrained import RangeConstraint
 from repro.p2p.churn import fail_superpeer
 from repro.skypeer.protocol import run_protocol
 
@@ -35,16 +33,6 @@ def test_full_story(tmp_path):
     for variant in repro.Variant:
         assert repro.execute_query(net, query, variant).result_ids == oracle((0, 2, 4))
         assert run_protocol(net, query, variant).result_ids == oracle((0, 2, 4))
-
-    # --- constrained -------------------------------------------------
-    constraint = RangeConstraint.from_dict({0: (0.25, 0.9)})
-    cq = repro.ConstrainedQuery(subspace=(0, 1), initiator=query.initiator,
-                                constraint=constraint)
-    c_run = repro.execute_constrained_query(net, cq)
-    c_truth = repro.constrained_subspace_skyline(
-        net.all_points(), (0, 1), constraint
-    ).id_set()
-    assert c_run.used_full_data and c_run.result_ids == c_truth
 
     # --- churn + updates ----------------------------------------------
     event = repro.join_peer(

@@ -28,12 +28,6 @@ class TestExports:
         ext = repro.extended_skyline_points(points)
         assert sky.id_set() <= ext.id_set()
 
-    def test_constrained_query_exported(self, rng):
-        points = repro.PointSet(rng.random((50, 3)))
-        constraint = repro.RangeConstraint.from_dict({0: (0.0, 0.5)})
-        out = repro.constrained_subspace_skyline(points, (0, 1), constraint)
-        assert all(v[0] <= 0.5 for _i, v in out)
-
     def test_churn_exported(self):
         net = repro.SuperPeerNetwork.build(
             n_peers=10, points_per_peer=10, dimensionality=3, seed=1
