@@ -1,9 +1,9 @@
 """Ablation: the centralized skyline paths the package keeps, head-to-head.
 
-BNL (the naive baseline's kernel), the sum-sorted ``skyline_mask``
-oracle and Algorithm 1 on uniform and anticorrelated data.
-Anticorrelated data blows the skyline up and separates the window-based
-BNL from the sorted paths.
+BNL (the naive baseline's kernel), ``skyline_mask`` (the skyline
+filter's dominance form over the whole input) and Algorithm 1 on
+uniform and anticorrelated data.  Anticorrelated data blows the skyline
+up and separates the window-based BNL from the other two.
 All of them must agree exactly — that assertion is the real point.
 """
 

@@ -23,7 +23,6 @@ from .core import (
     SkylineComputation,
     SortedByF,
     extended_skyline,
-    extended_skyline_points,
     local_subspace_skyline,
     merge_sorted_skylines,
     subspace_skyline,
@@ -59,7 +58,6 @@ __all__ = [
     "SortedByF",
     "SkylineComputation",
     "extended_skyline",
-    "extended_skyline_points",
     "subspace_skyline",
     "subspace_skyline_points",
     "local_subspace_skyline",

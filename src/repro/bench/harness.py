@@ -15,12 +15,9 @@ serial loop's order, so the statistics are identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from ..parallel import ParallelEngine
 
 from ..data.workload import Query, generate_workload
 from ..obs.runtime import active_metrics
@@ -119,27 +116,23 @@ def run_queries(
     queries: Sequence[Query],
     variants: Iterable[Variant | str],
     workers: int | None = None,
-    engine: "ParallelEngine | None" = None,
 ) -> dict[Variant, VariantStats]:
     """Execute every query under every variant and aggregate.
 
     ``workers`` > 1 distributes the independent (query, variant)
     executions over the persistent process-pool engine; ``None``
-    consults the ambient default (serial when unset).  An explicit
-    ``engine`` (see :func:`repro.parallel.get_engine`) pins the pool —
-    sweeps pass one so the workers and their attached-network caches
-    survive across calls.  Results, work counts and metric counter
-    totals are identical to a serial run.
+    consults the ambient default (serial when unset).  Results, work
+    counts and metric counter totals are identical to a serial run.
     """
     variant_list = [
         Variant.parse(v) if isinstance(v, str) else v for v in variants
     ]
-    n_workers = engine.workers if engine is not None else resolve_workers(workers)
+    n_workers = resolve_workers(workers)
     if n_workers > 1 and queries:
         from ..parallel import run_queries_parallel
 
         runs_by_variant = run_queries_parallel(
-            network, list(queries), variant_list, n_workers, engine=engine
+            network, list(queries), variant_list, n_workers
         )
     else:
         runs_by_variant = {

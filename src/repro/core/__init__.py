@@ -4,12 +4,10 @@ from .dataset import PointSet
 from .dominance import (
     dominates,
     ext_dominates,
-    extended_skyline_mask,
     skyline_mask,
 )
 from .extended_skyline import (
     extended_skyline,
-    extended_skyline_points,
     subspace_skyline,
     subspace_skyline_points,
 )
@@ -27,9 +25,7 @@ __all__ = [
     "dominates",
     "ext_dominates",
     "skyline_mask",
-    "extended_skyline_mask",
     "extended_skyline",
-    "extended_skyline_points",
     "subspace_skyline",
     "subspace_skyline_points",
     "local_subspace_skyline",

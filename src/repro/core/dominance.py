@@ -14,10 +14,10 @@ pivot cells plus a rank-bitset kernel.  Its dominance form is pass two of
 Algorithms 1 and 2; its ext-dominance form is every ext-skyline
 (:func:`repro.core.extended_skyline.ext_skyline_positions`), and the
 kernel's witness form, :func:`find_witnesses`, serves the eviction
-ledgers.  So ext-domination is one kernel plus one oracle, the sum-sorted
-scan behind :func:`extended_skyline_mask`, which no served path calls.
-:func:`batch_dominated_any` and :func:`dominated_mask` test dominance
-between given row sets.
+ledgers.  So every skyline in the library, of either relation, is that
+one filter; :func:`skyline_mask` is its dominance form over a whole
+input.  :func:`batch_dominated_any` and :func:`dominated_mask` test
+dominance between given row sets.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "ext_dominates",
     "dominated_mask",
     "skyline_mask",
-    "extended_skyline_mask",
     "find_witnesses",
 ]
 
@@ -127,88 +126,15 @@ def dominated_mask(candidates: np.ndarray, p: np.ndarray) -> np.ndarray:
 def skyline_mask(values: np.ndarray, subspace: Sequence[int] | None = None) -> np.ndarray:
     """Boolean mask of skyline rows of ``values`` on ``subspace``.
 
-    A straightforward sort-filter computation: rows are visited in
-    ascending order of their coordinate sum on the subspace (a monotone
-    function, so no visited row can be dominated by a later one) and
-    compared against the skyline found so far.  This is the library's
-    reference (and reasonably fast) centralized skyline and serves as
-    the correctness oracle for everything else.
+    The dominance form of the skyline filter (:func:`_skyline_filter`)
+    over the projected rows: the centralized skyline, with no scan's
+    stop rule in front of it.
     """
-    return _sorted_filter_mask(values, subspace, strict=False)
-
-
-def extended_skyline_mask(
-    values: np.ndarray, subspace: Sequence[int] | None = None
-) -> np.ndarray:
-    """Boolean mask of *extended* skyline rows (paper, Definition 1)."""
-    return _sorted_filter_mask(values, subspace, strict=True)
-
-
-def _sorted_filter_mask(
-    values: np.ndarray, subspace: Sequence[int] | None, strict: bool
-) -> np.ndarray:
     values = _as_f64(values)
     proj = values if subspace is None else values[:, list(subspace)]
-    kept_idx = sum_sorted_skyline_positions(proj, strict=strict)
     mask = np.zeros(values.shape[0], dtype=bool)
-    mask[kept_idx] = True
+    mask[_skyline_filter(proj, ext=False)[0]] = True
     return mask
-
-
-def sum_sorted_skyline_positions(proj: np.ndarray, strict: bool = False) -> list[int]:
-    """Positions of the skyline rows of ``proj`` via a sum-sorted scan.
-
-    Rows are visited in ascending coordinate-sum order, so no visited
-    row can be dominated by a *later-sum* row.  Floating-point caveat:
-    a dominator's sum is ``<=`` the dominated row's (float addition is
-    monotone under a fixed summation order) but can *tie* it exactly
-    when the margin underflows the sum's precision — so rows sharing a
-    sum are resolved as a group with a pairwise dominance pass instead
-    of relying on their order.  (Found by hypothesis; regression tests
-    cover the subnormal-margin case.)
-    """
-    n = proj.shape[0]
-    sums = proj.sum(axis=1)
-    order = np.argsort(sums, kind="stable")
-    kept = np.empty_like(proj)
-    kept_idx: list[int] = []
-    kept_count = 0
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and sums[order[j]] == sums[order[i]]:
-            j += 1
-        group = order[i:j]
-        rows = proj[group]
-        if kept_count:
-            if strict:
-                dominated = np.any(
-                    np.all(kept[:kept_count][None, :, :] < rows[:, None, :], axis=2), axis=1
-                )
-            else:
-                less_eq = np.all(kept[:kept_count][None, :, :] <= rows[:, None, :], axis=2)
-                less = np.any(kept[:kept_count][None, :, :] < rows[:, None, :], axis=2)
-                dominated = np.any(less_eq & less, axis=1)
-            group = group[~dominated]
-            rows = proj[group]
-        if group.size > 1:
-            # Equal-sum rows may dominate each other; resolve pairwise.
-            if strict:
-                dom = np.all(rows[None, :, :] < rows[:, None, :], axis=2)
-            else:
-                le = np.all(rows[None, :, :] <= rows[:, None, :], axis=2)
-                dom = le & ~le.T
-            winners = ~np.any(dom, axis=1)
-            group = group[winners]
-            rows = proj[group]
-        if group.size:
-            while kept_count + group.size > kept.shape[0]:
-                kept = np.concatenate([kept, np.empty_like(kept)], axis=0)
-            kept[kept_count : kept_count + group.size] = rows
-            kept_count += group.size
-            kept_idx.extend(int(g) for g in group)
-        i = j
-    return kept_idx
 
 
 # ----------------------------------------------------------------------

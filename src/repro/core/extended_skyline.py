@@ -16,9 +16,10 @@ of the pivot-partitioned filter
 (:func:`repro.core.dominance._skyline_filter`), and every ext-skyline in
 the system — a peer's upload, a
 super-peer's store, a join's merge, a rebuild — goes through it
-(:func:`ext_skyline_scan`, :func:`merge_ext_skylines`).  The direct
-sum-sorted mask (:func:`extended_skyline_points`) stays as an oracle
-for bulk analytics.
+(:func:`ext_skyline_scan`, :func:`merge_ext_skylines`,
+:func:`extended_skyline`).  So ext-domination has one kernel and no
+second algorithm beside it; the tests check it against a quadratic
+oracle of their own.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PointSet
-from .dominance import _skyline_filter, extended_skyline_mask, skyline_mask
+from .dominance import _skyline_filter, skyline_mask
 from .local_skyline import SkylineComputation, local_subspace_skyline
 from .store import SortedByF
 from .subspace import full_space, normalize_subspace
@@ -39,7 +40,6 @@ __all__ = [
     "ext_skyline_positions",
     "ext_skyline_scan",
     "extended_skyline",
-    "extended_skyline_points",
     "merge_ext_skylines",
     "subspace_skyline",
     "subspace_skyline_points",
@@ -127,15 +127,6 @@ def extended_skyline(
     return ext_skyline_scan(SortedByF.from_points(points), cols)
 
 
-def extended_skyline_points(
-    points: PointSet, subspace: Sequence[int] | None = None
-) -> PointSet:
-    """``ext-SKY_U`` via the direct vectorized mask (order-preserving)."""
-    d = points.dimensionality
-    cols = None if subspace is None else normalize_subspace(subspace, d)
-    return points.mask(extended_skyline_mask(points.values, cols))
-
-
 def subspace_skyline(points: PointSet, subspace: Sequence[int]) -> SkylineComputation:
     """Centralized ``SKY_U`` with the threshold-based scan (Algorithm 1)."""
     cols = normalize_subspace(subspace, points.dimensionality)
@@ -144,6 +135,7 @@ def subspace_skyline(points: PointSet, subspace: Sequence[int]) -> SkylineComput
 
 
 def subspace_skyline_points(points: PointSet, subspace: Sequence[int]) -> PointSet:
-    """Centralized ``SKY_U`` via the direct vectorized mask."""
+    """Centralized ``SKY_U`` via :func:`repro.core.dominance.skyline_mask`
+    (order-preserving)."""
     cols = normalize_subspace(subspace, points.dimensionality)
     return points.mask(skyline_mask(points.values, cols))

@@ -1065,15 +1065,13 @@ def run_queries_parallel(
     queries: Sequence["Query"],
     variants: Sequence["Variant"],
     workers: int,
-    engine: ParallelEngine | None = None,
 ) -> dict["Variant", list["QueryExecution"]]:
     """Fan (query, variant) executions out over the shared engine.
 
     Results, work counts and metric totals are identical to a serial
     run; see :meth:`ParallelEngine.run_queries`.
     """
-    engine = engine if engine is not None else get_engine(workers)
-    return engine.run_queries(network, queries, variants)
+    return get_engine(workers).run_queries(network, queries, variants)
 
 
 def preprocess_network_parallel(

@@ -195,6 +195,17 @@ class _Connection:
         self.tasks: set[asyncio.Task] = set()
 
 
+def _integer(value: Any, field: str) -> int:
+    """A request's integer field: a JSON integer, or a float whose value
+    is whole.  A bool, a string or a fractional or non-finite number is
+    refused, so ``3.9`` never reads as ``3``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 # ----------------------------------------------------------------------
 # the gateway
 # ----------------------------------------------------------------------
@@ -521,23 +532,23 @@ class QueryGateway:
             raise ValueError(f"unknown update kind {kind!r}")
         kwargs: dict[str, Any] = {}
         if kind in ("insert", "delete", "fail"):
-            kwargs["peer_id"] = int(payload["peer_id"])
+            kwargs["peer_id"] = _integer(payload["peer_id"], "peer_id")
         if kind == "insert":
             kwargs["points"] = self._parse_points(payload.get("points"))
         elif kind == "delete":
             raw_ids = payload.get("point_ids")
             if not isinstance(raw_ids, (list, tuple)) or not raw_ids:
                 raise ValueError("point_ids must be a non-empty list")
-            kwargs["point_ids"] = [int(pid) for pid in raw_ids]
+            kwargs["point_ids"] = [_integer(pid, "point_ids") for pid in raw_ids]
         elif kind == "join":
-            kwargs["superpeer_id"] = int(payload["superpeer_id"])
+            kwargs["superpeer_id"] = _integer(payload["superpeer_id"], "superpeer_id")
             kwargs["data"] = self._parse_points(
                 payload.get("points", payload.get("data"))
             )
             if payload.get("peer_id") is not None:
-                kwargs["peer_id"] = int(payload["peer_id"])
+                kwargs["peer_id"] = _integer(payload["peer_id"], "peer_id")
         elif kind == "fail-superpeer":
-            kwargs["superpeer_id"] = int(payload["superpeer_id"])
+            kwargs["superpeer_id"] = _integer(payload["superpeer_id"], "superpeer_id")
         return kind, kwargs
 
     def _parse_points(self, raw: Any) -> Any:
@@ -559,7 +570,7 @@ class QueryGateway:
         from ..core.dataset import PointSet
 
         if isinstance(raw, Mapping) and "random" in raw:
-            count = int(raw["random"])
+            count = _integer(raw["random"], "random")
             if count < 1:
                 raise ValueError("random point count must be positive")
             if count * self.network.dimensionality * 8 > self.config.max_frame_bytes:
@@ -571,12 +582,12 @@ class QueryGateway:
                 self.network,
                 count,
                 dataset=str(raw.get("dataset", "uniform")),
-                seed=int(raw.get("seed", 0)),
+                seed=_integer(raw.get("seed", 0), "seed"),
             )
         if isinstance(raw, Mapping) and "values" in raw:
             values = np.asarray(raw["values"], dtype=np.float64)
             if "ids" in raw and raw["ids"] is not None:
-                ids = np.asarray([int(i) for i in raw["ids"]], dtype=np.int64)
+                ids = np.asarray([_integer(i, "ids") for i in raw["ids"]], dtype=np.int64)
             else:
                 start = next_point_id(self.network)
                 ids = np.arange(start, start + values.shape[0], dtype=np.int64)
@@ -668,7 +679,7 @@ class QueryGateway:
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ValueError(f"subspace must be a non-empty list, got {raw!r}")
         subspace = normalize_subspace(
-            tuple(int(dim) for dim in raw), self.network.dimensionality
+            tuple(_integer(dim, "subspace") for dim in raw), self.network.dimensionality
         )
         variant = Variant.parse(payload.get("variant", "FTPM"))
         return Query(subspace=tuple(subspace), initiator=self.initiator), variant

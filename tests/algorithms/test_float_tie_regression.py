@@ -1,12 +1,14 @@
-"""Regression: dominance margins that underflow the sort key's sum.
+"""Regression: dominance margins that underflow a coordinate sum.
 
 Found by hypothesis: with ``p = (tiny, 0, 0, 1)`` and ``q = (0, 0, 0, 1)``
 (``tiny`` denormal-ish), ``q`` dominates ``p`` but both coordinate sums
-round to exactly ``1.0``, so sum-sorted scans (skyline_mask and its
-extended twin) could visit the dominated point first and keep it.  All sum-sorted paths now resolve equal-sum groups
-with a pairwise pass; this file pins the fix across every skyline path
-the package keeps, the dominance ones and the two that compute
-ext-domination (the mask oracle and the Section 5.3 filter).
+round to exactly ``1.0``, so a scan sorted on that sum could visit the
+dominated point first and keep it.  No path of the package sorts on a
+coordinate sum any more (the skyline filter's strict column is a sum of
+integer ranks), and this file pins every skyline path it keeps on such
+inputs: the dominance ones (BNL, ``skyline_mask``, Algorithm 1) and the
+Section 5.3 filter's ext-dominance form, raw and behind
+``extended_skyline``.
 """
 
 import numpy as np
@@ -14,9 +16,10 @@ import pytest
 
 from repro.algorithms import block_nested_loops
 from repro.core.dataset import PointSet
-from repro.core.dominance import extended_skyline_mask, skyline_mask
+from repro.core.dominance import skyline_mask
 from repro.core.extended_skyline import (
     ext_skyline_positions,
+    extended_skyline,
     subspace_skyline,
     subspace_skyline_points,
 )
@@ -27,9 +30,7 @@ TINY = 1.17549435e-38  # smallest normal float32; vanishes in 1.0 + x
 PATHS = {
     "bnl": (lambda p, s: block_nested_loops(p, s).id_set(), False),
     "skyline_mask": (lambda p, s: p.mask(skyline_mask(p.values, s)).id_set(), False),
-    "extended_skyline_mask": (
-        lambda p, s: p.mask(extended_skyline_mask(p.values, s)).id_set(), True
-    ),
+    "extended_skyline": (lambda p, s: extended_skyline(p, s).points.id_set(), True),
     "algorithm1": (lambda p, s: subspace_skyline(p, s).points.id_set(), False),
     "ext_skyline_positions": (
         lambda p, s: frozenset(
@@ -56,11 +57,6 @@ def tie_points() -> PointSet:
 class TestFloatTieRegression:
     def test_skyline_mask(self, tie_points):
         assert skyline_mask(tie_points.values, (0, 3)).tolist() == [False, True]
-
-    def test_extended_mask(self, tie_points):
-        # strict domination also holds on dimension 0 only partially:
-        # (0,1) vs (tiny,1): second dim ties -> NOT ext-dominated.
-        assert extended_skyline_mask(tie_points.values, (0, 3)).tolist() == [True, True]
 
     def test_sums_really_tie(self, tie_points):
         """The precondition of the bug: both float sums are identical."""

@@ -68,13 +68,17 @@ def small_network() -> SuperPeerNetwork:
     )
 
 
-def brute_force_skyline_ids(points: PointSet, subspace, strict: bool = False) -> frozenset[int]:
-    """O(n^2) dominance oracle, independent of all library code paths.
+def brute_force_skyline_ids(
+    points: PointSet, subspace=None, strict: bool = False
+) -> frozenset[int]:
+    """O(n^2) dominance oracle (ext-dominance with ``strict``) on
+    ``subspace``, the full space if ``None``.  It reads ``points.values``
+    and ``points.ids`` and calls nothing of the library
+    (``tests/core/test_oracle.py``).
 
     Each row is tested against every other row at once.
     """
-    cols = list(subspace)
-    values = points.values[:, cols]
+    values = points.values if subspace is None else points.values[:, list(subspace)]
     keep = []
     for i, row in enumerate(values):
         if strict:
@@ -90,11 +94,12 @@ def brute_force_skyline_ids(points: PointSet, subspace, strict: bool = False) ->
 def ordered_ext_skyline(store: SortedByF, subspace=None) -> SimpleNamespace:
     """``ext-SKY_U`` of an f-sorted store, the ordered reference the
     Section 5.3 filter's outcomes are checked against: one plain loop over
-    the rows, each compared with every row (O(n^2)), independent of
-    ``repro.core.dominance``.
+    the rows, each compared with every row (O(n^2)).  It reads the store's
+    arrays and calls nothing of the library (``tests/core/test_oracle.py``).
 
-    ``result`` keeps store order (ties and duplicate rows included) and
-    each row's ``f``; ``threshold`` is ``min dist_U`` over the result,
+    ``result`` keeps store order (ties and duplicate rows included) with
+    each row's ``f = min_i p[i]`` in ``result.f`` and its ids and values
+    in ``result.points``; ``threshold`` is ``min dist_U`` over the result,
     ``inf`` when it is empty — exactly what Algorithm 1 (a store) and
     Algorithm 2 (an f-sorted union of lists) return under ext-domination.
     """
@@ -104,10 +109,12 @@ def ordered_ext_skyline(store: SortedByF, subspace=None) -> SimpleNamespace:
         [i for i, p in enumerate(rows) if not np.all(rows < p, axis=1).any()],
         dtype=np.int64,
     )
+    kept_values = values[kept]
+    points = SimpleNamespace(values=kept_values, ids=store.points.ids[kept])
     return SimpleNamespace(
-        result=SortedByF(store.points.take(kept), store.f[kept]),
+        result=SimpleNamespace(points=points, f=kept_values.min(axis=1)),
         threshold=min((float(rows[i].max()) for i in kept), default=math.inf),
-        input_size=len(store),
+        input_size=len(values),
     )
 
 

@@ -7,9 +7,9 @@ from repro.core.dominance import (
     dominated_mask,
     dominates,
     ext_dominates,
-    extended_skyline_mask,
     skyline_mask,
 )
+from repro.core.extended_skyline import ext_skyline_positions
 from tests.conftest import brute_force_skyline_ids
 
 
@@ -94,23 +94,22 @@ class TestSkylineMask:
         assert skyline_mask(np.array([[5.0, 5.0]])).tolist() == [True]
 
 
-class TestExtendedSkylineMask:
+class TestExtSkylinePositions:
+    """The skyline filter's ext-dominance form (Section 5.3)."""
+
     def test_matches_brute_force(self, rng):
         pts = PointSet(rng.random((120, 4)))
         for sub in [(0, 2), (0, 1, 2, 3)]:
-            got = pts.mask(extended_skyline_mask(pts.values, sub)).id_set()
-            assert got == brute_force_skyline_ids(pts, sub, strict=True)
+            got = pts.ids[ext_skyline_positions(pts.values[:, list(sub)])]
+            assert frozenset(got.tolist()) == brute_force_skyline_ids(pts, sub, strict=True)
 
     def test_superset_of_skyline(self, rng):
         values = rng.random((200, 4))
-        sky = skyline_mask(values)
-        ext = extended_skyline_mask(values)
-        assert np.all(ext[sky])
+        sky = np.flatnonzero(skyline_mask(values))
+        assert np.isin(sky, ext_skyline_positions(values)).all()
 
     def test_shared_coordinate_point_retained(self):
         # m-style point of Figure 1(a): dominated but never strictly.
         pts = np.array([[1.0, 5.0], [1.0, 7.0], [4.0, 4.0]])
-        ext = extended_skyline_mask(pts)
-        assert ext.tolist() == [True, True, True]
-        sky = skyline_mask(pts)
-        assert sky.tolist() == [True, False, True]
+        assert ext_skyline_positions(pts).tolist() == [0, 1, 2]
+        assert skyline_mask(pts).tolist() == [True, False, True]

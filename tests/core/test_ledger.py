@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
-from repro.core.dominance import extended_skyline_mask, find_witnesses
+from repro.core.dominance import find_witnesses
 from repro.core.ledger import (
     EvictionLedger,
     admit_points,
@@ -15,13 +15,25 @@ from repro.core.ledger import (
 )
 from repro.core.store import SortedByF
 
+from tests.conftest import brute_force_skyline_ids, ordered_ext_skyline
+
 
 def _split_skyline(seed: int, n: int = 60, d: int = 3):
     """A random set split into (ext-skyline members, evicted others)."""
     rng = np.random.default_rng(seed)
     points = PointSet(rng.random((n, d)), np.arange(n))
-    mask = extended_skyline_mask(points.values)
+    mask = _ext_skyline_mask(points)
     return points, points.mask(mask), points.mask(~mask)
+
+
+def _ext_skyline_mask(points: PointSet) -> np.ndarray:
+    """The oracle's ``ext-SKY_D`` of ``points``, as a row mask."""
+    return np.isin(points.ids, sorted(brute_force_skyline_ids(points, strict=True)))
+
+
+def _oracle_store(points: PointSet):
+    """The oracle's f-sorted ``ext-SKY_D`` of ``points``."""
+    return ordered_ext_skyline(SortedByF.from_points(points)).result
 
 
 def _ext_dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -131,9 +143,7 @@ class TestPromoteCandidates:
             store, ledger, orphan_ids, orphan_rows
         )
         survivors = points.mask(~np.isin(points.ids, np.asarray(sorted(dead))))
-        oracle = SortedByF.from_points(
-            survivors.mask(extended_skyline_mask(survivors.values))
-        )
+        oracle = _oracle_store(survivors)
         assert np.array_equal(store.points.values, oracle.points.values)
         assert np.array_equal(store.points.ids, oracle.points.ids)
         assert np.array_equal(store.f, oracle.f)
@@ -160,12 +170,10 @@ class TestAdmitPoints:
         store = SortedByF.from_points(members)
         rng = np.random.default_rng(80)
         raw = PointSet(rng.random((12, 3)) ** 2, np.arange(500, 512))
-        incoming = raw.mask(extended_skyline_mask(raw.values))
+        incoming = raw.mask(_ext_skyline_mask(raw))
         store, admitted, evictions = admit_points(store, ledger, incoming)
         union = PointSet.concat([points, incoming])
-        oracle = SortedByF.from_points(
-            union.mask(extended_skyline_mask(union.values))
-        )
+        oracle = _oracle_store(union)
         assert np.array_equal(store.points.values, oracle.points.values)
         assert np.array_equal(store.points.ids, oracle.points.ids)
         member_ids = store.points.id_set()
@@ -206,9 +214,7 @@ def test_random_delete_promotion_matches_oracle(seed, kills):
         store, ledger, orphan_ids, orphan_rows
     )
     survivors = points.mask(~np.isin(points.ids, dead_ids))
-    oracle = SortedByF.from_points(
-        survivors.mask(extended_skyline_mask(survivors.values))
-    )
+    oracle = _oracle_store(survivors)
     assert np.array_equal(store.points.values, oracle.points.values)
     assert np.array_equal(store.points.ids, oracle.points.ids)
     assert np.array_equal(store.f, oracle.f)

@@ -89,11 +89,15 @@ class TestAnticorrelated:
         """The classic property: anticorrelated data has a much larger
         skyline than correlated data of the same size."""
         from repro.core.dataset import PointSet
-        from repro.core.dominance import skyline_mask
+
+        from tests.conftest import brute_force_skyline_ids
 
         anti = PointSet(anticorrelated(800, 3, rng))
         corr = PointSet(correlated(800, 3, np.random.default_rng(2)))
-        assert skyline_mask(anti.values).sum() > 3 * skyline_mask(corr.values).sum()
+        full = (0, 1, 2)
+        assert len(brute_force_skyline_ids(anti, full)) > 3 * len(
+            brute_force_skyline_ids(corr, full)
+        )
 
 
 class TestFactory:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.loader import load_csv
+
+from tests.conftest import brute_force_skyline_ids
 
 CSV = """name,price,rating,distance,junk
 Alpha,100,4.5,2.0,x
@@ -63,7 +64,7 @@ class TestLoadCsv:
     def test_skyline_over_loaded_data(self, csv_path):
         """End-to-end sanity: cheapest-and-best-rated hotels win."""
         loaded = load_csv(csv_path, ["price", "rating"], maximize=["rating"])
-        sky = subspace_skyline_points(loaded.points, (0, 1))
+        sky = brute_force_skyline_ids(loaded.points, (0, 1))
         assert 1 <= len(sky) <= 5
 
     def test_missing_column(self, csv_path):

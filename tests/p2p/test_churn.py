@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.churn import fail_peer, join_peer
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 
 @pytest.fixture
@@ -35,7 +36,7 @@ class TestJoin:
         sp = network.topology.superpeer_ids[0]
         join_peer(network, sp, _fresh_points(rng, 25, 10_000))
         query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[-1])
-        truth = subspace_skyline_points(network.all_points(), query.subspace).id_set()
+        truth = brute_force_skyline_ids(network.all_points(), query.subspace)
         for variant in Variant:
             got = execute_query(network, query, variant)
             assert got.result_ids == truth, variant
@@ -75,7 +76,7 @@ class TestFailure:
         victim = next(iter(network.peers))
         fail_peer(network, victim)
         query = Query(subspace=(1, 3), initiator=network.topology.superpeer_ids[0])
-        truth = subspace_skyline_points(network.all_points(), query.subspace).id_set()
+        truth = brute_force_skyline_ids(network.all_points(), query.subspace)
         for variant in Variant:
             got = execute_query(network, query, variant)
             assert got.result_ids == truth, variant

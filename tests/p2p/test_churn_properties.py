@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import repro
 from repro.p2p.churn import fail_superpeer
 
+from tests.conftest import brute_force_skyline_ids
+
 pytestmark = pytest.mark.slow
 
 
@@ -54,7 +56,7 @@ def test_random_churn_sequences_stay_exact(seed, ops):
         if len(net.all_points()) == 0:
             continue
         sub = (0, 2)
-        truth = repro.subspace_skyline_points(net.all_points(), sub).id_set()
+        truth = brute_force_skyline_ids(net.all_points(), sub)
         query = repro.Query(subspace=sub, initiator=net.topology.superpeer_ids[0])
         got = repro.execute_query(net, query, "rtpm")
         assert got.result_ids == truth

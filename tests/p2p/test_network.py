@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
-from repro.core.extended_skyline import extended_skyline_points
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
+
+from tests.conftest import brute_force_skyline_ids
 
 
 class TestBuild:
@@ -51,7 +52,7 @@ class TestPreprocessing:
             union = PointSet.concat(
                 [small_network.peers[p].data for p in peer_ids]
             )
-            expected = extended_skyline_points(union).id_set()
+            expected = brute_force_skyline_ids(union, strict=True)
             assert sp.store.points.id_set() == expected
 
     def test_selectivity_report(self, small_network):

@@ -40,11 +40,11 @@ DATASETS = ("uniform", "anticorrelated", "clustered", "correlated")
 SHAPE = dict(n_peers=24, points_per_peer=200, dimensionality=6, n_superpeers=3, seed=11)
 
 
-def reference_list(network: SuperPeerNetwork, peer_id: int) -> SortedByF:
+def reference_list(network: SuperPeerNetwork, peer_id: int):
     return ordered_ext_skyline(SortedByF.from_points(network.peers[peer_id].data)).result
 
 
-def reference_merge(network: SuperPeerNetwork, lists) -> SortedByF:
+def reference_merge(network: SuperPeerNetwork, lists):
     """Algorithm 2's input order: the lists concatenated, stably f-sorted."""
     union = PointSet(
         np.concatenate([lst.points.values for lst in lists]),
@@ -53,7 +53,7 @@ def reference_merge(network: SuperPeerNetwork, lists) -> SortedByF:
     return ordered_ext_skyline(SortedByF.from_points(union)).result
 
 
-def assert_same(got: SortedByF, expected: SortedByF) -> None:
+def assert_same(got: SortedByF, expected) -> None:
     assert got.points.ids.tolist() == expected.points.ids.tolist()
     assert np.array_equal(got.points.values, expected.points.values)
     assert np.array_equal(got.f, expected.f)
@@ -82,12 +82,12 @@ def test_preprocessing_and_churn_match_algorithms_1_and_2(dataset, backend, requ
         lists = [reference_list(network, p) for p in network.topology.peers_of[sp]]
         stores[sp] = reference_merge(network, lists)
         assert_same(superpeer.store, stores[sp])
-        assert sum(map(len, lists)) > 256  # the merge took the split path
+        assert sum(len(lst.points.ids) for lst in lists) > 256  # the merge took the split path
 
     # A join merges the new list into the current store.
     sp = network.topology.superpeer_ids[0]
     joined = join_peer(network, sp, fresh_points(network, 150, dataset=dataset, seed=3))
-    assert joined.examined == len(stores[sp]) + joined.peer_skyline_delta
+    assert joined.examined == len(stores[sp].points.ids) + joined.peer_skyline_delta
     stores[sp] = reference_merge(
         network, [stores[sp], reference_list(network, joined.peer_id)]
     )

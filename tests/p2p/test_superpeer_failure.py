@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core.dataset import PointSet
-from repro.core.extended_skyline import extended_skyline_points, subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.churn import fail_superpeer
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import execute_query
 from repro.skypeer.protocol import run_protocol
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ class TestFailSuperPeer:
         fail_superpeer(network, network.topology.superpeer_ids[2])
         initiator = network.topology.superpeer_ids[0]
         for sub in [(0, 2), (1, 2, 3)]:
-            truth = subspace_skyline_points(network.all_points(), sub).id_set()
+            truth = brute_force_skyline_ids(network.all_points(), sub)
             for variant in Variant:
                 got = execute_query(network, Query(subspace=sub, initiator=initiator), variant)
                 assert got.result_ids == truth, (sub, variant)
@@ -55,7 +56,7 @@ class TestFailSuperPeer:
     def test_protocol_engine_agrees_after_failure(self, network):
         fail_superpeer(network, network.topology.superpeer_ids[1])
         query = Query(subspace=(0, 3), initiator=network.topology.superpeer_ids[0])
-        truth = subspace_skyline_points(network.all_points(), (0, 3)).id_set()
+        truth = brute_force_skyline_ids(network.all_points(), (0, 3))
         assert run_protocol(network, query, Variant.FTPM).result_ids == truth
 
     def test_adopter_stores_fresh(self, network):
@@ -63,7 +64,7 @@ class TestFailSuperPeer:
         for sp_id, sp in network.superpeers.items():
             peer_ids = network.topology.peers_of[sp_id]
             union = PointSet.concat([network.peers[p].data for p in peer_ids])
-            assert sp.store.points.id_set() == extended_skyline_points(union).id_set()
+            assert sp.store.points.id_set() == brute_force_skyline_ids(union, strict=True)
 
     def test_cannot_fail_last_superpeer(self):
         net = SuperPeerNetwork.build(
@@ -81,6 +82,6 @@ class TestFailSuperPeer:
             fail_superpeer(network, network.topology.superpeer_ids[-1])
         assert network.topology.is_connected()
         sub = (0, 1)
-        truth = subspace_skyline_points(network.all_points(), sub).id_set()
+        truth = brute_force_skyline_ids(network.all_points(), sub)
         query = Query(subspace=sub, initiator=network.topology.superpeer_ids[0])
         assert execute_query(network, query, Variant.RTPM).result_ids == truth

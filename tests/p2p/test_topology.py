@@ -102,12 +102,13 @@ class TestHypercube:
                 assert node in topo.adjacency[nb]
 
     def test_usable_by_network(self):
-        from repro.core.extended_skyline import subspace_skyline_points
         from repro.data.workload import Query
         from repro.p2p.network import SuperPeerNetwork
         from repro.skypeer.executor import execute_query
         import numpy as np
         from repro.core.dataset import PointSet
+
+        from tests.conftest import brute_force_skyline_ids
 
         topo = Topology.generate_hypercube(n_peers=12, n_superpeers=4)
         rng = np.random.default_rng(0)
@@ -118,7 +119,7 @@ class TestHypercube:
         }
         net = SuperPeerNetwork.from_partitions(topo, partitions)
         query = Query(subspace=(0, 2), initiator=0)
-        truth = subspace_skyline_points(net.all_points(), (0, 2)).id_set()
+        truth = brute_force_skyline_ids(net.all_points(), (0, 2))
         assert execute_query(net, query, "ftpm").result_ids == truth
 
 

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
-from repro.core.extended_skyline import extended_skyline_points, subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.updates import UpdateRejected, delete_points, insert_points
 from repro.p2p.workload import apply_mutation
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
-from tests.conftest import network_state
+from tests.conftest import brute_force_skyline_ids, network_state
 
 
 @pytest.fixture
@@ -26,12 +25,12 @@ def _assert_stores_fresh(network):
     for sp_id, sp in network.superpeers.items():
         peer_ids = network.topology.peers_of[sp_id]
         union = PointSet.concat([network.peers[p].data for p in peer_ids])
-        assert sp.store.points.id_set() == extended_skyline_points(union).id_set()
+        assert sp.store.points.id_set() == brute_force_skyline_ids(union, strict=True)
 
 
 def _assert_queries_exact(network):
     query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
-    truth = subspace_skyline_points(network.all_points(), (0, 2)).id_set()
+    truth = brute_force_skyline_ids(network.all_points(), (0, 2))
     assert execute_query(network, query, Variant.FTPM).result_ids == truth
 
 
@@ -103,7 +102,7 @@ class TestInsert:
         assert network_state(net) == before
         apply_mutation(net, "delete", peer_id=a, point_ids=[id0])
         query = Query(subspace=(0, 1), initiator=net.topology.superpeer_ids[0])
-        truth = subspace_skyline_points(net.all_points(), (0, 1)).id_set()
+        truth = brute_force_skyline_ids(net.all_points(), (0, 1))
         assert execute_query(net, query, Variant.FTPM).result_ids == truth
 
     def test_dimensionality_checked(self, network, rng):
@@ -213,4 +212,4 @@ def test_update_sequences_stay_exact(seed, n_insert, n_delete):
             assert sp.store_size == 0
             continue
         union = PointSet.concat(parts)
-        assert sp.store.points.id_set() == extended_skyline_points(union).id_set()
+        assert sp.store.points.id_set() == brute_force_skyline_ids(union, strict=True)

@@ -7,7 +7,8 @@ scan's positions and counters and replays them, so nothing downstream
 can tell a hit from a recomputation.  The tests run the same workload
 twice (so the second pass is all hits), and once with a memo that holds
 nothing, and demand equality against the serial reference and the
-centralized ``skyline_mask`` oracle for all five variants.
+brute-force oracle (``tests.conftest.brute_force_skyline_ids``) for all
+five variants.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
-from repro.core.dominance import skyline_mask
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
 from repro.parallel import ParallelEngine
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 DETERMINISTIC = (
     "comparisons",
@@ -83,8 +85,7 @@ class TestCachedMatchesUncached:
 
         everything = network.all_points()
         for query in queries:
-            mask = skyline_mask(everything.values, list(query.subspace))
-            expected = frozenset(int(i) for i in everything.ids[mask])
+            expected = brute_force_skyline_ids(everything, query.subspace)
             for variant in variants:
                 idx = queries.index(query)
                 assert warm[variant][idx].result_ids == expected
@@ -170,9 +171,7 @@ def test_cached_replay_is_indistinguishable_property(case):
     with ParallelEngine(2) as engine:
         parallel = engine.run_queries(net, queries, variants)
     _assert_matches(serial, parallel, "property")
-    everything = net.all_points()
-    mask = skyline_mask(everything.values, list(queries[0].subspace))
-    expected = frozenset(int(i) for i in everything.ids[mask])
+    expected = brute_force_skyline_ids(net.all_points(), queries[0].subspace)
     for variant in variants:
         for execution in parallel[variant]:
             assert execution.result_ids == expected

@@ -68,7 +68,7 @@ class TestGatewayRequests:
             {"subspace": [0], "variant": 5},
             {"subspace": [0], "variant": None},
             {"subspace": [0], "variant": ["x"]},
-            {"subspace": [float("inf")]},  # int() raises OverflowError
+            {"subspace": [float("inf")]},  # not a whole number
         ]
 
         async def scenario():
@@ -418,6 +418,42 @@ class TestUpdateOp:
         assert stats.protocol_errors == len(responses)
         assert stats.backend_errors == 0
         assert stats.updates_applied == 0
+        assert network_state(network) == before
+
+    def test_non_integer_fields_are_request_errors(self):
+        """A fractional id or dimension, or ``true`` as a peer id, is a
+        request error; none is truncated into a real target."""
+        from tests.conftest import network_state
+
+        from .conftest import build_network
+
+        network = build_network(seed=43)
+        point_id = int(network.peers[3].data.ids[0])
+        before = network_state(network)
+
+        async def scenario():
+            async with QueryGateway(network, config=GatewayConfig()) as gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    updates = [
+                        await asyncio.wait_for(client.update(**fields), timeout=10.0)
+                        for fields in (
+                            {"kind": "delete", "peer_id": 3.9, "point_ids": [point_id + 0.7]},
+                            {"kind": "insert", "peer_id": True, "points": {"random": 2}},
+                        )
+                    ]
+                    query = await asyncio.wait_for(
+                        client.request({"op": "query", "subspace": [0.9, 1.2]}), timeout=10.0
+                    )
+            return updates, query, gateway.stats
+
+        updates, query, stats = run(scenario())
+        for reply, prefix in [*((u, "bad update: ") for u in updates), (query, "bad query: ")]:
+            assert reply.status == "error", reply.payload
+            assert reply.payload["code"] == ERROR_REQUEST, reply.payload
+            assert reply.payload["error"].startswith(prefix), reply.payload
+            assert "must be an integer" in reply.payload["error"], reply.payload
+        assert stats.protocol_errors == 3 and stats.updates_applied == 0
         assert network_state(network) == before
 
     def test_post_update_queries_do_not_coalesce_with_stale_jobs(self):

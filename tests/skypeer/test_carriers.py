@@ -13,15 +13,17 @@ differs.)
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import execute_query
 from repro.skypeer.netexec import run_socket_query
 from repro.skypeer.protocol import run_protocol
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +37,9 @@ def mesh_network() -> SuperPeerNetwork:
 @pytest.mark.parametrize("variant", tuple(Variant), ids=lambda v: v.value)
 def test_all_carriers_one_answer(mesh_network, variant):
     query = Query(subspace=(0, 2, 4), initiator=mesh_network.topology.superpeer_ids[0])
-    oracle = subspace_skyline_points(mesh_network.all_points(), query.subspace)
+    everything = mesh_network.all_points()
+    skyline = brute_force_skyline_ids(everything, query.subspace)
+    oracle = everything.mask(np.isin(everything.ids, sorted(skyline)))
     cols = list(query.subspace)
     keys = oracle.values[:, cols].min(axis=1)
     assert len(set(keys.tolist())) == len(keys), "the fixture must be tie-free"

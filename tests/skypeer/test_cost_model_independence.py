@@ -9,13 +9,14 @@ between the algorithmic layer and the cost layer.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.cost import CostModel
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import execute_query
 from repro.skypeer.protocol import run_protocol
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 
 @given(
@@ -36,6 +37,6 @@ def test_answers_independent_of_cost_model(bandwidth, header, coord_bytes, varia
         seed=5, cost_model=cost,
     )
     query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
-    truth = subspace_skyline_points(network.all_points(), (0, 2)).id_set()
+    truth = brute_force_skyline_ids(network.all_points(), (0, 2))
     assert execute_query(network, query, variant).result_ids == truth
     assert run_protocol(network, query, variant).result_ids == truth

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 
 @st.composite
@@ -57,7 +58,7 @@ def random_networks(draw):
 @settings(max_examples=40, deadline=None)
 def test_every_variant_is_exact(case):
     net, subspace, initiator = case
-    expected = subspace_skyline_points(net.all_points(), subspace).id_set()
+    expected = brute_force_skyline_ids(net.all_points(), subspace)
     query = Query(subspace=subspace, initiator=initiator)
     for variant in Variant:
         got = execute_query(net, query, variant)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.cost import CostModel
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import Clock, execute_query
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 ALL = tuple(Variant)
 
@@ -31,7 +32,7 @@ class TestExactness:
     @pytest.mark.parametrize("variant", ALL)
     def test_matches_centralized_oracle(self, small_network, variant):
         for sub in [(0,), (1, 3), (0, 2, 4), (0, 1, 2, 3, 4)]:
-            expected = subspace_skyline_points(small_network.all_points(), sub).id_set()
+            expected = brute_force_skyline_ids(small_network.all_points(), sub)
             for initiator in small_network.topology.superpeer_ids:
                 query = Query(subspace=sub, initiator=initiator)
                 got = execute_query(small_network, query, variant)
@@ -47,7 +48,7 @@ class TestExactness:
             n_peers=8, points_per_peer=20, dimensionality=3, n_superpeers=1, seed=4
         )
         query = Query(subspace=(0, 2), initiator=net.topology.superpeer_ids[0])
-        truth = subspace_skyline_points(net.all_points(), (0, 2)).id_set()
+        truth = brute_force_skyline_ids(net.all_points(), (0, 2))
         for variant in ALL:
             assert execute_query(net, query, variant).result_ids == truth
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.obs import observed
 from repro.p2p.cost import DEFAULT_COST_MODEL, coord_width, id_width
@@ -23,6 +22,8 @@ from repro.skypeer.executor import execute_query
 from repro.skypeer.netexec import run_socket_query
 from repro.skypeer.protocol import run_protocol
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 ALL = tuple(Variant)
 
@@ -97,9 +98,7 @@ class TestTaskModeEquality:
         query = _query(mesh_network)
         sim = run_protocol(mesh_network, query, variant)
         outcome = run_socket_query(mesh_network, query, variant)
-        expected = subspace_skyline_points(
-            mesh_network.all_points(), query.subspace
-        ).id_set()
+        expected = brute_force_skyline_ids(mesh_network.all_points(), query.subspace)
         assert outcome.result_ids == sim.result_ids == expected
 
     def test_result_store_carries_the_projection_and_its_key(self, mesh_network):

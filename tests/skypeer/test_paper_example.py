@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.core.mapping import f_values
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
@@ -20,6 +19,8 @@ from repro.p2p.node import Peer, SuperPeer
 from repro.p2p.topology import Topology
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 
 @pytest.fixture
@@ -53,7 +54,7 @@ class TestFigure2PeerLevel:
     def test_peer_a_regular_skyline_excludes_a3(self, paper_peer_a):
         """'four of the five points of P_A are skyline points, while A3
         is included as an ext-skyline point'."""
-        sky = subspace_skyline_points(paper_peer_a, (0, 1, 2, 3)).id_set()
+        sky = brute_force_skyline_ids(paper_peer_a, (0, 1, 2, 3))
         assert sky == {1, 2, 4, 5}
 
     def test_peer_b_ext_skyline(self, paper_peer_b):
@@ -80,8 +81,6 @@ class TestFigure2SuperPeerLevel:
         sp.rebuild_store()
         # The store is the ext-skyline of the union of the three datasets.
         union = PointSet.concat([paper_peer_a, paper_peer_b, paper_peer_c])
-        from tests.conftest import brute_force_skyline_ids
-
         expected = brute_force_skyline_ids(union, (0, 1, 2, 3), strict=True)
         assert sp.store.points.id_set() == expected
         # C5 = (6,6,6,4): ext-dominated at the super-peer? A5 = (5,2,4,1)
@@ -111,7 +110,7 @@ class TestFigure2EndToEnd:
         from repro.core.subspace import all_subspaces
 
         for sub in all_subspaces(4):
-            expected = subspace_skyline_points(union, sub).id_set()
+            expected = brute_force_skyline_ids(union, sub)
             for variant in Variant:
                 query = Query(subspace=sub, initiator=0)
                 got = execute_query(net, query, variant)

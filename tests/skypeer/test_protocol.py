@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import execute_query
 from repro.skypeer.protocol import run_protocol
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 ALL = tuple(Variant)
 
@@ -24,7 +25,7 @@ class TestProtocolExactness:
     @pytest.mark.parametrize("variant", ALL)
     def test_matches_centralized_oracle(self, small_network, variant):
         for sub in [(0, 2), (1, 3, 4)]:
-            expected = subspace_skyline_points(small_network.all_points(), sub).id_set()
+            expected = brute_force_skyline_ids(small_network.all_points(), sub)
             query = Query(subspace=sub, initiator=small_network.topology.superpeer_ids[0])
             got = run_protocol(small_network, query, variant)
             assert got.result_ids == expected, (sub, variant)
@@ -44,7 +45,7 @@ class TestProtocolExactness:
             n_peers=6, points_per_peer=15, dimensionality=3, n_superpeers=1, seed=8
         )
         query = Query(subspace=(0, 2), initiator=net.topology.superpeer_ids[0])
-        expected = subspace_skyline_points(net.all_points(), (0, 2)).id_set()
+        expected = brute_force_skyline_ids(net.all_points(), (0, 2))
         for variant in ALL:
             assert run_protocol(net, query, variant).result_ids == expected
 
@@ -147,6 +148,6 @@ def test_protocol_exact_on_random_networks(case):
     )
     initiator = net.topology.superpeer_ids[seed % n_sp]
     query = Query(subspace=dims, initiator=initiator)
-    expected = subspace_skyline_points(net.all_points(), dims).id_set()
+    expected = brute_force_skyline_ids(net.all_points(), dims)
     got = run_protocol(net, query, variant)
     assert got.result_ids == expected

@@ -4,12 +4,12 @@ The repo-wide guarantee, stated once as a generative test: for any tiny
 randomized network (peer count, dimensionality, dataset shape and the
 query subspace all drawn by Hypothesis), the five execution strategies
 (naive, FTFM, FTPM, RTFM, RTPM) all return exactly the subspace skyline
-that the centralized :func:`repro.core.dominance.skyline_mask` oracle
-computes over the union of all peer data.
+that the brute-force oracle (``tests.conftest.brute_force_skyline_ids``,
+which shares no code with the library) computes over the union of all
+peer data.
 
-This differs from ``test_exactness_properties`` in that the oracle here
-is the raw dominance mask (no extended-skyline machinery in the loop)
-and that the dataset *kind* — uniform, duplicate-heavy grid, correlated
+This differs from ``test_exactness_properties`` in that the dataset
+*kind* — uniform, duplicate-heavy grid, correlated
 and anticorrelated — is part of the search space, since threshold
 pruning bugs tend to hide in ties and in extreme skyline densities.
 """
@@ -21,12 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
-from repro.core.dominance import skyline_mask
 from repro.data.workload import Query
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 DATASETS = ("uniform", "grid", "correlated", "anticorrelated")
 
@@ -79,11 +80,9 @@ def differential_cases(draw):
 
 @given(differential_cases())
 @settings(max_examples=35, deadline=None)
-def test_all_variants_match_skyline_mask_oracle(case):
+def test_all_variants_match_the_brute_force_oracle(case):
     network, subspace, initiator = case
-    everything = network.all_points()
-    mask = skyline_mask(everything.values, list(subspace))
-    expected = frozenset(int(i) for i in everything.ids[mask])
+    expected = brute_force_skyline_ids(network.all_points(), subspace)
     query = Query(subspace=subspace, initiator=initiator)
     for variant in Variant:
         execution = execute_query(network, query, variant)

@@ -13,6 +13,8 @@ import repro
 from repro.p2p.churn import fail_superpeer
 from repro.skypeer.protocol import run_protocol
 
+from tests.conftest import brute_force_skyline_ids
+
 
 @pytest.mark.slow
 def test_full_story(tmp_path):
@@ -26,7 +28,7 @@ def test_full_story(tmp_path):
     assert 0 < report.sel_sp <= report.sel_p <= 1
 
     def oracle(subspace):
-        return repro.subspace_skyline_points(net.all_points(), subspace).id_set()
+        return brute_force_skyline_ids(net.all_points(), subspace)
 
     # --- plain queries, all variants, tree-routed and flooded ----------
     query = repro.Query(subspace=(0, 2, 4), initiator=net.topology.superpeer_ids[0])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import PointSet
-from repro.core.extended_skyline import subspace_skyline_points
 from repro.data.workload import Query
 from repro.io import load_network, load_pointset, save_network, save_pointset
 from repro.p2p.cost import CostModel
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+
+from tests.conftest import brute_force_skyline_ids
 
 
 class TestPointSetRoundtrip:
@@ -64,7 +65,7 @@ class TestNetworkRoundtrip:
         query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
         a = execute_query(network, query, Variant.FTPM).result_ids
         b = execute_query(loaded, query, Variant.FTPM).result_ids
-        truth = subspace_skyline_points(network.all_points(), (0, 2)).id_set()
+        truth = brute_force_skyline_ids(network.all_points(), (0, 2))
         assert a == b == truth
 
     def test_skip_preprocess(self, tmp_path, network):

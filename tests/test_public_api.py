@@ -4,6 +4,8 @@ import numpy as np
 
 import repro
 
+from tests.conftest import brute_force_skyline_ids
+
 
 class TestExports:
     def test_version(self):
@@ -25,7 +27,9 @@ class TestExports:
     def test_centralized_helpers_exported(self, rng):
         points = repro.PointSet(rng.random((50, 4)))
         sky = repro.subspace_skyline_points(points, (0, 2))
-        ext = repro.extended_skyline_points(points)
+        ext = repro.extended_skyline(points).points
+        assert sky.id_set() == brute_force_skyline_ids(points, (0, 2))
+        assert ext.id_set() == brute_force_skyline_ids(points, strict=True)
         assert sky.id_set() <= ext.id_set()
 
     def test_churn_exported(self):
