@@ -12,7 +12,12 @@ fewest whole bytes that hold its largest id), and every coordinate in
 one width, :func:`coord_width` of its coordinate block (the low bytes
 left once the high bytes all of them share are sent once).  A block
 that mixes ``+0.0`` with other values marks its zeros in a bitmap and
-sends, and sizes its width over, only the rest.  A query message carries
+sends, and sizes its width over, only the rest.  Since wire version 7 a
+block may instead give each of its ``k`` columns its own width, and send
+each column's shared high bytes once, for ``k − 1`` more width bytes:
+:func:`coord_width` takes that layout exactly when it is strictly
+smaller than the one-block one, so the encoder and every charge agree on
+it and no record grows.  A query message carries
 the subspace, the threshold and at most one point on the subspace (the
 bound ``q(U, t, p)`` of ``docs/ALGORITHMS.md``).
 The numbers are deliberately simple — only relative volume matters for
@@ -22,7 +27,7 @@ reproducing the figures — and every constant is overridable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -44,8 +49,9 @@ def id_width(ids: Sequence[int] | np.ndarray) -> int:
     return max(1, (int(column.max()).bit_length() + 7) // 8)
 
 
-def coord_width(values: Sequence[float] | np.ndarray) -> tuple[int, int]:
-    """``(c, nz)`` of a result message's coordinate block ``values``.
+def coord_width(values: Sequence[float] | np.ndarray) -> tuple[Any, Any]:
+    """``(c, nz)``: the layout a result message sends its coordinate
+    block ``values`` in.
 
     ``nz`` is how many coordinates the block sends and ``c`` their low
     bytes each: 8 minus the number of whole high bytes that every sent
@@ -56,13 +62,64 @@ def coord_width(values: Sequence[float] | np.ndarray) -> tuple[int, int]:
     taken over them alone; any other block sends all of its values.
     ``(8, 0)`` for an empty block, ``c = 0`` when every value is
     bitwise equal.
+
+    An ``n × k`` block may instead give each column its own group (wire
+    version 7): the bitmap stays the block's, column ``j`` sends
+    ``nz_j`` values at ``c_j`` low bytes each and its shared high bytes
+    once (``c_j = 8`` for a column the bitmap marks entirely), and the
+    message carries ``k − 1`` more width bytes.  Exactly when that costs
+    strictly fewer bytes than ``(8 − c) + nz·c``, ``c`` and ``nz`` are
+    the k-tuples ``(c_j)`` and ``(nz_j)`` — so never for ``k = 1``, an
+    empty block or a single point.
     """
-    bits = np.ascontiguousarray(values, dtype="<f8").reshape(-1).view("<u8")
+    bits = np.ascontiguousarray(values, dtype="<f8").view("<u8")
     if not bits.size:
         return 8, 0
-    sent = bits[bits != 0] if 0 < np.count_nonzero(bits) < bits.size else bits
-    differ = np.bitwise_or.reduce(sent ^ sent[0])
-    return (int(differ).bit_length() + 7) // 8, sent.size
+    marked = bits.size - np.count_nonzero(bits)
+    flagged = 0 < marked < bits.size
+    if bits.ndim != 2 or bits.shape[1] < 2:
+        words = bits[bits != 0] if flagged else bits.reshape(-1)
+        return _byte_length(np.bitwise_or.reduce(words ^ words[0])), words.size
+    # Any sent value of a column serves as its reference: the highest
+    # bit the column's sent values disagree on is the same against each.
+    n, k = bits.shape
+    if flagged:
+        # A column with none (all marked) takes the block's, which
+        # leaves the block's own disagreement unchanged.
+        kept = bits != 0
+        ref = bits.max(axis=0)
+        top = ref.max()
+        ref[ref == 0] = top
+        differ = np.bitwise_or.reduce(np.where(kept, bits, ref) ^ ref, axis=0)
+        counts = kept.sum(axis=0)
+    else:
+        ref, top = bits[0], bits[0, 0]
+        differ = np.bitwise_or.reduce(bits ^ ref, axis=0)
+        counts = np.int64(n)
+    low = _byte_length(np.bitwise_or.reduce(differ | (ref ^ top)))
+    widths = np.searchsorted(_BYTE_LIMITS, differ, side="right")
+    if flagged:
+        widths[counts == 0] = 8
+    sent = bits.size - marked if flagged else bits.size
+    # (k - 1) + sum(8 - c_j) + sum(nz_j c_j) against (8 - c) + nz c.
+    if 9 * k - 1 + ((counts - 1) * widths).sum() < 8 - low + sent * low:
+        return tuple(widths.tolist()), tuple(np.broadcast_to(counts, k).tolist())
+    return low, sent
+
+
+#: ``2**(8 i)`` for ``i < 8``: a word needs as many whole bytes as it is
+#: at least of these.
+_BYTE_LIMITS = np.array([1 << 8 * i for i in range(8)], dtype=np.uint64)
+
+
+def _byte_length(word: np.uint64) -> int:
+    """The whole bytes ``word`` needs (0 for 0)."""
+    return (int(word).bit_length() + 7) // 8
+
+
+def _per_group(value: Any) -> list[Any]:
+    """A layout field of :func:`coord_width` as one entry per group."""
+    return list(value) if isinstance(value, (tuple, list, np.ndarray)) else [value]
 
 
 @dataclass(frozen=True)
@@ -97,35 +154,46 @@ class CostModel:
         )
 
     def result_bytes(
-        self, num_points: int, k: int, id_width: int, coord_width: int, nonzero: int
+        self, num_points: int, k: int, id_width: int, coord_width: Any, nonzero: Any
     ) -> int:
         """Bytes of a result message carrying ``num_points`` points whose
         ids are ``id_width`` bytes wide (:func:`id_width` of its ids) and
-        whose coordinate block is ``(coord_width, nonzero)``
-        (:func:`coord_width` of it): the ``8 - coord_width`` high bytes
-        the sent coordinates share travel once, then each of the
-        ``nonzero`` sent coordinates' low bytes, and a block that sends
-        fewer than its ``num_points * k`` coordinates adds its zero
-        bitmap, one bit per coordinate."""
+        whose coordinate block is laid out as ``(coord_width, nonzero)``
+        (:func:`coord_width` of it): one width and sent count for the
+        whole block, or one of each per column.  Each group's
+        ``8 - coord_width`` shared high bytes travel once, then each of
+        its ``nonzero`` sent coordinates' low bytes; a per-column block
+        adds ``k - 1`` width bytes, and a block that sends fewer than
+        its ``num_points * k`` coordinates adds its zero bitmap, one bit
+        per coordinate."""
         if num_points < 0:
             raise ValueError("num_points must be non-negative")
         size = num_points * k
-        if not 0 <= nonzero <= size:
-            raise ValueError(f"{nonzero} sent coordinates is not 0..{size}")
-        bitmap = (size + 7) // 8 if nonzero < size else 0
-        shared = self._shared_bytes(coord_width)
-        return (
-            self.message_header_bytes
-            + num_points * id_width
-            + bitmap
-            + shared
-            + nonzero * (self.coordinate_bytes - shared)
-        )
+        widths, counts = _per_group(coord_width), _per_group(nonzero)
+        if len(widths) not in (1, k) or len(counts) != len(widths):
+            raise ValueError(f"a block of {k} columns has 1 or {k} widths and sent counts")
+        most = size if len(widths) == 1 else num_points
+        sent, coordinates = 0, len(widths) - 1
+        for width, count in zip(widths, counts):
+            if not 0 <= count <= most:
+                raise ValueError(f"{count} sent coordinates is not 0..{most}")
+            shared = self._shared_bytes(width)
+            coordinates += shared + count * (self.coordinate_bytes - shared)
+            sent += count
+        bitmap = (size + 7) // 8 if sent < size else 0
+        return self.message_header_bytes + num_points * id_width + bitmap + int(coordinates)
+
+    def list_bytes(self, ids: np.ndarray, values: np.ndarray) -> int:
+        """Bytes of the result message that sends ``ids`` and their
+        ``n × k`` coordinate block ``values``, in the layout
+        :func:`coord_width` picks for it."""
+        return self.result_bytes(len(ids), values.shape[1], id_width(ids), *coord_width(values))
 
     def _shared_bytes(self, coord_width: int) -> int:
         """The high bytes of a coordinate a result message sends once
-        (at most a whole ``coordinate_bytes``, so a model that sizes a
-        coordinate below 8 bytes never charges a negative width)."""
+        per group of width ``coord_width`` (at most a whole
+        ``coordinate_bytes``, so a model that sizes a coordinate below 8
+        bytes never charges a negative width)."""
         if not 0 <= coord_width <= 8:
             raise ValueError(f"coordinate width {coord_width} is not 0..8 bytes")
         return min(8 - coord_width, self.coordinate_bytes)

@@ -26,7 +26,7 @@ from ..core.store import SortedByF
 from ..data.generators import make_generator
 from ..data.partition import partition_evenly
 from ..obs.runtime import active_metrics, active_tracer
-from .cost import DEFAULT_COST_MODEL, CostModel, coord_width, id_width
+from .cost import DEFAULT_COST_MODEL, CostModel
 from .node import Peer, SuperPeer
 from .topology import Topology
 
@@ -142,10 +142,7 @@ class SuperPeerNetwork:
         upload_bytes = 0
         for lst in superpeer.peer_skylines.values():
             uploaded += len(lst)
-            upload_bytes += self.cost_model.result_bytes(
-                len(lst), self.dimensionality, id_width(lst.points.ids),
-                *coord_width(lst.points.values),
-            )
+            upload_bytes += self.cost_model.list_bytes(lst.points.ids, lst.points.values)
         return peer_points, uploaded, superpeer.store_size, upload_bytes
 
     def refresh_selectivity(
@@ -362,10 +359,8 @@ class SuperPeerNetwork:
             # super-peer merge starts once the slowest one uploaded.
             slowest_peer = 0.0
             for peer_id, n_points, computation in result.peer_results:
-                peer_bytes = self.cost_model.result_bytes(
-                    len(computation.result), self.dimensionality,
-                    id_width(computation.result.points.ids),
-                    *coord_width(computation.result.points.values),
+                peer_bytes = self.cost_model.list_bytes(
+                    computation.result.points.ids, computation.result.points.values
                 )
                 compute_seconds += computation.duration
                 slowest_peer = max(slowest_peer, computation.duration)

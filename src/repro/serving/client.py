@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -100,9 +101,18 @@ class GatewayClient:
             self._waiters.pop(request_id, None)
 
     async def query(self, subspace: Sequence[int], variant: str = "FTPM") -> GatewayResponse:
-        return await self.request(
-            {"op": "query", "subspace": [int(d) for d in subspace], "variant": variant}
-        )
+        """Ask for the skyline on ``subspace``.  An integer dimension
+        (numpy's included) travels as an ``int``; anything else — a
+        float, a bool, a string — travels as it is, for the gateway to
+        refuse, never truncated into another dimension."""
+        return await self.request({
+            "op": "query",
+            "subspace": [
+                int(d) if isinstance(d, numbers.Integral) and not isinstance(d, bool) else d
+                for d in subspace
+            ],
+            "variant": variant,
+        })
 
     async def update(self, kind: str, **fields: Any) -> GatewayResponse:
         """Send one live-update admin op (insert/delete/join/fail)."""

@@ -42,7 +42,6 @@ from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
 from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
-from ..p2p.cost import coord_width, id_width
 from ..p2p.engine import EventLoop, LinkLayer
 from ..p2p.network import SuperPeerNetwork
 from .protocol import ProtocolNode, QueryBound, make_kernels
@@ -199,9 +198,8 @@ class _ModelClocks:
         self, src: int, dst: int, origin: int, result: SortedByF, final: bool, at: Clock
     ) -> None:
         self.point_hops += len(result)
-        nbytes = self._cost.result_bytes(
-            len(result), len(self._subspace), id_width(result.points.ids),
-            *coord_width(result.points.values[:, list(self._subspace)]),
+        nbytes = self._cost.list_bytes(
+            result.points.ids, result.points.values[:, list(self._subspace)]
         )
         self._transmit(
             "result", src, dst, nbytes, at,

@@ -14,9 +14,11 @@ query floods), a *kernels* object that does the computing and a
     (:class:`NaiveKernels`), on full-space stores in process or on the
     queried coordinates alone where the lists crossed a wire.
 
-``kernels.best(point, result)``
-    the point of ``point`` and ``result`` with the smallest coordinate
-    sum on the subspace — how a bound's ``p`` is chosen and refined.
+``kernels.known(point, result)`` / ``kernels.drop(result, known)``
+    the points a node knows once it has scanned — the ``p`` it received
+    and its own list's smallest-sum point — and a list less what they
+    dominate on the subspace; how a bound's ``p`` is chosen and refined,
+    and what every list a SKYPEER node passes up is filtered by.
 
 ``carrier.send_query(src, dst, bound, at)``, ``carrier.send_result(src, dst, origin, result, final, at)``, ``carrier.decline(src, dst, at)``
     put a message on the ``src -> dst`` link, which must be FIFO.
@@ -40,8 +42,11 @@ A query's bound is a :class:`QueryBound` ``(t, p)``: the paper's
 threshold ``t``, and ``p``, the point with the smallest coordinate sum
 on ``U`` in the sender's answer so far, which every receiving super-peer
 drops the points it dominates for (``q(U, t, p)`` where the paper sends
-``q(U, t)``; ``docs/ALGORITHMS.md`` has why the answer stays exact).
-Five behaviours are settled here, once, for every carrier (the paper
+``q(U, t)``).  Once it has scanned, a node also drops what its *known
+points* — that ``p`` and its own list's smallest-sum point — dominate
+from every list it relays and from the merge it ships to its parent
+(``docs/ALGORITHMS.md`` has why the answer stays exact).  Five
+behaviours are settled here, once, for every carrier (the paper
 sentence each follows is in ``docs/ALGORITHMS.md``): the naive initiator
 forwards the query before it scans; a relaying super-peer ships its own
 list the moment its scan ends and relays every list it receives, empty
@@ -111,6 +116,11 @@ def _queried(result: SortedByF, subspace: Subspace) -> SortedByF:
     return SortedByF(points, result.f)
 
 
+def _masked(result: SortedByF, keep: np.ndarray) -> SortedByF:
+    """``result``'s points where ``keep`` holds, in their order."""
+    return SortedByF(result.points.mask(keep), result.f[keep])
+
+
 class SkylineKernels:
     """Algorithm 1 scans, Algorithm 2 merges.
 
@@ -138,27 +148,47 @@ class SkylineKernels:
             computation = replace(computation, result=_queried(computation.result, self._subspace))
         if bound.point is None:
             return computation
-        result = computation.result
-        keep = ~dominated_mask(result.points.values[:, self._cols], bound.point)
-        if keep.all():
+        keep = self._undominated(computation.result, bound.point[None])
+        if keep is None:
             return computation
         positions = computation.positions
         return replace(
             computation,
-            result=SortedByF(result.points.mask(keep), result.f[keep]),
+            result=_masked(computation.result, keep),
             positions=None if positions is None else positions[keep],
         )
 
-    def best(self, point: np.ndarray | None, result: SortedByF) -> np.ndarray | None:
-        """The smallest coordinate sum on the subspace among ``point`` and
-        ``result``'s points; ``point`` wins a tie, so a forwarded ``p`` is
-        never larger in sum than the one received."""
-        candidates = result.points.values[:, self._cols]
-        if point is not None:
-            candidates = np.vstack([point, candidates])
-        if not len(candidates):
-            return None
-        return candidates[int(np.argmin(candidates.sum(axis=1)))].copy()
+    def known(self, point: np.ndarray | None, result: SortedByF) -> np.ndarray:
+        """The points a super-peer that received ``point`` and scanned
+        ``result`` knows, one row each on the subspace: ``point`` (when
+        there is one), then ``result``'s smallest-sum point (when it is
+        not empty; the first in list order on a tie)."""
+        own = result.points.values[:, self._cols]
+        rows = [] if point is None else [point]
+        if len(own):
+            rows.append(own[int(np.argmin(own.sum(axis=1)))])
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(self._cols))
+
+    @staticmethod
+    def best(known: np.ndarray) -> np.ndarray | None:
+        """The smallest-sum row of ``known``, the first on a tie — so an
+        RT* relay's forwarded ``p`` is never larger in sum than the one it
+        received."""
+        return known[int(np.argmin(known.sum(axis=1)))].copy() if len(known) else None
+
+    def drop(self, result: SortedByF, known: np.ndarray) -> SortedByF:
+        """``result`` less the points a row of ``known`` dominates."""
+        keep = self._undominated(result, known)
+        return result if keep is None else _masked(result, keep)
+
+    def _undominated(self, result: SortedByF, points: np.ndarray) -> np.ndarray | None:
+        """Which of ``result``'s points no row of ``points`` dominates on
+        the subspace, or ``None`` when that is all of them."""
+        values = result.points.values[:, self._cols]
+        keep = np.ones(len(values), dtype=bool)
+        for point in points:
+            keep &= ~dominated_mask(values, point)
+        return None if keep.all() else keep
 
     def merge(self, lists: Sequence[SortedByF]) -> SkylineComputation:
         return merge_sorted_skylines(lists, self._cols)
@@ -191,6 +221,10 @@ class NaiveKernels:
         started = time.perf_counter()
         survivors = block_nested_loops(points, cols, stats=stats)
         return survivors, stats["comparisons"], time.perf_counter() - started
+
+    def known(self, point: np.ndarray | None, result: SortedByF) -> None:
+        """The baseline knows no point: nothing it passes up is filtered."""
+        return None
 
     def scan(self, sp: int, bound: QueryBound) -> SkylineComputation:
         store = self._store_of(sp)
@@ -276,6 +310,7 @@ class ProtocolNode:
         self._forwarded = False
         self._pending: set[int] = set()    # neighbours still to send their final
         self._own: SortedByF | None = None
+        self._known: np.ndarray | None = None   # fixed by the scan, before any result
         self._collected: list[tuple[int, SortedByF]] = []
         self._ready: Any = None            # join of everything a merge waits for
 
@@ -319,11 +354,13 @@ class ProtocolNode:
         if not after_scan:
             self._forward(bound, at)
         scan = self.kernels.scan(self.superpeer_id, bound)
+        # Every carrier runs the scan synchronously, so the known points
+        # are fixed before this node handles any result.
+        self._known = self.kernels.known(bound.point, scan.result)
 
         def scanned(at: Any) -> None:
             if after_scan:
-                best = self.kernels.best(bound.point, scan.result)
-                self._forward(QueryBound(scan.threshold, best), at)
+                self._forward(QueryBound(scan.threshold, self.kernels.best(self._known)), at)
             self._own = scan.result
             if self._merges:
                 self._await(at)
@@ -358,7 +395,7 @@ class ProtocolNode:
             self._await(at)
         else:
             self.carrier.send_result(
-                self.superpeer_id, self.parent, origin, result, self.done, at
+                self.superpeer_id, self.parent, origin, self._passed_up(result), self.done, at
             )
 
     def on_decline(self, sender: int, at: Any) -> None:
@@ -391,8 +428,14 @@ class ProtocolNode:
             self.carrier.finish(result, at)
         else:
             self.carrier.send_result(
-                self.superpeer_id, self.parent, self.superpeer_id, result, True, at
+                self.superpeer_id, self.parent, self.superpeer_id, self._passed_up(result),
+                True, at,
             )
+
+    def _passed_up(self, result: SortedByF) -> SortedByF:
+        """``result`` less what this node's known points dominate (the
+        naive baseline knows none)."""
+        return result if self._known is None else self.kernels.drop(result, self._known)
 
 
 # ----------------------------------------------------------------------

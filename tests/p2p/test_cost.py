@@ -69,6 +69,23 @@ class TestCostModel:
                     model.result_bytes(n, k, 3, low, n * k) <= whole for low in range(9)
                 )
 
+    def test_result_bytes_charges_each_column_its_own_group(self):
+        """``header + n·w + (k − 1) + [⌈nk/8⌉] + Σ (8 − c_j) + Σ nz_j·c_j``."""
+        model = CostModel()
+        for n in (2, 5):
+            for widths, sent in (((0, 7), (n, n)), ((8, 2, 3), (0, n, n - 1))):
+                k = len(widths)
+                bitmap = (n * k + 7) // 8 if sum(sent) < n * k else 0
+                assert model.result_bytes(n, k, 2, widths, sent) == (
+                    model.message_header_bytes + 2 * n + k - 1 + bitmap
+                    + sum(8 - c for c in widths) + sum(c * m for c, m in zip(widths, sent))
+                )
+
+    @pytest.mark.parametrize("widths,sent", [((7, 7), (3,)), ((7,) * 3, (3,) * 3), ((7, 7), (3, 4))])
+    def test_result_bytes_rejects_groups_that_do_not_fit_the_block(self, widths, sent):
+        with pytest.raises(ValueError):
+            CostModel().result_bytes(3, 2, 1, widths, sent)
+
     def test_result_bytes_rejects_negative(self):
         with pytest.raises(ValueError):
             CostModel().result_bytes(-1, 2, 1, 8, 0)
@@ -213,3 +230,19 @@ class TestCoordWidth:
         assert low <= 7 and sent == values.size
         assert coord_width(np.append(values, 0.0)) == (low, values.size)
         assert coord_width(np.append(values, -0.0)) == (8, values.size + 1)
+
+    def test_columns_that_share_more_than_the_block_get_their_own_widths(self):
+        """Two constant columns share all eight bytes each, but only the
+        top byte with each other: ``1 + 8 + 8`` bytes beat ``1 + 6·7``."""
+        assert coord_width(np.array([[3.0, 7.0]] * 3)) == ((0, 0), (3, 3))
+        # The bitmap stays the block's; a column it marks whole is width 8.
+        assert coord_width(np.array([[0.0, 3.0], [0.0, 3.0], [0.5, 3.0]])) == ((0, 0), (1, 3))
+        assert coord_width(np.array([[0.0, 3.0, 7.0]] * 3)) == ((8, 0, 0), (0, 3, 3))
+
+    def test_one_group_wins_every_tie_and_every_single_point_or_column(self):
+        """The per-column layout must be strictly smaller."""
+        assert coord_width(np.array([[3.0, 7.0]])) == (7, 2)
+        assert coord_width(np.array([[3.0], [7.0], [3.0]])) == (7, 3)
+        # Column 0 shares its top byte, column 1 none (its signs differ),
+        # the block none: 1 + (1 + 2·7) + 2·8 = 32 bytes either way.
+        assert coord_width(np.array([[0.5, -1.0], [0.75, 1.0]])) == (8, 4)

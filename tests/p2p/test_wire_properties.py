@@ -25,6 +25,27 @@ QUERY_COST = CostModel(message_header_bytes=27)
 RESULT_COST = CostModel(message_header_bytes=32)
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def width_byte(coords) -> int:
+    """The coordinate width byte a record of ``coords`` carries: the
+    (first) width, ``0x80`` for a zero bitmap, ``0x40`` per column."""
+    low, sent = map(np.atleast_1d, coord_width(coords))
+    bitmap = 0x80 if sent.sum() < np.size(coords) else 0
+    return int(low[0]) | bitmap | (0x40 if len(low) > 1 else 0)
+
+
+def v6_bytes(coords) -> int:
+    """The coordinate bytes of version 6's one-block layout: the
+    bitmap of a block that mixes +0.0 with other values, the shared high
+    bytes once and ``c`` low bytes per sent value."""
+    bits = np.ascontiguousarray(coords, dtype="<f8").reshape(-1).view("<u8")
+    if not bits.size:
+        return 8
+    flagged = 0 < np.count_nonzero(bits) < bits.size
+    sent = bits[bits != 0] if flagged else bits
+    low = (int(np.bitwise_or.reduce(sent ^ sent[0])).bit_length() + 7) // 8
+    return ((bits.size + 7) // 8 if flagged else 0) + 8 - low + sent.size * low
 #: Ids on both sides of every width step, the extremes and negatives.
 EDGE_IDS = [0, 255, 256, 2**16 - 1, 2**16, 2**24, 2**32, 2**56, INT64_MAX, -1, INT64_MIN]
 ids_strategy = st.sampled_from(EDGE_IDS) | st.integers(INT64_MIN, INT64_MAX)
@@ -87,8 +108,7 @@ def test_result_roundtrip(query_id, sender, k, ids, mark, data):
     # as wide as the sent values' unshared low bytes; the estimate
     # charges both, and the zero bitmap of a block that has one.
     width, (low, sent) = id_width(ids), coord_width(coords)
-    flag = 0x80 if sent < coords.size else 0
-    assert (blob[16 + 14], blob[16 + 15]) == (width, low | flag)
+    assert (blob[16 + 14], blob[16 + 15]) == (width, width_byte(coords))
     assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
         len(ids), k, width, low, sent
     )
@@ -126,13 +146,13 @@ def test_coordinate_block_roundtrips_bit_for_bit(n, k, shared, base, mark, data)
     assert back.coords.view("<u8").tolist() == bits.tolist()
     assert back.ids.tolist() == list(range(n)) and back.final is (mark == "final")
     low, sent = coord_width(coords)
-    assert blob[16 + 15] == low | (0x80 if sent < n * k else 0)
-    assert low <= 8 - shared if n * k else low == 8
+    assert blob[16 + 15] == width_byte(coords)
+    assert max(np.atleast_1d(low)) <= 8 - shared if n * k else low == 8
     estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
     assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(range(n)), low, sent)
     assert estimate - len(blob) == 32
     assert len(blob) == RESULT_COST.result_bytes(n, k, id_width(range(n)), low, sent)
-    if sent == n * k:  # a bitmap can outweigh the one zero it drops (docs/TRANSPORT.md)
+    if sum(np.atleast_1d(sent)) == n * k:  # a bitmap can outweigh the one zero it drops (docs/TRANSPORT.md)
         assert len(blob) <= RESULT_COST.result_bytes(n, k, id_width(range(n)), 8, n * k)
 
 
@@ -162,13 +182,16 @@ def test_zero_bearing_block_roundtrips_at_the_constant_envelope(n, k, data):
 def test_a_unit_cube_block_is_never_larger_than_version_5(n, k, data):
     """The v6 record of a block drawn from ``{+0.0} ∪ [2**-15, 1]`` is
     never longer than version 5's: ``32 + n·w + (8 − c) + nk·c``, ``c``
-    taken over every value, +0.0 included."""
+    taken over every value, +0.0 included.  Nor is the v7 record longer
+    than v6's one-block layout of the same block."""
     values = data.draw(st.lists(cube_values, min_size=n * k, max_size=n * k))
     coords = np.array(values).reshape(n, k)
     bits = coords.reshape(-1).view("<u8")
     v5_low = (int(np.bitwise_or.reduce(bits ^ bits[0])).bit_length() + 7) // 8
     v5 = 32 + n * id_width(range(n)) + (8 - v5_low) + n * k * v5_low
-    assert len(ResultMessage(1, 0, range(n), coords).encode()) <= v5
+    blob = ResultMessage(1, 0, range(n), coords).encode()
+    assert len(blob) <= v5
+    assert len(blob) <= 32 + n * id_width(range(n)) + v6_bytes(coords)
 
 
 @given(st.binary(max_size=200))

@@ -456,6 +456,47 @@ class TestUpdateOp:
         assert stats.protocol_errors == 3 and stats.updates_applied == 0
         assert network_state(network) == before
 
+    @pytest.mark.parametrize("backend", ["serial", "engine"])
+    def test_the_client_sends_a_non_integer_dimension_as_it_is(self, backend):
+        """``GatewayClient.query`` sends integers, numpy's included, as
+        ``int`` and a float, bool or string unchanged, so the gateway's
+        guard refuses it rather than answering a truncated subspace."""
+        import numpy as np
+
+        from repro.parallel import ParallelEngine
+
+        from .conftest import build_network
+
+        network = build_network(seed=43)
+
+        async def scenario(engine):
+            gateway = QueryGateway(network, engine=engine, backend=backend, config=GatewayConfig())
+            async with gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    good = await asyncio.wait_for(
+                        client.query([np.int64(0), np.int32(2)]), timeout=30.0
+                    )
+                    bad = [
+                        await asyncio.wait_for(client.query(subspace), timeout=30.0)
+                        for subspace in ([0.9, 1.2], [0, 1.5], [True, 2], ["1", 2])
+                    ]
+            return good, bad, gateway.stats
+
+        if backend == "engine":
+            with ParallelEngine(1) as engine:
+                good, bad, stats = run(scenario(engine))
+        else:
+            good, bad, stats = run(scenario(None))
+        assert good.ok, good.payload
+        expected = execute_query(network, Query(subspace=(0, 2), initiator=0), "FTPM")
+        assert set(good.payload["result"]["ids"]) == set(expected.result_ids)
+        for reply in bad:
+            assert reply.status == "error", reply.payload
+            assert reply.payload["code"] == ERROR_REQUEST, reply.payload
+            assert reply.payload["error"].startswith("bad query: "), reply.payload
+        assert stats.protocol_errors == len(bad) and stats.executed == 1
+
     def test_post_update_queries_do_not_coalesce_with_stale_jobs(self):
         from .conftest import build_network
 

@@ -8,7 +8,7 @@ and ``f`` in order), every deterministic count and, under a fixed-tick
 ``time.perf_counter``, both model times to the last bit.
 
 It was first recorded from the parent commit of the PR that unified
-Algorithm 3 (the plan-based executor), and re-recorded five times since.
+Algorithm 3 (the plan-based executor), and re-recorded six times since.
 Once when ``f`` came off the backbone (a RESULT record is id + the k
 queried coordinates; a merged answer is ordered by, and its ``f`` is,
 the minimum over the queried coordinates): against the tree before,
@@ -34,8 +34,19 @@ and ``c`` low bytes each: every case kept ``ids``, ``f``, every count,
 ``computational_time`` and ``initial_threshold``, and ``volume_bytes``
 fell by exactly the sum of ``(8 - c) * (n * k - 1)`` over its result
 messages (in the 20 cases where some message has ``n * k > 1``), and
-``total_time`` with the transfers.  CHANGES.md has all five
-comparisons.
+``total_time`` with the transfers.  Once when a SKYPEER super-peer
+began to drop, from every list it relays and every merge it ships up,
+what its known points (the received ``p`` and its own list's
+smallest-sum point) dominate, and a RESULT block could send one width
+per column when that is smaller: every case kept ``ids``, ``f``,
+``message_count``, ``initial_threshold``, ``local_result_points`` and
+``computational_time``; the per-column layout alone moved no key of any
+case (no message of these networks is smaller per column); with the
+known points every naive and FTPM case stayed byte-equal, and in nine
+FTFM / RTFM / RTPM cases ``point_hops`` fell, ``volume_bytes`` with it
+(``total_time`` in eight of them), and ``comparisons`` and
+``critical_path_examined`` with the shorter merges.  CHANGES.md has all
+six comparisons.
 
 The first file's ``critical_path_examined`` was right for the \\*PM
 variants only (the plan dropped the ``work`` component from every
@@ -56,13 +67,14 @@ import math
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.merging import merge_sorted_skylines
 from repro.data.workload import Query
 from repro.p2p.cost import coord_width, id_width
 from repro.p2p.network import SuperPeerNetwork
-from repro.skypeer.executor import _ModelClocks, execute_query, run_on_model_clocks
+from repro.skypeer.executor import _ModelClocks, execute_query, run_on_model_clocks, spanning_tree
 from repro.skypeer.variants import Variant
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "algorithm3_golden.json")
@@ -168,14 +180,17 @@ def test_volume_is_headers_plus_point_hops(networks, anti_network, monkeypatch, 
     the largest id of the message, ``nz`` the coordinates it sends (its
     non-+0.0 ones when it mixes +0.0 with others, else all) and ``c``
     the low bytes those do not all share (all read here through a spy
-    on the carrier).  Nothing else travels, so a change to either record
-    shows here and not only in a bench."""
-    sent: list[tuple[int, int, int, int]] = []  # (points, id width, coord width, nz)
+    on the carrier).  A block laid out per column pays ``k − 1`` width
+    bytes and each column's ``8 − c_j`` and ``nz_j·c_j`` instead.
+    Nothing else travels, so a change to either record shows here and
+    not only in a bench."""
+    sent: list[tuple[int, int, int, int]] = []  # (points, id width, coord bytes, nz)
     send_result = _ModelClocks.send_result
 
     def spy(self, src, dst, origin, result, final, at):
-        low, nonzero = coord_width(result.points.values[:, list(self._subspace)])
-        sent.append((len(result), id_width(result.points.ids), low, nonzero))
+        low, nonzero = map(np.atleast_1d, coord_width(result.points.values[:, list(self._subspace)]))
+        block = len(low) - 1 + int((8 - low).sum()) + int(nonzero @ low)
+        sent.append((len(result), id_width(result.points.ids), block, int(nonzero.sum())))
         send_result(self, src, dst, origin, result, final, at)
 
     monkeypatch.setattr(_ModelClocks, "send_result", spy)
@@ -196,8 +211,8 @@ def test_volume_is_headers_plus_point_hops(networks, anti_network, monkeypatch, 
                 run.query_messages * cost.query_bytes(k, points)
                 + n_result * cost.message_header_bytes
                 + sum(
-                    n * width + ((n * k + 7) // 8 if nz < n * k else 0) + 8 - low + nz * low
-                    for n, width, low, nz in sent
+                    n * width + ((n * k + 7) // 8 if nz < n * k else 0) + block
+                    for n, width, block, nz in sent
                 )
             ), (name, subspace)
             bitmaps += sum(nz < n * k for n, _, _, nz in sent)
@@ -206,14 +221,26 @@ def test_volume_is_headers_plus_point_hops(networks, anti_network, monkeypatch, 
 
 @pytest.mark.parametrize("name", ["mesh", "deep"])
 @pytest.mark.parametrize("variant", [Variant.FTFM, Variant.RTFM, Variant.NAIVE], ids=lambda v: v.value)
-def test_relayed_work_is_the_longest_path(networks, name, variant):
+def test_relayed_work_is_the_longest_path(networks, monkeypatch, name, variant):
     """*FM / naive: every scan ends on a path from P_init, every list
     reaches P_init with the work of the path it came by, and P_init
-    merges after the latest of them."""
+    merges after the latest of them — its own list and what arrived,
+    which a relay's known points may have shortened on the way."""
     network = networks[name]
+    arrived: dict[int, object] = {}   # origin -> the list P_init received
+    send_result = _ModelClocks.send_result
+
+    def spy(self, src, dst, origin, result, final, at):
+        if dst == self._query.initiator:
+            arrived[origin] = result
+        send_result(self, src, dst, origin, result, final, at)
+
+    monkeypatch.setattr(_ModelClocks, "send_result", spy)
     for subspace in _subspaces(network.dimensionality):
         root = _initiator(network)
+        arrived.clear()
         run = execute_query(network, Query(subspace=subspace, initiator=root), variant)
+        _tree, rank = spanning_tree(network, root)
         parent, _children = network.topology.bfs_tree(root)
         examined = {sp: scan.examined for sp, scan in run.traces.items()}
         if variant is Variant.NAIVE:
@@ -232,8 +259,10 @@ def test_relayed_work_is_the_longest_path(networks, name, variant):
         if variant is Variant.NAIVE:
             assert merge_examined == run.local_result_points
         else:
+            assert set(arrived) == set(parent) - {root}
             merged = merge_sorted_skylines(
-                [run.traces[sp].result for sp in parent], tuple(subspace)
+                [run.traces[root].result] + [arrived[sp] for sp in sorted(arrived, key=rank.get)],
+                tuple(subspace),
             )
             assert merge_examined == merged.examined
 

@@ -53,6 +53,9 @@ def chain() -> SuperPeerNetwork:
                                drops (3,7), which p = (1,4) dominates
     ====  ===================  =============================================
 
+    A relay drops from what it passes up the points its known points —
+    the ``p`` it received and its own smallest-sum point — dominate.
+
     (SP0's two points tie on their sum, 5; the first in its list is ``p``.)
     """
     topology = Topology(
@@ -72,8 +75,9 @@ def chain() -> SuperPeerNetwork:
 #: (which starts from t = inf) reads its whole input.
 CHAIN_WORK = {
     # SP0 scans 2, then SP1 and SP2 scan at once (2+1, 2+2); SP2 keeps 1,
-    # so SP0 merges 2+1+1.
-    Variant.FTFM: max(2, 2 + 1, 2 + 2) + 4,
+    # (9,2.5), which SP1's own (2,2) dominates: SP1 relays the list empty,
+    # so SP0 merges 2+1+0.
+    Variant.FTFM: max(2, 2 + 1, 2 + 2) + 3,
     # ... SP1 merges its 1 with SP2's 1 once they are in and keeps (2,2);
     # SP0 merges its 2 with that 1.
     Variant.FTPM: max(2, max(2 + 1, 2 + 2) + 2) + 3,

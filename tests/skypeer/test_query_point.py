@@ -8,12 +8,16 @@ subspace size, with links delivered in any order: the answer is the
 skyline; every super-peer's own list (what it ships under *FM, what its
 merge starts from under *PM) is its scan minus exactly what the received
 ``p`` dominates; and no forwarded ``p`` is larger in sum than the one
-received.  Nothing below checks with ``repro.core.dominance``.
+received.  On the model carrier, no list a super-peer relays or ships
+holds a point its known points (the received ``p`` and its own list's
+smallest-sum point) dominate, and dropping those moves no message.
+Nothing below checks with ``repro.core.dominance``.
 """
 
 from __future__ import annotations
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,8 +26,13 @@ from hypothesis import strategies as st
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
 from repro.core.local_skyline import local_subspace_skyline
-from repro.skypeer.protocol import ProtocolNode, QueryBound, make_kernels
+from repro.data.workload import Query
+from repro.p2p.network import SuperPeerNetwork
+from repro.p2p.topology import Topology
+from repro.skypeer.executor import _ModelClocks, execute_query
+from repro.skypeer.protocol import ProtocolNode, QueryBound, SkylineKernels, make_kernels
 from repro.skypeer.variants import Variant
+from tests.conftest import brute_force_skyline_ids
 from tests.skypeer.test_node import LinkQueues, backbones
 
 
@@ -154,3 +163,65 @@ def test_the_point_prunes_only_what_is_not_in_the_answer(backbone, variant, seed
     for src, origin, result in carrier.shipped:
         if origin == src and not merges and carrier.nodes[src].parent is not None:
             assert result.points.ids.tolist() == own[src].points.ids.tolist()
+
+
+@given(
+    backbones(),
+    st.sampled_from(Variant.skypeer_variants()),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_no_list_passed_up_holds_what_its_sender_knows_dominated(backbone, variant, seed, k):
+    """On the model carrier, over random backbones with ties and
+    duplicates: every list a super-peer relays or ships holds no point
+    that the ``p`` it received, or its own list's smallest-sum point,
+    dominates on ``U``; the answer is the skyline; and the filter moves
+    no message."""
+    adjacency, _ = backbone
+    rng = np.random.default_rng(seed)
+    d = 3
+    partitions, next_id = {}, 0
+    for sp in adjacency:
+        count = int(rng.integers(1, 9))
+        values = rng.integers(0, 5, size=(count, d)).astype(float)
+        partitions[sp] = PointSet(values, np.arange(next_id, next_id + count))
+        next_id += count
+    topology = Topology(
+        adjacency={sp: tuple(nbs) for sp, nbs in adjacency.items()},
+        peers_of={sp: (sp,) for sp in adjacency},
+    )
+    network = SuperPeerNetwork.from_partitions(topology, partitions)
+    subspace = tuple(sorted(rng.choice(d, size=k, replace=False).tolist()))
+    query = Query(subspace=subspace, initiator=int(rng.integers(0, len(adjacency))))
+
+    received: dict[int, QueryBound] = {}
+    passed_up: list[tuple[int, SortedByF]] = []
+    send_query, send_result = _ModelClocks.send_query, _ModelClocks.send_result
+
+    def spy_query(self, src, dst, bound, at):
+        received[dst] = bound
+        send_query(self, src, dst, bound, at)
+
+    def spy_result(self, src, dst, origin, result, final, at):
+        passed_up.append((src, result))
+        send_result(self, src, dst, origin, result, final, at)
+
+    with patch.object(_ModelClocks, "send_query", spy_query), \
+            patch.object(_ModelClocks, "send_result", spy_result):
+        run = execute_query(network, query, variant)
+
+    assert run.result_ids == brute_force_skyline_ids(network.all_points(), subspace)
+    for src, result in passed_up:
+        own = [on(subspace, row) for _, row in run.traces[src].result.points]
+        known = [tuple(received[src].point)] if src in received else []
+        if own:
+            known.append(min(own, key=sum))   # the first on a tie
+        for _, row in result.points:
+            assert not any(dominates(point, on(subspace, row)) for point in known), src
+
+    with patch.object(SkylineKernels, "drop", lambda self, result, known: result):
+        unfiltered = execute_query(network, query, variant)
+    assert run.message_count == unfiltered.message_count
+    assert run.result.points.ids.tolist() == unfiltered.result.points.ids.tolist()
+    assert run.point_hops <= unfiltered.point_hops
