@@ -108,7 +108,14 @@ runs, in its dominance form, over the points examined (docs/ALGORITHMS.md,
 those of the paper's per-point loop read in 64-point chunks, so every
 *computational time* below is that of the faster test.  `comparisons`
 counts the pairs the filter tested, not the per-point candidate tests
-(docs/PERFORMANCE.md, "One dominance kernel").
+(docs/PERFORMANCE.md, "One dominance kernel").  Algorithm 1 also hands
+the filter only the examined points whose minimum over the queried
+coordinates is at most its final threshold, so a local result is the
+store's skyline restricted to that minimum; it lacks only points the
+received threshold alone beats (docs/ALGORITHMS.md, "The cut on U's own
+minimum").  Answers, thresholds and `examined` do not move, and a
+*volume* loses only the few such points the query's point does not
+already drop.
 (9) A result message also sends its coordinates in one width: the high
 bytes that the float64 bit patterns of all its coordinates share travel
 once, and each coordinate sends only the c bytes below them (c = 7 for

@@ -8,12 +8,24 @@ Observation 5 no later point can be a skyline point.
 It runs as two passes.  :func:`_stop_point` finds where the scan stops
 and its final threshold from ``f``, ``dist_U`` and ``t0`` alone: every
 row examined lowers the threshold exactly as far as the skyline point
-that dominates it would.  The skyline of the examined prefix is then one
-call of the skyline filter
+that dominates it would.  The examined rows are then cut at that final
+threshold ``t`` on U's own minimum ``g_U(p) = min_{i in U} p[i]``
+(Observation 5 with U in place of D), and the skyline of the rows kept
+is one call of the skyline filter
 (:func:`repro.core.dominance._skyline_filter`) in its dominance form —
 the kernel Section 5.3 pre-processing runs in its ext-dominance form.
-``docs/ALGORITHMS.md`` has the proof that both passes return what the
-scan testing dominance row by row returns.
+
+The cut makes a local result exactly ``SKY_U(store) ∩ {g_U <= t}``, in
+store order: a row with ``g_U <= t`` has ``f <= t`` and was examined,
+and whatever dominates it has ``g_U <= t`` too.  ``t`` is ``dist_U`` of
+a real point (an examined row, or the one that set ``t0`` upstream), and
+that point is below every queried coordinate of a cut row, so no cut row
+is in the answer.  The paper's local result is the skyline of the whole
+examined prefix; the two differ only in rows the received threshold
+alone beats.  ``threshold`` and ``examined`` are those of the paper's
+scan; ``comparisons`` counts the pairs the filter tested on the kept
+rows.  ``docs/ALGORITHMS.md`` has the proof that both passes return
+what the scan testing dominance row by row returns, cut the same way.
 """
 
 from __future__ import annotations
@@ -136,7 +148,9 @@ def local_subspace_skyline(
     -----
     Ties with the threshold (``f(p) == t``) are *examined* rather than
     pruned; Observation 5 only licenses pruning for strictly larger
-    ``f`` (see :func:`repro.core.mapping.can_prune`).
+    ``f`` (see :func:`repro.core.mapping.can_prune`).  The same holds
+    for the cut on ``min_{i in U} p[i]``: a row equal to the final
+    threshold there stays.
     """
     started = time.perf_counter()
     cols = tuple(subspace)
@@ -144,7 +158,12 @@ def local_subspace_skyline(
     # is projected.
     proj, dists = store.projection(cols, rows=store.prefix(initial_threshold))
     examined, threshold = _stop_point(store.f, dists, initial_threshold)
-    positions, comparisons = _skyline_filter(proj[:examined], ext=False)
+    # Observation 5 on U's own minimum: a row whose every queried
+    # coordinate exceeds the final threshold is beaten by the point that
+    # set it, and so is everything it dominates; ties stay.
+    kept = np.flatnonzero(proj[:examined].min(axis=1) <= threshold)
+    positions, comparisons = _skyline_filter(proj[kept], ext=False)
+    positions = kept[positions]
     result = SortedByF(store.points.take(positions), store.f[positions])
     return SkylineComputation(
         result=result,

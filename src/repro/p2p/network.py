@@ -359,9 +359,11 @@ class SuperPeerNetwork:
             # super-peer merge starts once the slowest one uploaded.
             slowest_peer = 0.0
             for peer_id, n_points, computation in result.peer_results:
-                peer_bytes = self.cost_model.list_bytes(
-                    computation.result.points.ids, computation.result.points.values
-                )
+                if tracer is not None or metrics is not None:
+                    # The report's total comes from advance_epoch below.
+                    peer_bytes = self.cost_model.list_bytes(
+                        computation.result.points.ids, computation.result.points.values
+                    )
                 compute_seconds += computation.duration
                 slowest_peer = max(slowest_peer, computation.duration)
                 superpeer.receive_peer_skyline(peer_id, computation.result)

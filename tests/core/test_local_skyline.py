@@ -33,11 +33,14 @@ class TestCorrectness:
             for sub in [(0,), (1, 3), (0, 2, 4)]:
                 for t0 in (math.inf, 0.4):
                     got = local_subspace_skyline(store, sub, initial_threshold=t0)
-                    # The survivors are the skyline of the f <= t0 prefix,
-                    # in store (f-ascending) order, and the refined
-                    # threshold is t0 lowered by every survivor's dist_U.
-                    prefix = points.take(np.flatnonzero(f_values(points.values) <= t0))
-                    assert got.points.id_set() == brute_force_skyline_ids(prefix, sub)
+                    # The survivors are the store's skyline cut at the
+                    # final threshold on U's own minimum, in store
+                    # (f-ascending) order, and the refined threshold is
+                    # t0 lowered by every survivor's dist_U.
+                    sky = brute_force_skyline_ids(points, sub)
+                    low = store.points.values[:, list(sub)].min(axis=1) <= got.threshold
+                    expected = [int(i) for i, ok in zip(store.points.ids, low) if ok and i in sky]
+                    assert got.result.points.ids.tolist() == expected
                     assert np.all(np.diff(got.positions) > 0)
                     assert np.array_equal(got.result.f, store.f[got.positions])
                     dists = dist_values(got.result.points.values, sub)
@@ -154,7 +157,8 @@ class TestStats:
 
 class TestPrefixProjection:
     """Algorithm 1 projects only the ``f(p) <= t`` prefix of the store;
-    the reference below scans the whole-store projection instead."""
+    the reference below scans the whole-store projection instead, and
+    cuts the examined rows at the final threshold on U's minimum."""
 
     @staticmethod
     def _full_projection_scan(store, cols, threshold):
@@ -163,8 +167,9 @@ class TestPrefixProjection:
         proj = store.points.values[:, list(cols)]
         dists = proj.max(axis=1) if len(store) else np.zeros(0)
         examined, final = alg1._stop_point(store.f, dists, threshold)
-        positions, comparisons = _skyline_filter(proj[:examined], ext=False)
-        return positions.tolist(), final, examined, comparisons
+        kept = [i for i in range(examined) if min(proj[i]) <= final]
+        positions, comparisons = _skyline_filter(proj[kept], ext=False)
+        return [kept[p] for p in positions], final, examined, comparisons
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())

@@ -7,9 +7,11 @@ scan the paper describes, chunk by chunk: a chunk examines its rows up
 to the last ``f <= t`` for the threshold it started with, every examined
 row not dominated by an earlier-examined or same-chunk row is a
 skyline candidate, and the threshold falls to the smallest ``dist_U``
-among the chunk's candidates.  Its skyline is a quadratic loop in the
-manner of a sequential skyline: a row stays if no other row dominates
-it.
+among the chunk's candidates.  The examined rows whose minimum exceeds
+the final threshold are cut, and the skyline of the rest is a quadratic
+loop in the manner of a sequential skyline: a row stays if no other row
+dominates it.  A merge already orders its rows on that minimum, so the
+cut takes no row from its skyline.
 
 Inputs are coarse grids (exact ties, duplicate rows, rows equal to a
 pivot), with ``-0.0`` beside ``0.0`` and ``+inf``; thresholds run from
@@ -65,7 +67,10 @@ def reference_scan(keys, rows, t0, chunk):
         ]
         threshold = min([threshold] + [dist[i] for i in candidates])
         start = end
-    return skyline(rows[:start]), threshold, start
+    # The examined rows whose every coordinate exceeds the final
+    # threshold are cut before the skyline (ties stay).
+    kept = [i for i in range(start) if min(rows[i]) <= threshold]
+    return [kept[i] for i in skyline([rows[i] for i in kept])], threshold, start
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 
 from repro.data.workload import Query
 from repro.obs import active_metrics, active_tracer, observed
+from repro.p2p.cost import CostModel
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import execute_query
 from repro.skypeer.inspection import execution_report
@@ -135,6 +136,29 @@ def test_preprocessing_records_spans_and_counters():
     assert categories == {"preprocess"}
     assert "preprocess" in tracer.clocks()
     assert tracer.validate() == []
+
+
+def test_a_build_charges_each_upload_once(monkeypatch):
+    """Untraced, pre-processing prices each peer list once (for the
+    report); traced, the spans' upload bytes still sum to the report's."""
+    calls = []
+    list_bytes = CostModel.list_bytes
+
+    def spy(self, ids, values):
+        calls.append(len(ids))
+        return list_bytes(self, ids, values)
+
+    monkeypatch.setattr(CostModel, "list_bytes", spy)
+    shape = dict(n_peers=12, points_per_peer=10, dimensionality=4, seed=5)
+    network = SuperPeerNetwork.build(**shape)
+    lists = sum(len(sp.peer_skylines) for sp in network.superpeers.values())
+    assert lists == network.n_peers
+    assert len(calls) == lists
+    with observed() as (tracer, _):
+        traced = SuperPeerNetwork.build(**shape)
+    uploads = [dict(span.args)["upload_bytes"] for span in tracer.spans if span.name == "ext-skyline"]
+    assert len(uploads) == lists
+    assert sum(uploads) == traced.preprocessing.upload_bytes == network.preprocessing.upload_bytes
 
 
 def test_bench_harness_aggregates_per_sweep_metrics():

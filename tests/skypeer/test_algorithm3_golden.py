@@ -8,7 +8,7 @@ and ``f`` in order), every deterministic count and, under a fixed-tick
 ``time.perf_counter``, both model times to the last bit.
 
 It was first recorded from the parent commit of the PR that unified
-Algorithm 3 (the plan-based executor), and re-recorded six times since.
+Algorithm 3 (the plan-based executor), and re-recorded seven times since.
 Once when ``f`` came off the backbone (a RESULT record is id + the k
 queried coordinates; a merged answer is ordered by, and its ``f`` is,
 the minimum over the queried coordinates): against the tree before,
@@ -45,8 +45,12 @@ case (no message of these networks is smaller per column); with the
 known points every naive and FTPM case stayed byte-equal, and in nine
 FTFM / RTFM / RTPM cases ``point_hops`` fell, ``volume_bytes`` with it
 (``total_time`` in eight of them), and ``comparisons`` and
-``critical_path_examined`` with the shorter merges.  CHANGES.md has all
-six comparisons.
+``critical_path_examined`` with the shorter merges.  Once when
+Algorithm 1 began to cut its examined rows at the final threshold on
+U's own minimum before the filter: ``comparisons`` alone moved, in 24
+of the 45 cases (every SKYPEER case with ``k`` in ``{1, 2}``), and fell
+in each; every other key of every case, naive included, stayed
+byte-equal.  CHANGES.md has all seven comparisons.
 
 The first file's ``critical_path_examined`` was right for the \\*PM
 variants only (the plan dropped the ``work`` component from every
