@@ -73,7 +73,7 @@ class SkylineComputation:
         of the immutable store plus the scan parameters, so these
         positions — together with the scalar stats — are all a cache
         needs to replay the computation byte-identically; see
-        :meth:`replay` and :class:`repro.parallel.engine.ScanMemo`.
+        :meth:`replay` and :class:`repro.p2p.network.ScanMemo`.
     """
 
     result: SortedByF
@@ -102,15 +102,16 @@ class SkylineComputation:
         examined: int,
         comparisons: int,
         input_size: int,
-        duration: float = 0.0,
+        duration: float,
     ) -> "SkylineComputation":
         """Reconstruct a cached scan outcome from its store positions.
 
         The rebuilt result takes its coordinates, ids and ``f`` values
         from the (shared, immutable) store itself, so it is
-        byte-identical to the original computation's result; the
-        deterministic work counters are replayed verbatim, keeping
-        serial-vs-parallel metric totals exact even on cache hits.
+        byte-identical to the original computation's result; the work
+        counters and the duration are replayed verbatim, keeping
+        serial-vs-parallel metric totals and the model clocks exact
+        even on cache hits.
         """
         positions = np.asarray(positions, dtype=np.int64)
         result = SortedByF(

@@ -9,19 +9,25 @@ one runs the pre-processing phase of section 5.3 end-to-end:
 2. every super-peer merges its peers' lists (Algorithm 2, ext mode)
    into its f-sorted query store,
 
-and records the selectivity statistics Figure 3(a) reports.
+and records the selectivity statistics Figure 3(a) reports.  Every
+Algorithm 1 scan of a super-peer's store runs through
+:meth:`SuperPeerNetwork.scan`, which memoizes it (:class:`ScanMemo`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..core.dataset import PointSet
 from ..core.extended_skyline import merge_ext_skylines
-from ..core.local_skyline import SkylineComputation
+from ..core.local_skyline import SkylineComputation, local_subspace_skyline
 from ..core.store import SortedByF
 from ..data.generators import make_generator
 from ..data.partition import partition_evenly
@@ -33,7 +39,127 @@ from .topology import Topology
 if TYPE_CHECKING:
     from ..parallel.engine import ParallelEngine
 
-__all__ = ["PreprocessingReport", "SuperPeerPreprocess", "SuperPeerNetwork"]
+__all__ = [
+    "EpochGate", "PreprocessingReport", "ScanMemo", "SuperPeerPreprocess", "SuperPeerNetwork",
+]
+
+#: Scans a network memoizes: a skewed serving workload's working set (a
+#: few hundred (super-peer, subspace, threshold) keys) fits; the cap only
+#: bounds a cold sweep's memory.
+_SCAN_MEMO_CAP = 1024
+
+
+class ScanMemo:
+    """An LRU of one network's Algorithm 1 scans.
+
+    A scan is a pure function of its store and parameters, so an entry
+    is keyed ``(sp, store generation, cols, threshold)`` and holds only
+    the surviving store positions plus the scan's counters and
+    ``duration``.  A hit *replays* the scan
+    (:meth:`SkylineComputation.replay`): the result is rebuilt from the
+    store and the counters and the duration are those of the miss, so
+    nothing downstream (work counts, the model clocks) tells a hit from a
+    recomputation.  The generation invalidates by *slot*: an update to
+    one super-peer moves only its generation, so every other slot's
+    entries keep hitting.  FT-variant siblings share thresholds, so their
+    scans hit across variants.  Past ``cap`` entries the least recently
+    used one goes.  One lock guards the table and the counters, so the
+    gateway's dispatcher threads may share a memo; a scan runs outside it.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._scans: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._scans)
+
+    def counts(self) -> dict[str, int]:
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
+
+    def scan(self, key: tuple, store: SortedByF) -> SkylineComputation:
+        """Algorithm 1 over ``store`` for ``key = (sp, generation, cols,
+        threshold)``, or its replay."""
+        with self._lock:
+            entry = self._scans.get(key)
+            if entry is None:
+                self.misses += 1
+            else:
+                self._scans.move_to_end(key)
+                self.hits += 1
+        if entry is not None:
+            return SkylineComputation.replay(store, *entry)
+        cols, threshold = key[2:]
+        computation = local_subspace_skyline(store, cols, initial_threshold=threshold)
+        computation.positions.setflags(write=False)  # shared with replays
+        with self._lock:
+            self._scans[key] = (
+                computation.positions, computation.threshold, computation.examined,
+                computation.comparisons, computation.input_size, computation.duration,
+            )
+            while len(self._scans) > self.cap:
+                self._scans.popitem(last=False)
+                self.evictions += 1
+        return computation
+
+
+class EpochGate:
+    """Readers–writer gate serializing updates against in-flight queries.
+
+    A query holds the *read* side for its whole run and an update the
+    *write* side, so a query sees every super-peer before an update or
+    every one after it, never a torn mix — and no scan memoizes
+    positions taken from a store that was swapped before its generation
+    moved.  The gateway holds one around its dispatches and updates on
+    every backend; :class:`~repro.parallel.ParallelEngine` holds its own
+    around each fan-out (submit through result collection), so an
+    update's republish unlinks the slot segments it replaced only when
+    no worker can still be asked to attach one.  Writers get priority
+    (new readers queue behind a waiting writer), so a steady query
+    stream cannot starve updates.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._readers = 0
+        self._writer = False
+        self._writers_waiting = 0
+
+    @contextlib.contextmanager
+    def read(self) -> Iterator[None]:
+        with self._cond:
+            while self._writer or self._writers_waiting:
+                self._cond.wait()
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._readers -= 1
+                if not self._readers:
+                    self._cond.notify_all()
+
+    @contextlib.contextmanager
+    def write(self) -> Iterator[None]:
+        with self._cond:
+            self._writers_waiting += 1
+            try:
+                while self._writer or self._readers:
+                    self._cond.wait()
+            finally:
+                self._writers_waiting -= 1
+            self._writer = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._writer = False
+                self._cond.notify_all()
 
 
 @dataclass
@@ -125,6 +251,27 @@ class SuperPeerNetwork:
         self.store_generations: dict[int, int] = {
             sp: 0 for sp in topology.superpeer_ids
         }
+        self.scan_memo = ScanMemo(_SCAN_MEMO_CAP)
+
+    def __getstate__(self) -> dict:
+        # The memo holds a lock and is a cache: a copy starts with its own.
+        state = self.__dict__.copy()
+        del state["scan_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.scan_memo = ScanMemo(_SCAN_MEMO_CAP)
+
+    def scan(
+        self, superpeer_id: int, subspace: Sequence[int], threshold: float = math.inf
+    ) -> SkylineComputation:
+        """Algorithm 1 over ``superpeer_id``'s store on ``subspace`` from
+        ``threshold``, through the network's scan memo.  Every SKYPEER
+        query runs its local scans here, on every backend and carrier."""
+        cols = tuple(int(c) for c in subspace)
+        key = (superpeer_id, self.store_generations.get(superpeer_id, 0), cols, float(threshold))
+        return self.scan_memo.scan(key, self.store_of(superpeer_id))
 
     def bump_store_generation(self, superpeer_id: int) -> int:
         """Record that ``superpeer_id``'s store changed; returns the new gen."""

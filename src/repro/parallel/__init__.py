@@ -10,9 +10,10 @@ one segment per super-peer slot — a file the plane itself creates, maps
 and unlinks (no helper process tracks it), in ``/dev/shm`` where the
 segment fits and in the temp directory where it does not — attached
 zero-copy by every worker, and synced slot by slot after an update.  Tasks are submitted
-in subspace-affine batches so a worker's private scan memo
-(:class:`~repro.parallel.engine.ScanMemo`) replays repeated scans across
-queries, and all aggregation happens in the parent in deterministic
+in subspace-affine batches so the scan memo of a worker's attached
+network (:class:`~repro.p2p.network.ScanMemo`, the one every caller
+scans through) replays repeated scans across queries, and all
+aggregation happens in the parent in deterministic
 task order, so parallel runs produce results, work counts and metric
 totals identical to serial ones (wall-clock fields aside).  See
 ``docs/PERFORMANCE.md``.

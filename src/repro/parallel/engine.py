@@ -13,15 +13,17 @@ attach zero-copy.  After an update the publication *syncs*: only the
 slots whose store generation moved are rewritten, and a worker re-maps
 only those at its next batch.  It is the only way data reaches a
 worker, and it is byte-faithful: the worker sees the parent's stores
-verbatim, so a scan run on either side agrees.  A worker scans each store whole with
-:func:`~repro.skypeer.executor.make_local_compute`'s default scan — the
-engine has no scan selector of its own.
+verbatim, so a scan run on either side agrees.  A worker scans each store whole
+through its attached network's scan memo
+(:meth:`~repro.p2p.network.SuperPeerNetwork.scan`), as every other
+caller does — the engine has no scan path of its own.
 
 *Batching and subspace affinity.*  Tasks are submitted as chunks, not
 one IPC round-trip per (query, variant) pair.  Chunks are formed by
 grouping tasks on the query subspace, so queries over the same
-subspace run on the same worker, where its scan memo (:class:`ScanMemo`)
-replays their repeated scans across queries and variants.
+subspace run on the same worker, where the attached network's scan memo
+(:class:`~repro.p2p.network.ScanMemo`) replays their repeated scans
+across queries and variants.
 Each worker keeps as many networks attached as the engine keeps
 published, so sweeps alternating between configurations neither
 re-attach per batch nor lose their scan memos.
@@ -64,7 +66,6 @@ timings) — see :class:`EngineStats`.
 from __future__ import annotations
 
 import atexit
-import contextlib
 import math
 import multiprocessing
 import os
@@ -77,6 +78,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
+from ..p2p.network import EpochGate
 from .shm import (
     AttachedNetwork,
     SharedNetwork,
@@ -85,7 +87,6 @@ from .shm import (
 )
 
 if TYPE_CHECKING:  # annotations only; ``repro/__init__`` imports these anyway
-    from ..core.local_skyline import SkylineComputation
     from ..data.workload import Query
     from ..p2p.network import SuperPeerNetwork, SuperPeerPreprocess
     from ..p2p.updates import UpdateReport
@@ -95,7 +96,6 @@ if TYPE_CHECKING:  # annotations only; ``repro/__init__`` imports these anyway
 __all__ = [
     "EngineStats",
     "ParallelEngine",
-    "ScanMemo",
     "default_workers",
     "get_engine",
     "preprocess_network_parallel",
@@ -113,11 +113,6 @@ _DEFAULT_WORKERS: int | None = None
 #: Chunks per worker targeted by the batcher: small enough to amortize
 #: IPC, large enough to rebalance when chunk costs are uneven.
 _BATCH_OVERSUBSCRIBE = 4
-
-#: Scans a worker memoizes per attached network: a skewed serving
-#: workload's working set (a few hundred (super-peer, subspace,
-#: threshold) keys) fits; the cap only bounds a cold sweep's memory.
-_SCAN_MEMO_CAP = 1024
 
 #: Publications kept per engine before the least recently used one is
 #: withdrawn (its segments unlinked), and networks kept attached per
@@ -176,8 +171,8 @@ def start_method() -> str:
 # ----------------------------------------------------------------------
 # worker-side state and task functions
 # ----------------------------------------------------------------------
-#: token -> attached publication and its scan memo; LRU, capped.
-_WORKER_NETWORKS: "OrderedDict[str, tuple[AttachedNetwork, ScanMemo]]" = OrderedDict()
+#: token -> attached publication (its network owns its scan memo); LRU, capped.
+_WORKER_NETWORKS: "OrderedDict[str, AttachedNetwork]" = OrderedDict()
 
 
 def _noop() -> None:
@@ -218,99 +213,27 @@ def _timed_sync(attached: AttachedNetwork, manifest: dict[str, Any]) -> dict[str
     return {"seconds": time.perf_counter() - started, **remapped}
 
 
-def _materialize(
-    spec: dict[str, Any],
-) -> tuple[AttachedNetwork, "ScanMemo", dict[str, Any] | None]:
-    """Return the spec's attached publication and its scan memo, synced
-    to the spec's manifest.
+def _materialize(spec: dict[str, Any]) -> tuple[AttachedNetwork, dict[str, Any] | None]:
+    """Return the spec's attached publication, synced to the spec's manifest.
 
     The first batch of a publication maps every slot; a later one whose
     manifest is of a newer epoch re-maps only the slots that changed,
-    and the memo stays (its keys carry each slot's generation).  The
-    last element reports the sync (``None`` when none was needed).
+    and the network's scan memo stays (its keys carry each slot's
+    generation).  The second element reports the sync (``None`` when
+    none was needed).
     """
     token = spec["token"]
     manifest = spec["manifest"]
-    entry = _WORKER_NETWORKS.get(token)
-    if entry is None:
+    attached = _WORKER_NETWORKS.get(token)
+    if attached is None:
         while len(_WORKER_NETWORKS) >= _PUBLICATION_CAP:
-            _WORKER_NETWORKS.popitem(last=False)[1][0].close()
-        attached = AttachedNetwork()
-        entry = _WORKER_NETWORKS[token] = (attached, ScanMemo(attached.network, _SCAN_MEMO_CAP))
+            _WORKER_NETWORKS.popitem(last=False)[1].close()
+        attached = _WORKER_NETWORKS[token] = AttachedNetwork()
     else:
         _WORKER_NETWORKS.move_to_end(token)
-    attached, memo = entry
     if attached.epoch == manifest["epoch"]:
-        return attached, memo, None
-    return attached, memo, _timed_sync(attached, manifest)
-
-
-class ScanMemo:
-    """A worker-private LRU of one network's Algorithm-1 scans.
-
-    A scan is a pure function of its store and parameters, so an entry
-    is keyed ``(sp, store generation, cols, threshold)`` and
-    holds only the surviving store positions plus the scalar counters.
-    A hit *replays* the scan (:meth:`SkylineComputation.replay`): the
-    result is rebuilt from the store, the work counters are restored
-    verbatim, so serial-vs-parallel determinism holds even when the scan
-    never runs.  The generation invalidates by *slot*: an update to one
-    super-peer moves only its generation, so every other slot's entries
-    keep hitting.  FT-variant siblings share thresholds, so their scans
-    hit across variants.  Past ``cap`` entries the least recently used
-    one goes.
-    """
-
-    def __init__(self, network: Any, cap: int):
-        self.network = network
-        self.cap = cap
-        self._scans: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._scans)
-
-    def counts(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
-
-    def local_compute(self):
-        """A ``local_compute`` strategy: the default scan, memoized."""
-        from ..core.local_skyline import SkylineComputation
-        from ..skypeer.executor import make_local_compute
-
-        network = self.network
-        compute = make_local_compute(network)
-        scans = self._scans
-
-        def local_compute(sp: int, subspace: Any, threshold: float) -> "SkylineComputation":
-            cols = tuple(int(c) for c in subspace)
-            key = (sp, network.store_generations.get(sp, 0), cols, float(threshold))
-            entry = scans.get(key)
-            if entry is not None:
-                scans.move_to_end(key)
-                self.hits += 1
-                positions, threshold, examined, comparisons, input_size = entry
-                return SkylineComputation.replay(
-                    network.store_of(sp), positions, threshold=threshold,
-                    examined=examined, comparisons=comparisons, input_size=input_size,
-                )
-            self.misses += 1
-            computation = compute(sp, cols, threshold)
-            if computation.positions is not None:
-                computation.positions.setflags(write=False)  # shared with replays
-                scans[key] = (
-                    computation.positions, computation.threshold,
-                    computation.examined, computation.comparisons,
-                    computation.input_size,
-                )
-                if len(scans) > self.cap:
-                    scans.popitem(last=False)
-                    self.evictions += 1
-            return computation
-
-        return local_compute
+        return attached, None
+    return attached, _timed_sync(attached, manifest)
 
 
 def _run_query_batch(
@@ -324,20 +247,17 @@ def _run_query_batch(
     from ..skypeer.executor import execute_query
     from ..skypeer.variants import Variant
 
-    attached, memo, attach = _materialize(spec)
+    attached, attach = _materialize(spec)
     network = attached.network
-    before = memo.counts()
+    before = network.scan_memo.counts()
     started = time.perf_counter()
-    local_compute = memo.local_compute()
     runs: list[tuple[int, "QueryExecution"]] = []
     registry = MetricsRegistry() if collect_metrics else None
     if registry is not None:
         install(None, registry)
     try:
         for index, query, variant_value in tasks:
-            run = execute_query(
-                network, query, Variant.parse(variant_value), local_compute=local_compute
-            )
+            run = execute_query(network, query, Variant.parse(variant_value))
             # Per-super-peer scan traces are debugging detail; dropping
             # them keeps the result pickle small.
             run.traces = {}
@@ -350,7 +270,9 @@ def _run_query_batch(
         "snapshot": registry.snapshot() if registry is not None else None,
         "attach": attach,
         "compute_seconds": time.perf_counter() - started,
-        "cache": {name: count - before[name] for name, count in memo.counts().items()},
+        "cache": {
+            name: count - before[name] for name, count in network.scan_memo.counts().items()
+        },
     }
 
 
@@ -452,8 +374,9 @@ class EngineStats:
     a sync of a live publication after an update: ``full_republishes``
     counts those that rewrote every live slot, ``incremental_republishes``
     the rest, ``republished_bytes`` what both wrote.  The ``cache_*``
-    fields aggregate the per-batch scan-memo deltas the workers ship
-    back (:class:`ScanMemo`).  ``pool_replacements`` counts the broken
+    fields aggregate the per-batch deltas of the workers' scan memos
+    (:class:`~repro.p2p.network.ScanMemo`, one per attached network)
+    that the workers ship back.  ``pool_replacements`` counts the broken
     pools replaced after a worker died.
     What a :class:`~repro.serving.QueryGateway` in front of the engine
     counted (coalesce hits, shed requests, queue depth) is its own
@@ -518,57 +441,6 @@ class EngineStats:
         }
 
 
-class _EpochGate:
-    """Readers–writer gate serializing updates against in-flight fan-outs.
-
-    Query/pre-processing fan-outs hold the *read* side for their whole
-    dispatch (submit through result collection), so an update's *write*
-    side — which mutates the network, syncs the publication and unlinks
-    the slot segments it replaced — runs only when no worker can still
-    be asked to attach a replaced segment.  Writers get priority (new
-    readers queue behind a waiting writer), so a steady query stream
-    cannot starve updates; queries observe either the pre-update or the
-    post-update epoch, never a torn mix.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    @contextlib.contextmanager
-    def read(self):
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if not self._readers:
-                    self._cond.notify_all()
-
-    @contextlib.contextmanager
-    def write(self):
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
-
-
 class _Publication:
     """One network made available to workers: its segments and its spec."""
 
@@ -614,7 +486,7 @@ class ParallelEngine:
         self._lock = threading.RLock()
         # Fan-outs read, ``apply_update`` writes: segments retired by a
         # sync are only unlinked once readers drain.
-        self._gate = _EpochGate()
+        self._gate = EpochGate()
         started = time.perf_counter()
         self._pool = self._new_pool()
         for future in [self._pool.submit(_noop) for _ in range(self.workers)]:

@@ -2,7 +2,7 @@
 
 Everything below the protocol layer already exists — the persistent
 :class:`~repro.parallel.ParallelEngine` keeps a warm worker pool with
-zero-copy shared-memory data, and each worker's scan memo replays
+zero-copy shared-memory data, and every network's scan memo replays
 repeated scans — but the system still executed one query at a time
 end-to-end.
 :class:`QueryGateway` is the multi-tenant serving loop in front of it:
@@ -27,8 +27,10 @@ end-to-end.
   inserts/deletes and peer joins/failures to the *served* network
   without a restart: with the engine backend it routes through
   :meth:`~repro.parallel.ParallelEngine.apply_update`, so the shm
-  publication syncs only the touched super-peers' slots while queries
-  keep flowing.
+  publication syncs only the touched super-peers' slots.  On every
+  backend an update waits for the dispatches in flight and the next
+  ones wait for it (an :class:`~repro.p2p.network.EpochGate`), so a
+  query never sees some super-peers before an update and some after.
 * **Shutdown** — ``close()`` is idempotent: queued jobs are shed,
   running dispatches get ``shutdown_timeout`` to finish, every future
   is resolved, and connections are drained then closed.  No request
@@ -51,6 +53,7 @@ from typing import Any, Callable, Mapping
 
 from ..data.workload import Query
 from ..obs.runtime import active_metrics, active_tracer
+from ..p2p.network import EpochGate
 from ..p2p.transport import FrameDecoder, TransportError, encode_frame
 from ..p2p.updates import UpdateRejected, check_incoming
 from ..p2p.workload import apply_mutation, fresh_points, next_point_id
@@ -268,6 +271,9 @@ class QueryGateway:
         self._closing = False
         self._closed = False
         self.address: tuple[str, int] | None = None
+        # Dispatches read the network and updates write it, on every
+        # backend: a query sees the network before an update or after it.
+        self._gate = EpochGate()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -470,10 +476,12 @@ class QueryGateway:
         :meth:`~repro.parallel.ParallelEngine.apply_update`, so live shm
         publications refresh incrementally (only the touched super-peer
         slots republish) and the report carries the delta bytes.  The
-        serial backend applies the mutation directly — there is no
-        publication to refresh.  Either way the network epoch bumps, so
-        queries admitted after this response never coalesce with
-        pre-update jobs.
+        serial and socket backends apply the mutation directly — there
+        is no publication to refresh.  On every backend it runs under
+        the write side of the gateway's gate, so it waits for the
+        dispatches in flight and the next ones wait for it.  The network
+        epoch bumps, so queries admitted after this response never
+        coalesce with pre-update jobs.
         """
         self.stats.updates += 1
         self._count("serving.updates")
@@ -599,11 +607,13 @@ class QueryGateway:
         raise ValueError(f"points must be rows or a random spec, got {raw!r}")
 
     def _run_update(self, kind: str, kwargs: dict[str, Any]) -> dict[str, Any]:
-        """Executor-thread entry: mutate through the backend's path."""
-        if self.backend == "engine" and self.engine is not None:
-            report = self.engine.apply_update(self.network, kind, **kwargs)
-        else:
-            report = apply_mutation(self.network, kind, **kwargs)
+        """Executor-thread entry: once in-flight dispatches drain, mutate
+        through the backend's path."""
+        with self._gate.write():
+            if self.backend == "engine" and self.engine is not None:
+                report = self.engine.apply_update(self.network, kind, **kwargs)
+            else:
+                report = apply_mutation(self.network, kind, **kwargs)
         return report.as_dict()
 
     # ------------------------------------------------------------------
@@ -754,7 +764,8 @@ class QueryGateway:
         """Executor-thread entry: last-moment abandon check, then run."""
         if job.abandoned:
             raise QueryAbandoned(f"all waiters left before dispatch of {job.key}")
-        return self._dispatch(self.network, job.query, job.variant)
+        with self._gate.read():
+            return self._dispatch(self.network, job.query, job.variant)
 
     def _finish(self, job: _Job, payload: dict, shed: str | None) -> None:
         """Resolve a job's future and retire its coalescing key."""

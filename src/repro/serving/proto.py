@@ -35,9 +35,10 @@ Requests
 Responses
 ---------
 ``{"id": ..., "status": "ok", "coalesced": ..., "result": {...}}``
-    ``result`` holds the skyline store verbatim: point ``values``,
-    ``ids`` and the monotone ``f`` ordering, exactly as
-    :class:`repro.core.store.SortedByF` carries them.
+    ``result`` holds the answer as :class:`repro.core.store.SortedByF`
+    carries it: ``ids``, point ``values`` on the queried coordinates
+    only (one column per dimension of the normalized subspace) and the
+    monotone ``f`` ordering — the same bytes on every backend.
 ``{"id": ..., "status": "shed", "reason": ...}``
     Load shedding: ``queue_full`` (bounded admission queue) or
     ``shutdown`` (gateway closing or the request was abandoned before

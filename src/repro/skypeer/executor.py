@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from ..core.local_skyline import SkylineComputation, local_subspace_skyline
+from ..core.local_skyline import SkylineComputation
 from ..core.store import SortedByF
 from ..core.subspace import Subspace, normalize_subspace
 from ..data.workload import Query
@@ -48,7 +48,7 @@ from .protocol import ProtocolNode, QueryBound, make_kernels
 from .variants import Variant
 
 __all__ = [
-    "Clock", "QueryExecution", "execute_query", "make_local_compute", "spanning_tree",
+    "Clock", "QueryExecution", "execute_query", "spanning_tree",
 ]
 
 
@@ -105,49 +105,26 @@ class QueryExecution:
         return self.volume_bytes / 1024.0
 
 
-#: Strategy signature for per-super-peer local computations: given the
-#: super-peer id, the subspace and the incoming threshold, produce the
-#: local result.  The default runs Algorithm 1 over the super-peer's
-#: store; an engine worker's scan memo replays a repeated scan.
-LocalCompute = "Callable[[int, Subspace, float], SkylineComputation]"
-
-
-def make_local_compute(network: SuperPeerNetwork):
-    """Build the default per-super-peer Algorithm-1 strategy: the
-    paper's scan over the super-peer's whole store."""
-
-    def local_compute(sp: int, sub, threshold: float) -> SkylineComputation:
-        return local_subspace_skyline(
-            network.store_of(sp), sub, initial_threshold=threshold
-        )
-
-    return local_compute
-
-
 def execute_query(
     network: SuperPeerNetwork,
     query: Query,
     variant: Variant | str = Variant.FTPM,
-    local_compute=None,
 ) -> QueryExecution:
     """Execute a subspace skyline query over the network.
 
     Parameters
     ----------
     network:
-        A pre-processed :class:`~repro.p2p.network.SuperPeerNetwork`.
+        A pre-processed :class:`~repro.p2p.network.SuperPeerNetwork`;
+        every SKYPEER scan runs through its scan memo
+        (:meth:`~repro.p2p.network.SuperPeerNetwork.scan`).
     query:
         Subspace and initiator super-peer.
     variant:
         One of the four SKYPEER variants or the naive baseline.
-    local_compute:
-        Optional strategy replacing the per-super-peer Algorithm 1 run,
-        which is the paper's scan by default (as :func:`make_local_compute`
-        builds it).  :class:`repro.parallel.engine.ScanMemo` replays
-        cached scans through it.  Ignored by the naive baseline.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
-    return run_on_model_clocks(network, query, variant, local_compute=local_compute).execution
+    return run_on_model_clocks(network, query, variant).execution
 
 
 class _ModelClocks:
@@ -316,7 +293,6 @@ def run_on_model_clocks(
     query: Query,
     variant: Variant,
     *,
-    local_compute=None,
     neighbours: Mapping[int, Sequence[int]] | None = None,
     obs_prefix: str = "skypeer",
 ) -> ModelRun:
@@ -333,10 +309,7 @@ def run_on_model_clocks(
     tree, rank = spanning_tree(network, root)
     if neighbours is None:
         neighbours = tree
-    kernels = make_kernels(
-        variant, subspace, store_of=network.store_of,
-        dimensionality=network.dimensionality, local_compute=local_compute,
-    )
+    kernels = make_kernels(variant, subspace, network)
     carrier = _ModelClocks(network, query, subspace, variant, obs_prefix)
     for sp in rank:
         carrier.nodes[sp] = ProtocolNode(

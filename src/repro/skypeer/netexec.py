@@ -51,7 +51,7 @@ from ..p2p.cost import CostModel
 from ..p2p.transport import SocketEndpoint, TransportConfig, TransportError
 from ..p2p.wire import QueryMessage, ResultMessage, cost_estimate, decode, decode_header
 from .executor import execute_query, spanning_tree
-from .protocol import ProtocolNode, QueryBound, make_kernels
+from .protocol import ProtocolNode, QueryBound, _queried, make_kernels
 from .variants import Variant
 
 __all__ = [
@@ -336,10 +336,7 @@ async def _run_endpoints(
         query_id=query_id_for(query), subspace=subspace, initiator=query.initiator,
         cost_model=network.cost_model, on_final=on_final,
     )
-    kernels = make_kernels(
-        variant, subspace, store_of=network.store_of,
-        dimensionality=network.dimensionality, on_wire=True,
-    )
+    kernels = make_kernels(variant, subspace, network, on_wire=True)
     for sp in rank:
         carrier.nodes[sp] = ProtocolNode(
             sp, neighbours=neighbours[sp], variant=variant, kernels=kernels,
@@ -397,25 +394,26 @@ def gateway_dispatch(
     directly.  ``backend`` picks the path:
 
     * ``engine`` — the warm :class:`~repro.parallel.ParallelEngine`
-      passed as ``engine`` (shared-memory data plane, per-worker scan
-      memo);
+      passed as ``engine`` (shared-memory data plane);
     * ``serial`` — in-process :func:`~repro.skypeer.executor.
       execute_query`;
     * ``socket`` — the full asyncio transport via
       :func:`run_socket_query`.
 
-    All three paths return the same :class:`~repro.core.store.SortedByF`
-    for a given ``(subspace, variant)``, which is what makes gateway
-    coalescing exact.
+    All three return the same :class:`~repro.core.store.SortedByF` for
+    a given ``(subspace, variant)``: the answer on the queried
+    coordinates, ordered by ``min_{i in U} p[i]`` — what the socket
+    path's wire carries, and what makes gateway coalescing exact.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
+    if backend == "socket":
+        return run_socket_query(network, query, variant).result
     if backend == "engine":
         if engine is None:
             raise ValueError("backend 'engine' requires an engine instance")
-        runs = engine.run_queries(network, [query], [variant])
-        return runs[variant][0].result
-    if backend == "serial":
-        return execute_query(network, query, variant).result
-    if backend == "socket":
-        return run_socket_query(network, query, variant).result
-    raise ValueError(f"unknown gateway backend {backend!r} (engine|serial|socket)")
+        result = engine.run_queries(network, [query], [variant])[variant][0].result
+    elif backend == "serial":
+        result = execute_query(network, query, variant).result
+    else:
+        raise ValueError(f"unknown gateway backend {backend!r} (engine|serial|socket)")
+    return _queried(result, normalize_subspace(query.subspace, network.dimensionality))

@@ -67,7 +67,7 @@ import numpy as np
 from ..algorithms.bnl import block_nested_loops
 from ..core.dataset import PointSet
 from ..core.dominance import dominated_mask
-from ..core.local_skyline import SkylineComputation, local_subspace_skyline
+from ..core.local_skyline import SkylineComputation
 from ..core.mapping import f_values
 from ..core.merging import merge_sorted_skylines
 from ..core.store import SortedByF
@@ -124,26 +124,21 @@ def _masked(result: SortedByF, keep: np.ndarray) -> SortedByF:
 class SkylineKernels:
     """Algorithm 1 scans, Algorithm 2 merges.
 
-    ``local_compute(sp, subspace, t)`` is the scan strategy (see
-    :func:`repro.skypeer.executor.make_local_compute`); a scan then
-    drops what the bound's point dominates on the subspace.  ``on_wire``
-    keeps every list on the queried coordinates, which is how lists
-    arrive once they have crossed a socket.
+    A scan is the network's (:meth:`~repro.p2p.network.SuperPeerNetwork.
+    scan`, Algorithm 1 through its scan memo), less what the bound's
+    point dominates on the subspace.  ``on_wire`` keeps every list on the
+    queried coordinates, which is how lists arrive once they have
+    crossed a socket.
     """
 
-    def __init__(
-        self,
-        local_compute: Callable[[int, Subspace, float], SkylineComputation],
-        subspace: Subspace,
-        on_wire: bool = False,
-    ):
-        self._local_compute = local_compute
+    def __init__(self, network: SuperPeerNetwork, subspace: Subspace, on_wire: bool = False):
+        self._network = network
         self._subspace = subspace
         self._on_wire = on_wire
         self._cols = list(range(len(subspace)) if on_wire else subspace)
 
     def scan(self, sp: int, bound: QueryBound) -> SkylineComputation:
-        computation = self._local_compute(sp, self._subspace, bound.threshold)
+        computation = self._network.scan(sp, self._subspace, bound.threshold)
         if self._on_wire:
             computation = replace(computation, result=_queried(computation.result, self._subspace))
         if bound.point is None:
@@ -255,23 +250,14 @@ class NaiveKernels:
 
 
 def make_kernels(
-    variant: Variant,
-    subspace: Subspace,
-    *,
-    store_of: Callable[[int], SortedByF],
-    dimensionality: int,
-    local_compute: Callable[[int, Subspace, float], SkylineComputation] | None = None,
-    on_wire: bool = False,
+    variant: Variant, subspace: Subspace, network: SuperPeerNetwork, *, on_wire: bool = False
 ) -> SkylineKernels | NaiveKernels:
-    """The kernels ``variant`` runs.  Without a ``local_compute`` the scan
-    is :func:`repro.core.local_skyline.local_subspace_skyline` over
-    ``store_of(sp)``; the naive baseline ignores it either way."""
+    """The kernels ``variant`` runs over ``network``'s stores."""
     if variant is Variant.NAIVE:
-        return NaiveKernels(store_of, subspace, dimensionality, on_wire=on_wire)
-    if local_compute is None:
-        def local_compute(sp: int, sub: Subspace, threshold: float) -> SkylineComputation:
-            return local_subspace_skyline(store_of(sp), sub, initial_threshold=threshold)
-    return SkylineKernels(local_compute, subspace, on_wire=on_wire)
+        return NaiveKernels(
+            network.store_of, subspace, network.dimensionality, on_wire=on_wire
+        )
+    return SkylineKernels(network, subspace, on_wire=on_wire)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ exact ties (ties at ``t`` included), duplicate rows, ``-0.0`` beside
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.dataset import PointSet
 from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
-from repro.parallel.engine import ScanMemo
+from repro.p2p.network import ScanMemo
 from tests.conftest import brute_force_skyline_ids
 from tests.core.test_two_pass_scan import alg1, grids, reference_scan
 
@@ -97,12 +96,12 @@ def test_a_memo_replay_under_a_remote_bound_is_a_fresh_scan(data):
     t0 = data.draw(st.sampled_from(below), label="t0")
     chunk = data.draw(st.sampled_from(CHUNKS), label="chunk")
 
-    memo = ScanMemo(SimpleNamespace(store_of=lambda sp: store, store_generations={0: 0}), cap=4)
-    compute = memo.local_compute()
+    memo = ScanMemo(cap=4)
+    key = (0, 0, cols, t0)
     with mock.patch.object(alg1, "_SCAN_CHUNK", chunk):
         fresh = local_subspace_skyline(store, cols, initial_threshold=t0)
-        compute(0, cols, t0)
-        replay = compute(0, cols, t0)
+        miss = memo.scan(key, store)
+        replay = memo.scan(key, store)
     assert memo.counts() == {"hits": 1, "misses": 1, "evictions": 0}
     assert replay.positions.tolist() == fresh.positions.tolist()
     assert replay.result.points.ids.tolist() == fresh.result.points.ids.tolist()
@@ -111,3 +110,4 @@ def test_a_memo_replay_under_a_remote_bound_is_a_fresh_scan(data):
     assert (replay.threshold, replay.examined, replay.comparisons, replay.input_size) == (
         fresh.threshold, fresh.examined, fresh.comparisons, fresh.input_size,
     )
+    assert replay.duration == miss.duration

@@ -113,13 +113,14 @@ class TestCachedMatchesUncached:
     def test_cache_off_matches_cache_on(self, monkeypatch):
         """Off: forked workers whose memo holds nothing, so every scan
         runs and is evicted as soon as it is stored."""
-        import repro.parallel.engine as engine_module
+        import repro.p2p.network as network_module
 
         network = _network(seed=23)
         queries = _queries(network)
         variants = list(Variant)
 
-        monkeypatch.setattr(engine_module, "_SCAN_MEMO_CAP", 0)
+        # A worker's attached network is built after the fork, with the cap.
+        monkeypatch.setattr(network_module, "_SCAN_MEMO_CAP", 0)
         with ParallelEngine(2, mp_start="fork") as engine:
             engine.run_queries(network, queries, variants)
             off = engine.run_queries(network, queries, variants)

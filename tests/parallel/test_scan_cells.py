@@ -2,7 +2,7 @@
 
 Eighteen cells: three distributions × d ∈ {3, 5, 7}, each on the full
 space and on the pivot subspace ``(0, 1)``.  On every cell the sorted
-scan (what :func:`make_local_compute` builds for every query) must
+scan (what :meth:`SuperPeerNetwork.scan` runs for every query) must
 return exactly the skyline of the quadratic oracle.  On the full-space
 cells its work accounting must also equal ``CROSSOVER``: the result
 sizes the smoke bench's committed baseline recorded under
@@ -68,21 +68,21 @@ def test_sorted_scan_on_the_crossover_cells(distribution, d, space):
         assert (scan.comparisons, len(scan.result)) == CROSSOVER[(distribution, d)]
 
 
-def test_naive_ignores_kernel_knobs(small_network):
+def test_naive_ignores_kernel_knobs(small_network, monkeypatch):
     query = Query(subspace=(1, 3), initiator=next(iter(small_network.superpeers)))
     baseline = execute_query(small_network, query, Variant.NAIVE)
     calls = []
+    scan = small_network.scan
 
-    def local_compute(sp, subspace, threshold):
+    def recording_scan(sp, subspace, threshold):
         calls.append((sp, subspace, threshold))
-        return local_subspace_skyline(
-            small_network.store_of(sp), subspace, initial_threshold=threshold
-        )
+        return scan(sp, subspace, threshold)
 
-    run = execute_query(small_network, query, Variant.NAIVE, local_compute=local_compute)
+    monkeypatch.setattr(small_network, "scan", recording_scan)
+    run = execute_query(small_network, query, Variant.NAIVE)
     assert calls == []
     assert run.result_ids == baseline.result_ids
     assert run.comparisons == baseline.comparisons
     # The recorder is wired: a SKYPEER variant does call it.
-    execute_query(small_network, query, Variant.FTPM, local_compute=local_compute)
+    execute_query(small_network, query, Variant.FTPM)
     assert calls

@@ -31,8 +31,10 @@ from repro.serving.proto import (
     SHED_SHUTDOWN,
     decode_payload,
     encode_payload,
+    result_payload,
 )
 from repro.skypeer.executor import execute_query
+from repro.skypeer.netexec import gateway_dispatch
 
 from .conftest import run
 
@@ -515,7 +517,6 @@ class TestEpochRaces:
 
         from repro.data.workload import Query
         from repro.parallel import ParallelEngine
-        from repro.serving.proto import result_payload
         from repro.skypeer.variants import Variant
 
         from .conftest import build_network
@@ -531,7 +532,7 @@ class TestEpochRaces:
             query = Query(
                 subspace=subspace, initiator=network.topology.superpeer_ids[0]
             )
-            store = execute_query(network, query, Variant.FTPM).result
+            store = gateway_dispatch(network, query, Variant.FTPM)
             return json.dumps(result_payload(store), sort_keys=True)
 
         async def scenario():
@@ -575,6 +576,54 @@ class TestEpochRaces:
             assert response.ok, response.payload
             snapshot = json.dumps(response.payload["result"], sort_keys=True)
             assert snapshot in legal, "torn response: matches no epoch"
+
+    @pytest.mark.parametrize("backend", ["serial", "socket"])
+    def test_an_update_waits_for_the_query_in_flight(self, backend):
+        """A query blocked mid-dispatch holds the update off: the update
+        waits at the gate until the query is answered, so the answer is
+        the one from before the update, and the next query sees it."""
+        from repro.data.workload import Query
+
+        from .conftest import build_network
+
+        network = build_network(seed=29)
+        query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
+        expected = gateway_dispatch(network, query, "FTPM", backend=backend)
+        entered, release = threading.Event(), threading.Event()
+
+        def dispatch(net, job_query, variant):
+            if not release.is_set():
+                entered.set()
+                assert release.wait(timeout=TIMEOUT)
+            return gateway_dispatch(net, job_query, variant, backend=backend)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            config = GatewayConfig(dispatchers=2)
+            gateway = QueryGateway(network, config=config, backend=backend, dispatch=dispatch)
+            async with gateway:
+                host, port = gateway.address
+                async with await GatewayClient.connect(host, port) as client:
+                    blocked = asyncio.ensure_future(client.query([0, 1]))
+                    assert await loop.run_in_executor(None, entered.wait, TIMEOUT)
+                    # A point below every other: it is the whole answer after the insert.
+                    update = asyncio.ensure_future(client.update(
+                        "insert", peer_id=sorted(network.peers)[0],
+                        points={"values": [[0.0] * network.dimensionality], "ids": [10**6]},
+                    ))
+                    while not gateway._gate._writers_waiting:
+                        await asyncio.sleep(0.001)
+                    epoch_while_blocked = network.epoch
+                    release.set()
+                    first, applied = await blocked, await update
+                    second = await client.query([0, 1])
+            return epoch_while_blocked, first, applied, second
+
+        epoch, first, applied, second = run(bounded(scenario()))
+        assert epoch == network.epoch - 1, "the update ran while the query was in flight"
+        assert first.ok and applied.ok and second.ok
+        assert first.payload["result"] == result_payload(expected)
+        assert second.payload["result"]["ids"] == [10**6]
 
     def test_update_during_shutdown_is_shed_not_applied(self, network):
         epoch_before = network.epoch

@@ -16,6 +16,7 @@ from repro.serving.proto import (
     result_payload,
 )
 from repro.skypeer.executor import execute_query
+from repro.skypeer.netexec import gateway_dispatch
 from repro.data.workload import Query
 
 from .conftest import run
@@ -140,6 +141,34 @@ class TestGatewayRequests:
         )
 
 
+class TestOneReplyOnEveryBackend:
+    @pytest.mark.parametrize(
+        "subspace, variant",
+        [((0, 2), "FTPM"), ((1, 3, 4), "RTFM"), ((0, 1, 2, 3, 4), "RTPM"), ((2,), "FTFM"),
+         ((0, 4), "NAIVE")],
+    )
+    def test_serial_engine_and_socket_reply_the_same_payload(self, subspace, variant):
+        """Every backend answers on the queried coordinates, byte for byte."""
+        from repro.parallel import ParallelEngine
+
+        from .conftest import build_network
+
+        network = build_network(seed=31, d=5)
+        query = Query(subspace=subspace, initiator=network.topology.superpeer_ids[0])
+        with ParallelEngine(1) as engine:
+            stores = {
+                backend: gateway_dispatch(network, query, variant, backend=backend, engine=engine)
+                for backend in ("serial", "engine", "socket")
+            }
+        payloads = {name: encode_payload(result_payload(s)) for name, s in stores.items()}
+        assert payloads["serial"] == payloads["engine"] == payloads["socket"]
+        answer = execute_query(network, query, variant).result
+        assert stores["serial"].points.values.tolist() == (
+            answer.points.values[:, list(subspace)].tolist()
+        )
+        assert stores["serial"].points.ids.tolist() == answer.points.ids.tolist()
+
+
 class TestAdmissionControl:
     def test_full_queue_sheds_explicitly(self, network):
         release = threading.Event()
@@ -241,12 +270,12 @@ class TestTwoStatsSurfaces:
                 segment_home.directory
             }
             engine_stats = engine.stats.as_dict()
-        serial = execute_query(
+        serial = gateway_dispatch(
             network,
             Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0]),
             "FTPM",
         )
-        expected = encode_payload(result_payload(serial.result))
+        expected = encode_payload(result_payload(serial))
         for response in responses:
             assert response.ok
             assert encode_payload(response.payload["result"]) == expected

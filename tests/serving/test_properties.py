@@ -3,7 +3,7 @@
 For any interleaving of concurrent client requests — arbitrary subspace
 repetition, variant mix, connection assignment and send staggering —
 every ``ok`` response's canonical ``result`` bytes must equal the bytes
-a serial, uncoalesced :func:`execute_query` produces for that
+of what a serial, uncoalesced :func:`gateway_dispatch` returns for that
 ``(subspace, variant)``.  Coalescing, dispatcher scheduling and the
 shared-future fan-out must be entirely invisible in the payload.
 """
@@ -19,7 +19,7 @@ from repro.data.workload import Query
 from repro.serving.client import GatewayClient
 from repro.serving.gateway import GatewayConfig, QueryGateway
 from repro.serving.proto import encode_payload, result_payload
-from repro.skypeer.executor import execute_query
+from repro.skypeer.netexec import gateway_dispatch
 
 from .conftest import build_network, run
 
@@ -35,9 +35,7 @@ def reference_bytes(subspace: tuple[int, ...], variant: str) -> bytes:
     key = (subspace, variant)
     if key not in _REFERENCE:
         initiator = NETWORK.topology.superpeer_ids[0]
-        store = execute_query(
-            NETWORK, Query(subspace=subspace, initiator=initiator), variant
-        ).result
+        store = gateway_dispatch(NETWORK, Query(subspace=subspace, initiator=initiator), variant)
         _REFERENCE[key] = encode_payload(result_payload(store))
     return _REFERENCE[key]
 
@@ -102,7 +100,7 @@ def test_coalesced_and_uncoalesced_responses_share_result_bytes():
 
     def dispatch(net, query, variant):
         release.wait(timeout=10.0)
-        return execute_query(net, query, variant).result
+        return gateway_dispatch(net, query, variant)
 
     async def scenario():
         gateway = QueryGateway(

@@ -9,12 +9,14 @@ could produce is fair game.
 from __future__ import annotations
 
 from collections import Counter, deque
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import PointSet
+from repro.core.local_skyline import local_subspace_skyline
 from repro.core.store import SortedByF
 from repro.skypeer.protocol import ProtocolNode, make_kernels
 from repro.skypeer.variants import Variant
@@ -95,9 +97,11 @@ def test_every_interleaving_terminates_with_the_skyline(backbone, variant, seed,
     initiator = int(rng.integers(0, len(adjacency)))
 
     carrier = LinkQueues(random.choice)
-    kernels = make_kernels(
-        variant, subspace, store_of=stores.__getitem__, dimensionality=d
+    network = SimpleNamespace(
+        scan=lambda sp, sub, t: local_subspace_skyline(stores[sp], sub, initial_threshold=t),
+        store_of=stores.__getitem__, dimensionality=d,
     )
+    kernels = make_kernels(variant, subspace, network)
     scans, scan = Counter(), kernels.scan
     kernels.scan = lambda sp, t: (scans.update([sp]), scan(sp, t))[1]
     for sp, neighbours in adjacency.items():

@@ -17,6 +17,7 @@ Nothing below checks with ``repro.core.dominance``.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -96,16 +97,14 @@ def test_the_point_prunes_only_what_is_not_in_the_answer(backbone, variant, seed
     scanned: dict[int, SortedByF] = {}    # what Algorithm 1 returned
     own: dict[int, SortedByF] = {}        # what the super-peer kept of it
 
-    def local_compute(sp, sub, threshold):
+    def scan(sp, sub, threshold):
         computation = local_subspace_skyline(stores[sp], sub, initial_threshold=threshold)
         scanned[sp] = computation.result
         return computation
 
     carrier = Recording(random.choice)
-    kernels = make_kernels(
-        variant, subspace, store_of=stores.__getitem__, dimensionality=d,
-        local_compute=local_compute,
-    )
+    network = SimpleNamespace(scan=scan, store_of=stores.__getitem__, dimensionality=d)
+    kernels = make_kernels(variant, subspace, network)
     scan = kernels.scan
 
     def keep(sp, bound):
