@@ -82,10 +82,12 @@ the minimum over the queried coordinates instead, which the receiver
 recomputes (docs/ALGORITHMS.md has the proof; result sets are
 identical).  A result message also sends its ids as one column, each id
 in the fewest whole bytes that hold the message's largest id (at most 3
-bytes at these scales) rather than in a fixed 8.  So every *volume*,
+bytes at these scales) rather than in a fixed 8, or, when that is
+strictly smaller, sorted and as the LEB128 varints of the smallest id
+and each gap to the next (mostly 1 byte an id).  So every *volume*,
 Figure 3(a)'s *upload KB* and the transfer share of every *total time*
 below is that of the leaner record: 8 bytes fewer per point per hop for
-f(p), and 8 - w fewer for an id of width w.
+f(p), and 8 - w fewer for an id of width w (more for a gap-coded one).
 (6) A SKYPEER query carries, beside the paper's threshold t, the point p
 with the smallest coordinate sum on U of its sender's answer so far, and
 every receiving super-peer drops from its scan result what p dominates:

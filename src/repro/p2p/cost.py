@@ -7,17 +7,22 @@ point counts into bytes and bytes into per-hop transfer seconds.
 A transmitted skyline point consists of its queried coordinates and its
 identifier — the receiver recomputes the key Algorithm 2 orders on,
 ``min_{i in U} p[i]``, from those coordinates.  A result message sends
-every id in one width, :func:`id_width` of the message's ids (the
-fewest whole bytes that hold its largest id), and every coordinate in
-one width, :func:`coord_width` of its coordinate block (the low bytes
-left once the high bytes all of them share are sent once).  A block
+its ids in ascending order, :func:`id_bytes` of them: every id in one
+width, :func:`id_width` of the message's ids (the fewest whole bytes
+that hold its largest id), or, since wire version 8 and exactly when
+that is strictly smaller, the smallest id and then each gap to the next
+as variable-length integers (:func:`id_gaps`).  It sends every
+coordinate in one width, :func:`coord_width` of its coordinate block
+(the low bytes left once the high bytes all of them share are sent
+once).  A block
 that mixes ``+0.0`` with other values marks its zeros in a bitmap and
 sends, and sizes its width over, only the rest.  Since wire version 7 a
 block may instead give each of its ``k`` columns its own width, and send
 each column's shared high bytes once, for ``k − 1`` more width bytes:
 :func:`coord_width` takes that layout exactly when it is strictly
 smaller than the one-block one, so the encoder and every charge agree on
-it and no record grows.  A query message carries
+it and no record grows; version 8's id layout follows the same rule.
+A query message carries
 the subspace, the threshold and at most one point on the subspace (the
 bound ``q(U, t, p)`` of ``docs/ALGORITHMS.md``).
 The numbers are deliberately simple — only relative volume matters for
@@ -31,7 +36,15 @@ from typing import Any, Sequence
 
 import numpy as np
 
-__all__ = ["CostModel", "DEFAULT_COST_MODEL", "coord_width", "id_width"]
+__all__ = [
+    "CostModel",
+    "DEFAULT_COST_MODEL",
+    "coord_width",
+    "id_bytes",
+    "id_gaps",
+    "id_width",
+    "varint_lengths",
+]
 
 
 def id_width(ids: Sequence[int] | np.ndarray) -> int:
@@ -47,6 +60,40 @@ def id_width(ids: Sequence[int] | np.ndarray) -> int:
     if column.min() < 0:
         return 8
     return max(1, (int(column.max()).bit_length() + 7) // 8)
+
+
+def id_gaps(ids: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The ``uint64`` words the gap layout of an id block sends for
+    ``ids``: the smallest id zigzag-coded (``2x`` for ``x >= 0``,
+    ``-2x - 1`` below), then the gap from each id to the next in
+    ascending order (0 for a repeated id)."""
+    column = np.sort(np.asarray(ids, dtype=np.int64).reshape(-1))
+    gaps = np.empty(column.size, dtype=np.uint64)
+    if column.size:
+        first = int(column[0])
+        gaps[0] = (first << 1) ^ (first >> 63)
+        # Each gap fits 64 bits unsigned; the subtraction wraps into it.
+        words = column.view(np.uint64)
+        np.subtract(words[1:], words[:-1], out=gaps[1:])
+    return gaps
+
+
+def varint_lengths(words: np.ndarray) -> np.ndarray:
+    """The LEB128 length of each ``uint64`` word: 7 bits a byte, 1 to 10."""
+    return 1 + np.searchsorted(_VARINT_LIMITS, words, side="right")
+
+
+def id_bytes(ids: Sequence[int] | np.ndarray) -> int:
+    """Bytes of the id block of a result message carrying ``ids``.
+
+    The block is either the ``n·w`` fixed-width column, ``w`` the
+    :func:`id_width` of ``ids``, or — exactly when that is strictly
+    smaller — the LEB128 varints of :func:`id_gaps`; either way the ids
+    go in ascending order.  0 for no ids.
+    """
+    column = np.asarray(ids, dtype=np.int64).reshape(-1)
+    fixed = column.size * id_width(column)
+    return min(fixed, int(varint_lengths(id_gaps(column)).sum()))
 
 
 def coord_width(values: Sequence[float] | np.ndarray) -> tuple[Any, Any]:
@@ -110,6 +157,9 @@ def coord_width(values: Sequence[float] | np.ndarray) -> tuple[Any, Any]:
 #: ``2**(8 i)`` for ``i < 8``: a word needs as many whole bytes as it is
 #: at least of these.
 _BYTE_LIMITS = np.array([1 << 8 * i for i in range(8)], dtype=np.uint64)
+#: ``2**(7 i)`` for ``1 <= i <= 9``: a word's LEB128 takes one byte more
+#: than it is at least of these.
+_VARINT_LIMITS = np.array([1 << 7 * i for i in range(1, 10)], dtype=np.uint64)
 
 
 def _byte_length(word: np.uint64) -> int:
@@ -136,13 +186,6 @@ class CostModel:
         if self.bandwidth_bytes_per_sec <= 0:
             raise ValueError("bandwidth must be positive")
 
-    def point_bytes(self, k: int, id_width: int, coord_width: int) -> int:
-        """Bytes for one skyline point projected on a ``k``-dim subspace,
-        in a result message whose ids are ``id_width`` bytes wide and
-        whose coordinates, all sent, share all but ``coord_width`` low
-        bytes."""
-        return id_width + k * (self.coordinate_bytes - self._shared_bytes(coord_width))
-
     def query_bytes(self, k: int, points: int = 0) -> int:
         """Bytes of a forwarded query message ``q(U, t, p)`` whose bound
         carries ``points`` points on its ``k`` queried coordinates (a
@@ -154,10 +197,10 @@ class CostModel:
         )
 
     def result_bytes(
-        self, num_points: int, k: int, id_width: int, coord_width: Any, nonzero: Any
+        self, num_points: int, k: int, id_bytes: int, coord_width: Any, nonzero: Any
     ) -> int:
         """Bytes of a result message carrying ``num_points`` points whose
-        ids are ``id_width`` bytes wide (:func:`id_width` of its ids) and
+        ids take an ``id_bytes``-byte block (:func:`id_bytes` of them) and
         whose coordinate block is laid out as ``(coord_width, nonzero)``
         (:func:`coord_width` of it): one width and sent count for the
         whole block, or one of each per column.  Each group's
@@ -166,8 +209,8 @@ class CostModel:
         adds ``k - 1`` width bytes, and a block that sends fewer than
         its ``num_points * k`` coordinates adds its zero bitmap, one bit
         per coordinate."""
-        if num_points < 0:
-            raise ValueError("num_points must be non-negative")
+        if num_points < 0 or id_bytes < 0:
+            raise ValueError("num_points and id_bytes must be non-negative")
         size = num_points * k
         widths, counts = _per_group(coord_width), _per_group(nonzero)
         if len(widths) not in (1, k) or len(counts) != len(widths):
@@ -181,13 +224,13 @@ class CostModel:
             coordinates += shared + count * (self.coordinate_bytes - shared)
             sent += count
         bitmap = (size + 7) // 8 if sent < size else 0
-        return self.message_header_bytes + num_points * id_width + bitmap + int(coordinates)
+        return self.message_header_bytes + id_bytes + bitmap + int(coordinates)
 
     def list_bytes(self, ids: np.ndarray, values: np.ndarray) -> int:
         """Bytes of the result message that sends ``ids`` and their
-        ``n × k`` coordinate block ``values``, in the layout
-        :func:`coord_width` picks for it."""
-        return self.result_bytes(len(ids), values.shape[1], id_width(ids), *coord_width(values))
+        ``n × k`` coordinate block ``values``, in the layouts
+        :func:`id_bytes` and :func:`coord_width` pick for them."""
+        return self.result_bytes(len(ids), values.shape[1], id_bytes(ids), *coord_width(values))
 
     def _shared_bytes(self, coord_width: int) -> int:
         """The high bytes of a coordinate a result message sends once

@@ -268,9 +268,14 @@ class SuperPeerNetwork:
     ) -> SkylineComputation:
         """Algorithm 1 over ``superpeer_id``'s store on ``subspace`` from
         ``threshold``, through the network's scan memo.  Every SKYPEER
-        query runs its local scans here, on every backend and carrier."""
+        query runs its local scans here, on every backend and carrier.
+        A NaN ``threshold`` is refused: no point is at or below it, so
+        the scan would keep nothing."""
+        threshold = float(threshold)
+        if math.isnan(threshold):
+            raise ValueError("a scan's threshold is NaN")
         cols = tuple(int(c) for c in subspace)
-        key = (superpeer_id, self.store_generations.get(superpeer_id, 0), cols, float(threshold))
+        key = (superpeer_id, self.store_generations.get(superpeer_id, 0), cols, threshold)
         return self.scan_memo.scan(key, self.store_of(superpeer_id))
 
     def bump_store_generation(self, superpeer_id: int) -> int:

@@ -14,14 +14,18 @@ Payloads:
 * ``QueryMessage`` — subspace size k (2B), threshold (8B double),
   initiator (8B), point count (1B, 0 or 1), then the k dimensions (2B
   each) and, per point, its k coordinates on the subspace (8B doubles):
-  the bound ``(t, p)`` of ``q(U, t, p)``.
+  the bound ``(t, p)`` of ``q(U, t, p)``.  Neither side lets a NaN
+  threshold (``+inf`` is the naive baseline's) or a point coordinate
+  that is not finite through.
 * ``ResultMessage`` — sender (8B), point count n (4B), query
-  dimensionality k (2B), id width w (1B), coordinate width c (1B, its
-  ``0x80`` bit the zero-bitmap flag, its ``0x40`` bit the per-column
-  flag, its ``0x10`` and ``0x20`` bits reserved and refused), then, in
-  a per-column block, the widths of columns 1..k-1 (1B each, ``c``
-  being column 0's), then the n ids, each little-endian in ``w`` bytes,
-  then the coordinate block: when bitmap-flagged, a bitmap of
+  dimensionality k (2B), id width w (1B, its ``0x80`` bit the gap
+  flag), coordinate width c (1B, its ``0x80`` bit the zero-bitmap flag,
+  its ``0x40`` bit the per-column flag, its ``0x10`` and ``0x20`` bits
+  reserved and refused), then, in a per-column block, the widths of
+  columns 1..k-1 (1B each, ``c`` being column 0's), then the n ids in
+  ascending order — each little-endian in ``w`` bytes, or, gap-flagged,
+  the smallest in zigzag LEB128 and then each gap to the next in
+  LEB128 — then the coordinate block: when bitmap-flagged, a bitmap of
   ``ceil(n*k/8)`` bytes (``np.packbits(..., bitorder="little")`` of the
   row-major n x k block) whose set bits mark the coordinates that are
   ``+0.0``; then the sent coordinates.  A bitmap-flagged block sends
@@ -32,8 +36,10 @@ Payloads:
   column, each with its own width (8 for a column its bitmap marks
   entirely, which sends nothing).  ``w`` is
   :func:`repro.p2p.cost.id_width` of the ids — the fewest whole bytes
-  that hold the largest one, 8 if any is negative — and the flags and
-  widths come from :func:`repro.p2p.cost.coord_width` of the block —
+  that hold the largest one, 8 if any is negative — and the ids are
+  gap-coded exactly when :func:`repro.p2p.cost.id_bytes` finds that
+  strictly smaller than ``n·w``; the coordinate flags and widths come
+  from :func:`repro.p2p.cost.coord_width` of the block —
   a block is bitmap-flagged when it holds ``+0.0`` and another value,
   a width is 8 less the whole high bytes the float64 bit patterns its
   group sends all share (8 when it sends none), and the per-column
@@ -53,12 +59,14 @@ the per-point size the cost model charges.  Version 1 also shipped the
 full-space ``f(p)`` per point, version 2's query carried the scalar
 ``t`` alone, version 3's record was a fixed 8-byte id plus the
 coordinates, point by point, version 4's sent every coordinate as a
-whole 8-byte double, version 5's had no zero bitmap and version 6's
-no per-column layout; none of them is decoded.
+whole 8-byte double, version 5's had no zero bitmap, version 6's no
+per-column layout and version 7's no gap-coded ids; none of them is
+decoded.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,7 +75,7 @@ import numpy as np
 
 from ..core.dataset import PointSet
 from ..core.store import SortedByF
-from .cost import CostModel, coord_width, id_width
+from .cost import CostModel, coord_width, id_bytes, id_gaps, id_width, varint_lengths
 
 __all__ = [
     "HEADER_SIZE",
@@ -80,7 +88,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SP"
-_VERSION = 7
+_VERSION = 8
 _HEADER = struct.Struct("<2sBBqI")
 _KIND_QUERY = 1
 _KIND_RESULT = 2
@@ -90,6 +98,10 @@ _KIND_DECLINE = 4
 #: and each column has its own width.
 _ZERO_BITMAP = 0x80
 _COLUMNS = 0x40
+#: The id width byte's flag: the ids travel as LEB128 gaps.
+_ID_GAPS = 0x80
+#: The shift of each 7-bit group of a 10-byte LEB128 varint.
+_SEVEN_BITS = np.arange(0, 70, 7, dtype=np.uint64)
 
 HEADER_SIZE = _HEADER.size
 
@@ -123,6 +135,7 @@ class QueryMessage:
         point = () if self.point is None else tuple(self.point)
         if self.point is not None and len(point) != k:
             raise WireError(f"the query's point must have {k} coordinates")
+        _check_bound(self.threshold, point)
         body = self._BODY_HEAD.pack(k, self.threshold, self.initiator, len(point) // k)
         body += struct.pack(f"<{k}H", *self.subspace)
         body += struct.pack(f"<{len(point)}d", *point)
@@ -140,6 +153,7 @@ class QueryMessage:
             raise WireError(f"query body has {len(body)} bytes, expected {expected}")
         subspace = struct.unpack_from(f"<{k}H", body, cls._BODY_HEAD.size)
         point = struct.unpack_from(f"<{k * points}d", body, cls._BODY_HEAD.size + 2 * k)
+        _check_bound(threshold, point)
         return cls(
             query_id=query_id,
             subspace=tuple(int(d) for d in subspace),
@@ -149,6 +163,16 @@ class QueryMessage:
         )
 
 
+def _check_bound(threshold: float, point: Sequence[float]) -> None:
+    """Refuse a NaN threshold (``+inf`` is the naive baseline's) and a
+    point coordinate that is not finite: either would make a receiver's
+    scan keep nothing and answer an empty list."""
+    if math.isnan(threshold):
+        raise WireError("a query's threshold is not a number")
+    if not all(map(math.isfinite, point)):
+        raise WireError("a query's point has a coordinate that is not finite")
+
+
 @dataclass(frozen=True, eq=False)
 class ResultMessage:
     """A local (or progressively merged) result list.
@@ -156,9 +180,11 @@ class ResultMessage:
     Only the queried coordinates travel; the full-space points stay at
     their super-peers.  ``ids`` (``int64``, length n) and ``coords``
     (``float64``, n x k) are parallel numpy arrays — any array-like is
-    taken at construction; ``sender`` is the super-peer whose list this
-    is (a relay passes it on unchanged).  ``final`` and ``decline`` ride
-    in the kind byte.  Equality compares by value.
+    taken at construction, and the rows are kept in ascending id order
+    (a stable sort), the order the record sends them in; ``sender`` is
+    the super-peer whose list this is (a relay passes it on unchanged).
+    ``final`` and ``decline`` ride in the kind byte.  Equality compares
+    by value.
     """
 
     query_id: int
@@ -180,6 +206,9 @@ class ResultMessage:
             if coords.size:
                 raise WireError("ragged coordinate rows")
             coords = coords.reshape(0, 0)
+        if len(coords) == len(ids) and (ids[1:] < ids[:-1]).any():
+            order = np.argsort(ids, kind="stable")
+            ids, coords = ids[order], coords[order]
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "coords", coords)
 
@@ -221,7 +250,12 @@ class ResultMessage:
         if self.decline and n:
             raise WireError("a decline carries no points")
         kind = _KIND_DECLINE if self.decline else _KIND_FINAL if self.final else _KIND_RESULT
-        width = id_width(self.ids)
+        ids = np.ascontiguousarray(self.ids, dtype="<i8")
+        width = id_width(ids)
+        if id_bytes(ids) < n * width:
+            id_block, width = _leb128(id_gaps(ids)), width | _ID_GAPS
+        else:
+            id_block = _low_bytes(ids, width)
         words = np.ascontiguousarray(self.coords, dtype="<f8").view("<u8")
         layout = coord_width(words.view("<f8"))
         widths, sent = np.atleast_1d(layout[0]), np.atleast_1d(layout[1])
@@ -243,7 +277,7 @@ class ResultMessage:
         body = (
             self._BODY_HEAD.pack(self.sender, n, k, width, int(widths[0]) | flags)
             + bytes(widths[1:].tolist())
-            + _low_bytes(np.ascontiguousarray(self.ids, dtype="<i8"), width)
+            + id_block
             + bitmap
             + b"".join(
                 group[:1].tobytes()[low:] + _low_bytes(group, low)
@@ -257,21 +291,31 @@ class ResultMessage:
         head = cls._BODY_HEAD.size
         if len(body) < head:
             raise WireError("result body truncated")
-        sender, n, k, width, block = cls._BODY_HEAD.unpack_from(body, 0)
+        sender, n, k, id_byte, block = cls._BODY_HEAD.unpack_from(body, 0)
         if kind == _KIND_DECLINE and n:
             raise WireError("a decline carries no points")
+        width = id_byte & ~_ID_GAPS
         if not 1 <= width <= 8:
-            raise WireError(f"id width {width} is not 1..8 bytes")
+            raise WireError(f"id width {id_byte} is not 1..8 bytes, or that plus {_ID_GAPS:#x}")
         widths, ids_at = _coord_widths(body, block, n, k)
-        start, size = ids_at + n * width, n * k
+        ids: np.ndarray | None = None
+        if id_byte & _ID_GAPS:
+            ids, id_size = _gap_ids(body, ids_at, n, width)
+            start = ids_at + id_size
+        else:
+            start = ids_at + n * width
+        size = n * k
         zero: np.ndarray | None = None
         if block & _ZERO_BITMAP:
             zero = _zero_bitmap(body, start, size)
             start += (size + 7) // 8
         sent = _sent_counts(zero, widths, n, k)
         _check_body_size(len(body), start, widths, sent)
-        # Zero-extend each id to 8 bytes; width 8 carries negatives as they are.
-        ids = _words(body, ids_at, n, width, 0)
+        if ids is None:
+            # Zero-extend each id to 8 bytes; width 8 carries negatives as they are.
+            ids = _words(body, ids_at, n, width, 0).view("<i8")
+        if (ids[1:] < ids[:-1]).any():
+            raise WireError("the ids are not in ascending order")
         # Each group's shared high bytes, then each sent value's low bytes.
         groups: list[np.ndarray] = []
         for low, count in zip(widths.tolist(), sent.tolist()):
@@ -291,7 +335,7 @@ class ResultMessage:
         return cls(
             query_id=query_id,
             sender=sender,
-            ids=ids.view("<i8"),
+            ids=ids,
             coords=coords.view("<f8"),
             final=kind != _KIND_RESULT,
             decline=kind == _KIND_DECLINE,
@@ -308,6 +352,51 @@ class ResultMessage:
         if not len(self.ids):
             return SortedByF.empty(self.k or 1)
         return SortedByF.from_points(PointSet(self.coords, self.ids))
+
+
+def _gap_ids(body: bytes, offset: int, n: int, width: int) -> tuple[np.ndarray, int]:
+    """The ``n`` ids of the gap-coded block at ``offset`` in ``body`` —
+    the smallest in zigzag LEB128, then each ascending gap in LEB128 —
+    and the block's length.
+
+    Refuses a varint cut short or longer than 10 bytes, one that
+    overflows 64 bits, and a block that is not strictly smaller than the
+    ``n·width`` column the encoder would have sent instead.  The ids may
+    still wrap past the largest ``int64``; the caller's ascending check
+    refuses that.
+    """
+    window = np.frombuffer(body[offset : offset + 10 * n], np.uint8)
+    ends = np.flatnonzero(window < 0x80)[:n]
+    lengths = np.diff(ends, prepend=-1)
+    tail = window.size - (int(ends[-1]) + 1 if ends.size else 0)
+    if (lengths > 10).any() or (ends.size < n and tail >= 10):
+        raise WireError("an id varint is longer than 10 bytes")
+    if ends.size < n:
+        raise WireError("id varints truncated")
+    size = int(ends[-1]) + 1 if n else 0
+    if size >= n * width:
+        raise WireError(f"a gap-coded id block of {size} bytes is not smaller than {n} x {width}")
+    if (window[ends[lengths == 10]] > 1).any():
+        raise WireError("an id varint overflows 64 bits")
+    starts = ends + 1 - lengths
+    shifts = _SEVEN_BITS[np.arange(size) - np.repeat(starts, lengths)]
+    words = np.bitwise_or.reduceat((window[:size] & 0x7F).astype(np.uint64) << shifts, starts)
+    first = int(words[0])
+    words[0] = ((first >> 1) ^ -(first & 1)) & 0xFFFF_FFFF_FFFF_FFFF
+    # Each sum wraps modulo 2**64, as each gap was taken.
+    return np.cumsum(words, dtype=np.uint64).view("<i8"), size
+
+
+def _leb128(words: np.ndarray) -> bytes:
+    """The LEB128 varints of the ``uint64`` ``words``, back to back."""
+    lengths = varint_lengths(words)
+    ends = np.cumsum(lengths) - 1
+    # Each output byte: its word shifted by 7 bits a place, 0x80 on all
+    # but a varint's last byte (whose group is below 0x80 already).
+    place = np.arange(ends[-1] + 1 if words.size else 0) - np.repeat(ends + 1 - lengths, lengths)
+    groups = (np.repeat(words, lengths) >> _SEVEN_BITS[place]).astype(np.uint8) | np.uint8(0x80)
+    groups[ends] &= 0x7F
+    return groups.tobytes()
 
 
 def _coord_widths(body: bytes, block: int, n: int, k: int) -> tuple[np.ndarray, int]:
@@ -444,39 +533,18 @@ def decode(blob: bytes) -> QueryMessage | ResultMessage:
 
 
 def cost_estimate(blob: bytes, model: CostModel) -> int:
-    """The cost model's byte estimate for one encoded message.
+    """The cost model's byte estimate for one encoded message: its
+    price of the message :func:`decode` reads from ``blob``, so it
+    refuses what :func:`decode` refuses.
 
-    Reads only the header, the fixed-size body head, a per-column
-    block's widths and a flagged block's zero bitmap, refusing what
-    :func:`decode` refuses of those and a result body whose length does
-    not add up to what they announce, so a transport can tally
-    *estimated* bytes next to the *measured* ``len(blob)`` it actually
-    puts on the wire.  The two differ by a constant
-    per-message framing delta — see ``docs/TRANSPORT.md`` — because the
-    model charges an abstract ``message_header_bytes`` envelope instead
-    of this codec's packed header.
+    A transport tallies this *estimated* size next to the *measured*
+    ``len(blob)`` it actually puts on the wire.  For every record the
+    encoder writes the two differ by a constant per-message framing
+    delta — see ``docs/TRANSPORT.md`` — because the model charges an
+    abstract ``message_header_bytes`` envelope instead of this codec's
+    packed header.
     """
-    kind, _, length = decode_header(blob)
-    body = blob[_HEADER.size :]
-    if len(body) < length:
-        raise WireError(
-            f"truncated payload: body has {len(body)} bytes, "
-            f"header promises {length}"
-        )
-    if kind == _KIND_QUERY:
-        if len(body) < QueryMessage._BODY_HEAD.size:
-            raise WireError("query body truncated")
-        k, _, _, points = QueryMessage._BODY_HEAD.unpack_from(body, 0)
-        return model.query_bytes(k, points)
-    if len(body) < ResultMessage._BODY_HEAD.size:
-        raise WireError("result body truncated")
-    _, n, k, width, block = ResultMessage._BODY_HEAD.unpack_from(body, 0)
-    widths, ids_at = _coord_widths(body, block, n, k)
-    start, size = ids_at + n * width, n * k
-    zero: np.ndarray | None = None
-    if block & _ZERO_BITMAP:
-        zero = _zero_bitmap(body, start, size)
-        start += (size + 7) // 8
-    sent = _sent_counts(zero, widths, n, k)
-    _check_body_size(length, start, widths, sent)
-    return model.result_bytes(n, k, width, widths, sent)
+    message = decode(blob)
+    if isinstance(message, QueryMessage):
+        return model.query_bytes(len(message.subspace), 0 if message.point is None else 1)
+    return model.list_bytes(message.ids, message.coords)

@@ -88,10 +88,11 @@ class QueryExecution:
     initial_threshold: float
     local_result_points: int
     #: Points summed over every RESULT message: what ``volume_bytes``
-    #: charges an id of ``w`` bytes and up to ``k`` coordinates of ``c``
-    #: low bytes for, hop by hop, ``w`` and ``c`` the id and coordinate
-    #: widths of the message that carried the point (its ``+0.0``
-    #: coordinates cost a bitmap bit instead when the block mixes them).
+    #: charges an id and up to ``k`` coordinates of ``c`` low bytes for,
+    #: hop by hop — the id a fixed ``w`` bytes or its gap's varint, and
+    #: ``w`` and ``c`` the layouts of the message that carried the point
+    #: (its ``+0.0`` coordinates cost a bitmap bit instead when the block
+    #: mixes them).
     point_hops: int
     critical_path_examined: float = 0.0
     traces: dict[int, SkylineComputation] = field(default_factory=dict)
@@ -186,7 +187,7 @@ class _ModelClocks:
 
     def decline(self, src: int, dst: int, at: Clock) -> None:
         self._transmit(
-            "result", src, dst, self._cost.result_bytes(0, len(self._subspace), 1, 8, 0), at,
+            "result", src, dst, self._cost.result_bytes(0, len(self._subspace), 0, 8, 0), at,
             lambda arrived: self.nodes[dst].on_decline(src, arrived), points=0,
         )
 

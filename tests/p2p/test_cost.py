@@ -5,7 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from repro.p2p.cost import DEFAULT_COST_MODEL, CostModel, coord_width, id_width
+from repro.p2p.cost import (
+    DEFAULT_COST_MODEL, CostModel, coord_width, id_bytes, id_gaps, id_width, varint_lengths,
+)
 
 
 class TestCostModel:
@@ -16,34 +18,21 @@ class TestCostModel:
         model = CostModel(bandwidth_bytes_per_sec=1024.0)
         assert model.transfer_seconds(2048) == pytest.approx(2.0)
 
-    def test_point_bytes_grows_with_k(self):
-        model = CostModel()
-        assert model.point_bytes(3, 3, 8) > model.point_bytes(2, 3, 8)
-
-    def test_point_bytes_is_the_id_width_plus_k_coordinates(self):
-        model = CostModel()
-        for width in range(1, 9):
-            assert model.point_bytes(4, width, 8) == width + 4 * model.coordinate_bytes
-
-    def test_point_bytes_charges_each_coordinate_its_low_bytes(self):
-        model = CostModel()
-        for low in range(9):
-            assert model.point_bytes(4, 3, low) == 3 + 4 * low
-
     def test_result_bytes_linear_in_points(self):
+        """The id block's bytes, then ``k`` whole coordinates a point."""
         model = CostModel()
-        header = model.result_bytes(0, 3, 2, 8, 0)
+        header = model.result_bytes(0, 3, 0, 8, 0)
         assert header == model.message_header_bytes
-        assert model.result_bytes(10, 3, 2, 8, 30) == header + 10 * model.point_bytes(3, 2, 8)
+        assert model.result_bytes(10, 3, 20, 8, 30) == header + 20 + 10 * 3 * model.coordinate_bytes
 
     def test_result_bytes_sends_the_shared_high_bytes_once(self):
         """``header + n·(w + k·c) + (8 − c)``, for every width, when the
-        block sends every coordinate."""
+        block sends every coordinate and its ids take ``n·w`` bytes."""
         model = CostModel()
         for n in (0, 1, 7):
             for k in (1, 4, 8):
                 for low in range(9):
-                    assert model.result_bytes(n, k, 2, low, n * k) == (
+                    assert model.result_bytes(n, k, 2 * n, low, n * k) == (
                         model.message_header_bytes + n * (2 + k * low) + (8 - low)
                     )
 
@@ -54,7 +43,7 @@ class TestCostModel:
             for k in (1, 4, 8):
                 for nz in {0, n * k // 2, n * k - 1}:
                     for low in range(9):
-                        assert model.result_bytes(n, k, 2, low, nz) == (
+                        assert model.result_bytes(n, k, 2 * n, low, nz) == (
                             model.message_header_bytes + 2 * n + (n * k + 7) // 8
                             + (8 - low) + nz * low
                         )
@@ -64,9 +53,9 @@ class TestCostModel:
         model = CostModel()
         for n in (1, 2, 300):
             for k in (1, 3, 8):
-                whole = model.result_bytes(n, k, 3, 8, n * k)
+                whole = model.result_bytes(n, k, 3 * n, 8, n * k)
                 assert all(
-                    model.result_bytes(n, k, 3, low, n * k) <= whole for low in range(9)
+                    model.result_bytes(n, k, 3 * n, low, n * k) <= whole for low in range(9)
                 )
 
     def test_result_bytes_charges_each_column_its_own_group(self):
@@ -76,7 +65,7 @@ class TestCostModel:
             for widths, sent in (((0, 7), (n, n)), ((8, 2, 3), (0, n, n - 1))):
                 k = len(widths)
                 bitmap = (n * k + 7) // 8 if sum(sent) < n * k else 0
-                assert model.result_bytes(n, k, 2, widths, sent) == (
+                assert model.result_bytes(n, k, 2 * n, widths, sent) == (
                     model.message_header_bytes + 2 * n + k - 1 + bitmap
                     + sum(8 - c for c in widths) + sum(c * m for c, m in zip(widths, sent))
                 )
@@ -89,6 +78,8 @@ class TestCostModel:
     def test_result_bytes_rejects_negative(self):
         with pytest.raises(ValueError):
             CostModel().result_bytes(-1, 2, 1, 8, 0)
+        with pytest.raises(ValueError, match="id_bytes"):
+            CostModel().result_bytes(1, 2, -1, 8, 2)
 
     @pytest.mark.parametrize("low", [-1, 9])
     def test_result_bytes_rejects_a_coordinate_width_outside_zero_to_eight(self, low):
@@ -104,7 +95,6 @@ class TestCostModel:
         """The shared bytes are capped at a whole ``coordinate_bytes``."""
         model = CostModel(coordinate_bytes=1)
         for low in range(9):
-            assert model.point_bytes(3, 1, low) >= 1
             for nonzero in (0, 7, 15):
                 assert model.result_bytes(5, 3, 1, low, nonzero) >= model.message_header_bytes
 
@@ -171,6 +161,46 @@ class TestIdWidth:
         at 10 000 000: both below 2**24."""
         assert id_width([99_999]) == 3
         assert id_width([10_000_000, 10_000_999]) == 3
+
+
+class TestIdBytes:
+    """Wire version 8: the id block is the ``n·w`` column, or the
+    zigzag LEB128 smallest id and LEB128 ascending gaps when strictly
+    smaller."""
+
+    def test_varint_lengths_step_every_seven_bits(self):
+        words = np.array(
+            [0, 127, 128, 2**14 - 1, 2**14, 2**56 - 1, 2**56, 2**63 - 1, 2**63, 2**64 - 1],
+            dtype=np.uint64,
+        )
+        assert varint_lengths(words).tolist() == [1, 1, 2, 2, 3, 8, 9, 9, 10, 10]
+
+    def test_gaps_are_the_zigzag_smallest_then_the_ascending_differences(self):
+        assert id_gaps([]).tolist() == []
+        assert id_gaps([300, 5, 7, 7]).tolist() == [10, 2, 0, 293]
+        assert id_gaps([-1, 4]).tolist() == [1, 5]
+        assert id_gaps([-3]).tolist() == [5]
+        assert id_gaps([-(2**63), 2**63 - 1]).tolist() == [2**64 - 1, 2**64 - 1]
+
+    def test_the_gap_layout_only_when_strictly_smaller(self):
+        assert id_bytes([]) == 0
+        assert id_bytes([0]) == 1 and id_bytes([200]) == 1  # 400 takes two varint bytes
+        assert id_bytes([0, 1, 2]) == 3  # three varint bytes tie the column
+        assert id_bytes(range(300)) == 300 < 300 * id_width(range(300))
+        assert id_bytes([-1]) == 1 < id_width([-1])
+        assert id_bytes([-(2**63), 0, 2**63 - 1]) == 3 * 8  # 10 + 10 + 9 varint bytes
+
+    def test_order_and_repeats_do_not_change_the_charge(self):
+        rng = np.random.default_rng(3)
+        ids = rng.choice(5000, 60, replace=False)
+        assert id_bytes(ids) == id_bytes(np.sort(ids)) == id_bytes(ids[::-1])
+        assert id_bytes(np.append(ids, ids[:5])) == id_bytes(ids) + 5  # a repeat is one 0 gap
+
+    def test_skybench_lists_take_about_a_byte_an_id(self):
+        """About 60 ids of one super-peer's 5 000 have gaps near 80."""
+        rng = np.random.default_rng(4)
+        ids = np.sort(rng.choice(5000, 60, replace=False)) + 20_000
+        assert id_bytes(ids) < 60 * 1.5 < 60 * id_width(ids)
 
 
 def _double(bits: int) -> float:

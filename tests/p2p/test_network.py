@@ -72,6 +72,16 @@ class TestPreprocessing:
         assert sels[0] < sels[1] < sels[2]
 
 
+class TestScan:
+    def test_a_nan_threshold_is_refused(self, small_network):
+        """No point is at or below NaN, so a scan from it would keep
+        nothing and pass an empty list off as the answer."""
+        sp = small_network.topology.superpeer_ids[0]
+        assert len(small_network.scan(sp, (0, 1), np.inf).result) > 0
+        with pytest.raises(ValueError, match="NaN"):
+            small_network.scan(sp, (0, 1), np.nan)
+
+
 class TestFromPartitions:
     def test_explicit_partitions(self, rng):
         topo = Topology.generate(n_peers=6, n_superpeers=2, seed=0)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
-from repro.p2p.cost import DEFAULT_COST_MODEL, coord_width, id_width
+from repro.p2p.cost import DEFAULT_COST_MODEL, coord_width, id_bytes, id_width
 from repro.p2p.wire import (
     HEADER_SIZE,
     QueryMessage,
@@ -50,6 +50,29 @@ class TestQueryMessage:
     def test_infinite_threshold_roundtrips(self):
         msg = QueryMessage(query_id=1, subspace=(2,), threshold=math.inf, initiator=0)
         assert decode(msg.encode()).threshold == math.inf
+
+    @pytest.mark.parametrize(
+        "threshold,point,match",
+        [
+            (math.nan, None, "threshold"),
+            (0.5, (0.25, math.nan), "not finite"),
+            (0.5, (math.inf, 0.25), "not finite"),
+            (math.inf, (0.25, -math.inf), "not finite"),
+        ],
+    )
+    def test_a_nan_bound_is_refused_both_ways(self, threshold, point, match):
+        """A NaN threshold, or a point coordinate that is not finite,
+        would make every receiver's scan keep nothing: neither side of
+        the codec lets one through.  ``+inf`` stays a legal threshold."""
+        with pytest.raises(WireError, match=match):
+            QueryMessage(1, (0, 1), threshold, 0, point=point).encode()
+        blob = bytearray(QueryMessage(1, (0, 1), 0.5, 0, point=(0.25, 0.75)).encode())
+        struct.pack_into("<d", blob, HEADER_SIZE + 2, threshold)
+        struct.pack_into("<2d", blob, HEADER_SIZE + 19 + 4, *(point or (0.25, 0.75)))
+        with pytest.raises(WireError, match=match):
+            decode(bytes(blob))
+        with pytest.raises(WireError, match=match):
+            cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
 
     def test_empty_subspace_rejected(self):
         with pytest.raises(WireError, match="at least one"):
@@ -97,14 +120,15 @@ class TestResultMessage:
             assert len(back.to_store()) == 0
 
     def test_per_point_size_matches_cost_model_shape(self):
-        """Growth per point is the message's id width + k coordinates at
-        the message's coordinate width; ids 100 and 101 fit in one byte,
-        and coordinates in [0.5, 1) share their top byte, 0x3F."""
+        """Growth per point is the message's id bytes + k coordinates at
+        the message's coordinate width; ids 100 and 101 fit in one byte
+        each (their gaps would take three), and coordinates in [0.5, 1)
+        share their top byte, 0x3F."""
         rows = [(0.5, 0.75, 0.625), (0.5625, 0.875, 0.5)]
         b1 = len(ResultMessage(1, 0, (100,), rows[:1]).encode())
         b2 = len(ResultMessage(1, 0, (100, 101), rows).encode())
         assert coord_width(rows[:1]) == (7, 3) and coord_width(rows) == (7, 6)
-        assert b2 - b1 == 1 + 3 * 7 == DEFAULT_COST_MODEL.point_bytes(3, 1, 7)
+        assert b2 - b1 == 1 + 3 * 7 == id_bytes((100, 101)) - id_bytes((100,)) + 3 * 7
 
     @pytest.mark.parametrize(
         "largest,width", [(255, 1), (256, 2), (2**24, 4), (2**63 - 1, 8), (-1, 8)]
@@ -112,17 +136,18 @@ class TestResultMessage:
     def test_the_id_column_is_as_wide_as_the_largest_id(self, largest, width):
         """The body is the head, then ``n * w`` id bytes, then the
         ``n x k`` coordinate block (whole doubles here: -0.0 shares no
-        byte with 0.5); every id decodes to its own value."""
-        ids = (0, 7, largest)
-        coords = ((0.5, 0.25), (0.125, 1.0), (2.0, -0.0))
+        byte with 0.5); every id decodes to its own value.  The two ids
+        lie far enough apart that their gaps would take no fewer bytes."""
+        ids = (largest // 2, largest) if largest > 0 else (-(2**62), largest)
+        assert id_bytes(ids) == 2 * width
+        coords = ((0.5, 0.25), (2.0, -0.0))
         blob = ResultMessage(1, 3, ids, coords).encode()
         head = HEADER_SIZE + 16
         assert (blob[head - 2], blob[head - 1]) == (width, 8)
-        assert len(blob) == head + 3 * width + 3 * 2 * 8
-        column = blob[head : head + 3 * width]
-        assert column[:width] == bytes(width)  # id 0
-        assert column[width : 2 * width] == (7).to_bytes(width, "little")
-        assert blob[head + 3 * width :] == np.array(coords).astype("<f8").tobytes()
+        assert len(blob) == head + 2 * width + 2 * 2 * 8
+        column = blob[head : head + 2 * width]
+        assert column == b"".join(i.to_bytes(8, "little", signed=True)[:width] for i in ids)
+        assert blob[head + 2 * width :] == np.array(coords).astype("<f8").tobytes()
         back = decode(blob)
         assert back.ids.dtype == np.int64 and back.ids.tolist() == list(ids)
         assert back.coords.tolist() == [list(row) for row in coords]
@@ -161,7 +186,7 @@ class TestResultMessage:
         assert back == decline and back.decline and back.final
         assert len(decline.encode()) == len(empty.encode())
         assert cost_estimate(decline.encode(), DEFAULT_COST_MODEL) == (
-            DEFAULT_COST_MODEL.result_bytes(0, 0, 1, 8, 0)
+            DEFAULT_COST_MODEL.result_bytes(0, 0, 0, 8, 0)
         )
 
     def test_decline_with_points_rejected(self, rng):
@@ -204,7 +229,7 @@ class TestFraming:
             ResultMessage.from_store(1, 0, store, (0, 2)),
         ):
             blob = bytearray(message.encode())
-            assert blob[2] == 7
+            assert blob[2] == 8
             blob[2] = 1
             with pytest.raises(WireError, match=r"^unsupported version 1$"):
                 decode(bytes(blob))
@@ -295,6 +320,24 @@ class TestFraming:
             with pytest.raises(WireError, match=r"^unsupported version 6$"):
                 decode(bytes(blob))
             with pytest.raises(WireError, match=r"^unsupported version 6$"):
+                cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
+
+    def test_version_7_is_not_decoded(self, rng):
+        """The record whose ids were always a fixed-width column in the
+        sender's order: refused by the version byte, with no selector
+        and no version-7 decoder."""
+        store = SortedByF.from_points(PointSet(rng.random((3, 4)), np.arange(3)))
+        for message in (
+            QueryMessage(1, (0, 2), 1.0, 0, point=(0.5, 0.25)),
+            ResultMessage.from_store(1, 0, store, (0, 2)),
+            ResultMessage(1, 0, range(0, 3000, 10), np.full((300, 2), 0.5)),
+            ResultMessage(1, 0, (), ()),
+        ):
+            blob = bytearray(message.encode())
+            blob[2] = 7
+            with pytest.raises(WireError, match=r"^unsupported version 7$"):
+                decode(bytes(blob))
+            with pytest.raises(WireError, match=r"^unsupported version 7$"):
                 cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
 
     @pytest.mark.parametrize("width", [0, 9, 255])
@@ -479,13 +522,15 @@ class TestCostEstimate:
         blob = ResultMessage.from_store(1, 0, store, (0, 1, 4)).encode()
         block = coord_width(store.points.values[:, [0, 1, 4]])
         assert cost_estimate(blob, DEFAULT_COST_MODEL) == (
-            DEFAULT_COST_MODEL.result_bytes(7, 3, 1, *block)
+            DEFAULT_COST_MODEL.result_bytes(7, 3, 7, *block)
         )
+        # Gaps: 12 zigzag-coded in one byte, 69 988 and 29 999 in three each.
         ids = np.array([70_000, 12, 99_999])
+        assert id_bytes(ids) == 7 < 3 * id_width(ids)
         store = SortedByF.from_points(PointSet(np.full((3, 5), 0.75), ids))
         blob = ResultMessage.from_store(1, 0, store, (0, 1, 4)).encode()
         assert cost_estimate(blob, DEFAULT_COST_MODEL) == (
-            DEFAULT_COST_MODEL.result_bytes(3, 3, 3, 0, 9)
+            DEFAULT_COST_MODEL.result_bytes(3, 3, 7, 0, 9)
         )
 
     def test_framing_delta_is_constant(self, rng):
@@ -506,7 +551,7 @@ class TestCostEstimate:
                 blob = ResultMessage.from_store(1, 0, store, range(k), final=final).encode()
                 estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
                 low, sent = coord_width(values[:, :k])
-                assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids), low, sent)
+                assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_bytes(ids), low, sent)
                 deltas.add(estimate - len(blob))
                 widths.add(low)
                 zeros.add(n * k - sent)
@@ -529,8 +574,9 @@ class TestCostEstimate:
 
     def test_truncated_blob_rejected(self):
         blob = QueryMessage(1, (0,), 1.0, 0).encode()
-        with pytest.raises(WireError):
-            cost_estimate(blob[:-1], DEFAULT_COST_MODEL)
+        for read in (decode, lambda b: cost_estimate(b, DEFAULT_COST_MODEL)):
+            with pytest.raises(WireError, match="truncated payload"):
+                read(blob[:-1])
 
 
 def _double(bits: int) -> float:
@@ -611,8 +657,8 @@ class TestCoordinateBlock:
         assert coord_width(coords) == (low, n * k)
         head = HEADER_SIZE + 16
         assert blob[head - 1] == low
-        assert len(blob) == head + n * id_width(range(n)) + shared + n * k * low
-        prefix = blob[head + n * id_width(range(n)) : head + n * id_width(range(n)) + shared]
+        assert len(blob) == head + id_bytes(range(n)) + shared + n * k * low
+        prefix = blob[head + id_bytes(range(n)) : head + id_bytes(range(n)) + shared]
         assert prefix == coords.astype("<f8").tobytes()[low:8]
         assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
 
@@ -663,7 +709,7 @@ class TestZeroBitmap:
         assert blob[head + 6 :] == b"".join(struct.pack("<d", v)[:7] for v in (0.5, 0.75, 0.5, 0.625))
         assert decode(blob).coords.tolist() == self.HAND.tolist()
         assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
-            3, 3, 1, 7, 4
+            3, 3, 3, 7, 4
         ) == len(blob) + 32
 
     @pytest.mark.parametrize(
@@ -700,11 +746,10 @@ class TestZeroBitmap:
         for n, k in ((1, 1), (300, 1), (7, 4)):
             blob = ResultMessage(1, 0, np.arange(n), np.zeros((n, k))).encode()
             assert blob[HEADER_SIZE + 15] == 0
-            assert len(blob) == HEADER_SIZE + 16 + n * id_width(range(n)) + 8
+            assert len(blob) == HEADER_SIZE + 16 + id_bytes(range(n)) + 8
 
     def test_every_prefix_of_a_zero_bearing_message_is_a_wire_error(self):
         blob = ResultMessage(1, 0, (0, 1, 2), self.HAND).encode()
-        bitmap_end = HEADER_SIZE + 16 + 3 + 2
         for cut in range(len(blob)):
             with pytest.raises(WireError):
                 decode(blob[:cut])
@@ -716,10 +761,9 @@ class TestZeroBitmap:
             struct.pack_into("<I", short, 12, cut - HEADER_SIZE)
             with pytest.raises(WireError):
                 decode(bytes(short))
-            if cut < bitmap_end:
-                # The estimate reads the bitmap: a body too short for it is refused.
-                with pytest.raises(WireError):
-                    cost_estimate(bytes(short), DEFAULT_COST_MODEL)
+            # The estimate prices what decode reads, so it refuses every short body too.
+            with pytest.raises(WireError):
+                cost_estimate(bytes(short), DEFAULT_COST_MODEL)
 
     @pytest.mark.parametrize(
         "bitmap,match",
@@ -896,3 +940,112 @@ class TestColumnLayout:
             with pytest.raises(WireError):
                 decode(bytes(short))
 
+
+
+class TestIdGaps:
+    """Wire version 8: a record sends its rows in ascending id order,
+    and its id block is the ``n·w`` column or, flagged by ``0x80`` on
+    the id width byte and only when strictly smaller, the zigzag LEB128
+    smallest id then each gap in LEB128."""
+
+    #: 300 ids ten apart: a 2-byte column, or one varint byte each.
+    SPREAD = np.arange(0, 3000, 10)
+
+    @staticmethod
+    def _body(n: int, id_byte: int, id_block: bytes, k: int = 1) -> bytes:
+        """A framed RESULT of ``n`` points behind a hand-written id
+        block: one column of 0.5 (one group of width 0), or for ``k = 0``
+        no coordinate byte at all."""
+        coords = struct.pack("<d", 0.5) if k else b""
+        body = struct.pack("<qIHBB", 0, n, k, id_byte, 0 if k else 8) + id_block + coords
+        return struct.pack("<2sBBqI", b"SP", 8, 2, 1, len(body)) + body
+
+    def test_rows_travel_in_ascending_id_order(self):
+        ids = (40, 7, 1000, 7, -3)
+        coords = np.arange(10.0).reshape(5, 2)
+        msg = ResultMessage(1, 0, ids, coords)
+        order = np.argsort(ids, kind="stable")
+        assert msg.ids.tolist() == [-3, 7, 7, 40, 1000]
+        assert msg.coords.tolist() == coords[order].tolist()
+        assert msg == ResultMessage(1, 0, np.array(ids)[order], coords[order])
+        back = decode(msg.encode())
+        assert back == msg and back.ids.tolist() == msg.ids.tolist()
+
+    def test_gap_layout_on_a_hand_written_record(self):
+        """Ids 5, 300, 1000: zigzag(5) = 10, then the gaps 295 and 700
+        in two LEB128 bytes each — 5 bytes against the 6 of a 2-byte
+        column."""
+        blob = ResultMessage(1, 0, (1000, 5, 300), np.full((3, 1), 0.5)).encode()
+        head = HEADER_SIZE + 16
+        assert blob[head - 2] == 0x80 | 2
+        assert blob[head : head + 5] == bytes([10, 0xA7, 0x02, 0xBC, 0x05])
+        assert blob[head + 5 :] == struct.pack("<d", 0.5)
+        back = decode(blob)
+        assert back.ids.tolist() == [5, 300, 1000]
+        assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
+
+    def test_a_tie_keeps_the_column(self):
+        """Ids 0, 1, 2 take three varint bytes, as many as the column:
+        the column it is, unflagged."""
+        blob = ResultMessage(1, 0, (0, 1, 2), np.full((3, 1), 0.5)).encode()
+        assert blob[HEADER_SIZE + 14] == 1
+        assert blob[HEADER_SIZE + 16 : HEADER_SIZE + 19] == bytes([0, 1, 2])
+
+    def test_spread_ids_take_one_byte_each(self):
+        msg = ResultMessage(1, 0, self.SPREAD, np.full((300, 2), 0.5))
+        blob = msg.encode()
+        assert blob[HEADER_SIZE + 14] == 0x80 | 2
+        assert id_bytes(self.SPREAD) == 300 < 300 * id_width(self.SPREAD)
+        assert len(blob) == HEADER_SIZE + 16 + 300 + 8
+        assert decode(blob) == msg
+
+    def test_every_prefix_of_a_gap_coded_record_is_a_wire_error(self):
+        blob = ResultMessage(1, 0, (1000, 5, 300), np.full((3, 1), 0.5)).encode()
+        for cut in range(len(blob)):
+            short = bytearray(blob[:cut])
+            if cut >= HEADER_SIZE:
+                struct.pack_into("<I", short, 12, cut - HEADER_SIZE)
+            for read in (decode, lambda b: cost_estimate(b, DEFAULT_COST_MODEL)):
+                with pytest.raises(WireError):
+                    read(blob[:cut])
+                with pytest.raises(WireError):
+                    read(bytes(short))
+
+    def test_a_truncated_varint_is_refused(self):
+        # The second varint's continuation bit promises a byte the body lacks.
+        blob = self._body(2, 0x80 | 8, bytes([10, 0xA7]), k=0)
+        with pytest.raises(WireError, match="truncated"):
+            decode(blob)
+
+    def test_a_varint_longer_than_ten_bytes_is_refused(self):
+        for block in (b"\x80" * 10 + b"\x00" + b"\x01", b"\x00" + b"\x80" * 11):
+            with pytest.raises(WireError, match="longer than 10 bytes"):
+                decode(self._body(2, 0x80 | 8, block))
+
+    def test_a_varint_past_64_bits_is_refused(self):
+        with pytest.raises(WireError, match="overflows 64 bits"):
+            decode(self._body(2, 0x80 | 8, b"\xff" * 9 + b"\x02" + b"\x01"))
+
+    @pytest.mark.parametrize("n,width,block", [(3, 1, bytes([0, 1, 1])), (2, 1, bytes([0, 0]))])
+    def test_a_gap_block_no_smaller_than_the_column_is_refused(self, n, width, block):
+        """Ids 0, 1, 2 as three varint bytes tie their 1-byte column;
+        the encoder sends the column, so the reader refuses the gaps."""
+        blob = self._body(n, 0x80 | width, block)
+        for read in (decode, lambda b: cost_estimate(b, DEFAULT_COST_MODEL)):
+            with pytest.raises(WireError, match="not smaller than"):
+                read(blob)
+
+    def test_an_empty_record_is_never_gap_flagged(self):
+        blob = bytearray(ResultMessage(1, 0, (), ()).encode())
+        blob[HEADER_SIZE + 14] |= 0x80
+        with pytest.raises(WireError, match="not smaller than"):
+            decode(bytes(blob))
+
+    def test_ids_out_of_order_are_refused(self):
+        """A column whose ids descend, and gaps whose sum wraps past the
+        largest ``int64``: neither is ascending."""
+        column = self._body(3, 1, bytes([2, 1, 0]))
+        wrapped = self._body(2, 0x80 | 8, b"\xfe" + b"\xff" * 8 + b"\x01" + b"\x01")
+        for blob in (column, wrapped):
+            with pytest.raises(WireError, match="ascending"):
+                decode(blob)

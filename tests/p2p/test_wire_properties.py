@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p2p.cost import DEFAULT_COST_MODEL, CostModel, coord_width, id_width
+from repro.p2p.cost import DEFAULT_COST_MODEL, CostModel, coord_width, id_bytes, id_width
 from repro.p2p.wire import QueryMessage, ResultMessage, WireError, cost_estimate, decode
 
 finite_floats = st.floats(0, 1e9, allow_nan=False)
@@ -102,15 +102,17 @@ def test_result_roundtrip(query_id, sender, k, ids, mark, data):
     blob = msg.encode()
     back = decode(blob)
     assert back == msg
-    assert back.ids.tolist() == ids and back.k == k
+    assert back.ids.tolist() == sorted(ids) and back.k == k
     assert (back.final, back.decline) == (mark != "plain", mark == "decline")
-    # The column is as wide as the largest id needs, each sent coordinate
-    # as wide as the sent values' unshared low bytes; the estimate
-    # charges both, and the zero bitmap of a block that has one.
+    # The column is as wide as the largest id needs, or the ids travel
+    # as gaps when that is smaller; each sent coordinate is as wide as
+    # the sent values' unshared low bytes; the estimate charges both,
+    # and the zero bitmap of a block that has one.
     width, (low, sent) = id_width(ids), coord_width(coords)
-    assert (blob[16 + 14], blob[16 + 15]) == (width, width_byte(coords))
+    gaps = 0x80 if id_bytes(ids) < len(ids) * width else 0
+    assert (blob[16 + 14], blob[16 + 15]) == (width | gaps, width_byte(coords))
     assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
-        len(ids), k, width, low, sent
+        len(ids), k, id_bytes(ids), low, sent
     )
     # The envelope is one constant for every n, k, width, zero count and mark.
     assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
@@ -149,11 +151,11 @@ def test_coordinate_block_roundtrips_bit_for_bit(n, k, shared, base, mark, data)
     assert blob[16 + 15] == width_byte(coords)
     assert max(np.atleast_1d(low)) <= 8 - shared if n * k else low == 8
     estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
-    assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_width(range(n)), low, sent)
+    assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_bytes(range(n)), low, sent)
     assert estimate - len(blob) == 32
-    assert len(blob) == RESULT_COST.result_bytes(n, k, id_width(range(n)), low, sent)
+    assert len(blob) == RESULT_COST.result_bytes(n, k, id_bytes(range(n)), low, sent)
     if sum(np.atleast_1d(sent)) == n * k:  # a bitmap can outweigh the one zero it drops (docs/TRANSPORT.md)
-        assert len(blob) <= RESULT_COST.result_bytes(n, k, id_width(range(n)), 8, n * k)
+        assert len(blob) <= RESULT_COST.result_bytes(n, k, id_bytes(range(n)), 8, n * k)
 
 
 #: The generators' unit cube: every value in [2**-15, 1] shares the top
@@ -192,6 +194,70 @@ def test_a_unit_cube_block_is_never_larger_than_version_5(n, k, data):
     blob = ResultMessage(1, 0, range(n), coords).encode()
     assert len(blob) <= v5
     assert len(blob) <= 32 + n * id_width(range(n)) + v6_bytes(coords)
+
+
+#: Id lists of every shape a record meets: sparse, negative, repeated,
+#: one, none, and a skybench list (about 60 of a super-peer's 5 000).
+id_lists = st.one_of(
+    st.lists(st.integers(0, 2**40), max_size=30),
+    st.lists(ids_strategy, max_size=30),
+    st.lists(st.sampled_from([-5, 0, 3, 3, 2**20]), max_size=30),
+    st.lists(ids_strategy, min_size=1, max_size=1),
+    st.just([]),
+    st.lists(st.integers(0, 4999), min_size=40, max_size=80, unique=True),
+)
+
+
+def gap_block(ids) -> bytes:
+    """The gap layout of ``ids``, written out with Python integers: the
+    smallest id zigzag-coded, then each ascending gap, each in LEB128."""
+    ordered = sorted(ids)
+    words = [(ordered[0] << 1) ^ (ordered[0] >> 63)] if ordered else []
+    words += [b - a for a, b in zip(ordered, ordered[1:])]
+    out = bytearray()
+    for word in words:
+        while word >= 0x80:
+            out.append(word & 0x7F | 0x80)
+            word >>= 7
+        out.append(word)
+    return bytes(out)
+
+
+@given(id_lists, st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_v8_record_is_never_longer_than_v7(ids, k, data):
+    """Version 7 sent every id in the ``n·w`` column; version 8 sends
+    the gaps instead exactly when they are strictly smaller, so no
+    record grows, and one that does not shrink is v7's byte for byte
+    but for the version byte and the row order."""
+    coords = np.array(
+        [data.draw(st.lists(finite_floats, min_size=k, max_size=k)) for _ in ids]
+    ).reshape(len(ids), k)
+    blob = ResultMessage(1, 0, ids, coords).encode()
+    n, width = len(ids), id_width(ids)
+    v7 = RESULT_COST.result_bytes(n, k, n * width, *coord_width(coords))
+    assert len(blob) == v7 - n * width + id_bytes(ids) <= v7
+    assert bool(blob[16 + 14] & 0x80) is (len(blob) < v7)
+    if len(blob) < v7:  # the gaps, as the plain loop writes them, after any column widths
+        start = 32 + (k - 1 if blob[16 + 15] & 0x40 else 0)
+        assert blob[start : start + id_bytes(ids)] == gap_block(ids)
+
+
+@given(id_lists, st.integers(1, 4), st.integers(0, 2**64 - 1), st.data())
+@settings(max_examples=300, deadline=None)
+def test_ids_and_doubles_roundtrip_bit_for_bit_in_ascending_id_order(ids, k, base, data):
+    """Whatever the ids, every id and every double (NaN payloads and
+    signed zeros among them) comes back bit for bit, each row with its
+    own id, and the rows come back in ascending id order (ties as
+    given)."""
+    low_bits = data.draw(
+        st.lists(st.integers(0, 2**16 - 1), min_size=len(ids) * k, max_size=len(ids) * k)
+    )
+    bits = np.array([base ^ b for b in low_bits], dtype=np.uint64).reshape(len(ids), k)
+    back = decode(ResultMessage(1, 0, ids, bits.view("<f8")).encode())
+    order = np.argsort(np.array(ids, dtype=np.int64), kind="stable")
+    assert back.ids.tolist() == [ids[i] for i in order] == sorted(ids)
+    assert back.coords.view("<u8").tolist() == bits[order].tolist()
 
 
 @given(st.binary(max_size=200))
@@ -266,7 +332,7 @@ def test_result_size_matches_cost_model(k, n, largest):
         ids=ids,
         coords=coords,
     )
-    assert len(msg.encode()) == RESULT_COST.result_bytes(n, k, id_width(ids), *coord_width(coords))
+    assert len(msg.encode()) == RESULT_COST.result_bytes(n, k, id_bytes(ids), *coord_width(coords))
 
 
 def test_empty_result_roundtrips_at_header_cost():
@@ -275,7 +341,7 @@ def test_empty_result_roundtrips_at_header_cost():
     assert decode(blob) == msg
     # k and the id width are irrelevant at n=0; an empty block is width 8.
     assert blob[16 + 15] == 8
-    assert len(blob) == RESULT_COST.result_bytes(0, 5, 8, 8, 0)
+    assert len(blob) == RESULT_COST.result_bytes(0, 5, 0, 8, 0)
 
 
 def test_single_dimension_subspace_roundtrips():

@@ -8,7 +8,7 @@ and ``f`` in order), every deterministic count and, under a fixed-tick
 ``time.perf_counter``, both model times to the last bit.
 
 It was first recorded from the parent commit of the PR that unified
-Algorithm 3 (the plan-based executor), and re-recorded seven times since.
+Algorithm 3 (the plan-based executor), and re-recorded eight times since.
 Once when ``f`` came off the backbone (a RESULT record is id + the k
 queried coordinates; a merged answer is ordered by, and its ``f`` is,
 the minimum over the queried coordinates): against the tree before,
@@ -50,7 +50,14 @@ Algorithm 1 began to cut its examined rows at the final threshold on
 U's own minimum before the filter: ``comparisons`` alone moved, in 24
 of the 45 cases (every SKYPEER case with ``k`` in ``{1, 2}``), and fell
 in each; every other key of every case, naive included, stayed
-byte-equal.  CHANGES.md has all seven comparisons.
+byte-equal.  Once when a RESULT record began to send its ids in
+ascending order, as LEB128 gaps when that is strictly smaller than the
+``n * w`` column: every case kept ``ids``, ``f``, every count,
+``computational_time`` and ``initial_threshold``; ``volume_bytes`` fell
+by exactly the sum of ``n * w - id_bytes(ids)`` over its result
+messages in the 20 cases with ``k`` in ``{2, d}`` on ``mesh`` and
+``deep`` (166 474 → 164 063 B over all 45), and ``total_time`` with the
+transfers in those 20 alone.  CHANGES.md has all eight comparisons.
 
 The first file's ``critical_path_examined`` was right for the \\*PM
 variants only (the plan dropped the ``work`` component from every
@@ -76,7 +83,7 @@ import pytest
 
 from repro.core.merging import merge_sorted_skylines
 from repro.data.workload import Query
-from repro.p2p.cost import coord_width, id_width
+from repro.p2p.cost import coord_width, id_bytes, id_width
 from repro.p2p.network import SuperPeerNetwork
 from repro.skypeer.executor import _ModelClocks, execute_query, run_on_model_clocks, spanning_tree
 from repro.skypeer.variants import Variant
@@ -178,31 +185,37 @@ def test_volume_is_headers_plus_point_hops(networks, anti_network, monkeypatch, 
     """``volume_bytes`` written out: a query message per query — carrying
     the bound's one point under the four SKYPEER variants and none under
     naive — an envelope and the ``8 − c`` shared high coordinate bytes
-    per result, ``w`` per point per hop and ``c`` per sent coordinate,
-    and a ``⌈n·k/8⌉``-byte zero bitmap for a block that sends fewer than
-    its ``n·k`` coordinates; ``w`` is the fewest whole bytes that hold
-    the largest id of the message, ``nz`` the coordinates it sends (its
-    non-+0.0 ones when it mixes +0.0 with others, else all) and ``c``
-    the low bytes those do not all share (all read here through a spy
-    on the carrier).  A block laid out per column pays ``k − 1`` width
+    per result, its id block and ``c`` per sent coordinate, and a
+    ``⌈n·k/8⌉``-byte zero bitmap for a block that sends fewer than its
+    ``n·k`` coordinates.  The id block is ``n·w`` bytes, ``w`` the fewest
+    whole bytes that hold the largest id of the message, or, when
+    strictly smaller, the varint bytes of the smallest id and the
+    ascending gaps (``id_bytes``); ``nz`` is the coordinates it sends
+    (its non-+0.0 ones when it mixes +0.0 with others, else all) and
+    ``c`` the low bytes those do not all share (all read here through a
+    spy on the carrier).  A block laid out per column pays ``k − 1`` width
     bytes and each column's ``8 − c_j`` and ``nz_j·c_j`` instead.
     Nothing else travels, so a change to either record shows here and
     not only in a bench."""
-    sent: list[tuple[int, int, int, int]] = []  # (points, id width, coord bytes, nz)
+    sent: list[tuple[int, int, int, int]] = []  # (points, id bytes, coord bytes, nz)
+    columns: list[tuple[int, int]] = []  # (n·w, id bytes): the gaps when smaller
     send_result = _ModelClocks.send_result
 
     def spy(self, src, dst, origin, result, final, at):
         low, nonzero = map(np.atleast_1d, coord_width(result.points.values[:, list(self._subspace)]))
         block = len(low) - 1 + int((8 - low).sum()) + int(nonzero @ low)
-        sent.append((len(result), id_width(result.points.ids), block, int(nonzero.sum())))
+        ids = result.points.ids
+        sent.append((len(result), id_bytes(ids), block, int(nonzero.sum())))
+        columns.append((len(ids) * id_width(ids), id_bytes(ids)))
         send_result(self, src, dst, origin, result, final, at)
 
     monkeypatch.setattr(_ModelClocks, "send_result", spy)
-    bitmaps = 0
+    bitmaps = gapped = 0
     for name, network in {**networks, "anti": anti_network}.items():
         cost = network.cost_model
         for subspace in _subspaces(network.dimensionality):
             sent.clear()
+            columns.clear()
             run = run_on_model_clocks(
                 network, Query(subspace=subspace, initiator=_initiator(network)), variant
             )
@@ -215,12 +228,13 @@ def test_volume_is_headers_plus_point_hops(networks, anti_network, monkeypatch, 
                 run.query_messages * cost.query_bytes(k, points)
                 + n_result * cost.message_header_bytes
                 + sum(
-                    n * width + ((n * k + 7) // 8 if nz < n * k else 0) + block
-                    for n, width, block, nz in sent
+                    ids + ((n * k + 7) // 8 if nz < n * k else 0) + block
+                    for n, ids, block, nz in sent
                 )
             ), (name, subspace)
             bitmaps += sum(nz < n * k for n, _, _, nz in sent)
-    assert bitmaps > 0
+            gapped += sum(ids < column for column, ids in columns)
+    assert bitmaps > 0 and gapped > 0
 
 
 @pytest.mark.parametrize("name", ["mesh", "deep"])

@@ -13,7 +13,7 @@ import pytest
 
 from repro.data.workload import Query
 from repro.obs import observed
-from repro.p2p.cost import DEFAULT_COST_MODEL, coord_width, id_width
+from repro.p2p.cost import DEFAULT_COST_MODEL, coord_width, id_bytes
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p import wire
 from repro.p2p.transport import TransportConfig
@@ -70,7 +70,7 @@ def _result_delta(
     coords.reshape(-1)[:zeros] = 0.0
     msg = ResultMessage(query_id=1, sender=0, ids=tuple(ids), coords=coords)
     return (
-        DEFAULT_COST_MODEL.result_bytes(n, k, id_width(ids), *coord_width(coords))
+        DEFAULT_COST_MODEL.result_bytes(n, k, id_bytes(ids), *coord_width(coords))
         - len(msg.encode())
     )
 

@@ -61,7 +61,8 @@ class TestTimingStructure:
         # every byte of the final result crossed at least one 4 KB/s hop,
         # each id in at least one byte (and a coordinate in none, at worst:
         # a block of equal values sends its 8 bytes once)
-        final_bytes = network.cost_model.result_bytes(len(got.result), 2, 1, 0, 2 * len(got.result))
+        n = len(got.result)
+        final_bytes = network.cost_model.result_bytes(n, 2, n, 0, 2 * n)
         assert got.total_time * 4096 * network.n_superpeers >= final_bytes
 
     def test_initiator_locality_matters(self, network):

@@ -97,7 +97,7 @@ class TestNetworkRoundtrip:
         np.savez_compressed(path, **data)
         loaded = load_network(path)
         assert loaded.cost_model == network.cost_model
-        assert loaded.cost_model.point_bytes(3, 2, 8) == 2 + 3 * 8
+        assert loaded.cost_model.result_bytes(1, 3, 2, 8, 3) == 64 + 2 + 3 * 8
         assert loaded.all_points() == network.all_points()
 
     def test_loads_a_file_that_names_a_dominance_index(self, tmp_path, network):
