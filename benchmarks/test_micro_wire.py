@@ -2,11 +2,14 @@
 
 A 300-point list on a k = 4 subspace — the size of a ``wide_skyline``
 answer — with ids below 100 000, so an id column would be 3 bytes wide
-and the ids travel as LEB128 gaps instead, and coordinates in [0, 1), so the coordinate block sends their shared top
-byte once and 7 low bytes per value.  The ``zeros`` block clips every
-value below 0.108 to +0.0, as the anticorrelated generator's clipping
-leaves about 10.8 % of ``wide_skyline``'s shipped coordinates: it
-carries a zero bitmap and sends the rest at the same 7 low bytes.  The
+and the ids travel as LEB128 gaps instead, and coordinates drawn by
+``rng.random``, multiples of 2**-53, so the coordinate block travels
+quantum-coded: each column's integers at most 53 bits a value.  The
+``zeros`` block clips every value below 0.108 to +0.0, as the
+anticorrelated generator's clipping leaves about 10.8 % of
+``wide_skyline``'s shipped coordinates: its zeros would cost the
+quantum columns 53 bits each, so it carries a zero bitmap instead and
+sends the rest at 7 low bytes, their shared top byte once.  The
 round trip rebuilds the receiver's sorted store, as a socket endpoint
 does for every list it merges; encode and decode are also timed alone.
 
@@ -20,7 +23,7 @@ import pytest
 
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
-from repro.p2p.cost import coord_width, id_bytes
+from repro.p2p.cost import Quanta, coord_width, id_bytes
 from repro.p2p.wire import ResultMessage, decode
 
 
@@ -44,11 +47,16 @@ def test_encode_decode_300_points_k4(benchmark, message):
     assert back == message
     low, sent = coord_width(message.coords)
     zeros = int((message.coords == 0.0).sum())
-    assert (low, sent) == (7, 1200 - zeros)
-    bitmap = 1200 // 8 if zeros else 0
     # 300 ids of 100 000 have gaps near 333: mostly two varint bytes, not a 3-byte column.
     assert id_bytes(message.ids) < 300 * 3
-    assert len(message.encode()) == 16 + 16 + id_bytes(message.ids) + bitmap + 1 + sent * 7
+    if zeros:
+        assert (low, sent) == (7, 1200 - zeros)
+        block = 1200 // 8 + 1 + sent * 7
+    else:
+        assert isinstance(low, Quanta) and low.exponents == (-53,) * 4 and sent == 1200
+        block = low.nbytes(300)
+        assert block < 1 + sent * 7
+    assert len(message.encode()) == 16 + 16 + id_bytes(message.ids) + block
     assert sorted(store.points.ids.tolist()) == sorted(message.ids.tolist())
 
 

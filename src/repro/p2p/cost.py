@@ -21,7 +21,10 @@ block may instead give each of its ``k`` columns its own width, and send
 each column's shared high bytes once, for ``k − 1`` more width bytes:
 :func:`coord_width` takes that layout exactly when it is strictly
 smaller than the one-block one, so the encoder and every charge agree on
-it and no record grows; version 8's id layout follows the same rule.
+it and no record grows; version 8's id layout follows the same rule, and
+so does version 9's third coordinate layout, :class:`Quanta`: a block of
+non-negative finite doubles sends each column as the integers its values
+are of one power of two, less their minimum, bit-packed (:func:`quantize`).
 A query message carries
 the subspace, the threshold and at most one point on the subspace (the
 bound ``q(U, t, p)`` of ``docs/ALGORITHMS.md``).
@@ -31,6 +34,7 @@ reproducing the figures — and every constant is overridable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -39,11 +43,14 @@ import numpy as np
 __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
+    "Quanta",
     "coord_width",
     "id_bytes",
     "id_gaps",
     "id_width",
+    "quantize",
     "varint_lengths",
+    "zigzag",
 ]
 
 
@@ -96,6 +103,83 @@ def id_bytes(ids: Sequence[int] | np.ndarray) -> int:
     return min(fixed, int(varint_lengths(id_gaps(column)).sum()))
 
 
+@dataclass(frozen=True)
+class Quanta:
+    """The binary-quantum layout of an ``n × k`` coordinate block (wire
+    version 9), one entry per column.
+
+    Every value of column ``j`` is an integer multiple of
+    ``2**exponents[j]``; the column sends ``exponents[j]`` (zigzag
+    LEB128), ``bases[j]``, its smallest such integer (LEB128), and
+    ``bits[j]`` (1 byte), then each integer less ``bases[j]`` in
+    ``bits[j]`` bits, packed little-endian into whole bytes.
+    """
+
+    exponents: tuple[int, ...]
+    bases: tuple[int, ...]
+    bits: tuple[int, ...]
+
+    def nbytes(self, n: int) -> int:
+        """Bytes of the block of ``n`` points this layout sends."""
+        heads = sum(_varint_length(zigzag(q)) + 1 for q in self.exponents)
+        heads += sum(map(_varint_length, self.bases))
+        return heads + sum((n * width + 7) // 8 for width in self.bits)
+
+
+def zigzag(value: int) -> int:
+    """``value`` as an unsigned integer, small magnitudes small: ``2x``
+    for ``x >= 0``, ``-2x - 1`` below."""
+    return 2 * value if value >= 0 else -2 * value - 1
+
+
+def quantize(values: Sequence[float] | np.ndarray) -> Quanta | None:
+    """The :class:`Quanta` of the ``n × k`` block ``values``, or ``None``
+    when it has none: when it is empty, not two-dimensional, holds a
+    value that is not finite or has its sign bit set (``-0.0`` among
+    them), or a column whose integers do not all fit 64 bits.
+
+    Column ``j``'s exponent is the largest ``q`` with every value an
+    integer multiple of ``2**q`` (0 for a column of ``+0.0`` alone, which
+    has no largest), its base the smallest of those integers and its
+    width the bits of the largest less the base.
+    """
+    bits = np.ascontiguousarray(values, dtype="<f8").view("<u8")
+    if bits.ndim != 2 or not bits.size:
+        return None
+    columns = bits.T.copy()  # one row a column, so each reduction runs along a row
+    tops = np.maximum.reduce(columns, axis=1)
+    if np.maximum.reduce(tops) >= _INFINITY:
+        return None
+    # A value is its mantissa (with the implicit bit, which a normal one
+    # has and a subnormal's lowest set bit is below) times 2**(e - 1075),
+    # e its exponent field or 1 if that is 0; its lowest set bit is a
+    # power of two, whose own exponent field is its log2 plus 1023.
+    mantissa = (columns | _IMPLICIT).view(np.int64)
+    fields = (columns >> _FIELD).view(np.int64)
+    low = ((mantissa & -mantissa).astype("<f8").view(np.int64) >> 52) + np.maximum(fields, 1)
+    low[columns == 0] = _NO_BIT
+    exponents: list[int] = []
+    bases: list[int] = []
+    widths: list[int] = []
+    # Doubles of one sign order as their bit patterns do.
+    for lowest, least, most in zip(
+        np.minimum.reduce(low, axis=1).tolist(),
+        np.minimum.reduce(columns, axis=1).view("<f8").tolist(),
+        tops.view("<f8").tolist(),
+    ):
+        q = lowest - (1023 + 1075) if lowest < _NO_BIT else 0
+        try:
+            base, top = int(math.ldexp(least, -q)), int(math.ldexp(most, -q))
+        except OverflowError:  # an integer past 2**1023 is past 64 bits too
+            return None
+        if top >> 64:
+            return None
+        exponents.append(q)
+        bases.append(base)
+        widths.append((top - base).bit_length())
+    return Quanta(tuple(exponents), tuple(bases), tuple(widths))
+
+
 def coord_width(values: Sequence[float] | np.ndarray) -> tuple[Any, Any]:
     """``(c, nz)``: the layout a result message sends its coordinate
     block ``values`` in.
@@ -118,15 +202,34 @@ def coord_width(values: Sequence[float] | np.ndarray) -> tuple[Any, Any]:
     strictly fewer bytes than ``(8 − c) + nz·c``, ``c`` and ``nz`` are
     the k-tuples ``(c_j)`` and ``(nz_j)`` — so never for ``k = 1``, an
     empty block or a single point.
+
+    Exactly when the block's :func:`quantize` layout costs strictly
+    fewer bytes than the smaller of those two (wire version 9), ``c`` is
+    that :class:`Quanta` and ``nz`` is ``n·k``: it sends every value, and
+    no bitmap.
     """
     bits = np.ascontiguousarray(values, dtype="<f8").view("<u8")
     if not bits.size:
         return 8, 0
+    layout, nbytes = _byte_layout(bits)
+    quanta = quantize(bits.view("<f8"))
+    if quanta is not None and quanta.nbytes(len(bits)) < nbytes:
+        return quanta, bits.size
+    return layout
+
+
+def _byte_layout(bits: np.ndarray) -> tuple[tuple[Any, Any], int]:
+    """The ``(c, nz)`` of :func:`coord_width` without quanta, for the
+    bit patterns ``bits`` of a block that is not empty, and the bytes
+    it costs: the bitmap, any column widths past the first, the shared
+    high bytes and the low bytes of the sent values."""
     marked = bits.size - np.count_nonzero(bits)
     flagged = 0 < marked < bits.size
+    bitmap = (bits.size + 7) // 8 if flagged else 0
     if bits.ndim != 2 or bits.shape[1] < 2:
         words = bits[bits != 0] if flagged else bits.reshape(-1)
-        return _byte_length(np.bitwise_or.reduce(words ^ words[0])), words.size
+        low = _byte_length(np.bitwise_or.reduce(words ^ words[0]))
+        return (low, words.size), bitmap + 8 - low + words.size * low
     # Any sent value of a column serves as its reference: the highest
     # bit the column's sent values disagree on is the same against each.
     n, k = bits.shape
@@ -149,9 +252,11 @@ def coord_width(values: Sequence[float] | np.ndarray) -> tuple[Any, Any]:
         widths[counts == 0] = 8
     sent = bits.size - marked if flagged else bits.size
     # (k - 1) + sum(8 - c_j) + sum(nz_j c_j) against (8 - c) + nz c.
-    if 9 * k - 1 + ((counts - 1) * widths).sum() < 8 - low + sent * low:
-        return tuple(widths.tolist()), tuple(np.broadcast_to(counts, k).tolist())
-    return low, sent
+    columns = int(9 * k - 1 + ((counts - 1) * widths).sum())
+    if columns < 8 - low + sent * low:
+        layout = tuple(widths.tolist()), tuple(np.broadcast_to(counts, k).tolist())
+        return layout, bitmap + columns
+    return (low, sent), bitmap + 8 - low + sent * low
 
 
 #: ``2**(8 i)`` for ``i < 8``: a word needs as many whole bytes as it is
@@ -160,6 +265,18 @@ _BYTE_LIMITS = np.array([1 << 8 * i for i in range(8)], dtype=np.uint64)
 #: ``2**(7 i)`` for ``1 <= i <= 9``: a word's LEB128 takes one byte more
 #: than it is at least of these.
 _VARINT_LIMITS = np.array([1 << 7 * i for i in range(1, 10)], dtype=np.uint64)
+#: A float64 bit pattern below this one is ``+0.0`` or a positive finite
+#: value: the exponent field of an infinity or a NaN, sign bit clear.
+_INFINITY = np.uint64(0x7FF0_0000_0000_0000)
+_IMPLICIT = np.uint64(1 << 52)
+_FIELD = np.uint64(52)
+#: Above any exponent field a finite double's lowest set bit can have.
+_NO_BIT = 1 << 20
+
+
+def _varint_length(value: int) -> int:
+    """The LEB128 length of the non-negative integer ``value``."""
+    return max(1, (value.bit_length() + 6) // 7)
 
 
 def _byte_length(word: np.uint64) -> int:
@@ -208,10 +325,16 @@ class CostModel:
         its ``nonzero`` sent coordinates' low bytes; a per-column block
         adds ``k - 1`` width bytes, and a block that sends fewer than
         its ``num_points * k`` coordinates adds its zero bitmap, one bit
-        per coordinate."""
+        per coordinate.  A ``coord_width`` that is a :class:`Quanta`
+        (with ``nonzero`` the whole ``num_points * k``) costs its
+        :meth:`Quanta.nbytes`."""
         if num_points < 0 or id_bytes < 0:
             raise ValueError("num_points and id_bytes must be non-negative")
         size = num_points * k
+        if isinstance(coord_width, Quanta):
+            if len(coord_width.bits) != k or nonzero != size:
+                raise ValueError(f"a quantum block has {k} columns and sends all {size} values")
+            return self.message_header_bytes + id_bytes + coord_width.nbytes(num_points)
         widths, counts = _per_group(coord_width), _per_group(nonzero)
         if len(widths) not in (1, k) or len(counts) != len(widths):
             raise ValueError(f"a block of {k} columns has 1 or {k} widths and sent counts")

@@ -285,16 +285,22 @@ class SuperPeerNetwork:
         return gen
 
     def compute_superpeer_selectivity(self, superpeer_id: int) -> tuple[int, int, int, int]:
-        """``(peer_points, uploaded, stored, upload_bytes)`` for one super-peer."""
+        """``(peer_points, uploaded, stored, upload_bytes)`` for one super-peer.
+
+        Each peer list is priced once, when it is first summed after it
+        was received or replaced; the price stays with the list.
+        """
         superpeer = self.superpeers[superpeer_id]
         peer_points = sum(
             len(self.peers[p]) for p in self.topology.peers_of[superpeer_id]
         )
         uploaded = 0
-        upload_bytes = 0
-        for lst in superpeer.peer_skylines.values():
+        prices = superpeer.upload_bytes
+        for peer_id, lst in superpeer.peer_skylines.items():
             uploaded += len(lst)
-            upload_bytes += self.cost_model.list_bytes(lst.points.ids, lst.points.values)
+            if peer_id not in prices:
+                prices[peer_id] = self.cost_model.list_bytes(lst.points.ids, lst.points.values)
+        upload_bytes = sum(prices[peer_id] for peer_id in superpeer.peer_skylines)
         return peer_points, uploaded, superpeer.store_size, upload_bytes
 
     def refresh_selectivity(
@@ -511,14 +517,15 @@ class SuperPeerNetwork:
             # super-peer merge starts once the slowest one uploaded.
             slowest_peer = 0.0
             for peer_id, n_points, computation in result.peer_results:
+                superpeer.receive_peer_skyline(peer_id, computation.result)
                 if tracer is not None or metrics is not None:
-                    # The report's total comes from advance_epoch below.
-                    peer_bytes = self.cost_model.list_bytes(
+                    # The report's total comes from advance_epoch below,
+                    # which finds this price kept with the list.
+                    peer_bytes = superpeer.upload_bytes[peer_id] = self.cost_model.list_bytes(
                         computation.result.points.ids, computation.result.points.values
                     )
                 compute_seconds += computation.duration
                 slowest_peer = max(slowest_peer, computation.duration)
-                superpeer.receive_peer_skyline(peer_id, computation.result)
                 if tracer is not None:
                     tracer.interval(
                         "ext-skyline", category="preprocess",

@@ -63,13 +63,16 @@ class SuperPeer:
     #: witnesses for uploaded points the store merge evicted; ``None``
     #: after any wholesale store replacement until lazily rebuilt
     store_ledger: EvictionLedger | None = None
+    #: each peer list's upload price in bytes, set by the network's
+    #: selectivity refresh and dropped whenever the list is replaced
+    upload_bytes: dict[int, int] = field(default_factory=dict)
 
     def receive_peer_skyline(self, peer_id: int, skyline: SortedByF) -> None:
         """Record a peer's ext-skyline (pre-processing upload).
 
         Replacing a list invalidates that peer's eviction ledger — the
         maintenance paths that keep a ledger consistent re-install it
-        right after calling this.
+        right after calling this — and its upload price.
         """
         if skyline.dimensionality != self.dimensionality:
             raise ValueError(
@@ -78,6 +81,7 @@ class SuperPeer:
             )
         self.peer_skylines[peer_id] = skyline
         self.peer_ledgers.pop(peer_id, None)
+        self.upload_bytes.pop(peer_id, None)
 
     def rebuild_store(self) -> SkylineComputation:
         """Merge every attached peer's ext-skyline into the query store."""
@@ -160,6 +164,7 @@ class SuperPeer:
         """
         dropped = self.peer_skylines.pop(peer_id, None)
         self.peer_ledgers.pop(peer_id, None)
+        self.upload_bytes.pop(peer_id, None)
         ledger = self.store_ledger
         if dropped is None or ledger is None or self.store is None:
             return "rebuilt", self.rebuild_store().examined, 0

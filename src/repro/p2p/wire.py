@@ -20,8 +20,9 @@ Payloads:
 * ``ResultMessage`` — sender (8B), point count n (4B), query
   dimensionality k (2B), id width w (1B, its ``0x80`` bit the gap
   flag), coordinate width c (1B, its ``0x80`` bit the zero-bitmap flag,
-  its ``0x40`` bit the per-column flag, its ``0x10`` and ``0x20`` bits
-  reserved and refused), then, in a per-column block, the widths of
+  its ``0x40`` bit the per-column flag, its ``0x10`` bit reserved and
+  refused, and ``0x20``, alone, the quantum flag), then, in a per-column
+  block, the widths of
   columns 1..k-1 (1B each, ``c`` being column 0's), then the n ids in
   ascending order — each little-endian in ``w`` bytes, or, gap-flagged,
   the smallest in zigzag LEB128 and then each gap to the next in
@@ -34,7 +35,11 @@ Payloads:
   coordinate shares, once, and each sent coordinate's ``c`` low bytes
   (little-endian, row-major); a per-column one does the same column by
   column, each with its own width (8 for a column its bitmap marks
-  entirely, which sends nothing).  ``w`` is
+  entirely, which sends nothing).  A quantum-flagged block has no
+  bitmap: column by column it sends its exponent ``q`` (zigzag LEB128),
+  its base (LEB128) and a width ``b`` (1B), then each value's integer
+  ``value / 2**q`` less the base in ``b`` bits, packed lowest bit first
+  into ``ceil(n*b/8)`` bytes.  ``w`` is
   :func:`repro.p2p.cost.id_width` of the ids — the fewest whole bytes
   that hold the largest one, 8 if any is negative — and the ids are
   gap-coded exactly when :func:`repro.p2p.cost.id_bytes` finds that
@@ -44,8 +49,9 @@ Payloads:
   a width is 8 less the whole high bytes the float64 bit patterns its
   group sends all share (8 when it sends none), and the per-column
   layout is taken only when it is strictly smaller than the one-block
-  layout — so the record costs what the cost model charges for it,
-  and every double comes back bit for bit.
+  layout, and the quantum one (:func:`repro.p2p.cost.quantize`) only
+  when it is strictly smaller than both — so the record costs what the
+  cost model charges for it, and every double comes back bit for bit.
   Its kind byte also says where the message stands on its link: a plain
   result, a *final* one (the last message the sender's subtree puts on
   this link), or a *decline* (no result will ever come over this link —
@@ -60,8 +66,8 @@ full-space ``f(p)`` per point, version 2's query carried the scalar
 ``t`` alone, version 3's record was a fixed 8-byte id plus the
 coordinates, point by point, version 4's sent every coordinate as a
 whole 8-byte double, version 5's had no zero bitmap, version 6's no
-per-column layout and version 7's no gap-coded ids; none of them is
-decoded.
+per-column layout, version 7's no gap-coded ids and version 8's no
+quantum columns; none of them is decoded.
 """
 
 from __future__ import annotations
@@ -75,7 +81,16 @@ import numpy as np
 
 from ..core.dataset import PointSet
 from ..core.store import SortedByF
-from .cost import CostModel, coord_width, id_bytes, id_gaps, id_width, varint_lengths
+from .cost import (
+    CostModel,
+    Quanta,
+    coord_width,
+    id_bytes,
+    id_gaps,
+    id_width,
+    varint_lengths,
+    zigzag,
+)
 
 __all__ = [
     "HEADER_SIZE",
@@ -88,16 +103,18 @@ __all__ = [
 ]
 
 _MAGIC = b"SP"
-_VERSION = 8
+_VERSION = 9
 _HEADER = struct.Struct("<2sBBqI")
 _KIND_QUERY = 1
 _KIND_RESULT = 2
 _KIND_FINAL = 3
 _KIND_DECLINE = 4
 #: The coordinate width byte's flags: a zero bitmap leads the block,
-#: and each column has its own width.
+#: each column has its own width, and the block is quantum-coded (the
+#: byte is then this flag alone).
 _ZERO_BITMAP = 0x80
 _COLUMNS = 0x40
+_QUANTA = 0x20
 #: The id width byte's flag: the ids travel as LEB128 gaps.
 _ID_GAPS = 0x80
 #: The shift of each 7-bit group of a 10-byte LEB128 varint.
@@ -140,6 +157,10 @@ class QueryMessage:
         body += struct.pack(f"<{k}H", *self.subspace)
         body += struct.pack(f"<{len(point)}d", *point)
         return _HEADER.pack(_MAGIC, _VERSION, _KIND_QUERY, self.query_id, len(body)) + body
+
+    def model_bytes(self, model: CostModel) -> int:
+        """The cost model's price of this message."""
+        return model.query_bytes(len(self.subspace), 0 if self.point is None else 1)
 
     @classmethod
     def _decode_body(cls, query_id: int, body: bytes) -> "QueryMessage":
@@ -243,6 +264,11 @@ class ResultMessage:
             and np.array_equal(self.coords, other.coords)
         )
 
+    def model_bytes(self, model: CostModel) -> int:
+        """The cost model's price of this message: of its ids and its
+        coordinate block, in the layouts the encoder picks for them."""
+        return model.list_bytes(self.ids, self.coords)
+
     def encode(self) -> bytes:
         n, k = len(self.ids), self.k
         if len(self.coords) != n:
@@ -258,6 +284,13 @@ class ResultMessage:
             id_block = _low_bytes(ids, width)
         words = np.ascontiguousarray(self.coords, dtype="<f8").view("<u8")
         layout = coord_width(words.view("<f8"))
+        if isinstance(layout[0], Quanta):
+            body = (
+                self._BODY_HEAD.pack(self.sender, n, k, width, _QUANTA)
+                + id_block
+                + _quantum_block(words.view("<f8"), layout[0])
+            )
+            return _HEADER.pack(_MAGIC, _VERSION, kind, self.query_id, len(body)) + body
         widths, sent = np.atleast_1d(layout[0]), np.atleast_1d(layout[1])
         flags, bitmap = 0, b""
         zero: np.ndarray | None = None
@@ -297,46 +330,33 @@ class ResultMessage:
         width = id_byte & ~_ID_GAPS
         if not 1 <= width <= 8:
             raise WireError(f"id width {id_byte} is not 1..8 bytes, or that plus {_ID_GAPS:#x}")
-        widths, ids_at = _coord_widths(body, block, n, k)
-        ids: np.ndarray | None = None
+        widths: np.ndarray | None = None
+        ids_at = head
+        if block & _QUANTA:
+            if block != _QUANTA:
+                raise WireError(f"coordinate width {block} sets {_QUANTA:#x} beside other bits")
+        else:
+            widths, ids_at = _coord_widths(body, block, n, k)
         if id_byte & _ID_GAPS:
             ids, id_size = _gap_ids(body, ids_at, n, width)
-            start = ids_at + id_size
         else:
-            start = ids_at + n * width
-        size = n * k
-        zero: np.ndarray | None = None
-        if block & _ZERO_BITMAP:
-            zero = _zero_bitmap(body, start, size)
-            start += (size + 7) // 8
-        sent = _sent_counts(zero, widths, n, k)
-        _check_body_size(len(body), start, widths, sent)
-        if ids is None:
+            id_size = n * width
+            if len(body) < ids_at + id_size:
+                raise WireError("result ids truncated")
             # Zero-extend each id to 8 bytes; width 8 carries negatives as they are.
             ids = _words(body, ids_at, n, width, 0).view("<i8")
         if (ids[1:] < ids[:-1]).any():
             raise WireError("the ids are not in ascending order")
-        # Each group's shared high bytes, then each sent value's low bytes.
-        groups: list[np.ndarray] = []
-        for low, count in zip(widths.tolist(), sent.tolist()):
-            shared = 8 - low
-            high = int.from_bytes(bytes(low) + body[start : start + shared], "little")
-            groups.append(_words(body, start + shared, count, low, high))
-            start += shared + count * low
-        if zero is None and len(widths) == 1:
-            coords = groups[0].reshape(n, k)
+        start = ids_at + id_size
+        if widths is None:
+            coords = _quantum_values(body, start, n, k)
         else:
-            coords = np.zeros((n, k), dtype="<u8")
-            sent_at = np.ones((n, k), bool) if zero is None else ~zero.reshape(n, k)
-            if len(widths) == 1:
-                coords[sent_at] = groups[0]
-            else:
-                coords.T[sent_at.T] = np.concatenate(groups)  # column by column
+            coords = _byte_values(body, start, block, widths, n, k)
         return cls(
             query_id=query_id,
             sender=sender,
             ids=ids,
-            coords=coords.view("<f8"),
+            coords=coords,
             final=kind != _KIND_RESULT,
             decline=kind == _KIND_DECLINE,
         )
@@ -352,6 +372,150 @@ class ResultMessage:
         if not len(self.ids):
             return SortedByF.empty(self.k or 1)
         return SortedByF.from_points(PointSet(self.coords, self.ids))
+
+
+def _byte_values(
+    body: bytes, start: int, block: int, widths: np.ndarray, n: int, k: int
+) -> np.ndarray:
+    """The ``n x k`` doubles of the byte-grouped block (any layout but
+    the quantum one) at ``start`` in ``body``, ``block`` its width byte
+    and ``widths`` what :func:`_coord_widths` read."""
+    size = n * k
+    zero: np.ndarray | None = None
+    if block & _ZERO_BITMAP:
+        zero = _zero_bitmap(body, start, size)
+        start += (size + 7) // 8
+    sent = _sent_counts(zero, widths, n, k)
+    _check_body_size(len(body), start, widths, sent)
+    # Each group's shared high bytes, then each sent value's low bytes.
+    groups: list[np.ndarray] = []
+    for low, count in zip(widths.tolist(), sent.tolist()):
+        shared = 8 - low
+        high = int.from_bytes(bytes(low) + body[start : start + shared], "little")
+        groups.append(_words(body, start + shared, count, low, high))
+        start += shared + count * low
+    if zero is None and len(widths) == 1:
+        return groups[0].reshape(n, k).view("<f8")
+    coords = np.zeros((n, k), dtype="<u8")
+    sent_at = np.ones((n, k), bool) if zero is None else ~zero.reshape(n, k)
+    if len(widths) == 1:
+        coords[sent_at] = groups[0]
+    else:
+        coords.T[sent_at.T] = np.concatenate(groups)  # column by column
+    return coords.view("<f8")
+
+
+def _quantum_block(values: np.ndarray, quanta: Quanta) -> bytes:
+    """The quantum-coded block of the ``n x k`` doubles ``values`` in the
+    layout ``quanta`` (:func:`repro.p2p.cost.quantize` of them): per
+    column its exponent, base and width, then its integers less the base,
+    bit-packed."""
+    exponents = np.array(quanta.exponents)[:, None]
+    residues = np.ldexp(values.T, -exponents).astype("<u8", order="C")
+    residues -= np.array(quanta.bases, dtype=np.uint64)[:, None]
+    # Column j's residues bit by bit, lowest bit first: an n x 64 plane.
+    planes = np.unpackbits(
+        residues.view(np.uint8).reshape(*residues.shape, 8), axis=2, bitorder="little"
+    )
+    out: list[bytes] = []
+    for q, base, width, plane in zip(quanta.exponents, quanta.bases, quanta.bits, planes):
+        out += [_varint_bytes(zigzag(q)), _varint_bytes(base), bytes([width])]
+        out.append(np.packbits(plane[:, :width], bitorder="little").tobytes())
+    return b"".join(out)
+
+
+def _quantum_values(body: bytes, offset: int, n: int, k: int) -> np.ndarray:
+    """The ``n x k`` doubles of the quantum-coded block that runs from
+    ``offset`` to the end of ``body``: column ``j``'s are
+    ``ldexp(base_j + r, q_j)``, every one exact.
+
+    Refuses every block :func:`_quantum_block` would not write: one cut
+    short or running past its columns, a varint that is not minimal or
+    passes 64 bits, a width above 64, a non-zero padding bit, an
+    exponent outside -1074..1023, an integer past 64 bits or with more
+    than 53 significant ones, a value that is not finite, and then any
+    block whose exponents, bases and widths are not the
+    :func:`repro.p2p.cost.coord_width` of the values it holds: an
+    exponent that is not the largest, a base that is not the smallest
+    integer, a width that is not the fewest bits, or a block that is
+    not strictly smaller than its version 8 layout.
+    """
+    if not n * k:
+        raise WireError("an empty block is never quantum-coded")
+    exponents: list[int] = []
+    bases: list[int] = []
+    widths: list[int] = []
+    planes = np.zeros((k, n, 64), np.uint8)
+    for j in range(k):
+        word, offset = _varint(body, offset)
+        base, offset = _varint(body, offset)
+        if len(body) <= offset:
+            raise WireError("quantum column truncated")
+        width = body[offset]
+        if width > 64:
+            raise WireError(f"a quantum column of {width} bits is past 64")
+        size = n * width
+        if len(body) < offset + 1 + (size + 7) // 8:
+            raise WireError("quantum column truncated")
+        packed = np.frombuffer(body, np.uint8, (size + 7) // 8, offset + 1)
+        offset += 1 + len(packed)
+        if size % 8 and packed[-1] >> size % 8:
+            raise WireError("a quantum column sets a padding bit")
+        planes[j, :, :width] = np.unpackbits(packed, count=size, bitorder="little").reshape(n, -1)
+        exponents.append((word >> 1) ^ -(word & 1))
+        bases.append(base)
+        widths.append(width)
+    if offset != len(body):
+        raise WireError(f"result body has {len(body)} bytes, expected {offset}")
+    if not -1074 <= min(exponents) <= max(exponents) <= 1023:
+        raise WireError(f"a quantum exponent of {exponents} is not -1074..1023")
+    residues = np.packbits(planes, axis=2, bitorder="little").view("<u8")[..., 0]
+    if any((base + top) >> 64 for base, top in zip(bases, residues.max(axis=1).tolist())):
+        raise WireError("a quantum integer is past 64 bits")
+    integers = residues + np.array(bases, dtype=np.uint64)[:, None]
+    doubles = integers.astype("<f8")
+    with np.errstate(invalid="ignore"):  # one rounded up to 2**64 fails the test either way
+        if (doubles.astype(np.uint64) != integers).any():
+            raise WireError("a quantum integer has more than 53 significant bits")
+    with np.errstate(over="ignore"):
+        coords = np.ldexp(doubles, np.array(exponents)[:, None]).T.copy()
+    if not np.isfinite(coords).all():
+        raise WireError("a quantum column holds a value past the largest double")
+    read = Quanta(tuple(exponents), tuple(bases), tuple(widths))
+    layout = coord_width(coords)[0]
+    if not isinstance(layout, Quanta):
+        raise WireError("a quantum-coded block is not smaller than its version 8 layout")
+    if layout != read:
+        raise WireError(f"quantum columns {read} are not their values' own {layout}")
+    return coords
+
+
+def _varint(body: bytes, offset: int) -> tuple[int, int]:
+    """The minimal LEB128 varint of at most 64 bits at ``offset`` in
+    ``body``, and the offset past it."""
+    value = 0
+    for place in range(10):
+        if len(body) <= offset + place:
+            raise WireError("quantum varint truncated")
+        byte = body[offset + place]
+        value |= (byte & 0x7F) << 7 * place
+        if byte < 0x80:
+            if place and not byte:
+                raise WireError("a quantum varint is not minimal")
+            if value >> 64:
+                raise WireError("a quantum varint overflows 64 bits")
+            return value, offset + place + 1
+    raise WireError("a quantum varint is longer than 10 bytes")
+
+
+def _varint_bytes(value: int) -> bytes:
+    """The LEB128 varint of the non-negative integer ``value``."""
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
 
 
 def _gap_ids(body: bytes, offset: int, n: int, width: int) -> tuple[np.ndarray, int]:
@@ -534,8 +698,9 @@ def decode(blob: bytes) -> QueryMessage | ResultMessage:
 
 def cost_estimate(blob: bytes, model: CostModel) -> int:
     """The cost model's byte estimate for one encoded message: its
-    price of the message :func:`decode` reads from ``blob``, so it
-    refuses what :func:`decode` refuses.
+    price of the message :func:`decode` reads from ``blob``
+    (``model_bytes``), so it refuses what :func:`decode` refuses.  A
+    sender that holds the message prices it without the decode.
 
     A transport tallies this *estimated* size next to the *measured*
     ``len(blob)`` it actually puts on the wire.  For every record the
@@ -544,7 +709,4 @@ def cost_estimate(blob: bytes, model: CostModel) -> int:
     abstract ``message_header_bytes`` envelope instead of this codec's
     packed header.
     """
-    message = decode(blob)
-    if isinstance(message, QueryMessage):
-        return model.query_bytes(len(message.subspace), 0 if message.point is None else 1)
-    return model.list_bytes(message.ids, message.coords)
+    return decode(blob).model_bytes(model)

@@ -21,8 +21,10 @@ else.  There is no model clock here — the computations already spent
 their wall-clock time, so the carrier's stamps are ``None``.
 
 Every sent message is tallied twice: ``len(blob)`` as *measured* wire
-bytes and :func:`repro.p2p.wire.cost_estimate` as the *estimated*
-bytes the cost model would charge for it.  The estimates sum to the
+bytes and the sender's ``model_bytes`` of the message as the *estimated*
+bytes the cost model charges for it (what
+:func:`repro.p2p.wire.cost_estimate` reads back from the blob; the
+sender prices the message it holds, so no blob is decoded twice).  The estimates sum to the
 model's ``volume_bytes``; the two tallies differ by a small, constant
 per-message framing delta (the model charges an abstract 64-byte
 envelope; the codec packs a 16-byte header) — documented in
@@ -49,7 +51,7 @@ from ..obs.runtime import active_metrics, active_tracer
 from ..p2p.network import SuperPeerNetwork
 from ..p2p.cost import CostModel
 from ..p2p.transport import SocketEndpoint, TransportConfig, TransportError
-from ..p2p.wire import QueryMessage, ResultMessage, cost_estimate, decode, decode_header
+from ..p2p.wire import QueryMessage, ResultMessage, decode
 from .executor import execute_query, spanning_tree
 from .protocol import ProtocolNode, QueryBound, _queried, make_kernels
 from .variants import Variant
@@ -61,9 +63,6 @@ __all__ = [
     "gateway_dispatch",
     "run_socket_query",
 ]
-
-_KIND_QUERY = 1
-
 
 def query_id_for(query: Query) -> int:
     """Deterministic wire-level query id (stable across processes)."""
@@ -103,8 +102,9 @@ class _SocketCarrier:
         self._initiator = initiator
         self._on_final = on_final
 
-    def _send(self, src: int, dst: int, blob: bytes) -> None:
-        self.accounting.record(blob)
+    def _send(self, src: int, dst: int, message: QueryMessage | ResultMessage) -> None:
+        blob = message.encode()
+        self.accounting.record(message)
         self._transmit(src, dst, blob)
 
     def send_query(self, src: int, dst: int, bound: QueryBound, at: None) -> None:
@@ -112,7 +112,7 @@ class _SocketCarrier:
         message = QueryMessage(
             self._query_id, self._subspace, bound.threshold, self._initiator, point
         )
-        self._send(src, dst, message.encode())
+        self._send(src, dst, message)
 
     def send_result(
         self, src: int, dst: int, origin: int, result: SortedByF, final: bool, at: None
@@ -121,11 +121,11 @@ class _SocketCarrier:
         message = ResultMessage.from_store(
             self._query_id, origin, result, range(len(self._subspace)), final=final
         )
-        self._send(src, dst, message.encode())
+        self._send(src, dst, message)
 
     def decline(self, src: int, dst: int, at: None) -> None:
         message = ResultMessage(self._query_id, src, (), (), final=True, decline=True)
-        self._send(src, dst, message.encode())
+        self._send(src, dst, message)
 
     def compute(
         self, sp: int, phase: str, at: None, computation: SkylineComputation,
@@ -164,14 +164,13 @@ class WireAccounting:
         self.result_messages = 0
         self.estimated_bytes = 0
 
-    def record(self, blob: bytes) -> None:
-        kind, _, _ = decode_header(blob)
+    def record(self, message: QueryMessage | ResultMessage) -> None:
         self.messages += 1
-        if kind == _KIND_QUERY:
+        if isinstance(message, QueryMessage):
             self.query_messages += 1
         else:
             self.result_messages += 1
-        self.estimated_bytes += cost_estimate(blob, self._model)
+        self.estimated_bytes += message.model_bytes(self._model)
 
 
 @dataclass

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.p2p.cost import (
-    DEFAULT_COST_MODEL, CostModel, coord_width, id_bytes, id_gaps, id_width, varint_lengths,
+    DEFAULT_COST_MODEL, CostModel, Quanta, coord_width, id_bytes, id_gaps, id_width, quantize,
+    varint_lengths,
 )
 
 
@@ -221,9 +222,11 @@ class TestCoordWidth:
 
     def test_an_all_zero_block_sends_every_zero_at_width_zero(self):
         """No bitmap: ``8 − 0`` shared bytes and nothing per coordinate,
-        so a list of tied zeros never grows."""
+        so a list of tied zeros never grows — unless its quantum columns
+        (exponent 0, base 0, width 0: 3 bytes each) are fewer bytes."""
         assert coord_width([0.0]) == (0, 1)
-        assert coord_width(np.zeros((300, 1))) == (0, 300)
+        assert coord_width(np.zeros((300, 3))) == (0, 900)
+        assert coord_width(np.zeros((300, 1))) == (Quanta((0,), (0,), (0,)), 300)
 
     @pytest.mark.parametrize("shared", range(9))
     def test_the_width_is_eight_less_the_shared_high_bytes(self, shared):
@@ -263,16 +266,61 @@ class TestCoordWidth:
 
     def test_columns_that_share_more_than_the_block_get_their_own_widths(self):
         """Two constant columns share all eight bytes each, but only the
-        top byte with each other: ``1 + 8 + 8`` bytes beat ``1 + 6·7``."""
-        assert coord_width(np.array([[3.0, 7.0]] * 3)) == ((0, 0), (3, 3))
+        top byte with each other: ``1 + 8 + 8`` bytes beat ``1 + 6·7``.
+        (Negative, so the blocks have no quantum layout.)"""
+        assert coord_width(np.array([[-3.0, -7.0]] * 3)) == ((0, 0), (3, 3))
         # The bitmap stays the block's; a column it marks whole is width 8.
-        assert coord_width(np.array([[0.0, 3.0], [0.0, 3.0], [0.5, 3.0]])) == ((0, 0), (1, 3))
-        assert coord_width(np.array([[0.0, 3.0, 7.0]] * 3)) == ((8, 0, 0), (0, 3, 3))
+        block = np.array([[0.0, -3.0], [0.0, -3.0], [-0.5, -3.0]])
+        assert coord_width(block) == ((0, 0), (1, 3))
+        assert coord_width(np.array([[0.0, -3.0, -7.0]] * 3)) == ((8, 0, 0), (0, 3, 3))
 
     def test_one_group_wins_every_tie_and_every_single_point_or_column(self):
         """The per-column layout must be strictly smaller."""
-        assert coord_width(np.array([[3.0, 7.0]])) == (7, 2)
-        assert coord_width(np.array([[3.0], [7.0], [3.0]])) == (7, 3)
+        assert coord_width(np.array([[-3.0, -7.0]])) == (7, 2)
+        assert coord_width(np.array([[-3.0], [-7.0], [-3.0]])) == (7, 3)
         # Column 0 shares its top byte, column 1 none (its signs differ),
         # the block none: 1 + (1 + 2·7) + 2·8 = 32 bytes either way.
         assert coord_width(np.array([[0.5, -1.0], [0.75, 1.0]])) == (8, 4)
+
+
+class TestQuanta:
+    def test_exponent_base_and_width_of_each_column(self):
+        """0.5, 0.75, 1.0 are 2, 3, 4 quarters; 3, 5, 3 are integers."""
+        block = np.array([[0.5, 3.0], [0.75, 5.0], [1.0, 3.0]])
+        assert quantize(block) == Quanta((-2, 0), (2, 3), (2, 2))
+        # A power of two, a subnormal and a column of +0.0 alone.
+        assert quantize(np.array([[2.0**300, 5e-324, 0.0]])) == Quanta((300, -1074, 0), (1, 1, 0), (0, 0, 0))
+        assert quantize(np.array([[0.0], [2.0**-1074 * 6]])) == Quanta((-1073,), (0,), (2,))
+
+    @pytest.mark.parametrize(
+        "block",
+        [[[0.5], [-0.5]], [[0.5], [-0.0]], [[0.5], [np.nan]], [[0.5], [np.inf]], [[1.0], [2.0**64]],
+         [[5e-324], [1.0]], [], [0.5, 0.25]],
+    )
+    def test_a_block_with_no_layout(self, block):
+        """A negative value, ``-0.0``, NaN or an infinity; integers past
+        64 bits; an empty or one-dimensional block."""
+        assert quantize(np.array(block)) is None
+
+    def test_the_largest_integers_that_fit(self):
+        assert quantize(np.array([[1.0], [2.0**63]])) == Quanta((0,), (1,), (63,))
+        assert quantize(np.array([[1.0], [2.0**64 - 2048]])).bits == (64,)
+
+    def test_bytes_of_each_column(self):
+        """Zigzag exponent, LEB128 base, width byte, ``⌈n·b/8⌉`` packed."""
+        quanta = Quanta((-53, 0), (2**52, 0), (53, 0))
+        assert quanta.nbytes(60) == (1 + 8 + 1 + (60 * 53 + 7) // 8) + (1 + 1 + 1)
+        assert Quanta((-65,), (127,), (1,)).nbytes(9) == 2 + 1 + 1 + 2
+
+    def test_result_bytes_charges_the_quantum_block(self):
+        model, quanta = CostModel(), Quanta((-2, 0), (2, 3), (2, 2))
+        assert model.result_bytes(3, 2, 3, quanta, 6) == model.message_header_bytes + 3 + 8
+        for k, sent in ((3, 6), (2, 5)):
+            with pytest.raises(ValueError):
+                model.result_bytes(3, k, 3, quanta, sent)
+
+    def test_the_layout_only_when_strictly_smaller(self):
+        """A constant block sends its 8 shared bytes once as version 8: a
+        pair of quantum columns (6 bytes) beats that, a triple (9) not."""
+        assert coord_width(np.full((4, 2), 0.5)) == (Quanta((-1, -1), (1, 1), (0, 0)), 8)
+        assert coord_width(np.full((4, 3), 0.5)) == (0, 12)

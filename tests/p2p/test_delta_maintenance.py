@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.p2p.cost import CostModel
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.workload import ChurnOp, apply_op, rebuild_reference
 
@@ -87,6 +88,38 @@ def test_delete_storm_exercises_ledger_path():
         _assert_matches_rebuild(network)
     assert "promoted" in paths
     assert "rebuilt" not in paths
+
+
+def _lists(network: SuperPeerNetwork) -> dict:
+    return {
+        peer_id: upload
+        for superpeer in network.superpeers.values()
+        for peer_id, upload in superpeer.peer_skylines.items()
+    }
+
+
+def test_an_update_prices_only_the_lists_it_replaced(monkeypatch):
+    """Each peer list keeps its upload price: an insert or a delete
+    calls ``list_bytes`` once for each list it replaced, not for every
+    list of the super-peer it touched, and the totals still match a
+    rebuild's."""
+    network = _make_network(seed=3)
+    assert all(len(sp.peer_skylines) > 1 for sp in network.superpeers.values())
+    calls = []
+    priced = CostModel.list_bytes
+    monkeypatch.setattr(
+        CostModel, "list_bytes", lambda model, *args: calls.append(1) or priced(model, *args)
+    )
+    replaced_any = False
+    for index, kind in enumerate(["insert", "delete"] * 5):
+        before = _lists(network)
+        calls.clear()
+        apply_op(network, ChurnOp(index=index, kind=kind, n_points=3, seed=77 + index))
+        replaced = sum(upload is not before.get(peer_id) for peer_id, upload in _lists(network).items())
+        assert len(calls) == replaced
+        replaced_any |= replaced > 0
+    assert replaced_any
+    _assert_matches_rebuild(network)
 
 
 def test_fail_after_updates_uses_store_ledger():

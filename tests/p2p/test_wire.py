@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.dataset import PointSet
 from repro.core.store import SortedByF
-from repro.p2p.cost import DEFAULT_COST_MODEL, coord_width, id_bytes, id_width
+from repro.p2p.cost import DEFAULT_COST_MODEL, Quanta, coord_width, id_bytes, id_width, quantize
 from repro.p2p.wire import (
     HEADER_SIZE,
     QueryMessage,
@@ -123,8 +123,9 @@ class TestResultMessage:
         """Growth per point is the message's id bytes + k coordinates at
         the message's coordinate width; ids 100 and 101 fit in one byte
         each (their gaps would take three), and coordinates in [0.5, 1)
-        share their top byte, 0x3F."""
-        rows = [(0.5, 0.75, 0.625), (0.5625, 0.875, 0.5)]
+        share their top byte, 0x3F (with 53 significant bits each, their
+        quantum columns would be larger)."""
+        rows = [(0.6, 0.7, 0.65), (0.55, 0.9, 0.8)]
         b1 = len(ResultMessage(1, 0, (100,), rows[:1]).encode())
         b2 = len(ResultMessage(1, 0, (100, 101), rows).encode())
         assert coord_width(rows[:1]) == (7, 3) and coord_width(rows) == (7, 6)
@@ -229,7 +230,7 @@ class TestFraming:
             ResultMessage.from_store(1, 0, store, (0, 2)),
         ):
             blob = bytearray(message.encode())
-            assert blob[2] == 8
+            assert blob[2] == 9
             blob[2] = 1
             with pytest.raises(WireError, match=r"^unsupported version 1$"):
                 decode(bytes(blob))
@@ -340,11 +341,28 @@ class TestFraming:
             with pytest.raises(WireError, match=r"^unsupported version 7$"):
                 cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
 
+    def test_version_8_is_not_decoded(self, rng):
+        """The record with no quantum-coded block: refused by the version
+        byte, with no selector and no version-8 decoder."""
+        store = SortedByF.from_points(PointSet(rng.random((3, 4)), np.arange(3)))
+        for message in (
+            QueryMessage(1, (0, 2), 1.0, 0, point=(0.5, 0.25)),
+            ResultMessage.from_store(1, 0, store, (0, 2)),
+            ResultMessage(1, 0, range(0, 3000, 10), np.full((300, 2), 0.5)),
+            ResultMessage(1, 0, (), ()),
+        ):
+            blob = bytearray(message.encode())
+            blob[2] = 8
+            with pytest.raises(WireError, match=r"^unsupported version 8$"):
+                decode(bytes(blob))
+            with pytest.raises(WireError, match=r"^unsupported version 8$"):
+                cost_estimate(bytes(blob), DEFAULT_COST_MODEL)
+
     @pytest.mark.parametrize("width", [0, 9, 255])
     def test_id_width_outside_one_to_eight_rejected(self, width):
         """The width byte is checked before any column is read, whatever
         the length fields say."""
-        blob = bytearray(ResultMessage(1, 0, (1, 2), ((0.5,), (0.25,))).encode())
+        blob = bytearray(ResultMessage(1, 0, (1, 2), ((0.6,), (0.3,))).encode())
         low = blob[HEADER_SIZE + 15]
         blob[HEADER_SIZE + 14] = width
         with pytest.raises(WireError, match=f"id width {width}"):
@@ -375,8 +393,10 @@ class TestFraming:
         these one-group blocks.  ``0x40`` (one width per column,
         :class:`TestColumnLayout`) is kept for a block laid out by
         column: set here, it makes both readers take an id byte for a
-        column width, and the body no longer adds up."""
-        coords = ((0.0, 0.5), (0.25, 0.0)) if zeros else ((0.5, 0.75), (0.25, 1.0))
+        column width, and the body no longer adds up.  ``0x20`` (a
+        quantum-coded block, :class:`TestQuanta`) is only ever the whole
+        byte."""
+        coords = ((0.0, 0.6), (0.3, 0.0)) if zeros else ((0.6, 0.7), (0.3, 0.9))
         blob = bytearray(ResultMessage(1, 0, (1, 2), coords).encode())
         assert bool(blob[HEADER_SIZE + 15] & 0x80) is zeros
         assert not blob[HEADER_SIZE + 15] & 0x40
@@ -603,9 +623,10 @@ SPECIAL_BITS = [
 
 def _block_sharing(shared: int, n: int, k: int) -> np.ndarray:
     """An ``n x k`` block whose bit patterns share exactly ``shared``
-    high bytes (for ``n * k >= 2``; all equal when ``shared`` is 8)."""
+    high bytes (for ``n * k >= 2``; all equal when ``shared`` is 8).
+    Its values are negative, so it has no quantum layout."""
     rng = np.random.default_rng(shared * 100 + n * 10 + k)
-    base = 0x3FE1_2345_6789_ABCD
+    base = 0xBFE1_2345_6789_ABCD
     bits = np.full(n * k, base, dtype=np.uint64)
     if shared < 8:
         low_bits = 8 * (8 - shared)
@@ -693,8 +714,9 @@ class TestZeroBitmap:
     marks its zeros and sends, and sizes its width over, only the rest."""
 
     #: Zeros at row-major positions 0, 2, 4, 5 and 8; the rest share 0x3F,
-    #: and no column shares more, so the block stays one group.
-    HAND = np.array([[0.0, 0.5, 0.0], [0.75, 0.0, 0.0], [0.5, 0.625, 0.0]])
+    #: and no column shares more, so the block stays one group (their 53
+    #: significant bits make the quantum layout larger).
+    HAND = np.array([[0.0, 0.6, 0.0], [0.7, 0.0, 0.0], [0.55, 0.65, 0.0]])
 
     def test_bit_order_on_a_hand_written_block(self):
         """Bit ``i % 8`` of bitmap byte ``i // 8`` marks coordinate ``i``
@@ -706,7 +728,7 @@ class TestZeroBitmap:
         assert blob[head : head + 3] == bytes([0, 1, 2])
         assert blob[head + 3 : head + 5] == bytes([0b0011_0101, 0b0000_0001])
         assert blob[head + 5 : head + 6] == b"\x3f"
-        assert blob[head + 6 :] == b"".join(struct.pack("<d", v)[:7] for v in (0.5, 0.75, 0.5, 0.625))
+        assert blob[head + 6 :] == b"".join(struct.pack("<d", v)[:7] for v in (0.6, 0.7, 0.55, 0.65))
         assert decode(blob).coords.tolist() == self.HAND.tolist()
         assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
             3, 3, 3, 7, 4
@@ -715,8 +737,8 @@ class TestZeroBitmap:
     @pytest.mark.parametrize(
         "name,coords",
         [
-            ("no zeros", np.array([[0.5, 0.75], [0.625, 0.5]])),
-            ("some zeros", np.array([[0.0, 0.75], [0.625, 0.0], [0.0, 0.0]])),
+            ("no zeros", np.array([[0.6, 0.7], [0.65, 0.55]])),
+            ("some zeros", np.array([[0.0, 0.7], [0.65, 0.0], [0.0, 0.0]])),
             ("all zeros", np.zeros((4, 3))),
             ("signed zeros", np.array([[0.0, -0.0], [-0.0, 0.0]])),
             ("only -0.0", np.full((3, 2), -0.0)),
@@ -724,8 +746,8 @@ class TestZeroBitmap:
                                        [_double(0xFFFF_FFFF_FFFF_FFFF), 0.0]])),
             ("subnormals", np.array([[0.0, 5e-324], [_double(0x000F_FFFF_FFFF_FFFF), 0.0]])),
             ("infinities", np.array([[np.inf, 0.0, -np.inf]])),
-            ("one zero", np.array([[0.0]])),
-            ("a zero among many", np.append(np.full(299, 0.5), 0.0).reshape(75, 4)),
+            ("one zero beside a value", np.array([[0.0], [-0.5]])),
+            ("a zero among many", np.append(np.full(299, -0.5), 0.0).reshape(75, 4)),
         ],
     )
     def test_roundtrips_bit_for_bit(self, name, coords):
@@ -742,11 +764,13 @@ class TestZeroBitmap:
         assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
 
     def test_a_list_of_tied_zeros_keeps_its_eight_bytes(self):
-        """An all-zero block is never flagged: 8 shared bytes in all."""
-        for n, k in ((1, 1), (300, 1), (7, 4)):
+        """An all-zero block is never flagged: 8 shared bytes in all, or,
+        for one or two columns, 3 bytes of quantum column each."""
+        for n, k in ((1, 1), (300, 1), (7, 2), (7, 3), (7, 4)):
             blob = ResultMessage(1, 0, np.arange(n), np.zeros((n, k))).encode()
-            assert blob[HEADER_SIZE + 15] == 0
-            assert len(blob) == HEADER_SIZE + 16 + id_bytes(range(n)) + 8
+            quantum = k < 3
+            assert blob[HEADER_SIZE + 15] == (0x20 if quantum else 0)
+            assert len(blob) == HEADER_SIZE + 16 + id_bytes(range(n)) + (3 * k if quantum else 8)
 
     def test_every_prefix_of_a_zero_bearing_message_is_a_wire_error(self):
         blob = ResultMessage(1, 0, (0, 1, 2), self.HAND).encode()
@@ -787,7 +811,7 @@ class TestZeroBitmap:
         without one, leaves a body whose length no longer adds up."""
         flagged = bytearray(ResultMessage(1, 0, (0, 1, 2), self.HAND).encode())
         flagged[HEADER_SIZE + 15] &= 0x7F
-        plain = bytearray(ResultMessage(1, 0, (0, 1), ((0.5, 0.75), (0.625, 0.5))).encode())
+        plain = bytearray(ResultMessage(1, 0, (0, 1), ((0.6, 0.7), (0.65, 0.55))).encode())
         plain[HEADER_SIZE + 15] |= 0x80
         for blob in (flagged, plain):
             with pytest.raises(WireError):
@@ -810,15 +834,16 @@ class TestColumnLayout:
 
     #: Column 0 is +0.0 throughout, so the bitmap marks it whole and it
     #: sends nothing at width 8; columns 1 and 2 each share six high
-    #: bytes, but not with each other.
-    ZERO_COLUMN = np.array([[0.0, 1.0 + j * 2.0**-40, 1000.0 + j * 2.0**-30] for j in range(6)])
+    #: bytes, but not with each other.  Every case holds a negative value,
+    #: a ``-0.0`` or an infinity, so none has a quantum layout.
+    ZERO_COLUMN = np.array([[0.0, -1.0 - j * 2.0**-40, -1000.0 - j * 2.0**-30] for j in range(6)])
 
     CASES = {
         "a column of +0.0 in a flagged block": ZERO_COLUMN,
-        "-0.0": np.array([[-0.0, 0.5 + j / 64] for j in range(4)]),
-        "inf": np.array([[np.inf, 0.5 + j / 64, -np.inf] for j in range(5)]),
-        "equal-valued columns": np.array([[3.0, 7.0]] * 3),
-        "equal columns": np.array([[0.5 + j / 64, 0.5 + j / 64, 1e300] for j in range(4)]),
+        "-0.0": np.array([[-0.0, -0.5 - j / 64] for j in range(4)]),
+        "inf": np.array([[np.inf, -0.5 - j / 64, -np.inf] for j in range(5)]),
+        "equal-valued columns": np.array([[-3.0, -7.0]] * 3),
+        "equal columns": np.array([[-0.5 - j / 64, -0.5 - j / 64, -1e300] for j in range(4)]),
     }
 
     @staticmethod
@@ -868,14 +893,14 @@ class TestColumnLayout:
         """The first width in the head with both flags, the other
         columns' widths, the ids, the bitmap, then column by column its
         shared high bytes and its sent values' low bytes."""
-        coords = np.array([[0.0, 3.0], [0.5, 3.0], [0.75, 3.0]])
+        coords = np.array([[0.0, -3.0], [-0.5, -3.0], [-0.75, -3.0]])
         blob = ResultMessage(1, 0, (0, 1, 2), coords).encode()
         head = HEADER_SIZE + 16
         assert blob[head - 2 : head + 1] == bytes([1, 0x80 | 0x40 | 7, 0])
         assert blob[head + 1 : head + 4] == bytes([0, 1, 2])
         assert blob[head + 4 : head + 5] == bytes([0b0000_0001])
-        column_0 = b"\x3f" + struct.pack("<d", 0.5)[:7] + struct.pack("<d", 0.75)[:7]
-        assert blob[head + 5 :] == column_0 + struct.pack("<d", 3.0)
+        column_0 = b"\xbf" + struct.pack("<d", -0.5)[:7] + struct.pack("<d", -0.75)[:7]
+        assert blob[head + 5 :] == column_0 + struct.pack("<d", -3.0)
         assert decode(blob).coords.tolist() == coords.tolist()
 
     def test_the_column_flag_is_read_not_guessed(self):
@@ -958,7 +983,7 @@ class TestIdGaps:
         no coordinate byte at all."""
         coords = struct.pack("<d", 0.5) if k else b""
         body = struct.pack("<qIHBB", 0, n, k, id_byte, 0 if k else 8) + id_block + coords
-        return struct.pack("<2sBBqI", b"SP", 8, 2, 1, len(body)) + body
+        return struct.pack("<2sBBqI", b"SP", 9, 2, 1, len(body)) + body
 
     def test_rows_travel_in_ascending_id_order(self):
         ids = (40, 7, 1000, 7, -3)
@@ -974,12 +999,13 @@ class TestIdGaps:
     def test_gap_layout_on_a_hand_written_record(self):
         """Ids 5, 300, 1000: zigzag(5) = 10, then the gaps 295 and 700
         in two LEB128 bytes each — 5 bytes against the 6 of a 2-byte
-        column."""
+        column.  The column of 0.5 follows as a quantum column: exponent
+        −1 (zigzag 1), base 1, width 0."""
         blob = ResultMessage(1, 0, (1000, 5, 300), np.full((3, 1), 0.5)).encode()
         head = HEADER_SIZE + 16
-        assert blob[head - 2] == 0x80 | 2
+        assert blob[head - 2 : head] == bytes([0x80 | 2, 0x20])
         assert blob[head : head + 5] == bytes([10, 0xA7, 0x02, 0xBC, 0x05])
-        assert blob[head + 5 :] == struct.pack("<d", 0.5)
+        assert blob[head + 5 :] == bytes([1, 1, 0])
         back = decode(blob)
         assert back.ids.tolist() == [5, 300, 1000]
         assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
@@ -996,7 +1022,7 @@ class TestIdGaps:
         blob = msg.encode()
         assert blob[HEADER_SIZE + 14] == 0x80 | 2
         assert id_bytes(self.SPREAD) == 300 < 300 * id_width(self.SPREAD)
-        assert len(blob) == HEADER_SIZE + 16 + 300 + 8
+        assert len(blob) == HEADER_SIZE + 16 + 300 + 2 * 3
         assert decode(blob) == msg
 
     def test_every_prefix_of_a_gap_coded_record_is_a_wire_error(self):
@@ -1049,3 +1075,159 @@ class TestIdGaps:
         for blob in (column, wrapped):
             with pytest.raises(WireError, match="ascending"):
                 decode(blob)
+
+
+def _column(q: int, base: int, width: int, residues) -> bytes:
+    """One quantum column written by hand: zigzag-LEB128 ``q``, LEB128
+    ``base``, the width byte, then ``residues`` packed ``width`` bits
+    each, lowest bit first."""
+
+    def leb128(word: int) -> bytes:
+        out = bytearray()
+        while word >= 0x80:
+            out.append(word & 0x7F | 0x80)
+            word >>= 7
+        return bytes(out + bytes([word]))
+
+    packed = sum(r << i * width for i, r in enumerate(residues))
+    return (
+        leb128(2 * q if q >= 0 else -2 * q - 1) + leb128(base) + bytes([width])
+        + packed.to_bytes((len(residues) * width + 7) // 8, "little")
+    )
+
+
+class TestQuanta:
+    """Wire version 9: a block of non-negative finite doubles may send
+    each column as the integers its values are of one power of two,
+    less their smallest, bit-packed — flagged by ``0x20`` alone in the
+    coordinate width byte and taken only when strictly smaller than the
+    version 8 layout; the reader refuses every block the encoder would
+    not write."""
+
+    #: Column 0 is 2, 3, 4 quarters (exponent −2, base 2, 2 bits: 0, 1,
+    #: 2), column 1 the integers 3, 5, 3 (exponent 0, base 3, 2 bits: 0,
+    #: 2, 0); version 8 would send them in 45 bytes, this in 8.
+    HAND = np.array([[0.5, 3.0], [0.75, 5.0], [1.0, 3.0]])
+    COLUMNS = (_column(-2, 2, 2, [0, 1, 2]), _column(0, 3, 2, [0, 2, 0]))
+
+    @staticmethod
+    def _record(n: int, k: int, block: bytes, width_byte: int = 0x20) -> bytes:
+        """A framed RESULT of ids ``0..n-1`` in a 1-byte column and the
+        hand-written coordinate ``block``."""
+        body = struct.pack("<qIHBB", 0, n, k, 1, width_byte) + bytes(range(n)) + block
+        return struct.pack("<2sBBqI", b"SP", 9, 2, 1, len(body)) + body
+
+    def _refused(self, blob: bytes, match: str) -> None:
+        for read in (decode, lambda b: cost_estimate(b, DEFAULT_COST_MODEL)):
+            with pytest.raises(WireError, match=match):
+                read(blob)
+
+    def test_layout_on_a_hand_written_block(self):
+        blob = ResultMessage(1, 0, (0, 1, 2), self.HAND).encode()
+        assert self.COLUMNS == (bytes([3, 2, 2, 0b0010_0100]), bytes([0, 3, 2, 0b0000_1000]))
+        assert blob == self._record(3, 2, b"".join(self.COLUMNS))
+        assert decode(blob).coords.tolist() == self.HAND.tolist()
+        assert coord_width(self.HAND) == (Quanta((-2, 0), (2, 3), (2, 2)), 6)
+        assert cost_estimate(blob, DEFAULT_COST_MODEL) == DEFAULT_COST_MODEL.result_bytes(
+            3, 2, 3, *coord_width(self.HAND)
+        ) == len(blob) + 32
+
+    def test_uniform_doubles_save_their_unused_bits(self, rng):
+        """``rng.random`` returns multiples of 2**-53: every column takes
+        exponent −53 and at most 53 bits a value, against version 8's 56."""
+        coords = rng.random((60, 3))
+        quanta, sent = coord_width(coords)
+        assert quanta.exponents == (-53,) * 3 and max(quanta.bits) <= 53 and sent == 180
+        blob = ResultMessage(1, 0, range(60), coords).encode()
+        assert blob[HEADER_SIZE + 15] == 0x20
+        assert len(blob) < HEADER_SIZE + 16 + 60 + 1 + 180 * 7
+        assert decode(blob).coords.view("<u8").tolist() == coords.view("<u8").tolist()
+
+    @pytest.mark.parametrize(
+        "name,coords",
+        [
+            ("a negative value", np.array([[0.5, 3.0], [-0.75, 5.0]])),
+            ("-0.0", np.array([[0.5, 3.0], [-0.0, 5.0]])),
+            ("nan", np.array([[0.5, 3.0], [np.nan, 5.0]])),
+            ("inf", np.array([[0.5, 3.0], [np.inf, 5.0]])),
+            ("integers past 64 bits", np.array([[1.0, 3.0], [2.0**64, 5.0]])),
+        ],
+    )
+    def test_blocks_without_a_quantum_layout_keep_version_8(self, name, coords):
+        assert quantize(coords) is None, name
+        blob = ResultMessage(1, 0, (0, 1), coords).encode()
+        assert not blob[HEADER_SIZE + 15] & 0x20
+        assert decode(blob).coords.view("<u8").tolist() == coords.view("<u8").tolist()
+
+    def test_a_larger_quantum_block_keeps_version_8(self):
+        """One value of 53 significant bits: 8 bytes as version 8 sends
+        it, 10 (exponent, an 8-byte base, width) quantum-coded."""
+        coords = np.array([[0.6]])
+        assert quantize(coords).nbytes(1) == 10
+        assert coord_width(coords) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "name,column_0",
+        [
+            ("exponent not the largest", _column(-3, 4, 3, [0, 2, 4])),
+            ("base not the smallest", _column(-2, 1, 2, [1, 2, 3])),
+            ("width not the fewest bits", _column(-2, 2, 3, [0, 1, 2])),
+        ],
+    )
+    def test_a_column_the_encoder_would_not_write_is_refused(self, name, column_0):
+        """Each of these holds the same three values as the hand block."""
+        blob = self._record(3, 2, column_0 + self.COLUMNS[1])
+        self._refused(blob, "not their values' own")
+
+    def test_a_column_of_zeros_has_exponent_zero(self):
+        block = _column(1, 0, 0, [0, 0, 0]) + self.COLUMNS[1]
+        self._refused(self._record(3, 2, block), "not their values' own")
+        assert decode(self._record(3, 2, _column(0, 0, 0, [0, 0, 0]) + self.COLUMNS[1]))
+
+    def test_a_block_no_smaller_than_version_8_is_refused(self):
+        coords = np.array([[0.6]])
+        base = int(0.6 * 2.0**53)
+        blob = self._record(1, 1, _column(-53, base, 0, [0]))
+        self._refused(blob, "not smaller than its version 8 layout")
+        assert ResultMessage(1, 0, (0,), coords).encode() != blob
+
+    @pytest.mark.parametrize(
+        "name,block,match",
+        [
+            ("width past 64", _column(0, 0, 65, [0, 0, 0]), "past 64"),
+            ("53 significant bits", _column(0, 2**53 + 1, 0, [0, 0, 0]), "53 significant"),
+            ("an integer past 64 bits", _column(0, 2**64 - 1, 1, [0, 1, 0]), "past 64 bits"),
+            ("exponent below -1074", _column(-1075, 1, 1, [0, 1, 0]), "-1074..1023"),
+            ("exponent above 1023", _column(1024, 1, 1, [0, 1, 0]), "-1074..1023"),
+            ("a value past the largest double", _column(1023, 2, 1, [0, 1, 0]), "largest double"),
+            ("padding bit", _column(-2, 2, 2, [0, 1, 2])[:3] + b"\xa4", "padding bit"),
+            ("varint not minimal", b"\x83\x00" + _column(-2, 2, 2, [0, 1, 2])[1:], "not minimal"),
+            ("varint past 64 bits", b"\x03" + b"\xff" * 9 + b"\x02" + b"\x00", "overflows 64 bits"),
+            ("varint longer than 10 bytes", b"\x03" + b"\x80" * 10 + b"\x00", "longer than 10"),
+        ],
+    )
+    def test_a_malformed_column_is_refused(self, name, block, match):
+        self._refused(self._record(3, 2, block + self.COLUMNS[1]), match)
+
+    @pytest.mark.parametrize("flags", [0x80, 0x40, 0x10, 0x07, 0x08])
+    def test_the_flag_is_the_whole_width_byte(self, flags):
+        blob = self._record(3, 2, b"".join(self.COLUMNS), width_byte=0x20 | flags)
+        self._refused(blob, "coordinate width")
+
+    def test_an_empty_block_is_never_quantum_coded(self):
+        self._refused(self._record(0, 2, b""), "never quantum-coded")
+
+    def test_a_byte_past_the_columns_is_refused(self):
+        self._refused(self._record(3, 2, b"".join(self.COLUMNS) + b"\x00"), "result body has")
+
+    def test_every_prefix_of_a_quantum_record_is_a_wire_error(self):
+        blob = ResultMessage(1, 0, (0, 1, 2), self.HAND).encode()
+        for cut in range(len(blob)):
+            short = bytearray(blob[:cut])
+            if cut >= HEADER_SIZE:
+                struct.pack_into("<I", short, 12, cut - HEADER_SIZE)
+            for read in (decode, lambda b: cost_estimate(b, DEFAULT_COST_MODEL)):
+                with pytest.raises(WireError):
+                    read(blob[:cut])
+                with pytest.raises(WireError):
+                    read(bytes(short))

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.p2p.cost import DEFAULT_COST_MODEL, CostModel, coord_width, id_bytes, id_width
+from repro.p2p.cost import (
+    DEFAULT_COST_MODEL, CostModel, Quanta, coord_width, id_bytes, id_width, quantize,
+)
 from repro.p2p.wire import QueryMessage, ResultMessage, WireError, cost_estimate, decode
 
 finite_floats = st.floats(0, 1e9, allow_nan=False)
@@ -29,7 +35,10 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 def width_byte(coords) -> int:
     """The coordinate width byte a record of ``coords`` carries: the
-    (first) width, ``0x80`` for a zero bitmap, ``0x40`` per column."""
+    (first) width, ``0x80`` for a zero bitmap, ``0x40`` per column, or
+    ``0x20`` alone for a quantum-coded block."""
+    if isinstance(coord_width(coords)[0], Quanta):
+        return 0x20
     low, sent = map(np.atleast_1d, coord_width(coords))
     bitmap = 0x80 if sent.sum() < np.size(coords) else 0
     return int(low[0]) | bitmap | (0x40 if len(low) > 1 else 0)
@@ -149,7 +158,8 @@ def test_coordinate_block_roundtrips_bit_for_bit(n, k, shared, base, mark, data)
     assert back.ids.tolist() == list(range(n)) and back.final is (mark == "final")
     low, sent = coord_width(coords)
     assert blob[16 + 15] == width_byte(coords)
-    assert max(np.atleast_1d(low)) <= 8 - shared if n * k else low == 8
+    if not isinstance(low, Quanta):
+        assert max(np.atleast_1d(low)) <= 8 - shared if n * k else low == 8
     estimate = cost_estimate(blob, DEFAULT_COST_MODEL)
     assert estimate == DEFAULT_COST_MODEL.result_bytes(n, k, id_bytes(range(n)), low, sent)
     assert estimate - len(blob) == 32
@@ -258,6 +268,138 @@ def test_ids_and_doubles_roundtrip_bit_for_bit_in_ascending_id_order(ids, k, bas
     order = np.argsort(np.array(ids, dtype=np.int64), kind="stable")
     assert back.ids.tolist() == [ids[i] for i in order] == sorted(ids)
     assert back.coords.view("<u8").tolist() == bits[order].tolist()
+
+
+def quanta_by_hand(coords):
+    """``(exponents, bases, widths)`` of the quantum layout of the
+    ``n x k`` block ``coords``, worked out with Python fractions, or
+    ``None`` when a value is negative, ``-0.0`` or not finite, or an
+    integer of a column does not fit 64 bits."""
+    columns = list(zip(*np.asarray(coords).tolist()))
+    if not columns or not columns[0]:
+        return None
+    quanta: tuple[list, list, list] = ([], [], [])
+    for column in columns:
+        if any(math.copysign(1.0, v) < 0 or not math.isfinite(v) for v in column):
+            return None
+        lowest = []
+        for value in filter(None, column):
+            num, den = value.as_integer_ratio()  # den a power of two, num odd unless den is 1
+            lowest.append((num & -num).bit_length() - den.bit_length())
+        q = min(lowest, default=0)
+        integers = [int(Fraction(v) / Fraction(2) ** q) for v in column]
+        if max(integers) >> 64:
+            return None
+        for field, value in zip(quanta, (q, min(integers), (max(integers) - min(integers)).bit_length())):
+            field.append(value)
+    return tuple(map(tuple, quanta))
+
+
+def quantum_block(coords) -> bytes:
+    """The quantum-coded block of ``coords``, written out with Python
+    integers: per column its exponent (zigzag LEB128), base (LEB128) and
+    width (1 byte), then its integers less the base, ``width`` bits each,
+    lowest bit first."""
+
+    def leb128(word: int) -> bytes:
+        out = bytearray()
+        while word >= 0x80:
+            out.append(word & 0x7F | 0x80)
+            word >>= 7
+        return bytes(out + bytes([word]))
+
+    out = b""
+    for j, (q, base, width) in enumerate(zip(*quanta_by_hand(coords))):
+        packed = 0
+        for i, value in enumerate(np.asarray(coords)[:, j].tolist()):
+            packed |= (int(Fraction(value) / Fraction(2) ** q) - base) << i * width
+        n = len(coords)
+        out += leb128(2 * q if q >= 0 else -2 * q - 1) + leb128(base) + bytes([width])
+        out += packed.to_bytes((n * width + 7) // 8, "little")
+    return out
+
+
+def v8_encode(message: ResultMessage) -> bytes:
+    """``message`` laid out as version 8 would, with no quantum layout
+    (but the version byte of the codec)."""
+    with mock.patch("repro.p2p.cost.quantize", lambda block: None):
+        return message.encode()
+
+
+@st.composite
+def quantum_blocks(draw):
+    """``n x k`` blocks of the kinds a record meets: dyadic columns,
+    integer values, uniform doubles of 53 bits (what ``rng.random``
+    returns) clipped to the unit cube, subnormals, mixed exponents, and
+    blocks holding a negative value, a ``-0.0`` or all zeros."""
+    n, k = draw(st.integers(0, 30)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(
+        ["dyadic", "integer", "clipped", "subnormal", "mixed", "negative", "-0.0", "zeros"]
+    ))
+
+    def ints(low: int, high: int) -> np.ndarray:
+        return np.array(draw(st.lists(st.integers(low, high), min_size=n * k, max_size=n * k)),
+                        dtype=np.float64).reshape(n, k)
+
+    if kind == "dyadic":
+        scale = np.array(draw(st.lists(st.integers(-70, 20), min_size=k, max_size=k)))
+        return np.ldexp(ints(0, 2**20), scale)
+    if kind == "integer":
+        return ints(0, 10**6)
+    if kind == "clipped":
+        return np.clip(np.ldexp(ints(0, 2**53 - 1), -53) * 1.5 - 0.25, 0.0, 1.0)
+    if kind == "subnormal":
+        return np.ldexp(ints(0, 2**52 - 1), -1074)
+    if kind == "mixed":
+        return np.array(draw(st.lists(st.floats(0, 1e300, allow_subnormal=True),
+                                      min_size=n * k, max_size=n * k))).reshape(n, k)
+    if kind == "zeros":
+        return np.zeros((n, k))
+    block = np.ldexp(ints(0, 2**53 - 1), -53)
+    if n * k:
+        block.reshape(-1)[draw(st.integers(0, n * k - 1))] = -0.0 if kind == "-0.0" else -0.5
+    return block
+
+
+@given(quantum_blocks(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_a_v9_record_is_never_longer_than_v8(coords, data):
+    """Version 9 sends a block quantum-coded exactly when that is
+    strictly smaller than version 8's layout of it, and is version 8's
+    record byte for byte otherwise; the quantum block is the one a
+    plain-integer writer gives, at the ids' end."""
+    ids = data.draw(st.lists(st.integers(0, 4999) | ids_strategy, min_size=len(coords),
+                             max_size=len(coords)))
+    message = ResultMessage(1, 0, ids, coords)
+    blob, v8 = message.encode(), v8_encode(message)
+    assert len(blob) <= len(v8)
+    layout = coord_width(coords)[0]
+    assert isinstance(layout, Quanta) is (len(blob) < len(v8)) is (blob[16 + 15] == 0x20)
+    if isinstance(layout, Quanta):
+        assert (layout.exponents, layout.bases, layout.bits) == quanta_by_hand(coords)
+        # The rows in ascending id order, as the record sends them.
+        assert blob.endswith(quantum_block(message.coords))
+        assert len(blob) == 32 + id_bytes(ids) + len(quantum_block(coords))
+    else:
+        assert blob == v8
+    assert cost_estimate(blob, DEFAULT_COST_MODEL) - len(blob) == 32
+
+
+@given(quantum_blocks(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_every_double_roundtrips_bit_for_bit_in_either_layout(coords, single):
+    """Dyadic, integer-valued, clipped, subnormal, mixed-exponent,
+    negative, ``-0.0`` and all-zero blocks — and their first point alone
+    — come back bit for bit, and ``quantize`` agrees with the plain
+    fractions wherever it finds a layout."""
+    coords = coords[:1] if single else coords
+    back = decode(ResultMessage(1, 0, range(len(coords)), coords).encode())
+    assert back.coords.shape == coords.shape
+    assert back.coords.view("<u8").tolist() == coords.view("<u8").tolist()
+    quanta = quantize(coords)
+    assert quanta_by_hand(coords) == (
+        None if quanta is None else (quanta.exponents, quanta.bases, quanta.bits)
+    )
 
 
 @given(st.binary(max_size=200))

@@ -8,7 +8,7 @@ and ``f`` in order), every deterministic count and, under a fixed-tick
 ``time.perf_counter``, both model times to the last bit.
 
 It was first recorded from the parent commit of the PR that unified
-Algorithm 3 (the plan-based executor), and re-recorded eight times since.
+Algorithm 3 (the plan-based executor), and re-recorded nine times since.
 Once when ``f`` came off the backbone (a RESULT record is id + the k
 queried coordinates; a merged answer is ordered by, and its ``f`` is,
 the minimum over the queried coordinates): against the tree before,
@@ -57,7 +57,15 @@ ascending order, as LEB128 gaps when that is strictly smaller than the
 by exactly the sum of ``n * w - id_bytes(ids)`` over its result
 messages in the 20 cases with ``k`` in ``{2, d}`` on ``mesh`` and
 ``deep`` (166 474 → 164 063 B over all 45), and ``total_time`` with the
-transfers in those 20 alone.  CHANGES.md has all eight comparisons.
+transfers in those 20 alone.  Once when a RESULT block of non-negative
+finite doubles could travel as bit-packed integers of one power of two
+per column, when that is strictly smaller (wire version 9): every case
+kept ``ids``, ``f``, every count, ``computational_time`` and
+``initial_threshold``; ``volume_bytes`` fell by exactly the sum of each
+result message's version 8 charge less its version 9 one in the 10
+full-space cases of ``mesh`` and ``deep`` (164 063 → 162 299 B over all
+45), and ``total_time`` with the transfers in 8 of them.  CHANGES.md has
+all nine comparisons.
 
 The first file's ``critical_path_examined`` was right for the \\*PM
 variants only (the plan dropped the ``work`` component from every
@@ -83,8 +91,10 @@ import pytest
 
 from repro.core.merging import merge_sorted_skylines
 from repro.data.workload import Query
-from repro.p2p.cost import coord_width, id_bytes, id_width
+from repro.p2p import cost as cost_module
+from repro.p2p.cost import Quanta, coord_width, id_bytes, id_width
 from repro.p2p.network import SuperPeerNetwork
+from repro.p2p.wire import ResultMessage
 from repro.skypeer.executor import _ModelClocks, execute_query, run_on_model_clocks, spanning_tree
 from repro.skypeer.variants import Variant
 
@@ -194,16 +204,23 @@ def test_volume_is_headers_plus_point_hops(networks, anti_network, monkeypatch, 
     (its non-+0.0 ones when it mixes +0.0 with others, else all) and
     ``c`` the low bytes those do not all share (all read here through a
     spy on the carrier).  A block laid out per column pays ``k − 1`` width
-    bytes and each column's ``8 − c_j`` and ``nz_j·c_j`` instead.
+    bytes and each column's ``8 − c_j`` and ``nz_j·c_j`` instead, and a
+    quantum-coded one (``coord_width`` a ``Quanta``) its ``nbytes``.
     Nothing else travels, so a change to either record shows here and
     not only in a bench."""
     sent: list[tuple[int, int, int, int]] = []  # (points, id bytes, coord bytes, nz)
     columns: list[tuple[int, int]] = []  # (n·w, id bytes): the gaps when smaller
+    quanta: list[bool] = []  # whether each block is quantum-coded
     send_result = _ModelClocks.send_result
 
     def spy(self, src, dst, origin, result, final, at):
-        low, nonzero = map(np.atleast_1d, coord_width(result.points.values[:, list(self._subspace)]))
-        block = len(low) - 1 + int((8 - low).sum()) + int(nonzero @ low)
+        layout = coord_width(result.points.values[:, list(self._subspace)])
+        if isinstance(layout[0], Quanta):
+            block, nonzero = layout[0].nbytes(len(result)), np.atleast_1d(layout[1])
+        else:
+            low, nonzero = map(np.atleast_1d, layout)
+            block = len(low) - 1 + int((8 - low).sum()) + int(nonzero @ low)
+        quanta.append(isinstance(layout[0], Quanta))
         ids = result.points.ids
         sent.append((len(result), id_bytes(ids), block, int(nonzero.sum())))
         columns.append((len(ids) * id_width(ids), id_bytes(ids)))
@@ -234,7 +251,35 @@ def test_volume_is_headers_plus_point_hops(networks, anti_network, monkeypatch, 
             ), (name, subspace)
             bitmaps += sum(nz < n * k for n, _, _, nz in sent)
             gapped += sum(ids < column for column, ids in columns)
-    assert bitmaps > 0 and gapped > 0
+    assert bitmaps > 0 and gapped > 0 and any(quanta) and not all(quanta)
+
+
+def test_each_record_saves_what_its_charge_saves(networks, monkeypatch):
+    """Over the uniform mesh, every RESULT record of every variant and
+    subspace is shorter than its version 8 layout by exactly what the
+    model's charge saves, and some are."""
+    sent: list[tuple[np.ndarray, np.ndarray]] = []
+    send_result = _ModelClocks.send_result
+
+    def spy(self, src, dst, origin, result, final, at):
+        sent.append((result.points.ids, result.points.values[:, list(self._subspace)]))
+        send_result(self, src, dst, origin, result, final, at)
+
+    monkeypatch.setattr(_ModelClocks, "send_result", spy)
+    network = networks["mesh"]
+    for subspace in _subspaces(network.dimensionality):
+        for variant in Variant:
+            execute_query(network, Query(subspace=subspace, initiator=_initiator(network)), variant)
+    model, saved = network.cost_model, []
+    for ids, values in sent:
+        message = ResultMessage(1, 0, ids, values)
+        v9 = len(message.encode()), model.list_bytes(ids, values)
+        with monkeypatch.context() as patch:
+            patch.setattr(cost_module, "quantize", lambda block: None)
+            v8 = len(message.encode()), model.list_bytes(ids, values)
+        assert v8[0] - v9[0] == v8[1] - v9[1] >= 0
+        saved.append(v8[0] - v9[0])
+    assert sum(map(bool, saved)) > 0
 
 
 @pytest.mark.parametrize("name", ["mesh", "deep"])
