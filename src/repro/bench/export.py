@@ -48,10 +48,13 @@ uses the paper's exact parameters (N_p up to 80000; hours in CPython).
 execution schedule counting computation only (Figure 3(b)'s
 "neglecting network delays"); *total time* adds store-and-forward
 transfers at the paper's 4 KB/s per connection; *volume* counts the
-bytes of every query/result message crossing every link.  Timings are
-wall-clock measurements of the actual Python computations and hence
-jitter a few percent between runs; volumes and message counts are
-deterministic.
+bytes of every query/result message crossing every link.  Every figure
+runs serially, in one process, so a figure's variants differ in their
+algorithm and nothing else.  Timings are wall-clock measurements of the
+actual Python computations: the same 30 `default` queries moved ±30 %
+between seven identical runs in one process, while the order of the
+four variants held in each, so read a time column's shape, not its
+digits.  Volumes and message counts are deterministic.
 
 **Known deviations.**  (1) Algorithm 1/2 process threshold *ties*
 (`f(p) == t`), which the paper's `<` loop would drop — required for the

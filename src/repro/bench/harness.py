@@ -5,11 +5,7 @@ into a pre-processed network (memoized per process — figure sweeps
 reuse networks across variants), ``run_queries`` executes a workload
 under one or more variants and aggregates the paper's three metrics:
 computational time, total time and transferred volume.  Every
-(query, variant) execution is independent, so ``run_queries`` can fan
-them out over a process pool (``workers``, the ambient default set by
-``skypeer --workers`` / ``REPRO_WORKERS``, see :mod:`repro.parallel`);
-aggregation is shared with the serial path and consumes results in the
-serial loop's order, so the statistics are identical either way.
+execution runs serially, in this process.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import numpy as np
 from ..data.workload import Query, generate_workload
 from ..obs.runtime import active_metrics
 from ..p2p.network import SuperPeerNetwork
-from ..parallel import resolve_workers
 from ..skypeer.executor import QueryExecution, execute_query
 from ..skypeer.variants import Variant
 from .config import ExperimentConfig
@@ -115,30 +110,15 @@ def run_queries(
     network: SuperPeerNetwork,
     queries: Sequence[Query],
     variants: Iterable[Variant | str],
-    workers: int | None = None,
 ) -> dict[Variant, VariantStats]:
-    """Execute every query under every variant and aggregate.
-
-    ``workers`` > 1 distributes the independent (query, variant)
-    executions over the persistent process-pool engine; ``None``
-    consults the ambient default (serial when unset).  Results, work
-    counts and metric counter totals are identical to a serial run.
-    """
+    """Execute every query under every variant and aggregate."""
     variant_list = [
         Variant.parse(v) if isinstance(v, str) else v for v in variants
     ]
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and queries:
-        from ..parallel import run_queries_parallel
-
-        runs_by_variant = run_queries_parallel(
-            network, list(queries), variant_list, n_workers
-        )
-    else:
-        runs_by_variant = {
-            variant: [execute_query(network, q, variant) for q in queries]
-            for variant in variant_list
-        }
+    runs_by_variant = {
+        variant: [execute_query(network, q, variant) for q in queries]
+        for variant in variant_list
+    }
     stats: dict[Variant, VariantStats] = {}
     metrics = active_metrics()
     for variant in variant_list:

@@ -6,10 +6,9 @@ Several figures are different projections of the same sweep (3(b) and
 and are memoized per scale: running `fig3c` after `fig3b` costs
 nothing extra.
 
-A sweep runs its queries through :func:`repro.bench.harness.run_queries`
-at the ambient worker count (``skypeer --workers`` / ``REPRO_WORKERS``);
-parallel and serial runs produce identical statistics, so the memo key
-deliberately ignores it.
+A sweep runs its queries serially, in one process, through
+:func:`repro.bench.harness.run_queries`, so a figure's variants differ
+in their algorithm and nothing else.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 ::
 
     skypeer figure fig3b --scale tiny       # one experiment
-    skypeer all --scale default --workers 4 # every table/figure, 4 procs
+    skypeer all --scale default             # every table/figure
     skypeer serve --peers 60 --dims 5       # asyncio query gateway
     skypeer update insert --peer-id 3 --random 4 --port-file gw.port
                                             # live update on a gateway
@@ -21,7 +21,6 @@ import argparse
 import inspect
 import sys
 import time
-from contextlib import contextmanager
 from typing import Sequence
 
 from .data.workload import Query
@@ -39,10 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    workers_help = (
-        "process-pool size for query execution (default: serial, or "
-        "REPRO_WORKERS; negative = one per CPU)"
-    )
     transport_help = (
         "execution carrier: 'sim' (discrete-event simulation, default) or "
         "'socket' (real TCP via asyncio)"
@@ -54,12 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
         fig.add_argument("experiment", choices=sorted(bench.EXPERIMENTS))
         fig.add_argument("--scale", choices=_scales(), default=None)
         fig.add_argument("--markdown", action="store_true", help="emit Markdown instead of text")
-        fig.add_argument("--workers", type=int, default=None, help=workers_help)
 
     def all_arguments(allp: argparse.ArgumentParser) -> None:
         allp.add_argument("--scale", choices=_scales(), default=None)
         allp.add_argument("--markdown", action="store_true")
-        allp.add_argument("--workers", type=int, default=None, help=workers_help)
 
     def export_arguments(ex: argparse.ArgumentParser) -> None:
         ex.add_argument("--scale", choices=_scales(), default=None)
@@ -83,9 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="bind host (default 127.0.0.1)")
     sv.add_argument("--port", type=int, default=None,
                     help="bind port (default: ephemeral)")
-    sv.add_argument("--backend", choices=("engine", "serial", "socket"), default="engine",
+    sv.add_argument("--backend", choices=("engine", "serial"), default="engine",
                     help="execution path for admitted queries (default engine)")
-    sv.add_argument("--workers", type=int, default=None, help=workers_help)
+    sv.add_argument("--workers", type=int, default=None,
+                    help="engine pool size (default: one worker; negative = one per CPU)")
     sv.add_argument("--duration", type=float, default=None,
                     help="serve for N seconds then shut down "
                          "(default: until interrupted)")
@@ -200,18 +194,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{name}: {headline}")
         return 0
     if args.command == "figure":
-        with _ambient_workers(args.workers):
-            table = bench.run_experiment(args.experiment, args.scale)
+        table = bench.run_experiment(args.experiment, args.scale)
         print(table.to_markdown() if args.markdown else table.to_text())
         return 0
     if args.command == "all":
-        with _ambient_workers(args.workers):
-            for name in sorted(bench.EXPERIMENTS):
-                started = time.time()
-                table = bench.run_experiment(name, args.scale)
-                print(table.to_markdown() if args.markdown else table.to_text())
-                print(f"[{name} finished in {time.time() - started:.1f}s]")
-                print()
+        for name in sorted(bench.EXPERIMENTS):
+            started = time.time()
+            table = bench.run_experiment(name, args.scale)
+            print(table.to_markdown() if args.markdown else table.to_text())
+            print(f"[{name} finished in {time.time() - started:.1f}s]")
+            print()
         return 0
     if args.command == "serve":
         return _run_serve(args)
@@ -227,29 +219,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return export_main(["--output", args.output] +
                            (["--scale", args.scale] if args.scale else []))
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
-
-
-@contextmanager
-def _ambient_workers(workers: int | None):
-    """Scope the CLI ``--workers`` value as the ambient pool size.
-
-    The harness resolves the ambient value into one persistent
-    :class:`~repro.parallel.ParallelEngine` (shared worker pool +
-    published networks) that survives across every experiment of the
-    command; it is shut down — shm segments unlinked — when the
-    command's scope exits.
-    """
-    from .parallel import set_default_workers, shutdown_engines
-
-    if workers is None:
-        yield
-        return
-    set_default_workers(workers)
-    try:
-        yield
-    finally:
-        set_default_workers(None)
-        shutdown_engines()
 
 
 def _run_serve(args: argparse.Namespace) -> int:

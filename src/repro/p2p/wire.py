@@ -52,6 +52,8 @@ Payloads:
   layout, and the quantum one (:func:`repro.p2p.cost.quantize`) only
   when it is strictly smaller than both — so the record costs what the
   cost model charges for it, and every double comes back bit for bit.
+  The reader refuses every record the encoder would not write for the
+  message it decodes to, so each message has one encoding.
   Its kind byte also says where the message stands on its link: a plain
   result, a *final* one (the last message the sender's subtree puts on
   this link), or a *decline* (no result will ever come over this link —
@@ -347,6 +349,7 @@ class ResultMessage:
             ids = _words(body, ids_at, n, width, 0).view("<i8")
         if (ids[1:] < ids[:-1]).any():
             raise WireError("the ids are not in ascending order")
+        _check_id_layout(ids, id_byte, id_size)
         start = ids_at + id_size
         if widths is None:
             coords = _quantum_values(body, start, n, k)
@@ -395,14 +398,50 @@ def _byte_values(
         groups.append(_words(body, start + shared, count, low, high))
         start += shared + count * low
     if zero is None and len(widths) == 1:
-        return groups[0].reshape(n, k).view("<f8")
-    coords = np.zeros((n, k), dtype="<u8")
-    sent_at = np.ones((n, k), bool) if zero is None else ~zero.reshape(n, k)
-    if len(widths) == 1:
-        coords[sent_at] = groups[0]
+        coords = groups[0].reshape(n, k)
     else:
-        coords.T[sent_at.T] = np.concatenate(groups)  # column by column
+        coords = np.zeros((n, k), dtype="<u8")
+        sent_at = np.ones((n, k), bool) if zero is None else ~zero.reshape(n, k)
+        if len(widths) == 1:
+            coords[sent_at] = groups[0]
+        else:
+            coords.T[sent_at.T] = np.concatenate(groups)  # column by column
+    _check_byte_layout(coords.view("<f8"), block, widths, sent)
     return coords.view("<f8")
+
+
+def _check_byte_layout(
+    coords: np.ndarray, block: int, widths: np.ndarray, sent: np.ndarray
+) -> None:
+    """Refuse a byte-grouped block the encoder would not write for the
+    ``coords`` it holds: its flags, its widths and the values each group
+    sends must be :func:`repro.p2p.cost.coord_width`'s, so a width wider
+    than its group's shared bytes need, a ``+0.0`` sent beside a bitmap,
+    and a layout that is not the smallest are all refused."""
+    layout = coord_width(coords)
+    if isinstance(layout[0], Quanta):
+        raise WireError("a byte-coded block is not smaller than its quantum layout")
+    own_widths, own_sent = np.atleast_1d(layout[0]), np.atleast_1d(layout[1])
+    flags = _ZERO_BITMAP if own_sent.sum() < coords.size else 0
+    if len(own_widths) > 1:
+        flags |= _COLUMNS
+    read = (block & (_ZERO_BITMAP | _COLUMNS), widths.tolist(), sent.tolist())
+    own = (flags, own_widths.tolist(), own_sent.tolist())
+    if read != own:
+        raise WireError(f"coordinate layout {read} is not its values' own {own}")
+
+
+def _check_id_layout(ids: np.ndarray, id_byte: int, size: int) -> None:
+    """Refuse an id block of ``size`` bytes the encoder would not write
+    for ``ids``: its width must be :func:`repro.p2p.cost.id_width`'s, and
+    it must be gap-coded, in minimal varints, exactly when
+    :func:`repro.p2p.cost.id_bytes` finds the gaps smaller."""
+    width = id_byte & ~_ID_GAPS
+    own = id_width(ids)
+    if width != own:
+        raise WireError(f"id width {width} is not the ids' own {own}")
+    if size != id_bytes(ids):
+        raise WireError(f"an id block of {size} bytes is not the ids' own {id_bytes(ids)}")
 
 
 def _quantum_block(values: np.ndarray, quanta: Quanta) -> bytes:

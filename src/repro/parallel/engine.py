@@ -1,32 +1,31 @@
-"""The persistent process-pool engine: lifecycle, batching, affinity.
+"""The persistent process-pool engine: lifecycle, publications, updates.
 
 Design notes
 ------------
 *Persistence.*  PR 2 spun a fresh ``ProcessPoolExecutor`` (and shipped
-a fresh ``.npz`` snapshot) for every ``run_queries`` call, so pool
-startup and per-task IPC dominated exactly the many-small-queries
-regimes the paper evaluates.  :class:`ParallelEngine` is created once
-and reused: workers stay warm across calls and whole bench sweeps, and
-each network is *published* once, one segment per super-peer slot of
-the shared-memory data plane (:mod:`repro.parallel.shm`), which workers
-attach zero-copy.  After an update the publication *syncs*: only the
+a fresh ``.npz`` snapshot) for every call, so pool startup dominated
+exactly the many-small-queries regimes the paper evaluates.
+:class:`ParallelEngine` is created once and reused: workers stay warm
+across calls, and each network is *published* once, one segment per
+super-peer slot of the shared-memory data plane
+(:mod:`repro.parallel.shm`), which workers attach zero-copy.  After an update the publication *syncs*: only the
 slots whose store generation moved are rewritten, and a worker re-maps
-only those at its next batch.  It is the only way data reaches a
+only those at its next task.  It is the only way data reaches a
 worker, and it is byte-faithful: the worker sees the parent's stores
 verbatim, so a scan run on either side agrees.  A worker scans each store whole
 through its attached network's scan memo
 (:meth:`~repro.p2p.network.SuperPeerNetwork.scan`), as every other
 caller does — the engine has no scan path of its own.
 
-*Batching and subspace affinity.*  Tasks are submitted as chunks, not
-one IPC round-trip per (query, variant) pair.  Chunks are formed by
-grouping tasks on the query subspace, so queries over the same
-subspace run on the same worker, where the attached network's scan memo
-(:class:`~repro.p2p.network.ScanMemo`) replays their repeated scans
-across queries and variants.
-Each worker keeps as many networks attached as the engine keeps
-published, so sweeps alternating between configurations neither
-re-attach per batch nor lose their scan memos.
+*One query, one task.*  :meth:`ParallelEngine.run_query` submits one
+(query, variant) execution to the pool, which runs it on whichever
+worker is free; that worker's attached network's scan memo
+(:class:`~repro.p2p.network.ScanMemo`) replays the scans it has
+already run.  Each worker keeps as many networks attached as the
+engine keeps published, so callers alternating between networks
+neither re-attach per task nor lose their scan memos.  Only
+pre-processing batches: its per-super-peer computations go out in
+chunks, several per worker.
 
 *Pool before data.*  Workers fork from whatever heap the parent has
 when the engine is created, and never read it — they attach the
@@ -40,10 +39,10 @@ imported nearly all of ``repro`` through the package ``__init__``s,
 ``asyncio``, ``ssl``, the gateway and the socket transport included,
 and every worker inherits those modules.
 
-*Determinism.*  Every task carries its index in the serial loop's
-iteration order and the parent reassembles results by index, so the
-aggregated statistics cannot depend on chunking or worker scheduling.
-Metric snapshots ride back one per batch and merge commutatively.
+*Determinism.*  A task reads a publication that is byte-faithful to
+the parent's stores, so its result, work counts and metric totals
+equal a serial run's.  Metric snapshots ride back one per task and
+merge commutatively.
 
 *A dead worker.*  When a worker process dies (SIGKILL, the OOM killer)
 ``concurrent.futures`` marks the whole pool broken, and every later
@@ -57,7 +56,7 @@ propagates (the gateway answers it as a backend error).
 *Observability.*  Workers never install a tracer (spans model the
 simulated distributed schedule, which the parent owns).  When the
 parent has an active :class:`~repro.obs.metrics.MetricsRegistry`, each
-batch records into a fresh worker-local registry and ships its
+task records into a fresh worker-local registry and ships its
 snapshot back; the parent additionally emits ``parallel.*`` counters
 and histograms describing the engine itself (batches, tasks, sync
 timings) — see :class:`EngineStats`.
@@ -96,22 +95,15 @@ if TYPE_CHECKING:  # annotations only; ``repro/__init__`` imports these anyway
 __all__ = [
     "EngineStats",
     "ParallelEngine",
-    "default_workers",
     "get_engine",
     "preprocess_network_parallel",
     "resolve_workers",
-    "run_queries_parallel",
-    "set_default_workers",
     "shutdown_engines",
     "start_method",
 ]
 
-#: Ambient worker count (CLI ``--workers`` / ``REPRO_WORKERS``) applied
-#: when the bench harness is called without an explicit value.
-_DEFAULT_WORKERS: int | None = None
-
-#: Chunks per worker targeted by the batcher: small enough to amortize
-#: IPC, large enough to rebalance when chunk costs are uneven.
+#: Pre-processing chunks per worker: small enough to amortize IPC,
+#: large enough to rebalance when chunk costs are uneven.
 _BATCH_OVERSUBSCRIBE = 4
 
 #: Publications kept per engine before the least recently used one is
@@ -121,29 +113,12 @@ _BATCH_OVERSUBSCRIBE = 4
 _PUBLICATION_CAP = 8
 
 
-def set_default_workers(workers: int | None) -> None:
-    """Set the ambient worker count (``None`` restores serial/env)."""
-    global _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = workers
-
-
-def default_workers() -> int | None:
-    """The ambient worker count: ``set_default_workers`` or env."""
-    if _DEFAULT_WORKERS is not None:
-        return _DEFAULT_WORKERS
-    raw = os.environ.get("REPRO_WORKERS")
-    return int(raw) if raw else None
-
-
-def resolve_workers(workers: int | None, use_default: bool = True) -> int:
+def resolve_workers(workers: int | None) -> int:
     """Normalize a worker-count request to an effective pool size.
 
-    ``None`` consults the ambient default (unless ``use_default`` is
-    off) and falls back to serial; ``0``/``1`` mean serial; a negative
-    value means "one per CPU".
+    ``None``, ``0`` and ``1`` mean serial; a negative value means "one
+    per CPU".
     """
-    if workers is None and use_default:
-        workers = default_workers()
     if workers is None or workers == 0:
         return 1
     if workers < 0:
@@ -236,12 +211,10 @@ def _materialize(spec: dict[str, Any]) -> tuple[AttachedNetwork, dict[str, Any] 
     return attached, _timed_sync(attached, manifest)
 
 
-def _run_query_batch(
-    spec: dict[str, Any],
-    tasks: Sequence[tuple[int, "Query", str]],
-    collect_metrics: bool,
+def _run_query_task(
+    spec: dict[str, Any], query: "Query", variant_value: str, collect_metrics: bool
 ) -> dict[str, Any]:
-    """Execute one chunk of (index, query, variant) tasks."""
+    """Execute one query under one variant against the spec's publication."""
     from ..obs.metrics import MetricsRegistry
     from ..obs.runtime import install, uninstall
     from ..skypeer.executor import execute_query
@@ -251,22 +224,19 @@ def _run_query_batch(
     network = attached.network
     before = network.scan_memo.counts()
     started = time.perf_counter()
-    runs: list[tuple[int, "QueryExecution"]] = []
     registry = MetricsRegistry() if collect_metrics else None
     if registry is not None:
         install(None, registry)
     try:
-        for index, query, variant_value in tasks:
-            run = execute_query(network, query, Variant.parse(variant_value))
-            # Per-super-peer scan traces are debugging detail; dropping
-            # them keeps the result pickle small.
-            run.traces = {}
-            runs.append((index, run))
+        run = execute_query(network, query, Variant.parse(variant_value))
     finally:
         if registry is not None:
             uninstall()
+    # Per-super-peer scan traces are debugging detail; dropping them
+    # keeps the result pickle small.
+    run.traces = {}
     return {
-        "runs": runs,
+        "run": run,
         "snapshot": registry.snapshot() if registry is not None else None,
         "attach": attach,
         "compute_seconds": time.perf_counter() - started,
@@ -462,9 +432,8 @@ class ParallelEngine:
     """A persistent worker pool with published-network bookkeeping.
 
     Create once (or let :func:`get_engine` do it) and reuse across
-    ``run_queries`` calls, pre-processing and whole bench sweeps; the
-    pool, the worker-side network caches and the publications all
-    survive between calls.  Context-manager and ``close()`` tear
+    ``run_query`` calls and pre-processing; the pool, the worker-side
+    network caches and the publications all survive between calls.  Context-manager and ``close()`` tear
     everything down — the pool stops, every segment is unlinked —
     and an ``atexit`` hook guarantees the same at interpreter exit.
     What a hard kill strands, the next engine start removes
@@ -479,7 +448,7 @@ class ParallelEngine:
         self._publications: "OrderedDict[int, _Publication]" = OrderedDict()
         self._token_counter = 0
         self._closed = False
-        # The serving gateway drives ``run_queries`` from several
+        # The serving gateway drives ``run_query`` from several
         # executor threads at once; the publication table, the stats
         # accumulators and close() serialize on this lock (reentrant:
         # ``apply_update`` syncs through ``_publish`` while holding it).
@@ -641,11 +610,11 @@ class ParallelEngine:
         ``kind`` and ``change`` are those of :func:`repro.p2p.workload.
         apply_mutation`, which this runs and whose report it returns.
         The engine adds what it alone owns.  The write side of the epoch
-        gate: concurrent ``run_queries`` calls see either the old epoch
+        gate: concurrent ``run_query`` calls see either the old epoch
         or the new one — never a torn mix.  The republish: the network's
         live publication syncs — only the touched super-peers' slots are
         rewritten (a failed super-peer's slot is dropped), workers re-map
-        just those slots at the next batch, and their memoized scans of
+        just those slots at the next task, and their memoized scans of
         untouched slots keep hitting — and the segments this update
         replaced are unlinked, since in-flight fan-outs have drained.
         The report gains the publication fields, and its ``seconds``
@@ -679,61 +648,37 @@ class ParallelEngine:
         return replace(report, seconds=time.perf_counter() - started, **published)
 
     # ------------------------------------------------------------------
-    # query fan-out
+    # queries
     # ------------------------------------------------------------------
-    def run_queries(
-        self,
-        network: "SuperPeerNetwork",
-        queries: Sequence["Query"],
-        variants: Sequence["Variant"],
-    ) -> dict["Variant", list["QueryExecution"]]:
-        """Fan independent (query, variant) executions out in batches.
+    def run_query(
+        self, network: "SuperPeerNetwork", query: "Query", variant: "Variant | str"
+    ) -> "QueryExecution":
+        """Execute one query under one variant on a pool worker.
 
-        Returns per-variant run lists in the serial loop's order;
-        worker metric snapshots merge into the parent's active
-        registry.  Results are placed by task index, so they are
-        independent of chunking and scheduling.
-
-        Holds the read side of the epoch gate for the whole dispatch,
-        so a concurrent :meth:`apply_update` waits for this fan-out to
-        drain before retiring the segments it supersedes.
+        One task, one pool submission.  The worker's metric snapshot
+        merges into the parent's active registry.  Holds the read side
+        of the epoch gate for the whole dispatch, so a concurrent
+        :meth:`apply_update` waits for this query to drain before
+        retiring the segments it supersedes.
         """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        with self._gate.read():
-            return self._run_queries_gated(network, queries, variants)
-
-    def _run_queries_gated(
-        self,
-        network: "SuperPeerNetwork",
-        queries: Sequence["Query"],
-        variants: Sequence["Variant"],
-    ) -> dict["Variant", list["QueryExecution"]]:
         from ..obs.runtime import active_metrics
         from ..skypeer.variants import Variant
 
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        variant = Variant.parse(variant) if isinstance(variant, str) else variant
         metrics = active_metrics()
-        spec = self._publish(network)[0].spec
-        queries = list(queries)
-        variants = [Variant.parse(v) if isinstance(v, str) else v for v in variants]
-        chunks = _affinity_chunks(queries, variants, self.workers)
-        total = len(queries) * len(variants)
-        payloads = self._fan_out(
-            _run_query_batch, [(spec, chunk, metrics is not None) for chunk in chunks]
-        )
+        with self._gate.read():
+            spec = self._publish(network)[0].spec
+            (payload,) = self._fan_out(
+                _run_query_task, [(spec, query, variant.value, metrics is not None)]
+            )
         with self._lock:
-            self.stats.tasks += total
-        flat: list["QueryExecution" | None] = [None] * total
-        for payload in payloads:
-            self._ingest_batch_stats(payload, metrics)
-            if payload["snapshot"] is not None and metrics is not None:
-                metrics.merge_snapshot(payload["snapshot"])
-            for index, run in payload["runs"]:
-                flat[index] = run
-        runs_by_variant: dict["Variant", list["QueryExecution"]] = {}
-        for v, variant in enumerate(variants):
-            runs_by_variant[variant] = flat[v * len(queries) : (v + 1) * len(queries)]
-        return runs_by_variant
+            self.stats.tasks += 1
+        self._ingest_batch_stats(payload, metrics)
+        if payload["snapshot"] is not None and metrics is not None:
+            metrics.merge_snapshot(payload["snapshot"])
+        return payload["run"]
 
     # ------------------------------------------------------------------
     # pre-processing fan-out
@@ -853,34 +798,6 @@ class ParallelEngine:
         )
 
 
-def _affinity_chunks(
-    queries: Sequence["Query"], variants: Sequence["Variant"], workers: int
-) -> list[list[tuple[int, "Query", str]]]:
-    """Chunk (query, variant) tasks with subspace affinity.
-
-    Tasks are indexed in the serial loop's order (variant-major), then
-    grouped by query subspace so one chunk — hence one worker — serves
-    one subspace and its repeated scans replay from that worker's scan
-    memo across the chunk.  Groups larger than the load-balancing target
-    split into consecutive chunks; ordering is deterministic
-    (first-appearance groups, ascending indices within).
-    """
-    groups: "OrderedDict[tuple[int, ...], list[tuple[int, Query, str]]]" = OrderedDict()
-    index = 0
-    for variant in variants:
-        for query in queries:
-            groups.setdefault(tuple(query.subspace), []).append(
-                (index, query, variant.value)
-            )
-            index += 1
-    target = max(1, math.ceil(index / (max(1, workers) * _BATCH_OVERSUBSCRIBE)))
-    chunks: list[list[tuple[int, "Query", str]]] = []
-    for group in groups.values():
-        for start in range(0, len(group), target):
-            chunks.append(group[start : start + target])
-    return chunks
-
-
 # ----------------------------------------------------------------------
 # shared engines (one per configuration, reused process-wide)
 # ----------------------------------------------------------------------
@@ -930,22 +847,8 @@ def shutdown_engines() -> None:
 
 
 # ----------------------------------------------------------------------
-# one-shot conveniences (the PR 2 entry points, now engine-backed)
+# one-shot convenience (engine-backed)
 # ----------------------------------------------------------------------
-def run_queries_parallel(
-    network: "SuperPeerNetwork",
-    queries: Sequence["Query"],
-    variants: Sequence["Variant"],
-    workers: int,
-) -> dict["Variant", list["QueryExecution"]]:
-    """Fan (query, variant) executions out over the shared engine.
-
-    Results, work counts and metric totals are identical to a serial
-    run; see :meth:`ParallelEngine.run_queries`.
-    """
-    return get_engine(workers).run_queries(network, queries, variants)
-
-
 def preprocess_network_parallel(
     network: "SuperPeerNetwork",
     workers: int,

@@ -20,8 +20,8 @@ end-to-end.
   sheds excess arrivals with ``queue_full``.  Shedding is an explicit
   response frame, never a silent drop or a hang.
 * **Dispatch** — admitted jobs run on an executor thread through
-  :func:`repro.skypeer.netexec.gateway_dispatch` (warm engine, serial,
-  or the socket transport).  A job whose waiters all disconnect before
+  :func:`repro.skypeer.netexec.gateway_dispatch` (warm engine or
+  serial).  A job whose waiters all disconnect before
   dispatch is abandoned, not executed.
 * **Live updates** — the ``update`` admin op applies point
   inserts/deletes and peer joins/failures to the *served* network
@@ -218,8 +218,7 @@ class QueryGateway:
     ``backend`` picks the execution path (``engine`` needs an attached
     :class:`~repro.parallel.ParallelEngine`; ``serial`` runs
     :func:`~repro.skypeer.executor.execute_query` on an executor
-    thread; ``socket`` drives :func:`~repro.skypeer.netexec.
-    run_socket_query`).  ``dispatch`` overrides the whole backend call
+    thread).  ``dispatch`` overrides the whole backend call
     — the fault-injection suite substitutes failing/blocking fakes
     through this seam, exactly like the transport tests inject
     connectors and writers.
@@ -476,8 +475,8 @@ class QueryGateway:
         :meth:`~repro.parallel.ParallelEngine.apply_update`, so live shm
         publications refresh incrementally (only the touched super-peer
         slots republish) and the report carries the delta bytes.  The
-        serial and socket backends apply the mutation directly — there
-        is no publication to refresh.  On every backend it runs under
+        serial backend applies the mutation directly — there is no
+        publication to refresh.  On every backend it runs under
         the write side of the gateway's gate, so it waits for the
         dispatches in flight and the next ones wait for it.  The network
         epoch bumps, so queries admitted after this response never

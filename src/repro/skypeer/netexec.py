@@ -395,24 +395,21 @@ def gateway_dispatch(
     * ``engine`` — the warm :class:`~repro.parallel.ParallelEngine`
       passed as ``engine`` (shared-memory data plane);
     * ``serial`` — in-process :func:`~repro.skypeer.executor.
-      execute_query`;
-    * ``socket`` — the full asyncio transport via
-      :func:`run_socket_query`.
+      execute_query`.
 
-    All three return the same :class:`~repro.core.store.SortedByF` for
-    a given ``(subspace, variant)``: the answer on the queried
+    Both return the same :class:`~repro.core.store.SortedByF` for a
+    given ``(subspace, variant)``: the answer on the queried
     coordinates, ordered by ``min_{i in U} p[i]`` — what the socket
-    path's wire carries, and what makes gateway coalescing exact.
+    carrier's wire carries too (:func:`run_socket_query`), and what
+    makes gateway coalescing exact.
     """
     variant = Variant.parse(variant) if isinstance(variant, str) else variant
-    if backend == "socket":
-        return run_socket_query(network, query, variant).result
     if backend == "engine":
         if engine is None:
             raise ValueError("backend 'engine' requires an engine instance")
-        result = engine.run_queries(network, [query], [variant])[variant][0].result
+        result = engine.run_query(network, query, variant).result
     elif backend == "serial":
         result = execute_query(network, query, variant).result
     else:
-        raise ValueError(f"unknown gateway backend {backend!r} (engine|serial|socket)")
+        raise ValueError(f"unknown gateway backend {backend!r} (engine|serial)")
     return _queried(result, normalize_subspace(query.subspace, network.dimensionality))

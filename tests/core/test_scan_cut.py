@@ -31,11 +31,11 @@ from tests.core.test_two_pass_scan import alg1, grids, reference_scan
 CHUNKS = [1, 64]
 
 
-def _draw_case(data):
-    values = data.draw(grids(), label="values")
+def _draw_case(data, d=None, min_u=1):
+    values = data.draw(grids(d=d), label="values")
     d = values.shape[1]
     store = SortedByF.from_points(PointSet(values))
-    cols = tuple(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1), label="U")))
+    cols = tuple(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=min_u), label="U")))
     return store, cols
 
 
@@ -88,8 +88,12 @@ def test_a_bound_from_a_real_point_loses_no_answer(data):
 @settings(max_examples=100, deadline=None)
 def test_a_memo_replay_under_a_remote_bound_is_a_fresh_scan(data):
     """A ``t0`` below the scan's own ``t_loc`` cuts rows the local
-    skyline holds; a ``ScanMemo`` hit replays that scan exactly."""
-    store, cols = _draw_case(data)
+    skyline holds; a ``ScanMemo`` hit replays that scan exactly.
+
+    A one-column ``U`` has ``g_U = dist_U`` on every row, so no row lies
+    below ``t_loc``: the case draws ``d >= 2`` and ``|U| >= 2``."""
+    d = data.draw(st.integers(2, 4), label="d")
+    store, cols = _draw_case(data, d=d, min_u=2)
     t_loc = local_subspace_skyline(store, cols).threshold
     below = sorted({float(x) for x in store.points.values[:, list(cols)].min(axis=1) if x < t_loc})
     assume(below)

@@ -1231,3 +1231,119 @@ class TestQuanta:
                     read(blob[:cut])
                 with pytest.raises(WireError):
                     read(bytes(short))
+
+
+def _group(values, low: int) -> bytes:
+    """One byte-coded group of ``values`` at width ``low``: the high
+    ``8 - low`` bytes of its first value once, then each value's low
+    ``low`` bytes."""
+    words = [struct.pack("<d", v) for v in values]
+    return (words[0][low:] if words else b"") + b"".join(w[:low] for w in words)
+
+
+def _framed(n: int, k: int, id_byte: int, width_byte: int, rest: bytes) -> bytes:
+    body = struct.pack("<qIHBB", 0, n, k, id_byte, width_byte) + rest
+    return struct.pack("<2sBBqI", b"SP", 9, 2, 1, len(body)) + body
+
+
+class TestCanonicalForm:
+    """The reader refuses every record the encoder would not write, even
+    one that decodes to a well-formed message: each id and coordinate
+    width is the fewest bytes its values need, and each layout is the
+    one the cost model charges for them."""
+
+    #: Negative values, so no quantum layout: each shares the six high
+    #: bytes of -1.0 and no seventh, one group of width 2.
+    NEGATIVE = -1.0 - np.array([[0, 1], [3, 5], [7, 11]]) * 2.0**-40
+
+    def _refused(self, blob: bytes, match: str) -> None:
+        for read in (decode, lambda b: cost_estimate(b, DEFAULT_COST_MODEL)):
+            with pytest.raises(WireError, match=match):
+                read(blob)
+
+    def test_a_plain_id_column_wider_than_its_ids_is_refused(self):
+        """Ids 1, 5, 9 go in one byte each; the same ids in two bytes
+        each decode to the same message, and are refused."""
+        coords = np.array([[-0.5], [-0.25], [-0.75]])
+        blob = ResultMessage(1, 0, (1, 5, 9), coords).encode()
+        assert blob[HEADER_SIZE + 14] == 1 == id_width((1, 5, 9))
+        block = blob[HEADER_SIZE + 19 :]
+        assert decode(_framed(3, 1, 1, blob[HEADER_SIZE + 15], bytes([1, 5, 9]) + block))
+        wide = _framed(3, 1, 2, blob[HEADER_SIZE + 15], bytes([1, 0, 5, 0, 9, 0]) + block)
+        self._refused(wide, "id width 2 is not the ids' own 1")
+
+    def test_a_gap_coded_id_byte_of_another_width_is_refused(self):
+        """Ids 5, 300, 1000 are gap-coded beside a 2-byte width; the same
+        gaps beside width 3 (still smaller than a 3-byte column) are
+        refused."""
+        msg = ResultMessage(1, 0, (1000, 5, 300), np.full((3, 1), -0.5))
+        blob = bytearray(msg.encode())
+        assert blob[HEADER_SIZE + 14] == 0x80 | 2
+        assert decode(bytes(blob)) == msg
+        blob[HEADER_SIZE + 14] = 0x80 | 3
+        self._refused(bytes(blob), "id width 3 is not the ids' own 2")
+
+    def test_a_one_group_width_one_byte_wider_is_refused(self):
+        """The 3 x 2 negative block goes as one group at ``c = 2``; at
+        ``c = 3``, one shared byte fewer, it decodes to the same values
+        and is refused."""
+        coords = self.NEGATIVE
+        assert coord_width(coords) == (2, 6)
+        values = coords.reshape(-1).tolist()
+        ids = bytes([0, 1, 2])
+        blob = ResultMessage(1, 0, range(3), coords).encode()
+        assert blob == _framed(3, 2, 1, 2, ids + _group(values, 2))
+        wide = _framed(3, 2, 1, 3, ids + _group(values, 3))
+        assert len(wide) == len(blob) + 6 - 1  # a byte more per value, one shared fewer
+        self._refused(wide, "coordinate layout")
+
+    def test_a_column_width_one_byte_wider_is_refused(self):
+        """The same for a per-column block: column 1 of ``ZERO_COLUMN``
+        sent one byte wider than its shared high bytes allow."""
+        coords = TestColumnLayout.ZERO_COLUMN
+        (widths, sent) = coord_width(coords)
+        assert len(widths) == 3 and widths[0] == 8 and sent == (0, 6, 6)
+        blob = ResultMessage(1, 0, range(6), coords).encode()
+        bitmap = np.packbits(coords.reshape(-1) == 0, bitorder="little").tobytes()
+
+        def record(width_1: int) -> bytes:
+            groups = _group(coords[:, 1], width_1) + _group(coords[:, 2], widths[2])
+            rest = bytes([width_1, widths[2]]) + bytes(range(6)) + bitmap + groups
+            return _framed(6, 3, 1, 0xC0 | 8, rest)
+
+        assert blob == record(widths[1])
+        self._refused(record(widths[1] + 1), "coordinate layout")
+
+    #: Ids whose gaps (5 bytes: zigzag 5, then 1, 1, 293) beat a 2-byte
+    #: column (8 bytes), so there is room for a gap block a byte longer.
+    GAPPED = (5, 6, 7, 300)
+
+    def _gapped(self, id_byte: int, id_block: bytes) -> bytes:
+        group = struct.pack("<d", -0.5)  # width 0: the shared value once
+        return _framed(len(self.GAPPED), 1, id_byte, 0, id_block + group)
+
+    def test_a_gap_varint_that_is_not_minimal_is_refused(self):
+        """``5`` padded to two varint bytes still decodes to the same
+        ids, in a block still smaller than the column, and is refused."""
+        assert id_bytes(self.GAPPED) == 5
+        msg = ResultMessage(1, 0, self.GAPPED, np.full((4, 1), -0.5))
+        assert msg.encode() == self._gapped(0x80 | 2, bytes([0x0A, 1, 1, 0xA5, 0x02]))
+        padded = self._gapped(0x80 | 2, bytes([0x8A, 0x00, 1, 1, 0xA5, 0x02]))
+        self._refused(padded, "an id block of 6 bytes is not the ids' own 5")
+
+    def test_a_plain_id_column_whose_gaps_are_smaller_is_refused(self):
+        """The same ids in a plain 2-byte column decode to the same
+        message; the encoder sends the smaller gap block, so the column
+        is refused."""
+        column = b"".join(i.to_bytes(2, "little") for i in self.GAPPED)
+        self._refused(self._gapped(2, column), "an id block of 8 bytes is not the ids' own 5")
+
+    def test_a_byte_group_that_a_quantum_block_beats_is_refused(self):
+        """0.5, 0.25 and 0.75 share one high byte, so they fit a group
+        of width 7, but as multiples of 2**-2 they go in a 4-byte quantum
+        block; the byte group is refused."""
+        values = [0.5, 0.25, 0.75]
+        coords = np.array(values)[:, None]
+        assert isinstance(coord_width(coords)[0], Quanta)
+        group = _framed(3, 1, 1, 7, bytes([0, 1, 2]) + _group(values, 7))
+        self._refused(group, "not smaller than its quantum layout")

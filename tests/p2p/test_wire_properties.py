@@ -402,6 +402,39 @@ def test_every_double_roundtrips_bit_for_bit_in_either_layout(coords, single):
     )
 
 
+@st.composite
+def column_blocks(draw):
+    """``n x k`` negative blocks whose columns each share high bytes but
+    not with each other (so they go per column), at times with a column
+    of ``+0.0`` (so beside a zero bitmap)."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+    offsets = draw(st.lists(st.integers(0, 2**16), min_size=n * k, max_size=n * k))
+    scales = draw(st.lists(st.integers(-10, 10), min_size=k, max_size=k))
+    block = -np.ldexp(1.0 + np.array(offsets).reshape(n, k) * 2.0**-40, scales)
+    if draw(st.booleans()):
+        block[:, 0] = 0.0
+    return block
+
+
+@given(st.one_of(quantum_blocks(), column_blocks()), st.data())
+@settings(max_examples=500, deadline=None)
+def test_a_record_decode_accepts_after_byte_flips_re_encodes_to_itself(coords, data):
+    """Flip one to three bytes of an encoded record: whatever ``decode``
+    still accepts is a record the encoder writes, byte for byte, so no
+    message has two encodings on the wire."""
+    ids = data.draw(st.lists(st.integers(0, 4999) | ids_strategy, min_size=len(coords),
+                             max_size=len(coords)))
+    blob = bytearray(ResultMessage(1, 0, ids, coords).encode())
+    flips = data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=3))
+    for at in flips:
+        blob[at] ^= data.draw(st.integers(1, 255))
+    try:
+        message = decode(bytes(blob))
+    except WireError:
+        return
+    assert message.encode() == bytes(blob)
+
+
 @given(st.binary(max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_random_blobs_never_crash(blob):

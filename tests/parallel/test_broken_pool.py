@@ -25,6 +25,7 @@ from repro.parallel import ParallelEngine
 from repro.parallel.engine import _noop
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+from tests.parallel.pooled import pooled_runs
 
 VARIANTS = [Variant.FTPM, Variant.RTFM, Variant.NAIVE]
 
@@ -72,11 +73,11 @@ def _kill_a_worker(engine: ParallelEngine) -> int:
 def test_a_killed_worker_between_two_calls(network, queries):
     serial = {v: [_fingerprint(execute_query(network, q, v)) for q in queries] for v in VARIANTS}
     with ParallelEngine(2) as engine:
-        first = engine.run_queries(network, queries, VARIANTS)
+        first = pooled_runs(engine, network, queries, VARIANTS)
         assert {v: list(map(_fingerprint, runs)) for v, runs in first.items()} == serial
         token = engine._publications[id(network)].token
         killed = _kill_a_worker(engine)
-        second = engine.run_queries(network, queries, VARIANTS)
+        second = pooled_runs(engine, network, queries, VARIANTS)
         assert {v: list(map(_fingerprint, runs)) for v, runs in second.items()} == serial
         assert engine.stats.pool_replacements == 1
         assert killed not in engine._pool._processes
@@ -85,7 +86,7 @@ def test_a_killed_worker_between_two_calls(network, queries):
         assert engine._publications[id(network)].token == token
         assert engine.stats.publications == 1
         # The replacement pool serves the next call as usual.
-        third = engine.run_queries(network, queries, VARIANTS)
+        third = pooled_runs(engine, network, queries, VARIANTS)
         assert {v: list(map(_fingerprint, runs)) for v, runs in third.items()} == serial
         assert engine.stats.pool_replacements == 1
 
@@ -96,11 +97,11 @@ def test_concurrent_fan_outs_replace_a_broken_pool_once(network, queries):
     serial = [_fingerprint(execute_query(network, q, Variant.FTPM)) for q in queries]
     results: dict[int, list] = {}
     with ParallelEngine(2) as engine:
-        engine.run_queries(network, queries, [Variant.FTPM])
+        pooled_runs(engine, network, queries, [Variant.FTPM])
         _kill_a_worker(engine)
 
         def call(slot: int) -> None:
-            runs = engine.run_queries(network, queries, [Variant.FTPM])[Variant.FTPM]
+            runs = pooled_runs(engine, network, queries, [Variant.FTPM])[Variant.FTPM]
             results[slot] = list(map(_fingerprint, runs))
 
         threads = [threading.Thread(target=call, args=(slot,)) for slot in range(6)]
@@ -134,7 +135,7 @@ def test_a_second_break_propagates_and_the_next_call_recovers(network, queries):
         with pytest.raises(BrokenProcessPool):
             engine._fan_out(os._exit, [(1,)])
         assert engine.stats.pool_replacements == 1
-        runs = engine.run_queries(network, queries, [Variant.FTPM])
+        runs = pooled_runs(engine, network, queries, [Variant.FTPM])
         assert engine.stats.pool_replacements == 2
         expected = [_fingerprint(execute_query(network, q, Variant.FTPM)) for q in queries]
         assert list(map(_fingerprint, runs[Variant.FTPM])) == expected
@@ -163,9 +164,9 @@ def test_the_replacement_pool_spawns_lean_workers(queries):
     asked = [Query(subspace=q.subspace, initiator=sp[i % len(sp)]) for i, q in enumerate(queries)]
     serial = [_fingerprint(execute_query(big, q, Variant.FTPM)) for q in asked]
     with ParallelEngine(2, mp_start="fork") as engine:
-        engine.run_queries(big, asked, [Variant.FTPM])
+        pooled_runs(engine, big, asked, [Variant.FTPM])
         _kill_a_worker(engine)
-        runs = engine.run_queries(big, asked, [Variant.FTPM])[Variant.FTPM]
+        runs = pooled_runs(engine, big, asked, [Variant.FTPM])[Variant.FTPM]
         assert list(map(_fingerprint, runs)) == serial
         assert engine.stats.pool_replacements == 1
         assert engine._pool._mp_context.get_start_method() == "spawn"

@@ -27,6 +27,7 @@ from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
 
 from tests.conftest import brute_force_skyline_ids
+from tests.parallel.pooled import pooled_runs
 
 DETERMINISTIC = (
     "comparisons",
@@ -70,14 +71,15 @@ def _assert_matches(serial, cached, label: str) -> None:
 
 class TestCachedMatchesUncached:
     def test_two_cached_passes_match_serial_and_oracle(self):
+        """One worker, so the warm pass probes the memo the cold pass filled."""
         network = _network()
         queries = _queries(network)
         variants = list(Variant)
         serial = {v: [execute_query(network, q, v) for q in queries] for v in variants}
 
-        with ParallelEngine(2) as engine:
-            cold = engine.run_queries(network, queries, variants)
-            warm = engine.run_queries(network, queries, variants)
+        with ParallelEngine(1) as engine:
+            cold = pooled_runs(engine, network, queries, variants)
+            warm = pooled_runs(engine, network, queries, variants)
             assert engine.stats.cache_hits > 0, "repeated subspaces never hit"
 
         _assert_matches(serial, cold, "cold")
@@ -92,19 +94,19 @@ class TestCachedMatchesUncached:
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_warm_pass_replays_every_scan(self, monkeypatch, method):
-        """A repeated batch scans nothing: every probe of the second pass
+        """A repeated pass scans nothing: every probe of the second pass
         hits.  60 = 5 queries × 4 SKYPEER variants × 3 super-peers (naive
         never probes).  One worker, because a memo is private to its
-        worker: on two, a warm chunk may land where its scans never ran."""
+        worker: on two, a warm query may land where its scans never ran."""
         monkeypatch.setenv("REPRO_MP_START", method)
         network = _network()
         queries = _queries(network)
         variants = list(Variant)
         with ParallelEngine(1) as engine:
             assert engine.start_method == method
-            cold = engine.run_queries(network, queries, variants)
+            cold = pooled_runs(engine, network, queries, variants)
             after_cold = engine.stats.as_dict()
-            warm = engine.run_queries(network, queries, variants)
+            warm = pooled_runs(engine, network, queries, variants)
             after_warm = engine.stats.as_dict()
         assert after_warm["cache_hits"] - after_cold["cache_hits"] == 60
         assert after_warm["cache_misses"] == after_cold["cache_misses"]
@@ -122,14 +124,14 @@ class TestCachedMatchesUncached:
         # A worker's attached network is built after the fork, with the cap.
         monkeypatch.setattr(network_module, "_SCAN_MEMO_CAP", 0)
         with ParallelEngine(2, mp_start="fork") as engine:
-            engine.run_queries(network, queries, variants)
-            off = engine.run_queries(network, queries, variants)
+            pooled_runs(engine, network, queries, variants)
+            off = pooled_runs(engine, network, queries, variants)
             assert engine.stats.cache_hits == 0 < engine.stats.cache_evictions
 
         monkeypatch.undo()
-        with ParallelEngine(2) as engine:
-            engine.run_queries(network, queries, variants)
-            on = engine.run_queries(network, queries, variants)
+        with ParallelEngine(1) as engine:  # one memo: the warm pass hits
+            pooled_runs(engine, network, queries, variants)
+            on = pooled_runs(engine, network, queries, variants)
             assert engine.stats.cache_hits > 0
 
         _assert_matches(off, on, "on-vs-off")
@@ -170,7 +172,7 @@ def test_cached_replay_is_indistinguishable_property(case):
     variants = list(Variant)
     serial = {v: [execute_query(net, q, v) for q in queries] for v in variants}
     with ParallelEngine(2) as engine:
-        parallel = engine.run_queries(net, queries, variants)
+        parallel = pooled_runs(engine, net, queries, variants)
     _assert_matches(serial, parallel, "property")
     expected = brute_force_skyline_ids(net.all_points(), queries[0].subspace)
     for variant in variants:

@@ -37,6 +37,7 @@ from repro.p2p.workload import apply_mutation, churn_schedule, plan_op, rebuild_
 from repro.parallel import ParallelEngine
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+from tests.parallel.pooled import pooled_runs
 
 GRID = ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0))
 SUBSPACES = ((0, 1, 2), (1, 3), (0, 2, 3))
@@ -96,7 +97,7 @@ def test_engine_republishes_the_touched_stores_and_matches_the_rebuild(engine, c
     queries = [
         Query(subspace=s, initiator=network.topology.superpeer_ids[0]) for s in SUBSPACES
     ]
-    engine.run_queries(network, queries, [Variant.FTPM])  # warm the publication
+    pooled_runs(engine, network, queries, [Variant.FTPM])  # warm the publication
     incremental = 0
     for op in churn_schedule(ENGINE_OPS, update_rate, churn_rate, seed=cell):
         kind, kwargs = plan_op(network, op)
@@ -116,7 +117,7 @@ def test_engine_republishes_the_touched_stores_and_matches_the_rebuild(engine, c
     assert incremental > 0, "every op fell back to a full republish"
 
     reference = rebuild_reference(network)
-    live = engine.run_queries(network, queries, [Variant.FTPM])[Variant.FTPM]
+    live = pooled_runs(engine, network, queries, [Variant.FTPM])[Variant.FTPM]
     for query, execution in zip(queries, live):
         ref = execute_query(
             reference,

@@ -20,15 +20,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import install, uninstall
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
-from repro.parallel import (
-    ParallelEngine,
-    preprocess_network_parallel,
-    run_queries_parallel,
-)
+from repro.parallel import ParallelEngine, get_engine, preprocess_network_parallel
 from repro.parallel.shm import segment_directory
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
 from tests.conftest import SegmentHome
+from tests.parallel.pooled import pooled_runs
 
 DETERMINISTIC_RUN_FIELDS = (
     "volume_bytes",
@@ -68,7 +65,7 @@ def differential(network, queries):
     reg = MetricsRegistry()
     install(None, reg)
     try:
-        parallel = run_queries_parallel(network, queries, VARIANTS, workers=2)
+        parallel = pooled_runs(get_engine(2), network, queries, VARIANTS)
     finally:
         uninstall()
     return serial, parallel, reg
@@ -111,11 +108,12 @@ def test_merged_counter_totals_match_serial(network, queries, differential):
         assert parallel_reg.total(name) == serial_reg.total(name), name
 
 
-def test_run_queries_stats_identical(network, queries):
-    serial = run_queries(network, queries, VARIANTS, workers=1)
-    parallel = run_queries(network, queries, VARIANTS, workers=2)
+def test_run_queries_stats_identical(network, queries, differential):
+    serial = run_queries(network, queries, VARIANTS)
+    _, parallel, _ = differential
     for variant in VARIANTS:
-        s, p = serial[variant], parallel[variant]
+        s = serial[variant]
+        p = VariantStats.from_executions(variant, parallel[variant])
         assert isinstance(s, VariantStats)
         assert s.queries == p.queries
         assert s.mean_volume_kb == p.mean_volume_kb
@@ -340,7 +338,7 @@ class TestPoolFirstBuild:
             # ...and the query publication that follows stands alone.
             network.preprocess(engine=engine)
             query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
-            engine.run_queries(network, [query], [Variant.FTPM])
+            engine.run_query(network, query, Variant.FTPM)
             assert len(engine.published_segments()) == 1
 
 

@@ -22,9 +22,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import install, uninstall
 from repro.p2p.network import SuperPeerNetwork
 from repro.p2p.topology import Topology
-from repro.parallel import run_queries_parallel
+from repro.parallel import get_engine
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+from tests.parallel.pooled import pooled_runs
 
 
 @st.composite
@@ -82,7 +83,7 @@ def test_parallel_run_is_indistinguishable_from_serial(case):
     parallel_reg = MetricsRegistry()
     install(None, parallel_reg)
     try:
-        parallel = run_queries_parallel(net, queries, variants, workers=2)
+        parallel = pooled_runs(get_engine(2), net, queries, variants)
     finally:
         uninstall()
 

@@ -1,28 +1,21 @@
-"""Unit tests for the pool-engine knobs (no processes spawned here)."""
+"""Unit tests for the pool-engine knobs and its one query entry point."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
-from repro.parallel import (
-    default_workers,
-    resolve_workers,
-    set_default_workers,
-    start_method,
-)
+from repro.parallel import resolve_workers, start_method
+from repro.skypeer.variants import Variant
 
 
 @pytest.fixture(autouse=True)
-def _clean_ambient(monkeypatch):
-    """Every test starts with no ambient worker count and a clean env."""
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def _clean_env(monkeypatch):
+    """Every test starts with no start-method override."""
     monkeypatch.delenv("REPRO_MP_START", raising=False)
-    set_default_workers(None)
-    yield
-    set_default_workers(None)
 
 
 class TestResolveWorkers:
@@ -39,38 +32,11 @@ class TestResolveWorkers:
     def test_negative_means_one_per_cpu(self):
         assert resolve_workers(-1) == max(1, os.cpu_count() or 1)
 
-    def test_none_consults_env(self, monkeypatch):
+    def test_no_environment_variable_sets_the_count(self, monkeypatch):
+        """No ambient worker count: ``REPRO_WORKERS`` is not read."""
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-
-    def test_none_consults_set_default(self):
-        set_default_workers(4)
-        assert resolve_workers(None) == 4
-
-    def test_set_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        set_default_workers(4)
-        assert resolve_workers(None) == 4
-
-    def test_use_default_off_ignores_ambient(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        set_default_workers(4)
-        assert resolve_workers(None, use_default=False) == 1
-
-    def test_explicit_beats_ambient(self):
-        set_default_workers(4)
+        assert resolve_workers(None) == 1
         assert resolve_workers(2) == 2
-
-
-class TestDefaultWorkers:
-    def test_unset_is_none(self):
-        assert default_workers() is None
-
-    def test_set_and_reset(self):
-        set_default_workers(6)
-        assert default_workers() == 6
-        set_default_workers(None)
-        assert default_workers() is None
 
 
 class TestStartMethod:
@@ -88,78 +54,48 @@ class TestStartMethod:
             start_method()
 
 
-class TestCliAmbientScope:
-    def test_context_manager_sets_and_restores(self):
-        from repro.cli import _ambient_workers
+class TestRunQuery:
+    """One query under one variant is one pool task, and its execution
+    is the serial executor's on every deterministic field."""
 
-        with _ambient_workers(3):
-            assert default_workers() == 3
-        assert default_workers() is None
+    @pytest.fixture(scope="class")
+    def network(self):
+        from repro.p2p.network import SuperPeerNetwork
 
-    def test_none_is_a_no_op(self):
-        from repro.cli import _ambient_workers
+        return SuperPeerNetwork.build(
+            n_peers=8, points_per_peer=10, dimensionality=4, seed=3
+        )
 
-        set_default_workers(7)
-        with _ambient_workers(None):
-            assert default_workers() == 7
-        assert default_workers() == 7
+    @pytest.fixture(scope="class")
+    def engine(self):
+        from repro.parallel import ParallelEngine
 
+        with ParallelEngine(workers=1) as engine:
+            yield engine
 
-class TestAffinityChunks:
-    """Subspace-affine batching: deterministic, index-complete, grouped."""
-
-    @staticmethod
-    def _make(subspaces, variants):
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_matches_the_serial_executor(self, network, engine, variant):
         from repro.data.workload import Query
-        from repro.parallel.engine import _affinity_chunks
-        from repro.skypeer.variants import Variant
+        from repro.skypeer.executor import execute_query
 
-        queries = [Query(subspace=s, initiator=0) for s in subspaces]
-        return _affinity_chunks(queries, [Variant.parse(v) for v in variants], workers=2)
-
-    def test_covers_every_task_exactly_once(self):
-        chunks = self._make([(0, 1), (1, 2), (0, 1)], ["FTPM", "RTFM"])
-        indices = sorted(i for chunk in chunks for i, _, _ in chunk)
-        assert indices == list(range(6))
-
-    def test_same_subspace_lands_in_same_chunk(self):
-        # 3 tasks per subspace (across 2 queries x ... ) stay together
-        # while the target chunk size allows.
-        chunks = self._make([(0, 1), (1, 2)], ["FTPM"])
-        for chunk in chunks:
-            assert len({q.subspace for _, q, _ in chunk}) == 1
-
-    def test_variants_share_their_query_subspace_chunk(self):
-        # 16 tasks / 2 workers -> chunk target 2: the two variant-tasks
-        # of the lone (0, 2) query target the same projection cache and
-        # ride the same chunk (affinity groups span variants).
-        chunks = self._make([(0, 2)] + [(1, 2)] * 7, ["FTPM", "RTFM"])
-        lone = [c for c in chunks if any(q.subspace == (0, 2) for _, q, _ in c)]
-        assert len(lone) == 1
-        assert sorted(v for _, _, v in lone[0]) == ["FTPM", "RTFM"]
-
-    def test_indices_follow_serial_iteration_order(self):
-        from repro.data.workload import Query
-        from repro.parallel.engine import _affinity_chunks
-        from repro.skypeer.variants import Variant
-
-        queries = [Query(subspace=(0, 1), initiator=0), Query(subspace=(1, 2), initiator=0)]
-        variants = [Variant.FTPM, Variant.RTFM]
-        chunks = _affinity_chunks(queries, variants, workers=2)
-        expected = {}
-        index = 0
-        for v in variants:
-            for q in queries:
-                expected[index] = (q.subspace, v.value)
-                index += 1
-        for chunk in chunks:
-            for i, q, value in chunk:
-                assert expected[i] == (q.subspace, value)
-
-    def test_oversized_groups_split(self):
-        chunks = self._make([(0, 1)] * 40, ["FTPM"])
-        assert len(chunks) > 1
-        assert sum(len(c) for c in chunks) == 40
+        query = Query(subspace=(0, 2, 3), initiator=network.topology.superpeer_ids[-1])
+        serial = execute_query(network, query, Variant.parse(variant))
+        tasks, batches = engine.stats.tasks, engine.stats.batches
+        pooled = engine.run_query(network, query, variant)
+        assert (engine.stats.tasks, engine.stats.batches) == (tasks + 1, batches + 1)
+        assert pooled.variant == serial.variant
+        assert pooled.result_ids == serial.result_ids
+        assert np.array_equal(pooled.result.points.values, serial.result.points.values)
+        for field in (
+            "volume_bytes",
+            "message_count",
+            "comparisons",
+            "initial_threshold",
+            "local_result_points",
+            "point_hops",
+            "critical_path_examined",
+        ):
+            assert getattr(pooled, field) == getattr(serial, field), field
 
 
 class TestPersistentEngine:
@@ -200,7 +136,7 @@ class TestPersistentEngine:
         engine = ParallelEngine(workers=1)
         engine.close()
         with pytest.raises(RuntimeError, match="closed"):
-            engine.run_queries(None, [], [])
+            engine.run_query(None, None, "FTPM")
 
     def test_stats_fields_populate(self):
         from repro.data.workload import Query
@@ -212,12 +148,14 @@ class TestPersistentEngine:
         )
         with ParallelEngine(workers=2) as engine:
             query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
-            engine.run_queries(network, [query, query], ["FTPM", "RTFM"])
+            for variant in ("FTPM", "RTFM"):
+                engine.run_query(network, query, variant)
+                engine.run_query(network, query, variant)
             stats = engine.stats.as_dict()
         assert stats["pool_startup_seconds"] > 0
         assert stats["publications"] == 1
         assert stats["tasks"] == 4
-        assert stats["batches"] >= 1
+        assert stats["batches"] == 4
         assert stats["submit_seconds"] > 0
         assert stats["dispatch_overhead_per_task_seconds"] > 0
         assert stats["attach_count"] >= 1
@@ -234,10 +172,10 @@ class TestPersistentEngine:
         )
         with ParallelEngine(workers=2) as engine:
             query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
-            engine.run_queries(network, [query], ["FTPM"])
+            engine.run_query(network, query, "FTPM")
             assert engine.stats.publications == 1
             network.preprocess()  # bumps the epoch: stores were rebuilt
-            (pooled,) = engine.run_queries(network, [query], [Variant.FTPM])[Variant.FTPM]
+            pooled = engine.run_query(network, query, Variant.FTPM)
             # The same publication, every slot rewritten.
             assert engine.stats.publications == 1
             assert engine.stats.full_republishes == 1
@@ -262,7 +200,7 @@ class TestPersistentEngine:
         )
         query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
         with ParallelEngine(workers=1) as engine:
-            engine.run_queries(network, [query], ["FTPM"])
+            engine.run_query(network, query, "FTPM")
             (publication,) = engine._publications.values()
             spec = publication.spec
             assert spec["manifest"] is publication.shared.manifest
@@ -311,10 +249,10 @@ class TestWorkerMemory:
         # nothing per subspace.
         with ParallelEngine(workers=1, mp_start="spawn") as engine:
             (pid,) = engine._pool._processes
-            first = [Query(subspace=subspaces[0], initiator=initiator)]
-            engine.run_queries(network, first, [Variant.FTPM])
+            queries = [Query(subspace=s, initiator=initiator) for s in subspaces]
+            engine.run_query(network, queries[0], Variant.FTPM)
             after_first = _vmrss_kb(pid)
-            cycle = [Query(subspace=s, initiator=initiator) for s in subspaces]
-            engine.run_queries(network, cycle, [Variant.FTPM])
+            for query in queries:
+                engine.run_query(network, query, Variant.FTPM)
             after_cycle = _vmrss_kb(pid)
         assert after_cycle <= 1.10 * after_first

@@ -26,6 +26,7 @@ from repro.p2p.topology import Topology
 from repro.parallel import ParallelEngine, get_engine, shutdown_engines
 from repro.parallel.engine import _ENGINES
 from repro.skypeer.variants import Variant
+from tests.parallel.pooled import pooled_runs
 
 
 def _network(seed: int = 13, d: int = 4) -> SuperPeerNetwork:
@@ -68,7 +69,7 @@ class TestIdempotentClose:
         network = _network()
         engine = ParallelEngine(2)
         query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
-        engine.run_queries(network, [query], [Variant.FTPM])
+        engine.run_query(network, query, Variant.FTPM)
         assert engine.published_segments()
         engine.close()
         engine.close()
@@ -81,7 +82,7 @@ class TestIdempotentClose:
         engine.close()
         query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
         with pytest.raises(RuntimeError, match="closed"):
-            engine.run_queries(network, [query], [Variant.FTPM])
+            engine.run_query(network, query, Variant.FTPM)
 
 
 class TestConcurrentTeardown:
@@ -166,7 +167,7 @@ class TestConcurrentTeardown:
         def work():
             try:
                 results.append(
-                    engine.run_queries(network, queries, [Variant.FTPM, Variant.RTPM])
+                    pooled_runs(engine, network, queries, [Variant.FTPM, Variant.RTPM])
                 )
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
@@ -238,7 +239,7 @@ class TestEpochGateRaces:
         network = _network(seed=31)
         query = Query(subspace=(0, 1, 2), initiator=network.topology.superpeer_ids[0])
         with ParallelEngine(2) as engine:
-            engine.run_queries(network, [query], [Variant.FTPM])
+            engine.run_query(network, query, Variant.FTPM)
             # Every answer a reader may legally observe: the pre-update
             # skyline plus the one after each applied update.
             legal = {self._snapshot(execute_query(network, query, Variant.FTPM).result)}
@@ -249,8 +250,8 @@ class TestEpochGateRaces:
             def reader():
                 for _ in range(8):
                     try:
-                        runs = engine.run_queries(network, [query], [Variant.FTPM])
-                        snap = self._snapshot(runs[Variant.FTPM][0].result)
+                        run = engine.run_query(network, query, Variant.FTPM)
+                        snap = self._snapshot(run.result)
                         with lock:
                             observed.append(snap)
                     except Exception as exc:  # pragma: no cover - fail loudly
@@ -298,7 +299,7 @@ class TestEpochGateRaces:
         network = _network(seed=33)
         query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
         engine = ParallelEngine(2)
-        engine.run_queries(network, [query], [Variant.FTPM])
+        engine.run_query(network, query, Variant.FTPM)
         outcomes: list[str] = []
 
         def updater():

@@ -24,6 +24,7 @@ from repro.parallel.shm import attach_network, manifest_data_nbytes, publish_net
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
 from tests.conftest import off_dev_shm, segment_files
+from tests.parallel.pooled import pooled_runs
 
 
 def build_network(seed: int = 3, d: int = 4, n_superpeers: int = 3) -> SuperPeerNetwork:
@@ -250,10 +251,12 @@ class TestApplyUpdate:
         ]
 
     def test_insert_refreshes_the_live_publication_incrementally(self):
+        """One worker, so its sync after the update is a re-map of the
+        touched slot, never some other worker's first attach."""
         network = build_network()
         queries = self._queries(network)
-        with ParallelEngine(2) as engine:
-            engine.run_queries(network, queries, [Variant.FTPM])
+        with ParallelEngine(1) as engine:
+            pooled_runs(engine, network, queries, [Variant.FTPM])
             publications_before = engine.stats.publications
             peer_id = sorted(network.peers)[0]
             report = engine.apply_update(
@@ -282,7 +285,7 @@ class TestApplyUpdate:
             attached_bytes = engine.stats.attached_bytes
             # Post-update answers are byte-identical to a serial run on
             # the live (mutated) network.
-            live = engine.run_queries(network, queries, [Variant.FTPM])[Variant.FTPM]
+            live = pooled_runs(engine, network, queries, [Variant.FTPM])[Variant.FTPM]
             # Every worker sync re-mapped exactly the republished slot.
             syncs = engine.stats.attaches - attaches
             assert syncs >= 1
@@ -305,7 +308,7 @@ class TestApplyUpdate:
         network = build_network(n_superpeers=6)
         queries = self._queries(network)
         with ParallelEngine(2) as engine:
-            engine.run_queries(network, queries, [Variant.FTPM])
+            pooled_runs(engine, network, queries, [Variant.FTPM])
             (publication,) = engine._publications.values()
             before = {
                 sp: slot["segment"] for sp, slot in publication.shared.manifest["slots"].items()
@@ -328,7 +331,7 @@ class TestApplyUpdate:
             # The dead and the replaced slots' segments are gone already.
             assert not os.path.exists(before[doomed])
             assert sorted(_shm_leaks()) == sorted(publication.shared.paths)
-            live = engine.run_queries(network, queries, [Variant.FTPM])[Variant.FTPM]
+            live = pooled_runs(engine, network, queries, [Variant.FTPM])[Variant.FTPM]
             for query, execution in zip(queries, live):
                 reference = execute_query(network, query, Variant.FTPM)
                 assert execution.result_ids == reference.result_ids
@@ -360,8 +363,8 @@ class TestApplyUpdate:
         network = build_network()
         queries = self._queries(network)
         with ParallelEngine(1) as engine:
-            engine.run_queries(network, queries, [Variant.FTPM])
-            engine.run_queries(network, queries, [Variant.FTPM])  # warm
+            pooled_runs(engine, network, queries, [Variant.FTPM])
+            pooled_runs(engine, network, queries, [Variant.FTPM])  # warm
             warm_hits = engine.stats.cache_hits
             assert warm_hits > 0
             peer_id = sorted(network.peers)[0]
@@ -369,7 +372,7 @@ class TestApplyUpdate:
                 network, "insert", peer_id=peer_id,
                 points=fresh_points(network, 2, seed=14),
             )
-            engine.run_queries(network, queries, [Variant.FTPM])
+            pooled_runs(engine, network, queries, [Variant.FTPM])
             assert engine.stats.cache_hits > warm_hits
         assert _shm_leaks() == []
 
@@ -391,7 +394,7 @@ def test_query_publication_answers_every_variant(mp_start, monkeypatch):
     variants = list(Variant)
     with ParallelEngine(2) as engine:
         assert engine.start_method == mp_start
-        pooled = engine.run_queries(network, queries, variants)
+        pooled = pooled_runs(engine, network, queries, variants)
         (publication,) = engine._publications.values()
         manifest = publication.spec["manifest"]
         assert not manifest["partitions"]
@@ -433,7 +436,7 @@ def test_ledgers_and_segments_stay_proportional_to_their_payload():
     query = Query(subspace=(0, 2), initiator=network.topology.superpeer_ids[0])
     trace_filter = tracemalloc.Filter(True, ledger_module.__file__)
     with ParallelEngine(2) as engine:
-        engine.run_queries(network, [query], [Variant.FTPM])
+        engine.run_query(network, query, Variant.FTPM)
         tracemalloc.start()
         try:
             for superpeer in network.superpeers.values():

@@ -296,7 +296,7 @@ class TestLifecycle:
         engine = ParallelEngine(workers=2)
         try:
             query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
-            engine.run_queries(network, [query], ["FTPM"])
+            engine.run_query(network, query, "FTPM")
             segments = engine.published_segments()
             assert segments and set(segments) <= set(segment_home.files())
         finally:
@@ -340,8 +340,8 @@ class TestLifecycle:
             "net = SuperPeerNetwork.build(n_peers=6, points_per_peer=10,"
             " dimensionality=3, seed=0)\n"
             "engine = ParallelEngine(workers=2)\n"
-            "engine.run_queries(net, [Query(subspace=(0, 1),"
-            " initiator=net.topology.superpeer_ids[0])], ['FTPM'])\n"
+            "engine.run_query(net, Query(subspace=(0, 1),"
+            " initiator=net.topology.superpeer_ids[0]), 'FTPM')\n"
             "print(os.getpid(), *engine.published_segments())\n"
             "sys.stdout.flush()\n"
             # no engine.close(): the atexit hook must run it
@@ -371,11 +371,11 @@ class TestLifecycle:
             "net = SuperPeerNetwork.build(n_peers=12, n_superpeers=3,"
             " points_per_peer=10, dimensionality=3, seed=0, engine=engine)\n"
             "query = Query(subspace=(0, 1), initiator=net.topology.superpeer_ids[0])\n"
-            "engine.run_queries(net, [query], ['FTPM'])\n"
+            "engine.run_query(net, query, 'FTPM')\n"
             "report = engine.apply_update(net, 'insert', peer_id=0,"
             " points=fresh_points(net, 2, seed=1))\n"
             "assert report.republished_bytes > 0  # a slot segment was rewritten\n"
-            "engine.run_queries(net, [query], ['FTPM'])\n"
+            "engine.run_query(net, query, 'FTPM')\n"
             "shutdown_engines()\n"
             "assert resource_tracker._resource_tracker._pid is None\n"
         )

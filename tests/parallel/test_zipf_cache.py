@@ -21,6 +21,7 @@ from repro.p2p.topology import Topology
 from repro.parallel import ParallelEngine
 from repro.skypeer.executor import execute_query
 from repro.skypeer.variants import Variant
+from tests.parallel.pooled import pooled_runs
 
 VARIANT = Variant.FTPM
 QUERIES = 24
@@ -41,9 +42,12 @@ def _network(seed: int = 31, d: int = 6) -> SuperPeerNetwork:
 
 
 def _run_workload(network, queries) -> tuple[float, list]:
-    """One fresh engine pass; returns (hit rate, runs)."""
-    with ParallelEngine(2) as engine:
-        runs = engine.run_queries(network, queries, [VARIANT])[VARIANT]
+    """One fresh engine pass; returns (hit rate, runs).
+
+    One worker: every query probes the same scan memo, so the hit rate
+    does not depend on which worker a query lands on."""
+    with ParallelEngine(1) as engine:
+        runs = pooled_runs(engine, network, queries, [VARIANT])[VARIANT]
         rate = engine.stats.cache_hit_rate() or 0.0
     return rate, runs
 

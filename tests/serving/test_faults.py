@@ -46,7 +46,7 @@ def bounded(coro):
 
 
 def _die(*_args):
-    """A pool batch whose worker process dies at once."""
+    """A pool task whose worker process dies at once."""
     os._exit(1)
 
 
@@ -242,9 +242,9 @@ class TestBackendFaults:
         return run(bounded(scenario()))
 
     def test_real_worker_death_surfaces_as_error_not_hang(self, network, monkeypatch):
-        """Kill the engine's pool workers, and let every batch kill its
-        worker too, so the pool the engine replaces the broken one with
-        breaks as well: the query gets an error frame."""
+        """Kill the engine's pool workers, and let every query task kill
+        its worker too, so the pool the engine replaces the broken one
+        with breaks as well: the query gets an error frame."""
         import repro.parallel.engine as engine_module
         from repro.parallel import ParallelEngine
 
@@ -252,7 +252,7 @@ class TestBackendFaults:
         try:
             for pid in list(engine._pool._processes):
                 os.kill(pid, signal.SIGKILL)
-            monkeypatch.setattr(engine_module, "_run_query_batch", _die)
+            monkeypatch.setattr(engine_module, "_run_query_task", _die)
             response, stats = self._query_through(engine, network)
             assert response.status == "error"
             assert response.payload["code"] == ERROR_BACKEND
@@ -577,30 +577,34 @@ class TestEpochRaces:
             snapshot = json.dumps(response.payload["result"], sort_keys=True)
             assert snapshot in legal, "torn response: matches no epoch"
 
-    @pytest.mark.parametrize("backend", ["serial", "socket"])
+    @pytest.mark.parametrize("backend", ["serial", "engine"])
     def test_an_update_waits_for_the_query_in_flight(self, backend):
         """A query blocked mid-dispatch holds the update off: the update
         waits at the gate until the query is answered, so the answer is
         the one from before the update, and the next query sees it."""
         from repro.data.workload import Query
+        from repro.parallel import ParallelEngine
 
         from .conftest import build_network
 
         network = build_network(seed=29)
+        engine = ParallelEngine(1) if backend == "engine" else None
         query = Query(subspace=(0, 1), initiator=network.topology.superpeer_ids[0])
-        expected = gateway_dispatch(network, query, "FTPM", backend=backend)
+        expected = gateway_dispatch(network, query, "FTPM", backend="serial")
         entered, release = threading.Event(), threading.Event()
 
         def dispatch(net, job_query, variant):
             if not release.is_set():
                 entered.set()
                 assert release.wait(timeout=TIMEOUT)
-            return gateway_dispatch(net, job_query, variant, backend=backend)
+            return gateway_dispatch(net, job_query, variant, backend=backend, engine=engine)
 
         async def scenario():
             loop = asyncio.get_running_loop()
             config = GatewayConfig(dispatchers=2)
-            gateway = QueryGateway(network, config=config, backend=backend, dispatch=dispatch)
+            gateway = QueryGateway(
+                network, config=config, engine=engine, backend=backend, dispatch=dispatch
+            )
             async with gateway:
                 host, port = gateway.address
                 async with await GatewayClient.connect(host, port) as client:
@@ -619,7 +623,11 @@ class TestEpochRaces:
                     second = await client.query([0, 1])
             return epoch_while_blocked, first, applied, second
 
-        epoch, first, applied, second = run(bounded(scenario()))
+        try:
+            epoch, first, applied, second = run(bounded(scenario()))
+        finally:
+            if engine is not None:
+                engine.close()
         assert epoch == network.epoch - 1, "the update ran while the query was in flight"
         assert first.ok and applied.ok and second.ok
         assert first.payload["result"] == result_payload(expected)

@@ -148,8 +148,10 @@ class TestOneReplyOnEveryBackend:
          ((0, 4), "NAIVE")],
     )
     def test_serial_engine_and_socket_reply_the_same_payload(self, subspace, variant):
-        """Every backend answers on the queried coordinates, byte for byte."""
+        """Every backend answers on the queried coordinates, byte for byte,
+        and so does the socket transport."""
         from repro.parallel import ParallelEngine
+        from repro.skypeer.netexec import run_socket_query
 
         from .conftest import build_network
 
@@ -158,8 +160,9 @@ class TestOneReplyOnEveryBackend:
         with ParallelEngine(1) as engine:
             stores = {
                 backend: gateway_dispatch(network, query, variant, backend=backend, engine=engine)
-                for backend in ("serial", "engine", "socket")
+                for backend in ("serial", "engine")
             }
+        stores["socket"] = run_socket_query(network, query, variant).result
         payloads = {name: encode_payload(result_payload(s)) for name, s in stores.items()}
         assert payloads["serial"] == payloads["engine"] == payloads["socket"]
         answer = execute_query(network, query, variant).result

@@ -32,6 +32,22 @@ class TestFigure:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "fig3b", "--workers", "2"],
+            ["all", "--workers", "2"],
+            ["serve", "--backend", "socket"],
+        ],
+        ids=["figure-workers", "all-workers", "serve-socket"],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        """Figures run serially, and ``serve`` has no socket backend."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: skypeer" in capsys.readouterr().err
+
 
 class TestQuery:
     def test_single_query(self, capsys):

@@ -49,7 +49,7 @@ def test_every_knob_in_source_is_documented():
 
 def test_every_documented_knob_is_read():
     table = api_environment_table()
-    assert "REPRO_WORKERS" in table
+    assert "REPRO_MP_START" in table
     knobs = knobs_in_source()
     stale = [
         name for name in table
